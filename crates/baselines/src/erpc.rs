@@ -11,13 +11,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use flock_sync::clock;
-use flock_sync::clock::TaskHandle;
+use flock_sync::clock::{self, Event, TaskHandle};
 
 use flock_fabric::{
     Access, MemoryRegion, Node, NodeId, QpNum, RecvWr, SendWr, Sge, Transport, WrId, GRH_BYTES,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Packet header: kind, rpc id, thread, seq, fragment index/count, length.
 const PKT_HDR: usize = 1 + 4 + 4 + 8 + 2 + 2 + 4;
@@ -337,7 +336,8 @@ impl Drop for UdRpcServer {
 
 struct ClientShared {
     inboxes: Mutex<HashMap<(u32, u64), Vec<u8>>>,
-    cond: Condvar,
+    /// Signalled after every inbox insert.
+    delivered: Event,
 }
 
 /// The UD RPC client: blocking calls with software retransmission.
@@ -365,7 +365,7 @@ impl UdRpcClient {
         let ep = Endpoint::new(node, &cfg);
         let shared = Arc::new(ClientShared {
             inboxes: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
+            delivered: Event::new(),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let worker = {
@@ -391,7 +391,7 @@ impl UdRpcClient {
                     if let Some(resp) = entry.add(pkt.frag as usize, pkt.payload) {
                         partial.remove(&key);
                         shared.inboxes.lock().insert(key, resp);
-                        shared.cond.notify_all();
+                        shared.delivered.notify_all();
                     }
                 }
             })
@@ -444,55 +444,26 @@ impl UdThread<'_> {
         send();
         let deadline = clock::deadline(c.ep.cfg.timeout);
         let mut retries = 0;
-        if clock::is_virtual() {
-            // Poll in virtual time (a condvar wait would park the lab's
-            // one runnable OS thread); the lock is dropped across each
-            // sleep so the worker can deliver.
-            let mut rto = clock::deadline(c.ep.cfg.rto);
-            loop {
-                if let Some(resp) = c.shared.inboxes.lock().remove(&key) {
-                    return Ok(resp);
-                }
-                if clock::expired(deadline) {
-                    return Err("rpc timed out");
-                }
-                if clock::expired(rto) {
-                    retries += 1;
-                    if retries > c.ep.cfg.max_retries {
-                        return Err("too many retransmissions");
-                    }
-                    c.retransmissions.fetch_add(1, Ordering::Relaxed);
-                    send();
-                    rto = clock::deadline(c.ep.cfg.rto);
-                }
-                clock::sleep_ns(500);
-            }
-        }
         loop {
-            let mut inboxes = c.shared.inboxes.lock();
-            if let Some(resp) = inboxes.remove(&key) {
-                return Ok(resp);
-            }
-            let timed_out = c
+            // Wait out one retransmission timeout (or what is left of
+            // the call's deadline), then resend.
+            let rto = clock::deadline(c.ep.cfg.rto).min(deadline);
+            let got = c
                 .shared
-                .cond
-                .wait_for(&mut inboxes, c.ep.cfg.rto)
-                .timed_out();
-            if let Some(resp) = inboxes.remove(&key) {
+                .delivered
+                .wait_until(rto, 500, || c.shared.inboxes.lock().remove(&key));
+            if let Some(resp) = got {
                 return Ok(resp);
             }
-            drop(inboxes);
             if clock::expired(deadline) {
                 return Err("rpc timed out");
             }
-            if timed_out {
-                retries += 1;
-                if retries > c.ep.cfg.max_retries {
-                    return Err("too many retransmissions");
-                }
-                c.retransmissions.fetch_add(1, Ordering::Relaxed);
-                send();
+            retries += 1;
+            if retries > c.ep.cfg.max_retries {
+                return Err("too many retransmissions");
             }
+            c.retransmissions.fetch_add(1, Ordering::Relaxed);
+            send();
         }
     }
 }

@@ -15,8 +15,7 @@ use flock_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use flock_core::sync::Arc;
 use std::time::Duration;
 
-use flock_sync::clock;
-use flock_sync::clock::TaskHandle;
+use flock_sync::clock::{self, Event, TaskHandle};
 
 use crossbeam::channel::bounded;
 use flock_core::credit::CreditState;
@@ -25,7 +24,7 @@ use flock_core::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
 use flock_core::ring::{RingConsumer, RingLayout, RingProducer};
 use flock_core::{FlockError, Result};
 use flock_fabric::{Access, MemoryRegion, Node, RemoteAddr, SendWr, Sge, Transport, WrId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Configuration for the lock-sharing client.
 #[derive(Debug, Clone)]
@@ -60,7 +59,8 @@ struct QpCtx {
     index: usize,
     qp: Arc<flock_fabric::Qp>,
     lane: Mutex<Lane>,
-    lane_cond: Condvar,
+    /// Signalled on every credit grant.
+    granted: Event,
     req_remote: RingInfo,
     staging: Arc<MemoryRegion>,
     resp_mr: Arc<MemoryRegion>,
@@ -72,7 +72,8 @@ struct QpCtx {
 
 struct ThreadSlot {
     inbox: Mutex<HashMap<u64, Vec<u8>>>,
-    cond: Condvar,
+    /// Signalled after every inbox insert and when the client stops.
+    delivered: Event,
 }
 
 struct Inner {
@@ -80,6 +81,16 @@ struct Inner {
     qps: Vec<Arc<QpCtx>>,
     threads: Mutex<Vec<Arc<ThreadSlot>>>,
     stop: AtomicBool,
+}
+
+impl Inner {
+    /// For wait conditions: `Some(Err(Disconnected))` once the client has
+    /// stopped (ends the wait), `None` (keep waiting) until then.
+    fn disconnected<T>(&self) -> Option<Result<T>> {
+        self.stop
+            .load(Ordering::Relaxed)
+            .then_some(Err(FlockError::Disconnected))
+    }
 }
 
 /// The lock-based QP-sharing RPC client.
@@ -142,7 +153,7 @@ impl LockSharedClient {
                     credits: CreditState::new(reply.initial_credits),
                     canary_seq: 0,
                 }),
-                lane_cond: Condvar::new(),
+                granted: Event::new(),
                 req_remote,
                 staging: node.register_mr(cfg.ring_capacity, Access::LOCAL),
                 resp_mr: Arc::clone(&resp_mrs[i]),
@@ -175,7 +186,7 @@ impl LockSharedClient {
         let thread_id = threads.len() as u32;
         let slot = Arc::new(ThreadSlot {
             inbox: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
+            delivered: Event::new(),
         });
         threads.push(Arc::clone(&slot));
         LockThread {
@@ -227,37 +238,25 @@ impl LockThread {
         let need = msg::encoded_size([payload.len()]);
         let deadline = clock::deadline(self.inner.cfg.timeout);
 
-        // ---- The whole send path holds the QP lock (FaRM model). ----
-        {
-            let mut lane = qp.lane.lock();
-            // Credits: 1 per request; renew at half.
-            loop {
+        // Credits: 1 per request; renew at half. The lane is unlocked
+        // between attempts so the dispatcher can grant.
+        qp.granted
+            .wait_until(deadline, 500, || {
+                let mut lane = qp.lane.lock();
                 if lane.credits.try_consume(1) {
-                    break;
+                    return Some(Ok(()));
                 }
                 if !lane.credits.renewal_in_flight() {
                     lane.credits.mark_requested();
                     send_credit_request(qp);
                 }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::is_virtual() {
-                    // A condvar wait would park the lab's one runnable
-                    // OS thread; poll in virtual time with the lane
-                    // unlocked so the dispatcher can grant credits.
-                    if clock::expired(deadline) {
-                        return Err(FlockError::Timeout);
-                    }
-                    parking_lot::MutexGuard::unlocked(&mut lane, || clock::sleep_ns(500));
-                } else if qp
-                    .lane_cond
-                    .wait_for(&mut lane, remaining(deadline))
-                    .timed_out()
-                {
-                    return Err(FlockError::Timeout);
-                }
-            }
+                self.inner.disconnected()
+            })
+            .unwrap_or(Err(FlockError::Timeout))?;
+
+        // ---- The rest of the send path holds the QP lock (FaRM model). ----
+        {
+            let mut lane = qp.lane.lock();
             if lane.credits.should_request_renewal() {
                 lane.credits.mark_requested();
                 send_credit_request(qp);
@@ -335,43 +334,16 @@ impl LockThread {
         }
 
         // ---- Wait for the response outside the lock. ----
-        if clock::is_virtual() {
-            loop {
+        self.slot
+            .delivered
+            .wait_until(deadline, 500, || {
                 if let Some(data) = self.slot.inbox.lock().remove(&seq) {
-                    return Ok(data);
+                    return Some(Ok(data));
                 }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
-            }
-        }
-        let mut inbox = self.slot.inbox.lock();
-        loop {
-            if let Some(data) = inbox.remove(&seq) {
-                return Ok(data);
-            }
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            if self
-                .slot
-                .cond
-                .wait_for(&mut inbox, remaining(deadline))
-                .timed_out()
-            {
-                return Err(FlockError::Timeout);
-            }
-        }
+                self.inner.disconnected()
+            })
+            .unwrap_or(Err(FlockError::Timeout))
     }
-}
-
-/// Wall- or virtual-clock time left until an absolute [`clock::deadline`].
-fn remaining(deadline_ns: u64) -> Duration {
-    Duration::from_nanos(deadline_ns.saturating_sub(clock::now_ns()))
 }
 
 fn send_credit_request(qp: &QpCtx) {
@@ -408,23 +380,18 @@ fn dispatcher_loop(inner: &Inner) {
                 qp.server_head.fetch_max(view.header.head, Ordering::AcqRel);
                 if view.header.flags & FLAG_CREDIT_GRANT != 0 {
                     let (granted, _) = msg::unpack_aux(view.header.aux);
-                    let mut lane = qp.lane.lock();
-                    if granted > 0 {
-                        lane.credits.grant(granted);
-                    } else {
-                        // The Flock server only declines QPs its scheduler
-                        // deactivated; the FaRM-style client has no
-                        // migration, so treat it as a fresh grant request
-                        // opportunity (keeps the baseline simple).
-                        lane.credits.grant(1);
-                    }
-                    qp.lane_cond.notify_all();
+                    // The Flock server only declines QPs its scheduler
+                    // deactivated; the FaRM-style client has no
+                    // migration, so treat it as a fresh grant request
+                    // opportunity (keeps the baseline simple).
+                    qp.lane.lock().credits.grant(granted.max(1));
+                    qp.granted.notify_all();
                 }
                 let threads = inner.threads.lock();
                 for (meta, data) in view.entries() {
                     if let Some(slot) = threads.get(meta.thread_id as usize) {
                         slot.inbox.lock().insert(meta.seq, data.to_vec());
-                        slot.cond.notify_all();
+                        slot.delivered.notify_all();
                     }
                 }
             }
@@ -440,6 +407,6 @@ fn dispatcher_loop(inner: &Inner) {
         }
     }
     for slot in inner.threads.lock().iter() {
-        slot.cond.notify_all();
+        slot.delivered.notify_all();
     }
 }

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
@@ -15,8 +15,8 @@ use flock_fabric::{
     Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp, RemoteAddr,
     SendWr, Sge, Transport, WrId,
 };
-use flock_sync::clock::{self, TaskHandle};
-use parking_lot::{Condvar, Mutex, RwLock};
+use flock_sync::clock::{self, Event, TaskHandle};
+use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{CreditState, MedianWindow};
 use crate::domain::{
@@ -126,7 +126,8 @@ pub(crate) struct ClientQpCtx {
     /// Consumed head of our response ring (piggybacked on requests).
     resp_head_shared: AtomicU64,
     credits: Mutex<CreditState>,
-    credit_cond: Condvar,
+    /// Signalled on every credit grant/decline and at shutdown.
+    credit_event: Event,
     degree: Mutex<MedianWindow>,
     active: AtomicBool,
     canary_seq: AtomicU64,
@@ -210,6 +211,19 @@ pub struct MemToken {
     len: usize,
 }
 
+/// A thread's response mailbox (one lock: the dispatcher already holds
+/// it to deliver, so the abandoned check rides along for free).
+#[derive(Default)]
+struct Inbox {
+    /// Delivered responses by sequence number, until `recv_res` /
+    /// `try_recv_res` takes them.
+    ready: HashMap<u64, Bytes>,
+    /// Sequence numbers whose `recv_res` timed out: the dispatcher drops
+    /// their late responses instead of parking them in `ready` forever.
+    /// Empty unless a call timed out.
+    abandoned: Vec<u64>,
+}
+
 /// Per-application-thread context.
 pub(crate) struct ThreadCtx {
     id: u32,
@@ -217,8 +231,9 @@ pub(crate) struct ThreadCtx {
     outstanding: AtomicU64,
     current_qp: AtomicUsize,
     target_qp: AtomicUsize,
-    inbox: Mutex<HashMap<u64, Bytes>>,
-    inbox_cond: Condvar,
+    inbox: Mutex<Inbox>,
+    /// Signalled after every inbox insert and when the handle stops.
+    inbox_event: Event,
     // Stats for Algorithm 1 (since last scheduling interval).
     req_sizes: Mutex<MedianWindow>,
     bytes: AtomicU64,
@@ -226,7 +241,9 @@ pub(crate) struct ThreadCtx {
     // In-flight one-sided operations (up to MEM_SUBSLOTS concurrently).
     mem_pending: Mutex<HashMap<u64, MemPending>>,
     mem_results: Mutex<HashMap<u64, std::result::Result<Vec<u8>, &'static str>>>,
-    mem_cond: Condvar,
+    /// Signalled after every `mem_results` insert and when the handle
+    /// stops.
+    mem_event: Event,
     /// Bitmap of free scratch sub-slots.
     mem_free: Mutex<u8>,
     /// This thread's dedicated one-sided QP
@@ -281,6 +298,14 @@ impl HandleInner {
     /// The materialized lane at `idx` (must be `< lane_count`).
     fn lane(&self, idx: usize) -> &Arc<ClientQpCtx> {
         self.lanes[idx].get().expect("lane not materialized")
+    }
+
+    /// For wait conditions: `Some(Err(Disconnected))` once the handle has
+    /// stopped (ends the wait), `None` (keep waiting) until then.
+    fn disconnected<T>(&self) -> Option<Result<T>> {
+        self.stop
+            .load(Ordering::Relaxed)
+            .then_some(Err(FlockError::Disconnected))
     }
 
     /// Iterate the materialized lanes (the dense prefix).
@@ -486,14 +511,14 @@ impl ConnectionHandle {
                 outstanding: AtomicU64::new(0),
                 current_qp: AtomicUsize::new(0),
                 target_qp: AtomicUsize::new(0),
-                inbox: Mutex::new(HashMap::new()),
-                inbox_cond: Condvar::new(),
+                inbox: Mutex::new(Inbox::default()),
+                inbox_event: Event::new(),
                 req_sizes: Mutex::new(MedianWindow::new(64)),
                 bytes: AtomicU64::new(0),
                 reqs: AtomicU64::new(0),
                 mem_pending: Mutex::new(HashMap::new()),
                 mem_results: Mutex::new(HashMap::new()),
-                mem_cond: Condvar::new(),
+                mem_event: Event::new(),
                 mem_free: Mutex::new(0xFF),
                 mem_qp: OnceLock::new(),
             });
@@ -598,7 +623,7 @@ impl ConnectionHandle {
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         for qp in self.inner.lanes_live() {
-            qp.credit_cond.notify_all();
+            qp.credit_event.notify_all();
         }
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
@@ -721,52 +746,39 @@ impl FlThread {
     ///
     /// The returned [`Bytes`] is a zero-copy slice of the coalesced
     /// response message; it keeps that message's buffer alive until
-    /// dropped.
+    /// dropped. A [`FlockError::Timeout`] abandons `seq`: its response,
+    /// should it still arrive, is discarded.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
-        if clock::is_virtual() {
-            // Poll in virtual time (condvars would park the lab's one
-            // runnable OS thread); the lock is dropped across each sleep.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(data) = self.ctx.inbox.lock().remove(&seq) {
-                    self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
-                    return Ok(data);
+        let deadline = clock::deadline(self.inner.cfg.timeout);
+        let got = self.ctx.inbox_event.wait_until(deadline, 500, || {
+            if let Some(data) = self.ctx.inbox.lock().ready.remove(&seq) {
+                return Some(Ok(data));
+            }
+            self.inner.disconnected()
+        });
+        let res = got.unwrap_or_else(|| {
+            // Abandon `seq` so its late response is dropped on arrival —
+            // unless it landed since the last poll.
+            let mut inbox = self.ctx.inbox.lock();
+            match inbox.ready.remove(&seq) {
+                Some(data) => Ok(data),
+                None => {
+                    inbox.abandoned.push(seq);
+                    Err(FlockError::Timeout)
                 }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
             }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
-        let mut inbox = self.ctx.inbox.lock();
-        loop {
-            if let Some(data) = inbox.remove(&seq) {
-                self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
-                return Ok(data);
-            }
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            if self
-                .ctx
-                .inbox_cond
-                .wait_until(&mut inbox, deadline)
-                .timed_out()
-            {
-                return Err(FlockError::Timeout);
-            }
-        }
+        });
+        // Answered, abandoned or disconnected: no longer in flight, so
+        // the thread may migrate again (`migrate_if_idle`).
+        self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
+        res
     }
 
     /// Non-blocking check for the response to `seq` (coroutine-style
     /// pipelining, paper §8.5.2: a thread runs many concurrent
     /// transactions and polls instead of blocking).
     pub fn try_recv_res(&self, seq: u64) -> Option<Bytes> {
-        let data = self.ctx.inbox.lock().remove(&seq)?;
+        let data = self.ctx.inbox.lock().ready.remove(&seq)?;
         self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
         Some(data)
     }
@@ -992,42 +1004,26 @@ impl FlThread {
 
     /// Block until an in-flight one-sided op completes.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
-        if clock::is_virtual() {
-            // Virtual-time poll; see `recv_res`.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
-                    return r.map_err(FlockError::RemoteOpFailed);
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    // Abandon: free the scratch when the completion arrives.
-                    return Err(FlockError::Timeout);
-                }
-                clock::sleep_ns(500);
+        // On timeout the op is abandoned: its completion frees the
+        // scratch when it arrives.
+        self.wait_mem_result(token)
+            .unwrap_or(Err(FlockError::Timeout))
+            .and_then(|r| r.map_err(FlockError::RemoteOpFailed))
+    }
+
+    /// Block until `token`'s completion is published, the handle stops
+    /// (`Some(Err(Disconnected))`), or the timeout passes (`None`).
+    fn wait_mem_result(
+        &self,
+        token: MemToken,
+    ) -> Option<Result<std::result::Result<Vec<u8>, &'static str>>> {
+        let deadline = clock::deadline(self.inner.cfg.timeout);
+        self.ctx.mem_event.wait_until(deadline, 500, || {
+            if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
+                return Some(Ok(r));
             }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
-        let mut results = self.ctx.mem_results.lock();
-        loop {
-            if let Some(r) = results.remove(&token.wr_id) {
-                return r.map_err(FlockError::RemoteOpFailed);
-            }
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            if self
-                .ctx
-                .mem_cond
-                .wait_until(&mut results, deadline)
-                .timed_out()
-            {
-                // Abandon: free the scratch when the completion arrives.
-                return Err(FlockError::Timeout);
-            }
-        }
+            self.inner.disconnected()
+        })
     }
 
     /// Start a non-blocking one-sided read of up to one sub-slot
@@ -1225,40 +1221,9 @@ impl FlThread {
     /// Outer `Err` is a local failure (timeout/disconnect); the inner
     /// result is the remote completion status.
     fn wait_marker(&self, token: MemToken) -> Result<std::result::Result<(), &'static str>> {
-        if clock::is_virtual() {
-            // Virtual-time poll; see `recv_res`.
-            let deadline = clock::deadline(self.inner.cfg.timeout);
-            loop {
-                if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
-                    return Ok(r.map(|_| ()));
-                }
-                if self.inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return self.abandon_deferred(token);
-                }
-                clock::sleep_ns(500);
-            }
-        }
-        let deadline = Instant::now() + self.inner.cfg.timeout;
-        let mut results = self.ctx.mem_results.lock();
-        loop {
-            if let Some(r) = results.remove(&token.wr_id) {
-                return Ok(r.map(|_| ()));
-            }
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            if self
-                .ctx
-                .mem_cond
-                .wait_until(&mut results, deadline)
-                .timed_out()
-            {
-                drop(results);
-                return self.abandon_deferred(token);
-            }
+        match self.wait_mem_result(token) {
+            Some(r) => r.map(|remote| remote.map(|_| ())),
+            None => self.abandon_deferred(token),
         }
     }
 
@@ -1329,7 +1294,7 @@ fn build_lane_ctx(
         resp_cons: Mutex::new(RingConsumer::new(RingLayout::new(0, cfg.ring_capacity))),
         resp_head_shared: AtomicU64::new(0),
         credits: Mutex::new(CreditState::new(initial_credits)),
-        credit_cond: Condvar::new(),
+        credit_event: Event::new(),
         degree: Mutex::new(MedianWindow::new(64)),
         active: AtomicBool::new(true),
         canary_seq: AtomicU64::new(0),
@@ -1621,56 +1586,35 @@ fn flush_parts(
 
 /// Consume `n` credits, requesting renewal when at half (paper §5.1).
 fn wait_for_credits(inner: &HandleInner, qp: &ClientQpCtx, n: u32) -> Result<()> {
-    let deadline = Instant::now() + inner.cfg.timeout;
-    let vdeadline = clock::deadline(inner.cfg.timeout);
+    let deadline = clock::deadline(inner.cfg.timeout);
     loop {
-        let mut send_renewal = false;
-        {
+        // One attempt under the credits lock: `(consumed, renew)`, or
+        // keep waiting for the grant of a renewal already in flight.
+        let attempt = qp.credit_event.wait_until(deadline, 1_000, || {
             let mut credits = qp.credits.lock();
             if !qp.active.load(Ordering::Acquire) {
                 // Deactivated QP: drain without credits; threads migrate
                 // away for future requests.
-                break;
+                return Some(Ok((true, false)));
             }
             let consumed = credits.try_consume(n);
-            if credits.should_request_renewal() {
+            let renew = credits.should_request_renewal();
+            if renew {
                 credits.mark_requested();
-                send_renewal = true;
             }
-            if consumed {
-                if send_renewal {
-                    drop(credits);
-                    send_credit_request(qp)?;
-                }
-                return Ok(());
+            if consumed || renew {
+                return Some(Ok((consumed, renew)));
             }
-            if !send_renewal {
-                if inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::is_virtual() {
-                    // Virtual-time poll for the grant instead of a condvar
-                    // park (which would stall the serialized lab).
-                    drop(credits);
-                    if clock::expired(vdeadline) {
-                        return Err(FlockError::Timeout);
-                    }
-                    clock::sleep_ns(1_000);
-                    continue;
-                }
-                if qp
-                    .credit_cond
-                    .wait_until(&mut credits, deadline)
-                    .timed_out()
-                {
-                    return Err(FlockError::Timeout);
-                }
-                continue;
-            }
+            inner.disconnected()
+        });
+        let (consumed, renew) = attempt.unwrap_or(Err(FlockError::Timeout))?;
+        if renew {
+            send_credit_request(qp)?;
         }
-        send_credit_request(qp)?;
+        if consumed {
+            return Ok(());
+        }
     }
-    Ok(())
 }
 
 /// Post the credit renewal as RDMA write-with-imm (paper §7): the imm word
@@ -1752,8 +1696,8 @@ fn dispatcher_loop(inner: &HandleInner) {
     }
     // Wake any waiting threads so they observe the stop flag.
     for t in inner.threads.read().iter() {
-        t.inbox_cond.notify_all();
-        t.mem_cond.notify_all();
+        t.inbox_event.notify_all();
+        t.mem_event.notify_all();
     }
 }
 
@@ -1776,15 +1720,17 @@ fn handle_ring_poll(
             qp.server_head.fetch_max(h.head, Ordering::AcqRel);
             if h.flags & FLAG_CREDIT_GRANT != 0 {
                 let (granted, _) = msg::unpack_aux(h.aux);
-                let mut credits = qp.credits.lock();
-                if granted == 0 {
-                    credits.decline();
-                    qp.active.store(false, Ordering::Release);
-                } else {
-                    credits.grant(granted);
-                    qp.active.store(true, Ordering::Release);
+                {
+                    let mut credits = qp.credits.lock();
+                    if granted == 0 {
+                        credits.decline();
+                        qp.active.store(false, Ordering::Release);
+                    } else {
+                        credits.grant(granted);
+                        qp.active.store(true, Ordering::Release);
+                    }
                 }
-                qp.credit_cond.notify_all();
+                qp.credit_event.notify_all();
             }
             let threads = inner.threads.read();
             for (meta, range) in view.entry_ranges() {
@@ -1793,8 +1739,16 @@ fn handle_ring_poll(
                     // Zero-copy: each response entry is a slice of
                     // the shared coalesced-message buffer; the one
                     // copy out of the ring happened in `poll`.
-                    t.inbox.lock().insert(meta.seq, m.bytes().slice(range));
-                    t.inbox_cond.notify_all();
+                    {
+                        let mut inbox = t.inbox.lock();
+                        if let Some(i) = inbox.abandoned.iter().position(|&s| s == meta.seq) {
+                            // Its `recv_res` timed out: nobody will ask.
+                            inbox.abandoned.swap_remove(i);
+                            continue;
+                        }
+                        inbox.ready.insert(meta.seq, m.bytes().slice(range));
+                    }
+                    t.inbox_event.notify_all();
                 }
             }
         }
@@ -1850,7 +1804,7 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
         *t.mem_free.lock() |= p.mask;
     }
     t.mem_results.lock().insert(c.wr_id.0, result);
-    t.mem_cond.notify_all();
+    t.mem_event.notify_all();
 }
 
 /// Sender-side thread scheduler loop (paper §5.2, Algorithm 1).
@@ -1892,6 +1846,54 @@ pub(crate) fn run_thread_scheduling(inner: &HandleInner) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A timed-out `recv_res` used to leave `outstanding` raised forever
+    /// (the thread could never migrate again, paper §5.2) and its late
+    /// response parked in the inbox forever.
+    #[test]
+    fn timed_out_call_frees_the_thread_and_drops_the_late_response() {
+        use crate::server::{FlockServer, ServerConfig};
+        flock_sim::vtime::VirtualLab::run(|| {
+            let domain = FlockDomain::with_defaults();
+            let server_node = domain.add_node("leak-srv");
+            let server =
+                FlockServer::listen(&domain, &server_node, "leak", ServerConfig::default());
+            server.reg_handler(6, |req| req.to_vec());
+            let mut cfg = HandleConfig::default();
+            cfg.n_qps = 2;
+            cfg.eager_qps = true;
+            cfg.auto_thread_sched = false;
+            cfg.timeout = Duration::from_micros(200);
+            let client_node = domain.add_node("leak-cli");
+            let mut handle = ConnectionHandle::connect(&domain, &client_node, "leak", cfg).unwrap();
+            let t = handle.register_thread();
+
+            // RPC 5 has no handler: it sits in the manual queue unanswered.
+            assert!(matches!(t.call(5, b"late"), Err(FlockError::Timeout)));
+            assert_eq!(t.ctx.outstanding.load(Ordering::Relaxed), 0);
+
+            // Re-targeted, the idle thread adopts the new QP on its next send.
+            let other = 1 - t.current_qp();
+            t.ctx.target_qp.store(other, Ordering::Relaxed);
+            assert_eq!(&t.call(6, b"on time").unwrap()[..], b"on time");
+            assert_eq!(t.current_qp(), other);
+
+            // The late answer is dropped on arrival, not parked.
+            let rpc = server
+                .recv_rpc(Duration::from_millis(1))
+                .expect("queued request");
+            server.send_res(rpc.token, b"too late").unwrap();
+            let deadline = clock::deadline(Duration::from_millis(1));
+            while !t.ctx.inbox.lock().abandoned.is_empty() {
+                assert!(!clock::expired(deadline), "late response never landed");
+                clock::sleep_ns(1_000);
+            }
+            assert!(t.ctx.inbox.lock().ready.is_empty());
+
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
 
     #[test]
     fn handle_config_defaults_are_sane() {

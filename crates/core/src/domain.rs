@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flock_fabric::{Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
+use flock_fabric::{recv_until, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
 use flock_sync::AdaptiveBackoff;
 use parking_lot::Mutex;
 
@@ -186,6 +186,9 @@ pub enum CtrlMsg {
     Detach(DetachRequest),
     /// Fetch the server's exported one-sided segment leases.
     Export(ExportRequest),
+    /// Sent by the server to itself at shutdown, to wake its accept
+    /// loop out of a blocked receive.
+    Stop,
 }
 
 /// The in-process "datacenter": a fabric plus a server name registry.
@@ -257,28 +260,15 @@ impl FlockDomain {
     }
 }
 
-/// Await a control-plane reply without parking the virtual-time
-/// executor's one OS thread.
+/// Await a control-plane reply.
 ///
-/// The wall path blocks on the channel. The virtual path polls through
-/// an [`AdaptiveBackoff`] ladder: a connect storm runs hundreds of
-/// dialers concurrently, and a fixed fine-grained poll period would
-/// multiply the event count by the storm width while a reply is still
-/// tens of microseconds of control-QP work away.
+/// A virtual task polls through an [`AdaptiveBackoff`] ladder: a connect
+/// storm runs hundreds of dialers concurrently, and a fixed fine-grained
+/// poll period would multiply the event count by the storm width while a
+/// reply is still tens of microseconds of control-QP work away.
 pub(crate) fn await_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
-    if flock_sync::clock::is_virtual() {
-        let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
-        loop {
-            match rx.try_recv() {
-                Ok(reply) => return reply,
-                Err(crossbeam::channel::TryRecvError::Empty) => idle.idle(),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Err(FlockError::Disconnected);
-                }
-            }
-        }
-    }
-    rx.recv().map_err(|_| FlockError::Disconnected)?
+    let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
+    recv_until(rx, None, || idle.idle()).map_err(|_| FlockError::Disconnected)?
 }
 
 #[cfg(test)]

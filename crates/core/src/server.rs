@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use flock_fabric::{
-    Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp, RecvWr,
-    RemoteAddr, SendWr, Sge, Transport, WrId,
+    recv_until, Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp,
+    RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId,
 };
 use flock_sync::clock::{self, TaskHandle};
 use parking_lot::{Mutex, RwLock};
@@ -238,6 +238,9 @@ struct ServerInner {
 pub struct FlockServer {
     inner: Arc<ServerInner>,
     name: String,
+    /// Our own end of the control channel (the registry holds the
+    /// clients' end), for the shutdown wake-up.
+    accept_tx: Sender<CtrlMsg>,
     threads: Mutex<Vec<TaskHandle>>,
 }
 
@@ -276,7 +279,7 @@ impl FlockServer {
         });
 
         let (accept_tx, accept_rx) = unbounded::<CtrlMsg>();
-        domain.register_listener(name, accept_tx);
+        domain.register_listener(name, accept_tx.clone());
 
         let mut threads = Vec::new();
         {
@@ -302,6 +305,7 @@ impl FlockServer {
         FlockServer {
             inner,
             name: name.to_string(),
+            accept_tx,
             threads: Mutex::new(threads),
         }
     }
@@ -361,24 +365,11 @@ impl FlockServer {
 
     /// Pull a request with no registered handler (`fl_recv_rpc`).
     pub fn recv_rpc(&self, timeout: Duration) -> Option<IncomingRpc> {
-        if clock::is_virtual() {
-            // Poll in virtual time; a blocking `recv_timeout` would stall
-            // the whole serialized lab on this one OS thread.
-            let deadline = clock::deadline(timeout);
-            loop {
-                match self.inner.manual_rx.try_recv() {
-                    Ok(rpc) => return Some(rpc),
-                    Err(TryRecvError::Disconnected) => return None,
-                    Err(TryRecvError::Empty) => {
-                        if clock::expired(deadline) {
-                            return None;
-                        }
-                        clock::sleep_ns(1_000);
-                    }
-                }
-            }
-        }
-        self.inner.manual_rx.recv_timeout(timeout).ok()
+        let deadline = clock::deadline(timeout);
+        recv_until(&self.inner.manual_rx, Some(deadline), || {
+            clock::sleep_ns(1_000)
+        })
+        .ok()
     }
 
     /// Respond to a request obtained via [`FlockServer::recv_rpc`]
@@ -437,6 +428,8 @@ impl FlockServer {
     pub fn shutdown(&self, domain: &FlockDomain) {
         domain.unregister_listener(&self.name);
         self.inner.stop.store(true, Ordering::SeqCst);
+        // Wake the accept loop out of its blocked receive.
+        let _ = self.accept_tx.send(CtrlMsg::Stop);
         for h in self.threads.lock().drain(..) {
             let _ = h.join();
         }
@@ -447,23 +440,9 @@ impl FlockServer {
 /// server side), lazy lane attach, and graceful detach — the server end
 /// of the out-of-band control channel.
 fn accept_loop(inner: &Arc<ServerInner>, rx: Receiver<CtrlMsg>) {
-    let virt = clock::is_virtual();
     while !inner.stop.load(Ordering::Relaxed) {
-        let msg = if virt {
-            // Poll in virtual time instead of blocking the lab's core.
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => {
-                    clock::sleep_ns(5_000);
-                    continue;
-                }
-            }
-        } else {
-            let Ok(msg) = rx.recv_timeout(Duration::from_millis(50)) else {
-                continue;
-            };
-            msg
+        let Ok(msg) = recv_until(&rx, None, || clock::sleep_ns(5_000)) else {
+            return;
         };
         match msg {
             CtrlMsg::Connect(req) => {
@@ -482,6 +461,7 @@ fn accept_loop(inner: &Arc<ServerInner>, rx: Receiver<CtrlMsg>) {
                 let reply = detach_one(inner, req.sender_id);
                 let _ = req.reply.send(reply);
             }
+            CtrlMsg::Stop => return,
             CtrlMsg::Export(req) => {
                 let mrs = inner.mem_mrs.read();
                 let segments = inner

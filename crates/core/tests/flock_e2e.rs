@@ -9,6 +9,8 @@ use flock_core::api::*;
 use flock_core::client::HandleConfig;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{ConnectionHandle, FlockDomain};
+use flock_sim::vtime::VirtualLab;
+use flock_sync::clock;
 
 fn echo_server(domain: &FlockDomain, name: &str, cfg: ServerConfig) -> FlockServer {
     let node = domain.add_node(&format!("node-{name}"));
@@ -361,20 +363,36 @@ fn compute_handler_and_thread_stats_flow() {
     server.shutdown(&domain);
 }
 
-#[test]
-fn unanswered_manual_request_times_out() {
+/// A request nobody answers fails with a typed `Timeout` once
+/// `timeout` of the calling task's clock has passed, and no later than
+/// `slack` after that.
+fn unanswered_manual_request(timeout: Duration, slack: Duration) {
     let domain = FlockDomain::with_defaults();
     let node = domain.add_node("srv-timeout");
     let server = FlockServer::listen(&domain, &node, "timeout", ServerConfig::default());
     // rpc id 5 has no handler; nobody drains the manual queue.
     let client = domain.add_node("c-timeout");
     let mut cfg = HandleConfig::default();
-    cfg.timeout = Duration::from_millis(150);
+    cfg.timeout = timeout;
     let handle = fl_connect(&domain, &client, "timeout", cfg).unwrap();
     let t = handle.register_thread();
+    let started = clock::now_ns();
     let err = t.call(5, b"nobody answers").unwrap_err();
+    let waited = Duration::from_nanos(clock::now_ns() - started);
     assert!(matches!(err, flock_core::FlockError::Timeout));
+    assert!(waited >= timeout && waited < timeout + slack, "{waited:?}");
     server.shutdown(&domain);
+}
+
+#[test]
+fn unanswered_manual_request_times_out() {
+    // Threaded: the OS decides when the parked caller runs again.
+    unanswered_manual_request(Duration::from_millis(150), Duration::from_secs(5));
+    // Virtual: one 500 ns poll quantum past the deadline, plus the few
+    // hundred ns the send itself is charged.
+    VirtualLab::run(|| {
+        unanswered_manual_request(Duration::from_millis(2), Duration::from_micros(2));
+    });
 }
 
 #[test]

@@ -57,7 +57,8 @@ use std::mem::MaybeUninit;
 use std::time::Duration;
 
 use flock_sync::atomic::{AtomicU64, Ordering};
-use flock_sync::{backoff, Arc, CachePadded, UnsafeCell};
+use flock_sync::clock::{self, Event};
+use flock_sync::{Arc, CachePadded, UnsafeCell};
 use parking_lot::Mutex;
 
 use crate::verbs::Completion;
@@ -91,6 +92,9 @@ pub struct CompletionQueue {
     /// spill mutex entirely. Set under the spill lock by producers,
     /// cleared under it by the consumer when the spill drains dry.
     spill_active: AtomicU64,
+    /// Signalled by every push; [`CompletionQueue::wait_one`] sleeps on
+    /// it. A push with no blocked waiter pays one fence and one load.
+    pushed_event: Event,
 }
 
 // SAFETY: the Vyukov cell protocol guarantees exclusive access to
@@ -134,6 +138,7 @@ impl CompletionQueue {
             high_water: AtomicU64::new(0),
             spill: Mutex::new(VecDeque::new()),
             spill_active: AtomicU64::new(0),
+            pushed_event: Event::new(),
         })
     }
 
@@ -151,6 +156,7 @@ impl CompletionQueue {
         }
         let depth = self.len() as u64;
         self.high_water.fetch_max(depth, Ordering::Relaxed);
+        self.pushed_event.notify_all();
     }
 
     /// Vyukov enqueue: claim a slot with one CAS, publish with one
@@ -309,37 +315,11 @@ impl CompletionQueue {
         None
     }
 
-    /// Block until a completion is available or `timeout` elapses.
-    ///
-    /// The seed used a condition variable; completions now arrive
-    /// lock-free, so this spins with the shared [`backoff`] ladder
-    /// (spin-hint with periodic OS yields) until the deadline. Under a
-    /// virtual-time executor the deadline is virtual and each empty
-    /// round is a short virtual sleep instead of a spin.
+    /// Block until a completion is available or `timeout` elapses (on
+    /// the calling task's clock: virtual under a virtual-time executor).
     pub fn wait_one(&self, timeout: Duration) -> Option<Completion> {
-        let deadline = flock_sync::clock::deadline(timeout);
-        let virtual_time = flock_sync::clock::is_virtual();
-        let mut spins = 0u32;
-        loop {
-            if let Some(c) = self.poll_one() {
-                return Some(c);
-            }
-            if flock_sync::clock::expired(deadline) {
-                return self.poll_one();
-            }
-            if virtual_time {
-                flock_sync::clock::sleep_ns(500);
-                continue;
-            }
-            backoff(spins);
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(4096) {
-                // Long waits (tests use tens of ms) should not burn a
-                // core: after ~4k spin/yield rounds, sleep in short
-                // slices toward the deadline.
-                flock_sync::clock::sleep(Duration::from_micros(100));
-            }
-        }
+        self.pushed_event
+            .wait_until(clock::deadline(timeout), 500, || self.poll_one())
     }
 
     /// Number of queued completions (ring + spill; approximate under

@@ -68,6 +68,7 @@
 //! ```
 
 pub mod cache;
+pub mod chan;
 pub mod cq;
 pub mod fabric;
 pub mod mr;
@@ -80,6 +81,7 @@ pub mod types;
 pub mod verbs;
 
 pub use cache::{qp_state_key, ConnCache, Eviction};
+pub use chan::recv_until;
 pub use cq::CompletionQueue;
 pub use fabric::{auto_nic_lanes, connect_qps, Fabric, FabricConfig, Node};
 pub use mr::{Access, MemoryRegion, MrTable};

@@ -18,15 +18,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use flock_sync::clock;
 use flock_sync::AdaptiveBackoff;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::qp_state_key;
+use crate::chan::recv_until;
 use crate::fabric::{FabricInner, Node};
 use crate::mr::Access;
+use crate::timing::CostModel;
 use crate::types::{FabricError, NodeId, QpNum, QpState, Result};
 use crate::verbs::{Completion, CqOpcode, CqStatus, RecvWr, SendOp, SendWr, Sge};
 
@@ -105,6 +107,14 @@ impl NicStats {
 /// fabric (a cooperatively scheduled virtual core under
 /// `flock_sim::VirtualLab`). `lane` only perturbs the loss-injection RNG
 /// so lanes draw independent streams.
+///
+/// Each verb occupies the lane for its NIC service time (per the
+/// fabric's [`CostModel`]) before executing, which is what serializes a
+/// lane's throughput in virtual time: one lane processes at most
+/// `1s / nic_service` verbs per virtual second, and QPs sharded across
+/// lanes genuinely overlap. The charge is a no-op on real threads,
+/// where timing is accounting-only. Because one lane is one task,
+/// per-QP FIFO order holds under both executors.
 pub(crate) fn engine_loop(
     fabric: Arc<FabricInner>,
     node: Arc<Node>,
@@ -114,70 +124,28 @@ pub(crate) fn engine_loop(
     let mut rng = SmallRng::seed_from_u64(
         fabric.config.seed ^ (node.id().0 as u64) << 17 ^ (lane as u64) << 40,
     );
-    if clock::is_virtual() {
-        engine_loop_virtual(&fabric, &node, &rx, &mut rng);
-        return;
-    }
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            NicCmd::Post { src_qpn, epoch, wr } => {
-                process(&fabric, &node, src_qpn, epoch, wr, &mut rng)
-            }
-            // Threaded engines execute one-sided verbs inline on the
-            // requester lane (timing is accounting-only there), so no
-            // Respond is ever forwarded; handle it anyway so a mixed
-            // setup degrades to correct execution.
-            NicCmd::Respond {
-                req_node,
-                src_qpn,
-                epoch,
-                wr,
-                ..
-            } => {
-                if let Ok(req) = fabric.node(req_node) {
-                    process(&fabric, &req, src_qpn, epoch, wr, &mut rng);
-                }
-            }
-            NicCmd::Stop => break,
-        }
-    }
-}
-
-/// Virtual-time engine loop: a blocking `recv` would freeze the lab's
-/// only running core, so the lane polls its command channel and yields
-/// idle rounds to the virtual scheduler. Each verb *sleeps* its NIC
-/// service time (per the fabric's [`crate::timing::CostModel`]) before
-/// executing, which is what serializes a lane's throughput in virtual
-/// time: one lane processes at most `1s / nic_service` verbs per virtual
-/// second, and QPs sharded across lanes genuinely overlap. Because one
-/// lane is one task, per-QP FIFO order is exactly the threaded
-/// behaviour.
-fn engine_loop_virtual(
-    fabric: &Arc<FabricInner>,
-    node: &Arc<Node>,
-    rx: &Receiver<NicCmd>,
-    rng: &mut SmallRng,
-) {
+    let cost = &fabric.config.cost;
     // An idle NIC lane re-polls quickly (hardware notices doorbells in
     // well under a microsecond); the tight virtual cap bounds added
     // detection latency to 2 µs even after long idle stretches.
     let mut idler =
         AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000);
-    loop {
-        match rx.try_recv() {
-            Ok(NicCmd::Post { src_qpn, epoch, wr }) => {
-                idler.reset();
-                match one_sided_target(fabric, node, src_qpn, &wr) {
+    while let Ok(cmd) = recv_until(&rx, None, || idler.idle()) {
+        idler.reset();
+        match cmd {
+            NicCmd::Post { src_qpn, epoch, wr } => {
+                match one_sided_target(&fabric, &node, src_qpn, &wr) {
                     Some((dst, dst_qpn)) => {
                         // One-sided verb: the requester NIC only
                         // fetches the WQE and looks up its connection
-                        // state before the request packet leaves; the
-                        // payload DMA and response generation are the
-                        // responder NIC's work. Charge the issue half
-                        // here, then queue the responder half on the
-                        // destination node's lane (sharded by the
+                        // state before the request packet leaves (no
+                        // payload bytes move through it at issue time);
+                        // the payload DMA and response generation are
+                        // the responder NIC's work. Charge the issue
+                        // half here, then queue the responder half on
+                        // the destination node's lane (sharded by the
                         // responder QPN, so per-QP FIFO order holds).
-                        clock::sleep_ns(issue_service_ns(&fabric.config.cost, node, src_qpn));
+                        serve(cost.nic_service(0, resident(&node, src_qpn)).as_nanos());
                         dst.forward_cmd(
                             dst_qpn,
                             NicCmd::Respond {
@@ -190,37 +158,36 @@ fn engine_loop_virtual(
                         );
                     }
                     None => {
-                        clock::sleep_ns(virtual_service_ns(
-                            &fabric.config.cost,
-                            node,
-                            src_qpn,
-                            &wr,
-                        ));
-                        process(fabric, node, src_qpn, epoch, wr, rng);
+                        serve(service_ns(cost, &node, src_qpn, &wr));
+                        process(&fabric, &node, src_qpn, epoch, wr, &mut rng);
                     }
                 }
             }
-            Ok(NicCmd::Respond {
+            NicCmd::Respond {
                 req_node,
                 src_qpn,
                 dst_qpn,
                 epoch,
                 wr,
-            }) => {
-                idler.reset();
+            } => {
                 // `node` is the responder here: service time is priced
                 // by whether *this* NIC has the responder-side QP state
                 // resident — the fan-in effect: past the cache size,
                 // every one-sided verb pays the PCIe state fetch.
-                clock::sleep_ns(responder_service_ns(&fabric.config.cost, node, dst_qpn, &wr));
+                serve(service_ns(cost, &node, dst_qpn, &wr));
                 if let Ok(req) = fabric.node(req_node) {
-                    process(fabric, &req, src_qpn, epoch, wr, rng);
+                    process(&fabric, &req, src_qpn, epoch, wr, &mut rng);
                 }
             }
-            Ok(NicCmd::Stop) | Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => idler.idle(),
+            NicCmd::Stop => break,
         }
     }
+}
+
+/// Occupy the calling lane for `ns` of NIC service time.
+fn serve(ns: u64) {
+    clock::charge(ns);
+    clock::flush_charge();
 }
 
 /// Resolve the responder for a one-sided verb, when it can run on the
@@ -229,17 +196,20 @@ fn engine_loop_virtual(
 /// and ring writes return `None` — their responder-side work is the
 /// receive path, which the host-CPU model already prices — as do
 /// unresolvable destinations (the requester lane then surfaces the
-/// error through the normal path).
+/// error through the normal path). Threaded engines never forward:
+/// timing is accounting-only there, so the extra hop would buy nothing.
 fn one_sided_target(
     fabric: &FabricInner,
     node: &Node,
     src_qpn: QpNum,
     wr: &SendWr,
 ) -> Option<(Arc<Node>, QpNum)> {
-    if !matches!(
-        wr.op,
-        SendOp::Read { .. } | SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }
-    ) {
+    if !clock::is_virtual()
+        || !matches!(
+            wr.op,
+            SendOp::Read { .. } | SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }
+        )
+    {
         return None;
     }
     let qp = node.qp(src_qpn)?;
@@ -248,27 +218,21 @@ fn one_sided_target(
     Some((dst, dst_qpn))
 }
 
-/// Requester-side cost of issuing a one-sided verb: WQE fetch plus the
-/// posting QP's connection-state lookup. No payload bytes move through
-/// the requester NIC at issue time.
-fn issue_service_ns(cost: &crate::timing::CostModel, node: &Node, src_qpn: QpNum) -> u64 {
-    let hit = node
-        .cache()
+/// Whether `qpn`'s connection state is resident in `node`'s NIC cache
+/// (the actual hit/miss is recorded by `process` with the same key).
+fn resident(node: &Node, qpn: QpNum) -> bool {
+    node.cache()
         .lock()
-        .contains(qp_state_key(node.id().0, src_qpn.0));
-    cost.nic_service(0, hit).as_nanos()
+        .contains(qp_state_key(node.id().0, qpn.0))
 }
 
-/// Responder-side cost of executing a one-sided verb: connection-state
-/// lookup in the *responder's* NIC cache, payload DMA over its PCIe
-/// link, the read/atomic surcharge, and the CQE DMA for the completion
-/// it will generate back at the requester.
-fn responder_service_ns(
-    cost: &crate::timing::CostModel,
-    node: &Node,
-    dst_qpn: QpNum,
-    wr: &SendWr,
-) -> u64 {
+/// NIC service time for executing `wr` on `node`'s lane, keyed by
+/// whichever QPN's connection state that lane looks up — the posting QP
+/// on the requester, the responder-side QP for a forwarded one-sided
+/// verb: base verb cost plus the connection-state lookup, DMA per byte
+/// over the node's PCIe link, the read/atomic surcharge, and the CQE
+/// DMA when a completion will be generated.
+fn service_ns(cost: &CostModel, node: &Node, qpn: QpNum, wr: &SendWr) -> u64 {
     let bytes = match wr.op {
         SendOp::Send { local }
         | SendOp::Write { local, .. }
@@ -276,48 +240,7 @@ fn responder_service_ns(
         | SendOp::Read { local, .. } => local.len,
         SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. } => 8,
     };
-    let hit = node
-        .cache()
-        .lock()
-        .contains(qp_state_key(node.id().0, dst_qpn.0));
-    let mut ns = cost.nic_service(bytes, hit).as_nanos();
-    if matches!(wr.op, SendOp::Read { .. }) {
-        ns += cost.nic_read_extra_ns;
-    }
-    if matches!(wr.op, SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }) {
-        ns += cost.nic_atomic_extra_ns;
-    }
-    if wr.signaled {
-        ns += cost.nic_cqe_dma_ns;
-    }
-    ns
-}
-
-/// Virtual NIC service time for one work request executed entirely on
-/// the requester lane (two-sided sends, ring writes, and one-sided
-/// verbs whose destination could not be resolved): base verb cost plus
-/// connection-state lookup (priced by whether the posting QP's state is
-/// resident in the NIC cache — the actual hit/miss is recorded by
-/// `process` with the same key), DMA per byte, read-responder surcharge,
-/// and CQE DMA when a completion will be generated.
-fn virtual_service_ns(
-    cost: &crate::timing::CostModel,
-    node: &Node,
-    src_qpn: QpNum,
-    wr: &SendWr,
-) -> u64 {
-    let bytes = match wr.op {
-        SendOp::Send { local }
-        | SendOp::Write { local, .. }
-        | SendOp::WriteImm { local, .. }
-        | SendOp::Read { local, .. } => local.len,
-        SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. } => 8,
-    };
-    let hit = node
-        .cache()
-        .lock()
-        .contains(qp_state_key(node.id().0, src_qpn.0));
-    let mut ns = cost.nic_service(bytes, hit).as_nanos();
+    let mut ns = cost.nic_service(bytes, resident(node, qpn)).as_nanos();
     if matches!(wr.op, SendOp::Read { .. }) {
         ns += cost.nic_read_extra_ns;
     }

@@ -35,8 +35,11 @@
 //!
 //! * Never block on an OS primitive (channel `recv`, condvar wait, bare
 //!   `thread::sleep`) — the core would never be handed over and the lab
-//!   deadlocks. Blocking sites must poll (`try_recv`) and yield through
-//!   the seam; the fabric/core crates branch on `clock::is_virtual()`.
+//!   deadlocks. Blocking sites wait through the seam:
+//!   [`flock_sync::clock::Event::wait_until`] for a condition the
+//!   caller owns, `flock_fabric::recv_until` for a channel. Both poll
+//!   and sleep in virtual time here and park on real threads, so the
+//!   fabric/core crates contain one loop per wait, not two.
 //! * Never yield while holding a lock another task can contend (the
 //!   holder parks; the contender then spins forever as the only runnable
 //!   task). All converted sites drop locks before yielding, as the
@@ -402,6 +405,57 @@ mod tests {
         let (log2, h2) = run_once();
         assert_eq!(log1, log2);
         assert_eq!(h1, h2);
+    }
+
+    /// One waiter on a 500 ns quantum; the state flips at 1 234 ns. A
+    /// second wait has nothing to wait for and a 1 234 ns deadline.
+    /// Returns `(woke_ns, timed_out_ns, handovers)`.
+    fn event_scenario() -> (u64, u64, u64) {
+        let (times, report) = VirtualLab::run_report(|| {
+            let shared = Arc::new((clock::Event::new(), AtomicBool::new(false)));
+            let waiter = {
+                let shared = shared.clone();
+                let woke = Arc::new(AtomicU64::new(0));
+                let w = woke.clone();
+                let h = clock::spawn("waiter", move || {
+                    let (ev, flag) = &*shared;
+                    let got =
+                        ev.wait_until(u64::MAX, 500, || flag.load(Ordering::Relaxed).then_some(()));
+                    assert_eq!(got, Some(()));
+                    w.store(clock::now_ns(), Ordering::Relaxed);
+                });
+                (h, woke)
+            };
+            clock::sleep_ns(1_234);
+            shared.1.store(true, Ordering::Relaxed);
+            shared.0.notify_all();
+            waiter.0.join().unwrap();
+            let woke = waiter.1.load(Ordering::Relaxed);
+
+            let t0 = clock::now_ns();
+            let never: Option<()> = shared.0.wait_until(t0 + 1_234, 500, || None);
+            assert_eq!(never, None);
+            (woke, clock::now_ns() - t0)
+        });
+        (times.0, times.1, report.handovers)
+    }
+
+    #[test]
+    fn event_waiter_sees_notify_at_next_quantum_boundary() {
+        let (woke, _, _) = event_scenario();
+        // Polls at 0, 500, 1000 miss the flip at 1234; 1500 sees it.
+        assert_eq!(woke, 1_500);
+    }
+
+    #[test]
+    fn event_deadline_fires_within_one_quantum() {
+        let (_, timed_out, _) = event_scenario();
+        assert!(timed_out > 1_234 && timed_out <= 1_234 + 500, "{timed_out}");
+    }
+
+    #[test]
+    fn event_waits_are_deterministic() {
+        assert_eq!(event_scenario(), event_scenario());
     }
 
     #[test]

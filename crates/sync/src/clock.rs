@@ -31,8 +31,8 @@
 //! task blocks the one OS thread that could release it).
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A cooperative scheduler driving virtual tasks. Implemented by
@@ -184,6 +184,126 @@ pub fn expired(deadline_ns: u64) -> bool {
     now_ns() > deadline_ns
 }
 
+/// The one blocking-wait primitive: an event count a waiter sleeps on
+/// until its condition holds or a deadline passes.
+///
+/// The condition lives with the caller (an inbox under its own mutex, a
+/// ring cell, a credit counter); `Event` only carries the wake-up.
+/// [`Event::wait_until`] is the single place that knows how a task
+/// blocks under each executor:
+///
+/// * **Threaded:** parks on a condition variable. A notify that lands
+///   between a failed check and the park is not lost: the waiter
+///   registers and reads the wake ticket *before* checking, and a
+///   notifier that sees a registered waiter moves the ticket under the
+///   internal lock. That lock is never held while `condition` runs, so
+///   it orders against no caller lock.
+/// * **Virtual:** check, then `sleep_ns(quantum_ns)`, until the deadline
+///   — a parked OS thread would stall the lab's one core.
+/// * **`cfg(loom)`:** check, then yield to the model scheduler; parking
+///   is invisible to the memory model, and there are no deadlines.
+#[derive(Debug, Default)]
+pub struct Event {
+    /// Threaded waiters between registration and return. Notifiers skip
+    /// the lock and the wake syscall while this is zero.
+    waiters: AtomicUsize,
+    /// Wake ticket, moved by every notify that saw a waiter.
+    ticket: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl Event {
+    /// An event with no waiters.
+    pub const fn new() -> Event {
+        Event {
+            waiters: AtomicUsize::new(0),
+            ticket: Mutex::new(0),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn ticket(&self) -> MutexGuard<'_, u64> {
+        // A plain counter is valid at every step: a lock poisoned by a
+        // dying waiter is safe to reuse.
+        self.ticket.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every current waiter so it re-checks its condition. Call
+    /// *after* publishing the state change it looks for, and after
+    /// dropping the lock that guards that state. One fence and one load
+    /// when nobody is parked (always so under a virtual executor, whose
+    /// waiters poll).
+    #[inline]
+    pub fn notify_all(&self) {
+        // Pairs with the fence in `wait_until` (store buffering: SeqCst
+        // fences on both sides): either this load sees the waiter's
+        // registration, or the waiter's check sees the caller's state.
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) != 0 {
+            *self.ticket() += 1;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until `condition` returns `Some` (passed through) or
+    /// `deadline_ns` passes (`None`). `deadline_ns` is a [`deadline`]
+    /// value, `u64::MAX` for never. `condition` runs on the calling
+    /// task with no `Event` lock held and must not block. `quantum_ns`
+    /// is the poll period under a virtual executor, unused otherwise.
+    pub fn wait_until<R>(
+        &self,
+        deadline_ns: u64,
+        quantum_ns: u64,
+        mut condition: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        if cfg!(loom) {
+            loop {
+                if let Some(r) = condition() {
+                    return Some(r);
+                }
+                crate::thread::yield_now();
+            }
+        }
+        if is_virtual() {
+            loop {
+                if let Some(r) = condition() {
+                    return Some(r);
+                }
+                if expired(deadline_ns) {
+                    return None;
+                }
+                sleep_ns(quantum_ns);
+            }
+        }
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut seen = *self.ticket();
+        let got = loop {
+            fence(Ordering::SeqCst);
+            if let Some(r) = condition() {
+                break Some(r);
+            }
+            let now = now_ns();
+            if now > deadline_ns {
+                break None;
+            }
+            let mut ticket = self.ticket();
+            if *ticket == seen {
+                // No notify since `seen` was read, which was before the
+                // check: park. `wait_timeout` releases the lock
+                // atomically, so a notify from here on finds us waiting.
+                ticket = self
+                    .cv
+                    .wait_timeout(ticket, Duration::from_nanos(deadline_ns - now))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            seen = *ticket;
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        got
+    }
+}
+
 /// Handle to a task spawned through the seam.
 ///
 /// In threaded mode this is a plain `JoinHandle`. In virtual mode
@@ -275,6 +395,60 @@ mod tests {
         yield_now();
         let d = deadline(Duration::from_secs(3600));
         assert!(!expired(d));
+    }
+
+    #[test]
+    fn event_notify_between_poll_and_park_is_not_lost() {
+        // Force the racy interleaving from inside `poll`: the first
+        // poll fails, and before it returns the state flips and the
+        // notify lands — exactly the window a lost wake-up needs. With
+        // an hour-long deadline, losing it would hang the test.
+        let ev = Event::new();
+        let mut ready = false;
+        let mut polls = 0;
+        let started = Instant::now();
+        let got = ev.wait_until(deadline(Duration::from_secs(3600)), 500, || {
+            polls += 1;
+            if ready {
+                return Some(polls);
+            }
+            ready = true;
+            ev.notify_all();
+            None
+        });
+        assert_eq!(got, Some(2));
+        assert!(started.elapsed() < Duration::from_secs(60));
+    }
+
+    #[test]
+    fn event_wakes_a_waiter_on_another_thread() {
+        let shared = Arc::new((Event::new(), Mutex::new(None)));
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (ev, slot) = &*shared;
+                ev.wait_until(deadline(Duration::from_secs(3600)), 500, || {
+                    slot.lock().unwrap().take()
+                })
+            })
+        };
+        // Whichever side gets there first, the value must arrive: either
+        // the waiter's poll sees it, or the notify finds the waiter.
+        let (ev, slot) = &*shared;
+        *slot.lock().unwrap() = Some(7);
+        ev.notify_all();
+        assert_eq!(waiter.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn event_deadline_yields_none_within_a_bound() {
+        let ev = Event::new();
+        let started = Instant::now();
+        let got: Option<()> = ev.wait_until(deadline(Duration::from_millis(20)), 500, || None);
+        assert_eq!(got, None);
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(20), "{waited:?}");
+        assert!(waited < Duration::from_secs(5), "{waited:?}");
     }
 
     #[test]

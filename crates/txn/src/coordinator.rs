@@ -1,7 +1,7 @@
 //! The FlockTX coordinator: drives a transaction through execution,
 //! one-sided validation, logging, and commit (paper §8.5.1, Figure 13).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use flock_core::alock::{ALock, RemoteLockWord, DEFAULT_COHORT_CAP};
@@ -124,7 +124,7 @@ impl TxnClient {
         // ---- Phase 1: Execution -------------------------------------
         // Group keys by primary and send all Execute RPCs before waiting
         // (the coordinator pipelines across servers).
-        let mut groups: HashMap<usize, (Vec<u64>, Vec<u64>)> = HashMap::new();
+        let mut groups: BTreeMap<usize, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
         for &k in reads {
             groups.entry(key_partition(k, n)).or_default().0.push(k);
         }
@@ -317,7 +317,7 @@ impl TxnClient {
     fn abort(
         &self,
         txn_id: u64,
-        groups: &HashMap<usize, (Vec<u64>, Vec<u64>)>,
+        groups: &BTreeMap<usize, (Vec<u64>, Vec<u64>)>,
         locked_servers: &[usize],
     ) -> Result<()> {
         let mut pending = Vec::new();

@@ -7,7 +7,7 @@
 //! round trips of many transactions overlap on the same thread, exactly
 //! like the paper's 19 submitting coroutines.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use flock_core::client::{FlThread, MemToken};
 use flock_core::ConnectionHandle;
@@ -135,9 +135,9 @@ impl PipelinedTxnClient {
         Ok(slot)
     }
 
-    fn groups(&self, spec: &TxnSpec) -> HashMap<usize, (Vec<u64>, Vec<u64>)> {
+    fn groups(&self, spec: &TxnSpec) -> BTreeMap<usize, (Vec<u64>, Vec<u64>)> {
         let n = self.threads.len();
-        let mut groups: HashMap<usize, (Vec<u64>, Vec<u64>)> = HashMap::new();
+        let mut groups: BTreeMap<usize, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
         for &k in &spec.reads {
             groups.entry(key_partition(k, n)).or_default().0.push(k);
         }

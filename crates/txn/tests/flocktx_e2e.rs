@@ -191,6 +191,44 @@ fn multi_partition_transaction() {
     teardown(c);
 }
 
+/// Execute/Log/Commit RPCs go to servers in server-index order, so a
+/// multi-server run under the virtual lab is a pure function of its
+/// inputs. (Grouping by `HashMap` made the send order — and with it
+/// every latency — depend on the process's `RandomState` seeds.)
+#[test]
+fn multi_server_transactions_are_deterministic_under_virtual_lab() {
+    fn fingerprint() -> (u64, u64) {
+        let ((), report) = flock_sim::vtime::VirtualLab::run_report(|| {
+            let c = cluster();
+            let keys: Vec<u64> = (0..N_SERVERS)
+                .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
+                .collect();
+            // A read-only key, so the one-sided validation phase runs.
+            let read_key = (keys[N_SERVERS - 1] + 1..)
+                .find(|&k| key_partition(k, N_SERVERS) == 1)
+                .unwrap();
+            for &k in keys.iter().chain([&read_key]) {
+                load(&c, k, &0u64.to_le_bytes());
+            }
+            let client = TxnClient::new(&c.handles);
+            for round in 1..=24u64 {
+                let outcome = client
+                    .run(&[read_key], &keys, |_| {
+                        keys.iter()
+                            .map(|&k| (k, round.to_le_bytes().to_vec()))
+                            .collect()
+                    })
+                    .unwrap();
+                assert!(matches!(outcome, TxnOutcome::Committed(_)));
+            }
+            drop(client);
+            teardown(c);
+        });
+        (report.virtual_ns, report.handovers)
+    }
+    assert_eq!(fingerprint(), fingerprint());
+}
+
 #[test]
 fn smallbank_conserves_money_under_concurrency() {
     let c = cluster();

@@ -9,6 +9,12 @@
 //! `crates/sync/src/clock.rs` (the seam's own threaded arm) is an error
 //! unless justified in `determinism.allow`.
 //!
+//! Branching on the executor is the same kind of escape: a
+//! `clock::is_virtual()` outside `crates/sync` means a module has its
+//! own idea of how a task blocks under each executor, which is exactly
+//! what `clock::Event::wait_until` exists to own. It needs a
+//! justification like any other.
+//!
 //! Test/bench/example scaffolding is exempt: it drives the system from
 //! *outside* the lab on real OS threads by design (spawning the client
 //! threads that then `clock::install` themselves, timing wall-clock
@@ -37,6 +43,11 @@ const QUALIFIED: &[(&str, &str)] = &[
     ("rand", "random"),
 ];
 
+/// The executor probe. Legitimate anywhere in the seam's crate (the
+/// backoff ladders live beside `clock.rs`), an escape everywhere else.
+const EXECUTOR_PROBE: (&str, &str) = ("clock", "is_virtual");
+const SEAM_CRATE: &str = "crates/sync/";
+
 /// Bare identifiers that escape the seam wherever they appear (RNG
 /// seeding from host entropy).
 const BARE: &[&str] = &["from_entropy", "thread_rng", "OsRng"];
@@ -58,12 +69,14 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
     let mut ordinals: BTreeMap<(String, String), usize> = BTreeMap::new();
     let mut out = Vec::new();
     let toks = &model.toks;
+    let probe = (!model.path.starts_with(SEAM_CRATE)).then_some(&EXECUTOR_PROBE);
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident {
             continue;
         }
         let matched: Option<String> = QUALIFIED
             .iter()
+            .chain(probe)
             .find(|(q, name)| {
                 toks[i].text == *q
                     && toks.get(i + 1).is_some_and(|t| t.text == "::")
@@ -114,8 +127,8 @@ pub fn check(models: &[&SourceModel], allow: &Allowlist) -> (Vec<Diagnostic>, Ve
                         .snippet(model.line_text(esc.line))
                         .note(format!("key: {}", esc.key))
                         .note(
-                            "route through flock_sync::clock (now_ns/deadline/sleep/spawn) \
-                             or justify in determinism.allow",
+                            "route through flock_sync::clock (now_ns/deadline/sleep/spawn, \
+                             Event::wait_until for blocking) or justify in determinism.allow",
                         ),
                     );
                     missing.push(esc.key);

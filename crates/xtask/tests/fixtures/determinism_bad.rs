@@ -14,3 +14,11 @@ pub fn spawn_worker() {
     let h = std::thread::spawn(|| {});
     let _ = h.join();
 }
+
+pub fn wait_twice(cv: &Condvar, m: &mut Guard) {
+    if clock::is_virtual() {
+        clock::sleep_ns(500);
+    } else {
+        cv.wait(m);
+    }
+}

@@ -15,6 +15,10 @@ pub fn spawn_worker() {
     let _ = h.join();
 }
 
+pub fn wait_once(ev: &clock::Event, deadline_ns: u64) -> Option<()> {
+    ev.wait_until(deadline_ns, 500, || None)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

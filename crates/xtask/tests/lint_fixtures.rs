@@ -26,19 +26,20 @@ fn determinism_bad_fixture_is_flagged() {
     );
     let (diags, missing) = determinism::check(&[&m], &empty_allow());
     let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(diags.len(), 4, "findings: {msgs:?}");
+    assert_eq!(diags.len(), 5, "findings: {msgs:?}");
     for pat in [
         "Instant::now",
         "thread::sleep",
         "thread::yield_now",
         "thread::spawn",
+        "clock::is_virtual",
     ] {
         assert!(
             msgs.iter().any(|m| m.contains(pat)),
             "missing {pat} in {msgs:?}"
         );
     }
-    assert_eq!(missing.len(), 4);
+    assert_eq!(missing.len(), 5);
 }
 
 #[test]
@@ -73,6 +74,15 @@ fn determinism_allowlist_and_seam_are_honored() {
     );
     let (diags, _) = determinism::check(&[&seam], &empty_allow());
     assert!(diags.is_empty(), "seam file must be exempt");
+
+    // The executor probe is free inside the seam's crate only.
+    let probe = "pub fn idle() { if clock::is_virtual() {} }\n";
+    let ladder = model("crates/sync/src/lib.rs", probe);
+    let (diags, _) = determinism::check(&[&ladder], &empty_allow());
+    assert!(diags.is_empty(), "crates/sync may branch on the executor");
+    let outside = model("crates/fixture/src/lib.rs", probe);
+    let (diags, _) = determinism::check(&[&outside], &empty_allow());
+    assert_eq!(diags.len(), 1);
 }
 
 #[test]
