@@ -744,10 +744,12 @@ impl FlThread {
 
     /// Wait for the response to sequence `seq` (`fl_recv_res`).
     ///
-    /// The returned [`Bytes`] is a zero-copy slice of the coalesced
-    /// response message; it keeps that message's buffer alive until
-    /// dropped. A [`FlockError::Timeout`] abandons `seq`: its response,
-    /// should it still arrive, is discarded.
+    /// The returned [`Bytes`] owns exactly the response: a zero-copy
+    /// slice of the response message when that message carried this
+    /// entry alone, a copy of the entry when it was coalesced with
+    /// others (so no reply pins a multi-entry buffer). A
+    /// [`FlockError::Timeout`] abandons `seq`: its response, should it
+    /// still arrive, is discarded.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
         let got = self.ctx.inbox_event.wait_until(deadline, 500, || {
@@ -1733,12 +1735,15 @@ fn handle_ring_poll(
                 qp.credit_event.notify_all();
             }
             let threads = inner.threads.read();
+            // A lone entry is handed over as a zero-copy slice of the
+            // message buffer (the one copy out of the ring happened in
+            // `poll`). Entries of a coalesced message are copied out
+            // instead: a slice would pin the whole multi-entry buffer
+            // for as long as its slowest waiter holds on to its reply.
+            let lone = h.count == 1;
             for (meta, range) in view.entry_ranges() {
                 clock::charge(inner.cost.cpu_codec_ns);
                 if let Some(t) = threads.get(meta.thread_id as usize) {
-                    // Zero-copy: each response entry is a slice of
-                    // the shared coalesced-message buffer; the one
-                    // copy out of the ring happened in `poll`.
                     {
                         let mut inbox = t.inbox.lock();
                         if let Some(i) = inbox.abandoned.iter().position(|&s| s == meta.seq) {
@@ -1746,7 +1751,12 @@ fn handle_ring_poll(
                             inbox.abandoned.swap_remove(i);
                             continue;
                         }
-                        inbox.ready.insert(meta.seq, m.bytes().slice(range));
+                        let data = if lone {
+                            m.bytes().slice(range)
+                        } else {
+                            Bytes::copy_from_slice(&m.bytes()[range])
+                        };
+                        inbox.ready.insert(meta.seq, data);
                     }
                     t.inbox_event.notify_all();
                 }

@@ -22,7 +22,7 @@ use crate::domain::{
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
-use crate::ring::{RingConsumer, RingLayout, RingProducer};
+use crate::ring::{OwnedMsg, RingConsumer, RingLayout, RingProducer};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
 
@@ -172,6 +172,11 @@ pub struct ServerStats {
     /// Redundant head-only response writes elided because the client's
     /// view of the consumed head was still fresh (within a quarter ring).
     pub head_flushes_skipped: AtomicU64,
+    /// Individual RPC responses written (dispatcher and manual path).
+    pub responses: AtomicU64,
+    /// Response messages that carried them (head-only and credit-control
+    /// messages are not counted).
+    pub response_messages: AtomicU64,
 }
 
 impl ServerStats {
@@ -768,19 +773,51 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
 /// `B` from a bare `&[]`).
 const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
 
-/// One request-dispatcher worker: polls the request rings of the
-/// connections assigned to it, runs handlers, coalesces responses per
-/// message, and piggybacks the consumed head.
-///
-/// With `cfg.dispatch_threads == 1` (the default) a single worker owns
-/// every connection — the seed's single-dispatcher behaviour. With more
-/// workers each owns a disjoint partition of connections, re-cut by the
-/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
 /// Sweep period on which dispatchers still probe *deactivated* QPs (see
 /// [`ServerQpCtx::active`]): bounded drain latency for in-flight requests
 /// without paying an empty ring probe per inactive QP per sweep.
 const INACTIVE_POLL_PERIOD: u64 = 16;
 
+/// Messages one visit to a lane handles before the worker moves on
+/// round-robin. Two, not a deep drain: the doorbell a backlogged visit
+/// defers pays for its second message (2 × (poll + codec + handler) is
+/// less than one poll + handle + doorbell visit), so the worker's other
+/// lanes wait no longer than they did when every visit rang a doorbell.
+/// Draining a backlog in one visit reaches the same throughput but lets
+/// one tenant's backlog delay every other lane of the shard.
+const VISIT_MESSAGES: usize = 2;
+
+/// A lane's deferred responses flush at this many entries: the TCQ's
+/// default `batch_limit`, so responses coalesce no deeper than requests.
+const COALESCE_MAX_ENTRIES: usize = 16;
+
+/// One lane of a worker's partition snapshot, with the worker-local
+/// response-coalescing state (paper §4.3): while the lane's request ring
+/// still has a message ready, its responses stay in `pending` and go out
+/// as one message — one doorbell — when the ring runs dry.
+struct Lane {
+    /// Connection slot and lane index (the origin half of an [`RpcToken`]).
+    conn_idx: usize,
+    qp_idx: usize,
+    qp: Arc<ServerQpCtx>,
+    /// The message read ahead of the last one handled: already out of the
+    /// ring, handled first on the next visit. `pending` is non-empty
+    /// between visits only while this is `Some`.
+    ahead: Option<OwnedMsg>,
+    /// Handler outputs not yet flushed (cleared, not freed).
+    pending: Vec<(EntryMeta, Vec<u8>)>,
+    /// Encoded entry bytes held in `pending`.
+    pending_bytes: usize,
+}
+
+/// One request-dispatcher worker: polls the request rings of the
+/// connections assigned to it, runs handlers, coalesces responses across
+/// each lane's backlog, and piggybacks the consumed head.
+///
+/// With `cfg.dispatch_threads == 1` a single worker owns every
+/// connection — the seed's single-dispatcher behaviour. With more
+/// workers each owns a disjoint partition of connections, re-cut by the
+/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
 fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // Generation-stamped partition snapshot: cloning the `Arc` vector on
     // every sweep made each idle poll O(conns) in refcount traffic; the
@@ -788,7 +825,7 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // `detach_one` or the rebalancer publishes a new topology
     // generation. Each entry carries its lane list so the sweep never
     // touches `conn.qps`' lock.
-    let mut conns: Vec<(usize, Arc<ServerConn>, Vec<Arc<ServerQpCtx>>)> = Vec::new();
+    let mut conns: Vec<(Arc<ServerConn>, Vec<Lane>)> = Vec::new();
     let mut conns_seen = u64::MAX;
     // Handler snapshot, same gen-stamped scheme: the seed took
     // `handlers.read()` per polled message, putting a shared rwlock on
@@ -796,8 +833,6 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
     // clones the table only when that moves.
     let mut handlers: HashMap<u32, Handler> = HashMap::new();
     let mut handlers_seen = u64::MAX;
-    // Response scratch, reused across messages (cleared, not freed).
-    let mut responses: Vec<(EntryMeta, Vec<u8>)> = Vec::new();
     // Send-CQ drain scratch: batched poll, one sync edge per sweep.
     let mut drained: Vec<flock_fabric::Completion> = Vec::new();
     // Dispatchers are dedicated polling cores (paper §4.3): the wall
@@ -812,24 +847,20 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
         sweep = sweep.wrapping_add(1);
         let gen = inner.topo_gen.load(Ordering::Acquire);
         if gen != conns_seen {
-            // Lock order: `conns` before `dispatch_assign` before
-            // `conn.qps`, matching `accept_one` and
-            // `rebalance_dispatch`.
-            let all = inner.conns.read();
-            let assign = inner.dispatch_assign.read();
-            conns = all
-                .iter()
-                .enumerate()
-                .filter(|(idx, c)| {
-                    assign.get(*idx).copied().unwrap_or(0) == worker
-                        && !c.departed.load(Ordering::Relaxed)
-                })
-                .map(|(idx, c)| (idx, Arc::clone(c), c.qps.read().clone()))
-                .collect();
+            // Settle before leaving: the new snapshot starts with empty
+            // lane state, so every read-ahead message is handled and
+            // every deferred response flushed under the old one.
+            for (conn, lanes) in conns.iter_mut() {
+                for lane in lanes.iter_mut() {
+                    settle_lane(inner, &handlers, conn, lane);
+                }
+            }
+            conns = snapshot_partition(inner, worker);
             conns_seen = gen;
             // Quiescence ack: once this store is visible, no departed
-            // QP is referenced by this worker's snapshot, so
-            // `detach_one` may recycle the connection's resources.
+            // QP is referenced by this worker's snapshot and none of its
+            // responses is still deferred here, so `detach_one` may
+            // recycle the connection's resources.
             inner.dispatch_acks[worker].fetch_max(gen, Ordering::Release);
         }
         let hgen = inner.handlers_gen.load(Ordering::Acquire);
@@ -838,106 +869,25 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
             handlers_seen = hgen;
         }
         let mut progressed = false;
-        for &(conn_idx, ref conn, ref qps) in conns.iter() {
+        for (conn, lanes) in conns.iter_mut() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
             // the connection's QPs).
-            if !qps.is_empty() {
+            if !lanes.is_empty() {
                 drained.clear();
                 conn.send_cq.poll(&mut drained, usize::MAX);
             }
-            for (qp_idx, qp) in qps.iter().enumerate() {
-                // Deactivated QPs drain at a reduced probe rate.
-                if !qp.active.load(Ordering::Relaxed) && !sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
+            for lane in lanes.iter_mut() {
+                // Deactivated QPs drain at a reduced probe rate, unless
+                // a read-ahead message (and its deferred responses) is
+                // already waiting here.
+                if lane.ahead.is_none()
+                    && !lane.qp.active.load(Ordering::Relaxed)
+                    && !sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
                 {
                     continue;
                 }
-                let polled = { qp.req_cons.lock().poll(&qp.req_mr) };
-                match polled {
-                    Ok(Some(m)) => {
-                        progressed = true;
-                        clock::charge(inner.cost.cpu_ring_poll_ns);
-                        let view = m.view();
-                        qp.client_resp_head
-                            .fetch_max(view.header.head, Ordering::AcqRel);
-                        inner.stats.messages.fetch_add(1, Ordering::Relaxed);
-                        responses.clear();
-                        let mut entries = 0u64;
-                        for (meta, range) in view.entry_ranges() {
-                            entries += 1;
-                            inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = handlers.get(&meta.rpc_id) {
-                                clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
-                                // The handler's output Vec is the one
-                                // per-request allocation the server keeps:
-                                // the `Handler` signature owns its result.
-                                let out = h(&m.bytes()[range]);
-                                responses.push((
-                                    EntryMeta {
-                                        len: out.len() as u32,
-                                        thread_id: meta.thread_id,
-                                        seq: meta.seq,
-                                        rpc_id: 0,
-                                    },
-                                    out,
-                                ));
-                            } else {
-                                clock::charge(inner.cost.cpu_codec_ns);
-                                let _ = inner.manual_tx.send(IncomingRpc {
-                                    rpc_id: meta.rpc_id,
-                                    // Zero-copy slice of the shared
-                                    // request-message buffer.
-                                    data: m.bytes().slice(range),
-                                    token: RpcToken {
-                                        conn: conn_idx,
-                                        qp: qp_idx,
-                                        meta,
-                                    },
-                                });
-                            }
-                        }
-                        // Per-tenant accounting: lock-free Relaxed bumps
-                        // on the shared counter block (never through the
-                        // scheduler mutex).
-                        conn.counters.note_issued(entries);
-                        if !responses.is_empty() {
-                            // Responses coalesce into one message, like
-                            // requests (paper §4.3).
-                            if flush_response(inner, qp, &responses, 0, 0).is_ok() {
-                                conn.counters.note_completed(responses.len() as u64);
-                            }
-                        } else {
-                            // Manual-path-only message: nothing to send
-                            // now, but the consumed head must still reach
-                            // the client eventually. A head-only write
-                            // per polled message is redundant while the
-                            // client still sees plenty of free ring, so
-                            // defer until its view lags by a quarter
-                            // ring (head debt). Every data-carrying
-                            // flush republishes the head too, so once
-                            // debt crosses the threshold the next polled
-                            // message flushes it — the client's stale
-                            // view is bounded at cap/4 plus one message
-                            // and never wedges the producer.
-                            let consumed = { qp.req_cons.lock().head() };
-                            let flushed = qp.last_flushed_head.load(Ordering::Relaxed);
-                            if consumed.saturating_sub(flushed)
-                                >= (inner.cfg.ring_capacity as u64) / 4
-                            {
-                                let _ = flush_response(inner, qp, NO_RESPONSES, 0, 0);
-                            } else {
-                                inner.stats.head_flushes_skipped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        clock::charge(inner.cost.cpu_poll_empty_ns);
-                    }
-                    Err(_) => {
-                        // Corrupt request ring: drop the message stream.
-                        progressed = true;
-                    }
-                }
+                progressed |= visit_lane(inner, &handlers, conn, lane);
             }
         }
         if progressed {
@@ -949,6 +899,193 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
         } else {
             idler.idle();
         }
+    }
+}
+
+/// Worker `worker`'s share of the live connections, each with fresh
+/// (empty) lane state. The only place lane buffers are allocated.
+fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn>, Vec<Lane>)> {
+    // Lock order: `conns` before `dispatch_assign` before `conn.qps`,
+    // matching `accept_one` and `rebalance_dispatch`.
+    let all = inner.conns.read();
+    let assign = inner.dispatch_assign.read();
+    all.iter()
+        .enumerate()
+        .filter(|(idx, c)| {
+            assign.get(*idx).copied().unwrap_or(0) == worker && !c.departed.load(Ordering::Relaxed)
+        })
+        .map(|(conn_idx, c)| {
+            let lanes = c
+                .qps
+                .read()
+                .iter()
+                .enumerate()
+                .map(|(qp_idx, qp)| Lane {
+                    conn_idx,
+                    qp_idx,
+                    qp: Arc::clone(qp),
+                    ahead: None,
+                    pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
+                    pending_bytes: 0,
+                })
+                .collect();
+            (Arc::clone(c), lanes)
+        })
+        .collect()
+}
+
+/// Poll `qp`'s request ring. An empty probe is charged here; a message
+/// is charged where it is handled (`handle_message`), so a read-ahead
+/// message costs the sweep that runs its handlers, not the one that
+/// found it.
+fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx) -> Result<Option<OwnedMsg>> {
+    let polled = { qp.req_cons.lock().poll(&qp.req_mr) };
+    match &polled {
+        // Fold the piggybacked head in now, not when the message is
+        // handled: a flush that runs while this message is still the
+        // read-ahead one sees the freshest response-ring space.
+        Ok(Some(m)) => {
+            qp.client_resp_head
+                .fetch_max(m.header().head, Ordering::AcqRel);
+        }
+        Ok(None) => clock::charge(inner.cost.cpu_poll_empty_ns),
+        Err(_) => {}
+    }
+    polled
+}
+
+/// One visit to a lane: handle up to [`VISIT_MESSAGES`] messages, reading
+/// one message ahead after each. A lone request is answered at once;
+/// while a further message is already waiting the doorbell is deferred.
+/// Returns whether the visit made progress.
+fn visit_lane(
+    inner: &ServerInner,
+    handlers: &HashMap<u32, Handler>,
+    conn: &ServerConn,
+    lane: &mut Lane,
+) -> bool {
+    let mut m = match lane.ahead.take() {
+        Some(m) => m,
+        None => match poll_requests(inner, &lane.qp) {
+            Ok(Some(m)) => m,
+            Ok(None) => return false,
+            // Corrupt request ring: drop the message stream.
+            Err(_) => return true,
+        },
+    };
+    for handled in 1.. {
+        handle_message(inner, handlers, conn, lane, &m);
+        match poll_requests(inner, &lane.qp) {
+            Ok(Some(next)) if handled < VISIT_MESSAGES => m = next,
+            Ok(next) => {
+                lane.ahead = next;
+                break;
+            }
+            Err(_) => break,
+        }
+    }
+    // Send what is ready, never wait for a batch to fill: with the ring
+    // dry the deferred responses go out now. Every response message
+    // republishes the consumed head, and a client whose view of it lags
+    // by a quarter ring (head debt) is refreshed even with the ring
+    // still busy or with nothing to send (manual-path-only traffic), so
+    // its stale view is bounded at cap/4 plus one visit and never wedges
+    // the producer. Below that, a head-only write is redundant.
+    let consumed = { lane.qp.req_cons.lock().head() };
+    let debt = consumed.saturating_sub(lane.qp.last_flushed_head.load(Ordering::Relaxed));
+    if debt >= (inner.cfg.ring_capacity as u64) / 4
+        || (lane.ahead.is_none() && !lane.pending.is_empty())
+    {
+        flush_pending(inner, conn, lane);
+    } else if lane.pending.is_empty() && debt > 0 {
+        inner
+            .stats
+            .head_flushes_skipped
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    true
+}
+
+/// Run the handlers of one request message; outputs join the lane's
+/// deferred responses, which flush early at [`COALESCE_MAX_ENTRIES`]
+/// entries or a quarter response ring of encoded bytes.
+fn handle_message(
+    inner: &ServerInner,
+    handlers: &HashMap<u32, Handler>,
+    conn: &ServerConn,
+    lane: &mut Lane,
+    m: &OwnedMsg,
+) {
+    clock::charge(inner.cost.cpu_ring_poll_ns);
+    let view = m.view();
+    let entries = u64::from(view.header.count);
+    inner.stats.messages.fetch_add(1, Ordering::Relaxed);
+    inner.stats.requests.fetch_add(entries, Ordering::Relaxed);
+    // Per-tenant accounting: lock-free Relaxed bumps on the shared
+    // counter block (never through the scheduler mutex).
+    conn.counters.note_issued(entries);
+    for (meta, range) in view.entry_ranges() {
+        if let Some(h) = handlers.get(&meta.rpc_id) {
+            clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
+            // The handler's output Vec is the one per-request allocation
+            // the server keeps: the `Handler` signature owns its result.
+            let out = h(&m.bytes()[range]);
+            lane.pending_bytes += msg::META_SIZE + out.len();
+            lane.pending.push((
+                EntryMeta {
+                    len: out.len() as u32,
+                    thread_id: meta.thread_id,
+                    seq: meta.seq,
+                    rpc_id: 0,
+                },
+                out,
+            ));
+            if lane.pending.len() >= COALESCE_MAX_ENTRIES
+                || lane.pending_bytes >= lane.qp.resp_remote.capacity / 4
+            {
+                flush_pending(inner, conn, lane);
+            }
+        } else {
+            clock::charge(inner.cost.cpu_codec_ns);
+            let _ = inner.manual_tx.send(IncomingRpc {
+                rpc_id: meta.rpc_id,
+                // Zero-copy slice of the shared request-message buffer.
+                data: m.bytes().slice(range),
+                token: RpcToken {
+                    conn: lane.conn_idx,
+                    qp: lane.qp_idx,
+                    meta,
+                },
+            });
+        }
+    }
+}
+
+/// Post the lane's deferred responses as one coalesced message (paper
+/// §4.3) — head-only when there are none. A failed flush (response ring
+/// full past the timeout, shutdown) drops them uncounted, exactly as a
+/// failed per-message flush did: the callers time out, nothing retries.
+fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) {
+    if flush_response(inner, &lane.qp, &lane.pending, 0, 0).is_ok() {
+        conn.counters.note_completed(lane.pending.len() as u64);
+    }
+    lane.pending.clear();
+    lane.pending_bytes = 0;
+}
+
+/// Leave nothing deferred on `lane`: handle its read-ahead message and
+/// flush. Runs before a worker adopts a new topology snapshot.
+fn settle_lane(
+    inner: &ServerInner,
+    handlers: &HashMap<u32, Handler>,
+    conn: &ServerConn,
+    lane: &mut Lane,
+) {
+    if let Some(m) = lane.ahead.take() {
+        handle_message(inner, handlers, conn, lane, &m);
+    }
+    if !lane.pending.is_empty() {
+        flush_pending(inner, conn, lane);
     }
 }
 
@@ -1054,6 +1191,14 @@ fn flush_response<B: AsRef<[u8]>>(
     // last one published so dispatchers can elide redundant head-only
     // writes (`fetch_max`: concurrent flushers never move it backwards).
     qp.last_flushed_head.fetch_max(consumed_head, Ordering::Relaxed);
+    if !responses.is_empty() {
+        let n = responses.len() as u64;
+        inner.stats.responses.fetch_add(n, Ordering::Relaxed);
+        inner
+            .stats
+            .response_messages
+            .fetch_add(1, Ordering::Relaxed);
+    }
     // Host cost of staging the message and ringing the doorbell.
     clock::charge(inner.cost.cpu_doorbell_ns + inner.cost.memcpy_time(need).as_nanos());
     Ok(())
