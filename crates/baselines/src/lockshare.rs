@@ -210,6 +210,13 @@ impl LockSharedClient {
     /// Stop the dispatcher.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
+        // Both waits of `call` end on the stop flag.
+        for qp in &self.inner.qps {
+            qp.granted.notify_all();
+        }
+        for slot in self.inner.threads.lock().iter() {
+            slot.delivered.notify_all();
+        }
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
@@ -405,8 +412,5 @@ fn dispatcher_loop(inner: &Inner) {
         } else {
             clock::yield_now();
         }
-    }
-    for slot in inner.threads.lock().iter() {
-        slot.delivered.notify_all();
     }
 }

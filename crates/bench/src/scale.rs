@@ -74,7 +74,8 @@ pub struct ScaleOutcome {
     pub active_qps: usize,
     /// Total QPs the clients opened (`clients * n_qps`).
     pub total_qps: usize,
-    /// Lab handovers (scheduling decisions) — a determinism fingerprint.
+    /// Lab handovers (times a task's OS thread was given the core) — the
+    /// host cost of the point, and a determinism fingerprint.
     pub handovers: u64,
     /// Virtual tasks spawned over the run.
     pub tasks: u64,

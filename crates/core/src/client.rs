@@ -308,6 +308,19 @@ impl HandleInner {
             .then_some(Err(FlockError::Disconnected))
     }
 
+    /// Stop the handle and wake every wait that ends on
+    /// [`HandleInner::disconnected`].
+    fn stop_and_wake(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for qp in self.lanes_live() {
+            qp.credit_event.notify_all();
+        }
+        for t in self.threads.read().iter() {
+            t.inbox_event.notify_all();
+            t.mem_event.notify_all();
+        }
+    }
+
     /// Iterate the materialized lanes (the dense prefix).
     fn lanes_live(&self) -> impl Iterator<Item = &Arc<ClientQpCtx>> {
         let n = self.lane_count.load(Ordering::Acquire);
@@ -621,10 +634,7 @@ impl ConnectionHandle {
 
     /// Shut down the handle's background threads.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        for qp in self.inner.lanes_live() {
-            qp.credit_event.notify_all();
-        }
+        self.inner.stop_and_wake();
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
@@ -1696,11 +1706,6 @@ fn dispatcher_loop(inner: &HandleInner) {
             idler.idle();
         }
     }
-    // Wake any waiting threads so they observe the stop flag.
-    for t in inner.threads.read().iter() {
-        t.inbox_event.notify_all();
-        t.mem_event.notify_all();
-    }
 }
 
 /// Fold one lane's response-ring poll result into the dispatcher sweep:
@@ -1767,7 +1772,7 @@ fn handle_ring_poll(
         }
         Err(_) => {
             // Corrupt ring: fatal for this connection.
-            inner.stop.store(true, Ordering::SeqCst);
+            inner.stop_and_wake();
         }
     }
 }

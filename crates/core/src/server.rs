@@ -433,8 +433,10 @@ impl FlockServer {
     pub fn shutdown(&self, domain: &FlockDomain) {
         domain.unregister_listener(&self.name);
         self.inner.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop out of its blocked receive.
+        // Wake the accept loop out of its blocked receive, and the QP
+        // scheduler out of its idling on the immediate CQ.
         let _ = self.accept_tx.send(CtrlMsg::Stop);
+        self.inner.imm_cq.wake_waiters();
         for h in self.threads.lock().drain(..) {
             let _ = h.join();
         }
@@ -1222,8 +1224,10 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     // renewal that lands in it into a hundreds-of-µs client stall.
     let mut idler = flock_sync::AdaptiveBackoff::new(Duration::from_micros(200))
         .with_virtual_cap(1_000);
+    let pushed = inner.imm_cq.pushed_event();
     while !inner.stop.load(Ordering::Relaxed) {
         let mut progressed = false;
+        let seen = pushed.epoch();
         imms.clear();
         inner.imm_cq.poll(&mut imms, 1024);
         for c in imms.drain(..) {
@@ -1331,7 +1335,11 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
             idler.reset();
             clock::flush_charge();
         } else {
-            idler.idle();
+            // An idle round looks at the immediate CQ, the stop flag
+            // (`shutdown` wakes the CQ's waiters) and the clock: nothing
+            // changes before a push or the next redistribution instant.
+            let due = last_redistribution.saturating_add(sched_interval_ns);
+            idler.idle_on(pushed, seen, due.saturating_sub(1));
         }
     }
 }

@@ -1,0 +1,227 @@
+//! `VirtualLab` does not run a waiting task's polls while its `Event`
+//! is un-notified; these scenarios check that against the reference
+//! run, in which every poll executes on its task and a change nobody
+//! announced panics (`VirtualLab::run_against_reference`): same
+//! application-visible fingerprint, same final clock, every elided poll
+//! one of the reference's handovers.
+//!
+//! * echo fan-in: a window of requests per thread, coalesced responses;
+//! * one-sided reads on dedicated per-thread mem QPs;
+//! * credit renewal with `max_aqp` below the QP count: a lane is
+//!   deactivated, and a renewal nobody answers times out.
+
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+use std::time::Duration;
+
+use flock_core::client::{ConnectionHandle, HandleConfig};
+use flock_core::onesided::{OneSidedReader, SegmentWriter, SlotLayout};
+use flock_core::server::{FlockServer, ServerConfig};
+use flock_core::{FlockDomain, FlockError};
+use flock_fabric::FabricConfig;
+use flock_sim::vtime::VirtualLab;
+use flock_sync::clock;
+use parking_lot::Mutex;
+
+const RPC_ECHO: u32 = 1;
+
+/// Run `body(thread index)` on `n` virtual tasks and collect what each
+/// returns, in thread order.
+fn on_tasks<T: Send + 'static>(
+    n: usize,
+    body: impl Fn(usize) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let body = Arc::new(body);
+    let out: Arc<Mutex<Vec<Option<T>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+    let tasks: Vec<_> = (0..n)
+        .map(|i| {
+            let (body, out) = (Arc::clone(&body), Arc::clone(&out));
+            clock::spawn(&format!("t{i}"), move || {
+                let r = body(i);
+                out.lock()[i] = Some(r);
+            })
+        })
+        .collect();
+    for t in tasks {
+        t.join().expect("task");
+    }
+    let mut out = out.lock();
+    out.iter_mut().map(|r| r.take().expect("result")).collect()
+}
+
+#[test]
+fn echo_fan_in_with_a_window_matches_the_reference() {
+    const THREADS: usize = 6;
+    const WINDOW: usize = 4;
+    const ROUNDS: usize = 5;
+    let ((times, stats), report) = VirtualLab::run_against_reference(|| {
+        // 2 µs handlers on one worker: requests queue up behind it, so
+        // responses leave coalesced.
+        let mut fab = FabricConfig::default();
+        fab.cost.app_handler_ns = 2_000;
+        let domain = Arc::new(FlockDomain::new(fab));
+        let node = domain.add_node("pe-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.dispatch_threads = 1;
+        let server = FlockServer::listen(&domain, &node, "pe", scfg);
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 2;
+        let cli = domain.add_node("pe-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe", cfg).expect("connect");
+        let threads: Vec<_> = (0..THREADS).map(|_| handle.register_thread()).collect();
+        let threads = Arc::new(threads);
+        let times = on_tasks(THREADS, move |i| {
+            let t = &threads[i];
+            let mut done = Vec::new();
+            for round in 0..ROUNDS {
+                let seqs: Vec<u64> = (0..WINDOW)
+                    .map(|w| {
+                        let payload = [i as u8, round as u8, w as u8];
+                        t.send_rpc(RPC_ECHO, &payload).expect("send")
+                    })
+                    .collect();
+                for (w, seq) in seqs.into_iter().enumerate() {
+                    let resp = t.recv_res(seq).expect("recv");
+                    assert_eq!(&resp[..], &[i as u8, round as u8, w as u8]);
+                    done.push(clock::now_ns());
+                }
+            }
+            done
+        });
+        let s = server.stats();
+        let stats = (
+            s.messages.load(Relaxed),
+            s.requests.load(Relaxed),
+            s.response_messages.load(Relaxed),
+            s.responses.load(Relaxed),
+        );
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        (times, stats)
+    });
+    let (_, requests, response_messages, responses) = stats;
+    assert_eq!(requests, (THREADS * WINDOW * ROUNDS) as u64);
+    assert_eq!(responses, requests);
+    assert!(response_messages < responses, "no response was coalesced");
+    assert!(times.iter().all(|t| t.len() == WINDOW * ROUNDS));
+    assert!(report.elided_polls > report.handovers / 4, "{report:?}");
+}
+
+#[test]
+fn one_sided_reads_on_dedicated_qps_match_the_reference() {
+    const THREADS: usize = 3;
+    const SLOTS: u32 = 16;
+    let (times, report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-os-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-os", ServerConfig::default());
+        let layout = SlotLayout::for_value_cap(64);
+        let idx = server.attach_mreg(layout.stride as usize * SLOTS as usize);
+        let mr = server.mem_region(idx).expect("region");
+        let writer = SegmentWriter::new(mr, 0, layout, SLOTS).expect("writer");
+        server
+            .export_segment("values", idx, layout.stride, SLOTS, 64)
+            .expect("export");
+        for s in 0..SLOTS {
+            writer.publish(s, format!("value-{s}").as_bytes()).unwrap();
+        }
+
+        let mut cfg = HandleConfig::default();
+        cfg.dedicated_mem_qps = true;
+        let cli = domain.add_node("pe-os-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-os", cfg).expect("connect");
+        let lease = handle.fetch_exports(Some("values")).unwrap().remove(0);
+        let threads: Vec<_> = (0..THREADS).map(|_| handle.register_thread()).collect();
+        let threads = Arc::new(threads);
+        let times = on_tasks(THREADS, move |i| {
+            let t = &threads[i];
+            let mut reader = OneSidedReader::new(lease.clone()).unwrap();
+            let mut buf = vec![0u8; reader.layout().stride as usize];
+            let mut done = Vec::new();
+            for k in 0..24u32 {
+                let slot = (k * 5 + i as u32) % SLOTS;
+                let v = reader.read_slot(t, slot, &mut buf).expect("read");
+                assert_eq!(
+                    &buf[SlotLayout::HEADER..SlotLayout::HEADER + v.len],
+                    format!("value-{slot}").as_bytes()
+                );
+                done.push(clock::now_ns());
+            }
+            assert_eq!(reader.stats().failures, 0);
+            done
+        });
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        times
+    });
+    assert!(times.iter().all(|t| t.len() == 24));
+    assert!(report.elided_polls > report.handovers / 4, "{report:?}");
+}
+
+#[test]
+fn credit_renewal_below_the_qp_count_matches_the_reference() {
+    const THREADS: usize = 4;
+    let ((times, active, timed_out_after), report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-cr-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.sched.max_aqp = 2;
+        scfg.sched.grant_size = 8; // a renewal every few calls
+        scfg.sched_interval = Duration::from_micros(100);
+        let server = FlockServer::listen(&domain, &node, "pe-cr", scfg);
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 4;
+        cfg.eager_qps = true;
+        cfg.sched_interval = Duration::from_micros(100);
+        cfg.timeout = Duration::from_micros(300);
+        let cli = domain.add_node("pe-cr-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-cr", cfg).expect("connect");
+        let threads: Vec<_> = (0..THREADS).map(|_| handle.register_thread()).collect();
+        let threads = Arc::new(threads);
+        let times = {
+            let threads = Arc::clone(&threads);
+            on_tasks(THREADS, move |i| {
+                let t = &threads[i];
+                (0..80u32)
+                    .map(|k| {
+                        let resp = t.call(RPC_ECHO, &k.to_le_bytes()).expect("call");
+                        assert_eq!(&resp[..], &k.to_le_bytes());
+                        clock::now_ns()
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        };
+        let active = (server.active_qps(), handle.active_qps());
+
+        // Nobody answers renewals any more: the sender runs out of
+        // credits and its wait for the grant ends in a typed timeout.
+        server.shutdown(&domain);
+        let t0 = clock::now_ns();
+        let t = &threads[0];
+        let err = loop {
+            match t.send_rpc(RPC_ECHO, b"unanswered") {
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, FlockError::Timeout), "{err:?}");
+        let timed_out_after = clock::now_ns() - t0;
+        handle.shutdown();
+        (times, active, timed_out_after)
+    });
+    assert!(times.iter().all(|t| t.len() == 80));
+    let (server_active, client_active) = active;
+    assert!(server_active <= 2, "server kept {server_active} QPs active");
+    assert!(client_active < 4, "no lane was deactivated on the client");
+    // A few sends on the last credits, then the grant wait: one poll
+    // per 1 µs of the 300 µs timeout.
+    assert!(
+        (300_000..310_000).contains(&timed_out_after),
+        "{timed_out_after}"
+    );
+    assert!(report.elided_polls > 250, "{report:?}");
+}

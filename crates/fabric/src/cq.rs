@@ -322,6 +322,21 @@ impl CompletionQueue {
             .wait_until(clock::deadline(timeout), 500, || self.poll_one())
     }
 
+    /// The event every [`CompletionQueue::push`] notifies, for a poll
+    /// loop that idles on this queue
+    /// ([`flock_sync::AdaptiveBackoff::idle_on`]).
+    pub fn pushed_event(&self) -> &Event {
+        &self.pushed_event
+    }
+
+    /// Wake everything sleeping on [`CompletionQueue::pushed_event`]
+    /// without pushing: the owner of a loop that idles on this queue
+    /// calls it after changing what else the loop looks at (its stop
+    /// flag).
+    pub fn wake_waiters(&self) {
+        self.pushed_event.notify_all();
+    }
+
     /// Number of queued completions (ring + spill; approximate under
     /// concurrent pushes, exact when quiescent).
     pub fn len(&self) -> usize {

@@ -4,11 +4,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
 use flock_sync::clock::{self, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::ConnCache;
+use crate::chan::{doorbell, DoorbellSender};
 use crate::cq::CompletionQueue;
 use crate::mr::{Access, MemoryRegion, MrTable};
 use crate::mrcache::{MrCache, MrCacheConfig};
@@ -104,7 +104,7 @@ pub struct Node {
     stats: NicStats,
     /// One command channel per engine lane; QPs are pinned to a lane by
     /// QPN at creation, preserving per-QP FIFO execution order.
-    engine_txs: Vec<Sender<NicCmd>>,
+    engine_txs: Vec<DoorbellSender<NicCmd>>,
     /// The cost model, for charging control-plane operations (QP
     /// creation/reset, MR registration) to the calling virtual task.
     cost: CostModel,
@@ -335,7 +335,7 @@ impl Node {
 #[derive(Debug)]
 pub struct Fabric {
     inner: Arc<FabricInner>,
-    engines: Mutex<Vec<(Sender<NicCmd>, TaskHandle)>>,
+    engines: Mutex<Vec<(DoorbellSender<NicCmd>, TaskHandle)>>,
     /// Background QP-pool refill tasks (one per node, only when the pool
     /// is enabled with a low watermark) and their stop flag.
     refillers: Mutex<Vec<TaskHandle>>,
@@ -372,7 +372,7 @@ impl Fabric {
     pub fn add_node(&self, name: &str) -> Arc<Node> {
         let id = NodeId(self.inner.next_node.fetch_add(1, Ordering::Relaxed));
         let lanes = self.inner.config.nic_lanes.max(1);
-        let channels: Vec<_> = (0..lanes).map(|_| unbounded()).collect();
+        let channels: Vec<_> = (0..lanes).map(|_| doorbell()).collect();
         let node = Arc::new(Node {
             id,
             name: name.to_string(),
@@ -381,20 +381,20 @@ impl Fabric {
             next_qpn: AtomicU32::new(1),
             cache: Mutex::new(ConnCache::new(self.inner.config.nic_cache_entries)),
             stats: NicStats::default(),
-            engine_txs: channels.iter().map(|(tx, _)| tx.clone()).collect(),
+            engine_txs: channels.iter().map(|(tx, ..)| tx.clone()).collect(),
             cost: self.inner.config.cost.clone(),
             pool: QpPool::new(self.inner.config.qpool.clone()),
             mr_cache: Mutex::new(MrCache::new(self.inner.config.mr_cache.clone())),
             parked_cq: CompletionQueue::new(1),
         });
         self.inner.nodes.write().insert(id, Arc::clone(&node));
-        for (lane, (tx, rx)) in channels.into_iter().enumerate() {
+        for (lane, (tx, rx, rung)) in channels.into_iter().enumerate() {
             let inner = Arc::clone(&self.inner);
             let node2 = Arc::clone(&node);
             // Through the clock seam: a real thread normally, a
             // virtual core under `flock_sim::VirtualLab`.
             let handle = clock::spawn(&format!("nic-{name}/{lane}"), move || {
-                engine_loop(inner, node2, rx, lane)
+                engine_loop(inner, node2, rx, rung, lane)
             });
             self.engines.lock().push((tx, handle));
         }

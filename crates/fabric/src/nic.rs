@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
-use flock_sync::clock;
+use flock_sync::clock::{self, Event};
 use flock_sync::AdaptiveBackoff;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -119,6 +119,7 @@ pub(crate) fn engine_loop(
     fabric: Arc<FabricInner>,
     node: Arc<Node>,
     rx: Receiver<NicCmd>,
+    rung: Arc<Event>,
     lane: usize,
 ) {
     let mut rng = SmallRng::seed_from_u64(
@@ -127,10 +128,11 @@ pub(crate) fn engine_loop(
     let cost = &fabric.config.cost;
     // An idle NIC lane re-polls quickly (hardware notices doorbells in
     // well under a microsecond); the tight virtual cap bounds added
-    // detection latency to 2 µs even after long idle stretches.
+    // detection latency to 2 µs even after long idle stretches. Nothing
+    // but a command ends the idling, and every command rings `rung`.
     let mut idler =
         AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000);
-    while let Ok(cmd) = recv_until(&rx, None, || idler.idle()) {
+    while let Ok(cmd) = recv_until(&rx, None, || idler.idle_on(&rung, rung.epoch(), u64::MAX)) {
         idler.reset();
         match cmd {
             NicCmd::Post { src_qpn, epoch, wr } => {

@@ -9,9 +9,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
+use crate::chan::DoorbellSender;
 use crate::cq::CompletionQueue;
 use crate::nic::NicCmd;
 use crate::types::{FabricError, NodeId, QpNum, QpState, Result, Transport};
@@ -35,7 +35,7 @@ pub struct Qp {
     recv_cq: Mutex<Arc<CompletionQueue>>,
     recv_queue: Mutex<VecDeque<RecvWr>>,
     epoch: AtomicU64,
-    engine: Sender<NicCmd>,
+    engine: DoorbellSender<NicCmd>,
 }
 
 impl Qp {
@@ -45,7 +45,7 @@ impl Qp {
         transport: Transport,
         send_cq: Arc<CompletionQueue>,
         recv_cq: Arc<CompletionQueue>,
-        engine: Sender<NicCmd>,
+        engine: DoorbellSender<NicCmd>,
     ) -> Arc<Qp> {
         Arc::new(Qp {
             node,

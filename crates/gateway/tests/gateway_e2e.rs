@@ -172,3 +172,76 @@ fn malformed_stream_reports_error_and_dies() {
     gw.close().unwrap();
     server.shutdown(&domain);
 }
+
+/// Two tenants, two memcached-text sessions each, every session on its
+/// own virtual task against a server whose active-QP budget is below
+/// the QP count. The lab elides the polls of un-notified waits; the
+/// reference run executes them all (and panics on a change nobody
+/// announced): same replies at the same instants, same final clock,
+/// every elided poll one of the reference's handovers.
+#[test]
+fn tenant_sessions_match_the_reference_run() {
+    use flock_sim::vtime::VirtualLab;
+    use flock_sync::clock;
+
+    const TENANTS: [u32; 2] = [3, 9];
+    const OPS: usize = 12;
+    let ((replied_at, completed), report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("node-kv-ref");
+        let mut scfg = ServerConfig::default();
+        scfg.sched.max_aqp = 2;
+        let server = FlockServer::listen(&domain, &node, "kv-ref", scfg);
+        register_kv_backend(&server, Arc::new(KvStore::new(KvConfig::default())));
+        let gw = Arc::new(gateway(&domain, "kv-ref"));
+
+        let tasks: Vec<_> = (0..2 * TENANTS.len())
+            .map(|i| {
+                let tenant = TENANTS[i % TENANTS.len()];
+                let mut session = gw.open_session(tenant, Arc::new(MemcachedText)).unwrap();
+                let gw = Arc::clone(&gw);
+                let replied_at = Arc::new(parking_lot::Mutex::new(Vec::new()));
+                let times = Arc::clone(&replied_at);
+                let task = clock::spawn(&format!("session-{i}"), move || {
+                    let mut out = Vec::new();
+                    for k in 0..OPS {
+                        out.clear();
+                        let (wire, want) = if k % 3 == 0 {
+                            (
+                                format!("set s{i}k{k} 0 0 2\r\nv{k}\r\n"),
+                                "STORED\r\n".to_string(),
+                            )
+                        } else {
+                            let set = k - k % 3;
+                            (
+                                format!("get s{i}k{set}\r\n"),
+                                format!("VALUE s{i}k{set} 0 2\r\nv{set}\r\nEND\r\n"),
+                            )
+                        };
+                        assert_eq!(session.pump(wire.as_bytes(), &mut out).unwrap(), 1);
+                        assert_eq!(out, want.as_bytes(), "session {i} op {k}");
+                        times.lock().push(clock::now_ns());
+                    }
+                    gw.close_session(&session);
+                });
+                (task, replied_at)
+            })
+            .collect();
+        let replied_at: Vec<Vec<u64>> = tasks
+            .into_iter()
+            .map(|(task, times)| {
+                task.join().unwrap();
+                let times = times.lock().clone();
+                times
+            })
+            .collect();
+        let snap = server.fairness_snapshot();
+        let completed = TENANTS.map(|t| snap.tenant(t).expect("tenant row").completed);
+        gw.close().unwrap();
+        server.shutdown(&domain);
+        (replied_at, completed)
+    });
+    assert!(replied_at.iter().all(|t| t.len() == OPS));
+    assert_eq!(completed, [2 * OPS as u64; 2]);
+    assert!(report.elided_polls > report.handovers / 4, "{report:?}");
+}

@@ -22,6 +22,20 @@
 //!    time, and hands it the core (waking its parked thread);
 //! 3. parks itself until its own entry is popped.
 //!
+//! A task blocked in [`flock_sync::clock::Event::wait_until`] or idling
+//! through [`flock_sync::AdaptiveBackoff::idle_on`] sleeps on a poll
+//! schedule and names the event that can end the wait
+//! ([`Executor::sleep_polling`]). When step 2 pops such a task while
+//! its event is still un-notified and its deadline has not passed, the
+//! poll it would run is known to fail, so the lab makes the push that
+//! poll's `sleep_ns` would have made — same wake time, next sequence
+//! number — and pops again, without waking the thread. The heap sees
+//! the pushes a task polling every round makes, in the same order, so
+//! virtual time, every tie-break and every result are the same; only
+//! the host cost of an idle task changes (one heap operation per poll
+//! instead of a futex wake and a context switch). [`LabReport`] counts
+//! the two apart: `handovers` and `elided_polls`.
+//!
 //! Because execution is serialized and wake-ups follow a total
 //! `(time, sequence)` order, the interleaving — and therefore every
 //! counter, histogram, and byte of benchmark output — is a pure function
@@ -37,22 +51,27 @@
 //!   `thread::sleep`) — the core would never be handed over and the lab
 //!   deadlocks. Blocking sites wait through the seam:
 //!   [`flock_sync::clock::Event::wait_until`] for a condition the
-//!   caller owns, `flock_fabric::recv_until` for a channel. Both poll
-//!   and sleep in virtual time here and park on real threads, so the
+//!   caller owns, `flock_fabric::recv_until` for a channel. Both sleep
+//!   in the lab's heap here and park on real threads, so the
 //!   fabric/core crates contain one loop per wait, not two.
+//! * Follow every state change a waiter's condition looks for with
+//!   `notify_all` on the event it sleeps on, before the next yield. The
+//!   lab does not run polls of un-notified events, so a missed notify
+//!   delays the waiter to its deadline; `run_report_reference` runs
+//!   every poll and panics at the first one that finds such a change.
 //! * Never yield while holding a lock another task can contend (the
 //!   holder parks; the contender then spins forever as the only runnable
 //!   task). All converted sites drop locks before yielding, as the
 //!   threaded code already did.
 //! * Join tasks through [`flock_sync::clock::TaskHandle::join`], which
-//!   polls in virtual time, never via a bare `JoinHandle`.
+//!   sleeps in virtual time, never via a bare `JoinHandle`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
-use flock_sync::clock::{self, Executor, TaskHandle};
+use flock_sync::clock::{self, Executor, Poll, TaskExit, TaskHandle};
 
 /// Virtual cost of one bare yield, and the minimum advance of any
 /// suspension: no task can occupy the core for zero virtual time, so
@@ -64,30 +83,33 @@ pub const YIELD_COST_NS: u64 = 50;
 ///
 /// Stateful on purpose: a wake that races ahead of the park (the core is
 /// handed to a task whose thread has not reached `park` yet, e.g. right
-/// after spawn) is remembered by the flag.
+/// after spawn) is remembered by the flag. The flag carries the number
+/// of polls the lab elided during the sleep that just ended.
 struct TaskSlot {
-    run: Mutex<bool>,
+    run: Mutex<Option<u64>>,
     cv: Condvar,
 }
 
 impl TaskSlot {
     fn new() -> TaskSlot {
         TaskSlot {
-            run: Mutex::new(false),
+            run: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    fn park(&self) {
+    fn park(&self) -> u64 {
         let mut go = self.run.lock().expect("task slot poisoned");
-        while !*go {
+        loop {
+            if let Some(elided) = go.take() {
+                return elided;
+            }
             go = self.cv.wait(go).expect("task slot poisoned");
         }
-        *go = false;
     }
 
-    fn wake(&self) {
-        *self.run.lock().expect("task slot poisoned") = true;
+    fn wake(&self, elided: u64) {
+        *self.run.lock().expect("task slot poisoned") = Some(elided);
         self.cv.notify_one();
     }
 }
@@ -100,13 +122,64 @@ struct LabState {
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
     /// Slot per task id; `None` = id free (on `free_ids`).
     slots: Vec<Option<Arc<TaskSlot>>>,
+    /// Per task id, parallel to `slots`: while the task is asleep in
+    /// [`Executor::sleep_polling`], its schedule and the polls elided so
+    /// far.
+    polling: Vec<Option<(Poll, u64)>>,
     free_ids: Vec<usize>,
     /// The task currently holding the core.
     current: usize,
     /// Registered tasks, including the root.
     live: usize,
     handovers: u64,
+    elided_polls: u64,
     tasks_spawned: u64,
+    /// Run every poll on its task (see `run_report_reference`).
+    reference: bool,
+}
+
+impl LabState {
+    fn push(&mut self, wake_ns: u64, id: usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse((wake_ns, seq, id)));
+    }
+
+    /// Advance the clock to the earliest entry whose task has something
+    /// to do and make that task current. Returns its id and the polls
+    /// elided during the sleep this ends.
+    fn pop_runnable(&mut self) -> (usize, u64) {
+        loop {
+            let Reverse((t, _, id)) = self
+                .heap
+                .pop()
+                .expect("virtual-time deadlock: no runnable task");
+            self.now = self.now.max(t);
+            if let Some((p, elided)) = &mut self.polling[id] {
+                if !self.reference
+                    && self.now <= p.deadline_ns
+                    && p.epoch.load(Ordering::Relaxed) == p.seen
+                {
+                    // The task would check, fail, and sleep its next
+                    // period: make that push for it.
+                    let wake = self.now.saturating_add(p.period_ns.max(1));
+                    p.period_ns = p.period_ns.saturating_mul(2).min(p.cap_ns);
+                    *elided += 1;
+                    self.elided_polls += 1;
+                    self.push(wake, id);
+                    continue;
+                }
+            }
+            self.current = id;
+            self.handovers += 1;
+            let elided = self.polling[id].take().map_or(0, |(_, elided)| elided);
+            return (id, elided);
+        }
+    }
+
+    fn slot(&self, id: usize) -> Arc<TaskSlot> {
+        self.slots[id].clone().expect("live task has no slot")
+    }
 }
 
 struct LabInner {
@@ -127,15 +200,20 @@ pub struct VirtualLab {
 pub struct LabReport {
     /// Final virtual clock value.
     pub virtual_ns: u64,
-    /// Core handovers (suspension points crossed) — the virtual analogue
-    /// of the event count in [`crate::engine::Sim::executed`].
+    /// Times the lab gave the core to a task: one per suspension point
+    /// a task actually returned from, the first schedule of a spawned
+    /// task included. What the run cost the host.
     pub handovers: u64,
+    /// Polls of un-notified events the lab re-armed without waking the
+    /// task. `handovers + elided_polls` is the number of suspension
+    /// points of a run in which tasks execute every poll themselves.
+    pub elided_polls: u64,
     /// Tasks spawned over the run (excluding the root).
     pub tasks_spawned: u64,
 }
 
 impl VirtualLab {
-    fn new() -> VirtualLab {
+    fn new(reference: bool) -> VirtualLab {
         VirtualLab {
             inner: Arc::new(LabInner {
                 state: Mutex::new(LabState {
@@ -143,11 +221,14 @@ impl VirtualLab {
                     seq: 0,
                     heap: BinaryHeap::new(),
                     slots: Vec::new(),
+                    polling: Vec::new(),
                     free_ids: Vec::new(),
                     current: 0,
                     live: 0,
                     handovers: 0,
+                    elided_polls: 0,
                     tasks_spawned: 0,
+                    reference,
                 }),
             }),
         }
@@ -167,10 +248,45 @@ impl VirtualLab {
 
     /// Like [`VirtualLab::run`], but also return run statistics.
     pub fn run_report<R>(f: impl FnOnce() -> R) -> (R, LabReport) {
-        let lab = VirtualLab::new();
+        Self::run_lab(VirtualLab::new(false), f)
+    }
+
+    /// The reference the elision is tested against, for tests only:
+    /// every poll runs on its task, as if [`Executor::sleep_polling`]
+    /// were a plain sleep. Same virtual timeline and results as
+    /// [`VirtualLab::run_report`], `elided_polls == 0`, and `handovers`
+    /// equal to the other's `handovers + elided_polls`. Because every
+    /// poll is executed, the missed-notify panics of
+    /// [`clock::Event::wait_until`] and
+    /// [`flock_sync::AdaptiveBackoff::reset`] fire at the first poll
+    /// that finds a change nobody announced.
+    #[doc(hidden)]
+    pub fn run_report_reference<R>(f: impl FnOnce() -> R) -> (R, LabReport) {
+        Self::run_lab(VirtualLab::new(true), f)
+    }
+
+    /// Run `f` under the reference and under the lab, assert that the
+    /// two agree — same result, same final clock, every elided poll one
+    /// of the reference's handovers — and return the lab's run.
+    #[doc(hidden)]
+    pub fn run_against_reference<R>(f: impl Fn() -> R) -> (R, LabReport)
+    where
+        R: PartialEq + std::fmt::Debug,
+    {
+        let (want, reference) = Self::run_report_reference(&f);
+        let (got, report) = Self::run_report(&f);
+        assert_eq!(got, want, "result differs from the reference run's");
+        assert_eq!(report.virtual_ns, reference.virtual_ns);
+        assert_eq!(reference.elided_polls, 0);
+        assert_eq!(reference.handovers, report.handovers + report.elided_polls);
+        (got, report)
+    }
+
+    fn run_lab<R>(lab: VirtualLab, f: impl FnOnce() -> R) -> (R, LabReport) {
         {
             let mut st = lab.inner.state.lock().expect("lab poisoned");
             st.slots.push(Some(Arc::new(TaskSlot::new())));
+            st.polling.push(None);
             st.live = 1;
             st.current = 0;
         }
@@ -186,6 +302,7 @@ impl VirtualLab {
         let report = LabReport {
             virtual_ns: st.now,
             handovers: st.handovers,
+            elided_polls: st.elided_polls,
             tasks_spawned: st.tasks_spawned,
         };
         (result, report)
@@ -193,33 +310,47 @@ impl VirtualLab {
 
     /// Deregister the calling (current) task and hand the core to the
     /// next scheduled one. Called by the spawn wrapper after the task
-    /// body returns; `finished` is published under the lab lock, before
-    /// the handover, so joiners observe it at a deterministic virtual
-    /// instant.
-    fn exit_current(&self, finished: &AtomicBool) {
+    /// body returns; `exit` is signalled under the lab lock, before the
+    /// next task is chosen, so a joiner whose poll is due now runs it.
+    fn exit_current(&self, exit: &TaskExit) {
         let next = {
             let mut st = self.inner.state.lock().expect("lab poisoned");
             let me = st.current;
             st.slots[me] = None;
             st.free_ids.push(me);
             st.live -= 1;
-            finished.store(true, Ordering::Release);
-            if st.live == 0 {
-                None
-            } else {
-                let Reverse((t, _, id)) = st
-                    .heap
-                    .pop()
-                    .expect("virtual-time deadlock: live tasks but none runnable");
-                st.now = st.now.max(t);
-                st.current = id;
-                st.handovers += 1;
-                Some(st.slots[id].clone().expect("scheduled task has no slot"))
-            }
+            exit.signal();
+            (st.live > 0).then(|| {
+                let (id, elided) = st.pop_runnable();
+                (st.slot(id), elided)
+            })
         };
-        if let Some(slot) = next {
-            slot.wake();
+        if let Some((slot, elided)) = next {
+            slot.wake(elided);
         }
+    }
+
+    /// Suspend the current task for `ns`; with `polling`, until the
+    /// first poll from then on that the task has to run itself. Returns
+    /// the polls elided in between.
+    fn suspend(&self, ns: u64, polling: Option<Poll>) -> u64 {
+        // Strictly positive advance: see YIELD_COST_NS.
+        let ns = ns.max(1);
+        let (next, elided, mine) = {
+            let mut st = self.inner.state.lock().expect("lab poisoned");
+            let me = st.current;
+            st.polling[me] = polling.map(|p| (p, 0));
+            let wake = st.now.saturating_add(ns);
+            st.push(wake, me);
+            let (id, elided) = st.pop_runnable();
+            if id == me {
+                // Fast path: we are still the earliest task; keep the core.
+                return elided;
+            }
+            (st.slot(id), elided, st.slot(me))
+        };
+        next.wake(elided);
+        mine.park()
     }
 }
 
@@ -229,33 +360,11 @@ impl Executor for VirtualLab {
     }
 
     fn advance(&self, ns: u64) {
-        // Strictly positive advance: see YIELD_COST_NS.
-        let ns = ns.max(1);
-        let (next, mine) = {
-            let mut st = self.inner.state.lock().expect("lab poisoned");
-            let me = st.current;
-            let wake = st.now.saturating_add(ns);
-            let seq = st.seq;
-            st.seq += 1;
-            st.heap.push(Reverse((wake, seq, me)));
-            let Reverse((t, _, id)) = st
-                .heap
-                .pop()
-                .expect("virtual-time deadlock: no runnable task");
-            st.now = st.now.max(t);
-            st.current = id;
-            st.handovers += 1;
-            if id == me {
-                // Fast path: we are still the earliest task; keep the core.
-                return;
-            }
-            (
-                st.slots[id].clone().expect("scheduled task has no slot"),
-                st.slots[me].clone().expect("running task has no slot"),
-            )
-        };
-        next.wake();
-        mine.park();
+        self.suspend(ns, None);
+    }
+
+    fn sleep_polling(&self, first_ns: u64, poll: Poll) -> u64 {
+        self.suspend(first_ns, Some(poll))
     }
 
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
@@ -266,6 +375,7 @@ impl Executor for VirtualLab {
                 Some(id) => id,
                 None => {
                     st.slots.push(None);
+                    st.polling.push(None);
                     st.slots.len() - 1
                 }
             };
@@ -274,14 +384,12 @@ impl Executor for VirtualLab {
             st.tasks_spawned += 1;
             // First wake-up at the current instant, in spawn order; the
             // spawner keeps the core until its own next yield.
-            let seq = st.seq;
-            st.seq += 1;
             let now = st.now;
-            st.heap.push(Reverse((now, seq, id)));
+            st.push(now, id);
         }
         let lab = self.clone();
-        let finished = Arc::new(AtomicBool::new(false));
-        let fin = finished.clone();
+        let exit = Arc::new(TaskExit::default());
+        let fin = exit.clone();
         let thread = std::thread::Builder::new()
             .name(name)
             // Virtual tasks number in the hundreds at paper scale; keep
@@ -294,7 +402,7 @@ impl Executor for VirtualLab {
                 lab.exit_current(&fin);
             })
             .expect("spawn virtual task thread");
-        TaskHandle::virtualized(thread, finished)
+        TaskHandle::virtualized(thread, exit)
     }
 
     fn yield_cost_ns(&self) -> u64 {
@@ -305,7 +413,7 @@ impl Executor for VirtualLab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn clock_starts_at_zero_and_sleep_advances() {
@@ -471,6 +579,108 @@ mod tests {
             // The child's first schedule is at the spawn instant (the
             // joiner's poll sleeps past it, but the child ran at 500).
             assert_eq!(started.load(Ordering::Relaxed), 500);
+        });
+    }
+
+    /// A flag one task sets and another waits for. The lab's handovers
+    /// order the accesses; the atomic only makes the sharing legal.
+    #[derive(Default)]
+    struct Flag(AtomicBool);
+
+    impl Flag {
+        fn set(&self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+
+        fn is_set(&self) -> Option<()> {
+            self.0.load(Ordering::Relaxed).then_some(())
+        }
+    }
+
+    #[test]
+    fn idle_waiter_costs_one_heap_operation_per_poll() {
+        let ((), report) = VirtualLab::run_against_reference(|| {
+            let shared = Arc::new((clock::Event::new(), Flag::default()));
+            let notifier = {
+                let shared = shared.clone();
+                clock::spawn("notifier", move || {
+                    clock::sleep_ns(1_000_000);
+                    shared.1.set();
+                    shared.0.notify_all();
+                })
+            };
+            let (ev, flag) = &*shared;
+            ev.wait_until(u64::MAX, 500, || flag.is_set());
+            assert_eq!(clock::now_ns(), 1_000_000);
+            notifier.join().unwrap();
+        });
+        // The notifier's first schedule, its wake-up after the sleep,
+        // and the waiter's one poll that follows the notify; the polls
+        // at 500, 1 000, …, 999 500 ns never reach the waiter's thread.
+        assert_eq!(report.handovers, 3);
+        assert_eq!(report.elided_polls, 1_999);
+    }
+
+    /// A poll loop idling on the NIC lane's ladder (2 µs cap, so it
+    /// polls at 250, 750, 1 750, 3 750, 5 750 … ns) whose doorbell rings
+    /// at `ring_ns`. Returns when it saw the ring, and where one more
+    /// plain idle round took it from there.
+    fn doorbell_scenario(ring_ns: u64) -> (u64, u64) {
+        VirtualLab::run_against_reference(|| {
+            let shared = Arc::new((clock::Event::new(), Flag::default()));
+            let times = Arc::new(Mutex::new((0, 0)));
+            let lane = {
+                let (shared, times) = (shared.clone(), times.clone());
+                clock::spawn("lane", move || {
+                    let (bell, rung) = &*shared;
+                    let mut idler =
+                        flock_sync::AdaptiveBackoff::new(std::time::Duration::from_micros(2))
+                            .with_virtual_cap(2_000);
+                    loop {
+                        let seen = bell.epoch();
+                        if rung.is_set().is_some() {
+                            break;
+                        }
+                        idler.idle_on(bell, seen, u64::MAX);
+                    }
+                    let saw = clock::now_ns();
+                    idler.idle();
+                    *times.lock().unwrap() = (saw, clock::now_ns());
+                })
+            };
+            clock::sleep_ns(ring_ns);
+            shared.1.set();
+            shared.0.notify_all();
+            lane.join().unwrap();
+            let times = *times.lock().unwrap();
+            times
+        })
+        .0
+    }
+
+    #[test]
+    fn idle_on_wakes_at_the_ladder_instant_after_the_notify() {
+        // The rounds slept through advance the ladder: the next idle
+        // round sleeps what a lane that polled every round would.
+        assert_eq!(doorbell_scenario(100), (250, 750));
+        assert_eq!(doorbell_scenario(1_234), (1_750, 3_750));
+        assert_eq!(doorbell_scenario(1_751), (3_750, 5_750));
+        assert_eq!(doorbell_scenario(4_000), (5_750, 7_750));
+    }
+
+    #[test]
+    #[should_panic(expected = "no notify_all")]
+    fn reference_run_panics_on_a_missed_notify() {
+        VirtualLab::run_report_reference(|| {
+            let shared = Arc::new((clock::Event::new(), Flag::default()));
+            let s = shared.clone();
+            // Sets the flag the root waits for and tells nobody.
+            let _ = clock::spawn("setter", move || {
+                clock::sleep_ns(1_234);
+                s.1.set();
+            });
+            let (ev, flag) = &*shared;
+            ev.wait_until(u64::MAX, 500, || flag.is_set());
         });
     }
 

@@ -28,10 +28,15 @@
 //! another task can contend**. The threaded code already obeys this (all
 //! its spin/park sites drop locks first); conversions must preserve it,
 //! otherwise the lab deadlocks (the lock holder is parked and the next
-//! task blocks the one OS thread that could release it).
+//! task blocks the one OS thread that could release it). And **announce
+//! what a waiter waits for**: a change that can satisfy the condition of
+//! an [`Event::wait_until`] is followed by that event's `notify_all`
+//! before the changer yields. A parked thread needs it to wake at all;
+//! a virtual executor needs it to know which polls it may skip
+//! ([`Executor::sleep_polling`]).
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -53,6 +58,36 @@ pub trait Executor: Send + Sync {
 
     /// The minimum virtual cost of one yield.
     fn yield_cost_ns(&self) -> u64;
+
+    /// Sleep `first_ns`, then keep re-sleeping the task on `poll`'s
+    /// schedule for as long as waking it could change nothing: the
+    /// event it waits on is un-notified (`poll.epoch` still reads
+    /// `poll.seen`) and the poll instant is not past `poll.deadline_ns`.
+    /// Every re-sleep is, to the scheduler, exactly the `advance` the
+    /// task would have made after one more failed check, so the virtual
+    /// timeline does not depend on how many polls ran on the task.
+    /// Returns how many polls were slept through without running the
+    /// task (always 0 from an executor that runs every poll).
+    fn sleep_polling(&self, first_ns: u64, poll: Poll) -> u64;
+}
+
+/// What a waiting task's next polls look like, for
+/// [`Executor::sleep_polling`].
+#[derive(Debug, Clone)]
+pub struct Poll {
+    /// The awaited [`Event`]'s notify epoch.
+    pub epoch: Arc<AtomicU64>,
+    /// Its value before the task's last failed check.
+    pub seen: u64,
+    /// The sleep after `first_ns`; each later one doubles, up to
+    /// `cap_ns` (`period_ns == cap_ns` is a fixed period).
+    pub period_ns: u64,
+    /// Longest sleep of the schedule.
+    pub cap_ns: u64,
+    /// Last instant at which a poll is known to end in another sleep:
+    /// the waiter's [`deadline`], or the instant before a condition it
+    /// evaluates from the clock turns true.
+    pub deadline_ns: u64,
 }
 
 thread_local! {
@@ -198,12 +233,23 @@ pub fn expired(deadline_ns: u64) -> bool {
 ///   notifier that sees a registered waiter moves the ticket under the
 ///   internal lock. That lock is never held while `condition` runs, so
 ///   it orders against no caller lock.
-/// * **Virtual:** check, then `sleep_ns(quantum_ns)`, until the deadline
-///   — a parked OS thread would stall the lab's one core.
+/// * **Virtual:** check, then sleep `quantum_ns`, until the deadline — a
+///   parked OS thread would stall the lab's one core. The sleeps go
+///   through [`Executor::sleep_polling`]: a poll at which this event is
+///   still un-notified cannot succeed, so the executor re-arms it
+///   without waking the task. That is exact only if every state change
+///   a condition looks for is followed by [`Event::notify_all`] on the
+///   event its waiters sleep on, before the changer next yields; a
+///   satisfied poll that saw no notify since the failed one before it
+///   panics, naming the waiting site.
 /// * **`cfg(loom)`:** check, then yield to the model scheduler; parking
 ///   is invisible to the memory model, and there are no deadlines.
 #[derive(Debug, Default)]
 pub struct Event {
+    /// Bumped by every notify. Shared so a virtual executor can watch it
+    /// while the waiter's thread is parked; threaded waiters never read
+    /// it.
+    epoch: Arc<AtomicU64>,
     /// Threaded waiters between registration and return. Notifiers skip
     /// the lock and the wake syscall while this is zero.
     waiters: AtomicUsize,
@@ -214,12 +260,41 @@ pub struct Event {
 
 impl Event {
     /// An event with no waiters.
-    pub const fn new() -> Event {
-        Event {
-            waiters: AtomicUsize::new(0),
-            ticket: Mutex::new(0),
-            cv: Condvar::new(),
-        }
+    pub fn new() -> Event {
+        Event::default()
+    }
+
+    /// The notify epoch. A virtual poll loop that idles through
+    /// [`crate::AdaptiveBackoff::idle_on`] reads it *before* the check
+    /// whose failure sends it to sleep.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// The virtual arm of a wait on this event: sleep `first_ns` plus
+    /// pending [`charge`]s, then let `exec` re-sleep the task on the
+    /// doubling schedule `period_ns` → `cap_ns` while the epoch still
+    /// reads `seen`. Returns the polls slept through.
+    pub(crate) fn sleep_polling(
+        &self,
+        exec: &dyn Executor,
+        seen: u64,
+        first_ns: u64,
+        period_ns: u64,
+        cap_ns: u64,
+        deadline_ns: u64,
+    ) -> u64 {
+        exec.sleep_polling(
+            take_pending().saturating_add(first_ns),
+            Poll {
+                epoch: Arc::clone(&self.epoch),
+                seen,
+                period_ns,
+                cap_ns,
+                deadline_ns,
+            },
+        )
     }
 
     fn ticket(&self) -> MutexGuard<'_, u64> {
@@ -230,11 +305,13 @@ impl Event {
 
     /// Wake every current waiter so it re-checks its condition. Call
     /// *after* publishing the state change it looks for, and after
-    /// dropping the lock that guards that state. One fence and one load
-    /// when nobody is parked (always so under a virtual executor, whose
-    /// waiters poll).
+    /// dropping the lock that guards that state. One relaxed increment,
+    /// one fence and one load when nobody is parked (always so under a
+    /// virtual executor, whose waiters sleep in the executor's heap and
+    /// are told apart from un-notified ones by the epoch).
     #[inline]
     pub fn notify_all(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
         // Pairs with the fence in `wait_until` (store buffering: SeqCst
         // fences on both sides): either this load sees the waiter's
         // registration, or the waiter's check sees the caller's state.
@@ -250,6 +327,7 @@ impl Event {
     /// value, `u64::MAX` for never. `condition` runs on the calling
     /// task with no `Event` lock held and must not block. `quantum_ns`
     /// is the poll period under a virtual executor, unused otherwise.
+    #[track_caller]
     pub fn wait_until<R>(
         &self,
         deadline_ns: u64,
@@ -264,15 +342,32 @@ impl Event {
                 crate::thread::yield_now();
             }
         }
-        if is_virtual() {
+        if let Some(exec) = current() {
+            // Epoch before the previous failed check, once there is one.
+            let mut quiet = None;
             loop {
+                let seen = self.epoch();
                 if let Some(r) = condition() {
+                    assert!(
+                        quiet != Some(seen),
+                        "wait condition turned true with no notify_all on its Event \
+                         since the failed check before it"
+                    );
                     return Some(r);
                 }
-                if expired(deadline_ns) {
+                if exec.now_ns() > deadline_ns {
                     return None;
                 }
-                sleep_ns(quantum_ns);
+                // A fixed period: first sleep, re-sleep and cap are one.
+                self.sleep_polling(
+                    &*exec,
+                    seen,
+                    quantum_ns,
+                    quantum_ns,
+                    quantum_ns,
+                    deadline_ns,
+                );
+                quiet = Some(seen);
             }
         }
         self.waiters.fetch_add(1, Ordering::SeqCst);
@@ -304,6 +399,23 @@ impl Event {
     }
 }
 
+/// Exit flag of one virtual task and the event its joiners sleep on.
+#[derive(Debug, Default)]
+pub struct TaskExit {
+    finished: AtomicBool,
+    event: Event,
+}
+
+impl TaskExit {
+    /// Publish that the task has deregistered. The executor calls this
+    /// before it picks the next task to run, so joiners observe the
+    /// exit at a deterministic virtual instant. Takes no executor lock.
+    pub fn signal(&self) {
+        self.finished.store(true, Ordering::Release);
+        self.event.notify_all();
+    }
+}
+
 /// Handle to a task spawned through the seam.
 ///
 /// In threaded mode this is a plain `JoinHandle`. In virtual mode
@@ -315,41 +427,33 @@ impl Event {
 #[derive(Debug)]
 pub struct TaskHandle {
     inner: std::thread::JoinHandle<()>,
-    /// `Some` for virtual tasks: set (with `Release`, under the lab
-    /// lock, before the core is handed over) when the task deregisters.
-    finished: Option<Arc<AtomicBool>>,
+    /// `Some` for virtual tasks.
+    exit: Option<Arc<TaskExit>>,
 }
 
 impl TaskHandle {
     /// Wrap a plain OS thread (threaded mode).
     pub fn threaded(inner: std::thread::JoinHandle<()>) -> TaskHandle {
-        TaskHandle {
-            inner,
-            finished: None,
-        }
+        TaskHandle { inner, exit: None }
     }
 
-    /// Wrap a virtual task and its deregistration flag (virtual mode;
-    /// called by executor implementations).
-    pub fn virtualized(
-        inner: std::thread::JoinHandle<()>,
-        finished: Arc<AtomicBool>,
-    ) -> TaskHandle {
+    /// Wrap a virtual task and its exit flag (virtual mode; called by
+    /// executor implementations, which [`TaskExit::signal`] it).
+    pub fn virtualized(inner: std::thread::JoinHandle<()>, exit: Arc<TaskExit>) -> TaskHandle {
         TaskHandle {
             inner,
-            finished: Some(finished),
+            exit: Some(exit),
         }
     }
 
     /// Wait for the task to finish.
     pub fn join(self) -> std::thread::Result<()> {
-        if let Some(f) = &self.finished {
-            // Poll in virtual time so the joinee keeps getting the core.
-            // The flag is published before the handover that follows the
-            // joinee's deregistration, so the poll count is deterministic.
-            while !f.load(Ordering::Acquire) {
-                sleep_ns(1_000);
-            }
+        if let Some(exit) = &self.exit {
+            // Sleep in virtual time, on a 1 µs poll grid, so the joinee
+            // keeps getting the core.
+            exit.event.wait_until(u64::MAX, 1_000, || {
+                exit.finished.load(Ordering::Acquire).then_some(())
+            });
         }
         self.inner.join()
     }
@@ -357,8 +461,8 @@ impl TaskHandle {
     /// Whether the task has already finished (virtual tasks only;
     /// threaded handles report via `JoinHandle::is_finished`).
     pub fn is_finished(&self) -> bool {
-        match &self.finished {
-            Some(f) => f.load(Ordering::Acquire),
+        match &self.exit {
+            Some(exit) => exit.finished.load(Ordering::Acquire),
             None => self.inner.is_finished(),
         }
     }

@@ -169,6 +169,9 @@ pub struct AdaptiveBackoff {
     // reason as `max_park`.
     #[cfg_attr(loom, allow(dead_code))]
     virtual_cap_ns: u64,
+    /// The last [`AdaptiveBackoff::idle_on`] round returned with its
+    /// event un-notified: work found now was never announced.
+    quiet: bool,
 }
 
 impl AdaptiveBackoff {
@@ -197,6 +200,7 @@ impl AdaptiveBackoff {
             idle_rounds: 0,
             max_park,
             virtual_cap_ns: Self::VIRTUAL_MAX_POLL_NS,
+            quiet: false,
         }
     }
 
@@ -219,9 +223,27 @@ impl AdaptiveBackoff {
     }
 
     /// Work was found: snap back to the spin tier.
+    ///
+    /// Panics, naming the caller, when the idle round before it was an
+    /// [`AdaptiveBackoff::idle_on`] whose event nobody notified — the
+    /// same missed-notify check as [`clock::Event::wait_until`]'s.
     #[inline]
+    #[track_caller]
     pub fn reset(&mut self) {
+        let unannounced = std::mem::take(&mut self.quiet);
+        assert!(
+            !unannounced,
+            "work found with no notify_all on the Event the idle round before it slept on"
+        );
         self.idle_rounds = 0;
+    }
+
+    /// Sleep of the virtual ladder's current round: doubles per idle
+    /// round from [`Self::VIRTUAL_FIRST_POLL_NS`] up to the cap.
+    #[cfg(not(loom))]
+    fn virtual_poll_ns(&self) -> u64 {
+        let exp = self.idle_rounds.saturating_sub(1).min(12);
+        (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns)
     }
 
     /// Nothing to do this round: spin, yield, or park per the ladder.
@@ -244,9 +266,7 @@ impl AdaptiveBackoff {
                 // sleep whose period doubles from VIRTUAL_FIRST_POLL_NS
                 // up to VIRTUAL_MAX_POLL_NS, mirroring the park tier's
                 // shape without burning wall time or host CPU.
-                let exp = self.idle_rounds.saturating_sub(1).min(12);
-                let poll = (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns);
-                clock::sleep_ns(poll);
+                clock::sleep_ns(self.virtual_poll_ns());
             } else if self.idle_rounds <= Self::SPIN_LIMIT && !single_cpu() {
                 hint::spin_loop();
             } else if self.idle_rounds <= Self::SPIN_LIMIT + Self::YIELD_LIMIT {
@@ -260,6 +280,38 @@ impl AdaptiveBackoff {
                 thread::sleep(park);
             }
         }
+    }
+
+    /// [`AdaptiveBackoff::idle`] for a loop whose idle polls can only be
+    /// ended by `event`: everything they look at is announced by
+    /// `event.notify_all()`, or is the clock passing `deadline_ns` (the
+    /// last instant at which a poll still finds nothing, `u64::MAX` when
+    /// the loop watches no clock). `seen` is `event.epoch()` read before
+    /// the check that just came up empty.
+    ///
+    /// On real threads this is `idle()`. A virtual task sleeps the same
+    /// ladder, but the executor runs the rounds that cannot find
+    /// anything — event un-notified, instant not past the deadline — by
+    /// itself ([`clock::Executor::sleep_polling`]); the ladder advances
+    /// by the rounds slept through, so the next sleep is the one a task
+    /// that polled every round would make.
+    pub fn idle_on(&mut self, event: &clock::Event, seen: u64, deadline_ns: u64) {
+        #[cfg(not(loom))]
+        if let Some(exec) = clock::current() {
+            self.idle_rounds = self.idle_rounds.saturating_add(1);
+            let first = self.virtual_poll_ns();
+            let cap = self.virtual_cap_ns.min(Self::VIRTUAL_MAX_POLL_NS);
+            let next = first.saturating_mul(2).min(cap);
+            let slept = event.sleep_polling(&*exec, seen, first, next, cap, deadline_ns);
+            self.idle_rounds = self
+                .idle_rounds
+                .saturating_add(u32::try_from(slept).unwrap_or(u32::MAX));
+            self.quiet = event.epoch() == seen;
+            return;
+        }
+        #[cfg(loom)]
+        let _ = (event, seen, deadline_ns);
+        self.idle();
     }
 
     /// Whether the next [`AdaptiveBackoff::idle`] call would park (used

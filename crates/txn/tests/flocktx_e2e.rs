@@ -191,42 +191,61 @@ fn multi_partition_transaction() {
     teardown(c);
 }
 
+/// 24 read-write transactions that each span all three servers (one
+/// written key per partition, one read-only key so the one-sided
+/// validation phase runs). Returns the instant each one committed.
+fn three_server_rounds() -> Vec<u64> {
+    let c = cluster();
+    let keys: Vec<u64> = (0..N_SERVERS)
+        .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
+        .collect();
+    let read_key = (keys[N_SERVERS - 1] + 1..)
+        .find(|&k| key_partition(k, N_SERVERS) == 1)
+        .unwrap();
+    for &k in keys.iter().chain([&read_key]) {
+        load(&c, k, &0u64.to_le_bytes());
+    }
+    let client = TxnClient::new(&c.handles);
+    let committed_at = (1..=24u64)
+        .map(|round| {
+            let outcome = client
+                .run(&[read_key], &keys, |_| {
+                    keys.iter()
+                        .map(|&k| (k, round.to_le_bytes().to_vec()))
+                        .collect()
+                })
+                .unwrap();
+            assert!(matches!(outcome, TxnOutcome::Committed(_)));
+            flock_sync::clock::now_ns()
+        })
+        .collect();
+    drop(client);
+    teardown(c);
+    committed_at
+}
+
 /// Execute/Log/Commit RPCs go to servers in server-index order, so a
 /// multi-server run under the virtual lab is a pure function of its
 /// inputs. (Grouping by `HashMap` made the send order — and with it
 /// every latency — depend on the process's `RandomState` seeds.)
 #[test]
 fn multi_server_transactions_are_deterministic_under_virtual_lab() {
-    fn fingerprint() -> (u64, u64) {
-        let ((), report) = flock_sim::vtime::VirtualLab::run_report(|| {
-            let c = cluster();
-            let keys: Vec<u64> = (0..N_SERVERS)
-                .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
-                .collect();
-            // A read-only key, so the one-sided validation phase runs.
-            let read_key = (keys[N_SERVERS - 1] + 1..)
-                .find(|&k| key_partition(k, N_SERVERS) == 1)
-                .unwrap();
-            for &k in keys.iter().chain([&read_key]) {
-                load(&c, k, &0u64.to_le_bytes());
-            }
-            let client = TxnClient::new(&c.handles);
-            for round in 1..=24u64 {
-                let outcome = client
-                    .run(&[read_key], &keys, |_| {
-                        keys.iter()
-                            .map(|&k| (k, round.to_le_bytes().to_vec()))
-                            .collect()
-                    })
-                    .unwrap();
-                assert!(matches!(outcome, TxnOutcome::Committed(_)));
-            }
-            drop(client);
-            teardown(c);
-        });
-        (report.virtual_ns, report.handovers)
+    fn fingerprint() -> (Vec<u64>, u64, u64) {
+        let (committed_at, report) = flock_sim::vtime::VirtualLab::run_report(three_server_rounds);
+        (committed_at, report.virtual_ns, report.handovers)
     }
     assert_eq!(fingerprint(), fingerprint());
+}
+
+/// The lab elides the polls of un-notified waits; the reference run
+/// executes them all (and panics on a change nobody announced). Same
+/// commit instants, same final clock, every elided poll accounted for.
+#[test]
+fn multi_server_transactions_match_the_reference_run() {
+    let (committed_at, report) =
+        flock_sim::vtime::VirtualLab::run_against_reference(three_server_rounds);
+    assert_eq!(committed_at.len(), 24);
+    assert!(report.elided_polls > report.handovers / 4, "{report:?}");
 }
 
 #[test]
