@@ -17,9 +17,8 @@ use std::time::Duration;
 
 use flock_sync::clock::{self, Event, TaskHandle};
 
-use crossbeam::channel::bounded;
 use flock_core::credit::CreditState;
-use flock_core::domain::{ConnectRequest, FlockDomain, RingInfo};
+use flock_core::domain::{reply_channel, ConnectRequest, FlockDomain, RingInfo};
 use flock_core::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
 use flock_core::ring::{RingConsumer, RingLayout, RingProducer};
 use flock_core::{FlockError, Result};
@@ -131,7 +130,7 @@ impl LockSharedClient {
             resp_mrs.push(resp_mr);
             client_qps.push(qp);
         }
-        let (reply_tx, _r) = bounded(1);
+        let (reply_tx, _r) = reply_channel();
         let reply = domain.dial(
             server_name,
             ConnectRequest {

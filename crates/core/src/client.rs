@@ -10,18 +10,17 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use flock_fabric::{
-    Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp, RemoteAddr,
-    SendWr, Sge, Transport, WrId,
+    Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, NodeId, Qp,
+    RemoteAddr, SendWr, Sge, Transport, WrId,
 };
 use flock_sync::clock::{self, Event, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{CreditState, MedianWindow};
 use crate::domain::{
-    await_reply, AttachMemRequest, AttachRequest, ConnectRequest, CtrlMsg, DetachRequest,
-    ExportRequest, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
+    await_reply, reply_channel, AttachMemRequest, AttachRequest, ConnectRequest, CtrlMsg,
+    DetachRequest, ExportRequest, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
@@ -261,7 +260,7 @@ pub(crate) struct HandleInner {
     sender_id: u32,
     cfg: HandleConfig,
     /// Control channel to the server (attach/detach after connect).
-    ctrl: Sender<CtrlMsg>,
+    ctrl: DoorbellSender<CtrlMsg>,
     /// QP lanes, a dense prefix of which is materialized: slot `i` is set
     /// iff `i < lane_count`. Slots are write-once, so the send path reads
     /// a lane with no lock at all.
@@ -284,6 +283,11 @@ pub(crate) struct HandleInner {
     /// [`HandleConfig::dedicated_mem_qps`] is set): one poll point for
     /// the dispatcher regardless of how many threads attached a QP.
     mem_cq: Option<Arc<CompletionQueue>>,
+    /// What the response dispatcher idles on. Everything its sweep looks
+    /// at notifies it: the NIC after a write into a lane's response ring
+    /// (the ring MR's doorbell), every lane's send CQ and the mem CQ on a
+    /// push, `lane_count` growing, and the stop flag.
+    dispatch_event: Arc<Event>,
     /// Fabric cost model: charges virtual CPU time for host-side work
     /// (doorbells, memcpys, polling) under a virtual-time executor;
     /// charges are no-ops in threaded mode.
@@ -312,6 +316,7 @@ impl HandleInner {
     /// [`HandleInner::disconnected`].
     fn stop_and_wake(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.dispatch_event.notify_all();
         for qp in self.lanes_live() {
             qp.credit_event.notify_all();
         }
@@ -327,6 +332,20 @@ impl HandleInner {
         self.lanes[..n]
             .iter()
             .map(|slot| slot.get().expect("dense lane prefix"))
+    }
+
+    /// Lease one lane's local resources: a QP whose completions, and a
+    /// response ring whose NIC writes, wake the response dispatcher.
+    fn lease_lane(
+        node: &Node,
+        cfg: &HandleConfig,
+        dispatch_event: &Arc<Event>,
+    ) -> (Arc<Qp>, Arc<MemoryRegion>) {
+        let cq = CompletionQueue::with_event(256, Arc::clone(dispatch_event));
+        let qp = node.lease_qp(Transport::Rc, &cq, &cq);
+        let resp_mr = node.acquire_mr(cfg.ring_capacity, Access::REMOTE_WRITE);
+        resp_mr.set_doorbell(Some(Arc::clone(dispatch_event)));
+        (qp, resp_mr)
     }
 
     /// TCQ boarding window (see [`crate::tcq::Tcq::join_with`]): a leader
@@ -385,13 +404,12 @@ impl ConnectionHandle {
         // Lease QPs and response rings for the eagerly-created lanes: all
         // of them in eager mode, only lane 0 (the control QP) otherwise.
         let init_lanes = if cfg.eager_qps { cfg.n_qps } else { 1 };
+        let dispatch_event = Arc::new(Event::new());
         let mut client_qps = Vec::with_capacity(init_lanes);
         let mut resp_mrs = Vec::with_capacity(init_lanes);
         let mut response_rings = Vec::with_capacity(init_lanes);
         for _ in 0..init_lanes {
-            let cq = node.create_cq(256);
-            let qp = node.lease_qp(Transport::Rc, &cq, &cq);
-            let resp_mr = node.acquire_mr(cfg.ring_capacity, Access::REMOTE_WRITE);
+            let (qp, resp_mr) = HandleInner::lease_lane(node, &cfg, &dispatch_event);
             response_rings.push(RingInfo {
                 rkey: resp_mr.rkey(),
                 addr: resp_mr.addr(),
@@ -401,7 +419,7 @@ impl ConnectionHandle {
             client_qps.push(qp);
         }
 
-        let (reply_tx, _unused) = bounded(1);
+        let (reply_tx, _unused) = reply_channel();
         let reply = domain.dial(
             server_name,
             ConnectRequest {
@@ -443,7 +461,10 @@ impl ConnectionHandle {
             mem_regions: reply.memory_regions,
             mem_mr,
             mem_wr_seq: AtomicU64::new(1),
-            mem_cq: cfg.dedicated_mem_qps.then(|| node.create_cq(1024)),
+            mem_cq: cfg
+                .dedicated_mem_qps
+                .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
+            dispatch_event,
             cost: domain.fabric().config().cost.clone(),
             stop: AtomicBool::new(false),
             released: AtomicBool::new(false),
@@ -491,7 +512,7 @@ impl ConnectionHandle {
         if self.inner.stop.load(Ordering::Relaxed) {
             return Err(FlockError::Disconnected);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = reply_channel();
         self.inner
             .ctrl
             .send(CtrlMsg::Export(ExportRequest {
@@ -657,7 +678,7 @@ impl ConnectionHandle {
         let detach = if self.inner.stop.load(Ordering::Relaxed) {
             Err(FlockError::Disconnected)
         } else {
-            let (reply_tx, reply_rx) = bounded(1);
+            let (reply_tx, reply_rx) = reply_channel();
             self.inner
                 .ctrl
                 .send(CtrlMsg::Detach(DetachRequest {
@@ -1353,10 +1374,8 @@ fn ensure_lanes(inner: &Arc<HandleInner>, want_idx: usize) -> Result<()> {
 /// Caller holds the `attach_busy` single-flight flag.
 fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
     let idx = inner.lane_count.load(Ordering::Relaxed);
-    let cq = inner.node.create_cq(256);
-    let qp = inner.node.lease_qp(Transport::Rc, &cq, &cq);
-    let resp_mr = inner.node.acquire_mr(inner.cfg.ring_capacity, Access::REMOTE_WRITE);
-    let (reply_tx, reply_rx) = bounded(1);
+    let (qp, resp_mr) = HandleInner::lease_lane(&inner.node, &inner.cfg, &inner.dispatch_event);
+    let (reply_tx, reply_rx) = reply_channel();
     let sent = inner
         .ctrl
         .send(CtrlMsg::Attach(AttachRequest {
@@ -1392,6 +1411,8 @@ fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
     );
     inner.lanes[idx].set(ctx).ok().expect("attach single-flight");
     inner.lane_count.store(idx + 1, Ordering::Release);
+    // One more ring in the dispatcher's sweep.
+    inner.dispatch_event.notify_all();
     Ok(())
 }
 
@@ -1402,7 +1423,7 @@ fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
 fn attach_mem_qp(inner: &Arc<HandleInner>) -> Result<Arc<Qp>> {
     let cq = inner.mem_cq.as_ref().expect("mem CQ exists when dedicated_mem_qps");
     let qp = inner.node.lease_qp(Transport::Rc, cq, cq);
-    let (reply_tx, reply_rx) = bounded(1);
+    let (reply_tx, reply_rx) = reply_channel();
     let sent = inner
         .ctrl
         .send(CtrlMsg::AttachMem(AttachMemRequest {
@@ -1670,8 +1691,11 @@ fn dispatcher_loop(inner: &HandleInner) {
     let mut idler =
         flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000);
     while !inner.stop.load(Ordering::Relaxed) {
+        let seen = inner.dispatch_event.epoch();
         let mut progressed = false;
+        let mut lanes = 0;
         for qp in inner.lanes_live() {
+            lanes += 1;
             // Send-CQ: one-sided completions and (rare) ring-write errors.
             drained.clear();
             if qp.qp.send_cq().poll(&mut drained, usize::MAX) > 0 {
@@ -1703,7 +1727,11 @@ fn dispatcher_loop(inner: &HandleInner) {
             // reach `idle()` (see the server dispatcher).
             clock::flush_charge();
         } else {
-            idler.idle();
+            // Nothing the sweep looked at changes before a notify of
+            // `dispatch_event`, and until then every sweep is this one
+            // again: an empty probe of each lane's ring.
+            let sweep_ns = lanes * inner.cost.cpu_poll_empty_ns;
+            idler.idle_on(&inner.dispatch_event, seen, sweep_ns, u64::MAX);
         }
     }
 }

@@ -10,8 +10,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use flock_fabric::{recv_until, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
+use crossbeam::channel::Receiver;
+use flock_fabric::{
+    doorbell, recv_until, DoorbellSender, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey,
+};
+use flock_sync::clock::Event;
 use flock_sync::AdaptiveBackoff;
 use parking_lot::Mutex;
 
@@ -53,7 +56,7 @@ pub struct ConnectRequest {
     /// share caps and per-tenant accounting.
     pub tenant: u32,
     /// Channel for the server's reply.
-    pub reply: Sender<Result<ConnectReply>>,
+    pub reply: DoorbellSender<Result<ConnectReply>>,
 }
 
 /// Server's reply to a [`ConnectRequest`].
@@ -86,7 +89,7 @@ pub struct AttachRequest {
     /// Response ring on the client for this lane.
     pub response_ring: RingInfo,
     /// Channel for the server's reply.
-    pub reply: Sender<Result<AttachReply>>,
+    pub reply: DoorbellSender<Result<AttachReply>>,
 }
 
 /// Server's reply to an [`AttachRequest`].
@@ -114,7 +117,7 @@ pub struct AttachMemRequest {
     /// The client's freshly leased per-thread QP.
     pub client_qp: Arc<Qp>,
     /// Channel for the server's reply.
-    pub reply: Sender<Result<AttachMemReply>>,
+    pub reply: DoorbellSender<Result<AttachMemReply>>,
 }
 
 /// Server's reply to an [`AttachMemRequest`].
@@ -150,7 +153,7 @@ pub struct ExportRequest {
     /// If set, only segments whose name matches exactly are returned.
     pub filter: Option<String>,
     /// Channel for the server's reply.
-    pub reply: Sender<Result<ExportReply>>,
+    pub reply: DoorbellSender<Result<ExportReply>>,
 }
 
 /// Server's reply to an [`ExportRequest`].
@@ -167,14 +170,17 @@ pub struct DetachRequest {
     /// The sender id being detached.
     pub sender_id: u32,
     /// Channel for the server's acknowledgement.
-    pub reply: Sender<Result<()>>,
+    pub reply: DoorbellSender<Result<()>>,
 }
 
 /// A control-plane message carried over a server's listener channel.
 ///
 /// Real deployments multiplex connection setup, lane attach, and
 /// teardown over one out-of-band TCP session; this enum is that
-/// session's wire format.
+/// session's wire format. Requests and replies travel on
+/// [`flock_fabric::doorbell`] channels, so a virtual task waiting for
+/// either runs no poll before the send ([`reply_channel`],
+/// [`await_reply`]).
 pub enum CtrlMsg {
     /// Full connection handshake.
     Connect(ConnectRequest),
@@ -194,7 +200,7 @@ pub enum CtrlMsg {
 /// The in-process "datacenter": a fabric plus a server name registry.
 pub struct FlockDomain {
     fabric: Fabric,
-    listeners: Mutex<HashMap<String, Sender<CtrlMsg>>>,
+    listeners: Mutex<HashMap<String, DoorbellSender<CtrlMsg>>>,
 }
 
 impl FlockDomain {
@@ -223,7 +229,7 @@ impl FlockDomain {
 
     /// Register a listening server under `name`. Returns the receive side
     /// via the provided channel capacity.
-    pub(crate) fn register_listener(&self, name: &str, tx: Sender<CtrlMsg>) {
+    pub(crate) fn register_listener(&self, name: &str, tx: DoorbellSender<CtrlMsg>) {
         self.listeners.lock().insert(name.to_string(), tx);
     }
 
@@ -235,7 +241,7 @@ impl FlockDomain {
     /// Look up the control channel of the named server. Clients hold on
     /// to this for the lifetime of a connection so later attach/detach
     /// messages skip the registry.
-    pub(crate) fn control(&self, name: &str) -> Result<Sender<CtrlMsg>> {
+    pub(crate) fn control(&self, name: &str) -> Result<DoorbellSender<CtrlMsg>> {
         self.listeners
             .lock()
             .get(name)
@@ -249,15 +255,26 @@ impl FlockDomain {
     /// perform the same handshake against a Flock server.
     pub fn dial(&self, name: &str, req: ConnectRequest) -> Result<ConnectReply> {
         let tx = self.control(name)?;
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply) = reply_channel();
         let req = ConnectRequest {
             reply: reply_tx,
             ..req
         };
         tx.send(CtrlMsg::Connect(req))
             .map_err(|_| FlockError::Disconnected)?;
-        await_reply(&reply_rx)
+        await_reply(&reply)
     }
+}
+
+/// Receiving half of a [`reply_channel`]: the channel and the event its
+/// sender notifies.
+pub type ReplyReceiver<T> = (Receiver<Result<T>>, Arc<Event>);
+
+/// A channel for one control-plane reply: the sender goes into the
+/// request's `reply` field, the receiver to [`await_reply`].
+pub fn reply_channel<T>() -> (DoorbellSender<Result<T>>, ReplyReceiver<T>) {
+    let (tx, rx, rung) = doorbell();
+    (tx, (rx, rung))
 }
 
 /// Await a control-plane reply.
@@ -266,9 +283,10 @@ impl FlockDomain {
 /// storm runs hundreds of dialers concurrently, and a fixed fine-grained
 /// poll period would multiply the event count by the storm width while a
 /// reply is still tens of microseconds of control-QP work away.
-pub(crate) fn await_reply<T>(rx: &Receiver<Result<T>>) -> Result<T> {
+pub(crate) fn await_reply<T>((rx, rung): &ReplyReceiver<T>) -> Result<T> {
     let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
-    recv_until(rx, None, || idle.idle()).map_err(|_| FlockError::Disconnected)?
+    recv_until(rx, None, || idle.idle_on(rung, rung.epoch(), 0, u64::MAX))
+        .map_err(|_| FlockError::Disconnected)?
 }
 
 #[cfg(test)]
@@ -279,7 +297,7 @@ mod tests {
     fn unknown_remote_is_an_error() {
         let domain = FlockDomain::with_defaults();
         let node = domain.add_node("c");
-        let (tx, _rx) = bounded(1);
+        let (tx, _rx) = reply_channel();
         let req = ConnectRequest {
             client_node: node.id(),
             client_qps: vec![],
@@ -296,10 +314,10 @@ mod tests {
     #[test]
     fn listener_registry_roundtrip() {
         let domain = FlockDomain::with_defaults();
-        let (tx, rx) = bounded(4);
+        let (tx, rx, _rung) = doorbell();
         domain.register_listener("srv", tx);
         let node = domain.add_node("c");
-        let (dummy_tx, _d) = bounded(1);
+        let (dummy_tx, _d) = reply_channel();
         // Dial from another thread; accept inline.
         let handle = {
             let req = ConnectRequest {
@@ -314,7 +332,7 @@ mod tests {
                 // SAFETY-free: scoped by join below; use Arc in real code.
                 let tx2 = domain.listeners.lock().get("srv").cloned().unwrap();
                 move || {
-                    let (reply_tx, reply_rx) = bounded(1);
+                    let (reply_tx, (reply_rx, _)) = reply_channel();
                     let req = ConnectRequest {
                         reply: reply_tx,
                         ..req

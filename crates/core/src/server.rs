@@ -8,12 +8,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use flock_fabric::{
-    recv_until, Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp,
-    RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId,
+    doorbell, recv_until, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender,
+    MemoryRegion, Node, NodeId, Qp, RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId,
 };
-use flock_sync::clock::{self, TaskHandle};
+use flock_sync::clock::{self, Event, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::domain::{
@@ -225,6 +225,9 @@ struct ServerInner {
     /// connection's QPs and rings — the only point where teardown
     /// synchronizes with dispatch, and it blocks only the control plane.
     dispatch_acks: Vec<AtomicU64>,
+    /// Notified after every `dispatch_acks` store and when the server
+    /// stops: what `detach_one`'s quiescence wait sleeps on.
+    acked: Event,
     qpn_map: RwLock<HashMap<u32, (usize, usize)>>,
     qp_sched: Mutex<QpScheduler>,
     mem_mrs: RwLock<Vec<Arc<MemoryRegion>>>,
@@ -233,8 +236,11 @@ struct ServerInner {
     /// [`SegmentLease`]s over [`CtrlMsg::Export`].
     exports: RwLock<Vec<ExportEntry>>,
     imm_cq: Arc<flock_fabric::CompletionQueue>,
-    manual_tx: Sender<IncomingRpc>,
+    /// Requests with no registered handler, for [`FlockServer::recv_rpc`]
+    /// (a doorbell channel: `manual_rung` is notified by every send).
+    manual_tx: DoorbellSender<IncomingRpc>,
     manual_rx: Receiver<IncomingRpc>,
+    manual_rung: Arc<Event>,
     stats: ServerStats,
     stop: AtomicBool,
 }
@@ -245,7 +251,7 @@ pub struct FlockServer {
     name: String,
     /// Our own end of the control channel (the registry holds the
     /// clients' end), for the shutdown wake-up.
-    accept_tx: Sender<CtrlMsg>,
+    accept_tx: DoorbellSender<CtrlMsg>,
     threads: Mutex<Vec<TaskHandle>>,
 }
 
@@ -258,7 +264,7 @@ impl FlockServer {
         name: &str,
         cfg: ServerConfig,
     ) -> FlockServer {
-        let (manual_tx, manual_rx) = unbounded();
+        let (manual_tx, manual_rx, manual_rung) = doorbell();
         let imm_cq = node.create_cq(4096);
         let inner = Arc::new(ServerInner {
             node: Arc::clone(node),
@@ -272,6 +278,7 @@ impl FlockServer {
             dispatch_acks: (0..cfg.dispatch_threads.max(1))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
+            acked: Event::new(),
             qpn_map: RwLock::new(HashMap::new()),
             qp_sched: Mutex::new(QpScheduler::new(cfg.sched.clone())),
             mem_mrs: RwLock::new(Vec::new()),
@@ -279,18 +286,19 @@ impl FlockServer {
             imm_cq,
             manual_tx,
             manual_rx,
+            manual_rung,
             stats: ServerStats::default(),
             stop: AtomicBool::new(false),
         });
 
-        let (accept_tx, accept_rx) = unbounded::<CtrlMsg>();
+        let (accept_tx, accept_rx, accept_rung) = doorbell::<CtrlMsg>();
         domain.register_listener(name, accept_tx.clone());
 
         let mut threads = Vec::new();
         {
             let inner = Arc::clone(&inner);
             threads.push(clock::spawn(&format!("fl-accept-{name}"), move || {
-                accept_loop(&inner, accept_rx)
+                accept_loop(&inner, &accept_rx, &accept_rung)
             }));
         }
         for worker in 0..cfg.dispatch_threads.max(1) {
@@ -371,8 +379,9 @@ impl FlockServer {
     /// Pull a request with no registered handler (`fl_recv_rpc`).
     pub fn recv_rpc(&self, timeout: Duration) -> Option<IncomingRpc> {
         let deadline = clock::deadline(timeout);
+        let rung = &self.inner.manual_rung;
         recv_until(&self.inner.manual_rx, Some(deadline), || {
-            clock::sleep_ns(1_000)
+            rung.idle_fixed(rung.epoch(), 1_000, deadline)
         })
         .ok()
     }
@@ -433,9 +442,11 @@ impl FlockServer {
     pub fn shutdown(&self, domain: &FlockDomain) {
         domain.unregister_listener(&self.name);
         self.inner.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop out of its blocked receive, and the QP
-        // scheduler out of its idling on the immediate CQ.
+        // Wake the accept loop out of its blocked receive or its
+        // quiescence wait, and the QP scheduler out of its idling on
+        // the immediate CQ.
         let _ = self.accept_tx.send(CtrlMsg::Stop);
+        self.inner.acked.notify_all();
         self.inner.imm_cq.wake_waiters();
         for h in self.threads.lock().drain(..) {
             let _ = h.join();
@@ -446,9 +457,10 @@ impl FlockServer {
 /// Control-plane loop: connection handshakes (paper §3's `fl_connect`
 /// server side), lazy lane attach, and graceful detach — the server end
 /// of the out-of-band control channel.
-fn accept_loop(inner: &Arc<ServerInner>, rx: Receiver<CtrlMsg>) {
+fn accept_loop(inner: &Arc<ServerInner>, rx: &Receiver<CtrlMsg>, rung: &Event) {
     while !inner.stop.load(Ordering::Relaxed) {
-        let Ok(msg) = recv_until(&rx, None, || clock::sleep_ns(5_000)) else {
+        let idle = || rung.idle_fixed(rung.epoch(), 5_000, u64::MAX);
+        let Ok(msg) = recv_until(rx, None, idle) else {
             return;
         };
         match msg {
@@ -739,17 +751,19 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
     // its snapshot before the QPs and rings can be recycled (a stale
     // shard would otherwise post into a ring another lessee now owns).
     let deadline = clock::deadline(inner.cfg.timeout);
-    for ack in &inner.dispatch_acks {
-        while ack.load(Ordering::Acquire) < target_gen {
-            if inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
+    inner
+        .acked
+        .wait_until(deadline, 1_000, || {
+            let quiesced = |ack: &AtomicU64| ack.load(Ordering::Acquire) >= target_gen;
+            if inner.dispatch_acks.iter().all(quiesced) {
+                Some(Ok(()))
+            } else if inner.stop.load(Ordering::Relaxed) {
+                Some(Err(FlockError::Disconnected))
+            } else {
+                None
             }
-            if clock::expired(deadline) {
-                return Err(FlockError::Timeout);
-            }
-            clock::sleep_ns(1_000);
-        }
-    }
+        })
+        .unwrap_or(Err(FlockError::Timeout))?;
 
     let drained: Vec<Arc<ServerQpCtx>> = std::mem::take(&mut *conn.qps.write());
     for ctx in drained {
@@ -864,6 +878,7 @@ fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
             // responses is still deferred here, so `detach_one` may
             // recycle the connection's resources.
             inner.dispatch_acks[worker].fetch_max(gen, Ordering::Release);
+            inner.acked.notify_all();
         }
         let hgen = inner.handlers_gen.load(Ordering::Acquire);
         if hgen != handlers_seen {
@@ -1339,7 +1354,7 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
             // (`shutdown` wakes the CQ's waiters) and the clock: nothing
             // changes before a push or the next redistribution instant.
             let due = last_redistribution.saturating_add(sched_interval_ns);
-            idler.idle_on(pushed, seen, due.saturating_sub(1));
+            idler.idle_on(pushed, seen, 0, due.saturating_sub(1));
         }
     }
 }

@@ -24,7 +24,8 @@ use std::ptr;
 use std::ptr::NonNull;
 
 use crate::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
-use crate::sync::{backoff, pool, CachePadded, UnsafeCell};
+use crate::sync::clock::Event;
+use crate::sync::{backoff, pool, spin_until, CachePadded, UnsafeCell};
 
 /// Node states. `WAITING` → (`LEADER` | `SENT`).
 const WAITING: u8 = 0;
@@ -141,6 +142,9 @@ pub struct Tcq<T> {
     pooled: bool,
     batches: AtomicU64,
     requests: AtomicU64,
+    /// Notified by [`Tcq::complete`] after its `LEADER`/`SENT` stores:
+    /// what a follower's spin ([`spin_until`]) waits to be told.
+    handed_off: Event,
 }
 
 // SAFETY: nodes are shared across threads; access to `item` is serialized
@@ -182,6 +186,7 @@ impl<T> Tcq<T> {
             pooled,
             batches: AtomicU64::new(0),
             requests: AtomicU64::new(0),
+            handed_off: Event::new(),
         }
     }
 
@@ -286,29 +291,24 @@ impl<T> Tcq<T> {
         unsafe {
             (*prev).next.store(node, Ordering::Release);
         }
-        // Spin on our own node's state.
-        let mut spins = 0u32;
-        loop {
+        // Spin on our own node's state until a leader's `complete`
+        // moves it.
+        let state = spin_until(&self.handed_off, || {
             // SAFETY: we own `node` until we observe a terminal state.
             let state = unsafe { (*node).state.load(Ordering::Acquire) };
-            match state {
-                LEADER => return Outcome::Lead(self.collect(node)),
-                SENT => {
-                    // Our item was consumed by a leader that no longer
-                    // holds any reference to this node.
-                    // SAFETY: terminal state observed; we are the unique
-                    // owner again and the item slot is empty. Retiring on
-                    // the allocating thread is what lets the pool skip
-                    // cross-thread synchronization (DESIGN.md §5c).
-                    unsafe { self.retire_node(node) };
-                    return Outcome::Sent;
-                }
-                _ => {
-                    spins += 1;
-                    backoff(spins);
-                }
-            }
+            (state != WAITING).then_some(state)
+        });
+        if state == LEADER {
+            return Outcome::Lead(self.collect(node));
         }
+        // SENT: our item was consumed by a leader that no longer holds
+        // any reference to this node.
+        // SAFETY: terminal state observed; we are the unique owner again
+        // and the item slot is empty. Retiring on the allocating thread
+        // is what lets the pool skip cross-thread synchronization
+        // (DESIGN.md §5c).
+        unsafe { self.retire_node(node) };
+        Outcome::Sent
     }
 
     /// Collect a batch starting at `start` (our own node). Called only by
@@ -410,6 +410,11 @@ impl<T> Tcq<T> {
         for &n in &nodes[1..] {
             // SAFETY: follower nodes are live until we store SENT.
             unsafe { (*n).state.store(SENT, Ordering::Release) };
+        }
+        // Every follower this call released, and the next leader, learn
+        // of it here: followers re-check their state only after a notify.
+        if nodes.len() > 1 || !next.is_null() {
+            self.handed_off.notify_all();
         }
         if self.pooled {
             // Recycle the node-pointer scratch for the next `collect`.

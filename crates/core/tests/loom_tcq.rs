@@ -20,6 +20,14 @@
 //! * **Hand-off** — a leader completing with queued followers transfers
 //!   leadership; nobody spins forever (the model's deadlock detector
 //!   fails the test if the protocol can strand a thread).
+//! * **Announced hand-off** — under the model a follower re-checks its
+//!   node only after the TCQ's event was notified
+//!   (`flock_sync::spin_until`), as under `VirtualLab`: a `LEADER` or
+//!   `SENT` store that `complete` does not follow with a notify leaves
+//!   the follower yielding forever, which the model's depth bound
+//!   reports. Every scenario checks it;
+//!   `boarded_follower_is_released_by_the_notify_alone` pins the `SENT`
+//!   path of a single batch.
 //! * **Reclamation** — every node is retired exactly once (the
 //!   `retire_node` sites, which recycle into the thread-local pool); a
 //!   protocol double-free shows up as memory corruption or a failed
@@ -71,6 +79,34 @@ fn leader_election_two_thread_exactly_once() {
         assert_eq!(delivered, vec![0, 1], "lost or duplicated item");
         assert_eq!(tcq.requests(), 2);
         assert!(tcq.batches() >= 1 && tcq.batches() <= 2);
+    });
+}
+
+/// A follower that boards the leader's own batch (the boarding window
+/// lets it link before the collect) sees exactly one `complete`: the
+/// `SENT` store and the notify after it are its only way out of the
+/// spin. If it misses the window it leads its own batch instead; either
+/// way both items are delivered once.
+#[test]
+fn boarded_follower_is_released_by_the_notify_alone() {
+    loom::model(|| {
+        let tcq: Arc<Tcq<u32>> = Arc::new(Tcq::new(16));
+        let follower = {
+            let tcq = Arc::clone(&tcq);
+            thread::spawn(move || join_and_drive(&tcq, 1))
+        };
+        let mut delivered = match tcq.join_with(0, thread::yield_now) {
+            Outcome::Lead(mut batch) => {
+                let items = batch.take_items();
+                tcq.complete(batch);
+                items
+            }
+            Outcome::Sent => Vec::new(),
+        };
+        delivered.extend(follower.join().unwrap());
+        delivered.sort_unstable();
+        assert_eq!(delivered, vec![0, 1], "lost or duplicated item");
+        assert_eq!(tcq.requests(), 2);
     });
 }
 

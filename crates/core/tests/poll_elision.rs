@@ -8,7 +8,12 @@
 //! * echo fan-in: a window of requests per thread, coalesced responses;
 //! * one-sided reads on dedicated per-thread mem QPs;
 //! * credit renewal with `max_aqp` below the QP count: a lane is
-//!   deactivated, and a renewal nobody answers times out.
+//!   deactivated, and a renewal nobody answers times out;
+//! * eight threads on one QP: TCQ followers wake on the hand-off only;
+//! * an idle handle whose lanes attach one by one: the response
+//!   dispatcher's re-armed sweeps charge the lanes it has, and the
+//!   `lane_count` notify hands it the core back;
+//! * close and shutdown of a handle that has idled to the ladder's cap.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -224,4 +229,110 @@ fn credit_renewal_below_the_qp_count_matches_the_reference() {
         "{timed_out_after}"
     );
     assert!(report.elided_polls > 250, "{report:?}");
+}
+
+#[test]
+fn tcq_followers_on_one_qp_match_the_reference() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 40;
+    let ((times, degree), report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-tcq-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-tcq", ServerConfig::default());
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 1;
+        let cli = domain.add_node("pe-tcq-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-tcq", cfg).expect("connect");
+        let threads: Vec<_> = (0..THREADS).map(|_| handle.register_thread()).collect();
+        let threads = Arc::new(threads);
+        let times = on_tasks(THREADS, move |i| {
+            let t = &threads[i];
+            (0..CALLS)
+                .map(|k| {
+                    let payload = [i as u8, k as u8];
+                    let resp = t.call(RPC_ECHO, &payload).expect("call");
+                    assert_eq!(&resp[..], &payload);
+                    clock::now_ns()
+                })
+                .collect::<Vec<u64>>()
+        });
+        let degree = handle.mean_coalescing_degree();
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        (times, degree)
+    });
+    assert!(times.iter().all(|t| t.len() == CALLS));
+    assert!(
+        degree > 2.0,
+        "threads did not queue up behind a leader: {degree}"
+    );
+    // A follower's 50 ns spin rounds outnumber everything that runs.
+    assert!(report.elided_polls > report.handovers, "{report:?}");
+}
+
+#[test]
+fn lanes_attached_to_an_idle_handle_match_the_reference() {
+    const LANES: usize = 3;
+    let (times, report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-grow-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-grow", ServerConfig::default());
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = LANES;
+        cfg.eager_qps = false;
+        let cli = domain.add_node("pe-grow-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-grow", cfg).expect("connect");
+        let mut times = Vec::new();
+        for lane in 0..LANES {
+            // Long enough for the dispatcher to idle at its cap, sweeping
+            // the lanes attached so far; then thread `lane` attaches lane
+            // `lane` and echoes once over it.
+            clock::sleep_ns(40_000);
+            let t = handle.register_thread();
+            assert_eq!(handle.materialized_qps(), lane + 1);
+            assert_eq!(t.current_qp(), lane);
+            times.push(clock::now_ns());
+            let resp = t.call(RPC_ECHO, &[lane as u8]).expect("call");
+            assert_eq!(&resp[..], &[lane as u8]);
+            times.push(clock::now_ns());
+        }
+        clock::sleep_ns(40_000);
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        times.push(clock::now_ns());
+        times
+    });
+    assert_eq!(times.len(), 2 * LANES + 1);
+    // Four idle stretches of 40 µs on a 1 µs ladder cap.
+    assert!(report.elided_polls > 100, "{report:?}");
+}
+
+#[test]
+fn stopping_an_idle_handle_matches_the_reference() {
+    let (times, report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-stop-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-stop", ServerConfig::default());
+        let cli = domain.add_node("pe-stop-cli");
+        let connect = || {
+            let cfg = HandleConfig::default();
+            ConnectionHandle::connect(&domain, &cli, "pe-stop", cfg).expect("connect")
+        };
+        // One handle is closed (detach round trip, then the stop), the
+        // other only shut down; both dispatchers sleep at the cap by then.
+        let (mut closed, mut stopped) = (connect(), connect());
+        clock::sleep_ns(100_000);
+        closed.close().expect("close");
+        let after_close = clock::now_ns();
+        stopped.shutdown();
+        let after_shutdown = clock::now_ns();
+        server.shutdown(&domain);
+        (after_close, after_shutdown, clock::now_ns())
+    });
+    assert!(times.0 > 100_000 && times.1 >= times.0 && times.2 >= times.1);
+    assert!(report.elided_polls > 100, "{report:?}");
 }

@@ -6,13 +6,12 @@
 //! `flock-sync` because this is the lowest crate that already depends
 //! on crossbeam.
 //!
-//! A channel that a virtual task watches for most of a run — a NIC
-//! lane's command queue — is a [`doorbell`] channel: every send also
-//! notifies an `Event`, so the lane can idle through
-//! [`flock_sync::AdaptiveBackoff::idle_on`] and the lab runs none of
-//! its empty polls. The control-plane channels keep a plain idle
-//! closure (a fixed 5 µs period or a deep ladder): their polls are a
-//! percent of a run's handovers (ROADMAP item 2).
+//! A channel a virtual task waits on — a NIC lane's command queue, a
+//! server's control and manual-RPC queues, a control-plane reply — is
+//! a [`doorbell`] channel: every send also notifies an `Event`, so the
+//! receiver can idle through [`flock_sync::AdaptiveBackoff::idle_on`]
+//! (a ladder) or [`Event::idle_fixed`] (a fixed period) and the lab
+//! runs none of its empty polls.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +21,7 @@ use flock_sync::clock::{self, Event};
 
 /// Sending half of a [`doorbell`] channel.
 #[derive(Debug)]
-pub(crate) struct DoorbellSender<T> {
+pub struct DoorbellSender<T> {
     tx: Sender<T>,
     rung: Arc<Event>,
 }
@@ -38,7 +37,7 @@ impl<T> Clone for DoorbellSender<T> {
 
 impl<T> DoorbellSender<T> {
     /// Queue `msg`, then notify the receiver's event.
-    pub(crate) fn send(&self, msg: T) -> Result<(), SendError<T>> {
+    pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
         let sent = self.tx.send(msg);
         self.rung.notify_all();
         sent
@@ -46,7 +45,7 @@ impl<T> DoorbellSender<T> {
 }
 
 /// An unbounded channel plus the event every send notifies.
-pub(crate) fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
+pub fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
     let (tx, rx) = unbounded();
     let rung = Arc::new(Event::new());
     let tx = DoorbellSender {
@@ -61,10 +60,10 @@ pub(crate) fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
 ///
 /// Threaded callers block in the channel. A virtual task must not (a
 /// parked OS thread stalls the lab's one core): it polls `try_recv` and
-/// calls `idle` between empty polls — a fixed `clock::sleep_ns` period
-/// or an [`flock_sync::AdaptiveBackoff`] ladder, the caller's modeling
-/// choice; `idle_on` the channel's event when it is a [`doorbell`]
-/// one. `idle` never runs in threaded mode.
+/// calls `idle` between empty polls — a fixed period or an
+/// [`flock_sync::AdaptiveBackoff`] ladder, the caller's modeling
+/// choice, slept on the channel's [`doorbell`] event. `idle` never runs
+/// in threaded mode.
 pub fn recv_until<T>(
     rx: &Receiver<T>,
     deadline_ns: Option<u64>,

@@ -94,7 +94,9 @@ pub struct CompletionQueue {
     spill_active: AtomicU64,
     /// Signalled by every push; [`CompletionQueue::wait_one`] sleeps on
     /// it. A push with no blocked waiter pays one fence and one load.
-    pushed_event: Event,
+    /// Shared when one poller watches several queues
+    /// ([`CompletionQueue::with_event`]).
+    pushed_event: std::sync::Arc<Event>,
 }
 
 // SAFETY: the Vyukov cell protocol guarantees exclusive access to
@@ -122,6 +124,16 @@ impl CompletionQueue {
     /// it, entries spill to a mutexed side queue rather than being
     /// dropped, and the high-water mark records the excursion.
     pub fn new(capacity: usize) -> Arc<CompletionQueue> {
+        Self::with_event(capacity, std::sync::Arc::new(Event::new()))
+    }
+
+    /// [`CompletionQueue::new`] with the caller's event as
+    /// [`CompletionQueue::pushed_event`]: a poll loop that sweeps
+    /// several queues (and rings) idles on one event they all notify.
+    pub fn with_event(
+        capacity: usize,
+        pushed_event: std::sync::Arc<Event>,
+    ) -> Arc<CompletionQueue> {
         let cap = capacity.next_power_of_two().max(2);
         let cells: Box<[Cell]> = (0..cap)
             .map(|i| Cell {
@@ -138,7 +150,7 @@ impl CompletionQueue {
             high_water: AtomicU64::new(0),
             spill: Mutex::new(VecDeque::new()),
             spill_active: AtomicU64::new(0),
-            pushed_event: Event::new(),
+            pushed_event,
         })
     }
 

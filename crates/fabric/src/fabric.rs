@@ -318,11 +318,13 @@ impl Node {
         self.mrs.register(len, access)
     }
 
-    /// Release a region acquired via [`Node::acquire_mr`]: park it for
-    /// reuse, deregistering (and charging
+    /// Release a region acquired via [`Node::acquire_mr`]: clear its
+    /// doorbell ([`MemoryRegion::set_doorbell`]) and park it for reuse,
+    /// deregistering (and charging
     /// [`CostModel::ctrl_dereg_mr_ns`]) whatever the cache evicts — the
     /// region itself when the cache is disabled.
     pub fn release_mr(&self, mr: &Arc<MemoryRegion>) {
+        mr.set_doorbell(None);
         let evicted = self.mr_cache.lock().put(Arc::clone(mr));
         for victim in evicted {
             self.mrs.deregister(victim.lkey());

@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use flock_sync::clock::Event;
 use parking_lot::RwLock;
 
 use crate::types::{FabricError, Lkey, Result, Rkey};
@@ -67,9 +68,21 @@ pub struct MemoryRegion {
     rkey: Rkey,
     access: Access,
     buf: RwLock<Box<[u8]>>,
+    /// Notified after every DMA into the region ([`MemoryRegion::dma_to`])
+    /// while installed: how the task that polls a ring in this region
+    /// learns that the NIC wrote to it.
+    doorbell: RwLock<Option<Arc<Event>>>,
 }
 
 impl MemoryRegion {
+    /// Install (or with `None` remove) the event the NIC notifies after
+    /// it writes into this region. The owner of a leased region installs
+    /// the event its poller idles on; [`crate::Node::release_mr`] removes
+    /// it.
+    pub fn set_doorbell(&self, event: Option<Arc<Event>>) {
+        *self.doorbell.write() = event;
+    }
+
     /// Synthetic virtual base address of the region.
     pub fn addr(&self) -> u64 {
         self.base
@@ -199,11 +212,7 @@ impl MemoryRegion {
             self.buf
                 .write()
                 .copy_within(src_off..src_off + len, dst_off);
-            return Ok(());
-        }
-        let src_first =
-            (self as *const MemoryRegion as usize) < (dst as *const MemoryRegion as usize);
-        if src_first {
+        } else if (self as *const MemoryRegion as usize) < (dst as *const MemoryRegion as usize) {
             let src = self.buf.read();
             let mut d = dst.buf.write();
             d[dst_off..dst_off + len].copy_from_slice(&src[src_off..src_off + len]);
@@ -211,6 +220,10 @@ impl MemoryRegion {
             let mut d = dst.buf.write();
             let src = self.buf.read();
             d[dst_off..dst_off + len].copy_from_slice(&src[src_off..src_off + len]);
+        }
+        // Buffer guards are released: the poller may run at once.
+        if let Some(event) = &*dst.doorbell.read() {
+            event.notify_all();
         }
         Ok(())
     }
@@ -281,6 +294,7 @@ impl MrTable {
             rkey: Rkey(key),
             access,
             buf: RwLock::new(vec![0u8; len].into_boxed_slice()),
+            doorbell: RwLock::new(None),
         });
         self.regions.write().push(Arc::clone(&mr));
         mr

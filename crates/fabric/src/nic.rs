@@ -132,7 +132,9 @@ pub(crate) fn engine_loop(
     // but a command ends the idling, and every command rings `rung`.
     let mut idler =
         AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000);
-    while let Ok(cmd) = recv_until(&rx, None, || idler.idle_on(&rung, rung.epoch(), u64::MAX)) {
+    while let Ok(cmd) = recv_until(&rx, None, || {
+        idler.idle_on(&rung, rung.epoch(), 0, u64::MAX)
+    }) {
         idler.reset();
         match cmd {
             NicCmd::Post { src_qpn, epoch, wr } => {

@@ -28,13 +28,14 @@
 //! ([`Executor::sleep_polling`]). When step 2 pops such a task while
 //! its event is still un-notified and its deadline has not passed, the
 //! poll it would run is known to fail, so the lab makes the push that
-//! poll's `sleep_ns` would have made — same wake time, next sequence
-//! number — and pops again, without waking the thread. The heap sees
-//! the pushes a task polling every round makes, in the same order, so
-//! virtual time, every tie-break and every result are the same; only
-//! the host cost of an idle task changes (one heap operation per poll
-//! instead of a futex wake and a context switch). [`LabReport`] counts
-//! the two apart: `handovers` and `elided_polls`.
+//! poll's `sleep_ns` would have made — same wake time (the poll's own
+//! declared charge, [`Poll::busy_ns`], plus its next period), next
+//! sequence number — and pops again, without waking the thread. The
+//! heap sees the pushes a task polling every round makes, in the same
+//! order, so virtual time, every tie-break and every result are the
+//! same; only the host cost of an idle task changes (one heap operation
+//! per poll instead of a futex wake and a context switch). [`LabReport`]
+//! counts the two apart: `handovers` and `elided_polls`.
 //!
 //! Because execution is serialized and wake-ups follow a total
 //! `(time, sequence)` order, the interleaving — and therefore every
@@ -65,11 +66,19 @@
 //!   threaded code already did.
 //! * Join tasks through [`flock_sync::clock::TaskHandle::join`], which
 //!   sleeps in virtual time, never via a bare `JoinHandle`.
+//!
+//! A spawned task that panics fails the run instead of hanging it: the
+//! lab records `lab task '<name>' panicked: <message>`, frees the core,
+//! stops eliding, and unwinds every task with that message at its next
+//! suspension point — the root by a `panic!` out of
+//! [`VirtualLab::run`].
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use flock_sync::clock::{self, Executor, Poll, TaskExit, TaskHandle};
 
@@ -78,6 +87,10 @@ use flock_sync::clock::{self, Executor, Poll, TaskExit, TaskHandle};
 /// same-instant yield livelocks (producer spinning on a consumer
 /// scheduled later) are impossible by construction.
 pub const YIELD_COST_NS: u64 = 50;
+
+/// In place of an elided-poll count: the run has failed (see
+/// `LabState::failed`) and the resumed task is to unwind.
+const FAILED: u64 = u64::MAX;
 
 /// Go-flag parker for one task's OS thread.
 ///
@@ -136,6 +149,10 @@ struct LabState {
     tasks_spawned: u64,
     /// Run every poll on its task (see `run_report_reference`).
     reference: bool,
+    /// The first panic of a spawned task, as `lab task '<name>' panicked:
+    /// <message>`. From then on the run only unwinds: no poll is elided
+    /// and every task panics with this at its next suspension point.
+    failed: Option<String>,
 }
 
 impl LabState {
@@ -157,12 +174,16 @@ impl LabState {
             self.now = self.now.max(t);
             if let Some((p, elided)) = &mut self.polling[id] {
                 if !self.reference
+                    && self.failed.is_none()
                     && self.now <= p.deadline_ns
                     && p.epoch.load(Ordering::Relaxed) == p.seen
                 {
                     // The task would check, fail, and sleep its next
-                    // period: make that push for it.
-                    let wake = self.now.saturating_add(p.period_ns.max(1));
+                    // period on top of what the check charged: make
+                    // that push for it.
+                    let wake = self
+                        .now
+                        .saturating_add(p.busy_ns.saturating_add(p.period_ns).max(1));
                     p.period_ns = p.period_ns.saturating_mul(2).min(p.cap_ns);
                     *elided += 1;
                     self.elided_polls += 1;
@@ -173,13 +194,36 @@ impl LabState {
             self.current = id;
             self.handovers += 1;
             let elided = self.polling[id].take().map_or(0, |(_, elided)| elided);
-            return (id, elided);
+            // A failed run says so to the task it resumes: a run that
+            // does not fail pays nothing for the check.
+            let failed = self.failed.is_some();
+            return (id, if failed { FAILED } else { elided });
         }
     }
 
     fn slot(&self, id: usize) -> Arc<TaskSlot> {
         self.slots[id].clone().expect("live task has no slot")
     }
+}
+
+/// Fail fast: once a spawned task has panicked, end the calling task too
+/// (unless it is already unwinding — destructors still join their tasks
+/// cooperatively). The root panics with the recorded message; the other
+/// tasks unwind with it silently, the first report having been printed.
+fn raise_if_failed(st: MutexGuard<'_, LabState>) -> MutexGuard<'_, LabState> {
+    if std::thread::panicking() {
+        return st;
+    }
+    let Some(failed) = st.failed.clone() else {
+        return st;
+    };
+    let root = st.current == 0;
+    // Never unwind through the lab lock: every task still needs it.
+    drop(st);
+    if root {
+        panic!("{failed}");
+    }
+    resume_unwind(Box::new(failed))
 }
 
 struct LabInner {
@@ -229,6 +273,7 @@ impl VirtualLab {
                     elided_polls: 0,
                     tasks_spawned: 0,
                     reference,
+                    failed: None,
                 }),
             }),
         }
@@ -293,7 +338,7 @@ impl VirtualLab {
         let guard = clock::install(Arc::new(lab.clone()));
         let result = f();
         drop(guard);
-        let st = lab.inner.state.lock().expect("lab poisoned");
+        let st = raise_if_failed(lab.inner.state.lock().expect("lab poisoned"));
         assert_eq!(
             st.live, 1,
             "VirtualLab::run returned with {} spawned task(s) still live; join all tasks before returning",
@@ -306,6 +351,18 @@ impl VirtualLab {
             tasks_spawned: st.tasks_spawned,
         };
         (result, report)
+    }
+
+    /// Record the first panic of a spawned task; see `LabState::failed`.
+    fn record_failure(&self, name: &str, payload: &(dyn Any + Send)) {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(payload is not a string)");
+        let mut st = self.inner.state.lock().expect("lab poisoned");
+        st.failed
+            .get_or_insert_with(|| format!("lab task '{name}' panicked: {what}"));
     }
 
     /// Deregister the calling (current) task and hand the core to the
@@ -337,7 +394,7 @@ impl VirtualLab {
         // Strictly positive advance: see YIELD_COST_NS.
         let ns = ns.max(1);
         let (next, elided, mine) = {
-            let mut st = self.inner.state.lock().expect("lab poisoned");
+            let mut st = raise_if_failed(self.inner.state.lock().expect("lab poisoned"));
             let me = st.current;
             st.polling[me] = polling.map(|p| (p, 0));
             let wake = st.now.saturating_add(ns);
@@ -345,12 +402,24 @@ impl VirtualLab {
             let (id, elided) = st.pop_runnable();
             if id == me {
                 // Fast path: we are still the earliest task; keep the core.
-                return elided;
+                drop(st);
+                return self.resumed(elided);
             }
             (st.slot(id), elided, st.slot(me))
         };
         next.wake(elided);
-        mine.park()
+        self.resumed(mine.park())
+    }
+
+    /// Back on the core after a suspension that elided `elided` polls.
+    fn resumed(&self, elided: u64) -> u64 {
+        if elided == FAILED {
+            drop(raise_if_failed(
+                self.inner.state.lock().expect("lab poisoned"),
+            ));
+            return 0; // already unwinding
+        }
+        elided
     }
 }
 
@@ -390,6 +459,7 @@ impl Executor for VirtualLab {
         let lab = self.clone();
         let exit = Arc::new(TaskExit::default());
         let fin = exit.clone();
+        let task = name.clone();
         let thread = std::thread::Builder::new()
             .name(name)
             // Virtual tasks number in the hundreds at paper scale; keep
@@ -398,8 +468,16 @@ impl Executor for VirtualLab {
             .spawn(move || {
                 let _guard = clock::install(Arc::new(lab.clone()));
                 slot.park(); // wait to be scheduled for the first time
-                f();
+                let outcome = catch_unwind(AssertUnwindSafe(f));
+                if let Err(payload) = &outcome {
+                    lab.record_failure(&task, payload.as_ref());
+                }
+                // Release the core whatever happened: a task that died
+                // holding it would leave every other task parked.
                 lab.exit_current(&fin);
+                if let Err(payload) = outcome {
+                    resume_unwind(payload); // `TaskHandle::join` reports it
+                }
             })
             .expect("spawn virtual task thread");
         TaskHandle::virtualized(thread, exit)
@@ -623,9 +701,10 @@ mod tests {
 
     /// A poll loop idling on the NIC lane's ladder (2 µs cap, so it
     /// polls at 250, 750, 1 750, 3 750, 5 750 … ns) whose doorbell rings
-    /// at `ring_ns`. Returns when it saw the ring, and where one more
-    /// plain idle round took it from there.
-    fn doorbell_scenario(ring_ns: u64) -> (u64, u64) {
+    /// at `ring_ns`; every empty poll charges `busy_ns` on top. Returns
+    /// when it saw the ring, and where one more plain idle round took it
+    /// from there.
+    fn doorbell_scenario(ring_ns: u64, busy_ns: u64) -> (u64, u64) {
         VirtualLab::run_against_reference(|| {
             let shared = Arc::new((clock::Event::new(), Flag::default()));
             let times = Arc::new(Mutex::new((0, 0)));
@@ -641,7 +720,8 @@ mod tests {
                         if rung.is_set().is_some() {
                             break;
                         }
-                        idler.idle_on(bell, seen, u64::MAX);
+                        clock::charge(busy_ns);
+                        idler.idle_on(bell, seen, busy_ns, u64::MAX);
                     }
                     let saw = clock::now_ns();
                     idler.idle();
@@ -662,10 +742,53 @@ mod tests {
     fn idle_on_wakes_at_the_ladder_instant_after_the_notify() {
         // The rounds slept through advance the ladder: the next idle
         // round sleeps what a lane that polled every round would.
-        assert_eq!(doorbell_scenario(100), (250, 750));
-        assert_eq!(doorbell_scenario(1_234), (1_750, 3_750));
-        assert_eq!(doorbell_scenario(1_751), (3_750, 5_750));
-        assert_eq!(doorbell_scenario(4_000), (5_750, 7_750));
+        assert_eq!(doorbell_scenario(100, 0), (250, 750));
+        assert_eq!(doorbell_scenario(1_234, 0), (1_750, 3_750));
+        assert_eq!(doorbell_scenario(1_751, 0), (3_750, 5_750));
+        assert_eq!(doorbell_scenario(4_000, 0), (5_750, 7_750));
+    }
+
+    #[test]
+    fn re_armed_poll_charges_the_empty_check_and_doubles_the_period() {
+        // 100 ns per empty poll: polls at 350 (100 + 250), 950 (+ 100 +
+        // 500), 2 050 (+ 100 + 1 000), 4 150, 6 250 (+ 100 + 2 000) ns,
+        // run by the task or re-armed by the lab alike.
+        assert_eq!(doorbell_scenario(100, 100), (350, 850));
+        assert_eq!(doorbell_scenario(351, 100), (950, 1_950));
+        assert_eq!(doorbell_scenario(1_234, 100), (2_050, 4_050));
+        assert_eq!(doorbell_scenario(2_051, 100), (4_150, 6_150));
+        assert_eq!(doorbell_scenario(6_000, 100), (6_250, 8_250));
+    }
+
+    #[test]
+    fn a_panicking_task_fails_the_run_at_once() {
+        // The child dies while the root waits on it (and a bystander
+        // sleeps on an event nobody will ever notify): the run must end
+        // with the child's name and message, not hang.
+        let started = std::time::Instant::now();
+        let failure = std::panic::catch_unwind(|| {
+            VirtualLab::run(|| {
+                let never = Arc::new(clock::Event::new());
+                let bystander = {
+                    let never = never.clone();
+                    clock::spawn("bystander", move || {
+                        never.wait_until(u64::MAX, 500, || None::<()>);
+                    })
+                };
+                let doomed = clock::spawn("doomed", || {
+                    clock::sleep_ns(1_000);
+                    panic!("boom at {} ns", clock::now_ns());
+                });
+                let _ = doomed.join();
+                let _ = bystander.join();
+            })
+        })
+        .expect_err("the child's panic must fail the run");
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(message, "lab task 'doomed' panicked: boom at 1000 ns");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub trait Executor: Send + Sync {
     /// event it waits on is un-notified (`poll.epoch` still reads
     /// `poll.seen`) and the poll instant is not past `poll.deadline_ns`.
     /// Every re-sleep is, to the scheduler, exactly the `advance` the
-    /// task would have made after one more failed check, so the virtual
+    /// task would have made after one more failed check — the check's
+    /// own charge, `poll.busy_ns`, plus the next period — so the virtual
     /// timeline does not depend on how many polls ran on the task.
     /// Returns how many polls were slept through without running the
     /// task (always 0 from an executor that runs every poll).
@@ -84,6 +85,10 @@ pub struct Poll {
     pub period_ns: u64,
     /// Longest sleep of the schedule.
     pub cap_ns: u64,
+    /// What one failed check [`charge`]s before it sleeps again: a
+    /// constant of the waiter (a dispatcher's empty sweep over its
+    /// lanes), 0 for a check that is free in virtual time.
+    pub busy_ns: u64,
     /// Last instant at which a poll is known to end in another sleep:
     /// the waiter's [`deadline`], or the instant before a condition it
     /// evaluates from the clock turns true.
@@ -155,7 +160,7 @@ pub fn charge(ns: u64) {
     }
 }
 
-fn take_pending() -> u64 {
+pub(crate) fn take_pending() -> u64 {
     PENDING_NS.with(|p| p.replace(0))
 }
 
@@ -272,29 +277,37 @@ impl Event {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// The virtual arm of a wait on this event: sleep `first_ns` plus
-    /// pending [`charge`]s, then let `exec` re-sleep the task on the
-    /// doubling schedule `period_ns` → `cap_ns` while the epoch still
-    /// reads `seen`. Returns the polls slept through.
-    pub(crate) fn sleep_polling(
-        &self,
-        exec: &dyn Executor,
-        seen: u64,
-        first_ns: u64,
-        period_ns: u64,
-        cap_ns: u64,
-        deadline_ns: u64,
-    ) -> u64 {
-        exec.sleep_polling(
-            take_pending().saturating_add(first_ns),
-            Poll {
-                epoch: Arc::clone(&self.epoch),
-                seen,
-                period_ns,
-                cap_ns,
-                deadline_ns,
-            },
-        )
+    /// The schedule of a waiter that checks for free every `period_ns`
+    /// while this event's epoch still reads `seen`.
+    pub(crate) fn poll_every(&self, seen: u64, period_ns: u64, deadline_ns: u64) -> Poll {
+        Poll {
+            epoch: Arc::clone(&self.epoch),
+            seen,
+            period_ns,
+            cap_ns: period_ns,
+            busy_ns: 0,
+            deadline_ns,
+        }
+    }
+
+    /// One idle round of a loop that polls every `period_ns` for
+    /// something only this event announces (`seen` = [`Event::epoch`]
+    /// before the poll that just found nothing): `sleep_ns(period_ns)`,
+    /// which a virtual executor repeats by itself while the event stays
+    /// un-notified and the instant is not past `deadline_ns`
+    /// ([`Executor::sleep_polling`]).
+    pub fn idle_fixed(&self, seen: u64, period_ns: u64, deadline_ns: u64) {
+        match current() {
+            Some(exec) => self.sleep_fixed(&*exec, seen, period_ns, deadline_ns),
+            None => sleep_ns(period_ns),
+        }
+    }
+
+    /// The virtual arm of a fixed-period wait: sleep `period_ns` plus
+    /// pending [`charge`]s, again and again while nothing is announced.
+    fn sleep_fixed(&self, exec: &dyn Executor, seen: u64, period_ns: u64, deadline_ns: u64) {
+        let poll = self.poll_every(seen, period_ns, deadline_ns);
+        exec.sleep_polling(take_pending().saturating_add(period_ns), poll);
     }
 
     fn ticket(&self) -> MutexGuard<'_, u64> {
@@ -358,15 +371,7 @@ impl Event {
                 if exec.now_ns() > deadline_ns {
                     return None;
                 }
-                // A fixed period: first sleep, re-sleep and cap are one.
-                self.sleep_polling(
-                    &*exec,
-                    seen,
-                    quantum_ns,
-                    quantum_ns,
-                    quantum_ns,
-                    deadline_ns,
-                );
+                self.sleep_fixed(&*exec, seen, quantum_ns, deadline_ns);
                 quiet = Some(seen);
             }
         }

@@ -25,7 +25,8 @@
 //!   spins with a periodic OS yield; under loom every call is a
 //!   *voluntary* yield, which the model scheduler uses to deprioritize
 //!   the spinner — that is what makes spin loops terminate during
-//!   bounded-exhaustive exploration.
+//!   bounded-exhaustive exploration. [`spin_until`] is the whole loop
+//!   for a spin whose end somebody announces on a [`clock::Event`].
 //! * [`AdaptiveBackoff`] is the blessed way to *idle-wait* (spin, then
 //!   yield, then park with escalating timeouts). Under loom it degrades
 //!   to plain yields: parking is an OS-scheduler concern, invisible to
@@ -123,6 +124,45 @@ pub fn backoff(spins: u32) {
             thread::yield_now();
         } else {
             hint::spin_loop();
+        }
+    }
+}
+
+/// Spin until `condition` returns `Some`, for a wait that is one store
+/// by one known thread away (a TCQ follower waiting for its leader's
+/// hand-off) and that the storing side follows with
+/// `event.notify_all()`.
+///
+/// Real threads spin through [`backoff`] exactly as a bare loop would
+/// and never park: a spinner does not register with `event`. A virtual
+/// task yields between checks like `backoff` does, but as an
+/// [`clock::Event::wait_until`] on the yield-cost period, so the
+/// executor runs only the checks that follow a notify (and a satisfied
+/// check nobody announced panics, naming the caller). Under loom the
+/// next check likewise waits for a notify, yielding to the model
+/// scheduler meanwhile: a hand-off that is not announced livelocks the
+/// model instead of passing by luck.
+#[inline]
+#[track_caller]
+pub fn spin_until<R>(event: &clock::Event, mut condition: impl FnMut() -> Option<R>) -> R {
+    #[cfg(not(loom))]
+    if let Some(exec) = clock::current() {
+        return event
+            .wait_until(u64::MAX, exec.yield_cost_ns(), condition)
+            .expect("a wait with no deadline ends with its condition");
+    }
+    let mut spins = 0u32;
+    loop {
+        #[cfg(loom)]
+        let seen = event.epoch();
+        if let Some(r) = condition() {
+            return r;
+        }
+        spins += 1;
+        backoff(spins);
+        #[cfg(loom)]
+        while event.epoch() == seen {
+            backoff(spins);
         }
     }
 }
@@ -287,22 +327,29 @@ impl AdaptiveBackoff {
     /// `event.notify_all()`, or is the clock passing `deadline_ns` (the
     /// last instant at which a poll still finds nothing, `u64::MAX` when
     /// the loop watches no clock). `seen` is `event.epoch()` read before
-    /// the check that just came up empty.
+    /// the check that just came up empty. `busy_ns` is what every such
+    /// empty check [`clock::charge`]s — the same amount each round, the
+    /// one just made included.
     ///
     /// On real threads this is `idle()`. A virtual task sleeps the same
     /// ladder, but the executor runs the rounds that cannot find
     /// anything — event un-notified, instant not past the deadline — by
-    /// itself ([`clock::Executor::sleep_polling`]); the ladder advances
-    /// by the rounds slept through, so the next sleep is the one a task
-    /// that polled every round would make.
-    pub fn idle_on(&mut self, event: &clock::Event, seen: u64, deadline_ns: u64) {
+    /// itself ([`clock::Executor::sleep_polling`]), charging each
+    /// `busy_ns`; the ladder advances by the rounds slept through, so
+    /// the next sleep is the one a task that polled every round would
+    /// make.
+    pub fn idle_on(&mut self, event: &clock::Event, seen: u64, busy_ns: u64, deadline_ns: u64) {
         #[cfg(not(loom))]
         if let Some(exec) = clock::current() {
             self.idle_rounds = self.idle_rounds.saturating_add(1);
             let first = self.virtual_poll_ns();
             let cap = self.virtual_cap_ns.min(Self::VIRTUAL_MAX_POLL_NS);
-            let next = first.saturating_mul(2).min(cap);
-            let slept = event.sleep_polling(&*exec, seen, first, next, cap, deadline_ns);
+            let poll = clock::Poll {
+                cap_ns: cap,
+                busy_ns,
+                ..event.poll_every(seen, first.saturating_mul(2).min(cap), deadline_ns)
+            };
+            let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
             self.idle_rounds = self
                 .idle_rounds
                 .saturating_add(u32::try_from(slept).unwrap_or(u32::MAX));
@@ -310,7 +357,7 @@ impl AdaptiveBackoff {
             return;
         }
         #[cfg(loom)]
-        let _ = (event, seen, deadline_ns);
+        let _ = (event, seen, busy_ns, deadline_ns);
         self.idle();
     }
 
