@@ -14,7 +14,7 @@ use flock_fabric::{
     Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, NodeId, Qp,
     RemoteAddr, SendWr, Sge, Transport, WrId,
 };
-use flock_sync::clock::{self, Event, TaskHandle};
+use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{CreditState, MedianWindow};
@@ -471,8 +471,17 @@ impl ConnectionHandle {
         });
 
         let dispatcher = {
-            let inner = Arc::clone(&inner);
-            clock::spawn("fl-resp-dispatch", move || dispatcher_loop(&inner))
+            let mut dispatcher = ResponseDispatcher {
+                inner: Arc::clone(&inner),
+                drained: Vec::new(),
+                msg: Vec::new(),
+            };
+            // Polling core in the lab: see the matching cap of the
+            // server's `DispatchShard` for why the virtual ladder stays
+            // tight.
+            let idler = flock_sync::AdaptiveBackoff::new(Duration::from_micros(100))
+                .with_virtual_cap(1_000);
+            clock::spawn_stepper("fl-resp-dispatch", idler, move || dispatcher.step())
         };
         let scheduler = if cfg.auto_thread_sched {
             let inner = Arc::clone(&inner);
@@ -775,10 +784,8 @@ impl FlThread {
 
     /// Wait for the response to sequence `seq` (`fl_recv_res`).
     ///
-    /// The returned [`Bytes`] owns exactly the response: a zero-copy
-    /// slice of the response message when that message carried this
-    /// entry alone, a copy of the entry when it was coalesced with
-    /// others (so no reply pins a multi-entry buffer). A
+    /// The returned [`Bytes`] owns exactly the response, copied out of
+    /// the response message (so no reply pins a multi-entry buffer). A
     /// [`FlockError::Timeout`] abandons `seq`: its response, should it
     /// still arrive, is discarded.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
@@ -1682,15 +1689,26 @@ fn send_credit_request(qp: &ClientQpCtx) -> Result<()> {
 
 /// The response dispatcher (paper §4.3): polls every QP's response ring,
 /// routes entries to threads by thread id, folds in piggybacked heads and
-/// credit grants, and routes one-sided completions.
-fn dispatcher_loop(inner: &HandleInner) {
-    // Send-CQ drain scratch: batched poll, one sync edge per sweep.
-    let mut drained: Vec<flock_fabric::Completion> = Vec::new();
-    // Polling core in the lab: see the matching cap in the server's
-    // dispatch_loop for why the virtual ladder stays tight.
-    let mut idler =
-        flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000);
-    while !inner.stop.load(Ordering::Relaxed) {
+/// credit grants, and routes one-sided completions. A
+/// `clock::spawn_stepper` task: [`ResponseDispatcher::step`] is one
+/// sweep.
+struct ResponseDispatcher {
+    inner: Arc<HandleInner>,
+    /// Send-CQ drain scratch: batched poll, one sync edge per sweep.
+    drained: Vec<flock_fabric::Completion>,
+    /// The response message being routed: every message is copied out of
+    /// its ring into this one buffer, its entries from there to their
+    /// waiters.
+    msg: Vec<u8>,
+}
+
+impl ResponseDispatcher {
+    fn step(&mut self) -> Next {
+        let inner = &*self.inner;
+        if inner.stop.load(Ordering::Relaxed) {
+            return Next::Done;
+        }
+        let (drained, msg) = (&mut self.drained, &mut self.msg);
         let seen = inner.dispatch_event.epoch();
         let mut progressed = false;
         let mut lanes = 0;
@@ -1698,41 +1716,43 @@ fn dispatcher_loop(inner: &HandleInner) {
             lanes += 1;
             // Send-CQ: one-sided completions and (rare) ring-write errors.
             drained.clear();
-            if qp.qp.send_cq().poll(&mut drained, usize::MAX) > 0 {
+            if qp.qp.send_cq().poll(drained, usize::MAX) > 0 {
                 progressed = true;
                 clock::charge(inner.cost.cpu_poll_cqe_ns * drained.len() as u64);
-                for c in &drained {
+                for c in drained.iter() {
                     route_completion(inner, c);
                 }
             }
             // Response ring.
-            let polled = { qp.resp_cons.lock().poll(&qp.resp_mr) };
-            handle_ring_poll(inner, qp, polled, &mut progressed);
+            let polled = { qp.resp_cons.lock().poll_into(&qp.resp_mr, msg) };
+            handle_ring_poll(inner, qp, polled, msg, &mut progressed);
         }
         // Dedicated mem QPs share one send CQ; their one-sided
         // completions route exactly like the lanes' do.
         if let Some(cq) = &inner.mem_cq {
             drained.clear();
-            if cq.poll(&mut drained, usize::MAX) > 0 {
+            if cq.poll(drained, usize::MAX) > 0 {
                 progressed = true;
                 clock::charge(inner.cost.cpu_poll_cqe_ns * drained.len() as u64);
-                for c in &drained {
+                for c in drained.iter() {
                     route_completion(inner, c);
                 }
             }
         }
         if progressed {
-            idler.reset();
-            // Apply accrued virtual CPU cost on busy sweeps, which never
-            // reach `idle()` (see the server dispatcher).
-            clock::flush_charge();
-        } else {
-            // Nothing the sweep looked at changes before a notify of
-            // `dispatch_event`, and until then every sweep is this one
-            // again: an empty probe of each lane's ring.
-            let sweep_ns = lanes * inner.cost.cpu_poll_empty_ns;
-            idler.idle_on(&inner.dispatch_event, seen, sweep_ns, u64::MAX);
+            // `Again` applies the accrued virtual CPU cost of a busy
+            // sweep (see the server dispatcher).
+            return Next::Again;
         }
+        // Nothing the sweep looked at changes before a notify of
+        // `dispatch_event`, and until then every sweep is this one
+        // again: an empty probe of each lane's ring.
+        Next::Idle(Some(IdleOn {
+            event: Arc::clone(&inner.dispatch_event),
+            seen,
+            busy_ns: lanes * inner.cost.cpu_poll_empty_ns,
+            deadline_ns: u64::MAX,
+        }))
     }
 }
 
@@ -1741,16 +1761,17 @@ fn dispatcher_loop(inner: &HandleInner) {
 fn handle_ring_poll(
     inner: &HandleInner,
     qp: &ClientQpCtx,
-    polled: Result<Option<crate::ring::OwnedMsg>>,
+    polled: Result<bool>,
+    msg: &[u8],
     progressed: &mut bool,
 ) {
     match polled {
-        Ok(Some(m)) => {
+        Ok(true) => {
             *progressed = true;
             clock::charge(inner.cost.cpu_ring_poll_ns);
             let head_after = { qp.resp_cons.lock().head() };
             qp.resp_head_shared.store(head_after, Ordering::Release);
-            let view = m.view();
+            let view = crate::ring::view(msg);
             let h = view.header;
             qp.server_head.fetch_max(h.head, Ordering::AcqRel);
             if h.flags & FLAG_CREDIT_GRANT != 0 {
@@ -1768,13 +1789,7 @@ fn handle_ring_poll(
                 qp.credit_event.notify_all();
             }
             let threads = inner.threads.read();
-            // A lone entry is handed over as a zero-copy slice of the
-            // message buffer (the one copy out of the ring happened in
-            // `poll`). Entries of a coalesced message are copied out
-            // instead: a slice would pin the whole multi-entry buffer
-            // for as long as its slowest waiter holds on to its reply.
-            let lone = h.count == 1;
-            for (meta, range) in view.entry_ranges() {
+            for (meta, data) in view.entries() {
                 clock::charge(inner.cost.cpu_codec_ns);
                 if let Some(t) = threads.get(meta.thread_id as usize) {
                     {
@@ -1784,18 +1799,15 @@ fn handle_ring_poll(
                             inbox.abandoned.swap_remove(i);
                             continue;
                         }
-                        let data = if lone {
-                            m.bytes().slice(range)
-                        } else {
-                            Bytes::copy_from_slice(&m.bytes()[range])
-                        };
-                        inbox.ready.insert(meta.seq, data);
+                        // Each waiter owns exactly its reply: the
+                        // dispatcher's message buffer is reused.
+                        inbox.ready.insert(meta.seq, Bytes::copy_from_slice(data));
                     }
                     t.inbox_event.notify_all();
                 }
             }
         }
-        Ok(None) => {
+        Ok(false) => {
             clock::charge(inner.cost.cpu_poll_empty_ns);
         }
         Err(_) => {

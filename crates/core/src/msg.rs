@@ -181,40 +181,6 @@ impl<'a> MsgView<'a> {
     pub fn to_entries(&self) -> Vec<(EntryMeta, &'a [u8])> {
         self.entries().collect()
     }
-
-    /// Iterate over entries as `(EntryMeta, Range)` where the range
-    /// indexes the entry's payload within the *full message buffer* the
-    /// view was decoded from (header included).
-    ///
-    /// This lets a receiver that owns the message as a shared buffer
-    /// ([`bytes::Bytes`]) hand out zero-copy payload slices instead of
-    /// `to_vec()`ing each entry.
-    pub fn entry_ranges(&self) -> EntryRangeIter<'a> {
-        EntryRangeIter {
-            inner: self.entries(),
-        }
-    }
-}
-
-/// Iterator over `(EntryMeta, absolute payload range)` pairs of a
-/// [`MsgView`]; see [`MsgView::entry_ranges`].
-#[derive(Debug)]
-pub struct EntryRangeIter<'a> {
-    inner: EntryIter<'a>,
-}
-
-impl Iterator for EntryRangeIter<'_> {
-    type Item = (EntryMeta, std::ops::Range<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        // `EntryIter::off` points past the just-yielded entry, so derive
-        // the absolute range from the pre-call offset instead.
-        let off_before = self.inner.off;
-        let (meta, data) = self.inner.next()?;
-        let start = HDR_SIZE + off_before + META_SIZE;
-        debug_assert_eq!(data.len(), meta.len as usize);
-        Some((meta, start..start + data.len()))
-    }
 }
 
 /// Iterator over `(EntryMeta, data)` pairs of a [`MsgView`].
@@ -496,28 +462,6 @@ mod tests {
         let aux = pack_aux(u32::MAX, 1234);
         assert_eq!(unpack_aux(aux), (u32::MAX, 1234));
         assert_eq!(unpack_aux(pack_aux(0, 0)), (0, 0));
-    }
-
-    #[test]
-    fn entry_ranges_index_the_full_buffer() {
-        let mut buf = vec![0u8; 1024];
-        let payloads: Vec<Vec<u8>> = (0..4).map(|i| vec![0x40 + i as u8; 7 + i]).collect();
-        let entries: Vec<EntryRef<'_>> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| EntryRef {
-                meta: meta(p.len(), i as u32, i as u64, 2),
-                data: p,
-            })
-            .collect();
-        let n = encode_iter(&mut buf, &header(9), entries.iter().copied()).unwrap();
-        let view = decode(&buf).unwrap().unwrap();
-        for (i, (m, range)) in view.entry_ranges().enumerate() {
-            assert_eq!(m.len as usize, payloads[i].len());
-            assert!(range.end <= n - TRAILER_SIZE);
-            assert_eq!(&buf[range], payloads[i].as_slice());
-        }
-        assert_eq!(view.entry_ranges().count(), 4);
     }
 
     #[test]

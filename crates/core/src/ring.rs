@@ -181,25 +181,25 @@ impl RingProducer {
     }
 }
 
-/// A message pulled out of a ring: an owned copy of the encoded bytes in
-/// a shared, refcounted buffer.
-///
-/// `poll` copies a message out of the ring exactly once (so the ring
-/// slot can be zeroed and reused immediately); from then on the bytes
-/// are shared — [`OwnedMsg::bytes`] plus [`msg::MsgView::entry_ranges`]
-/// yield per-entry payload [`Bytes`] slices without further copies.
+/// Decode a view over message bytes a poll returned (always succeeds:
+/// validated at extraction time).
+pub fn view(msg: &[u8]) -> msg::MsgView<'_> {
+    msg::decode(msg)
+        .expect("validated at poll time")
+        .expect("validated at poll time")
+}
+
+/// A message pulled out of a ring by [`RingConsumer::poll`]: an owned
+/// copy of the encoded bytes in a shared, refcounted buffer.
 #[derive(Debug)]
 pub struct OwnedMsg {
     buf: Bytes,
 }
 
 impl OwnedMsg {
-    /// Decode a view over the owned bytes (always succeeds: validated at
-    /// extraction time).
+    /// Decode a view over the owned bytes.
     pub fn view(&self) -> msg::MsgView<'_> {
-        msg::decode(&self.buf)
-            .expect("validated at poll time")
-            .expect("validated at poll time")
+        view(&self.buf)
     }
 
     /// The header without re-decoding entries.
@@ -246,11 +246,24 @@ impl RingConsumer {
         self.head
     }
 
-    /// Poll for the next complete message in `mr`.
+    /// Poll for the next complete message in `mr` and copy it into
+    /// `buf`, replacing what was there — the one copy out of the ring, so
+    /// the slot can be zeroed and reused at once. A poller that is done
+    /// with a message before its next poll passes the same buffer every
+    /// time and never allocates; read it with [`view`].
     ///
-    /// Returns `Ok(None)` when no complete message is available. On
-    /// success the consumed span is zeroed and `head` advances.
-    pub fn poll(&mut self, mr: &MemoryRegion) -> Result<Option<OwnedMsg>> {
+    /// Returns `Ok(false)` when no complete message is available; `buf`
+    /// is left empty then, and on an error. On success the consumed span
+    /// is zeroed and `head` advances.
+    pub fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
+        let polled = self.copy_out(mr, buf);
+        if !matches!(polled, Ok(true)) {
+            buf.clear();
+        }
+        polled
+    }
+
+    fn copy_out(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
         loop {
             let pos = self.layout.offset_of(self.head);
             // Fast probe: total_len first word.
@@ -258,12 +271,13 @@ impl RingConsumer {
             mr.read(pos, &mut word)?;
             let total = u32::from_le_bytes(word) as usize;
             if total == 0 {
-                return Ok(None);
+                return Ok(false);
             }
             if total < HDR_SIZE + TRAILER_SIZE || total > self.layout.capacity {
                 return Err(FlockError::CorruptMessage("ring record length"));
             }
-            let buf = mr.read_vec(pos, total)?;
+            buf.resize(total, 0);
+            mr.read(pos, buf)?;
             // Wrap record: validated by canary, then skipped.
             let flags = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes"));
             if flags & FLAG_WRAP != 0 {
@@ -271,27 +285,30 @@ impl RingConsumer {
                 let trailer =
                     u64::from_le_bytes(buf[total - 8..total].try_into().expect("8 bytes"));
                 if trailer != canary || canary == 0 {
-                    return Ok(None); // still landing
+                    return Ok(false); // still landing
                 }
                 mr.with_write(|m| m[pos..pos + total].fill(0));
                 self.head += total as u64;
                 continue; // look at the start of the ring
             }
-            match msg::decode(&buf)? {
-                None => return Ok(None), // canary not landed yet
-                Some(_) => {
-                    let adv = align_up(total);
-                    mr.with_write(|m| m[pos..pos + total].fill(0));
-                    self.head += adv as u64;
-                    // `Bytes::from(Vec)` takes ownership without copying:
-                    // the single copy out of the ring (read_vec above) is
-                    // the last one this message's payload ever sees.
-                    return Ok(Some(OwnedMsg {
-                        buf: Bytes::from(buf),
-                    }));
-                }
+            if msg::decode(buf)?.is_none() {
+                return Ok(false); // canary not landed yet
             }
+            mr.with_write(|m| m[pos..pos + total].fill(0));
+            self.head += align_up(total) as u64;
+            return Ok(true);
         }
+    }
+
+    /// [`RingConsumer::poll_into`] a fresh buffer the message then owns,
+    /// for a consumer that keeps messages or hands their bytes on.
+    pub fn poll(&mut self, mr: &MemoryRegion) -> Result<Option<OwnedMsg>> {
+        let mut buf = Vec::new();
+        let polled = self.poll_into(mr, &mut buf)?;
+        // `Bytes::from(Vec)` takes ownership without copying.
+        Ok(polled.then(|| OwnedMsg {
+            buf: Bytes::from(buf),
+        }))
     }
 }
 

@@ -13,7 +13,7 @@ use flock_fabric::{
     doorbell, recv_until, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender,
     MemoryRegion, Node, NodeId, Qp, RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId,
 };
-use flock_sync::clock::{self, Event, TaskHandle};
+use flock_sync::clock::{self, Event, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::domain::{
@@ -22,7 +22,7 @@ use crate::domain::{
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
-use crate::ring::{OwnedMsg, RingConsumer, RingLayout, RingProducer};
+use crate::ring::{self, RingConsumer, RingLayout, RingProducer};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
 
@@ -177,6 +177,9 @@ pub struct ServerStats {
     /// Response messages that carried them (head-only and credit-control
     /// messages are not counted).
     pub response_messages: AtomicU64,
+    /// Times a dispatch shard found a client's response ring full and
+    /// left the lane's responses deferred for its next visit.
+    pub response_ring_full: AtomicU64,
 }
 
 impl ServerStats {
@@ -302,10 +305,11 @@ impl FlockServer {
             }));
         }
         for worker in 0..cfg.dispatch_threads.max(1) {
-            let inner = Arc::clone(&inner);
-            threads.push(clock::spawn(
+            let mut shard = DispatchShard::new(Arc::clone(&inner), worker);
+            threads.push(clock::spawn_stepper(
                 &format!("fl-dispatch-{name}/{worker}"),
-                move || dispatch_loop(&inner, worker),
+                DispatchShard::idler(),
+                move || shard.step(),
             ));
         }
         {
@@ -816,105 +820,147 @@ struct Lane {
     conn_idx: usize,
     qp_idx: usize,
     qp: Arc<ServerQpCtx>,
-    /// The message read ahead of the last one handled: already out of the
-    /// ring, handled first on the next visit. `pending` is non-empty
-    /// between visits only while this is `Some`.
-    ahead: Option<OwnedMsg>,
+    /// The message read ahead of the last one handled, empty for none:
+    /// already out of the ring, handled first on the next visit.
+    /// `pending` is non-empty between visits only while this is, or
+    /// `full_until` is `Some`.
+    ahead: Vec<u8>,
     /// Handler outputs not yet flushed (cleared, not freed).
     pending: Vec<(EntryMeta, Vec<u8>)>,
     /// Encoded entry bytes held in `pending`.
     pending_bytes: usize,
+    /// The response ring was full at the last flush: `pending` stays
+    /// deferred and every visit retries, until this deadline
+    /// (`cfg.timeout` after the ring last took anything) drops it.
+    full_until: Option<u64>,
 }
 
 /// One request-dispatcher worker: polls the request rings of the
 /// connections assigned to it, runs handlers, coalesces responses across
-/// each lane's backlog, and piggybacks the consumed head.
+/// each lane's backlog, and piggybacks the consumed head. A
+/// `clock::spawn_stepper` task: [`DispatchShard::step`] is one sweep.
 ///
 /// With `cfg.dispatch_threads == 1` a single worker owns every
 /// connection — the seed's single-dispatcher behaviour. With more
 /// workers each owns a disjoint partition of connections, re-cut by the
 /// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
-fn dispatch_loop(inner: &Arc<ServerInner>, worker: usize) {
-    // Generation-stamped partition snapshot: cloning the `Arc` vector on
-    // every sweep made each idle poll O(conns) in refcount traffic; the
-    // snapshot is refreshed only when `accept_one`, `attach_one`,
-    // `detach_one` or the rebalancer publishes a new topology
-    // generation. Each entry carries its lane list so the sweep never
-    // touches `conn.qps`' lock.
-    let mut conns: Vec<(Arc<ServerConn>, Vec<Lane>)> = Vec::new();
-    let mut conns_seen = u64::MAX;
-    // Handler snapshot, same gen-stamped scheme: the seed took
-    // `handlers.read()` per polled message, putting a shared rwlock on
-    // the hottest path. `reg_handler` bumps `handlers_gen`; the sweep
-    // clones the table only when that moves.
-    let mut handlers: HashMap<u32, Handler> = HashMap::new();
-    let mut handlers_seen = u64::MAX;
-    // Send-CQ drain scratch: batched poll, one sync edge per sweep.
-    let mut drained: Vec<flock_fabric::Completion> = Vec::new();
-    // Dispatchers are dedicated polling cores (paper §4.3): the wall
-    // ladder may park up to 100 µs to spare a shared host, but in the
-    // lab a deep ladder would charge burst-detection latency that grows
-    // with dispatcher count (fewer conns each → deeper idle between
-    // bursts), inverting the sharding win. 1 µs models a polling core.
-    let mut idler =
-        flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000);
-    let mut sweep: u64 = 0;
-    while !inner.stop.load(Ordering::Relaxed) {
-        sweep = sweep.wrapping_add(1);
+struct DispatchShard {
+    inner: Arc<ServerInner>,
+    worker: usize,
+    /// Generation-stamped partition snapshot: cloning the `Arc` vector on
+    /// every sweep made each idle poll O(conns) in refcount traffic; the
+    /// snapshot is refreshed only when `accept_one`, `attach_one`,
+    /// `detach_one` or the rebalancer publishes a new topology
+    /// generation. Each entry carries its lane list so the sweep never
+    /// touches `conn.qps`' lock.
+    conns: Vec<(Arc<ServerConn>, Vec<Lane>)>,
+    conns_seen: u64,
+    /// Handler snapshot, same gen-stamped scheme: the seed took
+    /// `handlers.read()` per polled message, putting a shared rwlock on
+    /// the hottest path. `reg_handler` bumps `handlers_gen`; the sweep
+    /// clones the table only when that moves.
+    handlers: HashMap<u32, Handler>,
+    handlers_seen: u64,
+    /// Send-CQ drain scratch: batched poll, one sync edge per sweep.
+    drained: Vec<flock_fabric::Completion>,
+    /// The request message being handled: every message is copied out of
+    /// its ring into this buffer, or into the lane's `ahead`, which is
+    /// swapped with it.
+    msg: Vec<u8>,
+    sweep: u64,
+}
+
+impl DispatchShard {
+    fn new(inner: Arc<ServerInner>, worker: usize) -> DispatchShard {
+        DispatchShard {
+            inner,
+            worker,
+            conns: Vec::new(),
+            conns_seen: u64::MAX,
+            handlers: HashMap::new(),
+            handlers_seen: u64::MAX,
+            drained: Vec::new(),
+            msg: Vec::new(),
+            sweep: 0,
+        }
+    }
+
+    /// Dispatchers are dedicated polling cores (paper §4.3): the wall
+    /// ladder may park up to 100 µs to spare a shared host, but in the
+    /// lab a deep ladder would charge burst-detection latency that grows
+    /// with dispatcher count (fewer conns each → deeper idle between
+    /// bursts), inverting the sharding win. 1 µs models a polling core.
+    fn idler() -> flock_sync::AdaptiveBackoff {
+        flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000)
+    }
+
+    /// One sweep over the partition. A busy sweep asks for `Next::Again`,
+    /// which applies the accrued virtual CPU cost — otherwise a saturated
+    /// dispatcher would freeze virtual time for every other task. Nothing
+    /// in here may wait: a full response ring leaves the lane's
+    /// responses deferred (`flush_pending`).
+    fn step(&mut self) -> Next {
+        let inner = &*self.inner;
+        if inner.stop.load(Ordering::Relaxed) {
+            return Next::Done;
+        }
+        self.sweep = self.sweep.wrapping_add(1);
         let gen = inner.topo_gen.load(Ordering::Acquire);
-        if gen != conns_seen {
+        if gen != self.conns_seen {
             // Settle before leaving: the new snapshot starts with empty
             // lane state, so every read-ahead message is handled and
-            // every deferred response flushed under the old one.
-            for (conn, lanes) in conns.iter_mut() {
+            // every deferred response flushed under the old one — which
+            // stays for another sweep while a full response ring still
+            // holds some back.
+            let mut settled = true;
+            for (conn, lanes) in self.conns.iter_mut() {
                 for lane in lanes.iter_mut() {
-                    settle_lane(inner, &handlers, conn, lane);
+                    settled &= settle_lane(inner, &self.handlers, conn, lane);
                 }
             }
-            conns = snapshot_partition(inner, worker);
-            conns_seen = gen;
-            // Quiescence ack: once this store is visible, no departed
-            // QP is referenced by this worker's snapshot and none of its
-            // responses is still deferred here, so `detach_one` may
-            // recycle the connection's resources.
-            inner.dispatch_acks[worker].fetch_max(gen, Ordering::Release);
-            inner.acked.notify_all();
+            if settled {
+                self.conns = snapshot_partition(inner, self.worker);
+                self.conns_seen = gen;
+                // Quiescence ack: once this store is visible, no departed
+                // QP is referenced by this worker's snapshot and none of
+                // its responses is still deferred here, so `detach_one`
+                // may recycle the connection's resources.
+                inner.dispatch_acks[self.worker].fetch_max(gen, Ordering::Release);
+                inner.acked.notify_all();
+            }
         }
         let hgen = inner.handlers_gen.load(Ordering::Acquire);
-        if hgen != handlers_seen {
-            handlers = inner.handlers.read().clone();
-            handlers_seen = hgen;
+        if hgen != self.handlers_seen {
+            self.handlers = inner.handlers.read().clone();
+            self.handlers_seen = hgen;
         }
         let mut progressed = false;
-        for (conn, lanes) in conns.iter_mut() {
+        for (conn, lanes) in self.conns.iter_mut() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
             // the connection's QPs).
             if !lanes.is_empty() {
-                drained.clear();
-                conn.send_cq.poll(&mut drained, usize::MAX);
+                self.drained.clear();
+                conn.send_cq.poll(&mut self.drained, usize::MAX);
             }
             for lane in lanes.iter_mut() {
                 // Deactivated QPs drain at a reduced probe rate, unless
-                // a read-ahead message (and its deferred responses) is
-                // already waiting here.
-                if lane.ahead.is_none()
+                // a read-ahead message or deferred responses are already
+                // waiting here.
+                if lane.ahead.is_empty()
+                    && lane.full_until.is_none()
                     && !lane.qp.active.load(Ordering::Relaxed)
-                    && !sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
+                    && !self.sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
                 {
                     continue;
                 }
-                progressed |= visit_lane(inner, &handlers, conn, lane);
+                progressed |= visit_lane(inner, &self.handlers, conn, lane, &mut self.msg);
             }
         }
         if progressed {
-            idler.reset();
-            // Busy sweeps never reach `idle()`, so apply the accrued
-            // virtual CPU cost here — otherwise a saturated dispatcher
-            // would freeze virtual time for every other task.
-            clock::flush_charge();
+            Next::Again
         } else {
-            idler.idle();
+            Next::Idle(None)
         }
     }
 }
@@ -941,9 +987,10 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
                     conn_idx,
                     qp_idx,
                     qp: Arc::clone(qp),
-                    ahead: None,
+                    ahead: Vec::new(),
                     pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
                     pending_bytes: 0,
+                    full_until: None,
                 })
                 .collect();
             (Arc::clone(c), lanes)
@@ -951,54 +998,59 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
         .collect()
 }
 
-/// Poll `qp`'s request ring. An empty probe is charged here; a message
-/// is charged where it is handled (`handle_message`), so a read-ahead
-/// message costs the sweep that runs its handlers, not the one that
-/// found it.
-fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx) -> Result<Option<OwnedMsg>> {
-    let polled = { qp.req_cons.lock().poll(&qp.req_mr) };
-    match &polled {
+/// Poll `qp`'s request ring into `msg`. An empty probe is charged here;
+/// a message is charged where it is handled (`handle_message`), so a
+/// read-ahead message costs the sweep that runs its handlers, not the one
+/// that found it.
+fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx, msg: &mut Vec<u8>) -> Result<bool> {
+    let polled = { qp.req_cons.lock().poll_into(&qp.req_mr, msg) };
+    match polled {
         // Fold the piggybacked head in now, not when the message is
         // handled: a flush that runs while this message is still the
         // read-ahead one sees the freshest response-ring space.
-        Ok(Some(m)) => {
+        Ok(true) => {
             qp.client_resp_head
-                .fetch_max(m.header().head, Ordering::AcqRel);
+                .fetch_max(ring::view(msg).header.head, Ordering::AcqRel);
         }
-        Ok(None) => clock::charge(inner.cost.cpu_poll_empty_ns),
+        Ok(false) => clock::charge(inner.cost.cpu_poll_empty_ns),
         Err(_) => {}
     }
     polled
 }
 
-/// One visit to a lane: handle up to [`VISIT_MESSAGES`] messages, reading
-/// one message ahead after each. A lone request is answered at once;
-/// while a further message is already waiting the doorbell is deferred.
-/// Returns whether the visit made progress.
+/// One visit to a lane: handle up to [`VISIT_MESSAGES`] messages in
+/// `msg`, then read one message ahead. A lone request is answered at
+/// once; while a further message is already waiting the doorbell is
+/// deferred. Returns whether the visit made progress.
 fn visit_lane(
     inner: &ServerInner,
     handlers: &HashMap<u32, Handler>,
     conn: &ServerConn,
     lane: &mut Lane,
+    msg: &mut Vec<u8>,
 ) -> bool {
-    let mut m = match lane.ahead.take() {
-        Some(m) => m,
-        None => match poll_requests(inner, &lane.qp) {
-            Ok(Some(m)) => m,
-            Ok(None) => return false,
+    if lane.ahead.is_empty() {
+        match poll_requests(inner, &lane.qp, msg) {
+            Ok(true) => {}
+            // Nothing new — and no fresher view of the response ring's
+            // head either, so a retry can only find the deadline passed.
+            Ok(false) => return lane.full_until.is_some() && flush_pending(inner, conn, lane),
             // Corrupt request ring: drop the message stream.
             Err(_) => return true,
-        },
-    };
+        }
+    } else {
+        std::mem::swap(msg, &mut lane.ahead);
+        lane.ahead.clear();
+    }
     for handled in 1.. {
-        handle_message(inner, handlers, conn, lane, &m);
-        match poll_requests(inner, &lane.qp) {
-            Ok(Some(next)) if handled < VISIT_MESSAGES => m = next,
-            Ok(next) => {
-                lane.ahead = next;
-                break;
-            }
-            Err(_) => break,
+        handle_message(inner, handlers, conn, lane, msg);
+        if handled == VISIT_MESSAGES {
+            // Read ahead: found now, handled on the next visit.
+            let _ = poll_requests(inner, &lane.qp, &mut lane.ahead);
+            break;
+        }
+        if !matches!(poll_requests(inner, &lane.qp, msg), Ok(true)) {
+            break;
         }
     }
     // Send what is ready, never wait for a batch to fill: with the ring
@@ -1011,7 +1063,7 @@ fn visit_lane(
     let consumed = { lane.qp.req_cons.lock().head() };
     let debt = consumed.saturating_sub(lane.qp.last_flushed_head.load(Ordering::Relaxed));
     if debt >= (inner.cfg.ring_capacity as u64) / 4
-        || (lane.ahead.is_none() && !lane.pending.is_empty())
+        || (lane.ahead.is_empty() && !lane.pending.is_empty())
     {
         flush_pending(inner, conn, lane);
     } else if lane.pending.is_empty() && debt > 0 {
@@ -1031,22 +1083,22 @@ fn handle_message(
     handlers: &HashMap<u32, Handler>,
     conn: &ServerConn,
     lane: &mut Lane,
-    m: &OwnedMsg,
+    msg: &[u8],
 ) {
     clock::charge(inner.cost.cpu_ring_poll_ns);
-    let view = m.view();
+    let view = ring::view(msg);
     let entries = u64::from(view.header.count);
     inner.stats.messages.fetch_add(1, Ordering::Relaxed);
     inner.stats.requests.fetch_add(entries, Ordering::Relaxed);
     // Per-tenant accounting: lock-free Relaxed bumps on the shared
     // counter block (never through the scheduler mutex).
     conn.counters.note_issued(entries);
-    for (meta, range) in view.entry_ranges() {
+    for (meta, data) in view.entries() {
         if let Some(h) = handlers.get(&meta.rpc_id) {
             clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
             // The handler's output Vec is the one per-request allocation
             // the server keeps: the `Handler` signature owns its result.
-            let out = h(&m.bytes()[range]);
+            let out = h(data);
             lane.pending_bytes += msg::META_SIZE + out.len();
             lane.pending.push((
                 EntryMeta {
@@ -1066,8 +1118,9 @@ fn handle_message(
             clock::charge(inner.cost.cpu_codec_ns);
             let _ = inner.manual_tx.send(IncomingRpc {
                 rpc_id: meta.rpc_id,
-                // Zero-copy slice of the shared request-message buffer.
-                data: m.bytes().slice(range),
+                // Out of the shard's message buffer, which the next poll
+                // overwrites.
+                data: Bytes::copy_from_slice(data),
                 token: RpcToken {
                     conn: lane.conn_idx,
                     qp: lane.qp_idx,
@@ -1078,39 +1131,90 @@ fn handle_message(
     }
 }
 
-/// Post the lane's deferred responses as one coalesced message (paper
-/// §4.3) — head-only when there are none. A failed flush (response ring
-/// full past the timeout, shutdown) drops them uncounted, exactly as a
-/// failed per-message flush did: the callers time out, nothing retries.
-fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) {
-    if flush_response(inner, &lane.qp, &lane.pending, 0, 0).is_ok() {
-        conn.counters.note_completed(lane.pending.len() as u64);
+/// Post the lane's deferred responses as coalesced messages (paper
+/// §4.3) — one, unless a full ring let them pile up past the flush
+/// limits — or a head-only message when there are none. Never waits:
+/// while the client's response ring is full they stay deferred and the
+/// lane's next visits retry, for `cfg.timeout`. After that, or on any
+/// other failure, they are dropped uncounted: the callers time out,
+/// nothing retries. Returns whether anything was sent or dropped.
+fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> bool {
+    let mut sent = 0;
+    let outcome = loop {
+        // The longest prefix within the limits `handle_message` flushes
+        // at: everything, unless earlier flushes found the ring full.
+        let mut bytes = 0;
+        let batch = lane.pending[sent..]
+            .iter()
+            .take(COALESCE_MAX_ENTRIES)
+            .take_while(|(_, out)| {
+                let fits = bytes < lane.qp.resp_remote.capacity / 4;
+                bytes += msg::META_SIZE + out.len();
+                fits
+            })
+            .count();
+        match try_flush_response(inner, &lane.qp, &lane.pending[sent..sent + batch], 0, 0) {
+            Ok(()) => sent += batch,
+            Err(e) => break Err(e),
+        }
+        if sent == lane.pending.len() {
+            break Ok(());
+        }
+    };
+    conn.counters.note_completed(sent as u64);
+    lane.pending.drain(..sent);
+    if sent > 0 {
+        // The timeout is for a ring that frees nothing.
+        lane.full_until = None;
     }
-    lane.pending.clear();
-    lane.pending_bytes = 0;
+    // (A head-only message the ring has no room for is simply not sent:
+    // the head debt stands, and the next visit with a message retries.)
+    let mut keep = false;
+    if matches!(outcome, Err(FlockError::RingFull { .. })) && !lane.pending.is_empty() {
+        inner
+            .stats
+            .response_ring_full
+            .fetch_add(1, Ordering::Relaxed);
+        let deadline = *lane
+            .full_until
+            .get_or_insert_with(|| clock::deadline(inner.cfg.timeout));
+        keep = !clock::expired(deadline) && !inner.stop.load(Ordering::Relaxed);
+    }
+    if !keep {
+        lane.pending.clear();
+        lane.full_until = None;
+    }
+    lane.pending_bytes = lane
+        .pending
+        .iter()
+        .map(|(_, out)| msg::META_SIZE + out.len())
+        .sum();
+    sent > 0 || !keep
 }
 
 /// Leave nothing deferred on `lane`: handle its read-ahead message and
-/// flush. Runs before a worker adopts a new topology snapshot.
+/// flush. Runs before a worker adopts a new topology snapshot; `false`
+/// while a full response ring still holds responses back.
 fn settle_lane(
     inner: &ServerInner,
     handlers: &HashMap<u32, Handler>,
     conn: &ServerConn,
     lane: &mut Lane,
-) {
-    if let Some(m) = lane.ahead.take() {
-        handle_message(inner, handlers, conn, lane, &m);
+) -> bool {
+    if !lane.ahead.is_empty() {
+        let ahead = std::mem::take(&mut lane.ahead);
+        handle_message(inner, handlers, conn, lane, &ahead);
     }
     if !lane.pending.is_empty() {
         flush_pending(inner, conn, lane);
     }
+    lane.pending.is_empty()
 }
 
-/// Encode and post one coalesced response message on `qp`.
-///
-/// Generic over the payload type so handler outputs (`Vec<u8>`), manual
-/// responses (`&[u8]`), and head-only messages all encode without an
-/// intermediate copy into an owned buffer.
+/// [`try_flush_response`] for a task that may wait — `send_res` callers
+/// and the QP scheduler's credit grants, never a dispatch shard's step:
+/// while the client's response ring is full, yield and retry, up to
+/// `cfg.timeout`.
 fn flush_response<B: AsRef<[u8]>>(
     inner: &ServerInner,
     qp: &ServerQpCtx,
@@ -1118,7 +1222,43 @@ fn flush_response<B: AsRef<[u8]>>(
     extra_flags: u16,
     aux: u64,
 ) -> Result<()> {
+    let deadline = clock::deadline(inner.cfg.timeout);
+    loop {
+        match try_flush_response(inner, qp, responses, extra_flags, aux) {
+            Err(FlockError::RingFull { .. }) => {
+                if inner.stop.load(Ordering::Relaxed) {
+                    return Err(FlockError::Disconnected);
+                }
+                if clock::expired(deadline) {
+                    return Err(FlockError::Timeout);
+                }
+                clock::yield_now();
+            }
+            done => return done,
+        }
+    }
+}
+
+/// Encode and post one coalesced response message on `qp`, or fail with
+/// [`FlockError::RingFull`], nothing written, when the client's response
+/// ring has no room for it.
+///
+/// Generic over the payload type so handler outputs (`Vec<u8>`), manual
+/// responses (`&[u8]`), and head-only messages all encode without an
+/// intermediate copy into an owned buffer.
+fn try_flush_response<B: AsRef<[u8]>>(
+    inner: &ServerInner,
+    qp: &ServerQpCtx,
+    responses: &[(EntryMeta, B)],
+    extra_flags: u16,
+    aux: u64,
+) -> Result<()> {
     let need = msg::encoded_size(responses.iter().map(|(_, d)| d.as_ref().len()));
+    let reservation = {
+        let mut prod = qp.resp_prod.lock();
+        prod.update_head(qp.client_resp_head.load(Ordering::Acquire));
+        prod.reserve(need)?
+    };
     let canary = qp.next_canary();
     let consumed_head = { qp.req_cons.lock().head() };
     let header = MsgHeader {
@@ -1128,26 +1268,6 @@ fn flush_response<B: AsRef<[u8]>>(
         canary,
         head: consumed_head,
         aux,
-    };
-
-    let deadline = clock::deadline(inner.cfg.timeout);
-    let reservation = loop {
-        let mut prod = qp.resp_prod.lock();
-        prod.update_head(qp.client_resp_head.load(Ordering::Acquire));
-        match prod.reserve(need) {
-            Ok(r) => break r,
-            Err(FlockError::RingFull { .. }) => {
-                drop(prod);
-                if inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::yield_now();
-            }
-            Err(e) => return Err(e),
-        }
     };
 
     if let Some((woff, wlen)) = reservation.wrap {

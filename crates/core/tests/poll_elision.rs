@@ -13,7 +13,14 @@
 //! * an idle handle whose lanes attach one by one: the response
 //!   dispatcher's re-armed sweeps charge the lanes it has, and the
 //!   `lane_count` notify hands it the core back;
-//! * close and shutdown of a handle that has idled to the ladder's cap.
+//! * close and shutdown of a handle that has idled to the ladder's cap;
+//! * responses that overrun a small response ring: the dispatch shard —
+//!   a stepper, which may not wait — defers them and retries, and drops
+//!   them after the timeout when the client's head never moves.
+//!
+//! Since PR 17 the reference also runs every stepper (NIC lanes,
+//! dispatch shards, response dispatchers) on a thread of its own, so the
+//! same comparison checks the lab's inline driver.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -59,7 +66,7 @@ fn echo_fan_in_with_a_window_matches_the_reference() {
     const THREADS: usize = 6;
     const WINDOW: usize = 4;
     const ROUNDS: usize = 5;
-    let ((times, stats), report) = VirtualLab::run_against_reference(|| {
+    let (times, report) = VirtualLab::run_against_reference(|| {
         // 2 µs handlers on one worker: requests queue up behind it, so
         // responses leave coalesced.
         let mut fab = FabricConfig::default();
@@ -102,16 +109,28 @@ fn echo_fan_in_with_a_window_matches_the_reference() {
             s.response_messages.load(Relaxed),
             s.responses.load(Relaxed),
         );
+        let lanes = domain.fabric().config().nic_lanes.max(1) as u64;
         handle.close().expect("close");
         server.shutdown(&domain);
-        (times, stats)
+        (times, stats, lanes)
     });
+    let (times, stats, lanes) = (times.0, times.1, times.2);
     let (_, requests, response_messages, responses) = stats;
     assert_eq!(requests, (THREADS * WINDOW * ROUNDS) as u64);
     assert_eq!(responses, requests);
     assert!(response_messages < responses, "no response was coalesced");
     assert!(times.iter().all(|t| t.len() == WINDOW * ROUNDS));
     assert!(report.elided_polls > report.handovers / 4, "{report:?}");
+    // No OS thread for a NIC lane (two nodes), the dispatch shard or the
+    // response dispatcher: the threads are the application's six, and
+    // `fl-accept`, `fl-qpsched` and `fl-thread-sched`.
+    assert_eq!(report.stepper_tasks, 2 * lanes + 1 + 1, "{report:?}");
+    assert_eq!(
+        report.tasks_spawned - report.stepper_tasks,
+        THREADS as u64 + 3,
+        "{report:?}"
+    );
+    assert!(report.inline_steps > report.handovers, "{report:?}");
 }
 
 #[test]
@@ -335,4 +354,146 @@ fn stopping_an_idle_handle_matches_the_reference() {
     });
     assert!(times.0 > 100_000 && times.1 >= times.0 && times.2 >= times.1);
     assert!(report.elided_polls > 100, "{report:?}");
+}
+
+const RPC_BLOAT: u32 = 2;
+/// Ring capacity of the two ring-full scenarios, both sides (a handle's
+/// staging mirrors the server's rings): eight 256-byte responses.
+const SMALL_RING: usize = 2048;
+const BLOATED: usize = 200;
+
+/// A server whose `RPC_BLOAT` answers an 8-byte request with
+/// `BLOATED` bytes, and one single-lane handle, on [`SMALL_RING`] rings.
+fn small_ring_pair(
+    name: &str,
+    timeout: Duration,
+) -> (Arc<FlockDomain>, FlockServer, ConnectionHandle) {
+    let domain = Arc::new(FlockDomain::with_defaults());
+    let node = domain.add_node(&format!("{name}-srv"));
+    let mut scfg = ServerConfig::default();
+    scfg.dispatch_threads = 1;
+    scfg.ring_capacity = SMALL_RING;
+    scfg.timeout = timeout;
+    // No credit renewal within a test: a grant is a response-ring
+    // message too, and a sender out of credits sends no request that
+    // could tell the server of freed ring space.
+    scfg.sched.grant_size = 4096;
+    let server = FlockServer::listen(&domain, &node, name, scfg);
+    server.reg_handler(RPC_BLOAT, |req| vec![req[0]; BLOATED]);
+
+    let mut cfg = HandleConfig::default();
+    cfg.n_qps = 1;
+    cfg.ring_capacity = SMALL_RING;
+    cfg.timeout = timeout;
+    let cli = domain.add_node(&format!("{name}-cli"));
+    let handle = ConnectionHandle::connect(&domain, &cli, name, cfg).expect("connect");
+    (domain, server, handle)
+}
+
+#[test]
+fn responses_overrunning_the_response_ring_are_deferred_and_all_arrive() {
+    const WINDOW: usize = 12;
+    const CALLS: usize = 60;
+    let ((times, beats, ring_full, responses), report) = VirtualLab::run_against_reference(|| {
+        let (domain, server, mut handle) = small_ring_pair("pe-full", Duration::from_millis(10));
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+        let threads = Arc::new([handle.register_thread(), handle.register_thread()]);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        clock::flush_charge(); // set-up cost is not part of the scenario
+        let mut out = on_tasks(2, move |i| {
+            let t = &threads[i];
+            let mut times = Vec::new();
+            if i == 1 {
+                // The server learns that the client has freed ring space
+                // from the next request only: a one-byte call every few
+                // microseconds keeps telling it.
+                while !done.load(Relaxed) {
+                    assert_eq!(&t.call(RPC_ECHO, b"b").expect("beat")[..], b"b");
+                    times.push(clock::now_ns());
+                    clock::sleep_ns(2_000);
+                }
+                return times;
+            }
+            // A sliding window of twelve calls: their answers are 3 KiB,
+            // the ring holds 2, so the shard has to keep responses back
+            // — without waiting, it is a stepper — and retry when a
+            // request brings a fresher head.
+            let mut inflight = std::collections::VecDeque::new();
+            for k in 0..CALLS + WINDOW {
+                if k >= WINDOW {
+                    let (tag, seq) = inflight.pop_front().expect("window");
+                    let resp = t.recv_res(seq).expect("every call completes");
+                    assert_eq!(&resp[..], &[tag; BLOATED]);
+                    times.push(clock::now_ns());
+                }
+                if k < CALLS {
+                    let tag = k as u8;
+                    let seq = t.send_rpc(RPC_BLOAT, &[tag; 8]).expect("send");
+                    inflight.push_back((tag, seq));
+                }
+            }
+            done.store(true, Relaxed);
+            times
+        });
+        let s = server.stats();
+        let counts = (
+            s.response_ring_full.load(Relaxed),
+            s.responses.load(Relaxed),
+        );
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        let beats = out.pop().expect("beats");
+        (out.pop().expect("calls"), beats, counts.0, counts.1)
+    });
+    assert_eq!(times.len(), CALLS);
+    assert_eq!(responses, (CALLS + beats.len()) as u64);
+    assert!(ring_full > 0, "the response ring never filled");
+    assert!(report.inline_steps > 0, "{report:?}");
+}
+
+#[test]
+fn a_client_whose_ring_head_never_moves_gets_timeouts_not_a_hang() {
+    const BURST: usize = 16;
+    let ((outcomes, waited, ring_full), _) = VirtualLab::run_against_reference(|| {
+        let (domain, server, mut handle) = small_ring_pair("pe-stuck", Duration::from_micros(300));
+        let t = handle.register_thread();
+        clock::flush_charge(); // set-up cost is not part of the scenario
+                               // Sixteen requests at once and then silence: the client drains
+                               // its ring, but no later request tells the server so. Eight
+                               // answers fit; the shard holds the rest back for its 300 µs
+                               // timeout and drops them, and their callers time out.
+        let t0 = clock::now_ns();
+        let seqs: Vec<u64> = (0..BURST)
+            .map(|k| t.send_rpc(RPC_BLOAT, &[k as u8; 8]).expect("send"))
+            .collect();
+        let outcomes: Vec<bool> = seqs
+            .into_iter()
+            .map(|seq| match t.recv_res(seq) {
+                Ok(resp) => {
+                    assert_eq!(resp.len(), BLOATED);
+                    true
+                }
+                Err(e) => {
+                    assert!(matches!(e, FlockError::Timeout), "{e:?}");
+                    false
+                }
+            })
+            .collect();
+        let waited = clock::now_ns() - t0;
+        let ring_full = server.stats().response_ring_full.load(Relaxed);
+        // The next request carries the head, and the lane works again.
+        let resp = t.call(RPC_BLOAT, &[0xEE; 8]).expect("call after the drop");
+        assert_eq!(&resp[..], &[0xEE; BLOATED]);
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        (outcomes, waited, ring_full)
+    });
+    let answered = outcomes.iter().filter(|ok| **ok).count();
+    assert!((1..BURST).contains(&answered), "{outcomes:?}");
+    // Answers arrive in order: the ones that fit, then the timeouts —
+    // each a fresh 300 µs wait, none a hang.
+    assert!(outcomes[..answered].iter().all(|ok| *ok), "{outcomes:?}");
+    let timeouts = (BURST - answered) as u64;
+    assert!(waited < (timeouts + 1) * 310_000, "{waited}");
+    assert!(ring_full > 0, "the response ring never filled");
 }

@@ -1,4 +1,4 @@
-//! The one blocking channel receive.
+//! The one channel receive of the clock seam.
 //!
 //! Companion to [`flock_sync::clock::Event`] for conditions that live
 //! in a crossbeam channel (control-plane requests and replies, NIC
@@ -55,12 +55,40 @@ pub fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
     (tx, rx, rung)
 }
 
-/// Receive one message, giving up when `deadline_ns` (a
-/// [`clock::deadline`] value; `None` = never) passes.
+/// One attempt to receive a message before `deadline_ns` (a
+/// [`clock::deadline`] value; `None` = never), for callers that must
+/// not wait under a virtual executor — a `clock::spawn_stepper` step,
+/// and [`recv_until`]'s loop.
 ///
-/// Threaded callers block in the channel. A virtual task must not (a
-/// parked OS thread stalls the lab's one core): it polls `try_recv` and
-/// calls `idle` between empty polls — a fixed period or an
+/// Threaded callers block in the channel and never see `Ok(None)`. A
+/// virtual task must not block (a parked OS thread stalls the lab's one
+/// core): there an empty channel is `Ok(None)`, and the caller sleeps on
+/// the channel's [`doorbell`] event before it tries again — a step by
+/// returning `Next::Idle`.
+pub fn recv_step<T>(
+    rx: &Receiver<T>,
+    deadline_ns: Option<u64>,
+) -> Result<Option<T>, RecvTimeoutError> {
+    if !clock::is_virtual() {
+        return match deadline_ns {
+            Some(d) => rx.recv_timeout(Duration::from_nanos(d.saturating_sub(clock::now_ns()))),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        }
+        .map(Some);
+    }
+    match rx.try_recv() {
+        Ok(msg) => Ok(Some(msg)),
+        Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+        Err(TryRecvError::Empty) if deadline_ns.is_some_and(clock::expired) => {
+            Err(RecvTimeoutError::Timeout)
+        }
+        Err(TryRecvError::Empty) => Ok(None),
+    }
+}
+
+/// Receive one message, giving up when `deadline_ns` passes:
+/// [`recv_step`] until it has one, calling `idle` between a virtual
+/// task's empty polls — a fixed period or an
 /// [`flock_sync::AdaptiveBackoff`] ladder, the caller's modeling
 /// choice, slept on the channel's [`doorbell`] event. `idle` never runs
 /// in threaded mode.
@@ -69,22 +97,10 @@ pub fn recv_until<T>(
     deadline_ns: Option<u64>,
     mut idle: impl FnMut(),
 ) -> Result<T, RecvTimeoutError> {
-    if !clock::is_virtual() {
-        return match deadline_ns {
-            Some(d) => rx.recv_timeout(Duration::from_nanos(d.saturating_sub(clock::now_ns()))),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-    }
     loop {
-        match rx.try_recv() {
-            Ok(msg) => return Ok(msg),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {
-                if deadline_ns.is_some_and(clock::expired) {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                idle();
-            }
+        if let Some(msg) = recv_step(rx, deadline_ns)? {
+            return Ok(msg);
         }
+        idle();
     }
 }

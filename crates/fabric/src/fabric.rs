@@ -12,7 +12,7 @@ use crate::chan::{doorbell, DoorbellSender};
 use crate::cq::CompletionQueue;
 use crate::mr::{Access, MemoryRegion, MrTable};
 use crate::mrcache::{MrCache, MrCacheConfig};
-use crate::nic::{engine_loop, NicCmd, NicStats};
+use crate::nic::{EngineLane, NicCmd, NicStats};
 use crate::qp::Qp;
 use crate::qpool::{QpPool, QpPoolConfig};
 use crate::timing::CostModel;
@@ -395,9 +395,12 @@ impl Fabric {
             let node2 = Arc::clone(&node);
             // Through the clock seam: a real thread normally, a
             // virtual core under `flock_sim::VirtualLab`.
-            let handle = clock::spawn(&format!("nic-{name}/{lane}"), move || {
-                engine_loop(inner, node2, rx, rung, lane)
-            });
+            let mut engine = EngineLane::new(inner, node2, rx, rung, lane);
+            let handle = clock::spawn_stepper(
+                &format!("nic-{name}/{lane}"),
+                EngineLane::idler(),
+                move || engine.step(),
+            );
             self.engines.lock().push((tx, handle));
         }
         let qcfg = &self.inner.config.qpool;

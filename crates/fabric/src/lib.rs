@@ -81,7 +81,7 @@ pub mod types;
 pub mod verbs;
 
 pub use cache::{qp_state_key, ConnCache, Eviction};
-pub use chan::{doorbell, recv_until, DoorbellSender};
+pub use chan::{doorbell, recv_step, recv_until, DoorbellSender};
 pub use cq::CompletionQueue;
 pub use fabric::{auto_nic_lanes, connect_qps, Fabric, FabricConfig, Node};
 pub use mr::{Access, MemoryRegion, MrTable};

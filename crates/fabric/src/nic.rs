@@ -1,4 +1,4 @@
-//! The NIC engine: background threads ("lanes") per node that execute
+//! The NIC engine: background tasks ("lanes") per node that execute
 //! posted work requests against the in-process fabric.
 //!
 //! Each node runs `FabricConfig::nic_lanes` engine lanes; a QP is pinned
@@ -19,13 +19,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
-use flock_sync::clock::{self, Event};
+use flock_sync::clock::{self, Event, IdleOn, Next};
 use flock_sync::AdaptiveBackoff;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::qp_state_key;
-use crate::chan::recv_until;
+use crate::chan::recv_step;
 use crate::fabric::{FabricInner, Node};
 use crate::mr::Access;
 use crate::timing::CostModel;
@@ -103,10 +103,15 @@ impl NicStats {
     }
 }
 
-/// Engine lane main loop; runs on a dedicated thread owned by the
-/// fabric (a cooperatively scheduled virtual core under
-/// `flock_sim::VirtualLab`). `lane` only perturbs the loss-injection RNG
-/// so lanes draw independent streams.
+/// Where the responder half of a one-sided verb runs: the destination
+/// node and the responder-side QPN ([`one_sided_target`]).
+type Responder = (Arc<Node>, QpNum);
+
+/// One engine lane: a `clock::spawn_stepper` task owned by the fabric —
+/// a dedicated thread blocked in its command channel on real threads, a
+/// virtual core with no thread under `flock_sim::VirtualLab`. `lane`
+/// only perturbs the loss-injection RNG so lanes draw independent
+/// streams.
 ///
 /// Each verb occupies the lane for its NIC service time (per the
 /// fabric's [`CostModel`]) before executing, which is what serializes a
@@ -115,83 +120,132 @@ impl NicStats {
 /// lanes genuinely overlap. The charge is a no-op on real threads,
 /// where timing is accounting-only. Because one lane is one task,
 /// per-QP FIFO order holds under both executors.
-pub(crate) fn engine_loop(
+pub(crate) struct EngineLane {
     fabric: Arc<FabricInner>,
     node: Arc<Node>,
     rx: Receiver<NicCmd>,
+    /// The command channel's doorbell: nothing but a command ends the
+    /// lane's idling, and every command rings it.
     rung: Arc<Event>,
-    lane: usize,
-) {
-    let mut rng = SmallRng::seed_from_u64(
-        fabric.config.seed ^ (node.id().0 as u64) << 17 ^ (lane as u64) << 40,
-    );
-    let cost = &fabric.config.cost;
-    // An idle NIC lane re-polls quickly (hardware notices doorbells in
-    // well under a microsecond); the tight virtual cap bounds added
-    // detection latency to 2 µs even after long idle stretches. Nothing
-    // but a command ends the idling, and every command rings `rung`.
-    let mut idler =
-        AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000);
-    while let Ok(cmd) = recv_until(&rx, None, || {
-        idler.idle_on(&rung, rung.epoch(), 0, u64::MAX)
-    }) {
-        idler.reset();
-        match cmd {
-            NicCmd::Post { src_qpn, epoch, wr } => {
-                match one_sided_target(&fabric, &node, src_qpn, &wr) {
-                    Some((dst, dst_qpn)) => {
-                        // One-sided verb: the requester NIC only
-                        // fetches the WQE and looks up its connection
-                        // state before the request packet leaves (no
-                        // payload bytes move through it at issue time);
-                        // the payload DMA and response generation are
-                        // the responder NIC's work. Charge the issue
-                        // half here, then queue the responder half on
-                        // the destination node's lane (sharded by the
-                        // responder QPN, so per-QP FIFO order holds).
-                        serve(cost.nic_service(0, resident(&node, src_qpn)).as_nanos());
-                        dst.forward_cmd(
-                            dst_qpn,
-                            NicCmd::Respond {
-                                req_node: node.id(),
-                                src_qpn,
-                                dst_qpn,
-                                epoch,
-                                wr,
-                            },
-                        );
-                    }
-                    None => {
-                        serve(service_ns(cost, &node, src_qpn, &wr));
-                        process(&fabric, &node, src_qpn, epoch, wr, &mut rng);
-                    }
-                }
-            }
-            NicCmd::Respond {
-                req_node,
-                src_qpn,
-                dst_qpn,
-                epoch,
-                wr,
-            } => {
-                // `node` is the responder here: service time is priced
-                // by whether *this* NIC has the responder-side QP state
-                // resident — the fan-in effect: past the cache size,
-                // every one-sided verb pays the PCIe state fetch.
-                serve(service_ns(cost, &node, dst_qpn, &wr));
-                if let Ok(req) = fabric.node(req_node) {
-                    process(&fabric, &req, src_qpn, epoch, wr, &mut rng);
-                }
-            }
-            NicCmd::Stop => break,
-        }
-    }
+    rng: SmallRng,
+    /// The verb whose service time the lane is sleeping, and where a
+    /// one-sided one goes next.
+    serving: Option<(NicCmd, Option<Responder>)>,
 }
 
-/// Occupy the calling lane for `ns` of NIC service time.
-fn serve(ns: u64) {
-    clock::charge(ns);
-    clock::flush_charge();
+impl EngineLane {
+    pub(crate) fn new(
+        fabric: Arc<FabricInner>,
+        node: Arc<Node>,
+        rx: Receiver<NicCmd>,
+        rung: Arc<Event>,
+        lane: usize,
+    ) -> EngineLane {
+        let rng = SmallRng::seed_from_u64(
+            fabric.config.seed ^ (node.id().0 as u64) << 17 ^ (lane as u64) << 40,
+        );
+        EngineLane {
+            fabric,
+            node,
+            rx,
+            rung,
+            rng,
+            serving: None,
+        }
+    }
+
+    /// An idle NIC lane re-polls quickly (hardware notices doorbells in
+    /// well under a microsecond); the tight virtual cap bounds added
+    /// detection latency to 2 µs even after long idle stretches.
+    pub(crate) fn idler() -> AdaptiveBackoff {
+        AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000)
+    }
+
+    /// Execute the verb whose service time has passed, then take the
+    /// next command and charge its service time: `Next::Again` sleeps
+    /// it.
+    pub(crate) fn step(&mut self) -> Next {
+        if let Some((cmd, target)) = self.serving.take() {
+            self.execute(cmd, target);
+        }
+        let cmd = match recv_step(&self.rx, None) {
+            Ok(Some(cmd)) => cmd,
+            Err(_) => return Next::Done,
+            Ok(None) => {
+                return Next::Idle(Some(IdleOn {
+                    seen: self.rung.epoch(),
+                    event: Arc::clone(&self.rung),
+                    busy_ns: 0,
+                    deadline_ns: u64::MAX,
+                }))
+            }
+        };
+        let cost = &self.fabric.config.cost;
+        let target = match &cmd {
+            NicCmd::Post { src_qpn, wr, .. } => {
+                let target = one_sided_target(&self.fabric, &self.node, *src_qpn, wr);
+                clock::charge(match target {
+                    // One-sided verb: the requester NIC only fetches the
+                    // WQE and looks up its connection state before the
+                    // request packet leaves (no payload bytes move
+                    // through it at issue time); the payload DMA and
+                    // response generation are the responder NIC's work.
+                    // Charge the issue half here; the responder half is
+                    // queued on the destination node's lane (sharded by
+                    // the responder QPN, so per-QP FIFO order holds).
+                    Some(_) => cost
+                        .nic_service(0, resident(&self.node, *src_qpn))
+                        .as_nanos(),
+                    None => service_ns(cost, &self.node, *src_qpn, wr),
+                });
+                target
+            }
+            // `node` is the responder here: service time is priced by
+            // whether *this* NIC has the responder-side QP state
+            // resident — the fan-in effect: past the cache size, every
+            // one-sided verb pays the PCIe state fetch.
+            NicCmd::Respond { dst_qpn, wr, .. } => {
+                clock::charge(service_ns(cost, &self.node, *dst_qpn, wr));
+                None
+            }
+            NicCmd::Stop => return Next::Done,
+        };
+        self.serving = Some((cmd, target));
+        Next::Again
+    }
+
+    fn execute(&mut self, cmd: NicCmd, target: Option<Responder>) {
+        match (cmd, target) {
+            (NicCmd::Post { src_qpn, epoch, wr }, Some((dst, dst_qpn))) => dst.forward_cmd(
+                dst_qpn,
+                NicCmd::Respond {
+                    req_node: self.node.id(),
+                    src_qpn,
+                    dst_qpn,
+                    epoch,
+                    wr,
+                },
+            ),
+            (NicCmd::Post { src_qpn, epoch, wr }, None) => {
+                process(&self.fabric, &self.node, src_qpn, epoch, wr, &mut self.rng)
+            }
+            (
+                NicCmd::Respond {
+                    req_node,
+                    src_qpn,
+                    epoch,
+                    wr,
+                    ..
+                },
+                _,
+            ) => {
+                if let Ok(req) = self.fabric.node(req_node) {
+                    process(&self.fabric, &req, src_qpn, epoch, wr, &mut self.rng);
+                }
+            }
+            (NicCmd::Stop, _) => {}
+        }
+    }
 }
 
 /// Resolve the responder for a one-sided verb, when it can run on the
@@ -207,7 +261,7 @@ fn one_sided_target(
     node: &Node,
     src_qpn: QpNum,
     wr: &SendWr,
-) -> Option<(Arc<Node>, QpNum)> {
+) -> Option<Responder> {
     if !clock::is_virtual()
         || !matches!(
             wr.op,

@@ -3,8 +3,10 @@
 //! accounting visible in the server's fairness snapshot.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use flock_core::client::HandleConfig;
+use flock_core::sched::tenant::FairnessSnapshot;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
 use flock_gateway::proto::{MemcachedText, PingProto, Resp};
@@ -17,6 +19,22 @@ fn kv_server(domain: &FlockDomain, name: &str) -> (FlockServer, Arc<KvStore>) {
     let kv = Arc::new(KvStore::new(KvConfig::default()));
     register_kv_backend(&server, Arc::clone(&kv));
     (server, kv)
+}
+
+/// The server's fairness snapshot once `tenant` has `completed`
+/// responses on it. A dispatch shard counts a response after the flush
+/// that carries it, so on real threads the caller can hold the reply a
+/// moment before the count shows.
+fn snapshot_after(server: &FlockServer, tenant: u32, completed: u64) -> FairnessSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let snap = server.fairness_snapshot();
+        let counted = snap.tenant(tenant).map_or(0, |row| row.completed);
+        if counted >= completed || Instant::now() > deadline {
+            return snap;
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn gateway(domain: &Arc<FlockDomain>, name: &str) -> Gateway {
@@ -80,7 +98,7 @@ fn three_protocols_share_one_store() {
 
     // Per-tenant accounting reached the backend scheduler: three tenant
     // rows, each with completed requests matching its traffic.
-    let snap = server.fairness_snapshot();
+    let snap = snapshot_after(&server, 3, 2);
     let t1 = snap.tenant(1).expect("memcached tenant row");
     let t2 = snap.tenant(2).expect("resp tenant row");
     let t3 = snap.tenant(3).expect("ping tenant row");
@@ -116,7 +134,7 @@ fn sessions_of_one_tenant_share_one_connection() {
         assert_eq!(s.pump(wire.as_bytes(), &mut out).unwrap(), 1);
         assert_eq!(out, b"STORED\r\n");
     }
-    let snap = server.fairness_snapshot();
+    let snap = snapshot_after(&server, 7, 4);
     let row = snap.tenant(7).expect("tenant row");
     assert_eq!(row.senders, 1, "4 sessions share 1 sender");
     assert_eq!(row.completed, 4);

@@ -113,7 +113,11 @@ impl KvStore {
             Some(e) => {
                 // Unconditional puts ignore the lock (loader path).
                 let locked = e.is_locked();
-                e.value = value.to_vec();
+                // Overwrite in place: a put of the size the key already
+                // holds allocates nothing (handlers run on dispatch
+                // steps, whose allocations should not outlive them).
+                e.value.clear();
+                e.value.extend_from_slice(value);
                 e.word = (e.version() + 1) | if locked { crate::LOCK_BIT } else { 0 };
             }
             None => {

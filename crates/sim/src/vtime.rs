@@ -8,8 +8,9 @@
 //!
 //! ## How it works
 //!
-//! Every task spawned through `clock::spawn` gets its own OS thread, but
-//! the lab guarantees that **exactly one task executes at any wall
+//! Every task spawned through `clock::spawn` gets its own OS thread
+//! (512 KiB of stack; the service loops do not, see "Steppers" below),
+//! but the lab guarantees that **exactly one task executes at any wall
 //! instant**. All other tasks are parked on per-task condvars. A task
 //! runs until it yields through the seam (`yield_now`, `sleep_ns`, an
 //! [`flock_sync::AdaptiveBackoff::idle`] round, a [`flock_sync::backoff`]
@@ -37,6 +38,31 @@
 //! per poll instead of a futex wake and a context switch). [`LabReport`]
 //! counts the two apart: `handovers` and `elided_polls`.
 //!
+//! ## Steppers: tasks without a thread
+//!
+//! A service loop spawned through `clock::spawn_stepper` — a NIC lane, a
+//! server dispatch shard, a client response dispatcher — is given as its
+//! body, `step() -> Next`, and gets a heap entry but no OS thread. When
+//! step 2 pops a stepper, the task that is suspending (or exiting: the
+//! two share one scheduling loop, `next_thread_task`) releases the lab
+//! lock and runs the step itself, on its own stack, under
+//! `catch_unwind`, with `current` set to the stepper's id. What the step
+//! [`clock::charge`]d and what it returned decide the push the lab then
+//! makes for it ([`StepperTask::run_inline`]): `now + charge` after
+//! work, `now + charge + ladder round` after an empty sweep, the latter
+//! with the same [`Poll`] re-arming as any waiter when the stepper named
+//! the event that ends its idling. Those are exactly the pushes the same
+//! body makes through `advance`/`sleep_polling` when a thread drives it
+//! ([`StepperTask::drive`]) — same wake times, same sequence numbers, in
+//! the same pop order — so the timeline does not depend on who runs a
+//! step, and the only thing that changes is again the host cost: no
+//! futex wake, no context switch, no 512 KiB stack
+//! (`LabReport::inline_steps`, `LabReport::stepper_tasks`). The price is
+//! one rule: a step runs on somebody else's thread, so it must not reach
+//! a suspension point itself (the lab panics naming the stepper), its
+//! charges are set apart from the lending thread's, and it keeps nothing
+//! in `thread_local!`s.
+//!
 //! Because execution is serialized and wake-ups follow a total
 //! `(time, sequence)` order, the interleaving — and therefore every
 //! counter, histogram, and byte of benchmark output — is a pure function
@@ -59,7 +85,10 @@
 //!   `notify_all` on the event it sleeps on, before the next yield. The
 //!   lab does not run polls of un-notified events, so a missed notify
 //!   delays the waiter to its deadline; `run_report_reference` runs
-//!   every poll and panics at the first one that finds such a change.
+//!   every poll — and every stepper on a thread — and panics at the
+//!   first poll that finds such a change.
+//! * A step never waits: it returns `Next::Idle` where a loop would
+//!   sleep, and `Next::Again` where it would flush its charge.
 //! * Never yield while holding a lock another task can contend (the
 //!   holder parks; the contender then spins forever as the only runnable
 //!   task). All converted sites drop locks before yielding, as the
@@ -67,11 +96,12 @@
 //! * Join tasks through [`flock_sync::clock::TaskHandle::join`], which
 //!   sleeps in virtual time, never via a bare `JoinHandle`.
 //!
-//! A spawned task that panics fails the run instead of hanging it: the
-//! lab records `lab task '<name>' panicked: <message>`, frees the core,
-//! stops eliding, and unwinds every task with that message at its next
-//! suspension point — the root by a `panic!` out of
-//! [`VirtualLab::run`].
+//! A spawned task that panics — in its closure or in a step — fails the
+//! run instead of hanging it: the lab records `lab task '<name>'
+//! panicked: <message>`, frees the core, stops eliding, and unwinds
+//! every thread task with that message at its next suspension point —
+//! the root by a `panic!` out of [`VirtualLab::run`]. Steppers keep
+//! being run meanwhile, so destructors that stop and join them finish.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -80,10 +110,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use flock_sync::clock::{self, Executor, Poll, TaskExit, TaskHandle};
+use flock_sync::clock::{self, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
 
-/// Virtual cost of one bare yield, and the minimum advance of any
-/// suspension: no task can occupy the core for zero virtual time, so
+/// Virtual cost of one bare yield (`clock::yield_now`, a `backoff`
+/// spin). Not a floor on other suspensions: a sleep or a flushed charge
+/// advances by what was asked, clamped to 1 ns (`VirtualLab::suspend`)
+/// — enough that no task occupies the core for zero virtual time, so
 /// same-instant yield livelocks (producer spinning on a consumer
 /// scheduled later) are impossible by construction.
 pub const YIELD_COST_NS: u64 = 50;
@@ -133,8 +165,12 @@ struct LabState {
     /// `Reverse((wake_ns, seq, task_id))`: min-heap on (time, sequence).
     /// Invariant: every live task except `current` has exactly one entry.
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Slot per task id; `None` = id free (on `free_ids`).
+    /// Slot per thread task id; `None` = a stepper, or the id is free
+    /// (on `free_ids`).
     slots: Vec<Option<Arc<TaskSlot>>>,
+    /// Per task id, parallel to `slots`: a stepper, which has no thread
+    /// to park. Taken out while its step runs.
+    steppers: Vec<Option<Box<InlineStepper>>>,
     /// Per task id, parallel to `slots`: while the task is asleep in
     /// [`Executor::sleep_polling`], its schedule and the polls elided so
     /// far.
@@ -146,8 +182,14 @@ struct LabState {
     live: usize,
     handovers: u64,
     elided_polls: u64,
+    inline_steps: u64,
     tasks_spawned: u64,
-    /// Run every poll on its task (see `run_report_reference`).
+    stepper_tasks: u64,
+    /// A stepper's step is running (on the thread of the task that is
+    /// suspending or exiting): it must not suspend.
+    stepping: bool,
+    /// Run every poll on its task and every stepper on a thread (see
+    /// `run_report_reference`).
     reference: bool,
     /// The first panic of a spawned task, as `lab task '<name>' panicked:
     /// <message>`. From then on the run only unwinds: no poll is elided
@@ -165,7 +207,7 @@ impl LabState {
     /// Advance the clock to the earliest entry whose task has something
     /// to do and make that task current. Returns its id and the polls
     /// elided during the sleep this ends.
-    fn pop_runnable(&mut self) -> (usize, u64) {
+    fn pop_due(&mut self) -> (usize, u64) {
         loop {
             let Reverse((t, _, id)) = self
                 .heap
@@ -192,18 +234,57 @@ impl LabState {
                 }
             }
             self.current = id;
-            self.handovers += 1;
             let elided = self.polling[id].take().map_or(0, |(_, elided)| elided);
-            // A failed run says so to the task it resumes: a run that
-            // does not fail pays nothing for the check.
-            let failed = self.failed.is_some();
-            return (id, if failed { FAILED } else { elided });
+            return (id, elided);
         }
     }
 
     fn slot(&self, id: usize) -> Arc<TaskSlot> {
         self.slots[id].clone().expect("live task has no slot")
     }
+
+    /// A fresh task id, its first wake-up queued at the current instant
+    /// in spawn order (the spawner keeps the core until its own next
+    /// yield).
+    fn register(&mut self) -> usize {
+        let id = self.free_ids.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.steppers.push(None);
+            self.polling.push(None);
+            self.slots.len() - 1
+        });
+        self.live += 1;
+        self.tasks_spawned += 1;
+        self.push(self.now, id);
+        id
+    }
+
+    /// Deregister task `id`. Under the lab lock and before the next task
+    /// is chosen, so a joiner whose poll is due now sees the exit.
+    fn retire(&mut self, id: usize) {
+        self.slots[id] = None;
+        self.free_ids.push(id);
+        self.live -= 1;
+    }
+
+    /// Record the first panic of a spawned task; see `LabState::failed`.
+    fn fail(&mut self, name: &str, payload: &(dyn Any + Send)) {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(payload is not a string)");
+        self.failed
+            .get_or_insert_with(|| format!("lab task '{name}' panicked: {what}"));
+    }
+}
+
+/// A task the lab runs itself, one step at a time, whenever its heap
+/// entry comes up ([`Executor::spawn_stepper`]).
+struct InlineStepper {
+    name: String,
+    task: StepperTask,
+    exit: Arc<TaskExit>,
 }
 
 /// Fail fast: once a spawned task has panicked, end the calling task too
@@ -244,16 +325,25 @@ pub struct VirtualLab {
 pub struct LabReport {
     /// Final virtual clock value.
     pub virtual_ns: u64,
-    /// Times the lab gave the core to a task: one per suspension point
-    /// a task actually returned from, the first schedule of a spawned
-    /// task included. What the run cost the host.
+    /// Times the lab gave the core to a task's OS thread: one per
+    /// suspension point a thread task actually returned from, its first
+    /// schedule included. What the run cost the host in futex calls and
+    /// context switches.
     pub handovers: u64,
     /// Polls of un-notified events the lab re-armed without waking the
-    /// task. `handovers + elided_polls` is the number of suspension
-    /// points of a run in which tasks execute every poll themselves.
+    /// task.
     pub elided_polls: u64,
-    /// Tasks spawned over the run (excluding the root).
+    /// Times the lab ran a stepper that was due, on the thread of the
+    /// task giving up the core. `handovers + elided_polls +
+    /// inline_steps` is the number of suspension points of a run in
+    /// which every task is a thread and executes every poll itself.
+    pub inline_steps: u64,
+    /// Tasks spawned over the run (excluding the root), steppers
+    /// included.
     pub tasks_spawned: u64,
+    /// How many of them were steppers the lab ran inline: tasks with no
+    /// OS thread (0 in the reference run).
+    pub stepper_tasks: u64,
 }
 
 impl VirtualLab {
@@ -265,13 +355,17 @@ impl VirtualLab {
                     seq: 0,
                     heap: BinaryHeap::new(),
                     slots: Vec::new(),
+                    steppers: Vec::new(),
                     polling: Vec::new(),
                     free_ids: Vec::new(),
                     current: 0,
                     live: 0,
                     handovers: 0,
                     elided_polls: 0,
+                    inline_steps: 0,
                     tasks_spawned: 0,
+                    stepper_tasks: 0,
+                    stepping: false,
                     reference,
                     failed: None,
                 }),
@@ -296,12 +390,15 @@ impl VirtualLab {
         Self::run_lab(VirtualLab::new(false), f)
     }
 
-    /// The reference the elision is tested against, for tests only:
-    /// every poll runs on its task, as if [`Executor::sleep_polling`]
-    /// were a plain sleep. Same virtual timeline and results as
-    /// [`VirtualLab::run_report`], `elided_polls == 0`, and `handovers`
-    /// equal to the other's `handovers + elided_polls`. Because every
-    /// poll is executed, the missed-notify panics of
+    /// The reference the lab's shortcuts are tested against, for tests
+    /// only: every poll runs on its task, as if
+    /// [`Executor::sleep_polling`] were a plain sleep, and every stepper
+    /// on a thread of its own ([`StepperTask::drive`], the loop the
+    /// threaded executor runs). Same virtual timeline and results as
+    /// [`VirtualLab::run_report`], `elided_polls == 0`, `inline_steps ==
+    /// 0`, and `handovers` equal to the other's `handovers +
+    /// elided_polls + inline_steps`. Because every poll is executed, the
+    /// missed-notify panics of
     /// [`clock::Event::wait_until`] and
     /// [`flock_sync::AdaptiveBackoff::reset`] fire at the first poll
     /// that finds a change nobody announced.
@@ -311,8 +408,9 @@ impl VirtualLab {
     }
 
     /// Run `f` under the reference and under the lab, assert that the
-    /// two agree — same result, same final clock, every elided poll one
-    /// of the reference's handovers — and return the lab's run.
+    /// two agree — same result, same final clock, every elided poll and
+    /// every inline step one of the reference's handovers — and return
+    /// the lab's run.
     #[doc(hidden)]
     pub fn run_against_reference<R>(f: impl Fn() -> R) -> (R, LabReport)
     where
@@ -322,15 +420,19 @@ impl VirtualLab {
         let (got, report) = Self::run_report(&f);
         assert_eq!(got, want, "result differs from the reference run's");
         assert_eq!(report.virtual_ns, reference.virtual_ns);
-        assert_eq!(reference.elided_polls, 0);
-        assert_eq!(reference.handovers, report.handovers + report.elided_polls);
+        assert_eq!((reference.elided_polls, reference.inline_steps), (0, 0));
+        assert_eq!(
+            reference.handovers,
+            report.handovers + report.elided_polls + report.inline_steps
+        );
         (got, report)
     }
 
     fn run_lab<R>(lab: VirtualLab, f: impl FnOnce() -> R) -> (R, LabReport) {
         {
-            let mut st = lab.inner.state.lock().expect("lab poisoned");
+            let mut st = lab.lock();
             st.slots.push(Some(Arc::new(TaskSlot::new())));
+            st.steppers.push(None);
             st.polling.push(None);
             st.live = 1;
             st.current = 0;
@@ -338,7 +440,7 @@ impl VirtualLab {
         let guard = clock::install(Arc::new(lab.clone()));
         let result = f();
         drop(guard);
-        let st = raise_if_failed(lab.inner.state.lock().expect("lab poisoned"));
+        let st = raise_if_failed(lab.lock());
         assert_eq!(
             st.live, 1,
             "VirtualLab::run returned with {} spawned task(s) still live; join all tasks before returning",
@@ -348,42 +450,78 @@ impl VirtualLab {
             virtual_ns: st.now,
             handovers: st.handovers,
             elided_polls: st.elided_polls,
+            inline_steps: st.inline_steps,
             tasks_spawned: st.tasks_spawned,
+            stepper_tasks: st.stepper_tasks,
         };
         (result, report)
     }
 
-    /// Record the first panic of a spawned task; see `LabState::failed`.
-    fn record_failure(&self, name: &str, payload: &(dyn Any + Send)) {
-        let what = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("(payload is not a string)");
-        let mut st = self.inner.state.lock().expect("lab poisoned");
-        st.failed
-            .get_or_insert_with(|| format!("lab task '{name}' panicked: {what}"));
+    fn lock(&self) -> MutexGuard<'_, LabState> {
+        self.inner.state.lock().expect("lab poisoned")
+    }
+
+    /// The one scheduling loop, shared by a task that suspends and one
+    /// that exits: advance to the next thread task that is due and
+    /// return its id and what its slot is to be woken with. Every
+    /// stepper that comes up on the way is run here, on the calling
+    /// thread, with the lab lock released — and then makes the push its
+    /// own `advance`/`sleep_polling` would have made on a thread: same
+    /// wake time, next sequence number, same poll re-arming.
+    fn next_thread_task<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, LabState>,
+    ) -> (MutexGuard<'a, LabState>, usize, u64) {
+        loop {
+            let (id, elided) = st.pop_due();
+            let Some(mut stepper) = st.steppers[id].take() else {
+                st.handovers += 1;
+                // A failed run says so to the task it resumes: a run
+                // that does not fail pays nothing for the check.
+                let go = if st.failed.is_some() { FAILED } else { elided };
+                return (st, id, go);
+            };
+            st.inline_steps += 1;
+            st.stepping = true;
+            drop(st);
+            let outcome = stepper.task.run_inline(elided);
+            st = self.lock();
+            st.stepping = false;
+            let (wake_after, polling) = match outcome {
+                Ok(Resume::After(ns)) => (ns, None),
+                Ok(Resume::Polling(first_ns, poll)) => (first_ns, Some((poll, 0))),
+                Ok(Resume::Done) => {
+                    st.retire(id);
+                    stepper.exit.signal();
+                    continue;
+                }
+                Err(payload) => {
+                    st.fail(&stepper.name, payload.as_ref());
+                    st.retire(id);
+                    stepper.exit.signal_panic(payload);
+                    continue;
+                }
+            };
+            st.polling[id] = polling;
+            let wake = st.now.saturating_add(wake_after.max(1));
+            st.push(wake, id);
+            st.steppers[id] = Some(stepper);
+        }
     }
 
     /// Deregister the calling (current) task and hand the core to the
     /// next scheduled one. Called by the spawn wrapper after the task
-    /// body returns; `exit` is signalled under the lab lock, before the
-    /// next task is chosen, so a joiner whose poll is due now runs it.
+    /// body returns.
     fn exit_current(&self, exit: &TaskExit) {
-        let next = {
-            let mut st = self.inner.state.lock().expect("lab poisoned");
-            let me = st.current;
-            st.slots[me] = None;
-            st.free_ids.push(me);
-            st.live -= 1;
-            exit.signal();
-            (st.live > 0).then(|| {
-                let (id, elided) = st.pop_runnable();
-                (st.slot(id), elided)
-            })
-        };
-        if let Some((slot, elided)) = next {
-            slot.wake(elided);
+        let mut st = self.lock();
+        let me = st.current;
+        st.retire(me);
+        exit.signal();
+        if st.live > 0 {
+            let (st, id, go) = self.next_thread_task(st);
+            let next = st.slot(id);
+            drop(st);
+            next.wake(go);
         }
     }
 
@@ -393,30 +531,37 @@ impl VirtualLab {
     fn suspend(&self, ns: u64, polling: Option<Poll>) -> u64 {
         // Strictly positive advance: see YIELD_COST_NS.
         let ns = ns.max(1);
-        let (next, elided, mine) = {
-            let mut st = raise_if_failed(self.inner.state.lock().expect("lab poisoned"));
-            let me = st.current;
-            st.polling[me] = polling.map(|p| (p, 0));
-            let wake = st.now.saturating_add(ns);
-            st.push(wake, me);
-            let (id, elided) = st.pop_runnable();
-            if id == me {
-                // Fast path: we are still the earliest task; keep the core.
-                drop(st);
-                return self.resumed(elided);
-            }
-            (st.slot(id), elided, st.slot(me))
-        };
-        next.wake(elided);
+        let st = self.lock();
+        if st.stepping {
+            // Never unwind through the lab lock.
+            drop(st);
+            panic!(
+                "a step must not suspend (clock::yield_now, sleep, flush_charge, \
+                 Event::wait_until, a join): it runs on another task's thread; \
+                 return Next::Idle or Next::Again instead"
+            );
+        }
+        let mut st = raise_if_failed(st);
+        let me = st.current;
+        st.polling[me] = polling.map(|p| (p, 0));
+        let wake = st.now.saturating_add(ns);
+        st.push(wake, me);
+        let (st, id, go) = self.next_thread_task(st);
+        if id == me {
+            // Fast path: we are still the earliest task; keep the core.
+            drop(st);
+            return self.resumed(go);
+        }
+        let (next, mine) = (st.slot(id), st.slot(me));
+        drop(st);
+        next.wake(go);
         self.resumed(mine.park())
     }
 
     /// Back on the core after a suspension that elided `elided` polls.
     fn resumed(&self, elided: u64) -> u64 {
         if elided == FAILED {
-            drop(raise_if_failed(
-                self.inner.state.lock().expect("lab poisoned"),
-            ));
+            drop(raise_if_failed(self.lock()));
             return 0; // already unwinding
         }
         elided
@@ -425,7 +570,7 @@ impl VirtualLab {
 
 impl Executor for VirtualLab {
     fn now_ns(&self) -> u64 {
-        self.inner.state.lock().expect("lab poisoned").now
+        self.lock().now
     }
 
     fn advance(&self, ns: u64) {
@@ -439,22 +584,9 @@ impl Executor for VirtualLab {
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
         let slot = Arc::new(TaskSlot::new());
         {
-            let mut st = self.inner.state.lock().expect("lab poisoned");
-            let id = match st.free_ids.pop() {
-                Some(id) => id,
-                None => {
-                    st.slots.push(None);
-                    st.polling.push(None);
-                    st.slots.len() - 1
-                }
-            };
+            let mut st = self.lock();
+            let id = st.register();
             st.slots[id] = Some(slot.clone());
-            st.live += 1;
-            st.tasks_spawned += 1;
-            // First wake-up at the current instant, in spawn order; the
-            // spawner keeps the core until its own next yield.
-            let now = st.now;
-            st.push(now, id);
         }
         let lab = self.clone();
         let exit = Arc::new(TaskExit::default());
@@ -470,7 +602,7 @@ impl Executor for VirtualLab {
                 slot.park(); // wait to be scheduled for the first time
                 let outcome = catch_unwind(AssertUnwindSafe(f));
                 if let Err(payload) = &outcome {
-                    lab.record_failure(&task, payload.as_ref());
+                    lab.lock().fail(&task, payload.as_ref());
                 }
                 // Release the core whatever happened: a task that died
                 // holding it would leave every other task parked.
@@ -481,6 +613,23 @@ impl Executor for VirtualLab {
             })
             .expect("spawn virtual task thread");
         TaskHandle::virtualized(thread, exit)
+    }
+
+    fn spawn_stepper(&self, name: String, task: StepperTask) -> TaskHandle {
+        let mut st = self.lock();
+        if st.reference {
+            drop(st);
+            return self.spawn_task(name, Box::new(move || task.drive()));
+        }
+        let exit = Arc::new(TaskExit::default());
+        let id = st.register();
+        st.stepper_tasks += 1;
+        st.steppers[id] = Some(Box::new(InlineStepper {
+            name,
+            task,
+            exit: exit.clone(),
+        }));
+        TaskHandle::inline(exit)
     }
 
     fn yield_cost_ns(&self) -> u64 {
@@ -789,6 +938,204 @@ mod tests {
             .expect("a formatted message");
         assert_eq!(message, "lab task 'doomed' panicked: boom at 1000 ns");
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    /// A lane-like idle ladder (2 µs cap) for the stepper tests.
+    fn ladder() -> flock_sync::AdaptiveBackoff {
+        flock_sync::AdaptiveBackoff::new(std::time::Duration::from_micros(2))
+            .with_virtual_cap(2_000)
+    }
+
+    #[test]
+    fn stepper_interleaves_with_thread_tasks_as_its_thread_driven_twin_does() {
+        use clock::{IdleOn, Next};
+        let (log, report) = VirtualLab::run_against_reference(|| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let shared = Arc::new((Arc::new(clock::Event::new()), Flag::default()));
+            let stepper = {
+                let (log, shared) = (log.clone(), shared.clone());
+                let mut steps = 0;
+                clock::spawn_stepper("stepper", ladder(), move || {
+                    let (bell, rung) = &*shared;
+                    steps += 1;
+                    if steps <= 8 {
+                        log.lock().unwrap().push((clock::now_ns(), "step"));
+                    }
+                    match steps {
+                        // Busy rounds of 100 ns: due at the very instants
+                        // the 100 ns sleeper is, and every other one of
+                        // the 50 ns sleeper's.
+                        1..=4 => {
+                            clock::charge(100);
+                            Next::Again
+                        }
+                        // Work that charged nothing: no yield before the
+                        // next step.
+                        5 => Next::Again,
+                        // Plain ladder rounds after 30 ns sweeps.
+                        6..=8 => {
+                            clock::charge(30);
+                            Next::Idle(None)
+                        }
+                        // Then 20 ns sweeps on the doorbell. How many of
+                        // these run depends on who drives: no log.
+                        _ => {
+                            let seen = bell.epoch();
+                            if rung.is_set().is_some() {
+                                log.lock().unwrap().push((clock::now_ns(), "rung"));
+                                return Next::Done;
+                            }
+                            clock::charge(20);
+                            Next::Idle(Some(IdleOn {
+                                event: bell.clone(),
+                                seen,
+                                busy_ns: 20,
+                                deadline_ns: u64::MAX,
+                            }))
+                        }
+                    }
+                })
+            };
+            let sleepers: Vec<_> = [("a", 100), ("b", 50)]
+                .into_iter()
+                .map(|(tag, period)| {
+                    let log = log.clone();
+                    clock::spawn(tag, move || {
+                        for _ in 0..12 {
+                            clock::sleep_ns(period);
+                            log.lock().unwrap().push((clock::now_ns(), tag));
+                        }
+                    })
+                })
+                .collect();
+            for sleeper in sleepers {
+                sleeper.join().unwrap();
+            }
+            clock::sleep_ns(20_000);
+            shared.1.set();
+            shared.0.notify_all();
+            stepper.join().unwrap();
+            let log = log.lock().unwrap().clone();
+            log
+        });
+        let steps: Vec<u64> = log.iter().filter(|e| e.1 == "step").map(|e| e.0).collect();
+        // Four charged rounds, the free one at the instant of the fifth,
+        // then 30 + 250, 30 + 500, 30 + 1 000 ns ladder rounds.
+        assert_eq!(steps, [0, 100, 200, 300, 400, 400, 680, 1_210]);
+        assert_eq!((report.stepper_tasks, report.tasks_spawned), (1, 3));
+        assert!(report.inline_steps >= 8, "{report:?}");
+        assert!(report.elided_polls > 5, "{report:?}");
+    }
+
+    #[test]
+    fn a_panicking_step_fails_the_run_at_once() {
+        let started = std::time::Instant::now();
+        let failure = std::panic::catch_unwind(|| {
+            VirtualLab::run(|| {
+                let mut steps = 0;
+                let doomed = clock::spawn_stepper("doomed-stepper", ladder(), move || {
+                    steps += 1;
+                    assert!(steps < 3, "boom in step {steps} at {} ns", clock::now_ns());
+                    clock::charge(500);
+                    clock::Next::Again
+                });
+                let _ = doomed.join();
+            })
+        })
+        .expect_err("the step's panic must fail the run");
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(
+            message,
+            "lab task 'doomed-stepper' panicked: boom in step 3 at 1000 ns"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_step_that_suspends_fails_the_run_and_names_the_stepper() {
+        let failure = std::panic::catch_unwind(|| {
+            VirtualLab::run(|| {
+                let sleepy = clock::spawn_stepper("sleepy", ladder(), || {
+                    clock::yield_now();
+                    clock::Next::Done
+                });
+                let _ = sleepy.join();
+            })
+        })
+        .expect_err("a suspension inside a step must fail the run");
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            message.starts_with("lab task 'sleepy' panicked: a step must not suspend"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn an_exiting_task_does_not_lend_its_charges_to_the_next_step() {
+        let (steps, report) = VirtualLab::run_against_reference(|| {
+            let steps = Arc::new(Mutex::new(Vec::new()));
+            // Scheduled first, exits with a millisecond charged and never
+            // flushed: the stepper's first step runs on its thread.
+            let spender = clock::spawn("spender", || clock::charge(1_000_000));
+            let stepper = {
+                let steps = steps.clone();
+                clock::spawn_stepper("stepper", ladder(), move || {
+                    let mut steps = steps.lock().unwrap();
+                    steps.push(clock::now_ns());
+                    if steps.len() == 3 {
+                        return clock::Next::Done;
+                    }
+                    clock::charge(100);
+                    clock::Next::Again
+                })
+            };
+            spender.join().unwrap();
+            stepper.join().unwrap();
+            let steps = steps.lock().unwrap().clone();
+            steps
+        });
+        assert_eq!(steps, [0, 100, 200]);
+        assert_eq!(report.inline_steps, 3);
+    }
+
+    #[test]
+    fn idle_stepper_costs_one_heap_operation_per_poll() {
+        let ((), report) = VirtualLab::run_against_reference(|| {
+            let shared = Arc::new((Arc::new(clock::Event::new()), Flag::default()));
+            let stepper = {
+                let shared = shared.clone();
+                clock::spawn_stepper("idle", ladder(), move || {
+                    let (bell, rung) = &*shared;
+                    let seen = bell.epoch();
+                    if rung.is_set().is_some() {
+                        return clock::Next::Done;
+                    }
+                    clock::Next::Idle(Some(clock::IdleOn {
+                        event: bell.clone(),
+                        seen,
+                        busy_ns: 0,
+                        deadline_ns: u64::MAX,
+                    }))
+                })
+            };
+            clock::sleep_ns(1_000_000);
+            shared.1.set();
+            shared.0.notify_all();
+            stepper.join().unwrap();
+        });
+        // The first step, and the one after the notify. In between, a
+        // poll every 2 µs once the ladder is at its cap (250, 750, 1 750,
+        // 3 750 … 999 750 ns: 502), none of which runs anything. The
+        // only thread that ever gets the core is the root: back from its
+        // sleep, and from its join, whose first poll (the stepper still
+        // has its last step to run) is the one other elided one.
+        assert_eq!(report.inline_steps, 2);
+        assert_eq!(report.handovers, 2);
+        assert_eq!(report.elided_polls, 503);
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //!   is deterministic and can simulate any degree of parallelism on a
 //!   single host CPU (see DESIGN.md §5e).
 //!
+//! A service loop can be handed to the seam as its body instead of a
+//! closure that loops ([`spawn_stepper`]): `step() -> `[`Next`] runs one
+//! round and says whether the loop would now flush its charge and go on,
+//! idle a round of its [`AdaptiveBackoff`] ladder, or end. The threaded
+//! executor runs `loop { step }` on a thread, which is the loop as it
+//! was ([`StepperTask::drive`]); a virtual executor may run the steps
+//! itself, on the thread of whichever task gives up the core, and then
+//! the task has no thread at all ([`StepperTask::run_inline`]).
+//!
 //! House rule for virtual tasks: **never yield while holding a lock
 //! another task can contend**. The threaded code already obeys this (all
 //! its spin/park sites drop locks first); conversions must preserve it,
@@ -33,12 +42,18 @@
 //! an [`Event::wait_until`] is followed by that event's `notify_all`
 //! before the changer yields. A parked thread needs it to wake at all;
 //! a virtual executor needs it to know which polls it may skip
-//! ([`Executor::sleep_polling`]).
+//! ([`Executor::sleep_polling`]). And **a step never waits**: it may
+//! run on another task's thread, so it returns [`Next::Idle`] where a
+//! loop would sleep and keeps no state in `thread_local!`s.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::AdaptiveBackoff;
 
 /// A cooperative scheduler driving virtual tasks. Implemented by
 /// `flock_sim::vtime::VirtualLab`; installed per task via [`install`].
@@ -48,15 +63,26 @@ pub trait Executor: Send + Sync {
 
     /// Yield the virtual core, charging `ns` of virtual time before the
     /// task becomes runnable again. Implementations clamp `ns` to at
-    /// least their yield cost so every yield makes virtual progress
-    /// (a zero-cost yield could spin forever at one instant).
+    /// least 1 ns so every yield makes virtual progress (a zero-cost
+    /// yield could spin forever at one instant). The yield cost is not a
+    /// floor: [`yield_now`] adds it, [`flush_charge`] and [`sleep_ns`]
+    /// advance by exactly what was charged or asked for.
     fn advance(&self, ns: u64);
 
     /// Spawn a new cooperative task. The child begins runnable at the
     /// current virtual instant and inherits this executor.
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle;
 
-    /// The minimum virtual cost of one yield.
+    /// Spawn a task given as a step function ([`spawn_stepper`]). The
+    /// default hosts it like any other task, on a thread of its own
+    /// running [`StepperTask::drive`]; an executor that owns the
+    /// scheduling loop can run the steps itself
+    /// ([`StepperTask::run_inline`]) and needs no thread at all.
+    fn spawn_stepper(&self, name: String, task: StepperTask) -> TaskHandle {
+        self.spawn_task(name, Box::new(move || task.drive()))
+    }
+
+    /// The virtual cost of one bare [`yield_now`].
     fn yield_cost_ns(&self) -> u64;
 
     /// Sleep `first_ns`, then keep re-sleeping the task on `poll`'s
@@ -409,6 +435,8 @@ impl Event {
 pub struct TaskExit {
     finished: AtomicBool,
     event: Event,
+    /// What a task with no thread of its own died of, for its joiner.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl TaskExit {
@@ -418,6 +446,14 @@ impl TaskExit {
     pub fn signal(&self) {
         self.finished.store(true, Ordering::Release);
         self.event.notify_all();
+    }
+
+    /// [`TaskExit::signal`] for an inline stepper whose step panicked:
+    /// [`TaskHandle::join`] hands `payload` to the joiner, as joining a
+    /// panicked thread would.
+    pub fn signal_panic(&self, payload: Box<dyn Any + Send>) {
+        *self.panic.lock().unwrap_or_else(PoisonError::into_inner) = Some(payload);
+        self.signal();
     }
 }
 
@@ -431,7 +467,8 @@ impl TaskExit {
 /// joiner holds the virtual core the joinee needs to finish.
 #[derive(Debug)]
 pub struct TaskHandle {
-    inner: std::thread::JoinHandle<()>,
+    /// `None` for a stepper its executor runs inline.
+    inner: Option<std::thread::JoinHandle<()>>,
     /// `Some` for virtual tasks.
     exit: Option<Arc<TaskExit>>,
 }
@@ -439,14 +476,26 @@ pub struct TaskHandle {
 impl TaskHandle {
     /// Wrap a plain OS thread (threaded mode).
     pub fn threaded(inner: std::thread::JoinHandle<()>) -> TaskHandle {
-        TaskHandle { inner, exit: None }
+        TaskHandle {
+            inner: Some(inner),
+            exit: None,
+        }
     }
 
     /// Wrap a virtual task and its exit flag (virtual mode; called by
     /// executor implementations, which [`TaskExit::signal`] it).
     pub fn virtualized(inner: std::thread::JoinHandle<()>, exit: Arc<TaskExit>) -> TaskHandle {
         TaskHandle {
-            inner,
+            inner: Some(inner),
+            exit: Some(exit),
+        }
+    }
+
+    /// The handle of a stepper that has no thread: its executor runs the
+    /// steps and [`TaskExit::signal`]s `exit` after the last one.
+    pub fn inline(exit: Arc<TaskExit>) -> TaskHandle {
+        TaskHandle {
+            inner: None,
             exit: Some(exit),
         }
     }
@@ -460,7 +509,13 @@ impl TaskHandle {
                 exit.finished.load(Ordering::Acquire).then_some(())
             });
         }
-        self.inner.join()
+        match (self.inner, self.exit) {
+            (Some(thread), _) => thread.join(),
+            (None, exit) => {
+                let panic = exit.and_then(|e| e.panic.lock().ok()?.take());
+                panic.map_or(Ok(()), Err)
+            }
+        }
     }
 
     /// Whether the task has already finished (virtual tasks only;
@@ -468,7 +523,10 @@ impl TaskHandle {
     pub fn is_finished(&self) -> bool {
         match &self.exit {
             Some(exit) => exit.finished.load(Ordering::Acquire),
-            None => self.inner.is_finished(),
+            None => self
+                .inner
+                .as_ref()
+                .is_none_or(|thread| thread.is_finished()),
         }
     }
 }
@@ -486,6 +544,170 @@ pub fn spawn(name: &str, f: impl FnOnce() + Send + 'static) -> TaskHandle {
                 .spawn(f)
                 .expect("spawn worker thread"),
         ),
+    }
+}
+
+/// What one step of a [`spawn_stepper`] task asks for next.
+#[derive(Debug)]
+pub enum Next {
+    /// The step did work: apply what it [`charge`]d (a [`flush_charge`]),
+    /// snap the idle ladder back ([`AdaptiveBackoff::reset`]), step
+    /// again.
+    Again,
+    /// The step found nothing to do: one idle round of the task's
+    /// [`AdaptiveBackoff`] ladder, then step again —
+    /// [`AdaptiveBackoff::idle_on`] the named event with `Some`, a plain
+    /// [`AdaptiveBackoff::idle`] round with `None`.
+    Idle(Option<IdleOn>),
+    /// The task is over; its state is dropped.
+    Done,
+}
+
+/// The arguments of [`AdaptiveBackoff::idle_on`], for [`Next::Idle`].
+#[derive(Debug)]
+pub struct IdleOn {
+    /// The event that announces everything the step looks at.
+    pub event: Arc<Event>,
+    /// [`Event::epoch`], read before the checks that found nothing.
+    pub seen: u64,
+    /// What every such empty step [`charge`]s, this one included.
+    pub busy_ns: u64,
+    /// Last instant at which a step still finds nothing (`u64::MAX` when
+    /// it watches no clock).
+    pub deadline_ns: u64,
+}
+
+/// A service loop given as its body: what [`spawn_stepper`] hands to
+/// whoever drives it.
+pub struct StepperTask {
+    step: Box<dyn FnMut() -> Next + Send>,
+    idler: AdaptiveBackoff,
+    /// Event and epoch of the [`Next::Idle`] round being slept inline.
+    asleep_on: Option<(Arc<Event>, u64)>,
+}
+
+/// What an executor running a stepper inline schedules after
+/// [`StepperTask::run_inline`].
+#[derive(Debug)]
+pub enum Resume {
+    /// Run it again after `ns`, as after [`Executor::advance`].
+    After(u64),
+    /// Sleep `first_ns`, then the poll schedule, as in
+    /// [`Executor::sleep_polling`]; pass the polls slept through to the
+    /// next `run_inline`.
+    Polling(u64, Poll),
+    /// The task is over and its state dropped.
+    Done,
+}
+
+impl StepperTask {
+    /// The stepper as a loop on a thread of its own — threaded mode, and
+    /// an executor's [`Executor::spawn_stepper`] default: exactly the
+    /// loop its body was cut from.
+    pub fn drive(mut self) {
+        loop {
+            match (self.step)() {
+                Next::Again => {
+                    self.idler.reset();
+                    flush_charge();
+                }
+                Next::Idle(None) => self.idler.idle(),
+                Next::Idle(Some(on)) => {
+                    self.idler
+                        .idle_on(&on.event, on.seen, on.busy_ns, on.deadline_ns)
+                }
+                Next::Done => return,
+            }
+        }
+    }
+
+    /// Run steps on the calling thread until one has to wait, and return
+    /// the wait [`StepperTask::drive`] would have made through the seam
+    /// at that point, for the executor to make itself; `Err` is the
+    /// payload of a step that panicked. `slept` is what
+    /// [`Executor::sleep_polling`] would have returned for the previous
+    /// [`Resume::Polling`] (0 otherwise).
+    ///
+    /// The steps [`charge`] the stepper, whatever the calling thread had
+    /// pending: that is set aside and put back. A step must not reach a
+    /// suspension point — the thread it runs on is somebody else's. A
+    /// task that is over, or dead, drops its state before this returns,
+    /// so that whatever the destructors do (charge, read the clock) is
+    /// done outside the executor's locks and charged to nobody.
+    pub fn run_inline(&mut self, slept: u64) -> std::thread::Result<Resume> {
+        if let Some((event, seen)) = self.asleep_on.take() {
+            self.idler.slept_through(slept, event.epoch() == seen);
+        }
+        struct Lender(u64);
+        impl Drop for Lender {
+            fn drop(&mut self) {
+                PENDING_NS.with(|p| p.set(self.0));
+            }
+        }
+        let _lender = Lender(take_pending());
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.steps_until_a_wait()));
+        if !matches!(outcome, Ok(Resume::After(_) | Resume::Polling(..))) {
+            self.step = Box::new(|| Next::Done);
+        }
+        outcome
+    }
+
+    fn steps_until_a_wait(&mut self) -> Resume {
+        loop {
+            match (self.step)() {
+                Next::Again => {
+                    self.idler.reset();
+                    let charged = take_pending();
+                    if charged > 0 {
+                        return Resume::After(charged);
+                    }
+                    // `flush_charge` with nothing pending does not yield.
+                }
+                Next::Idle(None) => {
+                    let round = self.idler.virtual_round();
+                    return Resume::After(take_pending().saturating_add(round));
+                }
+                Next::Idle(Some(on)) => {
+                    let (first, poll) =
+                        self.idler
+                            .virtual_round_on(&on.event, on.seen, on.busy_ns, on.deadline_ns);
+                    self.asleep_on = Some((on.event, on.seen));
+                    return Resume::Polling(take_pending().saturating_add(first), poll);
+                }
+                Next::Done => return Resume::Done,
+            }
+        }
+    }
+}
+
+/// Spawn a service loop through the seam, given as its body: `step`
+/// runs one round and says what the loop does before the next
+/// ([`Next`]); `idler` is the loop's idle ladder. Whatever `step` owns
+/// is the task's state.
+///
+/// In threaded mode, and under an executor that does nothing special,
+/// this is [`spawn`] of `loop { step }` ([`StepperTask::drive`]): the
+/// task blocks, spins, yields and parks as the loop always did. An
+/// executor that owns the scheduling loop (`flock_sim::vtime::VirtualLab`)
+/// gives the task no thread: it calls `step` itself whenever the task
+/// is due, on the thread of whichever task is suspending. For that a
+/// step obeys one more house rule: **a step never waits** — no
+/// [`yield_now`], [`sleep_ns`], [`Event::wait_until`] or join; it
+/// returns [`Next::Idle`] instead — and it keeps no state in
+/// `thread_local!`s, since consecutive steps run on different threads.
+pub fn spawn_stepper(
+    name: &str,
+    idler: AdaptiveBackoff,
+    step: impl FnMut() -> Next + Send + 'static,
+) -> TaskHandle {
+    let task = StepperTask {
+        step: Box::new(step),
+        idler,
+        asleep_on: None,
+    };
+    match current() {
+        Some(e) => e.spawn_stepper(name.to_string(), task),
+        None => spawn(name, move || task.drive()),
     }
 }
 

@@ -205,9 +205,7 @@ pub struct AdaptiveBackoff {
     // Unread under cfg(loom), where every tier is a voluntary yield.
     #[cfg_attr(loom, allow(dead_code))]
     max_park: std::time::Duration,
-    // Cap of the virtual ladder; unread under cfg(loom) for the same
-    // reason as `max_park`.
-    #[cfg_attr(loom, allow(dead_code))]
+    /// Cap of the virtual ladder.
     virtual_cap_ns: u64,
     /// The last [`AdaptiveBackoff::idle_on`] round returned with its
     /// event un-notified: work found now was never announced.
@@ -280,10 +278,47 @@ impl AdaptiveBackoff {
 
     /// Sleep of the virtual ladder's current round: doubles per idle
     /// round from [`Self::VIRTUAL_FIRST_POLL_NS`] up to the cap.
-    #[cfg(not(loom))]
     fn virtual_poll_ns(&self) -> u64 {
         let exp = self.idle_rounds.saturating_sub(1).min(12);
         (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns)
+    }
+
+    /// Count one idle round of the virtual ladder and return its sleep:
+    /// the virtual arm of [`AdaptiveBackoff::idle`] without the sleep,
+    /// for whoever makes it on the task's behalf.
+    fn virtual_round(&mut self) -> u64 {
+        self.idle_rounds = self.idle_rounds.saturating_add(1);
+        self.virtual_poll_ns()
+    }
+
+    /// [`Self::virtual_round`] for a round slept on `event`: its sleep,
+    /// and the schedule of the rounds an executor may sleep through
+    /// after it (see [`AdaptiveBackoff::idle_on`] for the arguments).
+    fn virtual_round_on(
+        &mut self,
+        event: &clock::Event,
+        seen: u64,
+        busy_ns: u64,
+        deadline_ns: u64,
+    ) -> (u64, clock::Poll) {
+        let first = self.virtual_round();
+        let cap = self.virtual_cap_ns.min(Self::VIRTUAL_MAX_POLL_NS);
+        let poll = clock::Poll {
+            cap_ns: cap,
+            busy_ns,
+            ..event.poll_every(seen, first.saturating_mul(2).min(cap), deadline_ns)
+        };
+        (first, poll)
+    }
+
+    /// Back from a [`Self::virtual_round_on`] sleep during which the
+    /// executor slept through `slept` further rounds; `quiet` = the
+    /// event is still un-notified.
+    fn slept_through(&mut self, slept: u64, quiet: bool) {
+        self.idle_rounds = self
+            .idle_rounds
+            .saturating_add(u32::try_from(slept).unwrap_or(u32::MAX));
+        self.quiet = quiet;
     }
 
     /// Nothing to do this round: spin, yield, or park per the ladder.
@@ -341,19 +376,9 @@ impl AdaptiveBackoff {
     pub fn idle_on(&mut self, event: &clock::Event, seen: u64, busy_ns: u64, deadline_ns: u64) {
         #[cfg(not(loom))]
         if let Some(exec) = clock::current() {
-            self.idle_rounds = self.idle_rounds.saturating_add(1);
-            let first = self.virtual_poll_ns();
-            let cap = self.virtual_cap_ns.min(Self::VIRTUAL_MAX_POLL_NS);
-            let poll = clock::Poll {
-                cap_ns: cap,
-                busy_ns,
-                ..event.poll_every(seen, first.saturating_mul(2).min(cap), deadline_ns)
-            };
+            let (first, poll) = self.virtual_round_on(event, seen, busy_ns, deadline_ns);
             let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
-            self.idle_rounds = self
-                .idle_rounds
-                .saturating_add(u32::try_from(slept).unwrap_or(u32::MAX));
-            self.quiet = event.epoch() == seen;
+            self.slept_through(slept, event.epoch() == seen);
             return;
         }
         #[cfg(loom)]

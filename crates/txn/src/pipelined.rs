@@ -89,6 +89,12 @@ impl PipelinedTxnClient {
     }
 
     /// Run transactions `width` at a time until `target_commits` commit.
+    ///
+    /// Once the target is reached no slot starts another transaction,
+    /// and the run returns when every transaction already in flight has
+    /// finished its commit or abort — so `commits` may exceed the target
+    /// by up to `width - 1`, and on return no lock is held and no RPC of
+    /// this client is still on its way.
     pub fn run(
         &mut self,
         logic: &mut dyn TxnLogic,
@@ -98,16 +104,23 @@ impl PipelinedTxnClient {
         assert!(width >= 1);
         let n = self.threads.len();
         let mut stats = PipelineStats::default();
-        let mut slots: Vec<Slot> = Vec::with_capacity(width);
+        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(width);
         for _ in 0..width {
-            slots.push(self.start(logic)?);
+            slots.push(Some(self.start(logic)?));
         }
-        while stats.commits < target_commits {
+        while slots.iter().any(Option::is_some) {
             let mut progressed = false;
-            for slot in slots.iter_mut() {
+            for entry in slots.iter_mut() {
+                let Some(slot) = entry else { continue };
                 if self.poll_slot(slot)? {
                     progressed = true;
-                    self.advance(slot, logic, &mut stats, n)?;
+                    if self.advance(slot, logic, &mut stats, n)? {
+                        *entry = if stats.commits < target_commits {
+                            Some(self.start(logic)?)
+                        } else {
+                            None
+                        };
+                    }
                 }
             }
             if !progressed {
@@ -229,15 +242,16 @@ impl PipelinedTxnClient {
         Ok(())
     }
 
-    /// The current phase finished: move the state machine forward. On
-    /// commit or abort, a fresh transaction is started in the slot.
+    /// The current phase finished: move the state machine forward.
+    /// Returns whether the transaction is over (committed or aborted,
+    /// counted in `stats`): the slot is free.
     fn advance(
         &mut self,
         slot: &mut Slot,
         logic: &mut dyn TxnLogic,
         stats: &mut PipelineStats,
         n: usize,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         loop {
             match slot.phase {
                 Phase::Execute => {
@@ -269,7 +283,7 @@ impl PipelinedTxnClient {
                     if slot.pending.is_empty() {
                         continue; // nothing to validate (all keys absent)
                     }
-                    return Ok(());
+                    return Ok(false);
                 }
                 Phase::Validate => {
                     slot.phase = if slot.failed {
@@ -308,11 +322,11 @@ impl PipelinedTxnClient {
                         .extend(new_values.into_iter().map(|(k, v)| (k, Some(v))));
                     if !sent {
                         // Read-only transaction: done.
-                        self.finish(slot, logic, stats, true)?;
-                        return Ok(());
+                        stats.commits += 1;
+                        return Ok(true);
                     }
                     slot.phase = Phase::Commit;
-                    return Ok(());
+                    return Ok(false);
                 }
                 Phase::Commit => {
                     // The log ACKs just drained; send commits if we have
@@ -346,16 +360,16 @@ impl PipelinedTxnClient {
                     if sent {
                         slot.phase = Phase::CommitDone;
                     }
-                    return Ok(());
+                    return Ok(false);
                 }
                 Phase::CommitDone => {
-                    self.finish(slot, logic, stats, true)?;
-                    return Ok(());
+                    stats.commits += 1;
+                    return Ok(true);
                 }
                 Phase::Aborting => {
                     if slot.locked_servers.is_empty() {
-                        self.finish(slot, logic, stats, false)?;
-                        return Ok(());
+                        stats.aborts += 1;
+                        return Ok(true);
                     }
                     let locked = std::mem::take(&mut slot.locked_servers);
                     for server in locked {
@@ -368,29 +382,13 @@ impl PipelinedTxnClient {
                         slot.pending.push(Wait::Rpc { server, seq });
                     }
                     slot.phase = Phase::AbortDone;
-                    return Ok(());
+                    return Ok(false);
                 }
                 Phase::AbortDone => {
-                    self.finish(slot, logic, stats, false)?;
-                    return Ok(());
+                    stats.aborts += 1;
+                    return Ok(true);
                 }
             }
         }
-    }
-
-    fn finish(
-        &mut self,
-        slot: &mut Slot,
-        logic: &mut dyn TxnLogic,
-        stats: &mut PipelineStats,
-        committed: bool,
-    ) -> Result<()> {
-        if committed {
-            stats.commits += 1;
-        } else {
-            stats.aborts += 1;
-        }
-        *slot = self.start(logic)?;
-        Ok(())
     }
 }

@@ -29,9 +29,10 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fabric/src/cq.rs", "poll"),
     ("crates/fabric/src/cq.rs", "poll_one"),
     ("crates/fabric/src/cq.rs", "push"),
-    ("crates/core/src/server.rs", "dispatch_loop"),
-    ("crates/fabric/src/nic.rs", "engine_loop"),
-    ("crates/fabric/src/nic.rs", "engine_loop_virtual"),
+    // The service loops' bodies (`clock::spawn_stepper` steps): one
+    // dispatch-shard sweep, one NIC lane verb.
+    ("crates/core/src/server.rs", "step"),
+    ("crates/fabric/src/nic.rs", "step"),
     // Elastic control plane: churn makes lease/release warm-path — a
     // reconnecting client must hit the pooled free-list, not the
     // allocator. Cold-path refills are justified in hotpath.allow.

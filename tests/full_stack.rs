@@ -230,3 +230,57 @@ fn simulation_is_deterministic_end_to_end() {
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.packets, b.packets);
 }
+
+/// The one lab test of this package: an echo scenario on the real stack
+/// under `VirtualLab`, which runs NIC lanes, dispatch shards and response
+/// dispatchers as steppers on the suspending task's thread, checked
+/// against the reference run that gives every one of them a thread. The
+/// tests above are threaded or discrete-event and would not notice a
+/// broken inline driver.
+#[test]
+fn echo_under_the_lab_matches_the_thread_driven_reference() {
+    use flock_repro::core::sync::clock;
+    use flock_repro::sim::vtime::VirtualLab;
+
+    const THREADS: usize = 4;
+    const CALLS: u8 = 25;
+    let (times, report) = VirtualLab::run_against_reference(|| {
+        let domain = FlockDomain::with_defaults();
+        let snode = domain.add_node("lab-server");
+        let server = FlockServer::listen(&domain, &snode, "lab", ServerConfig::default());
+        server.reg_handler(1, |req| req.iter().rev().copied().collect());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 2;
+        let cnode = domain.add_node("lab-client");
+        let mut handle = ConnectionHandle::connect(&domain, &cnode, "lab", cfg).unwrap();
+        let tasks: Vec<_> = (0..THREADS as u8)
+            .map(|i| {
+                let t = handle.register_thread();
+                let done = Arc::new(std::sync::Mutex::new(Vec::new()));
+                let log = Arc::clone(&done);
+                let task = clock::spawn(&format!("app{i}"), move || {
+                    for k in 0..CALLS {
+                        assert_eq!(&t.call(1, &[i, k, 7]).unwrap()[..], &[7, k, i]);
+                        log.lock().unwrap().push(clock::now_ns());
+                    }
+                });
+                (task, done)
+            })
+            .collect();
+        let times: Vec<Vec<u64>> = tasks
+            .into_iter()
+            .map(|(task, done)| {
+                task.join().unwrap();
+                let done = done.lock().unwrap().clone();
+                done
+            })
+            .collect();
+        handle.close().unwrap();
+        server.shutdown(&domain);
+        times
+    });
+    assert!(times.iter().all(|t| t.len() == CALLS as usize));
+    assert!(report.stepper_tasks >= 4, "{report:?}");
+    assert!(report.inline_steps > report.handovers, "{report:?}");
+}
