@@ -3,7 +3,6 @@
 //! sender-side thread scheduling (§5.2), and one-sided memory operations
 //! (§6).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -250,6 +249,8 @@ pub(crate) struct ThreadCtx {
     /// coalesce onto the shared lanes (the default), or when the
     /// mem-QP attach failed and the thread fell back to them.
     mem_qp: OnceLock<Arc<Qp>>,
+    /// Buffers for the batches this thread leads; see [`leader_flush`].
+    flush_scratch: Mutex<FlushScratch>,
 }
 
 /// Shared state behind a [`ConnectionHandle`].
@@ -564,6 +565,7 @@ impl ConnectionHandle {
                 mem_event: Event::new(),
                 mem_free: Mutex::new(0xFF),
                 mem_qp: OnceLock::new(),
+                flush_scratch: Mutex::new(FlushScratch::default()),
             });
             threads.push(Arc::clone(&ctx));
             self.inner
@@ -776,7 +778,7 @@ impl FlThread {
             .tcq
             .join_with(ClientReq::Rpc(meta, payload), || inner.boarding_window())
         {
-            Outcome::Lead(batch) => leader_flush(inner, qp, batch)?,
+            Outcome::Lead(batch) => leader_flush(inner, &self.ctx, qp, batch)?,
             Outcome::Sent => {}
         }
         Ok(seq)
@@ -1024,7 +1026,7 @@ impl FlThread {
                 .tcq
                 .join_with(ClientReq::Mem(wr), || self.inner.boarding_window())
             {
-                Outcome::Lead(batch) => leader_flush(&self.inner, qp, batch)?,
+                Outcome::Lead(batch) => leader_flush(&self.inner, &self.ctx, qp, batch)?,
                 Outcome::Sent => {}
             }
         }
@@ -1449,18 +1451,14 @@ fn attach_mem_qp(inner: &Arc<HandleInner>) -> Result<Arc<Qp>> {
     }
 }
 
-/// Leader-side flush scratch, reused across batches by each thread: any
-/// thread can transiently become a leader, and recycling these buffers
-/// (plus the TCQ's pooled batch scratch) keeps the steady-state flush
-/// allocation-free.
+/// Leader-side flush scratch, reused across batches by each thread
+/// ([`ThreadCtx::flush_scratch`]): any thread can transiently become a
+/// leader, and recycling these buffers (plus the TCQ's pooled batch
+/// scratch) keeps the steady-state flush allocation-free.
 #[derive(Default)]
 struct FlushScratch {
     rpcs: Vec<(EntryMeta, Bytes)>,
     mem_wrs: Vec<SendWr>,
-}
-
-thread_local! {
-    static FLUSH_SCRATCH: RefCell<FlushScratch> = RefCell::new(FlushScratch::default());
 }
 
 /// The leader's flush: partition the batch, post one-sided work requests,
@@ -1468,14 +1466,17 @@ thread_local! {
 /// issue the RDMA write(s) (paper §4.2, Figure 5).
 fn leader_flush(
     inner: &HandleInner,
+    leader: &ThreadCtx,
     qp: &ClientQpCtx,
     mut batch: crate::tcq::Batch<ClientReq>,
 ) -> Result<()> {
-    let result = FLUSH_SCRATCH
-        .try_with(|cell| flush_batch(inner, qp, &mut batch, &mut cell.borrow_mut()))
-        // TLS destructor already ran (thread teardown): fall back to
-        // fresh buffers rather than abandoning the batch.
-        .unwrap_or_else(|_| flush_batch(inner, qp, &mut batch, &mut FlushScratch::default()));
+    // Taken out for the flush, not borrowed: the flush can suspend (a
+    // credit wait, a full ring), other leaders run meanwhile — under a
+    // virtual executor on this very OS thread — and no lock is held
+    // across a suspension point.
+    let mut scratch = std::mem::take(&mut *leader.flush_scratch.lock());
+    let result = flush_batch(inner, qp, &mut batch, &mut scratch);
+    *leader.flush_scratch.lock() = scratch;
     // Always release followers, even on error: stranding them would
     // deadlock unrelated threads. Their requests time out instead.
     qp.tcq.complete(batch);

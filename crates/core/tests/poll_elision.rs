@@ -16,11 +16,16 @@
 //! * close and shutdown of a handle that has idled to the ladder's cap;
 //! * responses that overrun a small response ring: the dispatch shard —
 //!   a stepper, which may not wait — defers them and retries, and drops
-//!   them after the timeout when the client's head never moves.
+//!   them after the timeout when the client's head never moves;
+//! * a leader held on a full request ring while another thread of the
+//!   handle leads on another lane: two flushes in progress on what is,
+//!   under the lab, one OS thread.
 //!
 //! Since PR 17 the reference also runs every stepper (NIC lanes,
-//! dispatch shards, response dispatchers) on a thread of its own, so the
-//! same comparison checks the lab's inline driver.
+//! dispatch shards, response dispatchers) on a thread of its own, and
+//! since PR 18 it is the only run in which a task is an OS thread at
+//! all, so the same comparison checks the lab's inline driver and its
+//! stack switching.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -496,4 +501,78 @@ fn a_client_whose_ring_head_never_moves_gets_timeouts_not_a_hang() {
     let timeouts = (BURST - answered) as u64;
     assert!(waited < (timeouts + 1) * 310_000, "{waited}");
     assert!(ring_full > 0, "the response ring never filled");
+}
+
+#[test]
+fn a_second_leader_flushes_while_the_first_waits_for_ring_space() {
+    const BIG: usize = 500;
+    const BIG_SENDS: usize = 8;
+    const SMALL_SENDS: usize = 20;
+    let ((big_sends, small_sends), _) = VirtualLab::run_against_reference(|| {
+        // 20 µs handlers on one worker: the request ring's head, which
+        // comes back with the responses, moves that slowly.
+        let mut fab = FabricConfig::default();
+        fab.cost.app_handler_ns = 20_000;
+        let domain = Arc::new(FlockDomain::new(fab));
+        let node = domain.add_node("pe-lead-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.dispatch_threads = 1;
+        scfg.ring_capacity = SMALL_RING;
+        scfg.sched.grant_size = 4096; // no credit wait: the ring is the limit
+        let server = FlockServer::listen(&domain, &node, "pe-lead", scfg);
+        server.reg_handler(RPC_ECHO, |req| req[..1].to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 2;
+        cfg.ring_capacity = SMALL_RING;
+        let cli = domain.add_node("pe-lead-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-lead", cfg).expect("connect");
+        // A lane each: each thread leads every batch it sends.
+        let threads = Arc::new([handle.register_thread(), handle.register_thread()]);
+        assert_eq!((threads[0].current_qp(), threads[1].current_qp()), (0, 1));
+        clock::flush_charge(); // set-up cost is not part of the scenario
+        let mut out = on_tasks(2, move |i| {
+            let t = &threads[i];
+            // Thread 0: 4 KiB of requests at once into a 2 KiB ring — its
+            // flush sits in the ring-full yield loop until a response
+            // brings a fresher head. Thread 1: a byte every 2 µs on the
+            // other lane, all through that.
+            let (sends, len, pause) = if i == 0 {
+                (BIG_SENDS, BIG, 0)
+            } else {
+                (SMALL_SENDS, 1, 2_000)
+            };
+            let mut spans = Vec::new();
+            let seqs: Vec<u64> = (0..sends)
+                .map(|k| {
+                    clock::sleep_ns(pause);
+                    let t0 = clock::now_ns();
+                    let seq = t.send_rpc(RPC_ECHO, &vec![k as u8; len]).expect("send");
+                    spans.push((t0, clock::now_ns()));
+                    seq
+                })
+                .collect();
+            for (k, seq) in seqs.into_iter().enumerate() {
+                assert_eq!(&t.recv_res(seq).expect("recv")[..], &[k as u8]);
+            }
+            spans
+        });
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        let small = out.pop().expect("thread 1");
+        (out.pop().expect("thread 0"), small)
+    });
+    // The scenario happened: one of thread 0's sends was held for at
+    // least a handler's time, and thread 1 led whole flushes meanwhile.
+    let held = big_sends
+        .iter()
+        .copied()
+        .max_by_key(|(t0, t1)| t1 - t0)
+        .expect("sends");
+    assert!(held.1 - held.0 >= 15_000, "{big_sends:?}");
+    let meanwhile = small_sends
+        .iter()
+        .filter(|(t0, t1)| held.0 < *t0 && *t1 < held.1)
+        .count();
+    assert!(meanwhile >= 2, "{held:?} {small_sends:?}");
 }

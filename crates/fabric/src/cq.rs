@@ -30,9 +30,15 @@
 //! ring — once the consumer empties the ring, and `high_water` exposes
 //! ring + spill depth so tests can still assert on sizing. Entries are
 //! never dropped. Once a spill begins, producers keep spilling until the
-//! consumer has drained it, so entries pushed by one thread stay ordered
-//! in steady state; across producers the queue (like hardware) promises
-//! delivery, not a global order, and consumers route by `wr_id`.
+//! consumer has drained it, so whatever a producer has in the ring is
+//! older than whatever it has in the spill; the consumer takes from the
+//! spill only after it has found the ring dry *while holding the spill
+//! lock* (an emptiness seen before the lock may be stale by a whole
+//! ring: the consumer is descheduled, the producer fills 256 cells and
+//! spills the 257th). Entries pushed by one thread therefore reach a
+//! single consumer in order; across producers the queue (like hardware)
+//! promises delivery, not a global order, and consumers route by
+//! `wr_id`.
 //!
 //! # Memory-ordering contract
 //!
@@ -59,7 +65,12 @@ use std::time::Duration;
 use flock_sync::atomic::{AtomicU64, Ordering};
 use flock_sync::clock::{self, Event};
 use flock_sync::{Arc, CachePadded, UnsafeCell};
-use parking_lot::Mutex;
+// The spill's lock is held across ring operations, which are schedule
+// points of the model: under loom it has to be one the model can see.
+#[cfg(loom)]
+use loom::sync::{Mutex, MutexGuard};
+#[cfg(not(loom))]
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::verbs::Completion;
 
@@ -154,6 +165,16 @@ impl CompletionQueue {
         })
     }
 
+    fn spill(&self) -> MutexGuard<'_, VecDeque<Completion>> {
+        #[cfg(loom)]
+        return self
+            .spill
+            .lock()
+            .expect("the model's mutex is never poisoned");
+        #[cfg(not(loom))]
+        self.spill.lock()
+    }
+
     /// NIC-side: enqueue a completion. Never blocks and never drops; a
     /// full ring spills to the side queue (see module docs).
     pub fn push(&self, c: Completion) {
@@ -162,7 +183,7 @@ impl CompletionQueue {
         // consumer can drain in order; the ring is only rejoined after
         // the consumer empties the spill.
         if self.spill_active.load(Ordering::Acquire) != 0 || !self.try_push_ring(c) {
-            let mut spill = self.spill.lock();
+            let mut spill = self.spill();
             self.spill_active.store(1, Ordering::Release);
             spill.push_back(c);
         }
@@ -263,7 +284,10 @@ impl CompletionQueue {
     pub fn poll(&self, out: &mut Vec<Completion>, max: usize) -> usize {
         let mut n = self.poll_ring(out, max);
         if n < max && self.spill_active.load(Ordering::Acquire) != 0 {
-            let mut spill = self.spill.lock();
+            let mut spill = self.spill();
+            // The ring again, now that nothing can join the spill: what
+            // it holds is older (module docs).
+            n += self.poll_ring(out, max - n);
             while n < max {
                 match spill.pop_front() {
                     Some(c) => {
@@ -286,11 +310,31 @@ impl CompletionQueue {
     /// inner loop, so a per-call `Vec` would allocate on every empty
     /// poll).
     pub fn poll_one(&self) -> Option<Completion> {
+        if let Some(c) = self.poll_ring_one() {
+            return Some(c);
+        }
+        if self.spill_active.load(Ordering::Acquire) != 0 {
+            let mut spill = self.spill();
+            // The ring again, as in `poll`.
+            if let Some(c) = self.poll_ring_one() {
+                return Some(c);
+            }
+            let c = spill.pop_front();
+            if spill.is_empty() {
+                self.spill_active.store(0, Ordering::Release);
+            }
+            return c;
+        }
+        None
+    }
+
+    /// Claim the ring's head cell, if it is ready.
+    fn poll_ring_one(&self) -> Option<Completion> {
         loop {
             let pos = self.dequeue_pos.load(Ordering::Relaxed);
             let cell = &self.cells[(pos & self.mask) as usize];
             if cell.seq.load(Ordering::Acquire) != pos + 1 {
-                break; // ring empty (or the head cell not yet published)
+                return None; // ring empty (or the head cell not yet published)
             }
             match self.dequeue_pos.compare_exchange(
                 pos,
@@ -314,17 +358,6 @@ impl CompletionQueue {
                 Err(_) => continue, // another consumer claimed first; rescan
             }
         }
-        if self.spill_active.load(Ordering::Acquire) != 0 {
-            let mut spill = self.spill.lock();
-            let c = spill.pop_front();
-            if spill.is_empty() {
-                self.spill_active.store(0, Ordering::Release);
-            }
-            if c.is_some() {
-                return c;
-            }
-        }
-        None
     }
 
     /// Block until a completion is available or `timeout` elapses (on
@@ -356,7 +389,7 @@ impl CompletionQueue {
         let deq = self.dequeue_pos.load(Ordering::Relaxed);
         let ring = enq.saturating_sub(deq) as usize;
         let spill = if self.spill_active.load(Ordering::Acquire) != 0 {
-            self.spill.lock().len()
+            self.spill().len()
         } else {
             0
         };
@@ -521,7 +554,10 @@ mod tests {
 
     #[test]
     fn per_producer_order_is_fifo_on_the_fast_path() {
-        // One producer, one consumer, ring never full: strict FIFO.
+        // One producer, one consumer: strict FIFO — also when the
+        // consumer loses the CPU for long enough that the producer laps
+        // the 256 cells and spills, between the consumer's look at the
+        // ring and its look at the spill.
         let cq = CompletionQueue::new(256);
         let cq2 = Arc::clone(&cq);
         let t = std::thread::spawn(move || {

@@ -19,11 +19,14 @@
 //!   the cursors lap a capacity-2 ring, i.e. a producer claiming a cell
 //!   one lap ahead can never overwrite a payload the consumer has not
 //!   yet read (the ordering contract in the module docs).
+//! * **Spill order** — a producer that overruns the ring spills, and the
+//!   consumer still sees its completions in push order wherever it is
+//!   paused between its look at the ring and its look at the spill.
 //!
-//! The scenarios deliberately stay below ring capacity so the spill
-//! lane (a `parking_lot` mutex, invisible to the model scheduler) is
-//! never engaged: loom checks the lock-free ring protocol, the plain
-//! unit tests in `cq.rs` cover the spill semantics.
+//! All but the last scenario stay below ring capacity: they check the
+//! lock-free ring protocol. Under `cfg(loom)` the spill lane's lock is
+//! the model's own mutex (a `parking_lot` one is invisible to the model
+//! scheduler, and a thread paused while holding it would hang the run).
 
 #![cfg(loom)]
 
@@ -137,5 +140,35 @@ fn two_producers_deliver_exactly_once() {
         assert_eq!(ids, [1, 2]);
         assert_eq!(cq.total_pushed(), 2);
         assert!(cq.is_empty());
+    });
+}
+
+/// One producer pushes three completions into a capacity-2 ring while
+/// the consumer polls: whenever the consumer has not caught up, the
+/// third spills. What is in the ring is older than what is in the spill,
+/// so the consumer has to find the ring dry *under the spill lock*
+/// before it takes from the spill — a ring it saw empty before the
+/// producer ran says nothing. Delivery stays exactly-once and FIFO, and
+/// the queue returns to the ring afterwards.
+#[test]
+fn overrun_spills_and_stays_fifo() {
+    loom::model(|| {
+        let cq = CompletionQueue::new(2);
+        let prod = {
+            let cq = Arc::clone(&cq);
+            thread::spawn(move || {
+                for id in 0..3 {
+                    cq.push(comp(id));
+                }
+            })
+        };
+        let got = poll_exactly(&cq, 3);
+        prod.join().unwrap();
+        let ids: Vec<u64> = got.iter().map(|c| c.wr_id.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert!(cq.is_empty());
+        assert_eq!(cq.total_pushed(), 3);
+        cq.push(comp(3));
+        assert_eq!(cq.poll_one().map(|c| c.wr_id.0), Some(3));
     });
 }

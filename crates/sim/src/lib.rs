@@ -21,6 +21,7 @@
 //! the same seed produce byte-identical output.
 
 pub mod engine;
+mod fiber;
 pub mod resource;
 pub mod rng;
 pub mod stats;

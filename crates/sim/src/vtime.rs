@@ -8,20 +8,21 @@
 //!
 //! ## How it works
 //!
-//! Every task spawned through `clock::spawn` gets its own OS thread
-//! (512 KiB of stack; the service loops do not, see "Steppers" below),
-//! but the lab guarantees that **exactly one task executes at any wall
-//! instant**. All other tasks are parked on per-task condvars. A task
-//! runs until it yields through the seam (`yield_now`, `sleep_ns`, an
-//! [`flock_sync::AdaptiveBackoff::idle`] round, a [`flock_sync::backoff`]
-//! spin, …). The yield:
+//! Every task spawned through `clock::spawn` gets a stack of its own
+//! (512 KiB; the service loops do not, see "Steppers" below), and the
+//! lab guarantees that **exactly one task executes at any wall
+//! instant**: all of them run on the OS thread that called
+//! [`VirtualLab::run`], each suspended on its stack but one (see
+//! "Stacks" below). A task runs until it yields through the seam
+//! (`yield_now`, `sleep_ns`, an [`flock_sync::AdaptiveBackoff::idle`]
+//! round, a [`flock_sync::backoff`] spin, …). The yield:
 //!
 //! 1. pushes the task back onto a binary heap keyed by
 //!    `(wake_time, sequence)` — wake time is `now + charged cost`,
 //!    clamped to strictly advance;
 //! 2. pops the earliest entry, advances the virtual clock to its wake
-//!    time, and hands it the core (waking its parked thread);
-//! 3. parks itself until its own entry is popped.
+//!    time, and hands it the core: a switch to its stack;
+//! 3. is suspended until its own entry is popped.
 //!
 //! A task blocked in [`flock_sync::clock::Event::wait_until`] or idling
 //! through [`flock_sync::AdaptiveBackoff::idle_on`] sleeps on a poll
@@ -31,18 +32,18 @@
 //! poll it would run is known to fail, so the lab makes the push that
 //! poll's `sleep_ns` would have made — same wake time (the poll's own
 //! declared charge, [`Poll::busy_ns`], plus its next period), next
-//! sequence number — and pops again, without waking the thread. The
+//! sequence number — and pops again, without resuming the task. The
 //! heap sees the pushes a task polling every round makes, in the same
 //! order, so virtual time, every tie-break and every result are the
 //! same; only the host cost of an idle task changes (one heap operation
-//! per poll instead of a futex wake and a context switch). [`LabReport`]
-//! counts the two apart: `handovers` and `elided_polls`.
+//! per poll instead of a handover there and back). [`LabReport`] counts
+//! the two apart: `handovers` and `elided_polls`.
 //!
-//! ## Steppers: tasks without a thread
+//! ## Steppers: tasks without a stack
 //!
 //! A service loop spawned through `clock::spawn_stepper` — a NIC lane, a
 //! server dispatch shard, a client response dispatcher — is given as its
-//! body, `step() -> Next`, and gets a heap entry but no OS thread. When
+//! body, `step() -> Next`, and gets a heap entry but no stack. When
 //! step 2 pops a stepper, the task that is suspending (or exiting: the
 //! two share one scheduling loop, `next_thread_task`) releases the lab
 //! lock and runs the step itself, on its own stack, under
@@ -56,12 +57,46 @@
 //! ([`StepperTask::drive`]) — same wake times, same sequence numbers, in
 //! the same pop order — so the timeline does not depend on who runs a
 //! step, and the only thing that changes is again the host cost: no
-//! futex wake, no context switch, no 512 KiB stack
-//! (`LabReport::inline_steps`, `LabReport::stepper_tasks`). The price is
-//! one rule: a step runs on somebody else's thread, so it must not reach
-//! a suspension point itself (the lab panics naming the stepper), its
-//! charges are set apart from the lending thread's, and it keeps nothing
-//! in `thread_local!`s.
+//! handover, no 512 KiB stack (`LabReport::inline_steps`,
+//! `LabReport::stepper_tasks`). The price is one rule: a step runs on
+//! somebody else's stack, so it must not reach a suspension point itself
+//! (the lab panics naming the stepper), and its charges are set apart
+//! from the lending task's.
+//!
+//! ## Stacks: a handover is a switch, not a wake-up
+//!
+//! `spawn_task` maps the task's stack (with an inaccessible guard page
+//! below it) and lays out on it the frame that enters the task's body;
+//! from then on handing the core from one task to another is
+//! `fiber::switch`: push the callee-saved registers, store the stack
+//! pointer in the suspending task's context, load the other's, pop,
+//! return — no system call, no kernel scheduler. A task that exits
+//! leaves its stack to be unmapped by whoever runs next.
+//!
+//! What used to be per-thread is thereby **lab-wide**, and three things
+//! follow from it:
+//!
+//! * A `thread_local!` is shared by every task. The seam's own two are
+//!   handled here (the executor is the same for all of them; a task's
+//!   un-flushed [`clock::charge`]s are saved and restored around every
+//!   switch); anything else must not be borrowed, or relied on to hold
+//!   its value, across a suspension point (`cargo xtask lint` fails on a
+//!   new one in the crates that run under the lab).
+//! * `std::thread::panicking()` is `true` in every task while any one
+//!   of them unwinds. The lab keeps its own per-task record of who is
+//!   unwinding (`LabState::current_is_unwinding`), so a failed run still
+//!   unwinds every task that is not already doing so.
+//! * Running off the end of the 512 KiB is a SIGSEGV on the guard page
+//!   that kills the process: Rust's "thread … has overflowed its stack"
+//!   report only knows the stacks std made.
+//!
+//! The switch exists for x86-64 Unix. On other targets, and under Miri,
+//! the lab falls back to what it was before — and what
+//! [`VirtualLab::run_report_reference`] still is everywhere, so that the
+//! tests have something independent to compare against: every task on
+//! an OS thread of its own, parked on a condvar while it does not hold
+//! the core. Nothing but `reference` and the target selects between the
+//! two, and the virtual timeline does not depend on it.
 //!
 //! Because execution is serialized and wake-ups follow a total
 //! `(time, sequence)` order, the interleaving — and therefore every
@@ -81,27 +116,31 @@
 //!   caller owns, `flock_fabric::recv_until` for a channel. Both sleep
 //!   in the lab's heap here and park on real threads, so the
 //!   fabric/core crates contain one loop per wait, not two.
+//! * Keep no task state in a `thread_local!`, and hold no borrow of one
+//!   (nor a `RefCell` borrow, nor a lock) across a suspension point:
+//!   every task runs on the same OS thread.
 //! * Follow every state change a waiter's condition looks for with
 //!   `notify_all` on the event it sleeps on, before the next yield. The
 //!   lab does not run polls of un-notified events, so a missed notify
 //!   delays the waiter to its deadline; `run_report_reference` runs
-//!   every poll — and every stepper on a thread — and panics at the
-//!   first poll that finds such a change.
+//!   every poll — and every task and stepper on a thread — and panics
+//!   at the first poll that finds such a change.
 //! * A step never waits: it returns `Next::Idle` where a loop would
 //!   sleep, and `Next::Again` where it would flush its charge.
 //! * Never yield while holding a lock another task can contend (the
-//!   holder parks; the contender then spins forever as the only runnable
-//!   task). All converted sites drop locks before yielding, as the
-//!   threaded code already did.
+//!   holder is suspended; the contender then blocks the one thread that
+//!   could resume it). All converted sites drop locks before yielding,
+//!   as the threaded code already did.
 //! * Join tasks through [`flock_sync::clock::TaskHandle::join`], which
 //!   sleeps in virtual time, never via a bare `JoinHandle`.
 //!
 //! A spawned task that panics — in its closure or in a step — fails the
 //! run instead of hanging it: the lab records `lab task '<name>'
 //! panicked: <message>`, frees the core, stops eliding, and unwinds
-//! every thread task with that message at its next suspension point —
-//! the root by a `panic!` out of [`VirtualLab::run`]. Steppers keep
-//! being run meanwhile, so destructors that stop and join them finish.
+//! every task that has a stack with that message at its next suspension
+//! point — the root by a `panic!` out of [`VirtualLab::run`]. Steppers
+//! keep being run meanwhile, so destructors that stop and join them
+//! finish.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -111,6 +150,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use flock_sync::clock::{self, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
+
+use crate::fiber;
 
 /// Virtual cost of one bare yield (`clock::yield_now`, a `backoff`
 /// spin). Not a floor on other suspensions: a sleep or a flushed charge
@@ -124,7 +165,8 @@ pub const YIELD_COST_NS: u64 = 50;
 /// `LabState::failed`) and the resumed task is to unwind.
 const FAILED: u64 = u64::MAX;
 
-/// Go-flag parker for one task's OS thread.
+/// Go-flag parker for one task's OS thread, where tasks have one (the
+/// reference run, and targets without a stack switch).
 ///
 /// Stateful on purpose: a wake that races ahead of the park (the core is
 /// handed to a task whose thread has not reached `park` yet, e.g. right
@@ -165,11 +207,27 @@ struct LabState {
     /// `Reverse((wake_ns, seq, task_id))`: min-heap on (time, sequence).
     /// Invariant: every live task except `current` has exactly one entry.
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Slot per thread task id; `None` = a stepper, or the id is free
-    /// (on `free_ids`).
+    /// Every task that is not a stepper is hosted on an OS thread of its
+    /// own (`slots`) instead of a stack of its own (`stacks`).
+    threads: bool,
+    /// With `threads`, slot per task id; `None` = a stepper, or the id
+    /// is free (on `free_ids`).
     slots: Vec<Option<Arc<TaskSlot>>>,
-    /// Per task id, parallel to `slots`: a stepper, which has no thread
-    /// to park. Taken out while its step runs.
+    /// Without `threads`, per task id, parallel to `slots`: where the
+    /// task is suspended while it is not `current` (boxed: `switch`
+    /// writes to it with the lab unlocked). `None` as in `slots`.
+    stacks: Vec<Option<Box<fiber::Context>>>,
+    /// The context of the task that exited last, on whose stack the
+    /// switch away from it was still running; whoever schedules next
+    /// drops it.
+    zombie: Option<Box<fiber::Context>>,
+    /// [`fiber::thread_token`] of the thread every stack is switched on.
+    home: usize,
+    /// Per task id, parallel to `slots`: without `threads`, the task is
+    /// unwinding from a panic (see `current_is_unwinding`).
+    unwinding: Vec<bool>,
+    /// Per task id, parallel to `slots`: a stepper, which has neither
+    /// thread nor stack. Taken out while its step runs.
     steppers: Vec<Option<Box<InlineStepper>>>,
     /// Per task id, parallel to `slots`: while the task is asleep in
     /// [`Executor::sleep_polling`], its schedule and the polls elided so
@@ -185,10 +243,10 @@ struct LabState {
     inline_steps: u64,
     tasks_spawned: u64,
     stepper_tasks: u64,
-    /// A stepper's step is running (on the thread of the task that is
+    /// A stepper's step is running (on the stack of the task that is
     /// suspending or exiting): it must not suspend.
     stepping: bool,
-    /// Run every poll on its task and every stepper on a thread (see
+    /// Run every poll on its task and every stepper as a task (see
     /// `run_report_reference`).
     reference: bool,
     /// The first panic of a spawned task, as `lab task '<name>' panicked:
@@ -243,12 +301,19 @@ impl LabState {
         self.slots[id].clone().expect("live task has no slot")
     }
 
+    /// Where `switch` finds (or leaves) live task `id`.
+    fn context(&mut self, id: usize) -> *mut fiber::Context {
+        &raw mut **self.stacks[id].as_mut().expect("live task has no stack")
+    }
+
     /// A fresh task id, its first wake-up queued at the current instant
     /// in spawn order (the spawner keeps the core until its own next
     /// yield).
     fn register(&mut self) -> usize {
         let id = self.free_ids.pop().unwrap_or_else(|| {
             self.slots.push(None);
+            self.stacks.push(None);
+            self.unwinding.push(false);
             self.steppers.push(None);
             self.polling.push(None);
             self.slots.len() - 1
@@ -263,8 +328,32 @@ impl LabState {
     /// is chosen, so a joiner whose poll is due now sees the exit.
     fn retire(&mut self, id: usize) {
         self.slots[id] = None;
+        self.unwinding[id] = false;
         self.free_ids.push(id);
         self.live -= 1;
+    }
+
+    /// Whether the current task is unwinding from a panic, so that a
+    /// second one (out of a destructor that suspends) would abort the
+    /// process. A thread knows; tasks that share a thread share its
+    /// panic count, so there `std::thread::panicking()` says only that
+    /// *somebody* is unwinding, and the lab keeps a flag per task: set
+    /// here for the first task seen panicking while no other is known to
+    /// be, and by `raise_if_failed` for the ones it unwinds itself. That
+    /// is exact unless a task panics of its own accord while another is
+    /// suspended halfway through its unwinding; such a task is taken
+    /// for sound, and if the run has failed by then it is unwound a
+    /// second time — the abort the flag exists to avoid, after the first
+    /// failure has been reported.
+    fn current_is_unwinding(&mut self) -> bool {
+        let panicking = std::thread::panicking();
+        if self.threads {
+            return panicking;
+        }
+        let me = self.current;
+        self.unwinding[me] =
+            panicking && (self.unwinding[me] || !self.unwinding.iter().any(|&u| u));
+        self.unwinding[me]
     }
 
     /// Record the first panic of a spawned task; see `LabState::failed`.
@@ -291,14 +380,16 @@ struct InlineStepper {
 /// (unless it is already unwinding — destructors still join their tasks
 /// cooperatively). The root panics with the recorded message; the other
 /// tasks unwind with it silently, the first report having been printed.
-fn raise_if_failed(st: MutexGuard<'_, LabState>) -> MutexGuard<'_, LabState> {
-    if std::thread::panicking() {
+fn raise_if_failed(mut st: MutexGuard<'_, LabState>) -> MutexGuard<'_, LabState> {
+    if st.current_is_unwinding() {
         return st;
     }
     let Some(failed) = st.failed.clone() else {
         return st;
     };
-    let root = st.current == 0;
+    let me = st.current;
+    st.unwinding[me] = true;
+    let root = me == 0;
     // Never unwind through the lab lock: every task still needs it.
     drop(st);
     if root {
@@ -325,15 +416,16 @@ pub struct VirtualLab {
 pub struct LabReport {
     /// Final virtual clock value.
     pub virtual_ns: u64,
-    /// Times the lab gave the core to a task's OS thread: one per
-    /// suspension point a thread task actually returned from, its first
-    /// schedule included. What the run cost the host in futex calls and
-    /// context switches.
+    /// Times the lab gave the core to a task with a stack of its own:
+    /// one per suspension point such a task actually returned from, its
+    /// first schedule included. What the run cost the host in stack
+    /// switches (futex calls and context switches, in the reference
+    /// run).
     pub handovers: u64,
     /// Polls of un-notified events the lab re-armed without waking the
     /// task.
     pub elided_polls: u64,
-    /// Times the lab ran a stepper that was due, on the thread of the
+    /// Times the lab ran a stepper that was due, on the stack of the
     /// task giving up the core. `handovers + elided_polls +
     /// inline_steps` is the number of suspension points of a run in
     /// which every task is a thread and executes every poll itself.
@@ -342,7 +434,7 @@ pub struct LabReport {
     /// included.
     pub tasks_spawned: u64,
     /// How many of them were steppers the lab ran inline: tasks with no
-    /// OS thread (0 in the reference run).
+    /// stack (0 in the reference run).
     pub stepper_tasks: u64,
 }
 
@@ -354,7 +446,12 @@ impl VirtualLab {
                     now: 0,
                     seq: 0,
                     heap: BinaryHeap::new(),
+                    threads: reference || !fiber::SUPPORTED,
                     slots: Vec::new(),
+                    stacks: Vec::new(),
+                    zombie: None,
+                    home: fiber::thread_token(),
+                    unwinding: Vec::new(),
                     steppers: Vec::new(),
                     polling: Vec::new(),
                     free_ids: Vec::new(),
@@ -392,9 +489,10 @@ impl VirtualLab {
 
     /// The reference the lab's shortcuts are tested against, for tests
     /// only: every poll runs on its task, as if
-    /// [`Executor::sleep_polling`] were a plain sleep, and every stepper
-    /// on a thread of its own ([`StepperTask::drive`], the loop the
-    /// threaded executor runs). Same virtual timeline and results as
+    /// [`Executor::sleep_polling`] were a plain sleep, every task on an
+    /// OS thread of its own, and every stepper on one too
+    /// ([`StepperTask::drive`], the loop the threaded executor runs).
+    /// Same virtual timeline and results as
     /// [`VirtualLab::run_report`], `elided_polls == 0`, `inline_steps ==
     /// 0`, and `handovers` equal to the other's `handovers +
     /// elided_polls + inline_steps`. Because every poll is executed, the
@@ -430,8 +528,13 @@ impl VirtualLab {
 
     fn run_lab<R>(lab: VirtualLab, f: impl FnOnce() -> R) -> (R, LabReport) {
         {
+            // The root is task 0, on the calling thread's own stack.
             let mut st = lab.lock();
-            st.slots.push(Some(Arc::new(TaskSlot::new())));
+            let threads = st.threads;
+            st.slots.push(threads.then(|| Arc::new(TaskSlot::new())));
+            st.stacks
+                .push((!threads).then(|| Box::new(fiber::Context::running())));
+            st.unwinding.push(false);
             st.steppers.push(None);
             st.polling.push(None);
             st.live = 1;
@@ -440,11 +543,16 @@ impl VirtualLab {
         let guard = clock::install(Arc::new(lab.clone()));
         let result = f();
         drop(guard);
-        let st = raise_if_failed(lab.lock());
+        let mut st = raise_if_failed(lab.lock());
         assert_eq!(
             st.live, 1,
             "VirtualLab::run returned with {} spawned task(s) still live; join all tasks before returning",
             st.live - 1
+        );
+        st.zombie = None;
+        assert!(
+            st.stacks.iter().skip(1).all(Option::is_none),
+            "the stack of a task that exited is still mapped"
         );
         let report = LabReport {
             virtual_ns: st.now,
@@ -509,20 +617,46 @@ impl VirtualLab {
         }
     }
 
-    /// Deregister the calling (current) task and hand the core to the
-    /// next scheduled one. Called by the spawn wrapper after the task
-    /// body returns.
-    fn exit_current(&self, exit: &TaskExit) {
+    /// Deregister the calling (current) task, whose body has returned or
+    /// died of `panic`, and hand the core to the next scheduled one:
+    /// done by the time this returns if tasks are threads, and otherwise
+    /// the switch returned, for the caller to make last of all.
+    fn exit_current(
+        &self,
+        name: &str,
+        exit: &TaskExit,
+        panic: Option<Box<dyn Any + Send>>,
+    ) -> Option<fiber::Handover> {
         let mut st = self.lock();
         let me = st.current;
+        // Whose stack this was running on when it exited, if anybody's;
+        // from here on, this task's.
+        st.zombie = st.stacks[me].take();
         st.retire(me);
-        exit.signal();
-        if st.live > 0 {
-            let (st, id, go) = self.next_thread_task(st);
+        match panic {
+            Some(payload) => {
+                st.fail(name, payload.as_ref());
+                exit.signal_panic(payload);
+            }
+            None => exit.signal(),
+        }
+        // The root never exits: somebody is left to run.
+        let (mut st, id, go) = self.next_thread_task(st);
+        if st.threads {
             let next = st.slot(id);
             drop(st);
             next.wake(go);
+            return None;
         }
+        let handover = fiber::Handover {
+            from: &raw mut **st.zombie.as_mut().expect("a task with a stack"),
+            to: st.context(id),
+            pass: go,
+        };
+        drop(st);
+        // What the task charged and never flushed ends with it.
+        clock::swap_pending(0);
+        Some(handover)
     }
 
     /// Suspend the current task for `ns`; with `polling`, until the
@@ -537,25 +671,51 @@ impl VirtualLab {
             drop(st);
             panic!(
                 "a step must not suspend (clock::yield_now, sleep, flush_charge, \
-                 Event::wait_until, a join): it runs on another task's thread; \
+                 Event::wait_until, a join): it runs on another task's stack; \
                  return Next::Idle or Next::Again instead"
             );
         }
+        assert!(
+            st.threads || st.home == fiber::thread_token(),
+            "a VirtualLab's tasks all run on the thread that called `run`; \
+             this is another"
+        );
         let mut st = raise_if_failed(st);
+        // Not before: a step may be running on the stack in question.
+        st.zombie = None;
         let me = st.current;
         st.polling[me] = polling.map(|p| (p, 0));
         let wake = st.now.saturating_add(ns);
         st.push(wake, me);
-        let (st, id, go) = self.next_thread_task(st);
+        let (mut st, id, go) = self.next_thread_task(st);
         if id == me {
             // Fast path: we are still the earliest task; keep the core.
             drop(st);
             return self.resumed(go);
         }
-        let (next, mine) = (st.slot(id), st.slot(me));
+        if st.threads {
+            let (next, mine) = (st.slot(id), st.slot(me));
+            drop(st);
+            next.wake(go);
+            return self.resumed(mine.park());
+        }
+        let (from, to) = (st.context(me), st.context(id));
         drop(st);
-        next.wake(go);
-        self.resumed(mine.park())
+        // A task's charges are its own: off the thread while others run.
+        let pending = clock::swap_pending(0);
+        // SAFETY: `from` and `to` are the boxed contexts of two live
+        // tasks (`id != me`), each dropped only by its own task's exit,
+        // which neither can reach while suspended. `to` is suspended —
+        // every task but `current` is, in this function or fresh from
+        // `spawn_task` — and only the task holding the core, which until
+        // this call is the caller, resumes anybody. All of it happens on
+        // the `home` thread, checked above. The lab lock is released,
+        // `PENDING_NS` is set aside, `CURRENT` is the same for every
+        // task of the lab; what else a task keeps across a suspension
+        // point is its own business (module docs, "Stacks").
+        let go = unsafe { fiber::switch(from, to, go) };
+        clock::swap_pending(pending);
+        self.resumed(go)
     }
 
     /// Back on the core after a suspension that elided `elided` polls.
@@ -582,34 +742,35 @@ impl Executor for VirtualLab {
     }
 
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
-        let slot = Arc::new(TaskSlot::new());
-        {
-            let mut st = self.lock();
-            let id = st.register();
-            st.slots[id] = Some(slot.clone());
-        }
-        let lab = self.clone();
         let exit = Arc::new(TaskExit::default());
-        let fin = exit.clone();
-        let task = name.clone();
+        let (lab, fin, task) = (self.clone(), exit.clone(), name.clone());
+        // Release the core whatever happened: a task that died holding
+        // it would leave every other task suspended.
+        let body = move || {
+            let panic = catch_unwind(AssertUnwindSafe(f)).err();
+            lab.exit_current(&task, &fin, panic)
+        };
+        let mut st = self.lock();
+        let id = st.register();
+        if !st.threads {
+            st.stacks[id] = Some(Box::new(fiber::Context::new(Box::new(move || {
+                body().expect("a task with a stack ends in a switch")
+            }))));
+            return TaskHandle::inline(exit);
+        }
+        let slot = Arc::new(TaskSlot::new());
+        st.slots[id] = Some(slot.clone());
+        drop(st);
+        let lab = self.clone();
         let thread = std::thread::Builder::new()
             .name(name)
             // Virtual tasks number in the hundreds at paper scale; keep
             // their address-space reservation small.
-            .stack_size(512 * 1024)
+            .stack_size(fiber::STACK_BYTES)
             .spawn(move || {
-                let _guard = clock::install(Arc::new(lab.clone()));
+                let _guard = clock::install(Arc::new(lab));
                 slot.park(); // wait to be scheduled for the first time
-                let outcome = catch_unwind(AssertUnwindSafe(f));
-                if let Err(payload) = &outcome {
-                    lab.lock().fail(&task, payload.as_ref());
-                }
-                // Release the core whatever happened: a task that died
-                // holding it would leave every other task parked.
-                lab.exit_current(&fin);
-                if let Err(payload) = outcome {
-                    resume_unwind(payload); // `TaskHandle::join` reports it
-                }
+                body();
             })
             .expect("spawn virtual task thread");
         TaskHandle::virtualized(thread, exit)
@@ -1100,6 +1261,219 @@ mod tests {
         });
         assert_eq!(steps, [0, 100, 200]);
         assert_eq!(report.inline_steps, 3);
+    }
+
+    /// The OS thread of the root and of each of three tasks, which take
+    /// turns sleeping so that every one of them is resumed after the
+    /// others have run.
+    fn threads_seen(reference: bool) -> Vec<std::thread::ThreadId> {
+        let run = if reference {
+            VirtualLab::run_report_reference
+        } else {
+            VirtualLab::run_report
+        };
+        run(|| {
+            let seen = Arc::new(Mutex::new(vec![std::thread::current().id()]));
+            let tasks: Vec<_> = (0..3)
+                .map(|i| {
+                    let seen = seen.clone();
+                    clock::spawn(&format!("t{i}"), move || {
+                        let first = std::thread::current().id();
+                        for _ in 0..4 {
+                            clock::sleep_ns(100 + i);
+                            assert_eq!(std::thread::current().id(), first);
+                        }
+                        seen.lock().unwrap().push(first);
+                    })
+                })
+                .collect();
+            for task in tasks {
+                task.join().unwrap();
+            }
+            let seen = seen.lock().unwrap().clone();
+            seen
+        })
+        .0
+    }
+
+    #[test]
+    fn every_task_runs_on_the_thread_that_called_run_except_in_the_reference() {
+        let here = std::thread::current().id();
+        let lab = threads_seen(false);
+        assert_eq!(lab.len(), 4);
+        if fiber::SUPPORTED {
+            assert!(lab.iter().all(|t| *t == here), "{lab:?}");
+        }
+        let reference = threads_seen(true);
+        assert_eq!(reference[0], here);
+        let distinct: std::collections::HashSet<_> = reference.iter().collect();
+        assert_eq!(distinct.len(), 4, "{reference:?}");
+    }
+
+    #[test]
+    fn a_suspended_task_keeps_its_charges_to_itself() {
+        let (times, _) = VirtualLab::run_against_reference(|| {
+            // Suspends with 300 ns charged and not flushed (a bare
+            // executor sleep takes no notice of charges): they are still
+            // there, and still its own, when it comes back.
+            let charger = clock::spawn("charger", || {
+                clock::charge(300);
+                clock::current().expect("a lab task").advance(1_000);
+                let back = clock::now_ns();
+                clock::flush_charge();
+                assert_eq!((back, clock::now_ns()), (1_000, 1_300));
+            });
+            // Runs while the charger is away, and again after a spender
+            // (scheduled just before it) exited with a millisecond
+            // charged: neither's charges are its to pay.
+            let spender = clock::spawn("spender", || {
+                clock::sleep_ns(600);
+                clock::charge(1_000_000);
+            });
+            let times = Arc::new(Mutex::new(Vec::new()));
+            let bystander = {
+                let times = times.clone();
+                clock::spawn("bystander", move || {
+                    for _ in 0..2 {
+                        clock::sleep_ns(600);
+                        clock::flush_charge(); // nothing pending: no advance
+                        times.lock().unwrap().push(clock::now_ns());
+                    }
+                    clock::yield_now();
+                    times.lock().unwrap().push(clock::now_ns());
+                })
+            };
+            for task in [charger, spender, bystander] {
+                task.join().unwrap();
+            }
+            let times = times.lock().unwrap().clone();
+            times
+        });
+        assert_eq!(times, [600, 1_200, 1_200 + YIELD_COST_NS]);
+    }
+
+    /// Joins its tasks when dropped — also while the root unwinds — and
+    /// keeps what each join returned.
+    struct JoinOnDrop {
+        tasks: Vec<TaskHandle>,
+        outcomes: Arc<Mutex<Vec<Result<(), String>>>>,
+    }
+
+    impl Drop for JoinOnDrop {
+        fn drop(&mut self) {
+            for task in self.tasks.drain(..) {
+                let outcome = task.join().map_err(|payload| {
+                    let message = payload.downcast_ref::<String>();
+                    message.expect("a formatted message").clone()
+                });
+                self.outcomes.lock().unwrap().push(outcome);
+            }
+        }
+    }
+
+    #[test]
+    fn joins_made_while_the_root_unwinds_see_every_task_end_in_a_panic() {
+        // The root is unwound by the lab (the child's panic failed the
+        // run) and joins from a destructor on its way out. The bystander
+        // polls rarely enough to be resumed only after that: everything
+        // is one OS thread, so `std::thread::panicking()` is true in the
+        // bystander too by then — and it must still be unwound, or the
+        // root's join of it never returns.
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let started = std::time::Instant::now();
+        let failure = std::panic::catch_unwind({
+            let outcomes = outcomes.clone();
+            move || {
+                VirtualLab::run(move || {
+                    let never = Arc::new(clock::Event::new());
+                    let doomed = clock::spawn("doomed", || {
+                        clock::sleep_ns(1_000);
+                        panic!("boom at {} ns", clock::now_ns());
+                    });
+                    let bystander = clock::spawn("bystander", move || {
+                        never.wait_until(u64::MAX, 10_000, || None::<()>);
+                    });
+                    let _joiner = JoinOnDrop {
+                        tasks: vec![doomed, bystander],
+                        outcomes,
+                    };
+                    clock::sleep_ns(2_000);
+                    unreachable!("the run failed at 1000 ns");
+                })
+            }
+        })
+        .expect_err("the child's panic must fail the run");
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(message, "lab task 'doomed' panicked: boom at 1000 ns");
+        assert_eq!(
+            *outcomes.lock().unwrap(),
+            [
+                Err("boom at 1000 ns".to_string()),
+                Err("lab task 'doomed' panicked: boom at 1000 ns".to_string()),
+            ]
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn ten_thousand_tasks_one_after_another_leave_no_stack_behind() {
+        // `run_lab` asserts that no exited task's stack is still mapped.
+        let (sum, report) = VirtualLab::run_report(|| {
+            let sum = Arc::new(Mutex::new(0));
+            for i in 0..10_000u64 {
+                let sum = sum.clone();
+                let task = clock::spawn("short-lived", move || {
+                    clock::sleep_ns(10);
+                    *sum.lock().unwrap() += i;
+                });
+                task.join().unwrap();
+            }
+            let sum = *sum.lock().unwrap();
+            sum
+        });
+        assert_eq!(sum, 10_000 * 9_999 / 2);
+        assert_eq!(report.tasks_spawned, 10_000);
+    }
+
+    #[test]
+    fn a_task_can_use_most_of_its_stack() {
+        /// Recurse until the stack is `want` bytes deeper than `base`.
+        #[inline(never)]
+        fn dive(base: usize, want: usize, depth: u64) -> u64 {
+            let frame = std::hint::black_box([depth; 32]);
+            if base - (frame.as_ptr() as usize) < want {
+                return dive(base, want, depth + 1) + frame[31] - depth;
+            }
+            clock::yield_now(); // and be switched away from down here
+            depth
+        }
+        let depths = Arc::new(Mutex::new(Vec::new()));
+        VirtualLab::run({
+            let depths = depths.clone();
+            move || {
+                let tasks: Vec<_> = (0..2)
+                    .map(|_| {
+                        let depths = depths.clone();
+                        clock::spawn("deep", move || {
+                            let base = std::hint::black_box(&depths) as *const _ as usize;
+                            // (Not inside the `lock()`: no lock across a yield.)
+                            let depth = dive(base, 400 * 1024, 0);
+                            depths.lock().unwrap().push(depth);
+                        })
+                    })
+                    .collect();
+                for task in tasks {
+                    task.join().unwrap();
+                }
+            }
+        });
+        let depths = depths.lock().unwrap();
+        assert!(
+            depths.len() == 2 && depths.iter().all(|d| *d > 100),
+            "{depths:?}"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   [`charge`] is a no-op. This path adds one thread-local read to the
 //!   call sites and nothing else.
 //!
-//! * **Virtual** (installed per task by `flock_sim::vtime::VirtualLab`):
+//! * **Virtual** (installed by `flock_sim::vtime::VirtualLab` on the
+//!   thread its tasks share, each on a stack of its own):
 //!   tasks are *cooperatively scheduled virtual cores*. Exactly one task
 //!   runs at any wall instant; `now_ns` is the lab's virtual clock;
 //!   `sleep`/`yield` hand the core back to the lab's virtual-time event
@@ -30,21 +31,24 @@
 //! idle a round of its [`AdaptiveBackoff`] ladder, or end. The threaded
 //! executor runs `loop { step }` on a thread, which is the loop as it
 //! was ([`StepperTask::drive`]); a virtual executor may run the steps
-//! itself, on the thread of whichever task gives up the core, and then
-//! the task has no thread at all ([`StepperTask::run_inline`]).
+//! itself, on the stack of whichever task gives up the core, and then
+//! the task has none of its own ([`StepperTask::run_inline`]).
 //!
 //! House rule for virtual tasks: **never yield while holding a lock
 //! another task can contend**. The threaded code already obeys this (all
 //! its spin/park sites drop locks first); conversions must preserve it,
-//! otherwise the lab deadlocks (the lock holder is parked and the next
-//! task blocks the one OS thread that could release it). And **announce
+//! otherwise the lab deadlocks (the lock holder is suspended and the
+//! next task blocks the one OS thread that could resume it). And **announce
 //! what a waiter waits for**: a change that can satisfy the condition of
 //! an [`Event::wait_until`] is followed by that event's `notify_all`
 //! before the changer yields. A parked thread needs it to wake at all;
 //! a virtual executor needs it to know which polls it may skip
 //! ([`Executor::sleep_polling`]). And **a step never waits**: it may
-//! run on another task's thread, so it returns [`Next::Idle`] where a
-//! loop would sleep and keeps no state in `thread_local!`s.
+//! run on another task's stack, so it returns [`Next::Idle`] where a
+//! loop would sleep. And **no task state in `thread_local!`s**: virtual
+//! tasks may all share one OS thread, so a thread-local is shared by
+//! every one of them, and a borrow of it held across a suspension point
+//! collides with the next task's.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -133,8 +137,9 @@ fn wall_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Install `exec` as the calling thread's executor (the thread becomes a
-/// virtual task). Returns a guard that uninstalls on drop.
+/// Install `exec` as the calling thread's executor (what runs on the
+/// thread from now on is a virtual task of it). Returns a guard that
+/// uninstalls on drop.
 pub fn install(exec: Arc<dyn Executor>) -> InstallGuard {
     CURRENT.with(|c| *c.borrow_mut() = Some(exec));
     PENDING_NS.with(|p| p.set(0));
@@ -187,7 +192,16 @@ pub fn charge(ns: u64) {
 }
 
 pub(crate) fn take_pending() -> u64 {
-    PENDING_NS.with(|p| p.replace(0))
+    swap_pending(0)
+}
+
+/// Replace the calling thread's pending [`charge`]s with `ns`. For an
+/// executor that runs several tasks on one thread: what a task charged
+/// goes with the task when another takes the thread, and comes back
+/// with it.
+#[doc(hidden)]
+pub fn swap_pending(ns: u64) -> u64 {
+    PENDING_NS.with(|p| p.replace(ns))
 }
 
 /// Apply any pending [`charge`]d cost now (a yield whose length is the
@@ -278,8 +292,7 @@ pub fn expired(deadline_ns: u64) -> bool {
 #[derive(Debug, Default)]
 pub struct Event {
     /// Bumped by every notify. Shared so a virtual executor can watch it
-    /// while the waiter's thread is parked; threaded waiters never read
-    /// it.
+    /// while the waiter is suspended; threaded waiters never read it.
     epoch: Arc<AtomicU64>,
     /// Threaded waiters between registration and return. Notifiers skip
     /// the lock and the wake syscall while this is zero.
@@ -435,7 +448,7 @@ impl Event {
 pub struct TaskExit {
     finished: AtomicBool,
     event: Event,
-    /// What a task with no thread of its own died of, for its joiner.
+    /// What the task's body died of, for its joiner.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -448,7 +461,7 @@ impl TaskExit {
         self.event.notify_all();
     }
 
-    /// [`TaskExit::signal`] for an inline stepper whose step panicked:
+    /// [`TaskExit::signal`] for a task whose body (or step) panicked:
     /// [`TaskHandle::join`] hands `payload` to the joiner, as joining a
     /// panicked thread would.
     pub fn signal_panic(&self, payload: Box<dyn Any + Send>) {
@@ -462,12 +475,13 @@ impl TaskExit {
 /// In threaded mode this is a plain `JoinHandle`. In virtual mode
 /// [`TaskHandle::join`] first waits — in virtual time, yielding turns to
 /// the joinee — for the task to deregister from the lab, then joins the
-/// underlying OS thread (which by then runs no scheduled code). Joining
-/// a virtual task with a bare `JoinHandle::join` would deadlock: the
-/// joiner holds the virtual core the joinee needs to finish.
+/// underlying OS thread, if the executor gave it one (which by then runs
+/// no scheduled code). Joining a virtual task with a bare
+/// `JoinHandle::join` would deadlock: the joiner holds the virtual core
+/// the joinee needs to finish.
 #[derive(Debug)]
 pub struct TaskHandle {
-    /// `None` for a stepper its executor runs inline.
+    /// `None` for a task its executor runs without a thread of its own.
     inner: Option<std::thread::JoinHandle<()>>,
     /// `Some` for virtual tasks.
     exit: Option<Arc<TaskExit>>,
@@ -491,8 +505,8 @@ impl TaskHandle {
         }
     }
 
-    /// The handle of a stepper that has no thread: its executor runs the
-    /// steps and [`TaskExit::signal`]s `exit` after the last one.
+    /// The handle of a task that has no thread of its own: its executor
+    /// runs it and [`TaskExit::signal`]s `exit` when it is over.
     pub fn inline(exit: Arc<TaskExit>) -> TaskHandle {
         TaskHandle {
             inner: None,
@@ -509,13 +523,11 @@ impl TaskHandle {
                 exit.finished.load(Ordering::Acquire).then_some(())
             });
         }
-        match (self.inner, self.exit) {
-            (Some(thread), _) => thread.join(),
-            (None, exit) => {
-                let panic = exit.and_then(|e| e.panic.lock().ok()?.take());
-                panic.map_or(Ok(()), Err)
-            }
+        if let Some(thread) = self.inner {
+            thread.join()?;
         }
+        let panic = self.exit.and_then(|e| e.panic.lock().ok()?.take());
+        panic.map_or(Ok(()), Err)
     }
 
     /// Whether the task has already finished (virtual tasks only;
@@ -628,9 +640,9 @@ impl StepperTask {
     /// [`Executor::sleep_polling`] would have returned for the previous
     /// [`Resume::Polling`] (0 otherwise).
     ///
-    /// The steps [`charge`] the stepper, whatever the calling thread had
+    /// The steps [`charge`] the stepper, whatever the calling task had
     /// pending: that is set aside and put back. A step must not reach a
-    /// suspension point — the thread it runs on is somebody else's. A
+    /// suspension point — the stack it runs on is somebody else's. A
     /// task that is over, or dead, drops its state before this returns,
     /// so that whatever the destructors do (charge, read the clock) is
     /// done outside the executor's locks and charged to nobody.
@@ -689,12 +701,11 @@ impl StepperTask {
 /// this is [`spawn`] of `loop { step }` ([`StepperTask::drive`]): the
 /// task blocks, spins, yields and parks as the loop always did. An
 /// executor that owns the scheduling loop (`flock_sim::vtime::VirtualLab`)
-/// gives the task no thread: it calls `step` itself whenever the task
-/// is due, on the thread of whichever task is suspending. For that a
-/// step obeys one more house rule: **a step never waits** — no
-/// [`yield_now`], [`sleep_ns`], [`Event::wait_until`] or join; it
-/// returns [`Next::Idle`] instead — and it keeps no state in
-/// `thread_local!`s, since consecutive steps run on different threads.
+/// gives the task no thread and no stack: it calls `step` itself
+/// whenever the task is due, on the stack of whichever task is
+/// suspending. For that a step obeys one more house rule: **a step
+/// never waits** — no [`yield_now`], [`sleep_ns`],
+/// [`Event::wait_until`] or join; it returns [`Next::Idle`] instead.
 pub fn spawn_stepper(
     name: &str,
     idler: AdaptiveBackoff,

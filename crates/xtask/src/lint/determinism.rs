@@ -15,6 +15,13 @@
 //! what `clock::Event::wait_until` exists to own. It needs a
 //! justification like any other.
 //!
+//! So is per-thread state: every task of a `VirtualLab` runs on the one
+//! OS thread that called `run`, each on a stack of its own, so a
+//! `thread_local!` in a crate that runs under the lab is state shared
+//! by all of them — a borrow of it held across a suspension point
+//! collides with the next task's (DESIGN.md §5e "Stacks"). Each one
+//! needs an entry saying why it is safe to share.
+//!
 //! Test/bench/example scaffolding is exempt: it drives the system from
 //! *outside* the lab on real OS threads by design (spawning the client
 //! threads that then `clock::install` themselves, timing wall-clock
@@ -52,6 +59,19 @@ const SEAM_CRATE: &str = "crates/sync/";
 /// seeding from host entropy).
 const BARE: &[&str] = &["from_entropy", "thread_rng", "OsRng"];
 
+/// The macro that declares per-thread — under a `VirtualLab`, lab-wide —
+/// state, and the crates whose code runs as lab tasks.
+const THREAD_LOCAL: &str = "thread_local!";
+const LAB_CRATES: &[&str] = &[
+    "crates/sync/",
+    "crates/fabric/",
+    "crates/core/",
+    "crates/kvstore/",
+    "crates/gateway/",
+    "crates/txn/",
+    "crates/hydralist/",
+];
+
 /// A matched seam escape, keyed like the ordering audit:
 /// `file::fn::Pattern#n`.
 pub struct Escape {
@@ -70,6 +90,7 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
     let mut out = Vec::new();
     let toks = &model.toks;
     let probe = (!model.path.starts_with(SEAM_CRATE)).then_some(&EXECUTOR_PROBE);
+    let runs_under_the_lab = LAB_CRATES.iter().any(|c| model.path.starts_with(c));
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident {
             continue;
@@ -87,6 +108,12 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
                 BARE.iter()
                     .find(|b| toks[i].text == **b)
                     .map(|b| b.to_string())
+            })
+            .or_else(|| {
+                (runs_under_the_lab
+                    && toks[i].text == "thread_local"
+                    && toks.get(i + 1).is_some_and(|t| t.text == "!"))
+                .then(|| THREAD_LOCAL.to_string())
             });
         let Some(pattern) = matched else {
             continue;
@@ -118,18 +145,26 @@ pub fn check(models: &[&SourceModel], allow: &Allowlist) -> (Vec<Diagnostic>, Ve
             all_keys.push(esc.key.clone());
             match allow.get(&esc.key) {
                 None => {
-                    diags.push(
-                        Diagnostic::error(
-                            "determinism",
-                            format!("`{}` escapes the virtual-clock seam", esc.pattern),
+                    let (what, how) = if esc.pattern == THREAD_LOCAL {
+                        (
+                            "is shared by every task of a VirtualLab",
+                            "keep the state in something the task owns, or say in \
+                             determinism.allow why sharing it is safe (never borrowed \
+                             across a suspension point, no task relies on its value)",
                         )
-                        .at(&esc.file, esc.line)
-                        .snippet(model.line_text(esc.line))
-                        .note(format!("key: {}", esc.key))
-                        .note(
+                    } else {
+                        (
+                            "escapes the virtual-clock seam",
                             "route through flock_sync::clock (now_ns/deadline/sleep/spawn, \
                              Event::wait_until for blocking) or justify in determinism.allow",
-                        ),
+                        )
+                    };
+                    diags.push(
+                        Diagnostic::error("determinism", format!("`{}` {what}", esc.pattern))
+                            .at(&esc.file, esc.line)
+                            .snippet(model.line_text(esc.line))
+                            .note(format!("key: {}", esc.key))
+                            .note(how),
                     );
                     missing.push(esc.key);
                 }

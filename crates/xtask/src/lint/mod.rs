@@ -4,7 +4,9 @@
 //! precise semantics and over-approximation policies):
 //!
 //! * [`determinism`] — time/scheduler/entropy calls outside the
-//!   `flock_sync::clock` seam (allowlist: `determinism.allow`);
+//!   `flock_sync::clock` seam, and `thread_local!`s in the crates that
+//!   run under a `VirtualLab`, where per-thread state is lab-wide
+//!   (allowlist: `determinism.allow`);
 //! * [`lock_order`] — cycles in the cross-crate Mutex/RwLock
 //!   acquisition graph (allowlist: `lockorder.allow`);
 //! * [`safety`] — `unsafe` without a `// SAFETY:` justification

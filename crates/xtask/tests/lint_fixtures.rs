@@ -97,6 +97,37 @@ fn determinism_todo_justification_still_fails() {
     assert!(diags[0].message.contains("TODO"));
 }
 
+#[test]
+fn thread_local_in_a_crate_that_runs_under_the_lab_needs_a_justification() {
+    let src =
+        "thread_local! {\n    static SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::new());\n}\n\
+               pub fn flush() { SCRATCH.with(|s| s.borrow_mut().clear()); }\n";
+    let m = model("crates/core/src/scratch.rs", src);
+    let (diags, missing) = determinism::check(&[&m], &empty_allow());
+    assert_eq!(diags.len(), 1, "{:?}", diags[0].message);
+    assert!(diags[0].message.contains("shared by every task"));
+    assert_eq!(
+        missing,
+        ["crates/core/src/scratch.rs::(file)::thread_local!#1"]
+    );
+
+    let allow = Allowlist::parse(
+        "crates/core/src/scratch.rs::(file)::thread_local!#1 = fixture justification\n",
+    );
+    let (diags, _) = determinism::check(&[&m], &allow);
+    assert!(diags.is_empty());
+
+    // Harnesses that drive the lab from outside keep their freedom, and
+    // so do tests.
+    let bench = model("crates/bench/src/lib.rs", src);
+    let (diags, _) = determinism::check(&[&bench], &empty_allow());
+    assert!(diags.is_empty());
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+    let m = model("crates/core/src/scratch.rs", &in_test);
+    let (diags, _) = determinism::check(&[&m], &empty_allow());
+    assert!(diags.is_empty());
+}
+
 // ----------------------------------------------------------- lock-order
 
 #[test]

@@ -2,7 +2,8 @@
 # Run the workspace invariant checker (`cargo xtask lint`): four
 # AST-level rules over every crate —
 #   determinism  time/scheduler/entropy calls outside the
-#                flock_sync::clock seam   (allowlist: determinism.allow)
+#                flock_sync::clock seam, thread_local!s in crates that
+#                run under the lab        (allowlist: determinism.allow)
 #   lock-order   cycles in the cross-crate Mutex/RwLock acquisition
 #                graph                     (allowlist: lockorder.allow)
 #   safety       `unsafe` without a `// SAFETY:` comment (no allowlist)

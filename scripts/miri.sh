@@ -9,6 +9,11 @@
 # notice) when Miri is unavailable rather than failing the suite; the CI
 # miri job runs it for real.
 #
+# Miri has no inline assembly, so under `cfg(miri)` a VirtualLab hosts
+# its tasks on OS threads, as its reference run does everywhere
+# (crates/sim/src/fiber.rs: `SUPPORTED` is false); a lab test picked by
+# the filter runs, slowly, on that path.
+#
 # Extra arguments go to `cargo miri test`, e.g. `scripts/miri.sh tcq`.
 set -eu
 cd "$(dirname "$0")/.."

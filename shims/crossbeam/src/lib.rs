@@ -20,12 +20,34 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `recv_cv` / senders blocked on `send_cv`,
+        /// counted under the lock around each wait. A notify is a futex
+        /// system call even with nobody to wake, so the other side makes
+        /// one only when the count says somebody is there.
+        parked_receivers: usize,
+        parked_senders: usize,
     }
 
     struct Chan<T> {
         state: Mutex<State<T>>,
         recv_cv: Condvar,
         send_cv: Condvar,
+    }
+
+    impl<T> Chan<T> {
+        /// A message was queued: wake a receiver, if one is blocked.
+        fn wake_receiver(&self, st: &State<T>) {
+            if st.parked_receivers > 0 {
+                self.recv_cv.notify_one();
+            }
+        }
+
+        /// A message was taken: wake a sender, if one is blocked.
+        fn wake_sender(&self, st: &State<T>) {
+            if st.parked_senders > 0 {
+                self.send_cv.notify_one();
+            }
+        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -120,7 +142,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut st = self.chan.state.lock().unwrap();
             st.senders -= 1;
-            if st.senders == 0 {
+            if st.senders == 0 && st.parked_receivers > 0 {
                 self.chan.recv_cv.notify_all();
             }
         }
@@ -130,7 +152,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut st = self.chan.state.lock().unwrap();
             st.receivers -= 1;
-            if st.receivers == 0 {
+            if st.receivers == 0 && st.parked_senders > 0 {
                 self.chan.send_cv.notify_all();
             }
         }
@@ -146,13 +168,15 @@ pub mod channel {
                 }
                 match st.cap {
                     Some(cap) if st.queue.len() >= cap => {
+                        st.parked_senders += 1;
                         st = self.chan.send_cv.wait(st).unwrap();
+                        st.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             st.queue.push_back(value);
-            self.chan.recv_cv.notify_one();
+            self.chan.wake_receiver(&st);
             Ok(())
         }
     }
@@ -164,13 +188,15 @@ pub mod channel {
             let mut st = self.chan.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.chan.send_cv.notify_one();
+                    self.chan.wake_sender(&st);
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked_receivers += 1;
                 st = self.chan.recv_cv.wait(st).unwrap();
+                st.parked_receivers -= 1;
             }
         }
 
@@ -178,7 +204,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.chan.state.lock().unwrap();
             if let Some(v) = st.queue.pop_front() {
-                self.chan.send_cv.notify_one();
+                self.chan.wake_sender(&st);
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -194,7 +220,7 @@ pub mod channel {
             let mut st = self.chan.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.chan.send_cv.notify_one();
+                    self.chan.wake_sender(&st);
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -204,14 +230,25 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.parked_receivers += 1;
                 let (g, _) = self.chan.recv_cv.wait_timeout(st, deadline - now).unwrap();
                 st = g;
+                st.parked_receivers -= 1;
             }
         }
 
         /// Blocking iterator over received messages; ends on disconnect.
         pub fn iter(&self) -> Iter<'_, T> {
             Iter { rx: self }
+        }
+
+        /// `(receivers, senders)` blocked on the channel right now: lets
+        /// a test wait until its peer is really parked before it makes
+        /// the call that has to wake it.
+        #[cfg(test)]
+        pub(crate) fn parked(&self) -> (usize, usize) {
+            let st = self.chan.state.lock().unwrap();
+            (st.parked_receivers, st.parked_senders)
         }
     }
 
@@ -234,6 +271,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             recv_cv: Condvar::new(),
             send_cv: Condvar::new(),
@@ -292,6 +331,76 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         h.join().unwrap();
+    }
+
+    /// Spin until `rx`'s channel has `want` = `(receivers, senders)`
+    /// blocked on it.
+    fn until_parked<T>(rx: &Receiver<T>, want: (usize, usize)) {
+        while rx.parked() != want {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_receiver_parked_in_recv_is_woken_by_a_send_and_by_the_last_sender_leaving() {
+        let (tx, rx) = unbounded::<u32>();
+        let parked = rx.clone();
+        let h = std::thread::spawn(move || (parked.recv(), parked.recv()));
+        until_parked(&rx, (1, 0));
+        tx.send(5).unwrap();
+        // Woken, served, and parked again — not a lucky first poll.
+        until_parked(&rx, (1, 0));
+        drop(tx);
+        assert_eq!(h.join().unwrap(), (Ok(5), Err(RecvError)));
+        assert_eq!(rx.parked(), (0, 0));
+    }
+
+    #[test]
+    fn a_receiver_parked_in_recv_timeout_is_woken_by_a_send() {
+        let (tx, rx) = unbounded::<u32>();
+        let parked = rx.clone();
+        let hour = std::time::Duration::from_secs(3600);
+        let h = std::thread::spawn(move || parked.recv_timeout(hour));
+        until_parked(&rx, (1, 0));
+        tx.send(6).unwrap();
+        assert_eq!(h.join().unwrap(), Ok(6));
+        assert_eq!(rx.parked(), (0, 0));
+    }
+
+    #[test]
+    fn a_sender_parked_on_a_full_channel_is_woken_by_every_kind_of_receive() {
+        let takes: [fn(&Receiver<u32>) -> u32; 3] = [
+            |rx| rx.recv().unwrap(),
+            |rx| rx.try_recv().unwrap(),
+            |rx| {
+                rx.recv_timeout(std::time::Duration::from_secs(3600))
+                    .unwrap()
+            },
+        ];
+        for take in takes {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let h = std::thread::spawn(move || tx.send(2).unwrap());
+            until_parked(&rx, (0, 1));
+            assert_eq!(take(&rx), 1);
+            h.join().unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(rx.parked(), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_sender_parked_on_a_full_channel_is_woken_by_the_last_receiver_leaving() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let watch = rx.clone();
+        let h = std::thread::spawn(move || tx.send(2).is_err());
+        until_parked(&watch, (0, 1));
+        drop(rx);
+        // `watch` is a receiver too: the sender stays parked until it goes.
+        until_parked(&watch, (0, 1));
+        drop(watch);
+        assert!(h.join().unwrap(), "the send must fail, not hang");
     }
 
     #[test]

@@ -539,6 +539,73 @@ pub mod cell {
 pub mod sync {
     pub use std::sync::Arc;
 
+    /// A mutex the model scheduler can see. Taking it is a schedule
+    /// point, and a thread that finds it taken yields — voluntarily, so
+    /// a lock wait is never charged as a preemption — until the holder,
+    /// which may be paused in the middle of its critical section, has
+    /// run on. (A `std` mutex would block the very OS thread the
+    /// controller has granted the step to, and the model would hang.)
+    /// Never poisoned: a panic aborts the whole model run.
+    #[derive(Debug, Default)]
+    pub struct Mutex<T> {
+        locked: atomic::AtomicBool,
+        data: std::cell::UnsafeCell<T>,
+    }
+
+    // SAFETY: `data` is reached only through a `MutexGuard`, of which
+    // `locked` admits one at a time; handing the `T` from thread to
+    // thread that way needs `T: Send`, as for `std::sync::Mutex`.
+    unsafe impl<T: Send> Send for Mutex<T> {}
+    // SAFETY: as above.
+    unsafe impl<T: Send> Sync for Mutex<T> {}
+
+    /// Exclusive access to a [`Mutex`]'s contents; unlocks on drop.
+    #[derive(Debug)]
+    pub struct MutexGuard<'a, T> {
+        lock: &'a Mutex<T>,
+    }
+
+    impl<T> Mutex<T> {
+        /// A mutex holding `value`.
+        pub fn new(value: T) -> Mutex<T> {
+            Mutex {
+                locked: atomic::AtomicBool::new(false),
+                data: std::cell::UnsafeCell::new(value),
+            }
+        }
+
+        /// Take the lock (`Err` never happens; the type is loom's).
+        pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
+            while self.locked.swap(true, atomic::Ordering::SeqCst) {
+                crate::thread::yield_now();
+            }
+            Ok(MutexGuard { lock: self })
+        }
+    }
+
+    impl<T> std::ops::Deref for MutexGuard<'_, T> {
+        type Target = T;
+
+        fn deref(&self) -> &T {
+            // SAFETY: the guard exists, so `locked` is ours: no other
+            // reference to the contents does.
+            unsafe { &*self.lock.data.get() }
+        }
+    }
+
+    impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            // SAFETY: as in `deref`, and `&mut self` is the only guard.
+            unsafe { &mut *self.lock.data.get() }
+        }
+    }
+
+    impl<T> Drop for MutexGuard<'_, T> {
+        fn drop(&mut self) {
+            self.lock.locked.store(false, atomic::Ordering::SeqCst);
+        }
+    }
+
     /// Model-checked atomics: every operation is a schedule point and
     /// executes with sequentially-consistent semantics regardless of the
     /// ordering argument (weak memory is *not* modeled — see crate docs).
@@ -793,6 +860,31 @@ mod tests {
                 super::thread::yield_now();
             }
             h.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn mutex_excludes_and_a_holder_paused_inside_does_not_hang_the_model() {
+        super::model(|| {
+            let m = Arc::new(super::sync::Mutex::new((0u32, 0u32)));
+            let step = Arc::new(AtomicUsize::new(0));
+            let hs: Vec<_> = (0..2)
+                .map(|_| {
+                    let (m, step) = (Arc::clone(&m), Arc::clone(&step));
+                    super::thread::spawn(move || {
+                        let mut pair = m.lock().unwrap();
+                        pair.0 += 1;
+                        // A schedule point inside the critical section.
+                        step.fetch_add(1, Ordering::SeqCst);
+                        pair.1 += 1;
+                        assert_eq!(pair.0, pair.1);
+                    })
+                })
+                .collect();
+            for h in hs {
+                h.join().unwrap();
+            }
+            assert_eq!(*m.lock().unwrap(), (2, 2));
         });
     }
 
