@@ -7,7 +7,6 @@
 use std::sync::Mutex;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use flock_bench::ContendedTcq;
 use flock_core::msg::{self, EntryMeta, EntryRef, MsgHeader};
 use flock_core::ring::{RingConsumer, RingLayout, RingProducer};
 use flock_core::tcq::{Outcome, Tcq};
@@ -142,18 +141,8 @@ fn bench_ring(c: &mut Criterion) {
 }
 
 fn bench_tcq(c: &mut Criterion) {
-    // Pooled (default) vs boxed (the `alloc-per-node` escape-hatch
-    // behavior, selected at runtime via `with_pooling`): same protocol,
-    // only the node/scratch allocation strategy differs.
     c.bench_function("tcq_pooled_join_complete_uncontended", |b| {
-        let tcq: Tcq<u64> = Tcq::with_pooling(16, true);
-        b.iter(|| match tcq.join(black_box(42)) {
-            Outcome::Lead(batch) => tcq.complete(batch),
-            Outcome::Sent => unreachable!(),
-        })
-    });
-    c.bench_function("tcq_boxed_join_complete_uncontended", |b| {
-        let tcq: Tcq<u64> = Tcq::with_pooling(16, false);
+        let tcq: Tcq<u64> = Tcq::new(16);
         b.iter(|| match tcq.join(black_box(42)) {
             Outcome::Lead(batch) => tcq.complete(batch),
             Outcome::Sent => unreachable!(),
@@ -166,17 +155,6 @@ fn bench_tcq(c: &mut Criterion) {
             let mut g = lock.lock().unwrap();
             *g = black_box(42);
         })
-    });
-    // Contended: 8 pre-spawned workers, 64 ops each per barrier-gated
-    // round, so one "iter" is a 512-op round (see ContendedTcq; the
-    // bench_baseline binary reports the same scenario as ns/op).
-    c.bench_function("tcq_pooled_contended8_round512", |b| {
-        let h = ContendedTcq::new(true, 8, 64);
-        b.iter(|| h.round())
-    });
-    c.bench_function("tcq_boxed_contended8_round512", |b| {
-        let h = ContendedTcq::new(false, 8, 64);
-        b.iter(|| h.round())
     });
 }
 

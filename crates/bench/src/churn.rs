@@ -3,7 +3,7 @@
 //! deterministic virtual-time lab ([`VirtualLab`]).
 //!
 //! Three scenarios, each a pure function of its configuration (two runs
-//! render byte-identical JSON — the CI determinism diff):
+//! render byte-identical JSON, which `flock-bench --check` relies on):
 //!
 //! 1. **Connect storm** — a cohort of clients dials one server at once,
 //!    twice. The first wave hits empty pools (every QP created, every MR
@@ -20,7 +20,6 @@
 //!    and after shows the departing sender's share migrating at detach
 //!    (not at the next utilization epoch).
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -31,6 +30,9 @@ use flock_core::FlockDomain;
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
+
+use crate::json::{float, object, Value};
+use crate::stats::percentile_us;
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +54,8 @@ pub struct ChurnWorkload {
 }
 
 impl ChurnWorkload {
-    /// Scenario sizes for a sweep: CI smoke (`quick`) or the checked-in
-    /// `BENCH_churn.json`.
+    /// Scenario sizes for a sweep: test smoke (`quick`) or the
+    /// checked-in `BENCH_churn.json`.
     pub fn preset(quick: bool) -> ChurnWorkload {
         if quick {
             ChurnWorkload {
@@ -96,14 +98,6 @@ fn churn_handle_cfg() -> HandleConfig {
     let mut cfg = HandleConfig::default();
     cfg.mem_threads = 1;
     cfg
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
 }
 
 // ---------------------------------------------------------------------
@@ -542,94 +536,69 @@ pub fn run_scaleout(payload: usize) -> ScaleOutOutcome {
 // ---------------------------------------------------------------------
 
 /// Run all three scenarios and render the stable-order JSON document.
-pub fn run_churn_suite(quick: bool, log: bool) -> String {
+pub fn run_suite(quick: bool) -> String {
     let w = ChurnWorkload::preset(quick);
-    if log {
-        eprintln!("bench_churn: connect storm ({} clients x 2 waves)...", w.storm_clients);
-    }
     let storm = run_storm(w);
-    if log {
-        eprintln!(
-            "  -> cold median {:.1} us, warm median {:.1} us ({:.1}x), {} warm leases",
-            storm.cold_median_us, storm.warm_median_us, storm.warm_speedup, storm.server_warm_leases
-        );
-        eprintln!(
-            "bench_churn: steady load ({} clients) under churn ({} churners x {} rounds)...",
-            w.steady_clients, w.churners, w.churn_rounds
-        );
-    }
     let churn = run_churn_load(w);
-    if log {
-        eprintln!(
-            "  -> p99 {:.1} us under churn vs {:.1} us baseline ({:.3}x), {} churn events",
-            churn.churn_p99_us, churn.baseline_p99_us, churn.disturbance_ratio, churn.churn_events
-        );
-        eprintln!("bench_churn: scale-out / AQP migration...");
-    }
     let so = run_scaleout(w.payload);
-    if log {
-        eprintln!(
-            "  -> survivor active QPs {} -> {} (total {} -> {}) across the departure",
-            so.survivor_active_before,
-            so.survivor_active_after,
-            so.total_active_before,
-            so.total_active_after
-        );
-    }
-    render_json(quick, w, &storm, &churn, &so)
+    render(quick, w, &storm, &churn, &so).render()
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
-pub fn render_json(
+fn render(
     quick: bool,
     w: ChurnWorkload,
     storm: &StormOutcome,
     churn: &ChurnOutcome,
     so: &ScaleOutOutcome,
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-churn/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    j.push_str("  \"storm\": {\n");
-    let _ = writeln!(j, "    \"clients\": {},", storm.clients);
-    let _ = writeln!(j, "    \"cold_ttfr_median_us\": {:.2},", storm.cold_median_us);
-    let _ = writeln!(j, "    \"cold_ttfr_p99_us\": {:.2},", storm.cold_p99_us);
-    let _ = writeln!(j, "    \"warm_ttfr_median_us\": {:.2},", storm.warm_median_us);
-    let _ = writeln!(j, "    \"warm_ttfr_p99_us\": {:.2},", storm.warm_p99_us);
-    let _ = writeln!(j, "    \"warm_speedup\": {:.3},", storm.warm_speedup);
-    let _ = writeln!(j, "    \"server_warm_leases\": {},", storm.server_warm_leases);
-    let _ = writeln!(j, "    \"handovers\": {},", storm.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", storm.tasks);
-    j.push_str("  },\n");
-    j.push_str("  \"churn\": {\n");
-    let _ = writeln!(j, "    \"steady_clients\": {},", churn.steady_clients);
-    let _ = writeln!(j, "    \"reqs_per_steady\": {},", w.reqs_per_steady);
-    let _ = writeln!(j, "    \"window\": {},", w.window);
-    let _ = writeln!(j, "    \"churners\": {},", churn.churners);
-    let _ = writeln!(j, "    \"churn_events\": {},", churn.churn_events);
-    let _ = writeln!(j, "    \"baseline_median_us\": {:.2},", churn.baseline_median_us);
-    let _ = writeln!(j, "    \"baseline_p99_us\": {:.2},", churn.baseline_p99_us);
-    let _ = writeln!(j, "    \"churn_median_us\": {:.2},", churn.churn_median_us);
-    let _ = writeln!(j, "    \"churn_p99_us\": {:.2},", churn.churn_p99_us);
-    let _ = writeln!(j, "    \"disturbance_ratio\": {:.3},", churn.disturbance_ratio);
-    let _ = writeln!(j, "    \"handovers\": {},", churn.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", churn.tasks);
-    j.push_str("  },\n");
-    j.push_str("  \"scaleout\": {\n");
-    let _ = writeln!(j, "    \"max_aqp\": {},", so.max_aqp);
-    let _ = writeln!(j, "    \"n_qps\": {},", so.n_qps);
-    let _ = writeln!(j, "    \"survivor_active_before\": {},", so.survivor_active_before);
-    let _ = writeln!(j, "    \"total_active_before\": {},", so.total_active_before);
-    let _ = writeln!(j, "    \"survivor_active_after\": {},", so.survivor_active_after);
-    let _ = writeln!(j, "    \"total_active_after\": {},", so.total_active_after);
-    let _ = writeln!(j, "    \"handovers\": {},", so.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", so.tasks);
-    j.push_str("  }\n");
-    j.push_str("}\n");
-    j
+) -> Value {
+    object(vec![
+        ("schema", "flock-bench-churn/v1".into()),
+        ("quick", quick.into()),
+        ("executor", "virtual".into()),
+        ("payload_bytes", w.payload.into()),
+        (
+            "storm",
+            object(vec![
+                ("clients", storm.clients.into()),
+                ("cold_ttfr_median_us", float(storm.cold_median_us, 2)),
+                ("cold_ttfr_p99_us", float(storm.cold_p99_us, 2)),
+                ("warm_ttfr_median_us", float(storm.warm_median_us, 2)),
+                ("warm_ttfr_p99_us", float(storm.warm_p99_us, 2)),
+                ("warm_speedup", float(storm.warm_speedup, 3)),
+                ("server_warm_leases", storm.server_warm_leases.into()),
+                ("handovers", storm.handovers.into()),
+                ("tasks", storm.tasks.into()),
+            ]),
+        ),
+        (
+            "churn",
+            object(vec![
+                ("steady_clients", churn.steady_clients.into()),
+                ("reqs_per_steady", w.reqs_per_steady.into()),
+                ("window", w.window.into()),
+                ("churners", churn.churners.into()),
+                ("churn_events", churn.churn_events.into()),
+                ("baseline_median_us", float(churn.baseline_median_us, 2)),
+                ("baseline_p99_us", float(churn.baseline_p99_us, 2)),
+                ("churn_median_us", float(churn.churn_median_us, 2)),
+                ("churn_p99_us", float(churn.churn_p99_us, 2)),
+                ("disturbance_ratio", float(churn.disturbance_ratio, 3)),
+                ("handovers", churn.handovers.into()),
+                ("tasks", churn.tasks.into()),
+            ]),
+        ),
+        (
+            "scaleout",
+            object(vec![
+                ("max_aqp", so.max_aqp.into()),
+                ("n_qps", so.n_qps.into()),
+                ("survivor_active_before", so.survivor_active_before.into()),
+                ("total_active_before", so.total_active_before.into()),
+                ("survivor_active_after", so.survivor_active_after.into()),
+                ("total_active_after", so.total_active_after.into()),
+                ("handovers", so.handovers.into()),
+                ("tasks", so.tasks.into()),
+            ]),
+        ),
+    ])
 }

@@ -4,121 +4,79 @@
 //! paper (SOSP 2021). Each `benches/figN*.rs` target (run via
 //! `cargo bench`) prints the same rows/series the paper reports;
 //! `benches/micro.rs` holds Criterion microbenchmarks of the core data
-//! structures. See EXPERIMENTS.md for paper-vs-measured values.
+//! structures. The virtual-time suites behind the checked-in
+//! `BENCH_*.json` are the rows of [`SUITES`], run by the `flock-bench`
+//! binary. See EXPERIMENTS.md for paper-vs-measured values.
 
 pub mod arrival;
 pub mod churn;
+pub mod json;
 pub mod onesided;
 pub mod scale;
+pub mod stats;
 pub mod tenant;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use flock_core::tcq::{Outcome, Tcq};
 use flock_sim::Ns;
 
-/// Pre-spawned worker pool hammering one shared TCQ in barrier-gated
-/// rounds, shared between the Criterion `micro` bench and the
-/// `bench_baseline` binary so both measure the identical contended
-/// scenario.
-///
-/// Spawning threads inside the timed region would dwarf the per-op cost
-/// being measured (and allocate, muddying the zero-allocation story);
-/// here the workers live across rounds, parked on a barrier between
-/// them. On a single-core host the scenario is oversubscribed, but the
-/// per-op allocation savings are scheduler-independent.
-pub struct ContendedTcq {
-    tcq: Arc<Tcq<u64>>,
-    barrier: Arc<Barrier>,
-    stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-    ops_per_thread: u64,
+/// One virtual-time suite: the real stack under `VirtualLab`, rendered
+/// as one JSON document that is a pure function of the tree.
+pub struct Suite {
+    /// What `flock-bench <name>` selects; the document's schema tag is
+    /// `flock-bench-<name>/v1`.
+    pub name: &'static str,
+    /// The checked-in document at the repo root.
+    pub file: &'static str,
+    /// Run at test-smoke (`quick`) or checked-in size and render.
+    pub run: fn(quick: bool) -> String,
 }
 
-impl ContendedTcq {
-    /// Spawn `threads` workers against a fresh TCQ (batch limit 16).
-    /// Each round every worker submits `ops_per_thread` requests,
-    /// driving any batch it leads to completion.
-    pub fn new(pooled: bool, threads: usize, ops_per_thread: u64) -> Self {
-        let tcq: Arc<Tcq<u64>> = Arc::new(Tcq::with_pooling(16, pooled));
-        let barrier = Arc::new(Barrier::new(threads + 1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers = (0..threads as u64)
-            .map(|t| {
-                let tcq = Arc::clone(&tcq);
-                let barrier = Arc::clone(&barrier);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || loop {
-                    barrier.wait();
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    for i in 0..ops_per_thread {
-                        match tcq.join(t * ops_per_thread + i) {
-                            Outcome::Lead(mut batch) => {
-                                let mut sum = 0u64;
-                                for it in batch.drain_items() {
-                                    sum = sum.wrapping_add(it);
-                                }
-                                std::hint::black_box(sum);
-                                tcq.complete(batch);
-                            }
-                            Outcome::Sent => {}
-                        }
-                    }
-                    barrier.wait();
-                })
-            })
-            .collect();
-        ContendedTcq {
-            tcq,
-            barrier,
-            stop,
-            workers,
-            threads,
-            ops_per_thread,
+/// Every suite `flock-bench` runs and `flock-bench --check` holds the
+/// checked-in files to.
+pub static SUITES: [Suite; 4] = [
+    Suite {
+        name: "scale",
+        file: "BENCH_scale.json",
+        run: scale::run_suite,
+    },
+    Suite {
+        name: "churn",
+        file: "BENCH_churn.json",
+        run: churn::run_suite,
+    },
+    Suite {
+        name: "tenant",
+        file: "BENCH_tenant.json",
+        run: tenant::run_suite,
+    },
+    Suite {
+        name: "onesided",
+        file: "BENCH_onesided.json",
+        run: onesided::run_suite,
+    },
+];
+
+/// The `--check` comparison: one entry per line at which `actual` (this
+/// tree's document) departs from `expected` (the checked-in one), empty
+/// exactly when the two are byte-equal. Documents keep their shape from
+/// run to run, so lines are compared by position.
+pub fn diff_lines(expected: &str, actual: &str) -> Vec<String> {
+    // `split`, not `lines`: a lost final newline or a stray `\r` must
+    // count as a difference.
+    let mut exp = expected.split('\n');
+    let mut act = actual.split('\n');
+    let mut out = Vec::new();
+    for line in 1.. {
+        match (exp.next(), act.next()) {
+            (None, None) => break,
+            (e, a) if e == a => {}
+            (e, a) => out.push(format!(
+                "line {line}:\n  checked in: {}\n  this tree:  {}",
+                e.unwrap_or("<end of file>"),
+                a.unwrap_or("<end of file>")
+            )),
         }
     }
-
-    /// Run one round (every worker submits its quota), returning its
-    /// wall time.
-    pub fn round(&self) -> Duration {
-        self.barrier.wait();
-        let start = Instant::now();
-        self.barrier.wait();
-        start.elapsed()
-    }
-
-    /// Mean wall nanoseconds per `join`/`complete` op over `rounds`.
-    pub fn ns_per_op(&self, rounds: u32) -> f64 {
-        let mut total = Duration::ZERO;
-        for _ in 0..rounds {
-            total += self.round();
-        }
-        let ops = u64::from(rounds) * self.threads as u64 * self.ops_per_thread;
-        total.as_nanos() as f64 / ops.max(1) as f64
-    }
-
-    /// Mean coalescing degree observed so far (requests per batch).
-    pub fn mean_degree(&self) -> f64 {
-        self.tcq.mean_degree()
-    }
-}
-
-impl Drop for ContendedTcq {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Workers park on the round-start barrier between rounds; one
-        // more wait releases them into the stop check.
-        self.barrier.wait();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
+    out
 }
 
 /// Measurement window per point, scaled by `FLOCK_SIM_MS` (default 8 ms).
@@ -139,4 +97,33 @@ pub fn sim_warmup() -> Ns {
 pub fn header(title: &str, cols: &[&str]) {
     println!("\n=== {title} ===");
     println!("{}", cols.join("\t"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diff_lines;
+
+    const DOC: &str =
+        "{\n  \"schema\": \"t/v1\",\n  \"p99_us\": 45.83,\n  \"handovers\": 3472\n}\n";
+
+    #[test]
+    fn equal_documents_pass_the_check() {
+        assert!(diff_lines(DOC, DOC).is_empty());
+    }
+
+    #[test]
+    fn one_changed_digit_fails_the_check_and_names_its_line() {
+        let moved = DOC.replace("45.83", "45.84");
+        let diffs = diff_lines(DOC, &moved);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].starts_with("line 3:"), "{diffs:?}");
+        assert!(diffs[0].contains("45.83") && diffs[0].contains("45.84"));
+    }
+
+    #[test]
+    fn a_missing_line_or_final_newline_fails_the_check() {
+        assert_eq!(diff_lines(DOC, DOC.trim_end()).len(), 1);
+        let shorter = DOC.replace("  \"handovers\": 3472\n", "");
+        assert!(!diff_lines(DOC, &shorter).is_empty());
+    }
 }

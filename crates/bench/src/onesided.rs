@@ -20,7 +20,6 @@
 //! same RPC. The rendered JSON's `crossover` section pins where, and
 //! EXPERIMENTS.md narrates the thresholds.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -38,6 +37,8 @@ use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::arrival::RateRamp;
+use crate::json::{array, float, inline, object, Value};
+use crate::stats::percentile_us;
 
 /// Mean inter-request gap per client (virtual ns): open-loop Poisson
 /// arrivals, so the coalescing degree is set by genuine concurrency,
@@ -101,7 +102,7 @@ pub struct OneSidedWorkload {
 }
 
 impl OneSidedWorkload {
-    /// CI smoke (`quick`) or the checked-in `BENCH_onesided.json`.
+    /// Test smoke (`quick`) or the checked-in `BENCH_onesided.json`.
     pub fn preset(quick: bool) -> OneSidedWorkload {
         OneSidedWorkload {
             reqs_per_client: if quick { 24 } else { 64 },
@@ -148,15 +149,7 @@ pub struct ModeOutcome {
     pub tasks: u64,
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
-
-/// The JSON name of a mode (also the log label).
+/// The JSON name of a mode.
 pub fn mode_name(mode: ReadMode) -> &'static str {
     match mode {
         ReadMode::Rpc => "rpc",
@@ -335,7 +328,7 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
     outcome
 }
 
-/// The sweep grid: quick (CI smoke) or full (checked-in JSON).
+/// The sweep grid: quick (test smoke) or full (checked-in JSON).
 pub fn sweep_points(quick: bool) -> Vec<OneSidedPoint> {
     let pt = |clients, value, write_pct| OneSidedPoint {
         clients,
@@ -451,116 +444,75 @@ pub fn adaptive_worst_regret(outcomes: &[[ModeOutcome; 3]]) -> f64 {
 }
 
 /// Run the sweep and render the stable-order JSON document.
-pub fn run_onesided_suite(quick: bool, log: bool) -> String {
+pub fn run_suite(quick: bool) -> String {
     let w = OneSidedWorkload::preset(quick);
-    let points = sweep_points(quick);
-    let mut outcomes = Vec::with_capacity(points.len());
-    for p in points {
-        if log {
-            eprintln!(
-                "bench_onesided: clients={} value={}B writes={}% ...",
-                p.clients, p.value, p.write_pct
-            );
-        }
-        let trio = run_point_modes(p, w);
-        if log {
-            for o in &trio {
-                eprintln!(
-                    "  {:>9}: {:.0} ops/vsec (GET median {:.2} us, p99 {:.2} us, \
-                     one-sided {}/{} reads, {} fallbacks, retry rate {:.3})",
-                    mode_name(o.mode),
-                    o.ops_per_vsec,
-                    o.get_median_us,
-                    o.get_p99_us,
-                    o.one_sided,
-                    o.one_sided + o.rpc_reads,
-                    o.fallbacks,
-                    o.retry_rate
-                );
-            }
-        }
-        outcomes.push(trio);
-    }
-    render_json(quick, w, &outcomes)
+    let outcomes: Vec<_> = sweep_points(quick)
+        .into_iter()
+        .map(|p| run_point_modes(p, w))
+        .collect();
+    render(quick, w, &outcomes).render()
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
-pub fn render_json(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-onesided/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"seed\": {},", w.seed);
-    let _ = writeln!(j, "  \"keys\": {},", w.keys);
-    let _ = writeln!(j, "  \"reqs_per_client\": {},", w.reqs_per_client);
-    let _ = writeln!(j, "  \"mean_gap_ns\": {:.0},", GAP_NS);
-    let _ = writeln!(j, "  \"threads_per_node\": {THREADS_PER_NODE},");
-    let _ = writeln!(j, "  \"inline_value_cap\": {INLINE_VALUE_CAP},");
+fn render(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> Value {
+    let point = |o: &ModeOutcome| {
+        inline(object(vec![
+            ("clients", o.point.clients.into()),
+            ("value_bytes", o.point.value.into()),
+            ("write_pct", o.point.write_pct.into()),
+            ("mode", mode_name(o.mode).into()),
+            ("gets", o.gets.into()),
+            ("sets", o.sets.into()),
+            ("virtual_ms", float(o.virtual_ms, 3)),
+            ("ops_per_vsec", float(o.ops_per_vsec, 0)),
+            ("get_median_us", float(o.get_median_us, 2)),
+            ("get_p99_us", float(o.get_p99_us, 2)),
+            ("one_sided", o.one_sided.into()),
+            ("rpc_reads", o.rpc_reads.into()),
+            ("fallbacks", o.fallbacks.into()),
+            ("retries", o.retries.into()),
+            ("retry_rate", float(o.retry_rate, 4)),
+            ("verbs", o.verbs.into()),
+            ("handovers", o.handovers.into()),
+            ("tasks", o.tasks.into()),
+        ]))
+    };
+    let crossover = |r: &CrossoverRow| {
+        let series = r.series.iter().map(|&(clients, rpc, os, ad)| {
+            object(vec![
+                ("clients", clients.into()),
+                ("rpc", float(rpc, 0)),
+                ("one_sided", float(os, 0)),
+                ("adaptive", float(ad, 0)),
+            ])
+        });
+        inline(object(vec![
+            ("value_bytes", r.value.into()),
+            ("write_pct", r.write_pct.into()),
+            ("series", array(series)),
+            ("rpc_wins_at_clients", r.rpc_wins_at_clients.into()),
+        ]))
+    };
     let fc = crossover_fabric();
-    let _ = writeln!(j, "  \"nic_lanes\": {},", fc.nic_lanes);
-    let _ = writeln!(j, "  \"nic_cache_entries\": {},", fc.nic_cache_entries);
-    j.push_str("  \"points\": [\n");
-    let total = outcomes.len() * 3;
-    for (i, o) in outcomes.iter().flatten().enumerate() {
-        let comma = if i + 1 < total { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"clients\": {}, \"value_bytes\": {}, \"write_pct\": {}, \
-             \"mode\": \"{}\", \"gets\": {}, \"sets\": {}, \"virtual_ms\": {:.3}, \
-             \"ops_per_vsec\": {:.0}, \"get_median_us\": {:.2}, \"get_p99_us\": {:.2}, \
-             \"one_sided\": {}, \"rpc_reads\": {}, \"fallbacks\": {}, \
-             \"retries\": {}, \"retry_rate\": {:.4}, \"verbs\": {}, \
-             \"handovers\": {}, \"tasks\": {}}}{comma}",
-            o.point.clients,
-            o.point.value,
-            o.point.write_pct,
-            mode_name(o.mode),
-            o.gets,
-            o.sets,
-            o.virtual_ms,
-            o.ops_per_vsec,
-            o.get_median_us,
-            o.get_p99_us,
-            o.one_sided,
-            o.rpc_reads,
-            o.fallbacks,
-            o.retries,
-            o.retry_rate,
-            o.verbs,
-            o.handovers,
-            o.tasks
-        );
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"crossover\": [\n");
-    let rows = crossover_rows(outcomes);
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let mut series = String::new();
-        for (k, &(c, rpc, os, ad)) in r.series.iter().enumerate() {
-            let sc = if k + 1 < r.series.len() { ", " } else { "" };
-            let _ = write!(
-                series,
-                "{{\"clients\": {c}, \"rpc\": {rpc:.0}, \"one_sided\": {os:.0}, \
-                 \"adaptive\": {ad:.0}}}{sc}"
-            );
-        }
-        let _ = writeln!(
-            j,
-            "    {{\"value_bytes\": {}, \"write_pct\": {}, \"series\": [{}], \
-             \"rpc_wins_at_clients\": {}}}{comma}",
-            r.value, r.write_pct, series, r.rpc_wins_at_clients
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"adaptive_worst_regret\": {:.3}",
-        adaptive_worst_regret(outcomes)
-    );
-    j.push_str("}\n");
-    j
+    object(vec![
+        ("schema", "flock-bench-onesided/v1".into()),
+        ("quick", quick.into()),
+        ("executor", "virtual".into()),
+        ("seed", w.seed.into()),
+        ("keys", w.keys.into()),
+        ("reqs_per_client", w.reqs_per_client.into()),
+        ("mean_gap_ns", float(GAP_NS, 0)),
+        ("threads_per_node", THREADS_PER_NODE.into()),
+        ("inline_value_cap", INLINE_VALUE_CAP.into()),
+        ("nic_lanes", fc.nic_lanes.into()),
+        ("nic_cache_entries", fc.nic_cache_entries.into()),
+        ("points", array(outcomes.iter().flatten().map(point))),
+        (
+            "crossover",
+            array(crossover_rows(outcomes).iter().map(crossover)),
+        ),
+        (
+            "adaptive_worst_regret",
+            float(adaptive_worst_regret(outcomes), 3),
+        ),
+    ])
 }

@@ -8,10 +8,9 @@
 //! Every configuration point spawns one virtual task per client thread,
 //! per dispatcher, per NIC lane etc.; exactly one runs at a wall instant,
 //! scheduled by `(virtual time, sequence)`, so a run is a pure function
-//! of its configuration: two runs produce byte-identical JSON (the CI
-//! determinism check, and the `scale_determinism` test).
+//! of its configuration: two runs produce byte-identical JSON, which is
+//! what lets `flock-bench --check` hold `BENCH_scale.json` to the tree.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -22,6 +21,9 @@ use flock_core::FlockDomain;
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
+
+use crate::json::{array, float, inline, object, Value};
+use crate::stats::percentile_us;
 
 /// One configuration of the scaling surface.
 #[derive(Debug, Clone, Copy)]
@@ -92,10 +94,11 @@ pub struct Workload {
     pub payload: usize,
 }
 
-impl Default for Workload {
-    fn default() -> Self {
+impl Workload {
+    /// Test smoke (`quick`) or the checked-in `BENCH_scale.json`.
+    pub fn preset(quick: bool) -> Workload {
         Workload {
-            reqs_per_thread: 24,
+            reqs_per_thread: if quick { 8 } else { 24 },
             window: 8,
             payload: 32,
         }
@@ -201,7 +204,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
         // carry their connection's control-plane charge (QP creation, MR
         // registration) on their own clocks, so anchoring at the
         // workers' start instants keeps setup cost out of the
-        // steady-state throughput figure — `bench_churn` measures it.
+        // steady-state throughput figure — the churn suite measures it.
         let collected = std::mem::take(&mut *results.lock().unwrap());
         let mut total_ops = 0u64;
         let mut all_lat: Vec<u64> = Vec::new();
@@ -245,15 +248,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
     outcome
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
-
-/// The sweep: quick (CI smoke) or full (checked-in `BENCH_scale.json`).
+/// The sweep: quick (test smoke) or full (checked-in `BENCH_scale.json`).
 pub fn sweep_points(quick: bool) -> Vec<ScalePoint> {
     let pt = |clients, threads_per_node, n_qps, dispatch_threads, nic_lanes| ScalePoint {
         clients,
@@ -289,106 +284,66 @@ pub fn sweep_points(quick: bool) -> Vec<ScalePoint> {
     }
 }
 
-/// Run a sweep and render the stable-order JSON document.
-pub fn run_sweep(quick: bool, w: Workload, log: bool) -> String {
-    let points = sweep_points(quick);
-    let mut outcomes = Vec::with_capacity(points.len());
-    for p in points {
-        if log {
-            eprintln!(
-                "bench_scale: clients={}x{} qps={} dispatch={} lanes={} ...",
-                p.clients, p.threads_per_node, p.n_qps, p.dispatch_threads, p.nic_lanes
-            );
-        }
-        let o = run_point(p, w);
-        if log {
-            eprintln!(
-                "  -> {:.0} ops/vsec over {:.2} virtual ms (median {:.1} us, p99 {:.1} us, \
-                 degree {:.2}, active {}/{} QPs)",
-                o.ops_per_vsec,
-                o.virtual_ms,
-                o.median_us,
-                o.p99_us,
-                o.mean_degree,
-                o.active_qps,
-                o.total_qps
-            );
-        }
-        outcomes.push(o);
-    }
-    render_json(quick, w, &outcomes)
+/// Run the sweep and render the stable-order JSON document.
+pub fn run_suite(quick: bool) -> String {
+    let w = Workload::preset(quick);
+    let outcomes: Vec<_> = sweep_points(quick)
+        .into_iter()
+        .map(|p| run_point(p, w))
+        .collect();
+    render(quick, w, &outcomes).render()
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace has
-/// no serde); every float is formatted with fixed precision so identical
-/// runs are byte-identical.
-pub fn render_json(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> String {
-    let speedup = |d: usize, l: usize| -> f64 {
-        let base = outcomes
-            .iter()
-            .find(|o| {
-                o.point.client_threads() == 16
-                    && o.point.dispatch_threads == 1
-                    && o.point.nic_lanes == 1
-            })
-            .map(|o| o.ops_per_vsec)
-            .unwrap_or(0.0);
-        let sharded = outcomes
+fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {
+    // Throughput of the 16-thread point with `d` dispatchers and `l`
+    // lanes, 0 when the sweep has none (the quick one).
+    let at_16 = |d: usize, l: usize| -> f64 {
+        outcomes
             .iter()
             .find(|o| {
                 o.point.client_threads() == 16
                     && o.point.dispatch_threads == d
                     && o.point.nic_lanes == l
             })
-            .map(|o| o.ops_per_vsec)
-            .unwrap_or(0.0);
+            .map_or(0.0, |o| o.ops_per_vsec)
+    };
+    let speedup = |d: usize, l: usize| -> f64 {
+        let base = at_16(1, 1);
         if base > 0.0 {
-            sharded / base
+            at_16(d, l) / base
         } else {
             0.0
         }
     };
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-scale/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"reqs_per_thread\": {},", w.reqs_per_thread);
-    let _ = writeln!(j, "  \"window\": {},", w.window);
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    j.push_str("  \"points\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let comma = if i + 1 < outcomes.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"clients\": {}, \"threads_per_node\": {}, \"n_qps\": {}, \
-             \"dispatch_threads\": {}, \"nic_lanes\": {}, \"sched_interval_us\": {}, \
-             \"total_ops\": {}, \
-             \"virtual_ms\": {:.3}, \"ops_per_vsec\": {:.0}, \"median_us\": {:.2}, \
-             \"p99_us\": {:.2}, \"mean_degree\": {:.3}, \"active_qps\": {}, \
-             \"total_qps\": {}, \"handovers\": {}, \"tasks\": {}}}{comma}",
-            o.point.clients,
-            o.point.threads_per_node,
-            o.point.n_qps,
-            o.point.dispatch_threads,
-            o.point.nic_lanes,
-            o.point.sched_interval_us,
-            o.total_ops,
-            o.virtual_ms,
-            o.ops_per_vsec,
-            o.median_us,
-            o.p99_us,
-            o.mean_degree,
-            o.active_qps,
-            o.total_qps,
-            o.handovers,
-            o.tasks
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(j, "  \"speedup_2x2_over_1x1_at_16\": {:.3},", speedup(2, 2));
-    let _ = writeln!(j, "  \"speedup_4x4_over_1x1_at_16\": {:.3}", speedup(4, 4));
-    j.push_str("}\n");
-    j
+    let point = |o: &ScaleOutcome| {
+        inline(object(vec![
+            ("clients", o.point.clients.into()),
+            ("threads_per_node", o.point.threads_per_node.into()),
+            ("n_qps", o.point.n_qps.into()),
+            ("dispatch_threads", o.point.dispatch_threads.into()),
+            ("nic_lanes", o.point.nic_lanes.into()),
+            ("sched_interval_us", o.point.sched_interval_us.into()),
+            ("total_ops", o.total_ops.into()),
+            ("virtual_ms", float(o.virtual_ms, 3)),
+            ("ops_per_vsec", float(o.ops_per_vsec, 0)),
+            ("median_us", float(o.median_us, 2)),
+            ("p99_us", float(o.p99_us, 2)),
+            ("mean_degree", float(o.mean_degree, 3)),
+            ("active_qps", o.active_qps.into()),
+            ("total_qps", o.total_qps.into()),
+            ("handovers", o.handovers.into()),
+            ("tasks", o.tasks.into()),
+        ]))
+    };
+    object(vec![
+        ("schema", "flock-bench-scale/v1".into()),
+        ("quick", quick.into()),
+        ("executor", "virtual".into()),
+        ("reqs_per_thread", w.reqs_per_thread.into()),
+        ("window", w.window.into()),
+        ("payload_bytes", w.payload.into()),
+        ("points", array(outcomes.iter().map(point))),
+        ("speedup_2x2_over_1x1_at_16", float(speedup(2, 2), 3)),
+        ("speedup_4x4_over_1x1_at_16", float(speedup(4, 4), 3)),
+    ])
 }

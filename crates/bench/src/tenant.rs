@@ -4,7 +4,7 @@
 //! virtual-time lab ([`VirtualLab`]).
 //!
 //! Three scenarios, each a pure function of its configuration (two runs
-//! render byte-identical JSON — the CI determinism diff):
+//! render byte-identical JSON, which `flock-bench --check` relies on):
 //!
 //! 1. **Zipf-skewed GET/SET mix** — every tenant drives a 90/10
 //!    GET/SET mix over a shared key space with Zipf(0.99) popularity.
@@ -21,7 +21,6 @@
 //!    disturbance ratio (vs baseline) is the headline: caps must hold
 //!    it near 1, while the uncapped run shows what lane-stealing costs.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -37,6 +36,8 @@ use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::arrival::RateRamp;
+use crate::json::{array, float, inline, object, Value};
+use crate::stats::percentile_us;
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +70,8 @@ pub struct TenantWorkload {
 }
 
 impl TenantWorkload {
-    /// Scenario sizes for a sweep: CI smoke (`quick`) or the checked-in
-    /// `BENCH_tenant.json`.
+    /// Scenario sizes for a sweep: test smoke (`quick`) or the
+    /// checked-in `BENCH_tenant.json`.
     pub fn preset(quick: bool) -> TenantWorkload {
         if quick {
             TenantWorkload {
@@ -169,14 +170,6 @@ fn share_snapshot_ns(victim_reqs: u64) -> u64 {
 /// default (10 ms) never fires inside a sub-millisecond scenario; this
 /// keeps thread→lane assignment tracking the server's AQP grants.
 const CLIENT_SCHED_INTERVAL: Duration = Duration::from_micros(100);
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
 
 /// Jain's fairness index over a slice (mirror of the scheduler-side
 /// definition, applied to bench-side throughput figures).
@@ -690,122 +683,80 @@ pub fn run_interference(w: TenantWorkload) -> InterferenceOutcome {
 // ---------------------------------------------------------------------
 
 /// Run all three scenarios and render the stable-order JSON document.
-pub fn run_tenant_suite(quick: bool, log: bool) -> String {
+pub fn run_suite(quick: bool) -> String {
     let w = TenantWorkload::preset(quick);
-    if log {
-        eprintln!(
-            "bench_tenant: zipf mix ({} tenants x {} sessions x {} reqs)...",
-            w.tenants, w.sessions_per_tenant, w.reqs_per_session
-        );
-    }
     let zipf = run_zipf_mix(w);
-    if log {
-        eprintln!(
-            "  -> jains(tput) {:.3}, jains(completed) {:.3}, {} store keys",
-            zipf.jains_tput, zipf.jains_completed, zipf.store_keys
-        );
-        eprintln!("bench_tenant: hot-key storm...");
-    }
     let hot = run_hot_key_storm(w);
-    if log {
-        eprintln!(
-            "  -> jains(tput) {:.3}, jains(completed) {:.3}",
-            hot.jains_tput, hot.jains_completed
-        );
-        eprintln!(
-            "bench_tenant: interference ({} victims vs {} aggressor sessions, cap {})...",
-            w.victims, w.aggr_sessions, w.aggr_cap
-        );
-    }
     let intf = run_interference(w);
-    if log {
-        eprintln!(
-            "  -> victim p99 {:.1} us baseline, {:.1} us uncapped ({:.3}x), {:.1} us capped ({:.3}x)",
-            intf.baseline_p99_us,
-            intf.uncapped_p99_us,
-            intf.uncapped_ratio,
-            intf.capped_p99_us,
-            intf.capped_ratio
-        );
-        eprintln!(
-            "  -> mid-run lanes: uncapped {}v/{}a, capped {}v/{}a",
-            intf.uncapped_victim_lanes,
-            intf.uncapped_aggr_lanes,
-            intf.capped_victim_lanes,
-            intf.capped_aggr_lanes
-        );
-    }
-    render_json(quick, w, &zipf, &hot, &intf)
+    render(quick, w, &zipf, &hot, &intf).render()
 }
 
-fn render_mix(j: &mut String, name: &str, m: &MixOutcome, trailing_comma: bool) {
-    let _ = writeln!(j, "  \"{name}\": {{");
-    j.push_str("    \"tenants\": [\n");
-    for (i, t) in m.tenants.iter().enumerate() {
-        let comma = if i + 1 < m.tenants.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "      {{ \"tenant\": {}, \"ops\": {}, \"tput_ops_per_ms\": {:.2}, \"median_us\": {:.2}, \"p99_us\": {:.2}, \"completed\": {} }}{comma}",
-            t.tenant, t.ops, t.tput_ops_per_ms, t.median_us, t.p99_us, t.completed
-        );
-    }
-    j.push_str("    ],\n");
-    let _ = writeln!(j, "    \"jains_tput\": {:.3},", m.jains_tput);
-    let _ = writeln!(j, "    \"jains_completed\": {:.3},", m.jains_completed);
-    let _ = writeln!(j, "    \"store_keys\": {},", m.store_keys);
-    let _ = writeln!(j, "    \"handovers\": {},", m.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", m.tasks);
-    j.push_str(if trailing_comma { "  },\n" } else { "  }\n" });
+fn render_mix(m: &MixOutcome) -> Value {
+    let row = |t: &TenantStat| {
+        inline(object(vec![
+            ("tenant", t.tenant.into()),
+            ("ops", t.ops.into()),
+            ("tput_ops_per_ms", float(t.tput_ops_per_ms, 2)),
+            ("median_us", float(t.median_us, 2)),
+            ("p99_us", float(t.p99_us, 2)),
+            ("completed", t.completed.into()),
+        ]))
+    };
+    object(vec![
+        ("tenants", array(m.tenants.iter().map(row))),
+        ("jains_tput", float(m.jains_tput, 3)),
+        ("jains_completed", float(m.jains_completed, 3)),
+        ("store_keys", m.store_keys.into()),
+        ("handovers", m.handovers.into()),
+        ("tasks", m.tasks.into()),
+    ])
 }
 
-/// Hand-written JSON with a stable field order (the offline workspace
-/// has no serde); fixed float precision keeps identical runs
-/// byte-identical.
-pub fn render_json(
+fn render(
     quick: bool,
     w: TenantWorkload,
     zipf: &MixOutcome,
     hot: &MixOutcome,
     intf: &InterferenceOutcome,
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"flock-bench-tenant/v1\",\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"executor\": \"virtual\",\n");
-    let _ = writeln!(j, "  \"payload_bytes\": {},", w.payload);
-    let _ = writeln!(j, "  \"seed\": {},", w.seed);
-    let _ = writeln!(j, "  \"sessions_per_tenant\": {},", w.sessions_per_tenant);
-    let _ = writeln!(j, "  \"reqs_per_session\": {},", w.reqs_per_session);
-    let _ = writeln!(j, "  \"zipf_keys\": {},", w.keys);
-    render_mix(&mut j, "zipf_mix", zipf, true);
-    render_mix(&mut j, "hot_key_storm", hot, true);
-    j.push_str("  \"interference\": {\n");
-    let _ = writeln!(j, "    \"victims\": {},", intf.victims);
-    let _ = writeln!(j, "    \"victim_reqs\": {},", w.victim_reqs);
-    let _ = writeln!(
-        j,
-        "    \"victim_ramp_gaps_ns\": [{:.0}, {:.0}, {:.0}],",
-        intf.victim_ramp_gaps_ns[0], intf.victim_ramp_gaps_ns[1], intf.victim_ramp_gaps_ns[2]
-    );
-    let _ = writeln!(j, "    \"victim_ops\": {},", intf.victim_ops);
-    let _ = writeln!(j, "    \"aggr_sessions\": {},", intf.aggr_sessions);
-    let _ = writeln!(j, "    \"max_aqp\": {},", intf.max_aqp);
-    let _ = writeln!(j, "    \"aggr_cap\": {},", intf.aggr_cap);
-    let _ = writeln!(j, "    \"baseline_p99_us\": {:.2},", intf.baseline_p99_us);
-    let _ = writeln!(j, "    \"uncapped_p99_us\": {:.2},", intf.uncapped_p99_us);
-    let _ = writeln!(j, "    \"capped_p99_us\": {:.2},", intf.capped_p99_us);
-    let _ = writeln!(j, "    \"uncapped_ratio\": {:.3},", intf.uncapped_ratio);
-    let _ = writeln!(j, "    \"capped_ratio\": {:.3},", intf.capped_ratio);
-    let _ = writeln!(j, "    \"uncapped_victim_lanes\": {},", intf.uncapped_victim_lanes);
-    let _ = writeln!(j, "    \"uncapped_aggr_lanes\": {},", intf.uncapped_aggr_lanes);
-    let _ = writeln!(j, "    \"capped_victim_lanes\": {},", intf.capped_victim_lanes);
-    let _ = writeln!(j, "    \"capped_aggr_lanes\": {},", intf.capped_aggr_lanes);
-    let _ = writeln!(j, "    \"aggr_ops_uncapped\": {},", intf.aggr_ops_uncapped);
-    let _ = writeln!(j, "    \"aggr_ops_capped\": {},", intf.aggr_ops_capped);
-    let _ = writeln!(j, "    \"handovers\": {},", intf.handovers);
-    let _ = writeln!(j, "    \"tasks\": {}", intf.tasks);
-    j.push_str("  }\n");
-    j.push_str("}\n");
-    j
+) -> Value {
+    object(vec![
+        ("schema", "flock-bench-tenant/v1".into()),
+        ("quick", quick.into()),
+        ("executor", "virtual".into()),
+        ("payload_bytes", w.payload.into()),
+        ("seed", w.seed.into()),
+        ("sessions_per_tenant", w.sessions_per_tenant.into()),
+        ("reqs_per_session", w.reqs_per_session.into()),
+        ("zipf_keys", w.keys.into()),
+        ("zipf_mix", render_mix(zipf)),
+        ("hot_key_storm", render_mix(hot)),
+        (
+            "interference",
+            object(vec![
+                ("victims", intf.victims.into()),
+                ("victim_reqs", w.victim_reqs.into()),
+                (
+                    "victim_ramp_gaps_ns",
+                    inline(array(intf.victim_ramp_gaps_ns.map(|g| float(g, 0)))),
+                ),
+                ("victim_ops", intf.victim_ops.into()),
+                ("aggr_sessions", intf.aggr_sessions.into()),
+                ("max_aqp", intf.max_aqp.into()),
+                ("aggr_cap", intf.aggr_cap.into()),
+                ("baseline_p99_us", float(intf.baseline_p99_us, 2)),
+                ("uncapped_p99_us", float(intf.uncapped_p99_us, 2)),
+                ("capped_p99_us", float(intf.capped_p99_us, 2)),
+                ("uncapped_ratio", float(intf.uncapped_ratio, 3)),
+                ("capped_ratio", float(intf.capped_ratio, 3)),
+                ("uncapped_victim_lanes", intf.uncapped_victim_lanes.into()),
+                ("uncapped_aggr_lanes", intf.uncapped_aggr_lanes.into()),
+                ("capped_victim_lanes", intf.capped_victim_lanes.into()),
+                ("capped_aggr_lanes", intf.capped_aggr_lanes.into()),
+                ("aggr_ops_uncapped", intf.aggr_ops_uncapped.into()),
+                ("aggr_ops_capped", intf.aggr_ops_capped.into()),
+                ("handovers", intf.handovers.into()),
+                ("tasks", intf.tasks.into()),
+            ]),
+        ),
+    ])
 }

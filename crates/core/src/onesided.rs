@@ -7,7 +7,7 @@
 //! clients read them with raw RDMA READs plus version-word validation
 //! ([`OneSidedReader`]) — zero server CPU per read, one NIC verb, no
 //! coalescing. The crossover between the two is pinned by
-//! `bench_onesided` (see EXPERIMENTS.md, "RPC vs one-sided crossover").
+//! `flock-bench onesided` (see EXPERIMENTS.md, "RPC vs one-sided crossover").
 //!
 //! ## Slot layout and the validation protocol
 //!

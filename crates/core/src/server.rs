@@ -35,10 +35,6 @@ pub struct ServerConfig {
     pub sched: QpSchedulerConfig,
     /// QP redistribution interval.
     pub sched_interval: Duration,
-    /// Receive buffers posted per QP for credit-renewal immediates.
-    pub imm_recv_depth: usize,
-    /// Signal every Nth response write.
-    pub signal_every: u64,
     /// Blocking-wait timeout.
     pub timeout: Duration,
     /// Dispatcher worker threads. Each owns a disjoint partition of
@@ -52,8 +48,8 @@ pub struct ServerConfig {
 /// clamped to `1..=8`. Sharding the dispatch only wins when the workers
 /// can actually run in parallel; on a 1-CPU host extra workers just
 /// time-slice the same core through the idle ladder (the honest 0.78×
-/// of the pre-seam 4/4 BENCH_e2e point), so the degenerate 1-worker
-/// path is chosen automatically there.
+/// measured for 4/4 there, EXPERIMENTS.md "Receive-path scaling"), so
+/// the degenerate 1-worker path is chosen automatically there.
 pub fn auto_dispatch_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -67,8 +63,6 @@ impl Default for ServerConfig {
             ring_capacity: 1 << 16,
             sched: QpSchedulerConfig::default(),
             sched_interval: Duration::from_millis(10),
-            imm_recv_depth: 64,
-            signal_every: 64,
             timeout: Duration::from_secs(10),
             dispatch_threads: auto_dispatch_threads(),
         }
@@ -532,7 +526,7 @@ fn build_server_lane(
         .node
         .acquire_mr(inner.cfg.ring_capacity, Access::LOCAL);
     // Post receive slots for credit-renewal write-with-imm.
-    for _ in 0..inner.cfg.imm_recv_depth {
+    for _ in 0..IMM_RECV_DEPTH {
         qp.post_recv(RecvWr {
             wr_id: WrId(0),
             local: Sge {
@@ -792,6 +786,12 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
 /// credit-control messages (the generic [`flush_response`] cannot infer
 /// `B` from a bare `&[]`).
 const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
+
+/// Receive buffers posted per QP for credit-renewal immediates.
+const IMM_RECV_DEPTH: usize = 64;
+
+/// Every Nth response write is signaled.
+const SIGNAL_EVERY: u64 = 64;
 
 /// Sweep period on which dispatchers still probe *deactivated* QPs (see
 /// [`ServerQpCtx::active`]): bounded drain latency for in-flight requests
@@ -1320,7 +1320,7 @@ fn try_flush_response<B: AsRef<[u8]>>(
             addr: qp.resp_remote.addr + reservation.offset as u64,
         },
     );
-    if !nwrite.is_multiple_of(inner.cfg.signal_every) {
+    if !nwrite.is_multiple_of(SIGNAL_EVERY) {
         wr = wr.unsignaled();
     }
     qp.qp.post_send(wr)?;

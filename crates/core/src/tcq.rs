@@ -52,16 +52,6 @@ struct Node<T> {
     item: UnsafeCell<Option<T>>,
 }
 
-impl<T> Node<T> {
-    fn new(item: T) -> Box<Node<T>> {
-        Box::new(Node {
-            state: AtomicU8::new(WAITING),
-            next: AtomicPtr::new(ptr::null_mut()),
-            item: UnsafeCell::new(Some(item)),
-        })
-    }
-}
-
 /// Result of [`Tcq::join`].
 pub enum Outcome<T> {
     /// Some other thread's leader coalesced and sent this request.
@@ -136,10 +126,6 @@ impl<T> Batch<T> {
 pub struct Tcq<T> {
     tail: CachePadded<AtomicPtr<Node<T>>>,
     batch_limit: usize,
-    /// Recycle nodes and batch scratch through the thread-local pool
-    /// (`sync::pool`). Defaults to on; the `alloc-per-node` feature or
-    /// [`Tcq::with_pooling`] restores the historical Box-per-join path.
-    pooled: bool,
     batches: AtomicU64,
     requests: AtomicU64,
     /// Notified by [`Tcq::complete`] after its `LEADER`/`SENT` stores:
@@ -165,25 +151,13 @@ impl<T> Default for Tcq<T> {
 
 impl<T> Tcq<T> {
     /// Create a TCQ with the given per-batch request bound (`>= 1`).
-    ///
-    /// Node/scratch pooling is on unless the `alloc-per-node` escape
-    /// hatch feature is enabled.
+    /// Nodes and batch scratch are recycled through the thread-local
+    /// pool (`sync::pool`).
     pub fn new(batch_limit: usize) -> Tcq<T> {
-        Self::with_pooling(batch_limit, !cfg!(feature = "alloc-per-node"))
-    }
-
-    /// Create a TCQ with explicit control over hot-path pooling.
-    ///
-    /// `pooled = false` restores the historical allocation behavior (one
-    /// `Box` per `join`, fresh batch `Vec`s per `collect`); it exists for
-    /// the `alloc-per-node` escape hatch and for apples-to-apples
-    /// benchmarking of the two paths.
-    pub fn with_pooling(batch_limit: usize, pooled: bool) -> Tcq<T> {
         assert!(batch_limit >= 1);
         Tcq {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             batch_limit,
-            pooled,
             batches: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             handed_off: Event::new(),
@@ -193,9 +167,6 @@ impl<T> Tcq<T> {
     /// Allocate and initialize a queue node, recycling a retired block
     /// from this thread's pool when available.
     fn alloc_node(&self, item: T) -> *mut Node<T> {
-        if !self.pooled {
-            return Box::into_raw(Node::new(item));
-        }
         let node = pool::acquire_or_alloc(Layout::new::<Node<T>>())
             .as_ptr()
             .cast::<Node<T>>();
@@ -222,12 +193,6 @@ impl<T> Tcq<T> {
     /// must be exclusively owned by the calling thread (post-`SENT` for
     /// followers, post-handoff for the leader's own node).
     unsafe fn retire_node(&self, node: *mut Node<T>) {
-        if !self.pooled {
-            // SAFETY: caller guarantees unique ownership; the node was
-            // boxed by `alloc_node`.
-            unsafe { drop(Box::from_raw(node)) };
-            return;
-        }
         // SAFETY: caller guarantees unique ownership; the value is
         // initialized (written by `alloc_node`) and dropped exactly once.
         unsafe { ptr::drop_in_place(node) };
@@ -317,14 +282,8 @@ impl<T> Tcq<T> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         // Scratch buffers: recycled at `batch_limit` capacity through the
         // thread-local pool, so a steady-state leader never allocates.
-        let (mut nodes, mut items) = if self.pooled {
-            (
-                pool::acquire_vec::<*mut Node<T>>(self.batch_limit),
-                pool::acquire_vec::<T>(self.batch_limit),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let mut nodes = pool::acquire_vec::<*mut Node<T>>(self.batch_limit);
+        let mut items = pool::acquire_vec::<T>(self.batch_limit);
         nodes.push(start);
         items.push(
             // SAFETY: `start` is our own node; the item was deposited
@@ -365,13 +324,9 @@ impl<T> Tcq<T> {
     /// thread (if any) and release all batch nodes.
     pub fn complete(&self, batch: Batch<T>) {
         let Batch { items, nodes } = batch;
-        if self.pooled {
-            // Recycle the scratch buffer (contents dropped) for the next
-            // `collect` on this thread.
-            pool::release_vec(items, self.batch_limit);
-        } else {
-            drop(items);
-        }
+        // Recycle the scratch buffer (contents dropped) for the next
+        // `collect` on this thread.
+        pool::release_vec(items, self.batch_limit);
         let last = *nodes.last().expect("batch is never empty");
         // SAFETY: `last` is ours until released below.
         let mut next = unsafe { (*last).next.load(Ordering::Acquire) };
@@ -416,10 +371,8 @@ impl<T> Tcq<T> {
         if nodes.len() > 1 || !next.is_null() {
             self.handed_off.notify_all();
         }
-        if self.pooled {
-            // Recycle the node-pointer scratch for the next `collect`.
-            pool::release_vec(nodes, self.batch_limit);
-        }
+        // Recycle the node-pointer scratch for the next `collect`.
+        pool::release_vec(nodes, self.batch_limit);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The fabric: the set of nodes, their NIC engines, and connection setup.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::{self, TaskHandle};
@@ -274,8 +274,8 @@ impl Node {
     }
 
     /// Cold-create one pooled RC QP (bound to the placeholder CQ) and
-    /// park it. Used by the background refill task and by explicit
-    /// pre-warming; charges the full creation cost to the caller.
+    /// park it (explicit pre-warming); charges the full creation cost
+    /// to the caller.
     /// Returns `false` if the pool refused it (disabled or full).
     pub fn refill_one_qp(&self) -> bool {
         let qp = self.create_qp(Transport::Rc, &self.parked_cq, &self.parked_cq);
@@ -338,10 +338,6 @@ impl Node {
 pub struct Fabric {
     inner: Arc<FabricInner>,
     engines: Mutex<Vec<(DoorbellSender<NicCmd>, TaskHandle)>>,
-    /// Background QP-pool refill tasks (one per node, only when the pool
-    /// is enabled with a low watermark) and their stop flag.
-    refillers: Mutex<Vec<TaskHandle>>,
-    refill_stop: Arc<AtomicBool>,
 }
 
 impl Fabric {
@@ -354,8 +350,6 @@ impl Fabric {
                 next_node: AtomicU32::new(0),
             }),
             engines: Mutex::new(Vec::new()),
-            refillers: Mutex::new(Vec::new()),
-            refill_stop: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -403,33 +397,6 @@ impl Fabric {
             );
             self.engines.lock().push((tx, handle));
         }
-        let qcfg = &self.inner.config.qpool;
-        if qcfg.enabled && qcfg.low_watermark > 0 {
-            // Low-watermark background refill, through the clock seam so
-            // creation cost is charged to this task's (virtual) time —
-            // off every client's connect path.
-            let node2 = Arc::clone(&node);
-            let stop = Arc::clone(&self.refill_stop);
-            let interval = qcfg.refill_interval_ns.max(1);
-            let batch = qcfg.refill_batch.max(1);
-            let handle = clock::spawn(&format!("qpool-{name}"), move || {
-                while !stop.load(Ordering::Acquire) {
-                    clock::sleep_ns(interval);
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if node2.pool().below_watermark() {
-                        for _ in 0..batch {
-                            if !node2.refill_one_qp() {
-                                break;
-                            }
-                            node2.pool().stats().bump(&node2.pool().stats().refilled);
-                        }
-                    }
-                }
-            });
-            self.refillers.lock().push(handle);
-        }
         node
     }
 
@@ -448,14 +415,9 @@ impl Fabric {
         connect_qps(a, b)
     }
 
-    /// Stop all NIC engines and background refill tasks and wait for
-    /// them to exit. Called by `Drop`; explicit invocation is
-    /// idempotent.
+    /// Stop all NIC engines and wait for them to exit. Called by
+    /// `Drop`; explicit invocation is idempotent.
     pub fn shutdown(&self) {
-        self.refill_stop.store(true, Ordering::Release);
-        for handle in self.refillers.lock().drain(..) {
-            let _ = handle.join();
-        }
         let mut engines = self.engines.lock();
         for (tx, _) in engines.iter() {
             let _ = tx.send(NicCmd::Stop);

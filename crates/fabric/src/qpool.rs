@@ -11,11 +11,6 @@
 //! [`CostModel::ctrl_reset_qp_ns`](crate::CostModel) instead of
 //! [`CostModel::ctrl_create_qp_ns`](crate::CostModel).
 //!
-//! A background refill task (spawned through the clock seam when
-//! `low_watermark > 0`) tops the pool back up off the connect path, so a
-//! connect storm that drains the free list returns to warm leases
-//! without any client paying the creation cost.
-//!
 //! `take`/`put` are allocation-free (`cargo xtask lint` hot-alloc entry
 //! points via [`Node::lease_qp`](crate::Node::lease_qp) /
 //! [`Node::release_qp`](crate::Node::release_qp)): the free list is a
@@ -36,14 +31,6 @@ pub struct QpPoolConfig {
     pub enabled: bool,
     /// Maximum recycled QPs retained; releases beyond this destroy.
     pub capacity: usize,
-    /// Background refill threshold: when the free list drops below this,
-    /// the node's refill task cold-creates QPs into the pool (off the
-    /// connect path). `0` disables the refill task.
-    pub low_watermark: usize,
-    /// QPs created per refill round.
-    pub refill_batch: usize,
-    /// Interval between refill checks (virtual or wall nanoseconds).
-    pub refill_interval_ns: u64,
 }
 
 impl Default for QpPoolConfig {
@@ -51,9 +38,6 @@ impl Default for QpPoolConfig {
         QpPoolConfig {
             enabled: false,
             capacity: 1024,
-            low_watermark: 0,
-            refill_batch: 8,
-            refill_interval_ns: 50_000,
         }
     }
 }
@@ -71,7 +55,7 @@ pub struct QpPoolStats {
     pub recycled: AtomicU64,
     /// Releases that found the pool full (QP destroyed instead).
     pub discarded: AtomicU64,
-    /// QPs created by the background refill task.
+    /// QPs cold-created into the pool by [`Node::prewarm_qps`](crate::Node::prewarm_qps).
     pub refilled: AtomicU64,
 }
 
@@ -144,12 +128,5 @@ impl QpPool {
         }
         free.push(qp);
         true
-    }
-
-    /// Whether the refill task should create more QPs right now.
-    pub(crate) fn below_watermark(&self) -> bool {
-        self.cfg.enabled
-            && self.cfg.low_watermark > 0
-            && self.free.lock().len() < self.cfg.low_watermark
     }
 }

@@ -4,7 +4,7 @@
 //! layer consumed by clients (the gateway's `KvClient`) that can reach a
 //! value either through a coalesced Flock RPC or through a raw one-sided
 //! READ of an exported value segment (`flock_core::onesided`). Which
-//! path wins is exactly the crossover this repo measures (`bench_onesided`,
+//! path wins is exactly the crossover this repo measures (`flock-bench onesided`,
 //! EXPERIMENTS.md "RPC vs one-sided crossover"):
 //!
 //! * **One-sided** pays one NIC verb and zero server CPU per read, but
