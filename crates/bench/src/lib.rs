@@ -1,25 +1,27 @@
 //! # flock-bench
 //!
-//! Benchmark harnesses regenerating every table and figure of the Flock
-//! paper (SOSP 2021). Each `benches/figN*.rs` target (run via
-//! `cargo bench`) prints the same rows/series the paper reports;
-//! `benches/micro.rs` holds Criterion microbenchmarks of the core data
-//! structures. The virtual-time suites behind the checked-in
-//! `BENCH_*.json` are the rows of [`SUITES`], run by the `flock-bench`
-//! binary. See EXPERIMENTS.md for paper-vs-measured values.
+//! Every number this reproduction reports is a row of one of the
+//! checked-in `BENCH_*.json`, and every such document is a row of
+//! [`SUITES`], run and gated by the `flock-bench` binary: four suites
+//! that put the real stack under `VirtualLab` ([`scale`], [`churn`],
+//! [`tenant`], [`onesided`]) and [`figures`], every table and figure of
+//! the Flock paper (SOSP 2021) from the discrete-event models. See
+//! EXPERIMENTS.md for paper-vs-measured values. Outside the harness,
+//! because they time the host: `benches/micro.rs` (Criterion
+//! microbenchmarks of the core data structures) and
+//! `benches/native_stack.rs` (the threaded stack, wall clock).
 
 pub mod arrival;
 pub mod churn;
+pub mod figures;
 pub mod json;
 pub mod onesided;
 pub mod scale;
 pub mod stats;
 pub mod tenant;
 
-use flock_sim::Ns;
-
-/// One virtual-time suite: the real stack under `VirtualLab`, rendered
-/// as one JSON document that is a pure function of the tree.
+/// One virtual-time suite, rendered as one JSON document that is a pure
+/// function of the tree.
 pub struct Suite {
     /// What `flock-bench <name>` selects; the document's schema tag is
     /// `flock-bench-<name>/v1`.
@@ -32,7 +34,7 @@ pub struct Suite {
 
 /// Every suite `flock-bench` runs and `flock-bench --check` holds the
 /// checked-in files to.
-pub static SUITES: [Suite; 4] = [
+pub static SUITES: [Suite; 5] = [
     Suite {
         name: "scale",
         file: "BENCH_scale.json",
@@ -52,6 +54,11 @@ pub static SUITES: [Suite; 4] = [
         name: "onesided",
         file: "BENCH_onesided.json",
         run: onesided::run_suite,
+    },
+    Suite {
+        name: "figures",
+        file: "BENCH_figures.json",
+        run: figures::run_suite,
     },
 ];
 
@@ -77,26 +84,6 @@ pub fn diff_lines(expected: &str, actual: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// Measurement window per point, scaled by `FLOCK_SIM_MS` (default 8 ms).
-pub fn sim_duration() -> Ns {
-    let ms = std::env::var("FLOCK_SIM_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(8);
-    Ns::from_millis(ms)
-}
-
-/// Warmup per point (default: half the measurement window, min 2 ms).
-pub fn sim_warmup() -> Ns {
-    Ns(sim_duration().as_nanos() / 2).max(Ns::from_millis(2))
-}
-
-/// Print a standard series header.
-pub fn header(title: &str, cols: &[&str]) {
-    println!("\n=== {title} ===");
-    println!("{}", cols.join("\t"));
 }
 
 #[cfg(test)]

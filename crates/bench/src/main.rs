@@ -3,16 +3,19 @@
 //!
 //! ```text
 //! flock-bench [suite…] [--quick] [--out DIR]
-//! flock-bench --check
+//! flock-bench --check [suite…]
 //! ```
 //!
-//! Without `--check`, the named suites (all of them by default) run and
-//! each writes `DIR/BENCH_<name>.json`; `DIR` defaults to the repo root,
-//! so a plain `flock-bench` regenerates the checked-in files. `--quick`
-//! runs the test-smoke sizes and needs an explicit `--out`, since a
-//! quick document must never replace a checked-in full one.
+//! Either form takes the suites to run by name, all five by default: the
+//! four lab suites together take ≈ 20 s, `figures` 2–3 min.
 //!
-//! `--check` runs every suite at full size and compares each document
+//! Without `--check`, each suite writes `DIR/BENCH_<name>.json`; `DIR`
+//! defaults to the repo root, so a plain `flock-bench` regenerates the
+//! checked-in files. `--quick` runs the test-smoke sizes and needs an
+//! explicit `--out`, since a quick document must never replace a
+//! checked-in full one.
+//!
+//! `--check` runs the suites at full size and compares each document
 //! byte for byte with the checked-in file — `handovers` and `tasks`
 //! included, they are exact for a tree. It prints the lines that differ
 //! and exits 1 on any difference: a behaviour-preserving change leaves
@@ -21,7 +24,8 @@
 //!
 //! Either way one line per suite goes to stderr: wall seconds (host
 //! cost, which is why it is printed and not stored in the compared
-//! files), the operations the document counts, and lab handovers.
+//! files), the operations the document counts, and lab handovers (the
+//! `figures` document counts neither).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -39,8 +43,8 @@ fn repo_root() -> &'static Path {
 }
 
 /// The document fields that count completed operations (`total_ops`:
-/// scale; `gets`/`sets`: onesided; the rest: tenant; the churn document
-/// counts none).
+/// scale; `gets`/`sets`: onesided; the rest: tenant; the churn and
+/// figures documents count none).
 const OPS_FIELDS: [&str; 7] = [
     "total_ops",
     "gets",
@@ -51,9 +55,9 @@ const OPS_FIELDS: [&str; 7] = [
     "aggr_ops_capped",
 ];
 
-const USAGE: &str =
-    "usage: flock-bench [scale|churn|tenant|onesided]… [--quick] [--out DIR]\n       \
-                     flock-bench --check";
+const USAGE: &str = "usage: flock-bench [SUITE]… [--quick] [--out DIR]\n       \
+                     flock-bench --check [SUITE]…\n\
+                     SUITE: scale | churn | tenant | onesided | figures (default: all)";
 
 /// Run one suite; returns its document and the stderr summary of the
 /// run.
@@ -75,9 +79,9 @@ fn run(suite: &Suite, quick: bool) -> (String, String) {
     (doc, summary)
 }
 
-fn check() -> ExitCode {
+fn check(selected: Vec<&Suite>) -> ExitCode {
     let mut failed = false;
-    for suite in &SUITES {
+    for suite in selected {
         let (doc, summary) = run(suite, false);
         let path = repo_root().join(suite.file);
         let diffs = match std::fs::read_to_string(&path) {
@@ -108,16 +112,14 @@ fn usage(problem: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args == ["--check"] {
-        return check();
-    }
+    let mut check_mode = false;
     let mut quick = false;
     let mut out: Option<PathBuf> = None;
     let mut selected: Vec<&Suite> = Vec::new();
-    let mut args = args.into_iter();
+    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--check" => check_mode = true,
             "--quick" => quick = true,
             "--out" => match args.next() {
                 Some(dir) => out = Some(dir.into()),
@@ -129,14 +131,20 @@ fn main() -> ExitCode {
             },
         }
     }
+    if selected.is_empty() {
+        selected.extend(&SUITES);
+    }
+    if check_mode {
+        if quick || out.is_some() {
+            return usage("--check compares full runs with the checked-in files");
+        }
+        return check(selected);
+    }
     let dir = match out {
         Some(dir) => dir,
         None if quick => return usage("--quick needs --out DIR"),
         None => repo_root().to_path_buf(),
     };
-    if selected.is_empty() {
-        selected.extend(&SUITES);
-    }
     for suite in selected {
         let (doc, summary) = run(suite, quick);
         let path = dir.join(suite.file);

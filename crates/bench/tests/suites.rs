@@ -1,5 +1,5 @@
-//! The virtual-time suites behind the checked-in `BENCH_*.json`: every
-//! row of [`SUITES`] is deterministic (what lets `flock-bench --check`
+//! The suites behind the checked-in `BENCH_*.json`: every row of
+//! [`SUITES`] is deterministic (what lets `flock-bench --check`
 //! compare bytes: a diff in a checked-in file always means a code
 //! change, never scheduling noise), plus the acceptance properties each
 //! suite's headline rests on, at smoke scale. A failure reproduces
@@ -18,6 +18,43 @@ fn quick_suites_are_byte_identical_across_runs() {
         assert_eq!(a, b, "{} suite must be deterministic", suite.name);
         let tag = format!("\"schema\": \"flock-bench-{}/v1\"", suite.name);
         assert!(a.contains(&tag), "{} document must carry {tag}", suite.name);
+    }
+}
+
+/// Every section EXPERIMENTS.md quotes from `BENCH_figures.json`.
+const FIGURE_SECTIONS: [&str; 14] = [
+    "table1",
+    "fig2a",
+    "fig2b",
+    "fig6_7_8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig14",
+    "fig15",
+    "fig16_17_18",
+    "ablation_max_aqp",
+    "ablation_batch_limit",
+    "ablation_grant_size",
+];
+
+#[test]
+fn quick_figures_document_has_every_section_and_the_probed_table_1() {
+    // Running the suite also runs Table 1's asserts: every verb posted on
+    // every transport, acceptance held to the declared matrix.
+    let doc = flock_bench::figures::run_suite(true);
+    for id in FIGURE_SECTIONS {
+        // A section is an array of one-line rows.
+        let open = format!("  \"{id}\": [\n    {{\"");
+        assert!(doc.contains(&open), "section {id} needs a row:\n{doc}");
+    }
+    for row in [
+        r#"{"transport": "RC", "mtu": "2 GB", "read": true, "atomic": true, "write": true, "send_recv": true, "reliable": true}"#,
+        r#"{"transport": "UC", "mtu": "2 GB", "read": false, "atomic": false, "write": true, "send_recv": true, "reliable": false}"#,
+        r#"{"transport": "UD", "mtu": "4 KB", "read": false, "atomic": false, "write": false, "send_recv": true, "reliable": false}"#,
+    ] {
+        assert!(doc.contains(row), "table1 needs {row}:\n{doc}");
     }
 }
 

@@ -831,13 +831,6 @@ impl FlThread {
         self.recv_res(seq)
     }
 
-    /// Convenience: send a shared-buffer payload and wait (copy-free send
-    /// path; see [`FlThread::send_rpc_bytes`]).
-    pub fn call_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<Bytes> {
-        let seq = self.send_rpc_bytes(rpc_id, payload)?;
-        self.recv_res(seq)
-    }
-
     /// One-sided read (`fl_read`) from advertised region `mem_idx`.
     pub fn read(&self, mem_idx: usize, offset: u64, len: usize) -> Result<Vec<u8>> {
         let region = self.mem_region(mem_idx)?;

@@ -32,8 +32,6 @@ pub const META_SIZE: usize = 24;
 /// Trailing canary size in bytes.
 pub const TRAILER_SIZE: usize = 8;
 
-/// Flag: the sender requests a credit renewal of `aux` credits.
-pub const FLAG_CREDIT_REQUEST: u16 = 1 << 0;
 /// Flag: `aux` carries a credit grant (server→client).
 pub const FLAG_CREDIT_GRANT: u16 = 1 << 1;
 /// Flag: the low 16 bits of `aux >> 32` carry the reported median

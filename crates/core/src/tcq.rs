@@ -91,11 +91,6 @@ impl<T> Batch<T> {
         &self.items
     }
 
-    /// Mutably borrow the collected items.
-    pub fn items_mut(&mut self) -> &mut [T] {
-        &mut self.items
-    }
-
     /// Take ownership of the collected items (the batch keeps its queue
     /// bookkeeping so [`Tcq::complete`] still releases the followers).
     ///

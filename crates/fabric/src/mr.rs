@@ -166,11 +166,6 @@ impl MemoryRegion {
         self.write(offset, &value.to_le_bytes())
     }
 
-    /// Run `f` over an immutable view of the whole buffer.
-    pub fn with_read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.buf.read())
-    }
-
     /// Run `f` over a mutable view of the whole buffer.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         f(&mut self.buf.write())

@@ -204,11 +204,6 @@ impl Qp {
         Ok(())
     }
 
-    /// Number of posted, unconsumed receive buffers.
-    pub fn posted_recvs(&self) -> usize {
-        self.recv_queue.lock().len()
-    }
-
     pub(crate) fn pop_recv(&self) -> Option<RecvWr> {
         self.recv_queue.lock().pop_front()
     }

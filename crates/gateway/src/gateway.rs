@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use crate::edge::EdgeSession;
 use crate::proto::WireProtocol;
-use crate::tenant::{SessionId, TenantRegistry};
+use crate::tenant::TenantRegistry;
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -108,11 +108,6 @@ impl Gateway {
     /// The tenant's shared connection stays up for other sessions.
     pub fn close_session(&self, session: &EdgeSession) {
         self.registry.close(session.id());
-    }
-
-    /// Close a session by id (when the `EdgeSession` was consumed).
-    pub fn close_session_id(&self, session: SessionId) {
-        self.registry.close(session);
     }
 
     /// Tenants with a live backend connection, ascending.

@@ -205,28 +205,6 @@ impl AdaptivePolicy {
         }
         preferred
     }
-
-    /// Observed mean value size (bytes).
-    pub fn mean_size(&self) -> f64 {
-        self.ewma_size
-    }
-
-    /// Observed mean retries per one-sided read.
-    pub fn mean_retries(&self) -> f64 {
-        self.ewma_retries
-    }
-
-    /// Observed mean one-sided read latency (ns; 0 before the first
-    /// measured read).
-    pub fn mean_lat_one_sided(&self) -> f64 {
-        self.ewma_lat_os
-    }
-
-    /// Observed mean RPC read latency (ns; 0 before the first measured
-    /// read).
-    pub fn mean_lat_rpc(&self) -> f64 {
-        self.ewma_lat_rpc
-    }
 }
 
 /// EWMA update that seeds from the first observation instead of pulling

@@ -8,7 +8,7 @@
 //! FlockTX validates read sets with one-sided reads; the FaSST model
 //! validates with RPCs (UD has no one-sided verbs).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use flock_kvstore::{KvConfig, KvStore, LOCK_BIT};
 use flock_sim::{Ns, Sim};
@@ -32,6 +32,7 @@ pub struct TxnEngine {
     /// Primary store per server.
     pub stores: Vec<KvStore>,
     /// Lock ownership: `(server, key) → slot` (prevents foreign unlocks).
+    /// Looked up by key only, never iterated.
     pub lock_owners: HashMap<(usize, u64), usize>,
     /// The workload generator.
     pub workload: TxnWorkload,
@@ -177,9 +178,11 @@ pub fn start_txn(w: &mut World, sim: &mut Sim<World>, slot: usize) {
     }
 }
 
-/// Split a spec's keys by owning server.
-fn group_keys(spec: &TxnSpec, n: usize) -> HashMap<usize, (Vec<u64>, Vec<u64>)> {
-    let mut groups: HashMap<usize, (Vec<u64>, Vec<u64>)> = HashMap::new();
+/// Split a spec's keys by owning server. Callers issue one RPC per group
+/// in iteration order, so the map is ordered by server index: the
+/// timeline must not depend on a hasher's per-process seed.
+fn group_keys(spec: &TxnSpec, n: usize) -> BTreeMap<usize, (Vec<u64>, Vec<u64>)> {
+    let mut groups: BTreeMap<usize, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
     for &k in &spec.reads {
         groups.entry(key_partition(k, n)).or_default().0.push(k);
     }

@@ -238,12 +238,6 @@ fn build_world(cfg: &RpcConfig, n_servers: usize) -> World {
 }
 
 fn finish_run(w: &World, elapsed: Ns) -> Report {
-    let total_lanes: usize = w
-        .clients
-        .iter()
-        .map(|c| c.qps.iter().map(|q| q.len()).sum::<usize>())
-        .sum();
-    let _ = total_lanes;
     let cache_hit = {
         let (h, m) = w.servers.iter().fold((0u64, 0u64), |(h, m), s| {
             (h + s.cache.hits(), m + s.cache.misses())
@@ -270,37 +264,6 @@ fn finish_run(w: &World, elapsed: Ns) -> Report {
         scan_median_us: w.stats.scan_latency.median_us(),
         scan_p99_us: w.stats.scan_latency.p99_us(),
     }
-}
-
-/// Like [`run_rpc`] but also returns client 0's thread→lane map and lane
-/// active flags (debug/diagnostics).
-pub fn run_rpc_debug(cfg: &RpcConfig) -> (Report, Vec<usize>, Vec<bool>, usize, u64) {
-    let mut w = build_world(cfg, 1);
-    let mut sim: Sim<World> = Sim::new();
-    sim.at(Ns::ZERO, |w: &mut World, sim| {
-        crate::client::start_all_threads(w, sim);
-    });
-    if cfg.system == SystemKind::Flock && cfg.scheduling {
-        sim.at(Ns::from_millis(1), move |w: &mut World, sim| {
-            crate::server::qp_sched_tick(w, sim, 0, Ns::from_millis(1));
-        });
-    }
-    let t_end = cfg.warmup + cfg.duration;
-    sim.run_until(&mut w, t_end);
-    let map = w.clients[0]
-        .threads
-        .iter()
-        .map(|t| t.assigned_qp[0])
-        .collect();
-    let active = w.clients[0].qps[0].iter().map(|q| q.active).collect();
-    let total_active = w.servers[0].qp_sched.total_active();
-    (
-        finish_run(&w, cfg.duration),
-        map,
-        active,
-        total_active,
-        w.stats.grants_sent,
-    )
 }
 
 /// Run an RPC-family experiment (echo or index app).

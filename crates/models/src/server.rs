@@ -184,7 +184,6 @@ pub fn on_renewal(
             },
             degree,
         );
-        w.stats.grants_sent += 1;
         transmit(
             w,
             sim,

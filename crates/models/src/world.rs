@@ -206,8 +206,6 @@ pub struct Stats {
     pub messages: u64,
     /// Wire packets client→server.
     pub packets: u64,
-    /// Grant/decline notices sent by servers.
-    pub grants_sent: u64,
     /// Transaction aborts.
     pub aborts: u64,
     /// Transaction commits.

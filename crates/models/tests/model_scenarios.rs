@@ -38,6 +38,30 @@ fn fasst_mode_validates_via_rpc_and_still_commits() {
 }
 
 #[test]
+fn transaction_runs_repeat_exactly() {
+    // A transaction's per-server RPCs go out in server order, not in the
+    // order of a hash map: the same configuration is the same timeline.
+    for (system, via_rpc) in [(SystemKind::Flock, false), (SystemKind::UdRpc, true)] {
+        let mut rpc = quick_rpc();
+        rpc.system = system;
+        let cfg = TxnConfig {
+            rpc,
+            n_servers: 3,
+            coroutines: 4,
+            workload: TxnWorkload::Smallbank(Smallbank::new(10_000)),
+            validate_via_rpc: via_rpc,
+        };
+        let (a, b) = (run_txn(&cfg), run_txn(&cfg));
+        assert!(a.commits > 100, "{system:?}: commits={}", a.commits);
+        assert_eq!(
+            (a.mops, a.commits, a.aborts, a.median_us, a.p99_us),
+            (b.mops, b.commits, b.aborts, b.median_us, b.p99_us),
+            "{system:?}"
+        );
+    }
+}
+
+#[test]
 fn flocktx_beats_fasst_on_smallbank() {
     let mk = |system, via_rpc| {
         let mut rpc = quick_rpc();

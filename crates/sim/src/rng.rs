@@ -45,11 +45,6 @@ impl SimRng {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform in `[lo, hi]` inclusive.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen::<f64>() < p

@@ -118,12 +118,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn record_ns(&mut self, value: Ns) {
-        self.record(value.as_nanos());
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
