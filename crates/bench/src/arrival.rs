@@ -20,7 +20,7 @@ use flock_sim::SimRng;
 
 /// One constant-rate span of a [`RateRamp`].
 #[derive(Debug, Clone, Copy)]
-pub struct RampStage {
+pub(crate) struct RampStage {
     /// Mean inter-arrival gap (virtual ns) while this stage is active.
     pub mean_gap_ns: f64,
     /// Virtual-time span of the stage; `u64::MAX` never ends.
@@ -29,14 +29,14 @@ pub struct RampStage {
 
 /// A piecewise-constant open-loop arrival schedule.
 #[derive(Debug, Clone)]
-pub struct RateRamp {
+pub(crate) struct RateRamp {
     stages: Vec<RampStage>,
 }
 
 impl RateRamp {
     /// Poisson arrivals at a single constant rate, forever (the caller
     /// bounds the run by request count or an external stop signal).
-    pub fn constant(mean_gap_ns: f64) -> RateRamp {
+    pub(crate) fn constant(mean_gap_ns: f64) -> RateRamp {
         RateRamp {
             stages: vec![RampStage {
                 mean_gap_ns,
@@ -47,7 +47,7 @@ impl RateRamp {
 
     /// An explicit stage schedule. Stages run in order; arrivals stop
     /// when the last stage's span ends.
-    pub fn stages(stages: Vec<RampStage>) -> RateRamp {
+    pub(crate) fn stages(stages: Vec<RampStage>) -> RateRamp {
         assert!(!stages.is_empty(), "a ramp needs at least one stage");
         assert!(
             stages.iter().all(|s| s.mean_gap_ns > 0.0),
@@ -58,7 +58,7 @@ impl RateRamp {
 
     /// A ramp targeting ~`reqs_per_stage` arrivals in each stage: stage
     /// `i` uses `gaps_ns[i]` with span `reqs_per_stage * gaps_ns[i]`.
-    pub fn per_stage_target(gaps_ns: &[f64], reqs_per_stage: u64) -> RateRamp {
+    pub(crate) fn per_stage_target(gaps_ns: &[f64], reqs_per_stage: u64) -> RateRamp {
         RateRamp::stages(
             gaps_ns
                 .iter()
@@ -72,7 +72,7 @@ impl RateRamp {
 
     /// Draw the gap to the next arrival for a client `elapsed_ns` into
     /// its run, or `None` when the schedule is over.
-    pub fn gap_at(&self, elapsed_ns: u64, rng: &mut SimRng) -> Option<u64> {
+    pub(crate) fn gap_at(&self, elapsed_ns: u64, rng: &mut SimRng) -> Option<u64> {
         let mut start = 0u64;
         for s in &self.stages {
             let end = start.saturating_add(s.duration_ns);
@@ -85,7 +85,8 @@ impl RateRamp {
     }
 
     /// Total scheduled span, or `None` if the final stage is endless.
-    pub fn total_ns(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn total_ns(&self) -> Option<u64> {
         let mut total = 0u64;
         for s in &self.stages {
             if s.duration_ns == u64::MAX {
@@ -98,7 +99,7 @@ impl RateRamp {
 
     /// Expected arrival count over the whole schedule (∞-safe: endless
     /// stages report the count of the bounded prefix).
-    pub fn expected_arrivals(&self) -> f64 {
+    pub(crate) fn expected_arrivals(&self) -> f64 {
         self.stages
             .iter()
             .filter(|s| s.duration_ns != u64::MAX)

@@ -33,6 +33,7 @@ use flock_sync::clock;
 
 use crate::json::{float, object, Value};
 use crate::stats::percentile_us;
+use crate::SuiteRun;
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -393,7 +394,7 @@ pub fn run_churn_load(w: ChurnWorkload) -> ChurnOutcome {
 
 /// Measured outcome of the scale-out scenario.
 #[derive(Debug, Clone)]
-pub struct ScaleOutOutcome {
+pub(crate) struct ScaleOutOutcome {
     /// The server's MAX_AQP budget.
     pub max_aqp: usize,
     /// QPs per sender.
@@ -414,7 +415,7 @@ pub struct ScaleOutOutcome {
 
 /// Run the scale-out scenario: two eager 4-QP senders under a 4-QP
 /// budget; the second departs mid-run and the survivor's share grows.
-pub fn run_scaleout(payload: usize) -> ScaleOutOutcome {
+pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
     const MAX_AQP: usize = 4;
     const N_QPS: usize = 4;
     let (mut outcome, report) = VirtualLab::run_report(move || {
@@ -536,12 +537,16 @@ pub fn run_scaleout(payload: usize) -> ScaleOutOutcome {
 // ---------------------------------------------------------------------
 
 /// Run all three scenarios and render the stable-order JSON document.
-pub fn run_suite(quick: bool) -> String {
+pub fn run_suite(quick: bool) -> SuiteRun {
     let w = ChurnWorkload::preset(quick);
     let storm = run_storm(w);
     let churn = run_churn_load(w);
     let so = run_scaleout(w.payload);
-    render(quick, w, &storm, &churn, &so).render()
+    SuiteRun {
+        doc: render(quick, w, &storm, &churn, &so),
+        ops: 0,
+        handovers: storm.handovers + churn.handovers + so.handovers,
+    }
 }
 
 fn render(

@@ -27,6 +27,7 @@ use flock_sim::Ns;
 use flock_txn::{Smallbank, Tatp};
 
 use crate::json::{array, float, inline, object, Value};
+use crate::SuiteRun;
 
 /// The sizes every section shares.
 struct Preset {
@@ -510,7 +511,7 @@ const SECTIONS: [Section; 14] = [
 ];
 
 /// Run every section and render the stable-order JSON document.
-pub fn run_suite(quick: bool) -> String {
+pub fn run_suite(quick: bool) -> SuiteRun {
     let p = Preset::of(quick);
     let mut doc = vec![
         ("schema", "flock-bench-figures/v1".into()),
@@ -524,5 +525,9 @@ pub fn run_suite(quick: bool) -> String {
         ("index_keys", p.index_keys.into()),
     ];
     doc.extend(SECTIONS.iter().map(|(id, section)| (*id, section(&p))));
-    object(doc).render()
+    SuiteRun {
+        doc: object(doc),
+        ops: 0,
+        handovers: 0,
+    }
 }

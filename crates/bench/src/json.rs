@@ -26,12 +26,12 @@ pub enum Value {
 }
 
 /// `v` printed with exactly `decimals` decimals.
-pub fn float(v: f64, decimals: usize) -> Value {
+pub(crate) fn float(v: f64, decimals: usize) -> Value {
     Value::Float(v, decimals)
 }
 
 /// An object of `fields`, in that order.
-pub fn object(fields: Vec<(&'static str, Value)>) -> Value {
+pub(crate) fn object(fields: Vec<(&'static str, Value)>) -> Value {
     Value::Object(fields)
 }
 
@@ -159,22 +159,6 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Sum of every integer field named `key` anywhere in a rendered
-/// document (the harness's per-suite summary line reads `handovers` and
-/// the operation counts back out of what it is about to write).
-pub fn sum_field(doc: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    doc.match_indices(&needle)
-        .map(|(at, _)| {
-            let digits = &doc[at + needle.len()..];
-            let end = digits
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(digits.len());
-            digits[..end].parse::<u64>().unwrap_or(0)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,12 +225,5 @@ mod tests {
             doc.render(),
             "{\n  \"none\": [],\n  \"also\": {},\n  \"s\": \"a\\\"b\\\\c\\u000a\"\n}\n"
         );
-    }
-
-    #[test]
-    fn sum_field_adds_every_occurrence_of_the_exact_key() {
-        let doc = "{\"handovers\": 12, \"x\": {\"handovers\": 30, \"total_handovers\": 5}}";
-        assert_eq!(sum_field(doc, "handovers"), 42);
-        assert_eq!(sum_field(doc, "ops"), 0);
     }
 }

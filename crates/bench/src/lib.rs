@@ -6,61 +6,99 @@
 //! that put the real stack under `VirtualLab` ([`scale`], [`churn`],
 //! [`tenant`], [`onesided`]) and [`figures`], every table and figure of
 //! the Flock paper (SOSP 2021) from the discrete-event models. See
-//! EXPERIMENTS.md for paper-vs-measured values. Outside the harness,
-//! because they time the host: `benches/micro.rs` (Criterion
-//! microbenchmarks of the core data structures) and
-//! `benches/native_stack.rs` (the threaded stack, wall clock).
+//! EXPERIMENTS.md for paper-vs-measured values. The sixth row, [`micro`],
+//! times the host (core data structures, the threaded stack): it has no
+//! checked-in file, so it is printed and never compared.
 
 pub mod arrival;
 pub mod churn;
 pub mod figures;
 pub mod json;
+pub mod micro;
 pub mod onesided;
 pub mod scale;
 pub mod stats;
 pub mod tenant;
 
-/// One virtual-time suite, rendered as one JSON document that is a pure
-/// function of the tree.
+/// One suite, rendered as one JSON document.
 pub struct Suite {
     /// What `flock-bench <name>` selects; the document's schema tag is
     /// `flock-bench-<name>/v1`.
     pub name: &'static str,
-    /// The checked-in document at the repo root.
-    pub file: &'static str,
-    /// Run at test-smoke (`quick`) or checked-in size and render.
-    pub run: fn(quick: bool) -> String,
+    /// The checked-in document at the repo root, for a suite whose
+    /// document is a pure function of the tree. `None`: the suite times
+    /// the host, so its document goes to stderr and `--check` has
+    /// nothing to hold it to.
+    pub file: Option<&'static str>,
+    /// Run at test-smoke (`quick`) or checked-in size.
+    pub run: fn(quick: bool) -> SuiteRun,
 }
 
-/// Every suite `flock-bench` runs and `flock-bench --check` holds the
-/// checked-in files to.
-pub static SUITES: [Suite; 5] = [
+/// What one run of a suite produced.
+pub struct SuiteRun {
+    /// The suite's document, ready to render.
+    pub doc: json::Value,
+    /// Completed operations the document counts (0: `churn` and
+    /// `figures` count none).
+    pub ops: u64,
+    /// Lab handovers over every scenario of the run.
+    pub handovers: u64,
+}
+
+/// Every suite `flock-bench` runs; `flock-bench --check` holds the
+/// checked-in files of those that have one to this tree.
+pub static SUITES: [Suite; 6] = [
     Suite {
         name: "scale",
-        file: "BENCH_scale.json",
+        file: Some("BENCH_scale.json"),
         run: scale::run_suite,
     },
     Suite {
         name: "churn",
-        file: "BENCH_churn.json",
+        file: Some("BENCH_churn.json"),
         run: churn::run_suite,
     },
     Suite {
         name: "tenant",
-        file: "BENCH_tenant.json",
+        file: Some("BENCH_tenant.json"),
         run: tenant::run_suite,
     },
     Suite {
         name: "onesided",
-        file: "BENCH_onesided.json",
+        file: Some("BENCH_onesided.json"),
         run: onesided::run_suite,
     },
     Suite {
         name: "figures",
-        file: "BENCH_figures.json",
+        file: Some("BENCH_figures.json"),
         run: figures::run_suite,
     },
+    Suite {
+        name: "micro",
+        file: None,
+        run: micro::run_suite,
+    },
 ];
+
+/// The suites a command line selects: the named ones, every suite when
+/// none is named. Under `--check` that is every suite with a checked-in
+/// file, and naming one without is an error.
+pub fn select(names: &[String], check: bool) -> Result<Vec<&'static Suite>, String> {
+    let mut selected = Vec::new();
+    for name in names {
+        match SUITES.iter().find(|s| s.name == name) {
+            Some(s) if check && s.file.is_none() => {
+                return Err(format!("`{name}` has no checked-in file to check"))
+            }
+            Some(s) => selected.push(s),
+            None => return Err(format!("unexpected argument `{name}`")),
+        }
+    }
+    if selected.is_empty() {
+        selected.extend(SUITES.iter().filter(|s| !check || s.file.is_some()));
+    }
+    Ok(selected)
+}
 
 /// The `--check` comparison: one entry per line at which `actual` (this
 /// tree's document) departs from `expected` (the checked-in one), empty

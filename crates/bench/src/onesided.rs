@@ -39,6 +39,7 @@ use flock_sync::clock;
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
 use crate::stats::percentile_us;
+use crate::SuiteRun;
 
 /// Mean inter-request gap per client (virtual ns): open-loop Poisson
 /// arrivals, so the coalescing degree is set by genuine concurrency,
@@ -150,7 +151,7 @@ pub struct ModeOutcome {
 }
 
 /// The JSON name of a mode.
-pub fn mode_name(mode: ReadMode) -> &'static str {
+pub(crate) fn mode_name(mode: ReadMode) -> &'static str {
     match mode {
         ReadMode::Rpc => "rpc",
         ReadMode::OneSided => "one_sided",
@@ -364,7 +365,7 @@ pub fn sweep_points(quick: bool) -> Vec<OneSidedPoint> {
 
 /// All three modes of one point, in fixed (rpc, one_sided, adaptive)
 /// order.
-pub fn run_point_modes(p: OneSidedPoint, w: OneSidedWorkload) -> [ModeOutcome; 3] {
+pub(crate) fn run_point_modes(p: OneSidedPoint, w: OneSidedWorkload) -> [ModeOutcome; 3] {
     [
         run_point(p, w, ReadMode::Rpc),
         run_point(p, w, ReadMode::OneSided),
@@ -375,7 +376,7 @@ pub fn run_point_modes(p: OneSidedPoint, w: OneSidedWorkload) -> [ModeOutcome; 3
 /// One row of the crossover table: a (value, write_pct) slice of the
 /// sweep, compared across client counts.
 #[derive(Debug, Clone)]
-pub struct CrossoverRow {
+pub(crate) struct CrossoverRow {
     /// Value bytes of this slice.
     pub value: usize,
     /// Write percentage of this slice.
@@ -389,7 +390,7 @@ pub struct CrossoverRow {
 }
 
 /// Fold per-mode outcomes into the crossover table.
-pub fn crossover_rows(outcomes: &[[ModeOutcome; 3]]) -> Vec<CrossoverRow> {
+pub(crate) fn crossover_rows(outcomes: &[[ModeOutcome; 3]]) -> Vec<CrossoverRow> {
     let mut rows: Vec<CrossoverRow> = Vec::new();
     for trio in outcomes {
         let p = trio[0].point;
@@ -429,7 +430,7 @@ pub fn crossover_rows(outcomes: &[[ModeOutcome; 3]]) -> Vec<CrossoverRow> {
 /// Worst relative shortfall of the adaptive mode against the better of
 /// the two fixed modes, across the whole sweep (0 = adaptive never
 /// loses; 0.10 = at its worst point it left 10% on the table).
-pub fn adaptive_worst_regret(outcomes: &[[ModeOutcome; 3]]) -> f64 {
+pub(crate) fn adaptive_worst_regret(outcomes: &[[ModeOutcome; 3]]) -> f64 {
     outcomes
         .iter()
         .map(|trio| {
@@ -444,13 +445,17 @@ pub fn adaptive_worst_regret(outcomes: &[[ModeOutcome; 3]]) -> f64 {
 }
 
 /// Run the sweep and render the stable-order JSON document.
-pub fn run_suite(quick: bool) -> String {
+pub fn run_suite(quick: bool) -> SuiteRun {
     let w = OneSidedWorkload::preset(quick);
     let outcomes: Vec<_> = sweep_points(quick)
         .into_iter()
         .map(|p| run_point_modes(p, w))
         .collect();
-    render(quick, w, &outcomes).render()
+    SuiteRun {
+        doc: render(quick, w, &outcomes),
+        ops: outcomes.iter().flatten().map(|o| o.gets + o.sets).sum(),
+        handovers: outcomes.iter().flatten().map(|o| o.handovers).sum(),
+    }
 }
 
 fn render(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> Value {

@@ -24,6 +24,7 @@ use flock_sync::clock;
 
 use crate::json::{array, float, inline, object, Value};
 use crate::stats::percentile_us;
+use crate::SuiteRun;
 
 /// One configuration of the scaling surface.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +50,7 @@ pub struct ScalePoint {
 
 impl ScalePoint {
     /// Total issuing client threads at this point.
-    pub fn client_threads(&self) -> usize {
+    pub(crate) fn client_threads(&self) -> usize {
         self.clients * self.threads_per_node
     }
 }
@@ -285,13 +286,17 @@ pub fn sweep_points(quick: bool) -> Vec<ScalePoint> {
 }
 
 /// Run the sweep and render the stable-order JSON document.
-pub fn run_suite(quick: bool) -> String {
+pub fn run_suite(quick: bool) -> SuiteRun {
     let w = Workload::preset(quick);
     let outcomes: Vec<_> = sweep_points(quick)
         .into_iter()
         .map(|p| run_point(p, w))
         .collect();
-    render(quick, w, &outcomes).render()
+    SuiteRun {
+        doc: render(quick, w, &outcomes),
+        ops: outcomes.iter().map(|o| o.total_ops).sum(),
+        handovers: outcomes.iter().map(|o| o.handovers).sum(),
+    }
 }
 
 fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {

@@ -2,7 +2,7 @@
 
 /// The `p`-quantile (nearest rank) of ascending nanosecond samples, in
 /// microseconds; 0 for an empty set.
-pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
+pub(crate) fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
     }

@@ -38,6 +38,7 @@ use flock_sync::clock;
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
 use crate::stats::percentile_us;
+use crate::SuiteRun;
 
 /// Knobs shared by the three scenarios.
 #[derive(Debug, Clone, Copy)]
@@ -219,7 +220,7 @@ pub struct MixOutcome {
 /// Run a GET/SET mix through the gateway: `keys` hot keys with Zipf
 /// skew `zipf_s`, SET probability `set_ratio`, every tenant driving the
 /// same offered load over memcached-text edge sessions.
-pub fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_s: f64, set_ratio: f64) -> MixOutcome {
+pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_s: f64, set_ratio: f64) -> MixOutcome {
     let (mut outcome, report) = VirtualLab::run_report(move || {
         let domain = Arc::new(FlockDomain::new(elastic_fabric()));
         let server_node = domain.add_node(&format!("{label}-srv"));
@@ -383,7 +384,7 @@ enum AggrMode {
 }
 
 /// The aggressor's tenant id (victims are `1..=victims`).
-pub const AGGRESSOR_TENANT: u32 = 9;
+pub(crate) const AGGRESSOR_TENANT: u32 = 9;
 
 /// Measured outcome of the interference scenario.
 #[derive(Debug, Clone)]
@@ -683,12 +684,21 @@ pub fn run_interference(w: TenantWorkload) -> InterferenceOutcome {
 // ---------------------------------------------------------------------
 
 /// Run all three scenarios and render the stable-order JSON document.
-pub fn run_suite(quick: bool) -> String {
+pub fn run_suite(quick: bool) -> SuiteRun {
     let w = TenantWorkload::preset(quick);
     let zipf = run_zipf_mix(w);
     let hot = run_hot_key_storm(w);
     let intf = run_interference(w);
-    render(quick, w, &zipf, &hot, &intf).render()
+    let mix_ops = |m: &MixOutcome| m.tenants.iter().map(|t| t.ops).sum::<u64>();
+    SuiteRun {
+        doc: render(quick, w, &zipf, &hot, &intf),
+        ops: mix_ops(&zipf)
+            + mix_ops(&hot)
+            + intf.victim_ops
+            + intf.aggr_ops_uncapped
+            + intf.aggr_ops_capped,
+        handovers: zipf.handovers + hot.handovers + intf.handovers,
+    }
 }
 
 fn render_mix(m: &MixOutcome) -> Value {

@@ -1,24 +1,85 @@
 //! The suites behind the checked-in `BENCH_*.json`: every row of
-//! [`SUITES`] is deterministic (what lets `flock-bench --check`
-//! compare bytes: a diff in a checked-in file always means a code
-//! change, never scheduling noise), plus the acceptance properties each
+//! [`SUITES`] that has a file is deterministic (what lets `flock-bench
+//! --check` compare bytes: a diff in a checked-in file always means a
+//! code change, never scheduling noise), the one that times the host is
+//! printed and never compared, plus the acceptance properties each
 //! suite's headline rests on, at smoke scale. A failure reproduces
 //! exactly under `cargo run -p flock-bench -- <suite> --quick --out DIR`.
+
+use std::process::Command;
 
 use flock_bench::churn::{run_churn_load, run_storm, ChurnWorkload};
 use flock_bench::scale::{run_point, sweep_points, Workload};
 use flock_bench::tenant::{run_hot_key_storm, run_interference, run_zipf_mix, TenantWorkload};
-use flock_bench::SUITES;
+use flock_bench::{select, SUITES};
+
+const GATED: [&str; 5] = ["scale", "churn", "tenant", "onesided", "figures"];
 
 #[test]
 fn quick_suites_are_byte_identical_across_runs() {
-    for suite in &SUITES {
-        let a = (suite.run)(true);
-        let b = (suite.run)(true);
+    for suite in SUITES.iter().filter(|s| s.file.is_some()) {
+        let a = (suite.run)(true).doc.render();
+        let b = (suite.run)(true).doc.render();
         assert_eq!(a, b, "{} suite must be deterministic", suite.name);
         let tag = format!("\"schema\": \"flock-bench-{}/v1\"", suite.name);
         assert!(a.contains(&tag), "{} document must carry {tag}", suite.name);
     }
+}
+
+#[test]
+fn check_takes_exactly_the_gated_rows() {
+    let names = |check: bool| -> Vec<&str> {
+        let all = select(&[], check).expect("no names is every suite");
+        all.iter().map(|s| s.name).collect()
+    };
+    assert_eq!(names(true), GATED);
+    assert_eq!(names(false), [&GATED[..], &["micro"]].concat());
+    let out = Command::new(env!("CARGO_BIN_EXE_flock-bench"))
+        .args(["--check", "micro"])
+        .output()
+        .expect("flock-bench runs");
+    assert_eq!(out.status.code(), Some(2), "--check micro is a usage error");
+}
+
+/// Every loop of the `micro` row, as `flock-bench micro` names it.
+const MICRO_ROWS: [&str; 9] = [
+    "ring_produce_consume_64B",
+    "ring_wrap_boundary_1600B",
+    "tcq_join_complete_uncontended",
+    "mutex_lock_send_uncontended",
+    "kvstore_occ_cycle",
+    "native_echo_1c_1t_1deep",
+    "native_echo_1c_4t_4deep",
+    "native_echo_2c_4t_4deep",
+    "native_echo_2c_4t_8deep",
+];
+
+#[test]
+fn quick_micro_prints_every_row_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("flock-bench-micro-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_flock-bench"))
+        .args(["micro", "--quick", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("flock-bench runs");
+    let printed = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(out.status.success(), "{printed}");
+    for name in MICRO_ROWS {
+        let key = format!("{{\"name\": \"{name}\", \"ns_per_op\": ");
+        let at = printed
+            .find(&key)
+            .unwrap_or_else(|| panic!("no row {name}:\n{printed}"));
+        let rest = &printed[at + key.len()..];
+        let ns: f64 = rest[..rest.find('}').expect("row closes")]
+            .parse()
+            .unwrap_or_else(|e| panic!("{name}: {e}:\n{printed}"));
+        assert!(ns.is_finite() && ns > 0.0, "{name}: {ns} ns/op");
+    }
+    assert_eq!(printed.matches("\"ns_per_op\"").count(), MICRO_ROWS.len());
+    let written = std::fs::read_dir(&dir).expect("temp dir").count();
+    std::fs::remove_dir_all(&dir).expect("temp dir");
+    assert_eq!(written, 0, "micro has no file to write");
 }
 
 /// Every section EXPERIMENTS.md quotes from `BENCH_figures.json`.
@@ -43,7 +104,7 @@ const FIGURE_SECTIONS: [&str; 14] = [
 fn quick_figures_document_has_every_section_and_the_probed_table_1() {
     // Running the suite also runs Table 1's asserts: every verb posted on
     // every transport, acceptance held to the declared matrix.
-    let doc = flock_bench::figures::run_suite(true);
+    let doc = flock_bench::figures::run_suite(true).doc.render();
     for id in FIGURE_SECTIONS {
         // A section is an array of one-line rows.
         let open = format!("  \"{id}\": [\n    {{\"");

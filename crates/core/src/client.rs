@@ -28,9 +28,9 @@ use crate::sched::thread::{assign_threads, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
 
 /// Per-thread scratch slot size for one-sided operation payloads/results.
-pub const MEM_SCRATCH: usize = 4096;
+pub(crate) const MEM_SCRATCH: usize = 4096;
 /// Maximum registered threads per connection handle.
-pub const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 /// Every Nth request-ring write is signaled (selective signaling, paper
 /// §7).
 const SIGNAL_EVERY: u64 = 64;
@@ -42,10 +42,9 @@ pub struct HandleConfig {
     pub n_qps: usize,
     /// Ring buffer capacity per QP (bytes).
     pub ring_capacity: usize,
-    /// TCQ batch bound (coalesced requests per message).
+    /// TCQ batch bound (coalesced requests per message); 1 disables
+    /// coalescing (ablation: every request is its own message).
     pub batch_limit: usize,
-    /// Disable coalescing (ablation: every request is its own message).
-    pub coalescing: bool,
     /// Sender-side thread scheduling interval.
     pub sched_interval: Duration,
     /// Run the sender-side thread scheduler (ablation switch).
@@ -85,7 +84,6 @@ impl Default for HandleConfig {
             n_qps: 4,
             ring_capacity: 1 << 16,
             batch_limit: 16,
-            coalescing: true,
             sched_interval: Duration::from_millis(10),
             auto_thread_sched: true,
             timeout: Duration::from_secs(10),
@@ -142,9 +140,9 @@ impl ClientQpCtx {
 }
 
 /// Number of scratch sub-slots per thread (concurrent one-sided ops).
-pub const MEM_SUBSLOTS: usize = 8;
+pub(crate) const MEM_SUBSLOTS: usize = 8;
 /// Bytes per scratch sub-slot.
-pub const MEM_SUBSLOT_SIZE: usize = MEM_SCRATCH / MEM_SUBSLOTS;
+pub(crate) const MEM_SUBSLOT_SIZE: usize = MEM_SCRATCH / MEM_SUBSLOTS;
 
 /// Bookkeeping for one pending one-sided operation.
 struct MemPending {
@@ -358,10 +356,7 @@ impl HandleInner {
     /// luck. Gated off for single-threaded handles and when coalescing
     /// is disabled, where the yield would be pure overhead.
     fn boarding_window(&self) {
-        if self.cfg.coalescing
-            && self.cfg.batch_limit > 1
-            && self.thread_count.load(Ordering::Relaxed) > 1
-        {
+        if self.cfg.batch_limit > 1 && self.thread_count.load(Ordering::Relaxed) > 1 {
             // Under a virtual executor the yield hands the core to peer
             // client tasks at the same virtual instant — the combining
             // window the doorbell+DMA latency provides on hardware.
@@ -853,7 +848,7 @@ impl FlThread {
                 addr: region.addr + offset,
             },
         );
-        self.submit_mem(wr, scratch, len)
+        self.submit_mem(wr, len)
     }
 
     /// One-sided write (`fl_write`) into advertised region `mem_idx`.
@@ -879,7 +874,7 @@ impl FlThread {
                 addr: region.addr + offset,
             },
         );
-        self.submit_mem(wr, scratch, 0).map(|_| ())
+        self.submit_mem(wr, 0).map(|_| ())
     }
 
     /// One-sided fetch-and-add (`fl_fetch_and_add`); returns the old value.
@@ -899,7 +894,7 @@ impl FlThread {
             },
             delta,
         );
-        let old = self.submit_mem(wr, scratch, 8)?;
+        let old = self.submit_mem(wr, 8)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
 
@@ -922,7 +917,7 @@ impl FlThread {
             expect,
             swap,
         );
-        let old = self.submit_mem(wr, scratch, 8)?;
+        let old = self.submit_mem(wr, 8)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
 
@@ -1281,7 +1276,7 @@ impl FlThread {
     }
 
     /// Submit a one-sided op through the TCQ and wait for its completion.
-    fn submit_mem(&self, wr: SendWr, _scratch_off: usize, result_len: usize) -> Result<Vec<u8>> {
+    fn submit_mem(&self, wr: SendWr, result_len: usize) -> Result<Vec<u8>> {
         // `wr` was built against the start of the thread's scratch region;
         // blocking ops take the whole region so the layout is unchanged.
         let len = wr.op.byte_len();
@@ -1315,12 +1310,11 @@ fn build_lane_ctx(
     req_remote: RingInfo,
     initial_credits: u32,
 ) -> Arc<ClientQpCtx> {
-    let batch_limit = if cfg.coalescing { cfg.batch_limit } else { 1 };
     let staging = node.acquire_mr(cfg.ring_capacity, Access::LOCAL);
     Arc::new(ClientQpCtx {
         index,
         qp,
-        tcq: Tcq::new(batch_limit),
+        tcq: Tcq::new(cfg.batch_limit),
         req_prod: Mutex::new(RingProducer::new(RingLayout::new(0, req_remote.capacity))),
         req_remote,
         staging,
@@ -1436,7 +1430,7 @@ fn attach_mem_qp(inner: &Arc<HandleInner>) -> Result<Arc<Qp>> {
         .map_err(|_| FlockError::Disconnected)
         .and_then(|()| await_reply(&reply_rx));
     match sent {
-        Ok(_reply) => Ok(qp),
+        Ok(()) => Ok(qp),
         Err(e) => {
             inner.node.release_qp(&qp);
             Err(e)
@@ -1949,6 +1943,6 @@ mod tests {
         let cfg = HandleConfig::default();
         assert!(cfg.n_qps >= 1);
         assert!(cfg.ring_capacity % 64 == 0);
-        assert!(cfg.coalescing);
+        assert!(cfg.batch_limit > 1, "coalescing is on by default");
     }
 }

@@ -13,7 +13,7 @@
 //! stays visible to the loom model checker (see DESIGN.md).
 
 /// Default bootstrap credit count (paper: `C = 32`).
-pub const DEFAULT_CREDITS: u32 = 32;
+pub(crate) const DEFAULT_CREDITS: u32 = 32;
 
 /// Sender-side per-QP credit state.
 #[derive(Debug, Clone)]

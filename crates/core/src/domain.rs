@@ -79,7 +79,7 @@ pub struct ConnectReply {
 /// Request to materialize one additional data lane on an existing
 /// connection (lazy QP creation: `fl_connect` came back after a single
 /// control QP; the remaining lanes attach on first use).
-pub struct AttachRequest {
+pub(crate) struct AttachRequest {
     /// The sender id the server assigned at connect time.
     pub sender_id: u32,
     /// The lane index being materialized (dense, `1..n_qps`).
@@ -94,9 +94,7 @@ pub struct AttachRequest {
 
 /// Server's reply to an [`AttachRequest`].
 #[derive(Debug, Clone)]
-pub struct AttachReply {
-    /// The server QP paired with the new client lane.
-    pub server_qp: QpNum,
+pub(crate) struct AttachReply {
     /// Request ring on the server for this lane.
     pub request_ring: RingInfo,
     /// Bootstrap credits for the lane.
@@ -111,20 +109,13 @@ pub struct AttachReply {
 /// sender, and are released in one batch at detach. That uncoordinated
 /// per-client NIC state is exactly what the paper's RPC design
 /// amortizes away (§2).
-pub struct AttachMemRequest {
+pub(crate) struct AttachMemRequest {
     /// The sender id the server assigned at connect time.
     pub sender_id: u32,
     /// The client's freshly leased per-thread QP.
     pub client_qp: Arc<Qp>,
     /// Channel for the server's reply.
-    pub reply: DoorbellSender<Result<AttachMemReply>>,
-}
-
-/// Server's reply to an [`AttachMemRequest`].
-#[derive(Debug, Clone)]
-pub struct AttachMemReply {
-    /// The passive server QP paired with the client's mem QP.
-    pub server_qp: QpNum,
+    pub reply: DoorbellSender<Result<()>>,
 }
 
 /// A named, exported slice of server memory a client may read with
@@ -149,7 +140,7 @@ pub struct SegmentLease {
 }
 
 /// Request for the server's exported one-sided segments.
-pub struct ExportRequest {
+pub(crate) struct ExportRequest {
     /// If set, only segments whose name matches exactly are returned.
     pub filter: Option<String>,
     /// Channel for the server's reply.
@@ -158,7 +149,7 @@ pub struct ExportRequest {
 
 /// Server's reply to an [`ExportRequest`].
 #[derive(Debug, Clone)]
-pub struct ExportReply {
+pub(crate) struct ExportReply {
     /// The matching segment leases, in registration order.
     pub segments: Vec<SegmentLease>,
 }
@@ -166,7 +157,7 @@ pub struct ExportReply {
 /// Request to gracefully tear a connection down. The server quiesces
 /// the departing sender's QPs out of its dispatch shards before
 /// replying, so the client can recycle its resources immediately.
-pub struct DetachRequest {
+pub(crate) struct DetachRequest {
     /// The sender id being detached.
     pub sender_id: u32,
     /// Channel for the server's acknowledgement.
@@ -181,7 +172,7 @@ pub struct DetachRequest {
 /// [`flock_fabric::doorbell`] channels, so a virtual task waiting for
 /// either runs no poll before the send ([`reply_channel`],
 /// [`await_reply`]).
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Full connection handshake.
     Connect(ConnectRequest),
     /// Materialize one more data lane on a live connection.
@@ -268,7 +259,7 @@ impl FlockDomain {
 
 /// Receiving half of a [`reply_channel`]: the channel and the event its
 /// sender notifies.
-pub type ReplyReceiver<T> = (Receiver<Result<T>>, Arc<Event>);
+pub(crate) type ReplyReceiver<T> = (Receiver<Result<T>>, Arc<Event>);
 
 /// A channel for one control-plane reply: the sender goes into the
 /// request's `reply` field, the receiver to [`await_reply`].

@@ -71,5 +71,5 @@ pub use client::{ConnectionHandle, FlThread, HandleConfig, HandleMetrics, MemTok
 pub use domain::{FlockDomain, MemRegionInfo, RingInfo, SegmentLease};
 pub use onesided::{OneSidedReader, SegmentWriter, SlotLayout};
 pub use error::{FlockError, Result};
-pub use server::{auto_dispatch_threads, lpt_partition, FlockServer, ServerConfig};
+pub use server::{lpt_partition, FlockServer, ServerConfig};
 pub use tcq::Tcq;

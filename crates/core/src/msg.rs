@@ -34,9 +34,6 @@ pub const TRAILER_SIZE: usize = 8;
 
 /// Flag: `aux` carries a credit grant (server→client).
 pub const FLAG_CREDIT_GRANT: u16 = 1 << 1;
-/// Flag: the low 16 bits of `aux >> 32` carry the reported median
-/// coalescing degree since the last renewal (client→server).
-pub const FLAG_COALESCE_REPORT: u16 = 1 << 2;
 
 /// Per-entry metadata (one RPC request or response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +95,7 @@ pub fn encode(buf: &mut [u8], header: &MsgHeader, entries: &[EntryRef<'_>]) -> R
 /// no intermediate `Vec<EntryRef>` is materialized per message. The
 /// iterator is walked twice (sizing pass, then write pass), hence
 /// `Clone`.
-pub fn encode_iter<'a, I>(buf: &mut [u8], header: &MsgHeader, entries: I) -> Result<usize>
+pub(crate) fn encode_iter<'a, I>(buf: &mut [u8], header: &MsgHeader, entries: I) -> Result<usize>
 where
     I: Iterator<Item = EntryRef<'a>> + Clone,
 {
@@ -145,7 +142,7 @@ where
 /// Peek at the `total_len` field of a (possibly partial) message at the
 /// start of `buf`. Returns `None` if fewer than 4 bytes are present or the
 /// field is zero (ring slot empty).
-pub fn peek_total_len(buf: &[u8]) -> Option<usize> {
+pub(crate) fn peek_total_len(buf: &[u8]) -> Option<usize> {
     if buf.len() < 4 {
         return None;
     }
@@ -287,7 +284,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<MsgView<'_>>> {
 
 /// Pack a credit request (`credits`) and a median coalescing-degree report
 /// (`degree`) into the header `aux` word.
-pub fn pack_aux(credits: u32, degree: u16) -> u64 {
+pub(crate) fn pack_aux(credits: u32, degree: u16) -> u64 {
     (credits as u64) | ((degree as u64) << 32)
 }
 
@@ -313,7 +310,7 @@ mod tests {
         MsgHeader {
             total_len: 0,
             count: 0,
-            flags: FLAG_COALESCE_REPORT,
+            flags: FLAG_CREDIT_GRANT,
             canary,
             head: 777,
             aux: pack_aux(32, 3),

@@ -73,7 +73,7 @@ impl SlotLayout {
     }
 
     /// Byte offset of slot `i` from the segment base.
-    pub fn slot_off(&self, slot: u32) -> usize {
+    pub(crate) fn slot_off(&self, slot: u32) -> usize {
         slot as usize * self.stride as usize
     }
 }
@@ -92,7 +92,7 @@ pub struct SlotValue {
 /// Validate one slot image. `None` means the snapshot is unusable — the
 /// word was locked (a publish was in flight) or the length is out of
 /// bounds — and the caller should retry the read.
-pub fn decode_slot(buf: &[u8], val_cap: u32) -> Option<SlotValue> {
+pub(crate) fn decode_slot(buf: &[u8], val_cap: u32) -> Option<SlotValue> {
     if buf.len() < SlotLayout::HEADER {
         return None;
     }
@@ -215,7 +215,7 @@ pub struct ReadStats {
 }
 
 /// Default bound on re-reads of a locked/torn slot before giving up.
-pub const DEFAULT_MAX_RETRIES: u32 = 16;
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 16;
 
 /// Client-side one-sided reader over a [`SegmentLease`].
 ///
@@ -276,18 +276,13 @@ impl OneSidedReader {
         self.lease.slots
     }
 
-    /// Counters since the last [`OneSidedReader::take_stats`].
+    /// Counters since this reader was made.
     pub fn stats(&self) -> ReadStats {
         self.stats
     }
 
-    /// Return and reset the counters.
-    pub fn take_stats(&mut self) -> ReadStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Remote address of slot `slot` (self-contained from the lease).
-    pub fn slot_addr(&self, slot: u32) -> RemoteAddr {
+    pub(crate) fn slot_addr(&self, slot: u32) -> RemoteAddr {
         RemoteAddr {
             rkey: self.lease.region.rkey,
             addr: self.lease.region.addr + self.layout.slot_off(slot) as u64,

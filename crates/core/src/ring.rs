@@ -34,7 +34,7 @@ use crate::msg::{self, MsgHeader, HDR_SIZE, TRAILER_SIZE};
 
 /// Ring alignment: all records are multiples of this, guaranteeing a wrap
 /// record always has room for header + trailer.
-pub const RING_ALIGN: usize = 64;
+pub(crate) const RING_ALIGN: usize = 64;
 
 /// Flag marking a wrap record (skip to the start of the ring).
 pub const FLAG_WRAP: u16 = 1 << 3;
@@ -61,7 +61,7 @@ impl RingLayout {
     }
 
     /// Physical byte offset (within the region) for a monotone position.
-    pub fn offset_of(&self, pos: u64) -> usize {
+    pub(crate) fn offset_of(&self, pos: u64) -> usize {
         self.base + (pos % self.capacity as u64) as usize
     }
 }
@@ -107,7 +107,7 @@ impl RingProducer {
     }
 
     /// Bytes currently free from the producer's (conservative) view.
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         self.layout.capacity - (self.tail - self.cached_head) as usize
     }
 
@@ -255,7 +255,7 @@ impl RingConsumer {
     /// Returns `Ok(false)` when no complete message is available; `buf`
     /// is left empty then, and on an error. On success the consumed span
     /// is zeroed and `head` advances.
-    pub fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
+    pub(crate) fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
         let polled = self.copy_out(mr, buf);
         if !matches!(polled, Ok(true)) {
             buf.clear();

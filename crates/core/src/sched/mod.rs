@@ -18,7 +18,6 @@ pub mod tenant;
 pub mod thread;
 
 pub use qp::{QpScheduler, QpSchedulerConfig, SenderQp};
-pub use tenant::{
-    jains_index, FairnessSnapshot, TenantAccounting, TenantCounters, TenantRow, DEFAULT_TENANT,
-};
+pub(crate) use tenant::DEFAULT_TENANT;
+pub use tenant::{jains_index, FairnessSnapshot, TenantAccounting, TenantCounters, TenantRow};
 pub use thread::{assign_threads, ThreadLoadStats};

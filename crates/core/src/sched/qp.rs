@@ -38,7 +38,7 @@ use std::sync::Arc;
 use super::tenant::{FairnessSnapshot, TenantAccounting, TenantRow, DEFAULT_TENANT};
 
 /// Default bound on server-active QPs (paper `MAX_AQP`).
-pub const DEFAULT_MAX_AQP: usize = 256;
+pub(crate) const DEFAULT_MAX_AQP: usize = 256;
 
 /// Configuration for the QP scheduler.
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ impl QpScheduler {
     /// The shared per-tenant counter registry. The server clones per
     /// tenant counter blocks out of this at accept time so the dispatch
     /// hot path never takes the scheduler mutex.
-    pub fn accounting(&self) -> &Arc<TenantAccounting> {
+    pub(crate) fn accounting(&self) -> &Arc<TenantAccounting> {
         &self.accounting
     }
 
@@ -171,7 +171,7 @@ impl QpScheduler {
     }
 
     /// Remove `tenant`'s active-QP cap.
-    pub fn clear_tenant_cap(&mut self, tenant: u32) {
+    pub(crate) fn clear_tenant_cap(&mut self, tenant: u32) {
         self.tenant_caps.remove(&tenant);
     }
 

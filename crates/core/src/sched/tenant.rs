@@ -31,7 +31,7 @@ use parking_lot::RwLock;
 
 /// The tenant every sender belongs to unless the connect handshake says
 /// otherwise.
-pub const DEFAULT_TENANT: u32 = 0;
+pub(crate) const DEFAULT_TENANT: u32 = 0;
 
 /// Lock-free per-tenant request counters, shared between the scheduler
 /// (which owns the registry) and the server's dispatch path (which
@@ -44,12 +44,12 @@ pub struct TenantCounters {
 
 impl TenantCounters {
     /// Record `n` requests entering dispatch for this tenant.
-    pub fn note_issued(&self, n: u64) {
+    pub(crate) fn note_issued(&self, n: u64) {
         self.issued.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record `n` responses flushed for this tenant.
-    pub fn note_completed(&self, n: u64) {
+    pub(crate) fn note_completed(&self, n: u64) {
         self.completed.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -80,7 +80,7 @@ pub struct TenantAccounting {
 
 impl TenantAccounting {
     /// The counter block for `tenant`, created on first use.
-    pub fn counters(&self, tenant: u32) -> Arc<TenantCounters> {
+    pub(crate) fn counters(&self, tenant: u32) -> Arc<TenantCounters> {
         if let Some(c) = self.tenants.read().get(&tenant) {
             return Arc::clone(c);
         }
@@ -94,7 +94,7 @@ impl TenantAccounting {
     }
 
     /// Tenant ids with counter blocks, in ascending order.
-    pub fn tenant_ids(&self) -> Vec<u32> {
+    pub(crate) fn tenant_ids(&self) -> Vec<u32> {
         self.tenants.read().keys().copied().collect()
     }
 }

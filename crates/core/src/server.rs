@@ -17,8 +17,8 @@ use flock_sync::clock::{self, Event, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::domain::{
-    AttachMemReply, AttachMemRequest, AttachReply, AttachRequest, ConnectReply, ConnectRequest,
-    CtrlMsg, ExportReply, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
+    AttachMemRequest, AttachReply, AttachRequest, ConnectReply, ConnectRequest, CtrlMsg,
+    ExportReply, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
@@ -50,7 +50,7 @@ pub struct ServerConfig {
 /// time-slice the same core through the idle ladder (the honest 0.78×
 /// measured for 4/4 there, EXPERIMENTS.md "Receive-path scaling"), so
 /// the degenerate 1-worker path is chosen automatically there.
-pub fn auto_dispatch_threads() -> usize {
+pub(crate) fn auto_dispatch_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -70,7 +70,7 @@ impl Default for ServerConfig {
 }
 
 /// An RPC handler: bytes in, bytes out.
-pub type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// A request pulled via the manual API (`fl_recv_rpc`).
 pub struct IncomingRpc {
@@ -676,7 +676,6 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
     inner.topo_gen.fetch_add(1, Ordering::Release);
 
     Ok(AttachReply {
-        server_qp,
         request_ring,
         initial_credits: inner.cfg.sched.grant_size,
     })
@@ -687,7 +686,7 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
 /// server side is passive: the QP joins no dispatch shard and no
 /// scheduler sender — it is raw per-client connection state, outside
 /// every coordination mechanism Flock layers over the shared lanes.
-fn attach_mem_one(inner: &Arc<ServerInner>, req: &AttachMemRequest) -> Result<AttachMemReply> {
+fn attach_mem_one(inner: &Arc<ServerInner>, req: &AttachMemRequest) -> Result<()> {
     // Clone the connection out of the registry before touching its
     // mem_qps lock: never hold `conns` and `mem_qps` together (the
     // detach path orders them the other way around).
@@ -707,9 +706,8 @@ fn attach_mem_one(inner: &Arc<ServerInner>, req: &AttachMemRequest) -> Result<At
         inner.node.release_qp(&qp);
         return Err(e.into());
     }
-    let server_qp = qp.qpn();
     conn.mem_qps.lock().push(qp);
-    Ok(AttachMemReply { server_qp })
+    Ok(())
 }
 
 /// Gracefully tear down a sender: release its AQP share immediately,

@@ -34,7 +34,7 @@ const SENT: u8 = 2;
 
 /// Default bound on requests per coalesced batch (keeps the leader's own
 /// latency bounded, paper §4.2).
-pub const DEFAULT_BATCH_LIMIT: usize = 16;
+pub(crate) const DEFAULT_BATCH_LIMIT: usize = 16;
 
 /// Aligned to a cache line so a follower spinning on its own node's
 /// `state` never shares that line with a neighboring node (DESIGN.md

@@ -134,7 +134,7 @@ fn no_coalescing_config_sends_singletons() {
     let server = echo_server(&domain, "s5", ServerConfig::default());
     let client = domain.add_node("c5");
     let mut cfg = HandleConfig::default();
-    cfg.coalescing = false;
+    cfg.batch_limit = 1;
     cfg.n_qps = 1;
     let handle = Arc::new(fl_connect(&domain, &client, "s5", cfg).unwrap());
     let mut joins = Vec::new();

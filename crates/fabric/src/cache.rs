@@ -43,7 +43,6 @@ pub struct ConnCache {
     free: Vec<usize>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +74,6 @@ impl ConnCache {
             free: Vec::new(),
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -126,7 +124,7 @@ impl ConnCache {
     /// without evicting — the caller enforces capacity, e.g. via
     /// [`ConnCache::pop_lru`]). Used by the MR registration cache, which
     /// counts hits/misses only on acquire, not when regions are parked.
-    pub fn insert_quiet(&mut self, key: u64) {
+    pub(crate) fn insert_quiet(&mut self, key: u64) {
         if let Some(&idx) = self.map.get(&key) {
             self.move_to_front(idx);
             return;
@@ -156,7 +154,7 @@ impl ConnCache {
     /// Remove and return the least-recently-used key, if any. Lets a
     /// caller that owns the values (e.g. the MR registration cache)
     /// learn *which* entry to tear down when enforcing its own capacity.
-    pub fn pop_lru(&mut self) -> Option<u64> {
+    pub(crate) fn pop_lru(&mut self) -> Option<u64> {
         if self.tail == NIL {
             return None;
         }
@@ -165,12 +163,11 @@ impl ConnCache {
         self.map.remove(&key);
         self.unlink(idx);
         self.free.push(idx);
-        self.evictions += 1;
         Some(key)
     }
 
     /// Remove `key` if present (e.g., QP destroyed).
-    pub fn invalidate(&mut self, key: u64) {
+    pub(crate) fn invalidate(&mut self, key: u64) {
         if let Some(idx) = self.map.remove(&key) {
             self.unlink(idx);
             self.free.push(idx);
@@ -202,11 +199,6 @@ impl ConnCache {
         self.misses
     }
 
-    /// Total evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Hit ratio in `[0, 1]`; 0 if no accesses yet.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -215,13 +207,6 @@ impl ConnCache {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Reset statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
     }
 
     fn evict_random(&mut self) {
@@ -241,7 +226,6 @@ impl ConnCache {
         if self.map.remove(&key).is_some() {
             self.unlink(idx);
             self.free.push(idx);
-            self.evictions += 1;
         } else {
             // Stale slot: fall back to LRU for safety.
             self.evict_lru();
@@ -255,7 +239,6 @@ impl ConnCache {
         self.map.remove(&key);
         self.unlink(lru);
         self.free.push(lru);
-        self.evictions += 1;
     }
 
     fn move_to_front(&mut self, idx: usize) {
@@ -326,7 +309,6 @@ mod tests {
         assert!(c.contains(1));
         assert!(c.contains(3));
         assert!(c.contains(4));
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -339,7 +321,6 @@ mod tests {
             }
         }
         assert_eq!(c.misses(), 256);
-        assert_eq!(c.evictions(), 0);
     }
 
     #[test]
@@ -443,15 +424,5 @@ mod tests {
             c.hits()
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = ConnCache::new(4);
-        c.access(1);
-        c.access(1);
-        c.reset_stats();
-        assert_eq!(c.hits(), 0);
-        assert!(c.contains(1));
     }
 }

@@ -65,7 +65,7 @@ pub fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
 /// core): there an empty channel is `Ok(None)`, and the caller sleeps on
 /// the channel's [`doorbell`] event before it tries again — a step by
 /// returning `Next::Idle`.
-pub fn recv_step<T>(
+pub(crate) fn recv_step<T>(
     rx: &Receiver<T>,
     deadline_ns: Option<u64>,
 ) -> Result<Option<T>, RecvTimeoutError> {

@@ -22,14 +22,11 @@
 //! merely *fast* in the SPSC case.
 //!
 //! Real CQ overflow is fatal; the seed modeled that by growing without
-//! bound and tracking a high-water mark. To preserve those semantics
-//! without letting a full ring wedge a NIC lane (completions are pushed
+//! bound. To preserve those semantics without letting a full ring wedge a NIC lane (completions are pushed
 //! from the lane thread; blocking it would deadlock the whole node), a
 //! producer that finds the ring full spills into a mutex-protected side
 //! deque. The spill is drained — FIFO after everything already in the
-//! ring — once the consumer empties the ring, and `high_water` exposes
-//! ring + spill depth so tests can still assert on sizing. Entries are
-//! never dropped. Once a spill begins, producers keep spilling until the
+//! ring — once the consumer empties the ring. Entries are never dropped. Once a spill begins, producers keep spilling until the
 //! consumer has drained it, so whatever a producer has in the ring is
 //! older than whatever it has in the spill; the consumer takes from the
 //! spill only after it has found the ring dry *while holding the spill
@@ -95,8 +92,6 @@ pub struct CompletionQueue {
     dequeue_pos: CachePadded<AtomicU64>,
     /// Total completions ever pushed.
     pushed: AtomicU64,
-    /// Maximum queue depth observed (ring + spill).
-    high_water: AtomicU64,
     /// Overflow spill: only touched when the ring is full (slow path).
     spill: Mutex<VecDeque<Completion>>,
     /// Cheap "the spill is non-empty" hint so the fast paths skip the
@@ -133,7 +128,7 @@ impl CompletionQueue {
     /// Create an empty CQ. `capacity` is rounded up to a power of two
     /// (minimum 2) and sizes the lock-free ring; if a burst ever exceeds
     /// it, entries spill to a mutexed side queue rather than being
-    /// dropped, and the high-water mark records the excursion.
+    /// dropped.
     pub fn new(capacity: usize) -> Arc<CompletionQueue> {
         Self::with_event(capacity, std::sync::Arc::new(Event::new()))
     }
@@ -158,7 +153,6 @@ impl CompletionQueue {
             enqueue_pos: CachePadded::new(AtomicU64::new(0)),
             dequeue_pos: CachePadded::new(AtomicU64::new(0)),
             pushed: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
             spill: Mutex::new(VecDeque::new()),
             spill_active: AtomicU64::new(0),
             pushed_event,
@@ -187,8 +181,6 @@ impl CompletionQueue {
             self.spill_active.store(1, Ordering::Release);
             spill.push_back(c);
         }
-        let depth = self.len() as u64;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
         self.pushed_event.notify_all();
     }
 
@@ -401,11 +393,6 @@ impl CompletionQueue {
         self.len() == 0
     }
 
-    /// Maximum queue depth observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed) as usize
-    }
-
     /// Total completions ever pushed.
     pub fn total_pushed(&self) -> u64 {
         self.pushed.load(Ordering::Relaxed)
@@ -452,7 +439,6 @@ mod tests {
         cq.push(comp(10));
         assert_eq!(cq.poll_one().unwrap().wr_id, WrId(9));
         assert_eq!(cq.total_pushed(), 2);
-        assert_eq!(cq.high_water(), 2);
     }
 
     #[test]
@@ -498,7 +484,6 @@ mod tests {
             cq.push(comp(i));
         }
         assert_eq!(cq.len(), 100);
-        assert!(cq.high_water() >= 100);
         let mut out = Vec::new();
         let mut got = 0;
         while got < 100 {

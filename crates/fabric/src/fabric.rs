@@ -49,7 +49,7 @@ pub struct FabricConfig {
 /// `1..=4`. Extra lanes only add channel hops and cache traffic when
 /// there are no spare cores to run them — on a 1-CPU host this picks the
 /// single-lane path automatically.
-pub fn auto_nic_lanes() -> usize {
+pub(crate) fn auto_nic_lanes() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -74,7 +74,7 @@ impl Default for FabricConfig {
 
 /// Shared fabric state, visible to NIC engines.
 #[derive(Debug)]
-pub struct FabricInner {
+pub(crate) struct FabricInner {
     pub(crate) nodes: RwLock<HashMap<NodeId, Arc<Node>>>,
     pub(crate) config: FabricConfig,
     next_node: AtomicU32,
@@ -277,7 +277,7 @@ impl Node {
     /// park it (explicit pre-warming); charges the full creation cost
     /// to the caller.
     /// Returns `false` if the pool refused it (disabled or full).
-    pub fn refill_one_qp(&self) -> bool {
+    pub(crate) fn refill_one_qp(&self) -> bool {
         let qp = self.create_qp(Transport::Rc, &self.parked_cq, &self.parked_cq);
         clock::charge(self.cost.ctrl_create_qp_ns);
         if self.pool.put(Arc::clone(&qp)) {

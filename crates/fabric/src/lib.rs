@@ -37,7 +37,7 @@
 //! ## Example
 //!
 //! ```
-//! use flock_fabric::{Access, Fabric, RemoteAddr, SendWr, Sge, Transport, WrId};
+//! use flock_fabric::{Access, Fabric, RemoteAddr, SendOp, SendWr, Sge, Transport, WrId};
 //! use std::time::Duration;
 //!
 //! let fabric = Fabric::with_defaults();
@@ -68,11 +68,11 @@
 //! ```
 
 pub mod cache;
-pub mod chan;
+pub(crate) mod chan;
 pub mod cq;
 pub mod fabric;
 pub mod mr;
-pub mod mrcache;
+pub(crate) mod mrcache;
 pub mod nic;
 pub mod qp;
 pub mod qpool;
@@ -81,9 +81,9 @@ pub mod types;
 pub mod verbs;
 
 pub use cache::{qp_state_key, ConnCache, Eviction};
-pub use chan::{doorbell, recv_step, recv_until, DoorbellSender};
+pub use chan::{doorbell, recv_until, DoorbellSender};
 pub use cq::CompletionQueue;
-pub use fabric::{auto_nic_lanes, connect_qps, Fabric, FabricConfig, Node};
+pub use fabric::{connect_qps, Fabric, FabricConfig, Node};
 pub use mr::{Access, MemoryRegion, MrTable};
 pub use mrcache::{MrCache, MrCacheConfig};
 pub use qpool::{QpPool, QpPoolConfig, QpPoolStats};

@@ -31,23 +31,23 @@ impl Access {
     /// Remote hosts may issue RDMA writes.
     pub const REMOTE_WRITE: Access = Access(2);
     /// Remote hosts may issue RDMA atomics.
-    pub const REMOTE_ATOMIC: Access = Access(4);
+    pub(crate) const REMOTE_ATOMIC: Access = Access(4);
     /// All remote rights.
     pub const REMOTE_ALL: Access = Access(7);
 
     /// Union of two access sets.
-    pub const fn union(self, other: Access) -> Access {
+    pub(crate) const fn union(self, other: Access) -> Access {
         Access(self.0 | other.0)
     }
 
     /// Whether all rights in `needed` are present.
-    pub const fn allows(self, needed: Access) -> bool {
+    pub(crate) const fn allows(self, needed: Access) -> bool {
         self.0 & needed.0 == needed.0
     }
 
     /// The raw rights bitmap — a stable discriminant for keying caches
     /// by region layout (the MR cache keys on `(len, access bits)`).
-    pub const fn bits(self) -> u8 {
+    pub(crate) const fn bits(self) -> u8 {
         self.0
     }
 }
@@ -184,7 +184,7 @@ impl MemoryRegion {
     /// (lane A copies X→Y while lane B copies Y→X) deadlock-free.
     /// A same-region copy takes one write guard and uses `copy_within`
     /// (overlap-safe).
-    pub fn dma_to(
+    pub(crate) fn dma_to(
         &self,
         src_off: usize,
         dst: &MemoryRegion,
@@ -296,7 +296,7 @@ impl MrTable {
     }
 
     /// MPT lookup by remote key, checking `needed` rights.
-    pub fn lookup_rkey(&self, rkey: Rkey, needed: Access) -> Result<Arc<MemoryRegion>> {
+    pub(crate) fn lookup_rkey(&self, rkey: Rkey, needed: Access) -> Result<Arc<MemoryRegion>> {
         let regions = self.regions.read();
         let mr = regions
             .iter()
@@ -313,7 +313,7 @@ impl MrTable {
     }
 
     /// Lookup by local key.
-    pub fn lookup_lkey(&self, lkey: Lkey) -> Result<Arc<MemoryRegion>> {
+    pub(crate) fn lookup_lkey(&self, lkey: Lkey) -> Result<Arc<MemoryRegion>> {
         self.regions
             .read()
             .iter()

@@ -93,11 +93,6 @@ impl MrCache {
         self.index.misses()
     }
 
-    /// Parked regions deregistered to enforce capacity.
-    pub fn evictions(&self) -> u64 {
-        self.index.evictions()
-    }
-
     /// Number of parked regions.
     pub fn len(&self) -> usize {
         self.by_key.len()
@@ -221,7 +216,6 @@ mod tests {
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].lkey(), a_lkey, "oldest parked region goes");
         assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub const GRH_BYTES: usize = 40;
 
 /// Commands accepted by a node's NIC engine.
 #[derive(Debug)]
-pub enum NicCmd {
+pub(crate) enum NicCmd {
     /// Execute a send-side work request posted on `src_qpn`.
     Post {
         /// The posting queue pair.

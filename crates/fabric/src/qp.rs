@@ -242,7 +242,7 @@ impl Qp {
 
     /// Force the QP into the error state (flushing semantics are handled by
     /// the engine as it encounters the state).
-    pub fn set_error(&self) {
+    pub(crate) fn set_error(&self) {
         *self.state.lock() = QpState::Error;
     }
 
@@ -266,7 +266,11 @@ impl Qp {
     /// Rebind the QP's completion queues to a new lessee's CQs. Only
     /// meaningful in the `Init` state (freshly created or reset); the
     /// pool calls this on lease before the QP is connected.
-    pub fn rebind_cqs(&self, send_cq: &Arc<CompletionQueue>, recv_cq: &Arc<CompletionQueue>) {
+    pub(crate) fn rebind_cqs(
+        &self,
+        send_cq: &Arc<CompletionQueue>,
+        recv_cq: &Arc<CompletionQueue>,
+    ) {
         *self.send_cq.lock() = Arc::clone(send_cq);
         *self.recv_cq.lock() = Arc::clone(recv_cq);
     }

@@ -153,14 +153,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Time on the wire for `bytes` of payload, including per-packet
-    /// framing overhead and packetization at the wire MTU.
-    pub fn wire_time(&self, bytes: usize) -> Ns {
-        let packets = self.packets(bytes);
-        let total = bytes + packets * self.packet_overhead_bytes;
-        Ns(self.wire_propagation_ns + (total as u64 * self.wire_ns_per_kb) / 1024)
-    }
-
     /// Number of wire packets needed for a message of `bytes`.
     pub fn packets(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.wire_mtu).max(1)
@@ -195,12 +187,12 @@ impl CostModel {
 
     /// Control-plane cost of registering a fresh memory region of `bytes`
     /// (`ibv_reg_mr`: base syscall/MPT cost plus per-page pinning).
-    pub fn reg_mr_time(&self, bytes: usize) -> Ns {
+    pub(crate) fn reg_mr_time(&self, bytes: usize) -> Ns {
         Ns(self.ctrl_reg_mr_base_ns + (bytes as u64 * self.ctrl_reg_mr_ns_per_kb) / 1024)
     }
 
     /// Host CPU cost to zero `bytes` of a recycled buffer.
-    pub fn memset_time(&self, bytes: usize) -> Ns {
+    pub(crate) fn memset_time(&self, bytes: usize) -> Ns {
         Ns((bytes as u64 * self.cpu_memset_ns_per_kb) / 1024)
     }
 }
@@ -208,16 +200,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_time_scales_with_bytes() {
-        let m = CostModel::default();
-        let small = m.wire_time(64);
-        let big = m.wire_time(64 * 1024);
-        assert!(big > small);
-        // 64 KB at ~100 Gb/s is ~5.2 us of serialization plus overheads.
-        assert!(big.as_nanos() > 5_000 && big.as_nanos() < 12_000, "{big}");
-    }
 
     #[test]
     fn packetization_at_mtu() {

@@ -59,7 +59,7 @@ impl Transport {
     }
 
     /// Whether two-sided send/recv is supported (all transports).
-    pub const fn supports_send_recv(self) -> bool {
+    pub(crate) const fn supports_send_recv(self) -> bool {
         true
     }
 

@@ -103,7 +103,7 @@ impl SendOp {
     }
 
     /// Whether `transport` supports this verb (paper Table 1).
-    pub const fn supported_on(&self, transport: Transport) -> bool {
+    pub(crate) const fn supported_on(&self, transport: Transport) -> bool {
         match self {
             SendOp::Send { .. } => transport.supports_send_recv(),
             SendOp::Write { .. } | SendOp::WriteImm { .. } => transport.supports_write(),

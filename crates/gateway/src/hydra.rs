@@ -34,7 +34,7 @@ use flock_hydralist::HydraList;
 use crate::rpc::{RPC_GET, RPC_PING, RPC_SET, TAG_HIT, TAG_MISS};
 
 /// Export name of the mirrored leaf segment.
-pub const HYDRA_SEGMENT: &str = "hydra-leaves";
+const HYDRA_SEGMENT: &str = "hydra-leaves";
 
 /// Encoded-leaf sentinel for "no next node".
 const NEXT_NIL: u64 = u64::MAX;
@@ -172,7 +172,7 @@ impl HydraMirror {
     }
 
     /// Republish every node currently in the arena (bulk-load path).
-    pub fn publish_all(&self) -> Result<()> {
+    pub(crate) fn publish_all(&self) -> Result<()> {
         for idx in 0..self.hydra.node_count() {
             self.publish_node(idx)?;
         }
@@ -181,7 +181,7 @@ impl HydraMirror {
 
     /// Encode and seqlock-publish one arena node. Nodes past the
     /// mirrored bound are silently skipped.
-    pub fn publish_node(&self, idx: usize) -> Result<()> {
+    pub(crate) fn publish_node(&self, idx: usize) -> Result<()> {
         if idx >= self.max_nodes as usize {
             return Ok(());
         }

@@ -38,9 +38,8 @@ pub use backend::register_kv_backend;
 pub use flock_kvstore::{AdaptivePolicy, ReadMode};
 pub use hydra::{
     register_hydra_backend, register_hydra_mirror_backend, HydraMirror, HydraReader, LeafView,
-    HYDRA_SEGMENT,
 };
-pub use mirror::{register_kv_mirror_backend, KvReadClient, KvReadStats, KV_SEGMENT};
+pub use mirror::{register_kv_mirror_backend, KvReadClient, KvReadStats};
 pub use edge::{EdgeError, EdgeSession};
 pub use gateway::{Gateway, GatewayConfig};
 pub use proto::{

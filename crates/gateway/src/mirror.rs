@@ -30,7 +30,7 @@ use flock_sync::clock;
 use crate::rpc::{RPC_GET, RPC_PING, RPC_SET, TAG_HIT, TAG_MISS};
 
 /// Export name of the mirrored value segment.
-pub const KV_SEGMENT: &str = "kv-values";
+const KV_SEGMENT: &str = "kv-values";
 
 /// Bytes of key prefix inside each mirrored slot value.
 const KEY_PREFIX: usize = 8;

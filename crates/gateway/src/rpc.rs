@@ -17,14 +17,14 @@
 /// RPC id of the GET handler.
 pub const RPC_GET: u32 = 16;
 /// RPC id of the SET handler.
-pub const RPC_SET: u32 = 17;
+pub(crate) const RPC_SET: u32 = 17;
 /// RPC id of the PING handler.
-pub const RPC_PING: u32 = 18;
+pub(crate) const RPC_PING: u32 = 18;
 
 /// First response byte: the key was found / the op succeeded.
-pub const TAG_HIT: u8 = 1;
+pub(crate) const TAG_HIT: u8 = 1;
 /// First response byte: the key does not exist.
-pub const TAG_MISS: u8 = 0;
+pub(crate) const TAG_MISS: u8 = 0;
 
 /// FNV-1a over the key bytes — the stable key-space mapping both the
 /// edge and any future warm-up loader must share.

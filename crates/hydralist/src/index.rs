@@ -46,7 +46,7 @@ struct Slot {
 
 /// [`HydraList::export_node`]'s snapshot: `(min_key, next, entries)`,
 /// with `next` as `None` at the tail.
-pub type NodeSnapshot = (u64, Option<usize>, Vec<(u64, u64)>);
+pub(crate) type NodeSnapshot = (u64, Option<usize>, Vec<(u64, u64)>);
 
 /// The HydraList-style ordered index. Keys and values are `u64` (the
 /// paper's workload uses 8-byte keys and values).
@@ -112,13 +112,14 @@ impl HydraList {
     }
 
     /// Number of pending (unapplied) search-layer updates.
-    pub fn pending_search_updates(&self) -> usize {
+    #[cfg(test)]
+    fn pending_search_updates(&self) -> usize {
         self.pending.lock().len()
     }
 
     /// Apply all pending search-layer updates (the asynchronous updater's
     /// work; call from a background thread in async mode).
-    pub fn flush_search_updates(&self) {
+    pub(crate) fn flush_search_updates(&self) {
         let updates: Vec<(u64, usize)> = std::mem::take(&mut *self.pending.lock());
         if updates.is_empty() {
             return;

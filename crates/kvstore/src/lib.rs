@@ -14,7 +14,7 @@
 //! exactly the word a remote validator reads with a one-sided RDMA read in
 //! the validation phase of FlockTX.
 
-pub mod readmode;
+pub(crate) mod readmode;
 pub mod store;
 pub mod versioned;
 

@@ -83,29 +83,29 @@ impl AdaptivePolicy {
     /// Smoothing factor: ~1/32 weight per observation, long enough to
     /// ride out bursts, short enough to track a phase change within a
     /// few hundred reads.
-    pub const ALPHA: f64 = 1.0 / 32.0;
+    pub(crate) const ALPHA: f64 = 1.0 / 32.0;
     /// Value size (bytes) above which the RPC path is preferred: the
     /// bench geometry's slot stride. EXPERIMENTS.md's oversize rows pin
     /// the measured size threshold at the mirror's inline capacity
     /// (448 B inline / 512 B stride): past it every one-sided READ is a
     /// wasted verb before the RPC fallback, and RPC wins at *all*
     /// client counts.
-    pub const SIZE_CUTOVER: f64 = 512.0;
+    pub(crate) const SIZE_CUTOVER: f64 = 512.0;
     /// Validation retries per read above which the RPC path is
     /// preferred: retries multiply the one-sided verb count while the
     /// RPC path is immune to torn reads.
-    pub const RETRY_CUTOVER: f64 = 0.125;
+    pub(crate) const RETRY_CUTOVER: f64 = 0.125;
     /// One-sided reads beyond this factor of the RPC latency EWMA trip
     /// the latch: the responder is visibly struggling to keep the
     /// one-sided QPs resident. Generous enough that the small-fan-in
     /// regime (where one-sided is *faster*) never trips it by noise.
-    pub const LAT_RATIO_UP: f64 = 1.5;
+    pub(crate) const LAT_RATIO_UP: f64 = 1.5;
     /// The latch clears only when one-sided probes run decisively
     /// faster than RPC. Asymmetric on purpose: once a cohort retreats
     /// to RPC the responder cache recovers and a lone probe looks
     /// merely "not terrible" (its own QP went cold, so it still pays a
     /// state fetch) — crossing back on parity would re-thrash.
-    pub const LAT_RATIO_DOWN: f64 = 0.75;
+    pub(crate) const LAT_RATIO_DOWN: f64 = 0.75;
     /// Every `PROBE_PERIOD`-th read takes the currently losing path so
     /// its latency EWMA stays live and the policy can cross back —
     /// without probes, the first flip would be permanent. ~6% of reads.
@@ -118,7 +118,7 @@ impl AdaptivePolicy {
 
     /// Policy with explicit size/retry thresholds (benchmarks sweep
     /// these; deployments tune them from measured crossovers).
-    pub fn with_cutovers(size_cutover: f64, retry_cutover: f64) -> AdaptivePolicy {
+    pub(crate) fn with_cutovers(size_cutover: f64, retry_cutover: f64) -> AdaptivePolicy {
         AdaptivePolicy {
             ewma_size: 0.0,
             ewma_retries: 0.0,
@@ -176,7 +176,7 @@ impl AdaptivePolicy {
     /// The steady-state preference: one-sided while observed values
     /// stay small, validation retries rare, and one-sided latency
     /// competitive with RPC (the fan-in signal — see the module doc).
-    pub fn use_one_sided(&self) -> bool {
+    pub(crate) fn use_one_sided(&self) -> bool {
         self.ewma_size <= self.size_cutover
             && self.ewma_retries <= self.retry_cutover
             && !self.latency_prefers_rpc()

@@ -60,7 +60,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// A read snapshot of an entry: `(value, version word)`.
-pub type ReadResult = Option<(Vec<u8>, u64)>;
+pub(crate) type ReadResult = Option<(Vec<u8>, u64)>;
 
 /// The partitioned key-value store.
 #[derive(Debug)]
@@ -80,7 +80,7 @@ impl KvStore {
     }
 
     /// Which partition owns `key`.
-    pub fn partition_of(&self, key: u64) -> usize {
+    pub(crate) fn partition_of(&self, key: u64) -> usize {
         (mix(key) >> 32) as usize % self.partitions.len()
     }
 
@@ -165,7 +165,8 @@ impl KvStore {
 
     /// OCC: validate that `key` still has version word `word` and is not
     /// locked by another writer (paper Fig. 13 validation phase).
-    pub fn validate(&self, key: u64, word: u64) -> bool {
+    #[cfg(test)]
+    fn validate(&self, key: u64, word: u64) -> bool {
         let part = &self.partitions[self.partition_of(key)];
         let map = part.stripe(key).read();
         match map.get(&key) {

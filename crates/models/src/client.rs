@@ -11,7 +11,7 @@ use crate::net::{transmit, NetMsg};
 use crate::world::{AppLogic, LaneState, Req, ReqId, ReqKind, SystemKind, World};
 
 /// Kick off the closed loop for every thread (call once at t=0).
-pub fn start_all_threads(w: &mut World, sim: &mut Sim<World>) {
+pub(crate) fn start_all_threads(w: &mut World, sim: &mut Sim<World>) {
     let n_clients = w.clients.len();
     for client in 0..n_clients {
         let n_threads = w.clients[client].threads.len();
@@ -31,7 +31,7 @@ pub fn start_all_threads(w: &mut World, sim: &mut Sim<World>) {
 }
 
 /// Issue one new request from `thread` (closed loop).
-pub fn issue_one(w: &mut World, sim: &mut Sim<World>, client: usize, thread: usize) {
+pub(crate) fn issue_one(w: &mut World, sim: &mut Sim<World>, client: usize, thread: usize) {
     let now = sim.now();
     // Draw the workload op.
     let (kind, size, resp_size, key) = match &w.app {
@@ -75,7 +75,7 @@ pub fn issue_one(w: &mut World, sim: &mut Sim<World>, client: usize, thread: usi
 /// Queue a request on the thread's submit pipeline: the (single-threaded)
 /// application thread hands requests to the transport one at a time, so a
 /// thread that just led a flush cannot coalesce with itself.
-pub fn enqueue_submit(
+pub(crate) fn enqueue_submit(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -119,7 +119,7 @@ fn thread_submit_next(w: &mut World, sim: &mut Sim<World>, client: usize, thread
 }
 
 /// Route a request into the system-specific send path.
-pub fn submit(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
+pub(crate) fn submit(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
     let req = w.reqs[id].clone();
     match w.system {
         SystemKind::Flock | SystemKind::LockShare | SystemKind::NoShare => {
@@ -149,7 +149,7 @@ pub fn submit(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
 }
 
 /// Enqueue on a QP lane; start a leader if the lane is idle.
-pub fn submit_lane(
+pub(crate) fn submit_lane(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -198,7 +198,13 @@ fn lane_prep_time(w: &World, client: usize, server: usize, lane: usize) -> Ns {
 }
 
 /// The leader drains a batch, settles credits, and sends one message.
-pub fn lane_flush(w: &mut World, sim: &mut Sim<World>, client: usize, server: usize, lane: usize) {
+pub(crate) fn lane_flush(
+    w: &mut World,
+    sim: &mut Sim<World>,
+    client: usize,
+    server: usize,
+    lane: usize,
+) {
     let now = sim.now();
     let batch_limit = w.batch_limit;
     let warmup = w.warmup;
@@ -345,7 +351,7 @@ pub fn lane_flush(w: &mut World, sim: &mut Sim<World>, client: usize, server: us
 }
 
 /// A coalesced response message arrived at the client.
-pub fn on_response_message(
+pub(crate) fn on_response_message(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -370,7 +376,7 @@ pub fn on_response_message(
 }
 
 /// A UD response packet arrived at the client.
-pub fn on_ud_response(w: &mut World, sim: &mut Sim<World>, _client: usize, req: ReqId) {
+pub(crate) fn on_ud_response(w: &mut World, sim: &mut Sim<World>, _client: usize, req: ReqId) {
     // Client pays the UD receive path per packet.
     let delay = w.cost.ud_rx_cpu();
     sim.after(delay, move |w: &mut World, sim| {
@@ -379,7 +385,7 @@ pub fn on_ud_response(w: &mut World, sim: &mut Sim<World>, _client: usize, req: 
 }
 
 /// A one-sided read finished (raw read or txn validation).
-pub fn on_read_complete(w: &mut World, sim: &mut Sim<World>, _client: usize, req: ReqId) {
+pub(crate) fn on_read_complete(w: &mut World, sim: &mut Sim<World>, _client: usize, req: ReqId) {
     if w.reqs[req].txn.is_some() {
         crate::coord::on_phase_done(w, sim, req);
         return;
@@ -405,7 +411,7 @@ pub fn on_read_complete(w: &mut World, sim: &mut Sim<World>, _client: usize, req
 }
 
 /// A request completed end-to-end: record and refill the window.
-pub fn complete_request(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
+pub(crate) fn complete_request(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
     if w.reqs[id].txn.is_some() {
         crate::coord::on_phase_done(w, sim, id);
         return;
@@ -437,7 +443,7 @@ pub fn complete_request(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
 }
 
 /// A credit grant / decline / activation notice arrived.
-pub fn on_grant(
+pub(crate) fn on_grant(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -475,7 +481,7 @@ pub fn on_grant(
 }
 
 /// Periodic sender-side thread scheduling (real Algorithm 1).
-pub fn thread_sched_tick(w: &mut World, sim: &mut Sim<World>, client: usize) {
+pub(crate) fn thread_sched_tick(w: &mut World, sim: &mut Sim<World>, client: usize) {
     let n_servers = w.servers.len();
     for server in 0..n_servers {
         let n_lanes = w.clients[client].qps[server].len();

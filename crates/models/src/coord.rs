@@ -107,7 +107,7 @@ pub struct TxnSlot {
 }
 
 /// Create slots (`coroutines` per thread) and start every transaction.
-pub fn start_all(w: &mut World, sim: &mut Sim<World>, coroutines: usize) {
+pub(crate) fn start_all(w: &mut World, sim: &mut Sim<World>, coroutines: usize) {
     let n_clients = w.clients.len();
     for client in 0..n_clients {
         let n_threads = w.clients[client].threads.len();
@@ -141,7 +141,7 @@ pub fn start_all(w: &mut World, sim: &mut Sim<World>, coroutines: usize) {
 }
 
 /// Begin a fresh transaction on `slot`.
-pub fn start_txn(w: &mut World, sim: &mut Sim<World>, slot: usize) {
+pub(crate) fn start_txn(w: &mut World, sim: &mut Sim<World>, slot: usize) {
     let now = sim.now();
     let (client, thread) = (w.txns[slot].client, w.txns[slot].thread);
     let workload = w.txn_engine.as_ref().expect("txn engine").workload.clone();
@@ -254,7 +254,7 @@ fn issue_validation_read(
 }
 
 /// Nominal server CPU cost of a txn-phase request.
-pub fn phase_cost(w: &World, phase: TxnPhase, id: ReqId) -> Ns {
+pub(crate) fn phase_cost(w: &World, phase: TxnPhase, id: ReqId) -> Ns {
     let slot = w.reqs[id].txn.expect("txn request");
     let server = w.reqs[id].server;
     let n = w.servers.len();
@@ -284,7 +284,7 @@ pub fn phase_cost(w: &World, phase: TxnPhase, id: ReqId) -> Ns {
 
 /// Apply the server-side effects of a txn-phase request (real locks and
 /// version words; paper §8.5.1).
-pub fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
+pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
     let slot = w.reqs[id].txn.expect("txn request");
     let server = w.reqs[id].server;
     let n = w.servers.len();
@@ -383,7 +383,7 @@ pub fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
 }
 
 /// A phase response (or validation read) completed at the coordinator.
-pub fn on_phase_done(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
+pub(crate) fn on_phase_done(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
     let slot = w.reqs[id].txn.expect("txn request");
     // One-sided validation comparison happens at the coordinator.
     if w.reqs[id].kind == ReqKind::Read {

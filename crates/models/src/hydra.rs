@@ -34,17 +34,17 @@ impl HydraApp {
     }
 
     /// Key universe size.
-    pub fn keyspace(&self) -> u64 {
+    pub(crate) fn keyspace(&self) -> u64 {
         self.keyspace
     }
 
     /// Nominal CPU time of a get.
-    pub fn get_cost(&self) -> Ns {
+    pub(crate) fn get_cost(&self) -> Ns {
         Ns(self.get_ns)
     }
 
     /// Nominal CPU time of a scan(64).
-    pub fn scan_cost(&self) -> Ns {
+    pub(crate) fn scan_cost(&self) -> Ns {
         Ns(self.scan_ns)
     }
 

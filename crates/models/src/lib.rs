@@ -21,7 +21,7 @@ pub mod client;
 pub mod coord;
 pub mod experiments;
 pub mod hydra;
-pub mod net;
+pub(crate) mod net;
 pub mod server;
 pub mod world;
 

@@ -8,7 +8,7 @@ use crate::world::{ReqId, World};
 
 /// A message travelling through the modelled network.
 #[derive(Debug, Clone)]
-pub enum NetMsg {
+pub(crate) enum NetMsg {
     /// A (possibly coalesced) request message on a QP lane.
     Request {
         /// Source client.
@@ -88,8 +88,6 @@ pub enum NetMsg {
         client: usize,
         /// Source server.
         server: usize,
-        /// NIC cache key.
-        qp_key: u64,
         /// The request.
         req: ReqId,
     },
@@ -130,7 +128,7 @@ fn serialize_time(w: &World, bytes: usize) -> Ns {
 /// Send `msg` of `bytes` through the full pipeline. `qp_key` banks the NIC
 /// processing units and keys the *server* connection cache (`None` uses a
 /// shared-key UD path that never thrashes).
-pub fn transmit(
+pub(crate) fn transmit(
     w: &mut World,
     sim: &mut Sim<World>,
     qp_key: Option<u64>,
@@ -291,7 +289,6 @@ fn deliver(w: &mut World, sim: &mut Sim<World>, msg: NetMsg) {
                 NetMsg::ReadResp {
                     client,
                     server,
-                    qp_key,
                     req,
                 },
             );

@@ -13,7 +13,7 @@ use crate::world::{AppLogic, ReqId, ReqKind, TxnPhase, World};
 /// per lane; a dispatcher sweep drains everything pending for the lane and
 /// coalesces the responses into one message (paper §4.3) — under load this
 /// produces response convoys, which in turn seed client-side coalescing.
-pub fn on_request_message(
+pub(crate) fn on_request_message(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -93,7 +93,7 @@ fn server_lane_sweep(
 }
 
 /// A UD request packet arrived (eRPC/FaSST server path).
-pub fn on_ud_request(
+pub(crate) fn on_ud_request(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -163,7 +163,7 @@ fn serve_request(w: &mut World, id: ReqId) {
 }
 
 /// A credit renewal arrived at the QP scheduler.
-pub fn on_renewal(
+pub(crate) fn on_renewal(
     w: &mut World,
     sim: &mut Sim<World>,
     client: usize,
@@ -201,7 +201,7 @@ pub fn on_renewal(
 
 /// Periodic QP redistribution (real Flock scheduler code); proactively
 /// notifies clients of activations/deactivations like the runtime does.
-pub fn qp_sched_tick(w: &mut World, sim: &mut Sim<World>, server: usize, interval: Ns) {
+pub(crate) fn qp_sched_tick(w: &mut World, sim: &mut Sim<World>, server: usize, interval: Ns) {
     let changes = w.servers[server].qp_sched.redistribute();
     let grant_size = w.servers[server].qp_sched.config().grant_size;
     for (sq, now_active) in changes {
@@ -231,7 +231,7 @@ pub fn qp_sched_tick(w: &mut World, sim: &mut Sim<World>, server: usize, interva
 
 /// What a phase RPC costs on the server (used by the per-request cost
 /// accounting in this module).
-pub fn txn_phase_nominal(w: &World, phase: TxnPhase, n_keys: usize) -> Ns {
+pub(crate) fn txn_phase_nominal(w: &World, phase: TxnPhase, n_keys: usize) -> Ns {
     let per_key = match phase {
         TxnPhase::Execute => 220, // hash lookup + lock CAS + copy out
         TxnPhase::Validate => 80, // word read

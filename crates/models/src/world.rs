@@ -26,7 +26,7 @@ pub enum SystemKind {
 }
 
 /// Identifies a request in the world's slab.
-pub type ReqId = usize;
+pub(crate) type ReqId = usize;
 
 /// What a request is for (drives service time and per-kind stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,7 +260,7 @@ pub enum AppLogic {
 
 impl World {
     /// Allocate a request slot.
-    pub fn alloc_req(&mut self, req: Req) -> ReqId {
+    pub(crate) fn alloc_req(&mut self, req: Req) -> ReqId {
         if let Some(id) = self.free.pop() {
             self.reqs[id] = req;
             id
@@ -271,17 +271,17 @@ impl World {
     }
 
     /// Release a request slot.
-    pub fn release_req(&mut self, id: ReqId) {
+    pub(crate) fn release_req(&mut self, id: ReqId) {
         self.free.push(id);
     }
 
     /// Global QP id for the server NIC cache.
-    pub fn qp_global_id(client: usize, server: usize, lane: usize) -> u64 {
+    pub(crate) fn qp_global_id(client: usize, server: usize, lane: usize) -> u64 {
         ((client as u64) << 24) | ((server as u64) << 12) | lane as u64
     }
 
     /// Record a completed request at `now`.
-    pub fn record_completion(&mut self, id: ReqId, now: Ns) {
+    pub(crate) fn record_completion(&mut self, id: ReqId, now: Ns) {
         let req = &self.reqs[id];
         if req.issued >= self.warmup {
             let lat = (now - req.issued).as_nanos();

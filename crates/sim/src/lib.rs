@@ -22,7 +22,7 @@
 
 pub mod engine;
 mod fiber;
-pub mod resource;
+pub(crate) mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -21,7 +21,6 @@ use crate::time::Ns;
 pub struct MultiServer {
     free_at: BinaryHeap<Reverse<Ns>>,
     busy: Ns,
-    jobs: u64,
 }
 
 impl MultiServer {
@@ -35,7 +34,6 @@ impl MultiServer {
         MultiServer {
             free_at,
             busy: Ns::ZERO,
-            jobs: 0,
         }
     }
 
@@ -54,18 +52,7 @@ impl MultiServer {
         let end = start + service;
         self.free_at.push(Reverse(end));
         self.busy += service;
-        self.jobs += 1;
         (start, end)
-    }
-
-    /// Total service time accumulated across all servers.
-    pub fn busy_time(&self) -> Ns {
-        self.busy
-    }
-
-    /// Number of jobs admitted.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Utilization in `[0, 1]` over a horizon of `elapsed` virtual time.
@@ -85,8 +72,6 @@ impl MultiServer {
 #[derive(Debug, Clone)]
 pub struct BankedServer {
     free_at: Vec<Ns>,
-    busy: Ns,
-    jobs: u64,
 }
 
 impl BankedServer {
@@ -95,14 +80,7 @@ impl BankedServer {
         assert!(k >= 1, "BankedServer requires at least one bank");
         BankedServer {
             free_at: vec![Ns::ZERO; k],
-            busy: Ns::ZERO,
-            jobs: 0,
         }
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Admit a job with affinity `key` (hashed to a bank) arriving at
@@ -112,19 +90,7 @@ impl BankedServer {
         let start = arrival.max(self.free_at[bank]);
         let end = start + service;
         self.free_at[bank] = end;
-        self.busy += service;
-        self.jobs += 1;
         (start, end)
-    }
-
-    /// Total accumulated service time.
-    pub fn busy_time(&self) -> Ns {
-        self.busy
-    }
-
-    /// Number of jobs admitted.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 }
 
@@ -143,8 +109,6 @@ mod tests {
         // Arrives after idle gap: starts immediately.
         let (s3, e3) = r.admit(Ns(50), Ns(5));
         assert_eq!((s3, e3), (Ns(50), Ns(55)));
-        assert_eq!(r.busy_time(), Ns(25));
-        assert_eq!(r.jobs(), 3);
     }
 
     #[test]
@@ -177,8 +141,6 @@ mod tests {
         // Key 1 hashes to bank 1; parallel.
         let (s3, _) = b.admit(1, Ns(0), Ns(10));
         assert_eq!(s3, Ns(0));
-        assert_eq!(b.jobs(), 3);
-        assert_eq!(b.busy_time(), Ns(30));
     }
 
     #[test]

@@ -37,14 +37,6 @@ impl Counter {
     pub fn mops(&self, elapsed: Ns) -> f64 {
         self.rate(elapsed) / 1e6
     }
-
-    /// Gigabits per second over an elapsed virtual span.
-    pub fn gbps(&self, elapsed: Ns) -> f64 {
-        if elapsed == Ns::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 * 8.0 / elapsed.as_secs_f64() / 1e9
-    }
 }
 
 const SUB_BUCKET_BITS: u32 = 5; // 32 linear sub-buckets per power of two
@@ -214,9 +206,7 @@ mod tests {
         for _ in 0..1_000_000 {
             c.events += 1;
         }
-        c.bytes = 125_000_000; // 1 Gbit
         assert!((c.mops(Ns::from_secs(1)) - 1.0).abs() < 1e-9);
-        assert!((c.gbps(Ns::from_secs(1)) - 1.0).abs() < 1e-9);
         assert_eq!(c.rate(Ns::ZERO), 0.0);
     }
 

@@ -44,7 +44,7 @@ impl Ns {
 
     /// Value in (fractional) microseconds.
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 

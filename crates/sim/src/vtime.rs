@@ -159,7 +159,7 @@ use crate::fiber;
 /// — enough that no task occupies the core for zero virtual time, so
 /// same-instant yield livelocks (producer spinning on a consumer
 /// scheduled later) are impossible by construction.
-pub const YIELD_COST_NS: u64 = 50;
+pub(crate) const YIELD_COST_NS: u64 = 50;
 
 /// In place of an elided-poll count: the run has failed (see
 /// `LabState::failed`) and the resumed task is to unwind.
@@ -501,7 +501,7 @@ impl VirtualLab {
     /// [`flock_sync::AdaptiveBackoff::reset`] fire at the first poll
     /// that finds a change nobody announced.
     #[doc(hidden)]
-    pub fn run_report_reference<R>(f: impl FnOnce() -> R) -> (R, LabReport) {
+    pub(crate) fn run_report_reference<R>(f: impl FnOnce() -> R) -> (R, LabReport) {
         Self::run_lab(VirtualLab::new(true), f)
     }
 

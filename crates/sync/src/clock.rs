@@ -529,18 +529,6 @@ impl TaskHandle {
         let panic = self.exit.and_then(|e| e.panic.lock().ok()?.take());
         panic.map_or(Ok(()), Err)
     }
-
-    /// Whether the task has already finished (virtual tasks only;
-    /// threaded handles report via `JoinHandle::is_finished`).
-    pub fn is_finished(&self) -> bool {
-        match &self.exit {
-            Some(exit) => exit.finished.load(Ordering::Acquire),
-            None => self
-                .inner
-                .as_ref()
-                .is_none_or(|thread| thread.is_finished()),
-        }
-    }
 }
 
 /// Spawn a worker through the seam: a named OS thread in threaded mode,

@@ -214,15 +214,15 @@ pub struct AdaptiveBackoff {
 
 impl AdaptiveBackoff {
     /// Idle rounds spent in the busy-spin tier.
-    pub const SPIN_LIMIT: u32 = 64;
+    pub(crate) const SPIN_LIMIT: u32 = 64;
     /// Additional idle rounds spent in the yield tier.
-    pub const YIELD_LIMIT: u32 = 64;
+    pub(crate) const YIELD_LIMIT: u32 = 64;
     /// First park duration once spinning and yielding are exhausted.
-    pub const FIRST_PARK: std::time::Duration = std::time::Duration::from_micros(5);
+    pub(crate) const FIRST_PARK: std::time::Duration = std::time::Duration::from_micros(5);
     /// First poll period of the *virtual* ladder (spinning a virtual core
     /// is pure waste — the ladder escalates from here straight to
     /// [`Self::VIRTUAL_MAX_POLL_NS`]-capped virtual sleeps).
-    pub const VIRTUAL_FIRST_POLL_NS: u64 = 250;
+    pub(crate) const VIRTUAL_FIRST_POLL_NS: u64 = 250;
     /// Deep-idle cap of the virtual ladder (~1 ms). Deliberately larger
     /// than typical `max_park` values: wall parks are sized to bound
     /// *detection latency per burned host core*, but a virtual sleeping
@@ -230,7 +230,7 @@ impl AdaptiveBackoff {
     /// lanes at paper scale) polling every 2 µs of virtual time would
     /// swamp the event heap. Busy tasks reset the ladder, so steady-state
     /// detection stays at [`Self::VIRTUAL_FIRST_POLL_NS`] scale.
-    pub const VIRTUAL_MAX_POLL_NS: u64 = Self::VIRTUAL_FIRST_POLL_NS << 12;
+    pub(crate) const VIRTUAL_MAX_POLL_NS: u64 = Self::VIRTUAL_FIRST_POLL_NS << 12;
 
     /// A backoff whose park tier never sleeps longer than `max_park`.
     pub fn new(max_park: std::time::Duration) -> AdaptiveBackoff {
@@ -386,9 +386,9 @@ impl AdaptiveBackoff {
         self.idle();
     }
 
-    /// Whether the next [`AdaptiveBackoff::idle`] call would park (used
-    /// by callers that must not sleep while holding work).
-    pub fn would_park(&self) -> bool {
+    /// Whether the next [`AdaptiveBackoff::idle`] call would park.
+    #[cfg(test)]
+    fn would_park(&self) -> bool {
         self.idle_rounds >= Self::SPIN_LIMIT + Self::YIELD_LIMIT
     }
 }

@@ -39,5 +39,5 @@ pub mod workloads;
 pub use coordinator::{StripeLocks, TxnClient, TxnOutcome};
 pub use pipelined::{PipelineStats, PipelinedTxnClient, TxnLogic};
 pub use protocol::{key_partition, TxnResp, TxnRpc};
-pub use server::{export_stripe_locks, TxnServer, STRIPE_SEGMENT, TXN_STRIPES};
+pub use server::{export_stripe_locks, TxnServer};
 pub use workloads::{Smallbank, Tatp, TxnSpec};

@@ -13,10 +13,10 @@ use parking_lot::Mutex;
 use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
 
 /// Number of words in the exported stripe-lock table.
-pub const TXN_STRIPES: usize = 64;
+pub(crate) const TXN_STRIPES: usize = 64;
 
 /// Export name of the stripe-lock table.
-pub const STRIPE_SEGMENT: &str = "txn-stripes";
+const STRIPE_SEGMENT: &str = "txn-stripes";
 
 /// Attach and export the pessimistic stripe-lock table: [`TXN_STRIPES`]
 /// zero-initialized words clients CAS with
@@ -88,7 +88,8 @@ impl TxnServer {
     }
 
     /// The byte offset of `key`'s version word in the advertised region.
-    pub fn slot_of(&self, key: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn slot_of(&self, key: u64) -> Option<u64> {
         self.slots.lock().by_key.get(&key).copied()
     }
 

@@ -17,9 +17,10 @@ pub struct TxnSpec {
     pub kind: &'static str,
 }
 
+#[cfg(test)]
 impl TxnSpec {
     /// Whether this transaction updates any key.
-    pub fn is_write(&self) -> bool {
+    fn is_write(&self) -> bool {
         !self.writes.is_empty()
     }
 }
@@ -28,10 +29,10 @@ impl TxnSpec {
 
 /// TATP table ids.
 mod tatp_tables {
-    pub const SUBSCRIBER: u64 = 1;
-    pub const ACCESS_INFO: u64 = 2;
-    pub const SPECIAL_FACILITY: u64 = 3;
-    pub const CALL_FORWARDING: u64 = 4;
+    pub(crate) const SUBSCRIBER: u64 = 1;
+    pub(crate) const ACCESS_INFO: u64 = 2;
+    pub(crate) const SPECIAL_FACILITY: u64 = 3;
+    pub(crate) const CALL_FORWARDING: u64 = 4;
 }
 
 /// The TATP telecom benchmark: per the paper, 70% single-key reads, 10%
@@ -104,8 +105,8 @@ impl Tatp {
 
 /// Smallbank account sub-tables.
 mod smallbank_tables {
-    pub const SAVINGS: u64 = 8;
-    pub const CHECKING: u64 = 9;
+    pub(crate) const SAVINGS: u64 = 8;
+    pub(crate) const CHECKING: u64 = 9;
 }
 
 /// The Smallbank banking benchmark: 85% of transactions update keys; 4% of

@@ -60,12 +60,12 @@ impl Diagnostic {
         self
     }
 
-    pub fn snippet(mut self, s: impl Into<String>) -> Diagnostic {
+    pub(crate) fn snippet(mut self, s: impl Into<String>) -> Diagnostic {
         self.snippet = s.into();
         self
     }
 
-    pub fn note(mut self, n: impl Into<String>) -> Diagnostic {
+    pub(crate) fn note(mut self, n: impl Into<String>) -> Diagnostic {
         self.notes.push(n.into());
         self
     }
@@ -97,7 +97,7 @@ impl Diagnostic {
 
 /// Print `diags`; returns the number of findings that fail the run
 /// (`Error` always, `Warn` too when `deny_warnings`).
-pub fn emit(diags: &[Diagnostic], deny_warnings: bool) -> usize {
+pub(crate) fn emit(diags: &[Diagnostic], deny_warnings: bool) -> usize {
     for d in diags {
         eprint!("{}", d.render());
     }

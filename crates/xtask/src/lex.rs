@@ -43,14 +43,14 @@ pub struct Comment {
 
 /// Lexer output: the token stream plus all comments.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub toks: Vec<Tok>,
     pub comments: Vec<Comment>,
 }
 
 /// Lex `src` into tokens and comments. Never fails: unrecognized bytes
 /// are skipped (the linter runs over code rustc already accepted).
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let b: Vec<char> = src.chars().collect();
     let mut out = Lexed::default();
     let mut i = 0usize;

@@ -15,8 +15,8 @@
 //!   suite under `--cfg loom`.
 
 pub mod allowlist;
-pub mod diag;
-pub mod lex;
+pub(crate) mod diag;
+pub(crate) mod lex;
 pub mod lint;
 pub mod orderings;
 pub mod parse;

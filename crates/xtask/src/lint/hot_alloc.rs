@@ -22,7 +22,7 @@ use crate::walk::crate_of;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Declared hot-path entry points: (file suffix, fn name).
-pub const ENTRY_POINTS: &[(&str, &str)] = &[
+pub(crate) const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/tcq.rs", "join"),
     ("crates/core/src/tcq.rs", "join_with"),
     ("crates/core/src/tcq.rs", "complete"),
@@ -56,7 +56,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
 ];
 
 /// Maximum call-graph depth explored from an entry point.
-pub const MAX_DEPTH: usize = 4;
+pub(crate) const MAX_DEPTH: usize = 4;
 
 /// `prefix :: name` allocation constructors.
 const QUALIFIED: &[(&str, &str)] = &[

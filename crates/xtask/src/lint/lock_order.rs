@@ -87,7 +87,7 @@ pub struct Edge {
 }
 
 /// Collect every declared lock name in `models`.
-pub fn lock_names(models: &[&SourceModel]) -> BTreeSet<String> {
+pub(crate) fn lock_names(models: &[&SourceModel]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for model in models {
         let toks = &model.toks;

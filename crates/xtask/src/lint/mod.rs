@@ -31,9 +31,9 @@ use crate::walk::{is_test_path, rust_files, workspace_root};
 use std::process::ExitCode;
 
 /// Allowlist file names at the workspace root.
-pub const DETERMINISM_ALLOW: &str = "determinism.allow";
-pub const HOTPATH_ALLOW: &str = "hotpath.allow";
-pub const LOCKORDER_ALLOW: &str = "lockorder.allow";
+pub(crate) const DETERMINISM_ALLOW: &str = "determinism.allow";
+pub(crate) const HOTPATH_ALLOW: &str = "hotpath.allow";
+pub(crate) const LOCKORDER_ALLOW: &str = "lockorder.allow";
 
 /// Parsed CLI for `xtask lint`.
 #[derive(Debug, Default)]

@@ -80,7 +80,7 @@ impl SourceModel {
     }
 
     /// Innermost fn enclosing token `i`, or `None` for file-level code.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSpan> {
+    pub(crate) fn enclosing_fn(&self, i: usize) -> Option<&FnSpan> {
         self.fns
             .iter()
             .rfind(|f| f.body_start < f.end && f.start <= i && i < f.end)
@@ -88,19 +88,19 @@ impl SourceModel {
 
     /// Name of the enclosing fn for diagnostics/keys (`(file)` at file
     /// level, matching the audit-orderings convention).
-    pub fn enclosing_fn_name(&self, i: usize) -> String {
+    pub(crate) fn enclosing_fn_name(&self, i: usize) -> String {
         self.enclosing_fn(i)
             .map(|f| f.name.clone())
             .unwrap_or_else(|| "(file)".to_string())
     }
 
     /// Whether token `i` sits in test-only code.
-    pub fn in_test_region(&self, i: usize) -> bool {
+    pub(crate) fn in_test_region(&self, i: usize) -> bool {
         self.test_regions.iter().any(|&(s, e)| s <= i && i < e)
     }
 
     /// Source line `line` (1-based), or empty.
-    pub fn line_text(&self, line: usize) -> &str {
+    pub(crate) fn line_text(&self, line: usize) -> &str {
         self.lines
             .get(line.saturating_sub(1))
             .map(|s| s.as_str())
@@ -290,7 +290,7 @@ mod tests {
 
     const SRC: &str = r#"
 /// Doc.
-pub fn outer(x: usize) -> usize {
+pub(crate) fn outer(x: usize) -> usize {
     let s = "fn not_a_fn() {";
     inner(x)
 }

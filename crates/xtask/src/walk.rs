@@ -6,17 +6,17 @@ use std::path::{Path, PathBuf};
 /// deliberately excluded: those crates reimplement external
 /// dependencies' documented APIs and are not part of the Flock protocol
 /// surface.
-pub const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+pub(crate) const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Paths (relative, prefix match) excluded from every scan. The xtask
 /// crate excludes itself: its rule tables and test fixtures spell out
 /// the very patterns the rules hunt for.
-pub const EXCLUDE: &[&str] = &["crates/xtask"];
+pub(crate) const EXCLUDE: &[&str] = &["crates/xtask"];
 
 /// The workspace root (xtask lives at `<root>/crates/xtask`;
 /// `CARGO_MANIFEST_DIR` is compiled in, so audits work from any cwd
 /// inside the workspace).
-pub fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -26,7 +26,7 @@ pub fn workspace_root() -> PathBuf {
 
 /// All `.rs` files under the scan roots, workspace-relative with `/`
 /// separators, sorted.
-pub fn rust_files(root: &Path) -> Vec<String> {
+pub(crate) fn rust_files(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     for scan in SCAN_ROOTS {
         collect(&root.join(scan), root, &mut files);
@@ -60,7 +60,7 @@ fn collect(dir: &Path, root: &Path, out: &mut Vec<String>) {
 /// The crate a workspace-relative path belongs to (`crates/<name>/…` ->
 /// `<name>`; everything else -> `(root)`, the top-level `flock-repro`
 /// package).
-pub fn crate_of(rel: &str) -> &str {
+pub(crate) fn crate_of(rel: &str) -> &str {
     rel.strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .unwrap_or("(root)")
@@ -71,7 +71,7 @@ pub fn crate_of(rel: &str) -> &str {
 /// *outside* a `VirtualLab` on real OS threads by design, so the
 /// determinism and hot-path rules skip them (inline `#[cfg(test)]`
 /// modules are skipped via token regions instead).
-pub fn is_test_path(rel: &str) -> bool {
+pub(crate) fn is_test_path(rel: &str) -> bool {
     rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")

@@ -5,7 +5,8 @@
 //!
 //! The threaded fabric runs in real time without modeled delays, so this
 //! example demonstrates the *cache accounting* (hit ratios), not
-//! throughput — Figure 2's timing shapes live in `cargo bench fig2`.
+//! throughput — Figure 2's timing shapes are the `fig2a`/`fig2b` sections
+//! of `flock-bench figures`.
 //!
 //! Run with: `cargo run --release --example fan_in`
 

@@ -1,157 +1,5 @@
-//! Offline stand-in for the `criterion` crate.
-//!
-//! The build environment has no network access, so the workspace patches
-//! `criterion` to this shim (see `[patch.crates-io]` in the root
-//! `Cargo.toml`). It provides the subset the bench suite uses —
-//! `Criterion::default()` with the builder knobs, `bench_function`,
-//! `Bencher::iter`, `black_box`, and the `criterion_group!` /
-//! `criterion_main!` macros — as a minimal timed harness that prints
-//! mean ns/iter per benchmark. No statistics, plots, or baselines.
-
-use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
-
-/// Benchmark driver (shim: holds the timing knobs).
-pub struct Criterion {
-    sample_size: usize,
-    measurement_time: Duration,
-    warm_up_time: Duration,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            sample_size: 20,
-            measurement_time: Duration::from_millis(500),
-            warm_up_time: Duration::from_millis(100),
-        }
-    }
-}
-
-impl Criterion {
-    /// Set the number of samples per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Set the measurement budget per benchmark.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Set the warm-up budget per benchmark.
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warm_up_time = d;
-        self
-    }
-
-    /// Run one benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            warm_up_time: self.warm_up_time,
-            measurement_time: self.measurement_time,
-            sample_size: self.sample_size,
-            report: None,
-        };
-        f(&mut b);
-        match b.report {
-            Some(ns) => println!("bench {name:<48} {ns:>12.1} ns/iter"),
-            None => println!("bench {name:<48} (no measurement)"),
-        }
-        self
-    }
-}
-
-/// Timer handed to each benchmark closure.
-pub struct Bencher {
-    warm_up_time: Duration,
-    measurement_time: Duration,
-    sample_size: usize,
-    report: Option<f64>,
-}
-
-impl Bencher {
-    /// Measure `f`, calling it repeatedly.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up and batch-size calibration: find how many iterations
-        // fit in ~1/sample_size of the measurement budget.
-        let warm_deadline = Instant::now() + self.warm_up_time;
-        let mut warm_iters: u64 = 0;
-        while Instant::now() < warm_deadline {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_iter = self.warm_up_time.as_nanos() as f64 / warm_iters.max(1) as f64;
-        let budget_ns = self.measurement_time.as_nanos() as f64;
-        let batch = ((budget_ns / self.sample_size as f64 / per_iter.max(1.0)) as u64).max(1);
-
-        let mut total_ns = 0f64;
-        let mut total_iters = 0u64;
-        let deadline = Instant::now() + self.measurement_time;
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            total_ns += start.elapsed().as_nanos() as f64;
-            total_iters += batch;
-            if Instant::now() > deadline {
-                break;
-            }
-        }
-        self.report = Some(total_ns / total_iters.max(1) as f64);
-    }
-}
-
-/// Group benchmark functions into a runnable group.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Entry point running the given groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bencher_reports_a_positive_mean() {
-        let mut c = Criterion::default()
-            .sample_size(3)
-            .warm_up_time(Duration::from_millis(5))
-            .measurement_time(Duration::from_millis(10));
-        let mut ran = false;
-        c.bench_function("noop", |b| {
-            b.iter(|| black_box(1 + 1));
-            ran = true;
-        });
-        assert!(ran);
-    }
-}
+//! Empty. Nothing depends on `criterion` any more (`flock-bench micro`
+//! replaced the Criterion benches); the package stays only because
+//! `benchmark/Cargo.toml` still lists this path in its `[patch.crates-io]`
+//! table and `benchmark/Cargo.lock` records it, and goes with them
+//! (ROADMAP item 13).
