@@ -19,10 +19,10 @@ use flock_sync::clock::{self, Event, TaskHandle};
 
 use flock_core::credit::CreditState;
 use flock_core::domain::{reply_channel, ConnectRequest, FlockDomain, RingInfo};
-use flock_core::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
-use flock_core::ring::{RingConsumer, RingLayout, RingProducer};
+use flock_core::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT};
+use flock_core::ring::{self, Link};
 use flock_core::{FlockError, Result};
-use flock_fabric::{Access, MemoryRegion, Node, RemoteAddr, SendWr, Sge, Transport, WrId};
+use flock_fabric::{Access, Node, Transport};
 use parking_lot::Mutex;
 
 /// Configuration for the lock-sharing client.
@@ -46,26 +46,14 @@ impl Default for LockShareConfig {
     }
 }
 
-/// Per-QP state, all guarded by one lock (the FaRM-style spinlock; we use
-/// a parking-lot mutex, which spins before parking).
-struct Lane {
-    prod: RingProducer,
-    credits: CreditState,
-    canary_seq: u64,
-}
-
 struct QpCtx {
-    index: usize,
-    qp: Arc<flock_fabric::Qp>,
-    lane: Mutex<Lane>,
+    /// The shared QP and its rings. The link's send lock is the
+    /// FaRM-style QP lock (a parking-lot mutex, which spins before
+    /// parking): every thread encodes and posts its own message under it.
+    link: Link,
+    credits: Mutex<CreditState>,
     /// Signalled on every credit grant.
     granted: Event,
-    req_remote: RingInfo,
-    staging: Arc<MemoryRegion>,
-    resp_mr: Arc<MemoryRegion>,
-    resp_cons: Mutex<RingConsumer>,
-    server_head: AtomicU64,
-    resp_head_shared: AtomicU64,
     messages_sent: AtomicU64,
 }
 
@@ -122,11 +110,7 @@ impl LockSharedClient {
             let cq = node.create_cq(256);
             let qp = node.create_qp(Transport::Rc, &cq, &cq);
             let resp_mr = node.register_mr(cfg.ring_capacity, Access::REMOTE_WRITE);
-            response_rings.push(RingInfo {
-                rkey: resp_mr.rkey(),
-                addr: resp_mr.addr(),
-                capacity: cfg.ring_capacity,
-            });
+            response_rings.push(RingInfo::of(&resp_mr));
             resp_mrs.push(resp_mr);
             client_qps.push(qp);
         }
@@ -141,27 +125,19 @@ impl LockSharedClient {
                 reply: reply_tx,
             },
         )?;
-        let mut qps = Vec::new();
-        for (i, qp) in client_qps.into_iter().enumerate() {
-            let req_remote = reply.request_rings[i];
-            qps.push(Arc::new(QpCtx {
-                index: i,
-                qp,
-                lane: Mutex::new(Lane {
-                    prod: RingProducer::new(RingLayout::new(0, req_remote.capacity)),
-                    credits: CreditState::new(reply.initial_credits),
-                    canary_seq: 0,
-                }),
-                granted: Event::new(),
-                req_remote,
-                staging: node.register_mr(cfg.ring_capacity, Access::LOCAL),
-                resp_mr: Arc::clone(&resp_mrs[i]),
-                resp_cons: Mutex::new(RingConsumer::new(RingLayout::new(0, cfg.ring_capacity))),
-                server_head: AtomicU64::new(0),
-                resp_head_shared: AtomicU64::new(0),
-                messages_sent: AtomicU64::new(0),
-            }));
-        }
+        let qps = client_qps
+            .into_iter()
+            .zip(resp_mrs)
+            .zip(&reply.request_rings)
+            .map(|((qp, resp_mr), &req_remote)| {
+                Arc::new(QpCtx {
+                    link: Link::new(node, qp, resp_mr, req_remote),
+                    credits: Mutex::new(CreditState::new(reply.initial_credits)),
+                    granted: Event::new(),
+                    messages_sent: AtomicU64::new(0),
+                })
+            })
+            .collect();
         let inner = Arc::new(Inner {
             cfg,
             qps,
@@ -241,103 +217,47 @@ impl LockThread {
             seq,
             rpc_id,
         };
-        let need = msg::encoded_size([payload.len()]);
         let deadline = clock::deadline(self.inner.cfg.timeout);
 
-        // Credits: 1 per request; renew at half. The lane is unlocked
+        // Credits: 1 per request; renew at half. The credits are unlocked
         // between attempts so the dispatcher can grant.
         qp.granted
             .wait_until(deadline, 500, || {
-                let mut lane = qp.lane.lock();
-                if lane.credits.try_consume(1) {
+                let mut credits = qp.credits.lock();
+                if credits.try_consume(1) {
                     return Some(Ok(()));
                 }
-                if !lane.credits.renewal_in_flight() {
-                    lane.credits.mark_requested();
+                if !credits.renewal_in_flight() {
+                    credits.mark_requested();
                     send_credit_request(qp);
                 }
                 self.inner.disconnected()
             })
             .unwrap_or(Err(FlockError::Timeout))?;
-
-        // ---- The rest of the send path holds the QP lock (FaRM model). ----
         {
-            let mut lane = qp.lane.lock();
-            if lane.credits.should_request_renewal() {
-                lane.credits.mark_requested();
+            let mut credits = qp.credits.lock();
+            if credits.should_request_renewal() {
+                credits.mark_requested();
                 send_credit_request(qp);
             }
-            lane.canary_seq += 1;
-            let canary = 0xFA12_0000_0000_0000 + lane.canary_seq;
-            let header = MsgHeader {
-                total_len: 0,
-                count: 0,
-                flags: 0,
-                canary,
-                head: qp.resp_head_shared.load(Ordering::Acquire),
-                aux: 0,
-            };
-            let reservation = loop {
-                lane.prod
-                    .update_head(qp.server_head.load(Ordering::Acquire));
-                match lane.prod.reserve(need) {
-                    Ok(r) => break r,
-                    Err(FlockError::RingFull { .. }) => {
-                        if clock::expired(deadline) {
-                            return Err(FlockError::Timeout);
-                        }
-                        parking_lot::MutexGuard::unlocked(&mut lane, clock::yield_now);
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if let Some((woff, wlen)) = reservation.wrap {
-                let rec = RingProducer::wrap_record(wlen, canary);
-                qp.staging.write(woff, &rec)?;
-                qp.qp.post_send(
-                    SendWr::write(
-                        WrId(0),
-                        Sge {
-                            lkey: qp.staging.lkey(),
-                            addr: qp.staging.addr() + woff as u64,
-                            len: wlen,
-                        },
-                        RemoteAddr {
-                            rkey: qp.req_remote.rkey,
-                            addr: qp.req_remote.addr + woff as u64,
-                        },
-                    )
-                    .unsignaled(),
-                )?;
-            }
-            qp.staging.with_write(|buf| {
-                msg::encode(
-                    &mut buf[reservation.offset..reservation.offset + need],
-                    &header,
-                    &[EntryRef {
-                        meta,
-                        data: payload,
-                    }],
-                )
-                .map(|_| ())
-            })?;
-            qp.qp.post_send(
-                SendWr::write(
-                    WrId(u64::MAX),
-                    Sge {
-                        lkey: qp.staging.lkey(),
-                        addr: qp.staging.addr() + reservation.offset as u64,
-                        len: need,
-                    },
-                    RemoteAddr {
-                        rkey: qp.req_remote.rkey,
-                        addr: qp.req_remote.addr + reservation.offset as u64,
-                    },
-                )
-                .unsignaled(),
-            )?;
-            qp.messages_sent.fetch_add(1, Ordering::Relaxed);
         }
+
+        // The send itself holds the QP lock (FaRM model); a full ring
+        // releases it for the wait.
+        let entry = EntryRef {
+            meta,
+            data: payload,
+        };
+        while let Err(e) = qp.link.try_send(0, 0, [entry].into_iter()) {
+            if !matches!(e, FlockError::RingFull { .. }) {
+                return Err(e);
+            }
+            if clock::expired(deadline) {
+                return Err(FlockError::Timeout);
+            }
+            clock::yield_now();
+        }
+        qp.messages_sent.fetch_add(1, Ordering::Relaxed);
 
         // ---- Wait for the response outside the lock. ----
         self.slot
@@ -353,44 +273,25 @@ impl LockThread {
 }
 
 fn send_credit_request(qp: &QpCtx) {
-    let imm = ((qp.index as u32) << 16) | 1; // degree is always 1 here
-    let _ = qp.qp.post_send(
-        SendWr::write_imm(
-            WrId(u64::MAX - 1),
-            Sge {
-                lkey: qp.staging.lkey(),
-                addr: qp.staging.addr(),
-                len: 0,
-            },
-            RemoteAddr {
-                rkey: qp.req_remote.rkey,
-                addr: qp.req_remote.addr,
-            },
-            imm,
-        )
-        .unsignaled(),
-    );
+    let _ = qp.link.post_credit_request(1); // degree is always 1 here
 }
 
 fn dispatcher_loop(inner: &Inner) {
+    let mut msg = Vec::new();
     while !inner.stop.load(Ordering::Relaxed) {
         let mut progressed = false;
         for qp in &inner.qps {
-            while qp.qp.send_cq().poll_one().is_some() {}
-            let polled = { qp.resp_cons.lock().poll(&qp.resp_mr) };
-            if let Ok(Some(m)) = polled {
+            while qp.link.qp().send_cq().poll_one().is_some() {}
+            if let Ok(true) = qp.link.poll_into(&mut msg) {
                 progressed = true;
-                let head_after = { qp.resp_cons.lock().head() };
-                qp.resp_head_shared.store(head_after, Ordering::Release);
-                let view = m.view();
-                qp.server_head.fetch_max(view.header.head, Ordering::AcqRel);
+                let view = ring::view(&msg);
                 if view.header.flags & FLAG_CREDIT_GRANT != 0 {
                     let (granted, _) = msg::unpack_aux(view.header.aux);
                     // The Flock server only declines QPs its scheduler
                     // deactivated; the FaRM-style client has no
                     // migration, so treat it as a fresh grant request
                     // opportunity (keeps the baseline simple).
-                    qp.lane.lock().credits.grant(granted.max(1));
+                    qp.credits.lock().grant(granted.max(1));
                     qp.granted.notify_all();
                 }
                 let threads = inner.threads.lock();

@@ -22,8 +22,8 @@ use crate::domain::{
     DetachRequest, ExportRequest, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
-use crate::ring::{RingConsumer, RingLayout, RingProducer};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT};
+use crate::ring::Link;
 use crate::sched::thread::{assign_threads, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
 
@@ -31,9 +31,6 @@ use crate::tcq::{Outcome, Tcq};
 pub(crate) const MEM_SCRATCH: usize = 4096;
 /// Maximum registered threads per connection handle.
 pub(crate) const MAX_THREADS: usize = 256;
-/// Every Nth request-ring write is signaled (selective signaling, paper
-/// §7).
-const SIGNAL_EVERY: u64 = 64;
 
 /// Client-side configuration for a connection handle.
 #[derive(Debug, Clone)]
@@ -109,34 +106,17 @@ pub(crate) enum ClientReq {
 /// Per-QP client context.
 pub(crate) struct ClientQpCtx {
     index: usize,
-    qp: Arc<flock_fabric::Qp>,
+    /// Requests out (the TCQ leader sends), responses in (the response
+    /// dispatcher polls).
+    link: Link,
     tcq: Tcq<ClientReq>,
-    req_prod: Mutex<RingProducer>,
-    req_remote: RingInfo,
-    staging: Arc<MemoryRegion>,
-    /// Consumed head of the *server's request ring*, piggybacked on
-    /// responses; read by the leader before reserving.
-    server_head: AtomicU64,
-    resp_mr: Arc<MemoryRegion>,
-    resp_cons: Mutex<RingConsumer>,
-    /// Consumed head of our response ring (piggybacked on requests).
-    resp_head_shared: AtomicU64,
     credits: Mutex<CreditState>,
     /// Signalled on every credit grant/decline and at shutdown.
     credit_event: Event,
     degree: Mutex<MedianWindow>,
     active: AtomicBool,
-    canary_seq: AtomicU64,
-    write_count: AtomicU64,
     messages_sent: AtomicU64,
     requests_sent: AtomicU64,
-}
-
-impl ClientQpCtx {
-    fn next_canary(&self) -> u64 {
-        // Nonzero, unique per message on this QP.
-        0x5EED_0000_0000_0001 + self.canary_seq.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 /// Number of scratch sub-slots per thread (concurrent one-sided ops).
@@ -406,17 +386,13 @@ impl ConnectionHandle {
         let mut response_rings = Vec::with_capacity(init_lanes);
         for _ in 0..init_lanes {
             let (qp, resp_mr) = HandleInner::lease_lane(node, &cfg, &dispatch_event);
-            response_rings.push(RingInfo {
-                rkey: resp_mr.rkey(),
-                addr: resp_mr.addr(),
-                capacity: cfg.ring_capacity,
-            });
+            response_rings.push(RingInfo::of(&resp_mr));
             resp_mrs.push(resp_mr);
             client_qps.push(qp);
         }
 
         let (reply_tx, _unused) = reply_channel();
-        let reply = domain.dial(
+        let dialed = domain.dial(
             server_name,
             ConnectRequest {
                 client_node: node.id(),
@@ -425,20 +401,24 @@ impl ConnectionHandle {
                 tenant: cfg.tenant,
                 reply: reply_tx,
             },
-        )?;
+        );
+        let reply = match dialed {
+            Ok(reply) => reply,
+            Err(e) => {
+                // No lane went live: recycle what was leased for them.
+                for (qp, resp_mr) in client_qps.iter().zip(&resp_mrs) {
+                    node.release_qp(qp);
+                    node.release_mr(resp_mr);
+                }
+                return Err(e);
+            }
+        };
 
         let mut lanes: Vec<OnceLock<Arc<ClientQpCtx>>> = Vec::with_capacity(cfg.n_qps);
         lanes.resize_with(cfg.n_qps, OnceLock::new);
         for (i, (qp, resp_mr)) in client_qps.into_iter().zip(resp_mrs).enumerate() {
-            let ctx = build_lane_ctx(
-                node,
-                &cfg,
-                i,
-                qp,
-                resp_mr,
-                reply.request_rings[i],
-                reply.initial_credits,
-            );
+            let link = Link::new(node, qp, resp_mr, reply.request_rings[i]);
+            let ctx = build_lane_ctx(&cfg, i, link, reply.initial_credits);
             lanes[i].set(ctx).ok().expect("fresh lane slot");
         }
 
@@ -700,9 +680,7 @@ impl ConnectionHandle {
         // `close` cannot double-insert into the pool.
         if !self.inner.released.swap(true, Ordering::AcqRel) {
             for lane in self.inner.lanes_live() {
-                self.inner.node.release_qp(&lane.qp);
-                self.inner.node.release_mr(&lane.resp_mr);
-                self.inner.node.release_mr(&lane.staging);
+                lane.link.release(&self.inner.node);
             }
             for t in self.inner.threads.read().iter() {
                 if let Some(qp) = t.mem_qp.get() {
@@ -828,32 +806,21 @@ impl FlThread {
 
     /// One-sided read (`fl_read`) from advertised region `mem_idx`.
     pub fn read(&self, mem_idx: usize, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let region = self.mem_region(mem_idx)?;
+        let remote = self.remote_addr(mem_idx, offset)?;
         if len > MEM_SCRATCH {
             return Err(FlockError::MessageTooLarge {
                 need: len,
                 capacity: MEM_SCRATCH,
             });
         }
-        let scratch = self.scratch_off();
-        let wr = SendWr::read(
-            WrId(0), // assigned in submit_mem
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len,
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-        );
+        // Work-request ids are assigned in `start_mem`.
+        let wr = SendWr::read(WrId(0), self.scratch_sge(self.scratch_off(), len), remote);
         self.submit_mem(wr, len)
     }
 
     /// One-sided write (`fl_write`) into advertised region `mem_idx`.
     pub fn write(&self, mem_idx: usize, offset: u64, data: &[u8]) -> Result<()> {
-        let region = self.mem_region(mem_idx)?;
+        let remote = self.remote_addr(mem_idx, offset)?;
         if data.len() > MEM_SCRATCH {
             return Err(FlockError::MessageTooLarge {
                 need: data.len(),
@@ -862,38 +829,15 @@ impl FlThread {
         }
         let scratch = self.scratch_off();
         self.inner.mem_mr.write(scratch, data)?;
-        let wr = SendWr::write(
-            WrId(0),
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len: data.len(),
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-        );
+        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch, data.len()), remote);
         self.submit_mem(wr, 0).map(|_| ())
     }
 
     /// One-sided fetch-and-add (`fl_fetch_and_add`); returns the old value.
     pub fn fetch_add(&self, mem_idx: usize, offset: u64, delta: u64) -> Result<u64> {
-        let region = self.mem_region(mem_idx)?;
-        let scratch = self.scratch_off();
-        let wr = SendWr::fetch_add(
-            WrId(0),
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len: 8,
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-            delta,
-        );
+        let remote = self.remote_addr(mem_idx, offset)?;
+        let local = self.scratch_sge(self.scratch_off(), 8);
+        let wr = SendWr::fetch_add(WrId(0), local, remote, delta);
         let old = self.submit_mem(wr, 8)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
@@ -901,32 +845,35 @@ impl FlThread {
     /// One-sided compare-and-swap (`fl_cmp_and_swap`); returns the old
     /// value (the swap happened iff it equals `expect`).
     pub fn cmp_swap(&self, mem_idx: usize, offset: u64, expect: u64, swap: u64) -> Result<u64> {
-        let region = self.mem_region(mem_idx)?;
-        let scratch = self.scratch_off();
-        let wr = SendWr::cmp_swap(
-            WrId(0),
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len: 8,
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-            expect,
-            swap,
-        );
+        let remote = self.remote_addr(mem_idx, offset)?;
+        let local = self.scratch_sge(self.scratch_off(), 8);
+        let wr = SendWr::cmp_swap(WrId(0), local, remote, expect, swap);
         let old = self.submit_mem(wr, 8)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
 
-    fn mem_region(&self, idx: usize) -> Result<MemRegionInfo> {
-        self.inner
+    /// The remote end of a one-sided WR: `offset` into advertised region
+    /// `mem_idx`.
+    fn remote_addr(&self, mem_idx: usize, offset: u64) -> Result<RemoteAddr> {
+        let region = self
+            .inner
             .mem_regions
-            .get(idx)
-            .copied()
-            .ok_or(FlockError::RemoteOpFailed("unknown memory region index"))
+            .get(mem_idx)
+            .ok_or(FlockError::RemoteOpFailed("unknown memory region index"))?;
+        Ok(RemoteAddr {
+            rkey: region.rkey,
+            addr: region.addr + offset,
+        })
+    }
+
+    /// The local end of one: `len` bytes of the handle's scratch MR at
+    /// byte `scratch`.
+    fn scratch_sge(&self, scratch: usize, len: usize) -> Sge {
+        Sge {
+            lkey: self.inner.mem_mr.lkey(),
+            addr: self.inner.mem_mr.addr() + scratch as u64,
+            len,
+        }
     }
 
     fn scratch_off(&self) -> usize {
@@ -1059,7 +1006,7 @@ impl FlThread {
     /// Start a non-blocking one-sided read of up to one sub-slot
     /// ([`MEM_SUBSLOT_SIZE`] bytes); poll with [`FlThread::try_mem`].
     pub fn read_async(&self, mem_idx: usize, offset: u64, len: usize) -> Result<MemToken> {
-        let region = self.mem_region(mem_idx)?;
+        let remote = self.remote_addr(mem_idx, offset)?;
         if len > MEM_SUBSLOT_SIZE {
             return Err(FlockError::MessageTooLarge {
                 need: len,
@@ -1068,24 +1015,13 @@ impl FlThread {
         }
         let (mask, off) = self.acquire_scratch_blocking(len)?;
         let scratch = self.scratch_off() + off;
-        let wr = SendWr::read(
-            WrId(0),
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len,
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-        );
+        let wr = SendWr::read(WrId(0), self.scratch_sge(scratch, len), remote);
         self.start_mem(wr, mask, scratch, len)
     }
 
     /// Start a non-blocking one-sided write of up to one sub-slot.
     pub fn write_async(&self, mem_idx: usize, offset: u64, data: &[u8]) -> Result<MemToken> {
-        let region = self.mem_region(mem_idx)?;
+        let remote = self.remote_addr(mem_idx, offset)?;
         if data.len() > MEM_SUBSLOT_SIZE {
             return Err(FlockError::MessageTooLarge {
                 need: data.len(),
@@ -1095,18 +1031,7 @@ impl FlThread {
         let (mask, off) = self.acquire_scratch_blocking(data.len())?;
         let scratch = self.scratch_off() + off;
         self.inner.mem_mr.write(scratch, data)?;
-        let wr = SendWr::write(
-            WrId(0),
-            Sge {
-                lkey: self.inner.mem_mr.lkey(),
-                addr: self.inner.mem_mr.addr() + scratch as u64,
-                len: data.len(),
-            },
-            RemoteAddr {
-                rkey: region.rkey,
-                addr: region.addr + offset,
-            },
-        );
+        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch, data.len()), remote);
         self.start_mem(wr, mask, scratch, 0)
     }
 
@@ -1170,7 +1095,7 @@ impl FlThread {
             Some(q) => q,
             None => {
                 lane = self.inner.lane(self.migrate_if_idle());
-                &lane.qp
+                lane.link.qp()
             }
         };
         let base_seq = self.inner.mem_wr_seq.fetch_add(n as u64, Ordering::Relaxed);
@@ -1179,16 +1104,8 @@ impl FlThread {
         let wrs: [SendWr; MEM_SUBSLOTS] = std::array::from_fn(|i| {
             let j = i.min(n - 1);
             let wr_id = ((self.ctx.id as u64) << 32) | ((base_seq + j as u64) & 0xFFFF_FFFF);
-            let scratch = self.scratch_off() + offs[j];
-            SendWr::read(
-                WrId(wr_id),
-                Sge {
-                    lkey: self.inner.mem_mr.lkey(),
-                    addr: self.inner.mem_mr.addr() + scratch as u64,
-                    len: reads[j].1,
-                },
-                reads[j].0,
-            )
+            let local = self.scratch_sge(self.scratch_off() + offs[j], reads[j].1);
+            SendWr::read(WrId(wr_id), local, reads[j].0)
         });
         {
             let mut pending = self.ctx.mem_pending.lock();
@@ -1302,32 +1219,19 @@ impl FlThread {
 /// Build one lane's client-side context around a leased QP and its
 /// cached-MR rings.
 fn build_lane_ctx(
-    node: &Arc<Node>,
     cfg: &HandleConfig,
     index: usize,
-    qp: Arc<Qp>,
-    resp_mr: Arc<MemoryRegion>,
-    req_remote: RingInfo,
+    link: Link,
     initial_credits: u32,
 ) -> Arc<ClientQpCtx> {
-    let staging = node.acquire_mr(cfg.ring_capacity, Access::LOCAL);
     Arc::new(ClientQpCtx {
         index,
-        qp,
+        link,
         tcq: Tcq::new(cfg.batch_limit),
-        req_prod: Mutex::new(RingProducer::new(RingLayout::new(0, req_remote.capacity))),
-        req_remote,
-        staging,
-        server_head: AtomicU64::new(0),
-        resp_mr,
-        resp_cons: Mutex::new(RingConsumer::new(RingLayout::new(0, cfg.ring_capacity))),
-        resp_head_shared: AtomicU64::new(0),
         credits: Mutex::new(CreditState::new(initial_credits)),
         credit_event: Event::new(),
         degree: Mutex::new(MedianWindow::new(64)),
         active: AtomicBool::new(true),
-        canary_seq: AtomicU64::new(0),
-        write_count: AtomicU64::new(0),
         messages_sent: AtomicU64::new(0),
         requests_sent: AtomicU64::new(0),
     })
@@ -1378,11 +1282,7 @@ fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
             sender_id: inner.sender_id,
             lane: idx,
             client_qp: Arc::clone(&qp),
-            response_ring: RingInfo {
-                rkey: resp_mr.rkey(),
-                addr: resp_mr.addr(),
-                capacity: inner.cfg.ring_capacity,
-            },
+            response_ring: RingInfo::of(&resp_mr),
             reply: reply_tx,
         }))
         .map_err(|_| FlockError::Disconnected)
@@ -1396,15 +1296,8 @@ fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
             return Err(e);
         }
     };
-    let ctx = build_lane_ctx(
-        &inner.node,
-        &inner.cfg,
-        idx,
-        qp,
-        resp_mr,
-        reply.request_ring,
-        reply.initial_credits,
-    );
+    let link = Link::new(&inner.node, qp, resp_mr, reply.request_ring);
+    let ctx = build_lane_ctx(&inner.cfg, idx, link, reply.initial_credits);
     inner.lanes[idx].set(ctx).ok().expect("attach single-flight");
     inner.lane_count.store(idx + 1, Ordering::Release);
     // One more ring in the dispatcher's sweep.
@@ -1504,7 +1397,7 @@ fn flush_parts(
     // One-sided ops are linked into a single chain and posted with one
     // doorbell by the leader (paper §6).
     if !mem_wrs.is_empty() {
-        qp.qp.post_send_many(mem_wrs)?;
+        qp.link.qp().post_send_many(mem_wrs)?;
         clock::charge(inner.cost.cpu_doorbell_ns);
     }
     if rpcs.is_empty() {
@@ -1515,26 +1408,17 @@ fn flush_parts(
 
     wait_for_credits(inner, qp, degree)?;
 
-    let need = msg::encoded_size(rpcs.iter().map(|(_, d)| d.len()));
-    let canary = qp.next_canary();
-    let header = MsgHeader {
-        total_len: 0,
-        count: 0,
-        flags: 0,
-        canary,
-        head: qp.resp_head_shared.load(Ordering::Acquire),
-        aux: 0,
-    };
-
-    // Reserve ring space, refreshing the cached server head while full.
+    // One message, one RDMA write, one doorbell for the whole batch,
+    // encoded straight from the scratch pairs (no intermediate
+    // `Vec<EntryRef>`). While the request ring is full, yield: the
+    // dispatcher folds in the server's head as responses arrive.
+    let entries = rpcs
+        .iter()
+        .map(|(meta, data)| EntryRef { meta: *meta, data });
     let deadline = clock::deadline(inner.cfg.timeout);
-    let reservation = loop {
-        let mut prod = qp.req_prod.lock();
-        prod.update_head(qp.server_head.load(Ordering::Acquire));
-        match prod.reserve(need) {
-            Ok(r) => break r,
+    let need = loop {
+        match qp.link.try_send(0, 0, entries.clone()) {
             Err(FlockError::RingFull { .. }) => {
-                drop(prod);
                 if inner.stop.load(Ordering::Relaxed) {
                     return Err(FlockError::Disconnected);
                 }
@@ -1543,63 +1427,9 @@ fn flush_parts(
                 }
                 clock::yield_now();
             }
-            Err(e) => return Err(e),
+            sent => break sent?,
         }
     };
-
-    // Stage and post the wrap record first, if needed (written directly
-    // into the staging mirror: no temporary buffer).
-    if let Some((woff, wlen)) = reservation.wrap {
-        qp.staging
-            .with_write(|buf| RingProducer::write_wrap_record(&mut buf[woff..woff + wlen], canary));
-        qp.qp.post_send(
-            SendWr::write(
-                WrId(0),
-                Sge {
-                    lkey: qp.staging.lkey(),
-                    addr: qp.staging.addr() + woff as u64,
-                    len: wlen,
-                },
-                RemoteAddr {
-                    rkey: qp.req_remote.rkey,
-                    addr: qp.req_remote.addr + woff as u64,
-                },
-            )
-            .unsignaled(),
-        )?;
-    }
-
-    // Encode the coalesced message into the staging mirror, straight from
-    // the scratch pairs (no intermediate `Vec<EntryRef>`).
-    qp.staging.with_write(|buf| {
-        msg::encode_iter(
-            &mut buf[reservation.offset..reservation.offset + need],
-            &header,
-            rpcs.iter()
-                .map(|(meta, data)| EntryRef { meta: *meta, data }),
-        )
-        .map(|_| ())
-    })?;
-
-    // One RDMA write, one doorbell for the whole batch. Selective
-    // signaling: only every Nth write generates a completion.
-    let n = qp.write_count.fetch_add(1, Ordering::Relaxed);
-    let mut wr = SendWr::write(
-        WrId(u64::MAX), // distinguishes plain ring writes in the CQ
-        Sge {
-            lkey: qp.staging.lkey(),
-            addr: qp.staging.addr() + reservation.offset as u64,
-            len: need,
-        },
-        RemoteAddr {
-            rkey: qp.req_remote.rkey,
-            addr: qp.req_remote.addr + reservation.offset as u64,
-        },
-    );
-    if !n.is_multiple_of(SIGNAL_EVERY) {
-        wr = wr.unsignaled();
-    }
-    qp.qp.post_send(wr)?;
     // Leader's host cost: encode each entry, stage the message, ring the
     // doorbell — amortized over the whole batch (the coalescing win).
     clock::charge(
@@ -1645,9 +1475,8 @@ fn wait_for_credits(inner: &HandleInner, qp: &ClientQpCtx, n: u32) -> Result<()>
     }
 }
 
-/// Post the credit renewal as RDMA write-with-imm (paper §7): the imm word
-/// carries the QP index and the median coalescing degree since the last
-/// renewal.
+/// Post the credit renewal (paper §7), reporting the median coalescing
+/// degree since the last one.
 fn send_credit_request(qp: &ClientQpCtx) -> Result<()> {
     let median = {
         let mut w = qp.degree.lock();
@@ -1655,24 +1484,7 @@ fn send_credit_request(qp: &ClientQpCtx) -> Result<()> {
         w.clear();
         m
     };
-    let imm = ((qp.index as u32) << 16) | median as u32;
-    qp.qp.post_send(
-        SendWr::write_imm(
-            WrId(u64::MAX - 1),
-            Sge {
-                lkey: qp.staging.lkey(),
-                addr: qp.staging.addr(),
-                len: 0,
-            },
-            RemoteAddr {
-                rkey: qp.req_remote.rkey,
-                addr: qp.req_remote.addr,
-            },
-            imm,
-        )
-        .unsignaled(),
-    )?;
-    Ok(())
+    qp.link.post_credit_request(median)
 }
 
 /// The response dispatcher (paper §4.3): polls every QP's response ring,
@@ -1704,7 +1516,7 @@ impl ResponseDispatcher {
             lanes += 1;
             // Send-CQ: one-sided completions and (rare) ring-write errors.
             drained.clear();
-            if qp.qp.send_cq().poll(drained, usize::MAX) > 0 {
+            if qp.link.qp().send_cq().poll(drained, usize::MAX) > 0 {
                 progressed = true;
                 clock::charge(inner.cost.cpu_poll_cqe_ns * drained.len() as u64);
                 for c in drained.iter() {
@@ -1712,7 +1524,7 @@ impl ResponseDispatcher {
                 }
             }
             // Response ring.
-            let polled = { qp.resp_cons.lock().poll_into(&qp.resp_mr, msg) };
+            let polled = qp.link.poll_into(msg);
             handle_ring_poll(inner, qp, polled, msg, &mut progressed);
         }
         // Dedicated mem QPs share one send CQ; their one-sided
@@ -1745,7 +1557,8 @@ impl ResponseDispatcher {
 }
 
 /// Fold one lane's response-ring poll result into the dispatcher sweep:
-/// piggybacked heads, credit grants, and per-thread response routing.
+/// credit grants and per-thread response routing (the link has already
+/// folded in the piggybacked head).
 fn handle_ring_poll(
     inner: &HandleInner,
     qp: &ClientQpCtx,
@@ -1757,11 +1570,8 @@ fn handle_ring_poll(
         Ok(true) => {
             *progressed = true;
             clock::charge(inner.cost.cpu_ring_poll_ns);
-            let head_after = { qp.resp_cons.lock().head() };
-            qp.resp_head_shared.store(head_after, Ordering::Release);
             let view = crate::ring::view(msg);
             let h = view.header;
-            qp.server_head.fetch_max(h.head, Ordering::AcqRel);
             if h.flags & FLAG_CREDIT_GRANT != 0 {
                 let (granted, _) = msg::unpack_aux(h.aux);
                 {
@@ -1806,9 +1616,10 @@ fn handle_ring_poll(
 }
 
 fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
-    // Ring writes use sentinel wr_ids; one-sided ops encode the thread id.
-    if c.wr_id.0 == u64::MAX || c.wr_id.0 == u64::MAX - 1 {
-        return; // signaled ring write or credit imm; errors surface below
+    // One-sided ops encode the thread id; the rest are the link's own
+    // (a signaled ring write, or a failed one).
+    if Link::owns(c.wr_id) {
+        return;
     }
     if !matches!(
         c.opcode,
@@ -1936,6 +1747,22 @@ mod tests {
             handle.shutdown();
             server.shutdown(&domain);
         });
+    }
+
+    /// A dial that fails returns every QP and response ring `fl_connect`
+    /// leased for it.
+    #[test]
+    fn failed_dial_releases_the_leased_lanes() {
+        let domain = FlockDomain::with_defaults();
+        let (tx, rx, _rung) = flock_fabric::doorbell();
+        domain.register_listener("gone", tx);
+        drop(rx);
+        let node = domain.add_node("gone-cli");
+        let mut cfg = HandleConfig::default();
+        cfg.eager_qps = true;
+        let dialed = ConnectionHandle::connect(&domain, &node, "gone", cfg);
+        assert!(matches!(dialed, Err(FlockError::Disconnected)));
+        assert_eq!((node.qp_count(), node.mrs().len()), (0, 0));
     }
 
     #[test]

@@ -31,6 +31,17 @@ pub struct RingInfo {
     pub capacity: usize,
 }
 
+impl RingInfo {
+    /// The geometry of a ring that fills `mr`.
+    pub fn of(mr: &flock_fabric::MemoryRegion) -> RingInfo {
+        RingInfo {
+            rkey: mr.rkey(),
+            addr: mr.addr(),
+            capacity: mr.len(),
+        }
+    }
+}
+
 /// A server memory region advertised for one-sided operations
 /// (`fl_attach_mreg`, paper Table 2).
 #[derive(Debug, Clone, Copy)]

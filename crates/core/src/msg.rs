@@ -293,6 +293,18 @@ pub fn unpack_aux(aux: u64) -> (u32, u16) {
     (aux as u32, (aux >> 32) as u16)
 }
 
+/// Pack the immediate word of a credit-renewal write-with-imm (paper §7):
+/// the sender's median coalescing degree since its last renewal. The
+/// receiver knows the lane from the QP the immediate arrived on.
+pub(crate) fn pack_credit_imm(median_degree: u16) -> u32 {
+    median_degree as u32
+}
+
+/// Unpack [`pack_credit_imm`].
+pub(crate) fn unpack_credit_imm(imm: u32) -> u16 {
+    imm as u16
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

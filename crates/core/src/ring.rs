@@ -18,19 +18,28 @@
 //! anything before it). The producer never issues an RDMA read on the hot
 //! path.
 //!
+//! [`Link`] is that protocol for one lane, both directions, over a real
+//! QP: the client's lanes, the server's lanes and the lock-share
+//! baseline's lanes are all `Link`s.
+//!
 //! Concurrency discipline: a ring endpoint is **single-owner** — exactly
-//! one thread drives a `RingProducer` or `RingConsumer` (cross-thread
-//! submission is serialized upstream by the TCQ, [`crate::tcq`]), and
-//! producer/consumer never share host memory words except through the
-//! canary protocol validated by `poll`. There are therefore no atomics
-//! here; any future shared-state access must go through [`crate::sync`]
-//! so it stays visible to the loom model checker (see DESIGN.md).
+//! one thread at a time drives a `RingProducer` or `RingConsumer` (a
+//! `Link` holds each behind a lock of its own), and producer/consumer
+//! never share host memory words except through the canary protocol
+//! validated by `poll`. The only atomics here are the consumed heads a
+//! `Link` hands between its halves; they come from [`crate::sync`], so
+//! they stay visible to the loom model checker (see DESIGN.md).
+
+use std::sync::Arc;
 
 use bytes::Bytes;
-use flock_fabric::MemoryRegion;
+use flock_fabric::{Access, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId};
+use parking_lot::Mutex;
 
+use crate::domain::RingInfo;
 use crate::error::{FlockError, Result};
-use crate::msg::{self, MsgHeader, HDR_SIZE, TRAILER_SIZE};
+use crate::msg::{self, EntryRef, MsgHeader, HDR_SIZE, TRAILER_SIZE};
+use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// Ring alignment: all records are multiples of this, guaranteeing a wrap
 /// record always has room for header + trailer.
@@ -156,19 +165,8 @@ impl RingProducer {
         })
     }
 
-    /// Build the bytes of a wrap record of `len` bytes with `canary`.
-    ///
-    /// Allocates; hot paths should prefer [`RingProducer::write_wrap_record`]
-    /// into an existing scratch buffer.
-    pub fn wrap_record(len: usize, canary: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        Self::write_wrap_record(&mut buf, canary);
-        buf
-    }
-
-    /// Write a wrap record covering all of `buf` (allocation-free
-    /// counterpart of [`RingProducer::wrap_record`]). `buf.len()` is the
-    /// record length; interior bytes are zeroed.
+    /// Write a wrap record covering all of `buf`, in place. `buf.len()`
+    /// is the record length; interior bytes are zeroed.
     pub fn write_wrap_record(buf: &mut [u8], canary: u64) {
         let len = buf.len();
         debug_assert!(len >= HDR_SIZE + TRAILER_SIZE);
@@ -312,6 +310,236 @@ impl RingConsumer {
     }
 }
 
+/// Every Nth message write of a link is signaled (selective signaling,
+/// paper §7); the others complete silently unless they fail.
+const SIGNAL_EVERY: u64 = 64;
+
+/// Work-request ids of a link's own posts ([`Link::owns`]): the wrap
+/// record, the message write and the credit-renewal immediate.
+const WR_WRAP: WrId = WrId(0);
+const WR_MESSAGE: WrId = WrId(u64::MAX);
+const WR_CREDIT: WrId = WrId(u64::MAX - 1);
+
+/// Canary of a link's first message is this plus one; the high bytes
+/// keep every canary nonzero and unlike a torn prefix of itself.
+const CANARY_BASE: u64 = 0x5EED_0000_0000_0000;
+
+/// The send half's single-owner state, behind [`Link`]'s send lock.
+#[derive(Debug)]
+struct LinkTx {
+    prod: RingProducer,
+    /// Messages sent; also the canary sequence (unique per QP).
+    sent: u64,
+}
+
+/// One lane's end of the ring protocol (paper §4.1–4.3), both directions:
+/// the *send half* writes canary-framed messages into the peer's ring
+/// with one RDMA write each, the *receive half* polls the local ring the
+/// peer writes into. Each message piggybacks this end's consumed head, so
+/// neither side ever reads the other's memory to find free space.
+///
+/// The client lane, the server lane and the lock-share baseline's lane
+/// are all this type; what differs is who calls it. Invariants:
+///
+/// * **Canaries** are nonzero and unique per link, in send order.
+/// * **Heads are monotone**: the published own head only grows (the
+///   consumer zeroes a span before advancing past it), and a stale
+///   piggybacked peer head is ignored.
+/// * **Nothing is written on `RingFull`** (or `MessageTooLarge`): no
+///   staging byte, no work request, no tail or canary advance.
+/// * The link **never waits and never charges virtual time**: a full
+///   ring is the caller's policy (the client leader yields, a dispatch
+///   shard defers, `send_res` retries), and so is the host cost of a
+///   send (doorbell + memcpy of the returned length, plus codec per
+///   entry on the client) or a poll.
+///
+/// Any number of threads may send and one may poll at the same time:
+/// sends serialize on an internal lock (held across the post, which never
+/// blocks), polls on another, and the two heads cross between the halves
+/// as atomics.
+#[derive(Debug)]
+pub struct Link {
+    qp: Arc<Qp>,
+    tx: Mutex<LinkTx>,
+    /// The peer's ring this end writes into.
+    remote: RingInfo,
+    /// Local mirror of the peer's ring: messages are encoded here, at
+    /// the offset they land at, and written from here.
+    staging: Arc<MemoryRegion>,
+    /// The peer's consumed head of `remote`, from its messages.
+    peer_head: AtomicU64,
+    /// The ring the peer writes into.
+    ring_mr: Arc<MemoryRegion>,
+    rx: Mutex<RingConsumer>,
+    /// Consumed head of `ring_mr`, as of the last poll.
+    own_head: AtomicU64,
+    /// `own_head` as last piggybacked on a message.
+    sent_head: AtomicU64,
+}
+
+impl Link {
+    /// A link over `qp` (connected by the first send), receiving in
+    /// `ring_mr` — the peer learns its geometry as [`RingInfo::of`] it —
+    /// and sending into `remote`. Acquires the staging mirror from
+    /// `node`'s MR cache.
+    pub fn new(node: &Node, qp: Arc<Qp>, ring_mr: Arc<MemoryRegion>, remote: RingInfo) -> Link {
+        Link {
+            qp,
+            tx: Mutex::new(LinkTx {
+                prod: RingProducer::new(RingLayout::new(0, remote.capacity)),
+                sent: 0,
+            }),
+            remote,
+            staging: node.acquire_mr(remote.capacity, Access::LOCAL),
+            peer_head: AtomicU64::new(0),
+            rx: Mutex::new(RingConsumer::new(RingLayout::new(0, ring_mr.len()))),
+            ring_mr,
+            own_head: AtomicU64::new(0),
+            sent_head: AtomicU64::new(0),
+        }
+    }
+
+    /// Return the QP to `node`'s pool and both regions to its MR cache.
+    /// The caller guarantees nobody uses the link afterwards.
+    pub(crate) fn release(&self, node: &Node) {
+        node.release_qp(&self.qp);
+        node.release_mr(&self.ring_mr);
+        node.release_mr(&self.staging);
+    }
+
+    /// The link's queue pair.
+    pub fn qp(&self) -> &Arc<Qp> {
+        &self.qp
+    }
+
+    /// The queue pair's number.
+    pub(crate) fn qpn(&self) -> QpNum {
+        self.qp.qpn()
+    }
+
+    /// Geometry of the local ring, for the peer's [`Link::new`].
+    pub(crate) fn ring_info(&self) -> RingInfo {
+        RingInfo::of(&self.ring_mr)
+    }
+
+    /// Capacity of the peer's ring in bytes.
+    pub(crate) fn remote_capacity(&self) -> usize {
+        self.remote.capacity
+    }
+
+    /// Bytes of the local ring consumed since the head last went out on
+    /// a message: how far the peer's view of its free space lags.
+    pub(crate) fn head_debt(&self) -> u64 {
+        let consumed = self.own_head.load(Ordering::Relaxed);
+        consumed.saturating_sub(self.sent_head.load(Ordering::Relaxed))
+    }
+
+    /// Whether a completion with `wr_id` belongs to one of this type's
+    /// own posts rather than to a one-sided operation sharing the QP.
+    pub(crate) fn owns(wr_id: WrId) -> bool {
+        [WR_WRAP, WR_MESSAGE, WR_CREDIT].contains(&wr_id)
+    }
+
+    /// The two ends of a write of `len` staged bytes at ring offset `off`.
+    fn ends(&self, off: usize, len: usize) -> (Sge, RemoteAddr) {
+        let local = Sge {
+            lkey: self.staging.lkey(),
+            addr: self.staging.addr() + off as u64,
+            len,
+        };
+        let remote = RemoteAddr {
+            rkey: self.remote.rkey,
+            addr: self.remote.addr + off as u64,
+        };
+        (local, remote)
+    }
+
+    /// Send `entries` as one message with `flags` and `aux`: reserve ring
+    /// space against the freshest peer head, stage a wrap record first if
+    /// the message would straddle the ring end, encode straight into the
+    /// staging mirror, and post one RDMA write. Returns the encoded
+    /// length. Hot-path entry point for `cargo xtask lint`.
+    pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<usize>
+    where
+        I: Iterator<Item = EntryRef<'a>> + Clone,
+    {
+        let need = msg::encoded_size(entries.clone().map(|e| e.data.len()));
+        let mut tx = self.tx.lock();
+        tx.prod.update_head(self.peer_head.load(Ordering::Acquire));
+        let res = tx.prod.reserve(need)?;
+        tx.sent += 1;
+        let header = MsgHeader {
+            total_len: 0,
+            count: 0,
+            flags,
+            canary: CANARY_BASE + tx.sent,
+            head: self.own_head.load(Ordering::Acquire),
+            aux,
+        };
+        if let Some((woff, wlen)) = res.wrap {
+            self.staging.with_write(|buf| {
+                RingProducer::write_wrap_record(&mut buf[woff..woff + wlen], header.canary)
+            });
+            let (local, remote) = self.ends(woff, wlen);
+            self.qp
+                .post_send(SendWr::write(WR_WRAP, local, remote).unsignaled())?;
+        }
+        self.staging.with_write(|buf| {
+            msg::encode_iter(&mut buf[res.offset..res.offset + need], &header, entries)
+        })?;
+        let (local, remote) = self.ends(res.offset, need);
+        let mut wr = SendWr::write(WR_MESSAGE, local, remote);
+        if !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
+            wr = wr.unsignaled();
+        }
+        self.qp.post_send(wr)?;
+        self.sent_head.fetch_max(header.head, Ordering::Relaxed);
+        Ok(need)
+    }
+
+    /// Poll the local ring for the next complete message into `buf`
+    /// ([`RingConsumer::poll_into`]; read it with [`view`]), publish the
+    /// consumed head for the next send to piggyback, and fold in the head
+    /// the message carries. Hot-path entry point for `cargo xtask lint`.
+    pub fn poll_into(&self, buf: &mut Vec<u8>) -> Result<bool> {
+        let mut rx = self.rx.lock();
+        let polled = rx.poll_into(&self.ring_mr, buf);
+        // After a miss too: the poll may have consumed a wrap record.
+        self.own_head.store(rx.head(), Ordering::Release);
+        if matches!(polled, Ok(true)) {
+            // `MsgHeader::head`, third word of the validated header.
+            let head = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
+            self.peer_head.fetch_max(head, Ordering::AcqRel);
+        }
+        polled
+    }
+
+    /// Ask the peer for more credits (paper §7): a zero-length RDMA
+    /// write-with-immediate carrying the `median` coalescing degree since
+    /// the last renewal. It consumes one receive the peer posted with
+    /// [`Link::post_credit_recv`] and no ring space.
+    pub fn post_credit_request(&self, median: u16) -> Result<()> {
+        let (local, remote) = self.ends(0, 0);
+        let imm = msg::pack_credit_imm(median);
+        self.qp
+            .post_send(SendWr::write_imm(WR_CREDIT, local, remote, imm).unsignaled())?;
+        Ok(())
+    }
+
+    /// Post one receive slot for the peer's [`Link::post_credit_request`].
+    pub(crate) fn post_credit_recv(&self) -> Result<()> {
+        self.qp.post_recv(RecvWr {
+            wr_id: WrId(0),
+            local: Sge {
+                lkey: self.ring_mr.lkey(),
+                addr: self.ring_mr.addr(),
+                len: 0,
+            },
+        })?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,8 +580,7 @@ mod tests {
         let n = mk_msg(&mut staging, canary, payload);
         let res = prod.reserve(n).unwrap();
         if let Some((woff, wlen)) = res.wrap {
-            let rec = RingProducer::wrap_record(wlen, canary);
-            mr.write(woff, &rec).unwrap();
+            mr.with_write(|b| RingProducer::write_wrap_record(&mut b[woff..woff + wlen], canary));
         }
         mr.write(res.offset, &staging[..n]).unwrap();
     }
@@ -420,8 +647,7 @@ mod tests {
             let n = mk_msg(&mut staging, 100 + i as u64, &payload);
             let res = prod.reserve(n).unwrap();
             if let Some((woff, wlen)) = res.wrap {
-                let rec = RingProducer::wrap_record(wlen, 0x77);
-                mr.write(woff, &rec).unwrap();
+                mr.with_write(|b| RingProducer::write_wrap_record(&mut b[woff..woff + wlen], 0x77));
                 wrapped = true;
             }
             mr.write(res.offset, &staging[..n]).unwrap();

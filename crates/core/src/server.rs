@@ -11,7 +11,7 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use flock_fabric::{
     doorbell, recv_until, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender,
-    MemoryRegion, Node, NodeId, Qp, RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId,
+    MemoryRegion, Node, NodeId, Qp, Transport,
 };
 use flock_sync::clock::{self, Event, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
@@ -21,8 +21,8 @@ use crate::domain::{
     ExportReply, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, MsgHeader, FLAG_CREDIT_GRANT};
-use crate::ring::{self, RingConsumer, RingLayout, RingProducer};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT};
+use crate::ring::{self, Link};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
 
@@ -92,21 +92,11 @@ pub struct RpcToken {
 }
 
 struct ServerQpCtx {
-    qp: Arc<Qp>,
-    req_mr: Arc<MemoryRegion>,
-    req_cons: Mutex<RingConsumer>,
-    resp_prod: Mutex<RingProducer>,
-    resp_remote: RingInfo,
-    staging: Arc<MemoryRegion>,
-    /// Client's response-ring consumed head (piggybacked on requests).
-    client_resp_head: AtomicU64,
-    /// Our request-ring consumed head as of the last successful
-    /// `flush_response` (any kind — every response message piggybacks
-    /// it). Lets the dispatcher skip redundant zero-entry head-only
-    /// writes while the client is not actually short of ring space.
-    last_flushed_head: AtomicU64,
-    write_count: AtomicU64,
-    canary_seq: AtomicU64,
+    /// Requests in (the lane's dispatch shard polls), responses out (the
+    /// shard, `send_res` callers and the QP scheduler send). Its
+    /// [`Link::head_debt`] lets the shard skip redundant zero-entry
+    /// head-only writes while the client is not short of ring space.
+    link: Link,
     /// Mirror of the QP scheduler's active bit (updated on
     /// redistribution). Dispatchers poll deactivated QPs only every
     /// [`INACTIVE_POLL_PERIOD`]th sweep: clients drain in-flight
@@ -114,12 +104,6 @@ struct ServerQpCtx {
     /// high connection counts (QPs ≫ MAX_AQP) polling every ring every
     /// sweep burns the dispatch budget on empty probes.
     active: AtomicBool,
-}
-
-impl ServerQpCtx {
-    fn next_canary(&self) -> u64 {
-        0xC0DE_0000_0000_0001 + self.canary_seq.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 struct ServerConn {
@@ -510,7 +494,8 @@ fn accept_loop(inner: &Arc<ServerInner>, rx: &Receiver<CtrlMsg>, rung: &Event) {
 
 /// Lease a server QP paired to `client_qp` and build its lane context.
 /// The QP comes from the node's pool (warm path: reset + reuse instead
-/// of the full creation penalty) and its rings from the MR cache.
+/// of the full creation penalty) and its rings from the MR cache; a lane
+/// that fails to come up returns both.
 fn build_server_lane(
     inner: &ServerInner,
     send_cq: &Arc<CompletionQueue>,
@@ -518,40 +503,34 @@ fn build_server_lane(
     response_ring: RingInfo,
 ) -> Result<Arc<ServerQpCtx>> {
     let qp = inner.node.lease_qp(Transport::Rc, send_cq, &inner.imm_cq);
-    flock_fabric::connect_qps(client_qp, &qp)?;
+    if let Err(e) = flock_fabric::connect_qps(client_qp, &qp) {
+        inner.node.release_qp(&qp);
+        return Err(e.into());
+    }
     let req_mr = inner
         .node
         .acquire_mr(inner.cfg.ring_capacity, Access::REMOTE_WRITE);
-    let staging = inner
-        .node
-        .acquire_mr(inner.cfg.ring_capacity, Access::LOCAL);
+    let link = Link::new(&inner.node, qp, req_mr, response_ring);
     // Post receive slots for credit-renewal write-with-imm.
     for _ in 0..IMM_RECV_DEPTH {
-        qp.post_recv(RecvWr {
-            wr_id: WrId(0),
-            local: Sge {
-                lkey: req_mr.lkey(),
-                addr: req_mr.addr(),
-                len: 0,
-            },
-        })?;
+        if let Err(e) = link.post_credit_recv() {
+            link.release(&inner.node);
+            return Err(e);
+        }
     }
     Ok(Arc::new(ServerQpCtx {
-        qp,
-        req_mr,
-        req_cons: Mutex::new(RingConsumer::new(RingLayout::new(
-            0,
-            inner.cfg.ring_capacity,
-        ))),
-        resp_prod: Mutex::new(RingProducer::new(RingLayout::new(0, response_ring.capacity))),
-        resp_remote: response_ring,
-        staging,
-        client_resp_head: AtomicU64::new(0),
-        last_flushed_head: AtomicU64::new(0),
-        write_count: AtomicU64::new(0),
-        canary_seq: AtomicU64::new(0),
+        link,
         active: AtomicBool::new(true),
     }))
+}
+
+/// Undo `build_server_lane` for lanes that never joined a connection.
+fn release_unpublished(inner: &ServerInner, lanes: &[Arc<ServerQpCtx>]) {
+    for ctx in lanes {
+        let qpn = ctx.link.qpn();
+        inner.qpn_map.write().remove(&qpn.0);
+        ctx.link.release(&inner.node);
+    }
 }
 
 fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectReply> {
@@ -568,14 +547,19 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
     let mut server_qpns = Vec::with_capacity(n);
     let mut request_rings = Vec::with_capacity(n);
     for (i, client_qp) in req.client_qps.iter().enumerate() {
-        let ctx = build_server_lane(inner, &send_cq, client_qp, req.response_rings[i])?;
-        server_qpns.push(ctx.qp.qpn());
-        request_rings.push(RingInfo {
-            rkey: ctx.req_mr.rkey(),
-            addr: ctx.req_mr.addr(),
-            capacity: inner.cfg.ring_capacity,
-        });
-        inner.qpn_map.write().insert(ctx.qp.qpn().0, (conn_idx, i));
+        let ctx = match build_server_lane(inner, &send_cq, client_qp, req.response_rings[i]) {
+            Ok(ctx) => ctx,
+            Err(e) => {
+                // The connection never existed: the next one reuses
+                // `conn_idx`, so no lane or map entry may outlive this.
+                release_unpublished(inner, &qps);
+                return Err(e);
+            }
+        };
+        let qpn = ctx.link.qpn();
+        server_qpns.push(qpn);
+        request_rings.push(ctx.link.ring_info());
+        inner.qpn_map.write().insert(qpn.0, (conn_idx, i));
         qps.push(ctx);
     }
 
@@ -638,20 +622,14 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
         .ok_or(FlockError::Disconnected)?;
 
     let ctx = build_server_lane(inner, &conn.send_cq, &req.client_qp, req.response_ring)?;
-    let server_qp = ctx.qp.qpn();
-    let request_ring = RingInfo {
-        rkey: ctx.req_mr.rkey(),
-        addr: ctx.req_mr.addr(),
-        capacity: inner.cfg.ring_capacity,
-    };
+    let server_qp = ctx.link.qpn();
+    let request_ring = ctx.link.ring_info();
 
     let mut qps = conn.qps.write();
     if req.lane != qps.len() {
         // Lanes attach densely in order; a mismatch means the client and
         // server disagree about the connection's shape.
-        inner.node.release_qp(&ctx.qp);
-        inner.node.release_mr(&ctx.req_mr);
-        inner.node.release_mr(&ctx.staging);
+        ctx.link.release(&inner.node);
         return Err(FlockError::CorruptMessage("attach lane out of order"));
     }
     inner
@@ -739,7 +717,7 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
         let qps = conn.qps.read();
         let mut map = inner.qpn_map.write();
         for qp in qps.iter() {
-            map.remove(&qp.qp.qpn().0);
+            map.remove(&qp.link.qpn().0);
         }
     }
 
@@ -763,9 +741,7 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
 
     let drained: Vec<Arc<ServerQpCtx>> = std::mem::take(&mut *conn.qps.write());
     for ctx in drained {
-        inner.node.release_qp(&ctx.qp);
-        inner.node.release_mr(&ctx.req_mr);
-        inner.node.release_mr(&ctx.staging);
+        ctx.link.release(&inner.node);
     }
     // Dedicated one-sided QPs leave with the sender too (no quiescence
     // needed: no dispatcher ever touches them). Take the list in its
@@ -787,9 +763,6 @@ const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
 
 /// Receive buffers posted per QP for credit-renewal immediates.
 const IMM_RECV_DEPTH: usize = 64;
-
-/// Every Nth response write is signaled.
-const SIGNAL_EVERY: u64 = 64;
 
 /// Sweep period on which dispatchers still probe *deactivated* QPs (see
 /// [`ServerQpCtx::active`]): bounded drain latency for in-flight requests
@@ -1001,17 +974,12 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
 /// read-ahead message costs the sweep that runs its handlers, not the one
 /// that found it.
 fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx, msg: &mut Vec<u8>) -> Result<bool> {
-    let polled = { qp.req_cons.lock().poll_into(&qp.req_mr, msg) };
-    match polled {
-        // Fold the piggybacked head in now, not when the message is
-        // handled: a flush that runs while this message is still the
-        // read-ahead one sees the freshest response-ring space.
-        Ok(true) => {
-            qp.client_resp_head
-                .fetch_max(ring::view(msg).header.head, Ordering::AcqRel);
-        }
-        Ok(false) => clock::charge(inner.cost.cpu_poll_empty_ns),
-        Err(_) => {}
+    // The link folds the piggybacked head in now, not when the message
+    // is handled: a flush that runs while this message is still the
+    // read-ahead one sees the freshest response-ring space.
+    let polled = qp.link.poll_into(msg);
+    if matches!(polled, Ok(false)) {
+        clock::charge(inner.cost.cpu_poll_empty_ns);
     }
     polled
 }
@@ -1058,8 +1026,7 @@ fn visit_lane(
     // still busy or with nothing to send (manual-path-only traffic), so
     // its stale view is bounded at cap/4 plus one visit and never wedges
     // the producer. Below that, a head-only write is redundant.
-    let consumed = { lane.qp.req_cons.lock().head() };
-    let debt = consumed.saturating_sub(lane.qp.last_flushed_head.load(Ordering::Relaxed));
+    let debt = lane.qp.link.head_debt();
     if debt >= (inner.cfg.ring_capacity as u64) / 4
         || (lane.ahead.is_empty() && !lane.pending.is_empty())
     {
@@ -1108,7 +1075,7 @@ fn handle_message(
                 out,
             ));
             if lane.pending.len() >= COALESCE_MAX_ENTRIES
-                || lane.pending_bytes >= lane.qp.resp_remote.capacity / 4
+                || lane.pending_bytes >= lane.qp.link.remote_capacity() / 4
             {
                 flush_pending(inner, conn, lane);
             }
@@ -1146,7 +1113,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
             .iter()
             .take(COALESCE_MAX_ENTRIES)
             .take_while(|(_, out)| {
-                let fits = bytes < lane.qp.resp_remote.capacity / 4;
+                let fits = bytes < lane.qp.link.remote_capacity() / 4;
                 bytes += msg::META_SIZE + out.len();
                 fits
             })
@@ -1251,81 +1218,16 @@ fn try_flush_response<B: AsRef<[u8]>>(
     extra_flags: u16,
     aux: u64,
 ) -> Result<()> {
-    let need = msg::encoded_size(responses.iter().map(|(_, d)| d.as_ref().len()));
-    let reservation = {
-        let mut prod = qp.resp_prod.lock();
-        prod.update_head(qp.client_resp_head.load(Ordering::Acquire));
-        prod.reserve(need)?
-    };
-    let canary = qp.next_canary();
-    let consumed_head = { qp.req_cons.lock().head() };
-    let header = MsgHeader {
-        total_len: 0,
-        count: 0,
-        flags: extra_flags,
-        canary,
-        head: consumed_head,
+    // Every response message piggybacks the consumed head, which is what
+    // lets dispatchers elide redundant head-only writes.
+    let need = qp.link.try_send(
+        extra_flags,
         aux,
-    };
-
-    if let Some((woff, wlen)) = reservation.wrap {
-        // Write the wrap record directly into the staging ring; the old
-        // `wrap_record` helper allocated a scratch Vec per ring wrap.
-        qp.staging.with_write(|buf| {
-            RingProducer::write_wrap_record(&mut buf[woff..woff + wlen], canary);
-        });
-        qp.qp.post_send(
-            SendWr::write(
-                WrId(0),
-                Sge {
-                    lkey: qp.staging.lkey(),
-                    addr: qp.staging.addr() + woff as u64,
-                    len: wlen,
-                },
-                RemoteAddr {
-                    rkey: qp.resp_remote.rkey,
-                    addr: qp.resp_remote.addr + woff as u64,
-                },
-            )
-            .unsignaled(),
-        )?;
-    }
-
-    // `encode_iter` walks the responses twice (size, then write) instead
-    // of materialising a `Vec<EntryRef>` per flush.
-    qp.staging.with_write(|buf| {
-        msg::encode_iter(
-            &mut buf[reservation.offset..reservation.offset + need],
-            &header,
-            responses.iter().map(|(meta, data)| EntryRef {
-                meta: *meta,
-                data: data.as_ref(),
-            }),
-        )
-        .map(|_| ())
-    })?;
-
-    let nwrite = qp.write_count.fetch_add(1, Ordering::Relaxed);
-    let mut wr = SendWr::write(
-        WrId(u64::MAX),
-        Sge {
-            lkey: qp.staging.lkey(),
-            addr: qp.staging.addr() + reservation.offset as u64,
-            len: need,
-        },
-        RemoteAddr {
-            rkey: qp.resp_remote.rkey,
-            addr: qp.resp_remote.addr + reservation.offset as u64,
-        },
-    );
-    if !nwrite.is_multiple_of(SIGNAL_EVERY) {
-        wr = wr.unsignaled();
-    }
-    qp.qp.post_send(wr)?;
-    // Every response message piggybacks the consumed head; remember the
-    // last one published so dispatchers can elide redundant head-only
-    // writes (`fetch_max`: concurrent flushers never move it backwards).
-    qp.last_flushed_head.fetch_max(consumed_head, Ordering::Relaxed);
+        responses.iter().map(|(meta, data)| EntryRef {
+            meta: *meta,
+            data: data.as_ref(),
+        }),
+    )?;
     if !responses.is_empty() {
         let n = responses.len() as u64;
         inner.stats.responses.fetch_add(n, Ordering::Relaxed);
@@ -1393,15 +1295,8 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
             let qp = &qp;
             // Re-post the consumed receive slot.
             clock::charge(inner.cost.cpu_post_recv_ns);
-            let _ = qp.qp.post_recv(RecvWr {
-                wr_id: WrId(0),
-                local: Sge {
-                    lkey: qp.req_mr.lkey(),
-                    addr: qp.req_mr.addr(),
-                    len: 0,
-                },
-            });
-            let median_degree = (imm & 0xFFFF) as u16;
+            let _ = qp.link.post_credit_recv();
+            let median_degree = msg::unpack_credit_imm(imm);
             let decision = inner.qp_sched.lock().on_credit_request(
                 SenderQp {
                     sender: sender_id,

@@ -697,3 +697,45 @@ fn close_is_idempotent_and_server_survives() {
     }
     server.shutdown(&domain);
 }
+
+/// A connect the server cannot finish — its second client QP is UD,
+/// which no RC QP pairs with — gives back what the first lane leased and
+/// forgets its QP number: the next connection takes the same slot.
+#[test]
+fn failed_connect_releases_what_it_leased() {
+    use flock_core::domain::{reply_channel, ConnectRequest};
+    use flock_core::{FlockError, RingInfo};
+    use flock_fabric::{Access, Transport};
+    VirtualLab::run(|| {
+        let domain = FlockDomain::with_defaults();
+        let snode = domain.add_node("node-leak");
+        let server = FlockServer::listen(&domain, &snode, "leak", ServerConfig::default());
+        server.reg_handler(1, |req| req.to_vec());
+        let before = (snode.qp_count(), snode.mrs().len());
+
+        let cnode = domain.add_node("c-leak");
+        let cq = cnode.create_cq(16);
+        let ring = cnode.register_mr(1 << 16, Access::REMOTE_WRITE);
+        let dialed = domain.dial(
+            "leak",
+            ConnectRequest {
+                client_node: cnode.id(),
+                client_qps: [Transport::Rc, Transport::Ud]
+                    .map(|t| cnode.create_qp(t, &cq, &cq))
+                    .to_vec(),
+                response_rings: vec![RingInfo::of(&ring); 2],
+                tenant: 0,
+                reply: reply_channel().0,
+            },
+        );
+        assert!(matches!(dialed, Err(FlockError::Fabric(_))), "{dialed:?}");
+        assert_eq!((snode.qp_count(), snode.mrs().len()), before);
+
+        let handle = fl_connect(&domain, &cnode, "leak", HandleConfig::default()).unwrap();
+        assert_eq!(handle.sender_id(), 0, "the failed connect took no slot");
+        assert_eq!(&handle.register_thread().call(1, b"after")?[..], b"after");
+        server.shutdown(&domain);
+        Ok::<(), FlockError>(())
+    })
+    .unwrap();
+}

@@ -26,6 +26,11 @@ pub(crate) const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/tcq.rs", "join"),
     ("crates/core/src/tcq.rs", "join_with"),
     ("crates/core/src/tcq.rs", "complete"),
+    // Both directions of every lane's ring protocol. The client leader's
+    // flush is reachable from no other entry point: `join_with` returns
+    // before it runs.
+    ("crates/core/src/ring.rs", "try_send"),
+    ("crates/core/src/ring.rs", "poll_into"),
     ("crates/fabric/src/cq.rs", "poll"),
     ("crates/fabric/src/cq.rs", "poll_one"),
     ("crates/fabric/src/cq.rs", "push"),

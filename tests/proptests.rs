@@ -87,7 +87,9 @@ proptest! {
             .unwrap();
             let res = prod.reserve(staging.len()).unwrap();
             if let Some((woff, wlen)) = res.wrap {
-                mr.write(woff, &RingProducer::wrap_record(wlen, canary)).unwrap();
+                mr.with_write(|b| {
+                    RingProducer::write_wrap_record(&mut b[woff..woff + wlen], canary)
+                });
             }
             mr.write(res.offset, &staging).unwrap();
             // Consume immediately (keeps the ring from filling).
