@@ -21,6 +21,14 @@
 //! 4. **Commit** — primaries install the new values, bump versions, and
 //!    unlock.
 //!
+//! The coordinator writes these phases once, as one per-transaction
+//! state machine (`coordinator.rs`, `Txn`), and drives it two ways:
+//! [`TxnClient::run`] blocks on a transaction's outstanding operations,
+//! [`TxnClient::run_pipelined`] polls many machines from one thread, as
+//! the paper's coroutines do (§8.5.2). An error mid-transaction is
+//! returned only after the machine has received what was outstanding and
+//! sent Abort to every server it knows to hold its locks.
+//!
 //! For write-hot keys where OCC retries burn more verbs than locks
 //! would, [`TxnClient::run_locked`] wraps the same four phases in
 //! pessimistic [`StripeLocks`] — per-stripe ALock cohorts over a remote
@@ -31,13 +39,11 @@
 //! (write-intensive) benchmark generators.
 
 pub mod coordinator;
-pub mod pipelined;
 pub mod protocol;
 pub mod server;
 pub mod workloads;
 
-pub use coordinator::{StripeLocks, TxnClient, TxnOutcome};
-pub use pipelined::{PipelineStats, PipelinedTxnClient, TxnLogic};
+pub use coordinator::{PipelineStats, StripeLocks, TxnClient, TxnLogic, TxnOutcome};
 pub use protocol::{key_partition, TxnResp, TxnRpc};
 pub use server::{export_stripe_locks, TxnServer};
 pub use workloads::{Smallbank, Tatp, TxnSpec};

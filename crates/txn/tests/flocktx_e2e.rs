@@ -10,7 +10,10 @@ use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{ConnectionHandle, FlockDomain};
 use flock_sim::SimRng;
 use flock_txn::protocol::key_partition;
-use flock_txn::{export_stripe_locks, Smallbank, StripeLocks, TxnClient, TxnOutcome, TxnServer};
+use flock_txn::{
+    export_stripe_locks, Smallbank, StripeLocks, TxnClient, TxnLogic, TxnOutcome, TxnServer,
+    TxnSpec,
+};
 
 const N_SERVERS: usize = 3;
 
@@ -367,9 +370,6 @@ fn concurrent_increments_are_serializable() {
 /// transactions from one OS thread, money conserved, throughput sane.
 #[test]
 fn pipelined_coordinator_overlaps_transactions() {
-    use flock_txn::workloads::TxnSpec;
-    use flock_txn::{PipelinedTxnClient, TxnLogic};
-
     let c = cluster();
     let bank = Smallbank::new(60);
     for (k, v) in bank.load_keys() {
@@ -409,13 +409,13 @@ fn pipelined_coordinator_overlaps_transactions() {
         }
     }
 
-    let mut client = PipelinedTxnClient::new(&c.handles);
+    let client = TxnClient::new(&c.handles);
     let mut logic = Payments {
         bank: bank.clone(),
         rng: SimRng::new(4242),
     };
     // 8 transactions in flight from ONE OS thread.
-    let stats = client.run(&mut logic, 8, 200).unwrap();
+    let stats = client.run_pipelined(&mut logic, 8, 200).unwrap();
     assert!(stats.commits >= 200);
 
     let mut total = 0u64;
@@ -428,6 +428,231 @@ fn pipelined_coordinator_overlaps_transactions() {
     }
     assert_eq!(total, initial_total, "money conservation violated");
     teardown(c);
+}
+
+/// A seeded Smallbank stream for one transaction at a time, in which an
+/// aborted spec comes again, up to three tries. Every write adds one.
+struct Retrying {
+    bank: Smallbank,
+    rng: SimRng,
+    last: Option<(TxnSpec, u32)>,
+    /// `compute` ran for `last`: it passed validation, so it commits.
+    computed: bool,
+}
+
+impl TxnLogic for Retrying {
+    fn next(&mut self) -> TxnSpec {
+        let (spec, tries) = match self.last.take() {
+            Some((spec, tries)) if !self.computed && tries < 3 => (spec, tries + 1),
+            _ => (self.bank.next(&mut self.rng), 1),
+        };
+        self.last = Some((spec.clone(), tries));
+        self.computed = false;
+        spec
+    }
+
+    fn compute(
+        &mut self,
+        spec: &TxnSpec,
+        values: &HashMap<u64, Option<Vec<u8>>>,
+    ) -> HashMap<u64, Vec<u8>> {
+        self.computed = true;
+        spec.writes
+            .iter()
+            .map(|&k| {
+                let old = u64::from_le_bytes(values[&k].as_ref().unwrap()[..8].try_into().unwrap());
+                (k, (old + 1).to_le_bytes().to_vec())
+            })
+            .collect()
+    }
+}
+
+/// What a driver leaves behind after 120 commits of the [`Retrying`]
+/// stream: every server's primary and backup copy of every key, the
+/// commit and abort counts, and the requests each server handled.
+type Aftermath = (
+    Vec<(Option<Vec<u8>>, Option<Vec<u8>>)>,
+    (u64, u64),
+    Vec<u64>,
+);
+
+fn smallbank_aftermath(pipelined: bool) -> Aftermath {
+    let c = cluster();
+    let bank = Smallbank::new(100);
+    for (k, v) in bank.load_keys() {
+        load(&c, k, &v);
+    }
+    // Another coordinator died holding a hot account's lock: whatever
+    // writes or validates this key aborts on every try.
+    let stray = Smallbank::checking(0);
+    c.txn_servers[key_partition(stray, N_SERVERS)].handle(&flock_txn::TxnRpc::Execute {
+        txn_id: 999,
+        reads: vec![],
+        writes: vec![stray],
+    });
+    let client = TxnClient::new(&c.handles);
+    let mut stream = Retrying {
+        bank: bank.clone(),
+        rng: SimRng::new(77),
+        last: None,
+        computed: false,
+    };
+    let counts = if pipelined {
+        let stats = client.run_pipelined(&mut stream, 1, 120).unwrap();
+        (stats.commits, stats.aborts)
+    } else {
+        let (mut commits, mut aborts) = (0, 0);
+        while commits < 120 {
+            let spec = stream.next();
+            let outcome = client.run(&spec.reads, &spec.writes, |values| {
+                stream.compute(&spec, values)
+            });
+            match outcome.unwrap() {
+                TxnOutcome::Committed(_) => commits += 1,
+                TxnOutcome::Aborted => aborts += 1,
+            }
+        }
+        (commits, aborts)
+    };
+    drop(client);
+    let copies = c
+        .txn_servers
+        .iter()
+        .flat_map(|ts| {
+            bank.load_keys()
+                .map(|(k, _)| (ts.peek(k), ts.peek_backup(k)))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let requests = c
+        .servers
+        .iter()
+        .map(|s| {
+            s.stats()
+                .requests
+                .load(std::sync::atomic::Ordering::Relaxed)
+        })
+        .collect();
+    teardown(c);
+    (copies, counts, requests)
+}
+
+/// `run` and `run_pipelined` drive the same machine: at width 1 the same
+/// spec stream sends the same RPCs to the same servers and leaves the
+/// same bytes behind, aborts and their retries included.
+#[test]
+fn blocking_and_width_one_pipelined_drivers_are_one_protocol() {
+    let ((blocking, polling), _) = flock_sim::vtime::VirtualLab::run_against_reference(|| {
+        (smallbank_aftermath(false), smallbank_aftermath(true))
+    });
+    assert_eq!(blocking, polling);
+    let (_, (commits, aborts), _) = blocking;
+    assert_eq!(commits, 120);
+    assert!(aborts > 0, "the stray lock must abort something");
+}
+
+/// A transaction's validation reads are issued together: a second
+/// version word to validate, on a second server, costs far less than a
+/// second read round trip. Both transactions execute on both servers, so
+/// the difference is the validation phase alone. Every poller in the lab has a period (250 ns to 1 µs), so
+/// one sample is a function of how the phases happen to line up: each
+/// figure is a mean over 64 samples taken at staggered instants.
+#[test]
+fn validation_is_one_round_trip() {
+    const SAMPLES: u64 = 64;
+    let [read, one_key, two_keys] = flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        // One key on server 0, two on server 1; the last stays absent, so
+        // reading it costs an Execute and no validation read.
+        let on = |p| (0..).filter(move |&k| key_partition(k, N_SERVERS) == p);
+        let (k0, k1, absent) = (
+            on(0).next().unwrap(),
+            on(1).next().unwrap(),
+            on(1).nth(1).unwrap(),
+        );
+        load(&c, k0, b"v");
+        load(&c, k1, b"v");
+        let client = TxnClient::new(&c.handles);
+        let thread = c.handles[0].register_thread();
+        let read_only = |reads: &[u64]| {
+            let outcome = client.run(reads, &[], |_| HashMap::new()).unwrap();
+            assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        };
+        let ops: [&dyn Fn(); 3] = [
+            &|| drop(thread.read(0, 0, 8).unwrap()),
+            &|| read_only(&[k0, absent]),
+            &|| read_only(&[k0, k1]),
+        ];
+        let mut sums = [0u64; 3];
+        for i in 0..SAMPLES {
+            for (op, sum) in ops.iter().zip(&mut sums) {
+                flock_sync::clock::sleep_ns(i * 137 % 1000);
+                op(); // once to warm the path
+                let t0 = flock_sync::clock::now_ns();
+                op();
+                *sum += flock_sync::clock::now_ns() - t0;
+            }
+        }
+        drop((client, thread));
+        teardown(c);
+        sums.map(|sum| sum / SAMPLES)
+    });
+    assert!(
+        two_keys.saturating_sub(one_key) < read / 2,
+        "read {read} ns, one key {one_key} ns, two keys {two_keys} ns"
+    );
+}
+
+/// An error mid-transaction settles before it returns: server B answers
+/// Execute with garbage after server A has locked its key, and the
+/// coordinator releases A's lock before reporting the error.
+#[test]
+fn an_error_mid_transaction_releases_its_locks() {
+    let domain = FlockDomain::with_defaults();
+    let node_a = domain.add_node("settle-a");
+    let a = FlockServer::listen(&domain, &node_a, "settle-a", ServerConfig::default());
+    let idx = a.attach_mreg(1 << 12);
+    let ts = TxnServer::new(0, a.mem_region(idx).unwrap());
+    ts.register(&a);
+    let node_b = domain.add_node("settle-b");
+    let b = FlockServer::listen(&domain, &node_b, "settle-b", ServerConfig::default());
+    // B is a sound replica and a broken primary.
+    b.reg_handler(flock_txn::protocol::RPC_EXECUTE, |_| vec![0xFF]);
+    b.reg_handler(flock_txn::protocol::RPC_LOG, |_| {
+        flock_txn::TxnResp::Ack.encode()
+    });
+    let client_node = domain.add_node("settle-client");
+    let handles: Vec<Arc<ConnectionHandle>> = ["settle-a", "settle-b"]
+        .iter()
+        .map(|name| {
+            let cfg = HandleConfig::default();
+            Arc::new(ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap())
+        })
+        .collect();
+    let [key_a, key_b] = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
+    ts.load(key_a, b"old");
+
+    let client = TxnClient::new(&handles);
+    let err = client
+        .run(&[], &[key_a, key_b], |_| {
+            HashMap::from([(key_a, b"x".to_vec()), (key_b, b"x".to_vec())])
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, flock_core::FlockError::CorruptMessage(_)),
+        "{err:?}"
+    );
+    let outcome = client
+        .run(&[], &[key_a], |_| HashMap::from([(key_a, b"new".to_vec())]))
+        .unwrap();
+    assert!(
+        matches!(outcome, TxnOutcome::Committed(_)),
+        "the failed transaction left key {key_a} locked"
+    );
+    assert_eq!(ts.peek(key_a).unwrap(), b"new");
+    drop(client);
+    a.shutdown(&domain);
+    b.shutdown(&domain);
 }
 
 /// The pessimistic ALock commit path: conflicting increments on one
