@@ -32,7 +32,7 @@ use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::json::{float, object, Value};
-use crate::stats::percentile_us;
+use crate::stats::{percentile_us, Handoff};
 use crate::SuiteRun;
 
 /// Knobs shared by the three scenarios.
@@ -407,6 +407,8 @@ pub(crate) struct ScaleOutOutcome {
     pub survivor_active_after: usize,
     /// Total active QPs after the departure.
     pub total_active_after: usize,
+    /// The server's deactivation hand-off over the run.
+    pub handoff: Handoff,
     /// Lab handovers — a determinism fingerprint.
     pub handovers: u64,
     /// Virtual tasks spawned.
@@ -508,6 +510,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
                 .ok()
                 .expect("survivor workers joined"),
         );
+        let handoff = Handoff::of(&server);
         server.shutdown(&domain);
         drop(server);
         drop(
@@ -523,6 +526,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
             total_active_before,
             survivor_active_after,
             total_active_after,
+            handoff,
             handovers: 0,
             tasks: 0,
         }
@@ -601,6 +605,7 @@ fn render(
                 ("total_active_before", so.total_active_before.into()),
                 ("survivor_active_after", so.survivor_active_after.into()),
                 ("total_active_after", so.total_active_after.into()),
+                ("handoff", so.handoff.row()),
                 ("handovers", so.handovers.into()),
                 ("tasks", so.tasks.into()),
             ]),

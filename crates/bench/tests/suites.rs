@@ -189,42 +189,47 @@ fn churn_disturbance_is_bounded() {
 }
 
 // Tenant isolation: an aggressor tenant hammering the server through the
-// gateway must not degrade a well-behaved victim's p99 beyond a fixed
-// bound — *when its active-QP share is capped*. Uncapped, the same
-// aggressor visibly hurts the victims, which is what makes the capped
-// bound meaningful rather than vacuous.
+// gateway must not degrade a well-behaved victim's tail beyond a fixed
+// bound, and a per-tenant cap must hold the aggressor's active-QP share
+// to the cap. The tail is the mean of the slowest 5 % of the victims'
+// samples: the nearest-rank p99 this test used to gate is the fifth-worst
+// of some 370 samples and sat on a 0.5 µs poll step.
+//
+// Until the deactivation hand-off (DESIGN.md §5e) the uncapped aggressor
+// cost the victims 1.5× p99 and the cap "removed" that. The cost was not
+// the lanes the aggressor held but what every redistribution did to a
+// victim session caught on a lane that had just lost its slot — polled on
+// every 16th sweep only. A deactivated lane now drains at full rate, and
+// an aggressor holding extra lanes costs the victims nothing measurable
+// at this load: both ratios are held to the bound, and what is left of
+// the cap's claim is the share it enforces.
 
-/// A capped aggressor may cost victims at most 30% p99 over running
-/// alone — the acceptance bound for receiver-side tenant isolation.
-const CAPPED_DISTURBANCE_BOUND: f64 = 1.3;
+/// An aggressor, capped or not, may cost victims at most 30% of their
+/// tail over running alone — the acceptance bound for receiver-side
+/// tenant isolation.
+const DISTURBANCE_BOUND: f64 = 1.3;
 
 #[test]
 fn capped_aggressor_bounds_victim_p99_disturbance() {
     let out = run_interference(TenantWorkload::preset(true));
     assert!(
-        out.baseline_p99_us > 0.0,
+        out.baseline_tail5_us > 0.0,
         "baseline must measure something, got {:?}",
         out
     );
-    assert!(
-        out.capped_ratio <= CAPPED_DISTURBANCE_BOUND,
-        "capped aggressor must not degrade victim p99 beyond {CAPPED_DISTURBANCE_BOUND}x \
-         baseline, got {:.3}x ({:.1} us vs {:.1} us baseline)",
-        out.capped_ratio,
-        out.capped_p99_us,
-        out.baseline_p99_us
-    );
-    // The cap is what does the work: the same aggressor left uncapped
-    // must hurt the victims more than the capped one does.
-    assert!(
-        out.uncapped_ratio > out.capped_ratio,
-        "uncapped aggressor should disturb victims more than a capped one, \
-         got uncapped {:.3}x vs capped {:.3}x",
-        out.uncapped_ratio,
-        out.capped_ratio
-    );
-    // And the scheduler actually enforced the share: mid-run the
-    // aggressor holds no more than its cap.
+    for (mode, ratio, tail_us) in [
+        ("capped", out.capped_ratio, out.capped_tail5_us),
+        ("uncapped", out.uncapped_ratio, out.uncapped_tail5_us),
+    ] {
+        assert!(
+            ratio <= DISTURBANCE_BOUND,
+            "{mode} aggressor must not degrade the victims' slowest 5% beyond \
+             {DISTURBANCE_BOUND}x baseline, got {ratio:.3}x ({tail_us:.2} us vs {:.2} us baseline)",
+            out.baseline_tail5_us
+        );
+    }
+    // The scheduler enforces the share: mid-run the capped aggressor
+    // holds no more than its cap.
     assert!(
         out.capped_aggr_lanes <= out.aggr_cap,
         "capped aggressor held {} active lanes, cap is {}",

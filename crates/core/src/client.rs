@@ -16,15 +16,15 @@ use flock_fabric::{
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
-use crate::credit::{CreditState, MedianWindow};
+use crate::credit::{CreditState, MedianWindow, Residents, SendPhase};
 use crate::domain::{
     await_reply, reply_channel, AttachMemRequest, AttachRequest, ConnectRequest, CtrlMsg,
     DetachRequest, ExportRequest, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
 use crate::ring::Link;
-use crate::sched::thread::{assign_threads, ThreadLoadStats};
+use crate::sched::thread::{assign_threads_into, AssignScratch, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
 
 /// Per-thread scratch slot size for one-sided operation payloads/results.
@@ -114,7 +114,11 @@ pub(crate) struct ClientQpCtx {
     /// Signalled on every credit grant/decline and at shutdown.
     credit_event: Event,
     degree: Mutex<MedianWindow>,
-    active: AtomicBool,
+    /// The threads sending on this lane and the lane's side of the
+    /// deactivation hand-off: open, draining (a zero grant arrived, the
+    /// [`FLAG_DRAINED`] marker is owed by whoever empties the lane) or
+    /// drained (marker posted, nothing is sent until the next grant).
+    residents: Residents,
     messages_sent: AtomicU64,
     requests_sent: AtomicU64,
 }
@@ -271,6 +275,11 @@ pub(crate) struct HandleInner {
     /// (doorbells, memcpys, polling) under a virtual-time executor;
     /// charges are no-ops in threaded mode.
     cost: CostModel,
+    /// Buffers of a thread-scheduling pass (Algorithm 1): the periodic
+    /// scheduler and the response dispatcher, which repacks when a grant
+    /// deactivates or reactivates a lane and must not allocate, take
+    /// turns.
+    sched_scratch: Mutex<SchedScratch>,
     stop: AtomicBool,
     /// Resources returned to the node's QP pool / MR cache (graceful
     /// close); guards against double release.
@@ -442,6 +451,7 @@ impl ConnectionHandle {
                 .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
             dispatch_event,
             cost: domain.fabric().config().cost.clone(),
+            sched_scratch: Mutex::new(SchedScratch::default()),
             stop: AtomicBool::new(false),
             released: AtomicBool::new(false),
         });
@@ -551,9 +561,23 @@ impl ConnectionHandle {
         // Outside the `threads` lock: the attach blocks on a control-plane
         // round trip, and the dispatcher reads `threads` on its hot path.
         let wanted = ctx.id as usize % self.inner.cfg.n_qps;
-        let lane = match ensure_lanes(&self.inner, wanted) {
+        let wanted = match ensure_lanes(&self.inner, wanted) {
             Ok(()) => wanted,
             Err(_) => ctx.id as usize % self.inner.lane_count.load(Ordering::Acquire).max(1),
+        };
+        // Never start on a lane the server has deactivated while another
+        // is open. With none open (a deactivation overtook the activation
+        // sent before it), sit on the wanted lane: the thread's first
+        // send waits for the grant if the lane is already drained.
+        let open = |lane: usize| self.inner.lane(lane).residents.enter_open();
+        let lane = if open(wanted) {
+            wanted
+        } else {
+            let live = self.inner.lane_count.load(Ordering::Acquire);
+            (0..live).find(|&lane| open(lane)).unwrap_or_else(|| {
+                self.inner.lane(wanted).residents.enter();
+                wanted
+            })
         };
         ctx.current_qp.store(lane, Ordering::Relaxed);
         ctx.target_qp.store(lane, Ordering::Relaxed);
@@ -576,7 +600,7 @@ impl ConnectionHandle {
     pub fn active_qps(&self) -> usize {
         self.inner
             .lanes_live()
-            .filter(|q| q.active.load(Ordering::Relaxed))
+            .filter(|q| q.residents.is_open())
             .count()
     }
 
@@ -611,7 +635,7 @@ impl ConnectionHandle {
                 messages: q.messages_sent.load(Ordering::Relaxed),
                 requests: q.requests_sent.load(Ordering::Relaxed),
                 credits: q.credits.lock().credits(),
-                active: q.active.load(Ordering::Relaxed),
+                active: q.residents.is_open(),
             })
             .collect();
         per_qp.resize(
@@ -1204,12 +1228,21 @@ impl FlThread {
     }
 
     /// Adopt the scheduler's target QP if no requests are outstanding
-    /// (migration safety, §5.2).
+    /// (migration safety, §5.2) and the target is still open — a thread
+    /// never moves toward a lane the server has deactivated. The thread
+    /// that empties a deactivated lane posts the lane's drained marker.
     fn migrate_if_idle(&self) -> usize {
         let current = self.ctx.current_qp.load(Ordering::Relaxed);
         let target = self.ctx.target_qp.load(Ordering::Relaxed);
-        if target != current && self.ctx.outstanding.load(Ordering::Relaxed) == 0 {
+        if target != current
+            && self.ctx.outstanding.load(Ordering::Relaxed) == 0
+            && self.inner.lane(target).residents.enter_open()
+        {
             self.ctx.current_qp.store(target, Ordering::Relaxed);
+            let left = self.inner.lane(current);
+            if let Some(epoch) = left.residents.leave() {
+                post_drained_marker(&self.inner, left, epoch, true);
+            }
             return target;
         }
         current
@@ -1231,7 +1264,7 @@ fn build_lane_ctx(
         credits: Mutex::new(CreditState::new(initial_credits)),
         credit_event: Event::new(),
         degree: Mutex::new(MedianWindow::new(64)),
-        active: AtomicBool::new(true),
+        residents: Residents::default(),
         messages_sent: AtomicU64::new(0),
         requests_sent: AtomicU64::new(0),
     })
@@ -1450,10 +1483,15 @@ fn wait_for_credits(inner: &HandleInner, qp: &ClientQpCtx, n: u32) -> Result<()>
         // keep waiting for the grant of a renewal already in flight.
         let attempt = qp.credit_event.wait_until(deadline, 1_000, || {
             let mut credits = qp.credits.lock();
-            if !qp.active.load(Ordering::Acquire) {
-                // Deactivated QP: drain without credits; threads migrate
-                // away for future requests.
-                return Some(Ok((true, false)));
+            match qp.residents.phase() {
+                SendPhase::Open => {}
+                // Deactivated QP: its residents drain without credits
+                // and migrate away for future requests.
+                SendPhase::Draining => return Some(Ok((true, false))),
+                // The marker is out and the server has stopped reading:
+                // a thread that had nowhere else to start waits for the
+                // next grant.
+                SendPhase::Drained => return inner.disconnected(),
             }
             let consumed = credits.try_consume(n);
             let renew = credits.should_request_renewal();
@@ -1573,18 +1611,25 @@ fn handle_ring_poll(
             let view = crate::ring::view(msg);
             let h = view.header;
             if h.flags & FLAG_CREDIT_GRANT != 0 {
-                let (granted, _) = msg::unpack_aux(h.aux);
-                {
+                let (granted, epoch) = msg::unpack_aux(h.aux);
+                let moved = {
                     let mut credits = qp.credits.lock();
                     if granted == 0 {
                         credits.decline();
-                        qp.active.store(false, Ordering::Release);
+                        qp.residents.drain(epoch)
                     } else {
                         credits.grant(granted);
-                        qp.active.store(true, Ordering::Release);
+                        qp.residents.open()
                     }
-                }
+                };
                 qp.credit_event.notify_all();
+                if moved && inner.cfg.auto_thread_sched {
+                    // The set of served lanes changed: Algorithm 1 again,
+                    // now. A deactivated lane's threads learn where to go
+                    // before their next send, not at the scheduler's next
+                    // wake-up, and a reactivated lane takes its share.
+                    run_thread_scheduling(inner, false);
+                }
             }
             let threads = inner.threads.read();
             for (meta, data) in view.entries() {
@@ -1603,6 +1648,12 @@ fn handle_ring_poll(
                     }
                     t.inbox_event.notify_all();
                 }
+            }
+            // A deactivated lane nobody sends on owes the server its
+            // marker: at the notice, or when an earlier attempt found the
+            // request ring full and this message freed some of it.
+            if let Some(epoch) = qp.residents.claim_marker() {
+                post_drained_marker(inner, qp, epoch, false);
             }
         }
         Ok(false) => {
@@ -1661,36 +1712,91 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     t.mem_event.notify_all();
 }
 
+/// Post lane `qp`'s [`FLAG_DRAINED`] marker for drain `epoch`, behind
+/// every request the lane carried: the caller holds the claim
+/// ([`Residents::claim_marker`]), so nobody is resident and nobody else
+/// posts. A migrating thread `may_wait` for ring space; the response
+/// dispatcher may not, and on a full ring (or any failure) hands the duty
+/// back for its next look at the lane.
+fn post_drained_marker(inner: &HandleInner, qp: &ClientQpCtx, epoch: u16, may_wait: bool) {
+    let deadline = clock::deadline(inner.cfg.timeout);
+    loop {
+        let sent = qp.link.try_send(
+            FLAG_DRAINED,
+            msg::pack_aux(0, epoch),
+            std::iter::empty::<EntryRef<'_>>(),
+        );
+        match sent {
+            Ok(need) => {
+                let stage = inner.cost.memcpy_time(need).as_nanos();
+                return clock::charge(inner.cost.cpu_doorbell_ns + stage);
+            }
+            Err(FlockError::RingFull { .. })
+                if may_wait && !inner.stop.load(Ordering::Relaxed) && !clock::expired(deadline) =>
+            {
+                clock::yield_now()
+            }
+            Err(_) => return qp.residents.unclaim_marker(epoch),
+        }
+    }
+}
+
 /// Sender-side thread scheduler loop (paper §5.2, Algorithm 1).
 fn scheduler_loop(inner: &HandleInner) {
     while !inner.stop.load(Ordering::Relaxed) {
         clock::sleep(inner.cfg.sched_interval);
-        run_thread_scheduling(inner);
+        run_thread_scheduling(inner, true);
     }
 }
 
-/// One scheduling pass; factored out for tests and ablations.
-pub(crate) fn run_thread_scheduling(inner: &HandleInner) {
-    let active: Vec<usize> = inner
-        .lanes_live()
-        .filter(|q| q.active.load(Ordering::Relaxed))
-        .map(|q| q.index)
-        .collect();
-    let active = if active.is_empty() { vec![0] } else { active };
+/// Buffers of [`run_thread_scheduling`], see [`HandleInner::sched_scratch`].
+#[derive(Default)]
+struct SchedScratch {
+    active: Vec<usize>,
+    stats: Vec<ThreadLoadStats>,
+    median: Vec<u32>,
+    assign: AssignScratch,
+}
+
+/// One scheduling pass over the lanes the server serves. The periodic
+/// pass starts a new `reqs`/`bytes` window; the pass the response
+/// dispatcher runs at a grant reads the running one and leaves it.
+/// With no open lane known nobody is re-targeted: threads stay where they
+/// are and their lanes keep draining.
+fn run_thread_scheduling(inner: &HandleInner, new_window: bool) {
+    let mut scratch = inner.sched_scratch.lock();
+    let SchedScratch {
+        active,
+        stats,
+        median,
+        assign,
+    } = &mut *scratch;
+    active.clear();
+    active.extend(
+        inner
+            .lanes_live()
+            .filter(|q| q.residents.is_open())
+            .map(|q| q.index),
+    );
     let threads = inner.threads.read();
-    if threads.is_empty() {
+    if active.is_empty() || threads.is_empty() {
         return;
     }
-    let stats: Vec<ThreadLoadStats> = threads
-        .iter()
-        .map(|t| ThreadLoadStats {
-            thread_id: t.id,
-            median_req_size: t.req_sizes.lock().median(),
-            requests: t.reqs.swap(0, Ordering::Relaxed),
-            bytes: t.bytes.swap(0, Ordering::Relaxed),
-        })
-        .collect();
-    for (tid, rank) in assign_threads(&stats, active.len()) {
+    let take = |counter: &AtomicU64| {
+        if new_window {
+            counter.swap(0, Ordering::Relaxed)
+        } else {
+            counter.load(Ordering::Relaxed)
+        }
+    };
+    stats.clear();
+    stats.extend(threads.iter().map(|t| ThreadLoadStats {
+        thread_id: t.id,
+        median_req_size: t.req_sizes.lock().median_with(median),
+        requests: take(&t.reqs),
+        bytes: take(&t.bytes),
+    }));
+    for &(tid, rank) in assign_threads_into(stats, active.len(), assign) {
         if let Some(t) = threads.get(tid as usize) {
             t.target_qp.store(active[rank], Ordering::Relaxed);
         }

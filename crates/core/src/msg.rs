@@ -32,8 +32,15 @@ pub const META_SIZE: usize = 24;
 /// Trailing canary size in bytes.
 pub const TRAILER_SIZE: usize = 8;
 
-/// Flag: `aux` carries a credit grant (server→client).
+/// Flag: `aux` carries a credit grant (server→client). A grant of zero
+/// credits deactivates the lane and carries the drain epoch in the upper
+/// half of `aux` ([`pack_aux`]`(0, epoch)`).
 pub const FLAG_CREDIT_GRANT: u16 = 1 << 1;
+/// Flag: the zero-entry marker a client posts as its last message on a
+/// deactivated lane (client→server), the drain epoch of the zero grant it
+/// answers in the upper half of `aux`: nothing follows on this lane until
+/// the server grants credits again (see [`crate::credit::LaneGate`]).
+pub const FLAG_DRAINED: u16 = 1 << 2;
 
 /// Per-entry metadata (one RPC request or response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,10 +289,11 @@ pub fn decode(buf: &[u8]) -> Result<Option<MsgView<'_>>> {
     }))
 }
 
-/// Pack a credit request (`credits`) and a median coalescing-degree report
-/// (`degree`) into the header `aux` word.
-pub(crate) fn pack_aux(credits: u32, degree: u16) -> u64 {
-    (credits as u64) | ((degree as u64) << 32)
+/// Pack a credit count and a 16-bit companion into the header `aux`
+/// word. The companion is the drain epoch of a zero grant and of the
+/// [`FLAG_DRAINED`] marker that answers it, zero otherwise.
+pub(crate) fn pack_aux(credits: u32, upper: u16) -> u64 {
+    (credits as u64) | ((upper as u64) << 32)
 }
 
 /// Unpack [`pack_aux`].

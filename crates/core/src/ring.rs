@@ -298,6 +298,25 @@ impl RingConsumer {
         }
     }
 
+    /// Whether [`RingConsumer::poll_into`] would find a complete message
+    /// now. Consumes nothing.
+    #[cfg(debug_assertions)]
+    fn would_poll(&self, mr: &MemoryRegion) -> bool {
+        let start = self.layout.offset_of(0);
+        let mut pos = self.layout.offset_of(self.head);
+        mr.with_write(|region| loop {
+            // Nothing there, still landing, or corrupt: nothing to poll.
+            let Ok(Some(record)) = msg::decode(&region[pos..start + self.layout.capacity]) else {
+                return false;
+            };
+            let wrap = record.header.flags & FLAG_WRAP != 0;
+            if !wrap || pos == start {
+                return !wrap;
+            }
+            pos = start; // a landed wrap record: look at the start of the ring
+        })
+    }
+
     /// [`RingConsumer::poll_into`] a fresh buffer the message then owns,
     /// for a consumer that keeps messages or hands their bytes on.
     pub fn poll(&mut self, mr: &MemoryRegion) -> Result<Option<OwnedMsg>> {
@@ -512,6 +531,13 @@ impl Link {
             self.peer_head.fetch_max(head, Ordering::AcqRel);
         }
         polled
+    }
+
+    /// Whether a complete message is waiting in the local ring (debug
+    /// oracles; consumes nothing).
+    #[cfg(debug_assertions)]
+    pub(crate) fn holds_message(&self) -> bool {
+        self.rx.lock().would_poll(&self.ring_mr)
     }
 
     /// Ask the peer for more credits (paper §7): a zero-length RDMA

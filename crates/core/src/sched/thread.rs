@@ -20,6 +20,19 @@ pub struct ThreadLoadStats {
     pub bytes: u64,
 }
 
+/// Buffers of one [`assign_threads_into`] pass, kept by a caller that
+/// repacks where it must not allocate (the client's response dispatcher
+/// reruns Algorithm 1 at a zero grant).
+#[derive(Debug, Default)]
+pub(crate) struct AssignScratch {
+    /// Indices into the pass's `stats`, in Algorithm 1's sort order.
+    order: Vec<usize>,
+    /// The assignment, in that order.
+    out: Vec<(u32, usize)>,
+    /// Threads per QP, recounted by the two balancing passes.
+    counts: Vec<usize>,
+}
+
 /// Map threads to active QPs (Algorithm 1). Returns `(thread_id, qp_index)`
 /// pairs with `qp_index < num_qps`.
 ///
@@ -27,29 +40,59 @@ pub struct ThreadLoadStats {
 /// recorded traffic (`total_bytes == 0`), threads are spread round-robin so
 /// new threads still receive balanced assignments.
 pub fn assign_threads(stats: &[ThreadLoadStats], num_qps: usize) -> Vec<(u32, usize)> {
+    let mut scratch = AssignScratch::default();
+    assign_threads_into(stats, num_qps, &mut scratch);
+    scratch.out
+}
+
+/// Recount `out`'s threads per QP into `counts`; the first QP with none.
+fn first_idle(out: &[(u32, usize)], counts: &mut Vec<usize>, num_qps: usize) -> Option<usize> {
+    counts.clear();
+    counts.resize(num_qps, 0);
+    for (_, q) in out {
+        counts[*q] += 1;
+    }
+    counts.iter().position(|&c| c == 0)
+}
+
+/// [`assign_threads`] into `scratch`, whose buffers it reuses: once they
+/// have grown to the thread and QP counts, a pass allocates nothing.
+pub(crate) fn assign_threads_into<'a>(
+    stats: &[ThreadLoadStats],
+    num_qps: usize,
+    scratch: &'a mut AssignScratch,
+) -> &'a [(u32, usize)] {
     assert!(num_qps >= 1, "need at least one active QP");
-    let mut sorted: Vec<&ThreadLoadStats> = stats.iter().collect();
-    sorted.sort_by(|a, b| {
+    let AssignScratch { order, out, counts } = scratch;
+    order.clear();
+    order.extend(0..stats.len());
+    // Thread ids are unique, so the key is a total order and the
+    // (allocation-free) unstable sort has one possible result.
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (&stats[a], &stats[b]);
         a.median_req_size
             .cmp(&b.median_req_size)
             .then(a.requests.cmp(&b.requests))
             .then(a.thread_id.cmp(&b.thread_id))
     });
+    out.clear();
 
     let total_bytes: u64 = stats.iter().map(|t| t.bytes).sum();
     if total_bytes == 0 {
-        return sorted
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.thread_id, i % num_qps))
-            .collect();
+        out.extend(
+            order
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (stats[t].thread_id, i % num_qps)),
+        );
+        return out;
     }
 
     let quota = (total_bytes / num_qps as u64).max(1);
     let mut qp_id = 0usize;
     let mut qp_load = 0u64;
-    let mut out = Vec::with_capacity(stats.len());
-    for t in sorted {
+    for &t in order.iter() {
+        let t = &stats[t];
         qp_load += t.bytes;
         out.push((t.thread_id, qp_id.min(num_qps - 1)));
         if qp_load >= quota {
@@ -64,38 +107,20 @@ pub fn assign_threads(stats: &[ThreadLoadStats], num_qps: usize) -> Vec<(u32, us
     // append the first large thread to a small-thread segment when the
     // large threads dominate the byte count; while idle QPs remain, split
     // such mixed segments at the size-class boundary (≥4× median jump).
-    let median_of = |tid: u32| -> u32 {
-        stats
-            .iter()
-            .find(|s| s.thread_id == tid)
-            .map(|s| s.median_req_size)
-            .unwrap_or(0)
-    };
-    loop {
-        let mut counts = vec![0usize; num_qps];
-        for (_, q) in &out {
-            counts[*q] += 1;
-        }
-        let Some(idle) = counts.iter().position(|&c| c == 0) else {
-            break;
-        };
+    // (`out` is in `order`'s order, so entry `i`'s median is at hand.)
+    let median_at = |i: usize| stats[order[i]].median_req_size.max(1);
+    while let Some(idle) = first_idle(out, counts, num_qps) {
         // Find a lane whose (contiguous, sorted) members straddle a class
         // boundary.
         let mut split: Option<(usize, usize)> = None; // (lane, out-index after boundary)
         'lanes: for lane in 0..num_qps {
-            let members: Vec<usize> = out
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, q))| *q == lane)
-                .map(|(i, _)| i)
-                .collect();
-            for w in members.windows(2) {
-                let a = median_of(out[w[0]].0).max(1);
-                let b = median_of(out[w[1]].0).max(1);
-                if b >= a * 4 {
-                    split = Some((lane, w[1]));
+            let mut prev: Option<usize> = None;
+            for (i, _) in out.iter().enumerate().filter(|(_, (_, q))| *q == lane) {
+                if prev.is_some_and(|p| median_at(i) >= median_at(p) * 4) {
+                    split = Some((lane, i));
                     break 'lanes;
                 }
+                prev = Some(i);
             }
         }
         let Some((lane, from)) = split else { break };
@@ -112,14 +137,7 @@ pub fn assign_threads(stats: &[ThreadLoadStats], num_qps: usize) -> Vec<(u32, us
     // most-crowded QP's *contiguous* run of (sorted) threads onto an idle
     // QP: every QP gets used, and size classes stay grouped so large
     // payloads remain isolated from small ones.
-    loop {
-        let mut counts = vec![0usize; num_qps];
-        for (_, q) in &out {
-            counts[*q] += 1;
-        }
-        let Some(idle) = counts.iter().position(|&c| c == 0) else {
-            break;
-        };
+    while let Some(idle) = first_idle(out, counts, num_qps) {
         let (donor, &donor_count) = counts
             .iter()
             .enumerate()
@@ -130,14 +148,9 @@ pub fn assign_threads(stats: &[ThreadLoadStats], num_qps: usize) -> Vec<(u32, us
         }
         // Move the second half of the donor's run (assignments preserve
         // the sorted order, so the run is contiguous in `out`).
-        let members: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, q))| *q == donor)
-            .map(|(i, _)| i)
-            .collect();
-        for &i in &members[members.len() / 2..] {
-            out[i].1 = idle;
+        let run = out.iter_mut().filter(|(_, q)| *q == donor);
+        for item in run.skip(donor_count / 2) {
+            item.1 = idle;
         }
     }
     out

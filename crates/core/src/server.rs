@@ -16,12 +16,13 @@ use flock_fabric::{
 use flock_sync::clock::{self, Event, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
+use crate::credit::{LaneGate, LanePhase};
 use crate::domain::{
     AttachMemRequest, AttachReply, AttachRequest, ConnectReply, ConnectRequest, CtrlMsg,
     ExportReply, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
 use crate::ring::{self, Link};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
@@ -97,13 +98,17 @@ struct ServerQpCtx {
     /// [`Link::head_debt`] lets the shard skip redundant zero-entry
     /// head-only writes while the client is not short of ring space.
     link: Link,
-    /// Mirror of the QP scheduler's active bit (updated on
-    /// redistribution). Dispatchers poll deactivated QPs only every
-    /// [`INACTIVE_POLL_PERIOD`]th sweep: clients drain in-flight
-    /// requests on a deactivated QP but send new ones elsewhere, so at
-    /// high connection counts (QPs ≫ MAX_AQP) polling every ring every
-    /// sweep burns the dispatch budget on empty probes.
-    active: AtomicBool,
+    /// What the QP scheduler decided for the lane and how far the client
+    /// has followed (paper §5.1/§5.2). On the shared context, so it
+    /// survives a shard's `snapshot_partition`. An active or draining
+    /// lane is visited on every sweep; a silent one — the client posted
+    /// its [`FLAG_DRAINED`] marker and sends nothing until the next
+    /// grant — is skipped outright, so at high connection counts (QPs ≫
+    /// MAX_AQP) the dispatch budget is not burnt on empty probes.
+    gate: LaneGate,
+    /// Request-ring polls of the lane (a silent lane's count stands
+    /// still; [`FlockServer::lane_probes`]).
+    probes: AtomicU64,
 }
 
 struct ServerConn {
@@ -147,6 +152,15 @@ pub struct ServerStats {
     pub grants: AtomicU64,
     /// Credit renewals declined.
     pub declines: AtomicU64,
+    /// Lanes the scheduler took out of the active set (redistribution, or
+    /// a lane attached past the AQP budget).
+    pub deactivations: AtomicU64,
+    /// Deactivated lanes whose client posted its drained marker in time:
+    /// the lane went silent.
+    pub drains_completed: AtomicU64,
+    /// Visits dispatch shards paid to draining lanes (one per lane per
+    /// sweep, from the deactivation to the marker or the reactivation).
+    pub drain_sweeps: AtomicU64,
     /// Redundant head-only response writes elided because the client's
     /// view of the consumed head was still fresh (within a quarter ring).
     pub head_flushes_skipped: AtomicU64,
@@ -397,6 +411,16 @@ impl FlockServer {
         &self.inner.stats
     }
 
+    /// How often lane `lane` of sender `sender`'s request ring has been
+    /// polled. Grows with every sweep of the lane's dispatch shard while
+    /// the lane is active or draining, stands still while it is silent.
+    pub fn lane_probes(&self, sender: u32, lane: usize) -> Option<u64> {
+        let conns = self.inner.conns.read();
+        let conn = conns.iter().find(|c| c.sender_id == sender)?;
+        let probes = conn.qps.read().get(lane)?.probes.load(Ordering::Relaxed);
+        Some(probes)
+    }
+
     /// Number of QPs currently active under the scheduler.
     pub fn active_qps(&self) -> usize {
         self.inner.qp_sched.lock().total_active()
@@ -520,8 +544,21 @@ fn build_server_lane(
     }
     Ok(Arc::new(ServerQpCtx {
         link,
-        active: AtomicBool::new(true),
+        gate: LaneGate::default(),
+        probes: AtomicU64::new(0),
     }))
+}
+
+/// A lane the scheduler registered outside the active set (no room in
+/// the AQP budget) starts deactivated. No zero grant is sent: its client
+/// learns the epoch from the first renewal it is declined, and until
+/// then — or until a redistribution moves the lane — it is served like
+/// any draining lane. Caller holds the scheduler lock.
+fn gate_new_lane(inner: &ServerInner, sched: &QpScheduler, ctx: &ServerQpCtx, sq: SenderQp) {
+    if !sched.is_active(sq) {
+        ctx.gate.deactivate();
+        inner.stats.deactivations.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Undo `build_server_lane` for lanes that never joined a connection.
@@ -566,6 +603,13 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
     let counters = {
         let mut sched = inner.qp_sched.lock();
         sched.register_sender_tenant(sender_id, n, req.tenant);
+        for (qp, ctx) in qps.iter().enumerate() {
+            let sq = SenderQp {
+                sender: sender_id,
+                qp,
+            };
+            gate_new_lane(inner, &sched, ctx, sq);
+        }
         sched.accounting().counters(req.tenant)
     };
     conns.push(Arc::new(ServerConn {
@@ -641,13 +685,11 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
     {
         let mut sched = inner.qp_sched.lock();
         sched.add_qp(req.sender_id);
-        ctx.active.store(
-            sched.is_active(SenderQp {
-                sender: req.sender_id,
-                qp: req.lane,
-            }),
-            Ordering::Relaxed,
-        );
+        let sq = SenderQp {
+            sender: req.sender_id,
+            qp: req.lane,
+        };
+        gate_new_lane(inner, &sched, &ctx, sq);
     }
     qps.push(ctx);
     // Publish while holding the lane write lock, mirroring `accept_one`.
@@ -741,6 +783,8 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
 
     let drained: Vec<Arc<ServerQpCtx>> = std::mem::take(&mut *conn.qps.write());
     for ctx in drained {
+        #[cfg(debug_assertions)]
+        assert_silent_is_empty(&ctx);
         ctx.link.release(&inner.node);
     }
     // Dedicated one-sided QPs leave with the sender too (no quiescence
@@ -763,11 +807,6 @@ const NO_RESPONSES: &[(EntryMeta, &[u8])] = &[];
 
 /// Receive buffers posted per QP for credit-renewal immediates.
 const IMM_RECV_DEPTH: usize = 64;
-
-/// Sweep period on which dispatchers still probe *deactivated* QPs (see
-/// [`ServerQpCtx::active`]): bounded drain latency for in-flight requests
-/// without paying an empty ring probe per inactive QP per sweep.
-const INACTIVE_POLL_PERIOD: u64 = 16;
 
 /// Messages one visit to a lane handles before the worker moves on
 /// round-robin. Two, not a deep drain: the doorbell a backlogged visit
@@ -804,6 +843,9 @@ struct Lane {
     /// deferred and every visit retries, until this deadline
     /// (`cfg.timeout` after the ring last took anything) drops it.
     full_until: Option<u64>,
+    /// Drain epoch of a [`FLAG_DRAINED`] marker handled this visit,
+    /// applied to the lane's gate when the visit ends (`finish_drain`).
+    marker: Option<u16>,
 }
 
 /// One request-dispatcher worker: polls the request rings of the
@@ -838,7 +880,6 @@ struct DispatchShard {
     /// its ring into this buffer, or into the lane's `ahead`, which is
     /// swapped with it.
     msg: Vec<u8>,
-    sweep: u64,
 }
 
 impl DispatchShard {
@@ -852,7 +893,6 @@ impl DispatchShard {
             handlers_seen: u64::MAX,
             drained: Vec::new(),
             msg: Vec::new(),
-            sweep: 0,
         }
     }
 
@@ -865,6 +905,19 @@ impl DispatchShard {
         flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000)
     }
 
+    /// The "no request on a silent lane" oracle over this worker's
+    /// snapshot, whose lanes only this worker silences: when it settles
+    /// the snapshot and when the server stops (`detach_one` checks a
+    /// departing connection's lanes itself).
+    #[cfg(debug_assertions)]
+    fn assert_silent_lanes_are_empty(&self) {
+        for (_, lanes) in &self.conns {
+            lanes
+                .iter()
+                .for_each(|lane| assert_silent_is_empty(&lane.qp));
+        }
+    }
+
     /// One sweep over the partition. A busy sweep asks for `Next::Again`,
     /// which applies the accrued virtual CPU cost — otherwise a saturated
     /// dispatcher would freeze virtual time for every other task. Nothing
@@ -873,9 +926,10 @@ impl DispatchShard {
     fn step(&mut self) -> Next {
         let inner = &*self.inner;
         if inner.stop.load(Ordering::Relaxed) {
+            #[cfg(debug_assertions)]
+            self.assert_silent_lanes_are_empty();
             return Next::Done;
         }
-        self.sweep = self.sweep.wrapping_add(1);
         let gen = inner.topo_gen.load(Ordering::Acquire);
         if gen != self.conns_seen {
             // Settle before leaving: the new snapshot starts with empty
@@ -890,6 +944,8 @@ impl DispatchShard {
                 }
             }
             if settled {
+                #[cfg(debug_assertions)]
+                self.assert_silent_lanes_are_empty();
                 self.conns = snapshot_partition(inner, self.worker);
                 self.conns_seen = gen;
                 // Quiescence ack: once this store is visible, no departed
@@ -906,6 +962,7 @@ impl DispatchShard {
             self.handlers_seen = hgen;
         }
         let mut progressed = false;
+        let mut draining = 0;
         for (conn, lanes) in self.conns.iter_mut() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
@@ -915,18 +972,25 @@ impl DispatchShard {
                 conn.send_cq.poll(&mut self.drained, usize::MAX);
             }
             for lane in lanes.iter_mut() {
-                // Deactivated QPs drain at a reduced probe rate, unless
-                // a read-ahead message or deferred responses are already
-                // waiting here.
-                if lane.ahead.is_empty()
-                    && lane.full_until.is_none()
-                    && !lane.qp.active.load(Ordering::Relaxed)
-                    && !self.sweep.is_multiple_of(INACTIVE_POLL_PERIOD)
-                {
-                    continue;
+                // A silent lane's client sends nothing until the next
+                // grant, and the gate is active again before that grant
+                // is written: nothing to find, unless deferred responses
+                // are still waiting here.
+                match lane.qp.gate.phase() {
+                    LanePhase::Silent if lane.ahead.is_empty() && lane.full_until.is_none() => {
+                        continue
+                    }
+                    LanePhase::Draining(_) => draining += 1,
+                    _ => {}
                 }
                 progressed |= visit_lane(inner, &self.handlers, conn, lane, &mut self.msg);
             }
+        }
+        if draining > 0 {
+            inner
+                .stats
+                .drain_sweeps
+                .fetch_add(draining, Ordering::Relaxed);
         }
         if progressed {
             Next::Again
@@ -962,6 +1026,7 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
                     pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
                     pending_bytes: 0,
                     full_until: None,
+                    marker: None,
                 })
                 .collect();
             (Arc::clone(c), lanes)
@@ -977,6 +1042,7 @@ fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx, msg: &mut Vec<u8>) -> Re
     // The link folds the piggybacked head in now, not when the message
     // is handled: a flush that runs while this message is still the
     // read-ahead one sees the freshest response-ring space.
+    qp.probes.fetch_add(1, Ordering::Relaxed);
     let polled = qp.link.poll_into(msg);
     if matches!(polled, Ok(false)) {
         clock::charge(inner.cost.cpu_poll_empty_ns);
@@ -1037,7 +1103,35 @@ fn visit_lane(
             .head_flushes_skipped
             .fetch_add(1, Ordering::Relaxed);
     }
+    finish_drain(inner, lane);
     true
+}
+
+/// Apply the [`FLAG_DRAINED`] marker this visit handled, after the visit
+/// flushed what the lane owed: the lane goes silent if the marker's epoch
+/// is still the gate's. A stale one — the scheduler reactivated the lane
+/// while the marker was in flight — is ignored and the lane stays
+/// visited. (Responses a full ring still defers keep the lane visited
+/// through `full_until`, silent or not.)
+fn finish_drain(inner: &ServerInner, lane: &mut Lane) {
+    if let Some(epoch) = lane.marker.take() {
+        if lane.qp.gate.mark_silent(epoch) {
+            inner.stats.drains_completed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The "no request on a silent lane" oracle (debug builds): the ring is
+/// read before the gate, so a request that a reactivation let in between
+/// the two reads cannot fail it.
+#[cfg(debug_assertions)]
+fn assert_silent_is_empty(qp: &ServerQpCtx) {
+    let waiting = qp.link.holds_message();
+    assert!(
+        !(waiting && qp.gate.phase() == LanePhase::Silent),
+        "a silent lane's request ring holds a message (qpn {:?})",
+        qp.link.qpn()
+    );
 }
 
 /// Run the handlers of one request message; outputs join the lane's
@@ -1052,6 +1146,12 @@ fn handle_message(
 ) {
     clock::charge(inner.cost.cpu_ring_poll_ns);
     let view = ring::view(msg);
+    if view.header.flags & FLAG_DRAINED != 0 {
+        // The client's last word on a deactivated lane; no entries, and
+        // not counted as a request message.
+        lane.marker = Some(msg::unpack_aux(view.header.aux).1);
+        return;
+    }
     let entries = u64::from(view.header.count);
     inner.stats.messages.fetch_add(1, Ordering::Relaxed);
     inner.stats.requests.fetch_add(entries, Ordering::Relaxed);
@@ -1173,6 +1273,7 @@ fn settle_lane(
     if !lane.pending.is_empty() {
         flush_pending(inner, conn, lane);
     }
+    finish_drain(inner, lane);
     lane.pending.is_empty()
 }
 
@@ -1314,13 +1415,21 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                     (0, FLAG_CREDIT_GRANT)
                 }
             };
-            let _ = flush_response(inner, qp, NO_RESPONSES, flag, msg::pack_aux(granted, 0));
+            // A decline repeats the lane's drain epoch: it may be the
+            // first the client hears of it (a lane attached inactive).
+            let epoch = if granted == 0 { qp.gate.epoch() } else { 0 };
+            let _ = flush_response(inner, qp, NO_RESPONSES, flag, msg::pack_aux(granted, epoch));
         }
 
         if clock::now_ns().saturating_sub(last_redistribution) >= sched_interval_ns {
             last_redistribution = clock::now_ns();
-            let changes = inner.qp_sched.lock().redistribute();
+            let mut changes = inner.qp_sched.lock().redistribute();
             if !changes.is_empty() {
+                // A sender hears of its activations before its
+                // deactivations: its client never sees zero active lanes.
+                // (Ordered here: `redistribute`'s own order is also what
+                // the DES model's server walks.)
+                changes.sort_by_key(|&(sq, now_active)| (sq.sender, !now_active));
                 for (sq, now_active) in changes {
                     // Clone the lane out of the locks (same rationale as
                     // the credit path above).
@@ -1336,23 +1445,19 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                     let Some(qp) = looked_up else {
                         continue;
                     };
-                    // Mirror the scheduler's decision for the dispatchers'
-                    // inactive-QP poll throttle.
-                    qp.active.store(now_active, Ordering::Relaxed);
-                    // Proactively notify the client: reactivation carries a
-                    // fresh grant, deactivation a zero grant.
-                    let credits = if now_active {
-                        inner.cfg.sched.grant_size
+                    // Proactively notify the client. Reactivation: the
+                    // gate is active before the fresh grant is written,
+                    // so whatever that grant lets the client send finds
+                    // the lane visited. Deactivation: a zero grant with
+                    // the epoch the client's drained marker must echo.
+                    let aux = if now_active {
+                        qp.gate.activate();
+                        msg::pack_aux(inner.cfg.sched.grant_size, 0)
                     } else {
-                        0
+                        inner.stats.deactivations.fetch_add(1, Ordering::Relaxed);
+                        msg::pack_aux(0, qp.gate.deactivate())
                     };
-                    let _ = flush_response(
-                        inner,
-                        &qp,
-                        NO_RESPONSES,
-                        FLAG_CREDIT_GRANT,
-                        msg::pack_aux(credits, 0),
-                    );
+                    let _ = flush_response(inner, &qp, NO_RESPONSES, FLAG_CREDIT_GRANT, aux);
                 }
                 // Active-QP weights just shifted: re-cut the dispatcher
                 // partition so handler capacity follows the traffic.

@@ -28,6 +28,7 @@ use std::process::ExitCode;
 const LOOM_SUITES: &[(&str, &str)] = &[
     ("flock-core", "loom_tcq"),
     ("flock-core", "loom_alock"),
+    ("flock-core", "loom_lane"),
     ("flock-fabric", "loom_cq"),
 ];
 
