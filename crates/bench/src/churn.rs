@@ -28,7 +28,7 @@ use flock_core::client::HandleConfig;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
 use flock_fabric::FabricConfig;
-use flock_sim::vtime::VirtualLab;
+use flock_sim::vtime::{LabReport, VirtualLab};
 use flock_sync::clock;
 
 use crate::json::{float, object, Value};
@@ -126,6 +126,8 @@ pub struct StormOutcome {
     pub server_warm_leases: u64,
     /// Lab handovers — a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned.
     pub tasks: u64,
 }
@@ -217,10 +219,12 @@ pub fn run_storm(w: ChurnWorkload) -> StormOutcome {
             },
             server_warm_leases,
             handovers: 0,
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     outcome.handovers = report.handovers;
+    outcome.heap_pushes = report.heap_pushes;
     outcome.tasks = report.tasks_spawned;
     outcome
 }
@@ -250,13 +254,15 @@ pub struct ChurnOutcome {
     pub disturbance_ratio: f64,
     /// Lab handovers of the churn run — a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes of the churn run.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned in the churn run.
     pub tasks: u64,
 }
 
 /// One measured run: steady cohort latencies, optionally with churners.
-/// Returns (sorted latencies ns, churn events).
-fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, u64) {
+/// Returns (sorted latencies ns, churn events, the lab's report).
+fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
     let ((lats, events), report) = VirtualLab::run_report(move || {
         let domain = Arc::new(FlockDomain::new(elastic_fabric()));
         let server_node = domain.add_node("churn-srv");
@@ -360,14 +366,14 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, u64) {
         all.sort_unstable();
         (all, churn_events.load(Ordering::Relaxed) as u64)
     });
-    (lats, events, report.handovers, report.tasks_spawned)
+    (lats, events, report)
 }
 
 /// Run the churn-under-load scenario: once with churners, once without,
 /// same steady workload.
 pub fn run_churn_load(w: ChurnWorkload) -> ChurnOutcome {
-    let (churn_lats, events, handovers, tasks) = churn_run(w, true);
-    let (base_lats, _, _, _) = churn_run(w, false);
+    let (churn_lats, events, report) = churn_run(w, true);
+    let (base_lats, _, _) = churn_run(w, false);
     let baseline_p99_us = percentile_us(&base_lats, 0.99);
     let churn_p99_us = percentile_us(&churn_lats, 0.99);
     ChurnOutcome {
@@ -383,8 +389,9 @@ pub fn run_churn_load(w: ChurnWorkload) -> ChurnOutcome {
         } else {
             0.0
         },
-        handovers,
-        tasks,
+        handovers: report.handovers,
+        heap_pushes: report.heap_pushes,
+        tasks: report.tasks_spawned,
     }
 }
 
@@ -411,6 +418,8 @@ pub(crate) struct ScaleOutOutcome {
     pub handoff: Handoff,
     /// Lab handovers — a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned.
     pub tasks: u64,
 }
@@ -528,10 +537,12 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
             total_active_after,
             handoff,
             handovers: 0,
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     outcome.handovers = report.handovers;
+    outcome.heap_pushes = report.heap_pushes;
     outcome.tasks = report.tasks_spawned;
     outcome
 }
@@ -550,6 +561,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         doc: render(quick, w, &storm, &churn, &so),
         ops: 0,
         handovers: storm.handovers + churn.handovers + so.handovers,
+        heap_pushes: storm.heap_pushes + churn.heap_pushes + so.heap_pushes,
     }
 }
 
@@ -576,6 +588,7 @@ fn render(
                 ("warm_speedup", float(storm.warm_speedup, 3)),
                 ("server_warm_leases", storm.server_warm_leases.into()),
                 ("handovers", storm.handovers.into()),
+                ("heap_pushes", storm.heap_pushes.into()),
                 ("tasks", storm.tasks.into()),
             ]),
         ),
@@ -593,6 +606,7 @@ fn render(
                 ("churn_p99_us", float(churn.churn_p99_us, 2)),
                 ("disturbance_ratio", float(churn.disturbance_ratio, 3)),
                 ("handovers", churn.handovers.into()),
+                ("heap_pushes", churn.heap_pushes.into()),
                 ("tasks", churn.tasks.into()),
             ]),
         ),
@@ -607,6 +621,7 @@ fn render(
                 ("total_active_after", so.total_active_after.into()),
                 ("handoff", so.handoff.row()),
                 ("handovers", so.handovers.into()),
+                ("heap_pushes", so.heap_pushes.into()),
                 ("tasks", so.tasks.into()),
             ]),
         ),

@@ -529,5 +529,6 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         doc: object(doc),
         ops: 0,
         handovers: 0,
+        heap_pushes: 0,
     }
 }

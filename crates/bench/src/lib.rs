@@ -43,6 +43,8 @@ pub struct SuiteRun {
     pub ops: u64,
     /// Lab handovers over every scenario of the run.
     pub handovers: u64,
+    /// Lab heap pushes over every scenario of the run.
+    pub heap_pushes: u64,
 }
 
 /// Every suite `flock-bench` runs; `flock-bench --check` holds the

@@ -19,16 +19,16 @@
 //! replace a checked-in full one.
 //!
 //! `--check` runs the suites that have a file at full size and compares
-//! each document byte for byte with the checked-in one — `handovers`
-//! and `tasks` included, they are exact for a tree. It prints the lines
+//! each document byte for byte with the checked-in one — `handovers`,
+//! `heap_pushes` and `tasks` included, they are exact for a tree. It prints the lines
 //! that differ and exits 1 on any difference: a behaviour-preserving
 //! change leaves it green, and a change that moves a number regenerates
 //! the files and says why (EXPERIMENTS.md).
 //!
 //! Either way one line per suite goes to stderr: wall seconds (host
 //! cost, which is why it is printed and not stored in the compared
-//! files), the operations the document counts, and lab handovers (the
-//! `figures` document counts neither).
+//! files), the operations the document counts, lab handovers and lab
+//! heap pushes (the `figures` document counts none of them).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -61,8 +61,8 @@ fn run(suite: &Suite, quick: bool) -> (String, String) {
         "-".to_string()
     };
     let summary = format!(
-        "{:<8} {secs:6.2} s  {ops:>7} ops  {:>7} handovers",
-        suite.name, run.handovers
+        "{:<8} {secs:6.2} s  {ops:>7} ops  {:>7} handovers  {:>8} heap pushes",
+        suite.name, run.handovers, run.heap_pushes
     );
     (run.doc.render(), summary)
 }

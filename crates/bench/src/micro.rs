@@ -199,5 +199,6 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         ]),
         ops,
         handovers: 0,
+        heap_pushes: 0,
     }
 }

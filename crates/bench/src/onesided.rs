@@ -146,6 +146,8 @@ pub struct ModeOutcome {
     pub verbs: u64,
     /// Lab handovers — a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned.
     pub tasks: u64,
 }
@@ -321,10 +323,12 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
             retry_rate: rd_stats.retries as f64 / rd_stats.reads.max(1) as f64,
             verbs: rd_stats.verbs,
             handovers: 0, // filled from the lab report below
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     outcome.handovers = report.handovers;
+    outcome.heap_pushes = report.heap_pushes;
     outcome.tasks = report.tasks_spawned;
     outcome
 }
@@ -455,6 +459,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         doc: render(quick, w, &outcomes),
         ops: outcomes.iter().flatten().map(|o| o.gets + o.sets).sum(),
         handovers: outcomes.iter().flatten().map(|o| o.handovers).sum(),
+        heap_pushes: outcomes.iter().flatten().map(|o| o.heap_pushes).sum(),
     }
 }
 
@@ -478,6 +483,7 @@ fn render(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> Va
             ("retry_rate", float(o.retry_rate, 4)),
             ("verbs", o.verbs.into()),
             ("handovers", o.handovers.into()),
+            ("heap_pushes", o.heap_pushes.into()),
             ("tasks", o.tasks.into()),
         ]))
     };

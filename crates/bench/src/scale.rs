@@ -80,6 +80,9 @@ pub struct ScaleOutcome {
     /// Lab handovers (times a task's OS thread was given the core) — the
     /// host cost of the point, and a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes (`LabReport::heap_pushes`): the rest of the
+    /// point's host cost in the scheduler.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned over the run.
     pub tasks: u64,
 }
@@ -241,10 +244,12 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
             active_qps,
             total_qps: p.clients * p.n_qps,
             handovers: 0, // filled from the lab report below
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     outcome.handovers = report.handovers;
+    outcome.heap_pushes = report.heap_pushes;
     outcome.tasks = report.tasks_spawned;
     outcome
 }
@@ -296,6 +301,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         doc: render(quick, w, &outcomes),
         ops: outcomes.iter().map(|o| o.total_ops).sum(),
         handovers: outcomes.iter().map(|o| o.handovers).sum(),
+        heap_pushes: outcomes.iter().map(|o| o.heap_pushes).sum(),
     }
 }
 
@@ -337,6 +343,7 @@ fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {
             ("active_qps", o.active_qps.into()),
             ("total_qps", o.total_qps.into()),
             ("handovers", o.handovers.into()),
+            ("heap_pushes", o.heap_pushes.into()),
             ("tasks", o.tasks.into()),
         ]))
     };

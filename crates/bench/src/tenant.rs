@@ -213,6 +213,8 @@ pub struct MixOutcome {
     pub store_keys: usize,
     /// Lab handovers — a determinism fingerprint.
     pub handovers: u64,
+    /// Lab heap pushes.
+    pub heap_pushes: u64,
     /// Virtual tasks spawned.
     pub tasks: u64,
 }
@@ -350,10 +352,12 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
             tenants: stats,
             store_keys,
             handovers: 0,
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     outcome.handovers = report.handovers;
+    outcome.heap_pushes = report.heap_pushes;
     outcome.tasks = report.tasks_spawned;
     outcome
 }
@@ -432,6 +436,8 @@ pub struct InterferenceOutcome {
     pub handoff: [Handoff; 3],
     /// Lab handovers summed over the three runs.
     pub handovers: u64,
+    /// Lab heap pushes summed over the three runs.
+    pub heap_pushes: u64,
     /// Virtual tasks summed over the three runs.
     pub tasks: u64,
 }
@@ -447,6 +453,7 @@ struct InterferenceRun {
     aggr_lanes: usize,
     handoff: Handoff,
     handovers: u64,
+    heap_pushes: u64,
     tasks: u64,
 }
 
@@ -645,11 +652,13 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
             aggr_lanes,
             handoff,
             handovers: 0, // filled from the lab report below
+            heap_pushes: 0,
             tasks: 0,
         }
     });
     InterferenceRun {
         handovers: report.handovers,
+        heap_pushes: report.heap_pushes,
         tasks: report.tasks_spawned,
         ..run
     }
@@ -694,6 +703,7 @@ pub fn run_interference(w: TenantWorkload) -> InterferenceOutcome {
         aggr_ops_capped: cap.aggr_ops,
         handoff: [base.handoff, unc.handoff, cap.handoff],
         handovers: base.handovers + unc.handovers + cap.handovers,
+        heap_pushes: base.heap_pushes + unc.heap_pushes + cap.heap_pushes,
         tasks: base.tasks + unc.tasks + cap.tasks,
     }
 }
@@ -717,6 +727,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
             + intf.aggr_ops_uncapped
             + intf.aggr_ops_capped,
         handovers: zipf.handovers + hot.handovers + intf.handovers,
+        heap_pushes: zipf.heap_pushes + hot.heap_pushes + intf.heap_pushes,
     }
 }
 
@@ -737,6 +748,7 @@ fn render_mix(m: &MixOutcome) -> Value {
         ("jains_completed", float(m.jains_completed, 3)),
         ("store_keys", m.store_keys.into()),
         ("handovers", m.handovers.into()),
+        ("heap_pushes", m.heap_pushes.into()),
         ("tasks", m.tasks.into()),
     ])
 }
@@ -787,6 +799,7 @@ fn render(
                 ("handoff_uncapped", intf.handoff[1].row()),
                 ("handoff_capped", intf.handoff[2].row()),
                 ("handovers", intf.handovers.into()),
+                ("heap_pushes", intf.heap_pushes.into()),
                 ("tasks", intf.tasks.into()),
             ]),
         ),

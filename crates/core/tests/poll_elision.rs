@@ -11,7 +11,7 @@
 //!   deactivated, and a renewal nobody answers times out;
 //! * eight threads on one QP: TCQ followers wake on the hand-off only;
 //! * an idle handle whose lanes attach one by one: the response
-//!   dispatcher's re-armed sweeps charge the lanes it has, and the
+//!   dispatcher's skipped sweeps charge the lanes it has, and the
 //!   `lane_count` notify hands it the core back;
 //! * close and shutdown of a handle that has idled to the ladder's cap;
 //! * responses that overrun a small response ring: the dispatch shard —

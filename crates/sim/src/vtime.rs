@@ -17,27 +17,46 @@
 //! (`yield_now`, `sleep_ns`, an [`flock_sync::AdaptiveBackoff::idle`]
 //! round, a [`flock_sync::backoff`] spin, …). The yield:
 //!
-//! 1. pushes the task back onto a binary heap keyed by
-//!    `(wake_time, sequence)` — wake time is `now + charged cost`,
-//!    clamped to strictly advance;
+//! 1. pushes the task back onto a binary heap keyed by its wake time —
+//!    `now + charged cost`, clamped to strictly advance — and, among the
+//!    entries due at one instant, by *order*: the poll of a task asleep
+//!    in [`Executor::sleep_polling`] first, by task id, every other entry
+//!    after the polls, by sequence number;
 //! 2. pops the earliest entry, advances the virtual clock to its wake
 //!    time, and hands it the core: a switch to its stack;
 //! 3. is suspended until its own entry is popped.
+//!
+//! ## Parking
 //!
 //! A task blocked in [`flock_sync::clock::Event::wait_until`] or idling
 //! through [`flock_sync::AdaptiveBackoff::idle_on`] sleeps on a poll
 //! schedule and names the event that can end the wait
 //! ([`Executor::sleep_polling`]). When step 2 pops such a task while
 //! its event is still un-notified and its deadline has not passed, the
-//! poll it would run is known to fail, so the lab makes the push that
-//! poll's `sleep_ns` would have made — same wake time (the poll's own
-//! declared charge, [`Poll::busy_ns`], plus its next period), next
-//! sequence number — and pops again, without resuming the task. The
-//! heap sees the pushes a task polling every round makes, in the same
-//! order, so virtual time, every tie-break and every result are the
-//! same; only the host cost of an idle task changes (one heap operation
-//! per poll instead of a handover there and back). [`LabReport`] counts
-//! the two apart: `handovers` and `elided_polls`.
+//! poll it would run is known to fail, and so is every later one until
+//! the event is notified or the deadline passes. So the lab *parks* the
+//! task: it loses its heap entry and joins an intrusive list whose head
+//! lives in the event's [`Epoch`] (with a finite deadline, it also gets
+//! one entry in a second heap, at its first poll past the deadline).
+//! `notify_all` finds the list non-empty and calls
+//! [`Executor::notified`], which pushes every task of it at the first
+//! poll of its schedule that the notifying task precedes in heap order
+//! — computed from the doubling ladder and the constant `busy + cap`
+//! step ([`Poll::busy_ns`], [`Poll::cap_ns`]), not by walking the polls
+//! — and credits the polls in between to the task, whose
+//! `AdaptiveBackoff` ladder advances by them. An idle waiter costs two
+//! heap pushes per wait however long it waits. [`LabReport`] counts the
+//! polls that ran (`handovers`, `inline_steps`), those that did not
+//! (`elided_polls`), and the pushes (`heap_pushes`).
+//!
+//! The lab equals a lab that runs every poll
+//! ([`VirtualLab::run_report_reference`]) because a poll's order key is
+//! its task's id: the polls the lab did not run would have consumed no
+//! sequence number, so every other entry keeps its order too. Polls go
+//! first at their instant because that was nearly always the old order
+//! (a poll was re-armed one period before it was due, ahead of the
+//! short charges that came due with it), which keeps the benchmark's
+//! timelines within a few percent of what they were.
 //!
 //! ## Steppers: tasks without a stack
 //!
@@ -51,12 +70,12 @@
 //! [`clock::charge`]d and what it returned decide the push the lab then
 //! makes for it ([`StepperTask::run_inline`]): `now + charge` after
 //! work, `now + charge + ladder round` after an empty sweep, the latter
-//! with the same [`Poll`] re-arming as any waiter when the stepper named
-//! the event that ends its idling. Those are exactly the pushes the same
-//! body makes through `advance`/`sleep_polling` when a thread drives it
-//! ([`StepperTask::drive`]) — same wake times, same sequence numbers, in
-//! the same pop order — so the timeline does not depend on who runs a
-//! step, and the only thing that changes is again the host cost: no
+//! parked like any waiter when the stepper named the event that ends
+//! its idling. Those are exactly the pushes the same body makes through
+//! `advance`/`sleep_polling` when a thread drives it
+//! ([`StepperTask::drive`]) — same wake times, same order keys — so the
+//! timeline does not depend on who runs a step, and the only thing that
+//! changes is again the host cost: no
 //! handover, no 512 KiB stack (`LabReport::inline_steps`,
 //! `LabReport::stepper_tasks`). The price is one rule: a step runs on
 //! somebody else's stack, so it must not reach a suspension point itself
@@ -99,7 +118,7 @@
 //! two, and the virtual timeline does not depend on it.
 //!
 //! Because execution is serialized and wake-ups follow a total
-//! `(time, sequence)` order, the interleaving — and therefore every
+//! `(time, order)` order, the interleaving — and therefore every
 //! counter, histogram, and byte of benchmark output — is a pure function
 //! of the program and its seeds. The scheme is the cooperative-task twin
 //! of the event-closure engine in [`crate::engine`]: same heap
@@ -121,10 +140,12 @@
 //!   every task runs on the same OS thread.
 //! * Follow every state change a waiter's condition looks for with
 //!   `notify_all` on the event it sleeps on, before the next yield. The
-//!   lab does not run polls of un-notified events, so a missed notify
-//!   delays the waiter to its deadline; `run_report_reference` runs
-//!   every poll — and every task and stepper on a thread — and panics
-//!   at the first poll that finds such a change.
+//!   lab parks waiters of un-notified events, so a missed notify delays
+//!   the waiter to its deadline — or, with none, to the instant nothing
+//!   else is left to run, when the run fails with `virtual-time
+//!   deadlock: …` naming every parked task. `run_report_reference`
+//!   runs every poll — and every task and stepper on a thread — and
+//!   panics at the first poll that finds such a change.
 //! * A step never waits: it returns `Next::Idle` where a loop would
 //!   sleep, and `Next::Again` where it would flush its charge.
 //! * Never yield while holding a lock another task can contend (the
@@ -136,20 +157,20 @@
 //!
 //! A spawned task that panics — in its closure or in a step — fails the
 //! run instead of hanging it: the lab records `lab task '<name>'
-//! panicked: <message>`, frees the core, stops eliding, and unwinds
-//! every task that has a stack with that message at its next suspension
-//! point — the root by a `panic!` out of [`VirtualLab::run`]. Steppers
-//! keep being run meanwhile, so destructors that stop and join them
-//! finish.
+//! panicked: <message>`, frees the core, requeues every parked task,
+//! stops eliding, and unwinds every task that has a stack with that
+//! message at its next suspension point — the root by a `panic!` out of
+//! [`VirtualLab::run`]. Steppers keep being run meanwhile, so
+//! destructors that stop and join them finish. A deadlock fails the run
+//! the same way.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use flock_sync::clock::{self, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
+use flock_sync::clock::{self, Epoch, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
 
 use crate::fiber;
 
@@ -164,6 +185,15 @@ pub(crate) const YIELD_COST_NS: u64 = 50;
 /// In place of an elided-poll count: the run has failed (see
 /// `LabState::failed`) and the resumed task is to unwind.
 const FAILED: u64 = u64::MAX;
+
+/// Heap order among the entries due at one instant: a poll of a task
+/// asleep in [`Executor::sleep_polling`] is ordered by its task id,
+/// every other entry after all polls, by sequence number (`AFTER_POLLS +
+/// seq`). See "Parking" in the module docs.
+const AFTER_POLLS: u64 = 1 << 63;
+
+/// A heap entry, earliest first: `(instant, order, task id)`.
+type Entry = Reverse<(u64, u64, usize)>;
 
 /// Go-flag parker for one task's OS thread, where tasks have one (the
 /// reference run, and targets without a stack switch).
@@ -201,46 +231,101 @@ impl TaskSlot {
     }
 }
 
+/// What the lab keeps per task id. An id on `LabState::free_ids` has
+/// neither slot, stack, stepper nor sleep.
+#[derive(Default)]
+struct Task {
+    name: String,
+    /// With `LabState::threads`, the OS thread the task is hosted on;
+    /// `None` for a stepper.
+    slot: Option<Arc<TaskSlot>>,
+    /// Without `threads`, where the task is suspended while it is not
+    /// `current` (boxed: `switch` writes to it with the lab unlocked);
+    /// `None` for a stepper.
+    stack: Option<Box<fiber::Context>>,
+    /// Without `threads`: the task is unwinding from a panic (see
+    /// `current_is_unwinding`).
+    unwinding: bool,
+    /// A stepper, which has neither thread nor stack. Taken out while its
+    /// step runs.
+    stepper: Option<Box<InlineStepper>>,
+    /// While the task is asleep in [`Executor::sleep_polling`].
+    sleep: Option<Sleep>,
+}
+
+impl Task {
+    fn is_parked(&self) -> bool {
+        self.sleep.as_ref().is_some_and(|s| s.parked.is_some())
+    }
+}
+
+/// A task asleep in [`Executor::sleep_polling`].
+struct Sleep {
+    poll: Poll,
+    /// Polls it slept through without running, passed on at the wake.
+    elided: u64,
+    /// While the task is parked (module docs, "Parking").
+    parked: Option<Parked>,
+}
+
+impl Sleep {
+    fn new(poll: Poll) -> Sleep {
+        Sleep {
+            poll,
+            elided: 0,
+            parked: None,
+        }
+    }
+}
+
+/// A task taken off the run queue until its event is notified or its
+/// deadline passes.
+struct Parked {
+    /// The instant of the poll it parked at; its schedule runs on from
+    /// there.
+    at_ns: u64,
+    /// Its neighbours in the list of tasks parked on the same [`Epoch`].
+    prev: Option<usize>,
+    next: Option<usize>,
+    /// Its entry in `LabState::deadlines`: its first poll past the
+    /// deadline, and how many polls its schedule makes until then.
+    deadline: Option<(u64, u64)>,
+}
+
 struct LabState {
     now: u64,
     seq: u64,
-    /// `Reverse((wake_ns, seq, task_id))`: min-heap on (time, sequence).
-    /// Invariant: every live task except `current` has exactly one entry.
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// The run queue. Invariant: every live task except `current` has
+    /// exactly one entry in it or is parked.
+    heap: BinaryHeap<Entry>,
+    /// The deadline wakes of parked tasks (`Parked::deadline`), keyed as
+    /// their polls would be. A notify leaves a task's entry stale: it is
+    /// skipped when popped, and `park` drops them all once they outnumber
+    /// the live ones by 64.
+    deadlines: BinaryHeap<Entry>,
+    /// Parked tasks with a live entry in `deadlines`.
+    live_deadlines: usize,
     /// Every task that is not a stepper is hosted on an OS thread of its
-    /// own (`slots`) instead of a stack of its own (`stacks`).
+    /// own (`Task::slot`) instead of a stack of its own (`Task::stack`).
     threads: bool,
-    /// With `threads`, slot per task id; `None` = a stepper, or the id
-    /// is free (on `free_ids`).
-    slots: Vec<Option<Arc<TaskSlot>>>,
-    /// Without `threads`, per task id, parallel to `slots`: where the
-    /// task is suspended while it is not `current` (boxed: `switch`
-    /// writes to it with the lab unlocked). `None` as in `slots`.
-    stacks: Vec<Option<Box<fiber::Context>>>,
+    tasks: Vec<Task>,
     /// The context of the task that exited last, on whose stack the
     /// switch away from it was still running; whoever schedules next
     /// drops it.
     zombie: Option<Box<fiber::Context>>,
     /// [`fiber::thread_token`] of the thread every stack is switched on.
     home: usize,
-    /// Per task id, parallel to `slots`: without `threads`, the task is
-    /// unwinding from a panic (see `current_is_unwinding`).
-    unwinding: Vec<bool>,
-    /// Per task id, parallel to `slots`: a stepper, which has neither
-    /// thread nor stack. Taken out while its step runs.
-    steppers: Vec<Option<Box<InlineStepper>>>,
-    /// Per task id, parallel to `slots`: while the task is asleep in
-    /// [`Executor::sleep_polling`], its schedule and the polls elided so
-    /// far.
-    polling: Vec<Option<(Poll, u64)>>,
     free_ids: Vec<usize>,
-    /// The task currently holding the core.
+    /// The task currently holding the core, and the order of the entry
+    /// it was popped at (0 for the root before its first suspension).
     current: usize,
+    current_order: u64,
     /// Registered tasks, including the root.
     live: usize,
     handovers: u64,
     elided_polls: u64,
     inline_steps: u64,
+    heap_pushes: u64,
     tasks_spawned: u64,
     stepper_tasks: u64,
     /// A stepper's step is running (on the stack of the task that is
@@ -250,16 +335,25 @@ struct LabState {
     /// `run_report_reference`).
     reference: bool,
     /// The first panic of a spawned task, as `lab task '<name>' panicked:
-    /// <message>`. From then on the run only unwinds: no poll is elided
-    /// and every task panics with this at its next suspension point.
+    /// <message>`, or the deadlock. From then on the run only unwinds:
+    /// no poll is elided and every task panics with this at its next
+    /// suspension point.
     failed: Option<String>,
 }
 
 impl LabState {
-    fn push(&mut self, wake_ns: u64, id: usize) {
-        let seq = self.seq;
+    /// Queue task `id` at `at`, after every poll due then.
+    fn push(&mut self, at: u64, id: usize) {
+        let order = AFTER_POLLS | self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((wake_ns, seq, id)));
+        self.heap_pushes += 1;
+        self.heap.push(Reverse((at, order, id)));
+    }
+
+    /// Queue a poll of task `id` at `at`.
+    fn push_poll(&mut self, at: u64, id: usize) {
+        self.heap_pushes += 1;
+        self.heap.push(Reverse((at, id as u64, id)));
     }
 
     /// Advance the clock to the earliest entry whose task has something
@@ -267,57 +361,163 @@ impl LabState {
     /// elided during the sleep this ends.
     fn pop_due(&mut self) -> (usize, u64) {
         loop {
-            let Reverse((t, _, id)) = self
-                .heap
-                .pop()
-                .expect("virtual-time deadlock: no runnable task");
-            self.now = self.now.max(t);
-            if let Some((p, elided)) = &mut self.polling[id] {
+            let Some((at, order, id)) = self.pop_entry() else {
+                self.deadlock();
+                continue;
+            };
+            self.now = self.now.max(at);
+            if let Some(Sleep { poll, .. }) = &self.tasks[id].sleep {
                 if !self.reference
                     && self.failed.is_none()
-                    && self.now <= p.deadline_ns
-                    && p.epoch.load(Ordering::Relaxed) == p.seen
+                    && self.now <= poll.deadline_ns
+                    && poll.epoch.get() == poll.seen
                 {
-                    // The task would check, fail, and sleep its next
-                    // period on top of what the check charged: make
-                    // that push for it.
-                    let wake = self
-                        .now
-                        .saturating_add(p.busy_ns.saturating_add(p.period_ns).max(1));
-                    p.period_ns = p.period_ns.saturating_mul(2).min(p.cap_ns);
-                    *elided += 1;
-                    self.elided_polls += 1;
-                    self.push(wake, id);
+                    // This poll would fail, and so would every one after
+                    // it until a notify or the deadline.
+                    self.park(id);
                     continue;
                 }
             }
             self.current = id;
-            let elided = self.polling[id].take().map_or(0, |(_, elided)| elided);
+            self.current_order = order;
+            let elided = self.tasks[id].sleep.take().map_or(0, |s| s.elided);
             return (id, elided);
         }
     }
 
+    /// Pop the earliest entry of the run queue and of the deadline wakes
+    /// (unparking the task of the latter); `None` when both are empty.
+    fn pop_entry(&mut self) -> Option<(u64, u64, usize)> {
+        loop {
+            let deadline_first = match (self.heap.peek(), self.deadlines.peek()) {
+                (_, None) => false,
+                (None, Some(_)) => true,
+                (Some(Reverse(queued)), Some(Reverse(deadline))) => deadline < queued,
+            };
+            if !deadline_first {
+                return self.heap.pop().map(|Reverse(entry)| entry);
+            }
+            let Reverse((at, order, id)) = self.deadlines.pop()?;
+            if deadline_of(&self.tasks, id) == Some(at) {
+                self.unpark(id, |_, parked| parked.deadline.expect("a deadline wake"));
+                return Some((at, order, id));
+            }
+            // Stale: the task was woken before its deadline.
+        }
+    }
+
+    /// Take task `id`, popped at a poll that cannot succeed, off the run
+    /// queue until its epoch is notified or its deadline passes.
+    fn park(&mut self, id: usize) {
+        let at_ns = self.now;
+        let sleep = self.tasks[id].sleep.as_mut().expect("only a sleeper parks");
+        let poll = &sleep.poll;
+        let deadline =
+            (poll.deadline_ns != u64::MAX).then(|| next_poll(poll, at_ns, poll.deadline_ns + 1));
+        let next = poll.epoch.parked();
+        poll.epoch.set_parked(Some(id));
+        sleep.parked = Some(Parked {
+            at_ns,
+            prev: None,
+            next,
+            deadline,
+        });
+        if let Some(next) = next {
+            self.parked_mut(next).prev = Some(id);
+        }
+        let Some((due, _)) = deadline else {
+            return;
+        };
+        self.live_deadlines += 1;
+        self.heap_pushes += 1;
+        self.deadlines.push(Reverse((due, id as u64, id)));
+        if self.deadlines.len() > 2 * self.live_deadlines + 64 {
+            let tasks = &self.tasks;
+            self.deadlines
+                .retain(|&Reverse((due, _, id))| deadline_of(tasks, id) == Some(due));
+        }
+    }
+
+    fn parked_mut(&mut self, id: usize) -> &mut Parked {
+        let sleep = self.tasks[id].sleep.as_mut();
+        sleep
+            .and_then(|s| s.parked.as_mut())
+            .expect("a parked task")
+    }
+
+    /// Take parked task `id` off its epoch's list, to run at the poll
+    /// `wake` picks from its schedule: `(instant, polls until then)`.
+    /// Those polls are credited to the task as slept through. Returns
+    /// the instant.
+    fn unpark(&mut self, id: usize, wake: impl FnOnce(&Poll, &Parked) -> (u64, u64)) -> u64 {
+        let sleep = self.tasks[id].sleep.as_mut().expect("a parked task");
+        let parked = sleep.parked.take().expect("a parked task");
+        let (at, polls) = wake(&sleep.poll, &parked);
+        sleep.elided = polls;
+        match parked.prev {
+            None => sleep.poll.epoch.set_parked(parked.next),
+            Some(prev) => self.parked_mut(prev).next = parked.next,
+        }
+        if let Some(next) = parked.next {
+            self.parked_mut(next).prev = parked.prev;
+        }
+        self.live_deadlines -= usize::from(parked.deadline.is_some());
+        self.elided_polls += polls;
+        at
+    }
+
+    /// Put parked task `id` back on the run queue at the first poll of
+    /// its schedule that comes after the current task in heap order.
+    fn wake_after_current(&mut self, id: usize) {
+        let bound = if id as u64 > self.current_order {
+            self.now
+        } else {
+            self.now.saturating_add(1)
+        };
+        let at = self.unpark(id, |poll, parked| next_poll(poll, parked.at_ns, bound));
+        self.push_poll(at, id);
+    }
+
+    /// Nothing is queued, so every live task is parked on an event that
+    /// nothing left running can notify: fail the run, naming them.
+    fn deadlock(&mut self) {
+        let parked: Vec<&str> = (self.tasks.iter())
+            .filter(|task| task.is_parked())
+            .map(|task| task.name.as_str())
+            .collect();
+        assert!(
+            !parked.is_empty(),
+            "virtual-time deadlock: no runnable task"
+        );
+        let message = format!(
+            "virtual-time deadlock: every live task waits on an event nobody is left to \
+             notify: '{}'",
+            parked.join("', '")
+        );
+        self.fail_with(message);
+    }
+
     fn slot(&self, id: usize) -> Arc<TaskSlot> {
-        self.slots[id].clone().expect("live task has no slot")
+        self.tasks[id].slot.clone().expect("live task has no slot")
     }
 
     /// Where `switch` finds (or leaves) live task `id`.
     fn context(&mut self, id: usize) -> *mut fiber::Context {
-        &raw mut **self.stacks[id].as_mut().expect("live task has no stack")
+        &raw mut **self.tasks[id]
+            .stack
+            .as_mut()
+            .expect("live task has no stack")
     }
 
     /// A fresh task id, its first wake-up queued at the current instant
     /// in spawn order (the spawner keeps the core until its own next
     /// yield).
-    fn register(&mut self) -> usize {
+    fn register(&mut self, name: String) -> usize {
         let id = self.free_ids.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.stacks.push(None);
-            self.unwinding.push(false);
-            self.steppers.push(None);
-            self.polling.push(None);
-            self.slots.len() - 1
+            self.tasks.push(Task::default());
+            self.tasks.len() - 1
         });
+        self.tasks[id].name = name;
         self.live += 1;
         self.tasks_spawned += 1;
         self.push(self.now, id);
@@ -327,8 +527,9 @@ impl LabState {
     /// Deregister task `id`. Under the lab lock and before the next task
     /// is chosen, so a joiner whose poll is due now sees the exit.
     fn retire(&mut self, id: usize) {
-        self.slots[id] = None;
-        self.unwinding[id] = false;
+        let task = &mut self.tasks[id];
+        task.slot = None;
+        task.unwinding = false;
         self.free_ids.push(id);
         self.live -= 1;
     }
@@ -351,27 +552,79 @@ impl LabState {
             return panicking;
         }
         let me = self.current;
-        self.unwinding[me] =
-            panicking && (self.unwinding[me] || !self.unwinding.iter().any(|&u| u));
-        self.unwinding[me]
+        let unwinding = panicking
+            && (self.tasks[me].unwinding || !self.tasks.iter().any(|task| task.unwinding));
+        self.tasks[me].unwinding = unwinding;
+        unwinding
     }
 
-    /// Record the first panic of a spawned task; see `LabState::failed`.
-    fn fail(&mut self, name: &str, payload: &(dyn Any + Send)) {
+    /// Record the first panic of spawned task `id`; see
+    /// `LabState::failed`.
+    fn fail(&mut self, id: usize, payload: &(dyn Any + Send)) {
+        if self.failed.is_some() {
+            return;
+        }
         let what = payload
             .downcast_ref::<&str>()
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
             .unwrap_or("(payload is not a string)");
-        self.failed
-            .get_or_insert_with(|| format!("lab task '{name}' panicked: {what}"));
+        let message = format!("lab task '{}' panicked: {what}", self.tasks[id].name);
+        self.fail_with(message);
     }
+
+    /// Fail the run with `message`, and requeue every parked task so
+    /// that it unwinds.
+    fn fail_with(&mut self, message: String) {
+        self.failed = Some(message);
+        for id in 0..self.tasks.len() {
+            if self.tasks[id].is_parked() {
+                self.wake_after_current(id);
+            }
+        }
+    }
+}
+
+/// The instant of parked task `id`'s entry in `LabState::deadlines`, if
+/// it has a live one.
+fn deadline_of(tasks: &[Task], id: usize) -> Option<u64> {
+    let parked = tasks[id].sleep.as_ref()?.parked.as_ref()?;
+    parked.deadline.map(|(due, _)| due)
+}
+
+/// The first instant at or after `bound` at which a task that parked at
+/// a poll at `parked_ns` polls again, and how many polls its schedule
+/// makes until then, the one at `parked_ns` included. After each failed
+/// poll the task sleeps `busy_ns` plus its period, which doubles from
+/// `period_ns` up to `cap_ns`: the doubling rounds are taken one by one
+/// (at most 64; a few in practice), the constant rounds after them in
+/// one division — a 10 s deadline on a 500 ns grid is 2·10⁷ of those.
+fn next_poll(poll: &Poll, parked_ns: u64, bound: u64) -> (u64, u64) {
+    let round = |period: u64| poll.busy_ns.saturating_add(period).max(1);
+    let (mut at, mut period, mut polls) = (parked_ns, poll.period_ns, 0);
+    loop {
+        at = at.saturating_add(round(period));
+        polls += 1;
+        if at >= bound {
+            return (at, polls);
+        }
+        let doubled = period.saturating_mul(2).min(poll.cap_ns);
+        if doubled == period {
+            break;
+        }
+        period = doubled;
+    }
+    let step = round(period);
+    let rounds = (bound - at).div_ceil(step);
+    (
+        at.saturating_add(rounds.saturating_mul(step)),
+        polls + rounds,
+    )
 }
 
 /// A task the lab runs itself, one step at a time, whenever its heap
 /// entry comes up ([`Executor::spawn_stepper`]).
 struct InlineStepper {
-    name: String,
     task: StepperTask,
     exit: Arc<TaskExit>,
 }
@@ -388,7 +641,7 @@ fn raise_if_failed(mut st: MutexGuard<'_, LabState>) -> MutexGuard<'_, LabState>
         return st;
     };
     let me = st.current;
-    st.unwinding[me] = true;
+    st.tasks[me].unwinding = true;
     let root = me == 0;
     // Never unwind through the lab lock: every task still needs it.
     drop(st);
@@ -422,14 +675,19 @@ pub struct LabReport {
     /// switches (futex calls and context switches, in the reference
     /// run).
     pub handovers: u64,
-    /// Polls of un-notified events the lab re-armed without waking the
-    /// task.
+    /// Polls of un-notified events the lab slept through without waking
+    /// the task.
     pub elided_polls: u64,
     /// Times the lab ran a stepper that was due, on the stack of the
     /// task giving up the core. `handovers + elided_polls +
     /// inline_steps` is the number of suspension points of a run in
     /// which every task is a thread and executes every poll itself.
     pub inline_steps: u64,
+    /// Entries the lab pushed onto its run queue and its deadline heap:
+    /// its own host work besides the handovers and the steps. A waiter
+    /// costs one at its sleep and one at its wake (a third with a
+    /// finite deadline), however many polls it sleeps through.
+    pub heap_pushes: u64,
     /// Tasks spawned over the run (excluding the root), steppers
     /// included.
     pub tasks_spawned: u64,
@@ -446,20 +704,20 @@ impl VirtualLab {
                     now: 0,
                     seq: 0,
                     heap: BinaryHeap::new(),
+                    deadlines: BinaryHeap::new(),
+                    live_deadlines: 0,
                     threads: reference || !fiber::SUPPORTED,
-                    slots: Vec::new(),
-                    stacks: Vec::new(),
+                    tasks: Vec::new(),
                     zombie: None,
                     home: fiber::thread_token(),
-                    unwinding: Vec::new(),
-                    steppers: Vec::new(),
-                    polling: Vec::new(),
                     free_ids: Vec::new(),
                     current: 0,
+                    current_order: 0,
                     live: 0,
                     handovers: 0,
                     elided_polls: 0,
                     inline_steps: 0,
+                    heap_pushes: 0,
                     tasks_spawned: 0,
                     stepper_tasks: 0,
                     stepping: false,
@@ -531,12 +789,12 @@ impl VirtualLab {
             // The root is task 0, on the calling thread's own stack.
             let mut st = lab.lock();
             let threads = st.threads;
-            st.slots.push(threads.then(|| Arc::new(TaskSlot::new())));
-            st.stacks
-                .push((!threads).then(|| Box::new(fiber::Context::running())));
-            st.unwinding.push(false);
-            st.steppers.push(None);
-            st.polling.push(None);
+            st.tasks.push(Task {
+                name: "root".to_string(),
+                slot: threads.then(|| Arc::new(TaskSlot::new())),
+                stack: (!threads).then(|| Box::new(fiber::Context::running())),
+                ..Task::default()
+            });
             st.live = 1;
             st.current = 0;
         }
@@ -551,7 +809,7 @@ impl VirtualLab {
         );
         st.zombie = None;
         assert!(
-            st.stacks.iter().skip(1).all(Option::is_none),
+            st.tasks.iter().skip(1).all(|task| task.stack.is_none()),
             "the stack of a task that exited is still mapped"
         );
         let report = LabReport {
@@ -559,6 +817,7 @@ impl VirtualLab {
             handovers: st.handovers,
             elided_polls: st.elided_polls,
             inline_steps: st.inline_steps,
+            heap_pushes: st.heap_pushes,
             tasks_spawned: st.tasks_spawned,
             stepper_tasks: st.stepper_tasks,
         };
@@ -575,14 +834,14 @@ impl VirtualLab {
     /// stepper that comes up on the way is run here, on the calling
     /// thread, with the lab lock released — and then makes the push its
     /// own `advance`/`sleep_polling` would have made on a thread: same
-    /// wake time, next sequence number, same poll re-arming.
+    /// wake time, same order key.
     fn next_thread_task<'a>(
         &'a self,
         mut st: MutexGuard<'a, LabState>,
     ) -> (MutexGuard<'a, LabState>, usize, u64) {
         loop {
             let (id, elided) = st.pop_due();
-            let Some(mut stepper) = st.steppers[id].take() else {
+            let Some(mut stepper) = st.tasks[id].stepper.take() else {
                 st.handovers += 1;
                 // A failed run says so to the task it resumes: a run
                 // that does not fail pays nothing for the check.
@@ -595,26 +854,46 @@ impl VirtualLab {
             let outcome = stepper.task.run_inline(elided);
             st = self.lock();
             st.stepping = false;
-            let (wake_after, polling) = match outcome {
-                Ok(Resume::After(ns)) => (ns, None),
-                Ok(Resume::Polling(first_ns, poll)) => (first_ns, Some((poll, 0))),
+            let now = st.now;
+            match outcome {
+                Ok(Resume::After(ns)) => st.push(now.saturating_add(ns.max(1)), id),
+                Ok(Resume::Polling(first_ns, poll)) => {
+                    st.tasks[id].sleep = Some(Sleep::new(poll));
+                    st.push_poll(now.saturating_add(first_ns.max(1)), id);
+                }
                 Ok(Resume::Done) => {
-                    st.retire(id);
-                    stepper.exit.signal();
+                    st = self.end_task(st, id, &stepper.exit, None);
                     continue;
                 }
                 Err(payload) => {
-                    st.fail(&stepper.name, payload.as_ref());
-                    st.retire(id);
-                    stepper.exit.signal_panic(payload);
+                    st = self.end_task(st, id, &stepper.exit, Some(payload));
                     continue;
                 }
-            };
-            st.polling[id] = polling;
-            let wake = st.now.saturating_add(wake_after.max(1));
-            st.push(wake, id);
-            st.steppers[id] = Some(stepper);
+            }
+            st.tasks[id].stepper = Some(stepper);
         }
+    }
+
+    /// Deregister task `id`, whose body returned or died of `panic`, and
+    /// tell its joiners — with the lab unlocked, because the notify may
+    /// wake parked ones ([`Executor::notified`]). Returns the lock again.
+    fn end_task<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, LabState>,
+        id: usize,
+        exit: &TaskExit,
+        panic: Option<Box<dyn Any + Send>>,
+    ) -> MutexGuard<'a, LabState> {
+        if let Some(payload) = &panic {
+            st.fail(id, payload.as_ref());
+        }
+        st.retire(id);
+        drop(st);
+        match panic {
+            Some(payload) => exit.signal_panic(payload),
+            None => exit.signal(),
+        }
+        self.lock()
     }
 
     /// Deregister the calling (current) task, whose body has returned or
@@ -623,7 +902,6 @@ impl VirtualLab {
     /// the switch returned, for the caller to make last of all.
     fn exit_current(
         &self,
-        name: &str,
         exit: &TaskExit,
         panic: Option<Box<dyn Any + Send>>,
     ) -> Option<fiber::Handover> {
@@ -631,15 +909,8 @@ impl VirtualLab {
         let me = st.current;
         // Whose stack this was running on when it exited, if anybody's;
         // from here on, this task's.
-        st.zombie = st.stacks[me].take();
-        st.retire(me);
-        match panic {
-            Some(payload) => {
-                st.fail(name, payload.as_ref());
-                exit.signal_panic(payload);
-            }
-            None => exit.signal(),
-        }
+        st.zombie = st.tasks[me].stack.take();
+        let st = self.end_task(st, me, exit, panic);
         // The root never exits: somebody is left to run.
         let (mut st, id, go) = self.next_thread_task(st);
         if st.threads {
@@ -684,9 +955,14 @@ impl VirtualLab {
         // Not before: a step may be running on the stack in question.
         st.zombie = None;
         let me = st.current;
-        st.polling[me] = polling.map(|p| (p, 0));
         let wake = st.now.saturating_add(ns);
-        st.push(wake, me);
+        match polling {
+            Some(poll) => {
+                st.tasks[me].sleep = Some(Sleep::new(poll));
+                st.push_poll(wake, me);
+            }
+            None => st.push(wake, me),
+        }
         let (mut st, id, go) = self.next_thread_task(st);
         if id == me {
             // Fast path: we are still the earliest task; keep the core.
@@ -743,23 +1019,24 @@ impl Executor for VirtualLab {
 
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
         let exit = Arc::new(TaskExit::default());
-        let (lab, fin, task) = (self.clone(), exit.clone(), name.clone());
+        let (lab, fin) = (self.clone(), exit.clone());
         // Release the core whatever happened: a task that died holding
         // it would leave every other task suspended.
         let body = move || {
             let panic = catch_unwind(AssertUnwindSafe(f)).err();
-            lab.exit_current(&task, &fin, panic)
+            lab.exit_current(&fin, panic)
         };
         let mut st = self.lock();
-        let id = st.register();
+        let id = st.register(name);
         if !st.threads {
-            st.stacks[id] = Some(Box::new(fiber::Context::new(Box::new(move || {
+            st.tasks[id].stack = Some(Box::new(fiber::Context::new(Box::new(move || {
                 body().expect("a task with a stack ends in a switch")
             }))));
             return TaskHandle::inline(exit);
         }
         let slot = Arc::new(TaskSlot::new());
-        st.slots[id] = Some(slot.clone());
+        st.tasks[id].slot = Some(slot.clone());
+        let name = st.tasks[id].name.clone();
         drop(st);
         let lab = self.clone();
         let thread = std::thread::Builder::new()
@@ -783,10 +1060,9 @@ impl Executor for VirtualLab {
             return self.spawn_task(name, Box::new(move || task.drive()));
         }
         let exit = Arc::new(TaskExit::default());
-        let id = st.register();
+        let id = st.register(name);
         st.stepper_tasks += 1;
-        st.steppers[id] = Some(Box::new(InlineStepper {
-            name,
+        st.tasks[id].stepper = Some(Box::new(InlineStepper {
             task,
             exit: exit.clone(),
         }));
@@ -796,12 +1072,19 @@ impl Executor for VirtualLab {
     fn yield_cost_ns(&self) -> u64 {
         YIELD_COST_NS
     }
+
+    fn notified(&self, epoch: &Epoch) {
+        let mut st = self.lock();
+        while let Some(id) = epoch.parked() {
+            st.wake_after_current(id);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     #[test]
     fn clock_starts_at_zero_and_sleep_advances() {
@@ -985,28 +1268,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn idle_waiter_costs_one_heap_operation_per_poll() {
-        let ((), report) = VirtualLab::run_against_reference(|| {
+    /// The root waits on a 500 ns quantum for a flag that a task sets
+    /// and announces after sleeping `wait_ns`. Returns when the root saw
+    /// it.
+    fn idle_waiter(wait_ns: u64) -> (u64, LabReport) {
+        VirtualLab::run_against_reference(|| {
             let shared = Arc::new((clock::Event::new(), Flag::default()));
             let notifier = {
                 let shared = shared.clone();
                 clock::spawn("notifier", move || {
-                    clock::sleep_ns(1_000_000);
+                    clock::sleep_ns(wait_ns);
                     shared.1.set();
                     shared.0.notify_all();
                 })
             };
             let (ev, flag) = &*shared;
             ev.wait_until(u64::MAX, 500, || flag.is_set());
-            assert_eq!(clock::now_ns(), 1_000_000);
+            let woke = clock::now_ns();
             notifier.join().unwrap();
-        });
+            woke
+        })
+    }
+
+    #[test]
+    fn idle_waiter_costs_no_heap_operation_per_poll() {
+        let (woke, short) = idle_waiter(1_000_000);
+        // The poll due at 1 000 000 ns runs before the notifier's wake-up
+        // at that instant (polls go first), so the notify is seen by the
+        // next one.
+        assert_eq!(woke, 1_000_500);
         // The notifier's first schedule, its wake-up after the sleep,
         // and the waiter's one poll that follows the notify; the polls
-        // at 500, 1 000, …, 999 500 ns never reach the waiter's thread.
-        assert_eq!(report.handovers, 3);
-        assert_eq!(report.elided_polls, 1_999);
+        // at 500, 1 000, …, 1 000 000 ns never reach the waiter's stack.
+        assert_eq!(short.handovers, 3);
+        assert_eq!(short.elided_polls, 2_000);
+        // Ten times the wait, ten times the polls slept through, and not
+        // one heap push more: spawn, the two sleeps, and the wake.
+        let (_, long) = idle_waiter(10_000_000);
+        assert_eq!(long.elided_polls, 20_000);
+        assert_eq!((short.heap_pushes, long.heap_pushes), (4, 4));
     }
 
     /// A poll loop idling on the NIC lane's ladder (2 µs cap, so it
@@ -1062,7 +1362,7 @@ mod tests {
     fn re_armed_poll_charges_the_empty_check_and_doubles_the_period() {
         // 100 ns per empty poll: polls at 350 (100 + 250), 950 (+ 100 +
         // 500), 2 050 (+ 100 + 1 000), 4 150, 6 250 (+ 100 + 2 000) ns,
-        // run by the task or re-armed by the lab alike.
+        // run by the task or slept through by the lab alike.
         assert_eq!(doorbell_scenario(100, 100), (350, 850));
         assert_eq!(doorbell_scenario(351, 100), (950, 1_950));
         assert_eq!(doorbell_scenario(1_234, 100), (2_050, 4_050));
@@ -1098,6 +1398,41 @@ mod tests {
             .downcast_ref::<String>()
             .expect("a formatted message");
         assert_eq!(message, "lab task 'doomed' panicked: boom at 1000 ns");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_deadlock_fails_the_run_and_names_every_waiter() {
+        // Two tasks each wait, with no deadline, for a flag that only the
+        // other sets, after its own wait; the root joins them. Nothing
+        // can ever run again: the run must say so, not spin forever.
+        type Signal = Arc<(clock::Event, Flag)>;
+        let started = std::time::Instant::now();
+        let failure = std::panic::catch_unwind(|| {
+            VirtualLab::run(|| {
+                let (a, b): (Signal, Signal) = Default::default();
+                let task = |name, mine: Signal, theirs: Signal| {
+                    clock::spawn(name, move || {
+                        theirs.0.wait_until(u64::MAX, 500, || theirs.1.is_set());
+                        mine.1.set();
+                        mine.0.notify_all();
+                    })
+                };
+                let tasks = [task("a", a.clone(), b.clone()), task("b", b, a)];
+                for task in tasks {
+                    let _ = task.join();
+                }
+            })
+        })
+        .expect_err("a deadlock must fail the run");
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(
+            message,
+            "virtual-time deadlock: every live task waits on an event nobody is left to \
+             notify: 'root', 'a', 'b'"
+        );
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
@@ -1477,7 +1812,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_stepper_costs_one_heap_operation_per_poll() {
+    fn idle_stepper_costs_no_heap_operation_per_poll() {
         let ((), report) = VirtualLab::run_against_reference(|| {
             let shared = Arc::new((Arc::new(clock::Event::new()), Flag::default()));
             let stepper = {
@@ -1510,6 +1845,9 @@ mod tests {
         assert_eq!(report.inline_steps, 2);
         assert_eq!(report.handovers, 2);
         assert_eq!(report.elided_polls, 503);
+        // Spawn, the root's sleep, the idle round, the notify's wake,
+        // the join's poll and its wake: none for the 502 polls.
+        assert_eq!(report.heap_pushes, 6);
     }
 
     #[test]

@@ -1,0 +1,270 @@
+//! `VirtualLab` parks a waiter off its run queue until its event is
+//! notified or its deadline passes, and computes at the notify the poll
+//! instant at which the waiter would have seen the change. These
+//! properties hold it to the reference run, which executes every poll:
+//! same results, same final clock, and every poll the lab slept through
+//! one of the reference's handovers (`run_against_reference`).
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use flock_sim::vtime::VirtualLab;
+use flock_sync::clock::{self, Event, IdleOn, Next};
+use flock_sync::AdaptiveBackoff;
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+/// An event and the count its notifiers bump before announcing it.
+#[derive(Default)]
+struct Signal {
+    event: Arc<Event>,
+    count: AtomicU64,
+}
+
+impl Signal {
+    fn bump(&self, by: u64) {
+        self.count.fetch_add(by, Ordering::Relaxed);
+        self.event.notify_all();
+    }
+
+    fn reached(&self, target: u64) -> Option<u64> {
+        let count = self.count.load(Ordering::Relaxed);
+        (count >= target).then_some(count)
+    }
+}
+
+/// How a waiter sleeps between two checks.
+#[derive(Debug, Clone, Copy)]
+enum Sleep {
+    /// `Event::wait_until` on a fixed quantum.
+    Fixed(u64),
+    /// `AdaptiveBackoff::idle_on`: the ladder from 250 ns up to `cap`,
+    /// `busy` charged by every empty check.
+    Ladder { cap: u64, busy: u64 },
+    /// The same ladder, run by the lab as an inline stepper.
+    Stepper { cap: u64, busy: u64 },
+}
+
+/// One waiter: on which signal, how, for how many counts in a row, and
+/// until when.
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    signal: usize,
+    sleep: Sleep,
+    rounds: u64,
+    deadline_ns: u64,
+}
+
+/// Who bumps the signals at the scheduled instants.
+#[derive(Debug, Clone, Copy)]
+enum Notifier {
+    /// The root, sleeping from one instant to the next.
+    Root,
+    /// A task whose own wait times out at each instant: a poller.
+    Poller(u64),
+    /// A stepper idling on a timer that nobody notifies: an inline
+    /// step woken by its deadline.
+    Stepper,
+}
+
+/// `(instant, signal)` in the order they are made.
+type Schedule = Vec<(u64, usize)>;
+
+/// When each waiter saw each count it waited for (`None`: timed out).
+type Log = Arc<Mutex<Vec<(u64, Option<u64>)>>>;
+
+fn ladder(cap: u64) -> AdaptiveBackoff {
+    AdaptiveBackoff::new(Duration::from_micros(2)).with_virtual_cap(cap)
+}
+
+fn spawn_waiter(name: &str, w: Waiter, signal: Arc<Signal>, log: Log) -> clock::TaskHandle {
+    let deadline = w.deadline_ns;
+    match w.sleep {
+        Sleep::Fixed(quantum) => clock::spawn(name, move || {
+            for round in 1..=w.rounds {
+                let got = signal
+                    .event
+                    .wait_until(deadline, quantum, || signal.reached(round));
+                log.lock().unwrap().push((clock::now_ns(), got));
+                if got.is_none() {
+                    return;
+                }
+            }
+        }),
+        Sleep::Ladder { cap, busy } => clock::spawn(name, move || {
+            let mut idler = ladder(cap);
+            for round in 1..=w.rounds {
+                let got = loop {
+                    let seen = signal.event.epoch();
+                    if let Some(count) = signal.reached(round) {
+                        idler.reset();
+                        break Some(count);
+                    }
+                    if clock::now_ns() > deadline {
+                        break None;
+                    }
+                    clock::charge(busy);
+                    idler.idle_on(&signal.event, seen, busy, deadline);
+                };
+                log.lock().unwrap().push((clock::now_ns(), got));
+                if got.is_none() {
+                    return;
+                }
+            }
+        }),
+        Sleep::Stepper { cap, busy } => {
+            let mut round = 1;
+            clock::spawn_stepper(name, ladder(cap), move || {
+                let seen = signal.event.epoch();
+                if let Some(count) = signal.reached(round) {
+                    log.lock().unwrap().push((clock::now_ns(), Some(count)));
+                    round += 1;
+                    return if round > w.rounds {
+                        Next::Done
+                    } else {
+                        Next::Again
+                    };
+                }
+                if clock::now_ns() > deadline {
+                    log.lock().unwrap().push((clock::now_ns(), None));
+                    return Next::Done;
+                }
+                clock::charge(busy);
+                Next::Idle(Some(IdleOn {
+                    event: signal.event.clone(),
+                    seen,
+                    busy_ns: busy,
+                    deadline_ns: deadline,
+                }))
+            })
+        }
+    }
+}
+
+/// Bump the scheduled signals at their instants, as `notifier` does.
+fn spawn_notifier(
+    notifier: Notifier,
+    schedule: Schedule,
+    signals: Vec<Arc<Signal>>,
+) -> Option<clock::TaskHandle> {
+    let timer = Arc::new(Event::new());
+    match notifier {
+        Notifier::Root => {
+            for (at, s) in schedule {
+                clock::sleep_ns(at.saturating_sub(clock::now_ns()));
+                signals[s].bump(1);
+            }
+            None
+        }
+        Notifier::Poller(quantum) => Some(clock::spawn("notifier", move || {
+            for (at, s) in schedule {
+                timer.wait_until(at - 1, quantum, || None::<()>);
+                signals[s].bump(1);
+            }
+        })),
+        Notifier::Stepper => {
+            let mut next = 0;
+            // Never `Next::Again`: work that only the clock announces
+            // does not reset the idle ladder.
+            Some(clock::spawn_stepper(
+                "notifier",
+                ladder(500),
+                move || loop {
+                    let Some(&(at, s)) = schedule.get(next) else {
+                        return Next::Done;
+                    };
+                    if clock::now_ns() >= at {
+                        signals[s].bump(1);
+                        next += 1;
+                        continue;
+                    }
+                    return Next::Idle(Some(IdleOn {
+                        event: timer.clone(),
+                        seen: timer.epoch(),
+                        busy_ns: 0,
+                        deadline_ns: at - 1,
+                    }));
+                },
+            ))
+        }
+    }
+}
+
+/// The whole scenario: the waiters, the scheduled notifies, then one
+/// bump of every signal that satisfies whoever is still waiting.
+fn scenario(
+    signals: usize,
+    waiters: &[Waiter],
+    notifier: Notifier,
+    schedule: &Schedule,
+) -> Vec<Vec<(u64, Option<u64>)>> {
+    let signals: Vec<Arc<Signal>> = (0..signals).map(|_| Arc::default()).collect();
+    let logs: Vec<Log> = waiters.iter().map(|_| Log::default()).collect();
+    let tasks: Vec<_> = (waiters.iter().zip(&logs).enumerate())
+        .map(|(i, (w, log))| {
+            let signal = signals[w.signal].clone();
+            spawn_waiter(&format!("w{i}"), *w, signal, log.clone())
+        })
+        .collect();
+    if let Some(notifier) = spawn_notifier(notifier, schedule.clone(), signals.clone()) {
+        notifier.join().unwrap();
+    }
+    for signal in &signals {
+        signal.bump(1 << 20);
+    }
+    for task in tasks {
+        task.join().unwrap();
+    }
+    logs.iter().map(|log| log.lock().unwrap().clone()).collect()
+}
+
+proptest! {
+    #[test]
+    fn parked_waiters_wake_where_the_reference_polls_see_the_notify(
+        signals in 1usize..4,
+        waiters in vec((0usize..3, 0u8..3, 0usize..4, 1u64..4, 0u64..30_000), 1..6),
+        notifier in (0u8..3, 0usize..3),
+        notifies in vec((1u64..4_000, 0usize..3, any::<bool>()), 1..8),
+    ) {
+        let waiters: Vec<Waiter> = waiters
+            .into_iter()
+            .map(|(signal, kind, param, rounds, deadline)| {
+                let (cap, busy) = ([250, 1_000, 2_000, 1 << 20][param], [0, 20, 100][param % 3]);
+                Waiter {
+                    signal: signal % signals,
+                    sleep: match kind {
+                        0 => Sleep::Fixed([50, 333, 500, 1_000][param]),
+                        1 => Sleep::Ladder { cap, busy },
+                        _ => Sleep::Stepper { cap, busy },
+                    },
+                    rounds,
+                    // A third of them wait for ever.
+                    deadline_ns: if deadline < 10_000 { u64::MAX } else { deadline },
+                }
+            })
+            .collect();
+        let notifier = match notifier {
+            (0, _) => Notifier::Root,
+            (1, q) => Notifier::Poller([50, 500, 700][q]),
+            _ => Notifier::Stepper,
+        };
+        // Instants between poll instants, and on them: the grids of 50,
+        // 250 and 500 ns all meet at multiples of 500.
+        let mut at = 0;
+        let schedule: Schedule = notifies
+            .into_iter()
+            .map(|(gap, signal, on_grid)| {
+                at += gap;
+                if on_grid {
+                    at = at.next_multiple_of(500);
+                }
+                (at, signal % signals)
+            })
+            .collect();
+        let (logs, report) =
+            VirtualLab::run_against_reference(|| scenario(signals, &waiters, notifier, &schedule));
+        prop_assert_eq!(logs.len(), waiters.len());
+        prop_assert!(report.heap_pushes > 0);
+    }
+}

@@ -89,17 +89,29 @@ pub trait Executor: Send + Sync {
     /// The virtual cost of one bare [`yield_now`].
     fn yield_cost_ns(&self) -> u64;
 
-    /// Sleep `first_ns`, then keep re-sleeping the task on `poll`'s
-    /// schedule for as long as waking it could change nothing: the
-    /// event it waits on is un-notified (`poll.epoch` still reads
-    /// `poll.seen`) and the poll instant is not past `poll.deadline_ns`.
-    /// Every re-sleep is, to the scheduler, exactly the `advance` the
-    /// task would have made after one more failed check — the check's
-    /// own charge, `poll.busy_ns`, plus the next period — so the virtual
-    /// timeline does not depend on how many polls ran on the task.
-    /// Returns how many polls were slept through without running the
-    /// task (always 0 from an executor that runs every poll).
+    /// Sleep `first_ns`, then keep the task asleep on `poll`'s schedule
+    /// for as long as waking it could change nothing: the event it waits
+    /// on is un-notified (`poll.epoch` still reads `poll.seen`) and the
+    /// poll instant is not past `poll.deadline_ns`. The schedule is the
+    /// polls a task that ran every one would make: each failed check
+    /// charges `poll.busy_ns` and sleeps the next period. An executor
+    /// need not visit those polls at all: it may park the task until
+    /// [`Event::notify_all`] calls [`Executor::notified`], or until the
+    /// first poll past the deadline, and then wake it at the first poll
+    /// of the schedule that comes after the notifying task — so the
+    /// virtual timeline does not depend on how many polls ran on the
+    /// task. At one instant, every sleep made here (the first included)
+    /// is ordered before any other, by task id: the order does not
+    /// depend on which polls ran. Returns how many polls were slept
+    /// through without running the task (always 0 from an executor that
+    /// runs every poll).
     fn sleep_polling(&self, first_ns: u64, poll: Poll) -> u64;
+
+    /// The [`Epoch`] of an [`Event`] some of whose waiters this executor
+    /// parked ([`Epoch::parked`] is not `None`) was just bumped: put them
+    /// back on the run queue. Called by `notify_all` on the notifying
+    /// task, never under the executor's own lock.
+    fn notified(&self, epoch: &Epoch);
 }
 
 /// What a waiting task's next polls look like, for
@@ -107,7 +119,7 @@ pub trait Executor: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct Poll {
     /// The awaited [`Event`]'s notify epoch.
-    pub epoch: Arc<AtomicU64>,
+    pub epoch: Arc<Epoch>,
     /// Its value before the task's last failed check.
     pub seen: u64,
     /// The sleep after `first_ns`; each later one doubles, up to
@@ -123,6 +135,38 @@ pub struct Poll {
     /// the waiter's [`deadline`], or the instant before a condition it
     /// evaluates from the clock turns true.
     pub deadline_ns: u64,
+}
+
+/// An [`Event`]'s notify count, shared with the executor its virtual
+/// waiters sleep in ([`Poll::epoch`]), and the head of that executor's
+/// list of the tasks it parked on the event.
+#[derive(Debug, Default)]
+pub struct Epoch {
+    count: AtomicU64,
+    /// The executor's first parked task, as id + 1 (0: none).
+    parked: AtomicUsize,
+}
+
+impl Epoch {
+    /// Notifies so far.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// The first task the executor parked on this epoch, if any. Only
+    /// the executor changes it ([`Epoch::set_parked`]).
+    #[inline]
+    pub fn parked(&self) -> Option<usize> {
+        self.parked.load(Ordering::Relaxed).checked_sub(1)
+    }
+
+    /// Make `task` the head of the executor's parked list.
+    #[inline]
+    pub fn set_parked(&self, task: Option<usize>) {
+        self.parked
+            .store(task.map_or(0, |id| id + 1), Ordering::Relaxed);
+    }
 }
 
 thread_local! {
@@ -281,19 +325,22 @@ pub fn expired(deadline_ns: u64) -> bool {
 /// * **Virtual:** check, then sleep `quantum_ns`, until the deadline — a
 ///   parked OS thread would stall the lab's one core. The sleeps go
 ///   through [`Executor::sleep_polling`]: a poll at which this event is
-///   still un-notified cannot succeed, so the executor re-arms it
-///   without waking the task. That is exact only if every state change
-///   a condition looks for is followed by [`Event::notify_all`] on the
-///   event its waiters sleep on, before the changer next yields; a
-///   satisfied poll that saw no notify since the failed one before it
-///   panics, naming the waiting site.
+///   still un-notified cannot succeed, so the executor may park the
+///   task off its run queue, and the notify puts it back at the poll
+///   instant it would have seen the change at ([`Executor::notified`]).
+///   That is exact only if every state change a condition looks for is
+///   followed by [`Event::notify_all`] on the event its waiters sleep
+///   on, before the changer next yields; a satisfied poll that saw no
+///   notify since the failed one before it panics, naming the waiting
+///   site.
 /// * **`cfg(loom)`:** check, then yield to the model scheduler; parking
 ///   is invisible to the memory model, and there are no deadlines.
 #[derive(Debug, Default)]
 pub struct Event {
     /// Bumped by every notify. Shared so a virtual executor can watch it
-    /// while the waiter is suspended; threaded waiters never read it.
-    epoch: Arc<AtomicU64>,
+    /// while the waiter is suspended, and keep its parked waiters on it;
+    /// threaded waiters never read it.
+    epoch: Arc<Epoch>,
     /// Threaded waiters between registration and return. Notifiers skip
     /// the lock and the wake syscall while this is zero.
     waiters: AtomicUsize,
@@ -313,7 +360,7 @@ impl Event {
     /// whose failure sends it to sleep.
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.epoch.get()
     }
 
     /// The schedule of a waiter that checks for free every `period_ns`
@@ -358,12 +405,11 @@ impl Event {
     /// Wake every current waiter so it re-checks its condition. Call
     /// *after* publishing the state change it looks for, and after
     /// dropping the lock that guards that state. One relaxed increment,
-    /// one fence and one load when nobody is parked (always so under a
-    /// virtual executor, whose waiters sleep in the executor's heap and
-    /// are told apart from un-notified ones by the epoch).
+    /// one fence and two loads when nobody is parked; a virtual
+    /// executor's parked waiters are handed to [`Executor::notified`].
     #[inline]
     pub fn notify_all(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.epoch.count.fetch_add(1, Ordering::Relaxed);
         // Pairs with the fence in `wait_until` (store buffering: SeqCst
         // fences on both sides): either this load sees the waiter's
         // registration, or the waiter's check sees the caller's state.
@@ -371,6 +417,11 @@ impl Event {
         if self.waiters.load(Ordering::Relaxed) != 0 {
             *self.ticket() += 1;
             self.cv.notify_all();
+        }
+        if self.epoch.parked.load(Ordering::Relaxed) != 0 {
+            if let Some(exec) = current() {
+                exec.notified(&self.epoch);
+            }
         }
     }
 
@@ -455,7 +506,9 @@ pub struct TaskExit {
 impl TaskExit {
     /// Publish that the task has deregistered. The executor calls this
     /// before it picks the next task to run, so joiners observe the
-    /// exit at a deterministic virtual instant. Takes no executor lock.
+    /// exit at a deterministic virtual instant — and not under its own
+    /// lock: the notify may hand it parked joiners
+    /// ([`Executor::notified`]).
     pub fn signal(&self) {
         self.finished.store(true, Ordering::Release);
         self.event.notify_all();

@@ -225,11 +225,12 @@ impl AdaptiveBackoff {
     pub(crate) const VIRTUAL_FIRST_POLL_NS: u64 = 250;
     /// Deep-idle cap of the virtual ladder (~1 ms). Deliberately larger
     /// than typical `max_park` values: wall parks are sized to bound
-    /// *detection latency per burned host core*, but a virtual sleeping
-    /// task costs lab *events*, and thousands of idle tasks (unused NIC
-    /// lanes at paper scale) polling every 2 µs of virtual time would
-    /// swamp the event heap. Busy tasks reset the ladder, so steady-state
-    /// detection stays at [`Self::VIRTUAL_FIRST_POLL_NS`] scale.
+    /// *detection latency per burned host core*, but a task idling
+    /// through [`AdaptiveBackoff::idle`] (no event to park on) costs the
+    /// lab a heap push per round, and thousands of those polling every
+    /// 2 µs of virtual time would swamp the event heap. Busy tasks reset
+    /// the ladder, so steady-state detection stays at
+    /// [`Self::VIRTUAL_FIRST_POLL_NS`] scale.
     pub(crate) const VIRTUAL_MAX_POLL_NS: u64 = Self::VIRTUAL_FIRST_POLL_NS << 12;
 
     /// A backoff whose park tier never sleeps longer than `max_park`.
@@ -254,7 +255,7 @@ impl AdaptiveBackoff {
     /// so in the lab inflates burst-detection latency with dispatcher
     /// count, masking the sharding win the lab exists to measure. Such
     /// actors set a tight cap here; incidental waiters keep the deep
-    /// default so thousands of idle tasks don't swamp the event heap.
+    /// default.
     pub fn with_virtual_cap(mut self, ns: u64) -> AdaptiveBackoff {
         self.virtual_cap_ns = ns.max(Self::VIRTUAL_FIRST_POLL_NS);
         self
@@ -367,12 +368,12 @@ impl AdaptiveBackoff {
     /// one just made included.
     ///
     /// On real threads this is `idle()`. A virtual task sleeps the same
-    /// ladder, but the executor runs the rounds that cannot find
-    /// anything — event un-notified, instant not past the deadline — by
-    /// itself ([`clock::Executor::sleep_polling`]), charging each
-    /// `busy_ns`; the ladder advances by the rounds slept through, so
-    /// the next sleep is the one a task that polled every round would
-    /// make.
+    /// ladder, but the executor skips the rounds that cannot find
+    /// anything — event un-notified, instant not past the deadline —
+    /// counting each as `busy_ns` plus its sleep
+    /// ([`clock::Executor::sleep_polling`]); the ladder advances by the
+    /// rounds slept through, so the next sleep is the one a task that
+    /// polled every round would make.
     pub fn idle_on(&mut self, event: &clock::Event, seen: u64, busy_ns: u64, deadline_ns: u64) {
         #[cfg(not(loom))]
         if let Some(exec) = clock::current() {

@@ -58,6 +58,13 @@ pub(crate) const ENTRY_POINTS: &[(&str, &str)] = &[
     // allocation-free (the remote CAS leg's WR posting reuses TCQ
     // slots).
     ("crates/core/src/alock.rs", "acquire"),
+    // Every state change a waiter looks for is announced, so a notify
+    // runs as often as the hot paths above; under the lab it hands the
+    // event's parked waiters back to the run queue, which must neither
+    // allocate nor hash. (The lab's own scheduler, `crates/sim`, is left
+    // out of call resolution: `notified` is scanned, its callees not.)
+    ("crates/sync/src/clock.rs", "notify_all"),
+    ("crates/sim/src/vtime.rs", "notified"),
 ];
 
 /// Maximum call-graph depth explored from an entry point.
