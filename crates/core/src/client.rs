@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use flock_fabric::{
-    Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, NodeId, Qp,
+    Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, Qp,
     RemoteAddr, SendWr, Sge, Transport, WrId,
 };
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
@@ -23,7 +23,7 @@ use crate::domain::{
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
-use crate::ring::Link;
+use crate::ring::{self, Link};
 use crate::sched::thread::{assign_threads_into, AssignScratch, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
 
@@ -238,8 +238,6 @@ pub(crate) struct ThreadCtx {
 /// Shared state behind a [`ConnectionHandle`].
 pub(crate) struct HandleInner {
     node: Arc<Node>,
-    #[allow(dead_code)]
-    server_node: NodeId,
     sender_id: u32,
     cfg: HandleConfig,
     /// Control channel to the server (attach/detach after connect).
@@ -434,7 +432,6 @@ impl ConnectionHandle {
         let mem_mr = node.acquire_mr(cfg.mem_threads * MEM_SCRATCH, Access::LOCAL);
         let inner = Arc::new(HandleInner {
             node: Arc::clone(node),
-            server_node: reply.server_node,
             sender_id: reply.sender_id,
             cfg: cfg.clone(),
             ctrl,
@@ -1448,21 +1445,9 @@ fn flush_parts(
     let entries = rpcs
         .iter()
         .map(|(meta, data)| EntryRef { meta: *meta, data });
-    let deadline = clock::deadline(inner.cfg.timeout);
-    let need = loop {
-        match qp.link.try_send(0, 0, entries.clone()) {
-            Err(FlockError::RingFull { .. }) => {
-                if inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::yield_now();
-            }
-            sent => break sent?,
-        }
-    };
+    let need = ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
+        qp.link.try_send(0, 0, entries.clone())
+    })?;
     // Leader's host cost: encode each entry, stage the message, ring the
     // doorbell — amortized over the whole batch (the coalescing win).
     clock::charge(
@@ -1719,25 +1704,22 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
 /// dispatcher may not, and on a full ring (or any failure) hands the duty
 /// back for its next look at the lane.
 fn post_drained_marker(inner: &HandleInner, qp: &ClientQpCtx, epoch: u16, may_wait: bool) {
-    let deadline = clock::deadline(inner.cfg.timeout);
-    loop {
-        let sent = qp.link.try_send(
-            FLAG_DRAINED,
-            msg::pack_aux(0, epoch),
-            std::iter::empty::<EntryRef<'_>>(),
-        );
-        match sent {
-            Ok(need) => {
-                let stage = inner.cost.memcpy_time(need).as_nanos();
-                return clock::charge(inner.cost.cpu_doorbell_ns + stage);
-            }
-            Err(FlockError::RingFull { .. })
-                if may_wait && !inner.stop.load(Ordering::Relaxed) && !clock::expired(deadline) =>
-            {
-                clock::yield_now()
-            }
-            Err(_) => return qp.residents.unclaim_marker(epoch),
+    let send = || {
+        let marker = std::iter::empty::<EntryRef<'_>>();
+        qp.link
+            .try_send(FLAG_DRAINED, msg::pack_aux(0, epoch), marker)
+    };
+    let sent = if may_wait {
+        ring::send_while_full(&inner.stop, inner.cfg.timeout, send)
+    } else {
+        send()
+    };
+    match sent {
+        Ok(need) => {
+            let stage = inner.cost.memcpy_time(need).as_nanos();
+            clock::charge(inner.cost.cpu_doorbell_ns + stage);
         }
+        Err(_) => qp.residents.unclaim_marker(epoch),
     }
 }
 

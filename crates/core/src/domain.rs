@@ -10,10 +10,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
-use flock_fabric::{
-    doorbell, recv_until, DoorbellSender, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey,
-};
+use crossbeam::channel::{Receiver, TryRecvError};
+use flock_fabric::{doorbell, DoorbellSender, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
 use flock_sync::clock::Event;
 use flock_sync::AdaptiveBackoff;
 use parking_lot::Mutex;
@@ -279,16 +277,23 @@ pub fn reply_channel<T>() -> (DoorbellSender<Result<T>>, ReplyReceiver<T>) {
     (tx, (rx, rung))
 }
 
-/// Await a control-plane reply.
+/// Await a control-plane reply; `Disconnected` when the reply sender is
+/// dropped unanswered.
 ///
-/// A virtual task polls through an [`AdaptiveBackoff`] ladder: a connect
+/// The waiter idles through an [`AdaptiveBackoff`] ladder: a connect
 /// storm runs hundreds of dialers concurrently, and a fixed fine-grained
 /// poll period would multiply the event count by the storm width while a
 /// reply is still tens of microseconds of control-QP work away.
 pub(crate) fn await_reply<T>((rx, rung): &ReplyReceiver<T>) -> Result<T> {
     let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
-    recv_until(rx, None, || idle.idle_on(rung, rung.epoch(), 0, u64::MAX))
-        .map_err(|_| FlockError::Disconnected)?
+    loop {
+        let seen = rung.epoch();
+        match rx.try_recv() {
+            Ok(reply) => return reply,
+            Err(TryRecvError::Disconnected) => return Err(FlockError::Disconnected),
+            Err(TryRecvError::Empty) => idle.idle_on(rung, seen, 0, u64::MAX),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -361,5 +366,41 @@ mod tests {
         assert_eq!(reply.sender_id, 7);
         domain.unregister_listener("srv");
         assert!(domain.listeners.lock().is_empty());
+    }
+
+    /// Dial a listener that drops the connect request — and with it the
+    /// reply's only sender — without answering.
+    fn dial_a_mute_listener() -> Result<ConnectReply> {
+        let domain = FlockDomain::with_defaults();
+        let (tx, rx, rung) = doorbell();
+        domain.register_listener("mute", tx);
+        let listener = flock_sync::clock::spawn("mute-listener", move || {
+            drop(rung.wait_until(u64::MAX, 1_000, || rx.try_recv().ok()));
+        });
+        let (reply, _) = reply_channel();
+        let req = ConnectRequest {
+            client_node: NodeId(0),
+            client_qps: vec![],
+            response_rings: vec![],
+            tenant: 0,
+            reply,
+        };
+        let dialed = domain.dial("mute", req);
+        listener.join().unwrap();
+        dialed
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_is_disconnected_on_threads() {
+        assert!(matches!(
+            dial_a_mute_listener(),
+            Err(FlockError::Disconnected)
+        ));
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_is_disconnected_in_the_lab() {
+        let dialed = flock_sim::vtime::VirtualLab::run(dial_a_mute_listener);
+        assert!(matches!(dialed, Err(FlockError::Disconnected)));
     }
 }

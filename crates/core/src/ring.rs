@@ -30,10 +30,13 @@
 //! `Link` hands between its halves; they come from [`crate::sync`], so
 //! they stay visible to the loom model checker (see DESIGN.md).
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use flock_fabric::{Access, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId};
+use flock_sync::clock;
 use parking_lot::Mutex;
 
 use crate::domain::RingInfo;
@@ -367,10 +370,10 @@ struct LinkTx {
 /// * **Nothing is written on `RingFull`** (or `MessageTooLarge`): no
 ///   staging byte, no work request, no tail or canary advance.
 /// * The link **never waits and never charges virtual time**: a full
-///   ring is the caller's policy (the client leader yields, a dispatch
-///   shard defers, `send_res` retries), and so is the host cost of a
-///   send (doorbell + memcpy of the returned length, plus codec per
-///   entry on the client) or a poll.
+///   ring is the caller's policy (a task that may wait retries through
+///   [`send_while_full`], a dispatch shard defers), and so is the host
+///   cost of a send (doorbell + memcpy of the returned length, plus
+///   codec per entry on the client) or a poll.
 ///
 /// Any number of threads may send and one may poll at the same time:
 /// sends serialize on an internal lock (held across the post, which never
@@ -563,6 +566,33 @@ impl Link {
             },
         })?;
         Ok(())
+    }
+}
+
+/// Run `send` — one [`Link::try_send`] and whatever its caller does on
+/// success — again and again while the peer's ring is full, yielding in
+/// between: the retry policy of a task that may wait for ring space.
+/// Gives up with `Disconnected` once `stop` is set and with `Timeout`
+/// once `timeout` has passed since the call.
+pub(crate) fn send_while_full<T>(
+    stop: &AtomicBool,
+    timeout: Duration,
+    mut send: impl FnMut() -> Result<T>,
+) -> Result<T> {
+    let deadline = clock::deadline(timeout);
+    loop {
+        match send() {
+            Err(FlockError::RingFull { .. }) => {
+                if stop.load(Ordering::Relaxed) {
+                    return Err(FlockError::Disconnected);
+                }
+                if clock::expired(deadline) {
+                    return Err(FlockError::Timeout);
+                }
+                clock::yield_now();
+            }
+            done => return done,
+        }
     }
 }
 

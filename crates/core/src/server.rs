@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, TryRecvError};
 use flock_fabric::{
-    doorbell, recv_until, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender,
-    MemoryRegion, Node, NodeId, Qp, Transport,
+    doorbell, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, Qp,
+    Transport,
 };
 use flock_sync::clock::{self, Event, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
@@ -113,11 +113,6 @@ struct ServerQpCtx {
 
 struct ServerConn {
     sender_id: u32,
-    #[allow(dead_code)]
-    client_node: NodeId,
-    /// Tenant this connection acts for (from the connect handshake).
-    #[allow(dead_code)]
-    tenant: u32,
     /// The tenant's shared counter block, cloned out of the scheduler's
     /// registry at accept time so the dispatch hot path bumps per-tenant
     /// issued/completed statistics without any lock.
@@ -375,11 +370,9 @@ impl FlockServer {
     /// Pull a request with no registered handler (`fl_recv_rpc`).
     pub fn recv_rpc(&self, timeout: Duration) -> Option<IncomingRpc> {
         let deadline = clock::deadline(timeout);
-        let rung = &self.inner.manual_rung;
-        recv_until(&self.inner.manual_rx, Some(deadline), || {
-            rung.idle_fixed(rung.epoch(), 1_000, deadline)
-        })
-        .ok()
+        self.inner
+            .manual_rung
+            .wait_until(deadline, 1_000, || self.inner.manual_rx.try_recv().ok())
     }
 
     /// Respond to a request obtained via [`FlockServer::recv_rpc`]
@@ -465,8 +458,11 @@ impl FlockServer {
 /// of the out-of-band control channel.
 fn accept_loop(inner: &Arc<ServerInner>, rx: &Receiver<CtrlMsg>, rung: &Event) {
     while !inner.stop.load(Ordering::Relaxed) {
-        let idle = || rung.idle_fixed(rung.epoch(), 5_000, u64::MAX);
-        let Ok(msg) = recv_until(rx, None, idle) else {
+        let polled = rung.wait_until(u64::MAX, 5_000, || match rx.try_recv() {
+            Err(TryRecvError::Empty) => None,
+            polled => Some(polled),
+        });
+        let Some(Ok(msg)) = polled else {
             return;
         };
         match msg {
@@ -614,8 +610,6 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
     };
     conns.push(Arc::new(ServerConn {
         sender_id,
-        client_node: req.client_node,
-        tenant: req.tenant,
         counters,
         send_cq,
         qps: RwLock::new(qps),
@@ -1280,7 +1274,7 @@ fn settle_lane(
 /// [`try_flush_response`] for a task that may wait — `send_res` callers
 /// and the QP scheduler's credit grants, never a dispatch shard's step:
 /// while the client's response ring is full, yield and retry, up to
-/// `cfg.timeout`.
+/// `cfg.timeout` ([`ring::send_while_full`]).
 fn flush_response<B: AsRef<[u8]>>(
     inner: &ServerInner,
     qp: &ServerQpCtx,
@@ -1288,21 +1282,9 @@ fn flush_response<B: AsRef<[u8]>>(
     extra_flags: u16,
     aux: u64,
 ) -> Result<()> {
-    let deadline = clock::deadline(inner.cfg.timeout);
-    loop {
-        match try_flush_response(inner, qp, responses, extra_flags, aux) {
-            Err(FlockError::RingFull { .. }) => {
-                if inner.stop.load(Ordering::Relaxed) {
-                    return Err(FlockError::Disconnected);
-                }
-                if clock::expired(deadline) {
-                    return Err(FlockError::Timeout);
-                }
-                clock::yield_now();
-            }
-            done => return done,
-        }
-    }
+    ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
+        try_flush_response(inner, qp, responses, extra_flags, aux)
+    })
 }
 
 /// Encode and post one coalesced response message on `qp`, or fail with
@@ -1351,13 +1333,14 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     // Batched immediate sweep: one sync edge per sweep instead of one
     // `poll_one` per credit request.
     let mut imms: Vec<flock_fabric::Completion> = Vec::new();
-    // The park cap matches the seed's fixed 200 µs sleep, but the ladder
-    // reaches it only after spinning and yielding through idle rounds —
-    // a credit request arriving at a busy server is now picked up in
-    // microseconds instead of a fixed 200 µs snooze. Under virtual time
-    // the cap is 1 µs like the dispatch loop's: the model is a dedicated
-    // polling core, and a 200 µs virtual nap would turn every credit
-    // renewal that lands in it into a hundreds-of-µs client stall.
+    // On real threads the ladder spins and yields, then blocks on the
+    // immediate CQ's event until a push or the next redistribution, so
+    // a credit request is picked up at once, not after a timed snooze
+    // (`max_park` is unused: every idle round here names the event).
+    // Under virtual time the cap is 1 µs like the dispatch loop's: the
+    // model is a dedicated polling core, and a 200 µs virtual nap would
+    // turn every credit renewal that lands in it into a hundreds-of-µs
+    // client stall.
     let mut idler = flock_sync::AdaptiveBackoff::new(Duration::from_micros(200))
         .with_virtual_cap(1_000);
     let pushed = inner.imm_cq.pushed_event();

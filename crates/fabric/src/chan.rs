@@ -1,4 +1,5 @@
-//! The one channel receive of the clock seam.
+//! Doorbell channels: a crossbeam channel plus the `Event` its sends
+//! notify.
 //!
 //! Companion to [`flock_sync::clock::Event`] for conditions that live
 //! in a crossbeam channel (control-plane requests and replies, NIC
@@ -6,31 +7,44 @@
 //! `flock-sync` because this is the lowest crate that already depends
 //! on crossbeam.
 //!
-//! A channel a virtual task waits on — a NIC lane's command queue, a
-//! server's control and manual-RPC queues, a control-plane reply — is
-//! a [`doorbell`] channel: every send also notifies an `Event`, so the
-//! receiver can idle through [`flock_sync::AdaptiveBackoff::idle_on`]
-//! (a ladder) or [`Event::idle_fixed`] (a fixed period) and the lab
-//! runs none of its empty polls.
+//! Nobody blocks in the channel itself. A receiver `try_recv`s, and
+//! while the channel is empty it waits on the channel's event like any
+//! other waiter, the same call on both executors: an
+//! [`Event::wait_until`] over `try_recv`, an
+//! [`flock_sync::AdaptiveBackoff::idle_on`] loop, or a stepper's
+//! `Next::Idle`. Every send notifies the event, and so does the drop of
+//! the channel's last sender, so a waiting receiver sees the disconnect.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
-use flock_sync::clock::{self, Event};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use flock_sync::clock::Event;
 
 /// Sending half of a [`doorbell`] channel.
 #[derive(Debug)]
 pub struct DoorbellSender<T> {
+    // Declared before `bell`, so dropped first: when the last sender's
+    // `bell` rings, the channel is already disconnected.
     tx: Sender<T>,
-    rung: Arc<Event>,
+    bell: Arc<Bell>,
+}
+
+/// The channel's event, shared by all of its senders: dropped with the
+/// last of them, which notifies the receiver of the disconnect.
+#[derive(Debug)]
+struct Bell(Arc<Event>);
+
+impl Drop for Bell {
+    fn drop(&mut self) {
+        self.0.notify_all();
+    }
 }
 
 impl<T> Clone for DoorbellSender<T> {
     fn clone(&self) -> Self {
         DoorbellSender {
             tx: self.tx.clone(),
-            rung: Arc::clone(&self.rung),
+            bell: Arc::clone(&self.bell),
         }
     }
 }
@@ -39,7 +53,7 @@ impl<T> DoorbellSender<T> {
     /// Queue `msg`, then notify the receiver's event.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
         let sent = self.tx.send(msg);
-        self.rung.notify_all();
+        self.bell.0.notify_all();
         sent
     }
 }
@@ -50,57 +64,7 @@ pub fn doorbell<T>() -> (DoorbellSender<T>, Receiver<T>, Arc<Event>) {
     let rung = Arc::new(Event::new());
     let tx = DoorbellSender {
         tx,
-        rung: Arc::clone(&rung),
+        bell: Arc::new(Bell(Arc::clone(&rung))),
     };
     (tx, rx, rung)
-}
-
-/// One attempt to receive a message before `deadline_ns` (a
-/// [`clock::deadline`] value; `None` = never), for callers that must
-/// not wait under a virtual executor — a `clock::spawn_stepper` step,
-/// and [`recv_until`]'s loop.
-///
-/// Threaded callers block in the channel and never see `Ok(None)`. A
-/// virtual task must not block (a parked OS thread stalls the lab's one
-/// core): there an empty channel is `Ok(None)`, and the caller sleeps on
-/// the channel's [`doorbell`] event before it tries again — a step by
-/// returning `Next::Idle`.
-pub(crate) fn recv_step<T>(
-    rx: &Receiver<T>,
-    deadline_ns: Option<u64>,
-) -> Result<Option<T>, RecvTimeoutError> {
-    if !clock::is_virtual() {
-        return match deadline_ns {
-            Some(d) => rx.recv_timeout(Duration::from_nanos(d.saturating_sub(clock::now_ns()))),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        }
-        .map(Some);
-    }
-    match rx.try_recv() {
-        Ok(msg) => Ok(Some(msg)),
-        Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-        Err(TryRecvError::Empty) if deadline_ns.is_some_and(clock::expired) => {
-            Err(RecvTimeoutError::Timeout)
-        }
-        Err(TryRecvError::Empty) => Ok(None),
-    }
-}
-
-/// Receive one message, giving up when `deadline_ns` passes:
-/// [`recv_step`] until it has one, calling `idle` between a virtual
-/// task's empty polls — a fixed period or an
-/// [`flock_sync::AdaptiveBackoff`] ladder, the caller's modeling
-/// choice, slept on the channel's [`doorbell`] event. `idle` never runs
-/// in threaded mode.
-pub fn recv_until<T>(
-    rx: &Receiver<T>,
-    deadline_ns: Option<u64>,
-    mut idle: impl FnMut(),
-) -> Result<T, RecvTimeoutError> {
-    loop {
-        if let Some(msg) = recv_step(rx, deadline_ns)? {
-            return Ok(msg);
-        }
-        idle();
-    }
 }

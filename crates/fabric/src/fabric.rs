@@ -205,8 +205,7 @@ impl Node {
     /// Route an engine command to the lane that owns `qpn` — the same
     /// QPN→lane pinning as [`Node::create_qp`], so responder work
     /// forwarded for one QP executes in FIFO order on one lane. Used by
-    /// the virtual engine to hand one-sided verbs to the responder
-    /// node's NIC.
+    /// the engine to hand one-sided verbs to the responder node's NIC.
     pub(crate) fn forward_cmd(&self, qpn: QpNum, cmd: NicCmd) {
         let lane = qpn.0 as usize % self.engine_txs.len();
         let _ = self.engine_txs[lane].send(cmd);

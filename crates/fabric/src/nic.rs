@@ -18,14 +18,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, TryRecvError};
 use flock_sync::clock::{self, Event, IdleOn, Next};
 use flock_sync::AdaptiveBackoff;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::qp_state_key;
-use crate::chan::recv_step;
 use crate::fabric::{FabricInner, Node};
 use crate::mr::Access;
 use crate::timing::CostModel;
@@ -50,15 +49,14 @@ pub(crate) enum NicCmd {
         wr: SendWr,
     },
     /// A one-sided verb (READ / FetchAdd / CmpSwap) arriving at the
-    /// *responder* node's engine. In virtual time the requester lane
-    /// charges only the issue cost (WQE fetch + connection-state
-    /// lookup) and forwards the verb here, because the expensive half
-    /// of a one-sided op — fetching the payload over PCIe and
-    /// generating the response — runs on the responder NIC's
-    /// processing units and competes with every other client's verbs
-    /// for them and for the responder's connection cache. This is the
-    /// serialization that coalesced RPC amortizes away at high fan-in
-    /// (paper §2, §8.3.1).
+    /// *responder* node's engine. The requester lane charges only the
+    /// issue cost (WQE fetch + connection-state lookup) and forwards the
+    /// verb here, because the expensive half of a one-sided op —
+    /// fetching the payload over PCIe and generating the response —
+    /// runs on the responder NIC's processing units and competes with
+    /// every other client's verbs for them and for the responder's
+    /// connection cache. This is the serialization that coalesced RPC
+    /// amortizes away at high fan-in (paper §2, §8.3.1).
     Respond {
         /// Node that posted the verb (owns the QP, CQ, and local MR).
         req_node: NodeId,
@@ -108,9 +106,9 @@ impl NicStats {
 type Responder = (Arc<Node>, QpNum);
 
 /// One engine lane: a `clock::spawn_stepper` task owned by the fabric —
-/// a dedicated thread blocked in its command channel on real threads, a
-/// virtual core with no thread under `flock_sim::VirtualLab`. `lane`
-/// only perturbs the loss-injection RNG so lanes draw independent
+/// a dedicated thread idling on its command channel's doorbell on real
+/// threads, a virtual core with no thread under `flock_sim::VirtualLab`.
+/// `lane` only perturbs the loss-injection RNG so lanes draw independent
 /// streams.
 ///
 /// Each verb occupies the lane for its NIC service time (per the
@@ -119,7 +117,9 @@ type Responder = (Arc<Node>, QpNum);
 /// `1s / nic_service` verbs per virtual second, and QPs sharded across
 /// lanes genuinely overlap. The charge is a no-op on real threads,
 /// where timing is accounting-only. Because one lane is one task,
-/// per-QP FIFO order holds under both executors.
+/// per-QP FIFO order holds under both executors for the verbs a lane
+/// executes itself; a one-sided verb executes later, on the responder's
+/// lane, so a verb posted after it on the same QP may complete first.
 pub(crate) struct EngineLane {
     fabric: Arc<FabricInner>,
     node: Arc<Node>,
@@ -168,12 +168,13 @@ impl EngineLane {
         if let Some((cmd, target)) = self.serving.take() {
             self.execute(cmd, target);
         }
-        let cmd = match recv_step(&self.rx, None) {
-            Ok(Some(cmd)) => cmd,
-            Err(_) => return Next::Done,
-            Ok(None) => {
+        let seen = self.rung.epoch();
+        let cmd = match self.rx.try_recv() {
+            Ok(cmd) => cmd,
+            Err(TryRecvError::Disconnected) => return Next::Done,
+            Err(TryRecvError::Empty) => {
                 return Next::Idle(Some(IdleOn {
-                    seen: self.rung.epoch(),
+                    seen,
                     event: Arc::clone(&self.rung),
                     busy_ns: 0,
                     deadline_ns: u64::MAX,
@@ -254,20 +255,17 @@ impl EngineLane {
 /// and ring writes return `None` — their responder-side work is the
 /// receive path, which the host-CPU model already prices — as do
 /// unresolvable destinations (the requester lane then surfaces the
-/// error through the normal path). Threaded engines never forward:
-/// timing is accounting-only there, so the extra hop would buy nothing.
+/// error through the normal path).
 fn one_sided_target(
     fabric: &FabricInner,
     node: &Node,
     src_qpn: QpNum,
     wr: &SendWr,
 ) -> Option<Responder> {
-    if !clock::is_virtual()
-        || !matches!(
-            wr.op,
-            SendOp::Read { .. } | SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }
-        )
-    {
+    if !matches!(
+        wr.op,
+        SendOp::Read { .. } | SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. }
+    ) {
         return None;
     }
     let qp = node.qp(src_qpn)?;

@@ -41,6 +41,6 @@ pub fn register_kv_backend(server: &FlockServer, kv: Arc<KvStore>) {
 
 /// The leading key hash, or `None` for truncated requests (a handler
 /// must not panic on a short payload).
-fn read_key(req: &[u8]) -> Option<u64> {
+pub(crate) fn read_key(req: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(req.get(..8)?.try_into().ok()?))
 }

@@ -27,7 +27,8 @@ use flock_core::{ConnectionHandle, FlThread};
 use flock_kvstore::{AdaptivePolicy, KvStore, ReadMode};
 use flock_sync::clock;
 
-use crate::rpc::{RPC_GET, RPC_PING, RPC_SET, TAG_HIT, TAG_MISS};
+use crate::backend::{read_key, register_kv_backend};
+use crate::rpc::{RPC_GET, RPC_SET, TAG_HIT, TAG_MISS};
 
 /// Export name of the mirrored value segment.
 const KV_SEGMENT: &str = "kv-values";
@@ -35,9 +36,9 @@ const KV_SEGMENT: &str = "kv-values";
 /// Bytes of key prefix inside each mirrored slot value.
 const KEY_PREFIX: usize = 8;
 
-/// Register GET/SET/PING handlers backed by `kv`, with SETs mirrored
-/// into an exported one-sided segment of `slots` slots holding values
-/// up to `max_value` bytes. Returns the writer (tests and warm-up
+/// Register [`register_kv_backend`]'s handlers backed by `kv`, with SETs
+/// mirrored into an exported one-sided segment of `slots` slots holding
+/// values up to `max_value` bytes. Returns the writer (tests and warm-up
 /// loaders publish through it directly).
 pub fn register_kv_mirror_backend(
     server: &FlockServer,
@@ -52,21 +53,8 @@ pub fn register_kv_mirror_backend(
     let writer = Arc::new(SegmentWriter::new(mr, 0, layout, slots)?);
     server.export_segment(KV_SEGMENT, idx, layout.stride, slots, val_cap as u64)?;
 
-    let kv_get = Arc::clone(&kv);
-    server.reg_handler(RPC_GET, move |req| {
-        let Some(key) = read_key(req) else {
-            return vec![TAG_MISS];
-        };
-        match kv_get.get(key) {
-            Some((value, _version)) => {
-                let mut out = Vec::with_capacity(1 + value.len());
-                out.push(TAG_HIT);
-                out.extend_from_slice(&value);
-                out
-            }
-            None => vec![TAG_MISS],
-        }
-    });
+    // The plain backend's GET and PING; its SET is replaced below.
+    register_kv_backend(server, Arc::clone(&kv));
     let set_writer = Arc::clone(&writer);
     server.reg_handler(RPC_SET, move |req| {
         let Some(key) = read_key(req) else {
@@ -93,13 +81,7 @@ pub fn register_kv_mirror_backend(
         let _ = set_writer.publish_with_word(slot, &payload, word);
         vec![TAG_HIT]
     });
-    server.reg_handler(RPC_PING, |_req| vec![TAG_HIT]);
     Ok(writer)
-}
-
-/// The leading key hash, or `None` for truncated requests.
-fn read_key(req: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(req.get(..8)?.try_into().ok()?))
 }
 
 /// Per-path read counters a [`KvReadClient`] accumulates.

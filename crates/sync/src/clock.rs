@@ -148,10 +148,11 @@ pub struct Epoch {
 }
 
 impl Epoch {
-    /// Notifies so far.
+    /// Notifies so far. A reader that sees a notify's count also sees
+    /// the state the notifier published before it.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.load(Ordering::Acquire)
     }
 
     /// The first task the executor parked on this epoch, if any. Only
@@ -207,9 +208,11 @@ pub fn current() -> Option<Arc<dyn Executor>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Whether the calling thread runs under a virtual-time executor.
+/// Whether the calling thread runs under a virtual-time executor. Only
+/// the seam branches on the executor: everything outside this crate
+/// waits through [`Event`] and [`crate::AdaptiveBackoff`].
 #[inline]
-pub fn is_virtual() -> bool {
+pub(crate) fn is_virtual() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
@@ -316,12 +319,12 @@ pub fn expired(deadline_ns: u64) -> bool {
 /// [`Event::wait_until`] is the single place that knows how a task
 /// blocks under each executor:
 ///
-/// * **Threaded:** parks on a condition variable. A notify that lands
-///   between a failed check and the park is not lost: the waiter
-///   registers and reads the wake ticket *before* checking, and a
-///   notifier that sees a registered waiter moves the ticket under the
-///   internal lock. That lock is never held while `condition` runs, so
-///   it orders against no caller lock.
+/// * **Threaded:** parks on a condition variable, with no timeout when
+///   there is no deadline. A notify that lands between a failed check
+///   and the park is not lost: the waiter registers and reads the wake
+///   ticket *before* checking, and a notifier that sees a registered
+///   waiter moves the ticket under the internal lock. That lock is never
+///   held while `condition` runs, so it orders against no caller lock.
 /// * **Virtual:** check, then sleep `quantum_ns`, until the deadline — a
 ///   parked OS thread would stall the lab's one core. The sleeps go
 ///   through [`Executor::sleep_polling`]: a poll at which this event is
@@ -339,7 +342,8 @@ pub fn expired(deadline_ns: u64) -> bool {
 pub struct Event {
     /// Bumped by every notify. Shared so a virtual executor can watch it
     /// while the waiter is suspended, and keep its parked waiters on it;
-    /// threaded waiters never read it.
+    /// a threaded [`crate::AdaptiveBackoff::idle_on`] blocks until it
+    /// moves.
     epoch: Arc<Epoch>,
     /// Threaded waiters between registration and return. Notifiers skip
     /// the lock and the wake syscall while this is zero.
@@ -355,7 +359,7 @@ impl Event {
         Event::default()
     }
 
-    /// The notify epoch. A virtual poll loop that idles through
+    /// The notify epoch. A poll loop that idles through
     /// [`crate::AdaptiveBackoff::idle_on`] reads it *before* the check
     /// whose failure sends it to sleep.
     #[inline]
@@ -376,26 +380,6 @@ impl Event {
         }
     }
 
-    /// One idle round of a loop that polls every `period_ns` for
-    /// something only this event announces (`seen` = [`Event::epoch`]
-    /// before the poll that just found nothing): `sleep_ns(period_ns)`,
-    /// which a virtual executor repeats by itself while the event stays
-    /// un-notified and the instant is not past `deadline_ns`
-    /// ([`Executor::sleep_polling`]).
-    pub fn idle_fixed(&self, seen: u64, period_ns: u64, deadline_ns: u64) {
-        match current() {
-            Some(exec) => self.sleep_fixed(&*exec, seen, period_ns, deadline_ns),
-            None => sleep_ns(period_ns),
-        }
-    }
-
-    /// The virtual arm of a fixed-period wait: sleep `period_ns` plus
-    /// pending [`charge`]s, again and again while nothing is announced.
-    fn sleep_fixed(&self, exec: &dyn Executor, seen: u64, period_ns: u64, deadline_ns: u64) {
-        let poll = self.poll_every(seen, period_ns, deadline_ns);
-        exec.sleep_polling(take_pending().saturating_add(period_ns), poll);
-    }
-
     fn ticket(&self) -> MutexGuard<'_, u64> {
         // A plain counter is valid at every step: a lock poisoned by a
         // dying waiter is safe to reuse.
@@ -404,12 +388,12 @@ impl Event {
 
     /// Wake every current waiter so it re-checks its condition. Call
     /// *after* publishing the state change it looks for, and after
-    /// dropping the lock that guards that state. One relaxed increment,
+    /// dropping the lock that guards that state. One release increment,
     /// one fence and two loads when nobody is parked; a virtual
     /// executor's parked waiters are handed to [`Executor::notified`].
     #[inline]
     pub fn notify_all(&self) {
-        self.epoch.count.fetch_add(1, Ordering::Relaxed);
+        self.epoch.count.fetch_add(1, Ordering::Release);
         // Pairs with the fence in `wait_until` (store buffering: SeqCst
         // fences on both sides): either this load sees the waiter's
         // registration, or the waiter's check sees the caller's state.
@@ -461,7 +445,8 @@ impl Event {
                 if exec.now_ns() > deadline_ns {
                     return None;
                 }
-                self.sleep_fixed(&*exec, seen, quantum_ns, deadline_ns);
+                let poll = self.poll_every(seen, quantum_ns, deadline_ns);
+                exec.sleep_polling(take_pending().saturating_add(quantum_ns), poll);
                 quiet = Some(seen);
             }
         }
@@ -479,13 +464,16 @@ impl Event {
             let mut ticket = self.ticket();
             if *ticket == seen {
                 // No notify since `seen` was read, which was before the
-                // check: park. `wait_timeout` releases the lock
-                // atomically, so a notify from here on finds us waiting.
-                ticket = self
-                    .cv
-                    .wait_timeout(ticket, Duration::from_nanos(deadline_ns - now))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                // check: park. The wait releases the lock atomically, so
+                // a notify from here on finds us waiting.
+                ticket = match deadline_ns {
+                    u64::MAX => self.cv.wait(ticket).unwrap_or_else(PoisonError::into_inner),
+                    _ => {
+                        let left = Duration::from_nanos(deadline_ns - now);
+                        let woke = self.cv.wait_timeout(ticket, left);
+                        woke.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                };
             }
             seen = *ticket;
         };
@@ -838,5 +826,118 @@ mod tests {
     fn threaded_spawn_and_join() {
         let h = spawn("clock-test", || {});
         assert!(h.join().is_ok());
+    }
+
+    #[test]
+    fn a_threaded_wait_with_no_deadline_parks_until_notified() {
+        // (ready, checks made)
+        let shared = Arc::new((Event::new(), Mutex::new((false, 0))));
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (ev, state) = &*shared;
+                ev.wait_until(u64::MAX, 500, || {
+                    let mut state = state.lock().unwrap();
+                    state.1 += 1;
+                    state.0.then_some(())
+                })
+            })
+        };
+        let (ev, state) = &*shared;
+        std::thread::sleep(Duration::from_millis(50));
+        // Parked: nothing re-checks without a notify (bar a spurious
+        // condvar wake-up).
+        assert!(state.lock().unwrap().1 <= 2);
+        state.lock().unwrap().0 = true;
+        ev.notify_all();
+        assert_eq!(waiter.join().unwrap(), Some(()));
+    }
+
+    #[test]
+    fn a_threaded_stepper_idles_on_its_event_until_notified() {
+        let event = Arc::new(Event::new());
+        // (steps run, stop)
+        let state = Arc::new(Mutex::new((0, false)));
+        let task = {
+            let (event, state) = (Arc::clone(&event), Arc::clone(&state));
+            let idler = AdaptiveBackoff::new(Duration::from_micros(50));
+            spawn_stepper("idle-on", idler, move || {
+                let seen = event.epoch();
+                let mut state = state.lock().unwrap();
+                state.0 += 1;
+                if state.1 {
+                    return Next::Done;
+                }
+                Next::Idle(Some(IdleOn {
+                    event: Arc::clone(&event),
+                    seen,
+                    busy_ns: 0,
+                    deadline_ns: u64::MAX,
+                }))
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        // The spin and yield rounds, then one step that blocks.
+        let ladder = AdaptiveBackoff::SPIN_LIMIT + AdaptiveBackoff::YIELD_LIMIT;
+        let idle = state.lock().unwrap().0;
+        assert!(idle <= ladder + 1, "{idle} steps in 50 ms with no notify");
+        event.notify_all();
+        let woken = Instant::now();
+        while state.lock().unwrap().0 == idle {
+            assert!(
+                woken.elapsed() < Duration::from_secs(1),
+                "notify did not wake the stepper"
+            );
+            std::thread::yield_now();
+        }
+        state.lock().unwrap().1 = true;
+        event.notify_all();
+        task.join().unwrap();
+    }
+
+    #[test]
+    fn threaded_idlers_racing_their_notifiers_lose_no_wake_up() {
+        const ROUNDS: u64 = 100_000;
+        // Two sides pass the turn back and forth; each idles on its own
+        // event until the other hands it the turn, with a ladder that is
+        // never reset, so every round past the spin and yield tiers
+        // blocks. A lost wake-up stalls both sides.
+        let court = Arc::new((AtomicU64::new(0), [Event::new(), Event::new()]));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut sides = Vec::new();
+        for side in 0..2 {
+            let (court, done) = (Arc::clone(&court), done_tx.clone());
+            sides.push(std::thread::spawn(move || {
+                let (turn, events) = &*court;
+                let mut idler = AdaptiveBackoff::new(Duration::from_secs(3600));
+                loop {
+                    let seen = events[side].epoch();
+                    let now = turn.load(Ordering::Acquire);
+                    if now >= ROUNDS {
+                        break;
+                    }
+                    if now % 2 == side as u64 {
+                        turn.store(now + 1, Ordering::Release);
+                        events[1 - side].notify_all();
+                    } else {
+                        idler.idle_on(&events[side], seen, 0, u64::MAX);
+                    }
+                }
+                done.send(()).unwrap();
+            }));
+        }
+        // The watchdog: a stalled side would never send, and joining it
+        // would hang the test instead of failing it.
+        for _ in 0..2 {
+            if done_rx.recv_timeout(Duration::from_secs(60)).is_err() {
+                panic!(
+                    "a wake-up was lost at turn {}",
+                    court.0.load(Ordering::SeqCst)
+                );
+            }
+        }
+        for side in sides {
+            side.join().unwrap();
+        }
     }
 }

@@ -193,7 +193,9 @@ fn single_cpu() -> bool {
 ///    (let a runnable peer in — on a loaded box this is what keeps a
 ///    polling thread from starving the thread that would feed it);
 /// 3. after that: `thread::sleep` with an exponentially growing
-///    duration, capped at `max_park`.
+///    duration, capped at `max_park` — or, for a round
+///    [`AdaptiveBackoff::idle_on`] an event, a block on that event until
+///    it is notified or the round's deadline passes.
 ///
 /// Any successful poll calls [`AdaptiveBackoff::reset`], snapping back
 /// to the spin tier. Under `cfg(loom)` every tier is a voluntary yield;
@@ -330,9 +332,9 @@ impl AdaptiveBackoff {
     /// strictly better from the first idle round.
     #[inline]
     pub fn idle(&mut self) {
-        self.idle_rounds = self.idle_rounds.saturating_add(1);
         #[cfg(loom)]
         {
+            self.idle_rounds = self.idle_rounds.saturating_add(1);
             thread::yield_now();
         }
         #[cfg(not(loom))]
@@ -342,12 +344,8 @@ impl AdaptiveBackoff {
                 // sleep whose period doubles from VIRTUAL_FIRST_POLL_NS
                 // up to VIRTUAL_MAX_POLL_NS, mirroring the park tier's
                 // shape without burning wall time or host CPU.
-                clock::sleep_ns(self.virtual_poll_ns());
-            } else if self.idle_rounds <= Self::SPIN_LIMIT && !single_cpu() {
-                hint::spin_loop();
-            } else if self.idle_rounds <= Self::SPIN_LIMIT + Self::YIELD_LIMIT {
-                thread::yield_now();
-            } else {
+                clock::sleep_ns(self.virtual_round());
+            } else if !self.spin_or_yield() {
                 let over = self.idle_rounds - Self::SPIN_LIMIT - Self::YIELD_LIMIT;
                 let exp = over.min(10); // 5 µs << 10 ≈ 5 ms, before the cap
                 let park = Self::FIRST_PARK
@@ -356,6 +354,22 @@ impl AdaptiveBackoff {
                 thread::sleep(park);
             }
         }
+    }
+
+    /// Count one idle round of the wall ladder and make it if it is a
+    /// spin or a yield; `false` once both tiers are spent and the round
+    /// is the caller's to park.
+    #[cfg(not(loom))]
+    fn spin_or_yield(&mut self) -> bool {
+        self.idle_rounds = self.idle_rounds.saturating_add(1);
+        if self.idle_rounds <= Self::SPIN_LIMIT && !single_cpu() {
+            hint::spin_loop();
+        } else if self.idle_rounds <= Self::SPIN_LIMIT + Self::YIELD_LIMIT {
+            thread::yield_now();
+        } else {
+            return false;
+        }
+        true
     }
 
     /// [`AdaptiveBackoff::idle`] for a loop whose idle polls can only be
@@ -367,24 +381,31 @@ impl AdaptiveBackoff {
     /// empty check [`clock::charge`]s — the same amount each round, the
     /// one just made included.
     ///
-    /// On real threads this is `idle()`. A virtual task sleeps the same
-    /// ladder, but the executor skips the rounds that cannot find
-    /// anything — event un-notified, instant not past the deadline —
-    /// counting each as `busy_ns` plus its sleep
+    /// On real threads the round spins or yields like `idle()`'s; past
+    /// those tiers it blocks on `event` until the epoch moves off `seen`
+    /// or the deadline passes — no timed re-poll. A virtual task sleeps
+    /// the virtual ladder, but the executor skips the rounds that cannot
+    /// find anything — event un-notified, instant not past the deadline
+    /// — counting each as `busy_ns` plus its sleep
     /// ([`clock::Executor::sleep_polling`]); the ladder advances by the
     /// rounds slept through, so the next sleep is the one a task that
     /// polled every round would make.
     pub fn idle_on(&mut self, event: &clock::Event, seen: u64, busy_ns: u64, deadline_ns: u64) {
-        #[cfg(not(loom))]
-        if let Some(exec) = clock::current() {
-            let (first, poll) = self.virtual_round_on(event, seen, busy_ns, deadline_ns);
-            let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
-            self.slept_through(slept, event.epoch() == seen);
-            return;
-        }
         #[cfg(loom)]
-        let _ = (event, seen, busy_ns, deadline_ns);
-        self.idle();
+        {
+            let _ = (event, seen, busy_ns, deadline_ns);
+            self.idle();
+        }
+        #[cfg(not(loom))]
+        {
+            if let Some(exec) = clock::current() {
+                let (first, poll) = self.virtual_round_on(event, seen, busy_ns, deadline_ns);
+                let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
+                self.slept_through(slept, event.epoch() == seen);
+            } else if !self.spin_or_yield() {
+                event.wait_until(deadline_ns, 0, || (event.epoch() != seen).then_some(()));
+            }
+        }
     }
 
     /// Whether the next [`AdaptiveBackoff::idle`] call would park.

@@ -7,15 +7,10 @@
 //! "deterministic" run to the host, and nothing in the type system stops
 //! it — so this rule does: any of the patterns below outside
 //! `crates/sync/src/clock.rs` (the seam's own threaded arm) is an error
-//! unless justified in `determinism.allow`.
+//! unless justified in `determinism.allow`. (Branching on the executor
+//! needs no rule: `clock::is_virtual` is private to `flock-sync`.)
 //!
-//! Branching on the executor is the same kind of escape: a
-//! `clock::is_virtual()` outside `crates/sync` means a module has its
-//! own idea of how a task blocks under each executor, which is exactly
-//! what `clock::Event::wait_until` exists to own. It needs a
-//! justification like any other.
-//!
-//! So is per-thread state: every task of a `VirtualLab` runs on the one
+//! Per-thread state is the same kind of escape: every task of a `VirtualLab` runs on the one
 //! OS thread that called `run`, each on a stack of its own, so a
 //! `thread_local!` in a crate that runs under the lab is state shared
 //! by all of them — a borrow of it held across a suspension point
@@ -49,11 +44,6 @@ const QUALIFIED: &[(&str, &str)] = &[
     ("thread", "Builder"),
     ("rand", "random"),
 ];
-
-/// The executor probe. Legitimate anywhere in the seam's crate (the
-/// backoff ladders live beside `clock.rs`), an escape everywhere else.
-const EXECUTOR_PROBE: (&str, &str) = ("clock", "is_virtual");
-const SEAM_CRATE: &str = "crates/sync/";
 
 /// Bare identifiers that escape the seam wherever they appear (RNG
 /// seeding from host entropy).
@@ -89,7 +79,6 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
     let mut ordinals: BTreeMap<(String, String), usize> = BTreeMap::new();
     let mut out = Vec::new();
     let toks = &model.toks;
-    let probe = (!model.path.starts_with(SEAM_CRATE)).then_some(&EXECUTOR_PROBE);
     let runs_under_the_lab = LAB_CRATES.iter().any(|c| model.path.starts_with(c));
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident {
@@ -97,7 +86,6 @@ pub fn scan(model: &SourceModel) -> Vec<Escape> {
         }
         let matched: Option<String> = QUALIFIED
             .iter()
-            .chain(probe)
             .find(|(q, name)| {
                 toks[i].text == *q
                     && toks.get(i + 1).is_some_and(|t| t.text == "::")

@@ -45,4 +45,5 @@ exec cargo +nightly test -p flock-core -Z build-std --target "$target" \
     -- --test-threads=1 \
     --skip timed_out_call_frees_the_thread_and_drops_the_late_response \
     --skip unanswered_manual_request_times_out \
+    --skip a_reply_dropped_unanswered_is_disconnected_in_the_lab \
     "$@"
