@@ -109,6 +109,9 @@ pub(crate) struct ClientQpCtx {
     /// Requests out (the TCQ leader sends), responses in (the response
     /// dispatcher polls).
     link: Link,
+    /// The link's QP's send CQ, bound at lease: the response dispatcher
+    /// drains it on every sweep.
+    send_cq: Arc<CompletionQueue>,
     tcq: Tcq<ClientReq>,
     credits: Mutex<CreditState>,
     /// Signalled on every credit grant/decline and at shutdown.
@@ -462,8 +465,7 @@ impl ConnectionHandle {
             // Polling core in the lab: see the matching cap of the
             // server's `DispatchShard` for why the virtual ladder stays
             // tight.
-            let idler = flock_sync::AdaptiveBackoff::new(Duration::from_micros(100))
-                .with_virtual_cap(1_000);
+            let idler = flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000);
             clock::spawn_stepper("fl-resp-dispatch", idler, move || dispatcher.step())
         };
         let scheduler = if cfg.auto_thread_sched {
@@ -1256,6 +1258,7 @@ fn build_lane_ctx(
 ) -> Arc<ClientQpCtx> {
     Arc::new(ClientQpCtx {
         index,
+        send_cq: link.qp().send_cq(),
         link,
         tcq: Tcq::new(cfg.batch_limit),
         credits: Mutex::new(CreditState::new(initial_credits)),
@@ -1539,7 +1542,7 @@ impl ResponseDispatcher {
             lanes += 1;
             // Send-CQ: one-sided completions and (rare) ring-write errors.
             drained.clear();
-            if qp.link.qp().send_cq().poll(drained, usize::MAX) > 0 {
+            if qp.send_cq.poll(drained, usize::MAX) > 0 {
                 progressed = true;
                 clock::charge(inner.cost.cpu_poll_cqe_ns * drained.len() as u64);
                 for c in drained.iter() {
@@ -1570,12 +1573,12 @@ impl ResponseDispatcher {
         // Nothing the sweep looked at changes before a notify of
         // `dispatch_event`, and until then every sweep is this one
         // again: an empty probe of each lane's ring.
-        Next::Idle(Some(IdleOn {
+        Next::Idle(IdleOn {
             event: Arc::clone(&inner.dispatch_event),
             seen,
             busy_ns: lanes * inner.cost.cpu_poll_empty_ns,
             deadline_ns: u64::MAX,
-        }))
+        })
     }
 }
 

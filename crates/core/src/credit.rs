@@ -174,9 +174,12 @@ impl LaneGate {
     }
 
     /// Reactivate. Call *before* the grant is written: whatever the
-    /// client sends on that grant finds the lane visited again.
-    pub fn activate(&self) {
-        let _ = transition(&self.word, |cur| Some(cur & !3 | GATE_ACTIVE));
+    /// client sends on that grant finds the lane visited again. Returns
+    /// whether the lane was silent — skipped by its dispatch shard until
+    /// now, which is for the caller to tell the shard.
+    pub fn activate(&self) -> bool {
+        let before = transition(&self.word, |cur| Some(cur & !3 | GATE_ACTIVE));
+        before.expect("unconditional") & 3 == GATE_SILENT
     }
 
     /// Deactivate: the lane drains in a fresh epoch, returned for the
@@ -453,7 +456,7 @@ mod tests {
         let first = gate.deactivate();
         assert_eq!(gate.phase(), LanePhase::Draining(first));
         assert_eq!(gate.epoch(), first, "a declined renewal repeats the epoch");
-        gate.activate();
+        assert!(!gate.activate(), "a draining lane was never skipped");
         let second = gate.deactivate();
         assert_ne!(first, second);
         assert!(
@@ -463,7 +466,7 @@ mod tests {
         assert!(gate.mark_silent(second));
         assert_eq!((gate.phase(), gate.epoch()), (LanePhase::Silent, second));
         assert!(!gate.mark_silent(second), "applied once");
-        gate.activate();
+        assert!(gate.activate(), "a silent lane was skipped until now");
         assert_eq!(gate.phase(), LanePhase::Active);
     }
 

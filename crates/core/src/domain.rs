@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use flock_fabric::{doorbell, DoorbellSender, Fabric, FabricConfig, Node, NodeId, Qp, QpNum, Rkey};
@@ -285,7 +284,7 @@ pub fn reply_channel<T>() -> (DoorbellSender<Result<T>>, ReplyReceiver<T>) {
 /// poll period would multiply the event count by the storm width while a
 /// reply is still tens of microseconds of control-QP work away.
 pub(crate) fn await_reply<T>((rx, rung): &ReplyReceiver<T>) -> Result<T> {
-    let mut idle = AdaptiveBackoff::new(Duration::from_micros(50)).with_virtual_cap(50_000);
+    let mut idle = AdaptiveBackoff::new().with_virtual_cap(50_000);
     loop {
         let seen = rung.epoch();
         match rx.try_recv() {

@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use flock_fabric::{Access, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId};
-use flock_sync::clock;
+use flock_sync::clock::{self, Event};
 use parking_lot::Mutex;
 
 use crate::domain::RingInfo;
@@ -442,6 +442,13 @@ impl Link {
     /// Geometry of the local ring, for the peer's [`Link::new`].
     pub(crate) fn ring_info(&self) -> RingInfo {
         RingInfo::of(&self.ring_mr)
+    }
+
+    /// Make `event` the local ring's doorbell: the NIC notifies it after
+    /// every write into the ring ([`MemoryRegion::set_doorbell`]), so the
+    /// task that polls the ring can idle on it.
+    pub(crate) fn set_doorbell(&self, event: &Arc<Event>) {
+        self.ring_mr.set_doorbell(Some(Arc::clone(event)));
     }
 
     /// Capacity of the peer's ring in bytes.

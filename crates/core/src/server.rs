@@ -13,7 +13,7 @@ use flock_fabric::{
     doorbell, Access, CompletionQueue, CostModel, CqOpcode, DoorbellSender, MemoryRegion, Node, Qp,
     Transport,
 };
-use flock_sync::clock::{self, Event, Next, TaskHandle};
+use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{LaneGate, LanePhase};
@@ -106,8 +106,8 @@ struct ServerQpCtx {
     /// grant — is skipped outright, so at high connection counts (QPs ≫
     /// MAX_AQP) the dispatch budget is not burnt on empty probes.
     gate: LaneGate,
-    /// Request-ring polls of the lane (a silent lane's count stands
-    /// still; [`FlockServer::lane_probes`]).
+    /// Visits of the lane's dispatch shard in sweeps that could find
+    /// something ([`FlockServer::lane_probes`]).
     probes: AtomicU64,
 }
 
@@ -154,7 +154,8 @@ pub struct ServerStats {
     /// the lane went silent.
     pub drains_completed: AtomicU64,
     /// Visits dispatch shards paid to draining lanes (one per lane per
-    /// sweep, from the deactivation to the marker or the reactivation).
+    /// sweep that could find something, from the deactivation to the
+    /// marker or the reactivation; see [`FlockServer::lane_probes`]).
     pub drain_sweeps: AtomicU64,
     /// Redundant head-only response writes elided because the client's
     /// view of the consumed head was still fresh (within a quarter ring).
@@ -164,8 +165,10 @@ pub struct ServerStats {
     /// Response messages that carried them (head-only and credit-control
     /// messages are not counted).
     pub response_messages: AtomicU64,
-    /// Times a dispatch shard found a client's response ring full and
-    /// left the lane's responses deferred for its next visit.
+    /// Deferral episodes: times a dispatch shard found a client's
+    /// response ring full and began holding the lane's responses back
+    /// (retried on the lane's later visits, until they fit or
+    /// `cfg.timeout` drops them).
     pub response_ring_full: AtomicU64,
 }
 
@@ -218,6 +221,13 @@ struct ServerInner {
     /// Notified after every `dispatch_acks` store and when the server
     /// stops: what `detach_one`'s quiescence wait sleeps on.
     acked: Event,
+    /// One doorbell per dispatch shard, which an idle shard blocks on
+    /// (in the lab: is parked on). The NIC rings it after every write
+    /// into a request ring of the shard's snapshot (`snapshot_partition`
+    /// installs it), and the server after every other change an idle
+    /// sweep looks at: a new topology generation, a silent lane
+    /// reactivated, the stop ([`ServerInner::ring_shards`]).
+    doorbells: Vec<Arc<Event>>,
     qpn_map: RwLock<HashMap<u32, (usize, usize)>>,
     qp_sched: Mutex<QpScheduler>,
     mem_mrs: RwLock<Vec<Arc<MemoryRegion>>>,
@@ -233,6 +243,25 @@ struct ServerInner {
     manual_rung: Arc<Event>,
     stats: ServerStats,
     stop: AtomicBool,
+}
+
+impl ServerInner {
+    /// Wake every dispatch shard: something its idle sweeps look at
+    /// changed.
+    fn ring_shards(&self) {
+        for bell in &self.doorbells {
+            bell.notify_all();
+        }
+    }
+
+    /// Publish a new topology generation — connection membership or the
+    /// dispatcher assignment changed — and ring every shard to fold it
+    /// in. Returns the generation.
+    fn publish_topology(&self) -> u64 {
+        let gen = self.topo_gen.fetch_add(1, Ordering::Release) + 1;
+        self.ring_shards();
+        gen
+    }
 }
 
 /// A Flock RPC server bound to one node.
@@ -269,6 +298,9 @@ impl FlockServer {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             acked: Event::new(),
+            doorbells: (0..cfg.dispatch_threads.max(1))
+                .map(|_| Arc::new(Event::new()))
+                .collect(),
             qpn_map: RwLock::new(HashMap::new()),
             qp_sched: Mutex::new(QpScheduler::new(cfg.sched.clone())),
             mem_mrs: RwLock::new(Vec::new()),
@@ -404,9 +436,14 @@ impl FlockServer {
         &self.inner.stats
     }
 
-    /// How often lane `lane` of sender `sender`'s request ring has been
-    /// polled. Grows with every sweep of the lane's dispatch shard while
-    /// the lane is active or draining, stands still while it is silent.
+    /// How often the dispatch shard of lane `lane` of sender `sender`
+    /// has visited it in a sweep that could find something: the first
+    /// sweep after work, or after the shard's doorbell rang or its
+    /// deadline passed. Grows while the lane is active or draining and
+    /// its shard sweeps, stands still while it is silent. The sweeps it
+    /// leaves out repeat an empty one with nothing announced since —
+    /// only an executor that runs every poll makes them — so the count
+    /// is the same on either executor.
     pub fn lane_probes(&self, sender: u32, lane: usize) -> Option<u64> {
         let conns = self.inner.conns.read();
         let conn = conns.iter().find(|c| c.sender_id == sender)?;
@@ -442,9 +479,10 @@ impl FlockServer {
         domain.unregister_listener(&self.name);
         self.inner.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop out of its blocked receive or its
-        // quiescence wait, and the QP scheduler out of its idling on
-        // the immediate CQ.
+        // quiescence wait, the dispatch shards off their doorbells, and
+        // the QP scheduler out of its idling on the immediate CQ.
         let _ = self.accept_tx.send(CtrlMsg::Stop);
+        self.inner.ring_shards();
         self.inner.acked.notify_all();
         self.inner.imm_cq.wake_waiters();
         for h in self.threads.lock().drain(..) {
@@ -625,7 +663,7 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
     // Publish the membership change while still holding the write lock:
     // a dispatcher that observes the new generation and re-reads `conns`
     // is guaranteed to see the pushed connection.
-    inner.topo_gen.fetch_add(1, Ordering::Release);
+    inner.publish_topology();
 
     let memory_regions: Vec<MemRegionInfo> = inner
         .mem_mrs
@@ -687,7 +725,7 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
     }
     qps.push(ctx);
     // Publish while holding the lane write lock, mirroring `accept_one`.
-    inner.topo_gen.fetch_add(1, Ordering::Release);
+    inner.publish_topology();
 
     Ok(AttachReply {
         request_ring,
@@ -744,7 +782,7 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
     // Tombstone published: the Release RMW on `topo_gen` orders the
     // `departed` store before any dispatcher's Acquire load of the new
     // generation.
-    let target_gen = inner.topo_gen.fetch_add(1, Ordering::Release) + 1;
+    let target_gen = inner.publish_topology();
 
     // The departing sender's whole AQP share returns to the pool now —
     // survivors pick it up at the next redistribution.
@@ -874,6 +912,9 @@ struct DispatchShard {
     /// its ring into this buffer, or into the lane's `ahead`, which is
     /// swapped with it.
     msg: Vec<u8>,
+    /// Doorbell epoch and deadline of the last sweep, while it was empty:
+    /// the next sweep repeats it if it begins with neither moved on.
+    idle: Option<(u64, u64)>,
 }
 
 impl DispatchShard {
@@ -887,16 +928,18 @@ impl DispatchShard {
             handlers_seen: u64::MAX,
             drained: Vec::new(),
             msg: Vec::new(),
+            idle: None,
         }
     }
 
-    /// Dispatchers are dedicated polling cores (paper §4.3): the wall
-    /// ladder may park up to 100 µs to spare a shared host, but in the
-    /// lab a deep ladder would charge burst-detection latency that grows
-    /// with dispatcher count (fewer conns each → deeper idle between
-    /// bursts), inverting the sharding win. 1 µs models a polling core.
+    /// Dispatchers are dedicated polling cores (paper §4.3): on real
+    /// threads a shard spins, yields, then blocks on its doorbell, but in
+    /// the lab a deep ladder would charge burst-detection latency that
+    /// grows with dispatcher count (fewer conns each → deeper idle
+    /// between bursts), inverting the sharding win. 1 µs models a
+    /// polling core.
     fn idler() -> flock_sync::AdaptiveBackoff {
-        flock_sync::AdaptiveBackoff::new(Duration::from_micros(100)).with_virtual_cap(1_000)
+        flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000)
     }
 
     /// The "no request on a silent lane" oracle over this worker's
@@ -916,14 +959,27 @@ impl DispatchShard {
     /// which applies the accrued virtual CPU cost — otherwise a saturated
     /// dispatcher would freeze virtual time for every other task. Nothing
     /// in here may wait: a full response ring leaves the lane's
-    /// responses deferred (`flush_pending`).
+    /// responses deferred (`flush_pending`). An empty sweep idles on the
+    /// shard's doorbell until something it looks at changes, or the
+    /// earliest deferral's timeout passes.
     fn step(&mut self) -> Next {
         let inner = &*self.inner;
+        let bell = &inner.doorbells[self.worker];
+        // Before anything the sweep looks at: whatever changes after this
+        // read rings the doorbell again.
+        let seen = bell.epoch();
         if inner.stop.load(Ordering::Relaxed) {
             #[cfg(debug_assertions)]
             self.assert_silent_lanes_are_empty();
             return Next::Done;
         }
+        let repeat = self
+            .idle
+            .take()
+            .is_some_and(|(was, deadline)| was == seen && clock::now_ns() <= deadline);
+        // The last instant at which this sweep, repeated, still finds
+        // nothing.
+        let mut deadline_ns = u64::MAX;
         let gen = inner.topo_gen.load(Ordering::Acquire);
         if gen != self.conns_seen {
             // Settle before leaving: the new snapshot starts with empty
@@ -948,6 +1004,10 @@ impl DispatchShard {
                 // may recycle the connection's resources.
                 inner.dispatch_acks[self.worker].fetch_max(gen, Ordering::Release);
                 inner.acked.notify_all();
+            } else {
+                // Another shard may have taken over these lanes'
+                // doorbells: poll every round until this one lets go.
+                deadline_ns = clock::now_ns();
             }
         }
         let hgen = inner.handlers_gen.load(Ordering::Acquire);
@@ -956,7 +1016,7 @@ impl DispatchShard {
             self.handlers_seen = hgen;
         }
         let mut progressed = false;
-        let mut draining = 0;
+        let (mut visited, mut draining) = (0, 0);
         for (conn, lanes) in self.conns.iter_mut() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
@@ -977,26 +1037,43 @@ impl DispatchShard {
                     LanePhase::Draining(_) => draining += 1,
                     _ => {}
                 }
+                visited += 1;
+                if !repeat {
+                    lane.qp.probes.fetch_add(1, Ordering::Relaxed);
+                }
                 progressed |= visit_lane(inner, &self.handlers, conn, lane, &mut self.msg);
+                if let Some(until) = lane.full_until {
+                    deadline_ns = deadline_ns.min(until);
+                }
             }
         }
-        if draining > 0 {
+        if draining > 0 && !repeat {
             inner
                 .stats
                 .drain_sweeps
                 .fetch_add(draining, Ordering::Relaxed);
         }
         if progressed {
-            Next::Again
-        } else {
-            Next::Idle(None)
+            return Next::Again;
         }
+        // Every visit was one empty probe of the lane's ring.
+        self.idle = Some((seen, deadline_ns));
+        Next::Idle(IdleOn {
+            event: Arc::clone(bell),
+            seen,
+            busy_ns: visited * inner.cost.cpu_poll_empty_ns,
+            deadline_ns,
+        })
     }
 }
 
 /// Worker `worker`'s share of the live connections, each with fresh
-/// (empty) lane state. The only place lane buffers are allocated.
+/// (empty) lane state, the worker's doorbell installed on every request
+/// ring — before the sweep that follows reads any of them, so a write
+/// that lands while the partition is being re-cut rings whichever shard
+/// polls the ring next. The only place lane buffers are allocated.
 fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn>, Vec<Lane>)> {
+    let bell = &inner.doorbells[worker];
     // Lock order: `conns` before `dispatch_assign` before `conn.qps`,
     // matching `accept_one` and `rebalance_dispatch`.
     let all = inner.conns.read();
@@ -1012,15 +1089,18 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
                 .read()
                 .iter()
                 .enumerate()
-                .map(|(qp_idx, qp)| Lane {
-                    conn_idx,
-                    qp_idx,
-                    qp: Arc::clone(qp),
-                    ahead: Vec::new(),
-                    pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
-                    pending_bytes: 0,
-                    full_until: None,
-                    marker: None,
+                .map(|(qp_idx, qp)| {
+                    qp.link.set_doorbell(bell);
+                    Lane {
+                        conn_idx,
+                        qp_idx,
+                        qp: Arc::clone(qp),
+                        ahead: Vec::new(),
+                        pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
+                        pending_bytes: 0,
+                        full_until: None,
+                        marker: None,
+                    }
                 })
                 .collect();
             (Arc::clone(c), lanes)
@@ -1036,7 +1116,6 @@ fn poll_requests(inner: &ServerInner, qp: &ServerQpCtx, msg: &mut Vec<u8>) -> Re
     // The link folds the piggybacked head in now, not when the message
     // is handled: a flush that runs while this message is still the
     // read-ahead one sees the freshest response-ring space.
-    qp.probes.fetch_add(1, Ordering::Relaxed);
     let polled = qp.link.poll_into(msg);
     if matches!(polled, Ok(false)) {
         clock::charge(inner.cost.cpu_poll_empty_ns);
@@ -1230,13 +1309,14 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
     // the head debt stands, and the next visit with a message retries.)
     let mut keep = false;
     if matches!(outcome, Err(FlockError::RingFull { .. })) && !lane.pending.is_empty() {
-        inner
-            .stats
-            .response_ring_full
-            .fetch_add(1, Ordering::Relaxed);
-        let deadline = *lane
-            .full_until
-            .get_or_insert_with(|| clock::deadline(inner.cfg.timeout));
+        let deadline = *lane.full_until.get_or_insert_with(|| {
+            // A deferral episode begins.
+            inner
+                .stats
+                .response_ring_full
+                .fetch_add(1, Ordering::Relaxed);
+            clock::deadline(inner.cfg.timeout)
+        });
         keep = !clock::expired(deadline) && !inner.stop.load(Ordering::Relaxed);
     }
     if !keep {
@@ -1335,14 +1415,12 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     let mut imms: Vec<flock_fabric::Completion> = Vec::new();
     // On real threads the ladder spins and yields, then blocks on the
     // immediate CQ's event until a push or the next redistribution, so
-    // a credit request is picked up at once, not after a timed snooze
-    // (`max_park` is unused: every idle round here names the event).
-    // Under virtual time the cap is 1 µs like the dispatch loop's: the
+    // a credit request is picked up at once, not after a timed snooze.
+    // Under virtual time the cap is 1 µs like the dispatch shards': the
     // model is a dedicated polling core, and a 200 µs virtual nap would
     // turn every credit renewal that lands in it into a hundreds-of-µs
     // client stall.
-    let mut idler = flock_sync::AdaptiveBackoff::new(Duration::from_micros(200))
-        .with_virtual_cap(1_000);
+    let mut idler = flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000);
     let pushed = inner.imm_cq.pushed_event();
     while !inner.stop.load(Ordering::Relaxed) {
         let mut progressed = false;
@@ -1434,7 +1512,11 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                     // the lane visited. Deactivation: a zero grant with
                     // the epoch the client's drained marker must echo.
                     let aux = if now_active {
-                        qp.gate.activate();
+                        if qp.gate.activate() {
+                            // Its shard skipped it: from now on its idle
+                            // sweeps visit one lane more.
+                            inner.ring_shards();
+                        }
                         msg::pack_aux(inner.cfg.sched.grant_size, 0)
                     } else {
                         inner.stats.deactivations.fetch_add(1, Ordering::Relaxed);
@@ -1497,7 +1579,7 @@ fn rebalance_dispatch(inner: &ServerInner) {
         // Publish under the write lock, mirroring `accept_one`: a
         // dispatcher that observes the new generation and re-reads the
         // assignment sees a consistent partition.
-        inner.topo_gen.fetch_add(1, Ordering::Release);
+        inner.publish_topology();
     }
 }
 

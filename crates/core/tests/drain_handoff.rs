@@ -3,7 +3,9 @@
 //! served on every sweep, exactly like an active one — until the client
 //! has moved its threads off it and posted the `FLAG_DRAINED` marker,
 //! and from then on it is *silent*: not probed at all until a grant
-//! reactivates it.
+//! reactivates it. (A probe is a visit in a sweep that could find
+//! something, `FlockServer::lane_probes`: the same count whether or not
+//! the executor runs the sweeps that repeat an empty one.)
 //!
 //! * drain latency: a request sent on the lane between the scheduler's
 //!   decision and the client's receipt of the zero grant costs what the
@@ -13,9 +15,12 @@
 //!   lane stays polled and every request is answered, with the lab's
 //!   shortcuts checked against the reference run;
 //! * a pipelined thread that never has zero requests outstanding keeps
-//!   its lane draining, not silent, and is served on every sweep.
+//!   its lane draining, not silent, and is served on every sweep;
+//! * a silent lane reactivated while its shard idles: the shard is told
+//!   that its sweeps visit one lane more, checked against the reference
+//!   run.
 //!
-//! All three run on one connection with a thread on lane 0 and a thread
+//! All four run on one connection with a thread on lane 0 and a thread
 //! on lane 1, against `max_aqp = 2` and one dispatch shard; the first
 //! has a third lane, which starts outside the budget.
 
@@ -270,9 +275,9 @@ fn a_deactivated_lane_serves_at_full_rate_then_goes_silent() {
         }
         assert!(run.notice_ns < 5_000, "{run:?}");
         // Silent: not one probe in 100 µs, while the active lane was
-        // probed on every sweep.
+        // probed at each of the dozen call instants in them and more.
         assert_eq!(run.probes_then, run.probes_later, "phase {phase_ns}");
-        assert!(run.active_probes.1 > run.active_probes.0 + 100, "{run:?}");
+        assert!(run.active_probes.1 > run.active_probes.0 + 12, "{run:?}");
         assert_eq!(run.drains_completed, 1);
     }
     assert!(
@@ -292,6 +297,14 @@ struct CapRun {
     /// old, and 60 µs later.
     probes: (u64, u64),
     lane_of_thread_1: usize,
+}
+
+impl CapRun {
+    /// Whether lane 1 was probed on nearly every sweep of the 60 µs in
+    /// `probes`: the steady thread alone calls 30 times in them.
+    fn lane_1_probed(&self) -> bool {
+        self.probes.1 > self.probes.0 + 25
+    }
 }
 
 /// Tenant cap 1 takes lane 1's slot at the second redistribution (lane 0
@@ -421,7 +434,7 @@ fn a_marker_that_crosses_a_reactivation_is_ignored() {
         // Every request answered (the callers assert each reply), and the
         // reactivated lane is polled whether or not the marker got in.
         assert_eq!(run.deactivations, 1, "step {step}: {run:?}");
-        assert!(run.probes.1 > run.probes.0 + 50, "step {step}: {run:?}");
+        assert!(run.lane_1_probed(), "step {step}: {run:?}");
         outcomes.push((leave_at, run.drains_completed));
     }
     let applied = outcomes.iter().filter(|(_, drains)| *drains == 1).count();
@@ -435,7 +448,96 @@ fn a_marker_that_crosses_a_reactivation_is_ignored() {
         .unwrap_or_else(|| panic!("the marker never crossed the reactivation: {outcomes:?}"));
     let (run, _) = VirtualLab::run_against_reference(move || cap_run(Some(crossing), true));
     assert_eq!(run.drains_completed, 0);
-    assert!(run.probes.1 > run.probes.0 + 50, "{run:?}");
+    assert!(run.lane_1_probed(), "{run:?}");
+}
+
+/// What one run of the quiet-reactivation scenario saw.
+#[derive(Debug, PartialEq)]
+struct QuietRun {
+    /// Completion instants of thread 0's and thread 1's calls.
+    done: [Vec<u64>; 2],
+    drains_completed: u64,
+    /// Lanes the server kept active before and after the third
+    /// redistribution.
+    active: (usize, usize),
+}
+
+/// The cap scenario with nobody calling around the reactivation: from
+/// `phase_ns` on, both threads call until the second redistribution has
+/// taken lane 1's slot and thread 1 has left the lane (it goes silent),
+/// then stop; the cap is lifted, the third redistribution reactivates
+/// lane 1 while the shard idles, and 20 µs later each thread calls once
+/// more.
+fn quiet_run(phase_ns: u64) -> QuietRun {
+    let rig = Arc::new(rig("quiet", 2, 4));
+    // Lane 0 reports twice lane 1's utilization, so it is the one kept.
+    let until = rig.t0 + 2 * INTERVAL_NS + 20_000;
+    let last_call = rig.t0 + 3 * INTERVAL_NS + 20_000;
+    let callers: Vec<_> = [2_000, 4_000]
+        .into_iter()
+        .enumerate()
+        .map(|(i, period)| {
+            let rig = Arc::clone(&rig);
+            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sink = Arc::clone(&out);
+            let task = clock::spawn(&format!("caller{i}"), move || {
+                let t = &rig.threads[i];
+                let mut at = rig.t0 + 10_000 + phase_ns;
+                while at < until {
+                    sleep_until(at);
+                    assert_eq!(
+                        &t.call(RPC_ECHO, &at.to_le_bytes()).expect("call")[..],
+                        &at.to_le_bytes()
+                    );
+                    sink.lock().push(clock::now_ns());
+                    at += period;
+                }
+                sleep_until(last_call);
+                assert_eq!(&t.call(RPC_ECHO, b"late").expect("call")[..], b"late");
+                sink.lock().push(clock::now_ns());
+            });
+            (task, out)
+        })
+        .collect();
+    sleep_until(rig.t0 + INTERVAL_NS + INTERVAL_NS / 2);
+    rig.server.set_tenant_cap(0, 1);
+    sleep_until(until + 2_000);
+    rig.server.clear_tenant_cap(0);
+    let before = rig.server.active_qps();
+    sleep_until(last_call - 5_000);
+    let active = (before, rig.server.active_qps());
+    let done: Vec<Vec<u64>> = callers
+        .into_iter()
+        .map(|(task, out)| {
+            task.join().expect("caller");
+            std::mem::take(&mut *out.lock())
+        })
+        .collect();
+    let drains_completed = rig.server.stats().drains_completed.load(Relaxed);
+    Arc::try_unwrap(rig)
+        .ok()
+        .expect("rig users joined")
+        .finish();
+    QuietRun {
+        done: done.try_into().expect("two callers"),
+        drains_completed,
+        active,
+    }
+}
+
+#[test]
+fn a_silent_lane_reactivated_while_its_shard_idles_matches_the_reference() {
+    // The reactivation tells the idle shard that its sweeps visit one
+    // lane more from now on: without that, the lab would sleep through
+    // them as if they still charged one lane's probe.
+    for phase_ns in (0..2_000).step_by(100) {
+        let (run, _) = VirtualLab::run_against_reference(move || quiet_run(phase_ns));
+        assert_eq!(
+            (run.drains_completed, run.active),
+            (1, (1, 2)),
+            "{phase_ns}: {run:?}"
+        );
+    }
 }
 
 #[test]
@@ -445,7 +547,7 @@ fn a_pipelined_thread_keeps_its_lane_draining() {
     // Never zero outstanding, so never moved; served on every sweep, an
     // interval and more after the deactivation.
     assert_eq!(run.lane_of_thread_1, 1);
-    assert!(run.probes.1 > run.probes.0 + 50, "{run:?}");
+    assert!(run.lane_1_probed(), "{run:?}");
     let [steady, pipelined] = &run.done;
     assert!(steady.len() > 100 && pipelined.len() > 40, "{run:?}");
 }

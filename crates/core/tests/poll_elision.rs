@@ -19,7 +19,12 @@
 //!   them after the timeout when the client's head never moves;
 //! * a leader held on a full request ring while another thread of the
 //!   handle leads on another lane: two flushes in progress on what is,
-//!   under the lab, one OS thread.
+//!   under the lab, one OS thread;
+//! * two dispatch shards whose partition is re-cut under traffic: each
+//!   shard idles on its own doorbell, which moves with the request rings
+//!   it polls;
+//! * and, lab alone, an idle server: its shards cost no heap operation
+//!   while they wait.
 //!
 //! Since PR 17 the reference also runs every stepper (NIC lanes,
 //! dispatch shards, response dispatchers) on a thread of its own, and
@@ -36,7 +41,7 @@ use flock_core::onesided::{OneSidedReader, SegmentWriter, SlotLayout};
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{FlockDomain, FlockError};
 use flock_fabric::FabricConfig;
-use flock_sim::vtime::VirtualLab;
+use flock_sim::vtime::{LabReport, VirtualLab};
 use flock_sync::clock;
 use parking_lot::Mutex;
 
@@ -135,7 +140,12 @@ fn echo_fan_in_with_a_window_matches_the_reference() {
         THREADS as u64 + 3,
         "{report:?}"
     );
-    assert!(report.inline_steps > report.handovers, "{report:?}");
+    // Busy steppers step inline and idle ones not at all: the lab slept
+    // through many times the polls it ran.
+    assert!(
+        report.elided_polls > 10 * (report.handovers + report.inline_steps),
+        "{report:?}"
+    );
 }
 
 #[test]
@@ -575,4 +585,109 @@ fn a_second_leader_flushes_while_the_first_waits_for_ring_space() {
         .filter(|(t0, t1)| held.0 < *t0 && *t1 < held.1)
         .count();
     assert!(meanwhile >= 2, "{held:?} {small_sends:?}");
+}
+
+#[test]
+fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
+    const CALLS: usize = 60;
+    let ((times, closed_at, requests), report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-cut-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.dispatch_threads = 2;
+        let server = FlockServer::listen(&domain, &node, "pe-cut", scfg);
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+        // Three connections, one calling thread each, assigned round-robin:
+        // shard 0 serves the first and the third, shard 1 the second.
+        let mut handles: Vec<ConnectionHandle> = (0..3)
+            .map(|c| {
+                let cli = domain.add_node(&format!("pe-cut-cli{c}"));
+                let cfg = HandleConfig::default();
+                ConnectionHandle::connect(&domain, &cli, "pe-cut", cfg).expect("connect")
+            })
+            .collect();
+        let threads: Vec<_> = handles.iter().map(|h| h.register_thread()).collect();
+        clock::flush_charge(); // set-up cost is not part of the scenario
+        let callers: Vec<_> = threads
+            .into_iter()
+            .enumerate()
+            .map(|(c, t)| {
+                let out = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&out);
+                let calls = if c == 0 { CALLS / 3 } else { CALLS };
+                let task = clock::spawn(&format!("caller{c}"), move || {
+                    for k in 0..calls {
+                        let payload = [c as u8, k as u8];
+                        assert_eq!(&t.call(RPC_ECHO, &payload).expect("call")[..], &payload);
+                        sink.lock().push(clock::now_ns());
+                    }
+                });
+                (task, out)
+            })
+            .collect();
+        let mut callers = callers.into_iter();
+        let (first, first_times) = callers.next().expect("caller 0");
+        first.join().expect("caller 0");
+        // The other two are mid-run: the detach re-cuts the partition by
+        // weight, which moves the second connection to shard 0 and the
+        // third to shard 1 while their calls are in flight.
+        let closed_at = clock::now_ns();
+        handles[0].close().expect("close");
+        let mut times = vec![std::mem::take(&mut *first_times.lock())];
+        for (task, out) in callers {
+            task.join().expect("caller");
+            times.push(std::mem::take(&mut *out.lock()));
+        }
+        let requests = server.stats().requests.load(Relaxed);
+        for mut handle in handles.drain(1..) {
+            handle.close().expect("close");
+        }
+        server.shutdown(&domain);
+        (times, closed_at, requests)
+    });
+    assert_eq!(requests, (CALLS / 3 + 2 * CALLS) as u64);
+    for moved in &times[1..] {
+        assert_eq!(moved.len(), CALLS);
+        assert!(
+            moved[0] < closed_at && closed_at < moved[CALLS - 1],
+            "{closed_at} {moved:?}"
+        );
+    }
+    assert!(report.elided_polls > report.handovers, "{report:?}");
+}
+
+/// A two-shard server with one connected handle, idle for `idle_ns`
+/// between the connect and the close: what the lab's run cost.
+fn idle_server(idle_ns: u64) -> LabReport {
+    VirtualLab::run_report(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-idle-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.dispatch_threads = 2;
+        // No redistribution, and no client thread scheduling, inside the
+        // idle stretch: nothing in the scenario runs on a timer.
+        scfg.sched_interval = Duration::from_secs(1);
+        let server = FlockServer::listen(&domain, &node, "pe-idle", scfg);
+        let mut cfg = HandleConfig::default();
+        cfg.auto_thread_sched = false;
+        let cli = domain.add_node("pe-idle-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-idle", cfg).expect("connect");
+        clock::sleep_ns(idle_ns);
+        handle.close().expect("close");
+        server.shutdown(&domain);
+    })
+    .1
+}
+
+#[test]
+fn an_idle_server_costs_no_heap_operation_per_poll() {
+    // Dispatch shards, response dispatcher and NIC lanes all sleep on
+    // their doorbells: ten times the idle time, ten times the polls slept
+    // through (1 µs apart for each shard), and not one heap push more.
+    let (short, long) = (idle_server(1_000_000), idle_server(10_000_000));
+    assert!(
+        long.elided_polls > short.elided_polls + 2 * 9_000,
+        "{short:?} {long:?}"
+    );
+    assert_eq!(short.heap_pushes, long.heap_pushes, "{short:?} {long:?}");
 }

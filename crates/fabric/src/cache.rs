@@ -12,7 +12,7 @@
 //! fabric uses it for observability; the DES models use the hit/miss result
 //! to charge [`CostModel::nic_service`](crate::CostModel::nic_service).
 
-use std::collections::HashMap;
+use crate::types::KeyMap;
 
 /// Replacement policy for [`ConnCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct ConnCache {
     capacity: usize,
     policy: Eviction,
     prng: u64,
-    map: HashMap<u64, usize>,
+    map: KeyMap<u64, usize>,
     slots: Vec<Slot>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -67,7 +67,7 @@ impl ConnCache {
             capacity,
             policy,
             prng: seed | 1,
-            map: HashMap::with_capacity(capacity * 2),
+            map: KeyMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,

@@ -1,6 +1,5 @@
 //! The fabric: the set of nodes, their NIC engines, and connection setup.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use crate::nic::{EngineLane, NicCmd, NicStats};
 use crate::qp::Qp;
 use crate::qpool::{QpPool, QpPoolConfig};
 use crate::timing::CostModel;
-use crate::types::{FabricError, NodeId, QpNum, Result, Transport};
+use crate::types::{FabricError, KeyMap, NodeId, QpNum, Result, Transport};
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone)]
@@ -75,7 +74,7 @@ impl Default for FabricConfig {
 /// Shared fabric state, visible to NIC engines.
 #[derive(Debug)]
 pub(crate) struct FabricInner {
-    pub(crate) nodes: RwLock<HashMap<NodeId, Arc<Node>>>,
+    pub(crate) nodes: RwLock<KeyMap<NodeId, Arc<Node>>>,
     pub(crate) config: FabricConfig,
     next_node: AtomicU32,
 }
@@ -98,7 +97,7 @@ pub struct Node {
     id: NodeId,
     name: String,
     mrs: MrTable,
-    qps: RwLock<HashMap<QpNum, Arc<Qp>>>,
+    qps: RwLock<KeyMap<QpNum, Arc<Qp>>>,
     next_qpn: AtomicU32,
     cache: Mutex<ConnCache>,
     stats: NicStats,
@@ -344,7 +343,7 @@ impl Fabric {
     pub fn new(config: FabricConfig) -> Fabric {
         Fabric {
             inner: Arc::new(FabricInner {
-                nodes: RwLock::new(HashMap::new()),
+                nodes: RwLock::new(KeyMap::default()),
                 config,
                 next_node: AtomicU32::new(0),
             }),
@@ -372,7 +371,7 @@ impl Fabric {
             id,
             name: name.to_string(),
             mrs: MrTable::new(),
-            qps: RwLock::new(HashMap::new()),
+            qps: RwLock::new(KeyMap::default()),
             next_qpn: AtomicU32::new(1),
             cache: Mutex::new(ConnCache::new(self.inner.config.nic_cache_entries)),
             stats: NicStats::default(),

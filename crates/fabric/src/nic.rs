@@ -158,7 +158,7 @@ impl EngineLane {
     /// well under a microsecond); the tight virtual cap bounds added
     /// detection latency to 2 µs even after long idle stretches.
     pub(crate) fn idler() -> AdaptiveBackoff {
-        AdaptiveBackoff::new(std::time::Duration::from_micros(2)).with_virtual_cap(2_000)
+        AdaptiveBackoff::new().with_virtual_cap(2_000)
     }
 
     /// Execute the verb whose service time has passed, then take the
@@ -173,12 +173,12 @@ impl EngineLane {
             Ok(cmd) => cmd,
             Err(TryRecvError::Disconnected) => return Next::Done,
             Err(TryRecvError::Empty) => {
-                return Next::Idle(Some(IdleOn {
+                return Next::Idle(IdleOn {
                     seen,
                     event: Arc::clone(&self.rung),
                     busy_ns: 0,
                     deadline_ns: u64::MAX,
-                }))
+                })
             }
         };
         let cost = &self.fabric.config.cost;

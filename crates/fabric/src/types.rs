@@ -1,6 +1,8 @@
-//! Identifier newtypes and the fabric error type.
+//! Identifier newtypes, the map they key, and the fabric error type.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a node (machine) attached to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,6 +24,39 @@ pub struct Lkey(pub u32);
 /// Remote access key naming a registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rkey(pub u32);
+
+/// A hash map over the fabric's integer keys — node ids, QP numbers,
+/// connection-cache keys — that a verb looks up on its way through the
+/// NIC. Hashed with one multiply instead of SipHash: the keys are the
+/// fabric's own counters, so nothing needs SipHash's flooding
+/// resistance, and no map of these is iterated where order matters.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// [`KeyMap`]'s hasher: Fibonacci hashing of integer keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // A product's high bits mix all of the key, its low bits only the
+        // key's low bits; the table indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
 
 /// RDMA transport service types (paper Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,6 +249,16 @@ mod tests {
         assert!(Transport::Rc.connected());
         assert!(Transport::Uc.connected());
         assert!(!Transport::Ud.connected());
+    }
+
+    #[test]
+    fn key_hashes_spread_keys_that_differ_only_in_their_high_half() {
+        use std::hash::BuildHasher;
+        // Connection-cache keys: node id above, QP number below.
+        let low_bits = |key: u64| BuildHasherDefault::<KeyHasher>::default().hash_one(key) & 0xFFFF;
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..64u64).map(|node| low_bits(node << 32 | 7)).collect();
+        assert_eq!(buckets.len(), 64);
     }
 
     #[test]

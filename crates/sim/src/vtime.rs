@@ -14,7 +14,7 @@
 //! instant**: all of them run on the OS thread that called
 //! [`VirtualLab::run`], each suspended on its stack but one (see
 //! "Stacks" below). A task runs until it yields through the seam
-//! (`yield_now`, `sleep_ns`, an [`flock_sync::AdaptiveBackoff::idle`]
+//! (`yield_now`, `sleep_ns`, an [`flock_sync::AdaptiveBackoff::idle_on`]
 //! round, a [`flock_sync::backoff`] spin, …). The yield:
 //!
 //! 1. pushes the task back onto a binary heap keyed by its wake time —
@@ -23,7 +23,8 @@
 //!    in [`Executor::sleep_polling`] first, by task id, every other entry
 //!    after the polls, by sequence number;
 //! 2. pops the earliest entry, advances the virtual clock to its wake
-//!    time, and hands it the core: a switch to its stack;
+//!    time (mirrored in an atomic, so that reading the clock takes no
+//!    lock), and hands it the core: a switch to its stack;
 //! 3. is suspended until its own entry is popped.
 //!
 //! ## Parking
@@ -69,9 +70,13 @@
 //! `catch_unwind`, with `current` set to the stepper's id. What the step
 //! [`clock::charge`]d and what it returned decide the push the lab then
 //! makes for it ([`StepperTask::run_inline`]): `now + charge` after
-//! work, `now + charge + ladder round` after an empty sweep, the latter
-//! parked like any waiter when the stepper named the event that ends
-//! its idling. Those are exactly the pushes the same body makes through
+//! work, `now + charge + ladder round` after an empty sweep — a poll,
+//! parked like any waiter's, since every stepper names the event that
+//! ends its idling (a NIC lane its command channel's doorbell, a
+//! dispatch shard the doorbell of the request rings it polls, a
+//! response dispatcher that of its response rings and CQs): an idle
+//! stepper costs no heap operation however long it idles, and no loop
+//! re-polls on a timer. Those are exactly the pushes the same body makes through
 //! `advance`/`sleep_polling` when a thread drives it
 //! ([`StepperTask::drive`]) — same wake times, same order keys — so the
 //! timeline does not depend on who runs a step, and the only thing that
@@ -149,7 +154,9 @@
 //!   runs every poll — and every task and stepper on a thread — and
 //!   panics at the first poll that finds such a change.
 //! * A step never waits: it returns `Next::Idle` where a loop would
-//!   sleep, and `Next::Again` where it would flush its charge.
+//!   sleep, naming the event that ends the idling and the deadline
+//!   after which a step may find work nobody announced, and
+//!   `Next::Again` where it would flush its charge.
 //! * Never yield while holding a lock another task can contend (the
 //!   holder is suspended; the contender then blocks the one thread that
 //!   could resume it). All converted sites drop locks before yielding,
@@ -170,6 +177,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use flock_sync::clock::{self, Epoch, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
@@ -655,6 +663,10 @@ fn raise_if_failed(mut st: MutexGuard<'_, LabState>) -> MutexGuard<'_, LabState>
 
 struct LabInner {
     state: Mutex<LabState>,
+    /// `LabState::now`, stored after every `pop_due`, so that reading
+    /// the clock takes no lock. Only the task holding the core reads it,
+    /// after the handover that made it current.
+    now: AtomicU64,
 }
 
 /// Deterministic virtual-time executor; see the module docs.
@@ -726,6 +738,7 @@ impl VirtualLab {
                     reference,
                     failed: None,
                 }),
+                now: AtomicU64::new(0),
             }),
         }
     }
@@ -843,6 +856,7 @@ impl VirtualLab {
     ) -> (MutexGuard<'a, LabState>, usize, u64) {
         loop {
             let (id, elided) = st.pop_due();
+            self.inner.now.store(st.now, Ordering::Relaxed);
             let Some(mut stepper) = st.tasks[id].stepper.take() else {
                 st.handovers += 1;
                 // A failed run says so to the task it resumes: a run
@@ -1008,7 +1022,7 @@ impl VirtualLab {
 
 impl Executor for VirtualLab {
     fn now_ns(&self) -> u64 {
-        self.lock().now
+        self.inner.now.load(Ordering::Relaxed)
     }
 
     fn advance(&self, ns: u64) {
@@ -1314,8 +1328,8 @@ mod tests {
     /// A poll loop idling on the NIC lane's ladder (2 µs cap, so it
     /// polls at 250, 750, 1 750, 3 750, 5 750 … ns) whose doorbell rings
     /// at `ring_ns`; every empty poll charges `busy_ns` on top. Returns
-    /// when it saw the ring, and where one more plain idle round took it
-    /// from there.
+    /// when it saw the ring, and where one more idle round took it from
+    /// there (one past its deadline, so that nothing sleeps through it).
     fn doorbell_scenario(ring_ns: u64, busy_ns: u64) -> (u64, u64) {
         VirtualLab::run_against_reference(|| {
             let shared = Arc::new((clock::Event::new(), Flag::default()));
@@ -1324,9 +1338,7 @@ mod tests {
                 let (shared, times) = (shared.clone(), times.clone());
                 clock::spawn("lane", move || {
                     let (bell, rung) = &*shared;
-                    let mut idler =
-                        flock_sync::AdaptiveBackoff::new(std::time::Duration::from_micros(2))
-                            .with_virtual_cap(2_000);
+                    let mut idler = ladder();
                     loop {
                         let seen = bell.epoch();
                         if rung.is_set().is_some() {
@@ -1336,7 +1348,7 @@ mod tests {
                         idler.idle_on(bell, seen, busy_ns, u64::MAX);
                     }
                     let saw = clock::now_ns();
-                    idler.idle();
+                    idler.idle_on(bell, bell.epoch(), 0, saw);
                     *times.lock().unwrap() = (saw, clock::now_ns());
                 })
             };
@@ -1440,8 +1452,7 @@ mod tests {
 
     /// A lane-like idle ladder (2 µs cap) for the stepper tests.
     fn ladder() -> flock_sync::AdaptiveBackoff {
-        flock_sync::AdaptiveBackoff::new(std::time::Duration::from_micros(2))
-            .with_virtual_cap(2_000)
+        flock_sync::AdaptiveBackoff::new().with_virtual_cap(2_000)
     }
 
     #[test]
@@ -1470,10 +1481,17 @@ mod tests {
                         // Work that charged nothing: no yield before the
                         // next step.
                         5 => Next::Again,
-                        // Plain ladder rounds after 30 ns sweeps.
+                        // Ladder rounds after 30 ns sweeps, each past its
+                        // deadline as soon as it begins: none is slept
+                        // through.
                         6..=8 => {
                             clock::charge(30);
-                            Next::Idle(None)
+                            Next::Idle(IdleOn {
+                                event: bell.clone(),
+                                seen: bell.epoch(),
+                                busy_ns: 30,
+                                deadline_ns: clock::now_ns(),
+                            })
                         }
                         // Then 20 ns sweeps on the doorbell. How many of
                         // these run depends on who drives: no log.
@@ -1484,12 +1502,12 @@ mod tests {
                                 return Next::Done;
                             }
                             clock::charge(20);
-                            Next::Idle(Some(IdleOn {
+                            Next::Idle(IdleOn {
                                 event: bell.clone(),
                                 seen,
                                 busy_ns: 20,
                                 deadline_ns: u64::MAX,
-                            }))
+                            })
                         }
                     }
                 })
@@ -1825,12 +1843,12 @@ mod tests {
                     if rung.is_set().is_some() {
                         return clock::Next::Done;
                     }
-                    clock::Next::Idle(Some(clock::IdleOn {
+                    clock::Next::Idle(clock::IdleOn {
                         event: bell.clone(),
                         seen,
                         busy_ns: 0,
                         deadline_ns: u64::MAX,
-                    }))
+                    })
                 })
             };
             clock::sleep_ns(1_000_000);
@@ -1850,6 +1868,42 @@ mod tests {
         // Spawn, the root's sleep, the idle round, the notify's wake,
         // the join's poll and its wake: none for the 502 polls.
         assert_eq!(report.heap_pushes, 6);
+    }
+
+    #[test]
+    fn a_stepper_woken_by_its_deadline_may_find_work_nobody_announced() {
+        // The stepper holds something back until 10 µs (a response a
+        // full ring defers, say) and then does it. Nobody notifies: the
+        // deadline is what it idled for, and neither run may take the
+        // work it finds for a missed notify.
+        let (done_at, _) = VirtualLab::run_against_reference(|| {
+            let bell = Arc::new(clock::Event::new());
+            let done_at = Arc::new(AtomicU64::new(0));
+            let stepper = {
+                let (bell, done_at) = (bell.clone(), done_at.clone());
+                clock::spawn_stepper("deferrer", ladder(), move || {
+                    let seen = bell.epoch();
+                    let now = clock::now_ns();
+                    if now <= 10_000 {
+                        return clock::Next::Idle(clock::IdleOn {
+                            event: bell.clone(),
+                            seen,
+                            busy_ns: 0,
+                            deadline_ns: 10_000,
+                        });
+                    }
+                    if done_at.swap(now, Ordering::Relaxed) == 0 {
+                        return clock::Next::Again;
+                    }
+                    clock::Next::Done
+                })
+            };
+            stepper.join().unwrap();
+            done_at.load(Ordering::Relaxed)
+        });
+        // Polls at 250, 750, 1 750, 3 750 … 9 750, 11 750 ns: the first
+        // past the deadline does the work.
+        assert_eq!(done_at, 11_750);
     }
 
     #[test]
@@ -1874,10 +1928,11 @@ mod tests {
             let t0 = clock::now_ns();
             flock_sync::backoff(0);
             assert!(clock::now_ns() > t0);
-            let mut b = flock_sync::AdaptiveBackoff::new(std::time::Duration::from_micros(5));
+            let mut b = flock_sync::AdaptiveBackoff::new();
+            let event = clock::Event::new();
             let t1 = clock::now_ns();
             for _ in 0..32 {
-                b.idle();
+                b.idle_on(&event, event.epoch(), 0, t1 + 5_000);
             }
             // Escalates to the cap without wall-clock sleeping.
             assert!(clock::now_ns() - t1 >= 5_000);

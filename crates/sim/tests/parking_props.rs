@@ -7,7 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock::{self, Event, IdleOn, Next};
@@ -75,7 +74,7 @@ type Schedule = Vec<(u64, usize)>;
 type Log = Arc<Mutex<Vec<(u64, Option<u64>)>>>;
 
 fn ladder(cap: u64) -> AdaptiveBackoff {
-    AdaptiveBackoff::new(Duration::from_micros(2)).with_virtual_cap(cap)
+    AdaptiveBackoff::new().with_virtual_cap(cap)
 }
 
 fn spawn_waiter(name: &str, w: Waiter, signal: Arc<Signal>, log: Log) -> clock::TaskHandle {
@@ -131,12 +130,12 @@ fn spawn_waiter(name: &str, w: Waiter, signal: Arc<Signal>, log: Log) -> clock::
                     return Next::Done;
                 }
                 clock::charge(busy);
-                Next::Idle(Some(IdleOn {
+                Next::Idle(IdleOn {
                     event: signal.event.clone(),
                     seen,
                     busy_ns: busy,
                     deadline_ns: deadline,
-                }))
+                })
             })
         }
     }
@@ -179,12 +178,12 @@ fn spawn_notifier(
                         next += 1;
                         continue;
                     }
-                    return Next::Idle(Some(IdleOn {
+                    return Next::Idle(IdleOn {
                         event: timer.clone(),
                         seen: timer.epoch(),
                         busy_ns: 0,
                         deadline_ns: at - 1,
-                    }));
+                    });
                 },
             ))
         }

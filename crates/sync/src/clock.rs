@@ -217,18 +217,20 @@ pub(crate) fn is_virtual() -> bool {
 }
 
 /// Current time in nanoseconds: virtual time under an executor, wall
-/// time since a process-wide epoch otherwise.
+/// time since a process-wide epoch otherwise. Reads the executor
+/// through a borrow of the thread's slot (no `Arc` clone): reading a
+/// clock never suspends.
 #[inline]
 pub fn now_ns() -> u64 {
-    match current() {
+    CURRENT.with(|c| match &*c.borrow() {
         Some(e) => e.now_ns(),
         None => wall_epoch().elapsed().as_nanos() as u64,
-    }
+    })
 }
 
 /// Accrue `ns` of virtual CPU cost against the calling task, applied at
 /// its next yield point ([`yield_now`], [`sleep_ns`], or an
-/// [`crate::AdaptiveBackoff::idle`] round). Charging instead of
+/// [`crate::AdaptiveBackoff::idle_on`] round). Charging instead of
 /// immediately yielding keeps the call legal inside critical sections.
 /// No-op in threaded mode.
 #[inline]
@@ -403,9 +405,12 @@ impl Event {
             self.cv.notify_all();
         }
         if self.epoch.parked.load(Ordering::Relaxed) != 0 {
-            if let Some(exec) = current() {
-                exec.notified(&self.epoch);
-            }
+            // A borrow, not a clone: `notified` never suspends.
+            CURRENT.with(|c| {
+                if let Some(exec) = &*c.borrow() {
+                    exec.notified(&self.epoch);
+                }
+            });
         }
     }
 
@@ -596,10 +601,11 @@ pub enum Next {
     /// again.
     Again,
     /// The step found nothing to do: one idle round of the task's
-    /// [`AdaptiveBackoff`] ladder, then step again —
-    /// [`AdaptiveBackoff::idle_on`] the named event with `Some`, a plain
-    /// [`AdaptiveBackoff::idle`] round with `None`.
-    Idle(Option<IdleOn>),
+    /// [`AdaptiveBackoff`] ladder on the named event
+    /// ([`AdaptiveBackoff::idle_on`]), then step again. Every idle step
+    /// names the event that ends its idling: no stepper re-polls on a
+    /// timer.
+    Idle(IdleOn),
     /// The task is over; its state is dropped.
     Done,
 }
@@ -623,8 +629,9 @@ pub struct IdleOn {
 pub struct StepperTask {
     step: Box<dyn FnMut() -> Next + Send>,
     idler: AdaptiveBackoff,
-    /// Event and epoch of the [`Next::Idle`] round being slept inline.
-    asleep_on: Option<(Arc<Event>, u64)>,
+    /// Event, epoch and deadline of the [`Next::Idle`] round being
+    /// slept inline.
+    asleep_on: Option<(Arc<Event>, u64, u64)>,
 }
 
 /// What an executor running a stepper inline schedules after
@@ -652,8 +659,7 @@ impl StepperTask {
                     self.idler.reset();
                     flush_charge();
                 }
-                Next::Idle(None) => self.idler.idle(),
-                Next::Idle(Some(on)) => {
+                Next::Idle(on) => {
                     self.idler
                         .idle_on(&on.event, on.seen, on.busy_ns, on.deadline_ns)
                 }
@@ -676,8 +682,10 @@ impl StepperTask {
     /// so that whatever the destructors do (charge, read the clock) is
     /// done outside the executor's locks and charged to nobody.
     pub fn run_inline(&mut self, slept: u64) -> std::thread::Result<Resume> {
-        if let Some((event, seen)) = self.asleep_on.take() {
-            self.idler.slept_through(slept, event.epoch() == seen);
+        if let Some((event, seen, deadline_ns)) = self.asleep_on.take() {
+            // A wake past the deadline may find work nobody announced.
+            let quiet = event.epoch() == seen && now_ns() <= deadline_ns;
+            self.idler.slept_through(slept, quiet);
         }
         struct Lender(u64);
         impl Drop for Lender {
@@ -704,15 +712,11 @@ impl StepperTask {
                     }
                     // `flush_charge` with nothing pending does not yield.
                 }
-                Next::Idle(None) => {
-                    let round = self.idler.virtual_round();
-                    return Resume::After(take_pending().saturating_add(round));
-                }
-                Next::Idle(Some(on)) => {
+                Next::Idle(on) => {
                     let (first, poll) =
                         self.idler
                             .virtual_round_on(&on.event, on.seen, on.busy_ns, on.deadline_ns);
-                    self.asleep_on = Some((on.event, on.seen));
+                    self.asleep_on = Some((on.event, on.seen, on.deadline_ns));
                     return Resume::Polling(take_pending().saturating_add(first), poll);
                 }
                 Next::Done => return Resume::Done,
@@ -860,20 +864,19 @@ mod tests {
         let state = Arc::new(Mutex::new((0, false)));
         let task = {
             let (event, state) = (Arc::clone(&event), Arc::clone(&state));
-            let idler = AdaptiveBackoff::new(Duration::from_micros(50));
-            spawn_stepper("idle-on", idler, move || {
+            spawn_stepper("idle-on", AdaptiveBackoff::new(), move || {
                 let seen = event.epoch();
                 let mut state = state.lock().unwrap();
                 state.0 += 1;
                 if state.1 {
                     return Next::Done;
                 }
-                Next::Idle(Some(IdleOn {
+                Next::Idle(IdleOn {
                     event: Arc::clone(&event),
                     seen,
                     busy_ns: 0,
                     deadline_ns: u64::MAX,
-                }))
+                })
             })
         };
         std::thread::sleep(Duration::from_millis(50));
@@ -909,7 +912,7 @@ mod tests {
             let (court, done) = (Arc::clone(&court), done_tx.clone());
             sides.push(std::thread::spawn(move || {
                 let (turn, events) = &*court;
-                let mut idler = AdaptiveBackoff::new(Duration::from_secs(3600));
+                let mut idler = AdaptiveBackoff::new();
                 loop {
                     let seen = events[side].epoch();
                     let now = turn.load(Ordering::Acquire);

@@ -28,9 +28,9 @@
 //!   bounded-exhaustive exploration. [`spin_until`] is the whole loop
 //!   for a spin whose end somebody announces on a [`clock::Event`].
 //! * [`AdaptiveBackoff`] is the blessed way to *idle-wait* (spin, then
-//!   yield, then park with escalating timeouts). Under loom it degrades
-//!   to plain yields: parking is an OS-scheduler concern, invisible to
-//!   the memory model.
+//!   yield, then block on the event that announces the work). Under
+//!   loom it degrades to plain yields: blocking is an OS-scheduler
+//!   concern, invisible to the memory model.
 
 pub mod clock;
 
@@ -182,35 +182,33 @@ fn single_cpu() -> bool {
     })
 }
 
-/// Adaptive spin-then-park idle-waiting, shared by the server
-/// dispatchers, the QP scheduler, and CQ blocking waits.
+/// Adaptive spin-then-block idle-waiting, shared by the server
+/// dispatchers, the QP scheduler, the NIC lanes and the control plane.
 ///
-/// The escalation ladder on an idle poll:
+/// The escalation ladder of an idle round, [`AdaptiveBackoff::idle_on`]
+/// an event:
 ///
 /// 1. first [`AdaptiveBackoff::SPIN_LIMIT`] idle rounds: `spin_loop`
 ///    hint (stay hot, nanoseconds of latency);
 /// 2. next [`AdaptiveBackoff::YIELD_LIMIT`] idle rounds: `yield_now`
 ///    (let a runnable peer in — on a loaded box this is what keeps a
 ///    polling thread from starving the thread that would feed it);
-/// 3. after that: `thread::sleep` with an exponentially growing
-///    duration, capped at `max_park` — or, for a round
-///    [`AdaptiveBackoff::idle_on`] an event, a block on that event until
-///    it is notified or the round's deadline passes.
+/// 3. after that: a block on the event until it is notified or the
+///    round's deadline passes. Nothing re-polls on a timer.
 ///
-/// Any successful poll calls [`AdaptiveBackoff::reset`], snapping back
-/// to the spin tier. Under `cfg(loom)` every tier is a voluntary yield;
-/// sleeping is invisible to the memory model and only throttles the OS
-/// scheduler.
+/// A virtual task sleeps a doubling virtual ladder instead (see
+/// [`AdaptiveBackoff::idle_on`]). Any successful poll calls
+/// [`AdaptiveBackoff::reset`], snapping back to the spin tier. Under
+/// `cfg(loom)` every round is a voluntary yield: blocking is invisible
+/// to the memory model.
 #[derive(Debug)]
 pub struct AdaptiveBackoff {
     idle_rounds: u32,
-    // Unread under cfg(loom), where every tier is a voluntary yield.
-    #[cfg_attr(loom, allow(dead_code))]
-    max_park: std::time::Duration,
     /// Cap of the virtual ladder.
     virtual_cap_ns: u64,
     /// The last [`AdaptiveBackoff::idle_on`] round returned with its
-    /// event un-notified: work found now was never announced.
+    /// event un-notified and its deadline not passed: work found now was
+    /// never announced.
     quiet: bool,
 }
 
@@ -219,27 +217,21 @@ impl AdaptiveBackoff {
     pub(crate) const SPIN_LIMIT: u32 = 64;
     /// Additional idle rounds spent in the yield tier.
     pub(crate) const YIELD_LIMIT: u32 = 64;
-    /// First park duration once spinning and yielding are exhausted.
-    pub(crate) const FIRST_PARK: std::time::Duration = std::time::Duration::from_micros(5);
     /// First poll period of the *virtual* ladder (spinning a virtual core
     /// is pure waste — the ladder escalates from here straight to
     /// [`Self::VIRTUAL_MAX_POLL_NS`]-capped virtual sleeps).
     pub(crate) const VIRTUAL_FIRST_POLL_NS: u64 = 250;
-    /// Deep-idle cap of the virtual ladder (~1 ms). Deliberately larger
-    /// than typical `max_park` values: wall parks are sized to bound
-    /// *detection latency per burned host core*, but a task idling
-    /// through [`AdaptiveBackoff::idle`] (no event to park on) costs the
-    /// lab a heap push per round, and thousands of those polling every
-    /// 2 µs of virtual time would swamp the event heap. Busy tasks reset
-    /// the ladder, so steady-state detection stays at
-    /// [`Self::VIRTUAL_FIRST_POLL_NS`] scale.
+    /// Deep-idle cap of the virtual ladder (~1 ms), for waiters that set
+    /// no cap of their own. A parked waiter costs the lab nothing per
+    /// round; the cap bounds how late a round slept through wakes after
+    /// its notify. Busy tasks reset the ladder, so steady-state detection
+    /// stays at [`Self::VIRTUAL_FIRST_POLL_NS`] scale.
     pub(crate) const VIRTUAL_MAX_POLL_NS: u64 = Self::VIRTUAL_FIRST_POLL_NS << 12;
 
-    /// A backoff whose park tier never sleeps longer than `max_park`.
-    pub fn new(max_park: std::time::Duration) -> AdaptiveBackoff {
+    /// A backoff at the spin tier, with the deep-idle virtual cap.
+    pub fn new() -> AdaptiveBackoff {
         AdaptiveBackoff {
             idle_rounds: 0,
-            max_park,
             virtual_cap_ns: Self::VIRTUAL_MAX_POLL_NS,
             quiet: false,
         }
@@ -248,16 +240,13 @@ impl AdaptiveBackoff {
     /// Cap the *virtual* ladder at `ns` instead of the deep-idle default
     /// ([`Self::VIRTUAL_MAX_POLL_NS`]).
     ///
-    /// The wall ladder parks to save host CPU; detection latency is the
-    /// price and deepening it is always safe. The virtual ladder has no
-    /// such trade — a virtual sleep is free host-wise — so its cap is a
-    /// *modeling* choice: dedicated polling actors (server dispatchers,
-    /// client response dispatchers, NIC engines) never sleep tens of
-    /// microseconds between bursts on real hardware, and letting them do
-    /// so in the lab inflates burst-detection latency with dispatcher
-    /// count, masking the sharding win the lab exists to measure. Such
-    /// actors set a tight cap here; incidental waiters keep the deep
-    /// default.
+    /// The cap is a *modeling* choice: dedicated polling actors (server
+    /// dispatchers, client response dispatchers, NIC engines) never
+    /// sleep tens of microseconds between bursts on real hardware, and
+    /// letting them do so in the lab inflates burst-detection latency
+    /// with dispatcher count, masking the sharding win the lab exists to
+    /// measure. Such actors set a tight cap here; incidental waiters keep
+    /// the deep default.
     pub fn with_virtual_cap(mut self, ns: u64) -> AdaptiveBackoff {
         self.virtual_cap_ns = ns.max(Self::VIRTUAL_FIRST_POLL_NS);
         self
@@ -266,8 +255,9 @@ impl AdaptiveBackoff {
     /// Work was found: snap back to the spin tier.
     ///
     /// Panics, naming the caller, when the idle round before it was an
-    /// [`AdaptiveBackoff::idle_on`] whose event nobody notified — the
-    /// same missed-notify check as [`clock::Event::wait_until`]'s.
+    /// [`AdaptiveBackoff::idle_on`] whose event nobody notified and whose
+    /// deadline had not passed — the same missed-notify check as
+    /// [`clock::Event::wait_until`]'s.
     #[inline]
     #[track_caller]
     pub fn reset(&mut self) {
@@ -279,24 +269,11 @@ impl AdaptiveBackoff {
         self.idle_rounds = 0;
     }
 
-    /// Sleep of the virtual ladder's current round: doubles per idle
-    /// round from [`Self::VIRTUAL_FIRST_POLL_NS`] up to the cap.
-    fn virtual_poll_ns(&self) -> u64 {
-        let exp = self.idle_rounds.saturating_sub(1).min(12);
-        (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns)
-    }
-
-    /// Count one idle round of the virtual ladder and return its sleep:
-    /// the virtual arm of [`AdaptiveBackoff::idle`] without the sleep,
-    /// for whoever makes it on the task's behalf.
-    fn virtual_round(&mut self) -> u64 {
-        self.idle_rounds = self.idle_rounds.saturating_add(1);
-        self.virtual_poll_ns()
-    }
-
-    /// [`Self::virtual_round`] for a round slept on `event`: its sleep,
-    /// and the schedule of the rounds an executor may sleep through
-    /// after it (see [`AdaptiveBackoff::idle_on`] for the arguments).
+    /// Count one idle round of the virtual ladder slept on `event`, and
+    /// return its sleep — doubling per idle round from
+    /// [`Self::VIRTUAL_FIRST_POLL_NS`] up to the cap — and the schedule
+    /// of the rounds an executor may sleep through after it (see
+    /// [`AdaptiveBackoff::idle_on`] for the arguments).
     fn virtual_round_on(
         &mut self,
         event: &clock::Event,
@@ -304,7 +281,9 @@ impl AdaptiveBackoff {
         busy_ns: u64,
         deadline_ns: u64,
     ) -> (u64, clock::Poll) {
-        let first = self.virtual_round();
+        self.idle_rounds = self.idle_rounds.saturating_add(1);
+        let exp = self.idle_rounds.saturating_sub(1).min(12);
+        let first = (Self::VIRTUAL_FIRST_POLL_NS << exp).min(self.virtual_cap_ns);
         let cap = self.virtual_cap_ns.min(Self::VIRTUAL_MAX_POLL_NS);
         let poll = clock::Poll {
             cap_ns: cap,
@@ -316,7 +295,7 @@ impl AdaptiveBackoff {
 
     /// Back from a [`Self::virtual_round_on`] sleep during which the
     /// executor slept through `slept` further rounds; `quiet` = the
-    /// event is still un-notified.
+    /// event is still un-notified and the deadline not passed.
     fn slept_through(&mut self, slept: u64, quiet: bool) {
         self.idle_rounds = self
             .idle_rounds
@@ -324,41 +303,14 @@ impl AdaptiveBackoff {
         self.quiet = quiet;
     }
 
-    /// Nothing to do this round: spin, yield, or park per the ladder.
+    /// Count one idle round of the wall ladder and make it if it is a
+    /// spin or a yield; `false` once both tiers are spent and the round
+    /// is the caller's to block.
     ///
     /// On a single-CPU host the spin tier is skipped: the thread that
     /// would hand us work cannot be running concurrently, so burning the
     /// only core on `spin_loop` hints just delays it — yielding is
     /// strictly better from the first idle round.
-    #[inline]
-    pub fn idle(&mut self) {
-        #[cfg(loom)]
-        {
-            self.idle_rounds = self.idle_rounds.saturating_add(1);
-            thread::yield_now();
-        }
-        #[cfg(not(loom))]
-        {
-            if clock::is_virtual() {
-                // Virtual ladder: each idle round is a charged virtual
-                // sleep whose period doubles from VIRTUAL_FIRST_POLL_NS
-                // up to VIRTUAL_MAX_POLL_NS, mirroring the park tier's
-                // shape without burning wall time or host CPU.
-                clock::sleep_ns(self.virtual_round());
-            } else if !self.spin_or_yield() {
-                let over = self.idle_rounds - Self::SPIN_LIMIT - Self::YIELD_LIMIT;
-                let exp = over.min(10); // 5 µs << 10 ≈ 5 ms, before the cap
-                let park = Self::FIRST_PARK
-                    .saturating_mul(1u32 << exp)
-                    .min(self.max_park);
-                thread::sleep(park);
-            }
-        }
-    }
-
-    /// Count one idle round of the wall ladder and make it if it is a
-    /// spin or a yield; `false` once both tiers are spent and the round
-    /// is the caller's to park.
     #[cfg(not(loom))]
     fn spin_or_yield(&mut self) -> bool {
         self.idle_rounds = self.idle_rounds.saturating_add(1);
@@ -372,8 +324,8 @@ impl AdaptiveBackoff {
         true
     }
 
-    /// [`AdaptiveBackoff::idle`] for a loop whose idle polls can only be
-    /// ended by `event`: everything they look at is announced by
+    /// One idle round of a loop whose idle polls can only be ended by
+    /// `event`: everything they look at is announced by
     /// `event.notify_all()`, or is the clock passing `deadline_ns` (the
     /// last instant at which a poll still finds nothing, `u64::MAX` when
     /// the loop watches no clock). `seen` is `event.epoch()` read before
@@ -381,7 +333,7 @@ impl AdaptiveBackoff {
     /// empty check [`clock::charge`]s — the same amount each round, the
     /// one just made included.
     ///
-    /// On real threads the round spins or yields like `idle()`'s; past
+    /// On real threads the round spins or yields per the ladder; past
     /// those tiers it blocks on `event` until the epoch moves off `seen`
     /// or the deadline passes — no timed re-poll. A virtual task sleeps
     /// the virtual ladder, but the executor skips the rounds that cannot
@@ -394,24 +346,33 @@ impl AdaptiveBackoff {
         #[cfg(loom)]
         {
             let _ = (event, seen, busy_ns, deadline_ns);
-            self.idle();
+            self.idle_rounds = self.idle_rounds.saturating_add(1);
+            backoff(self.idle_rounds);
         }
         #[cfg(not(loom))]
         {
             if let Some(exec) = clock::current() {
                 let (first, poll) = self.virtual_round_on(event, seen, busy_ns, deadline_ns);
                 let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
-                self.slept_through(slept, event.epoch() == seen);
+                let quiet = event.epoch() == seen && exec.now_ns() <= deadline_ns;
+                self.slept_through(slept, quiet);
             } else if !self.spin_or_yield() {
                 event.wait_until(deadline_ns, 0, || (event.epoch() != seen).then_some(()));
             }
         }
     }
 
-    /// Whether the next [`AdaptiveBackoff::idle`] call would park.
+    /// Whether the next [`AdaptiveBackoff::idle_on`] round on real
+    /// threads would block.
     #[cfg(test)]
-    fn would_park(&self) -> bool {
+    fn would_block(&self) -> bool {
         self.idle_rounds >= Self::SPIN_LIMIT + Self::YIELD_LIMIT
+    }
+}
+
+impl Default for AdaptiveBackoff {
+    fn default() -> AdaptiveBackoff {
+        AdaptiveBackoff::new()
     }
 }
 
@@ -444,14 +405,18 @@ mod tests {
 
     #[test]
     fn adaptive_backoff_ladder_escalates_and_resets() {
-        let mut b = AdaptiveBackoff::new(Duration::from_micros(50));
+        let event = clock::Event::new();
+        let mut b = AdaptiveBackoff::new();
+        let never = clock::deadline(Duration::from_secs(3600));
         for _ in 0..(AdaptiveBackoff::SPIN_LIMIT + AdaptiveBackoff::YIELD_LIMIT) {
-            assert!(!b.would_park());
-            b.idle();
+            assert!(!b.would_block());
+            b.idle_on(&event, event.epoch(), 0, never); // spins or yields
         }
-        assert!(b.would_park());
-        b.idle(); // parks (5 µs), must not hang
+        assert!(b.would_block());
+        // Blocks until the deadline (nobody notifies), must not hang.
+        let soon = clock::deadline(Duration::from_micros(5));
+        b.idle_on(&event, event.epoch(), 0, soon);
         b.reset();
-        assert!(!b.would_park());
+        assert!(!b.would_block());
     }
 }
