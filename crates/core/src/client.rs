@@ -144,7 +144,14 @@ struct MemPending {
     /// out with [`FlThread::take_deferred`] — the one-sided fast path
     /// stays allocation-free this way.
     defer: bool,
+    /// Its wait timed out: the completion releases the sub-slots and
+    /// publishes nothing, since nobody will ask for the result.
+    abandoned: bool,
 }
+
+/// A published one-sided result: the bytes read back, or why the remote
+/// operation failed.
+type MemResult = std::result::Result<Vec<u8>, &'static str>;
 
 /// A point-in-time snapshot of one QP lane's counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,9 +230,9 @@ pub(crate) struct ThreadCtx {
     reqs: AtomicU64,
     // In-flight one-sided operations (up to MEM_SUBSLOTS concurrently).
     mem_pending: Mutex<HashMap<u64, MemPending>>,
-    mem_results: Mutex<HashMap<u64, std::result::Result<Vec<u8>, &'static str>>>,
-    /// Signalled after every `mem_results` insert and when the handle
-    /// stops.
+    mem_results: Mutex<HashMap<u64, MemResult>>,
+    /// Signalled after every `mem_results` insert, every release of
+    /// scratch sub-slots and when the handle stops.
     mem_event: Event,
     /// Bitmap of free scratch sub-slots.
     mem_free: Mutex<u8>,
@@ -236,6 +243,15 @@ pub(crate) struct ThreadCtx {
     mem_qp: OnceLock<Arc<Qp>>,
     /// Buffers for the batches this thread leads; see [`leader_flush`].
     flush_scratch: Mutex<FlushScratch>,
+}
+
+impl ThreadCtx {
+    /// Free the scratch sub-slots in `mask` and wake whoever waits for
+    /// them.
+    fn release(&self, mask: u8) {
+        *self.mem_free.lock() |= mask;
+        self.mem_event.notify_all();
+    }
 }
 
 /// Shared state behind a [`ConnectionHandle`].
@@ -254,7 +270,7 @@ pub(crate) struct HandleInner {
     lane_count: AtomicUsize,
     /// Single-flight guard for lane attach (a `Mutex` would be held
     /// across the control-plane round trip, which virtual-time tasks must
-    /// never do — losers spin through the clock seam instead).
+    /// never do — losers wait on `dispatch_event` instead).
     attach_busy: AtomicBool,
     threads: RwLock<Vec<Arc<ThreadCtx>>>,
     /// Registered-thread count mirror of `threads.len()` (lock-free read
@@ -270,17 +286,13 @@ pub(crate) struct HandleInner {
     /// What the response dispatcher idles on. Everything its sweep looks
     /// at notifies it: the NIC after a write into a lane's response ring
     /// (the ring MR's doorbell), every lane's send CQ and the mem CQ on a
-    /// push, `lane_count` growing, and the stop flag.
+    /// push, `lane_count` growing, and the stop flag. Threads waiting
+    /// for the `attach_busy` latch wait on it too.
     dispatch_event: Arc<Event>,
     /// Fabric cost model: charges virtual CPU time for host-side work
     /// (doorbells, memcpys, polling) under a virtual-time executor;
     /// charges are no-ops in threaded mode.
     cost: CostModel,
-    /// Buffers of a thread-scheduling pass (Algorithm 1): the periodic
-    /// scheduler and the response dispatcher, which repacks when a grant
-    /// deactivates or reactivates a lane and must not allocate, take
-    /// turns.
-    sched_scratch: Mutex<SchedScratch>,
     stop: AtomicBool,
     /// Resources returned to the node's QP pool / MR cache (graceful
     /// close); guards against double release.
@@ -358,13 +370,13 @@ impl HandleInner {
 /// A Flock connection to one remote node (`fl_connect`, paper Table 2).
 ///
 /// The handle owns a set of RC QPs, their rings, TCQs and credit state,
-/// plus the response-dispatcher and thread-scheduler threads. Application
-/// threads register via [`ConnectionHandle::register_thread`] and interact
-/// through the returned [`FlThread`].
+/// plus one task: the response dispatcher, which also runs the
+/// sender-side thread scheduler. Application threads register via
+/// [`ConnectionHandle::register_thread`] and interact through the
+/// returned [`FlThread`].
 pub struct ConnectionHandle {
     inner: Arc<HandleInner>,
     dispatcher: Option<TaskHandle>,
-    scheduler: Option<TaskHandle>,
 }
 
 /// A per-application-thread handle (cheap to clone is intentionally *not*
@@ -451,7 +463,6 @@ impl ConnectionHandle {
                 .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
             dispatch_event,
             cost: domain.fabric().config().cost.clone(),
-            sched_scratch: Mutex::new(SchedScratch::default()),
             stop: AtomicBool::new(false),
             released: AtomicBool::new(false),
         });
@@ -461,6 +472,12 @@ impl ConnectionHandle {
                 inner: Arc::clone(&inner),
                 drained: Vec::new(),
                 msg: Vec::new(),
+                sched: SchedScratch::default(),
+                next_window: if cfg.auto_thread_sched {
+                    clock::deadline(cfg.sched_interval)
+                } else {
+                    u64::MAX
+                },
             };
             // Polling core in the lab: see the matching cap of the
             // server's `DispatchShard` for why the virtual ladder stays
@@ -468,19 +485,10 @@ impl ConnectionHandle {
             let idler = flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000);
             clock::spawn_stepper("fl-resp-dispatch", idler, move || dispatcher.step())
         };
-        let scheduler = if cfg.auto_thread_sched {
-            let inner = Arc::clone(&inner);
-            Some(clock::spawn("fl-thread-sched", move || {
-                scheduler_loop(&inner)
-            }))
-        } else {
-            None
-        };
 
         Ok(ConnectionHandle {
             inner,
             dispatcher: Some(dispatcher),
-            scheduler,
         })
     }
 
@@ -662,13 +670,10 @@ impl ConnectionHandle {
         }
     }
 
-    /// Shut down the handle's background threads.
+    /// Shut down the handle's response dispatcher.
     pub fn shutdown(&mut self) {
         self.inner.stop_and_wake();
         if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
     }
@@ -677,8 +682,8 @@ impl ConnectionHandle {
     ///
     /// Tells the server to quiesce this sender — its QPs leave the
     /// dispatch shards and its AQP share returns to the scheduler —
-    /// waits for the acknowledgement, stops the handle's background
-    /// tasks, and returns every leased QP and cached MR to the node's
+    /// waits for the acknowledgement, stops the response dispatcher, and
+    /// returns every leased QP and cached MR to the node's
     /// pools. The caller should have drained outstanding requests; any
     /// still in flight are dropped by the QP epoch guard.
     pub fn close(&mut self) -> Result<()> {
@@ -930,18 +935,12 @@ impl FlThread {
 
     fn acquire_scratch_blocking(&self, len: usize) -> Result<(u8, usize)> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
-        loop {
-            if let Some(got) = self.try_acquire_scratch(len) {
-                return Ok(got);
-            }
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            if clock::expired(deadline) {
-                return Err(FlockError::Timeout);
-            }
-            clock::yield_now();
-        }
+        let got = self.ctx.mem_event.wait_until(deadline, 500, || {
+            self.try_acquire_scratch(len)
+                .map(Ok)
+                .or_else(|| self.inner.disconnected())
+        });
+        got.unwrap_or(Err(FlockError::Timeout))
     }
 
     /// Submit a one-sided op through the TCQ without waiting. The `wr`'s
@@ -963,6 +962,7 @@ impl FlThread {
                 scratch_off,
                 result_len,
                 defer: false,
+                abandoned: false,
             },
         );
         if let Some(mqp) = self.ctx.mem_qp.get() {
@@ -971,7 +971,7 @@ impl FlThread {
             // combining partner.
             if let Err(e) = mqp.post_send(wr) {
                 self.ctx.mem_pending.lock().remove(&wr_id);
-                *self.ctx.mem_free.lock() |= mask;
+                self.ctx.release(mask);
                 return Err(e.into());
             }
             clock::charge(self.inner.cost.cpu_doorbell_ns);
@@ -1004,25 +1004,32 @@ impl FlThread {
 
     /// Block until an in-flight one-sided op completes.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
-        // On timeout the op is abandoned: its completion frees the
-        // scratch when it arrives.
-        self.wait_mem_result(token)
-            .unwrap_or(Err(FlockError::Timeout))
-            .and_then(|r| r.map_err(FlockError::RemoteOpFailed))
+        self.wait_mem_result(token)?
+            .map_err(FlockError::RemoteOpFailed)
     }
 
-    /// Block until `token`'s completion is published, the handle stops
-    /// (`Some(Err(Disconnected))`), or the timeout passes (`None`).
-    fn wait_mem_result(
-        &self,
-        token: MemToken,
-    ) -> Option<Result<std::result::Result<Vec<u8>, &'static str>>> {
+    /// Block until `token`'s completion is published; the outer `Err` is
+    /// the handle stopping or the timeout. A timeout abandons the op: its
+    /// late completion frees the sub-slots and publishes nothing — unless
+    /// it landed since the last poll, in which case it is consumed.
+    fn wait_mem_result(&self, token: MemToken) -> Result<MemResult> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
-        self.ctx.mem_event.wait_until(deadline, 500, || {
+        let got = self.ctx.mem_event.wait_until(deadline, 500, || {
             if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
                 return Some(Ok(r));
             }
             self.inner.disconnected()
+        });
+        got.unwrap_or_else(|| {
+            // The dispatcher publishes under the pending lock: the op is
+            // either still pending or its result is there.
+            let mut pending = self.ctx.mem_pending.lock();
+            if let Some(p) = pending.get_mut(&token.wr_id) {
+                p.abandoned = true;
+                return Err(FlockError::Timeout);
+            }
+            let landed = self.ctx.mem_results.lock().remove(&token.wr_id);
+            landed.ok_or(FlockError::Timeout)
         })
     }
 
@@ -1103,10 +1110,7 @@ impl FlThread {
                     offs[i] = o;
                 }
                 Err(e) => {
-                    let mut free = self.ctx.mem_free.lock();
-                    for &m in &masks[..i] {
-                        *free |= m;
-                    }
+                    self.ctx.release(masks.iter().fold(0, |all, m| all | m));
                     return Err(e);
                 }
             }
@@ -1140,6 +1144,7 @@ impl FlThread {
                         scratch_off: self.scratch_off() + offs[i],
                         result_len: reads[i].1,
                         defer: true,
+                        abandoned: false,
                     },
                 );
             }
@@ -1150,10 +1155,7 @@ impl FlThread {
                 pending.remove(&wr.wr_id.0);
             }
             drop(pending);
-            let mut free = self.ctx.mem_free.lock();
-            for &m in &masks[..n] {
-                *free |= m;
-            }
+            self.ctx.release(masks.iter().fold(0, |all, m| all | m));
             return Err(e.into());
         }
         clock::charge(self.inner.cost.cpu_doorbell_ns);
@@ -1172,47 +1174,14 @@ impl FlThread {
     /// (no allocation) and release its sub-slot. Blocks until the
     /// completion arrives; returns the number of bytes copied.
     pub fn take_deferred(&self, token: MemToken, out: &mut [u8]) -> Result<usize> {
-        match self.wait_marker(token)? {
-            Ok(()) => {
-                let n = token.len.min(out.len());
-                let copied = self.inner.mem_mr.read(token.scratch_off, &mut out[..n]);
-                *self.ctx.mem_free.lock() |= token.mask;
-                copied.map_err(|_| FlockError::RemoteOpFailed("scratch read failed"))?;
-                Ok(n)
-            }
-            Err(e) => {
-                *self.ctx.mem_free.lock() |= token.mask;
-                Err(FlockError::RemoteOpFailed(e))
-            }
-        }
-    }
-
-    /// Block until a deferred op's completion marker is published.
-    /// Outer `Err` is a local failure (timeout/disconnect); the inner
-    /// result is the remote completion status.
-    fn wait_marker(&self, token: MemToken) -> Result<std::result::Result<(), &'static str>> {
-        match self.wait_mem_result(token) {
-            Some(r) => r.map(|remote| remote.map(|_| ())),
-            None => self.abandon_deferred(token),
-        }
-    }
-
-    /// Deadline hit on a deferred op: downgrade its pending entry so
-    /// the late completion releases the scratch itself — unless the
-    /// completion landed between the last poll and now, in which case
-    /// consume it as a success.
-    fn abandon_deferred(&self, token: MemToken) -> Result<std::result::Result<(), &'static str>> {
-        let mut pending = self.ctx.mem_pending.lock();
-        if let Some(p) = pending.get_mut(&token.wr_id) {
-            p.defer = false;
-            p.result_len = 0;
-            return Err(FlockError::Timeout);
-        }
-        drop(pending);
-        match self.ctx.mem_results.lock().remove(&token.wr_id) {
-            Some(r) => Ok(r.map(|_| ())),
-            None => Err(FlockError::Timeout),
-        }
+        let landed = self.wait_mem_result(token)?;
+        let n = token.len.min(out.len());
+        let copied = landed.and_then(|_| {
+            let read = self.inner.mem_mr.read(token.scratch_off, &mut out[..n]);
+            read.map_err(|_| "scratch read failed")
+        });
+        self.ctx.release(token.mask);
+        copied.map(|()| n).map_err(FlockError::RemoteOpFailed)
     }
 
     /// Submit a one-sided op through the TCQ and wait for its completion.
@@ -1272,34 +1241,39 @@ fn build_lane_ctx(
 
 /// Materialize lanes up to and including `want_idx` (clamped to
 /// `n_qps - 1`). Lanes attach densely in index order; concurrent callers
-/// single-flight through `attach_busy`, spinning via the clock seam
+/// single-flight through `attach_busy`, waiting on `dispatch_event`
 /// rather than holding a lock across the control-plane round trip.
 fn ensure_lanes(inner: &Arc<HandleInner>, want_idx: usize) -> Result<()> {
     let want = (want_idx + 1).min(inner.cfg.n_qps);
-    loop {
+    // `Ok(true)`: this caller holds the latch and attaches.
+    let latched = inner.dispatch_event.wait_until(u64::MAX, 500, || {
         if inner.lane_count.load(Ordering::Acquire) >= want {
-            return Ok(());
+            return Some(Ok(false));
         }
-        if inner.stop.load(Ordering::Relaxed) {
-            return Err(FlockError::Disconnected);
+        if let Some(stopped) = inner.disconnected() {
+            return Some(stopped);
         }
-        if inner
-            .attach_busy
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            let mut result = Ok(());
-            while inner.lane_count.load(Ordering::Relaxed) < want {
-                result = attach_one_lane(inner);
-                if result.is_err() {
-                    break;
-                }
-            }
-            inner.attach_busy.store(false, Ordering::Release);
-            return result;
-        }
-        clock::yield_now();
+        let latch =
+            inner
+                .attach_busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
+        latch.is_ok().then_some(Ok(true))
+    });
+    if !latched.expect("a wait with no deadline ends with its condition")? {
+        return Ok(());
     }
+    let mut result = Ok(());
+    while inner.lane_count.load(Ordering::Relaxed) < want {
+        result = attach_one_lane(inner);
+        if result.is_err() {
+            break;
+        }
+    }
+    inner.attach_busy.store(false, Ordering::Release);
+    // For the waiters the attach did not serve: their lane is further
+    // out, or the attach failed and moved no `lane_count`.
+    inner.dispatch_event.notify_all();
+    result
 }
 
 /// Attach the next lane: lease a QP and a cached response ring locally,
@@ -1515,7 +1489,9 @@ fn send_credit_request(qp: &ClientQpCtx) -> Result<()> {
 
 /// The response dispatcher (paper §4.3): polls every QP's response ring,
 /// routes entries to threads by thread id, folds in piggybacked heads and
-/// credit grants, and routes one-sided completions. A
+/// credit grants, and routes one-sided completions. It is also the
+/// sender-side thread scheduler (§5.2, Algorithm 1): once per
+/// `sched_interval`, and at every grant that opens or drains a lane. A
 /// `clock::spawn_stepper` task: [`ResponseDispatcher::step`] is one
 /// sweep.
 struct ResponseDispatcher {
@@ -1526,6 +1502,11 @@ struct ResponseDispatcher {
     /// its ring into this one buffer, its entries from there to their
     /// waiters.
     msg: Vec<u8>,
+    /// Buffers of a thread-scheduling pass, reused by every pass.
+    sched: SchedScratch,
+    /// Instant at which the periodic pass falls due; `u64::MAX` when
+    /// `auto_thread_sched` is off.
+    next_window: u64,
 }
 
 impl ResponseDispatcher {
@@ -1534,7 +1515,20 @@ impl ResponseDispatcher {
         if inner.stop.load(Ordering::Relaxed) {
             return Next::Done;
         }
-        let (drained, msg) = (&mut self.drained, &mut self.msg);
+        let now = clock::now_ns();
+        if now >= self.next_window {
+            // Not progress: a sweep that finds nothing else still idles,
+            // so the pass leaves the idle ladder where it was.
+            run_thread_scheduling(inner, &mut self.sched, true);
+            let interval = u64::try_from(inner.cfg.sched_interval.as_nanos())
+                .unwrap_or(u64::MAX)
+                .max(1);
+            let passed = (now - self.next_window) / interval + 1;
+            self.next_window = self
+                .next_window
+                .saturating_add(passed.saturating_mul(interval));
+        }
+        let (drained, msg, sched) = (&mut self.drained, &mut self.msg, &mut self.sched);
         let seen = inner.dispatch_event.epoch();
         let mut progressed = false;
         let mut lanes = 0;
@@ -1551,7 +1545,7 @@ impl ResponseDispatcher {
             }
             // Response ring.
             let polled = qp.link.poll_into(msg);
-            handle_ring_poll(inner, qp, polled, msg, &mut progressed);
+            handle_ring_poll(inner, sched, qp, polled, msg, &mut progressed);
         }
         // Dedicated mem QPs share one send CQ; their one-sided
         // completions route exactly like the lanes' do.
@@ -1572,12 +1566,16 @@ impl ResponseDispatcher {
         }
         // Nothing the sweep looked at changes before a notify of
         // `dispatch_event`, and until then every sweep is this one
-        // again: an empty probe of each lane's ring.
+        // again: an empty probe of each lane's ring. The periodic pass
+        // ends the idling at its instant.
         Next::Idle(IdleOn {
             event: Arc::clone(&inner.dispatch_event),
             seen,
             busy_ns: lanes * inner.cost.cpu_poll_empty_ns,
-            deadline_ns: u64::MAX,
+            deadline_ns: match self.next_window {
+                u64::MAX => u64::MAX,
+                due => due - 1,
+            },
         })
     }
 }
@@ -1587,6 +1585,7 @@ impl ResponseDispatcher {
 /// folded in the piggybacked head).
 fn handle_ring_poll(
     inner: &HandleInner,
+    sched: &mut SchedScratch,
     qp: &ClientQpCtx,
     polled: Result<bool>,
     msg: &[u8],
@@ -1614,9 +1613,9 @@ fn handle_ring_poll(
                 if moved && inner.cfg.auto_thread_sched {
                     // The set of served lanes changed: Algorithm 1 again,
                     // now. A deactivated lane's threads learn where to go
-                    // before their next send, not at the scheduler's next
-                    // wake-up, and a reactivated lane takes its share.
-                    run_thread_scheduling(inner, false);
+                    // before their next send, not at the next periodic
+                    // pass, and a reactivated lane takes its share.
+                    run_thread_scheduling(inner, sched, false);
                 }
             }
             let threads = inner.threads.read();
@@ -1671,33 +1670,40 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     let Some(t) = threads.get(thread_id as usize) else {
         return;
     };
-    let Some(p) = t.mem_pending.lock().remove(&c.wr_id.0) else {
-        return; // stale completion from a timed-out, abandoned op
+    let mut pending = t.mem_pending.lock();
+    let Some(p) = pending.remove(&c.wr_id.0) else {
+        return;
     };
-    let result = if c.is_ok() {
-        if p.defer {
-            // Deferred op: publish only a marker. The payload stays in
-            // scratch until the issuing thread copies it out with
-            // `take_deferred` — no allocation on this path.
-            Ok(Vec::new())
-        } else if p.result_len > 0 {
-            inner
-                .mem_mr
-                .read_vec(p.scratch_off, p.result_len)
-                .map_err(|_| "scratch read failed")
+    if !p.abandoned {
+        let result = if c.is_ok() {
+            if p.defer {
+                // Deferred op: publish only a marker. The payload stays in
+                // scratch until the issuing thread copies it out with
+                // `take_deferred` — no allocation on this path.
+                Ok(Vec::new())
+            } else if p.result_len > 0 {
+                inner
+                    .mem_mr
+                    .read_vec(p.scratch_off, p.result_len)
+                    .map_err(|_| "scratch read failed")
+            } else {
+                Ok(Vec::new())
+            }
         } else {
-            Ok(Vec::new())
-        }
-    } else {
-        Err("remote operation completed with error status")
-    };
-    // Release the scratch sub-slots, then publish the result. Deferred
-    // ops keep their sub-slots until `take_deferred` consumes the bytes.
-    if !p.defer {
-        *t.mem_free.lock() |= p.mask;
+            Err("remote operation completed with error status")
+        };
+        // Under the pending lock, so that a timed-out waiter finds the op
+        // either pending or published (`FlThread::wait_mem_result`).
+        t.mem_results.lock().insert(c.wr_id.0, result);
     }
-    t.mem_results.lock().insert(c.wr_id.0, result);
-    t.mem_event.notify_all();
+    drop(pending);
+    // Deferred ops keep their sub-slots until `take_deferred` consumes
+    // the bytes; every other op is done with them.
+    if p.defer && !p.abandoned {
+        t.mem_event.notify_all();
+    } else {
+        t.release(p.mask);
+    }
 }
 
 /// Post lane `qp`'s [`FLAG_DRAINED`] marker for drain `epoch`, behind
@@ -1726,15 +1732,8 @@ fn post_drained_marker(inner: &HandleInner, qp: &ClientQpCtx, epoch: u16, may_wa
     }
 }
 
-/// Sender-side thread scheduler loop (paper §5.2, Algorithm 1).
-fn scheduler_loop(inner: &HandleInner) {
-    while !inner.stop.load(Ordering::Relaxed) {
-        clock::sleep(inner.cfg.sched_interval);
-        run_thread_scheduling(inner, true);
-    }
-}
-
-/// Buffers of [`run_thread_scheduling`], see [`HandleInner::sched_scratch`].
+/// Buffers of [`run_thread_scheduling`]: the response dispatcher's, so
+/// that no pass allocates.
 #[derive(Default)]
 struct SchedScratch {
     active: Vec<usize>,
@@ -1743,19 +1742,18 @@ struct SchedScratch {
     assign: AssignScratch,
 }
 
-/// One scheduling pass over the lanes the server serves. The periodic
-/// pass starts a new `reqs`/`bytes` window; the pass the response
-/// dispatcher runs at a grant reads the running one and leaves it.
+/// One scheduling pass (paper §5.2, Algorithm 1) over the lanes the
+/// server serves. The periodic pass starts a new `reqs`/`bytes` window;
+/// the pass run at a grant reads the running one and leaves it.
 /// With no open lane known nobody is re-targeted: threads stay where they
 /// are and their lanes keep draining.
-fn run_thread_scheduling(inner: &HandleInner, new_window: bool) {
-    let mut scratch = inner.sched_scratch.lock();
+fn run_thread_scheduling(inner: &HandleInner, scratch: &mut SchedScratch, new_window: bool) {
     let SchedScratch {
         active,
         stats,
         median,
         assign,
-    } = &mut *scratch;
+    } = scratch;
     active.clear();
     active.extend(
         inner
@@ -1834,6 +1832,50 @@ mod tests {
                 clock::sleep_ns(1_000);
             }
             assert!(t.ctx.inbox.lock().ready.is_empty());
+
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A one-sided op whose wait timed out used to leave its late result
+    /// in `mem_results` for good; a deferred one, its marker.
+    #[test]
+    fn timed_out_one_sided_waits_leave_nothing_behind() {
+        use crate::server::{FlockServer, ServerConfig};
+        flock_sim::vtime::VirtualLab::run(|| {
+            let domain = FlockDomain::with_defaults();
+            let server_node = domain.add_node("abandon-srv");
+            let server =
+                FlockServer::listen(&domain, &server_node, "abandon", ServerConfig::default());
+            let idx = server.attach_mreg(4096);
+            let mut cfg = HandleConfig::default();
+            cfg.n_qps = 1;
+            cfg.timeout = Duration::from_nanos(100);
+            let client_node = domain.add_node("abandon-cli");
+            let mut handle =
+                ConnectionHandle::connect(&domain, &client_node, "abandon", cfg).unwrap();
+            let t = handle.register_thread();
+            clock::flush_charge();
+
+            let token = t.read_async(idx, 0, 8).unwrap();
+            assert!(matches!(t.wait_mem(token), Err(FlockError::Timeout)));
+            let region = &handle.memory_regions()[idx];
+            let remote = RemoteAddr {
+                rkey: region.rkey,
+                addr: region.addr,
+            };
+            let mut tokens = Vec::new();
+            t.read_batch(&[(remote, 8)], &mut tokens).unwrap();
+            let deferred = t.take_deferred(tokens[0], &mut [0; 8]);
+            assert!(matches!(deferred, Err(FlockError::Timeout)));
+
+            // Both completions land later: they free their sub-slots and
+            // publish nothing.
+            clock::sleep_ns(100_000);
+            assert!(t.ctx.mem_pending.lock().is_empty());
+            assert!(t.ctx.mem_results.lock().is_empty());
+            assert_eq!(*t.ctx.mem_free.lock(), 0xFF);
 
             handle.shutdown();
             server.shutdown(&domain);

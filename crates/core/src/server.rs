@@ -40,22 +40,11 @@ pub struct ServerConfig {
     pub timeout: Duration,
     /// Dispatcher worker threads. Each owns a disjoint partition of
     /// connections (rebalanced when the QP scheduler redistributes active
-    /// QPs); `1` is the single-dispatcher degenerate case. Defaults to
-    /// [`auto_dispatch_threads`].
+    /// QPs); `1` is the single-dispatcher degenerate case. Defaults to 2,
+    /// a constant so that a scenario builds the same topology on every
+    /// host (sharding only wins where the workers can run in parallel:
+    /// EXPERIMENTS.md "Receive-path scaling").
     pub dispatch_threads: usize,
-}
-
-/// Default dispatcher worker count: the host's available parallelism,
-/// clamped to `1..=8`. Sharding the dispatch only wins when the workers
-/// can actually run in parallel; on a 1-CPU host extra workers just
-/// time-slice the same core through the idle ladder (the honest 0.78×
-/// measured for 4/4 there, EXPERIMENTS.md "Receive-path scaling"), so
-/// the degenerate 1-worker path is chosen automatically there.
-pub(crate) fn auto_dispatch_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
 }
 
 impl Default for ServerConfig {
@@ -65,7 +54,7 @@ impl Default for ServerConfig {
             sched: QpSchedulerConfig::default(),
             sched_interval: Duration::from_millis(10),
             timeout: Duration::from_secs(10),
-            dispatch_threads: auto_dispatch_threads(),
+            dispatch_threads: 2,
         }
     }
 }

@@ -674,6 +674,39 @@ fn graceful_close_quiesces_and_recycles() {
     server.shutdown(&domain);
 }
 
+/// Connect with `sched_interval`, make one call, and return how long
+/// `close()` then takes on the calling task's clock, in ns.
+fn close_after_one_call(name: &str, sched_interval: Duration) -> u64 {
+    let domain = FlockDomain::with_defaults();
+    let server = echo_server(&domain, name, ServerConfig::default());
+    let client = domain.add_node(&format!("c-{name}"));
+    let mut cfg = HandleConfig::default();
+    cfg.sched_interval = sched_interval;
+    let mut handle = fl_connect(&domain, &client, name, cfg).unwrap();
+    assert_eq!(handle.register_thread().call(1, b"x").unwrap(), b"echo:x");
+    clock::flush_charge();
+    let started = clock::now_ns();
+    fl_disconnect(&mut handle).unwrap();
+    let took = clock::now_ns() - started;
+    server.shutdown(&domain);
+    took
+}
+
+#[test]
+fn close_in_the_lab_takes_only_the_detach_round_trip() {
+    // The default 10 ms scheduling interval is not slept out at close.
+    let took = VirtualLab::run(|| {
+        close_after_one_call("s-close-lab", HandleConfig::default().sched_interval)
+    });
+    assert!(took < 50_000, "close took {took} ns of virtual time");
+}
+
+#[test]
+fn close_on_threads_does_not_wait_for_the_scheduling_interval() {
+    let took = close_after_one_call("s-close-thr", Duration::from_secs(5));
+    assert!(took < 1_000_000_000, "close took {took} ns");
+}
+
 #[test]
 fn close_is_idempotent_and_server_survives() {
     let domain = FlockDomain::with_defaults();

@@ -23,6 +23,12 @@
 //! * two dispatch shards whose partition is re-cut under traffic: each
 //!   shard idles on its own doorbell, which moves with the request rings
 //!   it polls;
+//! * a periodic thread-scheduling pass that falls due while the response
+//!   dispatcher sleeps: its idle round's deadline wakes it;
+//! * threads registering at once on a lazy handle: the ones behind an
+//!   attach wait for its latch on the dispatcher's event;
+//! * more one-sided reads in flight than a thread has scratch sub-slots:
+//!   the surplus waits for a completion to release one;
 //! * and, lab alone, an idle server: its shards cost no heap operation
 //!   while they wait.
 //!
@@ -36,7 +42,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
-use flock_core::client::{ConnectionHandle, HandleConfig};
+use flock_core::client::{ConnectionHandle, FlThread, HandleConfig};
 use flock_core::onesided::{OneSidedReader, SegmentWriter, SlotLayout};
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{FlockDomain, FlockError};
@@ -119,25 +125,25 @@ fn echo_fan_in_with_a_window_matches_the_reference() {
             s.response_messages.load(Relaxed),
             s.responses.load(Relaxed),
         );
-        let lanes = domain.fabric().config().nic_lanes.max(1) as u64;
         handle.close().expect("close");
         server.shutdown(&domain);
-        (times, stats, lanes)
+        (times, stats)
     });
-    let (times, stats, lanes) = (times.0, times.1, times.2);
+    let (times, stats) = times;
     let (_, requests, response_messages, responses) = stats;
     assert_eq!(requests, (THREADS * WINDOW * ROUNDS) as u64);
     assert_eq!(responses, requests);
     assert!(response_messages < responses, "no response was coalesced");
     assert!(times.iter().all(|t| t.len() == WINDOW * ROUNDS));
     assert!(report.elided_polls > report.handovers / 4, "{report:?}");
-    // No OS thread for a NIC lane (two nodes), the dispatch shard or the
-    // response dispatcher: the threads are the application's six, and
-    // `fl-accept`, `fl-qpsched` and `fl-thread-sched`.
-    assert_eq!(report.stepper_tasks, 2 * lanes + 1 + 1, "{report:?}");
+    // No stack for a NIC lane (two per node, two nodes), the dispatch
+    // shard or the response dispatcher, which also runs the thread
+    // scheduler: the tasks with one are the application's six,
+    // `fl-accept` and `fl-qpsched`.
+    assert_eq!(report.stepper_tasks, 2 * 2 + 1 + 1, "{report:?}");
     assert_eq!(
         report.tasks_spawned - report.stepper_tasks,
-        THREADS as u64 + 3,
+        THREADS as u64 + 2,
         "{report:?}"
     );
     // Busy steppers step inline and idle ones not at all: the lab slept
@@ -654,6 +660,124 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
         );
     }
     assert!(report.elided_polls > report.handovers, "{report:?}");
+}
+
+#[test]
+fn a_scheduling_pass_due_while_the_dispatcher_sleeps_matches_the_reference() {
+    const INTERVAL_NS: u64 = 2_000_000;
+    let ((before, after), report) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-pass-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-pass", ServerConfig::default());
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 2;
+        cfg.eager_qps = true;
+        cfg.sched_interval = Duration::from_nanos(INTERVAL_NS);
+        let cli = domain.add_node("pe-pass-cli");
+        let mut handle = ConnectionHandle::connect(&domain, &cli, "pe-pass", cfg).expect("connect");
+        let due = clock::now_ns() + INTERVAL_NS;
+        // Round-robin: threads 0 and 2 start on lane 0, thread 1 on lane 1.
+        let threads: Vec<_> = (0..3).map(|_| handle.register_thread()).collect();
+        let call = |t: &FlThread, round: u8| {
+            let resp = t.call(RPC_ECHO, &[round; 32]).expect("call");
+            assert_eq!(&resp[..], &[round; 32]);
+        };
+        for round in 0..10 {
+            threads.iter().for_each(|t| call(t, round));
+        }
+        assert!(clock::now_ns() < due, "the pass fell due under traffic");
+        // Equal loads, packed by bytes in thread order: threads 0 and 1
+        // fill lane 0's quota, thread 2 gets lane 1. The pass falls due
+        // while nothing is in flight and the dispatcher sleeps; nobody
+        // moves before their next send, and the first to send — thread 2,
+        // before any response could wake the dispatcher — moves at once.
+        clock::sleep_ns(INTERVAL_NS);
+        let before: Vec<usize> = threads.iter().map(|t| t.current_qp()).collect();
+        threads.iter().rev().for_each(|t| call(t, 10));
+        let after: Vec<usize> = threads.iter().map(|t| t.current_qp()).collect();
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        (before, after)
+    });
+    assert_eq!(before, [0, 1, 0]);
+    assert_eq!(after, [0, 0, 1]);
+    // The pass ran in a stepper: the only tasks with a stack are the
+    // server's `fl-accept` and `fl-qpsched`.
+    assert_eq!(report.tasks_spawned - report.stepper_tasks, 2, "{report:?}");
+    assert!(report.elided_polls > 500, "{report:?}");
+}
+
+#[test]
+fn threads_registering_at_once_on_a_lazy_handle_match_the_reference() {
+    const THREADS: usize = 4;
+    let ((lanes, materialized), _) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-lazy-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-lazy", ServerConfig::default());
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+
+        // Lazy lanes: every registration but the first attaches one, and
+        // the ones behind the attach in progress wait for its latch.
+        let cfg = HandleConfig::default();
+        let cli = domain.add_node("pe-lazy-cli");
+        let handle = ConnectionHandle::connect(&domain, &cli, "pe-lazy", cfg).expect("connect");
+        let handle = Arc::new(handle);
+        let lanes = {
+            let handle = Arc::clone(&handle);
+            on_tasks(THREADS, move |i| {
+                let t = handle.register_thread();
+                assert_eq!(&t.call(RPC_ECHO, &[i as u8]).expect("call")[..], &[i as u8]);
+                t.current_qp()
+            })
+        };
+        let materialized = handle.materialized_qps();
+        let mut handle = Arc::try_unwrap(handle).ok().expect("the tasks are done");
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        (lanes, materialized)
+    });
+    let mut lanes = lanes;
+    lanes.sort_unstable();
+    assert_eq!(lanes, [0, 1, 2, 3]);
+    assert_eq!(materialized, THREADS);
+}
+
+#[test]
+fn more_reads_in_flight_than_scratch_sub_slots_match_the_reference() {
+    // Twice a thread's eight sub-slots: the ninth read waits for the
+    // first completion to free one.
+    const READS: usize = 16;
+    let (values, _) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-slots-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-slots", ServerConfig::default());
+        let idx = server.attach_mreg(READS * 8);
+        let mr = server.mem_region(idx).expect("region");
+        for k in 0..READS {
+            mr.write_u64(k * 8, k as u64 * 7).expect("write");
+        }
+        let cli = domain.add_node("pe-slots-cli");
+        let cfg = HandleConfig::default();
+        let mut handle =
+            ConnectionHandle::connect(&domain, &cli, "pe-slots", cfg).expect("connect");
+        let t = handle.register_thread();
+        let tokens: Vec<_> = (0..READS)
+            .map(|k| t.read_async(idx, k as u64 * 8, 8).expect("read"))
+            .collect();
+        let values: Vec<u64> = tokens
+            .into_iter()
+            .map(|token| {
+                let bytes = t.wait_mem(token).expect("wait");
+                u64::from_le_bytes(bytes[..].try_into().expect("8 bytes"))
+            })
+            .collect();
+        handle.close().expect("close");
+        server.shutdown(&domain);
+        values
+    });
+    assert_eq!(values, (0..READS as u64).map(|k| k * 7).collect::<Vec<_>>());
 }
 
 /// A two-shard server with one connected handle, idle for `idle_ns`

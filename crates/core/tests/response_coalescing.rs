@@ -43,9 +43,6 @@ fn connect(domain: &FlockDomain, name: &str, ring: usize) -> ConnectionHandle {
     cfg.n_qps = 1;
     cfg.eager_qps = true;
     cfg.ring_capacity = ring;
-    // One thread per handle: nothing to schedule, and `close()` need not
-    // wait out the scheduler task's 10 ms nap.
-    cfg.auto_thread_sched = false;
     let node = domain.add_node(name);
     let handle = ConnectionHandle::connect(domain, &node, "rc", cfg).expect("connect");
     // Apply the control-plane cost connect charged to this task now, so

@@ -32,9 +32,9 @@ pub struct FabricConfig {
     pub nic_cache_entries: usize,
     /// Engine lanes per node. Work requests are sharded across lanes by
     /// QPN, so per-QP FIFO ordering is preserved (all RC guarantees)
-    /// while unrelated QPs execute in parallel. Defaults to
-    /// [`auto_nic_lanes`]; override for benchmarks sweeping the lane
-    /// count.
+    /// while unrelated QPs execute in parallel. Defaults to 2, a constant
+    /// so that a scenario builds the same topology on every host;
+    /// override for benchmarks sweeping the lane count.
     pub nic_lanes: usize,
     /// Per-node QP pool (the elastic control plane's warm-lease path).
     /// Disabled by default: leases cold-create, releases destroy.
@@ -42,17 +42,6 @@ pub struct FabricConfig {
     /// Per-node MR registration cache. Disabled by default: acquires
     /// register cold, releases deregister.
     pub mr_cache: MrCacheConfig,
-}
-
-/// Default NIC lane count: the host's available parallelism, clamped to
-/// `1..=4`. Extra lanes only add channel hops and cache traffic when
-/// there are no spare cores to run them — on a 1-CPU host this picks the
-/// single-lane path automatically.
-pub(crate) fn auto_nic_lanes() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 4)
 }
 
 impl Default for FabricConfig {
@@ -64,7 +53,7 @@ impl Default for FabricConfig {
             ud_drop_probability: 0.0,
             seed: 0x5EED,
             nic_cache_entries: entries,
-            nic_lanes: auto_nic_lanes(),
+            nic_lanes: 2,
             qpool: QpPoolConfig::default(),
             mr_cache: MrCacheConfig::default(),
         }

@@ -14,3 +14,7 @@ pub fn spawn_worker() {
     let h = std::thread::spawn(|| {});
     let _ = h.join();
 }
+
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

@@ -26,19 +26,20 @@ fn determinism_bad_fixture_is_flagged() {
     );
     let (diags, missing) = determinism::check(&[&m], &empty_allow());
     let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(diags.len(), 4, "findings: {msgs:?}");
+    assert_eq!(diags.len(), 5, "findings: {msgs:?}");
     for pat in [
         "Instant::now",
         "thread::sleep",
         "thread::yield_now",
         "thread::spawn",
+        "thread::available_parallelism",
     ] {
         assert!(
             msgs.iter().any(|m| m.contains(pat)),
             "missing {pat} in {msgs:?}"
         );
     }
-    assert_eq!(missing.len(), 4);
+    assert_eq!(missing.len(), 5);
 }
 
 #[test]
