@@ -73,6 +73,7 @@ fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
     };
     let mut staging = vec![0u8; payload + 512];
     let n = msg::encode(&mut staging, &header, &[entry]).expect("staging holds one entry");
+    let mut polled = Vec::new();
     time_loop(iters, || {
         let res = prod.reserve(n).expect("the ring was drained");
         if let Some((woff, wlen)) = res.wrap {
@@ -81,9 +82,10 @@ fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
             });
         }
         mr.write(res.offset, &staging[..n]).expect("in bounds");
-        let m = cons.poll(&mr).expect("well-formed").expect("message");
+        let got = cons.poll_into(&mr, &mut polled).expect("well-formed");
+        assert!(got, "message");
         prod.update_head(cons.head());
-        black_box(m.len());
+        black_box(polled.len());
     })
 }
 

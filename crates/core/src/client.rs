@@ -153,6 +153,18 @@ struct MemPending {
 /// operation failed.
 type MemResult = std::result::Result<Vec<u8>, &'static str>;
 
+/// A thread's one-sided state, under one lock: an op is pending until
+/// the dispatcher routes its completion, then its result is published
+/// (unless it was abandoned), and its scratch sub-slots return to `free`.
+struct MemSlots {
+    /// In-flight operations (up to [`MEM_SUBSLOTS`]) by work-request id.
+    pending: HashMap<u64, MemPending>,
+    /// Completed operations nobody has taken yet.
+    results: HashMap<u64, MemResult>,
+    /// Bitmap of free scratch sub-slots.
+    free: u8,
+}
+
 /// A point-in-time snapshot of one QP lane's counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpMetrics {
@@ -228,14 +240,10 @@ pub(crate) struct ThreadCtx {
     req_sizes: Mutex<MedianWindow>,
     bytes: AtomicU64,
     reqs: AtomicU64,
-    // In-flight one-sided operations (up to MEM_SUBSLOTS concurrently).
-    mem_pending: Mutex<HashMap<u64, MemPending>>,
-    mem_results: Mutex<HashMap<u64, MemResult>>,
-    /// Signalled after every `mem_results` insert, every release of
-    /// scratch sub-slots and when the handle stops.
+    mem: Mutex<MemSlots>,
+    /// Signalled after every published result, every release of scratch
+    /// sub-slots and when the handle stops.
     mem_event: Event,
-    /// Bitmap of free scratch sub-slots.
-    mem_free: Mutex<u8>,
     /// This thread's dedicated one-sided QP
     /// ([`HandleConfig::dedicated_mem_qps`]); empty when memory ops
     /// coalesce onto the shared lanes (the default), or when the
@@ -249,7 +257,7 @@ impl ThreadCtx {
     /// Free the scratch sub-slots in `mask` and wake whoever waits for
     /// them.
     fn release(&self, mask: u8) {
-        *self.mem_free.lock() |= mask;
+        self.mem.lock().free |= mask;
         self.mem_event.notify_all();
     }
 }
@@ -552,10 +560,12 @@ impl ConnectionHandle {
                 req_sizes: Mutex::new(MedianWindow::new(64)),
                 bytes: AtomicU64::new(0),
                 reqs: AtomicU64::new(0),
-                mem_pending: Mutex::new(HashMap::new()),
-                mem_results: Mutex::new(HashMap::new()),
+                mem: Mutex::new(MemSlots {
+                    pending: HashMap::new(),
+                    results: HashMap::new(),
+                    free: 0xFF,
+                }),
                 mem_event: Event::new(),
-                mem_free: Mutex::new(0xFF),
                 mem_qp: OnceLock::new(),
                 flush_scratch: Mutex::new(FlushScratch::default()),
             });
@@ -819,11 +829,15 @@ impl FlThread {
 
     /// Non-blocking check for the response to `seq` (coroutine-style
     /// pipelining, paper §8.5.2: a thread runs many concurrent
-    /// transactions and polls instead of blocking).
-    pub fn try_recv_res(&self, seq: u64) -> Option<Bytes> {
-        let data = self.ctx.inbox.lock().ready.remove(&seq)?;
+    /// transactions and polls instead of blocking). `None` while it is
+    /// on its way; `Some(Err(Disconnected))` once the handle has stopped
+    /// without it.
+    pub fn try_recv_res(&self, seq: u64) -> Option<Result<Bytes>> {
+        let landed = self.ctx.inbox.lock().ready.remove(&seq);
+        let res = landed.map(Ok).or_else(|| self.inner.disconnected())?;
+        // Answered or disconnected: no longer in flight (see `recv_res`).
         self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
-        Some(data)
+        Some(res)
     }
 
     /// Convenience: send and wait.
@@ -912,7 +926,8 @@ impl FlThread {
     /// bitmask and the byte offset within the thread's scratch region, or
     /// `None` if the space is not currently free.
     fn try_acquire_scratch(&self, len: usize) -> Option<(u8, usize)> {
-        let mut free = self.ctx.mem_free.lock();
+        let mut mem = self.ctx.mem.lock();
+        let free = &mut mem.free;
         if len <= MEM_SUBSLOT_SIZE {
             for i in 0..MEM_SUBSLOTS {
                 let bit = 1u8 << i;
@@ -955,7 +970,7 @@ impl FlThread {
         let wr_seq = self.inner.mem_wr_seq.fetch_add(1, Ordering::Relaxed);
         let wr_id = ((self.ctx.id as u64) << 32) | (wr_seq & 0xFFFF_FFFF);
         wr.wr_id = WrId(wr_id);
-        self.ctx.mem_pending.lock().insert(
+        self.ctx.mem.lock().pending.insert(
             wr_id,
             MemPending {
                 mask,
@@ -970,7 +985,7 @@ impl FlThread {
             // verb and a doorbell per op — a per-thread QP has no
             // combining partner.
             if let Err(e) = mqp.post_send(wr) {
-                self.ctx.mem_pending.lock().remove(&wr_id);
+                self.ctx.mem.lock().pending.remove(&wr_id);
                 self.ctx.release(mask);
                 return Err(e.into());
             }
@@ -996,10 +1011,14 @@ impl FlThread {
         })
     }
 
-    /// Non-blocking poll of an in-flight one-sided op.
+    /// Non-blocking poll of an in-flight one-sided op: `None` while it is
+    /// in flight, `Some(Err(Disconnected))` once the handle has stopped
+    /// without its result.
     pub fn try_mem(&self, token: MemToken) -> Option<Result<Vec<u8>>> {
-        let r = self.ctx.mem_results.lock().remove(&token.wr_id)?;
-        Some(r.map_err(FlockError::RemoteOpFailed))
+        let landed = self.ctx.mem.lock().results.remove(&token.wr_id);
+        landed
+            .map(|r| r.map_err(FlockError::RemoteOpFailed))
+            .or_else(|| self.inner.disconnected())
     }
 
     /// Block until an in-flight one-sided op completes.
@@ -1015,21 +1034,19 @@ impl FlThread {
     fn wait_mem_result(&self, token: MemToken) -> Result<MemResult> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
         let got = self.ctx.mem_event.wait_until(deadline, 500, || {
-            if let Some(r) = self.ctx.mem_results.lock().remove(&token.wr_id) {
+            if let Some(r) = self.ctx.mem.lock().results.remove(&token.wr_id) {
                 return Some(Ok(r));
             }
             self.inner.disconnected()
         });
         got.unwrap_or_else(|| {
-            // The dispatcher publishes under the pending lock: the op is
-            // either still pending or its result is there.
-            let mut pending = self.ctx.mem_pending.lock();
-            if let Some(p) = pending.get_mut(&token.wr_id) {
+            // The op is either still pending or its result is there.
+            let mut mem = self.ctx.mem.lock();
+            if let Some(p) = mem.pending.get_mut(&token.wr_id) {
                 p.abandoned = true;
                 return Err(FlockError::Timeout);
             }
-            let landed = self.ctx.mem_results.lock().remove(&token.wr_id);
-            landed.ok_or(FlockError::Timeout)
+            mem.results.remove(&token.wr_id).ok_or(FlockError::Timeout)
         })
     }
 
@@ -1135,9 +1152,9 @@ impl FlThread {
             SendWr::read(WrId(wr_id), local, reads[j].0)
         });
         {
-            let mut pending = self.ctx.mem_pending.lock();
+            let mut mem = self.ctx.mem.lock();
             for i in 0..n {
-                pending.insert(
+                mem.pending.insert(
                     wrs[i].wr_id.0,
                     MemPending {
                         mask: masks[i],
@@ -1150,11 +1167,11 @@ impl FlThread {
             }
         }
         if let Err(e) = post_qp.post_send_many(&wrs[..n]) {
-            let mut pending = self.ctx.mem_pending.lock();
+            let mut mem = self.ctx.mem.lock();
             for wr in &wrs[..n] {
-                pending.remove(&wr.wr_id.0);
+                mem.pending.remove(&wr.wr_id.0);
             }
-            drop(pending);
+            drop(mem);
             self.ctx.release(masks.iter().fold(0, |all, m| all | m));
             return Err(e.into());
         }
@@ -1670,8 +1687,8 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     let Some(t) = threads.get(thread_id as usize) else {
         return;
     };
-    let mut pending = t.mem_pending.lock();
-    let Some(p) = pending.remove(&c.wr_id.0) else {
+    let mut mem = t.mem.lock();
+    let Some(p) = mem.pending.remove(&c.wr_id.0) else {
         return;
     };
     if !p.abandoned {
@@ -1692,18 +1709,15 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
         } else {
             Err("remote operation completed with error status")
         };
-        // Under the pending lock, so that a timed-out waiter finds the op
-        // either pending or published (`FlThread::wait_mem_result`).
-        t.mem_results.lock().insert(c.wr_id.0, result);
+        mem.results.insert(c.wr_id.0, result);
     }
-    drop(pending);
     // Deferred ops keep their sub-slots until `take_deferred` consumes
     // the bytes; every other op is done with them.
-    if p.defer && !p.abandoned {
-        t.mem_event.notify_all();
-    } else {
-        t.release(p.mask);
+    if !p.defer || p.abandoned {
+        mem.free |= p.mask;
     }
+    drop(mem);
+    t.mem_event.notify_all();
 }
 
 /// Post lane `qp`'s [`FLAG_DRAINED`] marker for drain `epoch`, behind
@@ -1839,7 +1853,7 @@ mod tests {
     }
 
     /// A one-sided op whose wait timed out used to leave its late result
-    /// in `mem_results` for good; a deferred one, its marker.
+    /// in `MemSlots::results` for good; a deferred one, its marker.
     #[test]
     fn timed_out_one_sided_waits_leave_nothing_behind() {
         use crate::server::{FlockServer, ServerConfig};
@@ -1873,9 +1887,11 @@ mod tests {
             // Both completions land later: they free their sub-slots and
             // publish nothing.
             clock::sleep_ns(100_000);
-            assert!(t.ctx.mem_pending.lock().is_empty());
-            assert!(t.ctx.mem_results.lock().is_empty());
-            assert_eq!(*t.ctx.mem_free.lock(), 0xFF);
+            let mem = t.ctx.mem.lock();
+            assert!(mem.pending.is_empty());
+            assert!(mem.results.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
 
             handle.shutdown();
             server.shutdown(&domain);

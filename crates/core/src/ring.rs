@@ -26,15 +26,14 @@
 //! one thread at a time drives a `RingProducer` or `RingConsumer` (a
 //! `Link` holds each behind a lock of its own), and producer/consumer
 //! never share host memory words except through the canary protocol
-//! validated by `poll`. The only atomics here are the consumed heads a
-//! `Link` hands between its halves; they come from [`crate::sync`], so
+//! validated by `poll_into`. The only atomics here are the consumed heads
+//! a `Link` hands between its halves; they come from [`crate::sync`], so
 //! they stay visible to the loom model checker (see DESIGN.md).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use flock_fabric::{Access, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId};
 use flock_sync::clock::{self, Event};
 use parking_lot::Mutex;
@@ -190,45 +189,6 @@ pub fn view(msg: &[u8]) -> msg::MsgView<'_> {
         .expect("validated at poll time")
 }
 
-/// A message pulled out of a ring by [`RingConsumer::poll`]: an owned
-/// copy of the encoded bytes in a shared, refcounted buffer.
-#[derive(Debug)]
-pub struct OwnedMsg {
-    buf: Bytes,
-}
-
-impl OwnedMsg {
-    /// Decode a view over the owned bytes.
-    pub fn view(&self) -> msg::MsgView<'_> {
-        view(&self.buf)
-    }
-
-    /// The header without re-decoding entries.
-    pub fn header(&self) -> MsgHeader {
-        self.view().header
-    }
-
-    /// The shared encoded bytes (cheap to clone/slice).
-    pub fn bytes(&self) -> &Bytes {
-        &self.buf
-    }
-
-    /// Take the shared encoded bytes.
-    pub fn into_bytes(self) -> Bytes {
-        self.buf
-    }
-
-    /// Raw encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the message carries no bytes (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
 /// Consumer half: polls the local memory region for complete messages.
 #[derive(Debug)]
 pub struct RingConsumer {
@@ -256,7 +216,7 @@ impl RingConsumer {
     /// Returns `Ok(false)` when no complete message is available; `buf`
     /// is left empty then, and on an error. On success the consumed span
     /// is zeroed and `head` advances.
-    pub(crate) fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
+    pub fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
         let polled = self.copy_out(mr, buf);
         if !matches!(polled, Ok(true)) {
             buf.clear();
@@ -318,17 +278,6 @@ impl RingConsumer {
             }
             pos = start; // a landed wrap record: look at the start of the ring
         })
-    }
-
-    /// [`RingConsumer::poll_into`] a fresh buffer the message then owns,
-    /// for a consumer that keeps messages or hands their bytes on.
-    pub fn poll(&mut self, mr: &MemoryRegion) -> Result<Option<OwnedMsg>> {
-        let mut buf = Vec::new();
-        let polled = self.poll_into(mr, &mut buf)?;
-        // `Bytes::from(Vec)` takes ownership without copying.
-        Ok(polled.then(|| OwnedMsg {
-            buf: Bytes::from(buf),
-        }))
     }
 }
 
@@ -666,11 +615,13 @@ mod tests {
         deliver(&mr, &mut prod, 0xAA, b"first");
         deliver(&mr, &mut prod, 0xBB, b"second");
 
-        let m1 = cons.poll(&mr).unwrap().expect("first message");
-        assert_eq!(m1.view().to_entries()[0].1, b"first");
-        let m2 = cons.poll(&mr).unwrap().expect("second message");
-        assert_eq!(m2.view().to_entries()[0].1, b"second");
-        assert!(cons.poll(&mr).unwrap().is_none());
+        let mut buf = Vec::new();
+        assert!(cons.poll_into(&mr, &mut buf).unwrap(), "first message");
+        assert_eq!(view(&buf).to_entries()[0].1, b"first");
+        assert!(cons.poll_into(&mr, &mut buf).unwrap(), "second message");
+        assert_eq!(view(&buf).to_entries()[0].1, b"second");
+        assert!(!cons.poll_into(&mr, &mut buf).unwrap());
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -680,7 +631,7 @@ mod tests {
         let mut prod = RingProducer::new(layout(1024));
         let mut cons = RingConsumer::new(layout(1024));
         deliver(&mr, &mut prod, 0xCC, b"zeroing");
-        let _ = cons.poll(&mr).unwrap().unwrap();
+        assert!(cons.poll_into(&mr, &mut Vec::new()).unwrap());
         // The slot must read as empty again.
         assert_eq!(mr.read_u64(0).unwrap() as u32, 0);
     }
@@ -694,10 +645,11 @@ mod tests {
         let mut cons = RingConsumer::new(layout(cap));
 
         // Fill most of the ring, consume it, then force a wrap.
+        let mut buf = Vec::new();
         for i in 0..3 {
             deliver(&mr, &mut prod, i + 1, &[i as u8; 100]);
-            let m = cons.poll(&mr).unwrap().unwrap();
-            assert_eq!(m.view().to_entries()[0].1[0], i as u8);
+            assert!(cons.poll_into(&mr, &mut buf).unwrap());
+            assert_eq!(view(&buf).to_entries()[0].1[0], i as u8);
             prod.update_head(cons.head());
         }
         // tail is now at 3*192=576 mod 512 = 64; write a 200-byte payload
@@ -714,8 +666,11 @@ mod tests {
                 wrapped = true;
             }
             mr.write(res.offset, &staging[..n]).unwrap();
-            let m = cons.poll(&mr).unwrap().expect("message after maybe-wrap");
-            assert_eq!(m.view().to_entries()[0].1, payload.as_slice());
+            assert!(
+                cons.poll_into(&mr, &mut buf).unwrap(),
+                "message after maybe-wrap"
+            );
+            assert_eq!(view(&buf).to_entries()[0].1, payload.as_slice());
             prod.update_head(cons.head());
         }
         assert!(wrapped, "test did not exercise the wrap path");
@@ -770,11 +725,12 @@ mod tests {
         let n = mk_msg(&mut staging, 0x99, b"payload");
         staging[n - 8..n].fill(0);
         mr.write(0, &staging[..n]).unwrap();
-        assert!(cons.poll(&mr).unwrap().is_none());
+        let mut buf = Vec::new();
+        assert!(!cons.poll_into(&mr, &mut buf).unwrap());
         assert_eq!(cons.head(), 0);
         // Trailer lands; now it is consumed.
         mr.write(n - 8, &0x99u64.to_le_bytes()).unwrap();
-        assert!(cons.poll(&mr).unwrap().is_some());
+        assert!(cons.poll_into(&mr, &mut buf).unwrap());
     }
 
     #[test]
@@ -783,6 +739,6 @@ mod tests {
         let mr = t.register(1024, Access::REMOTE_ALL);
         let mut cons = RingConsumer::new(layout(1024));
         mr.write(0, &20u32.to_le_bytes()).unwrap(); // below minimum
-        assert!(cons.poll(&mr).is_err());
+        assert!(cons.poll_into(&mr, &mut Vec::new()).is_err());
     }
 }

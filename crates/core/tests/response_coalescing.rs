@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use flock_core::client::{ConnectionHandle, HandleConfig};
 use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::FlockDomain;
+use flock_core::{Bytes, FlockDomain, FlockError, Result};
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
@@ -175,11 +175,16 @@ fn close_settles_deferred_responses() {
         let (_, requests, _, responses) = stats(&server);
         assert_eq!(responses, requests);
         assert!((3..=K as u64).contains(&requests));
-        // What reached the client before its dispatcher stopped is intact.
+        // What reached the client before its dispatcher stopped is intact;
+        // the rest reads as disconnected, not as still on its way.
+        let gone = |r: &Option<Result<Bytes>>| matches!(r, Some(Err(FlockError::Disconnected)));
         for (i, &seq) in seqs.iter().enumerate() {
-            if let Some(r) = t.try_recv_res(seq) {
-                assert_eq!(&r[..], &payload(i)[..], "seq {seq}");
-                assert!(t.try_recv_res(seq).is_none(), "seq {seq} answered twice");
+            match t.try_recv_res(seq) {
+                Some(Ok(r)) => {
+                    assert_eq!(&r[..], &payload(i)[..], "seq {seq}");
+                    assert!(gone(&t.try_recv_res(seq)), "seq {seq} answered twice");
+                }
+                r => assert!(gone(&r), "seq {seq}: {r:?}"),
             }
         }
         server.shutdown(&domain);

@@ -208,20 +208,22 @@ proptest! {
         let mut prod = RingProducer::new(RingLayout::new(0, cap));
         let mut cons = RingConsumer::new(RingLayout::new(0, cap));
         let mut wrapped = 0usize;
+        let mut buf = Vec::new();
         for (i, &len) in sizes.iter().enumerate() {
             let len = len.min(max_payload(cap));
             let payload: Vec<u8> = (0..len).map(|j| (i + j) as u8).collect();
             if deliver(&mr, &mut prod, i as u64 + 1, &payload) {
                 wrapped += 1;
             }
-            let m = cons.poll(&mr).unwrap().expect("delivered message");
-            prop_assert_eq!(m.view().to_entries()[0].1, payload.as_slice());
-            prop_assert_eq!(m.header().canary, i as u64 + 1);
+            prop_assert!(cons.poll_into(&mr, &mut buf).unwrap(), "delivered message");
+            let m = ring::view(&buf);
+            prop_assert_eq!(m.to_entries()[0].1, payload.as_slice());
+            prop_assert_eq!(m.header.canary, i as u64 + 1);
             // Piggyback the head so the producer reuses freed space; this
             // is what forces wraps on longer sequences.
             prod.update_head(cons.head());
         }
-        prop_assert!(cons.poll(&mr).unwrap().is_none(), "ring must drain empty");
+        prop_assert!(!cons.poll_into(&mr, &mut buf).unwrap(), "ring must drain empty");
         // Head and tail agree once everything is consumed.
         prop_assert_eq!(cons.head(), prod.tail());
         // If the random sizes happened to always tile the ring exactly,
@@ -234,8 +236,8 @@ proptest! {
             if deliver(&mr, &mut prod, 0xF0CE + forced as u64, &[0xA5]) {
                 wrapped += 1;
             }
-            let m = cons.poll(&mr).unwrap().expect("forced message");
-            prop_assert_eq!(m.view().to_entries()[0].1, &[0xA5][..]);
+            prop_assert!(cons.poll_into(&mr, &mut buf).unwrap(), "forced message");
+            prop_assert_eq!(ring::view(&buf).to_entries()[0].1, &[0xA5][..]);
             prod.update_head(cons.head());
         }
         prop_assert!(wrapped > 0, "wrap path was not exercised");
@@ -304,13 +306,14 @@ proptest! {
         // Deliver only a prefix: somewhere strictly inside the record.
         let torn_at = 1 + torn_at_permille * (n - 1) / 1000;
         mr.write(0, &staging[..torn_at]).unwrap();
-        let polled = cons.poll(&mr).unwrap();
-        prop_assert!(polled.is_none(), "torn record consumed at cut {torn_at}/{n}");
+        let mut buf = Vec::new();
+        let polled = cons.poll_into(&mr, &mut buf).unwrap();
+        prop_assert!(!polled, "torn record consumed at cut {torn_at}/{n}");
         prop_assert_eq!(cons.head(), 0);
         // The rest of the write lands; now it must be consumed intact.
         mr.write(torn_at, &staging[torn_at..n]).unwrap();
-        let m = cons.poll(&mr).unwrap().expect("completed record");
-        prop_assert_eq!(m.view().to_entries()[0].1, payload.as_slice());
+        prop_assert!(cons.poll_into(&mr, &mut buf).unwrap(), "completed record");
+        prop_assert_eq!(ring::view(&buf).to_entries()[0].1, payload.as_slice());
     }
 
     /// A torn or corrupt *wrap* record is skipped only once its trailer
@@ -325,12 +328,13 @@ proptest! {
         // Tear off the trailer: the consumer must not skip the record.
         rec[len - 8..].fill(0);
         mr.write(0, &rec).unwrap();
-        prop_assert!(cons.poll(&mr).unwrap().is_none());
+        let mut buf = Vec::new();
+        prop_assert!(!cons.poll_into(&mr, &mut buf).unwrap());
         prop_assert_eq!(cons.head(), 0);
         // Trailer lands; the record is skipped (head advances past it) and
         // the ring start is probed, which is empty.
         mr.write(len - 8, &canary.to_le_bytes()).unwrap();
-        prop_assert!(cons.poll(&mr).unwrap().is_none());
+        prop_assert!(!cons.poll_into(&mr, &mut buf).unwrap());
         prop_assert_eq!(cons.head(), len as u64);
     }
 
@@ -346,7 +350,7 @@ proptest! {
         mr.write(0, &raw_len.to_le_bytes()).unwrap();
         let ok_range = raw_len >= hdr && raw_len as usize <= cap;
         if !ok_range {
-            prop_assert!(cons.poll(&mr).is_err(), "len {raw_len} accepted");
+            prop_assert!(cons.poll_into(&mr, &mut Vec::new()).is_err(), "len {raw_len} accepted");
             prop_assert_eq!(cons.head(), 0);
         }
     }

@@ -25,14 +25,12 @@
 //!
 //! ## Concurrency discipline
 //!
-//! This crate sits *below* `flock-core` in the dependency graph, so it
-//! cannot use the `flock_core::sync` std/loom facade. That is fine: its
-//! cross-thread state is locks/condvars plus `Relaxed` stats counters and
-//! ID allocators — no lock-free protocols. Every `Ordering::` site is
-//! inventoried by `cargo audit-orderings` (see `orderings.allow`); any
-//! future lock-free protocol belongs in a crate above `flock-core` where
-//! the loom model checker can reach it (DESIGN.md, "Memory ordering and
-//! verification").
+//! Its cross-thread state is locks plus `Relaxed` stats counters, ID
+//! allocators and the completion queues' length mirrors (written under
+//! their locks) — no lock-free protocols, so no loom suite. Every
+//! `Ordering::` site is inventoried by `cargo audit-orderings` (see
+//! `orderings.allow`); a lock-free protocol would need a model first
+//! (DESIGN.md, "Memory ordering and verification").
 //!
 //! ## Example
 //!

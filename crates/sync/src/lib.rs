@@ -1,9 +1,8 @@
 //! Synchronization facade: `std` primitives normally, `loom` under
 //! `cfg(loom)`.
 //!
-//! Every concurrent module in the workspace (`tcq`, `ring`, `credit`,
-//! `sched::qp` in `flock-core`; the completion-queue ring in
-//! `flock-fabric`; `lockshare` in `flock-baselines`) imports its atomics,
+//! The lock-free modules of `flock-core` (`tcq`, `ring`, `credit`,
+//! `sched::qp`) and `lockshare` in `flock-baselines` import their atomics,
 //! threads, and unsafe cells from this crate instead of `std` directly.
 //! A normal build resolves to the real `std` types with zero overhead.
 //! Building with `RUSTFLAGS="--cfg loom"` swaps in the `loom` model
@@ -13,8 +12,8 @@
 //!
 //! This crate sits below `flock-fabric` in the dependency graph (the
 //! facade started life as `flock_core::sync`, which still re-exports it
-//! for compatibility, but `flock-core` depends on `flock-fabric`, so the
-//! fabric's lock-free CQ needs the facade from a lower layer).
+//! for compatibility), because its [`clock`] seam is what every layer,
+//! the fabric's NIC lanes included, waits and sleeps through.
 //!
 //! Three deliberate API choices keep the two worlds identical:
 //!
@@ -73,9 +72,8 @@ impl<T> UnsafeCell<T> {
 /// interference range on x86-64 and most aarch64 parts).
 ///
 /// Used to keep hot atomics that different threads write (e.g. the TCQ
-/// `tail`, the CQ ring's enqueue/dequeue cursors) off the cache lines of
-/// fields that are merely read or updated by one thread (stats
-/// counters), eliminating false sharing.
+/// `tail`) off the cache lines of fields that are merely read or updated
+/// by one thread (stats counters), eliminating false sharing.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct CachePadded<T>(pub T);

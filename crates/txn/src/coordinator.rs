@@ -162,11 +162,11 @@ impl Wait {
         }
     }
 
-    /// Its result, if it has completed.
+    /// Its result, if it has completed (or its handle has stopped).
     fn poll(&self, threads: &[FlThread]) -> Option<Result<Bytes>> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Rpc(seq) => thread.try_recv_res(seq).map(Ok),
+            Op::Rpc(seq) => thread.try_recv_res(seq),
             Op::Read { token, .. } => thread.try_mem(token).map(|r| r.map(Bytes::from)),
         }
     }
@@ -472,7 +472,8 @@ impl TxnClient {
     /// already in flight has finished its commit or abort — so `commits`
     /// may exceed the target by up to `width - 1`, and on return no lock
     /// is held and no RPC of this client is still on its way. The first
-    /// error is the result.
+    /// error is the result; a stopped connection handle is one
+    /// ([`FlockError::Disconnected`]), so the run ends with it.
     pub fn run_pipelined(
         &self,
         logic: &mut dyn TxnLogic,

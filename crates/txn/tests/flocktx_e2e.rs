@@ -655,6 +655,93 @@ fn an_error_mid_transaction_releases_its_locks() {
     b.shutdown(&domain);
 }
 
+/// A connection handle stopped mid-run ends `run_pipelined`: server B
+/// never answers, and once B's handle stops with its Execute outstanding
+/// the poll reads `Disconnected`, every slot settles — the lock taken on
+/// A is released — and the run returns the error. A watchdog turns the
+/// old behaviour, polling the stopped handle forever, into a failure.
+#[test]
+fn a_stopped_handle_ends_the_pipelined_run() {
+    struct Fixed(TxnSpec);
+    impl TxnLogic for Fixed {
+        fn next(&mut self) -> TxnSpec {
+            self.0.clone()
+        }
+        fn compute(
+            &mut self,
+            _: &TxnSpec,
+            _: &HashMap<u64, Option<Vec<u8>>>,
+        ) -> HashMap<u64, Vec<u8>> {
+            unreachable!("nothing passes B's Execute")
+        }
+    }
+
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let domain = FlockDomain::with_defaults();
+        let node_a = domain.add_node("stop-a");
+        let a = FlockServer::listen(&domain, &node_a, "stop-a", ServerConfig::default());
+        let idx = a.attach_mreg(1 << 12);
+        let ts = TxnServer::new(0, a.mem_region(idx).unwrap());
+        ts.register(&a);
+        // B registers no handler: its requests wait in `recv_rpc`'s queue.
+        let node_b = domain.add_node("stop-b");
+        let b = FlockServer::listen(&domain, &node_b, "stop-b", ServerConfig::default());
+        let client_node = domain.add_node("stop-client");
+        let mut handles: Vec<Arc<ConnectionHandle>> = ["stop-a", "stop-b"]
+            .iter()
+            .map(|name| {
+                let cfg = HandleConfig::default();
+                Arc::new(ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap())
+            })
+            .collect();
+        let [key_a, key_b] = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
+        ts.load(key_a, b"old");
+        let client = TxnClient::new(&handles);
+        let mut handle_b = Arc::into_inner(handles.pop().unwrap()).expect("the only owner");
+        let mut logic = Fixed(TxnSpec {
+            reads: vec![],
+            writes: vec![key_a, key_b],
+            kind: "stuck",
+        });
+        let run = std::thread::scope(|s| {
+            s.spawn(|| {
+                b.recv_rpc(std::time::Duration::from_secs(5))
+                    .expect("an Execute reaches B");
+                handle_b.shutdown();
+            });
+            client.run_pipelined(&mut logic, 2, u64::MAX)
+        });
+        // Validation aborts a read of a locked key; writing needs B (the
+        // Log phase replicates there).
+        let after = client.run(&[key_a], &[], |_| HashMap::new());
+        done_tx.send((run, after)).unwrap();
+        drop(client);
+        a.shutdown(&domain);
+        b.shutdown(&domain);
+    });
+    let (run, after) = match done.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(results) => results,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("run_pipelined still polls a stopped handle after 10 s")
+        }
+        // The scenario panicked before it got there: that is the failure.
+        Err(_) => std::panic::resume_unwind(scenario.join().unwrap_err()),
+    };
+    scenario.join().expect("teardown");
+    assert!(
+        matches!(run, Err(flock_core::FlockError::Disconnected)),
+        "{run:?}"
+    );
+    let Ok(TxnOutcome::Committed(values)) = after else {
+        panic!("the stopped run left key A locked: {after:?}");
+    };
+    assert_eq!(
+        values.into_values().collect::<Vec<_>>(),
+        [Some(b"old".to_vec())]
+    );
+}
+
 /// The pessimistic ALock commit path: conflicting increments on one
 /// write-hot key serialize *before* execution, so not a single
 /// transaction aborts (vs. the OCC path above, which retries), and the

@@ -29,7 +29,6 @@ const LOOM_SUITES: &[(&str, &str)] = &[
     ("flock-core", "loom_tcq"),
     ("flock-core", "loom_alock"),
     ("flock-core", "loom_lane"),
-    ("flock-fabric", "loom_cq"),
 ];
 
 /// Run all loom model-checking suites with `--cfg loom`, forwarding

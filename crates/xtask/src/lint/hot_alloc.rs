@@ -232,10 +232,11 @@ pub fn check_with_entries(
     // Index: (crate, fn-name) -> (model idx, fn idx); name -> keys.
     // The simulator crate is excluded from resolution: it intentionally
     // allocates (event queues, task bookkeeping) and only runs under
-    // VirtualLab, never on a production hot path.
+    // VirtualLab, never on a production hot path. So are the baselines:
+    // no Flock crate depends on them, so no hot path can call into them.
     let mut index: BTreeMap<(String, String), Vec<(usize, usize)>> = BTreeMap::new();
     for (mi, model) in models.iter().enumerate() {
-        if model.path.starts_with("crates/sim/") {
+        if model.path.starts_with("crates/sim/") || model.path.starts_with("crates/baselines/") {
             continue;
         }
         let krate = crate_of(&model.path).to_string();

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use flock_repro::core::credit::{CreditState, MedianWindow};
 use flock_repro::core::msg::{self, EntryMeta, EntryRef, MsgHeader};
-use flock_repro::core::ring::{align_up, RingConsumer, RingLayout, RingProducer};
+use flock_repro::core::ring::{self, align_up, RingConsumer, RingLayout, RingProducer};
 use flock_repro::core::sched::thread::{assign_threads, ThreadLoadStats};
 use flock_repro::fabric::{Access, MrTable};
 use flock_repro::hydralist::{HydraConfig, HydraList};
@@ -72,6 +72,7 @@ proptest! {
         let layout = RingLayout::new(0, cap);
         let mut prod = RingProducer::new(layout);
         let mut cons = RingConsumer::new(layout);
+        let mut buf = Vec::new();
         for (i, &size) in sizes.iter().enumerate() {
             let payload: Vec<u8> = (0..size).map(|j| (i + j) as u8).collect();
             let mut staging = vec![0u8; msg::encoded_size([size])];
@@ -93,16 +94,15 @@ proptest! {
             }
             mr.write(res.offset, &staging).unwrap();
             // Consume immediately (keeps the ring from filling).
-            let m = cons.poll(&mr).unwrap().expect("message available");
-            let view = m.view();
-            let entries = view.to_entries();
+            prop_assert!(cons.poll_into(&mr, &mut buf).unwrap(), "message available");
+            let entries = ring::view(&buf).to_entries();
             prop_assert_eq!(entries.len(), 1);
             prop_assert_eq!(entries[0].0.thread_id, i as u32);
             prop_assert_eq!(entries[0].1, payload.as_slice());
-            prop_assert_eq!(align_up(staging.len()) as u64, align_up(m.len()) as u64);
+            prop_assert_eq!(align_up(staging.len()) as u64, align_up(buf.len()) as u64);
             prod.update_head(cons.head());
         }
-        prop_assert!(cons.poll(&mr).unwrap().is_none());
+        prop_assert!(!cons.poll_into(&mr, &mut buf).unwrap());
     }
 
     /// Algorithm 1 invariants: every thread is assigned, indices are in
