@@ -137,10 +137,12 @@ fn quick_figures_document_has_every_section_and_the_probed_table_1() {
 const QUICK_HANDOVER_BUDGET: [u64; 2] = [66, 66];
 
 /// `heap_pushes` of the same two points, the scheduler's own host work:
-/// a parked waiter costs none until it is notified, so what is left is
-/// work (9 417 and 19 562 while the dispatch shards still swept on a
-/// timer). A waiter that is re-armed per poll period again shows here.
-const QUICK_HEAP_PUSH_BUDGET: [u64; 2] = [193, 224];
+/// a waiter parked at its sleep costs one push, at its wake, so what is
+/// left is work (193 and 224 while a sleeper's first poll was queued
+/// and popped before it parked; 9 417 and 19 562 while the dispatch
+/// shards still swept on a timer). A waiter that is re-armed per poll
+/// period again shows here.
+const QUICK_HEAP_PUSH_BUDGET: [u64; 2] = [152, 172];
 
 #[test]
 fn quick_points_stay_inside_their_handover_budget() {

@@ -491,7 +491,8 @@ impl ConnectionHandle {
             // server's `DispatchShard` for why the virtual ladder stays
             // tight.
             let idler = flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000);
-            clock::spawn_stepper("fl-resp-dispatch", idler, move || dispatcher.step())
+            let event = Arc::clone(&inner.dispatch_event);
+            clock::spawn_stepper("fl-resp-dispatch", idler, event, move || dispatcher.step())
         };
 
         Ok(ConnectionHandle {
@@ -1586,7 +1587,6 @@ impl ResponseDispatcher {
         // again: an empty probe of each lane's ring. The periodic pass
         // ends the idling at its instant.
         Next::Idle(IdleOn {
-            event: Arc::clone(&inner.dispatch_event),
             seen,
             busy_ns: lanes * inner.cost.cpu_poll_empty_ns,
             deadline_ns: match self.next_window {

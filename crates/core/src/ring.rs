@@ -24,7 +24,8 @@
 //!
 //! Concurrency discipline: a ring endpoint is **single-owner** — exactly
 //! one thread at a time drives a `RingProducer` or `RingConsumer` (a
-//! `Link` holds each behind a lock of its own), and producer/consumer
+//! `Link` holds its producer behind a lock of its own, and polls under
+//! the ring region's lock), and producer/consumer
 //! never share host memory words except through the canary protocol
 //! validated by `poll_into`. The only atomics here are the consumed heads
 //! a `Link` hands between its halves; they come from [`crate::sync`], so
@@ -34,7 +35,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use flock_fabric::{Access, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId};
+use flock_fabric::{
+    Access, FabricError, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId,
+};
 use flock_sync::clock::{self, Event};
 use parking_lot::Mutex;
 
@@ -217,19 +220,32 @@ impl RingConsumer {
     /// is left empty then, and on an error. On success the consumed span
     /// is zeroed and `head` advances.
     pub fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
-        let polled = self.copy_out(mr, buf);
+        mr.with_write(|region| self.poll_region(region, mr.addr(), buf))
+    }
+
+    /// [`RingConsumer::poll_into`] on the bytes of a region at address
+    /// `addr`, under the caller's one lock of them: probe, copy and
+    /// zeroing, and the same again past a wrap record.
+    fn poll_region(&mut self, region: &mut [u8], addr: u64, buf: &mut Vec<u8>) -> Result<bool> {
+        let polled = self.copy_out(region, addr, buf);
         if !matches!(polled, Ok(true)) {
             buf.clear();
         }
         polled
     }
 
-    fn copy_out(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
+    fn copy_out(&mut self, region: &mut [u8], addr: u64, buf: &mut Vec<u8>) -> Result<bool> {
         loop {
             let pos = self.layout.offset_of(self.head);
+            let span = |len: usize| {
+                let violation = FabricError::AccessViolation {
+                    addr: addr + pos as u64,
+                    len,
+                };
+                region.get(pos..pos + len).ok_or(violation)
+            };
             // Fast probe: total_len first word.
-            let mut word = [0u8; 4];
-            mr.read(pos, &mut word)?;
+            let word = span(4)?.try_into().expect("4 bytes");
             let total = u32::from_le_bytes(word) as usize;
             if total == 0 {
                 return Ok(false);
@@ -237,8 +253,8 @@ impl RingConsumer {
             if total < HDR_SIZE + TRAILER_SIZE || total > self.layout.capacity {
                 return Err(FlockError::CorruptMessage("ring record length"));
             }
-            buf.resize(total, 0);
-            mr.read(pos, buf)?;
+            buf.clear();
+            buf.extend_from_slice(span(total)?);
             // Wrap record: validated by canary, then skipped.
             let flags = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes"));
             if flags & FLAG_WRAP != 0 {
@@ -248,26 +264,26 @@ impl RingConsumer {
                 if trailer != canary || canary == 0 {
                     return Ok(false); // still landing
                 }
-                mr.with_write(|m| m[pos..pos + total].fill(0));
+                region[pos..pos + total].fill(0);
                 self.head += total as u64;
                 continue; // look at the start of the ring
             }
             if msg::decode(buf)?.is_none() {
                 return Ok(false); // canary not landed yet
             }
-            mr.with_write(|m| m[pos..pos + total].fill(0));
+            region[pos..pos + total].fill(0);
             self.head += align_up(total) as u64;
             return Ok(true);
         }
     }
 
     /// Whether [`RingConsumer::poll_into`] would find a complete message
-    /// now. Consumes nothing.
+    /// in the bytes of its region now. Consumes nothing.
     #[cfg(debug_assertions)]
-    fn would_poll(&self, mr: &MemoryRegion) -> bool {
+    fn would_poll(&self, region: &[u8]) -> bool {
         let start = self.layout.offset_of(0);
         let mut pos = self.layout.offset_of(self.head);
-        mr.with_write(|region| loop {
+        loop {
             // Nothing there, still landing, or corrupt: nothing to poll.
             let Ok(Some(record)) = msg::decode(&region[pos..start + self.layout.capacity]) else {
                 return false;
@@ -277,7 +293,7 @@ impl RingConsumer {
                 return !wrap;
             }
             pos = start; // a landed wrap record: look at the start of the ring
-        })
+        }
     }
 }
 
@@ -326,8 +342,9 @@ struct LinkTx {
 ///
 /// Any number of threads may send and one may poll at the same time:
 /// sends serialize on an internal lock (held across the post, which never
-/// blocks), polls on another, and the two heads cross between the halves
-/// as atomics.
+/// blocks), polls on the ring region's lock (the one every poll takes
+/// anyway to read and zero the ring), and the two heads cross between the
+/// halves as atomics.
 #[derive(Debug)]
 pub struct Link {
     qp: Arc<Qp>,
@@ -341,8 +358,10 @@ pub struct Link {
     peer_head: AtomicU64,
     /// The ring the peer writes into.
     ring_mr: Arc<MemoryRegion>,
-    rx: Mutex<RingConsumer>,
-    /// Consumed head of `ring_mr`, as of the last poll.
+    /// Geometry of `ring_mr`.
+    rx: RingLayout,
+    /// Consumed head of `ring_mr`: the consumer's position, read and
+    /// advanced by each poll under the region's lock.
     own_head: AtomicU64,
     /// `own_head` as last piggybacked on a message.
     sent_head: AtomicU64,
@@ -363,7 +382,7 @@ impl Link {
             remote,
             staging: node.acquire_mr(remote.capacity, Access::LOCAL),
             peer_head: AtomicU64::new(0),
-            rx: Mutex::new(RingConsumer::new(RingLayout::new(0, ring_mr.len()))),
+            rx: RingLayout::new(0, ring_mr.len()),
             ring_mr,
             own_head: AtomicU64::new(0),
             sent_head: AtomicU64::new(0),
@@ -480,10 +499,13 @@ impl Link {
     /// consumed head for the next send to piggyback, and fold in the head
     /// the message carries. Hot-path entry point for `cargo xtask lint`.
     pub fn poll_into(&self, buf: &mut Vec<u8>) -> Result<bool> {
-        let mut rx = self.rx.lock();
-        let polled = rx.poll_into(&self.ring_mr, buf);
-        // After a miss too: the poll may have consumed a wrap record.
-        self.own_head.store(rx.head(), Ordering::Release);
+        let polled = self.ring_mr.with_write(|region| {
+            let mut rx = self.consumer();
+            let polled = rx.poll_region(region, self.ring_mr.addr(), buf);
+            // After a miss too: the poll may have consumed a wrap record.
+            self.own_head.store(rx.head, Ordering::Release);
+            polled
+        });
         if matches!(polled, Ok(true)) {
             // `MsgHeader::head`, third word of the validated header.
             let head = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
@@ -496,7 +518,17 @@ impl Link {
     /// oracles; consumes nothing).
     #[cfg(debug_assertions)]
     pub(crate) fn holds_message(&self) -> bool {
-        self.rx.lock().would_poll(&self.ring_mr)
+        self.ring_mr
+            .with_write(|region| self.consumer().would_poll(region))
+    }
+
+    /// The receive half's consumer where the last poll left it. Polls
+    /// read it under the ring region's lock, which orders them.
+    fn consumer(&self) -> RingConsumer {
+        RingConsumer {
+            layout: self.rx,
+            head: self.own_head.load(Ordering::Relaxed),
+        }
     }
 
     /// Ask the peer for more credits (paper §7): a zero-length RDMA

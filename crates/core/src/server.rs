@@ -317,6 +317,7 @@ impl FlockServer {
             threads.push(clock::spawn_stepper(
                 &format!("fl-dispatch-{name}/{worker}"),
                 DispatchShard::idler(),
+                Arc::clone(&inner.doorbells[worker]),
                 move || shard.step(),
             ));
         }
@@ -1048,7 +1049,6 @@ impl DispatchShard {
         // Every visit was one empty probe of the lane's ring.
         self.idle = Some((seen, deadline_ns));
         Next::Idle(IdleOn {
-            event: Arc::clone(bell),
             seen,
             busy_ns: visited * inner.cost.cpu_poll_empty_ns,
             deadline_ns,

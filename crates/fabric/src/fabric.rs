@@ -1,6 +1,6 @@
 //! The fabric: the set of nodes, their NIC engines, and connection setup.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::{self, TaskHandle};
@@ -66,6 +66,12 @@ pub(crate) struct FabricInner {
     pub(crate) nodes: RwLock<KeyMap<NodeId, Arc<Node>>>,
     pub(crate) config: FabricConfig,
     next_node: AtomicU32,
+    /// The table generation: bumped by every QP create, destroy and
+    /// reset ([`Node::release_qp`]) and every MR register and
+    /// deregister, on any node. A NIC
+    /// lane keeps what it looked up across verbs while this stands
+    /// still (`nic::Resolved`).
+    pub(crate) tables: Arc<AtomicU64>,
 }
 
 impl FabricInner {
@@ -103,6 +109,8 @@ pub struct Node {
     /// Placeholder CQ bound to pooled QPs while they sit in the free
     /// list; a lease rebinds to the lessee's real CQs.
     parked_cq: Arc<CompletionQueue>,
+    /// The fabric's table generation ([`FabricInner::tables`]).
+    tables: Arc<AtomicU64>,
 }
 
 impl Node {
@@ -162,6 +170,7 @@ impl Node {
             self.engine_txs[lane].clone(),
         );
         self.qps.write().insert(qpn, Arc::clone(&qp));
+        self.tables.fetch_add(1, Ordering::Release);
         qp
     }
 
@@ -181,6 +190,7 @@ impl Node {
             self.cache
                 .lock()
                 .invalidate(crate::cache::qp_state_key(self.id.0, qpn.0));
+            self.tables.fetch_add(1, Ordering::Release);
         }
         removed.is_some()
     }
@@ -248,6 +258,7 @@ impl Node {
     /// the QP is pooled.
     pub fn release_qp(&self, qp: &Arc<Qp>) {
         qp.reset();
+        self.tables.fetch_add(1, Ordering::Release);
         clock::charge(self.cost.ctrl_reset_qp_ns);
         self.cache
             .lock()
@@ -335,6 +346,7 @@ impl Fabric {
                 nodes: RwLock::new(KeyMap::default()),
                 config,
                 next_node: AtomicU32::new(0),
+                tables: Arc::default(),
             }),
             engines: Mutex::new(Vec::new()),
         }
@@ -359,7 +371,7 @@ impl Fabric {
         let node = Arc::new(Node {
             id,
             name: name.to_string(),
-            mrs: MrTable::new(),
+            mrs: MrTable::with_generation(Arc::clone(&self.inner.tables)),
             qps: RwLock::new(KeyMap::default()),
             next_qpn: AtomicU32::new(1),
             cache: Mutex::new(ConnCache::new(self.inner.config.nic_cache_entries)),
@@ -369,6 +381,7 @@ impl Fabric {
             pool: QpPool::new(self.inner.config.qpool.clone()),
             mr_cache: Mutex::new(MrCache::new(self.inner.config.mr_cache.clone())),
             parked_cq: CompletionQueue::new(1),
+            tables: Arc::clone(&self.inner.tables),
         });
         self.inner.nodes.write().insert(id, Arc::clone(&node));
         for (lane, (tx, rx, rung)) in channels.into_iter().enumerate() {
@@ -376,10 +389,11 @@ impl Fabric {
             let node2 = Arc::clone(&node);
             // Through the clock seam: a real thread normally, a
             // virtual core under `flock_sim::VirtualLab`.
-            let mut engine = EngineLane::new(inner, node2, rx, rung, lane);
+            let mut engine = EngineLane::new(inner, node2, rx, Arc::clone(&rung), lane);
             let handle = clock::spawn_stepper(
                 &format!("nic-{name}/{lane}"),
                 EngineLane::idler(),
+                rung,
                 move || engine.step(),
             );
             self.engines.lock().push((tx, handle));

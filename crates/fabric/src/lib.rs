@@ -26,8 +26,12 @@
 //! ## Concurrency discipline
 //!
 //! Its cross-thread state is locks plus `Relaxed` stats counters, ID
-//! allocators and the completion queues' length mirrors (written under
-//! their locks) — no lock-free protocols, so no loom suite. Every
+//! allocators, the completion queues' length mirrors (written under
+//! their locks), and words published with Release and read with
+//! Acquire that only one writer at a time changes: a QP's state, peer
+//! and lease epoch (under its `transition` lock) and the fabric's table
+//! generation (bumped after each change to a node's QP or MR table) —
+//! no lock-free protocols, so no loom suite. Every
 //! `Ordering::` site is inventoried by `cargo audit-orderings` (see
 //! `orderings.allow`); a lock-free protocol would need a model first
 //! (DESIGN.md, "Memory ordering and verification").

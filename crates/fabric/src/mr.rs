@@ -2,14 +2,20 @@
 //! protection table (MPT).
 //!
 //! A registered [`MemoryRegion`] owns a real heap buffer. Remote operations
-//! name it by `(rkey, virtual address)`; the node's [`MrTable`] validates
-//! the rkey against the MPT (access rights) and translates the address via
-//! the MTT (bounds). Local operations use the `lkey`.
+//! name it by `(rkey, virtual address)`; the node's [`MrTable`] finds it by
+//! key (a hash map, not a scan), validates the rkey against the MPT
+//! (access rights) and translates the address via the MTT (bounds). Local
+//! operations use the `lkey`.
 //!
 //! Buffers are guarded by a `parking_lot::RwLock`, serializing concurrent
 //! DMA against host access. Real RDMA permits torn concurrent access; the
 //! lock is a strictly stronger (safe) model, and the canary protocol built
-//! on top of it is still exercised logically by the Flock layer.
+//! on top of it is still exercised logically by the Flock layer. The
+//! region's doorbell lives under the same lock: a DMA takes one lock per
+//! region and rings the destination's doorbell before it lets go, so a
+//! poller woken by it finds the lock free a moment later, never the
+//! bytes half written. A host-side poll that reads, checks and zeroes a
+//! ring slot does all three under one [`MemoryRegion::with_write`].
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +23,7 @@ use std::sync::Arc;
 use flock_sync::clock::Event;
 use parking_lot::RwLock;
 
-use crate::types::{FabricError, Lkey, Result, Rkey};
+use crate::types::{FabricError, KeyMap, Lkey, Result, Rkey};
 
 /// Access rights for a memory region (the MPT entry contents).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,11 +73,27 @@ pub struct MemoryRegion {
     lkey: Lkey,
     rkey: Rkey,
     access: Access,
-    buf: RwLock<Box<[u8]>>,
+    buf: RwLock<Buffer>,
+}
+
+/// A region's bytes and its doorbell, under one lock.
+#[derive(Debug)]
+struct Buffer {
+    bytes: Box<[u8]>,
     /// Notified after every DMA into the region ([`MemoryRegion::dma_to`])
     /// while installed: how the task that polls a ring in this region
     /// learns that the NIC wrote to it.
-    doorbell: RwLock<Option<Arc<Event>>>,
+    doorbell: Option<Arc<Event>>,
+}
+
+impl Buffer {
+    /// Ring the doorbell, if one is installed, after a DMA into these
+    /// bytes.
+    fn ring(&self) {
+        if let Some(event) = &self.doorbell {
+            event.notify_all();
+        }
+    }
 }
 
 impl MemoryRegion {
@@ -80,7 +102,7 @@ impl MemoryRegion {
     /// the event its poller idles on; [`crate::Node::release_mr`] removes
     /// it.
     pub fn set_doorbell(&self, event: Option<Arc<Event>>) {
-        *self.doorbell.write() = event;
+        self.buf.write().doorbell = event;
     }
 
     /// Synthetic virtual base address of the region.
@@ -131,7 +153,7 @@ impl MemoryRegion {
                 len: data.len(),
             });
         }
-        self.buf.write()[offset..offset + data.len()].copy_from_slice(data);
+        self.buf.write().bytes[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -143,7 +165,7 @@ impl MemoryRegion {
                 len: out.len(),
             });
         }
-        out.copy_from_slice(&self.buf.read()[offset..offset + out.len()]);
+        out.copy_from_slice(&self.buf.read().bytes[offset..offset + out.len()]);
         Ok(())
     }
 
@@ -168,7 +190,19 @@ impl MemoryRegion {
 
     /// Run `f` over a mutable view of the whole buffer.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.buf.write())
+        f(&mut self.buf.write().bytes)
+    }
+
+    /// Whether the region grants every right in `needed` (the MPT check
+    /// of a remote access).
+    pub(crate) fn allow(&self, needed: Access) -> Result<()> {
+        if !self.access.allows(needed) {
+            return Err(FabricError::AccessViolation {
+                addr: self.base,
+                len: 0,
+            });
+        }
+        Ok(())
     }
 
     /// DMA `len` bytes from this region at `src_off` into `dst` at
@@ -183,7 +217,7 @@ impl MemoryRegion {
     /// origin. That ordering makes concurrent opposite-direction copies
     /// (lane A copies X→Y while lane B copies Y→X) deadlock-free.
     /// A same-region copy takes one write guard and uses `copy_within`
-    /// (overlap-safe).
+    /// (overlap-safe). The destination's doorbell rings under its guard.
     pub(crate) fn dma_to(
         &self,
         src_off: usize,
@@ -204,21 +238,19 @@ impl MemoryRegion {
             });
         }
         if std::ptr::eq(self, dst) {
-            self.buf
-                .write()
-                .copy_within(src_off..src_off + len, dst_off);
+            let mut d = self.buf.write();
+            d.bytes.copy_within(src_off..src_off + len, dst_off);
+            d.ring();
         } else if (self as *const MemoryRegion as usize) < (dst as *const MemoryRegion as usize) {
             let src = self.buf.read();
             let mut d = dst.buf.write();
-            d[dst_off..dst_off + len].copy_from_slice(&src[src_off..src_off + len]);
+            d.bytes[dst_off..dst_off + len].copy_from_slice(&src.bytes[src_off..src_off + len]);
+            d.ring();
         } else {
             let mut d = dst.buf.write();
             let src = self.buf.read();
-            d[dst_off..dst_off + len].copy_from_slice(&src[src_off..src_off + len]);
-        }
-        // Buffer guards are released: the poller may run at once.
-        if let Some(event) = &*dst.doorbell.read() {
-            event.notify_all();
+            d.bytes[dst_off..dst_off + len].copy_from_slice(&src.bytes[src_off..src_off + len]);
+            d.ring();
         }
         Ok(())
     }
@@ -246,7 +278,7 @@ impl MemoryRegion {
             });
         }
         let mut guard = self.buf.write();
-        let bytes: &mut [u8] = &mut guard[offset..offset + 8];
+        let bytes: &mut [u8] = &mut guard.bytes[offset..offset + 8];
         let old = u64::from_le_bytes(bytes.try_into().expect("8-byte slice"));
         let new = f(old);
         bytes.copy_from_slice(&new.to_le_bytes());
@@ -257,19 +289,30 @@ impl MemoryRegion {
 /// Per-node registry of memory regions: MTT + MPT.
 #[derive(Debug, Default)]
 pub struct MrTable {
-    regions: RwLock<Vec<Arc<MemoryRegion>>>,
+    /// By key: a region's lkey and rkey are the same number.
+    regions: RwLock<KeyMap<u32, Arc<MemoryRegion>>>,
     next_key: AtomicU32,
     next_base: AtomicU64,
+    /// The fabric's table generation, bumped by every register and
+    /// deregister.
+    tables: Arc<AtomicU64>,
 }
 
 impl MrTable {
     /// Create an empty table. Synthetic virtual addresses start at a
     /// non-zero base so that address 0 is never valid.
     pub fn new() -> Self {
+        Self::with_generation(Arc::default())
+    }
+
+    /// [`MrTable::new`] for a node of a fabric whose table generation
+    /// is `tables`.
+    pub(crate) fn with_generation(tables: Arc<AtomicU64>) -> Self {
         MrTable {
-            regions: RwLock::new(Vec::new()),
+            regions: RwLock::default(),
             next_key: AtomicU32::new(1),
             next_base: AtomicU64::new(0x1000_0000),
+            tables,
         }
     }
 
@@ -288,38 +331,20 @@ impl MrTable {
             lkey: Lkey(key),
             rkey: Rkey(key),
             access,
-            buf: RwLock::new(vec![0u8; len].into_boxed_slice()),
-            doorbell: RwLock::new(None),
+            buf: RwLock::new(Buffer {
+                bytes: vec![0u8; len].into_boxed_slice(),
+                doorbell: None,
+            }),
         });
-        self.regions.write().push(Arc::clone(&mr));
+        self.regions.write().insert(key, Arc::clone(&mr));
+        self.tables.fetch_add(1, Ordering::Release);
         mr
     }
 
-    /// MPT lookup by remote key, checking `needed` rights.
-    pub(crate) fn lookup_rkey(&self, rkey: Rkey, needed: Access) -> Result<Arc<MemoryRegion>> {
-        let regions = self.regions.read();
-        let mr = regions
-            .iter()
-            .find(|m| m.rkey == rkey)
-            .cloned()
-            .ok_or(FabricError::BadRkey(rkey))?;
-        if !mr.access.allows(needed) {
-            return Err(FabricError::AccessViolation {
-                addr: mr.base,
-                len: 0,
-            });
-        }
-        Ok(mr)
-    }
-
-    /// Lookup by local key.
-    pub(crate) fn lookup_lkey(&self, lkey: Lkey) -> Result<Arc<MemoryRegion>> {
-        self.regions
-            .read()
-            .iter()
-            .find(|m| m.lkey == lkey)
-            .cloned()
-            .ok_or(FabricError::BadLkey(lkey))
+    /// The region an lkey or rkey names (MPT lookup; rights are the
+    /// caller's to check, [`MemoryRegion::allow`]).
+    pub(crate) fn lookup(&self, key: u32) -> Option<Arc<MemoryRegion>> {
+        self.regions.read().get(&key).cloned()
     }
 
     /// Deregister the region with local key `lkey` (verbs
@@ -327,10 +352,11 @@ impl MrTable {
     /// handles keep their buffer alive but the NIC will no longer resolve
     /// the keys.
     pub fn deregister(&self, lkey: Lkey) -> bool {
-        let mut regions = self.regions.write();
-        let before = regions.len();
-        regions.retain(|m| m.lkey != lkey);
-        regions.len() != before
+        let removed = self.regions.write().remove(&lkey.0).is_some();
+        if removed {
+            self.tables.fetch_add(1, Ordering::Release);
+        }
+        removed
     }
 
     /// Number of registered regions.
@@ -394,26 +420,23 @@ mod tests {
     fn rkey_lookup_checks_rights() {
         let t = MrTable::new();
         let ro = t.register(64, Access::REMOTE_READ);
-        assert!(t.lookup_rkey(ro.rkey(), Access::REMOTE_READ).is_ok());
+        let found = t.lookup(ro.rkey().0).expect("registered");
+        assert!(found.allow(Access::REMOTE_READ).is_ok());
         assert!(matches!(
-            t.lookup_rkey(ro.rkey(), Access::REMOTE_WRITE),
+            found.allow(Access::REMOTE_WRITE),
             Err(FabricError::AccessViolation { .. })
         ));
-        assert!(matches!(
-            t.lookup_rkey(Rkey(999), Access::LOCAL),
-            Err(FabricError::BadRkey(_))
-        ));
+        assert!(t.lookup(999).is_none());
     }
 
     #[test]
     fn lkey_lookup() {
         let t = MrTable::new();
         let mr = t.register(64, Access::LOCAL);
-        assert!(t.lookup_lkey(mr.lkey()).is_ok());
-        assert!(matches!(
-            t.lookup_lkey(Lkey(12345)),
-            Err(FabricError::BadLkey(_))
-        ));
+        assert!(Arc::ptr_eq(&t.lookup(mr.lkey().0).unwrap(), &mr));
+        assert!(t.lookup(12345).is_none());
+        assert!(t.deregister(mr.lkey()));
+        assert!(t.lookup(mr.lkey().0).is_none());
     }
 
     #[test]

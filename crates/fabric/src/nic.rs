@@ -15,6 +15,7 @@
 //! the relevant CQs. Errors surface as error-status completions and
 //! transition the QP to the error state, mirroring verbs behaviour.
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,10 +27,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::cache::qp_state_key;
 use crate::fabric::{FabricInner, Node};
-use crate::mr::Access;
+use crate::mr::{Access, MemoryRegion};
+use crate::qp::Qp;
 use crate::timing::CostModel;
-use crate::types::{FabricError, NodeId, QpNum, QpState, Result};
-use crate::verbs::{Completion, CqOpcode, CqStatus, RecvWr, SendOp, SendWr, Sge};
+use crate::types::{FabricError, KeyMap, NodeId, QpNum, QpState, Result};
+use crate::verbs::{Completion, CqOpcode, CqStatus, RecvWr, RemoteAddr, SendOp, SendWr, Sge};
 
 /// Size of the global routing header prefixed to UD receive payloads.
 pub const GRH_BYTES: usize = 40;
@@ -103,7 +105,99 @@ impl NicStats {
 
 /// Where the responder half of a one-sided verb runs: the destination
 /// node and the responder-side QPN ([`one_sided_target`]).
-type Responder = (Arc<Node>, QpNum);
+type Responder = (NodeId, QpNum);
+
+/// What a lane has looked up: nodes, queue pairs and memory regions,
+/// each found once and then borrowed by every verb that names it. Nodes
+/// are never removed; the rest is forgotten whenever the fabric's table
+/// generation has moved since the last verb ([`FabricInner::tables`]:
+/// every QP create, destroy and reset and every MR register and
+/// deregister), so a verb resolves exactly what a fresh lookup would.
+/// A lookup allocates only when a map outgrows its capacity, which a
+/// flush keeps.
+#[derive(Default)]
+struct Resolved {
+    generation: u64,
+    nodes: KeyMap<NodeId, Arc<Node>>,
+    qps: KeyMap<(NodeId, QpNum), Arc<Qp>>,
+    mrs: Regions,
+}
+
+impl Resolved {
+    /// Forget the queue pairs and regions if the fabric's tables have
+    /// changed since they were looked up.
+    fn refresh(&mut self, fabric: &FabricInner) {
+        let generation = fabric.tables.load(Ordering::Acquire);
+        if generation != self.generation {
+            self.qps.clear();
+            self.mrs.0.clear();
+            self.generation = generation;
+        }
+    }
+
+    fn node(&mut self, fabric: &FabricInner, id: NodeId) -> Option<&Arc<Node>> {
+        node_in(&mut self.nodes, fabric, id)
+    }
+
+    fn qp(&mut self, fabric: &FabricInner, node: NodeId, qpn: QpNum) -> Option<&Arc<Qp>> {
+        match self.qps.entry((node, qpn)) {
+            Entry::Occupied(hit) => Some(hit.into_mut()),
+            Entry::Vacant(slot) => {
+                Some(slot.insert(node_in(&mut self.nodes, fabric, node)?.qp(qpn)?))
+            }
+        }
+    }
+}
+
+fn node_in<'a>(
+    nodes: &'a mut KeyMap<NodeId, Arc<Node>>,
+    fabric: &FabricInner,
+    id: NodeId,
+) -> Option<&'a Arc<Node>> {
+    match nodes.entry(id) {
+        Entry::Occupied(hit) => Some(hit.into_mut()),
+        Entry::Vacant(slot) => Some(slot.insert(fabric.node(id).ok()?)),
+    }
+}
+
+/// The memory regions a lane has looked up, by node and key (an lkey
+/// and an rkey are the same number).
+#[derive(Default)]
+struct Regions(KeyMap<(NodeId, u32), Arc<MemoryRegion>>);
+
+impl Regions {
+    /// Look up the region `key` names on `node`, unless already known.
+    fn load(&mut self, node: &Node, key: u32) {
+        if let Entry::Vacant(slot) = self.0.entry((node.id(), key)) {
+            if let Some(mr) = node.mrs().lookup(key) {
+                slot.insert(mr);
+            }
+        }
+    }
+
+    /// A local SGE's region and buffer offset (bounds-checked), once
+    /// [`Regions::load`]ed.
+    fn local(&self, node: NodeId, sge: Sge) -> Result<(&MemoryRegion, usize)> {
+        let mr = self.0.get(&(node, sge.lkey.0));
+        let mr = mr.ok_or(FabricError::BadLkey(sge.lkey))?;
+        Ok((mr, mr.translate(sge.addr, sge.len)?))
+    }
+
+    /// The region behind `len` bytes at `at` (rights and bounds
+    /// checked) and their buffer offset, once [`Regions::load`]ed.
+    fn remote(
+        &self,
+        node: NodeId,
+        at: RemoteAddr,
+        len: usize,
+        needed: Access,
+    ) -> Result<(&MemoryRegion, usize)> {
+        let mr = self.0.get(&(node, at.rkey.0));
+        let mr = mr.ok_or(FabricError::BadRkey(at.rkey))?;
+        mr.allow(needed)?;
+        Ok((mr, mr.translate(at.addr, len)?))
+    }
+}
 
 /// One engine lane: a `clock::spawn_stepper` task owned by the fabric —
 /// a dedicated thread idling on its command channel's doorbell on real
@@ -131,6 +225,7 @@ pub(crate) struct EngineLane {
     /// The verb whose service time the lane is sleeping, and where a
     /// one-sided one goes next.
     serving: Option<(NicCmd, Option<Responder>)>,
+    resolved: Resolved,
 }
 
 impl EngineLane {
@@ -151,6 +246,7 @@ impl EngineLane {
             rung,
             rng,
             serving: None,
+            resolved: Resolved::default(),
         }
     }
 
@@ -175,7 +271,6 @@ impl EngineLane {
             Err(TryRecvError::Empty) => {
                 return Next::Idle(IdleOn {
                     seen,
-                    event: Arc::clone(&self.rung),
                     busy_ns: 0,
                     deadline_ns: u64::MAX,
                 })
@@ -184,7 +279,8 @@ impl EngineLane {
         let cost = &self.fabric.config.cost;
         let target = match &cmd {
             NicCmd::Post { src_qpn, wr, .. } => {
-                let target = one_sided_target(&self.fabric, &self.node, *src_qpn, wr);
+                let target =
+                    one_sided_target(&self.fabric, &mut self.resolved, &self.node, *src_qpn, wr);
                 clock::charge(match target {
                     // One-sided verb: the requester NIC only fetches the
                     // WQE and looks up its connection state before the
@@ -216,19 +312,23 @@ impl EngineLane {
     }
 
     fn execute(&mut self, cmd: NicCmd, target: Option<Responder>) {
+        let (fabric, resolved) = (&*self.fabric, &mut self.resolved);
         match (cmd, target) {
-            (NicCmd::Post { src_qpn, epoch, wr }, Some((dst, dst_qpn))) => dst.forward_cmd(
-                dst_qpn,
-                NicCmd::Respond {
+            (NicCmd::Post { src_qpn, epoch, wr }, Some((dst, dst_qpn))) => {
+                let respond = NicCmd::Respond {
                     req_node: self.node.id(),
                     src_qpn,
                     dst_qpn,
                     epoch,
                     wr,
-                },
-            ),
+                };
+                if let Some(dst) = resolved.node(fabric, dst) {
+                    dst.forward_cmd(dst_qpn, respond);
+                }
+            }
             (NicCmd::Post { src_qpn, epoch, wr }, None) => {
-                process(&self.fabric, &self.node, src_qpn, epoch, wr, &mut self.rng)
+                let node = self.node.id();
+                process(fabric, resolved, node, src_qpn, epoch, wr, &mut self.rng)
             }
             (
                 NicCmd::Respond {
@@ -239,11 +339,15 @@ impl EngineLane {
                     ..
                 },
                 _,
-            ) => {
-                if let Ok(req) = self.fabric.node(req_node) {
-                    process(&self.fabric, &req, src_qpn, epoch, wr, &mut self.rng);
-                }
-            }
+            ) => process(
+                fabric,
+                resolved,
+                req_node,
+                src_qpn,
+                epoch,
+                wr,
+                &mut self.rng,
+            ),
             (NicCmd::Stop, _) => {}
         }
     }
@@ -258,6 +362,7 @@ impl EngineLane {
 /// error through the normal path).
 fn one_sided_target(
     fabric: &FabricInner,
+    resolved: &mut Resolved,
     node: &Node,
     src_qpn: QpNum,
     wr: &SendWr,
@@ -268,9 +373,10 @@ fn one_sided_target(
     ) {
         return None;
     }
-    let qp = node.qp(src_qpn)?;
-    let (dst_id, dst_qpn) = qp.remote().or(wr.dst)?;
-    let dst = fabric.node(dst_id).ok()?;
+    resolved.refresh(fabric);
+    let qp = resolved.qp(fabric, node.id(), src_qpn)?;
+    let (dst, dst_qpn) = qp.remote().or(wr.dst)?;
+    resolved.node(fabric, dst)?;
     Some((dst, dst_qpn))
 }
 
@@ -309,17 +415,33 @@ fn service_ns(cost: &CostModel, node: &Node, qpn: QpNum, wr: &SendWr) -> u64 {
     ns
 }
 
+/// Execute send-side work posted on `node`'s QP `src_qpn`: check its
+/// lease and state, touch its connection state, move the data and
+/// complete. Every object the verb names is looked up once, through
+/// `resolved`.
 fn process(
     fabric: &FabricInner,
-    node: &Arc<Node>,
+    resolved: &mut Resolved,
+    node: NodeId,
     src_qpn: QpNum,
     epoch: u64,
     wr: SendWr,
     rng: &mut SmallRng,
 ) {
-    let Some(qp) = node.qp(src_qpn) else {
+    resolved.refresh(fabric);
+    let Some(qp) = resolved.qp(fabric, node, src_qpn) else {
         return; // QP destroyed after posting; nothing to complete into.
     };
+    // Where the verb goes, looked up now: a lookup changes nothing, and
+    // a failed one is reported in its turn below.
+    let dst = qp.remote().or(wr.dst);
+    if let Some((dst_node, dst_qpn)) = dst {
+        resolved.qp(fabric, dst_node, dst_qpn);
+    }
+    let Resolved {
+        nodes, qps, mrs, ..
+    } = resolved;
+    let (node, qp) = (&nodes[&node], &qps[&(node, src_qpn)]);
     if qp.epoch() != epoch {
         // Posted in a previous lease; the QP was reset (recycled into
         // the node's pool) since. Executing would target the *new*
@@ -327,14 +449,12 @@ fn process(
         // lessee's CQ — drop silently, like work on a destroyed QP.
         return;
     }
-    if qp.state() == QpState::Error {
-        complete_send(node, src_qpn, &wr, CqStatus::WorkRequestFlushed, 0);
-        return;
-    }
-    if qp.state() == QpState::Init {
+    match qp.state() {
+        QpState::Error => return complete_send(qp, &wr, CqStatus::WorkRequestFlushed, 0),
         // Reset between the epoch check and here, or posted on a QP that
         // was never brought up: nothing valid to execute against.
-        return;
+        QpState::Init => return,
+        QpState::Rtr | QpState::Rts => {}
     }
 
     // Touch the source-side connection state in the NIC cache.
@@ -342,7 +462,16 @@ fn process(
         .lock()
         .access(qp_state_key(node.id().0, src_qpn.0));
 
-    let result = execute(fabric, node, &qp, &wr, rng);
+    let dst = dst
+        .ok_or(FabricError::MissingDestination)
+        .and_then(|(id, qpn)| {
+            let dst_node = nodes.get(&id).ok_or(FabricError::NodeNotFound(id))?;
+            let dst_qp = qps
+                .get(&(id, qpn))
+                .ok_or(FabricError::QpNotFound(id, qpn))?;
+            Ok((&**dst_node, &**dst_qp))
+        });
+    let result = dst.and_then(|dst| execute(fabric, node, qp, dst, mrs, &wr, rng));
     match result {
         Ok(bytes) => {
             node.stats().verbs.fetch_add(1, Ordering::Relaxed);
@@ -350,7 +479,7 @@ fn process(
                 .bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
             if wr.signaled {
-                complete_send(node, src_qpn, &wr, CqStatus::Success, bytes);
+                complete_send(qp, &wr, CqStatus::Success, bytes);
             }
         }
         Err(e) => {
@@ -367,58 +496,53 @@ fn process(
                 _ => CqStatus::RemoteAccessError,
             };
             qp.set_error();
-            complete_send(node, src_qpn, &wr, status, 0);
+            complete_send(qp, &wr, status, 0);
         }
     }
 }
 
-fn complete_send(node: &Node, qpn: QpNum, wr: &SendWr, status: CqStatus, bytes: usize) {
+fn complete_send(qp: &Qp, wr: &SendWr, status: CqStatus, bytes: usize) {
     let opcode = match wr.op {
         SendOp::Send { .. } => CqOpcode::Send,
         SendOp::Write { .. } | SendOp::WriteImm { .. } => CqOpcode::Write,
         SendOp::Read { .. } => CqOpcode::Read,
         SendOp::FetchAdd { .. } | SendOp::CmpSwap { .. } => CqOpcode::Atomic,
     };
-    if let Some(qp) = node.qp(qpn) {
-        qp.send_cq().push(Completion {
-            wr_id: wr.wr_id,
-            status,
-            opcode,
-            byte_len: bytes,
-            imm: None,
-            src: None,
-            qpn,
-        });
-    }
+    qp.complete_send(Completion {
+        wr_id: wr.wr_id,
+        status,
+        opcode,
+        byte_len: bytes,
+        imm: None,
+        src: None,
+        qpn: qp.qpn(),
+    });
 }
 
-/// Execute the data movement for `wr`; returns bytes moved.
+/// Execute the data movement for `wr` from `node`'s `qp` to its
+/// destination `(node, QP)`; returns bytes moved.
 fn execute(
     fabric: &FabricInner,
-    node: &Arc<Node>,
-    qp: &crate::qp::Qp,
+    node: &Node,
+    qp: &Qp,
+    (dst_node, dst_qp): (&Node, &Qp),
+    mrs: &mut Regions,
     wr: &SendWr,
     rng: &mut SmallRng,
 ) -> Result<usize> {
-    let dst_addr = match qp.remote() {
-        Some(peer) => peer,
-        None => wr.dst.ok_or(FabricError::MissingDestination)?,
-    };
-    let (dst_node_id, dst_qpn) = dst_addr;
-    let dst_node = fabric.node(dst_node_id)?;
-    let dst_qp = dst_node
-        .qp(dst_qpn)
-        .ok_or(FabricError::QpNotFound(dst_node_id, dst_qpn))?;
+    let (src, dst) = (node.id(), dst_node.id());
+    let dst_qpn = dst_qp.qpn();
 
     // Touch the destination-side connection state in its NIC cache.
     dst_node
         .cache()
         .lock()
-        .access(qp_state_key(dst_node_id.0, dst_qpn.0));
+        .access(qp_state_key(dst.0, dst_qpn.0));
 
     match wr.op {
         SendOp::Send { local } => {
-            let (src_mr, src_off) = resolve_local(node, local)?;
+            mrs.load(node, local.lkey.0);
+            let src_off = mrs.local(src, local)?.1;
             let is_ud = !qp.transport().connected();
             if is_ud
                 && fabric.config.ud_drop_probability > 0.0
@@ -439,7 +563,7 @@ fn execute(
             let grh = if is_ud { GRH_BYTES } else { 0 };
             let need = local.len + grh;
             if recv.local.len < need {
-                deliver_recv_error(&dst_node, &dst_qp, &recv);
+                deliver_recv_error(dst_qp, &recv);
                 if is_ud {
                     node.stats().bump(&node.stats().ud_drops);
                     return Ok(local.len);
@@ -449,49 +573,50 @@ fn execute(
                     need,
                 });
             }
-            let dst_mr = dst_node.mrs().lookup_lkey(recv.local.lkey)?;
-            let off = dst_mr.translate(recv.local.addr, need)?;
+            mrs.load(dst_node, recv.local.lkey.0);
+            let (dst_mr, off) = mrs.local(
+                dst,
+                Sge {
+                    len: need,
+                    ..recv.local
+                },
+            )?;
             if grh > 0 {
                 // Zero a synthetic GRH; real NICs deposit routing headers.
                 dst_mr.write(off, &[0u8; GRH_BYTES])?;
             }
-            src_mr.dma_to(src_off, &dst_mr, off + grh, local.len)?;
-            dst_qp.recv_cq().push(Completion {
+            let (src_mr, _) = mrs.local(src, local)?;
+            src_mr.dma_to(src_off, dst_mr, off + grh, local.len)?;
+            dst_qp.complete_recv(Completion {
                 wr_id: recv.wr_id,
                 status: CqStatus::Success,
                 opcode: CqOpcode::Recv,
                 byte_len: need,
                 imm: None,
-                src: if is_ud {
-                    Some((node.id(), qp.qpn()))
-                } else {
-                    None
-                },
+                src: if is_ud { Some((src, qp.qpn())) } else { None },
                 qpn: dst_qpn,
             });
             node.stats().bump(&node.stats().sends);
             Ok(local.len)
         }
         SendOp::Write { local, remote } => {
-            let (src_mr, src_off) = resolve_local(node, local)?;
-            let dst_mr = dst_node
-                .mrs()
-                .lookup_rkey(remote.rkey, Access::REMOTE_WRITE)?;
-            let off = dst_mr.translate(remote.addr, local.len)?;
-            src_mr.dma_to(src_off, &dst_mr, off, local.len)?;
+            mrs.load(node, local.lkey.0);
+            mrs.load(dst_node, remote.rkey.0);
+            let (src_mr, src_off) = mrs.local(src, local)?;
+            let (dst_mr, off) = mrs.remote(dst, remote, local.len, Access::REMOTE_WRITE)?;
+            src_mr.dma_to(src_off, dst_mr, off, local.len)?;
             node.stats().bump(&node.stats().writes);
             Ok(local.len)
         }
         SendOp::WriteImm { local, remote, imm } => {
-            let (src_mr, src_off) = resolve_local(node, local)?;
-            let dst_mr = dst_node
-                .mrs()
-                .lookup_rkey(remote.rkey, Access::REMOTE_WRITE)?;
-            let off = dst_mr.translate(remote.addr, local.len)?;
-            src_mr.dma_to(src_off, &dst_mr, off, local.len)?;
+            mrs.load(node, local.lkey.0);
+            mrs.load(dst_node, remote.rkey.0);
+            let (src_mr, src_off) = mrs.local(src, local)?;
+            let (dst_mr, off) = mrs.remote(dst, remote, local.len, Access::REMOTE_WRITE)?;
+            src_mr.dma_to(src_off, dst_mr, off, local.len)?;
             // Consume one posted receive to deliver the immediate.
             let recv = dst_qp.pop_recv().ok_or(FabricError::NoReceiveBuffer)?;
-            dst_qp.recv_cq().push(Completion {
+            dst_qp.complete_recv(Completion {
                 wr_id: recv.wr_id,
                 status: CqStatus::Success,
                 opcode: CqOpcode::RecvImm,
@@ -504,22 +629,19 @@ fn execute(
             Ok(local.len)
         }
         SendOp::Read { local, remote } => {
-            let src_mr = dst_node
-                .mrs()
-                .lookup_rkey(remote.rkey, Access::REMOTE_READ)?;
-            let src_off = src_mr.translate(remote.addr, local.len)?;
-            let (loc_mr, loc_off) = resolve_local(node, local)?;
-            src_mr.dma_to(src_off, &loc_mr, loc_off, local.len)?;
+            mrs.load(dst_node, remote.rkey.0);
+            mrs.load(node, local.lkey.0);
+            let (src_mr, src_off) = mrs.remote(dst, remote, local.len, Access::REMOTE_READ)?;
+            let (loc_mr, loc_off) = mrs.local(src, local)?;
+            src_mr.dma_to(src_off, loc_mr, loc_off, local.len)?;
             node.stats().bump(&node.stats().reads);
             Ok(local.len)
         }
         SendOp::FetchAdd { local, remote, add } => {
-            let dst_mr = dst_node
-                .mrs()
-                .lookup_rkey(remote.rkey, Access::REMOTE_ATOMIC)?;
-            let off = dst_mr.translate(remote.addr, 8)?;
+            mrs.load(dst_node, remote.rkey.0);
+            let (dst_mr, off) = mrs.remote(dst, remote, 8, Access::REMOTE_ATOMIC)?;
             let old = dst_mr.fetch_add_u64(off, add)?;
-            write_local(node, local, &old.to_le_bytes())?;
+            write_local(mrs, node, local, &old.to_le_bytes())?;
             node.stats().bump(&node.stats().atomics);
             Ok(8)
         }
@@ -529,21 +651,18 @@ fn execute(
             expect,
             swap,
         } => {
-            let dst_mr = dst_node
-                .mrs()
-                .lookup_rkey(remote.rkey, Access::REMOTE_ATOMIC)?;
-            let off = dst_mr.translate(remote.addr, 8)?;
+            mrs.load(dst_node, remote.rkey.0);
+            let (dst_mr, off) = mrs.remote(dst, remote, 8, Access::REMOTE_ATOMIC)?;
             let old = dst_mr.cmp_swap_u64(off, expect, swap)?;
-            write_local(node, local, &old.to_le_bytes())?;
+            write_local(mrs, node, local, &old.to_le_bytes())?;
             node.stats().bump(&node.stats().atomics);
             Ok(8)
         }
     }
 }
 
-fn deliver_recv_error(dst_node: &Node, dst_qp: &crate::qp::Qp, recv: &RecvWr) {
-    let _ = dst_node;
-    dst_qp.recv_cq().push(Completion {
+fn deliver_recv_error(dst_qp: &Qp, recv: &RecvWr) {
+    dst_qp.complete_recv(Completion {
         wr_id: recv.wr_id,
         status: CqStatus::LocalProtectionError,
         opcode: CqOpcode::Recv,
@@ -554,20 +673,9 @@ fn deliver_recv_error(dst_node: &Node, dst_qp: &crate::qp::Qp, recv: &RecvWr) {
     });
 }
 
-/// Resolve a local SGE to its region and buffer offset (bounds-checked),
-/// without copying anything.
-fn resolve_local(
-    node: &Node,
-    sge: Sge,
-) -> Result<(std::sync::Arc<crate::mr::MemoryRegion>, usize)> {
-    let mr = node.mrs().lookup_lkey(sge.lkey)?;
-    let off = mr.translate(sge.addr, sge.len)?;
-    Ok((mr, off))
-}
-
-fn write_local(node: &Node, sge: Sge, data: &[u8]) -> Result<()> {
-    let mr = node.mrs().lookup_lkey(sge.lkey)?;
+fn write_local(mrs: &mut Regions, node: &Node, sge: Sge, data: &[u8]) -> Result<()> {
+    mrs.load(node, sge.lkey.0);
     let len = data.len().min(sge.len);
-    let off = mr.translate(sge.addr, len)?;
+    let (mr, off) = mrs.local(node.id(), Sge { len, ..sge })?;
     mr.write(off, &data[..len])
 }

@@ -6,7 +6,7 @@
 //! consumed by inbound two-sided traffic.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -15,12 +15,26 @@ use crate::chan::DoorbellSender;
 use crate::cq::CompletionQueue;
 use crate::nic::NicCmd;
 use crate::types::{FabricError, NodeId, QpNum, QpState, Result, Transport};
-use crate::verbs::{RecvWr, SendWr};
+use crate::verbs::{Completion, RecvWr, SendWr};
+
+/// `Qp::remote` while the QP has no peer.
+const NO_PEER: u64 = u64::MAX;
 
 /// A queue pair: a send queue / receive queue pair bound to two CQs.
 ///
+/// What every verb reads is atomic: the state (`state`, a [`QpState`]
+/// byte), the connected peer (`remote`, node id and QP number packed in
+/// one word) and the lease `epoch`. Only the control plane changes the
+/// first two — connect, [`Qp::ready`], [`Qp::reset`] and the move to
+/// the error state — and it does so under `transition`, a lock the data
+/// path never takes: transitions stay serialized, and a post or a NIC
+/// lane pays two loads for what used to be two lock round trips. The
+/// peer is stored before the state that makes it usable, so a reader
+/// that sees `Rts` sees the peer.
+///
 /// The CQ bindings sit behind a mutex so a pooled QP can be *rebound* to
 /// its next lessee's CQs on reuse (`crates/fabric/src/qpool.rs`); the
+/// NIC pushes completions through the binding, under that lock. The
 /// `epoch` counter is stamped into every posted work request and bumped
 /// by [`Qp::reset`], so an engine lane silently drops work posted in a
 /// previous lease instead of executing it against the new connection.
@@ -29,8 +43,9 @@ pub struct Qp {
     node: NodeId,
     qpn: QpNum,
     transport: Transport,
-    state: Mutex<QpState>,
-    remote: Mutex<Option<(NodeId, QpNum)>>,
+    state: AtomicU8,
+    remote: AtomicU64,
+    transition: Mutex<()>,
     send_cq: Mutex<Arc<CompletionQueue>>,
     recv_cq: Mutex<Arc<CompletionQueue>>,
     recv_queue: Mutex<VecDeque<RecvWr>>,
@@ -51,8 +66,9 @@ impl Qp {
             node,
             qpn,
             transport,
-            state: Mutex::new(QpState::Init),
-            remote: Mutex::new(None),
+            state: AtomicU8::new(QpState::Init as u8),
+            remote: AtomicU64::new(NO_PEER),
+            transition: Mutex::new(()),
             send_cq: Mutex::new(send_cq),
             recv_cq: Mutex::new(recv_cq),
             recv_queue: Mutex::new(VecDeque::new()),
@@ -78,12 +94,13 @@ impl Qp {
 
     /// Current state.
     pub fn state(&self) -> QpState {
-        *self.state.lock()
+        QpState::from_u8(self.state.load(Ordering::Acquire))
     }
 
     /// The connected peer, if any.
     pub fn remote(&self) -> Option<(NodeId, QpNum)> {
-        *self.remote.lock()
+        let peer = self.remote.load(Ordering::Acquire);
+        (peer != NO_PEER).then_some((NodeId((peer >> 32) as u32), QpNum(peer as u32)))
     }
 
     /// Send-side completion queue (current binding).
@@ -96,6 +113,16 @@ impl Qp {
         Arc::clone(&self.recv_cq.lock())
     }
 
+    /// Deliver a send-side completion to the current binding.
+    pub(crate) fn complete_send(&self, c: Completion) {
+        self.send_cq.lock().push(c);
+    }
+
+    /// Deliver a receive-side completion to the current binding.
+    pub(crate) fn complete_recv(&self, c: Completion) {
+        self.recv_cq.lock().push(c);
+    }
+
     /// The QP's lease epoch. Stamped into posted work; bumped by
     /// [`Qp::reset`] so stale work from a previous lease is dropped by
     /// the engine instead of executing against the new connection.
@@ -103,16 +130,9 @@ impl Qp {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Post a send-side work request.
-    ///
-    /// Validates state, verb support, MTU, and addressing before handing
-    /// the request to the NIC engine. Local/remote memory validation
-    /// happens asynchronously in the engine and is reported via the CQ.
-    pub fn post_send(&self, wr: SendWr) -> Result<()> {
-        let state = *self.state.lock();
-        if state != QpState::Rts {
-            return Err(FabricError::InvalidState(state));
-        }
+    /// Check `wr` against the transport and the connection: what
+    /// [`Qp::post_send`] validates besides the state.
+    fn validate(&self, wr: &SendWr) -> Result<()> {
         if !wr.op.supported_on(self.transport) {
             return Err(FabricError::UnsupportedVerb {
                 transport: self.transport,
@@ -130,16 +150,41 @@ impl Qp {
             if wr.dst.is_some() {
                 return Err(FabricError::MissingDestination); // dst must come from the connection
             }
-            if self.remote.lock().is_none() {
+            if self.remote().is_none() {
                 return Err(FabricError::NotConnected);
             }
         } else if wr.dst.is_none() {
             return Err(FabricError::MissingDestination);
         }
+        Ok(())
+    }
+
+    /// The lease epoch to stamp on work about to be validated, and
+    /// whether the QP is ready to send. The epoch is loaded first:
+    /// [`Qp::reset`] publishes `Init` before it bumps the epoch, so a
+    /// post that sees the new epoch sees `Init` or a later lease's
+    /// state, and work validated against a lease never carries the
+    /// next lease's epoch.
+    fn ready_epoch(&self) -> Result<u64> {
+        let epoch = self.epoch();
+        match self.state() {
+            QpState::Rts => Ok(epoch),
+            state => Err(FabricError::InvalidState(state)),
+        }
+    }
+
+    /// Post a send-side work request.
+    ///
+    /// Validates state, verb support, MTU, and addressing before handing
+    /// the request to the NIC engine. Local/remote memory validation
+    /// happens asynchronously in the engine and is reported via the CQ.
+    pub fn post_send(&self, wr: SendWr) -> Result<()> {
+        let epoch = self.ready_epoch()?;
+        self.validate(&wr)?;
         self.engine
             .send(NicCmd::Post {
                 src_qpn: self.qpn,
-                epoch: self.epoch.load(Ordering::Acquire),
+                epoch,
                 wr,
             })
             .map_err(|_| FabricError::Shutdown)
@@ -152,36 +197,10 @@ impl Qp {
     /// Validation is all-or-nothing: if any request in the chain fails
     /// validation, nothing is posted.
     pub fn post_send_many(&self, wrs: &[SendWr]) -> Result<()> {
-        let state = *self.state.lock();
-        if state != QpState::Rts {
-            return Err(FabricError::InvalidState(state));
-        }
+        let epoch = self.ready_epoch()?;
         for wr in wrs {
-            if !wr.op.supported_on(self.transport) {
-                return Err(FabricError::UnsupportedVerb {
-                    transport: self.transport,
-                    verb: wr.op.name(),
-                });
-            }
-            let len = wr.op.byte_len();
-            if len > self.transport.max_msg_size() {
-                return Err(FabricError::PayloadTooLarge {
-                    len,
-                    max: self.transport.max_msg_size(),
-                });
-            }
-            if self.transport.connected() {
-                if wr.dst.is_some() {
-                    return Err(FabricError::MissingDestination);
-                }
-                if self.remote.lock().is_none() {
-                    return Err(FabricError::NotConnected);
-                }
-            } else if wr.dst.is_none() {
-                return Err(FabricError::MissingDestination);
-            }
+            self.validate(wr)?;
         }
-        let epoch = self.epoch.load(Ordering::Acquire);
         for wr in wrs {
             self.engine
                 .send(NicCmd::Post {
@@ -196,7 +215,7 @@ impl Qp {
 
     /// Post a receive buffer. Legal in any non-error state.
     pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
-        let state = *self.state.lock();
+        let state = self.state();
         if state == QpState::Error {
             return Err(FabricError::InvalidState(state));
         }
@@ -208,6 +227,22 @@ impl Qp {
         self.recv_queue.lock().pop_front()
     }
 
+    /// Move from `Init` to `Rts` under the transition lock, publishing
+    /// `peer` first.
+    fn bring_up(&self, peer: Option<(NodeId, QpNum)>) -> Result<()> {
+        let _transition = self.transition.lock();
+        let state = self.state();
+        if state != QpState::Init {
+            return Err(FabricError::InvalidState(state));
+        }
+        if let Some((node, qpn)) = peer {
+            let packed = u64::from(node.0) << 32 | u64::from(qpn.0);
+            self.remote.store(packed, Ordering::Release);
+        }
+        self.state.store(QpState::Rts as u8, Ordering::Release);
+        Ok(())
+    }
+
     pub(crate) fn set_connected(&self, peer: (NodeId, QpNum)) -> Result<()> {
         if !self.transport.connected() {
             return Err(FabricError::UnsupportedVerb {
@@ -215,13 +250,7 @@ impl Qp {
                 verb: "connect",
             });
         }
-        let mut state = self.state.lock();
-        if *state != QpState::Init {
-            return Err(FabricError::InvalidState(*state));
-        }
-        *self.remote.lock() = Some(peer);
-        *state = QpState::Rts;
-        Ok(())
+        self.bring_up(Some(peer))
     }
 
     /// Transition an unconnected (UD) QP to ready-to-send.
@@ -232,18 +261,14 @@ impl Qp {
                 verb: "ready (use connect)",
             });
         }
-        let mut state = self.state.lock();
-        if *state != QpState::Init {
-            return Err(FabricError::InvalidState(*state));
-        }
-        *state = QpState::Rts;
-        Ok(())
+        self.bring_up(None)
     }
 
     /// Force the QP into the error state (flushing semantics are handled by
     /// the engine as it encounters the state).
     pub(crate) fn set_error(&self) {
-        *self.state.lock() = QpState::Error;
+        let _transition = self.transition.lock();
+        self.state.store(QpState::Error as u8, Ordering::Release);
     }
 
     /// Reset the QP for reuse (verbs modify-to-RESET): back to `Init`,
@@ -252,15 +277,15 @@ impl Qp {
     /// dropped. The QP number and lane pinning are preserved — that is
     /// the whole point of pooling (no NIC state reallocation).
     pub fn reset(&self) {
-        let mut state = self.state.lock();
-        // Bump under the state lock, before the state change is visible:
-        // a post_send racing with reset either sees Rts and stamps the
-        // old epoch (its work is dropped by the engine's epoch check) or
-        // sees Init and is rejected outright.
-        self.epoch.fetch_add(1, Ordering::Release);
-        *self.remote.lock() = None;
+        let _transition = self.transition.lock();
+        // `Init` before the epoch bump: a post racing with reset either
+        // loads the old epoch (its work is dropped by the engine's epoch
+        // check, whatever state it then sees) or loads the new one and
+        // then sees `Init` (rejected outright) or a later lease's state.
+        self.state.store(QpState::Init as u8, Ordering::Release);
+        self.remote.store(NO_PEER, Ordering::Release);
         self.recv_queue.lock().clear();
-        *state = QpState::Init;
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Rebind the QP's completion queues to a new lessee's CQs. Only

@@ -111,6 +111,7 @@ impl Transport {
 
 /// Queue pair state machine, following the verbs model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum QpState {
     /// Freshly created; only `post_recv` is legal.
     Init,
@@ -120,6 +121,18 @@ pub enum QpState {
     Rts,
     /// Error: all posted and future work completes with a flush error.
     Error,
+}
+
+impl QpState {
+    /// The state a [`QpState`]`as u8` names.
+    pub(crate) const fn from_u8(bits: u8) -> QpState {
+        match bits {
+            0 => QpState::Init,
+            1 => QpState::Rtr,
+            2 => QpState::Rts,
+            _ => QpState::Error,
+        }
+    }
 }
 
 /// Errors surfaced by fabric operations.

@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use flock_fabric::{
-    Access, Fabric, FabricConfig, FabricError, QpState, RecvWr, RemoteAddr, SendWr, Sge, Transport,
-    WrId, GRH_BYTES,
+    Access, CqStatus, Fabric, FabricConfig, FabricError, QpState, RecvWr, RemoteAddr, SendWr, Sge,
+    Transport, WrId, GRH_BYTES,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -638,6 +638,66 @@ fn deregistered_mr_rejects_remote_access() {
         .unwrap();
     let c = p.ccq.wait_one(TIMEOUT).unwrap();
     assert_eq!(c.status, flock_fabric::CqStatus::RemoteAccessError);
+}
+
+/// A one-byte write and a one-byte read between `p`'s two regions.
+fn write_and_read(p: &Pair) -> [SendWr; 2] {
+    let local = Sge {
+        lkey: p.cmr.lkey(),
+        addr: p.cmr.addr(),
+        len: 1,
+    };
+    let remote = RemoteAddr {
+        rkey: p.smr.rkey(),
+        addr: p.smr.addr(),
+    };
+    [
+        SendWr::write(WrId(1), local, remote),
+        SendWr::read(WrId(2), local, remote),
+    ]
+}
+
+/// In the lab, where nothing runs between a post and the next line, post
+/// `wr` twice on a fresh pair and `break_it` right after the second
+/// post, before the NIC executes it (having resolved every object the
+/// verb names for the first). Returns both completions' statuses and the
+/// posting QP's state.
+fn broken_between_post_and_execution(
+    verb: usize,
+    break_it: impl Fn(&Pair) + Send + Sync,
+) -> (CqStatus, CqStatus, QpState) {
+    flock_sim::VirtualLab::run(|| {
+        let p = pair(Transport::Rc);
+        let wr = write_and_read(&p)[verb];
+        p.cqp.post_send(wr).unwrap();
+        let first = p.ccq.wait_one(TIMEOUT).unwrap().status;
+        p.cqp.post_send(wr).unwrap();
+        break_it(&p);
+        let second = p.ccq.wait_one(TIMEOUT).unwrap().status;
+        (first, second, p.cqp.state())
+    })
+}
+
+#[test]
+fn a_peer_qp_destroyed_between_post_and_execution_fails_the_verb() {
+    for verb in 0..2 {
+        let got = broken_between_post_and_execution(verb, |p| {
+            assert!(p.server.destroy_qp(p.sqp.qpn()));
+        });
+        let failed = (CqStatus::Success, CqStatus::RemoteAccessError, QpState::Error);
+        assert_eq!(got, failed, "verb {verb}");
+    }
+}
+
+#[test]
+fn a_region_deregistered_between_post_and_execution_fails_the_verb() {
+    for verb in 0..2 {
+        let got = broken_between_post_and_execution(verb, |p| {
+            assert!(p.server.mrs().deregister(p.smr.lkey()));
+        });
+        let failed = (CqStatus::Success, CqStatus::RemoteAccessError, QpState::Error);
+        assert_eq!(got, failed, "verb {verb}");
+    }
 }
 
 #[test]

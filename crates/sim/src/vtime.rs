@@ -32,23 +32,25 @@
 //! A task blocked in [`flock_sync::clock::Event::wait_until`] or idling
 //! through [`flock_sync::AdaptiveBackoff::idle_on`] sleeps on a poll
 //! schedule and names the event that can end the wait
-//! ([`Executor::sleep_polling`]). When step 2 pops such a task while
-//! its event is still un-notified and its deadline has not passed, the
-//! poll it would run is known to fail, and so is every later one until
-//! the event is notified or the deadline passes. So the lab *parks* the
-//! task: it loses its heap entry and joins an intrusive list whose head
-//! lives in the event's [`Epoch`] (with a finite deadline, it also gets
-//! one entry in a second heap, at its first poll past the deadline).
-//! `notify_all` finds the list non-empty and calls
-//! [`Executor::notified`], which pushes every task of it at the first
-//! poll of its schedule that the notifying task precedes in heap order
-//! — computed from the doubling ladder and the constant `busy + cap`
-//! step ([`Poll::busy_ns`], [`Poll::cap_ns`]), not by walking the polls
-//! — and credits the polls in between to the task, whose
-//! `AdaptiveBackoff` ladder advances by them. An idle waiter costs two
-//! heap pushes per wait however long it waits. [`LabReport`] counts the
-//! polls that ran (`handovers`, `inline_steps`), those that did not
-//! (`elided_polls`), and the pushes (`heap_pushes`).
+//! ([`Executor::sleep_polling`]). If, when it goes to sleep, its event
+//! is still un-notified and its first poll is not past its deadline,
+//! that poll is known to fail, and so is every later one until the
+//! event is notified or the deadline passes. So the lab *parks* the
+//! task right there, instead of step 1's push: it gets no heap entry
+//! and joins an intrusive list whose head lives in the event's
+//! [`Epoch`] (with a finite deadline, it gets one entry in a second
+//! heap, at its first poll past the deadline). `notify_all` finds the
+//! list non-empty and calls [`Executor::notified`], which pushes every
+//! task of it at the first poll of its schedule that the notifying task
+//! precedes in heap order — the first poll itself, if the notifier
+//! comes before it; otherwise one computed from the doubling ladder and
+//! the constant `busy + cap` step ([`Poll::busy_ns`], [`Poll::cap_ns`]),
+//! not by walking the polls — and credits the polls in between to the
+//! task, whose `AdaptiveBackoff` ladder advances by them. An idle
+//! waiter costs one heap push per wait, its wake, however long it
+//! waits. [`LabReport`] counts the polls that ran (`handovers`,
+//! `inline_steps`), those that did not (`elided_polls`), and the pushes
+//! (`heap_pushes`).
 //!
 //! The lab equals a lab that runs every poll
 //! ([`VirtualLab::run_report_reference`]) because a poll's order key is
@@ -177,6 +179,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -261,6 +264,10 @@ struct Task {
     stepper: Option<Box<InlineStepper>>,
     /// While the task is asleep in [`Executor::sleep_polling`].
     sleep: Option<Sleep>,
+    /// The epoch of the event it parked on last, whose list it is on
+    /// while it is parked. Kept after the wake: parking on the same
+    /// event again takes no new reference to it.
+    epoch: Option<Arc<Epoch>>,
 }
 
 impl Task {
@@ -288,11 +295,11 @@ impl Sleep {
     }
 }
 
-/// A task taken off the run queue until its event is notified or its
+/// A task kept off the run queue until its event is notified or its
 /// deadline passes.
 struct Parked {
-    /// The instant of the poll it parked at; its schedule runs on from
-    /// there.
+    /// The instant of the first poll it went to sleep for, which has not
+    /// run; its schedule runs on from there.
     at_ns: u64,
     /// Its neighbours in the list of tasks parked on the same [`Epoch`].
     prev: Option<usize>,
@@ -366,33 +373,42 @@ impl LabState {
         self.heap.push(Reverse((at, id as u64, id)));
     }
 
-    /// Advance the clock to the earliest entry whose task has something
-    /// to do and make that task current. Returns its id and the polls
-    /// elided during the sleep this ends.
-    fn pop_due(&mut self) -> (usize, u64) {
-        loop {
-            let Some((at, order, id)) = self.pop_entry() else {
-                self.deadlock();
-                continue;
-            };
-            self.now = self.now.max(at);
-            if let Some(Sleep { poll, .. }) = &self.tasks[id].sleep {
-                if !self.reference
-                    && self.failed.is_none()
-                    && self.now <= poll.deadline_ns
-                    && poll.epoch.get() == poll.seen
-                {
-                    // This poll would fail, and so would every one after
-                    // it until a notify or the deadline.
-                    self.park(id);
-                    continue;
-                }
-            }
-            self.current = id;
-            self.current_order = order;
-            let elided = self.tasks[id].sleep.take().map_or(0, |s| s.elided);
-            return (id, elided);
+    /// Put task `id` to sleep on `epoch` until its first poll, at `at`:
+    /// parked at once if that poll would fail, and so would every one
+    /// after it until a notify or the deadline; queued otherwise.
+    fn sleep(&mut self, at: u64, id: usize, epoch: &Arc<Epoch>, poll: Poll) {
+        let parks = !self.reference
+            && self.failed.is_none()
+            && at <= poll.deadline_ns
+            && epoch.get() == poll.seen;
+        let task = &mut self.tasks[id];
+        task.sleep = Some(Sleep::new(poll));
+        if !parks {
+            self.push_poll(at, id);
+            return;
         }
+        let same = task.epoch.as_ref().is_some_and(|last| Arc::ptr_eq(last, epoch));
+        if !same {
+            task.epoch = Some(Arc::clone(epoch));
+        }
+        self.park(id, at);
+    }
+
+    /// Advance the clock to the earliest entry and make its task
+    /// current. Returns its id and the polls elided during the sleep
+    /// this ends.
+    fn pop_due(&mut self) -> (usize, u64) {
+        let (at, order, id) = loop {
+            match self.pop_entry() {
+                Some(entry) => break entry,
+                None => self.deadlock(),
+            }
+        };
+        self.now = self.now.max(at);
+        self.current = id;
+        self.current_order = order;
+        let elided = self.tasks[id].sleep.take().map_or(0, |s| s.elided);
+        (id, elided)
     }
 
     /// Pop the earliest entry of the run queue and of the deadline wakes
@@ -416,16 +432,17 @@ impl LabState {
         }
     }
 
-    /// Take task `id`, popped at a poll that cannot succeed, off the run
+    /// Keep task `id`, whose poll at `at_ns` cannot succeed, off the run
     /// queue until its epoch is notified or its deadline passes.
-    fn park(&mut self, id: usize) {
-        let at_ns = self.now;
-        let sleep = self.tasks[id].sleep.as_mut().expect("only a sleeper parks");
+    fn park(&mut self, id: usize, at_ns: u64) {
+        let Task { sleep, epoch, .. } = &mut self.tasks[id];
+        let (sleep, epoch) = (sleep.as_mut(), epoch.as_ref());
+        let (sleep, epoch) = sleep.zip(epoch).expect("only a sleeper parks");
         let poll = &sleep.poll;
         let deadline =
             (poll.deadline_ns != u64::MAX).then(|| next_poll(poll, at_ns, poll.deadline_ns + 1));
-        let next = poll.epoch.parked();
-        poll.epoch.set_parked(Some(id));
+        let next = epoch.parked();
+        epoch.set_parked(Some(id));
         sleep.parked = Some(Parked {
             at_ns,
             prev: None,
@@ -460,12 +477,16 @@ impl LabState {
     /// Those polls are credited to the task as slept through. Returns
     /// the instant.
     fn unpark(&mut self, id: usize, wake: impl FnOnce(&Poll, &Parked) -> (u64, u64)) -> u64 {
-        let sleep = self.tasks[id].sleep.as_mut().expect("a parked task");
+        let Task { sleep, epoch, .. } = &mut self.tasks[id];
+        let sleep = sleep.as_mut().expect("a parked task");
         let parked = sleep.parked.take().expect("a parked task");
         let (at, polls) = wake(&sleep.poll, &parked);
         sleep.elided = polls;
         match parked.prev {
-            None => sleep.poll.epoch.set_parked(parked.next),
+            None => epoch
+                .as_ref()
+                .expect("a parked task")
+                .set_parked(parked.next),
             Some(prev) => self.parked_mut(prev).next = parked.next,
         }
         if let Some(next) = parked.next {
@@ -540,6 +561,7 @@ impl LabState {
         let task = &mut self.tasks[id];
         task.slot = None;
         task.unwinding = false;
+        task.epoch = None;
         self.free_ids.push(id);
         self.live -= 1;
     }
@@ -602,14 +624,17 @@ fn deadline_of(tasks: &[Task], id: usize) -> Option<u64> {
     parked.deadline.map(|(due, _)| due)
 }
 
-/// The first instant at or after `bound` at which a task that parked at
-/// a poll at `parked_ns` polls again, and how many polls its schedule
-/// makes until then, the one at `parked_ns` included. After each failed
-/// poll the task sleeps `busy_ns` plus its period, which doubles from
+/// The first instant at or after `bound` at which a task parked until a
+/// poll at `parked_ns` polls, and how many polls its schedule makes
+/// before then, the one at `parked_ns` included. After each failed poll
+/// the task sleeps `busy_ns` plus its period, which doubles from
 /// `period_ns` up to `cap_ns`: the doubling rounds are taken one by one
 /// (at most 64; a few in practice), the constant rounds after them in
 /// one division — a 10 s deadline on a 500 ns grid is 2·10⁷ of those.
 fn next_poll(poll: &Poll, parked_ns: u64, bound: u64) -> (u64, u64) {
+    if bound <= parked_ns {
+        return (parked_ns, 0);
+    }
     let round = |period: u64| poll.busy_ns.saturating_add(period).max(1);
     let (mut at, mut period, mut polls) = (parked_ns, poll.period_ns, 0);
     loop {
@@ -699,7 +724,7 @@ pub struct LabReport {
     pub inline_steps: u64,
     /// Entries the lab pushed onto its run queue and its deadline heap:
     /// its own host work besides the handovers and the steps. A waiter
-    /// costs one at its sleep and one at its wake (a third with a
+    /// parked at its sleep costs one, at its wake (a second with a
     /// finite deadline), however many polls it sleeps through.
     pub heap_pushes: u64,
     /// Tasks spawned over the run (excluding the root), steppers
@@ -813,7 +838,7 @@ impl VirtualLab {
             st.live = 1;
             st.current = 0;
         }
-        let guard = clock::install(Arc::new(lab.clone()));
+        let guard = clock::install(Rc::new(lab.clone()));
         let result = f();
         drop(guard);
         let mut st = raise_if_failed(lab.lock());
@@ -874,8 +899,8 @@ impl VirtualLab {
             match outcome {
                 Ok(Resume::After(ns)) => st.push(now.saturating_add(ns.max(1)), id),
                 Ok(Resume::Polling(first_ns, poll)) => {
-                    st.tasks[id].sleep = Some(Sleep::new(poll));
-                    st.push_poll(now.saturating_add(first_ns.max(1)), id);
+                    let at = now.saturating_add(first_ns.max(1));
+                    st.sleep(at, id, stepper.task.epoch(), poll)
                 }
                 Ok(Resume::Done) => {
                     st = self.end_task(st, id, &stepper.exit, None);
@@ -949,7 +974,7 @@ impl VirtualLab {
     /// Suspend the current task for `ns`; with `polling`, until the
     /// first poll from then on that the task has to run itself. Returns
     /// the polls elided in between.
-    fn suspend(&self, ns: u64, polling: Option<Poll>) -> u64 {
+    fn suspend(&self, ns: u64, polling: Option<(&Arc<Epoch>, Poll)>) -> u64 {
         // Strictly positive advance: see YIELD_COST_NS.
         let ns = ns.max(1);
         let st = self.lock();
@@ -973,10 +998,7 @@ impl VirtualLab {
         let me = st.current;
         let wake = st.now.saturating_add(ns);
         match polling {
-            Some(poll) => {
-                st.tasks[me].sleep = Some(Sleep::new(poll));
-                st.push_poll(wake, me);
-            }
+            Some((epoch, poll)) => st.sleep(wake, me, epoch, poll),
             None => st.push(wake, me),
         }
         let (mut st, id, go) = self.next_thread_task(st);
@@ -1029,8 +1051,8 @@ impl Executor for VirtualLab {
         self.suspend(ns, None);
     }
 
-    fn sleep_polling(&self, first_ns: u64, poll: Poll) -> u64 {
-        self.suspend(first_ns, Some(poll))
+    fn sleep_polling(&self, first_ns: u64, epoch: &Arc<Epoch>, poll: Poll) -> u64 {
+        self.suspend(first_ns, Some((epoch, poll)))
     }
 
     fn spawn_task(&self, name: String, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
@@ -1061,7 +1083,7 @@ impl Executor for VirtualLab {
             // their address-space reservation small.
             .stack_size(fiber::STACK_BYTES)
             .spawn(move || {
-                let _guard = clock::install(Arc::new(lab));
+                let _guard = clock::install(Rc::new(lab));
                 slot.park(); // wait to be scheduled for the first time
                 body();
             })
@@ -1319,10 +1341,11 @@ mod tests {
         assert_eq!(short.handovers, 3);
         assert_eq!(short.elided_polls, 2_000);
         // Ten times the wait, ten times the polls slept through, and not
-        // one heap push more: spawn, the two sleeps, and the wake.
+        // one heap push more: spawn, the notifier's sleep, and the
+        // waiter's wake (it parks at its sleep).
         let (_, long) = idle_waiter(10_000_000);
         assert_eq!(long.elided_polls, 20_000);
-        assert_eq!((short.heap_pushes, long.heap_pushes), (4, 4));
+        assert_eq!((short.heap_pushes, long.heap_pushes), (3, 3));
     }
 
     /// A poll loop idling on the NIC lane's ladder (2 µs cap, so it
@@ -1464,7 +1487,8 @@ mod tests {
             let stepper = {
                 let (log, shared) = (log.clone(), shared.clone());
                 let mut steps = 0;
-                clock::spawn_stepper("stepper", ladder(), move || {
+                let bell = Arc::clone(&shared.0);
+                clock::spawn_stepper("stepper", ladder(), bell, move || {
                     let (bell, rung) = &*shared;
                     steps += 1;
                     if steps <= 8 {
@@ -1487,7 +1511,6 @@ mod tests {
                         6..=8 => {
                             clock::charge(30);
                             Next::Idle(IdleOn {
-                                event: bell.clone(),
                                 seen: bell.epoch(),
                                 busy_ns: 30,
                                 deadline_ns: clock::now_ns(),
@@ -1503,7 +1526,6 @@ mod tests {
                             }
                             clock::charge(20);
                             Next::Idle(IdleOn {
-                                event: bell.clone(),
                                 seen,
                                 busy_ns: 20,
                                 deadline_ns: u64::MAX,
@@ -1549,12 +1571,13 @@ mod tests {
         let failure = std::panic::catch_unwind(|| {
             VirtualLab::run(|| {
                 let mut steps = 0;
-                let doomed = clock::spawn_stepper("doomed-stepper", ladder(), move || {
-                    steps += 1;
-                    assert!(steps < 3, "boom in step {steps} at {} ns", clock::now_ns());
-                    clock::charge(500);
-                    clock::Next::Again
-                });
+                let doomed =
+                    clock::spawn_stepper("doomed-stepper", ladder(), Arc::default(), move || {
+                        steps += 1;
+                        assert!(steps < 3, "boom in step {steps} at {} ns", clock::now_ns());
+                        clock::charge(500);
+                        clock::Next::Again
+                    });
                 let _ = doomed.join();
             })
         })
@@ -1573,7 +1596,7 @@ mod tests {
     fn a_step_that_suspends_fails_the_run_and_names_the_stepper() {
         let failure = std::panic::catch_unwind(|| {
             VirtualLab::run(|| {
-                let sleepy = clock::spawn_stepper("sleepy", ladder(), || {
+                let sleepy = clock::spawn_stepper("sleepy", ladder(), Arc::default(), || {
                     clock::yield_now();
                     clock::Next::Done
                 });
@@ -1599,7 +1622,7 @@ mod tests {
             let spender = clock::spawn("spender", || clock::charge(1_000_000));
             let stepper = {
                 let steps = steps.clone();
-                clock::spawn_stepper("stepper", ladder(), move || {
+                clock::spawn_stepper("stepper", ladder(), Arc::default(), move || {
                     let mut steps = steps.lock().unwrap();
                     steps.push(clock::now_ns());
                     if steps.len() == 3 {
@@ -1837,14 +1860,14 @@ mod tests {
             let shared = Arc::new((Arc::new(clock::Event::new()), Flag::default()));
             let stepper = {
                 let shared = shared.clone();
-                clock::spawn_stepper("idle", ladder(), move || {
+                let bell = Arc::clone(&shared.0);
+                clock::spawn_stepper("idle", ladder(), bell, move || {
                     let (bell, rung) = &*shared;
                     let seen = bell.epoch();
                     if rung.is_set().is_some() {
                         return clock::Next::Done;
                     }
                     clock::Next::Idle(clock::IdleOn {
-                        event: bell.clone(),
                         seen,
                         busy_ns: 0,
                         deadline_ns: u64::MAX,
@@ -1865,9 +1888,10 @@ mod tests {
         assert_eq!(report.inline_steps, 2);
         assert_eq!(report.handovers, 2);
         assert_eq!(report.elided_polls, 503);
-        // Spawn, the root's sleep, the idle round, the notify's wake,
-        // the join's poll and its wake: none for the 502 polls.
-        assert_eq!(report.heap_pushes, 6);
+        // Spawn, the root's sleep, the notify's wake and the join's
+        // wake; the idle round and the join's poll park at their sleep,
+        // and none is for the 502 polls.
+        assert_eq!(report.heap_pushes, 4);
     }
 
     #[test]
@@ -1881,12 +1905,11 @@ mod tests {
             let done_at = Arc::new(AtomicU64::new(0));
             let stepper = {
                 let (bell, done_at) = (bell.clone(), done_at.clone());
-                clock::spawn_stepper("deferrer", ladder(), move || {
+                clock::spawn_stepper("deferrer", ladder(), Arc::clone(&bell), move || {
                     let seen = bell.epoch();
                     let now = clock::now_ns();
                     if now <= 10_000 {
                         return clock::Next::Idle(clock::IdleOn {
-                            event: bell.clone(),
                             seen,
                             busy_ns: 0,
                             deadline_ns: 10_000,

@@ -114,7 +114,8 @@ fn spawn_waiter(name: &str, w: Waiter, signal: Arc<Signal>, log: Log) -> clock::
         }),
         Sleep::Stepper { cap, busy } => {
             let mut round = 1;
-            clock::spawn_stepper(name, ladder(cap), move || {
+            let event = Arc::clone(&signal.event);
+            clock::spawn_stepper(name, ladder(cap), event, move || {
                 let seen = signal.event.epoch();
                 if let Some(count) = signal.reached(round) {
                     log.lock().unwrap().push((clock::now_ns(), Some(count)));
@@ -131,7 +132,6 @@ fn spawn_waiter(name: &str, w: Waiter, signal: Arc<Signal>, log: Log) -> clock::
                 }
                 clock::charge(busy);
                 Next::Idle(IdleOn {
-                    event: signal.event.clone(),
                     seen,
                     busy_ns: busy,
                     deadline_ns: deadline,
@@ -169,6 +169,7 @@ fn spawn_notifier(
             Some(clock::spawn_stepper(
                 "notifier",
                 ladder(500),
+                Arc::clone(&timer),
                 move || loop {
                     let Some(&(at, s)) = schedule.get(next) else {
                         return Next::Done;
@@ -179,7 +180,6 @@ fn spawn_notifier(
                         continue;
                     }
                     return Next::Idle(IdleOn {
-                        event: timer.clone(),
                         seen: timer.epoch(),
                         busy_ns: 0,
                         deadline_ns: at - 1,
@@ -218,7 +218,119 @@ fn scenario(
     logs.iter().map(|log| log.lock().unwrap().clone()).collect()
 }
 
+/// Where a notify lands relative to the first poll of a waiter.
+#[derive(Debug, Clone, Copy)]
+enum Landing {
+    /// This many ns before it.
+    Before(u64),
+    /// At it, made by a poll of a task spawned before the waiter, which
+    /// comes first at that instant.
+    AtAhead,
+    /// At it, made by a plain sleeper, after every poll due then.
+    AtBehind,
+    /// This many ns after it.
+    After(u64),
+}
+
+/// The instant of the first poll of a waiter that starts waiting at
+/// `start`: its first sleep, after what its empty check charged.
+fn first_poll(sleep: Sleep, start: u64) -> u64 {
+    start
+        + match sleep {
+            Sleep::Fixed(quantum) => quantum,
+            Sleep::Ladder { busy, .. } | Sleep::Stepper { busy, .. } => busy + 250,
+        }
+}
+
+/// One waiter goes to sleep at `start` (the lab parks it right there
+/// unless `deadline_ns` is before its first poll) and one notify lands
+/// as `landing` says. Returns what the waiter saw, and when.
+fn first_poll_scenario(
+    sleep: Sleep,
+    start: u64,
+    landing: Landing,
+    deadline_ns: u64,
+) -> Vec<(u64, Option<u64>)> {
+    let signal = Arc::new(Signal::default());
+    let at = first_poll(sleep, start);
+    let notifier = {
+        let signal = signal.clone();
+        clock::spawn("notifier", move || {
+            match landing {
+                Landing::Before(gap) => clock::sleep_ns(at - gap),
+                Landing::AtAhead => {
+                    // Times out at its one poll, at `at`.
+                    Event::new().wait_until(at - 1, at, || None::<()>);
+                }
+                Landing::AtBehind => clock::sleep_ns(at),
+                Landing::After(gap) => clock::sleep_ns(at + gap),
+            }
+            signal.bump(1);
+        })
+    };
+    clock::sleep_ns(start);
+    let log = Log::default();
+    let waiter = Waiter {
+        signal: 0,
+        sleep,
+        rounds: 1,
+        deadline_ns,
+    };
+    let waiter = spawn_waiter("waiter", waiter, signal, log.clone());
+    notifier.join().unwrap();
+    waiter.join().unwrap();
+    let log = log.lock().unwrap().clone();
+    log
+}
+
 proptest! {
+    #[test]
+    fn a_waiter_parked_at_its_sleep_wakes_where_the_reference_polls_see_the_notify(
+        kind in 0u8..3,
+        param in 0usize..4,
+        start in 1u64..2_000,
+        landing in (0u8..4, 0u64..1_000),
+        deadline in (0u8..3, 0u64..3_000),
+    ) {
+        let (cap, busy) = ([250, 1_000, 2_000, 1 << 20][param], [0, 20, 100][param % 3]);
+        let sleep = match kind {
+            0 => Sleep::Fixed([50, 333, 500, 1_000][param]),
+            1 => Sleep::Ladder { cap, busy },
+            _ => Sleep::Stepper { cap, busy },
+        };
+        let at = first_poll(sleep, start);
+        let landing = match landing {
+            // After the waiter's start, before its first poll.
+            (0, gap) => Landing::Before(1 + gap % (at - start - 1)),
+            (1, _) => Landing::AtAhead,
+            (2, _) => Landing::AtBehind,
+            (_, gap) => Landing::After(1 + gap),
+        };
+        let deadline_ns = match deadline {
+            // From the start to the instant before the first poll: the
+            // waiter is queued, not parked.
+            (0, d) => start + d % (at - start),
+            (1, d) => at + d,
+            _ => u64::MAX,
+        };
+        let (log, _) = VirtualLab::run_against_reference(|| {
+            first_poll_scenario(sleep, start, landing, deadline_ns)
+        });
+        prop_assert_eq!(log.len(), 1);
+        if let (Sleep::Fixed(quantum), u64::MAX) = (sleep, deadline_ns) {
+            // Seen by the first poll if the notify comes first in heap
+            // order, by the next one otherwise.
+            let want = match landing {
+                Landing::Before(_) | Landing::AtAhead => Some(at),
+                Landing::AtBehind => Some(at + quantum),
+                Landing::After(_) => None,
+            };
+            if let Some(want) = want {
+                prop_assert_eq!(log[0], (want, Some(1)));
+            }
+        }
+    }
+
     #[test]
     fn parked_waiters_wake_where_the_reference_polls_see_the_notify(
         signals in 1usize..4,

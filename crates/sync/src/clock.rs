@@ -53,6 +53,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -102,10 +103,12 @@ pub trait Executor: Send + Sync {
     /// virtual timeline does not depend on how many polls ran on the
     /// task. At one instant, every sleep made here (the first included)
     /// is ordered before any other, by task id: the order does not
-    /// depend on which polls ran. Returns how many polls were slept
+    /// depend on which polls ran. `epoch` is the awaited [`Event`]'s
+    /// notify epoch, which an executor that parks the task keeps a
+    /// handle to. Returns how many polls were slept
     /// through without running the task (always 0 from an executor that
     /// runs every poll).
-    fn sleep_polling(&self, first_ns: u64, poll: Poll) -> u64;
+    fn sleep_polling(&self, first_ns: u64, epoch: &Arc<Epoch>, poll: Poll) -> u64;
 
     /// The [`Epoch`] of an [`Event`] some of whose waiters this executor
     /// parked ([`Epoch::parked`] is not `None`) was just bumped: put them
@@ -116,11 +119,10 @@ pub trait Executor: Send + Sync {
 
 /// What a waiting task's next polls look like, for
 /// [`Executor::sleep_polling`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Poll {
-    /// The awaited [`Event`]'s notify epoch.
-    pub epoch: Arc<Epoch>,
-    /// Its value before the task's last failed check.
+    /// The awaited [`Event`]'s epoch before the task's last failed
+    /// check.
     pub seen: u64,
     /// The sleep after `first_ns`; each later one doubles, up to
     /// `cap_ns` (`period_ns == cap_ns` is a fixed period).
@@ -135,6 +137,20 @@ pub struct Poll {
     /// the waiter's [`deadline`], or the instant before a condition it
     /// evaluates from the clock turns true.
     pub deadline_ns: u64,
+}
+
+impl Poll {
+    /// The schedule of a waiter that checks for free every `period_ns`
+    /// while its event's epoch still reads `seen`.
+    pub(crate) fn every(seen: u64, period_ns: u64, deadline_ns: u64) -> Poll {
+        Poll {
+            seen,
+            period_ns,
+            cap_ns: period_ns,
+            busy_ns: 0,
+            deadline_ns,
+        }
+    }
 }
 
 /// An [`Event`]'s notify count, shared with the executor its virtual
@@ -171,7 +187,10 @@ impl Epoch {
 }
 
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<dyn Executor>>> = const { RefCell::new(None) };
+    /// The executor, behind an `Rc`: a task takes it for a suspension
+    /// with a plain increment, and holds no borrow of this slot while it
+    /// is suspended.
+    static CURRENT: RefCell<Option<Rc<dyn Executor>>> = const { RefCell::new(None) };
     /// Virtual CPU time accrued by [`charge`] since the last yield.
     static PENDING_NS: Cell<u64> = const { Cell::new(0) };
 }
@@ -185,7 +204,7 @@ fn wall_epoch() -> Instant {
 /// Install `exec` as the calling thread's executor (what runs on the
 /// thread from now on is a virtual task of it). Returns a guard that
 /// uninstalls on drop.
-pub fn install(exec: Arc<dyn Executor>) -> InstallGuard {
+pub fn install(exec: Rc<dyn Executor>) -> InstallGuard {
     CURRENT.with(|c| *c.borrow_mut() = Some(exec));
     PENDING_NS.with(|p| p.set(0));
     InstallGuard { _priv: () }
@@ -204,8 +223,15 @@ impl Drop for InstallGuard {
 }
 
 /// The calling thread's executor, if it is a virtual task.
-pub fn current() -> Option<Arc<dyn Executor>> {
+pub fn current() -> Option<Rc<dyn Executor>> {
     CURRENT.with(|c| c.borrow().clone())
+}
+
+/// `f` of the calling thread's executor, through a borrow of its slot:
+/// for what never suspends.
+#[inline]
+fn with_current<R>(f: impl FnOnce(&dyn Executor) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_deref().map(f))
 }
 
 /// Whether the calling thread runs under a virtual-time executor. Only
@@ -217,15 +243,16 @@ pub(crate) fn is_virtual() -> bool {
 }
 
 /// Current time in nanoseconds: virtual time under an executor, wall
-/// time since a process-wide epoch otherwise. Reads the executor
-/// through a borrow of the thread's slot (no `Arc` clone): reading a
-/// clock never suspends.
+/// time since a process-wide epoch otherwise.
 #[inline]
 pub fn now_ns() -> u64 {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(e) => e.now_ns(),
-        None => wall_epoch().elapsed().as_nanos() as u64,
-    })
+    with_current(|e| e.now_ns()).unwrap_or_else(|| wall_epoch().elapsed().as_nanos() as u64)
+}
+
+/// The virtual cost of one bare [`yield_now`], under an executor.
+#[inline]
+pub(crate) fn yield_cost_ns() -> Option<u64> {
+    with_current(|e| e.yield_cost_ns())
 }
 
 /// Accrue `ns` of virtual CPU cost against the calling task, applied at
@@ -259,9 +286,10 @@ pub fn swap_pending(ns: u64) -> u64 {
 /// never yield.
 #[inline]
 pub fn flush_charge() {
-    if let Some(e) = current() {
-        let pending = take_pending();
-        if pending > 0 {
+    // Nothing is ever pending in threaded mode.
+    let pending = take_pending();
+    if pending > 0 {
+        if let Some(e) = current() {
             e.advance(pending);
         }
     }
@@ -369,17 +397,9 @@ impl Event {
         self.epoch.get()
     }
 
-    /// The schedule of a waiter that checks for free every `period_ns`
-    /// while this event's epoch still reads `seen`.
-    pub(crate) fn poll_every(&self, seen: u64, period_ns: u64, deadline_ns: u64) -> Poll {
-        Poll {
-            epoch: Arc::clone(&self.epoch),
-            seen,
-            period_ns,
-            cap_ns: period_ns,
-            busy_ns: 0,
-            deadline_ns,
-        }
+    /// The notify epoch itself, for [`Executor::sleep_polling`].
+    pub(crate) fn epoch_handle(&self) -> &Arc<Epoch> {
+        &self.epoch
     }
 
     fn ticket(&self) -> MutexGuard<'_, u64> {
@@ -405,12 +425,7 @@ impl Event {
             self.cv.notify_all();
         }
         if self.epoch.parked.load(Ordering::Relaxed) != 0 {
-            // A borrow, not a clone: `notified` never suspends.
-            CURRENT.with(|c| {
-                if let Some(exec) = &*c.borrow() {
-                    exec.notified(&self.epoch);
-                }
-            });
+            with_current(|exec| exec.notified(&self.epoch));
         }
     }
 
@@ -450,8 +465,8 @@ impl Event {
                 if exec.now_ns() > deadline_ns {
                     return None;
                 }
-                let poll = self.poll_every(seen, quantum_ns, deadline_ns);
-                exec.sleep_polling(take_pending().saturating_add(quantum_ns), poll);
+                let poll = Poll::every(seen, quantum_ns, deadline_ns);
+                exec.sleep_polling(take_pending().saturating_add(quantum_ns), &self.epoch, poll);
                 quiet = Some(seen);
             }
         }
@@ -601,20 +616,18 @@ pub enum Next {
     /// again.
     Again,
     /// The step found nothing to do: one idle round of the task's
-    /// [`AdaptiveBackoff`] ladder on the named event
-    /// ([`AdaptiveBackoff::idle_on`]), then step again. Every idle step
-    /// names the event that ends its idling: no stepper re-polls on a
-    /// timer.
+    /// [`AdaptiveBackoff`] ladder on the event it was spawned with
+    /// ([`AdaptiveBackoff::idle_on`]), then step again. That event ends
+    /// every idling of the task: no stepper re-polls on a timer.
     Idle(IdleOn),
     /// The task is over; its state is dropped.
     Done,
 }
 
-/// The arguments of [`AdaptiveBackoff::idle_on`], for [`Next::Idle`].
+/// The arguments of [`AdaptiveBackoff::idle_on`] on the stepper's event,
+/// for [`Next::Idle`].
 #[derive(Debug)]
 pub struct IdleOn {
-    /// The event that announces everything the step looks at.
-    pub event: Arc<Event>,
     /// [`Event::epoch`], read before the checks that found nothing.
     pub seen: u64,
     /// What every such empty step [`charge`]s, this one included.
@@ -629,9 +642,12 @@ pub struct IdleOn {
 pub struct StepperTask {
     step: Box<dyn FnMut() -> Next + Send>,
     idler: AdaptiveBackoff,
-    /// Event, epoch and deadline of the [`Next::Idle`] round being
-    /// slept inline.
-    asleep_on: Option<(Arc<Event>, u64, u64)>,
+    /// The event that announces everything the steps look at: every
+    /// [`Next::Idle`] round sleeps on it.
+    event: Arc<Event>,
+    /// Epoch and deadline of the [`Next::Idle`] round being slept
+    /// inline.
+    asleep_on: Option<(u64, u64)>,
 }
 
 /// What an executor running a stepper inline schedules after
@@ -640,9 +656,9 @@ pub struct StepperTask {
 pub enum Resume {
     /// Run it again after `ns`, as after [`Executor::advance`].
     After(u64),
-    /// Sleep `first_ns`, then the poll schedule, as in
-    /// [`Executor::sleep_polling`]; pass the polls slept through to the
-    /// next `run_inline`.
+    /// Sleep `first_ns`, then the poll schedule on the stepper's event
+    /// ([`StepperTask::epoch`]), as in [`Executor::sleep_polling`]; pass
+    /// the polls slept through to the next `run_inline`.
     Polling(u64, Poll),
     /// The task is over and its state dropped.
     Done,
@@ -661,7 +677,7 @@ impl StepperTask {
                 }
                 Next::Idle(on) => {
                     self.idler
-                        .idle_on(&on.event, on.seen, on.busy_ns, on.deadline_ns)
+                        .idle_on(&self.event, on.seen, on.busy_ns, on.deadline_ns)
                 }
                 Next::Done => return,
             }
@@ -682,9 +698,9 @@ impl StepperTask {
     /// so that whatever the destructors do (charge, read the clock) is
     /// done outside the executor's locks and charged to nobody.
     pub fn run_inline(&mut self, slept: u64) -> std::thread::Result<Resume> {
-        if let Some((event, seen, deadline_ns)) = self.asleep_on.take() {
+        if let Some((seen, deadline_ns)) = self.asleep_on.take() {
             // A wake past the deadline may find work nobody announced.
-            let quiet = event.epoch() == seen && now_ns() <= deadline_ns;
+            let quiet = self.event.epoch() == seen && now_ns() <= deadline_ns;
             self.idler.slept_through(slept, quiet);
         }
         struct Lender(u64);
@@ -701,6 +717,12 @@ impl StepperTask {
         outcome
     }
 
+    /// The notify epoch of the event the stepper idles on, for the
+    /// executor that sleeps its [`Resume::Polling`] rounds.
+    pub fn epoch(&self) -> &Arc<Epoch> {
+        &self.event.epoch
+    }
+
     fn steps_until_a_wait(&mut self) -> Resume {
         loop {
             match (self.step)() {
@@ -715,8 +737,8 @@ impl StepperTask {
                 Next::Idle(on) => {
                     let (first, poll) =
                         self.idler
-                            .virtual_round_on(&on.event, on.seen, on.busy_ns, on.deadline_ns);
-                    self.asleep_on = Some((on.event, on.seen, on.deadline_ns));
+                            .virtual_round_on(on.seen, on.busy_ns, on.deadline_ns);
+                    self.asleep_on = Some((on.seen, on.deadline_ns));
                     return Resume::Polling(take_pending().saturating_add(first), poll);
                 }
                 Next::Done => return Resume::Done,
@@ -727,8 +749,9 @@ impl StepperTask {
 
 /// Spawn a service loop through the seam, given as its body: `step`
 /// runs one round and says what the loop does before the next
-/// ([`Next`]); `idler` is the loop's idle ladder. Whatever `step` owns
-/// is the task's state.
+/// ([`Next`]); `idler` is the loop's idle ladder, and `event` announces
+/// everything a step looks at, so every idle round sleeps on it.
+/// Whatever `step` owns is the task's state.
 ///
 /// In threaded mode, and under an executor that does nothing special,
 /// this is [`spawn`] of `loop { step }` ([`StepperTask::drive`]): the
@@ -742,11 +765,13 @@ impl StepperTask {
 pub fn spawn_stepper(
     name: &str,
     idler: AdaptiveBackoff,
+    event: Arc<Event>,
     step: impl FnMut() -> Next + Send + 'static,
 ) -> TaskHandle {
     let task = StepperTask {
         step: Box::new(step),
         idler,
+        event,
         asleep_on: None,
     };
     match current() {
@@ -864,7 +889,8 @@ mod tests {
         let state = Arc::new(Mutex::new((0, false)));
         let task = {
             let (event, state) = (Arc::clone(&event), Arc::clone(&state));
-            spawn_stepper("idle-on", AdaptiveBackoff::new(), move || {
+            let bell = Arc::clone(&event);
+            spawn_stepper("idle-on", AdaptiveBackoff::new(), bell, move || {
                 let seen = event.epoch();
                 let mut state = state.lock().unwrap();
                 state.0 += 1;
@@ -872,7 +898,6 @@ mod tests {
                     return Next::Done;
                 }
                 Next::Idle(IdleOn {
-                    event: Arc::clone(&event),
                     seen,
                     busy_ns: 0,
                     deadline_ns: u64::MAX,

@@ -144,9 +144,9 @@ pub fn backoff(spins: u32) {
 #[track_caller]
 pub fn spin_until<R>(event: &clock::Event, mut condition: impl FnMut() -> Option<R>) -> R {
     #[cfg(not(loom))]
-    if let Some(exec) = clock::current() {
+    if let Some(yield_ns) = clock::yield_cost_ns() {
         return event
-            .wait_until(u64::MAX, exec.yield_cost_ns(), condition)
+            .wait_until(u64::MAX, yield_ns, condition)
             .expect("a wait with no deadline ends with its condition");
     }
     let mut spins = 0u32;
@@ -267,14 +267,13 @@ impl AdaptiveBackoff {
         self.idle_rounds = 0;
     }
 
-    /// Count one idle round of the virtual ladder slept on `event`, and
-    /// return its sleep — doubling per idle round from
-    /// [`Self::VIRTUAL_FIRST_POLL_NS`] up to the cap — and the schedule
-    /// of the rounds an executor may sleep through after it (see
-    /// [`AdaptiveBackoff::idle_on`] for the arguments).
+    /// Count one idle round of the virtual ladder, and return its sleep
+    /// — doubling per idle round from [`Self::VIRTUAL_FIRST_POLL_NS`] up
+    /// to the cap — and the schedule of the rounds an executor may sleep
+    /// through after it (see [`AdaptiveBackoff::idle_on`] for the
+    /// arguments).
     fn virtual_round_on(
         &mut self,
-        event: &clock::Event,
         seen: u64,
         busy_ns: u64,
         deadline_ns: u64,
@@ -286,7 +285,7 @@ impl AdaptiveBackoff {
         let poll = clock::Poll {
             cap_ns: cap,
             busy_ns,
-            ..event.poll_every(seen, first.saturating_mul(2).min(cap), deadline_ns)
+            ..clock::Poll::every(seen, first.saturating_mul(2).min(cap), deadline_ns)
         };
         (first, poll)
     }
@@ -350,8 +349,9 @@ impl AdaptiveBackoff {
         #[cfg(not(loom))]
         {
             if let Some(exec) = clock::current() {
-                let (first, poll) = self.virtual_round_on(event, seen, busy_ns, deadline_ns);
-                let slept = exec.sleep_polling(clock::take_pending().saturating_add(first), poll);
+                let (first, poll) = self.virtual_round_on(seen, busy_ns, deadline_ns);
+                let first = clock::take_pending().saturating_add(first);
+                let slept = exec.sleep_polling(first, event.epoch_handle(), poll);
                 let quiet = event.epoch() == seen && exec.now_ns() <= deadline_ns;
                 self.slept_through(slept, quiet);
             } else if !self.spin_or_yield() {
