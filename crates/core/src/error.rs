@@ -35,6 +35,8 @@ pub enum FlockError {
     Timeout,
     /// A memory verb completed with an error status.
     RemoteOpFailed(&'static str),
+    /// The caller passed something the operation cannot use.
+    InvalidArgument(&'static str),
 }
 
 impl fmt::Display for FlockError {
@@ -56,6 +58,7 @@ impl fmt::Display for FlockError {
             FlockError::Disconnected => write!(f, "connection shut down"),
             FlockError::Timeout => write!(f, "operation timed out"),
             FlockError::RemoteOpFailed(s) => write!(f, "remote operation failed: {s}"),
+            FlockError::InvalidArgument(s) => write!(f, "invalid argument: {s}"),
         }
     }
 }

@@ -92,5 +92,5 @@ pub use qpool::{QpPool, QpPoolConfig, QpPoolStats};
 pub use nic::{NicStats, GRH_BYTES};
 pub use qp::Qp;
 pub use timing::CostModel;
-pub use types::{FabricError, Lkey, NodeId, QpNum, QpState, Result, Rkey, Transport, WrId};
+pub use types::{FabricError, KeyMap, Lkey, NodeId, QpNum, QpState, Result, Rkey, Transport, WrId};
 pub use verbs::{Completion, CqOpcode, CqStatus, RecvWr, RemoteAddr, SendOp, SendWr, Sge};

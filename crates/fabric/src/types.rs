@@ -25,16 +25,17 @@ pub struct Lkey(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rkey(pub u32);
 
-/// A hash map over the fabric's integer keys — node ids, QP numbers,
-/// connection-cache keys — that a verb looks up on its way through the
-/// NIC. Hashed with one multiply instead of SipHash: the keys are the
-/// fabric's own counters, so nothing needs SipHash's flooding
-/// resistance, and no map of these is iterated where order matters.
-pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+/// A hash map over integer keys a hot path looks up — the fabric's node
+/// ids, QP numbers and connection-cache keys on a verb's way through the
+/// NIC, FlockTX's row index. Hashed with one multiply instead of SipHash:
+/// the keys are the system's own counters and ids, so nothing needs
+/// SipHash's flooding resistance, and no map of these is iterated where
+/// order matters.
+pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// [`KeyMap`]'s hasher: Fibonacci hashing of integer keys.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {

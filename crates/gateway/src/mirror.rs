@@ -1,13 +1,14 @@
 //! The mirrored kv backend and its one-sided read client.
 //!
 //! [`register_kv_mirror_backend`] is [`crate::register_kv_backend`]
-//! plus a one-sided mirror: every SET, after updating the store,
+//! plus a one-sided mirror: every SET updates the store and, still
+//! under the store's stripe lock ([`KvStore::put_then`]),
 //! seqlock-publishes `[key: u64][value]` into a slot of an exported
 //! value segment (`flock_core::onesided::SegmentWriter`), carrying the
-//! store's own version word so RPC readers and one-sided readers agree
-//! on versions. Slots are keyed `key % slots`; on aliasing the slot
-//! holds the last writer and the embedded key tells a reader whether
-//! the slot is *its* key.
+//! version word that update produced so RPC readers and one-sided
+//! readers agree on versions. Slots are keyed `key % slots`; on
+//! aliasing the slot holds the last writer and the embedded key tells a
+//! reader whether the slot is *its* key.
 //!
 //! [`KvReadClient`] is the client side of the crossover experiment: a
 //! GET goes either through the coalesced RPC path or through a raw
@@ -61,12 +62,10 @@ pub fn register_kv_mirror_backend(
             return vec![TAG_MISS];
         };
         let value = &req[8..];
-        kv.put(key, value);
         // Mirror with the store's version word: one-sided readers see
         // the same version an RPC validator would. Oversize values
         // publish the bare key (a spill marker) so the slot never
         // retains a stale inline value — readers fall back to RPC.
-        let word = kv.version_word(key).unwrap_or(1);
         let slot = (key % u64::from(set_writer.slots())) as u32;
         let inline = if value.len() <= max_value as usize {
             value
@@ -76,9 +75,14 @@ pub fn register_kv_mirror_backend(
         let mut payload = Vec::with_capacity(KEY_PREFIX + inline.len());
         payload.extend_from_slice(&key.to_le_bytes());
         payload.extend_from_slice(inline);
-        // A full slot is impossible by construction (val_cap covers
-        // the prefix); an error here would mean a corrupt layout.
-        let _ = set_writer.publish_with_word(slot, &payload, word);
+        // Published under the store's stripe lock with the word this put
+        // made, so racing SETs of a key leave the slot holding the
+        // store's value and word. A full slot is impossible by
+        // construction (val_cap covers the prefix); an error here would
+        // mean a corrupt layout.
+        kv.put_then(key, value, |word| {
+            let _ = set_writer.publish_with_word(slot, &payload, word);
+        });
         vec![TAG_HIT]
     });
     Ok(writer)

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use flock_core::client::HandleConfig;
+use flock_core::onesided::{OneSidedReader, SlotLayout};
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{ConnectionHandle, FlockDomain};
 use flock_gateway::proto::MemcachedText;
@@ -124,6 +125,77 @@ fn adaptive_mode_stops_probing_when_values_grow() {
         "adaptive kept probing a spilling mirror: {} fallbacks",
         s.fallbacks
     );
+    server.shutdown(&domain);
+}
+
+/// Four client threads SET one key at once, on four dispatch shards;
+/// after every round the key's mirrored slot holds the store's value and
+/// word. A SET that re-read the word after the store's lock was dropped
+/// could publish its own value with the next SET's word, and one-sided
+/// GETs would serve a value the store no longer holds.
+#[test]
+fn racing_sets_leave_every_slot_with_the_stores_value_and_word() {
+    const THREADS: usize = 4;
+    const KEYS: u64 = 8;
+    const ROUNDS: u64 = 2_000;
+    let domain = FlockDomain::with_defaults();
+    let node = domain.add_node("node-m4");
+    let mut cfg = ServerConfig::default();
+    cfg.dispatch_threads = THREADS;
+    let server = FlockServer::listen(&domain, &node, "m4", cfg);
+    let kv = Arc::new(KvStore::new(KvConfig::default()));
+    register_kv_mirror_backend(&server, Arc::clone(&kv), 16, KEYS as u32).unwrap();
+    let handles: Vec<ConnectionHandle> = (0..THREADS)
+        .map(|t| {
+            let client = domain.add_node(&format!("c-m4-{t}"));
+            ConnectionHandle::connect(&domain, &client, "m4", HandleConfig::default()).unwrap()
+        })
+        .collect();
+    let barrier = std::sync::Barrier::new(THREADS);
+    let stale = std::thread::scope(|scope| {
+        let workers: Vec<_> = handles
+            .iter()
+            .enumerate()
+            .map(|(t, handle)| {
+                let (kv, barrier) = (&kv, &barrier);
+                scope.spawn(move || {
+                    let mut client = KvReadClient::new(handle, ReadMode::Rpc).unwrap();
+                    let lease = handle
+                        .fetch_exports(Some("kv-values"))
+                        .unwrap()
+                        .pop()
+                        .unwrap();
+                    let mut reader = OneSidedReader::new(lease).unwrap();
+                    let mut buf = vec![0u8; reader.layout().stride as usize];
+                    let mut stale = 0;
+                    for round in 0..ROUNDS {
+                        let key = round % KEYS;
+                        barrier.wait();
+                        client.set(key, &[t as u8; 8]).unwrap();
+                        barrier.wait();
+                        if t != 0 {
+                            continue;
+                        }
+                        let slot = reader
+                            .read_slot(client.thread(), key as u32, &mut buf)
+                            .unwrap();
+                        let body = &buf[SlotLayout::HEADER..][..slot.len];
+                        let (value, word) = kv.get(key).unwrap();
+                        if (&body[8..], slot.word) != (&value[..], word) {
+                            stale += 1;
+                        }
+                    }
+                    stale
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .sum::<usize>()
+    });
+    assert_eq!(stale, 0, "rounds whose slot disagreed with the store");
+    drop(handles);
     server.shutdown(&domain);
 }
 

@@ -1,5 +1,6 @@
 //! The partitioned store.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
@@ -107,10 +108,19 @@ impl KvStore {
     /// Insert or overwrite `key` (unconditional put; version bumps if the
     /// key exists).
     pub fn put(&self, key: u64, value: &[u8]) {
+        self.put_then(key, value, |_| ());
+    }
+
+    /// [`KvStore::put`], then `publish(word)` with the version word this
+    /// put produced, while the key's stripe is still locked: a mirror
+    /// that `publish` writes sees one key's puts in store order, each
+    /// with its own word.
+    pub fn put_then<R>(&self, key: u64, value: &[u8], publish: impl FnOnce(u64) -> R) -> R {
         let part = &self.partitions[self.partition_of(key)];
         let mut map = part.stripe(key).write();
-        match map.get_mut(&key) {
-            Some(e) => {
+        let word = match map.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let e = slot.get_mut();
                 // Unconditional puts ignore the lock (loader path).
                 let locked = e.is_locked();
                 // Overwrite in place: a put of the size the key already
@@ -119,11 +129,11 @@ impl KvStore {
                 e.value.clear();
                 e.value.extend_from_slice(value);
                 e.word = (e.version() + 1) | if locked { crate::LOCK_BIT } else { 0 };
+                e.word
             }
-            None => {
-                map.insert(key, VersionEntry::new(value.to_vec()));
-            }
-        }
+            Entry::Vacant(slot) => slot.insert(VersionEntry::new(value.to_vec())).word,
+        };
+        publish(word)
     }
 
     /// Read `key`: `(value, version word)` or `None`.

@@ -52,12 +52,10 @@ impl TxnEngine {
                 })
             })
             .collect();
-        let load: Vec<(u64, Vec<u8>)> = match &workload {
-            TxnWorkload::Tatp(t) => t.load_keys().collect(),
-            TxnWorkload::Smallbank(s) => s.load_keys().collect(),
-        };
-        for (k, v) in load {
-            stores[key_partition(k, n_servers)].put(k, &v);
+        let load = |k, v: &[u8]| stores[key_partition(k, n_servers)].put(k, v);
+        match &workload {
+            TxnWorkload::Tatp(t) => t.load_keys().for_each(|(k, v)| load(k, &v)),
+            TxnWorkload::Smallbank(s) => s.load_keys().for_each(|(k, v)| load(k, &v)),
         }
         TxnEngine {
             stores,

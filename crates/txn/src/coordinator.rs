@@ -353,18 +353,24 @@ impl Txn {
     }
 
     /// Phase 3: the new values go to both replicas of every written
-    /// partition.
+    /// partition. New values that miss a write-set key are an error,
+    /// raised before anything is sent.
     fn log(&mut self, threads: &[FlThread], new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
         self.phase = Phase::Log;
+        let mut write_set = self.groups.values().flat_map(|g| &g.writes);
+        if write_set.any(|k| !new_values.contains_key(k)) {
+            return Err(FlockError::InvalidArgument(
+                "compute returned no value for a write-set key",
+            ));
+        }
         for (&server, g) in &mut self.groups {
             if g.writes.is_empty() {
                 continue;
             }
-            debug_assert!(g.writes.iter().all(|k| new_values.contains_key(k)));
             g.new_values = g
                 .writes
                 .iter()
-                .map(|&k| (k, new_values.get(&k).cloned().unwrap_or_default()))
+                .map(|&k| (k, new_values[&k].clone()))
                 .collect();
             let rpc = TxnRpc::Log {
                 txn_id: self.id,
@@ -443,7 +449,9 @@ impl TxnClient {
     /// execution-time values of both sets).
     ///
     /// Returns [`TxnOutcome::Aborted`] on lock conflicts or validation
-    /// failure; the caller retries. An error is returned only after every
+    /// failure; the caller retries. An error — a failed send, reply or
+    /// read, or `compute` leaving out a key of `writes`
+    /// ([`FlockError::InvalidArgument`]) — is returned only after every
     /// reply has been received and every lock the transaction is known to
     /// hold has been released.
     pub fn run<F>(&self, reads: &[u64], writes: &[u64], compute: F) -> Result<TxnOutcome>

@@ -4,9 +4,12 @@
 //!
 //! **FlockTX** — the distributed transaction system of the Flock paper's
 //! §8.5: optimistic concurrency control (OCC), two-phase commit (2PC), and
-//! 3-way primary-backup replication over a partitioned key-value store
-//! ([`flock_kvstore`]), communicating through Flock RPCs and one-sided
-//! reads.
+//! 3-way primary-backup replication over key-partitioned servers,
+//! communicating through Flock RPCs and one-sided reads. Each
+//! [`TxnServer`] keeps its partition in one row table (`table.rs`): a
+//! key's row holds its value, its version word (bit 63,
+//! [`flock_kvstore::LOCK_BIT`], is the lock) and the slot where clients
+//! read that word one-sidedly.
 //!
 //! A transaction (paper Figure 13) runs in four phases:
 //!
@@ -41,6 +44,7 @@
 pub mod coordinator;
 pub mod protocol;
 pub mod server;
+mod table;
 pub mod workloads;
 
 pub use coordinator::{PipelineStats, StripeLocks, TxnClient, TxnLogic, TxnOutcome};

@@ -2,15 +2,15 @@
 //! other partitions, and the version-word table exposed for one-sided
 //! validation.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use flock_core::server::FlockServer;
 use flock_fabric::MemoryRegion;
-use flock_kvstore::{KvConfig, KvStore};
-use parking_lot::Mutex;
+use flock_kvstore::LOCK_BIT;
 
 use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
+use crate::table::{Row, Table};
 
 /// Number of words in the exported stripe-lock table.
 pub(crate) const TXN_STRIPES: usize = 64;
@@ -30,91 +30,124 @@ pub fn export_stripe_locks(server: &FlockServer) -> flock_core::Result<usize> {
 
 /// Per-server FlockTX state.
 ///
-/// The server's primary data lives in a local [`KvStore`]; every entry's
-/// version word is mirrored into `version_mr` — the memory region the
-/// server attached for clients' one-sided validation reads (paper Fig. 13
-/// validation phase).
+/// The primary partition is one row table: a key's row holds its value,
+/// its version word and its slot, the index of the word's copy in
+/// `version_mr` — the memory region the server attached for clients'
+/// one-sided validation reads (paper Fig. 13 validation phase). A key
+/// gets its slot at its first [`TxnServer::load`], in load order. Every
+/// operation on a key takes its row's stripe lock once, and a change to
+/// the word is written to `version_mr` before that lock is released, so
+/// the region never shows a word older than the row's: a held lock is
+/// never published as unlocked. Lock order: stripe, then the region's
+/// buffer. Backups live in a second table of the same layout.
 pub struct TxnServer {
     /// This server's index among all servers.
     pub server_id: usize,
-    kv: KvStore,
+    primary: Table,
     /// Backup copies of partitions this server replicates.
-    backups: Mutex<HashMap<u64, Vec<u8>>>,
+    backups: Table,
     version_mr: Arc<MemoryRegion>,
-    slots: Mutex<SlotTable>,
-}
-
-struct SlotTable {
-    by_key: HashMap<u64, u64>,
-    next: u64,
-    capacity: u64,
+    /// The next unassigned slot.
+    next_slot: AtomicU32,
+    /// Slots `version_mr` holds.
+    slots: u32,
 }
 
 impl TxnServer {
     /// Create the server state. `version_mr` must be the region the
     /// enclosing [`FlockServer`] advertised at index 0.
     pub fn new(server_id: usize, version_mr: Arc<MemoryRegion>) -> Arc<TxnServer> {
-        let capacity = (version_mr.len() / 8) as u64;
+        let slots = u32::try_from(version_mr.len() / 8).unwrap_or(u32::MAX);
         Arc::new(TxnServer {
             server_id,
-            kv: KvStore::new(KvConfig {
-                partitions: 1,
-                stripes: 64,
-            }),
-            backups: Mutex::new(HashMap::new()),
+            primary: Table::new(),
+            backups: Table::new(),
             version_mr,
-            slots: Mutex::new(SlotTable {
-                by_key: HashMap::new(),
-                next: 0,
-                capacity,
-            }),
+            next_slot: AtomicU32::new(0),
+            slots,
         })
     }
 
-    /// Load a key directly (bootstrap; no locking, no replication).
+    /// Load a key directly (bootstrap; no locking, no replication). A
+    /// reload bumps the version and keeps the lock bit.
     pub fn load(&self, key: u64, value: &[u8]) {
-        self.kv.put(key, value);
-        self.mirror_word(key);
+        let mut s = self.primary.stripe(key);
+        let i = match s.find(key) {
+            Some(i) => {
+                let row = &mut s.rows[i];
+                row.word = ((row.word & !LOCK_BIT) + 1) | (row.word & LOCK_BIT);
+                s.set_value(i, value);
+                i
+            }
+            None => {
+                let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+                assert!(
+                    slot < self.slots,
+                    "version table exhausted; size the region for the key count"
+                );
+                s.push(key, 1, slot, value)
+            }
+        };
+        self.publish(&s.rows[i]);
     }
 
     /// Direct read (tests and verification).
     pub fn peek(&self, key: u64) -> Option<Vec<u8>> {
-        self.kv.get(key).map(|(v, _)| v)
+        let s = self.primary.stripe(key);
+        s.find(key).map(|i| s.value(i).to_vec())
     }
 
     /// Direct read of a backup copy (tests and verification).
     pub fn peek_backup(&self, key: u64) -> Option<Vec<u8>> {
-        self.backups.lock().get(&key).cloned()
+        let s = self.backups.stripe(key);
+        s.find(key).map(|i| s.value(i).to_vec())
     }
 
     /// The byte offset of `key`'s version word in the advertised region.
     #[cfg(test)]
     fn slot_of(&self, key: u64) -> Option<u64> {
-        self.slots.lock().by_key.get(&key).copied()
+        let s = self.primary.stripe(key);
+        s.find(key).map(|i| slot_offset(&s.rows[i]))
     }
 
-    fn slot_for(&self, key: u64) -> u64 {
-        let mut slots = self.slots.lock();
-        if let Some(&s) = slots.by_key.get(&key) {
-            return s;
+    /// Write `row`'s word to its slot; the caller holds its stripe.
+    fn publish(&self, row: &Row) {
+        self.version_mr
+            .write_u64(slot_offset(row) as usize, row.word)
+            .expect("slot within region");
+    }
+
+    /// OCC: lock `key` for writing; `false` if it is absent or locked.
+    fn try_lock(&self, key: u64) -> bool {
+        let mut s = self.primary.stripe(key);
+        let Some(i) = s.find(key) else { return false };
+        let row = &mut s.rows[i];
+        if row.word & LOCK_BIT != 0 {
+            return false;
         }
-        assert!(
-            slots.next < slots.capacity,
-            "version table exhausted; size the region for the key count"
-        );
-        let s = slots.next * 8;
-        slots.next += 1;
-        slots.by_key.insert(key, s);
-        s
+        row.word |= LOCK_BIT;
+        self.publish(row);
+        true
     }
 
-    /// Mirror the current version word of `key` into the validation MR.
-    fn mirror_word(&self, key: u64) {
-        if let Some(word) = self.kv.version_word(key) {
-            let slot = self.slot_for(key);
-            self.version_mr
-                .write_u64(slot as usize, word)
-                .expect("slot within region");
+    /// OCC: release `key`'s lock, version unchanged (abort).
+    fn unlock(&self, key: u64) {
+        let mut s = self.primary.stripe(key);
+        if let Some(i) = s.find(key) {
+            let row = &mut s.rows[i];
+            row.word &= !LOCK_BIT;
+            self.publish(row);
+        }
+    }
+
+    /// OCC: install `value`, bump the version, release the lock (commit).
+    fn commit(&self, key: u64, value: &[u8]) {
+        let mut s = self.primary.stripe(key);
+        if let Some(i) = s.find(key) {
+            let row = &mut s.rows[i];
+            row.word = ((row.word & !LOCK_BIT) + 1) & !LOCK_BIT;
+            s.set_value(i, value);
+            self.publish(&s.rows[i]);
         }
     }
 
@@ -123,27 +156,17 @@ impl TxnServer {
         match rpc {
             TxnRpc::Execute { reads, writes, .. } => {
                 // Lock the write set first; abort on any conflict.
-                let mut locked = Vec::with_capacity(writes.len());
-                let mut ok = true;
-                for &k in writes {
-                    if self.kv.try_lock(k) {
-                        self.mirror_word(k);
-                        locked.push(k);
-                    } else {
-                        ok = false;
-                        break;
+                for (n, &k) in writes.iter().enumerate() {
+                    if !self.try_lock(k) {
+                        for &k in &writes[..n] {
+                            self.unlock(k);
+                        }
+                        return TxnResp::Execute {
+                            ok: false,
+                            reads: Vec::new(),
+                            writes: Vec::new(),
+                        };
                     }
-                }
-                if !ok {
-                    for &k in &locked {
-                        self.kv.unlock(k);
-                        self.mirror_word(k);
-                    }
-                    return TxnResp::Execute {
-                        ok: false,
-                        reads: Vec::new(),
-                        writes: Vec::new(),
-                    };
                 }
                 let read_set = reads.iter().map(|&k| self.key_read(k)).collect();
                 let write_set = writes.iter().map(|&k| self.key_read(k)).collect();
@@ -156,23 +179,26 @@ impl TxnServer {
             TxnRpc::Log { writes, .. } => {
                 // Replicas apply to their backup copy; ordering follows
                 // the primary (paper §8.5.1 phase 3).
-                let mut backups = self.backups.lock();
                 for (k, v) in writes {
-                    backups.insert(*k, v.clone());
+                    let mut s = self.backups.stripe(*k);
+                    match s.find(*k) {
+                        Some(i) => s.set_value(i, v),
+                        None => {
+                            s.push(*k, 0, u32::MAX, v);
+                        }
+                    }
                 }
                 TxnResp::Ack
             }
             TxnRpc::Commit { writes, .. } => {
                 for (k, v) in writes {
-                    self.kv.update_and_unlock(*k, v);
-                    self.mirror_word(*k);
+                    self.commit(*k, v);
                 }
                 TxnResp::Ack
             }
             TxnRpc::Abort { writes, .. } => {
                 for &k in writes {
-                    self.kv.unlock(k);
-                    self.mirror_word(k);
+                    self.unlock(k);
                 }
                 TxnResp::Ack
             }
@@ -180,12 +206,13 @@ impl TxnServer {
     }
 
     fn key_read(&self, key: u64) -> KeyRead {
-        match self.kv.get(key) {
-            Some((value, word)) => KeyRead {
+        let s = self.primary.stripe(key);
+        match s.find(key) {
+            Some(i) => KeyRead {
                 key,
-                value: Some(value),
-                word,
-                slot: self.slot_for(key),
+                value: Some(s.value(i).to_vec()),
+                word: s.rows[i].word,
+                slot: slot_offset(&s.rows[i]),
             },
             None => KeyRead {
                 key,
@@ -208,6 +235,11 @@ impl TxnServer {
             });
         }
     }
+}
+
+/// The byte offset of `row`'s word in the validation region.
+fn slot_offset(row: &Row) -> u64 {
+    u64::from(row.slot) * 8
 }
 
 #[cfg(test)]
@@ -331,7 +363,50 @@ mod tests {
         });
         let word_after = s.version_mr.read_u64(slot).unwrap();
         assert_ne!(word_after, word_before);
-        assert_eq!(word_after & flock_kvstore::LOCK_BIT, 0);
+        assert_eq!(word_after & LOCK_BIT, 0);
+    }
+
+    /// Handlers on four OS threads lock, check and commit one key: while
+    /// a handler holds the lock, the region must say so. A word re-read
+    /// after the stripe lock is dropped and written later can land after
+    /// another handler's lock and publish "unlocked" under it, and then
+    /// a concurrent transaction's one-sided validation would pass.
+    #[test]
+    fn a_held_lock_is_never_mirrored_unlocked() {
+        const ROUNDS: usize = 200_000;
+        let s = server();
+        s.load(1, b"v");
+        let slot = s.slot_of(1).unwrap() as usize;
+        let violations: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let s = &s;
+                    scope.spawn(move || {
+                        let mut violations = 0;
+                        for txn_id in 0..ROUNDS as u64 {
+                            let TxnResp::Execute { ok: true, .. } = s.handle(&TxnRpc::Execute {
+                                txn_id,
+                                reads: vec![],
+                                writes: vec![1],
+                            }) else {
+                                continue;
+                            };
+                            std::thread::yield_now();
+                            if s.version_mr.read_u64(slot).unwrap() & LOCK_BIT == 0 {
+                                violations += 1;
+                            }
+                            s.handle(&TxnRpc::Commit {
+                                txn_id,
+                                writes: vec![(1, vec![t])],
+                            });
+                        }
+                        violations
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(violations, 0, "a held lock was published unlocked");
     }
 
     #[test]

@@ -55,12 +55,12 @@ impl Tatp {
     }
 
     /// Keys (with initial 32-byte rows) to preload.
-    pub fn load_keys(&self) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
+    pub fn load_keys(&self) -> impl Iterator<Item = (u64, [u8; 32])> + '_ {
         use tatp_tables::*;
         (0..self.subscribers).flat_map(|id| {
             [SUBSCRIBER, ACCESS_INFO, SPECIAL_FACILITY, CALL_FORWARDING]
                 .into_iter()
-                .map(move |t| (Self::key(t, id), vec![(t as u8) ^ (id as u8); 32]))
+                .map(move |t| (Self::key(t, id), [(t as u8) ^ (id as u8); 32]))
         })
     }
 
@@ -143,13 +143,10 @@ impl Smallbank {
     }
 
     /// Keys (with initial 8-byte balances of 1000) to preload.
-    pub fn load_keys(&self) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
-        (0..self.accounts).flat_map(|a| {
-            [
-                (Self::savings(a), 1000u64.to_le_bytes().to_vec()),
-                (Self::checking(a), 1000u64.to_le_bytes().to_vec()),
-            ]
-        })
+    pub fn load_keys(&self) -> impl Iterator<Item = (u64, [u8; 8])> + '_ {
+        let balance = 1000u64.to_le_bytes();
+        (0..self.accounts)
+            .flat_map(move |a| [(Self::savings(a), balance), (Self::checking(a), balance)])
     }
 
     fn account(&self, rng: &mut SimRng) -> u64 {

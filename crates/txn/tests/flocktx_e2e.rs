@@ -655,6 +655,51 @@ fn an_error_mid_transaction_releases_its_locks() {
     b.shutdown(&domain);
 }
 
+/// New values that leave out a write-set key end the transaction with an
+/// error through the abort path: nothing is logged or committed, the
+/// locks are released, and no key is given an empty value.
+#[test]
+fn a_write_key_compute_left_out_aborts_with_an_error() {
+    let domain = FlockDomain::with_defaults();
+    let node = domain.add_node("omit-srv");
+    let server = FlockServer::listen(&domain, &node, "omit-srv", ServerConfig::default());
+    let idx = server.attach_mreg(1 << 12);
+    let ts = TxnServer::new(0, server.mem_region(idx).unwrap());
+    ts.register(&server);
+    let client_node = domain.add_node("omit-client");
+    let cfg = HandleConfig::default();
+    let handles = [Arc::new(
+        ConnectionHandle::connect(&domain, &client_node, "omit-srv", cfg).unwrap(),
+    )];
+    ts.load(1, b"one");
+    ts.load(2, b"two");
+
+    let client = TxnClient::new(&handles);
+    let err = client
+        .run(&[], &[1, 2], |_| HashMap::from([(1, b"new".to_vec())]))
+        .unwrap_err();
+    assert!(
+        matches!(err, flock_core::FlockError::InvalidArgument(_)),
+        "{err:?}"
+    );
+    assert_eq!(ts.peek(1).unwrap(), b"one");
+    assert_eq!(ts.peek(2).unwrap(), b"two", "the left-out key was written");
+    assert!(ts.peek_backup(1).is_none(), "the failed transaction logged");
+    let outcome = client
+        .run(&[], &[1, 2], |_| {
+            HashMap::from([(1, b"1".to_vec()), (2, b"2".to_vec())])
+        })
+        .unwrap();
+    assert!(
+        matches!(outcome, TxnOutcome::Committed(_)),
+        "the failed transaction left its keys locked"
+    );
+    assert_eq!(ts.peek(2).unwrap(), b"2");
+    drop(client);
+    drop(handles);
+    server.shutdown(&domain);
+}
+
 /// A connection handle stopped mid-run ends `run_pipelined`: server B
 /// never answers, and once B's handle stops with its Execute outstanding
 /// the poll reads `Disconnected`, every slot settles — the lock taken on
