@@ -11,16 +11,17 @@
 //!    wave's `fl_disconnect` recycled. Reported as time-to-first-RPC
 //!    (TTFR: connect + thread registration + first echo), cold vs warm.
 //! 2. **Steady churn under load** — a fixed cohort drives pipelined RPCs
-//!    while churner clients connect, issue a few requests, and detach in
-//!    a loop. The same workload runs once more without churners; the p99
-//!    disturbance ratio says what connection churn costs established
+//!    for a fixed virtual duration while churner clients connect, issue a
+//!    few requests, and detach in a loop; every churner round ends inside
+//!    that window. The same workload runs once more without churners; the
+//!    p99 disturbance ratio says what connection churn costs established
 //!    traffic.
 //! 3. **Server scale-out** — two eager multi-QP senders split a MAX_AQP
 //!    budget; one departs mid-run. The survivor's active-QP share before
 //!    and after shows the departing sender's share migrating at detach
 //!    (not at the next utilization epoch).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
@@ -42,8 +43,9 @@ pub struct ChurnWorkload {
     pub storm_clients: usize,
     /// Established clients driving load during the churn scenario.
     pub steady_clients: usize,
-    /// Requests each steady client issues.
-    pub reqs_per_steady: u64,
+    /// Virtual µs the steady cohort drives load for, from the moment the
+    /// churners start; long enough to cover every churner round.
+    pub steady_us: u64,
     /// Pipelined requests in flight per steady client.
     pub window: usize,
     /// Churner clients cycling connect → RPC → disconnect.
@@ -62,7 +64,7 @@ impl ChurnWorkload {
             ChurnWorkload {
                 storm_clients: 6,
                 steady_clients: 3,
-                reqs_per_steady: 24,
+                steady_us: 1_500,
                 window: 4,
                 churners: 2,
                 churn_rounds: 2,
@@ -72,7 +74,7 @@ impl ChurnWorkload {
             ChurnWorkload {
                 storm_clients: 24,
                 steady_clients: 6,
-                reqs_per_steady: 96,
+                steady_us: 3_000,
                 window: 4,
                 churners: 4,
                 churn_rounds: 5,
@@ -242,6 +244,10 @@ pub struct ChurnOutcome {
     pub churners: usize,
     /// Completed connect → RPC → disconnect cycles.
     pub churn_events: u64,
+    /// When the last cycle completed, virtual µs into the steady window.
+    pub last_churn_us: f64,
+    /// Steady-cohort requests completed under churn.
+    pub steady_reqs: u64,
     /// Steady-cohort p99 latency with no churn (virtual µs).
     pub baseline_p99_us: f64,
     /// Steady-cohort p99 latency under churn (virtual µs).
@@ -261,9 +267,10 @@ pub struct ChurnOutcome {
 }
 
 /// One measured run: steady cohort latencies, optionally with churners.
-/// Returns (sorted latencies ns, churn events, the lab's report).
-fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
-    let ((lats, events), report) = VirtualLab::run_report(move || {
+/// Returns (sorted latencies ns, churn events, ns from the start of the
+/// steady window to the last churn event, the lab's report).
+fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabReport) {
+    let ((lats, events, last_churn_ns), report) = VirtualLab::run_report(move || {
         let domain = Arc::new(FlockDomain::new(elastic_fabric()));
         let server_node = domain.add_node("churn-srv");
         let mut scfg = ServerConfig::default();
@@ -272,7 +279,9 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
         let server = FlockServer::listen(&domain, &server_node, "churn-load", scfg);
         server.reg_handler(1, |req| req.to_vec());
 
-        let go = Arc::new(AtomicBool::new(false));
+        // The start gate: 0 until the steady window opens, then the
+        // virtual instant it closes.
+        let go = Arc::new(AtomicU64::new(0));
         let ready = Arc::new(AtomicUsize::new(0));
         type SteadyResults = Arc<Mutex<Vec<(usize, Vec<u64>)>>>;
         let results: SteadyResults = Arc::new(Mutex::new(Vec::new()));
@@ -289,18 +298,18 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
                     fl_connect(&domain, &node, "churn-load", churn_handle_cfg()).expect("connect");
                 let t = handle.register_thread();
                 ready.fetch_add(1, Ordering::Release);
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
+                let deadline = loop {
+                    match go.load(Ordering::Acquire) {
+                        0 => clock::sleep_ns(5_000),
+                        deadline => break deadline,
+                    }
+                };
                 let payload = vec![c as u8; w.payload];
-                let mut lats = Vec::with_capacity(w.reqs_per_steady as usize);
+                let mut lats = Vec::new();
                 let mut window: Vec<(u64, u64)> = Vec::with_capacity(w.window);
-                let mut left = w.reqs_per_steady;
-                while left > 0 {
-                    let burst = (w.window as u64).min(left);
-                    left -= burst;
+                while clock::now_ns() < deadline {
                     window.clear();
-                    for _ in 0..burst {
+                    for _ in 0..w.window {
                         let at = clock::now_ns();
                         let seq = t.send_rpc(1, &payload).expect("send");
                         window.push((seq, at));
@@ -316,14 +325,16 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
         }
 
         let churn_events = Arc::new(AtomicUsize::new(0));
+        let last_churn_at = Arc::new(AtomicU64::new(0));
         if with_churn {
             for k in 0..w.churners {
                 let domain = Arc::clone(&domain);
                 let go = Arc::clone(&go);
                 let churn_events = Arc::clone(&churn_events);
+                let last_churn_at = Arc::clone(&last_churn_at);
                 tasks.push(clock::spawn(&format!("churner-{k}"), move || {
                     let node = domain.add_node(&format!("churner-c{k}"));
-                    while !go.load(Ordering::Acquire) {
+                    while go.load(Ordering::Acquire) == 0 {
                         clock::sleep_ns(5_000);
                     }
                     for round in 0..w.churn_rounds {
@@ -339,6 +350,7 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
                         drop(t);
                         handle.close().expect("churner disconnect");
                         churn_events.fetch_add(1, Ordering::Relaxed);
+                        last_churn_at.fetch_max(clock::now_ns(), Ordering::Relaxed);
                         clock::sleep_ns(20_000);
                     }
                 }));
@@ -348,7 +360,8 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
         while ready.load(Ordering::Acquire) < w.steady_clients {
             clock::sleep_ns(10_000);
         }
-        go.store(true, Ordering::Release);
+        let start = clock::now_ns();
+        go.store(start + w.steady_us * 1_000, Ordering::Release);
         for t in tasks {
             let _ = t.join();
         }
@@ -364,22 +377,39 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, LabReport) {
         collected.sort_unstable_by_key(|(c, _)| *c);
         let mut all: Vec<u64> = collected.into_iter().flat_map(|(_, l)| l).collect();
         all.sort_unstable();
-        (all, churn_events.load(Ordering::Relaxed) as u64)
+        let last_churn_ns = last_churn_at.load(Ordering::Relaxed).saturating_sub(start);
+        (
+            all,
+            churn_events.load(Ordering::Relaxed) as u64,
+            last_churn_ns,
+        )
     });
-    (lats, events, report)
+    (lats, events, last_churn_ns, report)
 }
 
 /// Run the churn-under-load scenario: once with churners, once without,
 /// same steady workload.
+///
+/// # Panics
+///
+/// If a churner round ends after the steady window: `steady_us` no
+/// longer covers the churn, and the ratio would measure quiet time.
 pub fn run_churn_load(w: ChurnWorkload) -> ChurnOutcome {
-    let (churn_lats, events, report) = churn_run(w, true);
-    let (base_lats, _, _) = churn_run(w, false);
+    let (churn_lats, events, last_churn_ns, report) = churn_run(w, true);
+    let (base_lats, _, _, _) = churn_run(w, false);
+    assert!(
+        last_churn_ns < w.steady_us * 1_000,
+        "the last churn event at {last_churn_ns} ns lands after the {} µs steady window",
+        w.steady_us
+    );
     let baseline_p99_us = percentile_us(&base_lats, 0.99);
     let churn_p99_us = percentile_us(&churn_lats, 0.99);
     ChurnOutcome {
         steady_clients: w.steady_clients,
         churners: w.churners,
         churn_events: events,
+        last_churn_us: last_churn_ns as f64 / 1e3,
+        steady_reqs: churn_lats.len() as u64,
         baseline_p99_us,
         churn_p99_us,
         baseline_median_us: percentile_us(&base_lats, 0.5),
@@ -596,10 +626,12 @@ fn render(
             "churn",
             object(vec![
                 ("steady_clients", churn.steady_clients.into()),
-                ("reqs_per_steady", w.reqs_per_steady.into()),
+                ("steady_us", w.steady_us.into()),
                 ("window", w.window.into()),
+                ("steady_reqs", churn.steady_reqs.into()),
                 ("churners", churn.churners.into()),
                 ("churn_events", churn.churn_events.into()),
+                ("last_churn_us", float(churn.last_churn_us, 2)),
                 ("baseline_median_us", float(churn.baseline_median_us, 2)),
                 ("baseline_p99_us", float(churn.baseline_p99_us, 2)),
                 ("churn_median_us", float(churn.churn_median_us, 2)),

@@ -3,9 +3,10 @@
 //! boundary), the TCQ against the mutex it replaces (the §2.2
 //! "lock-based sharing is up to 2.3× slower" pair; uncontended here, the
 //! contended, cluster-scale version is Figure 9), the kvstore OCC cycle,
-//! and an echo through the *threaded* stack (real TCQ, rings and
-//! dispatchers on OS threads, no virtual time). The codec, kvstore and
-//! index lookups are `probe.*` metrics of `benchmark/`.
+//! a FlockTX server's TATP preload at the paper's scale (ns and resident
+//! bytes per key), and an echo through the *threaded* stack (real TCQ,
+//! rings and dispatchers on OS threads, no virtual time). The codec,
+//! kvstore and index lookups are `probe.*` metrics of `benchmark/`.
 //!
 //! Host time is not a function of the tree, so the row has no checked-in
 //! file: `flock-bench micro` prints it, `--check` leaves it out. The
@@ -25,8 +26,9 @@ use flock_core::{ConnectionHandle, FlockDomain};
 use flock_fabric::{Access, MrTable};
 use flock_kvstore::{KvConfig, KvStore};
 use flock_sync::clock;
+use flock_txn::{Tatp, TxnServer};
 
-use crate::json::{array, float, inline, object};
+use crate::json::{array, float, inline, object, Value};
 use crate::SuiteRun;
 
 const CANARY: u64 = 0x1234;
@@ -89,6 +91,34 @@ fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
     })
 }
 
+/// Preload one FlockTX server with `subscribers` TATP subscribers (four
+/// 32-byte rows each) into a version region sized for them: host ns per
+/// key and, where `/proc` tells, resident bytes per key, region words
+/// included.
+fn txn_load_tatp(subscribers: u64) -> (f64, Option<f64>) {
+    let keys = subscribers * 4;
+    let region = MrTable::new().register(keys as usize * 8, Access::REMOTE_ALL);
+    let server = TxnServer::new(0, region);
+    let tatp = Tatp::new(subscribers);
+    let before = rss_bytes();
+    let ns = ns_per_op(keys, || {
+        tatp.load_keys()
+            .for_each(|(key, row)| server.load(key, &row));
+    });
+    let bytes = before
+        .zip(rss_bytes())
+        .map(|(before, after)| after.saturating_sub(before) as f64 / keys as f64);
+    (ns, bytes)
+}
+
+/// This process's resident set size in bytes (`VmRSS`), on Linux.
+fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    let kb: u64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Closed-loop echo RPCs through the threaded stack: `clients` handles of
 /// two QPs, `threads` each, `pipeline` requests in flight per thread.
 fn native_echo(clients: usize, threads: usize, pipeline: u64, ops_per_thread: u64) -> f64 {
@@ -142,6 +172,10 @@ fn native_echo(clients: usize, threads: usize, pipeline: u64, ops_per_thread: u6
 pub fn run_suite(quick: bool) -> SuiteRun {
     let iters: u64 = if quick { 2_000 } else { 1_000_000 };
     let echo_ops: u64 = if quick { 50 } else { 2_000 };
+    // The paper's TATP point: 1 M subscribers, 4 M rows per server. It
+    // runs first, so no freed heap of another row absorbs its growth.
+    let subscribers: u64 = if quick { 10_000 } else { 1_000_000 };
+    let (load_ns, load_bytes) = txn_load_tatp(subscribers);
 
     let tcq: Tcq<u64> = Tcq::new(16);
     // The FaRM-style alternative: serialize each send under a lock.
@@ -176,28 +210,25 @@ pub fn run_suite(quick: bool) -> SuiteRun {
             }),
         ),
     ];
-    let mut ops = loops.len() as u64 * iters;
-    let mut rows: Vec<(String, f64)> = loops.map(|(name, ns)| (name.to_string(), ns)).into();
+    let row = |name: &str, ns: f64| vec![("name", Value::from(name)), ("ns_per_op", float(ns, 1))];
+    let mut ops = loops.len() as u64 * iters + subscribers * 4;
+    let mut rows: Vec<_> = loops.iter().map(|&(name, ns)| row(name, ns)).collect();
+    let mut load_row = row("txn_load_tatp", load_ns);
+    load_row.extend(load_bytes.map(|b| ("bytes_per_key", float(b, 1))));
+    rows.push(load_row);
     for (clients, threads, pipeline) in [(1, 1, 1), (1, 4, 4), (2, 4, 4), (2, 4, 8)] {
-        rows.push((
-            format!("native_echo_{clients}c_{threads}t_{pipeline}deep"),
-            native_echo(clients, threads, pipeline, echo_ops),
-        ));
+        let name = format!("native_echo_{clients}c_{threads}t_{pipeline}deep");
+        let ns = native_echo(clients, threads, pipeline, echo_ops);
+        rows.push(row(&name, ns));
         ops += (clients * threads) as u64 * echo_ops;
     }
 
-    let row = |(name, ns): &(String, f64)| {
-        inline(object(vec![
-            ("name", name.as_str().into()),
-            ("ns_per_op", float(*ns, 1)),
-        ]))
-    };
     SuiteRun {
         doc: object(vec![
             ("schema", "flock-bench-micro/v1".into()),
             ("quick", quick.into()),
             ("executor", "threaded".into()),
-            ("rows", array(rows.iter().map(row))),
+            ("rows", array(rows.into_iter().map(|r| inline(object(r))))),
         ]),
         ops,
         handovers: 0,

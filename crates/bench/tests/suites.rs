@@ -42,12 +42,13 @@ fn check_takes_exactly_the_gated_rows() {
 }
 
 /// Every loop of the `micro` row, as `flock-bench micro` names it.
-const MICRO_ROWS: [&str; 9] = [
+const MICRO_ROWS: [&str; 10] = [
     "ring_produce_consume_64B",
     "ring_wrap_boundary_1600B",
     "tcq_join_complete_uncontended",
     "mutex_lock_send_uncontended",
     "kvstore_occ_cycle",
+    "txn_load_tatp",
     "native_echo_1c_1t_1deep",
     "native_echo_1c_4t_4deep",
     "native_echo_2c_4t_4deep",
@@ -71,12 +72,21 @@ fn quick_micro_prints_every_row_and_writes_nothing() {
             .find(&key)
             .unwrap_or_else(|| panic!("no row {name}:\n{printed}"));
         let rest = &printed[at + key.len()..];
-        let ns: f64 = rest[..rest.find('}').expect("row closes")]
+        let ns: f64 = rest[..rest.find([',', '}']).expect("row closes")]
             .parse()
             .unwrap_or_else(|e| panic!("{name}: {e}:\n{printed}"));
         assert!(ns.is_finite() && ns > 0.0, "{name}: {ns} ns/op");
     }
     assert_eq!(printed.matches("\"ns_per_op\"").count(), MICRO_ROWS.len());
+    if cfg!(target_os = "linux") {
+        let key = "\"bytes_per_key\": ";
+        let at = printed
+            .find(key)
+            .expect("the TATP preload reports its bytes per key");
+        let rest = &printed[at + key.len()..];
+        let bytes: f64 = rest[..rest.find('}').expect("row closes")].parse().unwrap();
+        assert!(bytes.is_finite() && bytes > 0.0, "{bytes} B/key");
+    }
     let written = std::fs::read_dir(&dir).expect("temp dir").count();
     std::fs::remove_dir_all(&dir).expect("temp dir");
     assert_eq!(written, 0, "micro has no file to write");
@@ -182,10 +192,11 @@ fn warm_wave_beats_cold_wave() {
 #[test]
 fn churn_disturbance_is_bounded() {
     // Steady-cohort p99 under connect/disconnect churn stays within 20%
-    // of the no-churn baseline (quiescence never stalls dispatch).
+    // of the no-churn baseline (quiescence never stalls dispatch);
+    // `run_churn_load` panics if a churn event lands after the steady
+    // cohort's window.
     let mut w = ChurnWorkload::preset(true);
     w.steady_clients = 2;
-    w.reqs_per_steady = 16;
     w.churners = 2;
     w.churn_rounds = 2;
     let churn = run_churn_load(w);

@@ -7,9 +7,9 @@
 //! 3-way primary-backup replication over key-partitioned servers,
 //! communicating through Flock RPCs and one-sided reads. Each
 //! [`TxnServer`] keeps its partition in one row table (`table.rs`): a
-//! key's row holds its value, its version word (bit 63,
-//! [`flock_kvstore::LOCK_BIT`], is the lock) and the slot where clients
-//! read that word one-sidedly.
+//! key's row holds its value and the slot of its version word (bit 63,
+//! [`flock_kvstore::LOCK_BIT`], is the lock) in the region clients read
+//! one-sidedly; the word lives there and nowhere else.
 //!
 //! A transaction (paper Figure 13) runs in four phases:
 //!

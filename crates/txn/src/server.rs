@@ -10,7 +10,7 @@ use flock_fabric::MemoryRegion;
 use flock_kvstore::LOCK_BIT;
 
 use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
-use crate::table::{Row, Table};
+use crate::table::Table;
 
 /// Number of words in the exported stripe-lock table.
 pub(crate) const TXN_STRIPES: usize = 64;
@@ -30,16 +30,16 @@ pub fn export_stripe_locks(server: &FlockServer) -> flock_core::Result<usize> {
 
 /// Per-server FlockTX state.
 ///
-/// The primary partition is one row table: a key's row holds its value,
-/// its version word and its slot, the index of the word's copy in
-/// `version_mr` — the memory region the server attached for clients'
-/// one-sided validation reads (paper Fig. 13 validation phase). A key
-/// gets its slot at its first [`TxnServer::load`], in load order. Every
-/// operation on a key takes its row's stripe lock once, and a change to
-/// the word is written to `version_mr` before that lock is released, so
-/// the region never shows a word older than the row's: a held lock is
-/// never published as unlocked. Lock order: stripe, then the region's
-/// buffer. Backups live in a second table of the same layout.
+/// The primary partition is one row table: a key's row holds its value
+/// and its slot, the index of its version word in `version_mr` — the
+/// memory region the server attached for clients' one-sided validation
+/// reads (paper Fig. 13 validation phase). The word lives there and
+/// nowhere else. A key gets its slot at its first [`TxnServer::load`], in
+/// load order. Every operation on a key takes its row's stripe lock once
+/// and reads or changes the word with one access to the region under
+/// it, so a held lock is never seen as unlocked: there is no second copy
+/// to fall behind. Lock order: stripe, then the region's buffer. Backups
+/// live in a second table of the same layout, their slots unused.
 pub struct TxnServer {
     /// This server's index among all servers.
     pub server_id: usize,
@@ -72,82 +72,77 @@ impl TxnServer {
     /// reload bumps the version and keeps the lock bit.
     pub fn load(&self, key: u64, value: &[u8]) {
         let mut s = self.primary.stripe(key);
-        let i = match s.find(key) {
-            Some(i) => {
-                let row = &mut s.rows[i];
-                row.word = ((row.word & !LOCK_BIT) + 1) | (row.word & LOCK_BIT);
-                s.set_value(i, value);
-                i
-            }
-            None => {
-                let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-                assert!(
-                    slot < self.slots,
-                    "version table exhausted; size the region for the key count"
-                );
-                s.push(key, 1, slot, value)
-            }
-        };
-        self.publish(&s.rows[i]);
+        if let Some(slot) = s.set(key, value) {
+            self.update_word(slot, |w| ((w & !LOCK_BIT) + 1) | (w & LOCK_BIT));
+            return;
+        }
+        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            slot < self.slots,
+            "version table exhausted; size the region for the key count"
+        );
+        s.insert(key, slot, value);
+        self.update_word(slot, |_| 1);
     }
 
     /// Direct read (tests and verification).
     pub fn peek(&self, key: u64) -> Option<Vec<u8>> {
         let s = self.primary.stripe(key);
-        s.find(key).map(|i| s.value(i).to_vec())
+        s.get(key).map(|(_, value)| value.to_vec())
     }
 
     /// Direct read of a backup copy (tests and verification).
     pub fn peek_backup(&self, key: u64) -> Option<Vec<u8>> {
         let s = self.backups.stripe(key);
-        s.find(key).map(|i| s.value(i).to_vec())
+        s.get(key).map(|(_, value)| value.to_vec())
     }
 
     /// The byte offset of `key`'s version word in the advertised region.
     #[cfg(test)]
     fn slot_of(&self, key: u64) -> Option<u64> {
         let s = self.primary.stripe(key);
-        s.find(key).map(|i| slot_offset(&s.rows[i]))
+        s.get(key).map(|(slot, _)| slot_offset(slot))
     }
 
-    /// Write `row`'s word to its slot; the caller holds its stripe.
-    fn publish(&self, row: &Row) {
-        self.version_mr
-            .write_u64(slot_offset(row) as usize, row.word)
-            .expect("slot within region");
+    /// Replace `slot`'s word `w` with `f(w)` in one access to the region's
+    /// buffer; returns `w`. The caller holds the key's stripe.
+    fn update_word(&self, slot: u32, f: impl FnOnce(u64) -> u64) -> u64 {
+        let at = slot_offset(slot) as usize;
+        self.version_mr.with_write(|buf| {
+            let word: &mut [u8; 8] = (&mut buf[at..at + 8]).try_into().expect("one word");
+            let old = u64::from_le_bytes(*word);
+            *word = f(old).to_le_bytes();
+            old
+        })
     }
 
-    /// OCC: lock `key` for writing; `false` if it is absent or locked.
-    fn try_lock(&self, key: u64) -> bool {
-        let mut s = self.primary.stripe(key);
-        let Some(i) = s.find(key) else { return false };
-        let row = &mut s.rows[i];
-        if row.word & LOCK_BIT != 0 {
-            return false;
-        }
-        row.word |= LOCK_BIT;
-        self.publish(row);
-        true
+    /// OCC: lock `key` for writing and read it, in one visit to its
+    /// stripe; `None` if it is absent or locked.
+    fn lock_and_read(&self, key: u64) -> Option<KeyRead> {
+        let s = self.primary.stripe(key);
+        let (slot, value) = s.get(key)?;
+        let word = self.update_word(slot, |w| w | LOCK_BIT);
+        (word & LOCK_BIT == 0).then(|| KeyRead {
+            key,
+            value: Some(value.to_vec()),
+            word: word | LOCK_BIT,
+            slot: slot_offset(slot),
+        })
     }
 
     /// OCC: release `key`'s lock, version unchanged (abort).
     fn unlock(&self, key: u64) {
-        let mut s = self.primary.stripe(key);
-        if let Some(i) = s.find(key) {
-            let row = &mut s.rows[i];
-            row.word &= !LOCK_BIT;
-            self.publish(row);
+        let s = self.primary.stripe(key);
+        if let Some((slot, _)) = s.get(key) {
+            self.update_word(slot, |w| w & !LOCK_BIT);
         }
     }
 
     /// OCC: install `value`, bump the version, release the lock (commit).
     fn commit(&self, key: u64, value: &[u8]) {
         let mut s = self.primary.stripe(key);
-        if let Some(i) = s.find(key) {
-            let row = &mut s.rows[i];
-            row.word = ((row.word & !LOCK_BIT) + 1) & !LOCK_BIT;
-            s.set_value(i, value);
-            self.publish(&s.rows[i]);
+        if let Some(slot) = s.set(key, value) {
+            self.update_word(slot, |w| ((w & !LOCK_BIT) + 1) & !LOCK_BIT);
         }
     }
 
@@ -155,24 +150,24 @@ impl TxnServer {
     pub fn handle(&self, rpc: &TxnRpc) -> TxnResp {
         match rpc {
             TxnRpc::Execute { reads, writes, .. } => {
-                // Lock the write set first; abort on any conflict.
-                for (n, &k) in writes.iter().enumerate() {
-                    if !self.try_lock(k) {
-                        for &k in &writes[..n] {
-                            self.unlock(k);
+                // Lock and read the write set first; abort on any conflict.
+                let mut write_set: Vec<KeyRead> = Vec::with_capacity(writes.len());
+                for &k in writes {
+                    let Some(read) = self.lock_and_read(k) else {
+                        for read in &write_set {
+                            self.unlock(read.key);
                         }
                         return TxnResp::Execute {
                             ok: false,
                             reads: Vec::new(),
                             writes: Vec::new(),
                         };
-                    }
+                    };
+                    write_set.push(read);
                 }
-                let read_set = reads.iter().map(|&k| self.key_read(k)).collect();
-                let write_set = writes.iter().map(|&k| self.key_read(k)).collect();
                 TxnResp::Execute {
                     ok: true,
-                    reads: read_set,
+                    reads: reads.iter().map(|&k| self.key_read(k)).collect(),
                     writes: write_set,
                 }
             }
@@ -181,11 +176,8 @@ impl TxnServer {
                 // the primary (paper §8.5.1 phase 3).
                 for (k, v) in writes {
                     let mut s = self.backups.stripe(*k);
-                    match s.find(*k) {
-                        Some(i) => s.set_value(i, v),
-                        None => {
-                            s.push(*k, 0, u32::MAX, v);
-                        }
+                    if s.set(*k, v).is_none() {
+                        s.insert(*k, u32::MAX, v);
                     }
                 }
                 TxnResp::Ack
@@ -207,12 +199,15 @@ impl TxnServer {
 
     fn key_read(&self, key: u64) -> KeyRead {
         let s = self.primary.stripe(key);
-        match s.find(key) {
-            Some(i) => KeyRead {
+        match s.get(key) {
+            Some((slot, value)) => KeyRead {
                 key,
-                value: Some(s.value(i).to_vec()),
-                word: s.rows[i].word,
-                slot: slot_offset(&s.rows[i]),
+                value: Some(value.to_vec()),
+                word: self
+                    .version_mr
+                    .read_u64(slot_offset(slot) as usize)
+                    .expect("slot within region"),
+                slot: slot_offset(slot),
             },
             None => KeyRead {
                 key,
@@ -237,9 +232,9 @@ impl TxnServer {
     }
 }
 
-/// The byte offset of `row`'s word in the validation region.
-fn slot_offset(row: &Row) -> u64 {
-    u64::from(row.slot) * 8
+/// The byte offset of `slot`'s word in the validation region.
+fn slot_offset(slot: u32) -> u64 {
+    u64::from(slot) * 8
 }
 
 #[cfg(test)]

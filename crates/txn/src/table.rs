@@ -1,14 +1,13 @@
-//! FlockTX's row table: one row per key, the only copy of its version
-//! word and value.
+//! FlockTX's row table: one map from key to row per stripe.
 //!
-//! A table is [`STRIPES`] locked stripes. Each holds an index from key to
-//! row, dense rows of `{word, slot, value span}`, and a byte arena the
-//! spans point into, so no value is a heap allocation of its own. A
-//! value is overwritten in place when it fits its span; one that outgrows
-//! it moves to the arena's end and leaves its old bytes dead (FlockTX's
-//! values keep their size, so this is rare). The index hashes with one
-//! multiply ([`KeyMap`]): keys come from the cluster's own loaders and
-//! coordinators, not from outside it.
+//! A table is [`STRIPES`] locked stripes, each one map from key to row
+//! (hashed with one multiply, [`KeyMap`]: keys come from the cluster's own
+//! loaders and coordinators) and a byte arena. A row is the key's slot and
+//! value: up to [`INLINE`] bytes inline, a longer value in a span of the
+//! arena, overwritten in place while it fits; one that outgrows its span
+//! moves to the arena's end and leaves its old bytes dead (FlockTX's
+//! values keep their size, so this is rare). A row holds no version word:
+//! the server keeps that in its validation region, at the row's slot.
 
 use flock_fabric::KeyMap;
 use parking_lot::{Mutex, MutexGuard};
@@ -16,77 +15,82 @@ use parking_lot::{Mutex, MutexGuard};
 /// Lock stripes per table.
 const STRIPES: usize = 64;
 
+/// The longest value a row holds inline.
+const INLINE: usize = 8;
+
 /// One key's row.
-pub(crate) struct Row {
-    /// Version/lock word: bit 63 ([`flock_kvstore::LOCK_BIT`]) is the
-    /// lock, the low bits a version counter.
-    pub(crate) word: u64,
-    /// Index of the row's word in the server's validation region (8-byte
-    /// words); unused in a backup table.
-    pub(crate) slot: u32,
-    /// The value: `len` bytes at `off` in the stripe's arena, in a span
-    /// of `cap` bytes.
-    off: u32,
+struct Row {
+    /// Index of the key's version word in the server's validation region
+    /// (8-byte words); unused in a backup table.
+    slot: u32,
     len: u32,
-    cap: u32,
+    /// The value when `len` is at most [`INLINE`], else its arena span:
+    /// offset and capacity, two little-endian `u32`s.
+    val: [u8; INLINE],
+}
+
+impl Row {
+    /// The arena span `(off, cap)` of a value too long to be inline.
+    fn span(&self) -> Option<(usize, usize)> {
+        let [a, b, c, d, e, f, g, h] = self.val;
+        let half = |bytes: [u8; 4]| u32::from_le_bytes(bytes) as usize;
+        (self.len as usize > INLINE).then(|| (half([a, b, c, d]), half([e, f, g, h])))
+    }
 }
 
 /// One stripe of a [`Table`].
 #[derive(Default)]
 pub(crate) struct Stripe {
-    /// Key → index into `rows`.
-    index: KeyMap<u64, u32>,
-    /// Dense rows, in insertion order.
-    pub(crate) rows: Vec<Row>,
-    /// Every row's value bytes.
+    rows: KeyMap<u64, Row>,
+    /// Every spanned value's bytes.
     arena: Vec<u8>,
 }
 
 impl Stripe {
-    /// The row index of `key`: one probe.
-    pub(crate) fn find(&self, key: u64) -> Option<usize> {
-        self.index.get(&key).map(|&i| i as usize)
+    /// `key`'s slot and value: one probe.
+    pub(crate) fn get(&self, key: u64) -> Option<(u32, &[u8])> {
+        let row = self.rows.get(&key)?;
+        let bytes = match row.span() {
+            Some((off, _)) => &self.arena[off..],
+            None => &row.val[..],
+        };
+        Some((row.slot, &bytes[..row.len as usize]))
     }
 
-    /// Row `i`'s value.
-    pub(crate) fn value(&self, i: usize) -> &[u8] {
-        let row = &self.rows[i];
-        &self.arena[row.off as usize..][..row.len as usize]
+    /// Set `key`'s value; returns its slot, or `None` if it has no row.
+    pub(crate) fn set(&mut self, key: u64, value: &[u8]) -> Option<u32> {
+        let row = self.rows.get_mut(&key)?;
+        store(&mut self.arena, row, value);
+        Some(row.slot)
     }
 
-    /// Set row `i`'s value: in place when it fits the row's span, else
-    /// in a new span at the arena's end.
-    pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
-        let row = &mut self.rows[i];
-        let len = u32::try_from(value.len()).expect("a value fits a u32 length");
-        if len > row.cap {
-            row.off = u32::try_from(self.arena.len()).expect("a stripe's arena fits u32 offsets");
-            row.cap = len;
-            self.arena.extend_from_slice(value);
-        } else {
-            self.arena[row.off as usize..][..value.len()].copy_from_slice(value);
-        }
-        row.len = len;
-    }
-
-    /// Add a row for `key`, which has none, holding `value`; returns its
-    /// index.
-    pub(crate) fn push(&mut self, key: u64, word: u64, slot: u32, value: &[u8]) -> usize {
-        let i = self.rows.len();
-        self.rows.push(Row {
-            word,
+    /// Add a row for `key`, which has none.
+    pub(crate) fn insert(&mut self, key: u64, slot: u32, value: &[u8]) {
+        let row = self.rows.entry(key).or_insert(Row {
             slot,
-            off: 0,
             len: 0,
-            cap: 0,
+            val: [0; INLINE],
         });
-        self.set_value(i, value);
-        self.index.insert(
-            key,
-            u32::try_from(i).expect("a stripe's rows fit u32 indices"),
-        );
-        i
+        store(&mut self.arena, row, value);
     }
+}
+
+/// Write `value` into `row`: inline when it is short, else in place when
+/// it fits the row's span, else in a new span at the arena's end.
+fn store(arena: &mut Vec<u8>, row: &mut Row, value: &[u8]) {
+    let n = value.len();
+    let len = u32::try_from(n).expect("a value fits a u32 length");
+    match row.span() {
+        _ if n <= INLINE => row.val[..n].copy_from_slice(value),
+        Some((off, cap)) if n <= cap => arena[off..][..n].copy_from_slice(value),
+        _ => {
+            let off = u32::try_from(arena.len()).expect("a stripe's arena fits u32 offsets");
+            let ([a, b, c, d], [e, f, g, h]) = (off.to_le_bytes(), len.to_le_bytes());
+            row.val = [a, b, c, d, e, f, g, h];
+            arena.extend_from_slice(value);
+        }
+    }
+    row.len = len;
 }
 
 /// A striped row table.
@@ -103,7 +107,7 @@ impl Table {
 
     /// Lock the stripe that holds `key`.
     pub(crate) fn stripe(&self, key: u64) -> MutexGuard<'_, Stripe> {
-        // The top bits of a Fibonacci product; the stripe's index hashes
+        // The top bits of a Fibonacci product; the stripe's map hashes
         // with the product's middle bits, so the two stay independent.
         let s = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STRIPES.trailing_zeros());
         self.stripes[s as usize].lock()
@@ -118,16 +122,17 @@ mod tests {
     fn values_are_overwritten_in_place_until_they_outgrow_their_span() {
         let t = Table::new();
         let mut s = t.stripe(3);
-        let i = s.push(3, 1, 0, b"four");
-        s.set_value(i, b"two");
-        assert_eq!(s.value(i), b"two");
-        s.set_value(i, b"four");
-        assert_eq!(s.value(i), b"four");
-        assert_eq!(s.arena.len(), 4, "a value within its span stays put");
-        s.set_value(i, b"longer");
-        assert_eq!(s.value(i), b"longer");
-        assert_eq!(s.arena.len(), 10, "an outgrown span moves to the end");
-        assert_eq!(s.find(3), Some(i));
-        assert_eq!(s.find(4), None);
+        s.insert(3, 5, b"ten bytes!");
+        assert_eq!(s.set(3, b"nine byte"), Some(5));
+        assert_eq!(s.get(3), Some((5, b"nine byte".as_slice())));
+        assert_eq!(s.arena.len(), 10, "a value within its span stays put");
+        s.set(3, b"eleven bytes");
+        assert_eq!(s.get(3), Some((5, b"eleven bytes".as_slice())));
+        assert_eq!(s.arena.len(), 22, "an outgrown span moves to the end");
+        s.set(3, b"short");
+        assert_eq!(s.get(3), Some((5, b"short".as_slice())));
+        assert_eq!(s.arena.len(), 22, "a short value is inline");
+        assert_eq!(s.set(4, b"x"), None);
+        assert_eq!(s.get(4), None);
     }
 }
