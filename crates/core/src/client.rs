@@ -269,17 +269,14 @@ pub(crate) struct HandleInner {
     cfg: HandleConfig,
     /// Control channel to the server (attach/detach after connect).
     ctrl: DoorbellSender<CtrlMsg>,
-    /// QP lanes, a dense prefix of which is materialized: slot `i` is set
-    /// iff `i < lane_count`. Slots are write-once, so the send path reads
-    /// a lane with no lock at all.
+    /// QP lanes, a dense prefix of which is materialized. Slots are
+    /// write-once, so the send path reads a lane with no lock at all.
     lanes: Vec<OnceLock<Arc<ClientQpCtx>>>,
-    /// Materialized-lane count. Stored with `Release` *after* the slot is
-    /// set; readers `Acquire` it before touching `lanes[..count]`.
-    lane_count: AtomicUsize,
-    /// Single-flight guard for lane attach (a `Mutex` would be held
-    /// across the control-plane round trip, which virtual-time tasks must
-    /// never do — losers wait on `dispatch_event` instead).
-    attach_busy: AtomicBool,
+    /// Single-flight lane attach. Only ever taken by `try_lock` inside a
+    /// wait on `dispatch_event` (`ensure_lanes`): the winner holds it
+    /// across the control-plane round trip, and a loser never blocks on
+    /// it — a virtual-time task must not.
+    attach: Mutex<()>,
     threads: RwLock<Vec<Arc<ThreadCtx>>>,
     /// Registered-thread count mirror of `threads.len()` (lock-free read
     /// on the send hot path, see [`HandleInner::boarding_window`]).
@@ -294,8 +291,8 @@ pub(crate) struct HandleInner {
     /// What the response dispatcher idles on. Everything its sweep looks
     /// at notifies it: the NIC after a write into a lane's response ring
     /// (the ring MR's doorbell), every lane's send CQ and the mem CQ on a
-    /// push, `lane_count` growing, and the stop flag. Threads waiting
-    /// for the `attach_busy` latch wait on it too.
+    /// push, a lane attached, and the stop flag. Threads waiting for a
+    /// lane attach wait on it too.
     dispatch_event: Arc<Event>,
     /// Fabric cost model: charges virtual CPU time for host-side work
     /// (doorbells, memcpys, polling) under a virtual-time executor;
@@ -308,7 +305,7 @@ pub(crate) struct HandleInner {
 }
 
 impl HandleInner {
-    /// The materialized lane at `idx` (must be `< lane_count`).
+    /// The materialized lane at `idx`.
     fn lane(&self, idx: usize) -> &Arc<ClientQpCtx> {
         self.lanes[idx].get().expect("lane not materialized")
     }
@@ -337,10 +334,7 @@ impl HandleInner {
 
     /// Iterate the materialized lanes (the dense prefix).
     fn lanes_live(&self) -> impl Iterator<Item = &Arc<ClientQpCtx>> {
-        let n = self.lane_count.load(Ordering::Acquire);
-        self.lanes[..n]
-            .iter()
-            .map(|slot| slot.get().expect("dense lane prefix"))
+        self.lanes.iter().map_while(OnceLock::get)
     }
 
     /// Lease one lane's local resources: a QP whose completions, and a
@@ -459,8 +453,7 @@ impl ConnectionHandle {
             cfg: cfg.clone(),
             ctrl,
             lanes,
-            lane_count: AtomicUsize::new(init_lanes),
-            attach_busy: AtomicBool::new(false),
+            attach: Mutex::new(()),
             threads: RwLock::new(Vec::new()),
             thread_count: AtomicUsize::new(0),
             mem_regions: reply.memory_regions,
@@ -581,7 +574,7 @@ impl ConnectionHandle {
         let wanted = ctx.id as usize % self.inner.cfg.n_qps;
         let wanted = match ensure_lanes(&self.inner, wanted) {
             Ok(()) => wanted,
-            Err(_) => ctx.id as usize % self.inner.lane_count.load(Ordering::Acquire).max(1),
+            Err(_) => ctx.id as usize % self.inner.lanes_live().count().max(1),
         };
         // Never start on a lane the server has deactivated while another
         // is open. With none open (a deactivation overtook the activation
@@ -591,7 +584,7 @@ impl ConnectionHandle {
         let lane = if open(wanted) {
             wanted
         } else {
-            let live = self.inner.lane_count.load(Ordering::Acquire);
+            let live = self.inner.lanes_live().count();
             (0..live).find(|&lane| open(lane)).unwrap_or_else(|| {
                 self.inner.lane(wanted).residents.enter();
                 wanted
@@ -624,7 +617,7 @@ impl ConnectionHandle {
 
     /// Number of lanes actually materialized so far (≤ `cfg.n_qps`).
     pub fn materialized_qps(&self) -> usize {
-        self.inner.lane_count.load(Ordering::Acquire)
+        self.inner.lanes_live().count()
     }
 
     /// Mean coalescing degree observed across this handle's QPs.
@@ -1258,47 +1251,43 @@ fn build_lane_ctx(
 }
 
 /// Materialize lanes up to and including `want_idx` (clamped to
-/// `n_qps - 1`). Lanes attach densely in index order; concurrent callers
-/// single-flight through `attach_busy`, waiting on `dispatch_event`
-/// rather than holding a lock across the control-plane round trip.
+/// `n_qps - 1`). Lanes attach densely in index order, one caller at a
+/// time: the others wait on `dispatch_event` rather than on the `attach`
+/// lock, which the winner holds across the control-plane round trip.
 fn ensure_lanes(inner: &Arc<HandleInner>, want_idx: usize) -> Result<()> {
     let want = (want_idx + 1).min(inner.cfg.n_qps);
-    // `Ok(true)`: this caller holds the latch and attaches.
-    let latched = inner.dispatch_event.wait_until(u64::MAX, 500, || {
-        if inner.lane_count.load(Ordering::Acquire) >= want {
-            return Some(Ok(false));
+    // `Some(guard)`: this caller attaches.
+    let attach = inner.dispatch_event.wait_until(u64::MAX, 500, || {
+        if inner.lanes[want - 1].get().is_some() {
+            return Some(Ok(None));
         }
         if let Some(stopped) = inner.disconnected() {
             return Some(stopped);
         }
-        let latch =
-            inner
-                .attach_busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
-        latch.is_ok().then_some(Ok(true))
+        inner.attach.try_lock().map(|guard| Ok(Some(guard)))
     });
-    if !latched.expect("a wait with no deadline ends with its condition")? {
+    let Some(guard) = attach.expect("a wait with no deadline ends with its condition")? else {
         return Ok(());
-    }
+    };
     let mut result = Ok(());
-    while inner.lane_count.load(Ordering::Relaxed) < want {
+    while inner.lanes[want - 1].get().is_none() {
         result = attach_one_lane(inner);
         if result.is_err() {
             break;
         }
     }
-    inner.attach_busy.store(false, Ordering::Release);
+    drop(guard);
     // For the waiters the attach did not serve: their lane is further
-    // out, or the attach failed and moved no `lane_count`.
+    // out, or the attach failed and added none.
     inner.dispatch_event.notify_all();
     result
 }
 
 /// Attach the next lane: lease a QP and a cached response ring locally,
 /// round-trip the control channel, and publish the materialized lane.
-/// Caller holds the `attach_busy` single-flight flag.
+/// Caller holds the `attach` lock.
 fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
-    let idx = inner.lane_count.load(Ordering::Relaxed);
+    let idx = inner.lanes_live().count();
     let (qp, resp_mr) = HandleInner::lease_lane(&inner.node, &inner.cfg, &inner.dispatch_event);
     let (reply_tx, reply_rx) = reply_channel();
     let sent = inner
@@ -1324,7 +1313,6 @@ fn attach_one_lane(inner: &Arc<HandleInner>) -> Result<()> {
     let link = Link::new(&inner.node, qp, resp_mr, reply.request_ring);
     let ctx = build_lane_ctx(&inner.cfg, idx, link, reply.initial_credits);
     inner.lanes[idx].set(ctx).ok().expect("attach single-flight");
-    inner.lane_count.store(idx + 1, Ordering::Release);
     // One more ring in the dispatcher's sweep.
     inner.dispatch_event.notify_all();
     Ok(())

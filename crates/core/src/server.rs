@@ -109,20 +109,61 @@ struct ServerConn {
     /// Send CQ shared by this connection's QPs (drained once per
     /// dispatcher sweep).
     send_cq: Arc<CompletionQueue>,
-    /// The connection's QP lanes. Behind a lock because lanes attach
-    /// lazily (`CtrlMsg::Attach`) and leave in one batch at detach;
-    /// dispatchers never take it on the hot path — they clone the list
-    /// into their generation-stamped partition snapshot.
-    qps: RwLock<Vec<Arc<ServerQpCtx>>>,
+}
+
+/// A live connection's slot in the [`Topology`].
+struct ConnRecord {
+    conn: Arc<ServerConn>,
+    /// The connection's QP lanes: they attach lazily (`CtrlMsg::Attach`)
+    /// and leave in one batch at detach. Dispatch shards copy them into
+    /// their partition snapshot and never come back for them on the hot
+    /// path.
+    lanes: Vec<Arc<ServerQpCtx>>,
     /// Passive peers of the client's dedicated one-sided QPs
     /// ([`CtrlMsg::AttachMem`]). Never polled or dispatched — one-sided
     /// verbs complete on the requester's CQ — but each one is live NIC
     /// connection state on this node, competing for the connection
     /// cache exactly as the paper's crossover argument describes.
-    mem_qps: Mutex<Vec<Arc<Qp>>>,
-    /// Graceful-teardown tombstone: a departed connection stays in the
-    /// `conns` slot (indices are stable) but leaves every snapshot.
-    departed: AtomicBool,
+    mem_qps: Vec<Arc<Qp>>,
+}
+
+/// Connection membership and everything that changes with it: one lock
+/// ([`ServerInner::topology`]) for the control plane's rare events —
+/// connect, attach, detach, rebalance, handler registration. Never held
+/// across a wait, a yield or [`flush_response`]; lock order is
+/// `topology` before `qp_sched`.
+struct Topology {
+    /// Indexed by sender id; `None` once the connection departed.
+    slots: Vec<Option<ConnRecord>>,
+    /// Slot → dispatch shard. Seeded round-robin at accept time and
+    /// re-cut by the QP scheduler using active-QP weights (see
+    /// `rebalance_dispatch`).
+    assign: Vec<usize>,
+    /// Server QPN → (slot, lane), for the credit immediates.
+    qpns: HashMap<u32, (usize, usize)>,
+    handlers: Arc<HashMap<u32, Handler>>,
+    /// Bumped on every change above ([`ServerInner::publish`]);
+    /// [`ServerInner::generation`] mirrors it for the shards.
+    gen: u64,
+    /// `acked[w]`: the latest generation shard `w` adopted. Once every
+    /// entry reaches a detach's generation no shard holds the departed
+    /// lanes or defers a response on them.
+    acked: Vec<u64>,
+}
+
+impl Topology {
+    fn record(&self, sender: usize) -> Option<&ConnRecord> {
+        self.slots.get(sender)?.as_ref()
+    }
+
+    fn lane(&self, sender: usize, lane: usize) -> Option<&Arc<ServerQpCtx>> {
+        self.record(sender)?.lanes.get(lane)
+    }
+
+    fn record_mut(&mut self, sender: usize) -> Result<&mut ConnRecord> {
+        let slot = self.slots.get_mut(sender).and_then(Option::as_mut);
+        slot.ok_or(FlockError::Disconnected)
+    }
 }
 
 /// Aggregate server statistics.
@@ -184,31 +225,11 @@ struct ServerInner {
     /// work (polling, codec, handlers, doorbells) when running under a
     /// virtual-time executor. Charges are no-ops in threaded mode.
     cost: CostModel,
-    handlers: RwLock<HashMap<u32, Handler>>,
-    /// Handler-table generation: bumped (under the write lock) on every
-    /// registration so dispatchers refresh their handler snapshot only
-    /// when it actually changed, instead of taking the read lock per
-    /// polled message.
-    handlers_gen: AtomicU64,
-    conns: RwLock<Vec<Arc<ServerConn>>>,
-    /// Connection → dispatcher-worker assignment, indexed by connection
-    /// slot. Seeded round-robin at accept time and rebalanced by the QP
-    /// scheduler using active-QP weights (see `rebalance_dispatch`).
-    dispatch_assign: RwLock<Vec<usize>>,
-    /// Topology generation: bumped (under the respective write lock)
-    /// whenever connection membership *or* the dispatcher assignment
-    /// changes; lets each dispatcher cache its partition snapshot
-    /// instead of re-reading the shared tables on every sweep.
-    topo_gen: AtomicU64,
-    /// Quiescence acknowledgements: `dispatch_acks[w]` is the latest
-    /// topology generation worker `w` has folded into its partition
-    /// snapshot. Graceful teardown publishes a new generation and waits
-    /// for every worker's ack before recycling the departing
-    /// connection's QPs and rings — the only point where teardown
-    /// synchronizes with dispatch, and it blocks only the control plane.
-    dispatch_acks: Vec<AtomicU64>,
-    /// Notified after every `dispatch_acks` store and when the server
-    /// stops: what `detach_one`'s quiescence wait sleeps on.
+    topology: Mutex<Topology>,
+    /// [`Topology::gen`], read by every shard step without the lock.
+    generation: AtomicU64,
+    /// Notified after every [`Topology::acked`] write and when the
+    /// server stops: what `detach_one`'s quiescence wait sleeps on.
     acked: Event,
     /// One doorbell per dispatch shard, which an idle shard blocks on
     /// (in the lab: is parked on). The NIC rings it after every write
@@ -217,7 +238,6 @@ struct ServerInner {
     /// sweep looks at: a new topology generation, a silent lane
     /// reactivated, the stop ([`ServerInner::ring_shards`]).
     doorbells: Vec<Arc<Event>>,
-    qpn_map: RwLock<HashMap<u32, (usize, usize)>>,
     qp_sched: Mutex<QpScheduler>,
     mem_mrs: RwLock<Vec<Arc<MemoryRegion>>>,
     /// One-sided segment exports. Registered by the application via
@@ -243,13 +263,13 @@ impl ServerInner {
         }
     }
 
-    /// Publish a new topology generation — connection membership or the
-    /// dispatcher assignment changed — and ring every shard to fold it
-    /// in. Returns the generation.
-    fn publish_topology(&self) -> u64 {
-        let gen = self.topo_gen.fetch_add(1, Ordering::Release) + 1;
+    /// Publish a new topology generation — the caller changed `topo` —
+    /// and ring every shard to fold it in. Returns the generation.
+    fn publish(&self, topo: &mut Topology) -> u64 {
+        topo.gen += 1;
+        self.generation.store(topo.gen, Ordering::Release);
         self.ring_shards();
-        gen
+        topo.gen
     }
 }
 
@@ -274,23 +294,22 @@ impl FlockServer {
     ) -> FlockServer {
         let (manual_tx, manual_rx, manual_rung) = doorbell();
         let imm_cq = node.create_cq(4096);
+        let shards = cfg.dispatch_threads.max(1);
         let inner = Arc::new(ServerInner {
             node: Arc::clone(node),
             cfg: cfg.clone(),
             cost: domain.fabric().config().cost.clone(),
-            handlers: RwLock::new(HashMap::new()),
-            handlers_gen: AtomicU64::new(0),
-            conns: RwLock::new(Vec::new()),
-            dispatch_assign: RwLock::new(Vec::new()),
-            topo_gen: AtomicU64::new(0),
-            dispatch_acks: (0..cfg.dispatch_threads.max(1))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            topology: Mutex::new(Topology {
+                slots: Vec::new(),
+                assign: Vec::new(),
+                qpns: HashMap::new(),
+                handlers: Arc::default(),
+                gen: 0,
+                acked: vec![0; shards],
+            }),
+            generation: AtomicU64::new(0),
             acked: Event::new(),
-            doorbells: (0..cfg.dispatch_threads.max(1))
-                .map(|_| Arc::new(Event::new()))
-                .collect(),
-            qpn_map: RwLock::new(HashMap::new()),
+            doorbells: (0..shards).map(|_| Arc::new(Event::new())).collect(),
             qp_sched: Mutex::new(QpScheduler::new(cfg.sched.clone())),
             mem_mrs: RwLock::new(Vec::new()),
             exports: RwLock::new(Vec::new()),
@@ -312,7 +331,7 @@ impl FlockServer {
                 accept_loop(&inner, &accept_rx, &accept_rung)
             }));
         }
-        for worker in 0..cfg.dispatch_threads.max(1) {
+        for worker in 0..shards {
             let mut shard = DispatchShard::new(Arc::clone(&inner), worker);
             threads.push(clock::spawn_stepper(
                 &format!("fl-dispatch-{name}/{worker}"),
@@ -338,11 +357,9 @@ impl FlockServer {
 
     /// Register the handler for `rpc_id` (`fl_reg_handler`).
     pub fn reg_handler(&self, rpc_id: u32, f: impl Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static) {
-        let mut handlers = self.inner.handlers.write();
-        handlers.insert(rpc_id, Arc::new(f));
-        // Publish under the write lock: a dispatcher that observes the
-        // new generation and re-reads the table sees the registration.
-        self.inner.handlers_gen.fetch_add(1, Ordering::Release);
+        let mut topo = self.inner.topology.lock();
+        Arc::make_mut(&mut topo.handlers).insert(rpc_id, Arc::new(f));
+        self.inner.publish(&mut topo);
     }
 
     /// Register a memory region of `len` bytes for one-sided operations
@@ -401,13 +418,10 @@ impl FlockServer {
     /// (`fl_send_res`).
     pub fn send_res(&self, token: RpcToken, data: &[u8]) -> Result<()> {
         let (qp, counters) = {
-            let conns = self.inner.conns.read();
-            let conn = conns.get(token.conn).ok_or(FlockError::Disconnected)?;
-            if conn.departed.load(Ordering::Relaxed) {
-                return Err(FlockError::Disconnected);
-            }
-            let qp = conn.qps.read().get(token.qp).cloned();
-            (qp.ok_or(FlockError::Disconnected)?, Arc::clone(&conn.counters))
+            let topo = self.inner.topology.lock();
+            let record = topo.record(token.conn).ok_or(FlockError::Disconnected)?;
+            let qp = record.lanes.get(token.qp).ok_or(FlockError::Disconnected)?;
+            (Arc::clone(qp), Arc::clone(&record.conn.counters))
         };
         let meta = EntryMeta {
             len: data.len() as u32,
@@ -435,10 +449,9 @@ impl FlockServer {
     /// only an executor that runs every poll makes them — so the count
     /// is the same on either executor.
     pub fn lane_probes(&self, sender: u32, lane: usize) -> Option<u64> {
-        let conns = self.inner.conns.read();
-        let conn = conns.iter().find(|c| c.sender_id == sender)?;
-        let probes = conn.qps.read().get(lane)?.probes.load(Ordering::Relaxed);
-        Some(probes)
+        let topo = self.inner.topology.lock();
+        let lane = topo.lane(sender as usize, lane)?;
+        Some(lane.probes.load(Ordering::Relaxed))
     }
 
     /// Number of QPs currently active under the scheduler.
@@ -585,49 +598,38 @@ fn gate_new_lane(inner: &ServerInner, sched: &QpScheduler, ctx: &ServerQpCtx, sq
     }
 }
 
-/// Undo `build_server_lane` for lanes that never joined a connection.
-fn release_unpublished(inner: &ServerInner, lanes: &[Arc<ServerQpCtx>]) {
-    for ctx in lanes {
-        let qpn = ctx.link.qpn();
-        inner.qpn_map.write().remove(&qpn.0);
-        ctx.link.release(&inner.node);
-    }
-}
-
 fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectReply> {
     let n = req.client_qps.len();
     if n == 0 || req.response_rings.len() != n {
         return Err(FlockError::CorruptMessage("malformed connect request"));
     }
-    let mut conns = inner.conns.write();
-    let conn_idx = conns.len();
-    let sender_id = conn_idx as u32;
-
     let send_cq = inner.node.create_cq(1024);
-    let mut qps = Vec::with_capacity(n);
-    let mut server_qpns = Vec::with_capacity(n);
-    let mut request_rings = Vec::with_capacity(n);
-    for (i, client_qp) in req.client_qps.iter().enumerate() {
-        let ctx = match build_server_lane(inner, &send_cq, client_qp, req.response_rings[i]) {
-            Ok(ctx) => ctx,
+    let mut lanes = Vec::with_capacity(n);
+    for (client_qp, ring) in req.client_qps.iter().zip(&req.response_rings) {
+        match build_server_lane(inner, &send_cq, client_qp, *ring) {
+            Ok(ctx) => lanes.push(ctx),
             Err(e) => {
-                // The connection never existed: the next one reuses
-                // `conn_idx`, so no lane or map entry may outlive this.
-                release_unpublished(inner, &qps);
+                // The connection never existed: no lane may outlive it.
+                for ctx in &lanes {
+                    ctx.link.release(&inner.node);
+                }
                 return Err(e);
             }
-        };
-        let qpn = ctx.link.qpn();
-        server_qpns.push(qpn);
-        request_rings.push(ctx.link.ring_info());
-        inner.qpn_map.write().insert(qpn.0, (conn_idx, i));
-        qps.push(ctx);
+        }
     }
+    let server_qps = lanes.iter().map(|ctx| ctx.link.qpn()).collect();
+    let request_rings = lanes.iter().map(|ctx| ctx.link.ring_info()).collect();
 
+    let mut topo = inner.topology.lock();
+    let slot = topo.slots.len();
+    let sender_id = slot as u32;
+    for (i, ctx) in lanes.iter().enumerate() {
+        topo.qpns.insert(ctx.link.qpn().0, (slot, i));
+    }
     let counters = {
         let mut sched = inner.qp_sched.lock();
         sched.register_sender_tenant(sender_id, n, req.tenant);
-        for (qp, ctx) in qps.iter().enumerate() {
+        for (qp, ctx) in lanes.iter().enumerate() {
             let sq = SenderQp {
                 sender: sender_id,
                 qp,
@@ -636,24 +638,20 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
         }
         sched.accounting().counters(req.tenant)
     };
-    conns.push(Arc::new(ServerConn {
-        sender_id,
-        counters,
-        send_cq,
-        qps: RwLock::new(qps),
-        mem_qps: Mutex::new(Vec::new()),
-        departed: AtomicBool::new(false),
+    topo.slots.push(Some(ConnRecord {
+        conn: Arc::new(ServerConn {
+            sender_id,
+            counters,
+            send_cq,
+        }),
+        lanes,
+        mem_qps: Vec::new(),
     }));
     // Seed the new connection's dispatcher round-robin; the QP scheduler
     // rebalances by active-QP weight as traffic develops.
-    inner
-        .dispatch_assign
-        .write()
-        .push(conn_idx % inner.cfg.dispatch_threads.max(1));
-    // Publish the membership change while still holding the write lock:
-    // a dispatcher that observes the new generation and re-reads `conns`
-    // is guaranteed to see the pushed connection.
-    inner.publish_topology();
+    topo.assign.push(slot % inner.doorbells.len());
+    inner.publish(&mut topo);
+    drop(topo);
 
     let memory_regions: Vec<MemRegionInfo> = inner
         .mem_mrs
@@ -668,7 +666,7 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
 
     Ok(ConnectReply {
         server_node: inner.node.id(),
-        server_qps: server_qpns,
+        server_qps,
         request_rings,
         memory_regions,
         initial_credits: inner.cfg.sched.grant_size,
@@ -680,28 +678,17 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
 /// lazy QP creation): lease a QP, pair it with the client's, and grow
 /// both the scheduler's view of the sender and the dispatch snapshot.
 fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachReply> {
-    let conns = inner.conns.read();
-    let (conn_idx, conn) = conns
-        .iter()
-        .enumerate()
-        .find(|(_, c)| c.sender_id == req.sender_id && !c.departed.load(Ordering::Relaxed))
-        .ok_or(FlockError::Disconnected)?;
-
-    let ctx = build_server_lane(inner, &conn.send_cq, &req.client_qp, req.response_ring)?;
-    let server_qp = ctx.link.qpn();
-    let request_ring = ctx.link.ring_info();
-
-    let mut qps = conn.qps.write();
-    if req.lane != qps.len() {
+    let mut topo = inner.topology.lock();
+    let slot = req.sender_id as usize;
+    let record = topo.record_mut(slot)?;
+    let send_cq = &record.conn.send_cq;
+    let ctx = build_server_lane(inner, send_cq, &req.client_qp, req.response_ring)?;
+    if req.lane != record.lanes.len() {
         // Lanes attach densely in order; a mismatch means the client and
         // server disagree about the connection's shape.
         ctx.link.release(&inner.node);
         return Err(FlockError::CorruptMessage("attach lane out of order"));
     }
-    inner
-        .qpn_map
-        .write()
-        .insert(server_qp.0, (conn_idx, req.lane));
     // Grow the sender in the scheduler; the lane starts active only if
     // the AQP budget has room (the next redistribution arbitrates).
     {
@@ -713,9 +700,10 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
         };
         gate_new_lane(inner, &sched, &ctx, sq);
     }
-    qps.push(ctx);
-    // Publish while holding the lane write lock, mirroring `accept_one`.
-    inner.publish_topology();
+    let (qpn, request_ring) = (ctx.link.qpn(), ctx.link.ring_info());
+    record.lanes.push(ctx);
+    topo.qpns.insert(qpn.0, (slot, req.lane));
+    inner.publish(&mut topo);
 
     Ok(AttachReply {
         request_ring,
@@ -729,17 +717,8 @@ fn attach_one(inner: &Arc<ServerInner>, req: &AttachRequest) -> Result<AttachRep
 /// scheduler sender — it is raw per-client connection state, outside
 /// every coordination mechanism Flock layers over the shared lanes.
 fn attach_mem_one(inner: &Arc<ServerInner>, req: &AttachMemRequest) -> Result<()> {
-    // Clone the connection out of the registry before touching its
-    // mem_qps lock: never hold `conns` and `mem_qps` together (the
-    // detach path orders them the other way around).
-    let conn = {
-        let conns = inner.conns.read();
-        conns
-            .iter()
-            .find(|c| c.sender_id == req.sender_id && !c.departed.load(Ordering::Relaxed))
-            .map(Arc::clone)
-            .ok_or(FlockError::Disconnected)?
-    };
+    let mut topo = inner.topology.lock();
+    let record = topo.record_mut(req.sender_id as usize)?;
     // Tiny CQ: nothing ever completes on the passive side (one-sided
     // verbs signal only the requester), but a QP needs one to exist.
     let cq = inner.node.create_cq(8);
@@ -748,52 +727,41 @@ fn attach_mem_one(inner: &Arc<ServerInner>, req: &AttachMemRequest) -> Result<()
         inner.node.release_qp(&qp);
         return Err(e.into());
     }
-    conn.mem_qps.lock().push(qp);
+    record.mem_qps.push(qp);
     Ok(())
 }
 
-/// Gracefully tear down a sender: release its AQP share immediately,
-/// tombstone the connection out of every dispatcher's next snapshot,
-/// wait for all workers to acknowledge the new topology (quiescence —
-/// no shard still holds the departing QPs), then recycle the QPs and
-/// rings into the node's pools. Established connections only ever see
-/// a republished generation, never a stalled dispatcher.
+/// Gracefully tear down a sender: take its record out of the topology,
+/// release its AQP share, wait until every dispatch shard adopted the
+/// generation without it (quiescence — no shard still holds the
+/// departing lanes), then recycle its QPs and rings into the node's
+/// pools. Established connections only ever see a republished
+/// generation, never a stalled dispatcher.
 fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
-    let conn = {
-        let conns = inner.conns.read();
-        let Some(conn) = conns.iter().find(|c| c.sender_id == sender_id) else {
-            return Ok(()); // unknown or already detached: idempotent
-        };
-        if conn.departed.swap(true, Ordering::Relaxed) {
+    let (record, target) = {
+        let mut topo = inner.topology.lock();
+        let slot = topo.slots.get_mut(sender_id as usize);
+        // Unknown or already detached: idempotent.
+        let Some(record) = slot.and_then(Option::take) else {
             return Ok(());
+        };
+        for ctx in &record.lanes {
+            topo.qpns.remove(&ctx.link.qpn().0);
         }
-        Arc::clone(conn)
+        let target = inner.publish(&mut topo);
+        (record, target)
     };
-    // Tombstone published: the Release RMW on `topo_gen` orders the
-    // `departed` store before any dispatcher's Acquire load of the new
-    // generation.
-    let target_gen = inner.publish_topology();
-
     // The departing sender's whole AQP share returns to the pool now —
     // survivors pick it up at the next redistribution.
     inner.qp_sched.lock().unregister_sender(sender_id);
-    {
-        let qps = conn.qps.read();
-        let mut map = inner.qpn_map.write();
-        for qp in qps.iter() {
-            map.remove(&qp.link.qpn().0);
-        }
-    }
 
-    // Quiesce: every dispatcher must fold the tombstoned topology into
-    // its snapshot before the QPs and rings can be recycled (a stale
-    // shard would otherwise post into a ring another lessee now owns).
+    // A stale shard would otherwise post into a ring another lessee now
+    // owns.
     let deadline = clock::deadline(inner.cfg.timeout);
     inner
         .acked
         .wait_until(deadline, 1_000, || {
-            let quiesced = |ack: &AtomicU64| ack.load(Ordering::Acquire) >= target_gen;
-            if inner.dispatch_acks.iter().all(quiesced) {
+            if inner.topology.lock().acked.iter().all(|&gen| gen >= target) {
                 Some(Ok(()))
             } else if inner.stop.load(Ordering::Relaxed) {
                 Some(Err(FlockError::Disconnected))
@@ -803,19 +771,15 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
         })
         .unwrap_or(Err(FlockError::Timeout))?;
 
-    let drained: Vec<Arc<ServerQpCtx>> = std::mem::take(&mut *conn.qps.write());
-    for ctx in drained {
+    for ctx in &record.lanes {
         #[cfg(debug_assertions)]
-        assert_silent_is_empty(&ctx);
+        assert_silent_is_empty(ctx);
         ctx.link.release(&inner.node);
     }
-    // Dedicated one-sided QPs leave with the sender too (no quiescence
-    // needed: no dispatcher ever touches them). Take the list in its
-    // own statement so the mem_qps guard is dropped before the release
-    // calls and the re-cut below.
-    let mem_qps = std::mem::take(&mut *conn.mem_qps.lock());
-    for qp in mem_qps {
-        inner.node.release_qp(&qp);
+    // Dedicated one-sided QPs leave with the sender too (no dispatcher
+    // ever touches them).
+    for qp in &record.mem_qps {
+        inner.node.release_qp(qp);
     }
     // Re-cut the dispatcher partition without the departed connection.
     rebalance_dispatch(inner);
@@ -882,20 +846,12 @@ struct Lane {
 struct DispatchShard {
     inner: Arc<ServerInner>,
     worker: usize,
-    /// Generation-stamped partition snapshot: cloning the `Arc` vector on
-    /// every sweep made each idle poll O(conns) in refcount traffic; the
-    /// snapshot is refreshed only when `accept_one`, `attach_one`,
-    /// `detach_one` or the rebalancer publishes a new topology
-    /// generation. Each entry carries its lane list so the sweep never
-    /// touches `conn.qps`' lock.
+    /// The shard's partition and handler table as of topology generation
+    /// `seen`: a sweep takes no lock, and comes back to the topology only
+    /// when the generation moves.
     conns: Vec<(Arc<ServerConn>, Vec<Lane>)>,
-    conns_seen: u64,
-    /// Handler snapshot, same gen-stamped scheme: the seed took
-    /// `handlers.read()` per polled message, putting a shared rwlock on
-    /// the hottest path. `reg_handler` bumps `handlers_gen`; the sweep
-    /// clones the table only when that moves.
-    handlers: HashMap<u32, Handler>,
-    handlers_seen: u64,
+    handlers: Arc<HashMap<u32, Handler>>,
+    seen: u64,
     /// Send-CQ drain scratch: batched poll, one sync edge per sweep.
     drained: Vec<flock_fabric::Completion>,
     /// The request message being handled: every message is copied out of
@@ -913,9 +869,8 @@ impl DispatchShard {
             inner,
             worker,
             conns: Vec::new(),
-            conns_seen: u64::MAX,
-            handlers: HashMap::new(),
-            handlers_seen: u64::MAX,
+            handlers: Arc::default(),
+            seen: u64::MAX,
             drained: Vec::new(),
             msg: Vec::new(),
             idle: None,
@@ -970,8 +925,7 @@ impl DispatchShard {
         // The last instant at which this sweep, repeated, still finds
         // nothing.
         let mut deadline_ns = u64::MAX;
-        let gen = inner.topo_gen.load(Ordering::Acquire);
-        if gen != self.conns_seen {
+        if inner.generation.load(Ordering::Acquire) != self.seen {
             // Settle before leaving: the new snapshot starts with empty
             // lane state, so every read-ahead message is handled and
             // every deferred response flushed under the old one — which
@@ -983,27 +937,26 @@ impl DispatchShard {
                     settled &= settle_lane(inner, &self.handlers, conn, lane);
                 }
             }
+            #[cfg(debug_assertions)]
             if settled {
-                #[cfg(debug_assertions)]
                 self.assert_silent_lanes_are_empty();
-                self.conns = snapshot_partition(inner, self.worker);
-                self.conns_seen = gen;
-                // Quiescence ack: once this store is visible, no departed
-                // QP is referenced by this worker's snapshot and none of
-                // its responses is still deferred here, so `detach_one`
-                // may recycle the connection's resources.
-                inner.dispatch_acks[self.worker].fetch_max(gen, Ordering::Release);
+            }
+            let mut topo = inner.topology.lock();
+            self.handlers = Arc::clone(&topo.handlers);
+            if settled {
+                self.conns = snapshot_partition(&topo, bell, self.worker);
+                self.seen = topo.gen;
+                // Quiescence ack: no departed lane is referenced by this
+                // shard's snapshot and none of its responses is still
+                // deferred here, so `detach_one` may recycle them.
+                topo.acked[self.worker] = topo.gen;
+                drop(topo);
                 inner.acked.notify_all();
             } else {
                 // Another shard may have taken over these lanes'
                 // doorbells: poll every round until this one lets go.
                 deadline_ns = clock::now_ns();
             }
-        }
-        let hgen = inner.handlers_gen.load(Ordering::Acquire);
-        if hgen != self.handlers_seen {
-            self.handlers = inner.handlers.read().clone();
-            self.handlers_seen = hgen;
         }
         let mut progressed = false;
         let (mut visited, mut draining) = (0, 0);
@@ -1057,25 +1010,23 @@ impl DispatchShard {
 }
 
 /// Worker `worker`'s share of the live connections, each with fresh
-/// (empty) lane state, the worker's doorbell installed on every request
-/// ring — before the sweep that follows reads any of them, so a write
-/// that lands while the partition is being re-cut rings whichever shard
-/// polls the ring next. The only place lane buffers are allocated.
-fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn>, Vec<Lane>)> {
-    let bell = &inner.doorbells[worker];
-    // Lock order: `conns` before `dispatch_assign` before `conn.qps`,
-    // matching `accept_one` and `rebalance_dispatch`.
-    let all = inner.conns.read();
-    let assign = inner.dispatch_assign.read();
-    all.iter()
+/// (empty) lane state, the worker's doorbell `bell` installed on every
+/// request ring — before the sweep that follows reads any of them, so a
+/// write that lands while the partition is being re-cut rings whichever
+/// shard polls the ring next. The only place lane buffers are allocated.
+fn snapshot_partition(
+    topo: &Topology,
+    bell: &Arc<Event>,
+    worker: usize,
+) -> Vec<(Arc<ServerConn>, Vec<Lane>)> {
+    topo.slots
+        .iter()
         .enumerate()
-        .filter(|(idx, c)| {
-            assign.get(*idx).copied().unwrap_or(0) == worker && !c.departed.load(Ordering::Relaxed)
-        })
-        .map(|(conn_idx, c)| {
-            let lanes = c
-                .qps
-                .read()
+        .filter(|&(slot, _)| topo.assign[slot] == worker)
+        .filter_map(|(conn_idx, record)| {
+            let record = record.as_ref()?;
+            let lanes = record
+                .lanes
                 .iter()
                 .enumerate()
                 .map(|(qp_idx, qp)| {
@@ -1092,7 +1043,7 @@ fn snapshot_partition(inner: &ServerInner, worker: usize) -> Vec<(Arc<ServerConn
                     }
                 })
                 .collect();
-            (Arc::clone(c), lanes)
+            Some((Arc::clone(&record.conn), lanes))
         })
         .collect()
 }
@@ -1221,7 +1172,18 @@ fn handle_message(
     // counter block (never through the scheduler mutex).
     conn.counters.note_issued(entries);
     for (meta, data) in view.entries() {
-        if let Some(h) = handlers.get(&meta.rpc_id) {
+        // A handler registered since the shard adopted `handlers` is
+        // looked up in the topology: a request sent after `reg_handler`
+        // returned never goes to the manual queue.
+        let late;
+        let handler = match handlers.get(&meta.rpc_id) {
+            None => {
+                late = inner.topology.lock().handlers.get(&meta.rpc_id).cloned();
+                late.as_ref()
+            }
+            known => known,
+        };
+        if let Some(h) = handler {
             clock::charge(inner.cost.cpu_codec_ns + inner.cost.app_handler_ns);
             // The handler's output Vec is the one per-request allocation
             // the server keeps: the `Handler` signature owns its result.
@@ -1423,24 +1385,16 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                 continue;
             }
             let Some(imm) = c.imm else { continue };
-            let lookup = { inner.qpn_map.read().get(&c.qpn.0).copied() };
-            let Some((conn_idx, qp_idx)) = lookup else {
-                continue;
-            };
-            // Clone the lane context out of the locks: `flush_response`
-            // below can spin in virtual time on a full ring, and holding
-            // `conns` across that would stall connect/teardown.
+            // Clone the lane context out of the lock: `flush_response`
+            // below can spin in virtual time on a full ring.
             let looked_up = {
-                let conns = inner.conns.read();
-                conns.get(conn_idx).and_then(|conn| {
-                    if conn.departed.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let qps = conn.qps.read();
-                    qps.get(qp_idx).map(|q| (conn.sender_id, Arc::clone(q)))
+                let topo = inner.topology.lock();
+                topo.qpns.get(&c.qpn.0).and_then(|&(slot, qp_idx)| {
+                    let qp = topo.lane(slot, qp_idx)?;
+                    Some((slot as u32, qp_idx, Arc::clone(qp)))
                 })
             };
-            let Some((sender_id, qp)) = looked_up else {
+            let Some((sender_id, qp_idx, qp)) = looked_up else {
                 continue;
             };
             let qp = &qp;
@@ -1481,16 +1435,11 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                 // the DES model's server walks.)
                 changes.sort_by_key(|&(sq, now_active)| (sq.sender, !now_active));
                 for (sq, now_active) in changes {
-                    // Clone the lane out of the locks (same rationale as
+                    // Clone the lane out of the lock (same rationale as
                     // the credit path above).
                     let looked_up = {
-                        let conns = inner.conns.read();
-                        conns
-                            .iter()
-                            .find(|c| {
-                                c.sender_id == sq.sender && !c.departed.load(Ordering::Relaxed)
-                            })
-                            .and_then(|conn| conn.qps.read().get(sq.qp).cloned())
+                        let topo = inner.topology.lock();
+                        topo.lane(sq.sender as usize, sq.qp).cloned()
                     };
                     let Some(qp) = looked_up else {
                         continue;
@@ -1537,38 +1486,33 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
 /// worker. Publishes a new topology generation only when the assignment
 /// actually changes.
 fn rebalance_dispatch(inner: &ServerInner) {
-    let workers = inner.cfg.dispatch_threads.max(1);
+    let workers = inner.doorbells.len();
     if workers == 1 {
         return;
     }
-    let conns = inner.conns.read();
+    let mut topo = inner.topology.lock();
     // Weight = active QPs, floored at 1 so idle connections keep an
-    // owner (lock order: `conns` before `qp_sched`, as everywhere).
+    // owner; departed slots weigh nothing, so survivors split the
+    // capacity.
     let sched = inner.qp_sched.lock();
-    let weights: Vec<usize> = conns
+    let weights: Vec<usize> = topo
+        .slots
         .iter()
-        .map(|c| {
-            // Departed connections are invisible to dispatch snapshots;
-            // give them zero weight so survivors split the capacity.
-            if c.departed.load(Ordering::Relaxed) {
-                return 0;
-            }
-            sched
-                .active_map(c.sender_id)
-                .map(|m| m.iter().filter(|a| **a).count())
-                .unwrap_or(0)
-                .max(1)
+        .map(|slot| {
+            slot.as_ref().map_or(0, |record| {
+                sched
+                    .active_map(record.conn.sender_id)
+                    .map(|m| m.iter().filter(|a| **a).count())
+                    .unwrap_or(0)
+                    .max(1)
+            })
         })
         .collect();
     drop(sched);
-    let new_assign = lpt_partition(&weights, workers);
-    let mut assign = inner.dispatch_assign.write();
-    if *assign != new_assign {
-        *assign = new_assign;
-        // Publish under the write lock, mirroring `accept_one`: a
-        // dispatcher that observes the new generation and re-reads the
-        // assignment sees a consistent partition.
-        inner.publish_topology();
+    let assign = lpt_partition(&weights, workers);
+    if topo.assign != assign {
+        topo.assign = assign;
+        inner.publish(&mut topo);
     }
 }
 
@@ -1593,4 +1537,41 @@ pub fn lpt_partition(weights: &[usize], workers: usize) -> Vec<usize> {
         assign[idx] = target;
     }
     assign
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ConnectionHandle, HandleConfig};
+
+    /// A closed connection leaves nothing behind in the server: once
+    /// `close` returns, no one holds its send CQ (reserved for 1 024
+    /// completions at accept), so a churning server does not grow.
+    #[test]
+    fn a_closed_connection_frees_its_send_cq() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let domain = FlockDomain::with_defaults();
+            let server_node = domain.add_node("free-srv");
+            let server =
+                FlockServer::listen(&domain, &server_node, "free", ServerConfig::default());
+            server.reg_handler(1, |req| req.to_vec());
+            let client_node = domain.add_node("free-cli");
+            let mut cfg = HandleConfig::default();
+            cfg.n_qps = 2;
+            cfg.eager_qps = true;
+            let mut handle = ConnectionHandle::connect(&domain, &client_node, "free", cfg).unwrap();
+            assert_eq!(&handle.register_thread().call(1, b"x").unwrap()[..], b"x");
+            let send_cq = {
+                let topo = server.inner.topology.lock();
+                let record = topo.record(handle.sender_id() as usize).unwrap();
+                Arc::downgrade(&record.conn.send_cq)
+            };
+            handle.close().unwrap();
+            assert!(
+                send_cq.upgrade().is_none(),
+                "a closed connection's send CQ is still held"
+            );
+            server.shutdown(&domain);
+        });
+    }
 }

@@ -707,6 +707,30 @@ fn close_on_threads_does_not_wait_for_the_scheduling_interval() {
     assert!(took < 1_000_000_000, "close took {took} ns");
 }
 
+/// A handler registered after a client's first call answers the next
+/// call to its id, which does not reach the manual queue.
+fn handler_registered_mid_traffic(name: &str) {
+    let domain = FlockDomain::with_defaults();
+    let server = echo_server(&domain, name, ServerConfig::default());
+    let client = domain.add_node(&format!("c-{name}"));
+    let mut cfg = HandleConfig::default();
+    cfg.timeout = Duration::from_secs(1);
+    let mut handle = fl_connect(&domain, &client, name, cfg).unwrap();
+    let t = handle.register_thread();
+    assert_eq!(t.call(1, b"x").unwrap(), b"echo:x");
+    server.reg_handler(7, |req| req.iter().rev().copied().collect());
+    assert_eq!(t.call(7, b"abc").unwrap(), b"cba");
+    assert!(server.recv_rpc(Duration::ZERO).is_none());
+    fl_disconnect(&mut handle).unwrap();
+    server.shutdown(&domain);
+}
+
+#[test]
+fn a_handler_registered_mid_traffic_answers_the_next_call() {
+    handler_registered_mid_traffic("s-late-thr");
+    VirtualLab::run(|| handler_registered_mid_traffic("s-late-lab"));
+}
+
 #[test]
 fn close_is_idempotent_and_server_survives() {
     let domain = FlockDomain::with_defaults();

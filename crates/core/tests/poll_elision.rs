@@ -12,7 +12,7 @@
 //! * eight threads on one QP: TCQ followers wake on the hand-off only;
 //! * an idle handle whose lanes attach one by one: the response
 //!   dispatcher's skipped sweeps charge the lanes it has, and the
-//!   `lane_count` notify hands it the core back;
+//!   notify of each attach hands it the core back;
 //! * close and shutdown of a handle that has idled to the ladder's cap;
 //! * responses that overrun a small response ring: the dispatch shard —
 //!   a stepper, which may not wait — defers them and retries, and drops
@@ -23,10 +23,13 @@
 //! * two dispatch shards whose partition is re-cut under traffic: each
 //!   shard idles on its own doorbell, which moves with the request rings
 //!   it polls;
+//! * a connection of one shard closing while the other shard serves
+//!   traffic: the detach waits for both shards to adopt the topology
+//!   without it;
 //! * a periodic thread-scheduling pass that falls due while the response
 //!   dispatcher sleeps: its idle round's deadline wakes it;
 //! * threads registering at once on a lazy handle: the ones behind an
-//!   attach wait for its latch on the dispatcher's event;
+//!   attach wait for it on the dispatcher's event;
 //! * more one-sided reads in flight than a thread has scratch sub-slots:
 //!   the surplus waits for a completion to release one;
 //! * and, lab alone, an idle server: its shards cost no heap operation
@@ -663,6 +666,62 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
 }
 
 #[test]
+fn a_close_under_traffic_on_two_shards_matches_the_reference() {
+    const CALLS: usize = 40;
+    let ((times, closed_at, requests), _) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-close-srv");
+        let mut scfg = ServerConfig::default();
+        scfg.dispatch_threads = 2;
+        let server = FlockServer::listen(&domain, &node, "pe-close", scfg);
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+        // Assigned round-robin: the survivor's connection to shard 0, the
+        // closing one's to shard 1.
+        let mut handles: Vec<ConnectionHandle> = (0..2)
+            .map(|c| {
+                let cli = domain.add_node(&format!("pe-close-cli{c}"));
+                let cfg = HandleConfig::default();
+                ConnectionHandle::connect(&domain, &cli, "pe-close", cfg).expect("connect")
+            })
+            .collect();
+        let survivor = handles[0].register_thread();
+        let closing = handles[1].register_thread();
+        clock::flush_charge(); // set-up cost is not part of the scenario
+        let times = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&times);
+        let task = clock::spawn("survivor", move || {
+            for k in 0..CALLS {
+                let payload = [0, k as u8];
+                let resp = survivor.call(RPC_ECHO, &payload).expect("call");
+                assert_eq!(&resp[..], &payload);
+                sink.lock().push(clock::now_ns());
+            }
+        });
+        for k in 0..CALLS / 4 {
+            let payload = [1, k as u8];
+            let resp = closing.call(RPC_ECHO, &payload).expect("call");
+            assert_eq!(&resp[..], &payload);
+        }
+        // The detach waits for both shards to adopt the topology without
+        // the closing connection while shard 0 serves the survivor.
+        let closed_at = clock::now_ns();
+        handles[1].close().expect("close");
+        task.join().expect("survivor");
+        let times = std::mem::take(&mut *times.lock());
+        let requests = server.stats().requests.load(Relaxed);
+        handles[0].close().expect("close");
+        server.shutdown(&domain);
+        (times, closed_at, requests)
+    });
+    assert_eq!(requests, (CALLS + CALLS / 4) as u64);
+    assert_eq!(times.len(), CALLS);
+    assert!(
+        times[0] < closed_at && closed_at < times[CALLS - 1],
+        "{closed_at} {times:?}"
+    );
+}
+
+#[test]
 fn a_scheduling_pass_due_while_the_dispatcher_sleeps_matches_the_reference() {
     const INTERVAL_NS: u64 = 2_000_000;
     let ((before, after), report) = VirtualLab::run_against_reference(|| {
@@ -719,7 +778,7 @@ fn threads_registering_at_once_on_a_lazy_handle_match_the_reference() {
         server.reg_handler(RPC_ECHO, |req| req.to_vec());
 
         // Lazy lanes: every registration but the first attaches one, and
-        // the ones behind the attach in progress wait for its latch.
+        // the ones behind the attach in progress wait for it.
         let cfg = HandleConfig::default();
         let cli = domain.add_node("pe-lazy-cli");
         let handle = ConnectionHandle::connect(&domain, &cli, "pe-lazy", cfg).expect("connect");
