@@ -97,7 +97,7 @@ pub(crate) enum ClientReq {
     /// An RPC request: metadata plus payload. The payload is a shared
     /// [`Bytes`] so handing it from the submitting thread to the leader
     /// (and retrying/re-batching) never copies the bytes — the only copy
-    /// on the send path is the encode into the staging ring.
+    /// on the send path is the encode into the ring write's payload.
     Rpc(EntryMeta, Bytes),
     /// A pre-built one-sided work request.
     Mem(SendWr),
@@ -754,7 +754,7 @@ impl FlThread {
 
     /// Send an RPC request whose payload is already a shared buffer:
     /// the bytes are never copied until the leader encodes them into the
-    /// staging ring (cloning `Bytes` is a refcount bump, so resending the
+    /// ring write's payload (cloning `Bytes` is a refcount bump, so resending the
     /// same payload allocates nothing).
     pub fn send_rpc_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<u64> {
         let inner = &self.inner;
@@ -1394,7 +1394,7 @@ fn flush_batch(
         }
     }
     let result = flush_parts(inner, qp, &scratch.rpcs, &scratch.mem_wrs);
-    // Drop payload refcounts promptly (the encode into staging is done);
+    // Drop payload refcounts promptly (the encode is done);
     // the buffers themselves are retained for the next batch.
     scratch.rpcs.clear();
     scratch.mem_wrs.clear();

@@ -333,7 +333,7 @@ struct LinkTx {
 ///   consumer zeroes a span before advancing past it), and a stale
 ///   piggybacked peer head is ignored.
 /// * **Nothing is written on `RingFull`** (or `MessageTooLarge`): no
-///   staging byte, no work request, no tail or canary advance.
+///   payload, no work request, no tail or canary advance.
 /// * The link **never waits and never charges virtual time**: a full
 ///   ring is the caller's policy (a task that may wait retries through
 ///   [`send_while_full`], a dispatch shard defers), and so is the host
@@ -351,8 +351,11 @@ pub struct Link {
     tx: Mutex<LinkTx>,
     /// The peer's ring this end writes into.
     remote: RingInfo,
-    /// Local mirror of the peer's ring: messages are encoded here, at
-    /// the offset they land at, and written from here.
+    /// A registered send buffer the size of the peer's ring, named by
+    /// every write's local SGE and never written: a write's payload
+    /// travels inline ([`Qp::post_inline`]), and an unwritten region
+    /// holds no memory. Kept for its registration and its charges,
+    /// which every timeline includes (DESIGN.md §5j).
     staging: Arc<MemoryRegion>,
     /// The peer's consumed head of `remote`, from its messages.
     peer_head: AtomicU64,
@@ -370,7 +373,7 @@ pub struct Link {
 impl Link {
     /// A link over `qp` (connected by the first send), receiving in
     /// `ring_mr` — the peer learns its geometry as [`RingInfo::of`] it —
-    /// and sending into `remote`. Acquires the staging mirror from
+    /// and sending into `remote`. Acquires the staging region from
     /// `node`'s MR cache.
     pub fn new(node: &Node, qp: Arc<Qp>, ring_mr: Arc<MemoryRegion>, remote: RingInfo) -> Link {
         Link {
@@ -437,7 +440,7 @@ impl Link {
         [WR_WRAP, WR_MESSAGE, WR_CREDIT].contains(&wr_id)
     }
 
-    /// The two ends of a write of `len` staged bytes at ring offset `off`.
+    /// The two ends of a write of `len` bytes at ring offset `off`.
     fn ends(&self, off: usize, len: usize) -> (Sge, RemoteAddr) {
         let local = Sge {
             lkey: self.staging.lkey(),
@@ -452,9 +455,9 @@ impl Link {
     }
 
     /// Send `entries` as one message with `flags` and `aux`: reserve ring
-    /// space against the freshest peer head, stage a wrap record first if
-    /// the message would straddle the ring end, encode straight into the
-    /// staging mirror, and post one RDMA write. Returns the encoded
+    /// space against the freshest peer head, send a wrap record first if
+    /// the message would straddle the ring end, encode straight into an
+    /// inline payload, and post one RDMA write. Returns the encoded
     /// length. Hot-path entry point for `cargo xtask lint`.
     pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<usize>
     where
@@ -474,22 +477,20 @@ impl Link {
             aux,
         };
         if let Some((woff, wlen)) = res.wrap {
-            self.staging.with_write(|buf| {
-                RingProducer::write_wrap_record(&mut buf[woff..woff + wlen], header.canary)
-            });
+            let mut record = self.qp.inline_buf(wlen);
+            RingProducer::write_wrap_record(&mut record, header.canary);
             let (local, remote) = self.ends(woff, wlen);
-            self.qp
-                .post_send(SendWr::write(WR_WRAP, local, remote).unsignaled())?;
+            let wr = SendWr::write(WR_WRAP, local, remote).unsignaled();
+            self.qp.post_inline(wr, record)?;
         }
-        self.staging.with_write(|buf| {
-            msg::encode_iter(&mut buf[res.offset..res.offset + need], &header, entries)
-        })?;
+        let mut payload = self.qp.inline_buf(need);
+        msg::encode_iter(&mut payload, &header, entries)?;
         let (local, remote) = self.ends(res.offset, need);
         let mut wr = SendWr::write(WR_MESSAGE, local, remote);
         if !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
             wr = wr.unsignaled();
         }
-        self.qp.post_send(wr)?;
+        self.qp.post_inline(wr, payload)?;
         self.sent_head.fetch_max(header.head, Ordering::Relaxed);
         Ok(need)
     }
@@ -763,6 +764,60 @@ mod tests {
         // Trailer lands; now it is consumed.
         mr.write(n - 8, &0x99u64.to_le_bytes()).unwrap();
         assert!(cons.poll_into(&mr, &mut buf).unwrap());
+    }
+
+    /// Two links over a connected QP pair on two nodes of `fabric`, each
+    /// receiving in a ring of `cap` bytes.
+    fn link_pair(fabric: &flock_fabric::Fabric, cap: usize) -> [Link; 2] {
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let (acq, bcq) = (a.create_cq(64), b.create_cq(64));
+        let aqp = a.create_qp(flock_fabric::Transport::Rc, &acq, &acq);
+        let bqp = b.create_qp(flock_fabric::Transport::Rc, &bcq, &bcq);
+        fabric.connect(&aqp, &bqp).unwrap();
+        let aring = a.register_mr(cap, Access::REMOTE_WRITE);
+        let bring = b.register_mr(cap, Access::REMOTE_WRITE);
+        let (ainfo, binfo) = (RingInfo::of(&aring), RingInfo::of(&bring));
+        [
+            Link::new(&a, aqp, aring, binfo),
+            Link::new(&b, bqp, bring, ainfo),
+        ]
+    }
+
+    #[test]
+    fn a_link_never_writes_its_staging_region() {
+        flock_sim::VirtualLab::run(|| {
+            let fabric = flock_fabric::Fabric::with_defaults();
+            let cap = 4096;
+            let links = link_pair(&fabric, cap);
+            // 100-byte entries make 192-byte records, which do not tile
+            // the ring: every lap ends in a wrap record.
+            let data = [7u8; 100];
+            let entry = EntryRef {
+                meta: EntryMeta {
+                    len: data.len() as u32,
+                    thread_id: 1,
+                    seq: 1,
+                    rpc_id: 1,
+                },
+                data: &data,
+            };
+            let sends = 3 * cap / 192 + 4;
+            let mut buf = Vec::new();
+            for i in 0..2 * sends {
+                let (from, to) = (&links[i % 2], &links[1 - i % 2]);
+                from.try_send(0, 0, std::iter::once(entry)).unwrap();
+                while !to.poll_into(&mut buf).unwrap() {
+                    clock::yield_now();
+                }
+                assert_eq!(view(&buf).to_entries()[0].1, data);
+            }
+            for link in &links {
+                let tail = link.tx.lock().prod.tail();
+                assert!(tail > (sends * 192) as u64 && tail >= 3 * cap as u64);
+                assert!(!link.staging.committed(), "the staging region was written");
+                assert_eq!(link.staging.read_vec(0, cap).unwrap(), vec![0u8; cap]);
+            }
+        });
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl FlockServer {
             ..token.meta
         };
         // `flush_response` is generic over the payload, so the response
-        // bytes go straight from the caller's slice into the staging ring.
+        // bytes go straight from the caller's slice into the ring write.
         flush_response(&self.inner, &qp, &[(meta, data)], 0, 0)?;
         counters.note_completed(1);
         Ok(())
@@ -1350,7 +1350,7 @@ fn try_flush_response<B: AsRef<[u8]>>(
             .response_messages
             .fetch_add(1, Ordering::Relaxed);
     }
-    // Host cost of staging the message and ringing the doorbell.
+    // Host cost of encoding the message and ringing the doorbell.
     clock::charge(inner.cost.cpu_doorbell_ns + inner.cost.memcpy_time(need).as_nanos());
     Ok(())
 }

@@ -13,9 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use flock_core::msg::{EntryMeta, EntryRef};
+use flock_core::ring::Link;
 use flock_core::tcq::{Outcome, Tcq};
-use flock_core::Bytes;
+use flock_core::{Bytes, RingInfo};
+use flock_fabric::{Access, CompletionQueue, Fabric, Transport};
+use flock_sync::clock;
 
 /// Forwards to the system allocator, counting allocations made by the
 /// measuring thread while armed. The arm flag is thread-local so the
@@ -81,6 +86,47 @@ fn cycle(tcq: &Tcq<u64>, item: u64) {
     }
 }
 
+/// Two links over a connected QP pair on two nodes, each receiving in a
+/// 4 KiB ring, and their send CQs.
+fn link_pair(fabric: &Fabric) -> ([Link; 2], [Arc<CompletionQueue>; 2]) {
+    let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+    let (acq, bcq) = (a.create_cq(64), b.create_cq(64));
+    let aqp = a.create_qp(Transport::Rc, &acq, &acq);
+    let bqp = b.create_qp(Transport::Rc, &bcq, &bcq);
+    fabric.connect(&aqp, &bqp).unwrap();
+    let aring = a.register_mr(4096, Access::REMOTE_WRITE);
+    let bring = b.register_mr(4096, Access::REMOTE_WRITE);
+    let (ainfo, binfo) = (RingInfo::of(&aring), RingInfo::of(&bring));
+    let links = [
+        Link::new(&a, aqp, aring, binfo),
+        Link::new(&b, bqp, bring, ainfo),
+    ];
+    (links, [acq, bcq])
+}
+
+/// Each end of `links` sends one 100-byte entry (a 192-byte record, so
+/// the rings wrap through wrap records), the NIC lane executes the
+/// write, the other end polls it and the sender drains its CQ.
+fn link_round_trip(links: &[Link; 2], cqs: &[Arc<CompletionQueue>; 2], buf: &mut Vec<u8>) {
+    let data = [7u8; 100];
+    let entry = EntryRef {
+        meta: EntryMeta {
+            len: data.len() as u32,
+            thread_id: 1,
+            seq: 1,
+            rpc_id: 1,
+        },
+        data: &data,
+    };
+    for (from, to) in [(0, 1), (1, 0)] {
+        links[from].try_send(0, 0, std::iter::once(entry)).unwrap();
+        while !links[to].poll_into(buf).unwrap() {
+            clock::yield_now();
+        }
+        while cqs[from].poll_one().is_some() {}
+    }
+}
+
 #[test]
 fn steady_state_hot_path_is_allocation_free() {
     // Sanity: a plain `Box::new` loop must register allocations, proving
@@ -127,5 +173,28 @@ fn steady_state_hot_path_is_allocation_free() {
         bytes_allocs, 0,
         "Bytes clone/slice allocated {bytes_allocs} times; zero-copy \
          payload handoff regressed"
+    );
+
+    // The ring path in the lab, where the NIC lane runs on this thread:
+    // link send, lane execute, poll. Warm-up grows the QPs' inline
+    // payload buffers, commits the rings and sizes the lab's queues.
+    let link_allocs = flock_sim::VirtualLab::run(|| {
+        let fabric = Fabric::with_defaults();
+        let (links, cqs) = link_pair(&fabric);
+        let mut buf = Vec::new();
+        for _ in 0..200 {
+            link_round_trip(&links, &cqs, &mut buf);
+        }
+        count_allocs(|| {
+            for _ in 0..1_000 {
+                link_round_trip(&links, &cqs, &mut buf);
+            }
+        })
+    });
+    assert_eq!(
+        link_allocs, 0,
+        "the ring path allocated {link_allocs} times over 1k steady-state \
+         round trips; a link, the NIC lane or inline payload recycling \
+         regressed"
     );
 }

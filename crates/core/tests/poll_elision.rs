@@ -381,8 +381,8 @@ fn stopping_an_idle_handle_matches_the_reference() {
 }
 
 const RPC_BLOAT: u32 = 2;
-/// Ring capacity of the two ring-full scenarios, both sides (a handle's
-/// staging mirrors the server's rings): eight 256-byte responses.
+/// Ring capacity of the two ring-full scenarios, both sides: eight
+/// 256-byte responses.
 const SMALL_RING: usize = 2048;
 const BLOATED: usize = 200;
 

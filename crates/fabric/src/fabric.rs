@@ -303,12 +303,12 @@ impl Node {
 
     /// Acquire a registered region of `len` bytes: reuse a parked region
     /// of identical layout (zeroing it — ring canary protocols depend on
-    /// fresh buffers — and charging only [`CostModel::memset_time`]), or
-    /// register cold, charging the Swift-style penalty
-    /// [`CostModel::reg_mr_time`].
+    /// fresh buffers — and charging only [`CostModel::memset_time`]; the
+    /// zeroing drops its bytes, [`MemoryRegion::zero`]), or register
+    /// cold, charging the Swift-style penalty [`CostModel::reg_mr_time`].
     pub fn acquire_mr(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
         if let Some(mr) = self.mr_cache.lock().take(len, access) {
-            mr.with_write(|b| b.fill(0));
+            mr.zero();
             clock::charge(self.cost.memset_time(len).as_nanos());
             return mr;
         }

@@ -1,7 +1,10 @@
 //! Memory regions, the memory translation table (MTT) and the memory
 //! protection table (MPT).
 //!
-//! A registered [`MemoryRegion`] owns a real heap buffer. Remote operations
+//! A registered [`MemoryRegion`] owns a real heap buffer, committed at
+//! its first write: until then the region reads as zeros and holds no
+//! heap memory, so a region registered but never written (a lane's
+//! staging MR, DESIGN.md §5j) costs nothing resident. Remote operations
 //! name it by `(rkey, virtual address)`; the node's [`MrTable`] finds it by
 //! key (a hash map, not a scan), validates the rkey against the MPT
 //! (access rights) and translates the address via the MTT (bounds). Local
@@ -17,11 +20,12 @@
 //! bytes half written. A host-side poll that reads, checks and zeroes a
 //! ring slot does all three under one [`MemoryRegion::with_write`].
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::Event;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::types::{FabricError, KeyMap, Lkey, Result, Rkey};
 
@@ -79,7 +83,9 @@ pub struct MemoryRegion {
 /// A region's bytes and its doorbell, under one lock.
 #[derive(Debug)]
 struct Buffer {
-    bytes: Box<[u8]>,
+    /// Empty until the first write commits the region's length of
+    /// zeros ([`Buffer::commit`]); an empty buffer reads as zeros.
+    bytes: Vec<u8>,
     /// Notified after every DMA into the region ([`MemoryRegion::dma_to`])
     /// while installed: how the task that polls a ring in this region
     /// learns that the NIC wrote to it.
@@ -87,6 +93,21 @@ struct Buffer {
 }
 
 impl Buffer {
+    /// The bytes, unless nothing has written them yet (then they all
+    /// read as zero).
+    fn committed(&self) -> Option<&[u8]> {
+        (!self.bytes.is_empty()).then_some(&self.bytes[..])
+    }
+
+    /// The bytes of a region of `len`, for writing: zeros committed at
+    /// the first write.
+    fn commit(&mut self, len: usize) -> &mut [u8] {
+        if self.bytes.is_empty() {
+            self.bytes = vec![0u8; len];
+        }
+        &mut self.bytes
+    }
+
     /// Ring the doorbell, if one is installed, after a DMA into these
     /// bytes.
     fn ring(&self) {
@@ -145,27 +166,59 @@ impl MemoryRegion {
         Ok((addr - self.base) as usize)
     }
 
+    /// The buffer range of `len` bytes at byte `offset`, if it lies
+    /// inside the region.
+    fn span(&self, offset: usize, len: usize) -> Result<Range<usize>> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len => Ok(offset..end),
+            _ => Err(FabricError::AccessViolation {
+                addr: self.base.wrapping_add(offset as u64),
+                len,
+            }),
+        }
+    }
+
+    /// Whether anything has written the region since it was registered
+    /// or last zeroed ([`MemoryRegion::zero`]): only then does it hold
+    /// its length in heap memory.
+    pub fn committed(&self) -> bool {
+        self.buf.read().committed().is_some()
+    }
+
+    /// Zero the region by dropping its bytes: it reads as zeros and
+    /// holds no heap memory until the next write.
+    pub(crate) fn zero(&self) {
+        self.buf.write().bytes = Vec::new();
+    }
+
     /// Copy `data` into the region at byte `offset`.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
-        if offset + data.len() > self.len {
-            return Err(FabricError::AccessViolation {
-                addr: self.base + offset as u64,
-                len: data.len(),
-            });
-        }
-        self.buf.write().bytes[offset..offset + data.len()].copy_from_slice(data);
-        Ok(())
+        self.put(offset, data).map(drop)
+    }
+
+    /// [`MemoryRegion::write`] by the NIC (an inline write's payload):
+    /// the destination's doorbell rings under its guard, as after
+    /// [`MemoryRegion::dma_to`].
+    pub(crate) fn dma_in(&self, offset: usize, data: &[u8]) -> Result<()> {
+        self.put(offset, data).map(|buf| buf.ring())
+    }
+
+    /// Copy `data` in at `offset` and return the guard it was written
+    /// under.
+    fn put(&self, offset: usize, data: &[u8]) -> Result<RwLockWriteGuard<'_, Buffer>> {
+        let span = self.span(offset, data.len())?;
+        let mut buf = self.buf.write();
+        buf.commit(self.len)[span].copy_from_slice(data);
+        Ok(buf)
     }
 
     /// Copy from the region at byte `offset` into `out`.
     pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
-        if offset + out.len() > self.len {
-            return Err(FabricError::AccessViolation {
-                addr: self.base + offset as u64,
-                len: out.len(),
-            });
+        let span = self.span(offset, out.len())?;
+        match self.buf.read().committed() {
+            Some(bytes) => out.copy_from_slice(&bytes[span]),
+            None => out.fill(0),
         }
-        out.copy_from_slice(&self.buf.read().bytes[offset..offset + out.len()]);
         Ok(())
     }
 
@@ -188,9 +241,9 @@ impl MemoryRegion {
         self.write(offset, &value.to_le_bytes())
     }
 
-    /// Run `f` over a mutable view of the whole buffer.
+    /// Run `f` over a mutable view of the whole buffer (committing it).
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.buf.write().bytes)
+        f(self.buf.write().commit(self.len))
     }
 
     /// Whether the region grants every right in `needed` (the MPT check
@@ -217,7 +270,8 @@ impl MemoryRegion {
     /// origin. That ordering makes concurrent opposite-direction copies
     /// (lane A copies X→Y while lane B copies Y→X) deadlock-free.
     /// A same-region copy takes one write guard and uses `copy_within`
-    /// (overlap-safe). The destination's doorbell rings under its guard.
+    /// (overlap-safe). An unwritten source copies zeros. The
+    /// destination's doorbell rings under its guard.
     pub(crate) fn dma_to(
         &self,
         src_off: usize,
@@ -225,32 +279,29 @@ impl MemoryRegion {
         dst_off: usize,
         len: usize,
     ) -> Result<()> {
-        if src_off + len > self.len {
-            return Err(FabricError::AccessViolation {
-                addr: self.base + src_off as u64,
-                len,
-            });
-        }
-        if dst_off + len > dst.len {
-            return Err(FabricError::AccessViolation {
-                addr: dst.base + dst_off as u64,
-                len,
-            });
-        }
+        let from = self.span(src_off, len)?;
+        let to = dst.span(dst_off, len)?;
+        let copy = |src: &Buffer, d: &mut Buffer| {
+            let to = &mut d.commit(dst.len)[to.clone()];
+            match src.committed() {
+                Some(bytes) => to.copy_from_slice(&bytes[from.clone()]),
+                None => to.fill(0),
+            }
+            d.ring();
+        };
         if std::ptr::eq(self, dst) {
+            // Zeros copied onto zeros need no commit.
             let mut d = self.buf.write();
-            d.bytes.copy_within(src_off..src_off + len, dst_off);
+            if !d.bytes.is_empty() {
+                d.bytes.copy_within(from, dst_off);
+            }
             d.ring();
         } else if (self as *const MemoryRegion as usize) < (dst as *const MemoryRegion as usize) {
             let src = self.buf.read();
-            let mut d = dst.buf.write();
-            d.bytes[dst_off..dst_off + len].copy_from_slice(&src.bytes[src_off..src_off + len]);
-            d.ring();
+            copy(&src, &mut dst.buf.write());
         } else {
             let mut d = dst.buf.write();
-            let src = self.buf.read();
-            d.bytes[dst_off..dst_off + len].copy_from_slice(&src.bytes[src_off..src_off + len]);
-            d.ring();
+            copy(&self.buf.read(), &mut d);
         }
         Ok(())
     }
@@ -271,14 +322,9 @@ impl MemoryRegion {
         if !offset.is_multiple_of(8) {
             return Err(FabricError::Misaligned(self.base + offset as u64));
         }
-        if offset + 8 > self.len {
-            return Err(FabricError::AccessViolation {
-                addr: self.base + offset as u64,
-                len: 8,
-            });
-        }
+        let span = self.span(offset, 8)?;
         let mut guard = self.buf.write();
-        let bytes: &mut [u8] = &mut guard.bytes[offset..offset + 8];
+        let bytes = &mut guard.commit(self.len)[span];
         let old = u64::from_le_bytes(bytes.try_into().expect("8-byte slice"));
         let new = f(old);
         bytes.copy_from_slice(&new.to_le_bytes());
@@ -316,7 +362,8 @@ impl MrTable {
         }
     }
 
-    /// Register a zeroed region of `len` bytes with the given remote rights.
+    /// Register a zeroed region of `len` bytes with the given remote
+    /// rights (committed at its first write).
     pub fn register(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         // Pad region spacing so adjacent regions never abut (catches
@@ -332,7 +379,7 @@ impl MrTable {
             rkey: Rkey(key),
             access,
             buf: RwLock::new(Buffer {
-                bytes: vec![0u8; len].into_boxed_slice(),
+                bytes: Vec::new(),
                 doorbell: None,
             }),
         });
@@ -402,6 +449,44 @@ mod tests {
         let mut out = [0u8; 8];
         assert!(mr.read(9, &mut out).is_err());
         assert!(mr.read(8, &mut out).is_ok());
+    }
+
+    #[test]
+    fn huge_offsets_are_access_violations() {
+        let t = MrTable::new();
+        let (a, b) = (t.register(16, Access::LOCAL), t.register(16, Access::LOCAL));
+        let huge = usize::MAX - 2;
+        let violation = |r: Result<()>| matches!(r, Err(FabricError::AccessViolation { .. }));
+        assert!(violation(a.write(huge, b"abcd")));
+        assert!(violation(a.read(huge, &mut [0u8; 4])));
+        assert!(violation(a.dma_to(huge, &b, 0, 4)));
+        assert!(violation(a.dma_to(0, &b, huge, 4)));
+        assert!(a.fetch_add_u64(usize::MAX - 7, 1).is_err());
+    }
+
+    #[test]
+    fn an_unwritten_region_reads_zeros_and_commits_nothing() {
+        let t = MrTable::new();
+        let (a, b) = (t.register(64, Access::LOCAL), t.register(64, Access::LOCAL));
+        let mut out = [1u8; 8];
+        a.read(4, &mut out).unwrap();
+        assert_eq!(out, [0u8; 8]);
+        assert_eq!(a.read_vec(0, 64).unwrap(), vec![0u8; 64]);
+        assert_eq!(a.read_u64(56).unwrap(), 0);
+        b.write(0, &[9u8; 64]).unwrap();
+        a.dma_to(8, &b, 16, 8).unwrap();
+        assert_eq!(
+            b.read_vec(8, 24).unwrap(),
+            [[9u8; 8], [0; 8], [9; 8]].concat()
+        );
+        a.dma_to(0, &a, 32, 16).unwrap();
+        assert!(!a.committed(), "reads and DMAs out of a region commit it");
+        a.write(0, b"x").unwrap();
+        assert!(a.committed());
+        assert_eq!(a.read_vec(0, 2).unwrap(), b"x\0");
+        a.zero();
+        assert!(!a.committed());
+        assert_eq!(a.read_vec(0, 2).unwrap(), [0, 0]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! The engine performs real memory movement (so two-sided and one-sided
 //! semantics are exercised end to end) — zero-copy, via
 //! [`MemoryRegion::dma_to`], one guarded `memcpy` from source MR to
-//! destination MR with no per-verb scratch buffer — records
+//! destination MR with no per-verb scratch buffer, or for an inline
+//! write from the payload its work request carries — records
 //! connection-cache accesses on both endpoints, and DMAs completions to
 //! the relevant CQs. Errors surface as error-status completions and
 //! transition the QP to the error state, mirroring verbs behaviour.
@@ -43,12 +44,8 @@ pub(crate) enum NicCmd {
     Post {
         /// The posting queue pair.
         src_qpn: QpNum,
-        /// The QP's lease epoch at post time ([`crate::qp::Qp::epoch`]).
-        /// The engine drops work whose epoch no longer matches: the QP
-        /// was reset (recycled into the pool) after this was posted.
-        epoch: u64,
-        /// The work request.
-        wr: SendWr,
+        /// What was posted.
+        verb: Verb,
     },
     /// A one-sided verb (READ / FetchAdd / CmpSwap) arriving at the
     /// *responder* node's engine. The requester lane charges only the
@@ -67,13 +64,25 @@ pub(crate) enum NicCmd {
         /// The responder-side queue pair, whose connection state is
         /// what the responder NIC must have resident.
         dst_qpn: QpNum,
-        /// The posting QP's lease epoch at post time.
-        epoch: u64,
-        /// The work request.
-        wr: SendWr,
+        /// What was posted.
+        verb: Verb,
     },
     /// Stop the engine thread.
     Stop,
+}
+
+/// A posted work request, as a lane executes it.
+#[derive(Debug)]
+pub(crate) struct Verb {
+    /// The QP's lease epoch at post time ([`crate::qp::Qp::epoch`]).
+    /// The engine drops work whose epoch no longer matches: the QP was
+    /// reset (recycled into the pool) after this was posted.
+    pub(crate) epoch: u64,
+    /// The work request.
+    pub(crate) wr: SendWr,
+    /// An inline write's payload ([`Qp::post_inline`]), handed back to
+    /// the QP once the lane is done with it.
+    pub(crate) payload: Option<Vec<u8>>,
 }
 
 /// Per-node NIC statistics (atomically updated by the engine).
@@ -278,7 +287,8 @@ impl EngineLane {
         };
         let cost = &self.fabric.config.cost;
         let target = match &cmd {
-            NicCmd::Post { src_qpn, wr, .. } => {
+            NicCmd::Post { src_qpn, verb } => {
+                let wr = &verb.wr;
                 let target =
                     one_sided_target(&self.fabric, &mut self.resolved, &self.node, *src_qpn, wr);
                 clock::charge(match target {
@@ -301,8 +311,8 @@ impl EngineLane {
             // whether *this* NIC has the responder-side QP state
             // resident — the fan-in effect: past the cache size, every
             // one-sided verb pays the PCIe state fetch.
-            NicCmd::Respond { dst_qpn, wr, .. } => {
-                clock::charge(service_ns(cost, &self.node, *dst_qpn, wr));
+            NicCmd::Respond { dst_qpn, verb, .. } => {
+                clock::charge(service_ns(cost, &self.node, *dst_qpn, &verb.wr));
                 None
             }
             NicCmd::Stop => return Next::Done,
@@ -314,40 +324,30 @@ impl EngineLane {
     fn execute(&mut self, cmd: NicCmd, target: Option<Responder>) {
         let (fabric, resolved) = (&*self.fabric, &mut self.resolved);
         match (cmd, target) {
-            (NicCmd::Post { src_qpn, epoch, wr }, Some((dst, dst_qpn))) => {
+            (NicCmd::Post { src_qpn, verb }, Some((dst, dst_qpn))) => {
                 let respond = NicCmd::Respond {
                     req_node: self.node.id(),
                     src_qpn,
                     dst_qpn,
-                    epoch,
-                    wr,
+                    verb,
                 };
                 if let Some(dst) = resolved.node(fabric, dst) {
                     dst.forward_cmd(dst_qpn, respond);
                 }
             }
-            (NicCmd::Post { src_qpn, epoch, wr }, None) => {
+            (NicCmd::Post { src_qpn, verb }, None) => {
                 let node = self.node.id();
-                process(fabric, resolved, node, src_qpn, epoch, wr, &mut self.rng)
+                process(fabric, resolved, node, src_qpn, verb, &mut self.rng)
             }
             (
                 NicCmd::Respond {
                     req_node,
                     src_qpn,
-                    epoch,
-                    wr,
+                    verb,
                     ..
                 },
                 _,
-            ) => process(
-                fabric,
-                resolved,
-                req_node,
-                src_qpn,
-                epoch,
-                wr,
-                &mut self.rng,
-            ),
+            ) => process(fabric, resolved, req_node, src_qpn, verb, &mut self.rng),
             (NicCmd::Stop, _) => {}
         }
     }
@@ -416,22 +416,22 @@ fn service_ns(cost: &CostModel, node: &Node, qpn: QpNum, wr: &SendWr) -> u64 {
 }
 
 /// Execute send-side work posted on `node`'s QP `src_qpn`: check its
-/// lease and state, touch its connection state, move the data and
-/// complete. Every object the verb names is looked up once, through
-/// `resolved`.
+/// lease and state, touch its connection state, move the data,
+/// complete, and hand an inline payload back to the QP. Every object the
+/// verb names is looked up once, through `resolved`.
 fn process(
     fabric: &FabricInner,
     resolved: &mut Resolved,
     node: NodeId,
     src_qpn: QpNum,
-    epoch: u64,
-    wr: SendWr,
+    verb: Verb,
     rng: &mut SmallRng,
 ) {
     resolved.refresh(fabric);
     let Some(qp) = resolved.qp(fabric, node, src_qpn) else {
         return; // QP destroyed after posting; nothing to complete into.
     };
+    let wr = &verb.wr;
     // Where the verb goes, looked up now: a lookup changes nothing, and
     // a failed one is reported in its turn below.
     let dst = qp.remote().or(wr.dst);
@@ -442,7 +442,7 @@ fn process(
         nodes, qps, mrs, ..
     } = resolved;
     let (node, qp) = (&nodes[&node], &qps[&(node, src_qpn)]);
-    if qp.epoch() != epoch {
+    if qp.epoch() != verb.epoch {
         // Posted in a previous lease; the QP was reset (recycled into
         // the node's pool) since. Executing would target the *new*
         // lessee's connection, and completing would land in the new
@@ -450,7 +450,7 @@ fn process(
         return;
     }
     match qp.state() {
-        QpState::Error => return complete_send(qp, &wr, CqStatus::WorkRequestFlushed, 0),
+        QpState::Error => return complete_send(qp, wr, CqStatus::WorkRequestFlushed, 0),
         // Reset between the epoch check and here, or posted on a QP that
         // was never brought up: nothing valid to execute against.
         QpState::Init => return,
@@ -471,7 +471,7 @@ fn process(
                 .ok_or(FabricError::QpNotFound(id, qpn))?;
             Ok((&**dst_node, &**dst_qp))
         });
-    let result = dst.and_then(|dst| execute(fabric, node, qp, dst, mrs, &wr, rng));
+    let result = dst.and_then(|dst| execute(fabric, node, qp, dst, mrs, &verb, rng));
     match result {
         Ok(bytes) => {
             node.stats().verbs.fetch_add(1, Ordering::Relaxed);
@@ -479,7 +479,7 @@ fn process(
                 .bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
             if wr.signaled {
-                complete_send(qp, &wr, CqStatus::Success, bytes);
+                complete_send(qp, wr, CqStatus::Success, bytes);
             }
         }
         Err(e) => {
@@ -496,8 +496,14 @@ fn process(
                 _ => CqStatus::RemoteAccessError,
             };
             qp.set_error();
-            complete_send(qp, &wr, status, 0);
+            complete_send(qp, wr, status, 0);
         }
+    }
+    // A verb dropped or flushed above (destroyed QP, reset lease, QP in
+    // error) dropped its payload instead: a cold path, and the QP's next
+    // inline write allocates one.
+    if let Some(payload) = verb.payload {
+        qp.recycle_inline(payload);
     }
 }
 
@@ -519,7 +525,7 @@ fn complete_send(qp: &Qp, wr: &SendWr, status: CqStatus, bytes: usize) {
     });
 }
 
-/// Execute the data movement for `wr` from `node`'s `qp` to its
+/// Execute the data movement for `verb` from `node`'s `qp` to its
 /// destination `(node, QP)`; returns bytes moved.
 fn execute(
     fabric: &FabricInner,
@@ -527,7 +533,7 @@ fn execute(
     qp: &Qp,
     (dst_node, dst_qp): (&Node, &Qp),
     mrs: &mut Regions,
-    wr: &SendWr,
+    verb: &Verb,
     rng: &mut SmallRng,
 ) -> Result<usize> {
     let (src, dst) = (node.id(), dst_node.id());
@@ -539,7 +545,16 @@ fn execute(
         .lock()
         .access(qp_state_key(dst.0, dst_qpn.0));
 
-    match wr.op {
+    // An inline write: the payload is the work request's, and the local
+    // SGE is not read ([`Qp::post_inline`]).
+    if let (Some(payload), SendOp::Write { remote, .. }) = (&verb.payload, verb.wr.op) {
+        mrs.load(dst_node, remote.rkey.0);
+        let (dst_mr, off) = mrs.remote(dst, remote, payload.len(), Access::REMOTE_WRITE)?;
+        dst_mr.dma_in(off, payload)?;
+        node.stats().bump(&node.stats().writes);
+        return Ok(payload.len());
+    }
+    match verb.wr.op {
         SendOp::Send { local } => {
             mrs.load(node, local.lkey.0);
             let src_off = mrs.local(src, local)?.1;

@@ -13,9 +13,9 @@ use parking_lot::Mutex;
 
 use crate::chan::DoorbellSender;
 use crate::cq::CompletionQueue;
-use crate::nic::NicCmd;
+use crate::nic::{NicCmd, Verb};
 use crate::types::{FabricError, NodeId, QpNum, QpState, Result, Transport};
-use crate::verbs::{Completion, RecvWr, SendWr};
+use crate::verbs::{Completion, RecvWr, SendOp, SendWr};
 
 /// `Qp::remote` while the QP has no peer.
 const NO_PEER: u64 = u64::MAX;
@@ -38,6 +38,11 @@ const NO_PEER: u64 = u64::MAX;
 /// `epoch` counter is stamped into every posted work request and bumped
 /// by [`Qp::reset`], so an engine lane silently drops work posted in a
 /// previous lease instead of executing it against the new connection.
+///
+/// An inline write ([`Qp::post_inline`]) carries its payload in a
+/// buffer the NIC lane hands back to `spent` once it has executed the
+/// write; the next [`Qp::inline_buf`] reuses it, so the buffers grow to
+/// the QP's in-flight high-water mark and then stop allocating.
 #[derive(Debug)]
 pub struct Qp {
     node: NodeId,
@@ -51,6 +56,7 @@ pub struct Qp {
     recv_queue: Mutex<VecDeque<RecvWr>>,
     epoch: AtomicU64,
     engine: DoorbellSender<NicCmd>,
+    spent: Mutex<Vec<Vec<u8>>>,
 }
 
 impl Qp {
@@ -74,6 +80,7 @@ impl Qp {
             recv_queue: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(0),
             engine,
+            spent: Mutex::new(Vec::new()),
         })
     }
 
@@ -179,13 +186,56 @@ impl Qp {
     /// the request to the NIC engine. Local/remote memory validation
     /// happens asynchronously in the engine and is reported via the CQ.
     pub fn post_send(&self, wr: SendWr) -> Result<()> {
+        self.post(wr, None)
+    }
+
+    /// Post `wr`, an RDMA write of `payload.len()` bytes, with its
+    /// payload inline (verbs `IBV_SEND_INLINE`): the bytes travel in
+    /// the work request and the NIC writes them to the remote address
+    /// without reading the local SGE, whose key it ignores. The SGE's
+    /// length still prices the write, exactly as if it were read. Take
+    /// `payload` from [`Qp::inline_buf`]; the NIC hands it back.
+    pub fn post_inline(&self, wr: SendWr, payload: Vec<u8>) -> Result<()> {
+        match wr.op {
+            SendOp::Write { local, .. } if local.len == payload.len() => {
+                self.post(wr, Some(payload))
+            }
+            _ => Err(FabricError::UnsupportedVerb {
+                transport: self.transport,
+                verb: "inline (a write of the payload's length)",
+            }),
+        }
+    }
+
+    /// A zeroed buffer of `len` bytes for a [`Qp::post_inline`] payload:
+    /// a spent one when the NIC has handed one back.
+    pub fn inline_buf(&self, len: usize) -> Vec<u8> {
+        let spent = self.spent.lock().pop();
+        let mut buf = spent.unwrap_or_else(|| Vec::with_capacity(len));
+        buf.resize(len, 0);
+        buf
+    }
+
+    /// Hand back the payload of an inline write the NIC is done with.
+    pub(crate) fn recycle_inline(&self, mut payload: Vec<u8>) {
+        payload.clear();
+        self.spent.lock().push(payload);
+    }
+
+    /// Validate `wr` and hand it, with its inline `payload` if any, to
+    /// the NIC engine.
+    fn post(&self, wr: SendWr, payload: Option<Vec<u8>>) -> Result<()> {
         let epoch = self.ready_epoch()?;
         self.validate(&wr)?;
+        self.enqueue(Verb { epoch, wr, payload })
+    }
+
+    /// Hand validated work to the NIC engine.
+    fn enqueue(&self, verb: Verb) -> Result<()> {
         self.engine
             .send(NicCmd::Post {
                 src_qpn: self.qpn,
-                epoch,
-                wr,
+                verb,
             })
             .map_err(|_| FabricError::Shutdown)
     }
@@ -202,13 +252,11 @@ impl Qp {
             self.validate(wr)?;
         }
         for wr in wrs {
-            self.engine
-                .send(NicCmd::Post {
-                    src_qpn: self.qpn,
-                    epoch,
-                    wr: *wr,
-                })
-                .map_err(|_| FabricError::Shutdown)?;
+            self.enqueue(Verb {
+                epoch,
+                wr: *wr,
+                payload: None,
+            })?;
         }
         Ok(())
     }

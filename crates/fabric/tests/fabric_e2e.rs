@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use flock_fabric::{
-    Access, CqStatus, Fabric, FabricConfig, FabricError, QpState, RecvWr, RemoteAddr, SendWr, Sge,
-    Transport, WrId, GRH_BYTES,
+    Access, CqStatus, Fabric, FabricConfig, FabricError, QpState, RecvWr, RemoteAddr, Rkey, SendWr,
+    Sge, Transport, WrId, GRH_BYTES,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -700,6 +700,104 @@ fn a_region_deregistered_between_post_and_execution_fails_the_verb() {
     }
 }
 
+/// An inline write of eight `byte`s to `p`'s server region at `off`,
+/// with `wr_id`. Its local SGE names no region: the NIC ignores it.
+fn inline_write(p: &Pair, wr_id: u64, off: u64, byte: u8) -> flock_fabric::Result<()> {
+    let local = Sge {
+        lkey: flock_fabric::Lkey(0),
+        addr: 0,
+        len: 8,
+    };
+    let remote = RemoteAddr {
+        rkey: p.smr.rkey(),
+        addr: p.smr.addr() + off,
+    };
+    let mut payload = p.cqp.inline_buf(8);
+    payload.fill(byte);
+    p.cqp
+        .post_inline(SendWr::write(WrId(wr_id), local, remote), payload)
+}
+
+/// In the lab, on a fresh pair, run `lead`, post an inline write of `A`s
+/// at offset 0 and `break_it` before the NIC executes anything. Then collect the first lease's completions, start a new
+/// lease on both QPs and write `B`s inline at offset 8. Returns the
+/// server region's first 16 bytes, the first lease's completions and
+/// the status of the new lease's write.
+fn inline_write_broken_then_next_lease(
+    lead: impl Fn(&Pair) + Send + Sync,
+    break_it: impl Fn(&Pair) + Send + Sync,
+) -> (Vec<u8>, Vec<(WrId, CqStatus)>, CqStatus) {
+    flock_sim::VirtualLab::run(|| {
+        let p = pair(Transport::Rc);
+        lead(&p);
+        inline_write(&p, 1, 0, b'A').unwrap();
+        break_it(&p);
+        let mut first = Vec::new();
+        while let Some(c) = p.ccq.wait_one(Duration::from_millis(1)) {
+            first.push((c.wr_id, c.status));
+        }
+        p.cqp.reset();
+        p.sqp.reset();
+        p.fabric.connect(&p.cqp, &p.sqp).unwrap();
+        inline_write(&p, 2, 8, b'B').unwrap();
+        let next = p.ccq.wait_one(TIMEOUT).unwrap();
+        assert_eq!(next.wr_id, WrId(2));
+        (p.smr.read_vec(0, 16).unwrap(), first, next.status)
+    })
+}
+
+#[test]
+fn an_inline_write_of_a_reset_lease_lands_nothing() {
+    let (bytes, first, next) = inline_write_broken_then_next_lease(|_| {}, |p| p.cqp.reset());
+    assert_eq!(bytes, [[0u8; 8], [b'B'; 8]].concat());
+    assert!(first.is_empty(), "a reset lease completed {first:?}");
+    assert_eq!(next, CqStatus::Success);
+}
+
+#[test]
+fn an_inline_write_behind_an_error_lands_nothing() {
+    // A write to a key nobody registered, posted first: it moves the QP
+    // to `Error` after the inline write is posted and before it executes.
+    let bad = |p: &Pair| {
+        let local = Sge {
+            lkey: p.cmr.lkey(),
+            addr: p.cmr.addr(),
+            len: 8,
+        };
+        let remote = RemoteAddr {
+            rkey: Rkey(999),
+            addr: 0,
+        };
+        p.cqp
+            .post_send(SendWr::write(WrId(9), local, remote))
+            .unwrap();
+    };
+    let (bytes, first, next) = inline_write_broken_then_next_lease(bad, |_| {});
+    assert_eq!(bytes, [[0u8; 8], [b'B'; 8]].concat());
+    let flushed = [
+        (WrId(9), CqStatus::RemoteAccessError),
+        (WrId(1), CqStatus::WorkRequestFlushed),
+    ];
+    assert_eq!(first, flushed);
+    assert_eq!(next, CqStatus::Success);
+}
+
+#[test]
+fn an_inline_write_must_be_a_write_of_its_payload() {
+    let p = pair(Transport::Rc);
+    let [write, read] = write_and_read(&p);
+    let wrong = [(write, p.cqp.inline_buf(2)), (read, p.cqp.inline_buf(1))];
+    for (wr, payload) in wrong {
+        assert!(matches!(
+            p.cqp.post_inline(wr, payload),
+            Err(FabricError::UnsupportedVerb { .. })
+        ));
+    }
+    inline_write(&p, 3, 0, b'C').unwrap();
+    assert!(p.ccq.wait_one(TIMEOUT).unwrap().is_ok());
+    assert_eq!(p.smr.read_vec(0, 8).unwrap(), [b'C'; 8]);
+}
+
 #[test]
 fn multi_lane_engine_preserves_per_qp_fifo() {
     // 4 lanes, 8 QPs fanned in to one server node: writes on each QP
@@ -879,8 +977,10 @@ fn mr_cache_reuses_and_zeroes() {
     let mr2 = node.acquire_mr(1024, Access::REMOTE_WRITE);
     assert_eq!(mr2.lkey(), lkey, "same registration reused");
     assert_eq!(node.mr_cache().lock().hits(), 1);
-    // Reuse zeroes the buffer: stale ring canaries must not survive.
-    assert_eq!(mr2.read_vec(0, 5).unwrap(), vec![0u8; 5]);
+    // Reuse zeroes the buffer: stale ring canaries must not survive. The
+    // zeroing drops the bytes, which commit again at the next write.
+    assert_eq!(mr2.read_vec(0, 1024).unwrap(), vec![0u8; 1024]);
+    assert!(!mr2.committed(), "a recycled region holds its old bytes");
     // A different layout still registers cold.
     let other = node.acquire_mr(2048, Access::REMOTE_WRITE);
     assert_ne!(other.lkey(), lkey);
