@@ -7,11 +7,12 @@
 //! queue per packet — the overhead the paper's Figure 2(b) measures.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use flock_sync::clock::{self, Event, TaskHandle};
+use flock_sync::Stop;
 
 use flock_fabric::{
     Access, MemoryRegion, Node, NodeId, QpNum, RecvWr, SendWr, Sge, Transport, WrId, GRH_BYTES,
@@ -237,7 +238,7 @@ impl Reassembly {
 /// The UD RPC server.
 pub struct UdRpcServer {
     ep: Arc<Endpoint>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     worker: Mutex<Option<TaskHandle>>,
     /// Requests processed (for CPU-overhead comparisons).
     pub requests: Arc<AtomicU64>,
@@ -256,7 +257,7 @@ impl UdRpcServer {
         handler: impl Fn(u32, &[u8]) -> Vec<u8> + Send + Sync + 'static,
     ) -> UdRpcServer {
         let ep = Endpoint::new(node, &cfg);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let requests = Arc::new(AtomicU64::new(0));
         let worker = {
             let ep = Arc::clone(&ep);
@@ -268,7 +269,7 @@ impl UdRpcServer {
                 // Response cache for retransmitted requests we already
                 // answered (at-most-once execution).
                 let mut answered: HashMap<(u32, u32), (u64, Vec<u8>)> = HashMap::new();
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_set() {
                     let Some((src, pkt)) = ep.poll() else {
                         // Empty poll: yield the core (a short virtual
                         // sleep under VirtualLab, an OS yield otherwise).
@@ -321,7 +322,7 @@ impl UdRpcServer {
 
     /// Stop the server thread.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.set([]);
         if let Some(h) = self.worker.lock().take() {
             let _ = h.join();
         }
@@ -345,7 +346,7 @@ pub struct UdRpcClient {
     ep: Arc<Endpoint>,
     server: (NodeId, QpNum),
     shared: Arc<ClientShared>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     worker: Mutex<Option<TaskHandle>>,
     next_thread: AtomicU64,
     /// Total retransmissions performed (observability for loss tests).
@@ -367,14 +368,14 @@ impl UdRpcClient {
             inboxes: Mutex::new(HashMap::new()),
             delivered: Event::new(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let worker = {
             let ep = Arc::clone(&ep);
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             clock::spawn("ud-rpc-client", move || {
                 let mut partial: HashMap<(u32, u64), Reassembly> = HashMap::new();
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_set() {
                     let Some((_src, pkt)) = ep.poll() else {
                         clock::yield_now();
                         continue;
@@ -418,7 +419,7 @@ impl UdRpcClient {
 
     /// Stop the client thread.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.set([]);
         if let Some(h) = self.worker.lock().take() {
             let _ = h.join();
         }

@@ -11,11 +11,12 @@
 
 use std::collections::HashMap;
 
-use flock_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use flock_core::sync::atomic::{AtomicU64, Ordering};
 use flock_core::sync::Arc;
 use std::time::Duration;
 
 use flock_sync::clock::{self, Event, TaskHandle};
+use flock_sync::Stop;
 
 use flock_core::credit::CreditState;
 use flock_core::domain::{reply_channel, ConnectRequest, FlockDomain, RingInfo};
@@ -67,16 +68,14 @@ struct Inner {
     cfg: LockShareConfig,
     qps: Vec<Arc<QpCtx>>,
     threads: Mutex<Vec<Arc<ThreadSlot>>>,
-    stop: AtomicBool,
+    stop: Stop,
 }
 
 impl Inner {
     /// For wait conditions: `Some(Err(Disconnected))` once the client has
     /// stopped (ends the wait), `None` (keep waiting) until then.
     fn disconnected<T>(&self) -> Option<Result<T>> {
-        self.stop
-            .load(Ordering::Relaxed)
-            .then_some(Err(FlockError::Disconnected))
+        self.stop.is_set().then_some(Err(FlockError::Disconnected))
     }
 }
 
@@ -142,7 +141,7 @@ impl LockSharedClient {
             cfg,
             qps,
             threads: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+            stop: Stop::new(),
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
@@ -184,14 +183,12 @@ impl LockSharedClient {
 
     /// Stop the dispatcher.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
         // Both waits of `call` end on the stop flag.
-        for qp in &self.inner.qps {
-            qp.granted.notify_all();
-        }
-        for slot in self.inner.threads.lock().iter() {
-            slot.delivered.notify_all();
-        }
+        let threads = self.inner.threads.lock();
+        let grants = self.inner.qps.iter().map(|qp| &qp.granted);
+        let inboxes = threads.iter().map(|slot| &slot.delivered);
+        self.inner.stop.set(grants.chain(inboxes));
+        drop(threads);
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
@@ -278,7 +275,7 @@ fn send_credit_request(qp: &QpCtx) {
 
 fn dispatcher_loop(inner: &Inner) {
     let mut msg = Vec::new();
-    while !inner.stop.load(Ordering::Relaxed) {
+    while !inner.stop.is_set() {
         let mut progressed = false;
         for qp in &inner.qps {
             while qp.link.qp().send_cq().poll_one().is_some() {}

@@ -21,7 +21,7 @@
 //!    and after shows the departing sender's share migrating at detach
 //!    (not at the next utilization epoch).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
@@ -30,7 +30,7 @@ use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::{LabReport, VirtualLab};
-use flock_sync::clock;
+use flock_sync::{clock, Stop};
 
 use crate::json::{float, object, Value};
 use crate::stats::{percentile_us, Handoff};
@@ -279,31 +279,23 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
         let server = FlockServer::listen(&domain, &server_node, "churn-load", scfg);
         server.reg_handler(1, |req| req.to_vec());
 
-        // The start gate: 0 until the steady window opens, then the
-        // virtual instant it closes.
-        let go = Arc::new(AtomicU64::new(0));
-        let ready = Arc::new(AtomicUsize::new(0));
+        // The start gate: the steady window opens with it.
+        let gate = Arc::new(clock::Barrier::new());
         type SteadyResults = Arc<Mutex<Vec<(usize, Vec<u64>)>>>;
         let results: SteadyResults = Arc::new(Mutex::new(Vec::new()));
 
         let mut tasks = Vec::new();
         for c in 0..w.steady_clients {
             let domain = Arc::clone(&domain);
-            let go = Arc::clone(&go);
-            let ready = Arc::clone(&ready);
+            let gate = Arc::clone(&gate);
             let results = Arc::clone(&results);
             tasks.push(clock::spawn(&format!("steady-{c}"), move || {
                 let node = domain.add_node(&format!("steady-c{c}"));
                 let handle =
                     fl_connect(&domain, &node, "churn-load", churn_handle_cfg()).expect("connect");
                 let t = handle.register_thread();
-                ready.fetch_add(1, Ordering::Release);
-                let deadline = loop {
-                    match go.load(Ordering::Acquire) {
-                        0 => clock::sleep_ns(5_000),
-                        deadline => break deadline,
-                    }
-                };
+                gate.arrive();
+                let deadline = gate.wait() + w.steady_us * 1_000;
                 let payload = vec![c as u8; w.payload];
                 let mut lats = Vec::new();
                 let mut window: Vec<(u64, u64)> = Vec::with_capacity(w.window);
@@ -324,19 +316,16 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
             }));
         }
 
-        let churn_events = Arc::new(AtomicUsize::new(0));
-        let last_churn_at = Arc::new(AtomicU64::new(0));
+        // The instant of every churn event (a churner's close returned).
+        let churned: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         if with_churn {
             for k in 0..w.churners {
                 let domain = Arc::clone(&domain);
-                let go = Arc::clone(&go);
-                let churn_events = Arc::clone(&churn_events);
-                let last_churn_at = Arc::clone(&last_churn_at);
+                let gate = Arc::clone(&gate);
+                let churned = Arc::clone(&churned);
                 tasks.push(clock::spawn(&format!("churner-{k}"), move || {
                     let node = domain.add_node(&format!("churner-c{k}"));
-                    while go.load(Ordering::Acquire) == 0 {
-                        clock::sleep_ns(5_000);
-                    }
+                    gate.wait();
                     for round in 0..w.churn_rounds {
                         let mut handle =
                             fl_connect(&domain, &node, "churn-load", churn_handle_cfg())
@@ -349,19 +338,15 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
                         }
                         drop(t);
                         handle.close().expect("churner disconnect");
-                        churn_events.fetch_add(1, Ordering::Relaxed);
-                        last_churn_at.fetch_max(clock::now_ns(), Ordering::Relaxed);
+                        churned.lock().unwrap().push(clock::now_ns());
                         clock::sleep_ns(20_000);
                     }
                 }));
             }
         }
 
-        while ready.load(Ordering::Acquire) < w.steady_clients {
-            clock::sleep_ns(10_000);
-        }
-        let start = clock::now_ns();
-        go.store(start + w.steady_us * 1_000, Ordering::Release);
+        gate.wait_arrived(w.steady_clients);
+        let start = gate.open();
         for t in tasks {
             let _ = t.join();
         }
@@ -377,12 +362,12 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
         collected.sort_unstable_by_key(|(c, _)| *c);
         let mut all: Vec<u64> = collected.into_iter().flat_map(|(_, l)| l).collect();
         all.sort_unstable();
-        let last_churn_ns = last_churn_at.load(Ordering::Relaxed).saturating_sub(start);
-        (
-            all,
-            churn_events.load(Ordering::Relaxed) as u64,
-            last_churn_ns,
-        )
+        let churned = std::mem::take(&mut *churned.lock().unwrap());
+        let last_churn_ns = churned
+            .iter()
+            .max()
+            .map_or(0, |at| at.saturating_sub(start));
+        (all, churned.len() as u64, last_churn_ns)
     });
     (lats, events, last_churn_ns, report)
 }
@@ -479,8 +464,8 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
         // survivor's handle stays in this task (it is only dropped, not
         // closed) so its active-QP view can be sampled directly; the
         // departing sender owns its handle so it can `close` it.
-        let stop_a = Arc::new(AtomicBool::new(false));
-        let stop_b = Arc::new(AtomicBool::new(false));
+        let stop_a = Arc::new(Stop::new());
+        let stop_b = Arc::new(Stop::new());
 
         let node_a = domain.add_node("so-a");
         let handle_a =
@@ -491,7 +476,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
             let stop = Arc::clone(&stop_a);
             a_workers.push(clock::spawn(&format!("so-a-{i}"), move || {
                 let buf = vec![0xAA; payload];
-                while !stop.load(Ordering::Acquire) {
+                while !stop.is_set() {
                     let resp = t.call(1, &buf).expect("a rpc");
                     debug_assert_eq!(resp.len(), buf.len());
                 }
@@ -511,7 +496,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
                     let stop = Arc::clone(&stop);
                     workers.push(clock::spawn(&format!("so-b-{i}"), move || {
                         let buf = vec![0xBB; payload];
-                        while !stop.load(Ordering::Acquire) {
+                        while !stop.is_set() {
                             let resp = t.call(1, &buf).expect("b rpc");
                             debug_assert_eq!(resp.len(), buf.len());
                         }
@@ -532,7 +517,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
 
         // B departs: its workers stop, then its handle detaches
         // gracefully, releasing its AQP share at the detach.
-        stop_b.store(true, Ordering::Release);
+        stop_b.set([]);
         let _ = b_task.join();
         // Give the scheduler a few epochs to re-grant the freed share to
         // the survivor (the client's view updates on the next grant).
@@ -540,7 +525,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
         let survivor_active_after = handle_a.active_qps();
         let total_active_after = server.active_qps();
 
-        stop_a.store(true, Ordering::Release);
+        stop_a.set([]);
         for w in a_workers {
             let _ = w.join();
         }

@@ -20,7 +20,6 @@
 //! same RPC. The rendered JSON's `crossover` section pins where, and
 //! EXPERIMENTS.md narrates the thresholds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -219,7 +218,6 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
             })
             .collect();
 
-        let go = Arc::new(AtomicBool::new(false));
         type Row = (u64, u64, Vec<u64>, u64, u64, KvReadStats, ReadStats);
         let rows: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -228,14 +226,10 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
         let write_frac = f64::from(p.write_pct) / 100.0;
         let mut tasks = Vec::with_capacity(p.clients);
         for (u, mut client) in clients.into_iter().enumerate() {
-            let go = Arc::clone(&go);
             let rows = Arc::clone(&rows);
             let mut rng = root.fork(u as u64);
             let ramp = ramp.clone();
             tasks.push(clock::spawn(&format!("xover-c{u}"), move || {
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
                 let value = vec![b'w'; p.value];
                 let mut out = Vec::with_capacity(p.value);
                 let mut lats = Vec::with_capacity(w.reqs_per_client as usize);
@@ -270,7 +264,7 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
                 ));
             }));
         }
-        go.store(true, Ordering::Release);
+        // Spawning never suspends the spawner, so every task starts now.
         for t in tasks {
             let _ = t.join();
         }

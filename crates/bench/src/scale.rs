@@ -11,7 +11,6 @@
 //! of its configuration: two runs produce byte-identical JSON, which is
 //! what lets `flock-bench --check` hold `BENCH_scale.json` to the tree.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
@@ -125,8 +124,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
         let server = FlockServer::listen(&domain, &server_node, "scale", scfg);
         server.reg_handler(1, |req| req.to_vec());
 
-        let go = Arc::new(AtomicBool::new(false));
-        let ready = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new(clock::Barrier::new());
         // (ops, latencies_ns, start_ns, finish_ns) per client thread.
         type ThreadResult = (u64, Vec<u64>, u64, u64);
         let results: Arc<Mutex<Vec<ThreadResult>>> = Arc::new(Mutex::new(Vec::new()));
@@ -134,8 +132,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
         let mut node_tasks = Vec::with_capacity(p.clients);
         for c in 0..p.clients {
             let domain = Arc::clone(&domain);
-            let go = Arc::clone(&go);
-            let ready = Arc::clone(&ready);
+            let gate = Arc::clone(&gate);
             let results = Arc::clone(&results);
             node_tasks.push(clock::spawn(&format!("scale-node-{c}"), move || {
                 let node = domain.add_node(&format!("scale-c{c}"));
@@ -149,10 +146,8 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
                 let fl_threads: Vec<_> = (0..p.threads_per_node)
                     .map(|_| handle.register_thread())
                     .collect();
-                ready.fetch_add(1, Ordering::Release);
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
+                gate.arrive();
+                gate.wait();
                 let mut workers = Vec::with_capacity(fl_threads.len());
                 for (i, t) in fl_threads.into_iter().enumerate() {
                     let results = Arc::clone(&results);
@@ -192,10 +187,8 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
             }));
         }
 
-        while ready.load(Ordering::Acquire) < p.clients {
-            clock::sleep_ns(10_000);
-        }
-        go.store(true, Ordering::Release);
+        gate.wait_arrived(p.clients);
+        gate.open();
         for h in node_tasks {
             let _ = h.join();
         }

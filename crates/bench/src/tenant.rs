@@ -21,7 +21,6 @@
 //!    disturbance ratio (vs baseline) is the headline: caps must hold
 //!    it near 1, while the uncapped run shows what lane-stealing costs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -33,7 +32,7 @@ use flock_gateway::{register_kv_backend, Gateway, GatewayConfig};
 use flock_kvstore::{KvConfig, KvStore};
 use flock_sim::rng::{SimRng, ZipfTable};
 use flock_sim::vtime::VirtualLab;
-use flock_sync::clock;
+use flock_sync::{clock, Stop};
 
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
@@ -252,21 +251,16 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
             }
         }
 
-        let go = Arc::new(AtomicBool::new(false));
         type Rows = Arc<Mutex<Vec<(u32, usize, u64, u64, Vec<u64>)>>>;
         let rows: Rows = Arc::new(Mutex::new(Vec::new()));
 
         let mut root = SimRng::new(w.seed);
         let mut tasks = Vec::with_capacity(sessions.len());
         for (tenant, s, mut sess) in sessions {
-            let go = Arc::clone(&go);
             let rows = Arc::clone(&rows);
             let mut rng = root.fork((u64::from(tenant) << 8) | s as u64);
             let table = ZipfTable::new(keys, zipf_s);
             tasks.push(clock::spawn(&format!("{label}-t{tenant}-s{s}"), move || {
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
                 let value = vec![b'v'; w.payload];
                 let mut wire = Vec::new();
                 let mut out = Vec::new();
@@ -301,7 +295,7 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
                 rows.lock().unwrap().push((tenant, s, t0, t1, lats));
             }));
         }
-        go.store(true, Ordering::Release);
+        // Spawning never suspends the spawner, so every task starts now.
         for t in tasks {
             let _ = t.join();
         }
@@ -518,9 +512,8 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
             }
         }
 
-        let go = Arc::new(AtomicBool::new(false));
-        let stop = Arc::new(AtomicBool::new(false));
-        let aggr_ops = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(Stop::new());
+        let aggr_ops = Arc::new(Mutex::new(0u64));
         type Rows = Arc<Mutex<Vec<(u32, usize, Vec<u64>)>>>;
         let rows: Rows = Arc::new(Mutex::new(Vec::new()));
 
@@ -528,14 +521,10 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         let ramp = victim_ramp(w.victim_reqs);
         let mut victim_tasks = Vec::new();
         for (tenant, s, mut sess) in victim_sessions {
-            let go = Arc::clone(&go);
             let rows = Arc::clone(&rows);
             let ramp = ramp.clone();
             let mut rng = root.fork((u64::from(tenant) << 8) | s as u64);
             victim_tasks.push(clock::spawn(&format!("victim-{tenant}-{s}"), move || {
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
                 let key = format!("v{tenant}s{s}");
                 let mut wire = Vec::new();
                 MemcachedText.encode_request(&Request::Get { key: key.as_bytes() }, &mut wire);
@@ -562,14 +551,10 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         let mut aggr_tasks = Vec::new();
         let burst_delay = aggr_burst_delay_ns(w.victim_reqs);
         for (s, mut sess) in aggr_sessions {
-            let go = Arc::clone(&go);
             let stop = Arc::clone(&stop);
             let aggr_ops = Arc::clone(&aggr_ops);
             let payload = w.payload;
             aggr_tasks.push(clock::spawn(&format!("aggr-{s}"), move || {
-                while !go.load(Ordering::Acquire) {
-                    clock::sleep_ns(5_000);
-                }
                 let value = vec![b'a'; payload];
                 let key = format!("a{s}");
                 let mut wire = Vec::new();
@@ -588,15 +573,17 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
                 // exists for. (An aggressor present from t=0 just gets
                 // packed separately by the first cut and never hurts.)
                 clock::sleep_ns(burst_delay);
-                while !stop.load(Ordering::Acquire) {
+                let mut ops = 0;
+                while !stop.is_set() {
                     out.clear();
                     sess.pump(&wire, &mut out).expect("aggressor pump");
-                    aggr_ops.fetch_add(1, Ordering::Relaxed);
+                    ops += 1;
                 }
+                *aggr_ops.lock().unwrap() += ops;
             }));
         }
 
-        go.store(true, Ordering::Release);
+        // Spawning never suspends the spawner, so every task starts now.
         // Sample lane shares mid-run (see `share_snapshot_ns`).
         clock::sleep_ns(share_snapshot_ns(w.victim_reqs));
         let snap = server.fairness_snapshot();
@@ -610,7 +597,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         for t in victim_tasks {
             let _ = t.join();
         }
-        stop.store(true, Ordering::Release);
+        stop.set([]);
         for t in aggr_tasks {
             let _ = t.join();
         }
@@ -644,10 +631,11 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
             all.extend_from_slice(&l[l.len() / 3..2 * l.len() / 3]);
         }
         all.sort_unstable();
+        let aggr_ops = *aggr_ops.lock().unwrap();
         InterferenceRun {
             lats: all,
             victim_ops,
-            aggr_ops: aggr_ops.load(Ordering::Relaxed),
+            aggr_ops,
             victim_lanes,
             aggr_lanes,
             handoff,

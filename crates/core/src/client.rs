@@ -14,6 +14,7 @@ use flock_fabric::{
     RemoteAddr, SendWr, Sge, Transport, WrId,
 };
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
+use flock_sync::Stop;
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{CreditState, MedianWindow, Residents, SendPhase};
@@ -298,7 +299,7 @@ pub(crate) struct HandleInner {
     /// (doorbells, memcpys, polling) under a virtual-time executor;
     /// charges are no-ops in threaded mode.
     cost: CostModel,
-    stop: AtomicBool,
+    stop: Stop,
     /// Resources returned to the node's QP pool / MR cache (graceful
     /// close); guards against double release.
     released: AtomicBool,
@@ -313,23 +314,19 @@ impl HandleInner {
     /// For wait conditions: `Some(Err(Disconnected))` once the handle has
     /// stopped (ends the wait), `None` (keep waiting) until then.
     fn disconnected<T>(&self) -> Option<Result<T>> {
-        self.stop
-            .load(Ordering::Relaxed)
-            .then_some(Err(FlockError::Disconnected))
+        self.stop.is_set().then_some(Err(FlockError::Disconnected))
     }
 
     /// Stop the handle and wake every wait that ends on
     /// [`HandleInner::disconnected`].
     fn stop_and_wake(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.dispatch_event.notify_all();
-        for qp in self.lanes_live() {
-            qp.credit_event.notify_all();
-        }
-        for t in self.threads.read().iter() {
-            t.inbox_event.notify_all();
-            t.mem_event.notify_all();
-        }
+        let threads = self.threads.read();
+        let credits = self.lanes_live().map(|qp| &qp.credit_event);
+        let threads = threads.iter().flat_map(|t| [&t.inbox_event, &t.mem_event]);
+        let ring = std::iter::once(&*self.dispatch_event)
+            .chain(credits)
+            .chain(threads);
+        self.stop.set(ring);
     }
 
     /// Iterate the materialized lanes (the dense prefix).
@@ -464,7 +461,7 @@ impl ConnectionHandle {
                 .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
             dispatch_event,
             cost: domain.fabric().config().cost.clone(),
-            stop: AtomicBool::new(false),
+            stop: Stop::new(),
             released: AtomicBool::new(false),
         });
 
@@ -513,7 +510,7 @@ impl ConnectionHandle {
     /// subsequent read is a pure one-sided verb with no further
     /// control traffic.
     pub fn fetch_exports(&self, filter: Option<&str>) -> Result<Vec<SegmentLease>> {
-        if self.inner.stop.load(Ordering::Relaxed) {
+        if self.inner.stop.is_set() {
             return Err(FlockError::Disconnected);
         }
         let (reply_tx, reply_rx) = reply_channel();
@@ -693,7 +690,7 @@ impl ConnectionHandle {
     pub fn close(&mut self) -> Result<()> {
         // Graceful detach first, while the dispatcher still runs (the
         // server replies only after its shards stopped touching us).
-        let detach = if self.inner.stop.load(Ordering::Relaxed) {
+        let detach = if self.inner.stop.is_set() {
             Err(FlockError::Disconnected)
         } else {
             let (reply_tx, reply_rx) = reply_channel();
@@ -758,7 +755,7 @@ impl FlThread {
     /// same payload allocates nothing).
     pub fn send_rpc_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<u64> {
         let inner = &self.inner;
-        if inner.stop.load(Ordering::Relaxed) {
+        if inner.stop.is_set() {
             return Err(FlockError::Disconnected);
         }
         let qp_idx = self.migrate_if_idle();
@@ -1518,7 +1515,7 @@ struct ResponseDispatcher {
 impl ResponseDispatcher {
     fn step(&mut self) -> Next {
         let inner = &*self.inner;
-        if inner.stop.load(Ordering::Relaxed) {
+        if inner.stop.is_set() {
             return Next::Done;
         }
         let now = clock::now_ns();

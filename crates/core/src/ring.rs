@@ -31,7 +31,6 @@
 //! a `Link` hands between its halves; they come from [`crate::sync`], so
 //! they stay visible to the loom model checker (see DESIGN.md).
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,6 +38,7 @@ use flock_fabric::{
     Access, FabricError, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId,
 };
 use flock_sync::clock::{self, Event};
+use flock_sync::Stop;
 use parking_lot::Mutex;
 
 use crate::domain::RingInfo;
@@ -564,7 +564,7 @@ impl Link {
 /// Gives up with `Disconnected` once `stop` is set and with `Timeout`
 /// once `timeout` has passed since the call.
 pub(crate) fn send_while_full<T>(
-    stop: &AtomicBool,
+    stop: &Stop,
     timeout: Duration,
     mut send: impl FnMut() -> Result<T>,
 ) -> Result<T> {
@@ -572,7 +572,7 @@ pub(crate) fn send_while_full<T>(
     loop {
         match send() {
             Err(FlockError::RingFull { .. }) => {
-                if stop.load(Ordering::Relaxed) {
+                if stop.is_set() {
                     return Err(FlockError::Disconnected);
                 }
                 if clock::expired(deadline) {

@@ -3,7 +3,7 @@
 //! scheduler with credit renewal over write-with-imm (§5.1, §7).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,6 +14,7 @@ use flock_fabric::{
     Transport,
 };
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
+use flock_sync::Stop;
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{LaneGate, LanePhase};
@@ -251,7 +252,7 @@ struct ServerInner {
     manual_rx: Receiver<IncomingRpc>,
     manual_rung: Arc<Event>,
     stats: ServerStats,
-    stop: AtomicBool,
+    stop: Stop,
 }
 
 impl ServerInner {
@@ -318,7 +319,7 @@ impl FlockServer {
             manual_rx,
             manual_rung,
             stats: ServerStats::default(),
-            stop: AtomicBool::new(false),
+            stop: Stop::new(),
         });
 
         let (accept_tx, accept_rx, accept_rung) = doorbell::<CtrlMsg>();
@@ -407,11 +408,15 @@ impl FlockServer {
     }
 
     /// Pull a request with no registered handler (`fl_recv_rpc`).
+    /// `None` once the timeout passes or the server stops.
     pub fn recv_rpc(&self, timeout: Duration) -> Option<IncomingRpc> {
         let deadline = clock::deadline(timeout);
-        self.inner
-            .manual_rung
-            .wait_until(deadline, 1_000, || self.inner.manual_rx.try_recv().ok())
+        let inner = &*self.inner;
+        let polled = inner.manual_rung.wait_until(deadline, 1_000, || {
+            let rpc = inner.manual_rx.try_recv().ok();
+            (rpc.is_some() || inner.stop.is_set()).then_some(rpc)
+        });
+        polled.flatten()
     }
 
     /// Respond to a request obtained via [`FlockServer::recv_rpc`]
@@ -480,14 +485,19 @@ impl FlockServer {
     /// Stop all server threads and unregister from `domain`.
     pub fn shutdown(&self, domain: &FlockDomain) {
         domain.unregister_listener(&self.name);
-        self.inner.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop out of its blocked receive or its
-        // quiescence wait, the dispatch shards off their doorbells, and
-        // the QP scheduler out of its idling on the immediate CQ.
+        // Wake the accept loop out of its blocked receive; the stop rings
+        // every other wait: the dispatch shards' doorbells, the accept
+        // loop's quiescence wait, the QP scheduler's immediate CQ and
+        // `recv_rpc`.
         let _ = self.accept_tx.send(CtrlMsg::Stop);
-        self.inner.ring_shards();
-        self.inner.acked.notify_all();
-        self.inner.imm_cq.wake_waiters();
+        let inner = &*self.inner;
+        let bells = inner.doorbells.iter().map(Arc::as_ref);
+        let waits = [
+            &inner.acked,
+            inner.imm_cq.pushed_event(),
+            &*inner.manual_rung,
+        ];
+        inner.stop.set(bells.chain(waits));
         for h in self.threads.lock().drain(..) {
             let _ = h.join();
         }
@@ -498,7 +508,7 @@ impl FlockServer {
 /// server side), lazy lane attach, and graceful detach — the server end
 /// of the out-of-band control channel.
 fn accept_loop(inner: &Arc<ServerInner>, rx: &Receiver<CtrlMsg>, rung: &Event) {
-    while !inner.stop.load(Ordering::Relaxed) {
+    while !inner.stop.is_set() {
         let polled = rung.wait_until(u64::MAX, 5_000, || match rx.try_recv() {
             Err(TryRecvError::Empty) => None,
             polled => Some(polled),
@@ -763,7 +773,7 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
         .wait_until(deadline, 1_000, || {
             if inner.topology.lock().acked.iter().all(|&gen| gen >= target) {
                 Some(Ok(()))
-            } else if inner.stop.load(Ordering::Relaxed) {
+            } else if inner.stop.is_set() {
                 Some(Err(FlockError::Disconnected))
             } else {
                 None
@@ -913,7 +923,7 @@ impl DispatchShard {
         // Before anything the sweep looks at: whatever changes after this
         // read rings the doorbell again.
         let seen = bell.epoch();
-        if inner.stop.load(Ordering::Relaxed) {
+        if inner.stop.is_set() {
             #[cfg(debug_assertions)]
             self.assert_silent_lanes_are_empty();
             return Next::Done;
@@ -1268,7 +1278,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
                 .fetch_add(1, Ordering::Relaxed);
             clock::deadline(inner.cfg.timeout)
         });
-        keep = !clock::expired(deadline) && !inner.stop.load(Ordering::Relaxed);
+        keep = !clock::expired(deadline) && !inner.stop.is_set();
     }
     if !keep {
         lane.pending.clear();
@@ -1373,7 +1383,7 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     // client stall.
     let mut idler = flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000);
     let pushed = inner.imm_cq.pushed_event();
-    while !inner.stop.load(Ordering::Relaxed) {
+    while !inner.stop.is_set() {
         let mut progressed = false;
         let seen = pushed.epoch();
         imms.clear();
@@ -1471,9 +1481,9 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
             idler.reset();
             clock::flush_charge();
         } else {
-            // An idle round looks at the immediate CQ, the stop flag
-            // (`shutdown` wakes the CQ's waiters) and the clock: nothing
-            // changes before a push or the next redistribution instant.
+            // An idle round looks at the immediate CQ, the stop flag (the
+            // stop rings the CQ's event) and the clock: nothing changes
+            // before a push or the next redistribution instant.
             let due = last_redistribution.saturating_add(sched_interval_ns);
             idler.idle_on(pushed, seen, 0, due.saturating_sub(1));
         }

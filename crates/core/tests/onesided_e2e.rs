@@ -3,7 +3,6 @@
 //! READ + version validation, torn-read retry against a concurrent
 //! publisher, and cohort locking over a real remote CAS word.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use flock_core::alock::{ALock, RemoteLockWord};
@@ -11,6 +10,7 @@ use flock_core::client::HandleConfig;
 use flock_core::onesided::{OneSidedReader, SegmentWriter, SlotLayout};
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{ConnectionHandle, FlockDomain};
+use flock_sync::Stop;
 
 /// A server with one exported value segment (`slots` × `val_cap`) and
 /// one exported lock segment (8 words).
@@ -123,12 +123,12 @@ fn concurrent_publisher_never_yields_torn_reads() {
     let domain = FlockDomain::with_defaults();
     let (server, writer) = segment_server(&domain, "os3", 64, 2);
     writer.publish(0, &[0u8; 48]).unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop::new());
     let publisher = {
         let (writer, stop) = (Arc::clone(&writer), Arc::clone(&stop));
         std::thread::spawn(move || {
             let mut fill = 1u8;
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.is_set() {
                 writer.publish(0, &[fill; 48]).unwrap();
                 fill = fill.wrapping_add(1);
             }
@@ -153,7 +153,7 @@ fn concurrent_publisher_never_yields_torn_reads() {
         assert!(v.word >= last_word, "version went backwards");
         last_word = v.word;
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.set([]);
     publisher.join().unwrap();
     server.shutdown(&domain);
 }

@@ -32,6 +32,7 @@
 //!   attach wait for it on the dispatcher's event;
 //! * more one-sided reads in flight than a thread has scratch sub-slots:
 //!   the surplus waits for a completion to release one;
+//! * a `recv_rpc` waiting when the server shuts down: the stop ends it;
 //! * and, lab alone, an idle server: its shards cost no heap operation
 //!   while they wait.
 //!
@@ -378,6 +379,38 @@ fn stopping_an_idle_handle_matches_the_reference() {
     });
     assert!(times.0 > 100_000 && times.1 >= times.0 && times.2 >= times.1);
     assert!(report.elided_polls > 100, "{report:?}");
+}
+
+#[test]
+fn a_shutdown_ends_a_pending_recv_rpc() {
+    // Nobody sends the receiver anything, and its timeout is 50 ms: the
+    // stop, 10 µs in, ends its wait at the next 1 µs poll.
+    let ((got, stopped_at, returned), _) = VirtualLab::run_against_reference(|| {
+        let domain = Arc::new(FlockDomain::with_defaults());
+        let node = domain.add_node("pe-recv-srv");
+        let server = FlockServer::listen(&domain, &node, "pe-recv", ServerConfig::default());
+        let server = Arc::new(server);
+        let stopped_at = Arc::new(Mutex::new(0));
+        let stopper = {
+            let (domain, server) = (Arc::clone(&domain), Arc::clone(&server));
+            let stopped_at = Arc::clone(&stopped_at);
+            clock::spawn("stopper", move || {
+                clock::sleep_ns(10_000);
+                *stopped_at.lock() = clock::now_ns();
+                server.shutdown(&domain);
+            })
+        };
+        let got = server.recv_rpc(Duration::from_millis(50));
+        let returned = clock::now_ns();
+        stopper.join().expect("stopper");
+        let stopped_at = *stopped_at.lock();
+        (got.map(|rpc| rpc.data), stopped_at, returned)
+    });
+    assert_eq!(got, None);
+    assert!(
+        (stopped_at..=stopped_at + 2_000).contains(&returned),
+        "recv_rpc returned at {returned} ns, the shutdown began at {stopped_at} ns"
+    );
 }
 
 const RPC_BLOAT: u32 = 2;

@@ -122,14 +122,6 @@ impl CompletionQueue {
         &self.pushed_event
     }
 
-    /// Wake everything sleeping on [`CompletionQueue::pushed_event`]
-    /// without pushing: the owner of a loop that idles on this queue
-    /// calls it after changing what else the loop looks at (its stop
-    /// flag).
-    pub fn wake_waiters(&self) {
-        self.pushed_event.notify_all();
-    }
-
     /// Number of queued completions. A waiter that reads a stale 0 has
     /// not missed the push: the push notifies
     /// [`CompletionQueue::pushed_event`] after the store, and the waiter

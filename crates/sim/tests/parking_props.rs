@@ -3,7 +3,8 @@
 //! instant at which the waiter would have seen the change. These
 //! properties hold it to the reference run, which executes every poll:
 //! same results, same final clock, and every poll the lab slept through
-//! one of the reference's handovers (`run_against_reference`).
+//! one of the reference's handovers (`run_against_reference`). A
+//! `clock::Barrier` is held, besides, to the `sleep_ns` gates it replaced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -281,6 +282,89 @@ fn first_poll_scenario(
     waiter.join().unwrap();
     let log = log.lock().unwrap().clone();
     log
+}
+
+/// The first instant of the grid `start + k * step` (k ≥ 1) at or past
+/// `t`.
+fn grid_point(start: u64, step: u64, t: u64) -> u64 {
+    start + (t - start).div_ceil(step).max(1) * step
+}
+
+/// A `clock::Barrier` run by tasks that arrive at `arrivals`, opened
+/// `open_after` ns after the coordinator saw them all, beside the
+/// hand-rolled gate it replaced: a poller on `sleep_ns(5_000)` that
+/// starts with the first task. Returns when the coordinator saw the
+/// arrivals, the instant `open` returned, each task's (leave instant,
+/// what `wait` returned), and when the poller left.
+fn barrier_scenario(arrivals: &[u64], open_after: u64) -> (u64, u64, Vec<(u64, u64)>, u64) {
+    let gate = Arc::new(clock::Barrier::new());
+    let go = Arc::new(Mutex::new(false));
+    let left: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+    let tasks: Vec<_> = (arrivals.iter().enumerate())
+        .map(|(i, &at)| {
+            let (gate, left) = (Arc::clone(&gate), Arc::clone(&left));
+            clock::spawn(&format!("arriver-{i}"), move || {
+                clock::sleep_ns(at);
+                gate.arrive();
+                let opened = gate.wait();
+                left.lock().unwrap().push((clock::now_ns(), opened));
+            })
+        })
+        .collect();
+    let poller_left = Arc::new(Mutex::new(0));
+    let poller = {
+        let (go, poller_left, first) = (Arc::clone(&go), Arc::clone(&poller_left), arrivals[0]);
+        clock::spawn("poller", move || {
+            clock::sleep_ns(first);
+            while !*go.lock().unwrap() {
+                clock::sleep_ns(5_000);
+            }
+            *poller_left.lock().unwrap() = clock::now_ns();
+        })
+    };
+    gate.wait_arrived(arrivals.len());
+    let all_in = clock::now_ns();
+    clock::sleep_ns(open_after);
+    let opened = gate.open();
+    *go.lock().unwrap() = true;
+    for task in tasks {
+        task.join().unwrap();
+    }
+    poller.join().unwrap();
+    let mut left = std::mem::take(&mut *left.lock().unwrap());
+    left.sort_unstable();
+    let poller_left = *poller_left.lock().unwrap();
+    (all_in, opened, left, poller_left)
+}
+
+#[test]
+fn a_barrier_leaves_where_the_hand_rolled_gate_did() {
+    // Arrivals and the opening off both grids, so no poll instant is
+    // shared with a notify.
+    for (arrivals, open_after) in [
+        (vec![1_500, 7_300, 23_100], 2_345),
+        (vec![4_100], 700),
+        (vec![2_000, 2_000, 2_700, 41_900], 13_010),
+    ] {
+        let ((all_in, opened, left, poller_left), _) =
+            VirtualLab::run_against_reference(|| barrier_scenario(&arrivals, open_after));
+        let last = *arrivals.iter().max().unwrap();
+        assert_eq!(all_in, grid_point(0, 10_000, last), "{arrivals:?}");
+        assert_eq!(opened, all_in + open_after, "{arrivals:?}");
+        let first = arrivals[0];
+        assert_eq!(
+            poller_left,
+            grid_point(first, 5_000, opened),
+            "{arrivals:?}"
+        );
+        let mut want: Vec<_> = arrivals
+            .iter()
+            .map(|&at| (grid_point(at, 5_000, opened), opened))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(left, want, "{arrivals:?}");
+        assert!(left.contains(&(poller_left, opened)));
+    }
 }
 
 proptest! {

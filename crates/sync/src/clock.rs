@@ -502,6 +502,64 @@ impl Event {
     }
 }
 
+/// A counted ready/go gate: tasks [`Barrier::arrive`] once they are set
+/// up and [`Barrier::wait`] for the go, a coordinator
+/// [`Barrier::wait_arrived`] for them and [`Barrier::open`]s it.
+///
+/// Its waits poll on fixed grids under a virtual executor (5 µs for the
+/// go, 10 µs for the arrivals), the `sleep_ns` loops of the hand-rolled
+/// gates it replaced: a waiter leaves at the instant such a loop did,
+/// so the timelines do not move, but sleeps parked on the barrier's
+/// event in between.
+#[derive(Debug, Default)]
+pub struct Barrier {
+    /// (tasks arrived, the instant the barrier opened).
+    state: Mutex<(usize, Option<u64>)>,
+    event: Event,
+}
+
+impl Barrier {
+    const WAIT_POLL_NS: u64 = 5_000;
+    const ARRIVED_POLL_NS: u64 = 10_000;
+
+    /// A closed barrier nobody has arrived at.
+    pub fn new() -> Barrier {
+        Barrier::default()
+    }
+
+    fn state(&self) -> MutexGuard<'_, (usize, Option<u64>)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count the calling task in.
+    pub fn arrive(&self) {
+        self.state().0 += 1;
+        self.event.notify_all();
+    }
+
+    /// Sleep until the barrier opens; the instant it opened.
+    pub fn wait(&self) -> u64 {
+        self.event
+            .wait_until(u64::MAX, Self::WAIT_POLL_NS, || self.state().1)
+            .expect("a wait with no deadline ends with its condition")
+    }
+
+    /// Sleep until `n` tasks have arrived.
+    pub fn wait_arrived(&self, n: usize) {
+        self.event.wait_until(u64::MAX, Self::ARRIVED_POLL_NS, || {
+            (self.state().0 >= n).then_some(())
+        });
+    }
+
+    /// Open the barrier now; the instant it opened.
+    pub fn open(&self) -> u64 {
+        let now = now_ns();
+        self.state().1 = Some(now);
+        self.event.notify_all();
+        now
+    }
+}
+
 /// Exit flag of one virtual task and the event its joiners sleep on.
 #[derive(Debug, Default)]
 pub struct TaskExit {
@@ -921,6 +979,26 @@ mod tests {
         state.lock().unwrap().1 = true;
         event.notify_all();
         task.join().unwrap();
+    }
+
+    #[test]
+    fn a_threaded_barrier_opens_for_every_waiter() {
+        const N: usize = 4;
+        let gate = Arc::new(Barrier::new());
+        let waiters: Vec<_> = (0..N)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    gate.arrive();
+                    gate.wait()
+                })
+            })
+            .collect();
+        gate.wait_arrived(N);
+        let opened = gate.open();
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), opened);
+        }
     }
 
     #[test]

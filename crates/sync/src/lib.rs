@@ -165,6 +165,39 @@ pub fn spin_until<R>(event: &clock::Event, mut condition: impl FnMut() -> Option
     }
 }
 
+/// A stop flag: set once, by whoever tears a service down; polled by
+/// its loops and by the wait conditions that end on it.
+///
+/// The protocol is "set, then ring": [`Stop::set`] stores the flag and
+/// then notifies every event a waiter that ends on it may sleep on, so
+/// that waiter checks again ([`clock::Event::wait_until`]'s rule). The
+/// flag publishes no data: what a stopped loop leaves behind is handed
+/// over by the join that follows the stop. Like [`clock::Event`], it is
+/// a `std` atomic under loom too.
+#[derive(Debug, Default)]
+pub struct Stop(std::sync::atomic::AtomicBool);
+
+impl Stop {
+    /// A flag not yet set.
+    pub fn new() -> Stop {
+        Stop::default()
+    }
+
+    /// Set the flag, then notify each event in `ring`.
+    pub fn set<'a>(&self, ring: impl IntoIterator<Item = &'a clock::Event>) {
+        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        for event in ring {
+            event.notify_all();
+        }
+    }
+
+    /// Whether [`Stop::set`] has been called.
+    #[inline]
+    pub fn is_set(&self) -> bool {
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
 /// Whether the host exposes exactly one logical CPU (computed once).
 /// Spin-waiting can never overlap with the thread being waited on
 /// there, so the spin tiers of [`backoff`] and [`AdaptiveBackoff`]
@@ -399,6 +432,23 @@ mod tests {
         let v = CachePadded::new(1u8);
         assert_eq!(std::mem::align_of_val(&v), 64);
         assert_eq!(*v, 1);
+    }
+
+    #[test]
+    fn a_stop_wakes_a_waiter_parked_on_its_event() {
+        // No deadline: a set that forgot to ring the event hangs here.
+        let shared = Arc::new((Stop::new(), clock::Event::new()));
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (stop, event) = &*shared;
+                event.wait_until(u64::MAX, 500, || stop.is_set().then_some(()))
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        let (stop, event) = &*shared;
+        stop.set([event]);
+        assert_eq!(waiter.join().unwrap(), Some(()));
     }
 
     #[test]
