@@ -2,11 +2,12 @@
 //! place measures — the request ring (straight and at the wrap
 //! boundary), the TCQ against the mutex it replaces (the §2.2
 //! "lock-based sharing is up to 2.3× slower" pair; uncontended here, the
-//! contended, cluster-scale version is Figure 9), the kvstore OCC cycle,
-//! a FlockTX server's TATP preload at the paper's scale (ns and resident
-//! bytes per key), and an echo through the *threaded* stack (real TCQ,
-//! rings and dispatchers on OS threads, no virtual time). The codec,
-//! kvstore and index lookups are `probe.*` metrics of `benchmark/`.
+//! contended, cluster-scale version is Figure 9), a FlockTX server's
+//! TATP preload at the paper's scale and a kv store's preload of 32-byte
+//! values (ns and resident bytes per key), and an echo through the
+//! *threaded* stack (real TCQ, rings and dispatchers on OS threads, no
+//! virtual time). The codec, kvstore and index lookups are `probe.*`
+//! metrics of `benchmark/`.
 //!
 //! Host time is not a function of the tree, so the row has no checked-in
 //! file: `flock-bench micro` prints it, `--check` leaves it out. The
@@ -14,7 +15,7 @@
 //! are not comparable to the paper's hardware.
 
 use std::hint::black_box;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use flock_core::client::HandleConfig;
@@ -91,24 +92,44 @@ fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
     })
 }
 
-/// Preload one FlockTX server with `subscribers` TATP subscribers (four
-/// 32-byte rows each) into a version region sized for them: host ns per
-/// key and, where `/proc` tells, resident bytes per key, region words
-/// included.
-fn txn_load_tatp(subscribers: u64) -> (f64, Option<f64>) {
-    let keys = subscribers * 4;
-    let region = MrTable::new().register(keys as usize * 8, Access::REMOTE_ALL);
-    let server = TxnServer::new(0, region);
-    let tatp = Tatp::new(subscribers);
+/// Host ns per key of `load`, which preloads `keys` keys, and, where
+/// `/proc` tells, the resident bytes per key it added. Returns what
+/// `load` built, so the caller decides when its heap is freed.
+fn preload<T>(keys: u64, load: impl FnOnce() -> T) -> (f64, Option<f64>, T) {
     let before = rss_bytes();
-    let ns = ns_per_op(keys, || {
-        tatp.load_keys()
-            .for_each(|(key, row)| server.load(key, &row));
-    });
+    let mut built = None;
+    let ns = ns_per_op(keys, || built = Some(load()));
     let bytes = before
         .zip(rss_bytes())
         .map(|(before, after)| after.saturating_sub(before) as f64 / keys as f64);
-    (ns, bytes)
+    (ns, bytes, built.expect("load ran"))
+}
+
+/// Preload one FlockTX server with `subscribers` TATP subscribers (four
+/// 32-byte rows each) into a version region sized for them; resident
+/// bytes include the region's words.
+fn txn_load_tatp(subscribers: u64) -> (f64, Option<f64>, Arc<TxnServer>) {
+    let keys = subscribers * 4;
+    let tatp = Tatp::new(subscribers);
+    preload(keys, || {
+        let region = MrTable::new().register(keys as usize * 8, Access::REMOTE_ALL);
+        let server = TxnServer::new(0, region);
+        tatp.load_keys()
+            .for_each(|(key, row)| server.load(key, &row));
+        server
+    })
+}
+
+/// Preload a kv store with `keys` 32-byte values, as `txn_load_tatp`
+/// preloads a FlockTX server.
+fn kv_load(keys: u64) -> (f64, Option<f64>, KvStore) {
+    preload(keys, || {
+        let kv = KvStore::new(KvConfig::default());
+        for key in 0..keys {
+            kv.put(key, &[key as u8; 32]);
+        }
+        kv
+    })
 }
 
 /// This process's resident set size in bytes (`VmRSS`), on Linux.
@@ -172,19 +193,17 @@ fn native_echo(clients: usize, threads: usize, pipeline: u64, ops_per_thread: u6
 pub fn run_suite(quick: bool) -> SuiteRun {
     let iters: u64 = if quick { 2_000 } else { 1_000_000 };
     let echo_ops: u64 = if quick { 50 } else { 2_000 };
-    // The paper's TATP point: 1 M subscribers, 4 M rows per server. It
-    // runs first, so no freed heap of another row absorbs its growth.
+    // The paper's TATP point: 1 M subscribers, 4 M rows per server. The
+    // two preloads run first and their stores live to the end, so no
+    // freed heap absorbs either one's growth.
     let subscribers: u64 = if quick { 10_000 } else { 1_000_000 };
-    let (load_ns, load_bytes) = txn_load_tatp(subscribers);
+    let kv_keys: u64 = if quick { 40_000 } else { 1_000_000 };
+    let (tatp_ns, tatp_bytes, _tatp) = txn_load_tatp(subscribers);
+    let (kv_ns, kv_bytes, _kv) = kv_load(kv_keys);
 
     let tcq: Tcq<u64> = Tcq::new(16);
     // The FaRM-style alternative: serialize each send under a lock.
     let lock = Mutex::new(0u64);
-    let kv = KvStore::new(KvConfig {
-        partitions: 4,
-        stripes: 16,
-    });
-    kv.put(1, &1u64.to_le_bytes());
 
     let loops = [
         ("ring_produce_consume_64B", ring_cycle(iters, 1 << 16, 64)),
@@ -202,20 +221,18 @@ pub fn run_suite(quick: bool) -> SuiteRun {
                 *lock.lock().expect("never poisoned") = black_box(42);
             }),
         ),
-        (
-            "kvstore_occ_cycle",
-            time_loop(iters, || {
-                kv.try_lock(1);
-                kv.update_and_unlock(1, &7u64.to_le_bytes());
-            }),
-        ),
     ];
     let row = |name: &str, ns: f64| vec![("name", Value::from(name)), ("ns_per_op", float(ns, 1))];
-    let mut ops = loops.len() as u64 * iters + subscribers * 4;
+    let mut ops = loops.len() as u64 * iters + subscribers * 4 + kv_keys;
     let mut rows: Vec<_> = loops.iter().map(|&(name, ns)| row(name, ns)).collect();
-    let mut load_row = row("txn_load_tatp", load_ns);
-    load_row.extend(load_bytes.map(|b| ("bytes_per_key", float(b, 1))));
-    rows.push(load_row);
+    for (name, ns, bytes) in [
+        ("txn_load_tatp", tatp_ns, tatp_bytes),
+        ("kv_load", kv_ns, kv_bytes),
+    ] {
+        let mut load_row = row(name, ns);
+        load_row.extend(bytes.map(|b| ("bytes_per_key", float(b, 1))));
+        rows.push(load_row);
+    }
     for (clients, threads, pipeline) in [(1, 1, 1), (1, 4, 4), (2, 4, 4), (2, 4, 8)] {
         let name = format!("native_echo_{clients}c_{threads}t_{pipeline}deep");
         let ns = native_echo(clients, threads, pipeline, echo_ops);

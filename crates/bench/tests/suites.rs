@@ -47,8 +47,8 @@ const MICRO_ROWS: [&str; 10] = [
     "ring_wrap_boundary_1600B",
     "tcq_join_complete_uncontended",
     "mutex_lock_send_uncontended",
-    "kvstore_occ_cycle",
     "txn_load_tatp",
+    "kv_load",
     "native_echo_1c_1t_1deep",
     "native_echo_1c_4t_4deep",
     "native_echo_2c_4t_4deep",

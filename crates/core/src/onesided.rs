@@ -12,11 +12,13 @@
 //! ## Slot layout and the validation protocol
 //!
 //! Every slot is `[version word: u64][len: u32][pad: u32][value bytes]`
-//! ([`SlotLayout`]). The word follows the kvstore's seqlock convention
-//! (`flock-kvstore`'s `versioned` module): bit 63 ([`LOCK_BIT`]) is the
-//! write lock, the low 63 bits are the version. A publish goes
+//! ([`SlotLayout`]). The word is a seqlock: bit 63 ([`LOCK_BIT`]) is the
+//! write lock, the low 63 bits are the slot's own version counter. A
+//! publish goes
 //!
-//! 1. `word ← version | LOCK_BIT`   (writers observe the slot locked)
+//! 1. `word ← version | LOCK_BIT`   (a compare-and-swap from the
+//!    unlocked word: the publisher acquires the slot, and a second
+//!    publisher of the same slot waits until it is released)
 //! 2. value bytes + length
 //! 3. `word ← version + 1`          (unlock and advance)
 //!
@@ -38,9 +40,9 @@ use crate::client::{FlThread, MemToken, MEM_SUBSLOT_SIZE};
 use crate::domain::SegmentLease;
 use crate::error::{FlockError, Result};
 
-/// Write-lock bit of a slot's version word (bit 63, matching the
-/// kvstore's `versioned::LOCK_BIT` — the two paths share the seqlock
-/// convention so a gateway can mirror store entries into a segment).
+/// Write-lock bit of a version word a one-sided reader validates: a
+/// segment slot's seqlock word here, and FlockTX's per-key words in its
+/// validation region. The low 63 bits are the version.
 pub const LOCK_BIT: u64 = 1 << 63;
 
 /// Byte layout of one versioned slot:
@@ -160,25 +162,11 @@ impl SegmentWriter {
         Ok(self.base + self.layout.slot_off(slot))
     }
 
-    /// Seqlock-publish `value` into `slot`: lock the word, write the
-    /// payload, unlock with the version advanced. Returns the new word.
+    /// Seqlock-publish `value` into `slot`: acquire the slot by
+    /// swapping its unlocked word for the locked one (waiting while
+    /// another publisher holds it), write the payload, unlock with the
+    /// version advanced. Returns the new word.
     pub fn publish(&self, slot: u32, value: &[u8]) -> Result<u64> {
-        let cur = self
-            .mr
-            .read_u64(self.off(slot)?)
-            .map_err(|_| FlockError::RemoteOpFailed("segment read failed"))?;
-        let next = ((cur & !LOCK_BIT) + 1) & !LOCK_BIT;
-        self.publish_with_word(slot, value, next)?;
-        Ok(next)
-    }
-
-    /// Seqlock-publish with a caller-supplied final word (must be
-    /// unlocked). Lets a store mirror its own version words into the
-    /// segment so RPC and one-sided readers agree on versions.
-    pub fn publish_with_word(&self, slot: u32, value: &[u8], word: u64) -> Result<()> {
-        if word & LOCK_BIT != 0 {
-            return Err(FlockError::RemoteOpFailed("published word is locked"));
-        }
         if value.len() > self.layout.val_cap as usize {
             return Err(FlockError::MessageTooLarge {
                 need: value.len(),
@@ -188,15 +176,27 @@ impl SegmentWriter {
         let off = self.off(slot)?;
         let fail = |_| FlockError::RemoteOpFailed("segment write failed");
         // Step 1: lock. Readers that snapshot from here on reject.
-        self.mr.write_u64(off, word | LOCK_BIT).map_err(fail)?;
+        let mut spins = 0;
+        let word = loop {
+            let word = self.mr.read_u64(off).map_err(fail)?;
+            if word & LOCK_BIT == 0 {
+                let seen = self.mr.cmp_swap_u64(off, word, word | LOCK_BIT);
+                if seen.map_err(fail)? == word {
+                    break word;
+                }
+            }
+            flock_sync::backoff(spins);
+            spins += 1;
+        };
         // Step 2: payload (length, then bytes).
         let mut hdr = [0u8; 8];
         hdr[..4].copy_from_slice(&(value.len() as u32).to_le_bytes());
         self.mr.write(off + 8, &hdr).map_err(fail)?;
         self.mr.write(off + SlotLayout::HEADER, value).map_err(fail)?;
-        // Step 3: unlock with the final word.
-        self.mr.write_u64(off, word).map_err(fail)?;
-        Ok(())
+        // Step 3: unlock with the version advanced.
+        let next = (word + 1) & !LOCK_BIT;
+        self.mr.write_u64(off, next).map_err(fail)?;
+        Ok(next)
     }
 }
 
@@ -454,15 +454,28 @@ mod tests {
         assert!(decode_slot(&img, 8).is_none());
     }
 
+    /// A slot another publisher holds is not written until it is
+    /// released, and then the waiting publish advances the version the
+    /// holder left.
     #[test]
-    fn publish_with_word_mirrors_versions() {
-        let w = writer(16, 2);
-        w.publish_with_word(0, b"x", 41).unwrap();
+    fn a_held_slot_waits_for_its_publisher() {
+        let w = writer(16, 1);
+        w.publish(0, b"first").unwrap();
+        w.mr.write_u64(0, 1 | LOCK_BIT).unwrap();
+        let before = w.mr.read_vec(0, w.layout().stride as usize).unwrap();
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| w.publish(0, b"second").unwrap());
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let now = w.mr.read_vec(0, w.layout().stride as usize).unwrap();
+            assert_eq!(now, before, "a held slot was written");
+            w.mr.write_u64(0, 1).unwrap();
+            assert_eq!(second.join().unwrap(), 2);
+        });
         let mut img = vec![0u8; w.layout().stride as usize];
         w.mr.read(0, &mut img).unwrap();
-        assert_eq!(decode_slot(&img, 16).unwrap().word, 41);
-        // A locked word is refused outright.
-        assert!(w.publish_with_word(0, b"x", LOCK_BIT | 7).is_err());
+        let v = decode_slot(&img, 16).expect("valid");
+        assert_eq!(v.word, 2);
+        assert_eq!(&img[SlotLayout::HEADER..][..v.len], b"second");
     }
 
     #[test]

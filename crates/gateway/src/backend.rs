@@ -20,7 +20,7 @@ pub fn register_kv_backend(server: &FlockServer, kv: Arc<KvStore>) {
             return vec![TAG_MISS];
         };
         match kv_get.get(key) {
-            Some((value, _version)) => {
+            Some(value) => {
                 let mut out = Vec::with_capacity(1 + value.len());
                 out.push(TAG_HIT);
                 out.extend_from_slice(&value);

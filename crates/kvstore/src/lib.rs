@@ -2,26 +2,26 @@
 
 //! # flock-kvstore
 //!
-//! A MICA-style partitioned in-memory key-value store — the storage
-//! substrate for the gateway's kv backends and the modelled FlockTX /
-//! FaSST comparison (paper §8.5). Unlike MICA's lossy index we are
-//! lossless; what matters for the reproduction is the access interface:
-//! partitioned ownership, per-entry version and lock words for optimistic
-//! concurrency control, and O(1) point access.
+//! The one in-memory row store of the reproduction: FlockTX's partitions
+//! (paper §8.5) and the gateway's kv backends both keep their keys in a
+//! [`Table`]. A table is 64 locked stripes, each one map from key to a
+//! 16-byte row — the key's slot and its value, inline up to 8 bytes,
+//! else a span of the stripe's byte arena — so a preloaded key with a
+//! short value costs a map entry and nothing else.
 //!
-//! Layout: keys hash to a partition; each partition holds lock-striped
-//! buckets. Every entry carries a 64-bit *version/lock word* — bit 63 is
-//! the lock bit ([`LOCK_BIT`]), the low 63 bits a version counter bumped
-//! on each update — exactly the word a remote validator reads with a
-//! one-sided RDMA read in the validation phase of FlockTX, whose servers
-//! keep the same word in their own row table. A mirror of the word
-//! (the gateway's one-sided segment) is written with
-//! [`KvStore::put_then`], under the key's stripe lock.
+//! A row holds no version word. A version word lives only where a
+//! one-sided reader reads it: a FlockTX server keeps each key's word in
+//! its validation region at the row's slot, and the gateway's mirror
+//! publishes each SET into a segment slot that carries its own seqlock
+//! word (`flock_core::onesided`, whose `LOCK_BIT` is the one lock-bit
+//! definition). [`KvStore`] is the table with no slots; its
+//! [`KvStore::put_then`] runs the mirror's publish under the key's
+//! stripe lock, so one key's puts reach the mirror in store order.
 
 pub(crate) mod readmode;
-pub mod store;
-pub mod versioned;
+mod store;
+mod table;
 
 pub use readmode::{AdaptivePolicy, ReadMode};
-pub use store::{KvConfig, KvStore, Partition};
-pub use versioned::{VersionEntry, LOCK_BIT};
+pub use store::{KvConfig, KvStore};
+pub use table::{Stripe, Table};

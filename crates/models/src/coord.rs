@@ -1,6 +1,6 @@
 //! The transaction model: FlockTX / FaSST coordinators as event-driven
 //! state machines over the network pipeline, executing *real* lock/version
-//! logic against per-server key-value stores so that aborts emerge from
+//! logic against per-server version words so that aborts emerge from
 //! genuine conflicts.
 //!
 //! Each (client, thread, coroutine) triple owns one [`TxnSlot`] running a
@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use flock_kvstore::{KvConfig, KvStore, LOCK_BIT};
+use flock_core::onesided::LOCK_BIT;
 use flock_sim::{Ns, Sim};
 use flock_txn::protocol::{key_partition, replicas_of};
 use flock_txn::workloads::{Smallbank, Tatp, TxnSpec};
@@ -27,10 +27,13 @@ pub enum TxnWorkload {
     Smallbank(Smallbank),
 }
 
-/// Shared transaction-engine state: the per-server stores and lock table.
+/// Shared transaction-engine state: the per-server version words and
+/// lock table.
 pub struct TxnEngine {
-    /// Primary store per server.
-    pub stores: Vec<KvStore>,
+    /// Per server, each key's version word (bit 63 the lock, as in
+    /// FlockTX's validation region). The model never reads a value, so
+    /// it keeps none. Looked up by key only, never iterated.
+    pub words: Vec<HashMap<u64, u64>>,
     /// Lock ownership: `(server, key) → slot` (prevents foreign unlocks).
     /// Looked up by key only, never iterated.
     pub lock_owners: HashMap<(usize, u64), usize>,
@@ -41,24 +44,23 @@ pub struct TxnEngine {
 }
 
 impl TxnEngine {
-    /// Build an engine with `n_servers` stores, preloaded from the
-    /// workload's load set.
+    /// Build an engine with `n_servers` servers' words, preloaded from
+    /// the workload's load set: a key's first load makes version 1, a
+    /// reload bumps the version and keeps the lock bit.
     pub fn new(n_servers: usize, workload: TxnWorkload, validate_via_rpc: bool) -> TxnEngine {
-        let stores: Vec<KvStore> = (0..n_servers)
-            .map(|_| {
-                KvStore::new(KvConfig {
-                    partitions: 1,
-                    stripes: 64,
-                })
-            })
-            .collect();
-        let load = |k, v: &[u8]| stores[key_partition(k, n_servers)].put(k, v);
+        let mut words = vec![HashMap::new(); n_servers];
+        let mut load = |k| {
+            words[key_partition(k, n_servers)]
+                .entry(k)
+                .and_modify(|w: &mut u64| *w = ((*w & !LOCK_BIT) + 1) | (*w & LOCK_BIT))
+                .or_insert(1);
+        };
         match &workload {
-            TxnWorkload::Tatp(t) => t.load_keys().for_each(|(k, v)| load(k, &v)),
-            TxnWorkload::Smallbank(s) => s.load_keys().for_each(|(k, v)| load(k, &v)),
+            TxnWorkload::Tatp(t) => t.load_keys().for_each(|(k, _)| load(k)),
+            TxnWorkload::Smallbank(s) => s.load_keys().for_each(|(k, _)| load(k)),
         }
         TxnEngine {
-            stores,
+            words,
             lock_owners: HashMap::new(),
             workload,
             validate_via_rpc,
@@ -289,7 +291,7 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
     let mut engine = w.txn_engine.take().expect("txn engine");
     {
         let s = &mut w.txns[slot];
-        let store = &engine.stores[server];
+        let words = &mut engine.words[server];
         match phase {
             TxnPhase::Execute => {
                 let writes: Vec<u64> = s
@@ -309,7 +311,8 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                 let mut acquired = Vec::new();
                 let mut ok = true;
                 for &k in &writes {
-                    if store.try_lock(k) {
+                    if let Some(w) = words.get_mut(&k).filter(|w| **w & LOCK_BIT == 0) {
+                        *w |= LOCK_BIT;
                         engine.lock_owners.insert((server, k), slot);
                         acquired.push(k);
                     } else {
@@ -319,7 +322,7 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                 }
                 if !ok {
                     for k in acquired {
-                        store.unlock(k);
+                        unlock(words, k);
                         engine.lock_owners.remove(&(server, k));
                     }
                     s.failed = true;
@@ -328,7 +331,7 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                         s.locked_servers.push(server);
                     }
                     for &k in &reads {
-                        let word = store.version_word(k).unwrap_or(0);
+                        let word = words.get(&k).copied().unwrap_or(0);
                         s.read_words.push((server, k, word));
                     }
                 }
@@ -339,8 +342,8 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                     if *sv != server {
                         continue;
                     }
-                    match store.version_word(*k) {
-                        Some(now_word) if now_word == *word && now_word & LOCK_BIT == 0 => {}
+                    match words.get(k) {
+                        Some(now_word) if now_word == word && now_word & LOCK_BIT == 0 => {}
                         _ => s.failed = true,
                     }
                 }
@@ -357,7 +360,9 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                     .filter(|&&k| key_partition(k, n) == server)
                 {
                     if engine.lock_owners.get(&(server, k)) == Some(&slot) {
-                        store.update_and_unlock(k, &(slot as u64).to_le_bytes());
+                        if let Some(w) = words.get_mut(&k) {
+                            *w = ((*w & !LOCK_BIT) + 1) & !LOCK_BIT;
+                        }
                         engine.lock_owners.remove(&(server, k));
                     }
                 }
@@ -370,7 +375,7 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
                     .filter(|&&k| key_partition(k, n) == server)
                 {
                     if engine.lock_owners.get(&(server, k)) == Some(&slot) {
-                        store.unlock(k);
+                        unlock(words, k);
                         engine.lock_owners.remove(&(server, k));
                     }
                 }
@@ -378,6 +383,13 @@ pub(crate) fn serve_phase(w: &mut World, phase: TxnPhase, id: ReqId) {
         }
     }
     w.txn_engine = Some(engine);
+}
+
+/// OCC: release `key`'s lock, version unchanged (abort).
+fn unlock(words: &mut HashMap<u64, u64>, key: u64) {
+    if let Some(w) = words.get_mut(&key) {
+        *w &= !LOCK_BIT;
+    }
 }
 
 /// A phase response (or validation read) completed at the coordinator.
@@ -393,7 +405,7 @@ pub(crate) fn on_phase_done(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
             .iter()
             .find(|(sv, k, _)| *sv == server && *k == key)
             .map(|(_, _, word)| *word);
-        let current = engine.stores[server].version_word(key);
+        let current = engine.words[server].get(&key).copied();
         let ok = matches!((expect, current), (Some(e), Some(c)) if e == c && c & LOCK_BIT == 0);
         if !ok {
             w.txns[slot].failed = true;

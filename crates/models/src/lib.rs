@@ -11,8 +11,9 @@
 //! The models reuse the *real* Flock policy code: the message codec, the
 //! credit state machine, the receiver-side QP scheduler, and Algorithm 1
 //! all come from [`flock_core`]; the transaction experiments run real
-//! lock/version logic from [`flock_kvstore`]; the index experiments run a
-//! real [`flock_hydralist`] index. Only time is simulated.
+//! lock/version logic on per-server version words in FlockTX's word
+//! format; the index experiments run a real [`flock_hydralist`] index.
+//! Only time is simulated.
 //!
 //! Entry points live in [`experiments`]: [`experiments::run_rpc`],
 //! [`experiments::run_raw_read`], and [`experiments::run_txn`].

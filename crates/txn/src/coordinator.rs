@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use flock_core::alock::{ALock, RemoteLockWord, DEFAULT_COHORT_CAP};
 use flock_core::client::{FlThread, MemToken};
+use flock_core::onesided::LOCK_BIT;
 use flock_core::{Bytes, ConnectionHandle, FlockError, Result};
-use flock_kvstore::LOCK_BIT;
 
 use crate::protocol::{key_partition, replicas_of, TxnResp, TxnRpc};
 use crate::server::TXN_STRIPES;

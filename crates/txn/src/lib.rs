@@ -6,10 +6,11 @@
 //! §8.5: optimistic concurrency control (OCC), two-phase commit (2PC), and
 //! 3-way primary-backup replication over key-partitioned servers,
 //! communicating through Flock RPCs and one-sided reads. Each
-//! [`TxnServer`] keeps its partition in one row table (`table.rs`): a
-//! key's row holds its value and the slot of its version word (bit 63,
-//! [`flock_kvstore::LOCK_BIT`], is the lock) in the region clients read
-//! one-sidedly; the word lives there and nowhere else.
+//! [`TxnServer`] keeps its partition in one row table
+//! ([`flock_kvstore::Table`]): a key's row holds its value and the slot
+//! of its version word (bit 63, [`flock_core::onesided::LOCK_BIT`], is
+//! the lock) in the region clients read one-sidedly; the word lives
+//! there and nowhere else.
 //!
 //! A transaction (paper Figure 13) runs in four phases:
 //!
@@ -44,7 +45,6 @@
 pub mod coordinator;
 pub mod protocol;
 pub mod server;
-mod table;
 pub mod workloads;
 
 pub use coordinator::{PipelineStats, StripeLocks, TxnClient, TxnLogic, TxnOutcome};

@@ -2,15 +2,20 @@
 //! other partitions, and the version-word table exposed for one-sided
 //! validation.
 
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use flock_core::onesided::LOCK_BIT;
 use flock_core::server::FlockServer;
+use flock_fabric::types::KeyHasher;
 use flock_fabric::MemoryRegion;
-use flock_kvstore::LOCK_BIT;
 
 use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
-use crate::table::Table;
+
+/// A partition's rows, hashed with one multiply: keys come from the
+/// cluster's own loaders and coordinators.
+type Table = flock_kvstore::Table<BuildHasherDefault<KeyHasher>>;
 
 /// Number of words in the exported stripe-lock table.
 pub(crate) const TXN_STRIPES: usize = 64;

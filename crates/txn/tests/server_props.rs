@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use flock_core::onesided::LOCK_BIT;
 use flock_fabric::{Access, MrTable};
-use flock_kvstore::LOCK_BIT;
 use flock_txn::protocol::KeyRead;
 use flock_txn::{TxnResp, TxnRpc, TxnServer};
 

@@ -30,10 +30,7 @@ fn main() {
     let server_node = domain.add_node("kv-server");
     let server = FlockServer::listen(&domain, &server_node, "kv", ServerConfig::default());
 
-    let kv = Arc::new(KvStore::new(KvConfig {
-        partitions: 4,
-        stripes: 32,
-    }));
+    let kv = Arc::new(KvStore::new(KvConfig::default()));
     for k in 0..10_000u64 {
         kv.put(k, format!("value-{k}").as_bytes());
     }
@@ -41,7 +38,7 @@ fn main() {
         let kv = Arc::clone(&kv);
         server.reg_handler(RPC_GET, move |req| {
             let key = u64::from_le_bytes(req[..8].try_into().unwrap());
-            kv.get(key).map(|(v, _)| v).unwrap_or_default()
+            kv.get(key).unwrap_or_default()
         });
     }
     {

@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) over the core data structures and
 //! protocol invariants.
 
+use std::collections::HashMap;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -181,38 +183,27 @@ proptest! {
         prop_assert!(tail.contains(&w.median()));
     }
 
-    /// KV store OCC: lock/commit/abort sequences never lose the value and
-    /// version words only grow.
+    /// The kv store agrees with a `HashMap` under any put/get sequence
+    /// over 16 keys; lengths 0–40 cross the inline bound (8 bytes), move
+    /// values in and out of their rows and outgrow their arena spans.
     #[test]
-    fn kvstore_occ_versions_monotone(ops in vec(0u8..4, 1..100)) {
-        let kv = KvStore::new(KvConfig { partitions: 2, stripes: 4 });
-        kv.put(1, b"v0");
-        let mut last_version = kv.get(1).unwrap().1 & !flock_repro::kvstore::LOCK_BIT;
-        let mut locked = false;
-        for op in ops {
-            match op {
-                0 => {
-                    if kv.try_lock(1) {
-                        locked = true;
-                    }
-                }
-                1 if locked => {
-                    kv.update_and_unlock(1, b"vn");
-                    locked = false;
-                }
-                2 if locked => {
-                    kv.unlock(1);
-                    locked = false;
-                }
-                _ => {
-                    let (_, word) = kv.get(1).unwrap();
-                    let version = word & !flock_repro::kvstore::LOCK_BIT;
-                    prop_assert!(version >= last_version);
-                    last_version = version;
-                }
+    fn kvstore_matches_a_hashmap(
+        ops in vec((any::<bool>(), 0u64..16, vec(any::<u8>(), 0..41usize)), 1..200)
+    ) {
+        let kv = KvStore::new(KvConfig::default());
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        for (put, key, value) in ops {
+            if put {
+                kv.put(key, &value);
+                model.insert(key, value);
+            } else {
+                prop_assert_eq!(kv.get(key), model.get(&key).cloned());
             }
         }
-        prop_assert!(kv.get(1).is_some());
+        for key in 0..16 {
+            prop_assert_eq!(kv.get(key), model.get(&key).cloned());
+        }
+        prop_assert_eq!(kv.len(), model.len());
     }
 
     /// HydraList agrees with a BTreeMap reference model under arbitrary
