@@ -50,8 +50,9 @@ fn time_loop(iters: u64, mut op: impl FnMut()) -> f64 {
 /// One `payload`-byte message through a ring of `capacity` bytes:
 /// reserve, write (wrap record first when the reservation wraps), poll,
 /// return the space. A 4 KiB ring under 1 600-byte messages wraps on
-/// every third reservation.
-fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
+/// every third reservation. Returns the ns per message and the ring
+/// region's resident bytes after the loop.
+fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> (f64, usize) {
     let mr = MrTable::new().register(capacity, Access::REMOTE_ALL);
     let layout = RingLayout::new(0, capacity);
     let mut prod = RingProducer::new(layout);
@@ -77,19 +78,20 @@ fn ring_cycle(iters: u64, capacity: usize, payload: usize) -> f64 {
     let mut staging = vec![0u8; payload + 512];
     let n = msg::encode(&mut staging, &header, &[entry]).expect("staging holds one entry");
     let mut polled = Vec::new();
-    time_loop(iters, || {
+    let mut wrap = vec![0u8; capacity];
+    let ns = time_loop(iters, || {
         let res = prod.reserve(n).expect("the ring was drained");
         if let Some((woff, wlen)) = res.wrap {
-            mr.with_write(|buf| {
-                RingProducer::write_wrap_record(&mut buf[woff..woff + wlen], CANARY)
-            });
+            RingProducer::write_wrap_record(&mut wrap[..wlen], CANARY);
+            mr.write(woff, &wrap[..wlen]).expect("in bounds");
         }
         mr.write(res.offset, &staging[..n]).expect("in bounds");
         let got = cons.poll_into(&mr, &mut polled).expect("well-formed");
         assert!(got, "message");
         prod.update_head(cons.head());
         black_box(polled.len());
-    })
+    });
+    (ns, mr.resident_bytes())
 }
 
 /// Host ns per key of `load`, which preloads `keys` keys, and, where
@@ -205,9 +207,11 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     // The FaRM-style alternative: serialize each send under a lock.
     let lock = Mutex::new(0u64);
 
-    let loops = [
+    let rings = [
         ("ring_produce_consume_64B", ring_cycle(iters, 1 << 16, 64)),
         ("ring_wrap_boundary_1600B", ring_cycle(iters, 1 << 12, 1600)),
+    ];
+    let loops = [
         (
             "tcq_join_complete_uncontended",
             time_loop(iters, || match tcq.join(black_box(42)) {
@@ -223,8 +227,16 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         ),
     ];
     let row = |name: &str, ns: f64| vec![("name", Value::from(name)), ("ns_per_op", float(ns, 1))];
-    let mut ops = loops.len() as u64 * iters + subscribers * 4 + kv_keys;
-    let mut rows: Vec<_> = loops.iter().map(|&(name, ns)| row(name, ns)).collect();
+    let mut ops = (rings.len() + loops.len()) as u64 * iters + subscribers * 4 + kv_keys;
+    let mut rows: Vec<_> = rings
+        .iter()
+        .map(|&(name, (ns, resident))| {
+            let mut ring_row = row(name, ns);
+            ring_row.push(("resident_bytes", Value::from(resident)));
+            ring_row
+        })
+        .collect();
+    rows.extend(loops.iter().map(|&(name, ns)| row(name, ns)));
     for (name, ns, bytes) in [
         ("txn_load_tatp", tatp_ns, tatp_bytes),
         ("kv_load", kv_ns, kv_bytes),

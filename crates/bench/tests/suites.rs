@@ -78,6 +78,21 @@ fn quick_micro_prints_every_row_and_writes_nothing() {
         assert!(ns.is_finite() && ns > 0.0, "{name}: {ns} ns/op");
     }
     assert_eq!(printed.matches("\"ns_per_op\"").count(), MICRO_ROWS.len());
+    // A ring that hands its consumed pages back keeps the pages in
+    // flight and one spare, not its capacity.
+    for name in &MICRO_ROWS[..2] {
+        let row = &printed[printed.find(&format!("\"{name}\"")).expect("row")..];
+        let row = &row[..row.find('}').expect("row closes")];
+        let key = "\"resident_bytes\": ";
+        let at = row
+            .find(key)
+            .unwrap_or_else(|| panic!("{name}: no resident_bytes"));
+        let resident: usize = row[at + key.len()..].parse().expect("a byte count");
+        assert!(
+            resident <= 3 * flock_fabric::PAGE,
+            "{name}: the ring holds {resident} resident bytes after its loop"
+        );
+    }
     if cfg!(target_os = "linux") {
         let key = "\"bytes_per_key\": ";
         let at = printed

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flock_fabric::{
-    Access, FabricError, MemoryRegion, Node, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId,
+    Access, MemoryRegion, Node, Pages, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId,
 };
 use flock_sync::clock::{self, Event};
 use flock_sync::Stop;
@@ -220,32 +220,26 @@ impl RingConsumer {
     /// is left empty then, and on an error. On success the consumed span
     /// is zeroed and `head` advances.
     pub fn poll_into(&mut self, mr: &MemoryRegion, buf: &mut Vec<u8>) -> Result<bool> {
-        mr.with_write(|region| self.poll_region(region, mr.addr(), buf))
+        mr.with_pages(|ring| self.poll_pages(ring, buf))
     }
 
-    /// [`RingConsumer::poll_into`] on the bytes of a region at address
-    /// `addr`, under the caller's one lock of them: probe, copy and
-    /// zeroing, and the same again past a wrap record.
-    fn poll_region(&mut self, region: &mut [u8], addr: u64, buf: &mut Vec<u8>) -> Result<bool> {
-        let polled = self.copy_out(region, addr, buf);
+    /// [`RingConsumer::poll_into`] on the pages of a region, under the
+    /// caller's one lock of them: probe, copy and consume, and the same
+    /// again past a wrap record.
+    fn poll_pages(&mut self, ring: &mut Pages, buf: &mut Vec<u8>) -> Result<bool> {
+        let polled = self.copy_out(ring, buf);
         if !matches!(polled, Ok(true)) {
             buf.clear();
         }
         polled
     }
 
-    fn copy_out(&mut self, region: &mut [u8], addr: u64, buf: &mut Vec<u8>) -> Result<bool> {
+    fn copy_out(&mut self, ring: &mut Pages, buf: &mut Vec<u8>) -> Result<bool> {
         loop {
             let pos = self.layout.offset_of(self.head);
-            let span = |len: usize| {
-                let violation = FabricError::AccessViolation {
-                    addr: addr + pos as u64,
-                    len,
-                };
-                region.get(pos..pos + len).ok_or(violation)
-            };
             // Fast probe: total_len first word.
-            let word = span(4)?.try_into().expect("4 bytes");
+            let mut word = [0u8; 4];
+            ring.read(pos, &mut word)?;
             let total = u32::from_le_bytes(word) as usize;
             if total == 0 {
                 return Ok(false);
@@ -254,7 +248,7 @@ impl RingConsumer {
                 return Err(FlockError::CorruptMessage("ring record length"));
             }
             buf.clear();
-            buf.extend_from_slice(span(total)?);
+            ring.append_to(pos, total, buf)?;
             // Wrap record: validated by canary, then skipped.
             let flags = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes"));
             if flags & FLAG_WRAP != 0 {
@@ -264,28 +258,45 @@ impl RingConsumer {
                 if trailer != canary || canary == 0 {
                     return Ok(false); // still landing
                 }
-                region[pos..pos + total].fill(0);
+                ring.consume(pos, total)?;
                 self.head += total as u64;
                 continue; // look at the start of the ring
             }
             if msg::decode(buf)?.is_none() {
                 return Ok(false); // canary not landed yet
             }
-            region[pos..pos + total].fill(0);
-            self.head += align_up(total) as u64;
+            // The whole aligned span, so a record that ends a page hands
+            // the page back.
+            let span = align_up(total);
+            ring.consume(pos, span)?;
+            self.head += span as u64;
             return Ok(true);
         }
     }
 
     /// Whether [`RingConsumer::poll_into`] would find a complete message
-    /// in the bytes of its region now. Consumes nothing.
+    /// in the pages of its region now. Consumes nothing.
     #[cfg(debug_assertions)]
-    fn would_poll(&self, region: &[u8]) -> bool {
+    fn would_poll(&self, ring: &Pages) -> bool {
         let start = self.layout.offset_of(0);
+        let end = start + self.layout.capacity;
         let mut pos = self.layout.offset_of(self.head);
+        let mut record = Vec::new();
         loop {
+            let mut word = [0u8; 4];
+            let total = match ring.read(pos, &mut word) {
+                Ok(()) => u32::from_le_bytes(word) as usize,
+                Err(_) => return false,
+            };
+            record.clear();
             // Nothing there, still landing, or corrupt: nothing to poll.
-            let Ok(Some(record)) = msg::decode(&region[pos..start + self.layout.capacity]) else {
+            if ring
+                .append_to(pos, total.min(end - pos), &mut record)
+                .is_err()
+            {
+                return false;
+            }
+            let Ok(Some(record)) = msg::decode(&record) else {
                 return false;
             };
             let wrap = record.header.flags & FLAG_WRAP != 0;
@@ -500,9 +511,9 @@ impl Link {
     /// consumed head for the next send to piggyback, and fold in the head
     /// the message carries. Hot-path entry point for `cargo xtask lint`.
     pub fn poll_into(&self, buf: &mut Vec<u8>) -> Result<bool> {
-        let polled = self.ring_mr.with_write(|region| {
+        let polled = self.ring_mr.with_pages(|ring| {
             let mut rx = self.consumer();
-            let polled = rx.poll_region(region, self.ring_mr.addr(), buf);
+            let polled = rx.poll_pages(ring, buf);
             // After a miss too: the poll may have consumed a wrap record.
             self.own_head.store(rx.head, Ordering::Release);
             polled
@@ -520,7 +531,7 @@ impl Link {
     #[cfg(debug_assertions)]
     pub(crate) fn holds_message(&self) -> bool {
         self.ring_mr
-            .with_write(|region| self.consumer().would_poll(region))
+            .with_pages(|ring| self.consumer().would_poll(ring))
     }
 
     /// The receive half's consumer where the last poll left it. Polls
@@ -619,13 +630,20 @@ mod tests {
         .unwrap()
     }
 
+    /// Write a wrap record of `len` bytes at region offset `off`.
+    fn write_wrap(mr: &MemoryRegion, off: usize, len: usize, canary: u64) {
+        let mut record = vec![0u8; len];
+        RingProducer::write_wrap_record(&mut record, canary);
+        mr.write(off, &record).unwrap();
+    }
+
     /// Write a message "remotely" (plain memcpy stands in for RDMA write).
     fn deliver(mr: &MemoryRegion, prod: &mut RingProducer, canary: u64, payload: &[u8]) {
         let mut staging = vec![0u8; 4096];
         let n = mk_msg(&mut staging, canary, payload);
         let res = prod.reserve(n).unwrap();
         if let Some((woff, wlen)) = res.wrap {
-            mr.with_write(|b| RingProducer::write_wrap_record(&mut b[woff..woff + wlen], canary));
+            write_wrap(mr, woff, wlen, canary);
         }
         mr.write(res.offset, &staging[..n]).unwrap();
     }
@@ -695,7 +713,7 @@ mod tests {
             let n = mk_msg(&mut staging, 100 + i as u64, &payload);
             let res = prod.reserve(n).unwrap();
             if let Some((woff, wlen)) = res.wrap {
-                mr.with_write(|b| RingProducer::write_wrap_record(&mut b[woff..woff + wlen], 0x77));
+                write_wrap(&mr, woff, wlen, 0x77);
                 wrapped = true;
             }
             mr.write(res.offset, &staging[..n]).unwrap();

@@ -19,7 +19,7 @@ use flock_core::msg::{EntryMeta, EntryRef};
 use flock_core::ring::Link;
 use flock_core::tcq::{Outcome, Tcq};
 use flock_core::{Bytes, RingInfo};
-use flock_fabric::{Access, CompletionQueue, Fabric, Transport};
+use flock_fabric::{Access, CompletionQueue, Fabric, MemoryRegion, Transport, PAGE};
 use flock_sync::clock;
 
 /// Forwards to the system allocator, counting allocations made by the
@@ -86,22 +86,27 @@ fn cycle(tcq: &Tcq<u64>, item: u64) {
     }
 }
 
+/// Bytes of each link's ring: four pages, so a lap hands pages back
+/// and takes them again from the region's spare.
+const RING: usize = 4 * PAGE;
+
 /// Two links over a connected QP pair on two nodes, each receiving in a
-/// 4 KiB ring, and their send CQs.
-fn link_pair(fabric: &Fabric) -> ([Link; 2], [Arc<CompletionQueue>; 2]) {
+/// [`RING`]-byte ring, their send CQs and their rings.
+fn link_pair(fabric: &Fabric) -> ([Link; 2], [Arc<CompletionQueue>; 2], [Arc<MemoryRegion>; 2]) {
     let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
     let (acq, bcq) = (a.create_cq(64), b.create_cq(64));
     let aqp = a.create_qp(Transport::Rc, &acq, &acq);
     let bqp = b.create_qp(Transport::Rc, &bcq, &bcq);
     fabric.connect(&aqp, &bqp).unwrap();
-    let aring = a.register_mr(4096, Access::REMOTE_WRITE);
-    let bring = b.register_mr(4096, Access::REMOTE_WRITE);
+    let aring = a.register_mr(RING, Access::REMOTE_WRITE);
+    let bring = b.register_mr(RING, Access::REMOTE_WRITE);
     let (ainfo, binfo) = (RingInfo::of(&aring), RingInfo::of(&bring));
+    let rings = [Arc::clone(&aring), Arc::clone(&bring)];
     let links = [
         Link::new(&a, aqp, aring, binfo),
         Link::new(&b, bqp, bring, ainfo),
     ];
-    (links, [acq, bcq])
+    (links, [acq, bcq], rings)
 }
 
 /// Each end of `links` sends one 100-byte entry (a 192-byte record, so
@@ -177,19 +182,31 @@ fn steady_state_hot_path_is_allocation_free() {
 
     // The ring path in the lab, where the NIC lane runs on this thread:
     // link send, lane execute, poll. Warm-up grows the QPs' inline
-    // payload buffers, commits the rings and sizes the lab's queues.
+    // payload buffers, the CQs and the lab's queues, and gives each ring
+    // its spare page; the counted round trips run each ring through at
+    // least three laps of page turnover.
+    let (rounds, record) = (1_000, 192);
+    assert!(rounds * record >= 3 * RING, "fewer than three laps");
     let link_allocs = flock_sim::VirtualLab::run(|| {
         let fabric = Fabric::with_defaults();
-        let (links, cqs) = link_pair(&fabric);
+        let (links, cqs, rings) = link_pair(&fabric);
         let mut buf = Vec::new();
         for _ in 0..200 {
             link_round_trip(&links, &cqs, &mut buf);
         }
-        count_allocs(|| {
-            for _ in 0..1_000 {
+        let allocs = count_allocs(|| {
+            for _ in 0..rounds {
                 link_round_trip(&links, &cqs, &mut buf);
             }
-        })
+        });
+        for ring in &rings {
+            let resident = ring.resident_bytes();
+            assert!(
+                resident <= 2 * PAGE,
+                "a drained ring holds {resident} bytes"
+            );
+        }
+        allocs
     });
     assert_eq!(
         link_allocs, 0,

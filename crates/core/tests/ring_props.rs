@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use flock_core::msg::{encode, EntryMeta, EntryRef, MsgHeader, HDR_SIZE, META_SIZE, TRAILER_SIZE};
 use flock_core::ring::{self, Link, RingConsumer, RingLayout, RingProducer, FLAG_WRAP};
 use flock_core::{FlockError, RingInfo};
-use flock_fabric::{Access, Fabric, MemoryRegion, MrTable, Node, Qp, Transport};
+use flock_fabric::{Access, Fabric, MemoryRegion, MrTable, Node, Qp, Transport, PAGE};
 use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
@@ -189,6 +189,41 @@ fn stream(tx: &End, rx: &End, payloads: &[Vec<u8>]) -> Result<usize, TestCaseErr
         prop_assert!(!rx.link.poll_into(&mut buf).unwrap(), "delivered twice");
     }
     Ok(fulls)
+}
+
+/// A 64 KiB ring keeps only the pages that hold unconsumed bytes, plus
+/// one spare: over three laps of 64–1 600-byte messages and their wrap
+/// records it holds at most three pages whenever a message waits and at
+/// most two once the poll has drained it (a ring that kept its bytes
+/// would hold all sixteen).
+#[test]
+fn a_ring_keeps_only_the_pages_in_flight() {
+    let cap = 64 << 10;
+    let mr = MrTable::new().register(cap, Access::REMOTE_ALL);
+    let mut prod = RingProducer::new(RingLayout::new(0, cap));
+    let mut cons = RingConsumer::new(RingLayout::new(0, cap));
+    let (mut buf, mut wraps) = (Vec::new(), 0);
+    for i in 0u64.. {
+        if prod.tail() >= 3 * cap as u64 {
+            break;
+        }
+        let payload = vec![i as u8 | 1; 64 + (i as usize * 7919) % 1537];
+        wraps += usize::from(deliver(&mr, &mut prod, i + 1, &payload));
+        let waiting = mr.resident_bytes();
+        assert!(
+            waiting <= 3 * PAGE,
+            "{waiting} resident bytes before poll {i}"
+        );
+        assert!(cons.poll_into(&mr, &mut buf).unwrap(), "message {i}");
+        assert_eq!(ring::view(&buf).to_entries()[0].1, payload);
+        let drained = mr.resident_bytes();
+        assert!(
+            drained <= 2 * PAGE,
+            "{drained} resident bytes after poll {i}"
+        );
+        prod.update_head(cons.head());
+    }
+    assert!(wraps >= 2, "{wraps} wrap records in three laps");
 }
 
 proptest! {

@@ -5,8 +5,10 @@
 //!
 //! # Design: a locked deque
 //!
-//! The queue is a `Mutex<VecDeque>` reserved at the requested capacity,
-//! plus its length mirrored in an atomic that is stored under the lock:
+//! The queue is a `Mutex<VecDeque>` that reserves nothing up front and
+//! grows to its high-water mark (a queue whose deque cycles would touch
+//! every entry of a reservation), plus its length mirrored in an atomic
+//! that is stored under the lock:
 //! an empty poll reads that one word and takes no lock, and a batched
 //! [`CompletionQueue::poll`] drains up to `max` entries under one lock.
 //! Every push notifies [`CompletionQueue::pushed_event`], which costs one
@@ -51,8 +53,9 @@ impl std::fmt::Debug for CompletionQueue {
 }
 
 impl CompletionQueue {
-    /// Create an empty CQ with room for `capacity` entries; a burst past
-    /// it grows the queue rather than dropping completions.
+    /// Create an empty CQ of verbs size `capacity`. It reserves nothing:
+    /// the queue grows to the most entries it has held, past `capacity`
+    /// too, rather than dropping completions.
     pub fn new(capacity: usize) -> Arc<CompletionQueue> {
         Self::with_event(capacity, Arc::new(Event::new()))
     }
@@ -60,9 +63,9 @@ impl CompletionQueue {
     /// [`CompletionQueue::new`] with the caller's event as
     /// [`CompletionQueue::pushed_event`]: a poll loop that sweeps
     /// several queues (and rings) idles on one event they all notify.
-    pub fn with_event(capacity: usize, pushed_event: Arc<Event>) -> Arc<CompletionQueue> {
+    pub fn with_event(_capacity: usize, pushed_event: Arc<Event>) -> Arc<CompletionQueue> {
         Arc::new(CompletionQueue {
-            entries: Mutex::new(VecDeque::with_capacity(capacity)),
+            entries: Mutex::new(VecDeque::new()),
             len: AtomicUsize::new(0),
             pushed_event,
         })

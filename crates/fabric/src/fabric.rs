@@ -304,7 +304,7 @@ impl Node {
     /// Acquire a registered region of `len` bytes: reuse a parked region
     /// of identical layout (zeroing it — ring canary protocols depend on
     /// fresh buffers — and charging only [`CostModel::memset_time`]; the
-    /// zeroing drops its bytes, [`MemoryRegion::zero`]), or register
+    /// zeroing drops its pages, [`MemoryRegion::zero`]), or register
     /// cold, charging the Swift-style penalty [`CostModel::reg_mr_time`].
     pub fn acquire_mr(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
         if let Some(mr) = self.mr_cache.lock().take(len, access) {

@@ -86,7 +86,7 @@ pub use cache::{qp_state_key, ConnCache, Eviction};
 pub use chan::{doorbell, DoorbellSender};
 pub use cq::CompletionQueue;
 pub use fabric::{connect_qps, Fabric, FabricConfig, Node};
-pub use mr::{Access, MemoryRegion, MrTable};
+pub use mr::{Access, MemoryRegion, MrTable, Pages, PAGE};
 pub use mrcache::{MrCache, MrCacheConfig};
 pub use qpool::{QpPool, QpPoolConfig, QpPoolStats};
 pub use nic::{NicStats, GRH_BYTES};

@@ -1,31 +1,40 @@
 //! Memory regions, the memory translation table (MTT) and the memory
 //! protection table (MPT).
 //!
-//! A registered [`MemoryRegion`] owns a real heap buffer, committed at
-//! its first write: until then the region reads as zeros and holds no
-//! heap memory, so a region registered but never written (a lane's
-//! staging MR, DESIGN.md §5j) costs nothing resident. Remote operations
-//! name it by `(rkey, virtual address)`; the node's [`MrTable`] finds it by
-//! key (a hash map, not a scan), validates the rkey against the MPT
-//! (access rights) and translates the address via the MTT (bounds). Local
+//! A registered [`MemoryRegion`] owns real heap memory in [`PAGE`]-sized
+//! pages, each committed at the first write that puts a nonzero byte in
+//! it: a page nothing has written reads as zeros and holds no heap
+//! memory, so a region registered but never written (a lane's staging
+//! MR, DESIGN.md §5j) costs nothing resident, and a written one costs the
+//! pages that hold bytes. A consumer frees what it has read with
+//! [`Pages::consume`], which hands a page back once its zeroing reaches
+//! the page's end and the page reads all zeros; the region keeps the
+//! page as a spare for its next commit while it holds no more than two
+//! pages, and frees it otherwise. A ring that cycles through a region
+//! thus holds the pages in flight, and at most two when drained, and a
+//! ring with one message in flight allocates nothing once it has
+//! cycled. Remote operations name a region by
+//! `(rkey, virtual address)`; the node's [`MrTable`] finds it by key (a
+//! hash map, not a scan), validates the rkey against the MPT (access
+//! rights) and translates the address via the MTT (bounds). Local
 //! operations use the `lkey`.
 //!
-//! Buffers are guarded by a `parking_lot::RwLock`, serializing concurrent
+//! Pages are guarded by a `parking_lot::RwLock`, serializing concurrent
 //! DMA against host access. Real RDMA permits torn concurrent access; the
 //! lock is a strictly stronger (safe) model, and the canary protocol built
 //! on top of it is still exercised logically by the Flock layer. The
 //! region's doorbell lives under the same lock: a DMA takes one lock per
 //! region and rings the destination's doorbell before it lets go, so a
 //! poller woken by it finds the lock free a moment later, never the
-//! bytes half written. A host-side poll that reads, checks and zeroes a
-//! ring slot does all three under one [`MemoryRegion::with_write`].
+//! bytes half written. A host-side poll that reads, checks and consumes
+//! a ring slot does all three under one [`MemoryRegion::with_pages`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::Event;
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::RwLock;
 
 use crate::types::{FabricError, KeyMap, Lkey, Result, Rkey};
 
@@ -69,7 +78,19 @@ impl std::ops::BitOr for Access {
     }
 }
 
-/// A registered memory region backed by a real buffer.
+/// Bytes per page: the unit in which a region commits heap memory.
+pub const PAGE: usize = 4096;
+
+/// What a committed page is compared with before it is handed back.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+
+/// A region keeps a page handed back to it for its next commit while it
+/// holds no more pages than this, committed and kept together: the most
+/// a ring with one message in flight needs, so that such a ring stops
+/// allocating once it has cycled.
+const KEPT: usize = 2;
+
+/// A registered memory region backed by real pages.
 #[derive(Debug)]
 pub struct MemoryRegion {
     base: u64,
@@ -80,12 +101,10 @@ pub struct MemoryRegion {
     buf: RwLock<Buffer>,
 }
 
-/// A region's bytes and its doorbell, under one lock.
+/// A region's pages and its doorbell, under one lock.
 #[derive(Debug)]
 struct Buffer {
-    /// Empty until the first write commits the region's length of
-    /// zeros ([`Buffer::commit`]); an empty buffer reads as zeros.
-    bytes: Vec<u8>,
+    pages: Pages,
     /// Notified after every DMA into the region ([`MemoryRegion::dma_to`])
     /// while installed: how the task that polls a ring in this region
     /// learns that the NIC wrote to it.
@@ -93,21 +112,6 @@ struct Buffer {
 }
 
 impl Buffer {
-    /// The bytes, unless nothing has written them yet (then they all
-    /// read as zero).
-    fn committed(&self) -> Option<&[u8]> {
-        (!self.bytes.is_empty()).then_some(&self.bytes[..])
-    }
-
-    /// The bytes of a region of `len`, for writing: zeros committed at
-    /// the first write.
-    fn commit(&mut self, len: usize) -> &mut [u8] {
-        if self.bytes.is_empty() {
-            self.bytes = vec![0u8; len];
-        }
-        &mut self.bytes
-    }
-
     /// Ring the doorbell, if one is installed, after a DMA into these
     /// bytes.
     fn ring(&self) {
@@ -115,6 +119,244 @@ impl Buffer {
             event.notify_all();
         }
     }
+}
+
+/// The bytes of a region as a table of [`PAGE`]-sized pages (the last
+/// one may be shorter), each committed at the first write that puts a
+/// nonzero byte in it; a page nothing has committed reads as zeros and
+/// holds no memory. [`MemoryRegion::with_pages`] lends it out under the
+/// region's lock.
+#[derive(Debug)]
+pub struct Pages {
+    /// The region's address, for the errors of out-of-bounds accesses.
+    base: u64,
+    len: usize,
+    table: Box<[Option<Box<[u8]>>]>,
+    /// Pages handed back by [`Pages::consume`] and kept for the next
+    /// commits of pages of their length.
+    spares: Vec<Box<[u8]>>,
+    /// Pages the region holds: committed ones and spares.
+    held: usize,
+}
+
+/// The pieces of `span` that lie in one page each: the page, the range
+/// within it and the range within the span.
+fn pieces(span: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    let mut at = span.start;
+    std::iter::from_fn(move || {
+        (at < span.end).then(|| {
+            let (page, off) = (at / PAGE, at % PAGE);
+            let n = (PAGE - off).min(span.end - at);
+            let done = at - span.start;
+            at += n;
+            (page, off..off + n, done..done + n)
+        })
+    })
+}
+
+impl Pages {
+    fn new(base: u64, len: usize) -> Pages {
+        Pages {
+            base,
+            len,
+            table: (0..len.div_ceil(PAGE)).map(|_| None).collect(),
+            spares: Vec::new(),
+            held: 0,
+        }
+    }
+
+    /// The range of `len` bytes at byte `offset`, if it lies inside the
+    /// region.
+    fn span(&self, offset: usize, len: usize) -> Result<Range<usize>> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len => Ok(offset..end),
+            _ => Err(FabricError::AccessViolation {
+                addr: self.base.wrapping_add(offset as u64),
+                len,
+            }),
+        }
+    }
+
+    /// Page `i`'s bytes for writing: committed now unless they were
+    /// before, from a spare when one has the page's length.
+    fn commit(&mut self, i: usize) -> &mut [u8] {
+        let len = PAGE.min(self.len - i * PAGE);
+        let (spares, held) = (&mut self.spares, &mut self.held);
+        self.table[i].get_or_insert_with(|| {
+            spares.pop_if(|page| page.len() == len).unwrap_or_else(|| {
+                *held += 1;
+                vec![0u8; len].into_boxed_slice()
+            })
+        })
+    }
+
+    /// Copy `src` (zeros when `None`) into `within` of page `i`. Zeros
+    /// landing on an uncommitted page commit nothing.
+    fn put(&mut self, i: usize, within: Range<usize>, src: Option<&[u8]>) {
+        match (src, &mut self.table[i]) {
+            (Some(src), Some(page)) => page[within].copy_from_slice(src),
+            (None, Some(page)) => page[within].fill(0),
+            (Some(src), None) if src != &ZERO_PAGE[..src.len()] => {
+                self.commit(i)[within].copy_from_slice(src)
+            }
+            (_, None) => {}
+        }
+    }
+
+    /// The `len` bytes at byte `offset` if they lie in one committed
+    /// page: the fast path of every access.
+    fn in_page(&self, offset: usize, len: usize) -> Option<&[u8]> {
+        let start = offset % PAGE;
+        let page = self.table.get(offset / PAGE)?.as_deref()?;
+        page.get(start..start.checked_add(len)?)
+    }
+
+    /// [`Pages::in_page`], for writing.
+    fn in_page_mut(&mut self, offset: usize, len: usize) -> Option<&mut [u8]> {
+        let start = offset % PAGE;
+        let page = self.table.get_mut(offset / PAGE)?.as_deref_mut()?;
+        page.get_mut(start..start.checked_add(len)?)
+    }
+
+    /// Copy `data` into the region at byte `offset`.
+    fn write(&mut self, offset: usize, data: &[u8]) -> Result<()> {
+        if let Some(bytes) = self.in_page_mut(offset, data.len()) {
+            bytes.copy_from_slice(data);
+            return Ok(());
+        }
+        for (page, within, part) in pieces(self.span(offset, data.len())?) {
+            self.put(page, within, Some(&data[part]));
+        }
+        Ok(())
+    }
+
+    /// Copy from the region at byte `offset` into `out`.
+    pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
+        if let Some(bytes) = self.in_page(offset, out.len()) {
+            out.copy_from_slice(bytes);
+            return Ok(());
+        }
+        for (page, within, part) in pieces(self.span(offset, out.len())?) {
+            match &self.table[page] {
+                Some(bytes) => out[part].copy_from_slice(&bytes[within]),
+                None => out[part].fill(0),
+            }
+        }
+        Ok(())
+    }
+
+    /// Append the `len` bytes at byte `offset` to `out`.
+    pub fn append_to(&self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<()> {
+        if let Some(bytes) = self.in_page(offset, len) {
+            out.extend_from_slice(bytes);
+            return Ok(());
+        }
+        self.span(offset, len)?;
+        let from = out.len();
+        out.resize(from + len, 0);
+        self.read(offset, &mut out[from..])
+    }
+
+    /// Zero the `len` bytes at byte `offset` the way a consumer frees
+    /// what it has read: a page whose end the span reaches and which
+    /// then reads all zeros is handed back ([`KEPT`]).
+    pub fn consume(&mut self, offset: usize, len: usize) -> Result<()> {
+        for (page, within, _) in pieces(self.span(offset, len)?) {
+            let Some(bytes) = &mut self.table[page] else {
+                continue;
+            };
+            bytes[within.clone()].fill(0);
+            if within.end == bytes.len() {
+                self.hand_back(page);
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand page `i` back if it reads all zeros: keep it as a spare
+    /// while the region holds no more than [`KEPT`] pages, free it
+    /// otherwise.
+    #[cold]
+    fn hand_back(&mut self, i: usize) {
+        let Some(bytes) = &self.table[i] else { return };
+        if **bytes == ZERO_PAGE[..bytes.len()] {
+            let page = self.table[i].take().expect("committed");
+            if self.held <= KEPT {
+                self.spares.push(page);
+            } else {
+                self.held -= 1;
+            }
+        }
+    }
+
+    /// Replace the 8-byte little-endian word `w` at `offset` (8-byte
+    /// aligned) with `f(w)`; returns `w`. A word left zero on an
+    /// uncommitted page commits nothing.
+    fn update_u64(&mut self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
+        if !offset.is_multiple_of(8) {
+            return Err(FabricError::Misaligned(
+                self.base.wrapping_add(offset as u64),
+            ));
+        }
+        self.span(offset, 8)?;
+        let (page, at) = (offset / PAGE, offset % PAGE);
+        let old = match &self.table[page] {
+            Some(bytes) => u64::from_le_bytes(bytes[at..at + 8].try_into().expect("one word")),
+            None => 0,
+        };
+        let new = f(old);
+        if new != old {
+            self.commit(page)[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        }
+        Ok(old)
+    }
+
+    /// Copy the `n` bytes at `from` to `to` within these pages, with
+    /// `n` no more than a page: through a bounce page, so the two spans
+    /// may overlap.
+    fn copy_within(&mut self, from: usize, to: usize, n: usize) {
+        let mut bounce = [0u8; PAGE];
+        self.read(from, &mut bounce[..n]).expect("in bounds");
+        self.write(to, &bounce[..n]).expect("in bounds");
+    }
+
+    /// Drop every page, the spares too: the region reads as zeros and
+    /// holds no pages.
+    fn clear(&mut self) {
+        self.table.iter_mut().for_each(|page| *page = None);
+        self.spares.clear();
+        self.held = 0;
+    }
+}
+
+/// The pieces of a copy of `len` bytes from offset `from` to offset
+/// `to` that cross no page boundary on either side, `(from, to, n)`;
+/// last piece first when `backward`.
+fn copy_pieces(
+    from: usize,
+    to: usize,
+    len: usize,
+    backward: bool,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    // Bytes `lo..hi` of the copy are still to go.
+    let (mut lo, mut hi) = (0, len);
+    std::iter::from_fn(move || {
+        (lo < hi).then(|| {
+            if backward {
+                let n = (hi - lo)
+                    .min((from + hi - 1) % PAGE + 1)
+                    .min((to + hi - 1) % PAGE + 1);
+                hi -= n;
+                (from + hi, to + hi, n)
+            } else {
+                let n = (hi - lo)
+                    .min(PAGE - (from + lo) % PAGE)
+                    .min(PAGE - (to + lo) % PAGE);
+                lo += n;
+                (from + lo - n, to + lo - n, n)
+            }
+        })
+    })
 }
 
 impl MemoryRegion {
@@ -166,60 +408,52 @@ impl MemoryRegion {
         Ok((addr - self.base) as usize)
     }
 
-    /// The buffer range of `len` bytes at byte `offset`, if it lies
-    /// inside the region.
-    fn span(&self, offset: usize, len: usize) -> Result<Range<usize>> {
-        match offset.checked_add(len) {
-            Some(end) if end <= self.len => Ok(offset..end),
-            _ => Err(FabricError::AccessViolation {
-                addr: self.base.wrapping_add(offset as u64),
-                len,
-            }),
-        }
+    /// Fail unless the `len` bytes at byte `offset` lie inside the
+    /// region.
+    fn check(&self, offset: usize, len: usize) -> Result<()> {
+        self.translate(self.base.wrapping_add(offset as u64), len)
+            .map(drop)
     }
 
-    /// Whether anything has written the region since it was registered
-    /// or last zeroed ([`MemoryRegion::zero`]): only then does it hold
-    /// its length in heap memory.
+    /// Whether any page of the region holds bytes: something has
+    /// written it since it was registered or last zeroed
+    /// ([`MemoryRegion::zero`]), and not every written page has been
+    /// consumed back to zeros since.
     pub fn committed(&self) -> bool {
-        self.buf.read().committed().is_some()
+        self.buf.read().pages.table.iter().any(Option::is_some)
     }
 
-    /// Zero the region by dropping its bytes: it reads as zeros and
+    /// Heap bytes the region holds in pages: committed ones and spares.
+    pub fn resident_bytes(&self) -> usize {
+        let buf = self.buf.read();
+        let pages = buf.pages.table.iter().flatten().chain(&buf.pages.spares);
+        pages.map(|page| page.len()).sum()
+    }
+
+    /// Zero the region by dropping its pages: it reads as zeros and
     /// holds no heap memory until the next write.
-    pub(crate) fn zero(&self) {
-        self.buf.write().bytes = Vec::new();
+    pub fn zero(&self) {
+        self.buf.write().pages.clear();
     }
 
     /// Copy `data` into the region at byte `offset`.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<()> {
-        self.put(offset, data).map(drop)
+        self.buf.write().pages.write(offset, data)
     }
 
     /// [`MemoryRegion::write`] by the NIC (an inline write's payload):
     /// the destination's doorbell rings under its guard, as after
     /// [`MemoryRegion::dma_to`].
     pub(crate) fn dma_in(&self, offset: usize, data: &[u8]) -> Result<()> {
-        self.put(offset, data).map(|buf| buf.ring())
-    }
-
-    /// Copy `data` in at `offset` and return the guard it was written
-    /// under.
-    fn put(&self, offset: usize, data: &[u8]) -> Result<RwLockWriteGuard<'_, Buffer>> {
-        let span = self.span(offset, data.len())?;
         let mut buf = self.buf.write();
-        buf.commit(self.len)[span].copy_from_slice(data);
-        Ok(buf)
+        buf.pages.write(offset, data)?;
+        buf.ring();
+        Ok(())
     }
 
     /// Copy from the region at byte `offset` into `out`.
     pub fn read(&self, offset: usize, out: &mut [u8]) -> Result<()> {
-        let span = self.span(offset, out.len())?;
-        match self.buf.read().committed() {
-            Some(bytes) => out.copy_from_slice(&bytes[span]),
-            None => out.fill(0),
-        }
-        Ok(())
+        self.buf.read().pages.read(offset, out)
     }
 
     /// Copy `len` bytes out of the region as a fresh vector.
@@ -241,9 +475,10 @@ impl MemoryRegion {
         self.write(offset, &value.to_le_bytes())
     }
 
-    /// Run `f` over a mutable view of the whole buffer (committing it).
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(self.buf.write().commit(self.len))
+    /// Run `f` over the region's pages under one lock of them: what a
+    /// ring poll uses to read, check and consume a slot at once.
+    pub fn with_pages<R>(&self, f: impl FnOnce(&mut Pages) -> R) -> R {
+        f(&mut self.buf.write().pages)
     }
 
     /// Whether the region grants every right in `needed` (the MPT check
@@ -259,9 +494,10 @@ impl MemoryRegion {
     }
 
     /// DMA `len` bytes from this region at `src_off` into `dst` at
-    /// `dst_off` — the engine's zero-copy data path: one guarded
-    /// `memcpy` between the two buffers, with no intermediate `Vec`
-    /// materialized per verb.
+    /// `dst_off` — the engine's zero-copy data path: guarded copies
+    /// between the two regions' pages, one per piece that crosses no
+    /// page boundary of either, with no intermediate `Vec` materialized
+    /// per verb.
     ///
     /// When the regions are distinct, the two buffer guards are taken in
     /// a consistent global order keyed by object identity (pointer
@@ -269,39 +505,39 @@ impl MemoryRegion {
     /// across nodes because every `MrTable` hands them out from the same
     /// origin. That ordering makes concurrent opposite-direction copies
     /// (lane A copies X→Y while lane B copies Y→X) deadlock-free.
-    /// A same-region copy takes one write guard and uses `copy_within`
-    /// (overlap-safe). An unwritten source copies zeros. The
-    /// destination's doorbell rings under its guard.
-    pub(crate) fn dma_to(
+    /// A same-region copy takes one write guard and copies its pieces in
+    /// the order that keeps an overlap safe. An uncommitted source page
+    /// copies zeros, which commit nothing on an uncommitted destination
+    /// page. The destination's doorbell rings under its guard.
+    pub fn dma_to(
         &self,
         src_off: usize,
         dst: &MemoryRegion,
         dst_off: usize,
         len: usize,
     ) -> Result<()> {
-        let from = self.span(src_off, len)?;
-        let to = dst.span(dst_off, len)?;
-        let copy = |src: &Buffer, d: &mut Buffer| {
-            let to = &mut d.commit(dst.len)[to.clone()];
-            match src.committed() {
-                Some(bytes) => to.copy_from_slice(&bytes[from.clone()]),
-                None => to.fill(0),
+        self.check(src_off, len)?;
+        dst.check(dst_off, len)?;
+        let copy = |src: &Pages, d: &mut Buffer| {
+            for (from, to, n) in copy_pieces(src_off, dst_off, len, false) {
+                let page = src.table[from / PAGE].as_deref();
+                let bytes = page.map(|p| &p[from % PAGE..from % PAGE + n]);
+                d.pages.put(to / PAGE, to % PAGE..to % PAGE + n, bytes);
             }
             d.ring();
         };
         if std::ptr::eq(self, dst) {
-            // Zeros copied onto zeros need no commit.
             let mut d = self.buf.write();
-            if !d.bytes.is_empty() {
-                d.bytes.copy_within(from, dst_off);
+            for (from, to, n) in copy_pieces(src_off, dst_off, len, dst_off > src_off) {
+                d.pages.copy_within(from, to, n);
             }
             d.ring();
         } else if (self as *const MemoryRegion as usize) < (dst as *const MemoryRegion as usize) {
             let src = self.buf.read();
-            copy(&src, &mut dst.buf.write());
+            copy(&src.pages, &mut dst.buf.write());
         } else {
             let mut d = dst.buf.write();
-            copy(&self.buf.read(), &mut d);
+            copy(&self.buf.read().pages, &mut d);
         }
         Ok(())
     }
@@ -309,26 +545,19 @@ impl MemoryRegion {
     /// Atomically fetch the 8-byte value at `offset` and add `delta`.
     /// Returns the prior value. `offset` must be 8-byte aligned.
     pub fn fetch_add_u64(&self, offset: usize, delta: u64) -> Result<u64> {
-        self.atomic_rmw(offset, |old| old.wrapping_add(delta))
+        self.update_u64(offset, |old| old.wrapping_add(delta))
     }
 
     /// Atomically compare-and-swap the 8-byte value at `offset`.
     /// Returns the prior value (swap succeeded iff it equals `expect`).
     pub fn cmp_swap_u64(&self, offset: usize, expect: u64, swap: u64) -> Result<u64> {
-        self.atomic_rmw(offset, |old| if old == expect { swap } else { old })
+        self.update_u64(offset, |old| if old == expect { swap } else { old })
     }
 
-    fn atomic_rmw(&self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(FabricError::Misaligned(self.base + offset as u64));
-        }
-        let span = self.span(offset, 8)?;
-        let mut guard = self.buf.write();
-        let bytes = &mut guard.commit(self.len)[span];
-        let old = u64::from_le_bytes(bytes.try_into().expect("8-byte slice"));
-        let new = f(old);
-        bytes.copy_from_slice(&new.to_le_bytes());
-        Ok(old)
+    /// Atomically replace the 8-byte value `w` at `offset` with `f(w)`.
+    /// Returns `w`. `offset` must be 8-byte aligned.
+    pub fn update_u64(&self, offset: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
+        self.buf.write().pages.update_u64(offset, f)
     }
 }
 
@@ -363,7 +592,7 @@ impl MrTable {
     }
 
     /// Register a zeroed region of `len` bytes with the given remote
-    /// rights (committed at its first write).
+    /// rights (each page committed at its first write).
     pub fn register(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         // Pad region spacing so adjacent regions never abut (catches
@@ -379,7 +608,7 @@ impl MrTable {
             rkey: Rkey(key),
             access,
             buf: RwLock::new(Buffer {
-                bytes: Vec::new(),
+                pages: Pages::new(base, len),
                 doorbell: None,
             }),
         });
@@ -487,6 +716,34 @@ mod tests {
         a.zero();
         assert!(!a.committed());
         assert_eq!(a.read_vec(0, 2).unwrap(), [0, 0]);
+    }
+
+    #[test]
+    fn a_consumed_page_is_kept_while_the_region_holds_two() {
+        let t = MrTable::new();
+        let mr = t.register(4 * PAGE, Access::LOCAL);
+        mr.write(PAGE - 4, &[7u8; 2 * PAGE + 8]).unwrap();
+        assert_eq!(mr.resident_bytes(), 4 * PAGE, "pages 0 to 3 hold bytes");
+        let consume = |offset, len| mr.with_pages(|pages| pages.consume(offset, len)).unwrap();
+        // Zeroing that stops short of a page's end hands nothing back.
+        consume(PAGE - 4, 2);
+        assert_eq!(mr.resident_bytes(), 4 * PAGE);
+        // Pages 0 and 1 are handed back while the region holds more
+        // than two pages: freed.
+        consume(PAGE - 2, PAGE + 2);
+        assert_eq!(mr.resident_bytes(), 2 * PAGE);
+        // Page 2 is kept as a spare beside page 3, which still holds
+        // zeros short of its end.
+        consume(2 * PAGE, PAGE + 4);
+        assert_eq!(mr.resident_bytes(), 2 * PAGE);
+        assert!(mr.committed());
+        // The next commit takes the spare; the one after allocates.
+        mr.write(0, &[1u8; PAGE + 1]).unwrap();
+        assert_eq!(mr.resident_bytes(), 3 * PAGE);
+        assert_eq!(mr.read_vec(PAGE - 1, 3).unwrap(), [1, 1, 0]);
+        mr.zero();
+        assert_eq!(mr.resident_bytes(), 0);
+        assert!(!mr.committed());
     }
 
     #[test]

@@ -109,16 +109,14 @@ impl TxnServer {
         s.get(key).map(|(slot, _)| slot_offset(slot))
     }
 
-    /// Replace `slot`'s word `w` with `f(w)` in one access to the region's
-    /// buffer; returns `w`. The caller holds the key's stripe.
+    /// Replace `slot`'s word `w` with `f(w)` in one access to the
+    /// region ([`MemoryRegion::update_u64`]); returns `w`. The caller
+    /// holds the key's stripe.
     fn update_word(&self, slot: u32, f: impl FnOnce(u64) -> u64) -> u64 {
         let at = slot_offset(slot) as usize;
-        self.version_mr.with_write(|buf| {
-            let word: &mut [u8; 8] = (&mut buf[at..at + 8]).try_into().expect("one word");
-            let old = u64::from_le_bytes(*word);
-            *word = f(old).to_le_bytes();
-            old
-        })
+        self.version_mr
+            .update_u64(at, f)
+            .expect("a slot's word lies in the region")
     }
 
     /// OCC: lock `key` for writing and read it, in one visit to its

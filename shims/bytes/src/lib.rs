@@ -6,10 +6,12 @@
 //! copying; `clone` and `slice` are reference-count bumps; the payload
 //! is freed when the last view drops.
 //!
-//! The representation is `Arc<Vec<u8>>` plus an `(offset, len)` window,
-//! which matches the real crate's promotable-shared layout closely
-//! enough for this workspace's hot paths (one refcounted allocation per
-//! distinct buffer, zero-copy slicing of received messages).
+//! The representation is a shared buffer plus an `(offset, len)` window:
+//! an `Arc<Vec<u8>>` for a vector taken over without copying, an
+//! `Arc<[u8]>` for a copy, so that, as in the real crate,
+//! `copy_from_slice` allocates once (the counts and the bytes in one
+//! block) and zero-copy slicing of received messages stays a refcount
+//! bump.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -18,10 +20,29 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, sliceable view into a shared byte buffer.
+#[derive(Clone)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    buf: Shared,
     off: usize,
     len: usize,
+}
+
+/// The buffer a [`Bytes`] views.
+#[derive(Clone)]
+enum Shared {
+    /// A vector taken over by `From<Vec<u8>>`.
+    Vec(Arc<Vec<u8>>),
+    /// A copy, made in one allocation.
+    Copy(Arc<[u8]>),
+}
+
+impl Shared {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Shared::Vec(v) => v,
+            Shared::Copy(c) => c,
+        }
+    }
 }
 
 impl Bytes {
@@ -30,9 +51,14 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Copy `data` into a freshly allocated shared buffer.
+    /// Copy `data` into a freshly allocated shared buffer, in one
+    /// allocation.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        Bytes {
+            buf: Shared::Copy(Arc::from(data)),
+            off: 0,
+            len: data.len(),
+        }
     }
 
     /// Length of this view.
@@ -63,7 +89,7 @@ impl Bytes {
             self.len
         );
         Bytes {
-            buf: Arc::clone(&self.buf),
+            buf: self.buf.clone(),
             off: self.off + start,
             len: end - start,
         }
@@ -76,21 +102,11 @@ impl Default for Bytes {
     }
 }
 
-impl Clone for Bytes {
-    fn clone(&self) -> Bytes {
-        Bytes {
-            buf: Arc::clone(&self.buf),
-            off: self.off,
-            len: self.len,
-        }
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            buf: Arc::new(v),
+            buf: Shared::Vec(Arc::new(v)),
             off: 0,
             len,
         }
@@ -119,7 +135,7 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        &self.buf.bytes()[self.off..self.off + self.len]
     }
 }
 

@@ -90,9 +90,9 @@ proptest! {
             .unwrap();
             let res = prod.reserve(staging.len()).unwrap();
             if let Some((woff, wlen)) = res.wrap {
-                mr.with_write(|b| {
-                    RingProducer::write_wrap_record(&mut b[woff..woff + wlen], canary)
-                });
+                let mut record = vec![0u8; wlen];
+                RingProducer::write_wrap_record(&mut record, canary);
+                mr.write(woff, &record).unwrap();
             }
             mr.write(res.offset, &staging).unwrap();
             // Consume immediately (keeps the ring from filling).
