@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use flock_core::{FlockError, Result};
 use flock_sync::clock::{self, Event, TaskHandle};
 use flock_sync::Stop;
 
@@ -433,8 +434,9 @@ impl Drop for UdRpcClient {
 }
 
 impl UdThread<'_> {
-    /// Blocking RPC with retransmission on loss.
-    pub fn call(&self, rpc_id: u32, payload: &[u8]) -> Result<Vec<u8>, &'static str> {
+    /// Blocking RPC with retransmission on loss. [`FlockError::Timeout`]
+    /// once the call's deadline passes or its retransmissions run out.
+    pub fn call(&self, rpc_id: u32, payload: &[u8]) -> Result<Vec<u8>> {
         let c = self.client;
         let seq = self.seq.get();
         self.seq.set(seq + 1);
@@ -456,12 +458,9 @@ impl UdThread<'_> {
             if let Some(resp) = got {
                 return Ok(resp);
             }
-            if clock::expired(deadline) {
-                return Err("rpc timed out");
-            }
             retries += 1;
-            if retries > c.ep.cfg.max_retries {
-                return Err("too many retransmissions");
+            if clock::expired(deadline) || retries > c.ep.cfg.max_retries {
+                return Err(FlockError::Timeout);
             }
             c.retransmissions.fetch_add(1, Ordering::Relaxed);
             send();

@@ -1,11 +1,12 @@
 //! End-to-end tests of the baseline systems.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use flock_baselines::erpc::{UdRpcClient, UdRpcConfig, UdRpcServer};
 use flock_baselines::lockshare::{LockShareConfig, LockSharedClient};
 use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::FlockDomain;
+use flock_core::{FlockDomain, FlockError};
 use flock_fabric::{Fabric, FabricConfig};
 
 #[test]
@@ -68,6 +69,42 @@ fn ud_rpc_survives_packet_loss_via_retransmission() {
             > 0,
         "loss injection did not exercise retransmission"
     );
+}
+
+#[test]
+fn ud_rpc_on_a_lossy_wire_times_out_with_a_typed_error() {
+    let mut config = FabricConfig::default();
+    config.ud_drop_probability = 1.0; // every datagram lost
+    let fabric = Fabric::new(config);
+    let snode = fabric.add_node("uds4");
+    let cnode = fabric.add_node("udc4");
+    let server = UdRpcServer::start(&snode, UdRpcConfig::default(), |_, req| req.to_vec());
+    // Two ways to give up: the retransmission budget runs out first, or
+    // the call's deadline passes first.
+    let mut by_retries = UdRpcConfig::default();
+    by_retries.rto = Duration::from_millis(1);
+    by_retries.max_retries = 3;
+    let mut by_deadline = by_retries.clone();
+    by_deadline.max_retries = 1_000;
+    by_deadline.timeout = Duration::from_millis(5);
+    for ccfg in [by_retries, by_deadline] {
+        let max_retries = ccfg.max_retries;
+        let client = UdRpcClient::connect(&cnode, server.addr(), ccfg);
+        let t = client.register_thread();
+        let start = Instant::now();
+        assert_eq!(t.call(1, &[1, 2, 3]), Err(FlockError::Timeout));
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(1), "gave up after {waited:?}");
+        let resent = Arc::clone(&client.retransmissions);
+        drop(client);
+        // The count, read once nothing can add to it.
+        let resent = Arc::into_inner(resent).expect("the client is gone").into_inner();
+        assert!(resent <= u64::from(max_retries), "{resent} retransmissions");
+    }
+    let requests = Arc::clone(&server.requests);
+    drop(server);
+    let requests = Arc::into_inner(requests).expect("the server is gone").into_inner();
+    assert_eq!(requests, 0, "a request crossed a wire that drops everything");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Connection-churn benchmark: the elastic control plane (pooled QPs,
 //! cached MRs, lazy lanes, graceful detach) measured inside the
-//! deterministic virtual-time lab ([`VirtualLab`]).
+//! deterministic virtual-time lab
+//! ([`VirtualLab`](flock_sim::vtime::VirtualLab)).
 //!
 //! Three scenarios, each a pure function of its configuration (two runs
 //! render byte-identical JSON, which `flock-bench --check` relies on):
@@ -25,14 +26,13 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
-use flock_core::client::HandleConfig;
-use flock_core::server::{FlockServer, ServerConfig};
+use flock_core::client::{FlThread, HandleConfig};
+use flock_core::server::ServerConfig;
 use flock_core::FlockDomain;
-use flock_fabric::FabricConfig;
-use flock_sim::vtime::{LabReport, VirtualLab};
 use flock_sync::{clock, Stop};
 
 use crate::json::{float, object, Value};
+use crate::lab::{self, elastic_fabric, Bed, LabCost, Samples, Until};
 use crate::stats::{percentile_us, Handoff};
 use crate::SuiteRun;
 
@@ -84,15 +84,12 @@ impl ChurnWorkload {
     }
 }
 
-/// Elastic fabric: QP pool and MR cache on (the configuration under
+/// NIC lanes per node of the elastic fabric (the configuration under
 /// test; the cold wave measures the miss path through the same code).
-fn elastic_fabric() -> FabricConfig {
-    let mut fc = FabricConfig::default();
-    fc.qpool.enabled = true;
-    fc.mr_cache.enabled = true;
-    fc.nic_lanes = 2;
-    fc
-}
+const NIC_LANES: usize = 2;
+
+/// RPCs a churner issues per connection.
+const CHURNER_CALLS: u64 = 4;
 
 /// Handle configuration for short-lived churn clients: lazy lanes (the
 /// default) and a minimal one-sided scratch region, so connection setup
@@ -126,24 +123,21 @@ pub struct StormOutcome {
     pub warm_speedup: f64,
     /// Warm QP leases observed on the server node (pool hits).
     pub server_warm_leases: u64,
-    /// Lab handovers — a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned.
-    pub tasks: u64,
+    /// What the run cost the lab.
+    pub cost: LabCost,
 }
 
 /// One storm wave: every client dials, registers a thread, and completes
 /// one echo RPC; TTFR is the whole span. Clients then disconnect
-/// gracefully so the next wave finds warm pools.
+/// gracefully so the next wave finds warm pools. Returns the TTFRs
+/// (ns), ascending.
 fn storm_wave(
     domain: &Arc<FlockDomain>,
     nodes: &[Arc<flock_fabric::Node>],
     wave: usize,
     payload: usize,
 ) -> Vec<u64> {
-    let ttfrs: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let ttfrs: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut tasks = Vec::with_capacity(nodes.len());
     for (c, node) in nodes.iter().enumerate() {
         let domain = Arc::clone(domain);
@@ -160,75 +154,54 @@ fn storm_wave(
             let ttfr = clock::now_ns().saturating_sub(t0);
             drop(t);
             handle.close().expect("disconnect");
-            ttfrs.lock().unwrap().push((c, ttfr));
+            ttfrs.lock().unwrap().push(ttfr);
         }));
     }
-    for t in tasks {
-        let _ = t.join();
-    }
-    let mut collected = std::mem::take(&mut *ttfrs.lock().unwrap());
-    // Sort by client index: completion order is deterministic, but the
-    // rendered JSON should not depend on it.
-    collected.sort_unstable();
-    collected.into_iter().map(|(_, ns)| ns).collect()
+    lab::join(tasks);
+    let mut ttfrs = std::mem::take(&mut *ttfrs.lock().unwrap());
+    ttfrs.sort_unstable();
+    ttfrs
 }
 
 /// Run the connect-storm scenario in a fresh lab.
 pub fn run_storm(w: ChurnWorkload) -> StormOutcome {
-    let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
-        let server_node = domain.add_node("storm-srv");
+    let ((cold, warm, server_warm_leases), cost) = lab::run(move || {
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 1;
-        let server = FlockServer::listen(&domain, &server_node, "churn-storm", scfg);
-        server.reg_handler(1, |req| req.to_vec());
+        let bed = Bed::echo(elastic_fabric(NIC_LANES), "storm-srv", "churn-storm", scfg);
 
         let nodes: Vec<_> = (0..w.storm_clients)
-            .map(|c| domain.add_node(&format!("storm-c{c}")))
+            .map(|c| bed.domain.add_node(&format!("storm-c{c}")))
             .collect();
 
         // Wave 1: every pool empty — the full Swift control-plane cost,
         // serialized through the server's control loop like a real
         // connect storm. Wave 2: the same clients reconnect into the
         // resources wave 1 recycled.
-        let mut cold = storm_wave(&domain, &nodes, 0, w.payload);
-        let mut warm = storm_wave(&domain, &nodes, 1, w.payload);
-        cold.sort_unstable();
-        warm.sort_unstable();
+        let cold = storm_wave(&bed.domain, &nodes, 0, w.payload);
+        let warm = storm_wave(&bed.domain, &nodes, 1, w.payload);
 
-        let server_warm_leases = server_node.pool().stats().warm.load(Ordering::Relaxed);
-        server.shutdown(&domain);
-        drop(server);
+        let server_warm_leases = bed.node.pool().stats().warm.load(Ordering::Relaxed);
         drop(nodes);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
-
-        let cold_median_us = percentile_us(&cold, 0.5);
-        let warm_median_us = percentile_us(&warm, 0.5);
-        StormOutcome {
-            clients: w.storm_clients,
-            cold_median_us,
-            cold_p99_us: percentile_us(&cold, 0.99),
-            warm_median_us,
-            warm_p99_us: percentile_us(&warm, 0.99),
-            warm_speedup: if warm_median_us > 0.0 {
-                cold_median_us / warm_median_us
-            } else {
-                0.0
-            },
-            server_warm_leases,
-            handovers: 0,
-            heap_pushes: 0,
-            tasks: 0,
-        }
+        bed.close();
+        (cold, warm, server_warm_leases)
     });
-    outcome.handovers = report.handovers;
-    outcome.heap_pushes = report.heap_pushes;
-    outcome.tasks = report.tasks_spawned;
-    outcome
+    let cold_median_us = percentile_us(&cold, 0.5);
+    let warm_median_us = percentile_us(&warm, 0.5);
+    StormOutcome {
+        clients: w.storm_clients,
+        cold_median_us,
+        cold_p99_us: percentile_us(&cold, 0.99),
+        warm_median_us,
+        warm_p99_us: percentile_us(&warm, 0.99),
+        warm_speedup: if warm_median_us > 0.0 {
+            cold_median_us / warm_median_us
+        } else {
+            0.0
+        },
+        server_warm_leases,
+        cost,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -258,35 +231,31 @@ pub struct ChurnOutcome {
     pub churn_median_us: f64,
     /// `churn_p99 / baseline_p99` — the disturbance headline.
     pub disturbance_ratio: f64,
-    /// Lab handovers of the churn run — a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes of the churn run.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned in the churn run.
-    pub tasks: u64,
+    /// RPCs completed over both runs: steady cohorts and churners.
+    pub rpcs: u64,
+    /// What the churn run cost the lab.
+    pub cost: LabCost,
+    /// What the run without churners cost the lab.
+    pub baseline: LabCost,
 }
 
 /// One measured run: steady cohort latencies, optionally with churners.
-/// Returns (sorted latencies ns, churn events, ns from the start of the
-/// steady window to the last churn event, the lab's report).
-fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabReport) {
-    let ((lats, events, last_churn_ns), report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
-        let server_node = domain.add_node("churn-srv");
+/// Returns (the cohort's merged samples, churn events, ns from the start
+/// of the steady window to the last churn event) and the run's cost.
+fn churn_run(w: ChurnWorkload, with_churn: bool) -> ((Samples, u64, u64), LabCost) {
+    lab::run(move || {
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 2;
         scfg.sched_interval = std::time::Duration::from_micros(200);
-        let server = FlockServer::listen(&domain, &server_node, "churn-load", scfg);
-        server.reg_handler(1, |req| req.to_vec());
+        let bed = Bed::echo(elastic_fabric(NIC_LANES), "churn-srv", "churn-load", scfg);
 
         // The start gate: the steady window opens with it.
         let gate = Arc::new(clock::Barrier::new());
-        type SteadyResults = Arc<Mutex<Vec<(usize, Vec<u64>)>>>;
-        let results: SteadyResults = Arc::new(Mutex::new(Vec::new()));
+        let results: Arc<Mutex<Vec<Samples>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut tasks = Vec::new();
         for c in 0..w.steady_clients {
-            let domain = Arc::clone(&domain);
+            let domain = Arc::clone(&bed.domain);
             let gate = Arc::clone(&gate);
             let results = Arc::clone(&results);
             tasks.push(clock::spawn(&format!("steady-{c}"), move || {
@@ -297,22 +266,8 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
                 gate.arrive();
                 let deadline = gate.wait() + w.steady_us * 1_000;
                 let payload = vec![c as u8; w.payload];
-                let mut lats = Vec::new();
-                let mut window: Vec<(u64, u64)> = Vec::with_capacity(w.window);
-                while clock::now_ns() < deadline {
-                    window.clear();
-                    for _ in 0..w.window {
-                        let at = clock::now_ns();
-                        let seq = t.send_rpc(1, &payload).expect("send");
-                        window.push((seq, at));
-                    }
-                    for &(seq, at) in &window {
-                        let resp = t.recv_res(seq).expect("recv");
-                        debug_assert_eq!(resp.len(), w.payload);
-                        lats.push(clock::now_ns().saturating_sub(at));
-                    }
-                }
-                results.lock().unwrap().push((c, lats));
+                let samples = lab::drive(&t, &payload, w.window, Until::Deadline(deadline));
+                results.lock().unwrap().push(samples);
             }));
         }
 
@@ -320,7 +275,7 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
         let churned: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         if with_churn {
             for k in 0..w.churners {
-                let domain = Arc::clone(&domain);
+                let domain = Arc::clone(&bed.domain);
                 let gate = Arc::clone(&gate);
                 let churned = Arc::clone(&churned);
                 tasks.push(clock::spawn(&format!("churner-{k}"), move || {
@@ -332,10 +287,7 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
                                 .expect("churner connect");
                         let t = handle.register_thread();
                         let payload = vec![(k + round) as u8; w.payload];
-                        for _ in 0..4 {
-                            let resp = t.call(1, &payload).expect("churner rpc");
-                            debug_assert_eq!(resp.len(), w.payload);
-                        }
+                        lab::drive(&t, &payload, 1, Until::Requests(CHURNER_CALLS));
                         drop(t);
                         handle.close().expect("churner disconnect");
                         churned.lock().unwrap().push(clock::now_ns());
@@ -347,29 +299,17 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
 
         gate.wait_arrived(w.steady_clients);
         let start = gate.open();
-        for t in tasks {
-            let _ = t.join();
-        }
-        server.shutdown(&domain);
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
+        lab::join(tasks);
+        bed.close();
 
-        let mut collected = std::mem::take(&mut *results.lock().unwrap());
-        collected.sort_unstable_by_key(|(c, _)| *c);
-        let mut all: Vec<u64> = collected.into_iter().flat_map(|(_, l)| l).collect();
-        all.sort_unstable();
+        let steady = Samples::merge(&*results.lock().unwrap());
         let churned = std::mem::take(&mut *churned.lock().unwrap());
         let last_churn_ns = churned
             .iter()
             .max()
             .map_or(0, |at| at.saturating_sub(start));
-        (all, churned.len() as u64, last_churn_ns)
-    });
-    (lats, events, last_churn_ns, report)
+        (steady, churned.len() as u64, last_churn_ns)
+    })
 }
 
 /// Run the churn-under-load scenario: once with churners, once without,
@@ -380,33 +320,33 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> (Vec<u64>, u64, u64, LabRepo
 /// If a churner round ends after the steady window: `steady_us` no
 /// longer covers the churn, and the ratio would measure quiet time.
 pub fn run_churn_load(w: ChurnWorkload) -> ChurnOutcome {
-    let (churn_lats, events, last_churn_ns, report) = churn_run(w, true);
-    let (base_lats, _, _, _) = churn_run(w, false);
+    let ((churn, events, last_churn_ns), cost) = churn_run(w, true);
+    let ((base, _, _), baseline) = churn_run(w, false);
     assert!(
         last_churn_ns < w.steady_us * 1_000,
         "the last churn event at {last_churn_ns} ns lands after the {} µs steady window",
         w.steady_us
     );
-    let baseline_p99_us = percentile_us(&base_lats, 0.99);
-    let churn_p99_us = percentile_us(&churn_lats, 0.99);
+    let baseline_p99_us = percentile_us(&base.lats, 0.99);
+    let churn_p99_us = percentile_us(&churn.lats, 0.99);
     ChurnOutcome {
         steady_clients: w.steady_clients,
         churners: w.churners,
         churn_events: events,
         last_churn_us: last_churn_ns as f64 / 1e3,
-        steady_reqs: churn_lats.len() as u64,
+        steady_reqs: churn.ops,
         baseline_p99_us,
         churn_p99_us,
-        baseline_median_us: percentile_us(&base_lats, 0.5),
-        churn_median_us: percentile_us(&churn_lats, 0.5),
+        baseline_median_us: percentile_us(&base.lats, 0.5),
+        churn_median_us: percentile_us(&churn.lats, 0.5),
         disturbance_ratio: if baseline_p99_us > 0.0 {
             churn_p99_us / baseline_p99_us
         } else {
             0.0
         },
-        handovers: report.handovers,
-        heap_pushes: report.heap_pushes,
-        tasks: report.tasks_spawned,
+        rpcs: churn.ops + base.ops + events * CHURNER_CALLS,
+        cost,
+        baseline,
     }
 }
 
@@ -431,12 +371,10 @@ pub(crate) struct ScaleOutOutcome {
     pub total_active_after: usize,
     /// The server's deactivation hand-off over the run.
     pub handoff: Handoff,
-    /// Lab handovers — a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned.
-    pub tasks: u64,
+    /// RPCs the two senders completed.
+    pub rpcs: u64,
+    /// What the run cost the lab.
+    pub cost: LabCost,
 }
 
 /// Run the scale-out scenario: two eager 4-QP senders under a 4-QP
@@ -444,15 +382,13 @@ pub(crate) struct ScaleOutOutcome {
 pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
     const MAX_AQP: usize = 4;
     const N_QPS: usize = 4;
-    let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
-        let server_node = domain.add_node("so-srv");
+    let ((active, handoff, rpcs), cost) = lab::run(move || {
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 1;
         scfg.sched.max_aqp = MAX_AQP;
         scfg.sched_interval = std::time::Duration::from_micros(100);
-        let server = FlockServer::listen(&domain, &server_node, "scaleout", scfg);
-        server.reg_handler(1, |req| req.to_vec());
+        let bed = Bed::echo(elastic_fabric(NIC_LANES), "so-srv", "scaleout", scfg);
+        let (domain, server) = (&bed.domain, &bed.server);
 
         let mut hcfg = churn_handle_cfg();
         hcfg.n_qps = N_QPS;
@@ -466,45 +402,40 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
         // departing sender owns its handle so it can `close` it.
         let stop_a = Arc::new(Stop::new());
         let stop_b = Arc::new(Stop::new());
+        let rpcs = Arc::new(Mutex::new(0u64));
+        // One sender thread: echo requests one at a time until `stop`.
+        let sender = move |t: FlThread, byte: u8, stop: Arc<Stop>, rpcs: Arc<Mutex<u64>>| {
+            move || {
+                let buf = vec![byte; payload];
+                let done = lab::drive(&t, &buf, 1, Until::Stopped(&stop)).ops;
+                *rpcs.lock().unwrap() += done;
+            }
+        };
 
         let node_a = domain.add_node("so-a");
         let handle_a =
-            Arc::new(fl_connect(&domain, &node_a, "scaleout", hcfg.clone()).expect("connect a"));
+            Arc::new(fl_connect(domain, &node_a, "scaleout", hcfg.clone()).expect("connect a"));
         let mut a_workers = Vec::new();
         for i in 0..4 {
             let t = handle_a.register_thread();
-            let stop = Arc::clone(&stop_a);
-            a_workers.push(clock::spawn(&format!("so-a-{i}"), move || {
-                let buf = vec![0xAA; payload];
-                while !stop.is_set() {
-                    let resp = t.call(1, &buf).expect("a rpc");
-                    debug_assert_eq!(resp.len(), buf.len());
-                }
-            }));
+            let body = sender(t, 0xAA, Arc::clone(&stop_a), Arc::clone(&rpcs));
+            a_workers.push(clock::spawn(&format!("so-a-{i}"), body));
         }
 
         let node_b = domain.add_node("so-b");
         let b_task = {
-            let domain = Arc::clone(&domain);
+            let domain = Arc::clone(domain);
             let hcfg = hcfg.clone();
-            let stop = Arc::clone(&stop_b);
+            let (stop, rpcs) = (Arc::clone(&stop_b), Arc::clone(&rpcs));
             clock::spawn("so-b", move || {
                 let mut handle = fl_connect(&domain, &node_b, "scaleout", hcfg).expect("connect b");
                 let threads: Vec<_> = (0..4).map(|_| handle.register_thread()).collect();
                 let mut workers = Vec::new();
                 for (i, t) in threads.into_iter().enumerate() {
-                    let stop = Arc::clone(&stop);
-                    workers.push(clock::spawn(&format!("so-b-{i}"), move || {
-                        let buf = vec![0xBB; payload];
-                        while !stop.is_set() {
-                            let resp = t.call(1, &buf).expect("b rpc");
-                            debug_assert_eq!(resp.len(), buf.len());
-                        }
-                    }));
+                    let body = sender(t, 0xBB, Arc::clone(&stop), Arc::clone(&rpcs));
+                    workers.push(clock::spawn(&format!("so-b-{i}"), body));
                 }
-                for w in workers {
-                    let _ = w.join();
-                }
+                lab::join(workers);
                 handle.close().expect("disconnect b");
             })
         };
@@ -526,40 +457,36 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
         let total_active_after = server.active_qps();
 
         stop_a.set([]);
-        for w in a_workers {
-            let _ = w.join();
-        }
+        lab::join(a_workers);
         drop(
             Arc::try_unwrap(handle_a)
                 .ok()
                 .expect("survivor workers joined"),
         );
-        let handoff = Handoff::of(&server);
-        server.shutdown(&domain);
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
-
-        ScaleOutOutcome {
-            max_aqp: MAX_AQP,
-            n_qps: N_QPS,
+        let handoff = Handoff::of(server);
+        bed.close();
+        let active = [
             survivor_active_before,
             total_active_before,
             survivor_active_after,
             total_active_after,
-            handoff,
-            handovers: 0,
-            heap_pushes: 0,
-            tasks: 0,
-        }
+        ];
+        let rpcs = *rpcs.lock().unwrap();
+        (active, handoff, rpcs)
     });
-    outcome.handovers = report.handovers;
-    outcome.heap_pushes = report.heap_pushes;
-    outcome.tasks = report.tasks_spawned;
-    outcome
+    let [survivor_active_before, total_active_before, survivor_active_after, total_active_after] =
+        active;
+    ScaleOutOutcome {
+        max_aqp: MAX_AQP,
+        n_qps: N_QPS,
+        survivor_active_before,
+        total_active_before,
+        survivor_active_after,
+        total_active_after,
+        handoff,
+        rpcs,
+        cost,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -574,9 +501,9 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     let so = run_scaleout(w.payload);
     SuiteRun {
         doc: render(quick, w, &storm, &churn, &so),
-        ops: 0,
-        handovers: storm.handovers + churn.handovers + so.handovers,
-        heap_pushes: storm.heap_pushes + churn.heap_pushes + so.heap_pushes,
+        // Each storm client's first RPC, in both waves.
+        ops: 2 * storm.clients as u64 + churn.rpcs + so.rpcs,
+        cost: storm.cost + churn.cost + churn.baseline + so.cost,
     }
 }
 
@@ -594,7 +521,7 @@ fn render(
         ("payload_bytes", w.payload.into()),
         (
             "storm",
-            object(vec![
+            storm.cost.object(vec![
                 ("clients", storm.clients.into()),
                 ("cold_ttfr_median_us", float(storm.cold_median_us, 2)),
                 ("cold_ttfr_p99_us", float(storm.cold_p99_us, 2)),
@@ -602,14 +529,11 @@ fn render(
                 ("warm_ttfr_p99_us", float(storm.warm_p99_us, 2)),
                 ("warm_speedup", float(storm.warm_speedup, 3)),
                 ("server_warm_leases", storm.server_warm_leases.into()),
-                ("handovers", storm.handovers.into()),
-                ("heap_pushes", storm.heap_pushes.into()),
-                ("tasks", storm.tasks.into()),
             ]),
         ),
         (
             "churn",
-            object(vec![
+            churn.cost.object(vec![
                 ("steady_clients", churn.steady_clients.into()),
                 ("steady_us", w.steady_us.into()),
                 ("window", w.window.into()),
@@ -622,14 +546,12 @@ fn render(
                 ("churn_median_us", float(churn.churn_median_us, 2)),
                 ("churn_p99_us", float(churn.churn_p99_us, 2)),
                 ("disturbance_ratio", float(churn.disturbance_ratio, 3)),
-                ("handovers", churn.handovers.into()),
-                ("heap_pushes", churn.heap_pushes.into()),
-                ("tasks", churn.tasks.into()),
+                ("baseline", churn.baseline.row()),
             ]),
         ),
         (
             "scaleout",
-            object(vec![
+            so.cost.object(vec![
                 ("max_aqp", so.max_aqp.into()),
                 ("n_qps", so.n_qps.into()),
                 ("survivor_active_before", so.survivor_active_before.into()),
@@ -637,9 +559,6 @@ fn render(
                 ("survivor_active_after", so.survivor_active_after.into()),
                 ("total_active_after", so.total_active_after.into()),
                 ("handoff", so.handoff.row()),
-                ("handovers", so.handovers.into()),
-                ("heap_pushes", so.heap_pushes.into()),
-                ("tasks", so.tasks.into()),
             ]),
         ),
     ])

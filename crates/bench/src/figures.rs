@@ -528,7 +528,6 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     SuiteRun {
         doc: object(doc),
         ops: 0,
-        handovers: 0,
-        heap_pushes: 0,
+        cost: Default::default(),
     }
 }

@@ -14,6 +14,7 @@ pub mod arrival;
 pub mod churn;
 pub mod figures;
 pub mod json;
+pub mod lab;
 pub mod micro;
 pub mod onesided;
 pub mod scale;
@@ -38,13 +39,11 @@ pub struct Suite {
 pub struct SuiteRun {
     /// The suite's document, ready to render.
     pub doc: json::Value,
-    /// Completed operations the document counts (0: `churn` and
-    /// `figures` count none).
+    /// Completed operations the document counts (0: `figures` counts
+    /// none).
     pub ops: u64,
-    /// Lab handovers over every scenario of the run.
-    pub handovers: u64,
-    /// Lab heap pushes over every scenario of the run.
-    pub heap_pushes: u64,
+    /// What every lab run of the suite cost, summed.
+    pub cost: lab::LabCost,
 }
 
 /// Every suite `flock-bench` runs; `flock-bench --check` holds the

@@ -27,8 +27,9 @@
 //!
 //! Either way one line per suite goes to stderr: wall seconds (host
 //! cost, which is why it is printed and not stored in the compared
-//! files), the operations the document counts, lab handovers and lab
-//! heap pushes (the `figures` document counts none of them).
+//! files), the operations the document counts (`churn`: the RPCs its
+//! cohorts completed), and the lab's handovers, heap pushes and tasks
+//! (the `figures` document counts none of them).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -60,9 +61,10 @@ fn run(suite: &Suite, quick: bool) -> (String, String) {
     } else {
         "-".to_string()
     };
+    let cost = run.cost;
     let summary = format!(
-        "{:<8} {secs:6.2} s  {ops:>7} ops  {:>7} handovers  {:>8} heap pushes",
-        suite.name, run.handovers, run.heap_pushes
+        "{:<8} {secs:6.2} s  {ops:>7} ops  {:>7} handovers  {:>8} heap pushes  {:>5} tasks",
+        suite.name, cost.handovers, cost.heap_pushes, cost.tasks
     );
     (run.doc.render(), summary)
 }

@@ -260,7 +260,6 @@ pub fn run_suite(quick: bool) -> SuiteRun {
             ("rows", array(rows.into_iter().map(|r| inline(object(r))))),
         ]),
         ops,
-        handovers: 0,
-        heap_pushes: 0,
+        cost: Default::default(),
     }
 }

@@ -3,7 +3,8 @@
 //! the coalesced RPC path, always through one-sided READ + seqlock
 //! validation ([`flock_gateway::KvReadClient`]), and under the
 //! [`flock_kvstore::AdaptivePolicy`] — across value size, client
-//! fan-in, and write mix, inside the deterministic [`VirtualLab`].
+//! fan-in, and write mix, inside the deterministic
+//! [`VirtualLab`](flock_sim::vtime::VirtualLab).
 //!
 //! The physics being reproduced: a one-sided GET costs one verb of
 //! *responder* NIC processing — the server NIC must have that client's
@@ -26,17 +27,16 @@ use std::time::Duration;
 use flock_core::api::fl_connect;
 use flock_core::client::HandleConfig;
 use flock_core::onesided::ReadStats;
-use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::FlockDomain;
+use flock_core::server::ServerConfig;
 use flock_fabric::FabricConfig;
 use flock_gateway::{register_kv_mirror_backend, KvReadClient, KvReadStats};
 use flock_kvstore::{KvConfig, KvStore, ReadMode};
 use flock_sim::rng::SimRng;
-use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
+use crate::lab::{self, Bed, LabCost, Samples};
 use crate::stats::percentile_us;
 use crate::SuiteRun;
 
@@ -143,12 +143,8 @@ pub struct ModeOutcome {
     pub retry_rate: f64,
     /// RDMA READ verbs the one-sided readers issued.
     pub verbs: u64,
-    /// Lab handovers — a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned.
-    pub tasks: u64,
+    /// What the run cost the lab.
+    pub cost: LabCost,
 }
 
 /// The JSON name of a mode.
@@ -160,21 +156,20 @@ pub(crate) fn mode_name(mode: ReadMode) -> &'static str {
     }
 }
 
-/// Run one (point, mode) configuration inside a fresh [`VirtualLab`].
+/// Run one (point, mode) configuration inside a fresh lab.
 pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeOutcome {
-    let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(crossover_fabric()));
-        let server_node = domain.add_node("xover-srv");
+    let ((samples, kv_stats, rd_stats), cost) = lab::run(move || {
         let mut scfg = ServerConfig::default();
         // Server CPU scales out (the paper's point: cores are
         // plentiful, responder NIC processing is not), so give the RPC
         // path enough dispatchers that the NIC stays its bottleneck.
         scfg.dispatch_threads = 4;
         scfg.sched_interval = Duration::from_micros(100);
-        let server = FlockServer::listen(&domain, &server_node, "xover", scfg);
+        let bed = Bed::new(crossover_fabric(), "xover-srv", "xover", scfg);
+        let domain = &bed.domain;
         let kv = Arc::new(KvStore::new(KvConfig::default()));
         let inline_max = p.value.min(INLINE_VALUE_CAP) as u32;
-        register_kv_mirror_backend(&server, Arc::clone(&kv), inline_max, w.keys as u32)
+        register_kv_mirror_backend(&bed.server, Arc::clone(&kv), inline_max, w.keys as u32)
             .expect("mirror backend");
 
         // Client processes: THREADS_PER_NODE threads per node sharing
@@ -197,7 +192,7 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
                 // responder's connection cache (the crossover driver);
                 // the RPC path keeps the two shared lanes regardless.
                 cfg.dedicated_mem_qps = true;
-                fl_connect(&domain, &client_node, "xover", cfg).expect("connect")
+                fl_connect(domain, &client_node, "xover", cfg).expect("connect")
             })
             .collect();
 
@@ -218,7 +213,8 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
             })
             .collect();
 
-        type Row = (u64, u64, Vec<u64>, u64, u64, KvReadStats, ReadStats);
+        // A client's GETs are its timed ops, its SETs the rest.
+        type Row = (Samples, KvReadStats, ReadStats);
         let rows: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut root = SimRng::new(w.seed);
@@ -233,7 +229,6 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
                 let value = vec![b'w'; p.value];
                 let mut out = Vec::with_capacity(p.value);
                 let mut lats = Vec::with_capacity(w.reqs_per_client as usize);
-                let (mut gets, mut sets) = (0u64, 0u64);
                 let t0 = clock::now_ns();
                 for _ in 0..w.reqs_per_client {
                     let gap = ramp
@@ -243,53 +238,32 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
                     let key = rng.below(w.keys);
                     if rng.chance(write_frac) {
                         client.set(key, &value).expect("set");
-                        sets += 1;
                     } else {
                         let at = clock::now_ns();
                         let hit = client.get(key, &mut out).expect("get");
                         lats.push(clock::now_ns().saturating_sub(at));
                         debug_assert!(hit, "preloaded keys never miss");
-                        gets += 1;
                     }
                 }
-                let t1 = clock::now_ns();
-                rows.lock().unwrap().push((
-                    gets,
-                    sets,
+                let samples = Samples {
+                    ops: w.reqs_per_client,
                     lats,
-                    t0,
-                    t1,
-                    client.stats(),
-                    client.reader_stats(),
-                ));
+                    start: t0,
+                    finish: clock::now_ns(),
+                };
+                rows.lock().unwrap().push((samples, client.stats(), client.reader_stats()));
             }));
         }
         // Spawning never suspends the spawner, so every task starts now.
-        for t in tasks {
-            let _ = t.join();
-        }
+        lab::join(tasks);
 
         drop(handles);
-        server.shutdown(&domain);
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
+        bed.close();
 
-        let collected = std::mem::take(&mut *rows.lock().unwrap());
-        let (mut gets, mut sets) = (0u64, 0u64);
-        let mut all_lat: Vec<u64> = Vec::new();
-        let (mut t0, mut t_end) = (u64::MAX, 0u64);
+        let rows = std::mem::take(&mut *rows.lock().unwrap());
         let mut kv_stats = KvReadStats::default();
         let mut rd_stats = ReadStats::default();
-        for (g, s, lats, start, finish, ks, rs) in collected {
-            gets += g;
-            sets += s;
-            all_lat.extend(lats);
-            t0 = t0.min(start);
-            t_end = t_end.max(finish);
+        for (_, ks, rs) in &rows {
             kv_stats.one_sided += ks.one_sided;
             kv_stats.rpc += ks.rpc;
             kv_stats.fallbacks += ks.fallbacks;
@@ -298,33 +272,27 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
             rd_stats.retries += rs.retries;
             rd_stats.failures += rs.failures;
         }
-        let t0 = if t0 == u64::MAX { t_end } else { t0 };
-        all_lat.sort_unstable();
-        let elapsed_ns = t_end.saturating_sub(t0).max(1);
-        ModeOutcome {
-            point: p,
-            mode,
-            gets,
-            sets,
-            virtual_ms: elapsed_ns as f64 / 1e6,
-            ops_per_vsec: (gets + sets) as f64 * 1e9 / elapsed_ns as f64,
-            get_median_us: percentile_us(&all_lat, 0.5),
-            get_p99_us: percentile_us(&all_lat, 0.99),
-            one_sided: kv_stats.one_sided,
-            rpc_reads: kv_stats.rpc,
-            fallbacks: kv_stats.fallbacks,
-            retries: rd_stats.retries,
-            retry_rate: rd_stats.retries as f64 / rd_stats.reads.max(1) as f64,
-            verbs: rd_stats.verbs,
-            handovers: 0, // filled from the lab report below
-            heap_pushes: 0,
-            tasks: 0,
-        }
+        (Samples::merge(rows.iter().map(|r| &r.0)), kv_stats, rd_stats)
     });
-    outcome.handovers = report.handovers;
-    outcome.heap_pushes = report.heap_pushes;
-    outcome.tasks = report.tasks_spawned;
-    outcome
+    let gets = samples.lats.len() as u64;
+    let elapsed_ns = samples.span_ns();
+    ModeOutcome {
+        point: p,
+        mode,
+        gets,
+        sets: samples.ops - gets,
+        virtual_ms: elapsed_ns as f64 / 1e6,
+        ops_per_vsec: samples.ops as f64 * 1e9 / elapsed_ns as f64,
+        get_median_us: percentile_us(&samples.lats, 0.5),
+        get_p99_us: percentile_us(&samples.lats, 0.99),
+        one_sided: kv_stats.one_sided,
+        rpc_reads: kv_stats.rpc,
+        fallbacks: kv_stats.fallbacks,
+        retries: rd_stats.retries,
+        retry_rate: rd_stats.retries as f64 / rd_stats.reads.max(1) as f64,
+        verbs: rd_stats.verbs,
+        cost,
+    }
 }
 
 /// The sweep grid: quick (test smoke) or full (checked-in JSON).
@@ -452,14 +420,13 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     SuiteRun {
         doc: render(quick, w, &outcomes),
         ops: outcomes.iter().flatten().map(|o| o.gets + o.sets).sum(),
-        handovers: outcomes.iter().flatten().map(|o| o.handovers).sum(),
-        heap_pushes: outcomes.iter().flatten().map(|o| o.heap_pushes).sum(),
+        cost: outcomes.iter().flatten().map(|o| o.cost).sum(),
     }
 }
 
 fn render(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> Value {
     let point = |o: &ModeOutcome| {
-        inline(object(vec![
+        inline(o.cost.object(vec![
             ("clients", o.point.clients.into()),
             ("value_bytes", o.point.value.into()),
             ("write_pct", o.point.write_pct.into()),
@@ -476,9 +443,6 @@ fn render(quick: bool, w: OneSidedWorkload, outcomes: &[[ModeOutcome; 3]]) -> Va
             ("retries", o.retries.into()),
             ("retry_rate", float(o.retry_rate, 4)),
             ("verbs", o.verbs.into()),
-            ("handovers", o.handovers.into()),
-            ("heap_pushes", o.heap_pushes.into()),
-            ("tasks", o.tasks.into()),
         ]))
     };
     let crossover = |r: &CrossoverRow| {

@@ -1,9 +1,9 @@
 //! Virtual-time scaling sweep: the *real* receive path — TCQ combining,
 //! ring encode/poll, sharded dispatch with LPT rebalance, multi-lane NIC,
 //! QP scheduler — executed inside `flock_sim`'s deterministic virtual-time
-//! lab ([`VirtualLab`]) so paper-scale parallelism (dozens of dispatchers
-//! and NIC lanes, hundreds of client threads) can be measured on any
-//! host, including a single CPU.
+//! lab ([`VirtualLab`](flock_sim::vtime::VirtualLab)) so paper-scale
+//! parallelism (dozens of dispatchers and NIC lanes, hundreds of client
+//! threads) can be measured on any host, including a single CPU.
 //!
 //! Every configuration point spawns one virtual task per client thread,
 //! per dispatcher, per NIC lane etc.; exactly one runs at a wall instant,
@@ -15,13 +15,12 @@ use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
 use flock_core::client::HandleConfig;
-use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::FlockDomain;
+use flock_core::server::ServerConfig;
 use flock_fabric::FabricConfig;
-use flock_sim::vtime::VirtualLab;
 use flock_sync::clock;
 
 use crate::json::{array, float, inline, object, Value};
+use crate::lab::{self, Bed, LabCost, Samples, Until};
 use crate::stats::percentile_us;
 use crate::SuiteRun;
 
@@ -76,14 +75,8 @@ pub struct ScaleOutcome {
     pub active_qps: usize,
     /// Total QPs the clients opened (`clients * n_qps`).
     pub total_qps: usize,
-    /// Lab handovers (times a task's OS thread was given the core) — the
-    /// host cost of the point, and a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes (`LabReport::heap_pushes`): the rest of the
-    /// point's host cost in the scheduler.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned over the run.
-    pub tasks: u64,
+    /// What the point cost the lab.
+    pub cost: LabCost,
 }
 
 /// Workload parameters shared by every point of a sweep.
@@ -108,30 +101,24 @@ impl Workload {
     }
 }
 
-/// Run one configuration point inside a fresh [`VirtualLab`].
+/// Run one configuration point inside a fresh lab.
 pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
-    let (mut outcome, report) = VirtualLab::run_report(move || {
+    let ((samples, mean_degree, active_qps), cost) = lab::run(move || {
         let mut fab_cfg = FabricConfig::default();
         fab_cfg.nic_lanes = p.nic_lanes;
-        let domain = Arc::new(FlockDomain::new(fab_cfg));
-
-        let server_node = domain.add_node("scale-srv");
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = p.dispatch_threads;
         if p.sched_interval_us > 0 {
             scfg.sched_interval = std::time::Duration::from_micros(p.sched_interval_us);
         }
-        let server = FlockServer::listen(&domain, &server_node, "scale", scfg);
-        server.reg_handler(1, |req| req.to_vec());
+        let bed = Bed::echo(fab_cfg, "scale-srv", "scale", scfg);
 
         let gate = Arc::new(clock::Barrier::new());
-        // (ops, latencies_ns, start_ns, finish_ns) per client thread.
-        type ThreadResult = (u64, Vec<u64>, u64, u64);
-        let results: Arc<Mutex<Vec<ThreadResult>>> = Arc::new(Mutex::new(Vec::new()));
+        let results: Arc<Mutex<Vec<Samples>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut node_tasks = Vec::with_capacity(p.clients);
         for c in 0..p.clients {
-            let domain = Arc::clone(&domain);
+            let domain = Arc::clone(&bed.domain);
             let gate = Arc::clone(&gate);
             let results = Arc::clone(&results);
             node_tasks.push(clock::spawn(&format!("scale-node-{c}"), move || {
@@ -152,99 +139,45 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
                 for (i, t) in fl_threads.into_iter().enumerate() {
                     let results = Arc::clone(&results);
                     workers.push(clock::spawn(&format!("scale-w-{c}/{i}"), move || {
-                        let start = clock::now_ns();
                         let payload = vec![c as u8; w.payload];
-                        let mut lats: Vec<u64> = Vec::with_capacity(w.reqs_per_thread as usize);
-                        let mut ops = 0u64;
-                        let mut window: Vec<(u64, u64)> = Vec::with_capacity(w.window);
-                        let mut left = w.reqs_per_thread;
-                        while left > 0 {
-                            let burst = (w.window as u64).min(left);
-                            left -= burst;
-                            window.clear();
-                            for _ in 0..burst {
-                                let at = clock::now_ns();
-                                let seq = t.send_rpc(1, &payload).expect("send");
-                                window.push((seq, at));
-                            }
-                            for &(seq, at) in &window {
-                                let resp = t.recv_res(seq).expect("recv");
-                                debug_assert_eq!(resp.len(), w.payload);
-                                lats.push(clock::now_ns().saturating_sub(at));
-                                ops += 1;
-                            }
-                        }
-                        results
-                            .lock()
-                            .unwrap()
-                            .push((ops, lats, start, clock::now_ns()));
+                        let until = Until::Requests(w.reqs_per_thread);
+                        let samples = lab::drive(&t, &payload, w.window, until);
+                        results.lock().unwrap().push(samples);
                     }));
                 }
-                for h in workers {
-                    let _ = h.join();
-                }
+                lab::join(workers);
                 drop(handle); // joins the handle's dispatcher + scheduler
             }));
         }
 
         gate.wait_arrived(p.clients);
         gate.open();
-        for h in node_tasks {
-            let _ = h.join();
-        }
+        lab::join(node_tasks);
 
-        let mean_degree = server.stats().mean_coalescing_degree();
-        let active_qps = server.active_qps();
-        server.shutdown(&domain);
-
+        let mean_degree = bed.server.stats().mean_coalescing_degree();
+        let active_qps = bed.server.active_qps();
+        bed.close();
         // Window: first worker send to last worker finish. Client tasks
         // carry their connection's control-plane charge (QP creation, MR
         // registration) on their own clocks, so anchoring at the
         // workers' start instants keeps setup cost out of the
         // steady-state throughput figure — the churn suite measures it.
-        let collected = std::mem::take(&mut *results.lock().unwrap());
-        let mut total_ops = 0u64;
-        let mut all_lat: Vec<u64> = Vec::new();
-        let mut t0 = u64::MAX;
-        let mut t_end = 0u64;
-        for (ops, lats, start, finish) in collected {
-            total_ops += ops;
-            all_lat.extend(lats);
-            t0 = t0.min(start);
-            t_end = t_end.max(finish);
-        }
-        let t0 = if t0 == u64::MAX { t_end } else { t0 };
-        all_lat.sort_unstable();
-
-        // Last domain reference: dropping it stops and joins the NIC
-        // lane tasks, so the lab ends with only the root task live.
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
-
-        let elapsed_ns = t_end.saturating_sub(t0).max(1);
-        ScaleOutcome {
-            point: p,
-            total_ops,
-            virtual_ms: elapsed_ns as f64 / 1e6,
-            ops_per_vsec: total_ops as f64 * 1e9 / elapsed_ns as f64,
-            median_us: percentile_us(&all_lat, 0.5),
-            p99_us: percentile_us(&all_lat, 0.99),
-            mean_degree,
-            active_qps,
-            total_qps: p.clients * p.n_qps,
-            handovers: 0, // filled from the lab report below
-            heap_pushes: 0,
-            tasks: 0,
-        }
+        let samples = Samples::merge(&*results.lock().unwrap());
+        (samples, mean_degree, active_qps)
     });
-    outcome.handovers = report.handovers;
-    outcome.heap_pushes = report.heap_pushes;
-    outcome.tasks = report.tasks_spawned;
-    outcome
+    let elapsed_ns = samples.span_ns();
+    ScaleOutcome {
+        point: p,
+        total_ops: samples.ops,
+        virtual_ms: elapsed_ns as f64 / 1e6,
+        ops_per_vsec: samples.ops as f64 * 1e9 / elapsed_ns as f64,
+        median_us: percentile_us(&samples.lats, 0.5),
+        p99_us: percentile_us(&samples.lats, 0.99),
+        mean_degree,
+        active_qps,
+        total_qps: p.clients * p.n_qps,
+        cost,
+    }
 }
 
 /// The sweep: quick (test smoke) or full (checked-in `BENCH_scale.json`).
@@ -293,8 +226,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     SuiteRun {
         doc: render(quick, w, &outcomes),
         ops: outcomes.iter().map(|o| o.total_ops).sum(),
-        handovers: outcomes.iter().map(|o| o.handovers).sum(),
-        heap_pushes: outcomes.iter().map(|o| o.heap_pushes).sum(),
+        cost: outcomes.iter().map(|o| o.cost).sum(),
     }
 }
 
@@ -320,7 +252,7 @@ fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {
         }
     };
     let point = |o: &ScaleOutcome| {
-        inline(object(vec![
+        inline(o.cost.object(vec![
             ("clients", o.point.clients.into()),
             ("threads_per_node", o.point.threads_per_node.into()),
             ("n_qps", o.point.n_qps.into()),
@@ -335,9 +267,6 @@ fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {
             ("mean_degree", float(o.mean_degree, 3)),
             ("active_qps", o.active_qps.into()),
             ("total_qps", o.total_qps.into()),
-            ("handovers", o.handovers.into()),
-            ("heap_pushes", o.heap_pushes.into()),
-            ("tasks", o.tasks.into()),
         ]))
     };
     object(vec![

@@ -1,7 +1,7 @@
 //! Multi-tenant gateway benchmark: edge sessions speaking real wire
 //! protocols fan into a kvstore-backed Flock server over *shared,
 //! capped* per-tenant connections, inside the deterministic
-//! virtual-time lab ([`VirtualLab`]).
+//! virtual-time lab ([`VirtualLab`](flock_sim::vtime::VirtualLab)).
 //!
 //! Three scenarios, each a pure function of its configuration (two runs
 //! render byte-identical JSON, which `flock-bench --check` relies on):
@@ -24,18 +24,16 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::FlockDomain;
-use flock_fabric::FabricConfig;
+use flock_core::server::ServerConfig;
 use flock_gateway::proto::{MemcachedText, Request, WireProtocol};
 use flock_gateway::{register_kv_backend, Gateway, GatewayConfig};
 use flock_kvstore::{KvConfig, KvStore};
 use flock_sim::rng::{SimRng, ZipfTable};
-use flock_sim::vtime::VirtualLab;
 use flock_sync::{clock, Stop};
 
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
+use crate::lab::{self, elastic_fabric, Bed, LabCost, Samples};
 use crate::stats::{percentile_us, tail_mean_us, Handoff};
 use crate::SuiteRun;
 
@@ -105,17 +103,10 @@ impl TenantWorkload {
     }
 }
 
-/// Elastic fabric: QP pool and MR cache on, like the churn suite, but
-/// with enough NIC lanes that per-tenant fairness is decided by the
-/// receiver's QP scheduler, not by which NIC lane a connection happens
-/// to share.
-fn elastic_fabric() -> FabricConfig {
-    let mut fc = FabricConfig::default();
-    fc.qpool.enabled = true;
-    fc.mr_cache.enabled = true;
-    fc.nic_lanes = 6;
-    fc
-}
+/// NIC lanes per node of the elastic fabric: more than the churn
+/// suite's, so per-tenant fairness is decided by the receiver's QP
+/// scheduler, not by which NIC lane a connection happens to share.
+const NIC_LANES: usize = 6;
 
 /// Mean inter-request gap for mix-scenario sessions (virtual ns).
 /// Open-loop pacing: tenants are latency-sensitive clients, and paced
@@ -210,34 +201,28 @@ pub struct MixOutcome {
     pub jains_completed: f64,
     /// Keys left in the store at the end.
     pub store_keys: usize,
-    /// Lab handovers — a determinism fingerprint.
-    pub handovers: u64,
-    /// Lab heap pushes.
-    pub heap_pushes: u64,
-    /// Virtual tasks spawned.
-    pub tasks: u64,
+    /// What the run cost the lab.
+    pub cost: LabCost,
 }
 
 /// Run a GET/SET mix through the gateway: `keys` hot keys with Zipf
 /// skew `zipf_s`, SET probability `set_ratio`, every tenant driving the
 /// same offered load over memcached-text edge sessions.
 pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_s: f64, set_ratio: f64) -> MixOutcome {
-    let (mut outcome, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
-        let server_node = domain.add_node(&format!("{label}-srv"));
+    let ((tenants, store_keys), cost) = lab::run(move || {
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 2;
         scfg.sched_interval = Duration::from_micros(100);
-        let server = FlockServer::listen(&domain, &server_node, label, scfg);
+        let bed = Bed::new(elastic_fabric(NIC_LANES), &format!("{label}-srv"), label, scfg);
         let kv = Arc::new(KvStore::new(KvConfig::default()));
-        register_kv_backend(&server, Arc::clone(&kv));
+        register_kv_backend(&bed.server, Arc::clone(&kv));
 
-        let gw_node = domain.add_node(&format!("{label}-gw"));
+        let gw_node = bed.domain.add_node(&format!("{label}-gw"));
         let mut gcfg = GatewayConfig::default();
         gcfg.handle.n_qps = 2;
         gcfg.handle.mem_threads = w.sessions_per_tenant + 1;
         gcfg.handle.sched_interval = CLIENT_SCHED_INTERVAL;
-        let gw = Gateway::new(Arc::clone(&domain), gw_node, label, gcfg);
+        let gw = Gateway::new(Arc::clone(&bed.domain), gw_node, label, gcfg);
 
         // Open every session up front, in tenant order, so connection
         // creation is deterministic and outside the measured window.
@@ -251,7 +236,7 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
             }
         }
 
-        type Rows = Arc<Mutex<Vec<(u32, usize, u64, u64, Vec<u64>)>>>;
+        type Rows = Arc<Mutex<Vec<(u32, Samples)>>>;
         let rows: Rows = Arc::new(Mutex::new(Vec::new()));
 
         let mut root = SimRng::new(w.seed);
@@ -291,69 +276,49 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
                     debug_assert!(!out.is_empty());
                     lats.push(clock::now_ns().saturating_sub(at));
                 }
-                let t1 = clock::now_ns();
-                rows.lock().unwrap().push((tenant, s, t0, t1, lats));
+                let samples = Samples {
+                    ops: w.reqs_per_session,
+                    lats,
+                    start: t0,
+                    finish: clock::now_ns(),
+                };
+                rows.lock().unwrap().push((tenant, samples));
             }));
         }
         // Spawning never suspends the spawner, so every task starts now.
-        for t in tasks {
-            let _ = t.join();
-        }
+        lab::join(tasks);
 
-        let snap = server.fairness_snapshot();
+        let snap = bed.server.fairness_snapshot();
         let store_keys = kv.len();
         gw.close().expect("gateway close");
         drop(gw);
-        server.shutdown(&domain);
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
+        bed.close();
 
         // Aggregate per tenant: merged latencies, span-based throughput.
-        let mut collected = std::mem::take(&mut *rows.lock().unwrap());
-        collected.sort_unstable_by_key(|(t, s, ..)| (*t, *s));
-        let mut stats = Vec::with_capacity(w.tenants);
-        for tenant in 1..=w.tenants as u32 {
-            let mut lats: Vec<u64> = Vec::new();
-            let (mut start, mut end) = (u64::MAX, 0u64);
-            for (t, _s, t0, t1, l) in &collected {
-                if *t == tenant {
-                    start = start.min(*t0);
-                    end = end.max(*t1);
-                    lats.extend_from_slice(l);
-                }
-            }
-            lats.sort_unstable();
-            let span_ns = end.saturating_sub(start).max(1);
-            let completed = snap.tenant(tenant).map_or(0, |row| row.completed);
-            stats.push(TenantStat {
+        let rows = std::mem::take(&mut *rows.lock().unwrap());
+        let tenants = (1..=w.tenants as u32).map(|tenant| {
+            let mine = rows.iter().filter(|(t, _)| *t == tenant);
+            let s = Samples::merge(mine.map(|(_, s)| s));
+            TenantStat {
                 tenant,
-                ops: lats.len() as u64,
-                tput_ops_per_ms: lats.len() as f64 / (span_ns as f64 / 1e6),
-                median_us: percentile_us(&lats, 0.5),
-                p99_us: percentile_us(&lats, 0.99),
-                completed,
-            });
-        }
-        let tputs: Vec<f64> = stats.iter().map(|s| s.tput_ops_per_ms).collect();
-        let comps: Vec<f64> = stats.iter().map(|s| s.completed as f64).collect();
-        MixOutcome {
-            jains_tput: jains(&tputs),
-            jains_completed: jains(&comps),
-            tenants: stats,
-            store_keys,
-            handovers: 0,
-            heap_pushes: 0,
-            tasks: 0,
-        }
+                ops: s.ops,
+                tput_ops_per_ms: s.ops as f64 / (s.span_ns() as f64 / 1e6),
+                median_us: percentile_us(&s.lats, 0.5),
+                p99_us: percentile_us(&s.lats, 0.99),
+                completed: snap.tenant(tenant).map_or(0, |row| row.completed),
+            }
+        });
+        (tenants.collect::<Vec<_>>(), store_keys)
     });
-    outcome.handovers = report.handovers;
-    outcome.heap_pushes = report.heap_pushes;
-    outcome.tasks = report.tasks_spawned;
-    outcome
+    let tputs: Vec<f64> = tenants.iter().map(|s| s.tput_ops_per_ms).collect();
+    let comps: Vec<f64> = tenants.iter().map(|s| s.completed as f64).collect();
+    MixOutcome {
+        jains_tput: jains(&tputs),
+        jains_completed: jains(&comps),
+        tenants,
+        store_keys,
+        cost,
+    }
 }
 
 /// Scenario 1: Zipf(0.99) key popularity, 90/10 GET/SET.
@@ -428,12 +393,8 @@ pub struct InterferenceOutcome {
     /// The server's deactivation hand-off per run: baseline, uncapped,
     /// capped.
     pub handoff: [Handoff; 3],
-    /// Lab handovers summed over the three runs.
-    pub handovers: u64,
-    /// Lab heap pushes summed over the three runs.
-    pub heap_pushes: u64,
-    /// Virtual tasks summed over the three runs.
-    pub tasks: u64,
+    /// What the three runs cost the lab.
+    pub cost: LabCost,
 }
 
 /// One interference run.
@@ -446,15 +407,10 @@ struct InterferenceRun {
     victim_lanes: usize,
     aggr_lanes: usize,
     handoff: Handoff,
-    handovers: u64,
-    heap_pushes: u64,
-    tasks: u64,
 }
 
-fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
-    let (run, report) = VirtualLab::run_report(move || {
-        let domain = Arc::new(FlockDomain::new(elastic_fabric()));
-        let server_node = domain.add_node("ten-int-srv");
+fn interference_run(w: TenantWorkload, mode: AggrMode) -> (InterferenceRun, LabCost) {
+    lab::run(move || {
         let mut scfg = ServerConfig::default();
         // One dispatch worker per connection, so the LPT re-cut after a
         // cap change can fully separate the aggressor's connection from
@@ -463,9 +419,10 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         scfg.dispatch_threads = 4;
         scfg.sched.max_aqp = w.max_aqp;
         scfg.sched_interval = Duration::from_micros(100);
-        let server = FlockServer::listen(&domain, &server_node, "ten-int", scfg);
+        let bed = Bed::new(elastic_fabric(NIC_LANES), "ten-int-srv", "ten-int", scfg);
+        let (domain, server) = (&bed.domain, &bed.server);
         let kv = Arc::new(KvStore::new(KvConfig::default()));
-        register_kv_backend(&server, Arc::clone(&kv));
+        register_kv_backend(server, Arc::clone(&kv));
 
         if mode == AggrMode::Capped {
             server.set_tenant_cap(AGGRESSOR_TENANT, w.aggr_cap);
@@ -480,7 +437,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         vcfg.handle.eager_qps = true;
         vcfg.handle.mem_threads = VICTIM_SESSIONS + 1;
         vcfg.handle.sched_interval = CLIENT_SCHED_INTERVAL;
-        let gw_v = Gateway::new(Arc::clone(&domain), gw_v_node, "ten-int", vcfg);
+        let gw_v = Gateway::new(Arc::clone(domain), gw_v_node, "ten-int", vcfg);
 
         // Aggressor: one wide connection (6 eager lanes) carrying many
         // busy sessions — exactly the tenant a cap is for.
@@ -490,7 +447,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
         acfg.handle.eager_qps = true;
         acfg.handle.mem_threads = w.aggr_sessions + 1;
         acfg.handle.sched_interval = CLIENT_SCHED_INTERVAL;
-        let gw_a = Gateway::new(Arc::clone(&domain), gw_a_node, "ten-int", acfg);
+        let gw_a = Gateway::new(Arc::clone(domain), gw_a_node, "ten-int", acfg);
 
         let mut victim_sessions = Vec::new();
         for t in 1..=w.victims as u32 {
@@ -514,8 +471,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
 
         let stop = Arc::new(Stop::new());
         let aggr_ops = Arc::new(Mutex::new(0u64));
-        type Rows = Arc<Mutex<Vec<(u32, usize, Vec<u64>)>>>;
-        let rows: Rows = Arc::new(Mutex::new(Vec::new()));
+        let rows: Arc<Mutex<Vec<Samples>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut root = SimRng::new(w.seed);
         let ramp = victim_ramp(w.victim_reqs);
@@ -544,7 +500,21 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
                     sess.pump(&wire, &mut out).expect("victim pump");
                     lats.push(clock::now_ns().saturating_sub(at));
                 }
-                rows.lock().unwrap().push((tenant, s, lats));
+                // Keep the middle *stage* of the arrival ramp: the slow
+                // first stage doubles as scheduler warm-up, and the fast
+                // last stage self-queues (arrivals outpace one session's
+                // round-trips) and overlaps cohort wind-down, both of
+                // which inflate p99 identically in *every* mode and would
+                // wash out the aggressor's effect. The nominal-rate
+                // stage, same cut everywhere, is where the ratios compare
+                // converged states.
+                let n = lats.len();
+                let samples = Samples {
+                    ops: n as u64,
+                    lats: lats[n / 3..2 * n / 3].to_vec(),
+                    ..Samples::default()
+                };
+                rows.lock().unwrap().push(samples);
             }));
         }
 
@@ -594,70 +564,36 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> InterferenceRun {
             .tenant(AGGRESSOR_TENANT)
             .map_or(0, |r| r.active_qps);
 
-        for t in victim_tasks {
-            let _ = t.join();
-        }
+        lab::join(victim_tasks);
         stop.set([]);
-        for t in aggr_tasks {
-            let _ = t.join();
-        }
+        lab::join(aggr_tasks);
 
         gw_v.close().expect("victim gateway close");
         gw_a.close().expect("aggressor gateway close");
         drop(gw_v);
         drop(gw_a);
-        let handoff = Handoff::of(&server);
-        server.shutdown(&domain);
-        drop(server);
-        drop(
-            Arc::try_unwrap(domain)
-                .ok()
-                .expect("all domain users joined"),
-        );
+        let handoff = Handoff::of(server);
+        bed.close();
 
-        // Keep each session's middle *stage* of the arrival ramp: the
-        // slow first stage doubles as scheduler warm-up, and the fast
-        // last stage self-queues (arrivals outpace one session's
-        // round-trips) and overlaps cohort wind-down, both of which
-        // inflate p99 identically in *every* mode and would wash out
-        // the aggressor's effect. The nominal-rate stage, same cut
-        // everywhere, is where the ratios compare converged states.
-        let mut collected = std::mem::take(&mut *rows.lock().unwrap());
-        collected.sort_unstable_by_key(|(t, s, _)| (*t, *s));
-        let mut all: Vec<u64> = Vec::new();
-        let mut victim_ops = 0u64;
-        for (_t, _s, l) in &collected {
-            victim_ops += l.len() as u64;
-            all.extend_from_slice(&l[l.len() / 3..2 * l.len() / 3]);
-        }
-        all.sort_unstable();
+        let victims = Samples::merge(&*rows.lock().unwrap());
         let aggr_ops = *aggr_ops.lock().unwrap();
         InterferenceRun {
-            lats: all,
-            victim_ops,
+            lats: victims.lats,
+            victim_ops: victims.ops,
             aggr_ops,
             victim_lanes,
             aggr_lanes,
             handoff,
-            handovers: 0, // filled from the lab report below
-            heap_pushes: 0,
-            tasks: 0,
         }
-    });
-    InterferenceRun {
-        handovers: report.handovers,
-        heap_pushes: report.heap_pushes,
-        tasks: report.tasks_spawned,
-        ..run
-    }
+    })
 }
 
 /// Run the interference scenario: baseline, uncapped, capped — same
 /// victim workload in each.
 pub fn run_interference(w: TenantWorkload) -> InterferenceOutcome {
-    let base = interference_run(w, AggrMode::Absent);
-    let unc = interference_run(w, AggrMode::Uncapped);
-    let cap = interference_run(w, AggrMode::Capped);
+    let (base, base_cost) = interference_run(w, AggrMode::Absent);
+    let (unc, unc_cost) = interference_run(w, AggrMode::Uncapped);
+    let (cap, cap_cost) = interference_run(w, AggrMode::Capped);
     // The ramp schedule is drawn from per-session RNGs, never the
     // server: every mode must offer the exact same load.
     let offered = [base.victim_ops, unc.victim_ops, cap.victim_ops];
@@ -690,9 +626,7 @@ pub fn run_interference(w: TenantWorkload) -> InterferenceOutcome {
         aggr_ops_uncapped: unc.aggr_ops,
         aggr_ops_capped: cap.aggr_ops,
         handoff: [base.handoff, unc.handoff, cap.handoff],
-        handovers: base.handovers + unc.handovers + cap.handovers,
-        heap_pushes: base.heap_pushes + unc.heap_pushes + cap.heap_pushes,
-        tasks: base.tasks + unc.tasks + cap.tasks,
+        cost: base_cost + unc_cost + cap_cost,
     }
 }
 
@@ -714,8 +648,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
             + intf.victim_ops
             + intf.aggr_ops_uncapped
             + intf.aggr_ops_capped,
-        handovers: zipf.handovers + hot.handovers + intf.handovers,
-        heap_pushes: zipf.heap_pushes + hot.heap_pushes + intf.heap_pushes,
+        cost: zipf.cost + hot.cost + intf.cost,
     }
 }
 
@@ -730,14 +663,11 @@ fn render_mix(m: &MixOutcome) -> Value {
             ("completed", t.completed.into()),
         ]))
     };
-    object(vec![
+    m.cost.object(vec![
         ("tenants", array(m.tenants.iter().map(row))),
         ("jains_tput", float(m.jains_tput, 3)),
         ("jains_completed", float(m.jains_completed, 3)),
         ("store_keys", m.store_keys.into()),
-        ("handovers", m.handovers.into()),
-        ("heap_pushes", m.heap_pushes.into()),
-        ("tasks", m.tasks.into()),
     ])
 }
 
@@ -761,7 +691,7 @@ fn render(
         ("hot_key_storm", render_mix(hot)),
         (
             "interference",
-            object(vec![
+            intf.cost.object(vec![
                 ("victims", intf.victims.into()),
                 ("victim_reqs", w.victim_reqs.into()),
                 (
@@ -786,9 +716,6 @@ fn render(
                 ("handoff_baseline", intf.handoff[0].row()),
                 ("handoff_uncapped", intf.handoff[1].row()),
                 ("handoff_capped", intf.handoff[2].row()),
-                ("handovers", intf.handovers.into()),
-                ("heap_pushes", intf.heap_pushes.into()),
-                ("tasks", intf.tasks.into()),
             ]),
         ),
     ])

@@ -11,6 +11,7 @@ use std::process::Command;
 use flock_bench::churn::{run_churn_load, run_storm, ChurnWorkload};
 use flock_bench::scale::{run_point, sweep_points, Workload};
 use flock_bench::tenant::{run_hot_key_storm, run_interference, run_zipf_mix, TenantWorkload};
+use flock_bench::lab::LabCost;
 use flock_bench::{select, SUITES};
 
 const GATED: [&str; 5] = ["scale", "churn", "tenant", "onesided", "figures"];
@@ -23,6 +24,37 @@ fn quick_suites_are_byte_identical_across_runs() {
         assert_eq!(a, b, "{} suite must be deterministic", suite.name);
         let tag = format!("\"schema\": \"flock-bench-{}/v1\"", suite.name);
         assert!(a.contains(&tag), "{} document must carry {tag}", suite.name);
+    }
+}
+
+/// The sum of every `"<key>": N` in a rendered document.
+fn field_sum(doc: &str, key: &str) -> u64 {
+    let key = format!("\"{key}\": ");
+    doc.match_indices(&key)
+        .map(|(at, _)| {
+            let rest = &doc[at + key.len()..];
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+            rest[..end].parse::<u64>().unwrap_or_else(|e| panic!("{key}{rest:.20}: {e}"))
+        })
+        .sum()
+}
+
+#[test]
+fn a_lab_suites_cost_is_every_cost_its_document_shows() {
+    // A lab run whose cost the suite drops (churn's run without churners
+    // once was) is in neither its document nor the total, so `--check`
+    // cannot see it move.
+    for name in ["scale", "churn", "tenant", "onesided"] {
+        let suite = SUITES.iter().find(|s| s.name == name).expect("a lab suite");
+        let run = (suite.run)(true);
+        let doc = run.doc.render();
+        let shown = LabCost {
+            handovers: field_sum(&doc, "handovers"),
+            heap_pushes: field_sum(&doc, "heap_pushes"),
+            tasks: field_sum(&doc, "tasks"),
+        };
+        assert_eq!(run.cost, shown, "{name}: the run's cost against its document's");
+        assert!(run.cost.handovers > 0 && run.ops > 0, "{name}: {:?}, {} ops", run.cost, run.ops);
     }
 }
 
@@ -177,7 +209,7 @@ fn quick_points_stay_inside_their_handover_budget() {
     assert_eq!(points.len(), QUICK_HANDOVER_BUDGET.len());
     let budgets = QUICK_HANDOVER_BUDGET.into_iter().zip(QUICK_HEAP_PUSH_BUDGET);
     for (p, (handover_budget, push_budget)) in points.into_iter().zip(budgets) {
-        let run = run_point(p, w);
+        let run = run_point(p, w).cost;
         assert!(
             run.handovers <= handover_budget && run.heap_pushes <= push_budget,
             "{p:?}: {} handovers, budget {handover_budget}; {} heap pushes, budget {push_budget}",
