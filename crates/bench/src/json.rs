@@ -84,6 +84,47 @@ impl Value {
         out
     }
 
+    /// The field `key` of an object.
+    ///
+    /// # Panics
+    ///
+    /// If this is not an object with that field.
+    pub(crate) fn field(&self, key: &str) -> &Value {
+        match self {
+            Value::Inline(v) => v.field(key),
+            Value::Object(fields) => match fields.iter().find(|(k, _)| *k == key) {
+                Some((_, v)) => v,
+                None => panic!("no field `{key}`"),
+            },
+            _ => panic!("field `{key}` of a non-object"),
+        }
+    }
+
+    /// The items of an array.
+    ///
+    /// # Panics
+    ///
+    /// If this is not an array.
+    pub(crate) fn items(&self) -> &[Value] {
+        match self {
+            Value::Array(items) => items,
+            _ => panic!("items of a non-array"),
+        }
+    }
+
+    /// The value of a number.
+    ///
+    /// # Panics
+    ///
+    /// If this is not a number.
+    pub(crate) fn num(&self) -> f64 {
+        match self {
+            Value::Int(v) => *v as f64,
+            Value::Float(v, _) => *v,
+            _ => panic!("not a number"),
+        }
+    }
+
     /// `depth` is the indentation level of a multi-line value; `None`
     /// inside an inline subtree.
     fn write(&self, out: &mut String, depth: Option<usize>) {

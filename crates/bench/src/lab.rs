@@ -1,9 +1,11 @@
 //! The one harness under the four lab suites (`scale`, `churn`, `tenant`,
 //! `onesided`): a run inside [`VirtualLab`] and what it cost the host
-//! ([`run`], [`LabCost`]), the server it runs against ([`Bed`]), what its
-//! clients measured ([`Samples`]) and the one closed-loop RPC client
-//! ([`drive`]).
+//! ([`run`], [`LabCost`], the heap allocations of [`count_allocs`]), the
+//! server it runs against ([`Bed`]), what its clients measured
+//! ([`Samples`]) and the one closed-loop RPC client ([`drive`]).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::iter::Sum;
 use std::ops::Add;
 use std::sync::Arc;
@@ -29,15 +31,19 @@ pub struct LabCost {
     pub heap_pushes: u64,
     /// Virtual tasks spawned over the run, steppers included.
     pub tasks: u64,
+    /// Heap allocations the run made, counted by [`count_allocs`]: exact
+    /// for a tree in a release build (debug assertions allocate too).
+    pub allocs: u64,
 }
 
 impl LabCost {
-    /// The object of `fields` followed by the cost's three.
+    /// The object of `fields` followed by the cost's four.
     pub(crate) fn object(self, mut fields: Vec<(&'static str, Value)>) -> Value {
         fields.extend([
             ("handovers", self.handovers.into()),
             ("heap_pushes", self.heap_pushes.into()),
             ("tasks", self.tasks.into()),
+            ("allocs", self.allocs.into()),
         ]);
         object(fields)
     }
@@ -56,6 +62,7 @@ impl Add for LabCost {
             handovers: self.handovers + o.handovers,
             heap_pushes: self.heap_pushes + o.heap_pushes,
             tasks: self.tasks + o.tasks,
+            allocs: self.allocs + o.allocs,
         }
     }
 }
@@ -67,15 +74,89 @@ impl Sum for LabCost {
 }
 
 /// Run `f` as the root task of a fresh [`VirtualLab`]: its result and
-/// what the run cost.
-pub(crate) fn run<T>(f: impl FnOnce() -> T) -> (T, LabCost) {
-    let (out, report) = VirtualLab::run_report(f);
-    let cost = LabCost {
-        handovers: report.handovers,
-        heap_pushes: report.heap_pushes,
-        tasks: report.tasks_spawned,
-    };
-    (out, cost)
+/// what the run cost. The lab runs on an OS thread of its own, so the
+/// thread-locals it fills (the TCQ's block pool among them) start empty
+/// and a run's `allocs` does not depend on what ran before it.
+pub(crate) fn run<T: Send>(f: impl FnOnce() -> T + Send) -> (T, LabCost) {
+    std::thread::scope(|s| {
+        let host = s.spawn(|| count_allocs(|| VirtualLab::run_report(f)));
+        let ((out, report), allocs) = host.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        let cost = LabCost {
+            handovers: report.handovers,
+            heap_pushes: report.heap_pushes,
+            tasks: report.tasks_spawned,
+            allocs,
+        };
+        (out, cost)
+    })
+}
+
+/// Forwards to [`System`], counting each allocation (`alloc`,
+/// `alloc_zeroed`, `realloc`) that a thread inside [`count_allocs`]
+/// makes. Every binary that links `flock-bench` allocates through it.
+struct Counting;
+
+thread_local! {
+    /// This thread's allocations since [`count_allocs`] began; `None`
+    /// outside it.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+impl Counting {
+    fn count() {
+        if let Some(n) = ALLOCS.get() {
+            ALLOCS.set(Some(n + 1));
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments to `System`, which upholds
+// the `GlobalAlloc` contract; counting reads and writes a const-initialized
+// thread-local `Cell` without a destructor, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        let block = unsafe { System.alloc(layout) };
+        Counting::count();
+        block
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        let block = unsafe { System.alloc_zeroed(layout) };
+        Counting::count();
+        block
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller passes a block of this allocator (so of
+        // `System`) with its `layout`, and a valid `new_size`.
+        let block = unsafe { System.realloc(ptr, layout, new_size) };
+        Counting::count();
+        block
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller passes a block of this allocator (so of
+        // `System`) with its `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `f`'s result and the heap allocations this thread made while it ran.
+/// Frees are not counted. Other threads are not counted, but a lab's
+/// tasks all run on the thread that runs the lab (where tasks have
+/// stacks of their own: x86-64 Unix, DESIGN.md §5e).
+pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let outer = ALLOCS.replace(Some(0));
+    let out = f();
+    let n = ALLOCS.get().expect("counting until `f` returns");
+    ALLOCS.set(outer.map(|o| o + n));
+    (out, n)
 }
 
 /// Elastic fabric: QP pool and MR cache on, `nic_lanes` lanes per node.
@@ -238,9 +319,9 @@ mod tests {
     /// `body` on one client thread of a one-handler echo bed, in a fresh
     /// lab; also the requests the handler served. The handler calls
     /// `on_request` with its count so far before it answers.
-    fn echo_bed<T>(
+    fn echo_bed<T: Send>(
         on_request: impl Fn(u64) + Send + Sync + 'static,
-        body: impl FnOnce(FlThread) -> T,
+        body: impl FnOnce(FlThread) -> T + Send,
     ) -> (T, u64) {
         run(|| {
             let cfg = ServerConfig::default();

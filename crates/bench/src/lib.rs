@@ -33,6 +33,38 @@ pub struct Suite {
     pub file: Option<&'static str>,
     /// Run at test-smoke (`quick`) or checked-in size.
     pub run: fn(quick: bool) -> SuiteRun,
+    /// The table of `EXPERIMENTS.md` rendered from the checked-in
+    /// document, if the suite has one.
+    pub table: Option<Table>,
+}
+
+/// A table of `EXPERIMENTS.md` rendered from a suite's document: written
+/// when the checked-in file is, and held to it by `--check`.
+pub struct Table {
+    /// The table sits between the lines `<!-- {marker} -->` and
+    /// `<!-- /{marker} -->`.
+    pub marker: &'static str,
+    /// The table's lines, from the document.
+    pub render: fn(&json::Value) -> String,
+}
+
+impl Table {
+    /// `text` with this table rendered from `doc` between its markers.
+    pub fn splice(&self, text: &str, doc: &json::Value) -> Result<String, String> {
+        let (open, close) = (
+            format!("<!-- {} -->\n", self.marker),
+            format!("<!-- /{} -->", self.marker),
+        );
+        let missing = |m: &str| format!("no line `{}`", m.trim_end());
+        let start = text.find(&open).ok_or_else(|| missing(&open))? + open.len();
+        let end = start + text[start..].find(&close).ok_or_else(|| missing(&close))?;
+        Ok(format!(
+            "{}{}{}",
+            &text[..start],
+            (self.render)(doc),
+            &text[end..]
+        ))
+    }
 }
 
 /// What one run of a suite produced.
@@ -53,31 +85,40 @@ pub static SUITES: [Suite; 6] = [
         name: "scale",
         file: Some("BENCH_scale.json"),
         run: scale::run_suite,
+        table: Some(Table {
+            marker: "bench:scale.points",
+            render: scale::points_table,
+        }),
     },
     Suite {
         name: "churn",
         file: Some("BENCH_churn.json"),
         run: churn::run_suite,
+        table: None,
     },
     Suite {
         name: "tenant",
         file: Some("BENCH_tenant.json"),
         run: tenant::run_suite,
+        table: None,
     },
     Suite {
         name: "onesided",
         file: Some("BENCH_onesided.json"),
         run: onesided::run_suite,
+        table: None,
     },
     Suite {
         name: "figures",
         file: Some("BENCH_figures.json"),
         run: figures::run_suite,
+        table: None,
     },
     Suite {
         name: "micro",
         file: None,
         run: micro::run_suite,
+        table: None,
     },
 ];
 
@@ -127,7 +168,7 @@ pub fn diff_lines(expected: &str, actual: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::diff_lines;
+    use super::{diff_lines, json::Value, Table};
 
     const DOC: &str =
         "{\n  \"schema\": \"t/v1\",\n  \"p99_us\": 45.83,\n  \"handovers\": 3472\n}\n";
@@ -151,5 +192,22 @@ mod tests {
         assert_eq!(diff_lines(DOC, DOC.trim_end()).len(), 1);
         let shorter = DOC.replace("  \"handovers\": 3472\n", "");
         assert!(!diff_lines(DOC, &shorter).is_empty());
+    }
+
+    #[test]
+    fn a_table_replaces_only_its_block_and_needs_both_markers() {
+        let table = Table {
+            marker: "bench:t",
+            render: |_| "| new |\n".to_string(),
+        };
+        let doc = Value::Int(0);
+        let text = "a\n<!-- bench:t -->\n| old |\n<!-- /bench:t -->\nb\n";
+        let spliced = table.splice(text, &doc).expect("both markers");
+        assert_eq!(
+            spliced,
+            "a\n<!-- bench:t -->\n| new |\n<!-- /bench:t -->\nb\n"
+        );
+        let unclosed = table.splice("a\n<!-- bench:t -->\n| old |\n", &doc);
+        assert!(unclosed.is_err_and(|e| e.contains("<!-- /bench:t -->")));
     }
 }

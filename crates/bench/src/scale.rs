@@ -11,6 +11,7 @@
 //! of its configuration: two runs produce byte-identical JSON, which is
 //! what lets `flock-bench --check` hold `BENCH_scale.json` to the tree.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use flock_core::api::fl_connect;
@@ -280,4 +281,49 @@ fn render(quick: bool, w: Workload, outcomes: &[ScaleOutcome]) -> Value {
         ("speedup_2x2_over_1x1_at_16", float(speedup(2, 2), 3)),
         ("speedup_4x4_over_1x1_at_16", float(speedup(4, 4), 3)),
     ])
+}
+
+/// EXPERIMENTS.md's table of a `scale` document's points, one row each.
+pub(crate) fn points_table(doc: &Value) -> String {
+    let mut out = String::from(
+        "| clients × thr | QPs | dispatch / lanes | Mops/vs | median µs | p99 µs | degree \
+         | active QPs | handovers | heap pushes | allocs |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|\n",
+    );
+    for p in doc.field("points").items() {
+        let int = |key| p.field(key).num() as u64;
+        let num = |key| p.field(key).num();
+        let _ = writeln!(
+            out,
+            "| {} × {} | {} | {} / {} | {:.2} | {:.1} | {:.1} | {:.2} | {}/{} | {} | {} | {} |",
+            int("clients"),
+            int("threads_per_node"),
+            int("total_qps"),
+            int("dispatch_threads"),
+            int("nic_lanes"),
+            num("ops_per_vsec") / 1e6,
+            num("median_us"),
+            num("p99_us"),
+            num("mean_degree"),
+            int("active_qps"),
+            int("total_qps"),
+            grouped(int("handovers")),
+            grouped(int("heap_pushes")),
+            grouped(int("allocs")),
+        );
+    }
+    out
+}
+
+/// `n` in groups of three digits, a space between groups (`1 061`).
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(c);
+    }
+    out
 }

@@ -1,0 +1,303 @@
+//! Proof of the zero-allocation hot send path (DESIGN.md §5c).
+//!
+//! `flock-bench`'s counting `#[global_allocator]` wraps the system
+//! allocator ([`count_allocs`]); after a warm-up pass populates the
+//! thread-local pools, each steady-state cycle below must perform **zero**
+//! heap allocations. The count is the measuring thread's own (and a
+//! lab's tasks all run on the thread that runs the lab), so the test
+//! harness's other threads never reach it. Frees are not counted:
+//! recycling may *release* memory lazily (TLS teardown), it just must not
+//! *acquire* any.
+
+use std::sync::{Arc, Mutex};
+
+use flock_bench::lab::count_allocs;
+use flock_core::alock::{ALock, LockWord};
+use flock_core::msg::{self, EntryMeta, EntryRef, MsgHeader};
+use flock_core::ring::{Link, RingConsumer, RingLayout, RingProducer};
+use flock_core::tcq::{Outcome, Tcq};
+use flock_core::{Bytes, Result, RingInfo};
+use flock_fabric::{Access, CompletionQueue, Fabric, MemoryRegion, MrTable, Transport, PAGE};
+use flock_sim::VirtualLab;
+use flock_sync::clock;
+
+/// How many allocations `f` made on this thread.
+fn allocs(f: impl FnOnce()) -> u64 {
+    count_allocs(f).1
+}
+
+/// One leader-path cycle: join, drain the batch in place, complete.
+fn cycle(tcq: &Tcq<u64>, item: u64) {
+    match tcq.join(item) {
+        Outcome::Lead(mut batch) => {
+            let mut sum = 0u64;
+            for it in batch.drain_items() {
+                sum = sum.wrapping_add(it);
+            }
+            std::hint::black_box(sum);
+            tcq.complete(batch);
+        }
+        Outcome::Sent => unreachable!("single-threaded join must lead"),
+    }
+}
+
+/// Bytes of each link's ring: four pages, so a lap hands pages back
+/// and takes them again from the region's spare.
+const RING: usize = 4 * PAGE;
+
+/// The one entry every ring below carries: 100 bytes, a 192-byte record,
+/// so the rings wrap through wrap records.
+const DATA: [u8; 100] = [7; 100];
+
+fn entry() -> EntryRef<'static> {
+    EntryRef {
+        meta: EntryMeta {
+            len: DATA.len() as u32,
+            thread_id: 1,
+            seq: 1,
+            rpc_id: 1,
+        },
+        data: &DATA,
+    }
+}
+
+/// Two links over a connected QP pair on two nodes, each receiving in a
+/// [`RING`]-byte ring, their send CQs and their rings.
+fn link_pair(fabric: &Fabric) -> ([Link; 2], [Arc<CompletionQueue>; 2], [Arc<MemoryRegion>; 2]) {
+    let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+    let (acq, bcq) = (a.create_cq(64), b.create_cq(64));
+    let aqp = a.create_qp(Transport::Rc, &acq, &acq);
+    let bqp = b.create_qp(Transport::Rc, &bcq, &bcq);
+    fabric.connect(&aqp, &bqp).unwrap();
+    let aring = a.register_mr(RING, Access::REMOTE_WRITE);
+    let bring = b.register_mr(RING, Access::REMOTE_WRITE);
+    let (ainfo, binfo) = (RingInfo::of(&aring), RingInfo::of(&bring));
+    let rings = [Arc::clone(&aring), Arc::clone(&bring)];
+    let links = [
+        Link::new(&a, aqp, aring, binfo),
+        Link::new(&b, bqp, bring, ainfo),
+    ];
+    (links, [acq, bcq], rings)
+}
+
+/// Each end of `links` sends the entry, the NIC lane executes the
+/// write, the other end polls it and the sender drains its CQ.
+fn link_round_trip(links: &[Link; 2], cqs: &[Arc<CompletionQueue>; 2], buf: &mut Vec<u8>) {
+    for (from, to) in [(0, 1), (1, 0)] {
+        links[from]
+            .try_send(0, 0, std::iter::once(entry()))
+            .unwrap();
+        while !links[to].poll_into(buf).unwrap() {
+            clock::yield_now();
+        }
+        while cqs[from].poll_one().is_some() {}
+    }
+}
+
+/// A [`RING`]-byte ring written and polled in place by its two halves,
+/// with no link or NIC between them.
+struct LocalRing {
+    mr: Arc<MemoryRegion>,
+    prod: RingProducer,
+    cons: RingConsumer,
+    record: Vec<u8>,
+    wrap: Vec<u8>,
+}
+
+impl LocalRing {
+    const CANARY: u64 = 0x1234;
+
+    fn new() -> LocalRing {
+        let layout = RingLayout::new(0, RING);
+        let header = MsgHeader {
+            total_len: 0,
+            count: 0,
+            flags: 0,
+            canary: Self::CANARY,
+            head: 0,
+            aux: 0,
+        };
+        let mut record = vec![0u8; 512];
+        let n = msg::encode(&mut record, &header, &[entry()]).unwrap();
+        record.truncate(n);
+        LocalRing {
+            mr: MrTable::new().register(RING, Access::REMOTE_ALL),
+            prod: RingProducer::new(layout),
+            cons: RingConsumer::new(layout),
+            record,
+            wrap: vec![0u8; RING],
+        }
+    }
+
+    /// Reserve, write the record (a wrap record first where the
+    /// reservation wraps), poll it out and hand the space back.
+    fn round_trip(&mut self, buf: &mut Vec<u8>) {
+        let res = self.prod.reserve(self.record.len()).unwrap();
+        if let Some((at, len)) = res.wrap {
+            RingProducer::write_wrap_record(&mut self.wrap[..len], Self::CANARY);
+            self.mr.write(at, &self.wrap[..len]).unwrap();
+        }
+        self.mr.write(res.offset, &self.record).unwrap();
+        assert!(
+            self.cons.poll_into(&self.mr, buf).unwrap(),
+            "a written record"
+        );
+        self.prod.update_head(self.cons.head());
+    }
+}
+
+#[test]
+fn steady_state_hot_path_is_allocation_free() {
+    // Sanity: a plain `Box::new` loop must register allocations, proving
+    // the counter is alive before we assert zeroes with it.
+    let boxed_allocs = allocs(|| {
+        for i in 0..100u64 {
+            std::hint::black_box(Box::new(i));
+        }
+    });
+    assert!(
+        boxed_allocs >= 100,
+        "counting allocator is not live (saw {boxed_allocs} allocations \
+         over 100 `Box::new` calls)"
+    );
+
+    // Warm-up: the first pooled cycle seeds this thread's pool with the
+    // node block and the two batch scratch buffers.
+    let tcq: Tcq<u64> = Tcq::new(16);
+    cycle(&tcq, 0);
+
+    // Steady state: every further join/complete recycles those blocks.
+    let steady = allocs(|| {
+        for i in 1..=10_000 {
+            cycle(&tcq, i);
+        }
+    });
+    assert_eq!(
+        steady, 0,
+        "hot send path allocated {steady} times over 10k steady-state \
+         join/complete cycles; node or scratch recycling regressed"
+    );
+
+    // Zero-copy payload plumbing: cloning and slicing `Bytes` is
+    // refcounting, never a copy or an allocation.
+    let payload = Bytes::from(vec![7u8; 1024]);
+    let bytes_allocs = allocs(|| {
+        for i in 0..1_000usize {
+            let c = payload.clone();
+            let s = c.slice(i % 512..(i % 512) + 256);
+            std::hint::black_box(&s);
+        }
+    });
+    assert_eq!(
+        bytes_allocs, 0,
+        "Bytes clone/slice allocated {bytes_allocs} times; zero-copy \
+         payload handoff regressed"
+    );
+
+    // The ring path in the lab, where the NIC lane runs on this thread:
+    // link send, lane execute, poll, and a ring polled in place. Warm-up
+    // grows the QPs' inline payload buffers, the CQs and the lab's
+    // queues, and gives each ring its spare page; the counted round
+    // trips run each ring through at least three laps of page turnover.
+    let (rounds, record) = (1_000, 192);
+    assert!(rounds * record >= 3 * RING, "fewer than three laps");
+    let link_allocs = VirtualLab::run(|| {
+        let fabric = Fabric::with_defaults();
+        let (links, cqs, rings) = link_pair(&fabric);
+        let mut local = LocalRing::new();
+        let mut buf = Vec::new();
+        let mut round_trip = |buf: &mut Vec<u8>| {
+            link_round_trip(&links, &cqs, buf);
+            local.round_trip(buf);
+        };
+        for _ in 0..200 {
+            round_trip(&mut buf);
+        }
+        let allocs = allocs(|| {
+            for _ in 0..rounds {
+                round_trip(&mut buf);
+            }
+        });
+        for ring in rings.iter().chain([&local.mr]) {
+            let resident = ring.resident_bytes();
+            assert!(
+                resident <= 2 * PAGE,
+                "a drained ring holds {resident} bytes"
+            );
+        }
+        allocs
+    });
+    assert_eq!(
+        link_allocs, 0,
+        "the ring path allocated {link_allocs} times over 1k steady-state \
+         round trips; a link, a ring consumer, the NIC lane or inline \
+         payload recycling regressed"
+    );
+}
+
+/// An in-memory global word: whether some cohort holds it.
+struct LocalWord(Mutex<bool>);
+
+impl LockWord for LocalWord {
+    fn try_acquire(&self) -> Result<bool> {
+        let mut held = self.0.lock().unwrap();
+        Ok(!std::mem::replace(&mut *held, true))
+    }
+
+    fn release(&self) -> Result<()> {
+        *self.0.lock().unwrap() = false;
+        Ok(())
+    }
+}
+
+/// Take `lock`, yield inside the critical section so a cohort-mate
+/// queues behind it, and release.
+fn critical_section(lock: &ALock, word: &LocalWord) {
+    let ticket = lock.acquire(word).unwrap();
+    clock::yield_now();
+    lock.release(word, ticket).unwrap();
+}
+
+#[test]
+fn steady_state_alock_local_handoffs_are_allocation_free() {
+    // Two tasks of one cohort take turns in the lab: every release finds
+    // the other waiting and hands the lock over locally, so the global
+    // word stays held and no acquire reaches it.
+    const WARM: u64 = 100;
+    const ROUNDS: u64 = 1_000;
+    let (allocs, handoffs, remote) = VirtualLab::run(|| {
+        let lock = Arc::new(ALock::new(u64::MAX));
+        let word = Arc::new(LocalWord(Mutex::new(false)));
+        let (peer_lock, peer_word) = (Arc::clone(&lock), Arc::clone(&word));
+        let peer = clock::spawn("peer", move || {
+            for _ in 0..WARM + ROUNDS + 1 {
+                critical_section(&peer_lock, &peer_word);
+            }
+        });
+        for _ in 0..WARM {
+            critical_section(&lock, &word);
+        }
+        let (handoffs, remote) = (lock.local_handoffs(), lock.remote_acquires());
+        let allocs = allocs(|| {
+            for _ in 0..ROUNDS {
+                critical_section(&lock, &word);
+            }
+        });
+        let counted = (
+            allocs,
+            lock.local_handoffs() - handoffs,
+            lock.remote_acquires() - remote,
+        );
+        let _ = peer.join();
+        counted
+    });
+    assert!(
+        handoffs >= ROUNDS && remote == 0,
+        "{handoffs} local hand-offs and {remote} remote acquires over {ROUNDS} rounds"
+    );
+    assert_eq!(
+        allocs, 0,
+        "ALock acquire/release allocated {allocs} times over {ROUNDS} \
+         steady-state local hand-offs"
+    );
+}

@@ -52,6 +52,7 @@ fn a_lab_suites_cost_is_every_cost_its_document_shows() {
             handovers: field_sum(&doc, "handovers"),
             heap_pushes: field_sum(&doc, "heap_pushes"),
             tasks: field_sum(&doc, "tasks"),
+            allocs: field_sum(&doc, "allocs"),
         };
         assert_eq!(run.cost, shown, "{name}: the run's cost against its document's");
         assert!(run.cost.handovers > 0 && run.ops > 0, "{name}: {:?}, {} ops", run.cost, run.ops);

@@ -2,8 +2,8 @@
 //!
 //! One `key = justification` entry per line; `#` starts a comment. Used
 //! by `orderings.allow` (atomic-ordering audit), `determinism.allow`
-//! (virtual-clock seam escapes), `hotpath.allow` (hot-path allocation
-//! sites), and `lockorder.allow` (accepted lock-order edges). The parser
+//! (virtual-clock seam escapes) and `lockorder.allow` (accepted
+//! lock-order edges). The parser
 //! is stricter than the original `audit-orderings` one: duplicate keys
 //! are reported (the old `BTreeMap::insert` silently kept the *last*
 //! line, so a stale duplicate could shadow a reviewed justification).

@@ -21,7 +21,7 @@ pub enum Severity {
 pub struct Diagnostic {
     pub severity: Severity,
     /// Rule identifier shown in brackets (`determinism`, `lock-order`,
-    /// `safety`, `hot-alloc`, `orderings`).
+    /// `safety`, `orderings`).
     pub rule: &'static str,
     pub message: String,
     /// Workspace-relative file.

@@ -6,9 +6,8 @@
 //! snippets (`tests/lint_fixtures.rs`); the `xtask` binary is a thin
 //! dispatcher over these modules.
 //!
-//! * [`lint`] — `cargo xtask lint`: the four-rule invariant checker
-//!   (determinism seam, lock-order graph, SAFETY comments, hot-path
-//!   allocations).
+//! * [`lint`] — `cargo xtask lint`: the three-rule invariant checker
+//!   (determinism seam, lock-order graph, SAFETY comments).
 //! * [`orderings`] — `cargo audit-orderings`: every `Ordering::*` site
 //!   must carry a justification in `orderings.allow`.
 //! * [`loom_suites`] — `cargo loom`: run every loom model-checking

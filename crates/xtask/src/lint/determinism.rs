@@ -42,6 +42,7 @@ const QUALIFIED: &[(&str, &str)] = &[
     ("thread", "park_timeout"),
     ("thread", "yield_now"),
     ("thread", "Builder"),
+    ("thread", "scope"),
     // A topology sized by the host's CPU count makes a lab run depend on
     // the machine it runs on.
     ("thread", "available_parallelism"),

@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — the workspace invariant checker.
 //!
-//! Four rules over one parsed-source pass (see the rule modules for the
+//! Three rules over one parsed-source pass (see the rule modules for the
 //! precise semantics and over-approximation policies):
 //!
 //! * [`determinism`] — time/scheduler/entropy calls outside the
@@ -10,17 +10,17 @@
 //! * [`lock_order`] — cycles in the cross-crate Mutex/RwLock
 //!   acquisition graph (allowlist: `lockorder.allow`);
 //! * [`safety`] — `unsafe` without a `// SAFETY:` justification
-//!   (no allowlist: write the comment);
-//! * [`hot_alloc`] — allocations reachable from the declared hot-path
-//!   entry points (allowlist: `hotpath.allow`).
+//!   (no allowlist: write the comment).
+//!
+//! Allocations are measured, not linted: `flock-bench` counts every lab
+//! run's heap allocations (DESIGN.md §5c).
 //!
 //! `--fix-allow` appends `key = TODO` skeletons for missing determinism
-//! and hot-alloc entries (TODO still fails, so each needs a real
-//! justification). `-D` promotes warnings (stale or duplicate allowlist
-//! entries) to failures — CI runs at `-D`.
+//! entries (TODO still fails, so each needs a real justification). `-D`
+//! promotes warnings (stale or duplicate allowlist entries) to failures —
+//! CI runs at `-D`.
 
 pub mod determinism;
-pub mod hot_alloc;
 pub mod lock_order;
 pub mod safety;
 
@@ -32,7 +32,6 @@ use std::process::ExitCode;
 
 /// Allowlist file names at the workspace root.
 pub(crate) const DETERMINISM_ALLOW: &str = "determinism.allow";
-pub(crate) const HOTPATH_ALLOW: &str = "hotpath.allow";
 pub(crate) const LOCKORDER_ALLOW: &str = "lockorder.allow";
 
 /// Parsed CLI for `xtask lint`.
@@ -57,7 +56,7 @@ impl LintOpts {
                 "--rule" => {
                     let r = it.next().ok_or("--rule needs an argument")?;
                     match r.as_str() {
-                        "determinism" | "lock-order" | "safety" | "hot-alloc" => {
+                        "determinism" | "lock-order" | "safety" => {
                             opts.only = Some(r.clone());
                         }
                         other => return Err(format!("unknown rule `{other}`")),
@@ -81,8 +80,8 @@ pub fn run(opts: &LintOpts) -> ExitCode {
         models.push(SourceModel::build(rel, &text));
     }
     let all: Vec<&SourceModel> = models.iter().collect();
-    // Library code only: determinism and hot-alloc guard what can run
-    // under a VirtualLab; lock-order skips test scaffolding to keep the
+    // Library code only: determinism guards what can run under a
+    // VirtualLab; lock-order skips test scaffolding to keep the
     // name-merged graph about production locks.
     let lib: Vec<&SourceModel> = models.iter().filter(|m| !is_test_path(&m.path)).collect();
 
@@ -118,24 +117,6 @@ pub fn run(opts: &LintOpts) -> ExitCode {
         counts.push(("safety", d.len()));
         diags.extend(d);
     }
-    if enabled("hot-alloc") {
-        let allow = Allowlist::load(&root, HOTPATH_ALLOW);
-        let (d, missing) = hot_alloc::check(&lib, &allow);
-        if opts.fix_allow {
-            allow
-                .append_todos(&root, &missing)
-                .expect("write hotpath.allow");
-            if !missing.is_empty() {
-                eprintln!(
-                    "lint: appended {} skeleton entries to {HOTPATH_ALLOW}",
-                    missing.len()
-                );
-            }
-        }
-        counts.push(("hot-alloc", d.len()));
-        diags.extend(d);
-    }
-
     let failures = emit(&diags, opts.deny_warnings);
     if failures > 0 {
         eprintln!(

@@ -69,7 +69,7 @@ pub(crate) fn crate_of(rel: &str) -> &str {
 /// Whether a path is test/bench/example scaffolding rather than library
 /// code: integration tests, benches, and examples drive the system from
 /// *outside* a `VirtualLab` on real OS threads by design, so the
-/// determinism and hot-path rules skip them (inline `#[cfg(test)]`
+/// determinism and lock-order rules skip them (inline `#[cfg(test)]`
 /// modules are skipped via token regions instead).
 pub(crate) fn is_test_path(rel: &str) -> bool {
     rel.starts_with("tests/")

@@ -15,6 +15,12 @@ pub fn spawn_worker() {
     let _ = h.join();
 }
 
+pub fn scoped_worker() {
+    std::thread::scope(|s| {
+        let _ = s.spawn(|| {}).join();
+    });
+}
+
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -1,11 +1,11 @@
-//! Fixture tests for the four `cargo xtask lint` rules: each seeded
+//! Fixture tests for the three `cargo xtask lint` rules: each seeded
 //! violation under `tests/fixtures/` must be flagged, and its clean
 //! twin must pass. Fixtures are parsed (never compiled) under synthetic
 //! workspace-relative paths, so they exercise exactly the code path the
 //! real lint run takes.
 
 use xtask::allowlist::Allowlist;
-use xtask::lint::{determinism, hot_alloc, lock_order, safety};
+use xtask::lint::{determinism, lock_order, safety};
 use xtask::parse::SourceModel;
 
 fn model(path: &str, src: &str) -> SourceModel {
@@ -26,12 +26,13 @@ fn determinism_bad_fixture_is_flagged() {
     );
     let (diags, missing) = determinism::check(&[&m], &empty_allow());
     let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(diags.len(), 5, "findings: {msgs:?}");
+    assert_eq!(diags.len(), 6, "findings: {msgs:?}");
     for pat in [
         "Instant::now",
         "thread::sleep",
         "thread::yield_now",
         "thread::spawn",
+        "thread::scope",
         "thread::available_parallelism",
     ] {
         assert!(
@@ -39,7 +40,7 @@ fn determinism_bad_fixture_is_flagged() {
             "missing {pat} in {msgs:?}"
         );
     }
-    assert_eq!(missing.len(), 5);
+    assert_eq!(missing.len(), 6);
 }
 
 #[test]
@@ -196,50 +197,4 @@ fn safety_clean_fixture_passes() {
         "clean twin flagged: {:?}",
         diags.iter().map(|d| &d.message).collect::<Vec<_>>()
     );
-}
-
-// ------------------------------------------------------------ hot-alloc
-
-const FIXTURE_ENTRIES: &[(&str, &str)] = &[("crates/fixture/src/hot.rs", "hot_entry")];
-
-#[test]
-fn hot_alloc_bad_fixture_is_flagged() {
-    let m = model(
-        "crates/fixture/src/hot.rs",
-        include_str!("fixtures/hot_alloc_bad.rs"),
-    );
-    let (diags, missing) = hot_alloc::check_with_entries(&[&m], &empty_allow(), FIXTURE_ENTRIES);
-    let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(diags.len(), 2, "findings: {msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("Vec::with_capacity")));
-    assert!(msgs.iter().any(|m| m.contains("format!")));
-    assert_eq!(missing.len(), 2);
-}
-
-#[test]
-fn hot_alloc_clean_fixture_passes() {
-    let m = model(
-        "crates/fixture/src/hot.rs",
-        include_str!("fixtures/hot_alloc_clean.rs"),
-    );
-    let (diags, _) = hot_alloc::check_with_entries(&[&m], &empty_allow(), FIXTURE_ENTRIES);
-    assert!(
-        diags.is_empty(),
-        "clean twin flagged: {:?}",
-        diags.iter().map(|d| &d.message).collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn hot_alloc_allowlist_is_honored() {
-    let m = model(
-        "crates/fixture/src/hot.rs",
-        include_str!("fixtures/hot_alloc_bad.rs"),
-    );
-    let allow = Allowlist::parse(
-        "crates/fixture/src/hot.rs::build_scratch::Vec::with_capacity#1 = fixture\n\
-         crates/fixture/src/hot.rs::build_scratch::format!#1 = fixture\n",
-    );
-    let (diags, missing) = hot_alloc::check_with_entries(&[&m], &allow, FIXTURE_ENTRIES);
-    assert!(diags.is_empty() && missing.is_empty());
 }
