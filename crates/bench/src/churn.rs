@@ -23,13 +23,14 @@
 //!    (not at the next utilization epoch).
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use flock_core::api::fl_connect;
 use flock_core::client::{FlThread, HandleConfig};
 use flock_core::server::ServerConfig;
 use flock_core::FlockDomain;
 use flock_sync::{clock, Stop};
+use parking_lot::Mutex;
 
 use crate::json::{float, object, Value};
 use crate::lab::{self, elastic_fabric, Bed, LabCost, Samples, Until};
@@ -154,11 +155,11 @@ fn storm_wave(
             let ttfr = clock::now_ns().saturating_sub(t0);
             drop(t);
             handle.close().expect("disconnect");
-            ttfrs.lock().unwrap().push(ttfr);
+            ttfrs.lock().push(ttfr);
         }));
     }
     lab::join(tasks);
-    let mut ttfrs = std::mem::take(&mut *ttfrs.lock().unwrap());
+    let mut ttfrs = std::mem::take(&mut *ttfrs.lock());
     ttfrs.sort_unstable();
     ttfrs
 }
@@ -267,7 +268,7 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> ((Samples, u64, u64), LabCos
                 let deadline = gate.wait() + w.steady_us * 1_000;
                 let payload = vec![c as u8; w.payload];
                 let samples = lab::drive(&t, &payload, w.window, Until::Deadline(deadline));
-                results.lock().unwrap().push(samples);
+                results.lock().push(samples);
             }));
         }
 
@@ -290,7 +291,7 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> ((Samples, u64, u64), LabCos
                         lab::drive(&t, &payload, 1, Until::Requests(CHURNER_CALLS));
                         drop(t);
                         handle.close().expect("churner disconnect");
-                        churned.lock().unwrap().push(clock::now_ns());
+                        churned.lock().push(clock::now_ns());
                         clock::sleep_ns(20_000);
                     }
                 }));
@@ -302,8 +303,8 @@ fn churn_run(w: ChurnWorkload, with_churn: bool) -> ((Samples, u64, u64), LabCos
         lab::join(tasks);
         bed.close();
 
-        let steady = Samples::merge(&*results.lock().unwrap());
-        let churned = std::mem::take(&mut *churned.lock().unwrap());
+        let steady = Samples::merge(&*results.lock());
+        let churned = std::mem::take(&mut *churned.lock());
         let last_churn_ns = churned
             .iter()
             .max()
@@ -408,7 +409,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
             move || {
                 let buf = vec![byte; payload];
                 let done = lab::drive(&t, &buf, 1, Until::Stopped(&stop)).ops;
-                *rpcs.lock().unwrap() += done;
+                *rpcs.lock() += done;
             }
         };
 
@@ -471,7 +472,7 @@ pub(crate) fn run_scaleout(payload: usize) -> ScaleOutOutcome {
             survivor_active_after,
             total_active_after,
         ];
-        let rpcs = *rpcs.lock().unwrap();
+        let rpcs = *rpcs.lock();
         (active, handoff, rpcs)
     });
     let [survivor_active_before, total_active_before, survivor_active_after, total_active_after] =

@@ -77,6 +77,11 @@ impl Sum for LabCost {
 /// what the run cost. The lab runs on an OS thread of its own, so the
 /// thread-locals it fills (the TCQ's block pool among them) start empty
 /// and a run's `allocs` does not depend on what ran before it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a lab run is hosted on an OS thread of its own; the lab inside is the same deterministic \
+              single-thread executor, and the caller joins the thread before it returns"
+)]
 pub(crate) fn run<T: Send>(f: impl FnOnce() -> T + Send) -> (T, LabCost) {
     std::thread::scope(|s| {
         let host = s.spawn(|| count_allocs(|| VirtualLab::run_report(f)));
@@ -97,6 +102,10 @@ pub(crate) fn run<T: Send>(f: impl FnOnce() -> T + Send) -> (T, LabCost) {
 struct Counting;
 
 thread_local! {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the allocator counts per OS thread; each lab run has its thread to itself (run)"
+    )]
     /// This thread's allocations since [`count_allocs`] began; `None`
     /// outside it.
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
@@ -307,10 +316,9 @@ pub(crate) fn drive(t: &FlThread, payload: &[u8], window: usize, until: Until<'_
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-
     use flock_core::api::fl_connect;
     use flock_core::client::HandleConfig;
+    use parking_lot::Mutex;
 
     use super::*;
 
@@ -330,7 +338,7 @@ mod tests {
             let counter = Arc::clone(&served);
             bed.server.reg_handler(1, move |req| {
                 let n = {
-                    let mut n = counter.lock().unwrap();
+                    let mut n = counter.lock();
                     *n += 1;
                     *n
                 };
@@ -343,7 +351,7 @@ mod tests {
             let out = body(handle.register_thread());
             drop(handle);
             bed.close();
-            let served = *served.lock().unwrap();
+            let served = *served.lock();
             (out, served)
         })
         .0

@@ -15,7 +15,7 @@
 //! are not comparable to the paper's hardware.
 
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use flock_core::client::HandleConfig;
@@ -28,6 +28,7 @@ use flock_fabric::{Access, MrTable};
 use flock_kvstore::{KvConfig, KvStore};
 use flock_sync::clock;
 use flock_txn::{Tatp, TxnServer};
+use parking_lot::Mutex;
 
 use crate::json::{array, float, inline, object, Value};
 use crate::SuiteRun;
@@ -35,6 +36,11 @@ use crate::SuiteRun;
 const CANARY: u64 = 0x1234;
 
 /// Host nanoseconds per operation of `body`, which performs `ops`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `micro` rows time host loops and the threaded stack, which is their whole purpose; \
+              the document is printed, never written or byte-compared, and nothing in it runs in a lab"
+)]
 fn ns_per_op(ops: u64, body: impl FnOnce()) -> f64 {
     let start = Instant::now();
     body();
@@ -222,7 +228,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         (
             "mutex_lock_send_uncontended",
             time_loop(iters, || {
-                *lock.lock().expect("never poisoned") = black_box(42);
+                *lock.lock() = black_box(42);
             }),
         ),
     ];

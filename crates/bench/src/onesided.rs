@@ -21,7 +21,7 @@
 //! same RPC. The rendered JSON's `crossover` section pins where, and
 //! EXPERIMENTS.md narrates the thresholds.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use flock_core::api::fl_connect;
@@ -33,6 +33,7 @@ use flock_gateway::{register_kv_mirror_backend, KvReadClient, KvReadStats};
 use flock_kvstore::{KvConfig, KvStore, ReadMode};
 use flock_sim::rng::SimRng;
 use flock_sync::clock;
+use parking_lot::Mutex;
 
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
@@ -251,7 +252,7 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
                     start: t0,
                     finish: clock::now_ns(),
                 };
-                rows.lock().unwrap().push((samples, client.stats(), client.reader_stats()));
+                rows.lock().push((samples, client.stats(), client.reader_stats()));
             }));
         }
         // Spawning never suspends the spawner, so every task starts now.
@@ -260,7 +261,7 @@ pub fn run_point(p: OneSidedPoint, w: OneSidedWorkload, mode: ReadMode) -> ModeO
         drop(handles);
         bed.close();
 
-        let rows = std::mem::take(&mut *rows.lock().unwrap());
+        let rows = std::mem::take(&mut *rows.lock());
         let mut kv_stats = KvReadStats::default();
         let mut rd_stats = ReadStats::default();
         for (_, ks, rs) in &rows {

@@ -12,13 +12,14 @@
 //! what lets `flock-bench --check` hold `BENCH_scale.json` to the tree.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use flock_core::api::fl_connect;
 use flock_core::client::HandleConfig;
 use flock_core::server::ServerConfig;
 use flock_fabric::FabricConfig;
 use flock_sync::clock;
+use parking_lot::Mutex;
 
 use crate::json::{array, float, inline, object, Value};
 use crate::lab::{self, Bed, LabCost, Samples, Until};
@@ -143,7 +144,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
                         let payload = vec![c as u8; w.payload];
                         let until = Until::Requests(w.reqs_per_thread);
                         let samples = lab::drive(&t, &payload, w.window, until);
-                        results.lock().unwrap().push(samples);
+                        results.lock().push(samples);
                     }));
                 }
                 lab::join(workers);
@@ -163,7 +164,7 @@ pub fn run_point(p: ScalePoint, w: Workload) -> ScaleOutcome {
         // registration) on their own clocks, so anchoring at the
         // workers' start instants keeps setup cost out of the
         // steady-state throughput figure — the churn suite measures it.
-        let samples = Samples::merge(&*results.lock().unwrap());
+        let samples = Samples::merge(&*results.lock());
         (samples, mean_degree, active_qps)
     });
     let elapsed_ns = samples.span_ns();

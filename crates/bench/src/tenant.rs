@@ -21,7 +21,7 @@
 //!    disturbance ratio (vs baseline) is the headline: caps must hold
 //!    it near 1, while the uncapped run shows what lane-stealing costs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use flock_core::server::ServerConfig;
@@ -30,6 +30,7 @@ use flock_gateway::{register_kv_backend, Gateway, GatewayConfig};
 use flock_kvstore::{KvConfig, KvStore};
 use flock_sim::rng::{SimRng, ZipfTable};
 use flock_sync::{clock, Stop};
+use parking_lot::Mutex;
 
 use crate::arrival::RateRamp;
 use crate::json::{array, float, inline, object, Value};
@@ -282,7 +283,7 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
                     start: t0,
                     finish: clock::now_ns(),
                 };
-                rows.lock().unwrap().push((tenant, samples));
+                rows.lock().push((tenant, samples));
             }));
         }
         // Spawning never suspends the spawner, so every task starts now.
@@ -295,7 +296,7 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
         bed.close();
 
         // Aggregate per tenant: merged latencies, span-based throughput.
-        let rows = std::mem::take(&mut *rows.lock().unwrap());
+        let rows = std::mem::take(&mut *rows.lock());
         let tenants = (1..=w.tenants as u32).map(|tenant| {
             let mine = rows.iter().filter(|(t, _)| *t == tenant);
             let s = Samples::merge(mine.map(|(_, s)| s));
@@ -514,7 +515,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> (InterferenceRun, LabC
                     lats: lats[n / 3..2 * n / 3].to_vec(),
                     ..Samples::default()
                 };
-                rows.lock().unwrap().push(samples);
+                rows.lock().push(samples);
             }));
         }
 
@@ -549,7 +550,7 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> (InterferenceRun, LabC
                     sess.pump(&wire, &mut out).expect("aggressor pump");
                     ops += 1;
                 }
-                *aggr_ops.lock().unwrap() += ops;
+                *aggr_ops.lock() += ops;
             }));
         }
 
@@ -575,8 +576,8 @@ fn interference_run(w: TenantWorkload, mode: AggrMode) -> (InterferenceRun, LabC
         let handoff = Handoff::of(server);
         bed.close();
 
-        let victims = Samples::merge(&*rows.lock().unwrap());
-        let aggr_ops = *aggr_ops.lock().unwrap();
+        let victims = Samples::merge(&*rows.lock());
+        let aggr_ops = *aggr_ops.lock();
         InterferenceRun {
             lats: victims.lats,
             victim_ops: victims.ops,

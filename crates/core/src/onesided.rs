@@ -223,7 +223,7 @@ pub(crate) const DEFAULT_MAX_RETRIES: u32 = 16;
 /// call, so one reader per application thread is the intended shape.
 /// The token buffer is reused across calls; with a caller-provided
 /// landing buffer the read/validate loop allocates nothing in steady
-/// state (enforced by `cargo xtask lint`).
+/// state (the `onesided` suite's `allocs` counts it).
 pub struct OneSidedReader {
     lease: SegmentLease,
     layout: SlotLayout,

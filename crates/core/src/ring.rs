@@ -469,7 +469,7 @@ impl Link {
     /// space against the freshest peer head, send a wrap record first if
     /// the message would straddle the ring end, encode straight into an
     /// inline payload, and post one RDMA write. Returns the encoded
-    /// length. Hot-path entry point for `cargo xtask lint`.
+    /// length. Allocation-free in steady state (`alloc_count.rs`).
     pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<usize>
     where
         I: Iterator<Item = EntryRef<'a>> + Clone,
@@ -509,7 +509,8 @@ impl Link {
     /// Poll the local ring for the next complete message into `buf`
     /// ([`RingConsumer::poll_into`]; read it with [`view`]), publish the
     /// consumed head for the next send to piggyback, and fold in the head
-    /// the message carries. Hot-path entry point for `cargo xtask lint`.
+    /// the message carries. Allocation-free in steady state
+    /// (`alloc_count.rs`).
     pub fn poll_into(&self, buf: &mut Vec<u8>) -> Result<bool> {
         let polled = self.ring_mr.with_pages(|ring| {
             let mut rx = self.consumer();

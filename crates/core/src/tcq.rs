@@ -386,8 +386,9 @@ impl<T> Drop for Tcq<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     #[test]
     fn sole_thread_is_always_leader_with_degree_one() {
@@ -426,7 +427,7 @@ mod tests {
                     match tcq.join(t * per_thread + i) {
                         Outcome::Lead(batch) => {
                             max_degree.fetch_max(batch.len(), Ordering::Relaxed);
-                            seen.lock().unwrap().extend_from_slice(batch.items());
+                            seen.lock().extend_from_slice(batch.items());
                             tcq.complete(batch);
                         }
                         Outcome::Sent => {}
@@ -438,7 +439,7 @@ mod tests {
             h.join().unwrap();
         }
         assert!(max_degree.load(Ordering::Relaxed) <= 4);
-        let mut all = seen.lock().unwrap().clone();
+        let mut all = seen.lock().clone();
         all.sort_unstable();
         assert_eq!(all, (0..n_threads * per_thread).collect::<Vec<_>>());
     }
@@ -458,7 +459,7 @@ mod tests {
                 for i in 0..per_thread {
                     match tcq.join(t * per_thread + i) {
                         Outcome::Lead(batch) => {
-                            seen.lock().unwrap().extend_from_slice(batch.items());
+                            seen.lock().extend_from_slice(batch.items());
                             tcq.complete(batch);
                         }
                         Outcome::Sent => {}
@@ -469,7 +470,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut all = seen.lock().unwrap().clone();
+        let mut all = seen.lock().clone();
         let total = (n_threads * per_thread) as usize;
         assert_eq!(all.len(), total, "lost or duplicated items");
         all.sort_unstable();

@@ -225,9 +225,8 @@ impl Node {
     /// [`CostModel::ctrl_create_qp_ns`]) otherwise. Only RC QPs pool —
     /// the connection-oriented state is what is expensive to rebuild.
     ///
-    /// Hot-path entry point for `cargo xtask lint` (the connect path is
-    /// a measured hot path under churn): warm leases are
-    /// allocation-free.
+    /// The connect path is a measured hot path under churn: warm leases
+    /// are allocation-free (the `churn` suite's `allocs` counts them).
     pub fn lease_qp(
         &self,
         transport: Transport,
@@ -254,8 +253,8 @@ impl Node {
     /// not RC. Charges [`CostModel::ctrl_reset_qp_ns`] — the
     /// modify-to-RESET verb — never the creation cost.
     ///
-    /// Hot-path entry point for `cargo xtask lint`: allocation-free when
-    /// the QP is pooled.
+    /// Allocation-free when the QP is pooled (the `churn` suite's
+    /// `allocs` counts it).
     pub fn release_qp(&self, qp: &Arc<Qp>) {
         qp.reset();
         self.tables.fetch_add(1, Ordering::Release);

@@ -11,8 +11,8 @@
 //! [`CostModel::ctrl_reset_qp_ns`](crate::CostModel) instead of
 //! [`CostModel::ctrl_create_qp_ns`](crate::CostModel).
 //!
-//! `take`/`put` are allocation-free (`cargo xtask lint` hot-alloc entry
-//! points via [`Node::lease_qp`](crate::Node::lease_qp) /
+//! `take`/`put` are allocation-free (the `churn` suite's `allocs` counts
+//! them, via [`Node::lease_qp`](crate::Node::lease_qp) /
 //! [`Node::release_qp`](crate::Node::release_qp)): the free list is a
 //! `Vec` preallocated to `capacity` and never grown past it.
 

@@ -6,8 +6,8 @@
 //! tenant's shared backend connection, and appends the encoded
 //! responses to the caller's output buffer.
 //!
-//! This is the gateway's hot path (a `cargo xtask lint` hot-alloc entry
-//! point): the session reuses its receive buffer and SET-payload
+//! This is the gateway's hot path (the `tenant` suite's `allocs` counts
+//! its allocations): the session reuses its receive buffer and SET-payload
 //! scratch across calls, so steady-state pumping allocates only when a
 //! buffer must grow past its high-water mark.
 

@@ -41,8 +41,9 @@ pub const MAX_VALUE_LEN: usize = 8 * 1024;
 pub const MAX_LINE_LEN: usize = 512;
 
 /// Append the decimal representation of `n` without allocating. The
-/// encoders run inside the edge pump (a hot path the `hot-alloc` lint
-/// walks), where a per-response `to_string` would churn the allocator.
+/// encoders run inside the edge pump (a hot path whose allocations the
+/// `tenant` suite's `allocs` counts), where a per-response `to_string`
+/// would churn the allocator.
 pub(crate) fn push_decimal(out: &mut Vec<u8>, n: usize) {
     let mut buf = [0u8; 20]; // enough for u64::MAX
     let mut i = buf.len();

@@ -213,7 +213,7 @@ fn build_world(cfg: &RpcConfig, n_servers: usize) -> World {
     }
 
     let app = match cfg.hydra_keys {
-        Some(keys) => AppLogic::Hydra(HydraApp::new(keys)),
+        Some(keys) => AppLogic::Hydra(Box::new(HydraApp::new(keys))),
         None => AppLogic::Echo,
     };
 

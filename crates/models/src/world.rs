@@ -252,8 +252,9 @@ pub struct World {
 pub enum AppLogic {
     /// Fixed-cost echo (cost from `World::handler_ns`).
     Echo,
-    /// HydraList service: real index, modelled service times.
-    Hydra(crate::hydra::HydraApp),
+    /// HydraList service: real index, modelled service times (boxed:
+    /// in debug builds every lock of the index also holds its class).
+    Hydra(Box<crate::hydra::HydraApp>),
     /// FlockTX/FaSST servers: real `TxnServer` logic per partition.
     Txn,
 }

@@ -270,6 +270,10 @@ mod imp {
 
     /// A value that differs between live OS threads: contexts must be
     /// resumed on the thread they were suspended on.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the address of a thread-local is the token; its value is never read"
+    )]
     pub(crate) fn thread_token() -> usize {
         thread_local!(static HERE: u8 = const { 0 });
         HERE.with(|here| std::ptr::from_ref(here) as usize)

@@ -106,8 +106,8 @@
 //!   handled here (the executor is the same for all of them; a task's
 //!   un-flushed [`clock::charge`]s are saved and restored around every
 //!   switch); anything else must not be borrowed, or relied on to hold
-//!   its value, across a suspension point (`cargo xtask lint` fails on a
-//!   new one in the crates that run under the lab).
+//!   its value, across a suspension point (`cargo lint` fails on a new
+//!   one in library code: clippy.toml disallows `LocalKey`).
 //! * `std::thread::panicking()` is `true` in every task while any one
 //!   of them unwinds. The lab keeps its own per-task record of who is
 //!   unwinding (`LabState::current_is_unwinding`), so a failed run still
@@ -181,6 +181,8 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+// std's locks, not the `parking_lot` shim's lock-order check: a manifest
+// edit to `flock-sim` would rewrite the lock file `benchmark/` pins.
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use flock_sync::clock::{self, Epoch, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
@@ -1077,6 +1079,11 @@ impl Executor for VirtualLab {
         let name = st.tasks[id].name.clone();
         drop(st);
         let lab = self.clone();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the virtual executor itself: in the reference run (and on targets without a stack \
+                      switch) each virtual task is hosted on an OS thread whose scheduling the lab serializes"
+        )]
         let thread = std::thread::Builder::new()
             .name(name)
             // Virtual tasks number in the hundreds at paper scale; keep

@@ -50,11 +50,19 @@
 //! every one of them, and a borrow of it held across a suspension point
 //! collides with the next task's.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this module is the virtual-clock seam: where the host's clock, scheduler and threads are reached"
+)]
+
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+// std's locks, not the `parking_lot` shim's lock-order check: a manifest
+// edit to `flock-sync` would rewrite the lock file `benchmark/` pins.
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 

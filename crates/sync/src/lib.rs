@@ -119,6 +119,10 @@ pub fn backoff(spins: u32) {
             // run; every spin iteration must be a virtual yield.
             clock::yield_now();
         } else if spins.is_multiple_of(128) || single_cpu() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "threaded rung of the shared spin ladder; a virtual task took clock::yield_now above"
+            )]
             thread::yield_now();
         } else {
             hint::spin_loop();
@@ -206,6 +210,11 @@ impl Stop {
 fn single_cpu() -> bool {
     use std::sync::OnceLock;
     static SINGLE: OnceLock<bool> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "picks whether the threaded spin tier spins or yields; a virtual task never reaches it \
+                  (backoff and idle_on take the clock path first), so no lab run depends on the host's CPU count"
+    )]
     *SINGLE.get_or_init(|| {
         thread::available_parallelism()
             .map(|n| n.get() == 1)
@@ -347,6 +356,10 @@ impl AdaptiveBackoff {
         if self.idle_rounds <= Self::SPIN_LIMIT && !single_cpu() {
             hint::spin_loop();
         } else if self.idle_rounds <= Self::SPIN_LIMIT + Self::YIELD_LIMIT {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "yield rung of AdaptiveBackoff's threaded ladder; a virtual task never reaches it"
+            )]
             thread::yield_now();
         } else {
             return false;

@@ -1,12 +1,8 @@
-//! Shared allowlist format for the workspace audits.
+//! Allowlist parsing for the ordering audit.
 //!
-//! One `key = justification` entry per line; `#` starts a comment. Used
-//! by `orderings.allow` (atomic-ordering audit), `determinism.allow`
-//! (virtual-clock seam escapes) and `lockorder.allow` (accepted
-//! lock-order edges). The parser
-//! is stricter than the original `audit-orderings` one: duplicate keys
-//! are reported (the old `BTreeMap::insert` silently kept the *last*
-//! line, so a stale duplicate could shadow a reviewed justification).
+//! One `key = justification` entry per line; `#` starts a comment (the
+//! format of `orderings.allow`). Duplicate keys are reported: a stale
+//! duplicate could otherwise shadow a reviewed justification.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,7 +24,7 @@ pub struct Allowlist {
 impl Allowlist {
     /// Load `path` (workspace-relative display name `name`); a missing
     /// file parses as an empty allowlist so new audits bootstrap cleanly
-    /// with `--fix-allow`.
+    /// with `--fix`.
     pub fn load(root: &Path, name: &str) -> Allowlist {
         let raw = std::fs::read_to_string(root.join(name)).unwrap_or_default();
         let mut list = Allowlist::parse(&raw);

@@ -1,27 +1,13 @@
-//! Rustc-style diagnostics for the workspace audits.
-//!
-//! One render path shared by `cargo xtask lint` and
-//! `cargo audit-orderings`, so every tool in the crate reports findings
-//! the same way: a severity + rule header, a `-->` file:line locator, the
-//! offending source line, and optional notes (the allowlist key to
-//! justify, the reachability chain, …).
+//! Rustc-style diagnostics for `cargo audit-orderings`: an `error[rule]`
+//! header, a `-->` file:line locator, the offending source line, and
+//! optional notes (the allowlist key to justify, …).
 
 use std::fmt::Write as _;
 
-/// Finding severity. `Error` always fails the run; `Warn` fails only
-/// under `-D` (deny-warnings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Warn,
-    Error,
-}
-
-/// One finding.
+/// One finding; every finding fails the run.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    pub severity: Severity,
-    /// Rule identifier shown in brackets (`determinism`, `lock-order`,
-    /// `safety`, `orderings`).
+    /// Rule identifier shown in brackets (`orderings`).
     pub rule: &'static str,
     pub message: String,
     /// Workspace-relative file.
@@ -37,20 +23,12 @@ pub struct Diagnostic {
 impl Diagnostic {
     pub fn error(rule: &'static str, message: impl Into<String>) -> Diagnostic {
         Diagnostic {
-            severity: Severity::Error,
             rule,
             message: message.into(),
             file: String::new(),
             line: 0,
             snippet: String::new(),
             notes: Vec::new(),
-        }
-    }
-
-    pub fn warn(rule: &'static str, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Warn,
-            ..Diagnostic::error(rule, message)
         }
     }
 
@@ -73,11 +51,7 @@ impl Diagnostic {
     /// Render in rustc style.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let sev = match self.severity {
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        };
-        let _ = writeln!(out, "{sev}[{}]: {}", self.rule, self.message);
+        let _ = writeln!(out, "error[{}]: {}", self.rule, self.message);
         if !self.file.is_empty() {
             if self.line > 0 {
                 let _ = writeln!(out, "  --> {}:{}", self.file, self.line);
@@ -95,14 +69,10 @@ impl Diagnostic {
     }
 }
 
-/// Print `diags`; returns the number of findings that fail the run
-/// (`Error` always, `Warn` too when `deny_warnings`).
-pub(crate) fn emit(diags: &[Diagnostic], deny_warnings: bool) -> usize {
+/// Print `diags`; returns how many there are.
+pub(crate) fn emit(diags: &[Diagnostic]) -> usize {
     for d in diags {
         eprint!("{}", d.render());
     }
-    diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error || deny_warnings)
-        .count()
+    diags.len()
 }

@@ -1,25 +1,20 @@
-//! Workspace maintenance and static-analysis tasks, invoked through
-//! cargo aliases (see `.cargo/config.toml`).
+//! Workspace maintenance tasks, invoked through cargo aliases (see
+//! `.cargo/config.toml`); the `xtask` binary is a thin dispatcher over
+//! these modules.
 //!
-//! The library half exists so the linter's analysis passes
-//! ([`lex`] → [`parse`] → [`lint`]) are unit-testable against fixture
-//! snippets (`tests/lint_fixtures.rs`); the `xtask` binary is a thin
-//! dispatcher over these modules.
-//!
-//! * [`lint`] — `cargo xtask lint`: the three-rule invariant checker
-//!   (determinism seam, lock-order graph, SAFETY comments).
 //! * [`orderings`] — `cargo audit-orderings`: every `Ordering::*` site
 //!   must carry a justification in `orderings.allow`.
 //! * [`loom_suites`] — `cargo loom`: run every loom model-checking
 //!   suite under `--cfg loom`.
+//!
+//! The other workspace invariants are clippy's (`cargo lint`,
+//! `clippy.toml`) and the debug-build lock-order check in the
+//! `parking_lot` shim (DESIGN.md §5f).
 
-pub mod allowlist;
+pub(crate) mod allowlist;
 pub(crate) mod diag;
-pub(crate) mod lex;
-pub mod lint;
 pub mod orderings;
-pub mod parse;
-pub mod walk;
+pub(crate) mod walk;
 
 use std::process::ExitCode;
 

@@ -3,32 +3,21 @@
 //! cargo aliases that invoke them).
 
 use std::process::ExitCode;
-use xtask::lint::LintOpts;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!("usage: cargo xtask <lint|audit-orderings|loom> [args]");
+            eprintln!("usage: cargo xtask <audit-orderings|loom> [args]");
             return ExitCode::FAILURE;
         }
     };
     match cmd {
-        "lint" => match LintOpts::parse(rest) {
-            Ok(opts) => xtask::lint::run(&opts),
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                eprintln!("usage: cargo xtask lint [-D] [--fix-allow] [--rule <name>]");
-                ExitCode::FAILURE
-            }
-        },
         "audit-orderings" => xtask::orderings::audit(rest.iter().any(|a| a == "--fix")),
         "loom" => xtask::loom_suites(rest),
         other => {
-            eprintln!(
-                "xtask: unknown task `{other}` (expected `lint`, `audit-orderings`, or `loom`)"
-            );
+            eprintln!("xtask: unknown task `{other}` (expected `audit-orderings` or `loom`)");
             ExitCode::FAILURE
         }
     }

@@ -15,13 +15,11 @@
 //! entries (justification `TODO`) for any missing sites; `TODO`
 //! justifications still fail the audit, so they must be filled in.
 //!
-//! The *line-based* site scanner below is deliberately kept as-is (and
-//! distinct from the token-level model `cargo xtask lint` uses): its
-//! keying convention is baked into 185+ reviewed `orderings.allow`
-//! entries, and changing how `fn` names are recognized would invalidate
-//! all of them. Shared pieces — the file walker, the allowlist parser,
-//! diagnostic rendering — come from [`crate::walk`],
-//! [`crate::allowlist`], and [`crate::diag`].
+//! The site scanner below is line-based, not a Rust parser: its keying
+//! convention is baked into every reviewed `orderings.allow` entry, and
+//! changing how `fn` names are recognized would invalidate them all.
+//! The file walker, the allowlist parser and diagnostic rendering come
+//! from [`crate::walk`], [`crate::allowlist`], and [`crate::diag`].
 
 use crate::allowlist::Allowlist;
 use crate::diag::{emit, Diagnostic};
@@ -102,7 +100,7 @@ pub fn audit(fix: bool) -> ExitCode {
         );
     }
 
-    let failures = emit(&diags, true);
+    let failures = emit(&diags);
     if failures > 0 {
         eprintln!(
             "audit-orderings: FAILED with {failures} problem(s) across {} sites in {} files \

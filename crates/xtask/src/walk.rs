@@ -1,4 +1,4 @@
-//! Workspace file walker shared by every xtask audit.
+//! Workspace file walker for the ordering audit.
 
 use std::path::{Path, PathBuf};
 
@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 pub(crate) const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Paths (relative, prefix match) excluded from every scan. The xtask
-/// crate excludes itself: its rule tables and test fixtures spell out
-/// the very patterns the rules hunt for.
+/// crate excludes itself: the audit's own scanner spells out the very
+/// pattern it hunts for.
 pub(crate) const EXCLUDE: &[&str] = &["crates/xtask"];
 
 /// The workspace root (xtask lives at `<root>/crates/xtask`;
@@ -55,26 +55,4 @@ fn collect(dir: &Path, root: &Path, out: &mut Vec<String>) {
             out.push(rel);
         }
     }
-}
-
-/// The crate a workspace-relative path belongs to (`crates/<name>/…` ->
-/// `<name>`; everything else -> `(root)`, the top-level `flock-repro`
-/// package).
-pub(crate) fn crate_of(rel: &str) -> &str {
-    rel.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("(root)")
-}
-
-/// Whether a path is test/bench/example scaffolding rather than library
-/// code: integration tests, benches, and examples drive the system from
-/// *outside* a `VirtualLab` on real OS threads by design, so the
-/// determinism and lock-order rules skip them (inline `#[cfg(test)]`
-/// modules are skipped via token regions instead).
-pub(crate) fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/")
-        || rel.starts_with("examples/")
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
 }

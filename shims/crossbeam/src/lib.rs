@@ -9,6 +9,12 @@
 //! `Clone + Send + Sync`, and disconnection is observed when all peers
 //! of the other side are dropped.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a stand-in for a std-backed crate is built on the host's threads and clock"
+)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

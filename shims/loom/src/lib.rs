@@ -33,6 +33,12 @@
 //! are covered by the Miri job and the `cargo audit-orderings` policy
 //! (see DESIGN.md "Memory ordering and verification").
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a stand-in for a std-backed crate is built on the host's threads and clock"
+)]
+
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};

@@ -8,11 +8,25 @@
 //! Poisoned std locks are transparently recovered: parking_lot has no
 //! poisoning, and a panic while holding one of these locks already
 //! aborts the owning test/process path.
+//!
+//! Debug builds check the lock order as they run ([`lockdep`]): every
+//! lock has the class of the place that built it, and acquiring locks
+//! of two classes in both orders panics. Release builds carry none of
+//! it.
+
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a stand-in for a std-backed crate is built on the host's threads and clock"
+)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock};
 use std::time::{Duration, Instant};
+
+#[cfg(debug_assertions)]
+mod lockdep;
 
 fn recover<G>(r: Result<G, sync::PoisonError<G>>) -> G {
     r.unwrap_or_else(sync::PoisonError::into_inner)
@@ -20,20 +34,25 @@ fn recover<G>(r: Result<G, sync::PoisonError<G>>) -> G {
 
 /// A mutual-exclusion lock (no poisoning, guard returned directly).
 pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: lockdep::Class,
     inner: StdMutex<T>,
 }
 
 /// RAII guard for [`Mutex`]. The inner `Option` is only `None`
 /// transiently inside [`Condvar`] waits and [`MutexGuard::unlocked`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a StdMutex<T>,
+    lock: &'a Mutex<T>,
     guard: Option<sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
     /// Create a mutex.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Mutex<T> {
         Mutex {
+            #[cfg(debug_assertions)]
+            class: lockdep::Class::here(),
             inner: StdMutex::new(value),
         }
     }
@@ -51,25 +70,27 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        lockdep::acquire(&self.class);
         MutexGuard {
-            lock: &self.inner,
+            lock: self,
             guard: Some(recover(self.inner.lock())),
         }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard {
-                lock: &self.inner,
-                guard: Some(g),
-            }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                lock: &self.inner,
-                guard: Some(e.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        #[cfg(debug_assertions)]
+        lockdep::acquired(&self.class);
+        Some(MutexGuard {
+            lock: self,
+            guard: Some(guard),
+        })
     }
 
     /// Get a mutable reference to the underlying data (no locking
@@ -84,6 +105,7 @@ impl<T: ?Sized> Mutex<T> {
 }
 
 impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     fn default() -> Self {
         Mutex::new(T::default())
     }
@@ -102,18 +124,37 @@ impl<'a, T: ?Sized> MutexGuard<'a, T> {
     where
         F: FnOnce() -> U,
     {
+        #[cfg(debug_assertions)]
+        lockdep::release(&s.lock.class);
         s.guard = None;
         let r = f();
-        s.guard = Some(recover(s.lock.lock()));
+        #[cfg(debug_assertions)]
+        lockdep::acquire(&s.lock.class);
+        s.guard = Some(recover(s.lock.inner.lock()));
         r
     }
 
+    /// Take the std guard out for a wait, which releases the lock.
     fn std_guard(&mut self) -> sync::MutexGuard<'a, T> {
+        #[cfg(debug_assertions)]
+        lockdep::release(&self.lock.class);
         self.guard.take().expect("guard present outside waits")
     }
 
+    /// Put back the guard a wait reacquired.
     fn restore(&mut self, g: sync::MutexGuard<'a, T>) {
+        #[cfg(debug_assertions)]
+        lockdep::acquire(&self.lock.class);
         self.guard = Some(g);
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        if self.guard.is_some() {
+            lockdep::release(&self.lock.class);
+        }
     }
 }
 
@@ -206,23 +247,32 @@ impl fmt::Debug for Condvar {
 
 /// A reader-writer lock (no poisoning, guards returned directly).
 pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: lockdep::Class,
     inner: StdRwLock<T>,
 }
 
 /// Shared-read guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     guard: sync::RwLockReadGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    class: &'a lockdep::Class,
 }
 
 /// Exclusive-write guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     guard: sync::RwLockWriteGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    class: &'a lockdep::Class,
 }
 
 impl<T> RwLock<T> {
     /// Create a reader-writer lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> RwLock<T> {
         RwLock {
+            #[cfg(debug_assertions)]
+            class: lockdep::Class::here(),
             inner: StdRwLock::new(value),
         }
     }
@@ -240,38 +290,56 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        lockdep::acquire(&self.class);
         RwLockReadGuard {
             guard: recover(self.inner.read()),
+            #[cfg(debug_assertions)]
+            class: &self.class,
         }
     }
 
     /// Acquire an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        lockdep::acquire(&self.class);
         RwLockWriteGuard {
             guard: recover(self.inner.write()),
+            #[cfg(debug_assertions)]
+            class: &self.class,
         }
     }
 
     /// Try to acquire a read lock without blocking.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { guard: g }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard {
-                guard: e.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.inner.try_read() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        #[cfg(debug_assertions)]
+        lockdep::acquired(&self.class);
+        Some(RwLockReadGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            class: &self.class,
+        })
     }
 
     /// Try to acquire a write lock without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { guard: g }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(RwLockWriteGuard {
-                guard: e.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.inner.try_write() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        #[cfg(debug_assertions)]
+        lockdep::acquired(&self.class);
+        Some(RwLockWriteGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            class: &self.class,
+        })
     }
 
     /// Get a mutable reference to the underlying data.
@@ -285,6 +353,7 @@ impl<T: ?Sized> RwLock<T> {
 }
 
 impl<T: Default> Default for RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     fn default() -> Self {
         RwLock::new(T::default())
     }
@@ -313,6 +382,20 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        lockdep::release(self.class);
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        lockdep::release(self.class);
     }
 }
 
