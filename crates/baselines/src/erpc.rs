@@ -7,13 +7,12 @@
 //! queue per packet — the overhead the paper's Figure 2(b) measures.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use flock_core::{FlockError, Result};
 use flock_sync::clock::{self, Event, TaskHandle};
-use flock_sync::Stop;
+use flock_sync::{Counter, Stop};
 
 use flock_fabric::{
     Access, MemoryRegion, Node, NodeId, QpNum, RecvWr, SendWr, Sge, Transport, WrId, GRH_BYTES,
@@ -108,7 +107,7 @@ struct Endpoint {
     qp: Arc<flock_fabric::Qp>,
     mr: Arc<MemoryRegion>,
     send_mr: Arc<MemoryRegion>,
-    send_off: AtomicU64,
+    send_off: Counter,
     cfg: UdRpcConfig,
 }
 
@@ -125,7 +124,7 @@ impl Endpoint {
             qp,
             mr,
             send_mr,
-            send_off: AtomicU64::new(0),
+            send_off: Counter::default(),
             cfg: cfg.clone(),
         });
         for i in 0..cfg.recv_depth {
@@ -154,7 +153,7 @@ impl Endpoint {
     fn send_to(&self, dst: (NodeId, QpNum), bytes: &[u8]) {
         debug_assert!(bytes.len() <= 4096);
         // Rotating staging slots; 64 in flight is far beyond the window.
-        let slot = (self.send_off.fetch_add(1, Ordering::Relaxed) % 64) as usize;
+        let slot = (self.send_off.add(1) % 64) as usize;
         self.send_mr
             .write(slot * 4096, bytes)
             .expect("staging write");
@@ -242,7 +241,7 @@ pub struct UdRpcServer {
     stop: Arc<Stop>,
     worker: Mutex<Option<TaskHandle>>,
     /// Requests processed (for CPU-overhead comparisons).
-    pub requests: Arc<AtomicU64>,
+    pub requests: Arc<Counter>,
 }
 
 impl UdRpcServer {
@@ -259,7 +258,7 @@ impl UdRpcServer {
     ) -> UdRpcServer {
         let ep = Endpoint::new(node, &cfg);
         let stop = Arc::new(Stop::new());
-        let requests = Arc::new(AtomicU64::new(0));
+        let requests = Arc::new(Counter::default());
         let worker = {
             let ep = Arc::clone(&ep);
             let stop = Arc::clone(&stop);
@@ -303,7 +302,7 @@ impl UdRpcServer {
                         .or_insert_with(|| Reassembly::new(nfrags));
                     if let Some(req) = entry.add(pkt.frag as usize, pkt.payload) {
                         partial.remove(&key);
-                        requests.fetch_add(1, Ordering::Relaxed);
+                        requests.add(1);
                         let resp = handler(pkt.rpc_id, &req);
                         send_fragmented(&ep, src, KIND_RESP, pkt.rpc_id, pkt.thread, pkt.seq)(
                             &resp,
@@ -349,9 +348,9 @@ pub struct UdRpcClient {
     shared: Arc<ClientShared>,
     stop: Arc<Stop>,
     worker: Mutex<Option<TaskHandle>>,
-    next_thread: AtomicU64,
+    next_thread: Counter,
     /// Total retransmissions performed (observability for loss tests).
-    pub retransmissions: Arc<AtomicU64>,
+    pub retransmissions: Arc<Counter>,
 }
 
 /// A per-thread sending context for [`UdRpcClient`].
@@ -404,8 +403,8 @@ impl UdRpcClient {
             shared,
             stop,
             worker: Mutex::new(Some(worker)),
-            next_thread: AtomicU64::new(0),
-            retransmissions: Arc::new(AtomicU64::new(0)),
+            next_thread: Counter::default(),
+            retransmissions: Arc::new(Counter::default()),
         }
     }
 
@@ -413,7 +412,8 @@ impl UdRpcClient {
     pub fn register_thread(&self) -> UdThread<'_> {
         UdThread {
             client: self,
-            thread_id: self.next_thread.fetch_add(1, Ordering::Relaxed) as u32,
+            thread_id: u32::try_from(self.next_thread.add(1))
+                .expect("a client registers at most u32::MAX threads"),
             seq: std::cell::Cell::new(1),
         }
     }
@@ -462,7 +462,7 @@ impl UdThread<'_> {
             if clock::expired(deadline) || retries > c.ep.cfg.max_retries {
                 return Err(FlockError::Timeout);
             }
-            c.retransmissions.fetch_add(1, Ordering::Relaxed);
+            c.retransmissions.add(1);
             send();
         }
     }

@@ -20,11 +20,5 @@
 pub mod erpc;
 pub mod lockshare;
 
-/// Synchronization facade shared with `flock-core`: `std` normally,
-/// `loom` under `cfg(loom)`. Concurrent code in this crate imports its
-/// atomics/threads from here so it stays model-checkable (see DESIGN.md,
-/// "Memory ordering and verification").
-pub use flock_core::sync;
-
 pub use erpc::{UdRpcClient, UdRpcConfig, UdRpcServer};
 pub use lockshare::{LockShareConfig, LockSharedClient};

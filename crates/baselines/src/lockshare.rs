@@ -11,12 +11,10 @@
 
 use std::collections::HashMap;
 
-use flock_core::sync::atomic::{AtomicU64, Ordering};
-use flock_core::sync::Arc;
 use std::time::Duration;
 
 use flock_sync::clock::{self, Event, TaskHandle};
-use flock_sync::Stop;
+use flock_sync::{Arc, Counter, Stop};
 
 use flock_core::credit::CreditState;
 use flock_core::domain::{reply_channel, ConnectRequest, FlockDomain, RingInfo};
@@ -55,7 +53,7 @@ struct QpCtx {
     credits: Mutex<CreditState>,
     /// Signalled on every credit grant.
     granted: Event,
-    messages_sent: AtomicU64,
+    messages_sent: Counter,
 }
 
 struct ThreadSlot {
@@ -133,7 +131,7 @@ impl LockSharedClient {
                     link: Link::new(node, qp, resp_mr, req_remote),
                     credits: Mutex::new(CreditState::new(reply.initial_credits)),
                     granted: Event::new(),
-                    messages_sent: AtomicU64::new(0),
+                    messages_sent: Counter::default(),
                 })
             })
             .collect();
@@ -174,11 +172,7 @@ impl LockSharedClient {
 
     /// Messages sent (equals requests: no coalescing).
     pub fn messages_sent(&self) -> u64 {
-        self.inner
-            .qps
-            .iter()
-            .map(|q| q.messages_sent.load(Ordering::Relaxed))
-            .sum()
+        self.inner.qps.iter().map(|q| q.messages_sent.get()).sum()
     }
 
     /// Stop the dispatcher.
@@ -254,7 +248,7 @@ impl LockThread {
             }
             clock::yield_now();
         }
-        qp.messages_sent.fetch_add(1, Ordering::Relaxed);
+        qp.messages_sent.add(1);
 
         // ---- Wait for the response outside the lock. ----
         self.slot

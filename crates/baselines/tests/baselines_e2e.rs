@@ -25,10 +25,7 @@ fn ud_rpc_roundtrip() {
         let resp = t.call(7, &[i]).unwrap();
         assert_eq!(resp, vec![7, i]);
     }
-    assert_eq!(
-        server.requests.load(std::sync::atomic::Ordering::Relaxed),
-        50
-    );
+    assert_eq!(server.requests.get(), 50);
 }
 
 #[test]
@@ -63,10 +60,7 @@ fn ud_rpc_survives_packet_loss_via_retransmission() {
     }
     // With 20% loss over 80+ packets, retransmissions must have occurred.
     assert!(
-        client
-            .retransmissions
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0,
+        client.retransmissions.get() > 0,
         "loss injection did not exercise retransmission"
     );
 }
@@ -98,12 +92,12 @@ fn ud_rpc_on_a_lossy_wire_times_out_with_a_typed_error() {
         let resent = Arc::clone(&client.retransmissions);
         drop(client);
         // The count, read once nothing can add to it.
-        let resent = Arc::into_inner(resent).expect("the client is gone").into_inner();
+        let resent = Arc::into_inner(resent).expect("the client is gone").get();
         assert!(resent <= u64::from(max_retries), "{resent} retransmissions");
     }
     let requests = Arc::clone(&server.requests);
     drop(server);
-    let requests = Arc::into_inner(requests).expect("the server is gone").into_inner();
+    let requests = Arc::into_inner(requests).expect("the server is gone").get();
     assert_eq!(requests, 0, "a request crossed a wire that drops everything");
 }
 

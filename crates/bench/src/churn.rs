@@ -22,7 +22,6 @@
 //!    and after shows the departing sender's share migrating at detach
 //!    (not at the next utilization epoch).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use flock_core::api::fl_connect;
@@ -182,7 +181,7 @@ pub fn run_storm(w: ChurnWorkload) -> StormOutcome {
         let cold = storm_wave(&bed.domain, &nodes, 0, w.payload);
         let warm = storm_wave(&bed.domain, &nodes, 1, w.payload);
 
-        let server_warm_leases = bed.node.pool().stats().warm.load(Ordering::Relaxed);
+        let server_warm_leases = bed.node.pool().stats().warm.get();
         drop(nodes);
         bed.close();
         (cold, warm, server_warm_leases)

@@ -1,7 +1,5 @@
 //! Sample statistics shared by every suite.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use flock_core::server::FlockServer;
 
 use crate::json::{inline, object, Value};
@@ -44,9 +42,9 @@ impl Handoff {
     pub(crate) fn of(server: &FlockServer) -> Handoff {
         let stats = server.stats();
         Handoff {
-            deactivations: stats.deactivations.load(Relaxed),
-            drains_completed: stats.drains_completed.load(Relaxed),
-            drain_sweeps: stats.drain_sweeps.load(Relaxed),
+            deactivations: stats.deactivations.get(),
+            drains_completed: stats.drains_completed.get(),
+            drain_sweeps: stats.drain_sweeps.get(),
         }
     }
 

@@ -26,7 +26,7 @@
 //! in-memory CAS.
 
 use flock_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use flock_sync::backoff;
+use flock_sync::{backoff, Counter};
 
 use crate::client::FlThread;
 use crate::error::{FlockError, Result};
@@ -105,9 +105,9 @@ pub struct ALock {
     /// Cap on consecutive local handoffs (fairness toward other cohorts).
     cohort_cap: u64,
     /// Remote CASes that won the global word (stats).
-    remote_acquires: AtomicU64,
+    remote_acquires: Counter,
     /// Local handoffs that skipped the remote release/re-acquire (stats).
-    local_handoffs: AtomicU64,
+    local_handoffs: Counter,
 }
 
 /// Default local-handoff cap: one remote CAS amortizes over up to this
@@ -124,8 +124,8 @@ impl ALock {
             global_held: AtomicBool::new(false),
             handoffs: AtomicU64::new(0),
             cohort_cap: cohort_cap.max(1),
-            remote_acquires: AtomicU64::new(0),
-            local_handoffs: AtomicU64::new(0),
+            remote_acquires: Counter::default(),
+            local_handoffs: Counter::default(),
         }
     }
 
@@ -150,7 +150,7 @@ impl ALock {
             }
             self.global_held.store(true, Ordering::Relaxed);
             self.handoffs.store(0, Ordering::Relaxed);
-            self.remote_acquires.fetch_add(1, Ordering::Relaxed);
+            self.remote_acquires.add(1);
         }
         Ok(Ticket(my))
     }
@@ -165,7 +165,7 @@ impl ALock {
         if waiter && done < self.cohort_cap {
             // Local handoff: the global word stays held by the cohort.
             self.handoffs.store(done + 1, Ordering::Relaxed);
-            self.local_handoffs.fetch_add(1, Ordering::Relaxed);
+            self.local_handoffs.add(1);
         } else {
             // Release the global word *before* admitting the next
             // ticket: its holder must re-win it remotely, and other
@@ -179,12 +179,12 @@ impl ALock {
 
     /// Remote CASes that won the global word.
     pub fn remote_acquires(&self) -> u64 {
-        self.remote_acquires.load(Ordering::Relaxed)
+        self.remote_acquires.get()
     }
 
     /// Handovers served locally (remote verbs saved).
     pub fn local_handoffs(&self) -> u64 {
-        self.local_handoffs.load(Ordering::Relaxed)
+        self.local_handoffs.get()
     }
 }
 

@@ -14,7 +14,7 @@ use flock_fabric::{
     RemoteAddr, SendWr, Sge, Transport, WrId,
 };
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
-use flock_sync::Stop;
+use flock_sync::{Counter, Stop};
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{CreditState, MedianWindow, Residents, SendPhase};
@@ -123,8 +123,8 @@ pub(crate) struct ClientQpCtx {
     /// [`FLAG_DRAINED`] marker is owed by whoever empties the lane) or
     /// drained (marker posted, nothing is sent until the next grant).
     residents: Residents,
-    messages_sent: AtomicU64,
-    requests_sent: AtomicU64,
+    messages_sent: Counter,
+    requests_sent: Counter,
 }
 
 /// Number of scratch sub-slots per thread (concurrent one-sided ops).
@@ -230,7 +230,7 @@ struct Inbox {
 /// Per-application-thread context.
 pub(crate) struct ThreadCtx {
     id: u32,
-    next_seq: AtomicU64,
+    next_seq: Counter,
     outstanding: AtomicU64,
     current_qp: AtomicUsize,
     target_qp: AtomicUsize,
@@ -239,8 +239,8 @@ pub(crate) struct ThreadCtx {
     inbox_event: Event,
     // Stats for Algorithm 1 (since last scheduling interval).
     req_sizes: Mutex<MedianWindow>,
-    bytes: AtomicU64,
-    reqs: AtomicU64,
+    bytes: Counter,
+    reqs: Counter,
     mem: Mutex<MemSlots>,
     /// Signalled after every published result, every release of scratch
     /// sub-slots and when the handle stops.
@@ -284,7 +284,7 @@ pub(crate) struct HandleInner {
     thread_count: AtomicUsize,
     mem_regions: Vec<MemRegionInfo>,
     mem_mr: Arc<MemoryRegion>,
-    mem_wr_seq: AtomicU64,
+    mem_wr_seq: Counter,
     /// Send CQ shared by the dedicated mem QPs (when
     /// [`HandleConfig::dedicated_mem_qps`] is set): one poll point for
     /// the dispatcher regardless of how many threads attached a QP.
@@ -455,7 +455,7 @@ impl ConnectionHandle {
             thread_count: AtomicUsize::new(0),
             mem_regions: reply.memory_regions,
             mem_mr,
-            mem_wr_seq: AtomicU64::new(1),
+            mem_wr_seq: Counter::new(1),
             mem_cq: cfg
                 .dedicated_mem_qps
                 .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
@@ -542,15 +542,15 @@ impl ConnectionHandle {
             );
             let ctx = Arc::new(ThreadCtx {
                 id,
-                next_seq: AtomicU64::new(1),
+                next_seq: Counter::new(1),
                 outstanding: AtomicU64::new(0),
                 current_qp: AtomicUsize::new(0),
                 target_qp: AtomicUsize::new(0),
                 inbox: Mutex::new(Inbox::default()),
                 inbox_event: Event::new(),
                 req_sizes: Mutex::new(MedianWindow::new(64)),
-                bytes: AtomicU64::new(0),
-                reqs: AtomicU64::new(0),
+                bytes: Counter::default(),
+                reqs: Counter::default(),
                 mem: Mutex::new(MemSlots {
                     pending: HashMap::new(),
                     results: HashMap::new(),
@@ -620,10 +620,7 @@ impl ConnectionHandle {
     /// Mean coalescing degree observed across this handle's QPs.
     pub fn mean_coalescing_degree(&self) -> f64 {
         let (reqs, msgs) = self.inner.lanes_live().fold((0u64, 0u64), |(r, m), q| {
-            (
-                r + q.requests_sent.load(Ordering::Relaxed),
-                m + q.messages_sent.load(Ordering::Relaxed),
-            )
+            (r + q.requests_sent.get(), m + q.messages_sent.get())
         });
         if msgs == 0 {
             0.0
@@ -640,8 +637,8 @@ impl ConnectionHandle {
             .inner
             .lanes_live()
             .map(|q| QpMetrics {
-                messages: q.messages_sent.load(Ordering::Relaxed),
-                requests: q.requests_sent.load(Ordering::Relaxed),
+                messages: q.messages_sent.get(),
+                requests: q.requests_sent.get(),
                 credits: q.credits.lock().credits(),
                 active: q.residents.is_open(),
             })
@@ -760,13 +757,11 @@ impl FlThread {
         }
         let qp_idx = self.migrate_if_idle();
         let qp = inner.lane(qp_idx);
-        let seq = self.ctx.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.ctx.next_seq.add(1);
         self.ctx.outstanding.fetch_add(1, Ordering::Relaxed);
         self.ctx.req_sizes.lock().record(payload.len() as u32);
-        self.ctx
-            .bytes
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.ctx.reqs.fetch_add(1, Ordering::Relaxed);
+        self.ctx.bytes.add(payload.len() as u64);
+        self.ctx.reqs.add(1);
 
         let meta = EntryMeta {
             len: payload.len() as u32,
@@ -958,7 +953,7 @@ impl FlThread {
         scratch_off: usize,
         result_len: usize,
     ) -> Result<MemToken> {
-        let wr_seq = self.inner.mem_wr_seq.fetch_add(1, Ordering::Relaxed);
+        let wr_seq = self.inner.mem_wr_seq.add(1);
         let wr_id = ((self.ctx.id as u64) << 32) | (wr_seq & 0xFFFF_FFFF);
         wr.wr_id = WrId(wr_id);
         self.ctx.mem.lock().pending.insert(
@@ -1133,7 +1128,7 @@ impl FlThread {
                 lane.link.qp()
             }
         };
-        let base_seq = self.inner.mem_wr_seq.fetch_add(n as u64, Ordering::Relaxed);
+        let base_seq = self.inner.mem_wr_seq.add(n as u64);
         // Fixed-size WR chain on the stack; indices past `n` duplicate
         // the last real read and are never posted.
         let wrs: [SendWr; MEM_SUBSLOTS] = std::array::from_fn(|i| {
@@ -1242,8 +1237,8 @@ fn build_lane_ctx(
         credit_event: Event::new(),
         degree: Mutex::new(MedianWindow::new(64)),
         residents: Residents::default(),
-        messages_sent: AtomicU64::new(0),
-        requests_sent: AtomicU64::new(0),
+        messages_sent: Counter::default(),
+        requests_sent: Counter::default(),
     })
 }
 
@@ -1435,8 +1430,8 @@ fn flush_parts(
             + inner.cost.memcpy_time(need).as_nanos()
             + inner.cost.cpu_codec_ns * degree as u64,
     );
-    qp.messages_sent.fetch_add(1, Ordering::Relaxed);
-    qp.requests_sent.fetch_add(degree as u64, Ordering::Relaxed);
+    qp.messages_sent.add(1);
+    qp.requests_sent.add(degree as u64);
     Ok(())
 }
 
@@ -1764,11 +1759,11 @@ fn run_thread_scheduling(inner: &HandleInner, scratch: &mut SchedScratch, new_wi
     if active.is_empty() || threads.is_empty() {
         return;
     }
-    let take = |counter: &AtomicU64| {
+    let take = |counter: &Counter| {
         if new_window {
-            counter.swap(0, Ordering::Relaxed)
+            counter.take()
         } else {
-            counter.load(Ordering::Relaxed)
+            counter.get()
         }
     };
     stats.clear();

@@ -17,10 +17,10 @@
 //! Concurrency discipline: [`CreditState`] is per-QP and owned by the
 //! QP's driving thread (the TCQ leader of the moment); it is mutated only
 //! between `join`/`complete` pairs, never concurrently. The two lane
-//! words are the module's only atomics and go through [`crate::sync`], so
+//! words are the module's only atomics and go through [`flock_sync`], so
 //! the loom suite (`tests/loom_lane.rs`) sees them (see DESIGN.md).
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use flock_sync::atomic::{AtomicU64, Ordering};
 
 /// Default bootstrap credit count (paper: `C = 32`).
 pub(crate) const DEFAULT_CREDITS: u32 = 32;

@@ -59,10 +59,10 @@ pub mod domain;
 pub mod error;
 pub mod msg;
 pub mod onesided;
+mod pool;
 pub mod ring;
 pub mod sched;
 pub mod server;
-pub mod sync;
 pub mod tcq;
 
 pub use alock::{ALock, LockWord, RemoteLockWord};

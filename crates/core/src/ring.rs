@@ -28,7 +28,7 @@
 //! the ring region's lock), and producer/consumer
 //! never share host memory words except through the canary protocol
 //! validated by `poll_into`. The only atomics here are the consumed heads
-//! a `Link` hands between its halves; they come from [`crate::sync`], so
+//! a `Link` hands between its halves; they come from [`flock_sync`], so
 //! they stay visible to the loom model checker (see DESIGN.md).
 
 use std::sync::Arc;
@@ -37,6 +37,7 @@ use std::time::Duration;
 use flock_fabric::{
     Access, MemoryRegion, Node, Pages, Qp, QpNum, RecvWr, RemoteAddr, SendWr, Sge, WrId,
 };
+use flock_sync::atomic::{AtomicU64, Ordering};
 use flock_sync::clock::{self, Event};
 use flock_sync::Stop;
 use parking_lot::Mutex;
@@ -44,7 +45,6 @@ use parking_lot::Mutex;
 use crate::domain::RingInfo;
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryRef, MsgHeader, HDR_SIZE, TRAILER_SIZE};
-use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// Ring alignment: all records are multiples of this, guaranteeing a wrap
 /// record always has room for header + trailer.

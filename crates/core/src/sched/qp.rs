@@ -30,7 +30,7 @@
 //! state is the per-tenant counter blocks ([`TenantAccounting`]), which
 //! are plain monotone statistics updated outside the scheduler mutex.
 //! Any future shared state on a model-checked path must go through
-//! [`crate::sync`] so it stays visible to the loom checker (DESIGN.md).
+//! [`flock_sync`] so it stays visible to the loom checker (DESIGN.md).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -430,8 +430,8 @@ impl QpScheduler {
                     active_qps: 0,
                     cap: self.tenant_cap(tenant),
                     share: 0.0,
-                    issued: c.issued(),
-                    completed: c.completed(),
+                    issued: c.issued.get(),
+                    completed: c.completed.get(),
                     queued: c.queued(),
                 },
             );
@@ -727,8 +727,8 @@ mod tests {
         s.register_sender_tenant(0, 4, 1);
         s.register_sender_tenant(1, 4, 2);
         s.set_tenant_cap(2, 3);
-        s.accounting().counters(1).note_issued(10);
-        s.accounting().counters(1).note_completed(7);
+        s.accounting().counters(1).issued.add(10);
+        s.accounting().counters(1).completed.add(7);
         let snap = s.fairness_snapshot();
         assert_eq!(snap.max_aqp, 8);
         assert_eq!(snap.total_active, s.total_active());

@@ -19,14 +19,14 @@
 //!   and counters plus Jain's fairness index, the number the tenant
 //!   bench and the isolation tests assert on.
 //!
-//! Counters are monotone `Relaxed` statistics: readers may observe
+//! Counters are monotone statistics ([`Counter`]s): readers may observe
 //! `issued` and `completed` from slightly different instants, so
 //! [`TenantCounters::queued`] saturates rather than underflows.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use flock_sync::Counter;
 use parking_lot::RwLock;
 
 /// The tenant every sender belongs to unless the connect handshake says
@@ -38,35 +38,17 @@ pub(crate) const DEFAULT_TENANT: u32 = 0;
 /// holds one `Arc` per connection and bumps counters without any lock).
 #[derive(Debug, Default)]
 pub struct TenantCounters {
-    issued: AtomicU64,
-    completed: AtomicU64,
+    /// Requests that entered dispatch so far.
+    pub issued: Counter,
+    /// Responses flushed so far.
+    pub completed: Counter,
 }
 
 impl TenantCounters {
-    /// Record `n` requests entering dispatch for this tenant.
-    pub(crate) fn note_issued(&self, n: u64) {
-        self.issued.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` responses flushed for this tenant.
-    pub(crate) fn note_completed(&self, n: u64) {
-        self.completed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Requests that entered dispatch so far.
-    pub fn issued(&self) -> u64 {
-        self.issued.load(Ordering::Relaxed)
-    }
-
-    /// Responses flushed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
     /// Requests currently inside the server (issued minus completed,
     /// saturating: the two counters are read at distinct instants).
     pub fn queued(&self) -> u64 {
-        self.issued().saturating_sub(self.completed())
+        self.issued.get().saturating_sub(self.completed.get())
     }
 }
 
@@ -174,12 +156,12 @@ mod tests {
     fn counters_saturate_and_accumulate() {
         let c = TenantCounters::default();
         assert_eq!(c.queued(), 0);
-        c.note_issued(5);
+        c.issued.add(5);
         assert_eq!(c.queued(), 5);
-        c.note_completed(3);
-        assert_eq!((c.issued(), c.completed(), c.queued()), (5, 3, 2));
+        c.completed.add(3);
+        assert_eq!((c.issued.get(), c.completed.get(), c.queued()), (5, 3, 2));
         // A reader racing issued/completed must never underflow.
-        c.note_completed(10);
+        c.completed.add(10);
         assert_eq!(c.queued(), 0);
     }
 
@@ -188,8 +170,8 @@ mod tests {
         let acct = TenantAccounting::default();
         let a = acct.counters(7);
         let b = acct.counters(7);
-        a.note_issued(1);
-        assert_eq!(b.issued(), 1, "same tenant shares one block");
+        a.issued.add(1);
+        assert_eq!(b.issued.get(), 1, "same tenant shares one block");
         assert!(acct.get(8).is_none());
         acct.counters(3);
         assert_eq!(acct.tenant_ids(), vec![3, 7]);

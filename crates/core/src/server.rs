@@ -14,7 +14,7 @@ use flock_fabric::{
     Transport,
 };
 use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
-use flock_sync::Stop;
+use flock_sync::{Counter, Stop};
 use parking_lot::{Mutex, RwLock};
 
 use crate::credit::{LaneGate, LanePhase};
@@ -98,7 +98,7 @@ struct ServerQpCtx {
     gate: LaneGate,
     /// Visits of the lane's dispatch shard in sweeps that could find
     /// something ([`FlockServer::lane_probes`]).
-    probes: AtomicU64,
+    probes: Counter,
 }
 
 struct ServerConn {
@@ -171,46 +171,46 @@ impl Topology {
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Coalesced request messages received.
-    pub messages: AtomicU64,
+    pub messages: Counter,
     /// Individual RPC requests processed.
-    pub requests: AtomicU64,
+    pub requests: Counter,
     /// Credit renewals granted.
-    pub grants: AtomicU64,
+    pub grants: Counter,
     /// Credit renewals declined.
-    pub declines: AtomicU64,
+    pub declines: Counter,
     /// Lanes the scheduler took out of the active set (redistribution, or
     /// a lane attached past the AQP budget).
-    pub deactivations: AtomicU64,
+    pub deactivations: Counter,
     /// Deactivated lanes whose client posted its drained marker in time:
     /// the lane went silent.
-    pub drains_completed: AtomicU64,
+    pub drains_completed: Counter,
     /// Visits dispatch shards paid to draining lanes (one per lane per
     /// sweep that could find something, from the deactivation to the
     /// marker or the reactivation; see [`FlockServer::lane_probes`]).
-    pub drain_sweeps: AtomicU64,
+    pub drain_sweeps: Counter,
     /// Redundant head-only response writes elided because the client's
     /// view of the consumed head was still fresh (within a quarter ring).
-    pub head_flushes_skipped: AtomicU64,
+    pub head_flushes_skipped: Counter,
     /// Individual RPC responses written (dispatcher and manual path).
-    pub responses: AtomicU64,
+    pub responses: Counter,
     /// Response messages that carried them (head-only and credit-control
     /// messages are not counted).
-    pub response_messages: AtomicU64,
+    pub response_messages: Counter,
     /// Deferral episodes: times a dispatch shard found a client's
     /// response ring full and began holding the lane's responses back
     /// (retried on the lane's later visits, until they fit or
     /// `cfg.timeout` drops them).
-    pub response_ring_full: AtomicU64,
+    pub response_ring_full: Counter,
 }
 
 impl ServerStats {
     /// Observed mean coalescing degree (requests per message).
     pub fn mean_coalescing_degree(&self) -> f64 {
-        let m = self.messages.load(Ordering::Relaxed);
+        let m = self.messages.get();
         if m == 0 {
             0.0
         } else {
-            self.requests.load(Ordering::Relaxed) as f64 / m as f64
+            self.requests.get() as f64 / m as f64
         }
     }
 }
@@ -436,7 +436,7 @@ impl FlockServer {
         // `flush_response` is generic over the payload, so the response
         // bytes go straight from the caller's slice into the ring write.
         flush_response(&self.inner, &qp, &[(meta, data)], 0, 0)?;
-        counters.note_completed(1);
+        counters.completed.add(1);
         Ok(())
     }
 
@@ -456,7 +456,7 @@ impl FlockServer {
     pub fn lane_probes(&self, sender: u32, lane: usize) -> Option<u64> {
         let topo = self.inner.topology.lock();
         let lane = topo.lane(sender as usize, lane)?;
-        Some(lane.probes.load(Ordering::Relaxed))
+        Some(lane.probes.get())
     }
 
     /// Number of QPs currently active under the scheduler.
@@ -592,7 +592,7 @@ fn build_server_lane(
     Ok(Arc::new(ServerQpCtx {
         link,
         gate: LaneGate::default(),
-        probes: AtomicU64::new(0),
+        probes: Counter::default(),
     }))
 }
 
@@ -604,7 +604,7 @@ fn build_server_lane(
 fn gate_new_lane(inner: &ServerInner, sched: &QpScheduler, ctx: &ServerQpCtx, sq: SenderQp) {
     if !sched.is_active(sq) {
         ctx.gate.deactivate();
-        inner.stats.deactivations.fetch_add(1, Ordering::Relaxed);
+        inner.stats.deactivations.add(1);
     }
 }
 
@@ -992,7 +992,7 @@ impl DispatchShard {
                 }
                 visited += 1;
                 if !repeat {
-                    lane.qp.probes.fetch_add(1, Ordering::Relaxed);
+                    lane.qp.probes.add(1);
                 }
                 progressed |= visit_lane(inner, &self.handlers, conn, lane, &mut self.msg);
                 if let Some(until) = lane.full_until {
@@ -1001,10 +1001,7 @@ impl DispatchShard {
             }
         }
         if draining > 0 && !repeat {
-            inner
-                .stats
-                .drain_sweeps
-                .fetch_add(draining, Ordering::Relaxed);
+            inner.stats.drain_sweeps.add(draining);
         }
         if progressed {
             return Next::Again;
@@ -1121,10 +1118,7 @@ fn visit_lane(
     {
         flush_pending(inner, conn, lane);
     } else if lane.pending.is_empty() && debt > 0 {
-        inner
-            .stats
-            .head_flushes_skipped
-            .fetch_add(1, Ordering::Relaxed);
+        inner.stats.head_flushes_skipped.add(1);
     }
     finish_drain(inner, lane);
     true
@@ -1139,7 +1133,7 @@ fn visit_lane(
 fn finish_drain(inner: &ServerInner, lane: &mut Lane) {
     if let Some(epoch) = lane.marker.take() {
         if lane.qp.gate.mark_silent(epoch) {
-            inner.stats.drains_completed.fetch_add(1, Ordering::Relaxed);
+            inner.stats.drains_completed.add(1);
         }
     }
 }
@@ -1176,11 +1170,11 @@ fn handle_message(
         return;
     }
     let entries = u64::from(view.header.count);
-    inner.stats.messages.fetch_add(1, Ordering::Relaxed);
-    inner.stats.requests.fetch_add(entries, Ordering::Relaxed);
-    // Per-tenant accounting: lock-free Relaxed bumps on the shared
+    inner.stats.messages.add(1);
+    inner.stats.requests.add(entries);
+    // Per-tenant accounting: lock-free bumps on the shared
     // counter block (never through the scheduler mutex).
-    conn.counters.note_issued(entries);
+    conn.counters.issued.add(entries);
     for (meta, data) in view.entries() {
         // A handler registered since the shard adopted `handlers` is
         // looked up in the topology: a request sent after `reg_handler`
@@ -1260,7 +1254,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
             break Ok(());
         }
     };
-    conn.counters.note_completed(sent as u64);
+    conn.counters.completed.add(sent as u64);
     lane.pending.drain(..sent);
     if sent > 0 {
         // The timeout is for a ring that frees nothing.
@@ -1272,10 +1266,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
     if matches!(outcome, Err(FlockError::RingFull { .. })) && !lane.pending.is_empty() {
         let deadline = *lane.full_until.get_or_insert_with(|| {
             // A deferral episode begins.
-            inner
-                .stats
-                .response_ring_full
-                .fetch_add(1, Ordering::Relaxed);
+            inner.stats.response_ring_full.add(1);
             clock::deadline(inner.cfg.timeout)
         });
         keep = !clock::expired(deadline) && !inner.stop.is_set();
@@ -1354,11 +1345,8 @@ fn try_flush_response<B: AsRef<[u8]>>(
     )?;
     if !responses.is_empty() {
         let n = responses.len() as u64;
-        inner.stats.responses.fetch_add(n, Ordering::Relaxed);
-        inner
-            .stats
-            .response_messages
-            .fetch_add(1, Ordering::Relaxed);
+        inner.stats.responses.add(n);
+        inner.stats.response_messages.add(1);
     }
     // Host cost of encoding the message and ringing the doorbell.
     clock::charge(inner.cost.cpu_doorbell_ns + inner.cost.memcpy_time(need).as_nanos());
@@ -1421,11 +1409,11 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
             );
             let (granted, flag) = match decision {
                 Some(credits) => {
-                    inner.stats.grants.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.grants.add(1);
                     (credits, FLAG_CREDIT_GRANT)
                 }
                 None => {
-                    inner.stats.declines.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.declines.add(1);
                     (0, FLAG_CREDIT_GRANT)
                 }
             };
@@ -1467,7 +1455,7 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                         }
                         msg::pack_aux(inner.cfg.sched.grant_size, 0)
                     } else {
-                        inner.stats.deactivations.fetch_add(1, Ordering::Relaxed);
+                        inner.stats.deactivations.add(1);
                         msg::pack_aux(0, qp.gate.deactivate())
                     };
                     let _ = flush_response(inner, &qp, NO_RESPONSES, FLAG_CREDIT_GRANT, aux);

@@ -23,9 +23,11 @@ use std::alloc::Layout;
 use std::ptr;
 use std::ptr::NonNull;
 
-use crate::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
-use crate::sync::clock::Event;
-use crate::sync::{backoff, pool, spin_until, CachePadded, UnsafeCell};
+use flock_sync::atomic::{AtomicPtr, AtomicU8, Ordering};
+use flock_sync::clock::Event;
+use flock_sync::{backoff, spin_until, CachePadded, Counter, UnsafeCell};
+
+use crate::pool;
 
 /// Node states. `WAITING` → (`LEADER` | `SENT`).
 const WAITING: u8 = 0;
@@ -114,15 +116,15 @@ impl<T> Batch<T> {
 ///
 /// Layout: `tail` sits alone on its own cache line ([`CachePadded`]).
 /// Every joining thread RMWs `tail`, while `batches`/`requests` are
-/// high-frequency `Relaxed` counters; without the padding each
-/// `fetch_add` on the stats would invalidate the line every spinning
-/// swapper needs (false sharing, DESIGN.md §5c).
+/// high-frequency [`Counter`]s; without the padding each `add` on the
+/// stats would invalidate the line every spinning swapper needs (false
+/// sharing, DESIGN.md §5c).
 #[derive(Debug)]
 pub struct Tcq<T> {
     tail: CachePadded<AtomicPtr<Node<T>>>,
     batch_limit: usize,
-    batches: AtomicU64,
-    requests: AtomicU64,
+    batches: Counter,
+    requests: Counter,
     /// Notified by [`Tcq::complete`] after its `LEADER`/`SENT` stores:
     /// what a follower's spin ([`spin_until`]) waits to be told.
     handed_off: Event,
@@ -147,14 +149,14 @@ impl<T> Default for Tcq<T> {
 impl<T> Tcq<T> {
     /// Create a TCQ with the given per-batch request bound (`>= 1`).
     /// Nodes and batch scratch are recycled through the thread-local
-    /// pool (`sync::pool`).
+    /// pool (`crate::pool`).
     pub fn new(batch_limit: usize) -> Tcq<T> {
         assert!(batch_limit >= 1);
         Tcq {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             batch_limit,
-            batches: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
+            batches: Counter::default(),
+            requests: Counter::default(),
             handed_off: Event::new(),
         }
     }
@@ -199,12 +201,12 @@ impl<T> Tcq<T> {
 
     /// Number of batches formed so far.
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.batches.get()
     }
 
     /// Number of requests submitted so far.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.requests.get()
     }
 
     /// Mean coalescing degree so far (requests per batch).
@@ -236,7 +238,7 @@ impl<T> Tcq<T> {
     /// collection is always safe: followers link themselves and spin
     /// regardless of how long the leader takes to collect.
     pub fn join_with(&self, item: T, boarding: impl FnOnce()) -> Outcome<T> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
         let node = self.alloc_node(item);
         // Publish: single atomic swap makes us the queue tail.
         let prev = self.tail.swap(node, Ordering::AcqRel);
@@ -274,7 +276,7 @@ impl<T> Tcq<T> {
     /// Collect a batch starting at `start` (our own node). Called only by
     /// the unique leader.
     fn collect(&self, start: *mut Node<T>) -> Batch<T> {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batches.add(1);
         // Scratch buffers: recycled at `batch_limit` capacity through the
         // thread-local pool, so a steady-state leader never allocates.
         let mut nodes = pool::acquire_vec::<*mut Node<T>>(self.batch_limit);

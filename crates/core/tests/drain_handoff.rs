@@ -89,7 +89,7 @@ fn rig(name: &str, n_qps: usize, grant_size: u32) -> Rig {
     // A third lane is outside the budget from the start (not by a
     // redistribution, so no notice: the client would learn it from a
     // declined renewal).
-    let outside_budget = server.stats().deactivations.load(Relaxed);
+    let outside_budget = server.stats().deactivations.get();
     // What setup still costs is charged to this task: pay it now, not
     // at the caller's first sleep.
     clock::flush_charge();
@@ -111,7 +111,7 @@ fn rig(name: &str, n_qps: usize, grant_size: u32) -> Rig {
 impl Rig {
     /// Whether a redistribution has taken a lane's slot away.
     fn deactivated(&self) -> bool {
-        self.server.stats().deactivations.load(Relaxed) > self.outside_budget
+        self.server.stats().deactivations.get() > self.outside_budget
     }
 
     fn probes(&self, lane: usize) -> u64 {
@@ -235,7 +235,7 @@ fn drain_run(phase_ns: u64) -> DrainRun {
             std::mem::take(&mut *out.lock())
         })
         .collect();
-    let drains_completed = rig.server.stats().drains_completed.load(Relaxed);
+    let drains_completed = rig.server.stats().drains_completed.get();
     Arc::try_unwrap(rig)
         .ok()
         .expect("rig users joined")
@@ -401,10 +401,8 @@ fn cap_run(leave_at: Option<u64>, lift_cap: bool) -> CapRun {
         })
         .collect();
     let stats = rig.server.stats();
-    let (deactivations, drains_completed) = (
-        stats.deactivations.load(Relaxed),
-        stats.drains_completed.load(Relaxed),
-    );
+    let (deactivations, drains_completed) =
+        (stats.deactivations.get(), stats.drains_completed.get());
     let lane_of_thread_1 = rig.threads[1].current_qp();
     Arc::try_unwrap(rig)
         .ok()
@@ -513,7 +511,7 @@ fn quiet_run(phase_ns: u64) -> QuietRun {
             std::mem::take(&mut *out.lock())
         })
         .collect();
-    let drains_completed = rig.server.stats().drains_completed.load(Relaxed);
+    let drains_completed = rig.server.stats().drains_completed.get();
     Arc::try_unwrap(rig)
         .ok()
         .expect("rig users joined")

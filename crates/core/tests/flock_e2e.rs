@@ -84,13 +84,7 @@ fn many_threads_share_qps() {
         j.join().unwrap();
     }
     // The server observed every request.
-    assert_eq!(
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed),
-        8 * 40
-    );
+    assert_eq!(server.stats().requests.get(), 8 * 40);
     server.shutdown(&domain);
 }
 
@@ -286,13 +280,7 @@ fn credit_renewal_under_sustained_load() {
     for i in 0..200 {
         t.call(1, format!("{i}").as_bytes()).unwrap();
     }
-    assert!(
-        server
-            .stats()
-            .grants
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 5
-    );
+    assert!(server.stats().grants.get() > 5);
     server.shutdown(&domain);
 }
 
@@ -659,7 +647,7 @@ fn graceful_close_quiesces_and_recycles() {
     }
     drop(t);
     fl_disconnect(&mut h1).unwrap();
-    let recycled = client.pool().stats().recycled.load(std::sync::atomic::Ordering::Relaxed);
+    let recycled = client.pool().stats().recycled.get();
     assert!(recycled >= 1, "closed handle recycles its QPs, got {recycled}");
 
     // A second connection on the same node leases warm resources and the
@@ -667,7 +655,7 @@ fn graceful_close_quiesces_and_recycles() {
     let mut h2 = fl_connect(&domain, &client, "s-close", HandleConfig::default()).unwrap();
     let t2 = h2.register_thread();
     assert_eq!(t2.call(1, b"again").unwrap(), b"echo:again");
-    let warm = client.pool().stats().warm.load(std::sync::atomic::Ordering::Relaxed);
+    let warm = client.pool().stats().warm.get();
     assert!(warm >= 1, "second connect should hit the QP pool, got {warm}");
     drop(t2);
     fl_disconnect(&mut h2).unwrap();

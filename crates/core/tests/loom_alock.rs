@@ -29,8 +29,8 @@
 
 use flock_core::alock::{ALock, LockWord};
 use flock_core::error::Result;
-use flock_core::sync::atomic::{AtomicU64, Ordering};
-use flock_core::sync::{thread, Arc};
+use flock_sync::atomic::{AtomicU64, Ordering};
+use flock_sync::{thread, Arc};
 
 /// The global word as the loom model sees it: an in-memory CAS standing
 /// in for the one-sided `fl_cmp_and_swap` (the NIC executes the remote

@@ -24,8 +24,8 @@
 #![cfg(loom)]
 
 use flock_core::credit::{LaneGate, LanePhase, Residents, SendPhase};
-use flock_core::sync::atomic::{AtomicBool, Ordering};
-use flock_core::sync::{thread, Arc};
+use flock_sync::atomic::{AtomicBool, Ordering};
+use flock_sync::{thread, Arc};
 
 #[test]
 fn reactivation_beats_a_marker_in_flight() {

@@ -42,8 +42,8 @@
 
 #![cfg(loom)]
 
-use flock_core::sync::{thread, Arc};
 use flock_core::tcq::{Outcome, Tcq};
+use flock_sync::{thread, Arc};
 
 /// Drive one `join` to completion, returning the items this thread
 /// delivered (empty if its item was coalesced into another's batch).

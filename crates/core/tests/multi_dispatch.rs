@@ -93,13 +93,7 @@ fn fan_in_canaries_survive_sharded_dispatch() {
     }
 
     let total = (CLIENTS * THREADS * ROUNDS * WINDOW) as u64;
-    assert_eq!(
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed),
-        total
-    );
+    assert_eq!(server.stats().requests.get(), total);
     server.shutdown(&domain);
 }
 

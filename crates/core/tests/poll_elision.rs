@@ -124,10 +124,10 @@ fn echo_fan_in_with_a_window_matches_the_reference() {
         });
         let s = server.stats();
         let stats = (
-            s.messages.load(Relaxed),
-            s.requests.load(Relaxed),
-            s.response_messages.load(Relaxed),
-            s.responses.load(Relaxed),
+            s.messages.get(),
+            s.requests.get(),
+            s.response_messages.get(),
+            s.responses.get(),
         );
         handle.close().expect("close");
         server.shutdown(&domain);
@@ -493,10 +493,7 @@ fn responses_overrunning_the_response_ring_are_deferred_and_all_arrive() {
             times
         });
         let s = server.stats();
-        let counts = (
-            s.response_ring_full.load(Relaxed),
-            s.responses.load(Relaxed),
-        );
+        let counts = (s.response_ring_full.get(), s.responses.get());
         handle.close().expect("close");
         server.shutdown(&domain);
         let beats = out.pop().expect("beats");
@@ -537,7 +534,7 @@ fn a_client_whose_ring_head_never_moves_gets_timeouts_not_a_hang() {
             })
             .collect();
         let waited = clock::now_ns() - t0;
-        let ring_full = server.stats().response_ring_full.load(Relaxed);
+        let ring_full = server.stats().response_ring_full.get();
         // The next request carries the head, and the lane works again.
         let resp = t.call(RPC_BLOAT, &[0xEE; 8]).expect("call after the drop");
         assert_eq!(&resp[..], &[0xEE; BLOATED]);
@@ -680,7 +677,7 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
             task.join().expect("caller");
             times.push(std::mem::take(&mut *out.lock()));
         }
-        let requests = server.stats().requests.load(Relaxed);
+        let requests = server.stats().requests.get();
         for mut handle in handles.drain(1..) {
             handle.close().expect("close");
         }
@@ -741,7 +738,7 @@ fn a_close_under_traffic_on_two_shards_matches_the_reference() {
         handles[1].close().expect("close");
         task.join().expect("survivor");
         let times = std::mem::take(&mut *times.lock());
-        let requests = server.stats().requests.load(Relaxed);
+        let requests = server.stats().requests.get();
         handles[0].close().expect("close");
         server.shutdown(&domain);
         (times, closed_at, requests)

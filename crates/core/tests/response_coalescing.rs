@@ -9,7 +9,6 @@
 //! * a backlogged lane delays its neighbour by at most one two-message
 //!   visit.
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,10 +61,10 @@ fn payload(i: usize) -> Vec<u8> {
 fn stats(server: &FlockServer) -> (u64, u64, u64, u64) {
     let s = server.stats();
     (
-        s.messages.load(Relaxed),
-        s.requests.load(Relaxed),
-        s.response_messages.load(Relaxed),
-        s.responses.load(Relaxed),
+        s.messages.get(),
+        s.requests.get(),
+        s.response_messages.get(),
+        s.responses.get(),
     )
 }
 

@@ -1,9 +1,10 @@
 //! The fabric: the set of nodes, their NIC engines, and connection setup.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::{self, TaskHandle};
+use flock_sync::Counter;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::ConnCache;
@@ -65,7 +66,7 @@ impl Default for FabricConfig {
 pub(crate) struct FabricInner {
     pub(crate) nodes: RwLock<KeyMap<NodeId, Arc<Node>>>,
     pub(crate) config: FabricConfig,
-    next_node: AtomicU32,
+    next_node: Counter,
     /// The table generation: bumped by every QP create, destroy and
     /// reset ([`Node::release_qp`]) and every MR register and
     /// deregister, on any node. A NIC
@@ -93,7 +94,7 @@ pub struct Node {
     name: String,
     mrs: MrTable,
     qps: RwLock<KeyMap<QpNum, Arc<Qp>>>,
-    next_qpn: AtomicU32,
+    next_qpn: Counter,
     cache: Mutex<ConnCache>,
     stats: NicStats,
     /// One command channel per engine lane; QPs are pinned to a lane by
@@ -156,7 +157,7 @@ impl Node {
         send_cq: &Arc<CompletionQueue>,
         recv_cq: &Arc<CompletionQueue>,
     ) -> Arc<Qp> {
-        let qpn = QpNum(self.next_qpn.fetch_add(1, Ordering::Relaxed));
+        let qpn = QpNum(u32::try_from(self.next_qpn.add(1)).expect("QP numbers are 32 bits wide"));
         // Pin the QP to a lane by QPN: all its work requests execute on
         // one engine thread, so per-QP FIFO ordering (all RC guarantees)
         // is preserved while unrelated QPs run on other lanes.
@@ -233,17 +234,17 @@ impl Node {
         send_cq: &Arc<CompletionQueue>,
         recv_cq: &Arc<CompletionQueue>,
     ) -> Arc<Qp> {
-        self.pool.stats().bump(&self.pool.stats().leases);
+        self.pool.stats().leases.add(1);
         if transport == Transport::Rc {
             if let Some(qp) = self.pool.take() {
                 qp.rebind_cqs(send_cq, recv_cq);
                 clock::charge(self.cost.ctrl_reset_qp_ns);
-                self.pool.stats().bump(&self.pool.stats().warm);
+                self.pool.stats().warm.add(1);
                 return qp;
             }
         }
         clock::charge(self.cost.ctrl_create_qp_ns);
-        self.pool.stats().bump(&self.pool.stats().cold);
+        self.pool.stats().cold.add(1);
         self.create_qp(transport, send_cq, recv_cq)
     }
 
@@ -263,9 +264,9 @@ impl Node {
             .lock()
             .invalidate(crate::cache::qp_state_key(self.id.0, qp.qpn().0));
         qp.rebind_cqs(&self.parked_cq, &self.parked_cq);
-        self.pool.stats().bump(&self.pool.stats().recycled);
+        self.pool.stats().recycled.add(1);
         if qp.transport() != Transport::Rc || !self.pool.put(Arc::clone(qp)) {
-            self.pool.stats().bump(&self.pool.stats().discarded);
+            self.pool.stats().discarded.add(1);
             self.destroy_qp(qp.qpn());
         }
     }
@@ -294,7 +295,7 @@ impl Node {
             if !self.refill_one_qp() {
                 break;
             }
-            self.pool.stats().bump(&self.pool.stats().refilled);
+            self.pool.stats().refilled.add(1);
             parked += 1;
         }
         parked
@@ -344,7 +345,7 @@ impl Fabric {
             inner: Arc::new(FabricInner {
                 nodes: RwLock::new(KeyMap::default()),
                 config,
-                next_node: AtomicU32::new(0),
+                next_node: Counter::default(),
                 tables: Arc::default(),
             }),
             engines: Mutex::new(Vec::new()),
@@ -364,7 +365,10 @@ impl Fabric {
     /// Attach a new node and start its NIC engine lanes
     /// (`config.nic_lanes` threads; at least one).
     pub fn add_node(&self, name: &str) -> Arc<Node> {
-        let id = NodeId(self.inner.next_node.fetch_add(1, Ordering::Relaxed));
+        let id = NodeId(
+            u32::try_from(self.inner.next_node.add(1))
+                .expect("a fabric holds at most u32::MAX nodes"),
+        );
         let lanes = self.inner.config.nic_lanes.max(1);
         let channels: Vec<_> = (0..lanes).map(|_| doorbell()).collect();
         let node = Arc::new(Node {
@@ -372,7 +376,7 @@ impl Fabric {
             name: name.to_string(),
             mrs: MrTable::with_generation(Arc::clone(&self.inner.tables)),
             qps: RwLock::new(KeyMap::default()),
-            next_qpn: AtomicU32::new(1),
+            next_qpn: Counter::new(1),
             cache: Mutex::new(ConnCache::new(self.inner.config.nic_cache_entries)),
             stats: NicStats::default(),
             engine_txs: channels.iter().map(|(tx, ..)| tx.clone()).collect(),

@@ -25,8 +25,9 @@
 //!
 //! ## Concurrency discipline
 //!
-//! Its cross-thread state is locks plus `Relaxed` stats counters, ID
-//! allocators, the completion queues' length mirrors (written under
+//! Its cross-thread state is locks plus stats counters and id
+//! allocators (each a `flock_sync::Counter`), the completion queues'
+//! length mirrors (written under
 //! their locks), and words published with Release and read with
 //! Acquire that only one writer at a time changes: a QP's state, peer
 //! and lease epoch (under its `transition` lock) and the fabric's table

@@ -30,10 +30,11 @@
 //! a ring slot does all three under one [`MemoryRegion::with_pages`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flock_sync::clock::Event;
+use flock_sync::Counter;
 use parking_lot::RwLock;
 
 use crate::types::{FabricError, KeyMap, Lkey, Result, Rkey};
@@ -566,8 +567,8 @@ impl MemoryRegion {
 pub struct MrTable {
     /// By key: a region's lkey and rkey are the same number.
     regions: RwLock<KeyMap<u32, Arc<MemoryRegion>>>,
-    next_key: AtomicU32,
-    next_base: AtomicU64,
+    next_key: Counter,
+    next_base: Counter,
     /// The fabric's table generation, bumped by every register and
     /// deregister.
     tables: Arc<AtomicU64>,
@@ -585,8 +586,8 @@ impl MrTable {
     pub(crate) fn with_generation(tables: Arc<AtomicU64>) -> Self {
         MrTable {
             regions: RwLock::default(),
-            next_key: AtomicU32::new(1),
-            next_base: AtomicU64::new(0x1000_0000),
+            next_key: Counter::new(1),
+            next_base: Counter::new(0x1000_0000),
             tables,
         }
     }
@@ -594,13 +595,12 @@ impl MrTable {
     /// Register a zeroed region of `len` bytes with the given remote
     /// rights (each page committed at its first write).
     pub fn register(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
-        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
+        let key = u32::try_from(self.next_key.add(1)).expect("memory keys are 32 bits wide");
         // Pad region spacing so adjacent regions never abut (catches
         // off-by-one overruns as violations rather than silent bleed).
-        let base = self.next_base.fetch_add(
-            (len as u64 + 4096).next_multiple_of(4096),
-            Ordering::Relaxed,
-        );
+        let base = self
+            .next_base
+            .add((len as u64 + 4096).next_multiple_of(4096));
         let mr = Arc::new(MemoryRegion {
             base,
             len,

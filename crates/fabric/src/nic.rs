@@ -17,12 +17,12 @@
 //! transition the QP to the error state, mirroring verbs behaviour.
 
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use flock_sync::clock::{self, Event, IdleOn, Next};
-use flock_sync::AdaptiveBackoff;
+use flock_sync::{AdaptiveBackoff, Counter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,31 +85,25 @@ pub(crate) struct Verb {
     pub(crate) payload: Option<Vec<u8>>,
 }
 
-/// Per-node NIC statistics (atomically updated by the engine).
+/// Per-node NIC statistics (counted by the engine).
 #[derive(Debug, Default)]
 pub struct NicStats {
     /// Total verbs executed.
-    pub verbs: AtomicU64,
+    pub verbs: Counter,
     /// Total payload bytes moved.
-    pub bytes: AtomicU64,
+    pub bytes: Counter,
     /// Two-sided sends delivered.
-    pub sends: AtomicU64,
+    pub sends: Counter,
     /// One-sided writes executed.
-    pub writes: AtomicU64,
+    pub writes: Counter,
     /// One-sided reads executed.
-    pub reads: AtomicU64,
+    pub reads: Counter,
     /// Remote atomics executed.
-    pub atomics: AtomicU64,
+    pub atomics: Counter,
     /// RC sends that failed with receiver-not-ready.
-    pub rnr_failures: AtomicU64,
+    pub rnr_failures: Counter,
     /// UD datagrams dropped (loss injection or no receive buffer).
-    pub ud_drops: AtomicU64,
-}
-
-impl NicStats {
-    fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+    pub ud_drops: Counter,
 }
 
 /// Where the responder half of a one-sided verb runs: the destination
@@ -474,10 +468,8 @@ fn process(
     let result = dst.and_then(|dst| execute(fabric, node, qp, dst, mrs, &verb, rng));
     match result {
         Ok(bytes) => {
-            node.stats().verbs.fetch_add(1, Ordering::Relaxed);
-            node.stats()
-                .bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
+            node.stats().verbs.add(1);
+            node.stats().bytes.add(bytes as u64);
             if wr.signaled {
                 complete_send(qp, wr, CqStatus::Success, bytes);
             }
@@ -486,7 +478,7 @@ fn process(
             let status = match e {
                 FabricError::BadLkey(_) => CqStatus::LocalProtectionError,
                 FabricError::NoReceiveBuffer => {
-                    node.stats().bump(&node.stats().rnr_failures);
+                    node.stats().rnr_failures.add(1);
                     CqStatus::RnrRetryExceeded
                 }
                 FabricError::AccessViolation { .. }
@@ -551,7 +543,7 @@ fn execute(
         mrs.load(dst_node, remote.rkey.0);
         let (dst_mr, off) = mrs.remote(dst, remote, payload.len(), Access::REMOTE_WRITE)?;
         dst_mr.dma_in(off, payload)?;
-        node.stats().bump(&node.stats().writes);
+        node.stats().writes.add(1);
         return Ok(payload.len());
     }
     match verb.wr.op {
@@ -563,14 +555,14 @@ fn execute(
                 && fabric.config.ud_drop_probability > 0.0
                 && rng.gen::<f64>() < fabric.config.ud_drop_probability
             {
-                node.stats().bump(&node.stats().ud_drops);
+                node.stats().ud_drops.add(1);
                 return Ok(local.len); // silently lost on the wire
             }
             let Some(recv) = dst_qp.pop_recv() else {
                 if is_ud {
                     // UD: no buffer means the datagram is dropped, sender
                     // still completes successfully.
-                    node.stats().bump(&node.stats().ud_drops);
+                    node.stats().ud_drops.add(1);
                     return Ok(local.len);
                 }
                 return Err(FabricError::NoReceiveBuffer);
@@ -580,7 +572,7 @@ fn execute(
             if recv.local.len < need {
                 deliver_recv_error(dst_qp, &recv);
                 if is_ud {
-                    node.stats().bump(&node.stats().ud_drops);
+                    node.stats().ud_drops.add(1);
                     return Ok(local.len);
                 }
                 return Err(FabricError::ReceiveBufferTooSmall {
@@ -611,7 +603,7 @@ fn execute(
                 src: if is_ud { Some((src, qp.qpn())) } else { None },
                 qpn: dst_qpn,
             });
-            node.stats().bump(&node.stats().sends);
+            node.stats().sends.add(1);
             Ok(local.len)
         }
         SendOp::Write { local, remote } => {
@@ -620,7 +612,7 @@ fn execute(
             let (src_mr, src_off) = mrs.local(src, local)?;
             let (dst_mr, off) = mrs.remote(dst, remote, local.len, Access::REMOTE_WRITE)?;
             src_mr.dma_to(src_off, dst_mr, off, local.len)?;
-            node.stats().bump(&node.stats().writes);
+            node.stats().writes.add(1);
             Ok(local.len)
         }
         SendOp::WriteImm { local, remote, imm } => {
@@ -640,7 +632,7 @@ fn execute(
                 src: None,
                 qpn: dst_qpn,
             });
-            node.stats().bump(&node.stats().writes);
+            node.stats().writes.add(1);
             Ok(local.len)
         }
         SendOp::Read { local, remote } => {
@@ -649,7 +641,7 @@ fn execute(
             let (src_mr, src_off) = mrs.remote(dst, remote, local.len, Access::REMOTE_READ)?;
             let (loc_mr, loc_off) = mrs.local(src, local)?;
             src_mr.dma_to(src_off, loc_mr, loc_off, local.len)?;
-            node.stats().bump(&node.stats().reads);
+            node.stats().reads.add(1);
             Ok(local.len)
         }
         SendOp::FetchAdd { local, remote, add } => {
@@ -657,7 +649,7 @@ fn execute(
             let (dst_mr, off) = mrs.remote(dst, remote, 8, Access::REMOTE_ATOMIC)?;
             let old = dst_mr.fetch_add_u64(off, add)?;
             write_local(mrs, node, local, &old.to_le_bytes())?;
-            node.stats().bump(&node.stats().atomics);
+            node.stats().atomics.add(1);
             Ok(8)
         }
         SendOp::CmpSwap {
@@ -670,7 +662,7 @@ fn execute(
             let (dst_mr, off) = mrs.remote(dst, remote, 8, Access::REMOTE_ATOMIC)?;
             let old = dst_mr.cmp_swap_u64(off, expect, swap)?;
             write_local(mrs, node, local, &old.to_le_bytes())?;
-            node.stats().bump(&node.stats().atomics);
+            node.stats().atomics.add(1);
             Ok(8)
         }
     }

@@ -16,9 +16,9 @@
 //! [`Node::release_qp`](crate::Node::release_qp)): the free list is a
 //! `Vec` preallocated to `capacity` and never grown past it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use flock_sync::Counter;
 use parking_lot::Mutex;
 
 use crate::qp::Qp;
@@ -42,27 +42,21 @@ impl Default for QpPoolConfig {
     }
 }
 
-/// Pool counters (atomically updated; `Relaxed` — statistics only).
+/// Pool counters (statistics only).
 #[derive(Debug, Default)]
 pub struct QpPoolStats {
     /// Total leases served.
-    pub leases: AtomicU64,
+    pub leases: Counter,
     /// Leases served from the free list (reset + rebind, no creation).
-    pub warm: AtomicU64,
+    pub warm: Counter,
     /// Leases that fell through to a cold `create_qp`.
-    pub cold: AtomicU64,
+    pub cold: Counter,
     /// QPs released back into the pool.
-    pub recycled: AtomicU64,
+    pub recycled: Counter,
     /// Releases that found the pool full (QP destroyed instead).
-    pub discarded: AtomicU64,
+    pub discarded: Counter,
     /// QPs cold-created into the pool by [`Node::prewarm_qps`](crate::Node::prewarm_qps).
-    pub refilled: AtomicU64,
-}
-
-impl QpPoolStats {
-    pub(crate) fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+    pub refilled: Counter,
 }
 
 /// A LIFO free list of reset queue pairs.

@@ -325,13 +325,7 @@ fn ud_without_recv_buffer_drops_silently() {
     let c = p.ccq.wait_one(TIMEOUT).unwrap();
     assert!(c.is_ok());
     assert!(p.scq.wait_one(Duration::from_millis(50)).is_none());
-    assert_eq!(
-        p.client
-            .stats()
-            .ud_drops
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(p.client.stats().ud_drops.get(), 1);
 }
 
 #[test]
@@ -869,7 +863,7 @@ fn warm_lease_recycles_the_same_qp() {
     let cq1 = node.create_cq(16);
     let qp = node.lease_qp(Transport::Rc, &cq1, &cq1);
     let qpn = qp.qpn();
-    assert_eq!(node.pool().stats().cold.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(node.pool().stats().cold.get(), 1);
     node.release_qp(&qp);
     assert_eq!(node.pool().len(), 1);
     drop(qp);
@@ -878,7 +872,7 @@ fn warm_lease_recycles_the_same_qp() {
     assert_eq!(qp2.qpn(), qpn, "pool recycles the QP, preserving its QPN");
     assert_eq!(qp2.state(), QpState::Init);
     assert!(qp2.remote().is_none());
-    assert_eq!(node.pool().stats().warm.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(node.pool().stats().warm.get(), 1);
     // The recycled QP is rebound to the new lessee's CQ.
     assert!(std::sync::Arc::ptr_eq(&qp2.send_cq(), &cq2));
 }
@@ -946,10 +940,7 @@ fn pool_capacity_bounds_recycling() {
         node.release_qp(qp);
     }
     assert_eq!(node.pool().len(), 8);
-    assert_eq!(
-        node.pool().stats().discarded.load(std::sync::atomic::Ordering::Relaxed),
-        4
-    );
+    assert_eq!(node.pool().stats().discarded.get(), 4);
 }
 
 #[test]
@@ -960,7 +951,7 @@ fn prewarm_and_refill_counters() {
     assert_eq!(node.pool().len(), 4);
     let cq = node.create_cq(16);
     let qp = node.lease_qp(Transport::Rc, &cq, &cq);
-    assert_eq!(node.pool().stats().warm.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(node.pool().stats().warm.get(), 1);
     node.release_qp(&qp);
 }
 

@@ -1,7 +1,6 @@
 //! The two-layer index: data layer + asynchronously updated search layer.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -33,15 +32,27 @@ impl Default for HydraConfig {
 struct DataNode {
     /// Sorted `(key, value)` entries.
     entries: Vec<(u64, u64)>,
+    /// Arena index of the successor ([`NIL`] at the tail). Only a split
+    /// of this node changes it, under this node's lock.
+    next: usize,
 }
 
-/// Arena slot: the node payload under its own lock, plus lock-free
-/// navigation fields readable without the lock.
+/// Arena slot: the node under its own lock, and the smallest key it may
+/// hold. Nodes never merge, so `min_key` is fixed at construction; the
+/// arena's lock publishes it with the slot.
 #[derive(Debug)]
 struct Slot {
+    min_key: u64,
     node: Mutex<DataNode>,
-    min_key: AtomicU64,
-    next: AtomicUsize,
+}
+
+impl Slot {
+    fn new(min_key: u64, entries: Vec<(u64, u64)>, next: usize) -> Arc<Slot> {
+        Arc::new(Slot {
+            min_key,
+            node: Mutex::new(DataNode { entries, next }),
+        })
+    }
 }
 
 /// [`HydraList::export_node`]'s snapshot: `(min_key, next, entries)`,
@@ -50,6 +61,14 @@ pub(crate) type NodeSnapshot = (u64, Option<usize>, Vec<(u64, u64)>);
 
 /// The HydraList-style ordered index. Keys and values are `u64` (the
 /// paper's workload uses 8-byte keys and values).
+///
+/// The data layer is a chain of nodes, each owning the keys from its
+/// `min_key` up to its successor's. Its links live under the node locks:
+/// an operation walks the chain one locked node at a time and works on
+/// the node that owns its key while still holding that node's lock, so
+/// no split can move the key away in between. Lock order: a node, then
+/// the arena, `pending` and the search layer (a split takes all three);
+/// no code path holds two node locks at once.
 #[derive(Debug)]
 pub struct HydraList {
     cfg: HydraConfig,
@@ -60,7 +79,6 @@ pub struct HydraList {
     search: RwLock<BTreeMap<u64, usize>>,
     /// Search-layer updates not yet applied (async mode).
     pending: Mutex<Vec<(u64, usize)>>,
-    len: AtomicUsize,
 }
 
 impl Default for HydraList {
@@ -73,27 +91,24 @@ impl HydraList {
     /// Create an empty index.
     pub fn new(cfg: HydraConfig) -> HydraList {
         assert!(cfg.node_capacity >= 2);
-        let arena = vec![Arc::new(Slot {
-            node: Mutex::new(DataNode {
-                entries: Vec::new(),
-            }),
-            min_key: AtomicU64::new(0),
-            next: AtomicUsize::new(NIL),
-        })];
         let mut search = BTreeMap::new();
         search.insert(0u64, 0usize);
         HydraList {
             cfg,
-            arena: RwLock::new(arena),
+            arena: RwLock::new(vec![Slot::new(0, Vec::new(), NIL)]),
             search: RwLock::new(search),
             pending: Mutex::new(Vec::new()),
-            len: AtomicUsize::new(0),
         }
     }
 
-    /// Number of live entries.
+    /// Number of live entries: the sum over the data nodes, each read
+    /// under its lock. Exact when no writer runs concurrently.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        let slots = self.arena.read().clone();
+        slots
+            .iter()
+            .map(|slot| slot.node.lock().entries.len())
+            .sum()
     }
 
     /// Whether the index holds no entries.
@@ -134,11 +149,14 @@ impl HydraList {
         Arc::clone(&self.arena.read()[idx])
     }
 
-    /// Locate the data node that may hold `key`: search layer first, then
-    /// forward-walk in the data layer to repair staleness. Returns
-    /// `(index, slot)`.
-    fn locate(&self, key: u64) -> (usize, Arc<Slot>) {
-        let start = {
+    /// Run `f` on the data node that owns `key`, under its lock, with its
+    /// arena index. The search layer names a node at or before the owner
+    /// (possibly stale); the walk forward from there locks one node at a
+    /// time and moves on while the successor's `min_key` is still `<=
+    /// key`. A node's `min_key` never changes, so a node passed stays
+    /// passed; the node it stops at cannot split while it is held.
+    fn with_node<R>(&self, key: u64, f: impl FnOnce(usize, &mut DataNode) -> R) -> R {
+        let mut idx = {
             let search = self.search.read();
             search
                 .range(..=key)
@@ -146,20 +164,13 @@ impl HydraList {
                 .map(|(_, &idx)| idx)
                 .unwrap_or(0)
         };
-        let mut idx = start;
-        let mut slot = self.slot(idx);
         loop {
-            let next = slot.next.load(Ordering::Acquire);
-            if next == NIL {
-                return (idx, slot);
+            let slot = self.slot(idx);
+            let mut node = slot.node.lock();
+            if node.next == NIL || self.arena.read()[node.next].min_key > key {
+                return f(idx, &mut node);
             }
-            let next_slot = self.slot(next);
-            if next_slot.min_key.load(Ordering::Acquire) <= key {
-                idx = next;
-                slot = next_slot;
-            } else {
-                return (idx, slot);
-            }
+            idx = node.next;
         }
     }
 
@@ -179,80 +190,51 @@ impl HydraList {
         value: u64,
         touched: &mut dyn FnMut(usize),
     ) -> Option<u64> {
-        loop {
-            let (idx, slot) = self.locate(key);
-            let mut node = slot.node.lock();
-            // Re-check under the lock: a concurrent split may have moved
-            // our key range to a successor.
-            let next = slot.next.load(Ordering::Acquire);
-            if next != NIL && self.slot(next).min_key.load(Ordering::Acquire) <= key {
-                continue; // raced with a split; retry
-            }
-            match node.entries.binary_search_by_key(&key, |e| e.0) {
-                Ok(pos) => {
-                    let old = node.entries[pos].1;
-                    node.entries[pos].1 = value;
-                    touched(idx);
-                    return Some(old);
-                }
+        self.with_node(key, |idx, node| {
+            let old = match node.entries.binary_search_by_key(&key, |e| e.0) {
+                Ok(pos) => Some(std::mem::replace(&mut node.entries[pos].1, value)),
                 Err(pos) => {
                     node.entries.insert(pos, (key, value));
-                    self.len.fetch_add(1, Ordering::Relaxed);
                     if node.entries.len() > self.cfg.node_capacity {
-                        self.split(idx, &slot, &mut node, touched);
+                        self.split(node, touched);
                     }
-                    touched(idx);
-                    return None;
+                    None
                 }
-            }
-        }
+            };
+            touched(idx);
+            old
+        })
     }
 
     /// Snapshot one data node for export: `(min_key, next, entries)`,
-    /// with `next` as `None` at the tail. Navigation fields and payload
-    /// are read under the node lock, so the snapshot is internally
-    /// consistent (a concurrent split cannot interleave).
+    /// with `next` as `None` at the tail, read under the node lock, so
+    /// the snapshot is internally consistent (a concurrent split cannot
+    /// interleave).
     pub fn export_node(&self, idx: usize) -> Option<NodeSnapshot> {
         let slot = {
             let arena = self.arena.read();
             Arc::clone(arena.get(idx)?)
         };
         let node = slot.node.lock();
-        let next = slot.next.load(Ordering::Acquire);
         Some((
-            slot.min_key.load(Ordering::Acquire),
-            (next != NIL).then_some(next),
+            slot.min_key,
+            (node.next != NIL).then_some(node.next),
             node.entries.clone(),
         ))
     }
 
     /// Split a full node (whose lock is held): the upper half moves to a
-    /// new node appended to the arena; the search-layer update is queued.
-    fn split(
-        &self,
-        _idx: usize,
-        slot: &Arc<Slot>,
-        node: &mut DataNode,
-        touched: &mut dyn FnMut(usize),
-    ) {
-        let mid = node.entries.len() / 2;
-        let upper: Vec<(u64, u64)> = node.entries.split_off(mid);
+    /// new node appended to the arena and linked in after it; the
+    /// search-layer update is queued.
+    fn split(&self, node: &mut DataNode, touched: &mut dyn FnMut(usize)) {
+        let upper = node.entries.split_off(node.entries.len() / 2);
         let split_key = upper[0].0;
         let new_idx = {
-            // The node mutex is held but the arena lock is not, so taking
-            // the write lock here cannot deadlock.
             let mut arena = self.arena.write();
-            let old_next = slot.next.load(Ordering::Acquire);
-            arena.push(Arc::new(Slot {
-                node: Mutex::new(DataNode { entries: upper }),
-                min_key: AtomicU64::new(split_key),
-                next: AtomicUsize::new(old_next),
-            }));
-            let new_idx = arena.len() - 1;
-            // Publish the new node *after* it is fully initialized.
-            slot.next.store(new_idx, Ordering::Release);
-            new_idx
+            arena.push(Slot::new(split_key, upper, node.next));
+            arena.len() - 1
         };
+        node.next = new_idx;
         touched(new_idx);
         self.pending.lock().push((split_key, new_idx));
         if self.cfg.sync_search_updates {
@@ -262,70 +244,37 @@ impl HydraList {
 
     /// Point lookup.
     pub fn get(&self, key: u64) -> Option<u64> {
-        loop {
-            let (_, slot) = self.locate(key);
-            let node = slot.node.lock();
-            // Re-check under the lock: a concurrent split may have moved
-            // this key's range to a successor between locate and lock.
-            let next = slot.next.load(Ordering::Acquire);
-            if next != NIL && self.slot(next).min_key.load(Ordering::Acquire) <= key {
-                continue;
-            }
-            return node
-                .entries
-                .binary_search_by_key(&key, |e| e.0)
-                .ok()
-                .map(|pos| node.entries[pos].1);
-        }
+        self.with_node(key, |_, node| {
+            let pos = node.entries.binary_search_by_key(&key, |e| e.0).ok()?;
+            Some(node.entries[pos].1)
+        })
     }
 
-    /// Scan `count` entries starting at the first key `>= start`.
+    /// Scan `count` entries starting at the first key `>= start`, one
+    /// locked node at a time. A split of a node not yet reached leaves
+    /// its upper half on the chain ahead, so every key present for the
+    /// whole scan is returned, in increasing order.
     pub fn scan(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
+        let take = |node: &DataNode, out: &mut Vec<(u64, u64)>| {
+            let from = node.entries.partition_point(|e| e.0 < start);
+            let room = count - out.len();
+            out.extend(node.entries[from..].iter().take(room));
+            node.next
+        };
         let mut out = Vec::with_capacity(count);
-        let (_, mut slot) = self.locate(start);
-        loop {
-            let next = {
-                let node = slot.node.lock();
-                let from = node
-                    .entries
-                    .binary_search_by_key(&start, |e| e.0)
-                    .unwrap_or_else(|p| p);
-                for &(k, v) in &node.entries[from..] {
-                    if out.len() == count {
-                        return out;
-                    }
-                    if k >= start {
-                        out.push((k, v));
-                    }
-                }
-                slot.next.load(Ordering::Acquire)
-            };
-            if out.len() == count || next == NIL {
-                return out;
-            }
-            slot = self.slot(next);
+        let mut next = self.with_node(start, |_, node| take(node, &mut out));
+        while out.len() < count && next != NIL {
+            next = take(&self.slot(next).node.lock(), &mut out);
         }
+        out
     }
 
     /// Remove `key`; returns its value if present.
     pub fn remove(&self, key: u64) -> Option<u64> {
-        loop {
-            let (_, slot) = self.locate(key);
-            let mut node = slot.node.lock();
-            // Same split re-check as `get`.
-            let next = slot.next.load(Ordering::Acquire);
-            if next != NIL && self.slot(next).min_key.load(Ordering::Acquire) <= key {
-                continue;
-            }
-            return match node.entries.binary_search_by_key(&key, |e| e.0) {
-                Ok(pos) => {
-                    let (_, v) = node.entries.remove(pos);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    Some(v)
-                }
-                Err(_) => None,
-            };
-        }
+        self.with_node(key, |_, node| {
+            let pos = node.entries.binary_search_by_key(&key, |e| e.0).ok()?;
+            Some(node.entries.remove(pos).1)
+        })
     }
 }
 
@@ -514,12 +463,12 @@ mod tests {
             node_capacity: 8,
             sync_search_updates: false,
         }));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Dropping `stop` ends the updater.
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
         let updater = {
             let h = Arc::clone(&h);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while stopped.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
                     h.flush_search_updates();
                     std::thread::yield_now();
                 }
@@ -540,7 +489,7 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        drop(stop);
         updater.join().unwrap();
         assert_eq!(h.len(), 1200);
         assert_eq!(h.pending_search_updates(), 0);
@@ -576,5 +525,87 @@ mod tests {
         let all = h.scan(0, 2000);
         assert_eq!(all.len(), 2000);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn readers_racing_splits_see_every_preloaded_key() {
+        // Every 16th key (all even) is there from the start; writers
+        // fill in the odd keys between them in a scattered order, so
+        // every node splits several times under the readers' feet. A
+        // lookup that lands on a node whose range a split just moved on,
+        // or a scan that loses a node's upper half, misses a preloaded
+        // key. A lookup that picks its node before locking it and does
+        // not re-check under the lock fails a round only now and then,
+        // eight rounds nearly always.
+        for _ in 0..8 {
+            readers_race_splits(16, 1_024);
+        }
+    }
+
+    fn readers_race_splits(stride: u64, preloaded: u64) {
+        let odds = preloaded * stride / 2;
+        let h = HydraList::new(HydraConfig {
+            node_capacity: 8,
+            sync_search_updates: true,
+        });
+        for k in (0..preloaded).rev() {
+            h.insert(k * stride, k);
+        }
+        let nodes_before = h.node_count();
+        let writers_done = std::sync::OnceLock::new();
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2u64)
+                .map(|r| {
+                    let (h, writers_done) = (&h, &writers_done);
+                    s.spawn(move || loop {
+                        let last = writers_done.get().is_some();
+                        for k in 0..preloaded {
+                            assert_eq!(h.get(k * stride), Some(k), "key {} lost", k * stride);
+                        }
+                        for start in (r..preloaded * stride).step_by(97) {
+                            let out = h.scan(start, 32);
+                            assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "scan from {start}");
+                            let Some(&(end, _)) = out.last() else {
+                                continue;
+                            };
+                            let kept = out.iter().map(|e| e.0).filter(|k| k % stride == 0);
+                            let first = start.next_multiple_of(stride);
+                            assert!(
+                                kept.eq((first..=end).step_by(stride as usize)),
+                                "scan from {start} skipped a preloaded key"
+                            );
+                        }
+                        if last {
+                            break;
+                        }
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..2u64)
+                .map(|w| {
+                    let h = &h;
+                    s.spawn(move || {
+                        for i in (w..odds).step_by(2) {
+                            // 7919 is prime to `odds`, a power of two.
+                            let odd = 2 * (i * 7_919 % odds) + 1;
+                            assert_eq!(h.insert(odd, odd), None);
+                        }
+                    })
+                })
+                .collect();
+            for t in writers {
+                t.join().unwrap();
+            }
+            writers_done.set(()).unwrap();
+            for t in readers {
+                t.join().unwrap();
+            }
+        });
+        assert!(h.node_count() >= 4 * nodes_before, "too few splits");
+        let keys = preloaded + odds;
+        assert_eq!(h.len(), keys as usize);
+        let all = h.scan(0, keys as usize + 1);
+        let expected = (0..preloaded * stride).filter(|k| k % 2 == 1 || k % stride == 0);
+        assert!(all.iter().map(|e| e.0).eq(expected));
     }
 }

@@ -1199,7 +1199,7 @@ mod tests {
     fn runs_are_deterministic() {
         fn run_once() -> (Vec<u64>, u64) {
             let log = Arc::new(Mutex::new(Vec::new()));
-            let counter = Arc::new(AtomicU64::new(0));
+            let counter = Arc::new(flock_sync::Counter::default());
             let report = VirtualLab::run_report({
                 let log = log.clone();
                 move || {
@@ -1210,7 +1210,7 @@ mod tests {
                             clock::spawn(&format!("w{i}"), move || {
                                 for _ in 0..20 {
                                     clock::sleep_ns(37 + i * 13);
-                                    let v = counter.fetch_add(1, Ordering::Relaxed);
+                                    let v = counter.add(1);
                                     log.lock().unwrap().push(v * 1_000_000 + clock::now_ns());
                                 }
                             })

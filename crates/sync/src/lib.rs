@@ -2,7 +2,7 @@
 //! `cfg(loom)`.
 //!
 //! The lock-free modules of `flock-core` (`tcq`, `ring`, `credit`,
-//! `sched::qp`) and `lockshare` in `flock-baselines` import their atomics,
+//! `alock`) and `lockshare` in `flock-baselines` import their atomics,
 //! threads, and unsafe cells from this crate instead of `std` directly.
 //! A normal build resolves to the real `std` types with zero overhead.
 //! Building with `RUSTFLAGS="--cfg loom"` swaps in the `loom` model
@@ -10,10 +10,12 @@
 //! exhaustively explore thread interleavings of the lock-free protocols
 //! (see DESIGN.md, "Memory ordering and verification", and `cargo loom`).
 //!
-//! This crate sits below `flock-fabric` in the dependency graph (the
-//! facade started life as `flock_core::sync`, which still re-exports it
-//! for compatibility), because its [`clock`] seam is what every layer,
-//! the fabric's NIC lanes included, waits and sleeps through.
+//! This crate sits below `flock-fabric` in the dependency graph, because
+//! its [`clock`] seam is what every layer, the fabric's NIC lanes
+//! included, waits and sleeps through. Two small types stay `std`
+//! atomics under loom, because nothing synchronizes through them: a
+//! stop flag is a [`Stop`], and a stats counter or id allocator is a
+//! [`Counter`].
 //!
 //! Three deliberate API choices keep the two worlds identical:
 //!
@@ -199,6 +201,59 @@ impl Stop {
     #[inline]
     pub fn is_set(&self) -> bool {
         self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+/// A count that only counts: a stats counter or an id allocator.
+///
+/// Nothing synchronizes through it, so every access is `Relaxed`: a
+/// stats read may lag the bumps of other threads, an id from
+/// [`Counter::add`] is unique and nothing more. A value another thread
+/// must *see* goes through a protocol with an ordering of its own, not
+/// through a `Counter`. Like [`Stop`], it is a `std` atomic under loom
+/// too, so counting adds no schedule points to a model.
+#[derive(Default)]
+pub struct Counter(std::sync::atomic::AtomicU64);
+
+impl Counter {
+    /// A counter at `start` (an id allocator that never hands out 0
+    /// starts at 1).
+    pub const fn new(start: u64) -> Counter {
+        Counter(std::sync::atomic::AtomicU64::new(start))
+    }
+
+    /// Add `n` and return the value before it: the first of the `n` ids
+    /// this call allocated.
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Return the count and start again from 0 (a telemetry window).
+    #[inline]
+    pub fn take(&self) -> u64 {
+        self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// [`Counter::get`] under the spelling of the `AtomicU64` the stats
+    /// fields used to be: `benchmark/src/adapter.rs` reads its counters
+    /// as `.load(Relaxed)`. `clippy.toml` keeps every other caller out.
+    #[doc(hidden)]
+    #[inline]
+    pub fn load(&self, _: std::sync::atomic::Ordering) -> u64 {
+        self.get()
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.get(), f)
     }
 }
 
@@ -462,6 +517,29 @@ mod tests {
         let (stop, event) = &*shared;
         stop.set([event]);
         assert_eq!(waiter.join().unwrap(), Some(()));
+    }
+
+    #[test]
+    fn a_counter_shared_by_threads_loses_no_add_and_repeats_no_id() {
+        const THREADS: u64 = 4;
+        const ADDS: u64 = 10_000;
+        let counter = Arc::new(Counter::new(1));
+        let ids: Vec<Vec<u64>> = (0..THREADS)
+            .map(|_| {
+                let counter = Arc::clone(&counter);
+                std::thread::spawn(move || (0..ADDS).map(|_| counter.add(1)).collect())
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect();
+        assert_eq!(counter.get(), 1 + THREADS * ADDS);
+        let mut all: Vec<u64> = ids.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (1..=THREADS * ADDS).collect::<Vec<_>>());
+        assert_eq!(counter.take(), 1 + THREADS * ADDS);
+        assert_eq!(counter.get(), 0);
+        assert_eq!(format!("{counter:?}"), "0");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! validation.
 
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use flock_core::onesided::LOCK_BIT;
 use flock_core::server::FlockServer;
 use flock_fabric::types::KeyHasher;
 use flock_fabric::MemoryRegion;
+use flock_sync::Counter;
 
 use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
 
@@ -53,7 +53,7 @@ pub struct TxnServer {
     backups: Table,
     version_mr: Arc<MemoryRegion>,
     /// The next unassigned slot.
-    next_slot: AtomicU32,
+    next_slot: Counter,
     /// Slots `version_mr` holds.
     slots: u32,
 }
@@ -68,7 +68,7 @@ impl TxnServer {
             primary: Table::new(),
             backups: Table::new(),
             version_mr,
-            next_slot: AtomicU32::new(0),
+            next_slot: Counter::default(),
             slots,
         })
     }
@@ -81,11 +81,10 @@ impl TxnServer {
             self.update_word(slot, |w| ((w & !LOCK_BIT) + 1) | (w & LOCK_BIT));
             return;
         }
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.slots,
-            "version table exhausted; size the region for the key count"
-        );
+        let slot = u32::try_from(self.next_slot.add(1))
+            .ok()
+            .filter(|&slot| slot < self.slots)
+            .expect("version table exhausted; size the region for the key count");
         s.insert(key, slot, value);
         self.update_word(slot, |_| 1);
     }

@@ -524,15 +524,7 @@ fn smallbank_aftermath(pipelined: bool) -> Aftermath {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let requests = c
-        .servers
-        .iter()
-        .map(|s| {
-            s.stats()
-                .requests
-                .load(std::sync::atomic::Ordering::Relaxed)
-        })
-        .collect();
+    let requests = c.servers.iter().map(|s| s.stats().requests.get()).collect();
     teardown(c);
     (copies, counts, requests)
 }

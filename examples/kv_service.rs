@@ -103,14 +103,8 @@ fn main() {
     );
     println!(
         "server saw {} requests in {} messages (coalescing degree {:.2})",
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed),
-        server
-            .stats()
-            .messages
-            .load(std::sync::atomic::Ordering::Relaxed),
+        server.stats().requests.get(),
+        server.stats().messages.get(),
         server.stats().mean_coalescing_degree()
     );
     for h in &handles {

@@ -60,14 +60,8 @@ fn main() {
 
     println!(
         "server processed {} requests in {} coalesced messages (mean degree {:.2})",
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed),
-        server
-            .stats()
-            .messages
-            .load(std::sync::atomic::Ordering::Relaxed),
+        server.stats().requests.get(),
+        server.stats().messages.get(),
         server.stats().mean_coalescing_degree(),
     );
     server.shutdown(&domain);

@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --release --example worker_pool`
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +16,7 @@ use flock_repro::core::api::{fl_connect, fl_recv_rpc, fl_send_res};
 use flock_repro::core::client::HandleConfig;
 use flock_repro::core::server::{FlockServer, ServerConfig};
 use flock_repro::core::FlockDomain;
+use flock_sync::Counter;
 
 const RPC_CHECKSUM: u32 = 7;
 const N_WORKERS: usize = 4;
@@ -41,7 +41,7 @@ fn main() {
     ));
     // No handler registered for RPC_CHECKSUM: requests flow to the manual
     // queue that the worker pool drains.
-    let served = Arc::new(AtomicU64::new(0));
+    let served = Arc::new(Counter::default());
     let mut workers = Vec::new();
     for w in 0..N_WORKERS {
         let server = Arc::clone(&server);
@@ -55,10 +55,10 @@ fn main() {
                         let sum = fnv1a(&req.data);
                         fl_send_res(&server, req.token, &sum.to_le_bytes()).unwrap();
                         handled += 1;
-                        served.fetch_add(1, Ordering::Relaxed);
+                        served.add(1);
                     }
                     // Idle timeout after the clients are done: exit.
-                    None if served.load(Ordering::Relaxed) >= 600 => break,
+                    None if served.get() >= 600 => break,
                     None => continue,
                 }
             }
@@ -94,7 +94,7 @@ fn main() {
     }
     println!(
         "worker pool served {} checksums over the manual fl_recv_rpc / fl_send_res API",
-        served.load(Ordering::Relaxed)
+        served.get()
     );
     server.shutdown(&domain);
 }

@@ -239,8 +239,8 @@ fn simulation_is_deterministic_end_to_end() {
 /// broken inline driver.
 #[test]
 fn echo_under_the_lab_matches_the_thread_driven_reference() {
-    use flock_repro::core::sync::clock;
     use flock_repro::sim::vtime::VirtualLab;
+    use flock_sync::clock;
 
     const THREADS: usize = 4;
     const CALLS: u8 = 25;
