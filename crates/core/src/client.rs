@@ -4,7 +4,6 @@
 //! (§6).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -167,7 +166,7 @@ struct MemSlots {
 }
 
 /// A point-in-time snapshot of one QP lane's counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QpMetrics {
     /// Coalesced messages sent on the lane.
     pub messages: u64,
@@ -227,20 +226,30 @@ struct Inbox {
     abandoned: Vec<u64>,
 }
 
+/// Where a thread sends and what Algorithm 1 knows of its load (paper
+/// §5.2), under one lock: the owner migrates and records, the scheduling
+/// pass reads the window and writes `target`. Never held across a wait.
+struct Placement {
+    /// The lane the thread sends on.
+    current: usize,
+    /// The lane the last scheduling pass picked; adopted when idle.
+    target: usize,
+    /// Requests sent and not yet answered, abandoned or disconnected.
+    outstanding: u64,
+    // Load since the last periodic scheduling pass.
+    sizes: MedianWindow,
+    requests: u64,
+    bytes: u64,
+}
+
 /// Per-application-thread context.
 pub(crate) struct ThreadCtx {
     id: u32,
     next_seq: Counter,
-    outstanding: AtomicU64,
-    current_qp: AtomicUsize,
-    target_qp: AtomicUsize,
+    placement: Mutex<Placement>,
     inbox: Mutex<Inbox>,
     /// Signalled after every inbox insert and when the handle stops.
     inbox_event: Event,
-    // Stats for Algorithm 1 (since last scheduling interval).
-    req_sizes: Mutex<MedianWindow>,
-    bytes: Counter,
-    reqs: Counter,
     mem: Mutex<MemSlots>,
     /// Signalled after every published result, every release of scratch
     /// sub-slots and when the handle stops.
@@ -279,9 +288,6 @@ pub(crate) struct HandleInner {
     /// it — a virtual-time task must not.
     attach: Mutex<()>,
     threads: RwLock<Vec<Arc<ThreadCtx>>>,
-    /// Registered-thread count mirror of `threads.len()` (lock-free read
-    /// on the send hot path, see [`HandleInner::boarding_window`]).
-    thread_count: AtomicUsize,
     mem_regions: Vec<MemRegionInfo>,
     mem_mr: Arc<MemoryRegion>,
     mem_wr_seq: Counter,
@@ -300,9 +306,6 @@ pub(crate) struct HandleInner {
     /// charges are no-ops in threaded mode.
     cost: CostModel,
     stop: Stop,
-    /// Resources returned to the node's QP pool / MR cache (graceful
-    /// close); guards against double release.
-    released: AtomicBool,
 }
 
 impl HandleInner {
@@ -357,7 +360,7 @@ impl HandleInner {
     /// luck. Gated off for single-threaded handles and when coalescing
     /// is disabled, where the yield would be pure overhead.
     fn boarding_window(&self) {
-        if self.cfg.batch_limit > 1 && self.thread_count.load(Ordering::Relaxed) > 1 {
+        if self.cfg.batch_limit > 1 && self.threads.read().len() > 1 {
             // Under a virtual executor the yield hands the core to peer
             // client tasks at the same virtual instant — the combining
             // window the doorbell+DMA latency provides on hardware.
@@ -376,6 +379,9 @@ impl HandleInner {
 pub struct ConnectionHandle {
     inner: Arc<HandleInner>,
     dispatcher: Option<TaskHandle>,
+    /// Resources returned to the node's QP pool / MR cache by `close`;
+    /// a second `close` returns nothing.
+    released: bool,
 }
 
 /// A per-application-thread handle (cheap to clone is intentionally *not*
@@ -452,7 +458,6 @@ impl ConnectionHandle {
             lanes,
             attach: Mutex::new(()),
             threads: RwLock::new(Vec::new()),
-            thread_count: AtomicUsize::new(0),
             mem_regions: reply.memory_regions,
             mem_mr,
             mem_wr_seq: Counter::new(1),
@@ -462,7 +467,6 @@ impl ConnectionHandle {
             dispatch_event,
             cost: domain.fabric().config().cost.clone(),
             stop: Stop::new(),
-            released: AtomicBool::new(false),
         });
 
         let dispatcher = {
@@ -488,6 +492,7 @@ impl ConnectionHandle {
         Ok(ConnectionHandle {
             inner,
             dispatcher: Some(dispatcher),
+            released: false,
         })
     }
 
@@ -543,14 +548,16 @@ impl ConnectionHandle {
             let ctx = Arc::new(ThreadCtx {
                 id,
                 next_seq: Counter::new(1),
-                outstanding: AtomicU64::new(0),
-                current_qp: AtomicUsize::new(0),
-                target_qp: AtomicUsize::new(0),
+                placement: Mutex::new(Placement {
+                    current: 0,
+                    target: 0,
+                    outstanding: 0,
+                    sizes: MedianWindow::new(64),
+                    requests: 0,
+                    bytes: 0,
+                }),
                 inbox: Mutex::new(Inbox::default()),
                 inbox_event: Event::new(),
-                req_sizes: Mutex::new(MedianWindow::new(64)),
-                bytes: Counter::default(),
-                reqs: Counter::default(),
                 mem: Mutex::new(MemSlots {
                     pending: HashMap::new(),
                     results: HashMap::new(),
@@ -561,9 +568,6 @@ impl ConnectionHandle {
                 flush_scratch: Mutex::new(FlushScratch::default()),
             });
             threads.push(Arc::clone(&ctx));
-            self.inner
-                .thread_count
-                .store(threads.len(), Ordering::Relaxed);
             ctx
         };
         // Outside the `threads` lock: the attach blocks on a control-plane
@@ -587,8 +591,9 @@ impl ConnectionHandle {
                 wanted
             })
         };
-        ctx.current_qp.store(lane, Ordering::Relaxed);
-        ctx.target_qp.store(lane, Ordering::Relaxed);
+        let mut placement = ctx.placement.lock();
+        (placement.current, placement.target) = (lane, lane);
+        drop(placement);
         // Dedicated mem QP, best-effort like the lane attach above: a
         // thread that cannot get one falls back to the shared-lane TCQ
         // path for its one-sided ops.
@@ -643,15 +648,7 @@ impl ConnectionHandle {
                 active: q.residents.is_open(),
             })
             .collect();
-        per_qp.resize(
-            self.inner.cfg.n_qps,
-            QpMetrics {
-                messages: 0,
-                requests: 0,
-                credits: 0,
-                active: false,
-            },
-        );
+        per_qp.resize(self.inner.cfg.n_qps, QpMetrics::default());
         let messages: u64 = per_qp.iter().map(|q| q.messages).sum();
         let requests: u64 = per_qp.iter().map(|q| q.requests).sum();
         HandleMetrics {
@@ -704,7 +701,7 @@ impl ConnectionHandle {
         // Recycle: QPs back to the node's pool (reset, not destroyed),
         // rings and scratch back to the MR cache. Guarded so a second
         // `close` cannot double-insert into the pool.
-        if !self.inner.released.swap(true, Ordering::AcqRel) {
+        if !std::mem::replace(&mut self.released, true) {
             for lane in self.inner.lanes_live() {
                 lane.link.release(&self.inner.node);
             }
@@ -733,7 +730,7 @@ impl FlThread {
 
     /// The QP this thread currently sends on.
     pub fn current_qp(&self) -> usize {
-        self.ctx.current_qp.load(Ordering::Relaxed)
+        self.ctx.placement.lock().current
     }
 
     /// Send an RPC request (`fl_send_rpc`); returns the sequence number to
@@ -755,13 +752,14 @@ impl FlThread {
         if inner.stop.is_set() {
             return Err(FlockError::Disconnected);
         }
-        let qp_idx = self.migrate_if_idle();
-        let qp = inner.lane(qp_idx);
+        let qp = inner.lane(self.migrate_if_idle());
         let seq = self.ctx.next_seq.add(1);
-        self.ctx.outstanding.fetch_add(1, Ordering::Relaxed);
-        self.ctx.req_sizes.lock().record(payload.len() as u32);
-        self.ctx.bytes.add(payload.len() as u64);
-        self.ctx.reqs.add(1);
+        let mut placement = self.ctx.placement.lock();
+        placement.outstanding = placement.outstanding.wrapping_add(1);
+        placement.sizes.record(payload.len() as u32);
+        placement.requests += 1;
+        placement.bytes += payload.len() as u64;
+        drop(placement);
 
         let meta = EntryMeta {
             len: payload.len() as u32,
@@ -809,7 +807,8 @@ impl FlThread {
         });
         // Answered, abandoned or disconnected: no longer in flight, so
         // the thread may migrate again (`migrate_if_idle`).
-        self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
+        let mut placement = self.ctx.placement.lock();
+        placement.outstanding = placement.outstanding.wrapping_sub(1);
         res
     }
 
@@ -822,7 +821,8 @@ impl FlThread {
         let landed = self.ctx.inbox.lock().ready.remove(&seq);
         let res = landed.map(Ok).or_else(|| self.inner.disconnected())?;
         // Answered or disconnected: no longer in flight (see `recv_res`).
-        self.ctx.outstanding.fetch_sub(1, Ordering::Relaxed);
+        let mut placement = self.ctx.placement.lock();
+        placement.outstanding = placement.outstanding.wrapping_sub(1);
         Some(res)
     }
 
@@ -979,8 +979,7 @@ impl FlThread {
         } else {
             // Memory ops also coalesce through Flock synchronization (§6):
             // the leader links the batch's work requests into one doorbell.
-            let qp_idx = self.migrate_if_idle();
-            let qp = self.inner.lane(qp_idx);
+            let qp = self.inner.lane(self.migrate_if_idle());
             match qp
                 .tcq
                 .join_with(ClientReq::Mem(wr), || self.inner.boarding_window())
@@ -1120,13 +1119,9 @@ impl FlThread {
         }
         // Dedicated mem QP when configured; otherwise the thread's shared
         // RPC lane, whose doorbell the chain shares with coalesced traffic.
-        let lane;
-        let post_qp: &Arc<Qp> = match self.ctx.mem_qp.get() {
+        let post_qp = match self.ctx.mem_qp.get() {
             Some(q) => q,
-            None => {
-                lane = self.inner.lane(self.migrate_if_idle());
-                lane.link.qp()
-            }
+            None => self.inner.lane(self.migrate_if_idle()).link.qp(),
         };
         let base_seq = self.inner.mem_wr_seq.add(n as u64);
         // Fixed-size WR chain on the stack; indices past `n` duplicate
@@ -1203,20 +1198,22 @@ impl FlThread {
     /// never moves toward a lane the server has deactivated. The thread
     /// that empties a deactivated lane posts the lane's drained marker.
     fn migrate_if_idle(&self) -> usize {
-        let current = self.ctx.current_qp.load(Ordering::Relaxed);
-        let target = self.ctx.target_qp.load(Ordering::Relaxed);
-        if target != current
-            && self.ctx.outstanding.load(Ordering::Relaxed) == 0
-            && self.inner.lane(target).residents.enter_open()
+        let mut placement = self.ctx.placement.lock();
+        let (current, target) = (placement.current, placement.target);
+        if target == current
+            || placement.outstanding != 0
+            || !self.inner.lane(target).residents.enter_open()
         {
-            self.ctx.current_qp.store(target, Ordering::Relaxed);
-            let left = self.inner.lane(current);
-            if let Some(epoch) = left.residents.leave() {
-                post_drained_marker(&self.inner, left, epoch, true);
-            }
-            return target;
+            return current;
         }
-        current
+        placement.current = target;
+        // Unlocked: the marker may wait for ring space.
+        drop(placement);
+        let left = self.inner.lane(current);
+        if let Some(epoch) = left.residents.leave() {
+            post_drained_marker(&self.inner, left, epoch, true);
+        }
+        target
     }
 }
 
@@ -1737,7 +1734,7 @@ struct SchedScratch {
 }
 
 /// One scheduling pass (paper §5.2, Algorithm 1) over the lanes the
-/// server serves. The periodic pass starts a new `reqs`/`bytes` window;
+/// server serves. The periodic pass starts a new `requests`/`bytes` window;
 /// the pass run at a grant reads the running one and leaves it.
 /// With no open lane known nobody is re-targeted: threads stay where they
 /// are and their lanes keep draining.
@@ -1759,23 +1756,23 @@ fn run_thread_scheduling(inner: &HandleInner, scratch: &mut SchedScratch, new_wi
     if active.is_empty() || threads.is_empty() {
         return;
     }
-    let take = |counter: &Counter| {
-        if new_window {
-            counter.take()
-        } else {
-            counter.get()
-        }
-    };
     stats.clear();
-    stats.extend(threads.iter().map(|t| ThreadLoadStats {
-        thread_id: t.id,
-        median_req_size: t.req_sizes.lock().median_with(median),
-        requests: take(&t.reqs),
-        bytes: take(&t.bytes),
+    stats.extend(threads.iter().map(|t| {
+        let mut placement = t.placement.lock();
+        let load = ThreadLoadStats {
+            thread_id: t.id,
+            median_req_size: placement.sizes.median_with(median),
+            requests: placement.requests,
+            bytes: placement.bytes,
+        };
+        if new_window {
+            (placement.requests, placement.bytes) = (0, 0);
+        }
+        load
     }));
     for &(tid, rank) in assign_threads_into(stats, active.len(), assign) {
         if let Some(t) = threads.get(tid as usize) {
-            t.target_qp.store(active[rank], Ordering::Relaxed);
+            t.placement.lock().target = active[rank];
         }
     }
 }
@@ -1807,11 +1804,11 @@ mod tests {
 
             // RPC 5 has no handler: it sits in the manual queue unanswered.
             assert!(matches!(t.call(5, b"late"), Err(FlockError::Timeout)));
-            assert_eq!(t.ctx.outstanding.load(Ordering::Relaxed), 0);
+            assert_eq!(t.ctx.placement.lock().outstanding, 0);
 
             // Re-targeted, the idle thread adopts the new QP on its next send.
             let other = 1 - t.current_qp();
-            t.ctx.target_qp.store(other, Ordering::Relaxed);
+            t.ctx.placement.lock().target = other;
             assert_eq!(&t.call(6, b"on time").unwrap()[..], b"on time");
             assert_eq!(t.current_qp(), other);
 

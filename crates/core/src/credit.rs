@@ -211,10 +211,10 @@ pub enum SendPhase {
     Drained,
 }
 
-/// Client side of the hand-off: how many threads send on the lane
-/// (`current_qp`), and what the lane owes the server, in one word — so
-/// that "the last resident left a deactivated lane" has exactly one
-/// observer, who posts the marker.
+/// Client side of the hand-off: how many threads send on the lane (it
+/// is their placement's `current`), and what the lane owes the server,
+/// in one word — so that "the last resident left a deactivated lane"
+/// has exactly one observer, who posts the marker.
 ///
 /// Phases: *open* (the server grants credits), *draining* (a zero grant
 /// of the recorded epoch arrived, the marker is owed) and *drained* (the

@@ -24,8 +24,6 @@
 //! on lane 1, against `max_aqp = 2` and one dispatch shard; the first
 //! has a third lane, which starts outside the budget.
 
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -320,7 +318,7 @@ fn cap_run(leave_at: Option<u64>, lift_cap: bool) -> CapRun {
     let start = rig.t0 + 10_000;
     let end = rig.t0 + 3 * INTERVAL_NS + 80_000;
     // When the second redistribution took lane 1's slot (0: not yet).
-    let decided_at = Arc::new(AtomicU64::new(0));
+    let decided_at = Arc::new(parking_lot::Mutex::new(0));
 
     let steady = {
         let rig = Arc::clone(&rig);
@@ -355,7 +353,7 @@ fn cap_run(leave_at: Option<u64>, lift_cap: bool) -> CapRun {
             let mut in_flight = send(k);
             while clock::now_ns() < end {
                 clock::sleep_ns(4_000);
-                let decided_at = Some(decided_at.load(Relaxed)).filter(|&at| at > 0);
+                let decided_at = Some(*decided_at.lock()).filter(|&at| at > 0);
                 let leave = leave_at.zip(decided_at).map(|(after, at)| at + after);
                 if !left && leave.is_some_and(|at| clock::now_ns() + 4_000 > at) {
                     // Drain the pipeline, then send with nothing
@@ -384,7 +382,7 @@ fn cap_run(leave_at: Option<u64>, lift_cap: bool) -> CapRun {
     while !rig.deactivated() {
         clock::sleep_ns(100);
     }
-    decided_at.store(clock::now_ns(), Relaxed);
+    *decided_at.lock() = clock::now_ns();
     if lift_cap {
         rig.server.clear_tenant_cap(0);
     }

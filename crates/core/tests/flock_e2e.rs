@@ -721,7 +721,12 @@ fn a_handler_registered_mid_traffic_answers_the_next_call() {
 
 #[test]
 fn close_is_idempotent_and_server_survives() {
-    let domain = FlockDomain::with_defaults();
+    use flock_fabric::FabricConfig;
+    // Pools on, so a release that happened twice would show in them.
+    let mut fc = FabricConfig::default();
+    fc.qpool.enabled = true;
+    fc.mr_cache.enabled = true;
+    let domain = FlockDomain::new(fc);
     let server = echo_server(&domain, "s-idem", ServerConfig::default());
     let client = domain.add_node("c-idem");
     let other = domain.add_node("c-idem-2");
@@ -733,8 +738,14 @@ fn close_is_idempotent_and_server_survives() {
     assert_eq!(gt.call(1, b"bye").unwrap(), b"echo:bye");
     drop(gt);
     assert!(goner.close().is_ok());
-    // Second close is a no-op (already stopped), not a panic or hang.
+    // Second close is a no-op (already stopped), not a panic or hang,
+    // and returns nothing to the pool or the MR cache a second time.
+    let released = (other.pool().len(), other.mr_cache().lock().len());
     let _ = goner.close();
+    assert_eq!(
+        (other.pool().len(), other.mr_cache().lock().len()),
+        released
+    );
 
     // The surviving connection is unaffected by its neighbour's detach.
     for i in 0..10u32 {

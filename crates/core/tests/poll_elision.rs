@@ -42,7 +42,6 @@
 //! all, so the same comparison checks the lab's inline driver and its
 //! stack switching.
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,7 +51,7 @@ use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::{FlockDomain, FlockError};
 use flock_fabric::FabricConfig;
 use flock_sim::vtime::{LabReport, VirtualLab};
-use flock_sync::clock;
+use flock_sync::{clock, Stop};
 use parking_lot::Mutex;
 
 const RPC_ECHO: u32 = 1;
@@ -455,7 +454,7 @@ fn responses_overrunning_the_response_ring_are_deferred_and_all_arrive() {
         let (domain, server, mut handle) = small_ring_pair("pe-full", Duration::from_millis(10));
         server.reg_handler(RPC_ECHO, |req| req.to_vec());
         let threads = Arc::new([handle.register_thread(), handle.register_thread()]);
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let done = Arc::new(Stop::new());
         clock::flush_charge(); // set-up cost is not part of the scenario
         let mut out = on_tasks(2, move |i| {
             let t = &threads[i];
@@ -464,7 +463,7 @@ fn responses_overrunning_the_response_ring_are_deferred_and_all_arrive() {
                 // The server learns that the client has freed ring space
                 // from the next request only: a one-byte call every few
                 // microseconds keeps telling it.
-                while !done.load(Relaxed) {
+                while !done.is_set() {
                     assert_eq!(&t.call(RPC_ECHO, b"b").expect("beat")[..], b"b");
                     times.push(clock::now_ns());
                     clock::sleep_ns(2_000);
@@ -489,7 +488,8 @@ fn responses_overrunning_the_response_ring_are_deferred_and_all_arrive() {
                     inflight.push_back((tag, seq));
                 }
             }
-            done.store(true, Relaxed);
+            // The beat polls the flag between calls: nobody waits on it.
+            done.set([]);
             times
         });
         let s = server.stats();

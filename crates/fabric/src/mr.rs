@@ -563,7 +563,7 @@ impl MemoryRegion {
 }
 
 /// Per-node registry of memory regions: MTT + MPT.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MrTable {
     /// By key: a region's lkey and rkey are the same number.
     regions: RwLock<KeyMap<u32, Arc<MemoryRegion>>>,
@@ -572,6 +572,12 @@ pub struct MrTable {
     /// The fabric's table generation, bumped by every register and
     /// deregister.
     tables: Arc<AtomicU64>,
+}
+
+impl Default for MrTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MrTable {
@@ -658,6 +664,15 @@ mod tests {
         assert!(!rw.allows(Access::REMOTE_ATOMIC));
         assert!(Access::REMOTE_ALL.allows(rw));
         assert!(rw.allows(Access::LOCAL));
+    }
+
+    #[test]
+    fn a_default_table_starts_where_a_new_one_does() {
+        let mr = MrTable::default().register(16, Access::LOCAL);
+        assert_ne!(mr.lkey().0, 0);
+        assert_ne!(mr.addr(), 0);
+        let fresh = MrTable::new().register(16, Access::LOCAL);
+        assert_eq!((mr.lkey(), mr.addr()), (fresh.lkey(), fresh.addr()));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! is gone), so the allowlist is always exactly the set of orderings the
 //! tree actually contains.
 //!
+//! A `use` that imports an `Ordering` variant — `Ordering::Relaxed`,
+//! `Ordering::{Acquire, Release}` or `Ordering::*` — is an error of its
+//! own: past it a bare `Relaxed` is an ordering the scanner cannot see,
+//! so every site spells `Ordering::X`.
+//!
 //! Sites are keyed `file::item::Variant#n` — the enclosing `fn` (or
 //! module path for file-level code) plus a per-(item, variant) ordinal —
 //! rather than line numbers, so unrelated edits to a file do not
@@ -44,15 +49,15 @@ pub fn audit(fix: bool) -> ExitCode {
     let files = rust_files(&root);
 
     let mut sites: Vec<Site> = Vec::new();
+    let mut diags: Vec<Diagnostic> = Vec::new();
     for rel in &files {
         let text =
             std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"));
-        scan_file(rel, &text, &mut sites);
+        scan_file(rel, &text, &mut sites, &mut diags);
     }
 
     let allow = Allowlist::load(&root, ALLOWLIST);
 
-    let mut diags: Vec<Diagnostic> = Vec::new();
     let mut missing: Vec<String> = Vec::new();
     for site in &sites {
         match allow.get(&site.key) {
@@ -120,32 +125,48 @@ pub fn audit(fix: bool) -> ExitCode {
 }
 
 /// Extract `Ordering::Variant` sites from one file, keying each by the
-/// enclosing `fn` name and a per-(fn, variant) ordinal.
-fn scan_file(rel: &str, text: &str, sites: &mut Vec<Site>) {
+/// enclosing `fn` name and a per-(fn, variant) ordinal; a `use`
+/// statement that imports a variant is an error.
+fn scan_file(rel: &str, text: &str, sites: &mut Vec<Site>, diags: &mut Vec<Diagnostic>) {
     // (fn-name, variant) -> next ordinal
     let mut ordinals: BTreeMap<(String, String), usize> = BTreeMap::new();
     let mut current_fn = String::from("(file)");
+    // The `use` statement being read: its first line and its text so far.
+    let mut statement: Option<(usize, String)> = None;
     for (idx, line) in text.lines().enumerate() {
         let trimmed = line.trim_start();
         if let Some(name) = fn_name(trimmed) {
             current_fn = name;
         }
+        if statement.is_none() && is_use(trimmed) {
+            statement = Some((idx, String::new()));
+        }
+        if let Some((first, stmt)) = &mut statement {
+            stmt.push_str(line.trim());
+            stmt.push(' ');
+            if line.contains(';') {
+                if imports_a_variant(stmt) {
+                    diags.push(
+                        Diagnostic::error("orderings", "`use` of an `Ordering` variant")
+                            .at(rel, *first + 1)
+                            .snippet(stmt.trim_end())
+                            .note("spell `Ordering::X` at the site: the audit cannot see a bare variant"),
+                    );
+                }
+                statement = None;
+            }
+            continue;
+        }
         let mut rest = line;
         while let Some(pos) = rest.find("Ordering::") {
             let after = &rest[pos + "Ordering::".len()..];
-            let variant: String = after
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric())
-                .collect();
+            let variant = word(after);
             rest = &after[variant.len()..];
-            if !matches!(
-                variant.as_str(),
-                "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
-            ) {
+            if !is_variant(variant) {
                 continue; // `cmp::Ordering::Less` and friends
             }
             let n = ordinals
-                .entry((current_fn.clone(), variant.clone()))
+                .entry((current_fn.clone(), variant.to_string()))
                 .or_insert(0);
             *n += 1;
             sites.push(Site {
@@ -156,6 +177,48 @@ fn scan_file(rel: &str, text: &str, sites: &mut Vec<Site>) {
             });
         }
     }
+}
+
+/// An atomic `Ordering` variant (not `cmp::Ordering`'s `Less` and
+/// friends).
+fn is_variant(name: &str) -> bool {
+    matches!(
+        name,
+        "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
+    )
+}
+
+/// Whether a (trimmed) line starts a `use` statement.
+fn is_use(trimmed: &str) -> bool {
+    let mut s = trimmed;
+    for prefix in ["pub(crate) ", "pub(super) ", "pub "] {
+        s = s.strip_prefix(prefix).unwrap_or(s);
+    }
+    s.starts_with("use ")
+}
+
+/// Whether a `use` statement imports an atomic `Ordering` variant: by
+/// name, in a braced list, or by a glob (`cmp::Ordering::*` aside).
+fn imports_a_variant(statement: &str) -> bool {
+    statement.match_indices("Ordering::").any(|(pos, found)| {
+        let after = statement[pos + found.len()..].trim_start();
+        if let Some(list) = after.strip_prefix('{') {
+            let list = &list[..list.find('}').unwrap_or(list.len())];
+            list.split(',')
+                .any(|name| is_variant(word(name.trim_start())))
+        } else if after.starts_with('*') {
+            !statement[..pos].ends_with("cmp::")
+        } else {
+            is_variant(word(after))
+        }
+    })
+}
+
+/// The alphanumeric word `s` starts with.
+fn word(s: &str) -> &str {
+    &s[..s
+        .find(|c: char| !c.is_ascii_alphanumeric())
+        .unwrap_or(s.len())]
 }
 
 /// Pull a function name out of a (trimmed) line declaring one.
@@ -179,4 +242,52 @@ fn fn_name(trimmed: &str) -> Option<String> {
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
         .collect();
     (!name.is_empty()).then_some(name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(text: &str) -> (Vec<Site>, Vec<Diagnostic>) {
+        let (mut sites, mut diags) = (Vec::new(), Vec::new());
+        scan_file("a.rs", text, &mut sites, &mut diags);
+        (sites, diags)
+    }
+
+    #[test]
+    fn a_site_is_keyed_by_its_fn_and_ordinal() {
+        let (sites, imports) = scan(
+            "use std::sync::atomic::{AtomicU64, Ordering};\n\
+             use std::cmp::Ordering::Less;\n\
+             fn f(a: &AtomicU64) {\n\
+             \x20   a.load(Ordering::Relaxed);\n\
+             \x20   a.store(1, Ordering::Relaxed);\n\
+             }\n",
+        );
+        let keys: Vec<&str> = sites.iter().map(|s| s.key.as_str()).collect();
+        assert_eq!(keys, ["a.rs::f::Relaxed#1", "a.rs::f::Relaxed#2"]);
+        assert_eq!(sites[1].line, 5);
+        assert!(imports.is_empty());
+    }
+
+    #[test]
+    fn a_use_of_a_variant_is_reported_not_keyed() {
+        let text = "use std::sync::atomic::Ordering::Relaxed;\n\
+                    use std::sync::atomic::{AtomicBool, Ordering::{self, Acquire}};\n\
+                    use std::sync::atomic::Ordering::*;\n\
+                    pub(crate) use std::sync::atomic::{\n\
+                    \x20   AtomicU64,\n\
+                    \x20   Ordering::SeqCst as S,\n\
+                    };\n\
+                    use std::cmp::Ordering::*;\n\
+                    use std::cmp::Ordering::{Greater, Less};\n\
+                    fn f(a: &AtomicBool) -> bool {\n\
+                    \x20   a.load(Relaxed)\n\
+                    }\n";
+        let (sites, imports) = scan(text);
+        assert!(sites.is_empty(), "{sites:?}");
+        let lines: Vec<usize> = imports.iter().map(|i| i.line).collect();
+        assert_eq!(lines, [1, 2, 3, 4]);
+        assert!(imports[3].snippet.ends_with("Ordering::SeqCst as S, };"));
+    }
 }
