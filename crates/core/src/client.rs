@@ -784,8 +784,13 @@ impl FlThread {
     /// The returned [`Bytes`] owns exactly the response, copied out of
     /// the response message (so no reply pins a multi-entry buffer). A
     /// [`FlockError::Timeout`] abandons `seq`: its response, should it
-    /// still arrive, is discarded.
+    /// still arrive, is discarded; asking for it again returns `Timeout`
+    /// at once.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
+        if self.ctx.inbox.lock().abandoned.contains(&seq) {
+            // Already timed out and no longer counted in flight.
+            return Err(FlockError::Timeout);
+        }
         let deadline = clock::deadline(self.inner.cfg.timeout);
         let got = self.ctx.inbox_event.wait_until(deadline, 500, || {
             if let Some(data) = self.ctx.inbox.lock().ready.remove(&seq) {
@@ -1803,7 +1808,13 @@ mod tests {
             let t = handle.register_thread();
 
             // RPC 5 has no handler: it sits in the manual queue unanswered.
-            assert!(matches!(t.call(5, b"late"), Err(FlockError::Timeout)));
+            let seq = t.send_rpc(5, b"late").unwrap();
+            assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            // Asked again, it is still timed out: at once, and counted once.
+            let asked = clock::now_ns();
+            assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            assert_eq!(clock::now_ns(), asked);
+            assert_eq!(t.ctx.inbox.lock().abandoned, [seq]);
             assert_eq!(t.ctx.placement.lock().outstanding, 0);
 
             // Re-targeted, the idle thread adopts the new QP on its next send.

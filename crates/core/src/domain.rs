@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn listener_registry_roundtrip() {
         let domain = FlockDomain::with_defaults();
-        let (tx, rx, _rung) = doorbell();
+        let (tx, rx, rung) = doorbell();
         domain.register_listener("srv", tx);
         let node = domain.add_node("c");
         let (dummy_tx, _d) = reply_channel();
@@ -338,17 +338,20 @@ mod tests {
                 // SAFETY-free: scoped by join below; use Arc in real code.
                 let tx2 = domain.listeners.lock().get("srv").cloned().unwrap();
                 move || {
-                    let (reply_tx, (reply_rx, _)) = reply_channel();
+                    let (reply_tx, (reply_rx, reply_rung)) = reply_channel();
                     let req = ConnectRequest {
                         reply: reply_tx,
                         ..req
                     };
                     tx2.send(CtrlMsg::Connect(req)).unwrap();
-                    reply_rx.recv().unwrap()
+                    reply_rung
+                        .wait_until(u64::MAX, 1_000, || reply_rx.try_recv().ok())
+                        .unwrap()
                 }
             })
         };
-        let CtrlMsg::Connect(req) = rx.recv().unwrap() else {
+        let msg = rung.wait_until(u64::MAX, 1_000, || rx.try_recv().ok());
+        let Some(CtrlMsg::Connect(req)) = msg else {
             panic!("expected a connect");
         };
         req.reply

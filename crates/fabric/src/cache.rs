@@ -120,52 +120,6 @@ impl ConnCache {
         self.map.contains_key(&key)
     }
 
-    /// Insert or touch `key` *without* recording a hit or miss (and
-    /// without evicting — the caller enforces capacity, e.g. via
-    /// [`ConnCache::pop_lru`]). Used by the MR registration cache, which
-    /// counts hits/misses only on acquire, not when regions are parked.
-    pub(crate) fn insert_quiet(&mut self, key: u64) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.move_to_front(idx);
-            return;
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-    }
-
-    /// Remove and return the least-recently-used key, if any. Lets a
-    /// caller that owns the values (e.g. the MR registration cache)
-    /// learn *which* entry to tear down when enforcing its own capacity.
-    pub(crate) fn pop_lru(&mut self) -> Option<u64> {
-        if self.tail == NIL {
-            return None;
-        }
-        let idx = self.tail;
-        let key = self.slots[idx].key;
-        self.map.remove(&key);
-        self.unlink(idx);
-        self.free.push(idx);
-        Some(key)
-    }
-
     /// Remove `key` if present (e.g., QP destroyed).
     pub(crate) fn invalidate(&mut self, key: u64) {
         if let Some(idx) = self.map.remove(&key) {
@@ -357,27 +311,6 @@ mod tests {
             c.access(k);
             assert!(c.len() <= 10);
         }
-    }
-
-    #[test]
-    fn insert_quiet_and_pop_lru() {
-        let mut c = ConnCache::new(8);
-        c.insert_quiet(1);
-        c.insert_quiet(2);
-        c.insert_quiet(3);
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert_eq!(c.len(), 3);
-        c.insert_quiet(1); // touch: 1 becomes MRU
-        assert_eq!(c.pop_lru(), Some(2));
-        assert_eq!(c.pop_lru(), Some(3));
-        assert_eq!(c.pop_lru(), Some(1));
-        assert_eq!(c.pop_lru(), None);
-        assert!(c.is_empty());
-        // Quiet entries still produce hits for real accesses.
-        c.insert_quiet(9);
-        assert!(c.access(9));
-        assert_eq!(c.hits(), 1);
     }
 
     #[test]

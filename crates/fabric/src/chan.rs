@@ -7,8 +7,9 @@
 //! `flock-sync` because this is the lowest crate that already depends
 //! on crossbeam.
 //!
-//! Nobody blocks in the channel itself. A receiver `try_recv`s, and
-//! while the channel is empty it waits on the channel's event like any
+//! Nobody can block in the channel itself: the `crossbeam` shim's
+//! channel is unbounded and its receiver has only `try_recv`. While the
+//! channel is empty a receiver waits on the channel's event like any
 //! other waiter, the same call on both executors: an
 //! [`Event::wait_until`] over `try_recv`, an
 //! [`flock_sync::AdaptiveBackoff::idle_on`] loop, or a stepper's

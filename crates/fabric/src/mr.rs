@@ -64,12 +64,6 @@ impl Access {
     pub(crate) const fn allows(self, needed: Access) -> bool {
         self.0 & needed.0 == needed.0
     }
-
-    /// The raw rights bitmap — a stable discriminant for keying caches
-    /// by region layout (the MR cache keys on `(len, access bits)`).
-    pub(crate) const fn bits(self) -> u8 {
-        self.0
-    }
 }
 
 impl std::ops::BitOr for Access {

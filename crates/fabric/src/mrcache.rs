@@ -4,8 +4,8 @@
 //! plane cost that scales with region size and dominates connection
 //! setup for ring-buffer-sized registrations (Swift, PAPERS.md). The
 //! cache parks deregistration candidates instead of tearing them down,
-//! keyed by *layout* (`(len, access bits)`): a connection being built
-//! reuses a parked region of identical layout and pays only a buffer
+//! keyed by *layout* (length and access rights): a connection being
+//! built reuses a parked region of identical layout and pays only a buffer
 //! zeroing ([`CostModel::memset_time`](crate::CostModel)) instead of the
 //! full registration penalty
 //! ([`CostModel::reg_mr_time`](crate::CostModel)).
@@ -14,18 +14,14 @@
 //! correctness: Flock rings validate slot canaries, and a recycled
 //! buffer still holds the previous connection's canary sequence.
 //!
-//! Bookkeeping rides the existing [`ConnCache`] LRU infrastructure: each
-//! parked region is an entry keyed by its lkey. Acquire records exactly
-//! one hit (warm reuse) or miss (cold registration) through
-//! [`ConnCache::access`]; parking uses the stats-neutral
-//! [`ConnCache::insert_quiet`]; capacity is enforced with
-//! [`ConnCache::pop_lru`], which names the region to actually
-//! deregister.
+//! The parked regions are one queue in park order: an acquire takes the
+//! newest region of its layout and records exactly one hit (warm reuse)
+//! or miss (cold registration); a release parks at the back and evicts
+//! from the front past capacity, naming the regions to deregister.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::cache::ConnCache;
 use crate::mr::{Access, MemoryRegion};
 
 /// Configuration for a node's MR registration cache.
@@ -47,34 +43,26 @@ impl Default for MrCacheConfig {
     }
 }
 
-/// Layout key: regions are interchangeable iff length and rights match.
-type Layout = (usize, u8);
-
-/// A layout-keyed cache of parked (registered but unleased) regions.
+/// A cache of parked (registered but unleased) regions.
 #[derive(Debug)]
 pub struct MrCache {
     cfg: MrCacheConfig,
-    /// Parked regions per layout, LIFO (most recently parked reused
-    /// first — its pages are warmest).
-    layouts: HashMap<Layout, Vec<Arc<MemoryRegion>>>,
-    /// Parked regions by lkey, so [`ConnCache::pop_lru`] victims can be
-    /// resolved back to a region.
-    by_key: HashMap<u64, Arc<MemoryRegion>>,
-    /// LRU order + hit/miss statistics over parked regions. Sized with
-    /// slack above `cfg.capacity` (capacity is enforced here, via
-    /// `pop_lru`) so the inner cache never silently evicts on its own.
-    index: ConnCache,
+    /// Parked regions, oldest first. Reuse takes the most recently
+    /// parked region of a layout (its pages are warmest); eviction takes
+    /// the front.
+    parked: VecDeque<Arc<MemoryRegion>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl MrCache {
     /// Build a cache from its configuration.
     pub fn new(cfg: MrCacheConfig) -> MrCache {
-        let slack = cfg.capacity.max(1) + 2;
         MrCache {
             cfg,
-            layouts: HashMap::new(),
-            by_key: HashMap::new(),
-            index: ConnCache::new(slack),
+            parked: VecDeque::new(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -85,22 +73,22 @@ impl MrCache {
 
     /// Warm acquires so far (reused a parked region).
     pub fn hits(&self) -> u64 {
-        self.index.hits()
+        self.hits
     }
 
     /// Cold acquires so far (fresh registration).
     pub fn misses(&self) -> u64 {
-        self.index.misses()
+        self.misses
     }
 
     /// Number of parked regions.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.parked.len()
     }
 
     /// Whether no regions are parked.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.parked.is_empty()
     }
 
     /// Try to reuse a parked region of layout `(len, access)`. On
@@ -110,57 +98,36 @@ impl MrCache {
         if !self.cfg.enabled {
             return None;
         }
-        let layout: Layout = (len, access.bits());
-        let mr = self.layouts.get_mut(&layout).and_then(|v| v.pop());
-        match mr {
-            Some(mr) => {
-                let key = mr.lkey().0 as u64;
-                self.by_key.remove(&key);
-                self.index.access(key); // hit: parked at release
-                self.index.invalidate(key); // leased out, leaves LRU
-                Some(mr)
+        let newest = self
+            .parked
+            .iter()
+            .rposition(|mr| mr.len() == len && mr.access() == access);
+        match newest {
+            Some(i) => {
+                self.hits += 1;
+                self.parked.remove(i)
             }
             None => {
-                // Record the miss against a key that is guaranteed
-                // absent, then drop it again: the cold region being
-                // registered by the caller is leased, not parked.
-                let probe = u64::MAX ^ (len as u64);
-                self.index.access(probe);
-                self.index.invalidate(probe);
+                self.misses += 1;
                 None
             }
         }
     }
 
-    /// Park a region for reuse. Returns the regions evicted to enforce
-    /// capacity — the caller owns their teardown (deregistration and
-    /// cost accounting). When the cache is disabled the offered region
-    /// itself comes back as the single "eviction".
+    /// Park a region for reuse; one already parked stays parked once.
+    /// Returns the regions evicted to enforce capacity — the caller owns
+    /// their teardown (deregistration and cost accounting). When the
+    /// cache is disabled the offered region itself comes back as the
+    /// single "eviction".
     pub(crate) fn put(&mut self, mr: Arc<MemoryRegion>) -> Vec<Arc<MemoryRegion>> {
         if !self.cfg.enabled {
             return vec![mr];
         }
-        let key = mr.lkey().0 as u64;
-        let layout: Layout = (mr.len(), mr.access().bits());
-        self.layouts.entry(layout).or_default().push(Arc::clone(&mr));
-        self.by_key.insert(key, mr);
-        self.index.insert_quiet(key);
-        let mut evicted = Vec::new();
-        while self.by_key.len() > self.cfg.capacity {
-            let Some(victim_key) = self.index.pop_lru() else {
-                break;
-            };
-            if let Some(victim) = self.by_key.remove(&victim_key) {
-                let vl: Layout = (victim.len(), victim.access().bits());
-                if let Some(list) = self.layouts.get_mut(&vl) {
-                    if let Some(pos) = list.iter().position(|m| m.lkey() == victim.lkey()) {
-                        list.swap_remove(pos);
-                    }
-                }
-                evicted.push(victim);
-            }
+        if !self.parked.iter().any(|p| p.lkey() == mr.lkey()) {
+            self.parked.push_back(mr);
         }
-        evicted
+        let excess = self.parked.len().saturating_sub(self.cfg.capacity);
+        self.parked.drain(..excess).collect()
     }
 }
 
@@ -241,5 +208,20 @@ mod tests {
         c.put(a);
         c.put(b);
         assert_eq!(c.take(64, Access::LOCAL).unwrap().lkey(), b_lkey);
+    }
+
+    /// A region parked twice is listed once: otherwise two acquires
+    /// could both be handed it.
+    #[test]
+    fn a_region_put_twice_is_parked_once() {
+        let t = MrTable::new();
+        let mut c = cache(8);
+        let mr = t.register(64, Access::LOCAL);
+        assert!(c.put(Arc::clone(&mr)).is_empty());
+        assert!(c.put(Arc::clone(&mr)).is_empty());
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.take(64, Access::LOCAL).unwrap().lkey(), mr.lkey());
+        assert!(c.take(64, Access::LOCAL).is_none());
+        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 }

@@ -84,21 +84,8 @@ pub fn register_hydra_mirror_backend(
     max_nodes: u32,
 ) -> Result<Arc<HydraMirror>> {
     let mirror = HydraMirror::new(server, Arc::clone(&hydra), max_nodes)?;
-    let h_get = Arc::clone(&hydra);
-    server.reg_handler(RPC_GET, move |req| {
-        let Some(key) = read_u64(req, 0) else {
-            return vec![TAG_MISS];
-        };
-        match h_get.get(key) {
-            Some(v) => {
-                let mut out = Vec::with_capacity(9);
-                out.push(TAG_HIT);
-                out.extend_from_slice(&v.to_le_bytes());
-                out
-            }
-            None => vec![TAG_MISS],
-        }
-    });
+    // The plain backend's GET and PING; its SET is replaced below.
+    register_hydra_backend(server, hydra);
     let set_mirror = Arc::clone(&mirror);
     server.reg_handler(RPC_SET, move |req| {
         let (Some(key), Some(value)) = (read_u64(req, 0), read_u64(req, 8)) else {
@@ -107,7 +94,6 @@ pub fn register_hydra_mirror_backend(
         set_mirror.insert(key, value);
         vec![TAG_HIT]
     });
-    server.reg_handler(RPC_PING, |_req| vec![TAG_HIT]);
     Ok(mirror)
 }
 

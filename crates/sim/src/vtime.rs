@@ -137,7 +137,12 @@
 //!
 //! * Never block on an OS primitive (channel `recv`, condvar wait, bare
 //!   `thread::sleep`) — the core would never be handed over and the lab
-//!   deadlocks. Blocking sites wait through the seam:
+//!   deadlocks. The `crossbeam` and `parking_lot` shims have no blocking
+//!   call, and `cargo lint` (`clippy.toml`) rejects std's `Condvar`,
+//!   `Barrier`, `mpsc::Receiver::{recv, recv_timeout, iter}` and
+//!   `thread::{sleep, park}` in library code; this file's own `Condvar`
+//!   (`TaskSlot`) parks the OS thread a task is hosted on, never a task.
+//!   Blocking sites wait through the seam:
 //!   [`flock_sync::clock::Event::wait_until`] for a condition the
 //!   caller owns, [`flock_sync::AdaptiveBackoff::idle_on`] for a poll
 //!   loop — a channel is a `try_recv` under either, on the event its
@@ -183,7 +188,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 // std's locks, not the `parking_lot` shim's lock-order check: a manifest
 // edit to `flock-sim` would rewrite the lock file `benchmark/` pins.
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use flock_sync::clock::{self, Epoch, Executor, Poll, Resume, StepperTask, TaskExit, TaskHandle};
 
@@ -217,16 +222,22 @@ type Entry = Reverse<(u64, u64, usize)>;
 /// handed to a task whose thread has not reached `park` yet, e.g. right
 /// after spawn) is remembered by the flag. The flag carries the number
 /// of polls the lab elided during the sleep that just ended.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the virtual executor itself: a task hosted on an OS thread parks that thread until the lab \
+              hands it the core"
+)]
 struct TaskSlot {
     run: Mutex<Option<u64>>,
-    cv: Condvar,
+    cv: std::sync::Condvar,
 }
 
 impl TaskSlot {
+    #[expect(clippy::disallowed_types, reason = "builds `TaskSlot`'s park")]
     fn new() -> TaskSlot {
         TaskSlot {
             run: Mutex::new(None),
-            cv: Condvar::new(),
+            cv: std::sync::Condvar::new(),
         }
     }
 

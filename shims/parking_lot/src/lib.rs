@@ -2,9 +2,14 @@
 //!
 //! The build environment has no network access, so the workspace patches
 //! `parking_lot` to this shim (see `[patch.crates-io]` in the root
-//! `Cargo.toml`). It exposes the parking-lot API shape — `lock()`
-//! returning a guard directly, no poisoning, `Condvar` working with this
-//! `Mutex`, `MutexGuard::unlocked` — implemented over `std::sync`.
+//! `Cargo.toml`). It keeps only the locks the workspace calls — `Mutex`
+//! (`lock`, `try_lock`) and `RwLock` (`read`, `write`) with
+//! parking-lot's API shape: guards returned directly, no poisoning —
+//! implemented over `std::sync`. It has no condition variable and no
+//! way to wait with a lock released: a task waits on a
+//! `flock_sync::clock::Event`, the one blocking primitive of the
+//! workspace.
+//!
 //! Poisoned std locks are transparently recovered: parking_lot has no
 //! poisoning, and a panic while holding one of these locks already
 //! aborts the owning test/process path.
@@ -14,18 +19,15 @@
 //! of two classes in both orders panics. Release builds carry none of
 //! it.
 
-#![allow(
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "a stand-in for a std-backed crate is built on the host's threads and clock"
-)]
-
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{self, Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock};
-use std::time::{Duration, Instant};
+use std::sync::{self, Mutex as StdMutex, RwLock as StdRwLock};
 
 #[cfg(debug_assertions)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the locks held are per OS thread: a thread_local! stack of classes"
+)]
 mod lockdep;
 
 fn recover<G>(r: Result<G, sync::PoisonError<G>>) -> G {
@@ -39,11 +41,11 @@ pub struct Mutex<T: ?Sized> {
     inner: StdMutex<T>,
 }
 
-/// RAII guard for [`Mutex`]. The inner `Option` is only `None`
-/// transiently inside [`Condvar`] waits and [`MutexGuard::unlocked`].
+/// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
-    guard: Option<sync::MutexGuard<'a, T>>,
+    guard: sync::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    class: &'a lockdep::Class,
 }
 
 impl<T> Mutex<T> {
@@ -56,15 +58,6 @@ impl<T> Mutex<T> {
             inner: StdMutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        recover(
-            self.inner
-                .into_inner()
-                .map_err(|e| sync::PoisonError::new(e.into_inner())),
-        )
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -73,8 +66,9 @@ impl<T: ?Sized> Mutex<T> {
         #[cfg(debug_assertions)]
         lockdep::acquire(&self.class);
         MutexGuard {
-            lock: self,
-            guard: Some(recover(self.inner.lock())),
+            guard: recover(self.inner.lock()),
+            #[cfg(debug_assertions)]
+            class: &self.class,
         }
     }
 
@@ -88,19 +82,10 @@ impl<T: ?Sized> Mutex<T> {
         #[cfg(debug_assertions)]
         lockdep::acquired(&self.class);
         Some(MutexGuard {
-            lock: self,
-            guard: Some(guard),
+            guard,
+            #[cfg(debug_assertions)]
+            class: &self.class,
         })
-    }
-
-    /// Get a mutable reference to the underlying data (no locking
-    /// needed: `&mut self` proves uniqueness).
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(
-            self.inner
-                .get_mut()
-                .map_err(|e| sync::PoisonError::new(e.into_inner())),
-        )
     }
 }
 
@@ -117,131 +102,23 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    /// Temporarily release the lock while running `f`, reacquiring it
-    /// afterwards (parking_lot's `MutexGuard::unlocked`).
-    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
-    where
-        F: FnOnce() -> U,
-    {
-        #[cfg(debug_assertions)]
-        lockdep::release(&s.lock.class);
-        s.guard = None;
-        let r = f();
-        #[cfg(debug_assertions)]
-        lockdep::acquire(&s.lock.class);
-        s.guard = Some(recover(s.lock.inner.lock()));
-        r
-    }
-
-    /// Take the std guard out for a wait, which releases the lock.
-    fn std_guard(&mut self) -> sync::MutexGuard<'a, T> {
-        #[cfg(debug_assertions)]
-        lockdep::release(&self.lock.class);
-        self.guard.take().expect("guard present outside waits")
-    }
-
-    /// Put back the guard a wait reacquired.
-    fn restore(&mut self, g: sync::MutexGuard<'a, T>) {
-        #[cfg(debug_assertions)]
-        lockdep::acquire(&self.lock.class);
-        self.guard = Some(g);
-    }
-}
-
 #[cfg(debug_assertions)]
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.guard.is_some() {
-            lockdep::release(&self.lock.class);
-        }
+        lockdep::release(self.class);
     }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present outside waits")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present outside waits")
-    }
-}
-
-/// Result of a timed [`Condvar`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable usable with this module's [`Mutex`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: StdCondvar,
-}
-
-impl Condvar {
-    /// Create a condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: StdCondvar::new(),
-        }
-    }
-
-    /// Block until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.std_guard();
-        guard.restore(recover(self.inner.wait(g)));
-    }
-
-    /// Block until notified or `deadline` passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        self.wait_for(guard, timeout)
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.std_guard();
-        let (g, res) = recover(
-            self.inner
-                .wait_timeout(g, timeout)
-                .map_err(|e| sync::PoisonError::new(e.into_inner())),
-        );
-        guard.restore(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
+        &mut self.guard
     }
 }
 
@@ -276,15 +153,6 @@ impl<T> RwLock<T> {
             inner: StdRwLock::new(value),
         }
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        recover(
-            self.inner
-                .into_inner()
-                .map_err(|e| sync::PoisonError::new(e.into_inner())),
-        )
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -308,47 +176,6 @@ impl<T: ?Sized> RwLock<T> {
             #[cfg(debug_assertions)]
             class: &self.class,
         }
-    }
-
-    /// Try to acquire a read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let guard = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        #[cfg(debug_assertions)]
-        lockdep::acquired(&self.class);
-        Some(RwLockReadGuard {
-            guard,
-            #[cfg(debug_assertions)]
-            class: &self.class,
-        })
-    }
-
-    /// Try to acquire a write lock without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let guard = match self.inner.try_write() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        #[cfg(debug_assertions)]
-        lockdep::acquired(&self.class);
-        Some(RwLockWriteGuard {
-            guard,
-            #[cfg(debug_assertions)]
-            class: &self.class,
-        })
-    }
-
-    /// Get a mutable reference to the underlying data.
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(
-            self.inner
-                .get_mut()
-                .map_err(|e| sync::PoisonError::new(e.into_inner())),
-        )
     }
 }
 
@@ -402,7 +229,6 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_basics() {
@@ -416,58 +242,13 @@ mod tests {
     }
 
     #[test]
-    fn guard_unlocked_releases_and_reacquires() {
-        let m = Arc::new(Mutex::new(0));
-        let mut g = m.lock();
-        let m2 = Arc::clone(&m);
-        let observed = MutexGuard::unlocked(&mut g, move || {
-            let v = *m2.lock();
-            v
-        });
-        assert_eq!(observed, 0);
-        *g += 1;
-        drop(g);
-        assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn condvar_wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
-        assert!(res.timed_out());
-    }
-
-    #[test]
-    fn condvar_notify_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut done = m.lock();
-            *done = true;
-            cv.notify_one();
-            drop(done);
-        });
-        let (m, cv) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            let r = cv.wait_until(&mut done, Instant::now() + Duration::from_secs(5));
-            assert!(!r.timed_out(), "notification lost");
-        }
-        drop(done);
-        h.join().unwrap();
-    }
-
-    #[test]
     fn rwlock_basics() {
         let l = RwLock::new(5);
         {
             let r1 = l.read();
             let r2 = l.read();
             assert_eq!(*r1 + *r2, 10);
-            assert!(l.try_write().is_none());
+            assert!(l.inner.try_write().is_err(), "readers exclude a writer");
         }
         *l.write() = 6;
         assert_eq!(*l.read(), 6);

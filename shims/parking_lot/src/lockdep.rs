@@ -233,9 +233,8 @@ fn path(start: u16, end: u16) -> Option<String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Condvar, Mutex, MutexGuard, RwLock};
+    use crate::{Mutex, RwLock};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::time::Duration;
 
     /// Run `f`, which must panic naming the locks built on `lines` of
     /// this file, then go on panicking with its message.
@@ -335,23 +334,6 @@ mod tests {
         }
         let _b = b.lock();
         let _a = a.lock();
-    }
-
-    #[test]
-    fn a_wait_and_unlocked_release_the_lock() {
-        let (m, cv) = (Mutex::new(0), Condvar::new());
-        let (inner, after) = (Mutex::new(0), Mutex::new(0));
-        let mut g = m.lock();
-        // Taken while `m` is released: no edge m → inner.
-        MutexGuard::unlocked(&mut g, || drop(inner.lock()));
-        // The wait gives `m` back once: after the guard, `m` is not held.
-        let _ = cv.wait_for(&mut g, Duration::from_millis(1));
-        drop(g);
-        drop(after.lock());
-        for first in [&inner, &after] {
-            let _f = first.lock();
-            let _m = m.lock();
-        }
     }
 
     #[test]
