@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Either form takes the suites to run by name, all of them by default:
-//! the four lab suites together take ≈ 20 s, `figures` 2–3 min, `micro`
+//! the four lab suites together take ≈ 0.8 s, `figures` 2–3 min, `micro`
 //! a few seconds.
 //!
 //! Without `--check`, each suite that has a checked-in file writes

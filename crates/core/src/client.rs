@@ -23,6 +23,7 @@ use crate::domain::{
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
+use crate::requests::Requests;
 use crate::ring::{self, Link};
 use crate::sched::thread::{assign_threads_into, AssignScratch, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
@@ -213,29 +214,16 @@ pub struct MemToken {
     len: usize,
 }
 
-/// A thread's response mailbox (one lock: the dispatcher already holds
-/// it to deliver, so the abandoned check rides along for free).
-#[derive(Default)]
-struct Inbox {
-    /// Delivered responses by sequence number, until `recv_res` /
-    /// `try_recv_res` takes them.
-    ready: HashMap<u64, Bytes>,
-    /// Sequence numbers whose `recv_res` timed out: the dispatcher drops
-    /// their late responses instead of parking them in `ready` forever.
-    /// Empty unless a call timed out.
-    abandoned: Vec<u64>,
-}
-
 /// Where a thread sends and what Algorithm 1 knows of its load (paper
 /// §5.2), under one lock: the owner migrates and records, the scheduling
-/// pass reads the window and writes `target`. Never held across a wait.
+/// pass reads the window and writes `target`. Never held across a wait;
+/// taken before [`ThreadCtx::requests`] when both are held.
 struct Placement {
     /// The lane the thread sends on.
     current: usize,
-    /// The lane the last scheduling pass picked; adopted when idle.
+    /// The lane the last scheduling pass picked; adopted when idle (no
+    /// request outstanding in [`ThreadCtx::requests`]).
     target: usize,
-    /// Requests sent and not yet answered, abandoned or disconnected.
-    outstanding: u64,
     // Load since the last periodic scheduling pass.
     sizes: MedianWindow,
     requests: u64,
@@ -245,11 +233,13 @@ struct Placement {
 /// Per-application-thread context.
 pub(crate) struct ThreadCtx {
     id: u32,
-    next_seq: Counter,
     placement: Mutex<Placement>,
-    inbox: Mutex<Inbox>,
-    /// Signalled after every inbox insert and when the handle stops.
-    inbox_event: Event,
+    /// Every request the thread sent, by seq: issued by the send path,
+    /// answered by the response dispatcher, taken or given up by the
+    /// receive.
+    requests: Mutex<Requests>,
+    /// Signalled after every reply delivered and when the handle stops.
+    reply_event: Event,
     mem: Mutex<MemSlots>,
     /// Signalled after every published result, every release of scratch
     /// sub-slots and when the handle stops.
@@ -325,7 +315,7 @@ impl HandleInner {
     fn stop_and_wake(&self) {
         let threads = self.threads.read();
         let credits = self.lanes_live().map(|qp| &qp.credit_event);
-        let threads = threads.iter().flat_map(|t| [&t.inbox_event, &t.mem_event]);
+        let threads = threads.iter().flat_map(|t| [&t.reply_event, &t.mem_event]);
         let ring = std::iter::once(&*self.dispatch_event)
             .chain(credits)
             .chain(threads);
@@ -547,17 +537,15 @@ impl ConnectionHandle {
             );
             let ctx = Arc::new(ThreadCtx {
                 id,
-                next_seq: Counter::new(1),
                 placement: Mutex::new(Placement {
                     current: 0,
                     target: 0,
-                    outstanding: 0,
                     sizes: MedianWindow::new(64),
                     requests: 0,
                     bytes: 0,
                 }),
-                inbox: Mutex::new(Inbox::default()),
-                inbox_event: Event::new(),
+                requests: Mutex::new(Requests::new()),
+                reply_event: Event::new(),
                 mem: Mutex::new(MemSlots {
                     pending: HashMap::new(),
                     results: HashMap::new(),
@@ -747,15 +735,27 @@ impl FlThread {
     /// the bytes are never copied until the leader encodes them into the
     /// ring write's payload (cloning `Bytes` is a refcount bump, so resending the
     /// same payload allocates nothing).
+    ///
+    /// A payload that could never fit one message in the server's
+    /// request ring fails with `MessageTooLarge` before it takes a seq,
+    /// a credit or a place in a batch. A send that fails after that
+    /// gives its seq up: it is not in flight, and its reply, should one
+    /// come, is dropped.
     pub fn send_rpc_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<u64> {
         let inner = &self.inner;
         if inner.stop.is_set() {
             return Err(FlockError::Disconnected);
         }
         let qp = inner.lane(self.migrate_if_idle());
-        let seq = self.ctx.next_seq.add(1);
+        let need = msg::encoded_size([payload.len()]);
+        if need > qp.link.max_message() {
+            return Err(FlockError::MessageTooLarge {
+                need,
+                capacity: qp.link.remote_capacity(),
+            });
+        }
+        let seq = self.ctx.requests.lock().issue();
         let mut placement = self.ctx.placement.lock();
-        placement.outstanding = placement.outstanding.wrapping_add(1);
         placement.sizes.record(payload.len() as u32);
         placement.requests += 1;
         placement.bytes += payload.len() as u64;
@@ -773,7 +773,13 @@ impl FlThread {
             .tcq
             .join_with(ClientReq::Rpc(meta, payload), || inner.boarding_window())
         {
-            Outcome::Lead(batch) => leader_flush(inner, &self.ctx, qp, batch)?,
+            Outcome::Lead(batch) => {
+                if let Err(e) = leader_flush(inner, &self.ctx, qp, batch) {
+                    // Not sent: nobody will receive `seq`.
+                    self.ctx.requests.lock().take(seq, Some(e.clone()));
+                    return Err(e);
+                }
+            }
             Outcome::Sent => {}
         }
         Ok(seq)
@@ -783,52 +789,32 @@ impl FlThread {
     ///
     /// The returned [`Bytes`] owns exactly the response, copied out of
     /// the response message (so no reply pins a multi-entry buffer). A
-    /// [`FlockError::Timeout`] abandons `seq`: its response, should it
-    /// still arrive, is discarded; asking for it again returns `Timeout`
-    /// at once.
+    /// [`FlockError::Timeout`] or `Disconnected` gives `seq` up: its
+    /// response, should it still arrive, is discarded. A `seq` that is
+    /// neither in flight nor answered — already received, given up, or
+    /// never returned by a send — fails at once with
+    /// `InvalidArgument("seq not in flight")` and changes nothing.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
-        if self.ctx.inbox.lock().abandoned.contains(&seq) {
-            // Already timed out and no longer counted in flight.
-            return Err(FlockError::Timeout);
-        }
         let deadline = clock::deadline(self.inner.cfg.timeout);
-        let got = self.ctx.inbox_event.wait_until(deadline, 500, || {
-            if let Some(data) = self.ctx.inbox.lock().ready.remove(&seq) {
-                return Some(Ok(data));
-            }
-            self.inner.disconnected()
+        let got = self.ctx.reply_event.wait_until(deadline, 500, || {
+            let stopped = self.inner.stop.is_set().then_some(FlockError::Disconnected);
+            self.ctx.requests.lock().take(seq, stopped)
         });
-        let res = got.unwrap_or_else(|| {
-            // Abandon `seq` so its late response is dropped on arrival —
-            // unless it landed since the last poll.
-            let mut inbox = self.ctx.inbox.lock();
-            match inbox.ready.remove(&seq) {
-                Some(data) => Ok(data),
-                None => {
-                    inbox.abandoned.push(seq);
-                    Err(FlockError::Timeout)
-                }
-            }
-        });
-        // Answered, abandoned or disconnected: no longer in flight, so
-        // the thread may migrate again (`migrate_if_idle`).
-        let mut placement = self.ctx.placement.lock();
-        placement.outstanding = placement.outstanding.wrapping_sub(1);
-        res
+        // Give up, unless the response landed since the last poll.
+        let timeout = Some(FlockError::Timeout);
+        let give_up = || self.ctx.requests.lock().take(seq, timeout);
+        got.or_else(give_up).expect("a receive that gives up ends")
     }
 
     /// Non-blocking check for the response to `seq` (coroutine-style
     /// pipelining, paper §8.5.2: a thread runs many concurrent
     /// transactions and polls instead of blocking). `None` while it is
     /// on its way; `Some(Err(Disconnected))` once the handle has stopped
-    /// without it.
+    /// without it, which gives `seq` up; for a `seq` not in flight, the
+    /// error [`FlThread::recv_res`] returns.
     pub fn try_recv_res(&self, seq: u64) -> Option<Result<Bytes>> {
-        let landed = self.ctx.inbox.lock().ready.remove(&seq);
-        let res = landed.map(Ok).or_else(|| self.inner.disconnected())?;
-        // Answered or disconnected: no longer in flight (see `recv_res`).
-        let mut placement = self.ctx.placement.lock();
-        placement.outstanding = placement.outstanding.wrapping_sub(1);
-        Some(res)
+        let stopped = self.inner.stop.is_set().then_some(FlockError::Disconnected);
+        self.ctx.requests.lock().take(seq, stopped)
     }
 
     /// Convenience: send and wait.
@@ -1198,7 +1184,7 @@ impl FlThread {
         self.wait_mem(token)
     }
 
-    /// Adopt the scheduler's target QP if no requests are outstanding
+    /// Adopt the scheduler's target QP if no request is outstanding
     /// (migration safety, §5.2) and the target is still open — a thread
     /// never moves toward a lane the server has deactivated. The thread
     /// that empties a deactivated lane posts the lane's drained marker.
@@ -1206,7 +1192,7 @@ impl FlThread {
         let mut placement = self.ctx.placement.lock();
         let (current, target) = (placement.current, placement.target);
         if target == current
-            || placement.outstanding != 0
+            || self.ctx.requests.lock().outstanding() != 0
             || !self.inner.lane(target).residents.enter_open()
         {
             return current;
@@ -1407,26 +1393,50 @@ fn flush_parts(
         qp.link.qp().post_send_many(mem_wrs)?;
         clock::charge(inner.cost.cpu_doorbell_ns);
     }
-    if rpcs.is_empty() {
-        return Ok(());
+    // One message per run of requests that fits the peer's ring: the
+    // whole batch unless its bytes outgrow one message. The leader's own
+    // request is in the first run, so a failure there is the leader's
+    // error; a later one ends the flush, and the requests it leaves
+    // unsent time out like the followers of a failed batch.
+    let max = qp.link.max_message();
+    let mut rest = rpcs;
+    while !rest.is_empty() {
+        let mut need = msg::encoded_size([]);
+        let fits = rest.iter().take_while(|(meta, _)| {
+            need += msg::entry_size(meta.len as usize);
+            need <= max
+        });
+        // Every request fits alone (`send_rpc_bytes` checks).
+        let (run, after) = rest.split_at(fits.count().max(1));
+        match send_run(inner, qp, run) {
+            Ok(()) => rest = after,
+            // The leader's own request went out in an earlier run.
+            Err(_) if rest.len() < rpcs.len() => return Ok(()),
+            Err(e) => return Err(e),
+        }
     }
-    let degree = rpcs.len() as u32;
+    Ok(())
+}
+
+/// Send `run` as one message (paper §4.2, Figure 5): its credits, one
+/// RDMA write and one doorbell.
+fn send_run(inner: &HandleInner, qp: &ClientQpCtx, run: &[(EntryMeta, Bytes)]) -> Result<()> {
+    let degree = run.len() as u32;
     qp.degree.lock().record(degree);
 
     wait_for_credits(inner, qp, degree)?;
 
-    // One message, one RDMA write, one doorbell for the whole batch,
-    // encoded straight from the scratch pairs (no intermediate
+    // Encoded straight from the scratch pairs (no intermediate
     // `Vec<EntryRef>`). While the request ring is full, yield: the
     // dispatcher folds in the server's head as responses arrive.
-    let entries = rpcs
+    let entries = run
         .iter()
         .map(|(meta, data)| EntryRef { meta: *meta, data });
     let need = ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
         qp.link.try_send(0, 0, entries.clone())
     })?;
     // Leader's host cost: encode each entry, stage the message, ring the
-    // doorbell — amortized over the whole batch (the coalescing win).
+    // doorbell — amortized over the whole run (the coalescing win).
     clock::charge(
         inner.cost.cpu_doorbell_ns
             + inner.cost.memcpy_time(need).as_nanos()
@@ -1621,18 +1631,10 @@ fn handle_ring_poll(
             for (meta, data) in view.entries() {
                 clock::charge(inner.cost.cpu_codec_ns);
                 if let Some(t) = threads.get(meta.thread_id as usize) {
-                    {
-                        let mut inbox = t.inbox.lock();
-                        if let Some(i) = inbox.abandoned.iter().position(|&s| s == meta.seq) {
-                            // Its `recv_res` timed out: nobody will ask.
-                            inbox.abandoned.swap_remove(i);
-                            continue;
-                        }
-                        // Each waiter owns exactly its reply: the
-                        // dispatcher's message buffer is reused.
-                        inbox.ready.insert(meta.seq, Bytes::copy_from_slice(data));
+                    let awaited = t.requests.lock().deliver(t.id, meta.seq, data);
+                    if awaited {
+                        t.reply_event.notify_all();
                     }
-                    t.inbox_event.notify_all();
                 }
             }
             // A deactivated lane nobody sends on owes the server its
@@ -1786,65 +1788,307 @@ fn run_thread_scheduling(inner: &HandleInner, scratch: &mut SchedScratch, new_wi
 mod tests {
     use super::*;
 
-    /// A timed-out `recv_res` used to leave `outstanding` raised forever
-    /// (the thread could never migrate again, paper §5.2) and its late
-    /// response parked in the inbox forever.
+    use std::sync::Arc;
+
+    use crate::server::{FlockServer, ServerConfig};
+    use flock_sync::clock;
+
+    const RPC_UNANSWERED: u32 = 5;
+    const RPC_ECHO: u32 = 6;
+
+    /// A server that echoes [`RPC_ECHO`] and queues [`RPC_UNANSWERED`]
+    /// for `recv_rpc`, and a handle on `n_qps` eager lanes with a 200 µs
+    /// timeout and no thread scheduler.
+    fn echo_bed(name: &str, n_qps: usize) -> (FlockDomain, FlockServer, ConnectionHandle) {
+        let domain = FlockDomain::with_defaults();
+        let server_node = domain.add_node(&format!("{name}-srv"));
+        let server = FlockServer::listen(&domain, &server_node, name, ServerConfig::default());
+        server.reg_handler(RPC_ECHO, |req| req.to_vec());
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = n_qps;
+        cfg.eager_qps = true;
+        cfg.auto_thread_sched = false;
+        cfg.timeout = Duration::from_micros(200);
+        let client_node = domain.add_node(&format!("{name}-cli"));
+        let handle = ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap();
+        (domain, server, handle)
+    }
+
+    /// Whether `t`, re-targeted to the other of two lanes, adopts it:
+    /// only a thread with no request outstanding does.
+    fn migrates(t: &FlThread) -> bool {
+        let other = 1 - t.current_qp();
+        t.ctx.placement.lock().target = other;
+        t.migrate_if_idle() == other
+    }
+
+    fn not_in_flight<T>(got: Result<T>) -> bool {
+        matches!(got, Err(FlockError::InvalidArgument("seq not in flight")))
+    }
+
+    /// Answer the one queued [`RPC_UNANSWERED`] request and wait until
+    /// its reply has reached the client.
+    fn answer_late(server: &FlockServer) {
+        let rpc = server
+            .recv_rpc(Duration::from_millis(1))
+            .expect("queued request");
+        server.send_res(rpc.token, b"too late").unwrap();
+        clock::sleep_ns(100_000);
+    }
+
+    /// A timed-out `recv_res` used to leave its seq counted in flight
+    /// forever (the thread could never migrate again, paper §5.2) and
+    /// its late response parked forever.
     #[test]
     fn timed_out_call_frees_the_thread_and_drops_the_late_response() {
-        use crate::server::{FlockServer, ServerConfig};
         flock_sim::vtime::VirtualLab::run(|| {
-            let domain = FlockDomain::with_defaults();
-            let server_node = domain.add_node("leak-srv");
-            let server =
-                FlockServer::listen(&domain, &server_node, "leak", ServerConfig::default());
-            server.reg_handler(6, |req| req.to_vec());
-            let mut cfg = HandleConfig::default();
-            cfg.n_qps = 2;
-            cfg.eager_qps = true;
-            cfg.auto_thread_sched = false;
-            cfg.timeout = Duration::from_micros(200);
-            let client_node = domain.add_node("leak-cli");
-            let mut handle = ConnectionHandle::connect(&domain, &client_node, "leak", cfg).unwrap();
+            let (domain, server, mut handle) = echo_bed("leak", 2);
             let t = handle.register_thread();
 
-            // RPC 5 has no handler: it sits in the manual queue unanswered.
-            let seq = t.send_rpc(5, b"late").unwrap();
+            let seq = t.send_rpc(RPC_UNANSWERED, b"late").unwrap();
             assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
-            // Asked again, it is still timed out: at once, and counted once.
+            // Asked again, it is no longer in flight: at once.
             let asked = clock::now_ns();
-            assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            assert!(not_in_flight(t.recv_res(seq)));
             assert_eq!(clock::now_ns(), asked);
-            assert_eq!(t.ctx.inbox.lock().abandoned, [seq]);
-            assert_eq!(t.ctx.placement.lock().outstanding, 0);
+            assert_eq!(t.ctx.requests.lock().outstanding(), 0);
 
             // Re-targeted, the idle thread adopts the new QP on its next send.
             let other = 1 - t.current_qp();
             t.ctx.placement.lock().target = other;
-            assert_eq!(&t.call(6, b"on time").unwrap()[..], b"on time");
+            assert_eq!(&t.call(RPC_ECHO, b"on time").unwrap()[..], b"on time");
             assert_eq!(t.current_qp(), other);
 
             // The late answer is dropped on arrival, not parked.
-            let rpc = server
-                .recv_rpc(Duration::from_millis(1))
-                .expect("queued request");
-            server.send_res(rpc.token, b"too late").unwrap();
-            let deadline = clock::deadline(Duration::from_millis(1));
-            while !t.ctx.inbox.lock().abandoned.is_empty() {
-                assert!(!clock::expired(deadline), "late response never landed");
-                clock::sleep_ns(1_000);
-            }
-            assert!(t.ctx.inbox.lock().ready.is_empty());
+            answer_late(&server);
+            assert!(not_in_flight(t.recv_res(seq)));
+            assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+            assert_eq!(t.ctx.requests.lock().issue(), seq + 2);
 
             handle.shutdown();
             server.shutdown(&domain);
         });
     }
 
+    /// `try_recv_res` on a stopped handle used to answer `Disconnected`
+    /// for a seq `recv_res` had already given up, and to count it out of
+    /// flight a second time: the count wrapped and the thread never
+    /// migrated again.
+    #[test]
+    fn a_stopped_handle_does_not_count_a_given_up_seq_twice() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("twice", 2);
+            let t = handle.register_thread();
+            let seq = t.send_rpc(RPC_UNANSWERED, b"late").unwrap();
+            assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            handle.shutdown();
+            let polled = t.try_recv_res(seq);
+            assert!(migrates(&t), "the thread is pinned to its lane");
+            assert!(not_in_flight(polled.expect("an answer")));
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A third `recv_res` of a given-up seq, once its late reply had
+    /// landed, used to wait a full timeout.
+    #[test]
+    fn asking_again_after_the_late_reply_landed_returns_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("third", 2);
+            let t = handle.register_thread();
+            let seq = t.send_rpc(RPC_UNANSWERED, b"late").unwrap();
+            assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            answer_late(&server);
+            let asked = clock::now_ns();
+            let again = t.recv_res(seq);
+            assert_eq!(clock::now_ns(), asked, "the receive waited");
+            assert!(not_in_flight(again));
+            assert!(migrates(&t));
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A `recv_res` of a seq already received, or never sent, used to
+    /// wait a full timeout, count the seq out of flight and list it as
+    /// abandoned for good.
+    #[test]
+    fn a_seq_taken_or_never_sent_fails_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("taken", 2);
+            let t = handle.register_thread();
+            let seq = t.send_rpc(RPC_ECHO, b"once").unwrap();
+            assert_eq!(&t.recv_res(seq).unwrap()[..], b"once");
+            let asked = clock::now_ns();
+            let taken = t.recv_res(seq);
+            let never = t.recv_res(seq + 100);
+            assert_eq!(clock::now_ns(), asked, "the receives waited");
+            assert!(not_in_flight(taken) && not_in_flight(never));
+            assert!(migrates(&t));
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A send whose flush failed (here: the credit wait timed out on a
+    /// server that is gone) used to leave its seq counted in flight, a
+    /// seq the caller never saw, so the thread never migrated again.
+    #[test]
+    fn a_failed_send_gives_its_seq_up() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("failed", 2);
+            let t = handle.register_thread();
+            server.shutdown(&domain);
+            let mut sent = Vec::new();
+            let err = loop {
+                match t.send_rpc(RPC_ECHO, b"unanswered") {
+                    Ok(seq) => sent.push(seq),
+                    Err(e) => break e,
+                }
+                assert!(sent.len() < 1_000, "no send failed");
+            };
+            assert!(matches!(err, FlockError::Timeout), "{err:?}");
+            for seq in sent {
+                assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
+            }
+            assert!(migrates(&t), "the failed send is still outstanding");
+            handle.shutdown();
+        });
+    }
+
+    /// A request too large for one message used to fail only inside
+    /// the leader's flush, after its batch had taken credits, and took
+    /// every request batched beside it down with it.
+    #[test]
+    fn an_oversize_request_fails_before_it_joins_a_batch() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("oversize", 1);
+            let big = Arc::new(handle.register_thread());
+            let beside = handle.register_thread();
+            let too_large = {
+                let big = Arc::clone(&big);
+                clock::spawn("big", move || {
+                    let got = big.send_rpc(RPC_ECHO, &[0; 40 << 10]);
+                    assert!(
+                        matches!(got, Err(FlockError::MessageTooLarge { .. })),
+                        "{got:?}"
+                    );
+                })
+            };
+            assert_eq!(&beside.call(RPC_ECHO, b"beside").unwrap()[..], b"beside");
+            too_large.join().unwrap();
+            // It took no seq either.
+            assert_eq!(big.send_rpc(RPC_ECHO, b"small"), Ok(1));
+            assert_eq!(&big.recv_res(1).unwrap()[..], b"small");
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// Sixteen requests that each fit one message but not together used
+    /// to fail as one batch; the leader sends them in runs that fit.
+    #[test]
+    fn a_batch_larger_than_one_message_is_sent_in_runs() {
+        const THREADS: usize = 16;
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("runs", 1);
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| Arc::new(handle.register_thread()))
+                .collect();
+            let tasks: Vec<_> = threads
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let t = Arc::clone(t);
+                    clock::spawn(&format!("t{i}"), move || {
+                        let payload = vec![i as u8; 2560];
+                        assert_eq!(t.call(RPC_ECHO, &payload).unwrap(), payload);
+                    })
+                })
+                .collect();
+            for task in tasks {
+                task.join().unwrap();
+            }
+            let sent = handle.metrics();
+            assert_eq!(sent.requests, THREADS as u64);
+            assert!(sent.messages >= 2, "{sent:?}");
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// Two `FlThread`s over one thread's context, on two tasks, walk
+    /// every receive that used to miscount — a second receive of a
+    /// given-up seq, a third once its reply landed, a receive of a seq
+    /// the other took or nobody sent, a poll on a stopped handle — while
+    /// the other task's replies land in the same table; the reference
+    /// run checks every wake-up has its notify.
+    #[test]
+    fn two_handles_on_one_thread_match_the_reference() {
+        let (seen, _) = flock_sim::vtime::VirtualLab::run_against_reference(|| {
+            let (domain, server, mut handle) = echo_bed("twin", 1);
+            let a = Arc::new(handle.register_thread());
+            let b = Arc::new(FlThread {
+                ctx: Arc::clone(&a.ctx),
+                inner: Arc::clone(&a.inner),
+            });
+            // The first call connects the lane (≈ 1 ms).
+            a.call(RPC_ECHO, b"warm").unwrap();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let note = {
+                let seen = Arc::clone(&seen);
+                move |what: &str, got: &dyn std::fmt::Debug| {
+                    let line = format!("{what}: {got:?}");
+                    seen.lock().push((clock::now_ns(), line));
+                }
+            };
+            let late = a.send_rpc(RPC_UNANSWERED, b"late").unwrap();
+            let waiter = {
+                let (b, note) = (Arc::clone(&b), note.clone());
+                clock::spawn("b", move || note("b gives up", &b.recv_res(late)))
+            };
+            let mut mine = 0;
+            for k in 0..4u8 {
+                mine = a.send_rpc(RPC_ECHO, &[k]).unwrap();
+                note("a echo", &a.recv_res(mine));
+            }
+            waiter.join().unwrap();
+            note("a again", &a.recv_res(late));
+            answer_late(&server);
+            note("b asks", &());
+            note("b third", &b.recv_res(late));
+            note("b taken", &b.recv_res(mine));
+            note("b never", &b.recv_res(mine + 10));
+            handle.shutdown();
+            note("a stopped", &a.try_recv_res(late));
+            note("outstanding", &a.ctx.requests.lock().outstanding());
+            server.shutdown(&domain);
+            let seen = seen.lock().clone();
+            seen
+        });
+        let (at, lines): (Vec<u64>, Vec<String>) = seen.into_iter().unzip();
+        let gone = "Err(InvalidArgument(\"seq not in flight\"))";
+        let rest = [
+            "b gives up: Err(Timeout)".to_string(),
+            format!("a again: {gone}"),
+            "b asks: ()".to_string(),
+            format!("b third: {gone}"),
+            format!("b taken: {gone}"),
+            format!("b never: {gone}"),
+            format!("a stopped: Some({gone})"),
+            "outstanding: 0".to_string(),
+        ];
+        let echoed = lines[..4].iter().all(|l| l.starts_with("a echo: Ok"));
+        assert!(echoed, "{lines:?}");
+        assert_eq!(lines[4..], rest, "{lines:?}");
+        // Answered at once, once the late reply had landed.
+        assert!(at[6..10].iter().all(|&t| t == at[6]), "{at:?}");
+    }
+
     /// A one-sided op whose wait timed out used to leave its late result
     /// in `MemSlots::results` for good; a deferred one, its marker.
     #[test]
     fn timed_out_one_sided_waits_leave_nothing_behind() {
-        use crate::server::{FlockServer, ServerConfig};
         flock_sim::vtime::VirtualLab::run(|| {
             let domain = FlockDomain::with_defaults();
             let server_node = domain.add_node("abandon-srv");

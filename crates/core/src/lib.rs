@@ -60,6 +60,7 @@ pub mod error;
 pub mod msg;
 pub mod onesided;
 mod pool;
+mod requests;
 pub mod ring;
 pub mod sched;
 pub mod server;

@@ -74,7 +74,12 @@ pub struct MsgHeader {
 
 /// Compute the encoded size of a message with the given entry data lengths.
 pub fn encoded_size(data_lens: impl IntoIterator<Item = usize>) -> usize {
-    HDR_SIZE + data_lens.into_iter().map(|l| META_SIZE + l).sum::<usize>() + TRAILER_SIZE
+    HDR_SIZE + data_lens.into_iter().map(entry_size).sum::<usize>() + TRAILER_SIZE
+}
+
+/// The bytes one entry of `data_len` payload bytes adds to a message.
+pub fn entry_size(data_len: usize) -> usize {
+    META_SIZE + data_len
 }
 
 /// An entry to encode: metadata plus a borrowed payload.

@@ -58,6 +58,12 @@ pub const fn align_up(len: usize) -> usize {
     (len + RING_ALIGN - 1) & !(RING_ALIGN - 1)
 }
 
+/// The longest message a ring of `capacity` bytes takes: half of it,
+/// aligned, so a message and the wrap record before it always fit.
+pub(crate) const fn max_message(capacity: usize) -> usize {
+    (capacity / 2) & !(RING_ALIGN - 1)
+}
+
 /// Static geometry of a ring within a memory region.
 #[derive(Debug, Clone, Copy)]
 pub struct RingLayout {
@@ -139,7 +145,7 @@ impl RingProducer {
     /// committed (tail advanced).
     pub fn reserve(&mut self, len: usize) -> Result<Reservation> {
         let aligned = align_up(len);
-        if aligned * 2 > self.layout.capacity {
+        if len > max_message(self.layout.capacity) {
             return Err(FlockError::MessageTooLarge {
                 need: aligned,
                 capacity: self.layout.capacity,
@@ -436,6 +442,12 @@ impl Link {
     /// Capacity of the peer's ring in bytes.
     pub(crate) fn remote_capacity(&self) -> usize {
         self.remote.capacity
+    }
+
+    /// The longest message [`Link::try_send`] can ever send; a longer
+    /// one fails with `MessageTooLarge`.
+    pub(crate) fn max_message(&self) -> usize {
+        max_message(self.remote.capacity)
     }
 
     /// Bytes of the local ring consumed since the head last went out on

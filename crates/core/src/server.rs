@@ -1192,7 +1192,7 @@ fn handle_message(
             // The handler's output Vec is the one per-request allocation
             // the server keeps: the `Handler` signature owns its result.
             let out = h(data);
-            lane.pending_bytes += msg::META_SIZE + out.len();
+            lane.pending_bytes += msg::entry_size(out.len());
             lane.pending.push((
                 EntryMeta {
                     len: out.len() as u32,
@@ -1242,7 +1242,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
             .take(COALESCE_MAX_ENTRIES)
             .take_while(|(_, out)| {
                 let fits = bytes < lane.qp.link.remote_capacity() / 4;
-                bytes += msg::META_SIZE + out.len();
+                bytes += msg::entry_size(out.len());
                 fits
             })
             .count();
@@ -1278,7 +1278,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
     lane.pending_bytes = lane
         .pending
         .iter()
-        .map(|(_, out)| msg::META_SIZE + out.len())
+        .map(|(_, out)| msg::entry_size(out.len()))
         .sum();
     sent > 0 || !keep
 }
