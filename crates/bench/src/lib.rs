@@ -106,7 +106,10 @@ pub static SUITES: [Suite; 6] = [
         name: "onesided",
         file: Some("BENCH_onesided.json"),
         run: onesided::run_suite,
-        table: None,
+        table: Some(Table {
+            marker: "bench:onesided.crossover",
+            render: onesided::crossover_table,
+        }),
     },
     Suite {
         name: "figures",

@@ -21,6 +21,7 @@
 //! same RPC. The rendered JSON's `crossover` section pins where, and
 //! EXPERIMENTS.md narrates the thresholds.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -409,6 +410,51 @@ pub(crate) fn adaptive_worst_regret(outcomes: &[[ModeOutcome; 3]]) -> f64 {
             }
         })
         .fold(0.0, f64::max)
+}
+
+/// EXPERIMENTS.md's crossover table of a `onesided` document: one row
+/// per value size, write mix and client count, `ops_per_vsec` of each
+/// mode (the best in bold) and which fixed mode won, by how much.
+pub(crate) fn crossover_table(doc: &Value) -> String {
+    let mut out = String::from(
+        "| value | clients | rpc | one_sided | adaptive | winner |\n|---|---|---|---|---|---|\n",
+    );
+    let cap = doc.field("inline_value_cap").num();
+    let rate = |v: f64, best: bool| {
+        let v = if v >= 1e6 {
+            format!("{:.2}M", v / 1e6)
+        } else {
+            format!("{:.0}k", v / 1e3)
+        };
+        if best {
+            format!("**{v}**")
+        } else {
+            v
+        }
+    };
+    for row in doc.field("crossover").items() {
+        let value = row.field("value_bytes").num();
+        let oversize = if value > cap { " (oversize)" } else { "" };
+        let write_pct = row.field("write_pct").num();
+        for s in row.field("series").items() {
+            let [rpc, os, ad] = ["rpc", "one_sided", "adaptive"].map(|k| s.field(k).num());
+            let best = rpc.max(os).max(ad);
+            let (winner, ratio) = if rpc > os {
+                ("RPC", rpc / os)
+            } else {
+                ("one-sided", os / rpc)
+            };
+            let _ = writeln!(
+                out,
+                "| {value} B{oversize}, {write_pct}% wr | {} | {} | {} | {} | {winner}, {ratio:.2}× |",
+                s.field("clients").num(),
+                rate(rpc, rpc == best),
+                rate(os, os == best),
+                rate(ad, ad == best),
+            );
+        }
+    }
+    out
 }
 
 /// Run the sweep and render the stable-order JSON document.

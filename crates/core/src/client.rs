@@ -3,7 +3,6 @@
 //! sender-side thread scheduling (§5.2), and one-sided memory operations
 //! (§6).
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -23,7 +22,7 @@ use crate::domain::{
 };
 use crate::error::{FlockError, Result};
 use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
-use crate::requests::Requests;
+use crate::requests::{Delivered, Requests};
 use crate::ring::{self, Link};
 use crate::sched::thread::{assign_threads_into, AssignScratch, ThreadLoadStats};
 use crate::tcq::{Outcome, Tcq};
@@ -132,8 +131,10 @@ pub(crate) const MEM_SUBSLOTS: usize = 8;
 /// Bytes per scratch sub-slot.
 pub(crate) const MEM_SUBSLOT_SIZE: usize = MEM_SCRATCH / MEM_SUBSLOTS;
 
-/// Bookkeeping for one pending one-sided operation.
-struct MemPending {
+/// What a one-sided op's slot in its thread's table carries until its
+/// completion gives it back.
+#[derive(Debug, Clone, Copy)]
+struct MemOp {
     /// Sub-slot bitmask held by the operation.
     mask: u8,
     /// Absolute offset of the result bytes in the handle's scratch MR.
@@ -141,29 +142,35 @@ struct MemPending {
     /// Bytes to copy out on success.
     result_len: usize,
     /// Deferred completion: the dispatcher publishes only a marker and
-    /// leaves the payload in scratch until the issuing thread copies it
-    /// out with [`FlThread::take_deferred`] — the one-sided fast path
-    /// stays allocation-free this way.
+    /// leaves the payload, and the sub-slots, in scratch until the
+    /// issuing thread copies it out with [`FlThread::take_deferred`] —
+    /// the one-sided fast path stays allocation-free this way.
     defer: bool,
-    /// Its wait timed out: the completion releases the sub-slots and
-    /// publishes nothing, since nobody will ask for the result.
-    abandoned: bool,
 }
 
 /// A published one-sided result: the bytes read back, or why the remote
 /// operation failed.
 type MemResult = std::result::Result<Vec<u8>, &'static str>;
 
-/// A thread's one-sided state, under one lock: an op is pending until
-/// the dispatcher routes its completion, then its result is published
-/// (unless it was abandoned), and its scratch sub-slots return to `free`.
-struct MemSlots {
-    /// In-flight operations (up to [`MEM_SUBSLOTS`]) by work-request id.
-    pending: HashMap<u64, MemPending>,
-    /// Completed operations nobody has taken yet.
-    results: HashMap<u64, MemResult>,
+/// A thread's one-sided ops by seq and the scratch sub-slots they hold,
+/// under one lock: a completion publishes the result and frees the
+/// sub-slots together.
+struct MemOps {
+    ops: Requests<MemOp, MemResult>,
     /// Bitmap of free scratch sub-slots.
     free: u8,
+}
+
+/// Bits of a one-sided work-request id below the issuing thread's id:
+/// the op's seq in its thread's table. Thread ids are below
+/// [`MAX_THREADS`] and seqs start at 1, so no id is one of
+/// [`Link::owns`]'s (0 and the top two) before a thread's 2^56th op.
+const MEM_SEQ_BITS: u32 = 56;
+
+/// The work-request id of `thread`'s one-sided op `seq`.
+fn mem_wr_id(thread: u32, seq: u64) -> WrId {
+    debug_assert!(seq < 1 << MEM_SEQ_BITS);
+    WrId(u64::from(thread) << MEM_SEQ_BITS | seq)
 }
 
 /// A point-in-time snapshot of one QP lane's counters.
@@ -203,15 +210,11 @@ pub struct HandleMetrics {
 /// deferred batch reads — copy out with [`FlThread::take_deferred`].
 #[derive(Debug, Clone, Copy)]
 pub struct MemToken {
-    wr_id: u64,
-    /// Scratch sub-slots held until the result is consumed (deferred
-    /// reads free them in `take_deferred`, everything else in the
-    /// dispatcher).
-    mask: u8,
-    /// Absolute scratch offset of the landing zone.
-    scratch_off: usize,
-    /// Bytes the operation reads back.
-    len: usize,
+    /// The op's seq in its thread's table.
+    seq: u64,
+    /// What its slot carries: a deferred read's sub-slots are freed by
+    /// `take_deferred`, every other op's by its completion.
+    op: MemOp,
 }
 
 /// Where a thread sends and what Algorithm 1 knows of its load (paper
@@ -237,10 +240,12 @@ pub(crate) struct ThreadCtx {
     /// Every request the thread sent, by seq: issued by the send path,
     /// answered by the response dispatcher, taken or given up by the
     /// receive.
-    requests: Mutex<Requests>,
+    requests: Mutex<Requests<(), Bytes>>,
     /// Signalled after every reply delivered and when the handle stops.
     reply_event: Event,
-    mem: Mutex<MemSlots>,
+    /// Every one-sided op the thread issued, by seq, the same way, and
+    /// its free scratch sub-slots.
+    mem: Mutex<MemOps>,
     /// Signalled after every published result, every release of scratch
     /// sub-slots and when the handle stops.
     mem_event: Event,
@@ -280,7 +285,6 @@ pub(crate) struct HandleInner {
     threads: RwLock<Vec<Arc<ThreadCtx>>>,
     mem_regions: Vec<MemRegionInfo>,
     mem_mr: Arc<MemoryRegion>,
-    mem_wr_seq: Counter,
     /// Send CQ shared by the dedicated mem QPs (when
     /// [`HandleConfig::dedicated_mem_qps`] is set): one poll point for
     /// the dispatcher regardless of how many threads attached a QP.
@@ -450,7 +454,6 @@ impl ConnectionHandle {
             threads: RwLock::new(Vec::new()),
             mem_regions: reply.memory_regions,
             mem_mr,
-            mem_wr_seq: Counter::new(1),
             mem_cq: cfg
                 .dedicated_mem_qps
                 .then(|| CompletionQueue::with_event(1024, Arc::clone(&dispatch_event))),
@@ -546,9 +549,8 @@ impl ConnectionHandle {
                 }),
                 requests: Mutex::new(Requests::new()),
                 reply_event: Event::new(),
-                mem: Mutex::new(MemSlots {
-                    pending: HashMap::new(),
-                    results: HashMap::new(),
+                mem: Mutex::new(MemOps {
+                    ops: Requests::new(),
                     free: 0xFF,
                 }),
                 mem_event: Event::new(),
@@ -754,7 +756,7 @@ impl FlThread {
                 capacity: qp.link.remote_capacity(),
             });
         }
-        let seq = self.ctx.requests.lock().issue();
+        let seq = self.ctx.requests.lock().issue(());
         let mut placement = self.ctx.placement.lock();
         placement.sizes.record(payload.len() as u32);
         placement.requests += 1;
@@ -795,15 +797,30 @@ impl FlThread {
     /// never returned by a send — fails at once with
     /// `InvalidArgument("seq not in flight")` and changes nothing.
     pub fn recv_res(&self, seq: u64) -> Result<Bytes> {
+        let take = |give_up| self.ctx.requests.lock().take(seq, give_up);
+        self.receive(&self.ctx.reply_event, take)
+    }
+
+    /// A blocking receive from one of the thread's tables: `take` answers
+    /// a receive, given the error it gives up with; it is asked until it
+    /// answers, giving up once the handle has stopped, and after the
+    /// timeout once more, giving up unless the reply landed since the
+    /// last poll.
+    fn receive<R>(
+        &self,
+        event: &Event,
+        take: impl Fn(Option<FlockError>) -> Option<Result<R>>,
+    ) -> Result<R> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
-        let got = self.ctx.reply_event.wait_until(deadline, 500, || {
-            let stopped = self.inner.stop.is_set().then_some(FlockError::Disconnected);
-            self.ctx.requests.lock().take(seq, stopped)
-        });
-        // Give up, unless the response landed since the last poll.
-        let timeout = Some(FlockError::Timeout);
-        let give_up = || self.ctx.requests.lock().take(seq, timeout);
+        let got = event.wait_until(deadline, 500, || take(self.stopped()));
+        let give_up = || take(Some(FlockError::Timeout));
         got.or_else(give_up).expect("a receive that gives up ends")
+    }
+
+    /// The error a receive gives up with now: `Disconnected` once the
+    /// handle has stopped.
+    fn stopped(&self) -> Option<FlockError> {
+        self.inner.stop.is_set().then_some(FlockError::Disconnected)
     }
 
     /// Non-blocking check for the response to `seq` (coroutine-style
@@ -813,8 +830,7 @@ impl FlThread {
     /// without it, which gives `seq` up; for a `seq` not in flight, the
     /// error [`FlThread::recv_res`] returns.
     pub fn try_recv_res(&self, seq: u64) -> Option<Result<Bytes>> {
-        let stopped = self.inner.stop.is_set().then_some(FlockError::Disconnected);
-        self.ctx.requests.lock().take(seq, stopped)
+        self.ctx.requests.lock().take(seq, self.stopped())
     }
 
     /// Convenience: send and wait.
@@ -936,37 +952,23 @@ impl FlThread {
     }
 
     /// Submit a one-sided op through the TCQ without waiting. The `wr`'s
-    /// local SGE must point at `scratch_off` within the thread's scratch.
-    fn start_mem(
-        &self,
-        mut wr: SendWr,
-        mask: u8,
-        scratch_off: usize,
-        result_len: usize,
-    ) -> Result<MemToken> {
-        let wr_seq = self.inner.mem_wr_seq.add(1);
-        let wr_id = ((self.ctx.id as u64) << 32) | (wr_seq & 0xFFFF_FFFF);
-        wr.wr_id = WrId(wr_id);
-        self.ctx.mem.lock().pending.insert(
-            wr_id,
-            MemPending {
-                mask,
-                scratch_off,
-                result_len,
-                defer: false,
-                abandoned: false,
-            },
-        );
-        if let Some(mqp) = self.ctx.mem_qp.get() {
+    /// local SGE must point at `op.scratch_off` within the thread's
+    /// scratch. A submit that fails takes the op's result, or gives the
+    /// op up if its work request went out.
+    fn start_mem(&self, mut wr: SendWr, op: MemOp) -> Result<MemToken> {
+        let seq = self.ctx.mem.lock().ops.issue(op);
+        wr.wr_id = mem_wr_id(self.ctx.id, seq);
+        let sent = if let Some(mqp) = self.ctx.mem_qp.get() {
             // Dedicated mem QP: the conventional one-sided design pays a
             // verb and a doorbell per op — a per-thread QP has no
             // combining partner.
-            if let Err(e) = mqp.post_send(wr) {
-                self.ctx.mem.lock().pending.remove(&wr_id);
-                self.ctx.release(mask);
-                return Err(e.into());
+            let posted = mqp.post_send(wr);
+            if posted.is_ok() {
+                clock::charge(self.inner.cost.cpu_doorbell_ns);
+            } else {
+                fail_unposted(&self.inner, &[wr]);
             }
-            clock::charge(self.inner.cost.cpu_doorbell_ns);
+            posted.map_err(FlockError::from)
         } else {
             // Memory ops also coalesce through Flock synchronization (§6):
             // the leader links the batch's work requests into one doorbell.
@@ -975,55 +977,40 @@ impl FlThread {
                 .tcq
                 .join_with(ClientReq::Mem(wr), || self.inner.boarding_window())
             {
-                Outcome::Lead(batch) => leader_flush(&self.inner, &self.ctx, qp, batch)?,
-                Outcome::Sent => {}
+                Outcome::Lead(batch) => leader_flush(&self.inner, &self.ctx, qp, batch),
+                Outcome::Sent => Ok(()),
             }
+        };
+        if let Err(e) = sent {
+            self.ctx.mem.lock().ops.take(seq, Some(e.clone()));
+            return Err(e);
         }
-        Ok(MemToken {
-            wr_id,
-            mask,
-            scratch_off,
-            len: result_len,
-        })
+        Ok(MemToken { seq, op })
     }
 
     /// Non-blocking poll of an in-flight one-sided op: `None` while it is
     /// in flight, `Some(Err(Disconnected))` once the handle has stopped
-    /// without its result.
+    /// without its result, which gives the op up; for a token already
+    /// taken, given up or never issued, the error [`FlThread::recv_res`]
+    /// returns for such a seq.
     pub fn try_mem(&self, token: MemToken) -> Option<Result<Vec<u8>>> {
-        let landed = self.ctx.mem.lock().results.remove(&token.wr_id);
-        landed
-            .map(|r| r.map_err(FlockError::RemoteOpFailed))
-            .or_else(|| self.inner.disconnected())
+        let landed = self.ctx.mem.lock().ops.take(token.seq, self.stopped());
+        landed.map(|r| r?.map_err(FlockError::RemoteOpFailed))
     }
 
-    /// Block until an in-flight one-sided op completes.
+    /// Block until an in-flight one-sided op completes; a timeout gives
+    /// it up, and its late completion frees its sub-slots and publishes
+    /// nothing.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
         self.wait_mem_result(token)?
             .map_err(FlockError::RemoteOpFailed)
     }
 
-    /// Block until `token`'s completion is published; the outer `Err` is
-    /// the handle stopping or the timeout. A timeout abandons the op: its
-    /// late completion frees the sub-slots and publishes nothing — unless
-    /// it landed since the last poll, in which case it is consumed.
+    /// Block until `token`'s result is published and take it; the outer
+    /// `Err` is the receive's (see [`FlThread::recv_res`]).
     fn wait_mem_result(&self, token: MemToken) -> Result<MemResult> {
-        let deadline = clock::deadline(self.inner.cfg.timeout);
-        let got = self.ctx.mem_event.wait_until(deadline, 500, || {
-            if let Some(r) = self.ctx.mem.lock().results.remove(&token.wr_id) {
-                return Some(Ok(r));
-            }
-            self.inner.disconnected()
-        });
-        got.unwrap_or_else(|| {
-            // The op is either still pending or its result is there.
-            let mut mem = self.ctx.mem.lock();
-            if let Some(p) = mem.pending.get_mut(&token.wr_id) {
-                p.abandoned = true;
-                return Err(FlockError::Timeout);
-            }
-            mem.results.remove(&token.wr_id).ok_or(FlockError::Timeout)
-        })
+        let take = |give_up| self.ctx.mem.lock().ops.take(token.seq, give_up);
+        self.receive(&self.ctx.mem_event, take)
     }
 
     /// Start a non-blocking one-sided read of up to one sub-slot
@@ -1037,9 +1024,15 @@ impl FlThread {
             });
         }
         let (mask, off) = self.acquire_scratch_blocking(len)?;
-        let scratch = self.scratch_off() + off;
-        let wr = SendWr::read(WrId(0), self.scratch_sge(scratch, len), remote);
-        self.start_mem(wr, mask, scratch, len)
+        let scratch_off = self.scratch_off() + off;
+        let wr = SendWr::read(WrId(0), self.scratch_sge(scratch_off, len), remote);
+        let op = MemOp {
+            mask,
+            scratch_off,
+            result_len: len,
+            defer: false,
+        };
+        self.start_mem(wr, op)
     }
 
     /// Start a non-blocking one-sided write of up to one sub-slot.
@@ -1052,10 +1045,16 @@ impl FlThread {
             });
         }
         let (mask, off) = self.acquire_scratch_blocking(data.len())?;
-        let scratch = self.scratch_off() + off;
-        self.inner.mem_mr.write(scratch, data)?;
-        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch, data.len()), remote);
-        self.start_mem(wr, mask, scratch, 0)
+        let scratch_off = self.scratch_off() + off;
+        self.inner.mem_mr.write(scratch_off, data)?;
+        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch_off, data.len()), remote);
+        let op = MemOp {
+            mask,
+            scratch_off,
+            result_len: 0,
+            defer: false,
+        };
+        self.start_mem(wr, op)
     }
 
     /// Issue up to [`MEM_SUBSLOTS`] one-sided READs against raw
@@ -1114,62 +1113,51 @@ impl FlThread {
             Some(q) => q,
             None => self.inner.lane(self.migrate_if_idle()).link.qp(),
         };
-        let base_seq = self.inner.mem_wr_seq.add(n as u64);
-        // Fixed-size WR chain on the stack; indices past `n` duplicate
-        // the last real read and are never posted.
-        let wrs: [SendWr; MEM_SUBSLOTS] = std::array::from_fn(|i| {
+        // Fixed-size tokens and WR chain on the stack; indices past `n`
+        // duplicate the last real read and are never issued or posted.
+        let mut mem = self.ctx.mem.lock();
+        let issued: [MemToken; MEM_SUBSLOTS] = std::array::from_fn(|i| {
             let j = i.min(n - 1);
-            let wr_id = ((self.ctx.id as u64) << 32) | ((base_seq + j as u64) & 0xFFFF_FFFF);
-            let local = self.scratch_sge(self.scratch_off() + offs[j], reads[j].1);
-            SendWr::read(WrId(wr_id), local, reads[j].0)
+            let op = MemOp {
+                mask: masks[j],
+                scratch_off: self.scratch_off() + offs[j],
+                result_len: reads[j].1,
+                defer: true,
+            };
+            let seq = if i < n { mem.ops.issue(op) } else { 0 };
+            MemToken { seq, op }
         });
-        {
-            let mut mem = self.ctx.mem.lock();
-            for i in 0..n {
-                mem.pending.insert(
-                    wrs[i].wr_id.0,
-                    MemPending {
-                        mask: masks[i],
-                        scratch_off: self.scratch_off() + offs[i],
-                        result_len: reads[i].1,
-                        defer: true,
-                        abandoned: false,
-                    },
-                );
-            }
-        }
+        drop(mem);
+        let wrs: [SendWr; MEM_SUBSLOTS] = std::array::from_fn(|i| {
+            let MemToken { seq, op } = issued[i];
+            let local = self.scratch_sge(op.scratch_off, op.result_len);
+            SendWr::read(mem_wr_id(self.ctx.id, seq), local, reads[i.min(n - 1)].0)
+        });
         if let Err(e) = post_qp.post_send_many(&wrs[..n]) {
-            let mut mem = self.ctx.mem.lock();
-            for wr in &wrs[..n] {
-                mem.pending.remove(&wr.wr_id.0);
+            // Each read takes its error result and frees its sub-slot.
+            fail_unposted(&self.inner, &wrs[..n]);
+            for &token in &issued[..n] {
+                let _failed = self.take_deferred(token, &mut []);
             }
-            drop(mem);
-            self.ctx.release(masks.iter().fold(0, |all, m| all | m));
             return Err(e.into());
         }
         clock::charge(self.inner.cost.cpu_doorbell_ns);
-        for (i, wr) in wrs[..n].iter().enumerate() {
-            tokens.push(MemToken {
-                wr_id: wr.wr_id.0,
-                mask: masks[i],
-                scratch_off: self.scratch_off() + offs[i],
-                len: reads[i].1,
-            });
-        }
+        tokens.extend_from_slice(&issued[..n]);
         Ok(())
     }
 
     /// Copy a deferred read's bytes out of the scratch MR into `out`
     /// (no allocation) and release its sub-slot. Blocks until the
-    /// completion arrives; returns the number of bytes copied.
+    /// completion arrives, as [`FlThread::wait_mem`] does; returns the
+    /// number of bytes copied.
     pub fn take_deferred(&self, token: MemToken, out: &mut [u8]) -> Result<usize> {
         let landed = self.wait_mem_result(token)?;
-        let n = token.len.min(out.len());
+        let n = token.op.result_len.min(out.len());
         let copied = landed.and_then(|_| {
-            let read = self.inner.mem_mr.read(token.scratch_off, &mut out[..n]);
+            let read = self.inner.mem_mr.read(token.op.scratch_off, &mut out[..n]);
             read.map_err(|_| "scratch read failed")
         });
-        self.ctx.release(token.mask);
+        self.ctx.release(token.op.mask);
         copied.map(|()| n).map_err(FlockError::RemoteOpFailed)
     }
 
@@ -1180,7 +1168,13 @@ impl FlThread {
         let len = wr.op.byte_len();
         let (mask, off) = self.acquire_scratch_blocking(len.max(MEM_SCRATCH - 1))?;
         debug_assert_eq!((mask, off), (0xFF, 0));
-        let token = self.start_mem(wr, mask, self.scratch_off(), result_len)?;
+        let op = MemOp {
+            mask,
+            scratch_off: self.scratch_off(),
+            result_len,
+            defer: false,
+        };
+        let token = self.start_mem(wr, op)?;
         self.wait_mem(token)
     }
 
@@ -1390,7 +1384,10 @@ fn flush_parts(
     // One-sided ops are linked into a single chain and posted with one
     // doorbell by the leader (paper §6).
     if !mem_wrs.is_empty() {
-        qp.link.qp().post_send_many(mem_wrs)?;
+        if let Err(e) = qp.link.qp().post_send_many(mem_wrs) {
+            fail_unposted(inner, mem_wrs);
+            return Err(e.into());
+        }
         clock::charge(inner.cost.cpu_doorbell_ns);
     }
     // One message per run of requests that fits the peer's ring: the
@@ -1631,8 +1628,11 @@ fn handle_ring_poll(
             for (meta, data) in view.entries() {
                 clock::charge(inner.cost.cpu_codec_ns);
                 if let Some(t) = threads.get(meta.thread_id as usize) {
-                    let awaited = t.requests.lock().deliver(t.id, meta.seq, data);
-                    if awaited {
+                    // The waiter owns exactly its reply: the dispatcher's
+                    // message buffer is reused.
+                    let reply = |_: &()| Bytes::copy_from_slice(data);
+                    let delivered = t.requests.lock().deliver(t.id, meta.seq, reply);
+                    if delivered == Delivered::Awaited(()) {
                         t.reply_event.notify_all();
                     }
                 }
@@ -1666,40 +1666,48 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     ) {
         return;
     }
-    let thread_id = (c.wr_id.0 >> 32) as u32;
+    let status = if c.is_ok() {
+        Ok(())
+    } else {
+        Err("remote operation completed with error status")
+    };
+    deliver_mem(inner, c.wr_id, status);
+}
+
+/// Deliver the one-sided ops of `wrs`, never posted, an error result:
+/// no completion will come for them.
+fn fail_unposted(inner: &HandleInner, wrs: &[SendWr]) {
+    for wr in wrs {
+        deliver_mem(inner, wr.wr_id, Err("work request not posted"));
+    }
+}
+
+/// Deliver one-sided op `wr_id`'s outcome to its thread's table and free
+/// its sub-slots — unless it is a deferred read that is still awaited:
+/// `take_deferred` frees those once it has copied the bytes out.
+fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: std::result::Result<(), &'static str>) {
+    let thread = wr_id.0 >> MEM_SEQ_BITS;
     let threads = inner.threads.read();
-    let Some(t) = threads.get(thread_id as usize) else {
+    let Some(t) = threads.get(thread as usize) else {
         return;
+    };
+    let result = |op: &MemOp| {
+        status?;
+        if op.defer || op.result_len == 0 {
+            // A deferred op's marker: its bytes stay in scratch, so this
+            // path allocates nothing.
+            return Ok(Vec::new());
+        }
+        let read = inner.mem_mr.read_vec(op.scratch_off, op.result_len);
+        read.map_err(|_| "scratch read failed")
     };
     let mut mem = t.mem.lock();
-    let Some(p) = mem.pending.remove(&c.wr_id.0) else {
-        return;
+    let seq = wr_id.0 & ((1 << MEM_SEQ_BITS) - 1);
+    mem.free |= match mem.ops.deliver(t.id, seq, result) {
+        Delivered::Awaited(op) if op.defer => 0,
+        Delivered::Awaited(op) | Delivered::Dropped(op) => op.mask,
+        Delivered::Stray => return,
     };
-    if !p.abandoned {
-        let result = if c.is_ok() {
-            if p.defer {
-                // Deferred op: publish only a marker. The payload stays in
-                // scratch until the issuing thread copies it out with
-                // `take_deferred` — no allocation on this path.
-                Ok(Vec::new())
-            } else if p.result_len > 0 {
-                inner
-                    .mem_mr
-                    .read_vec(p.scratch_off, p.result_len)
-                    .map_err(|_| "scratch read failed")
-            } else {
-                Ok(Vec::new())
-            }
-        } else {
-            Err("remote operation completed with error status")
-        };
-        mem.results.insert(c.wr_id.0, result);
-    }
-    // Deferred ops keep their sub-slots until `take_deferred` consumes
-    // the bytes; every other op is done with them.
-    if !p.defer || p.abandoned {
-        mem.free |= p.mask;
-    }
     drop(mem);
     t.mem_event.notify_all();
 }
@@ -1796,14 +1804,16 @@ mod tests {
     const RPC_UNANSWERED: u32 = 5;
     const RPC_ECHO: u32 = 6;
 
-    /// A server that echoes [`RPC_ECHO`] and queues [`RPC_UNANSWERED`]
-    /// for `recv_rpc`, and a handle on `n_qps` eager lanes with a 200 µs
-    /// timeout and no thread scheduler.
+    /// A server that echoes [`RPC_ECHO`], queues [`RPC_UNANSWERED`]
+    /// for `recv_rpc` and advertises one zeroed 4 KiB region (index 0)
+    /// for one-sided ops, and a handle on `n_qps` eager lanes with a
+    /// 200 µs timeout and no thread scheduler.
     fn echo_bed(name: &str, n_qps: usize) -> (FlockDomain, FlockServer, ConnectionHandle) {
         let domain = FlockDomain::with_defaults();
         let server_node = domain.add_node(&format!("{name}-srv"));
         let server = FlockServer::listen(&domain, &server_node, name, ServerConfig::default());
         server.reg_handler(RPC_ECHO, |req| req.to_vec());
+        assert_eq!(server.attach_mreg(4096), 0);
         let mut cfg = HandleConfig::default();
         cfg.n_qps = n_qps;
         cfg.eager_qps = true;
@@ -1863,7 +1873,7 @@ mod tests {
             answer_late(&server);
             assert!(not_in_flight(t.recv_res(seq)));
             assert_eq!(t.ctx.requests.lock().outstanding(), 0);
-            assert_eq!(t.ctx.requests.lock().issue(), seq + 2);
+            assert_eq!(t.ctx.requests.lock().issue(()), seq + 2);
 
             handle.shutdown();
             server.shutdown(&domain);
@@ -2120,11 +2130,93 @@ mod tests {
             // publish nothing.
             clock::sleep_ns(100_000);
             let mem = t.ctx.mem.lock();
-            assert!(mem.pending.is_empty());
-            assert!(mem.results.is_empty());
+            assert!(mem.ops.is_empty());
             assert_eq!(mem.free, 0xFF);
             drop(mem);
 
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A second `wait_mem` or `take_deferred` of a token whose result was
+    /// taken used to wait a full timeout and return `Timeout`.
+    #[test]
+    fn a_token_taken_or_never_issued_fails_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("token", 1);
+            let t = handle.register_thread();
+            let token = t.read_async(0, 0, 8).unwrap();
+            assert_eq!(t.wait_mem(token), Ok(vec![0; 8]));
+            let region = &handle.memory_regions()[0];
+            let remote = RemoteAddr {
+                rkey: region.rkey,
+                addr: region.addr,
+            };
+            let mut tokens = Vec::new();
+            t.read_batch(&[(remote, 8)], &mut tokens).unwrap();
+            assert_eq!(t.take_deferred(tokens[0], &mut [0; 8]), Ok(8));
+
+            let asked = clock::now_ns();
+            let waited = t.wait_mem(token);
+            let deferred = t.take_deferred(tokens[0], &mut [0; 8]);
+            let never = t.try_mem(MemToken { seq: 9, ..token });
+            assert_eq!(clock::now_ns(), asked, "the waits waited");
+            assert!(not_in_flight(waited) && not_in_flight(deferred));
+            assert!(not_in_flight(never.expect("an answer")));
+            // Nothing was freed twice.
+            let mem = t.ctx.mem.lock();
+            assert!(mem.ops.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A leader flush whose one-sided post failed used to leave its own
+    /// op and every follower's holding their sub-slots for good: the
+    /// leader's `read_async` returned the error, each follower's wait
+    /// timed out, and after four such batches the thread's eight
+    /// sub-slots were gone.
+    #[test]
+    fn a_failed_one_sided_flush_fails_its_whole_batch_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("unposted", 2);
+            let a = handle.register_thread();
+            // A second registered thread opens the boarding window, so
+            // the follower below joins the leader's batch.
+            let _beside = handle.register_thread();
+            let b = Arc::new(FlThread {
+                ctx: Arc::clone(&a.ctx),
+                inner: Arc::clone(&a.inner),
+            });
+            let lane = a.current_qp();
+            let qpn = handle.inner.lane(lane).link.qp().qpn();
+            assert!(handle.inner.node.destroy_qp(qpn));
+            for round in 0..4 {
+                let follower = {
+                    let b = Arc::clone(&b);
+                    clock::spawn(&format!("b{round}"), move || {
+                        let token = b.read_async(0, 8, 8).expect("the follower's op");
+                        let asked = clock::now_ns();
+                        let got = b.wait_mem(token);
+                        assert_eq!(clock::now_ns(), asked, "the follower waited");
+                        assert!(matches!(got, Err(FlockError::RemoteOpFailed(_))), "{got:?}");
+                    })
+                };
+                let led = a.read_async(0, 0, 8);
+                assert!(matches!(led, Err(FlockError::Fabric(_))), "{led:?}");
+                follower.join().unwrap();
+            }
+            let mem = a.ctx.mem.lock();
+            assert!(mem.ops.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
+            // Moved off the broken lane, the thread's ninth op goes out.
+            a.ctx.placement.lock().target = 1 - lane;
+            let ninth = a.read_async(0, 0, 8).expect("a free sub-slot");
+            assert_eq!(a.wait_mem(ninth), Ok(vec![0; 8]));
             handle.shutdown();
             server.shutdown(&domain);
         });

@@ -2,9 +2,9 @@
 //!
 //! [`register_hydra_backend`] puts a [`flock_hydralist::HydraList`]
 //! behind the same GET/SET/PING RPC contract [`crate::register_kv_backend`]
-//! uses for the hash store, so every edge protocol (memcached, RESP,
-//! ping) works unchanged over an ordered index — values are 8-byte LE
-//! `u64`s, the paper's §8.6 workload shape.
+//! uses for the hash store, so the edge protocol works unchanged over
+//! an ordered index — values are 8-byte LE `u64`s, the paper's §8.6
+//! workload shape.
 //!
 //! [`HydraMirror`] adds the one-sided leg: the data-layer leaf list is
 //! mirrored into an exported segment, one seqlock slot per arena node,

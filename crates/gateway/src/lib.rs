@@ -9,8 +9,8 @@
 //!
 //! Layers:
 //!
-//! * [`proto`] — pluggable wire protocols (memcached-text, RESP, ping)
-//!   with incremental, panic-free decoders.
+//! * [`proto`] — pluggable wire protocols (memcached-text) with
+//!   incremental, panic-free decoders.
 //! * [`edge`] — per-client sessions pumping bytes → frames → backend
 //!   RPCs → encoded responses.
 //! * [`gateway`] — tenant-keyed shared backend connections and session
@@ -42,8 +42,6 @@ pub use hydra::{
 pub use mirror::{register_kv_mirror_backend, KvReadClient, KvReadStats};
 pub use edge::{EdgeError, EdgeSession};
 pub use gateway::{Gateway, GatewayConfig};
-pub use proto::{
-    Decoded, MemcachedText, PingProto, ProtoError, Request, Resp, Response, WireProtocol,
-};
+pub use proto::{Decoded, MemcachedText, ProtoError, Request, Response, WireProtocol};
 pub use rpc::key_hash;
 pub use tenant::{SessionId, TenantRegistry};

@@ -21,12 +21,8 @@
 //!   frames regardless of how they were chunked across `decode` calls.
 
 pub mod memcached;
-pub mod ping;
-pub mod resp;
 
 pub use memcached::MemcachedText;
-pub use ping::PingProto;
-pub use resp::Resp;
 
 /// Maximum key length accepted by any gateway protocol (memcached's
 /// classic 250-byte limit).

@@ -1,5 +1,5 @@
-//! End-to-end gateway tests: edge sessions speaking all three wire
-//! protocols against a kvstore-backed Flock server, with per-tenant
+//! End-to-end gateway tests: memcached-text edge sessions of several
+//! tenants against a kvstore-backed Flock server, with per-tenant
 //! accounting visible in the server's fairness snapshot.
 
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use flock_core::client::HandleConfig;
 use flock_core::sched::tenant::FairnessSnapshot;
 use flock_core::server::{FlockServer, ServerConfig};
 use flock_core::FlockDomain;
-use flock_gateway::proto::{MemcachedText, PingProto, Resp};
+use flock_gateway::proto::MemcachedText;
 use flock_gateway::{register_kv_backend, EdgeError, Gateway, GatewayConfig};
 use flock_kvstore::{KvConfig, KvStore};
 
@@ -49,14 +49,14 @@ fn gateway(domain: &Arc<FlockDomain>, name: &str) -> Gateway {
 }
 
 #[test]
-fn three_protocols_share_one_store() {
+fn three_tenants_share_one_store() {
     let domain = Arc::new(FlockDomain::with_defaults());
     let (server, kv) = kv_server(&domain, "kv1");
     let gw = gateway(&domain, "kv1");
 
     let mut mc = gw.open_session(1, Arc::new(MemcachedText)).unwrap();
-    let mut rs = gw.open_session(2, Arc::new(Resp)).unwrap();
-    let mut pg = gw.open_session(3, Arc::new(PingProto)).unwrap();
+    let mut rs = gw.open_session(2, Arc::new(MemcachedText)).unwrap();
+    let mut pg = gw.open_session(3, Arc::new(MemcachedText)).unwrap();
 
     let mut out = Vec::new();
     // Memcached tenant writes...
@@ -73,34 +73,30 @@ fn three_protocols_share_one_store() {
     assert_eq!(out, b"PONG\r\n");
     out.clear();
 
-    // ...and the RESP tenant reads them through the same store.
-    assert_eq!(rs.pump(b"*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n", &mut out).unwrap(), 1);
-    assert_eq!(out, b"$3\r\nbar\r\n");
+    // ...a second tenant reads them through the same store...
+    assert_eq!(rs.pump(b"get foo\r\n", &mut out).unwrap(), 1);
+    assert_eq!(out, b"VALUE foo 0 3\r\nbar\r\nEND\r\n");
     out.clear();
-    assert_eq!(
-        rs.pump(b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nhello\r\n", &mut out)
-            .unwrap(),
-        1
-    );
-    assert_eq!(out, b"+OK\r\n");
+    assert_eq!(rs.pump(b"set k 0 0 5\r\nhello\r\n", &mut out).unwrap(), 1);
+    assert_eq!(out, b"STORED\r\n");
     out.clear();
-    assert_eq!(rs.pump(b"*1\r\n$4\r\nPING\r\n", &mut out).unwrap(), 1);
-    assert_eq!(out, b"+PONG\r\n");
+    assert_eq!(rs.pump(b"ping\r\n", &mut out).unwrap(), 1);
+    assert_eq!(out, b"PONG\r\n");
     out.clear();
 
-    // Ping tenant.
-    assert_eq!(pg.pump(b"PING\r\nPING\r\n", &mut out).unwrap(), 2);
+    // ...and a third only pings, two frames in one pump.
+    assert_eq!(pg.pump(b"ping\r\nping\r\n", &mut out).unwrap(), 2);
     assert_eq!(out, b"PONG\r\nPONG\r\n");
     out.clear();
 
-    // The store holds both keys (hashed), written through two protocols.
+    // The store holds both keys (hashed), written by two tenants.
     assert_eq!(kv.len(), 2);
 
     // Per-tenant accounting reached the backend scheduler: three tenant
     // rows, each with completed requests matching its traffic.
     let snap = snapshot_after(&server, 3, 2);
     let t1 = snap.tenant(1).expect("memcached tenant row");
-    let t2 = snap.tenant(2).expect("resp tenant row");
+    let t2 = snap.tenant(2).expect("reading tenant row");
     let t3 = snap.tenant(3).expect("ping tenant row");
     assert_eq!(t1.completed, 4);
     assert_eq!(t2.completed, 3);
@@ -175,13 +171,13 @@ fn malformed_stream_reports_error_and_dies() {
     let domain = Arc::new(FlockDomain::with_defaults());
     let (server, _kv) = kv_server(&domain, "kv4");
     let gw = gateway(&domain, "kv4");
-    let mut s = gw.open_session(1, Arc::new(Resp)).unwrap();
+    let mut s = gw.open_session(1, Arc::new(MemcachedText)).unwrap();
 
     let mut out = Vec::new();
-    let err = s.pump(b"not resp at all\r\n", &mut out).unwrap_err();
+    let err = s.pump(b"not memcached at all\r\n", &mut out).unwrap_err();
     assert!(matches!(err, EdgeError::Proto(_)), "{err}");
     assert!(
-        out.starts_with(b"-ERR"),
+        out.starts_with(b"CLIENT_ERROR"),
         "client gets an error frame before the close: {:?}",
         String::from_utf8_lossy(&out)
     );

@@ -1,6 +1,6 @@
 //! Protocol-codec property battery (ISSUE 9 satellite 1).
 //!
-//! For both wire handlers (memcached-text and RESP):
+//! For every wire handler the gateway speaks (memcached-text):
 //!
 //! * encode → decode round-trips arbitrary keys/values, and pipelined
 //!   frame sequences, with `consumed` exactly covering the input;
@@ -11,8 +11,8 @@
 //! * targeted malformed inputs produce errors, not hangs or panics.
 
 use flock_gateway::proto::{
-    Decoded, MemcachedText, PingProto, ProtoError, Request, Resp, WireProtocol, MAX_KEY_LEN,
-    MAX_LINE_LEN, MAX_VALUE_LEN,
+    Decoded, MemcachedText, ProtoError, Request, WireProtocol, MAX_KEY_LEN, MAX_LINE_LEN,
+    MAX_VALUE_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -112,8 +112,8 @@ fn decode_chunked(
     Ok(out)
 }
 
-fn protocols() -> [&'static dyn WireProtocol; 2] {
-    [&MemcachedText, &Resp]
+fn protocols() -> [&'static dyn WireProtocol; 1] {
+    [&MemcachedText]
 }
 
 proptest! {
@@ -193,11 +193,6 @@ proptest! {
                 Ok(Decoded::NeedMore) | Err(_) => {}
             }
         }
-        // The ping decoder too.
-        match PingProto.decode(&raw) {
-            Ok(Decoded::Frame { consumed, .. }) => prop_assert!(consumed <= raw.len()),
-            Ok(Decoded::NeedMore) | Err(_) => {}
-        }
     }
 
     #[test]
@@ -246,50 +241,6 @@ fn memcached_malformed_inputs_error() {
     // Unterminated line beyond the line bound.
     let no_eol = vec![b'g'; MAX_LINE_LEN + 8];
     assert_eq!(p.decode(&no_eol), Err(ProtoError::LineTooLong));
-}
-
-#[test]
-fn resp_malformed_inputs_error() {
-    let p = Resp;
-    let cases: &[&[u8]] = &[
-        b"+PING\r\n",                            // not an array
-        b"*0\r\n",                               // empty array
-        b"*4\r\n",                               // too many elements
-        b"*x\r\n",                               // non-numeric count
-        b"*1\r\n+PING\r\n",                      // element not a bulk string
-        b"*1\r\n$abc\r\n",                       // non-numeric bulk length
-        b"*1\r\n$4\r\nPINGx!",                   // bulk not CRLF-terminated
-        b"*2\r\n$4\r\nPING\r\n$1\r\na\r\n",      // PING with arguments
-        b"*1\r\n$3\r\nGET\r\n",                  // GET without key
-        b"*2\r\n$4\r\nEVAL\r\n$1\r\na\r\n",      // unknown command
-        b"*2\r\n$3\r\nGET\r\n$0\r\n\r\n",        // empty key
-    ];
-    for c in cases {
-        assert!(p.decode(c).is_err(), "{:?} must be rejected", String::from_utf8_lossy(c));
-    }
-    let huge = format!("*2\r\n$3\r\nGET\r\n${}\r\n", MAX_VALUE_LEN + 1);
-    assert_eq!(p.decode(huge.as_bytes()), Err(ProtoError::ValueTooLong));
-}
-
-#[test]
-fn ping_protocol_is_ping_only() {
-    let p = PingProto;
-    assert!(matches!(
-        p.decode(b"PING\r\n"),
-        Ok(Decoded::Frame { req: Request::Ping, consumed: 6 })
-    ));
-    assert!(matches!(p.decode(b"PI"), Ok(Decoded::NeedMore)));
-    assert!(p.decode(b"PONG\r\n").is_err());
-    assert!(p.decode(b"X").is_err(), "non-PING prefix fails fast");
-    // Pipelined pings decode one at a time.
-    let two = b"PING\r\nPING\r\n";
-    let Ok(Decoded::Frame { consumed, .. }) = p.decode(two) else {
-        panic!("first ping");
-    };
-    assert!(matches!(
-        p.decode(&two[consumed..]),
-        Ok(Decoded::Frame { req: Request::Ping, .. })
-    ));
 }
 
 #[test]
