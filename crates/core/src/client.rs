@@ -148,9 +148,10 @@ struct MemOp {
     defer: bool,
 }
 
-/// A published one-sided result: the bytes read back, or why the remote
-/// operation failed.
-type MemResult = std::result::Result<Vec<u8>, &'static str>;
+/// A published one-sided result: the bytes read back, or why the op
+/// failed (its completion's error status, or the error of the post that
+/// never sent it).
+type MemResult = Result<Vec<u8>>;
 
 /// A thread's one-sided ops by seq and the scratch sub-slots they hold,
 /// under one lock: a completion publishes the result and frees the
@@ -171,6 +172,17 @@ const MEM_SEQ_BITS: u32 = 56;
 fn mem_wr_id(thread: u32, seq: u64) -> WrId {
     debug_assert!(seq < 1 << MEM_SEQ_BITS);
     WrId(u64::from(thread) << MEM_SEQ_BITS | seq)
+}
+
+/// A one-sided op's size bound: `MessageTooLarge` past `capacity` bytes.
+fn fits(len: usize, capacity: usize) -> Result<()> {
+    if len > capacity {
+        return Err(FlockError::MessageTooLarge {
+            need: len,
+            capacity,
+        });
+    }
+    Ok(())
 }
 
 /// A point-in-time snapshot of one QP lane's counters.
@@ -238,9 +250,9 @@ pub(crate) struct ThreadCtx {
     id: u32,
     placement: Mutex<Placement>,
     /// Every request the thread sent, by seq: issued by the send path,
-    /// answered by the response dispatcher, taken or given up by the
-    /// receive.
-    requests: Mutex<Requests<(), Bytes>>,
+    /// answered by the response dispatcher (or, for a request its flush
+    /// could not send, by the flush), taken or given up by the receive.
+    requests: Mutex<Requests<(), Result<Bytes>>>,
     /// Signalled after every reply delivered and when the handle stops.
     reply_event: Event,
     /// Every one-sided op the thread issued, by seq, the same way, and
@@ -738,11 +750,13 @@ impl FlThread {
     /// ring write's payload (cloning `Bytes` is a refcount bump, so resending the
     /// same payload allocates nothing).
     ///
-    /// A payload that could never fit one message in the server's
-    /// request ring fails with `MessageTooLarge` before it takes a seq,
-    /// a credit or a place in a batch. A send that fails after that
-    /// gives its seq up: it is not in flight, and its reply, should one
-    /// come, is dropped.
+    /// A send fails only before its request joins a batch: on a stopped
+    /// handle, or with `MessageTooLarge` for a payload that could never
+    /// fit one message in the server's request ring (before it takes a
+    /// seq, a credit or a place in a batch). After the join it returns
+    /// the seq, whoever leads the batch: a request the flush could not
+    /// send is answered with the flush's error, which
+    /// [`FlThread::recv_res`] returns at once.
     pub fn send_rpc_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<u64> {
         let inner = &self.inner;
         if inner.stop.is_set() {
@@ -771,18 +785,11 @@ impl FlThread {
         };
         // TCQ enqueue: one uncontended atomic RMW of host CPU.
         clock::charge(inner.cost.cpu_sync_ns);
-        match qp
+        let joined = qp
             .tcq
-            .join_with(ClientReq::Rpc(meta, payload), || inner.boarding_window())
-        {
-            Outcome::Lead(batch) => {
-                if let Err(e) = leader_flush(inner, &self.ctx, qp, batch) {
-                    // Not sent: nobody will receive `seq`.
-                    self.ctx.requests.lock().take(seq, Some(e.clone()));
-                    return Err(e);
-                }
-            }
-            Outcome::Sent => {}
+            .join_with(ClientReq::Rpc(meta, payload), || inner.boarding_window());
+        if let Outcome::Lead(batch) = joined {
+            leader_flush(inner, &self.ctx, qp, batch);
         }
         Ok(seq)
     }
@@ -805,16 +812,17 @@ impl FlThread {
     /// a receive, given the error it gives up with; it is asked until it
     /// answers, giving up once the handle has stopped, and after the
     /// timeout once more, giving up unless the reply landed since the
-    /// last poll.
-    fn receive<R>(
+    /// last poll. The reply is itself a result: the request's answer.
+    fn receive<T>(
         &self,
         event: &Event,
-        take: impl Fn(Option<FlockError>) -> Option<Result<R>>,
-    ) -> Result<R> {
+        take: impl Fn(Option<FlockError>) -> Option<Result<Result<T>>>,
+    ) -> Result<T> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
         let got = event.wait_until(deadline, 500, || take(self.stopped()));
         let give_up = || take(Some(FlockError::Timeout));
-        got.or_else(give_up).expect("a receive that gives up ends")
+        got.or_else(give_up)
+            .expect("a receive that gives up ends")?
     }
 
     /// The error a receive gives up with now: `Disconnected` once the
@@ -830,7 +838,8 @@ impl FlThread {
     /// without it, which gives `seq` up; for a `seq` not in flight, the
     /// error [`FlThread::recv_res`] returns.
     pub fn try_recv_res(&self, seq: u64) -> Option<Result<Bytes>> {
-        self.ctx.requests.lock().take(seq, self.stopped())
+        let landed = self.ctx.requests.lock().take(seq, self.stopped());
+        landed.map(Result::flatten)
     }
 
     /// Convenience: send and wait.
@@ -839,41 +848,28 @@ impl FlThread {
         self.recv_res(seq)
     }
 
-    /// One-sided read (`fl_read`) from advertised region `mem_idx`.
+    /// One-sided read (`fl_read`) of up to [`MEM_SCRATCH`] bytes from
+    /// advertised region `mem_idx`.
     pub fn read(&self, mem_idx: usize, offset: u64, len: usize) -> Result<Vec<u8>> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        if len > MEM_SCRATCH {
-            return Err(FlockError::MessageTooLarge {
-                need: len,
-                capacity: MEM_SCRATCH,
-            });
-        }
-        // Work-request ids are assigned in `start_mem`.
-        let wr = SendWr::read(WrId(0), self.scratch_sge(self.scratch_off(), len), remote);
-        self.submit_mem(wr, len)
+        let read = |local| SendWr::read(WrId(0), local, remote);
+        self.wait_mem(self.start_verb(MEM_SCRATCH, &[], len, read)?)
     }
 
-    /// One-sided write (`fl_write`) into advertised region `mem_idx`.
+    /// One-sided write (`fl_write`) of up to [`MEM_SCRATCH`] bytes into
+    /// advertised region `mem_idx`.
     pub fn write(&self, mem_idx: usize, offset: u64, data: &[u8]) -> Result<()> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        if data.len() > MEM_SCRATCH {
-            return Err(FlockError::MessageTooLarge {
-                need: data.len(),
-                capacity: MEM_SCRATCH,
-            });
-        }
-        let scratch = self.scratch_off();
-        self.inner.mem_mr.write(scratch, data)?;
-        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch, data.len()), remote);
-        self.submit_mem(wr, 0).map(|_| ())
+        let write = |local| SendWr::write(WrId(0), local, remote);
+        self.wait_mem(self.start_verb(MEM_SCRATCH, data, 0, write)?)
+            .map(drop)
     }
 
     /// One-sided fetch-and-add (`fl_fetch_and_add`); returns the old value.
     pub fn fetch_add(&self, mem_idx: usize, offset: u64, delta: u64) -> Result<u64> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        let local = self.scratch_sge(self.scratch_off(), 8);
-        let wr = SendWr::fetch_add(WrId(0), local, remote, delta);
-        let old = self.submit_mem(wr, 8)?;
+        let add = |local| SendWr::fetch_add(WrId(0), local, remote, delta);
+        let old = self.wait_mem(self.start_verb(8, &[], 8, add)?)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
 
@@ -881,9 +877,8 @@ impl FlThread {
     /// value (the swap happened iff it equals `expect`).
     pub fn cmp_swap(&self, mem_idx: usize, offset: u64, expect: u64, swap: u64) -> Result<u64> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        let local = self.scratch_sge(self.scratch_off(), 8);
-        let wr = SendWr::cmp_swap(WrId(0), local, remote, expect, swap);
-        let old = self.submit_mem(wr, 8)?;
+        let cas = |local| SendWr::cmp_swap(WrId(0), local, remote, expect, swap);
+        let old = self.wait_mem(self.start_verb(8, &[], 8, cas)?)?;
         Ok(u64::from_le_bytes(old[..8].try_into().expect("8 bytes")))
     }
 
@@ -951,41 +946,58 @@ impl FlThread {
         got.unwrap_or(Err(FlockError::Timeout))
     }
 
-    /// Submit a one-sided op through the TCQ without waiting. The `wr`'s
-    /// local SGE must point at `op.scratch_off` within the thread's
-    /// scratch. A submit that fails takes the op's result, or gives the
-    /// op up if its work request went out.
-    fn start_mem(&self, mut wr: SendWr, op: MemOp) -> Result<MemToken> {
+    /// The one starter of every one-sided verb. The op sends `data` (a
+    /// write's) or reads back `result_len` bytes (a read's or an
+    /// atomic's), at most `bound` either way: it acquires scratch that
+    /// covers them — one sub-slot up to [`MEM_SUBSLOT_SIZE`] bytes, the
+    /// whole region above that — copies `data` into it, and starts the
+    /// work request `verb` builds on it.
+    fn start_verb(
+        &self,
+        bound: usize,
+        data: &[u8],
+        result_len: usize,
+        verb: impl FnOnce(Sge) -> SendWr,
+    ) -> Result<MemToken> {
+        let len = data.len().max(result_len);
+        fits(len, bound)?;
+        let (mask, off) = self.acquire_scratch_blocking(len)?;
+        let scratch_off = self.scratch_off() + off;
+        let copied = self.inner.mem_mr.write(scratch_off, data);
+        copied.expect("a thread's scratch lies inside the scratch MR");
+        let op = MemOp {
+            mask,
+            scratch_off,
+            result_len,
+            defer: false,
+        };
+        Ok(self.start_mem(verb(self.scratch_sge(scratch_off, len)), op))
+    }
+
+    /// Issue `op` and send its work request `wr`, whose local SGE points
+    /// at `op.scratch_off`, without waiting: on the thread's dedicated
+    /// mem QP, or through its lane's TCQ. A post that fails answers the
+    /// op with its error, so the token is always one to wait for.
+    fn start_mem(&self, mut wr: SendWr, op: MemOp) -> MemToken {
         let seq = self.ctx.mem.lock().ops.issue(op);
         wr.wr_id = mem_wr_id(self.ctx.id, seq);
-        let sent = if let Some(mqp) = self.ctx.mem_qp.get() {
+        if let Some(mqp) = self.ctx.mem_qp.get() {
             // Dedicated mem QP: the conventional one-sided design pays a
             // verb and a doorbell per op — a per-thread QP has no
             // combining partner.
-            let posted = mqp.post_send(wr);
-            if posted.is_ok() {
-                clock::charge(self.inner.cost.cpu_doorbell_ns);
-            } else {
-                fail_unposted(&self.inner, &[wr]);
-            }
-            posted.map_err(FlockError::from)
+            post_chain(&self.inner, mqp, &[wr]);
         } else {
             // Memory ops also coalesce through Flock synchronization (§6):
             // the leader links the batch's work requests into one doorbell.
             let qp = self.inner.lane(self.migrate_if_idle());
-            match qp
+            let joined = qp
                 .tcq
-                .join_with(ClientReq::Mem(wr), || self.inner.boarding_window())
-            {
-                Outcome::Lead(batch) => leader_flush(&self.inner, &self.ctx, qp, batch),
-                Outcome::Sent => Ok(()),
+                .join_with(ClientReq::Mem(wr), || self.inner.boarding_window());
+            if let Outcome::Lead(batch) = joined {
+                leader_flush(&self.inner, &self.ctx, qp, batch);
             }
-        };
-        if let Err(e) = sent {
-            self.ctx.mem.lock().ops.take(seq, Some(e.clone()));
-            return Err(e);
         }
-        Ok(MemToken { seq, op })
+        MemToken { seq, op }
     }
 
     /// Non-blocking poll of an in-flight one-sided op: `None` while it is
@@ -995,66 +1007,35 @@ impl FlThread {
     /// returns for such a seq.
     pub fn try_mem(&self, token: MemToken) -> Option<Result<Vec<u8>>> {
         let landed = self.ctx.mem.lock().ops.take(token.seq, self.stopped());
-        landed.map(|r| r?.map_err(FlockError::RemoteOpFailed))
+        landed.map(Result::flatten)
     }
 
-    /// Block until an in-flight one-sided op completes; a timeout gives
-    /// it up, and its late completion frees its sub-slots and publishes
-    /// nothing.
+    /// Block until an in-flight one-sided op completes and take its
+    /// result: the bytes read back, or why it failed — its completion's
+    /// error status, or, at once, the error of the post that never sent
+    /// it. A timeout gives the op up, and its late completion frees its
+    /// sub-slots and publishes nothing.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
-        self.wait_mem_result(token)?
-            .map_err(FlockError::RemoteOpFailed)
-    }
-
-    /// Block until `token`'s result is published and take it; the outer
-    /// `Err` is the receive's (see [`FlThread::recv_res`]).
-    fn wait_mem_result(&self, token: MemToken) -> Result<MemResult> {
         let take = |give_up| self.ctx.mem.lock().ops.take(token.seq, give_up);
         self.receive(&self.ctx.mem_event, take)
     }
 
     /// Start a non-blocking one-sided read of up to one sub-slot
     /// ([`MEM_SUBSLOT_SIZE`] bytes); poll with [`FlThread::try_mem`].
+    /// It fails only before it is sent (an unknown region, an oversize
+    /// read, no sub-slot free within the timeout); once sent, its token
+    /// answers, through [`FlThread::wait_mem`], whatever became of it.
     pub fn read_async(&self, mem_idx: usize, offset: u64, len: usize) -> Result<MemToken> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        if len > MEM_SUBSLOT_SIZE {
-            return Err(FlockError::MessageTooLarge {
-                need: len,
-                capacity: MEM_SUBSLOT_SIZE,
-            });
-        }
-        let (mask, off) = self.acquire_scratch_blocking(len)?;
-        let scratch_off = self.scratch_off() + off;
-        let wr = SendWr::read(WrId(0), self.scratch_sge(scratch_off, len), remote);
-        let op = MemOp {
-            mask,
-            scratch_off,
-            result_len: len,
-            defer: false,
-        };
-        self.start_mem(wr, op)
+        let read = |local| SendWr::read(WrId(0), local, remote);
+        self.start_verb(MEM_SUBSLOT_SIZE, &[], len, read)
     }
 
     /// Start a non-blocking one-sided write of up to one sub-slot.
     pub fn write_async(&self, mem_idx: usize, offset: u64, data: &[u8]) -> Result<MemToken> {
         let remote = self.remote_addr(mem_idx, offset)?;
-        if data.len() > MEM_SUBSLOT_SIZE {
-            return Err(FlockError::MessageTooLarge {
-                need: data.len(),
-                capacity: MEM_SUBSLOT_SIZE,
-            });
-        }
-        let (mask, off) = self.acquire_scratch_blocking(data.len())?;
-        let scratch_off = self.scratch_off() + off;
-        self.inner.mem_mr.write(scratch_off, data)?;
-        let wr = SendWr::write(WrId(0), self.scratch_sge(scratch_off, data.len()), remote);
-        let op = MemOp {
-            mask,
-            scratch_off,
-            result_len: 0,
-            defer: false,
-        };
-        self.start_mem(wr, op)
+        let write = |local| SendWr::write(WrId(0), local, remote);
+        self.start_verb(MEM_SUBSLOT_SIZE, data, 0, write)
     }
 
     /// Issue up to [`MEM_SUBSLOTS`] one-sided READs against raw
@@ -1062,15 +1043,18 @@ impl FlThread {
     ///
     /// This is the one-sided fast path: the caller is its own combining
     /// leader, so the work requests bypass the TCQ and go straight to
-    /// the lane's QP with `post_send_many` — N verbs, one doorbell
-    /// (exactly what `flush_parts` does for TCQ-coalesced memory ops).
+    /// the lane's QP through [`post_chain`] — N verbs, one doorbell
+    /// (exactly what a TCQ leader does for coalesced memory ops).
     /// Each read lands in its own scratch sub-slot and **stays there**:
     /// the dispatcher publishes only a completion marker, and the bytes
     /// are copied out by [`FlThread::take_deferred`] into a
     /// caller-provided buffer. With a reused `tokens` vector the whole
     /// issue/validate loop allocates nothing in steady state.
     ///
-    /// Each read must fit one sub-slot ([`MEM_SUBSLOT_SIZE`] bytes).
+    /// Each read must fit one sub-slot ([`MEM_SUBSLOT_SIZE`] bytes). The
+    /// batch fails only before it is sent; once it is, every token it
+    /// pushed must be taken, and a chain that failed to post answers
+    /// each of its takes with the post's error.
     pub fn read_batch(
         &self,
         reads: &[(RemoteAddr, usize)],
@@ -1088,14 +1072,7 @@ impl FlThread {
         let mut masks = [0u8; MEM_SUBSLOTS];
         let mut offs = [0usize; MEM_SUBSLOTS];
         for (i, &(_, len)) in reads.iter().enumerate() {
-            let got = if len > MEM_SUBSLOT_SIZE {
-                Err(FlockError::MessageTooLarge {
-                    need: len,
-                    capacity: MEM_SUBSLOT_SIZE,
-                })
-            } else {
-                self.acquire_scratch_blocking(len)
-            };
+            let got = fits(len, MEM_SUBSLOT_SIZE).and_then(|()| self.acquire_scratch_blocking(len));
             match got {
                 Ok((m, o)) => {
                     masks[i] = m;
@@ -1133,49 +1110,22 @@ impl FlThread {
             let local = self.scratch_sge(op.scratch_off, op.result_len);
             SendWr::read(mem_wr_id(self.ctx.id, seq), local, reads[i.min(n - 1)].0)
         });
-        if let Err(e) = post_qp.post_send_many(&wrs[..n]) {
-            // Each read takes its error result and frees its sub-slot.
-            fail_unposted(&self.inner, &wrs[..n]);
-            for &token in &issued[..n] {
-                let _failed = self.take_deferred(token, &mut []);
-            }
-            return Err(e.into());
-        }
-        clock::charge(self.inner.cost.cpu_doorbell_ns);
+        post_chain(&self.inner, post_qp, &wrs[..n]);
         tokens.extend_from_slice(&issued[..n]);
         Ok(())
     }
 
     /// Copy a deferred read's bytes out of the scratch MR into `out`
     /// (no allocation) and release its sub-slot. Blocks until the
-    /// completion arrives, as [`FlThread::wait_mem`] does; returns the
-    /// number of bytes copied.
+    /// completion arrives, as [`FlThread::wait_mem`] does, and fails as
+    /// it does; returns the number of bytes copied.
     pub fn take_deferred(&self, token: MemToken, out: &mut [u8]) -> Result<usize> {
-        let landed = self.wait_mem_result(token)?;
+        self.wait_mem(token)?;
         let n = token.op.result_len.min(out.len());
-        let copied = landed.and_then(|_| {
-            let read = self.inner.mem_mr.read(token.op.scratch_off, &mut out[..n]);
-            read.map_err(|_| "scratch read failed")
-        });
+        let copied = self.inner.mem_mr.read(token.op.scratch_off, &mut out[..n]);
         self.ctx.release(token.op.mask);
-        copied.map(|()| n).map_err(FlockError::RemoteOpFailed)
-    }
-
-    /// Submit a one-sided op through the TCQ and wait for its completion.
-    fn submit_mem(&self, wr: SendWr, result_len: usize) -> Result<Vec<u8>> {
-        // `wr` was built against the start of the thread's scratch region;
-        // blocking ops take the whole region so the layout is unchanged.
-        let len = wr.op.byte_len();
-        let (mask, off) = self.acquire_scratch_blocking(len.max(MEM_SCRATCH - 1))?;
-        debug_assert_eq!((mask, off), (0xFF, 0));
-        let op = MemOp {
-            mask,
-            scratch_off: self.scratch_off(),
-            result_len,
-            defer: false,
-        };
-        let token = self.start_mem(wr, op)?;
-        self.wait_mem(token)
+        copied?;
+        Ok(n)
     }
 
     /// Adopt the scheduler's target QP if no request is outstanding
@@ -1330,24 +1280,23 @@ struct FlushScratch {
 
 /// The leader's flush: partition the batch, post one-sided work requests,
 /// encode the coalesced RPC message, manage credits and ring space, and
-/// issue the RDMA write(s) (paper §4.2, Figure 5).
+/// issue the RDMA write(s) (paper §4.2, Figure 5). It answers every
+/// request it carried: one it could not send gets the error through its
+/// thread's table, as a reply or a completion would come.
 fn leader_flush(
     inner: &HandleInner,
     leader: &ThreadCtx,
     qp: &ClientQpCtx,
     mut batch: crate::tcq::Batch<ClientReq>,
-) -> Result<()> {
+) {
     // Taken out for the flush, not borrowed: the flush can suspend (a
     // credit wait, a full ring), other leaders run meanwhile — under a
     // virtual executor on this very OS thread — and no lock is held
     // across a suspension point.
     let mut scratch = std::mem::take(&mut *leader.flush_scratch.lock());
-    let result = flush_batch(inner, qp, &mut batch, &mut scratch);
+    flush_batch(inner, qp, &mut batch, &mut scratch);
     *leader.flush_scratch.lock() = scratch;
-    // Always release followers, even on error: stranding them would
-    // deadlock unrelated threads. Their requests time out instead.
     qp.tcq.complete(batch);
-    result
 }
 
 fn flush_batch(
@@ -1355,7 +1304,7 @@ fn flush_batch(
     qp: &ClientQpCtx,
     batch: &mut crate::tcq::Batch<ClientReq>,
     scratch: &mut FlushScratch,
-) -> Result<()> {
+) {
     scratch.rpcs.clear();
     scratch.mem_wrs.clear();
     // Drain in place: the batch keeps its (pooled) buffers for
@@ -1367,12 +1316,11 @@ fn flush_batch(
             ClientReq::Mem(wr) => scratch.mem_wrs.push(wr),
         }
     }
-    let result = flush_parts(inner, qp, &scratch.rpcs, &scratch.mem_wrs);
+    flush_parts(inner, qp, &scratch.rpcs, &scratch.mem_wrs);
     // Drop payload refcounts promptly (the encode is done);
     // the buffers themselves are retained for the next batch.
     scratch.rpcs.clear();
     scratch.mem_wrs.clear();
-    result
 }
 
 fn flush_parts(
@@ -1380,21 +1328,16 @@ fn flush_parts(
     qp: &ClientQpCtx,
     rpcs: &[(EntryMeta, Bytes)],
     mem_wrs: &[SendWr],
-) -> Result<()> {
+) {
     // One-sided ops are linked into a single chain and posted with one
     // doorbell by the leader (paper §6).
     if !mem_wrs.is_empty() {
-        if let Err(e) = qp.link.qp().post_send_many(mem_wrs) {
-            fail_unposted(inner, mem_wrs);
-            return Err(e.into());
-        }
-        clock::charge(inner.cost.cpu_doorbell_ns);
+        post_chain(inner, qp.link.qp(), mem_wrs);
     }
     // One message per run of requests that fits the peer's ring: the
-    // whole batch unless its bytes outgrow one message. The leader's own
-    // request is in the first run, so a failure there is the leader's
-    // error; a later one ends the flush, and the requests it leaves
-    // unsent time out like the followers of a failed batch.
+    // whole batch unless its bytes outgrow one message. A run that fails
+    // ends the flush, and it and every run after it are answered with
+    // its error.
     let max = qp.link.max_message();
     let mut rest = rpcs;
     while !rest.is_empty() {
@@ -1405,14 +1348,11 @@ fn flush_parts(
         });
         // Every request fits alone (`send_rpc_bytes` checks).
         let (run, after) = rest.split_at(fits.count().max(1));
-        match send_run(inner, qp, run) {
-            Ok(()) => rest = after,
-            // The leader's own request went out in an earlier run.
-            Err(_) if rest.len() < rpcs.len() => return Ok(()),
-            Err(e) => return Err(e),
+        if let Err(e) = send_run(inner, qp, run) {
+            return fail_unsent(inner, rest, &e);
         }
+        rest = after;
     }
-    Ok(())
 }
 
 /// Send `run` as one message (paper §4.2, Figure 5): its credits, one
@@ -1627,15 +1567,9 @@ fn handle_ring_poll(
             let threads = inner.threads.read();
             for (meta, data) in view.entries() {
                 clock::charge(inner.cost.cpu_codec_ns);
-                if let Some(t) = threads.get(meta.thread_id as usize) {
-                    // The waiter owns exactly its reply: the dispatcher's
-                    // message buffer is reused.
-                    let reply = |_: &()| Bytes::copy_from_slice(data);
-                    let delivered = t.requests.lock().deliver(t.id, meta.seq, reply);
-                    if delivered == Delivered::Awaited(()) {
-                        t.reply_event.notify_all();
-                    }
-                }
+                // The waiter owns exactly its reply: the dispatcher's
+                // message buffer is reused.
+                deliver_rpc(&threads, &meta, || Ok(Bytes::copy_from_slice(data)));
             }
             // A deactivated lane nobody sends on owes the server its
             // marker: at the notice, or when an earlier attempt found the
@@ -1669,28 +1603,67 @@ fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     let status = if c.is_ok() {
         Ok(())
     } else {
-        Err("remote operation completed with error status")
+        Err(FlockError::RemoteOpFailed(
+            "remote operation completed with error status",
+        ))
     };
     deliver_mem(inner, c.wr_id, status);
 }
 
-/// Deliver the one-sided ops of `wrs`, never posted, an error result:
-/// no completion will come for them.
-fn fail_unposted(inner: &HandleInner, wrs: &[SendWr]) {
+/// Post `wrs` to `qp` as one chain behind one doorbell (paper §6): the
+/// one way a one-sided work request reaches the fabric. A post that
+/// fails sends none of them, and each op gets the post's error as its
+/// result: no completion will come for it.
+fn post_chain(inner: &HandleInner, qp: &Qp, wrs: &[SendWr]) {
+    match qp.post_send_many(wrs) {
+        Ok(()) => clock::charge(inner.cost.cpu_doorbell_ns),
+        Err(e) => fail_unposted(inner, wrs, &e.into()),
+    }
+}
+
+/// Deliver the one-sided ops of `wrs`, never posted, the error `e`.
+fn fail_unposted(inner: &HandleInner, wrs: &[SendWr], e: &FlockError) {
     for wr in wrs {
-        deliver_mem(inner, wr.wr_id, Err("work request not posted"));
+        deliver_mem(inner, wr.wr_id, Err(e.clone()));
+    }
+}
+
+/// Deliver the RPCs of `rpcs`, never sent, the error `e`: the twin of
+/// [`fail_unposted`].
+fn fail_unsent(inner: &HandleInner, rpcs: &[(EntryMeta, Bytes)], e: &FlockError) {
+    let threads = inner.threads.read();
+    for (meta, _) in rpcs {
+        deliver_rpc(&threads, meta, || Err(e.clone()));
+    }
+}
+
+/// Deliver the answer to RPC `meta` to its thread's table, and wake the
+/// thread if it waits for it.
+fn deliver_rpc(
+    threads: &[Arc<ThreadCtx>],
+    meta: &EntryMeta,
+    answer: impl FnOnce() -> Result<Bytes>,
+) {
+    let Some(t) = threads.get(meta.thread_id as usize) else {
+        return;
+    };
+    let delivered = t.requests.lock().deliver(t.id, meta.seq, |_| answer());
+    if delivered == Delivered::Awaited(()) {
+        t.reply_event.notify_all();
     }
 }
 
 /// Deliver one-sided op `wr_id`'s outcome to its thread's table and free
-/// its sub-slots — unless it is a deferred read that is still awaited:
-/// `take_deferred` frees those once it has copied the bytes out.
-fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: std::result::Result<(), &'static str>) {
+/// its sub-slots — unless it is a deferred read that is still awaited
+/// and succeeded: `take_deferred` frees those once it has copied the
+/// bytes out.
+fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: Result<()>) {
     let thread = wr_id.0 >> MEM_SEQ_BITS;
     let threads = inner.threads.read();
     let Some(t) = threads.get(thread as usize) else {
         return;
     };
+    let failed = status.is_err();
     let result = |op: &MemOp| {
         status?;
         if op.defer || op.result_len == 0 {
@@ -1698,13 +1671,12 @@ fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: std::result::Result<(),
             // path allocates nothing.
             return Ok(Vec::new());
         }
-        let read = inner.mem_mr.read_vec(op.scratch_off, op.result_len);
-        read.map_err(|_| "scratch read failed")
+        Ok(inner.mem_mr.read_vec(op.scratch_off, op.result_len)?)
     };
     let mut mem = t.mem.lock();
     let seq = wr_id.0 & ((1 << MEM_SEQ_BITS) - 1);
     mem.free |= match mem.ops.deliver(t.id, seq, result) {
-        Delivered::Awaited(op) if op.defer => 0,
+        Delivered::Awaited(op) if op.defer && !failed => 0,
         Delivered::Awaited(op) | Delivered::Dropped(op) => op.mask,
         Delivered::Stray => return,
     };
@@ -1832,6 +1804,36 @@ mod tests {
         t.migrate_if_idle() == other
     }
 
+    /// Run `f` on a task of its own; the returned closure joins the task
+    /// and gives back what `f` returned.
+    fn on_task<T: Send + 'static>(
+        name: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> impl FnOnce() -> T {
+        let out = Arc::new(Mutex::new(None));
+        let task = {
+            let out = Arc::clone(&out);
+            clock::spawn(name, move || *out.lock() = Some(f()))
+        };
+        move || {
+            task.join().unwrap();
+            out.lock().take().expect("the task returned")
+        }
+    }
+
+    /// Send one RPC from `t` on a task of its own, to join the batch the
+    /// caller leads next; the returned closure joins the task and gives
+    /// back the receive, which must not have waited.
+    fn rpc_follower(t: FlThread) -> impl FnOnce() -> Result<Bytes> {
+        on_task("follower", move || {
+            let seq = t.send_rpc(RPC_ECHO, b"follower").expect("send");
+            let asked = clock::now_ns();
+            let got = t.recv_res(seq);
+            assert_eq!(clock::now_ns(), asked, "the follower waited");
+            got
+        })
+    }
+
     fn not_in_flight<T>(got: Result<T>) -> bool {
         matches!(got, Err(FlockError::InvalidArgument("seq not in flight")))
     }
@@ -1942,22 +1944,25 @@ mod tests {
 
     /// A send whose flush failed (here: the credit wait timed out on a
     /// server that is gone) used to leave its seq counted in flight, a
-    /// seq the caller never saw, so the thread never migrated again.
+    /// seq the caller never saw, so the thread never migrated again. The
+    /// send returns the seq, and its receive answers the flush's error
+    /// at once.
     #[test]
     fn a_failed_send_gives_its_seq_up() {
         flock_sim::vtime::VirtualLab::run(|| {
             let (domain, server, mut handle) = echo_bed("failed", 2);
             let t = handle.register_thread();
             server.shutdown(&domain);
-            let mut sent = Vec::new();
-            let err = loop {
-                match t.send_rpc(RPC_ECHO, b"unanswered") {
-                    Ok(seq) => sent.push(seq),
-                    Err(e) => break e,
-                }
-                assert!(sent.len() < 1_000, "no send failed");
-            };
-            assert!(matches!(err, FlockError::Timeout), "{err:?}");
+            // The bootstrap grant's requests go out, never answered; the
+            // next one waits for a grant that never comes.
+            let sent: Vec<u64> = (0..crate::credit::DEFAULT_CREDITS)
+                .map(|_| t.send_rpc(RPC_ECHO, b"unanswered").unwrap())
+                .collect();
+            let failed = t.send_rpc(RPC_ECHO, b"unanswered").unwrap();
+            let asked = clock::now_ns();
+            let err = t.recv_res(failed);
+            assert_eq!(clock::now_ns(), asked, "the receive waited");
+            assert!(matches!(err, Err(FlockError::Timeout)), "{err:?}");
             for seq in sent {
                 assert!(matches!(t.recv_res(seq), Err(FlockError::Timeout)));
             }
@@ -2178,7 +2183,8 @@ mod tests {
     /// op and every follower's holding their sub-slots for good: the
     /// leader's `read_async` returned the error, each follower's wait
     /// timed out, and after four such batches the thread's eight
-    /// sub-slots were gone.
+    /// sub-slots were gone. Leader and follower alike now get a token
+    /// that answers the post's error at once.
     #[test]
     fn a_failed_one_sided_flush_fails_its_whole_batch_at_once() {
         flock_sim::vtime::VirtualLab::run(|| {
@@ -2195,19 +2201,20 @@ mod tests {
             let qpn = handle.inner.lane(lane).link.qp().qpn();
             assert!(handle.inner.node.destroy_qp(qpn));
             for round in 0..4 {
-                let follower = {
-                    let b = Arc::clone(&b);
-                    clock::spawn(&format!("b{round}"), move || {
-                        let token = b.read_async(0, 8, 8).expect("the follower's op");
-                        let asked = clock::now_ns();
-                        let got = b.wait_mem(token);
-                        assert_eq!(clock::now_ns(), asked, "the follower waited");
-                        assert!(matches!(got, Err(FlockError::RemoteOpFailed(_))), "{got:?}");
-                    })
-                };
-                let led = a.read_async(0, 0, 8);
+                let b = Arc::clone(&b);
+                let follower = on_task(&format!("b{round}"), move || {
+                    let token = b.read_async(0, 8, 8).expect("the follower's op");
+                    let asked = clock::now_ns();
+                    let got = b.wait_mem(token);
+                    assert_eq!(clock::now_ns(), asked, "the follower waited");
+                    got
+                });
+                let led = a.read_async(0, 0, 8).expect("the leader's op");
+                let asked = clock::now_ns();
+                let led = a.wait_mem(led);
+                assert_eq!(clock::now_ns(), asked, "the leader waited");
                 assert!(matches!(led, Err(FlockError::Fabric(_))), "{led:?}");
-                follower.join().unwrap();
+                assert_eq!(follower(), led);
             }
             let mem = a.ctx.mem.lock();
             assert!(mem.ops.is_empty());
@@ -2217,6 +2224,108 @@ mod tests {
             a.ctx.placement.lock().target = 1 - lane;
             let ninth = a.read_async(0, 0, 8).expect("a free sub-slot");
             assert_eq!(a.wait_mem(ninth), Ok(vec![0; 8]));
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// The RPC followers of a leader flush that failed used to get no
+    /// answer: the leader's send returned the error, and each follower
+    /// waited out its receive timeout (200 500 ns here) for `Timeout`.
+    #[test]
+    fn a_failed_flush_answers_its_rpc_followers_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("unsent", 1);
+            let a = handle.register_thread();
+            let b = handle.register_thread();
+            let qpn = handle.inner.lane(0).link.qp().qpn();
+            assert!(handle.inner.node.destroy_qp(qpn));
+            let follower = rpc_follower(b);
+            let led = a.send_rpc(RPC_ECHO, b"leader");
+            let led = led.and_then(|seq| a.recv_res(seq));
+            assert!(matches!(led, Err(FlockError::Fabric(_))), "{led:?}");
+            assert_eq!(follower(), led);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A one-sided op that led a batch used to return the error of the
+    /// batch's RPC run though its own work request went out and ran:
+    /// `write_async` returned `Timeout` while the server's region read
+    /// the bytes it wrote.
+    #[test]
+    fn a_posted_one_sided_leader_is_not_reported_failed() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("posted", 1);
+            let a = handle.register_thread();
+            let b = handle.register_thread();
+            a.call(RPC_ECHO, b"warm").unwrap();
+            server.shutdown(&domain);
+            // Spend the rest of the bootstrap grant: the next RPC run
+            // waits for a grant that never comes.
+            for _ in 1..crate::credit::DEFAULT_CREDITS {
+                a.send_rpc(RPC_ECHO, b"spend").unwrap();
+            }
+            let follower = rpc_follower(b);
+            let token = a.write_async(0, 0, &[7; 8]).expect("the leader's op");
+            assert_eq!(a.wait_mem(token), Ok(Vec::new()));
+            let got = follower();
+            assert!(matches!(got, Err(FlockError::Timeout)), "{got:?}");
+            let region = server.mem_region(0).expect("region 0");
+            assert_eq!(region.read_vec(0, 8).unwrap(), [7; 8]);
+            let mem = a.ctx.mem.lock();
+            assert!(mem.ops.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
+            handle.shutdown();
+        });
+    }
+
+    /// A blocking write used to copy its bytes into the thread's scratch
+    /// before it held any of it: over the sub-slot of a `write_async`
+    /// still in flight, which then wrote them in place of its own.
+    #[test]
+    fn a_blocking_write_leaves_an_async_writes_scratch_alone() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("scratch", 1);
+            let t = handle.register_thread();
+            let token = t.write_async(0, 0, &[0xAA; 8]).unwrap();
+            t.write(0, 64, &[0xBB; 8]).unwrap();
+            assert_eq!(t.wait_mem(token), Ok(Vec::new()));
+            let region = server.mem_region(0).expect("region 0");
+            assert_eq!(region.read_vec(0, 8).unwrap(), [0xAA; 8]);
+            assert_eq!(region.read_vec(64, 8).unwrap(), [0xBB; 8]);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// `read_slots` used to return at the first read that failed and
+    /// never take the batch's later ones: each kept its sub-slot for
+    /// good, and its answered slot kept the table from moving on.
+    #[test]
+    fn a_failed_slot_batch_takes_every_read() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("slots", 1);
+            let t = handle.register_thread();
+            let mut region = handle.memory_regions()[0];
+            region.rkey.0 ^= 0xdead;
+            let lease = SegmentLease {
+                name: "unknown".to_string(),
+                region,
+                stride: 64,
+                slots: 4,
+                meta: 48,
+            };
+            let mut reader = crate::onesided::OneSidedReader::new(lease).unwrap();
+            let mut buf = [0; 3 * 64];
+            let got = reader.read_slots(&t, &[0, 1, 2], &mut buf, &mut Vec::new());
+            assert!(matches!(got, Err(FlockError::RemoteOpFailed(_))), "{got:?}");
+            let mem = t.ctx.mem.lock();
+            assert!(mem.ops.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
             handle.shutdown();
             server.shutdown(&domain);
         });

@@ -367,19 +367,23 @@ impl OneSidedReader {
         self.stats.verbs += slots.len() as u64;
         self.tokens.clear();
         t.read_batch(&targets[..slots.len()], &mut self.tokens)?;
-        // Copy each completion out, validate, and note the rejects.
+        // Copy each completion out, validate, and note the rejects. Every
+        // token is taken, even past a failed one: a read's sub-slot is
+        // freed by its take.
         let mut torn = [false; crate::client::MEM_SUBSLOTS];
         let mut any_torn = false;
+        let mut taken = Ok(());
         for i in 0..slots.len() {
             let token = self.tokens[i];
             let chunk = &mut buf[i * stride..(i + 1) * stride];
-            let n = t.take_deferred(token, chunk)?;
-            match decode_slot(&chunk[..n], self.layout.val_cap) {
-                Some(v) => {
+            let landed = t.take_deferred(token, chunk);
+            match landed.map(|n| decode_slot(&chunk[..n], self.layout.val_cap)) {
+                Err(e) => taken = taken.and(Err(e)),
+                Ok(Some(v)) => {
                     self.stats.reads += 1;
                     out.push(v);
                 }
-                None => {
+                Ok(None) => {
                     self.stats.retries += 1;
                     torn[i] = true;
                     any_torn = true;
@@ -387,6 +391,7 @@ impl OneSidedReader {
                 }
             }
         }
+        taken?;
         if any_torn {
             // Second pass: the torn slots re-read individually under the
             // usual retry bound.

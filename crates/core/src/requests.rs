@@ -4,12 +4,12 @@
 //! or completion back by it, §4.3, §6).
 //!
 //! A thread keeps two tables of this one type: its RPCs
-//! (`Requests<(), Bytes>`, the seq is the entry's `EntryMeta::seq`) and
-//! its one-sided ops (`Requests<MemOp, MemResult>` in `client.rs`, the
-//! seq is the low bits of the work-request id, and a slot carries the
-//! scratch sub-slots the op holds). Seqs are issued densely per table,
-//! so a table is a ring indexed by `seq - base`, one [`Slot`] per
-//! request, carrying `P` until its reply `R` is there:
+//! (`Requests<(), Result<Bytes>>`, the seq is the entry's
+//! `EntryMeta::seq`) and its one-sided ops (`Requests<MemOp, MemResult>`
+//! in `client.rs`, the seq is the low bits of the work-request id, and a
+//! slot carries the scratch sub-slots the op holds). Seqs are issued
+//! densely per table, so a table is a ring indexed by `seq - base`, one
+//! [`Slot`] per request, carrying `P` until its reply `R` is there:
 //!
 //! ```text
 //! issue(P) ─► InFlight(P) ──reply──► Ready(R) ──receive──► Taken
@@ -18,8 +18,9 @@
 //! ```
 //!
 //! A delivery gives `P` back ([`Delivered`]), so what a one-sided op
-//! holds is freed by its completion, late or not. A receive gives up on
-//! a timeout, on a stopped handle, or when the send itself failed.
+//! holds is freed by its completion, late or not. A request its flush
+//! could not send is delivered the flush's error the same way. A
+//! receive gives up on a timeout or on a stopped handle.
 //! `base` moves past every finished (`Taken` or `Abandoned`) slot at the
 //! front, so a reply that never comes does not grow the ring; an
 //! `Abandoned` slot that leaves it keeps its seq and `P` in `owed` until

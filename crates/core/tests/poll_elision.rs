@@ -246,14 +246,15 @@ fn credit_renewal_below_the_qp_count_matches_the_reference() {
         let active = (server.active_qps(), handle.active_qps());
 
         // Nobody answers renewals any more: the sender runs out of
-        // credits and its wait for the grant ends in a typed timeout.
+        // credits and its wait for the grant ends in a typed timeout,
+        // which answers the request as soon as its send returns.
         server.shutdown(&domain);
         let t0 = clock::now_ns();
         let t = &threads[0];
         let err = loop {
-            match t.send_rpc(RPC_ECHO, b"unanswered") {
-                Ok(_) => {}
-                Err(e) => break e,
+            let seq = t.send_rpc(RPC_ECHO, b"unanswered").expect("send");
+            if let Some(answered) = t.try_recv_res(seq) {
+                break answered.expect_err("a reply after the shutdown");
             }
         };
         assert!(matches!(err, FlockError::Timeout), "{err:?}");

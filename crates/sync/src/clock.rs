@@ -259,6 +259,7 @@ pub fn now_ns() -> u64 {
 
 /// The virtual cost of one bare [`yield_now`], under an executor.
 #[inline]
+#[cfg(not(loom))]
 pub(crate) fn yield_cost_ns() -> Option<u64> {
     with_current(|e| e.yield_cost_ns())
 }
@@ -406,6 +407,7 @@ impl Event {
     }
 
     /// The notify epoch itself, for [`Executor::sleep_polling`].
+    #[cfg(not(loom))]
     pub(crate) fn epoch_handle(&self) -> &Arc<Epoch> {
         &self.epoch
     }

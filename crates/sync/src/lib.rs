@@ -309,8 +309,10 @@ pub struct AdaptiveBackoff {
 
 impl AdaptiveBackoff {
     /// Idle rounds spent in the busy-spin tier.
+    #[cfg(not(loom))]
     pub(crate) const SPIN_LIMIT: u32 = 64;
     /// Additional idle rounds spent in the yield tier.
+    #[cfg(not(loom))]
     pub(crate) const YIELD_LIMIT: u32 = 64;
     /// First poll period of the *virtual* ladder (spinning a virtual core
     /// is pure waste — the ladder escalates from here straight to
@@ -463,7 +465,7 @@ impl AdaptiveBackoff {
 
     /// Whether the next [`AdaptiveBackoff::idle_on`] round on real
     /// threads would block.
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     fn would_block(&self) -> bool {
         self.idle_rounds >= Self::SPIN_LIMIT + Self::YIELD_LIMIT
     }
