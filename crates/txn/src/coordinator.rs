@@ -208,6 +208,23 @@ fn issue_rpc(
     Ok(())
 }
 
+/// The Log phase's messages, in server order: to every server that backs
+/// up a written partition, the new values of each partition it backs up,
+/// once each (on one server `replicas_of` names that server twice).
+fn log_messages(
+    groups: &BTreeMap<usize, Group>,
+    n_servers: usize,
+) -> impl Iterator<Item = (usize, Vec<(u64, Vec<u8>)>)> + '_ {
+    (0..n_servers).filter_map(move |server| {
+        let writes: Vec<_> = groups
+            .iter()
+            .filter(|&(&p, _)| replicas_of(p, n_servers).contains(&server))
+            .flat_map(|(_, g)| g.new_values.iter().cloned())
+            .collect();
+        (!writes.is_empty()).then_some((server, writes))
+    })
+}
+
 impl Txn {
     fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64]) -> Txn {
         let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
@@ -352,9 +369,9 @@ impl Txn {
         Ok(())
     }
 
-    /// Phase 3: the new values go to both replicas of every written
-    /// partition. New values that miss a write-set key are an error,
-    /// raised before anything is sent.
+    /// Phase 3: one `Log` per replica server, carrying every partition it
+    /// backs up, in server order. New values that miss a write-set key
+    /// are an error, raised before anything is sent.
     fn log(&mut self, threads: &[FlThread], new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
         self.phase = Phase::Log;
         let mut write_set = self.groups.values().flat_map(|g| &g.writes);
@@ -363,22 +380,19 @@ impl Txn {
                 "compute returned no value for a write-set key",
             ));
         }
-        for (&server, g) in &mut self.groups {
-            if g.writes.is_empty() {
-                continue;
-            }
+        for g in self.groups.values_mut() {
             g.new_values = g
                 .writes
                 .iter()
                 .map(|&k| (k, new_values[&k].clone()))
                 .collect();
+        }
+        for (server, writes) in log_messages(&self.groups, threads.len()) {
             let rpc = TxnRpc::Log {
                 txn_id: self.id,
-                writes: g.new_values.clone(),
+                writes,
             };
-            for replica in replicas_of(server, threads.len()) {
-                issue_rpc(threads, replica, &rpc, &mut self.outstanding)?;
-            }
+            issue_rpc(threads, server, &rpc, &mut self.outstanding)?;
         }
         Ok(())
     }
@@ -593,6 +607,53 @@ impl TxnClient {
                 locks.cookie,
             );
             let _ = locks.locks[server][stripe].release(&word, ticket);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every set of written partitions, on 1, 2, 3 and 5 servers: a
+    /// server gets at most one message, carrying exactly the written
+    /// partitions `replicas_of` puts on it, each once and in primary
+    /// order. A group with nothing written adds nothing.
+    #[test]
+    fn the_log_phase_sends_one_message_per_replica_server() {
+        for n in [1, 2, 3, 5] {
+            for mask in 1u32..1 << n {
+                let written: Vec<usize> = (0..n).filter(|p| mask & 1 << p != 0).collect();
+                let groups: BTreeMap<usize, Group> = (0..n)
+                    .map(|p| {
+                        let mut g = Group::default();
+                        if written.contains(&p) {
+                            g.writes = vec![p as u64];
+                            g.new_values = vec![(p as u64, Vec::new())];
+                        }
+                        (p, g)
+                    })
+                    .collect();
+                let messages: Vec<(usize, Vec<u64>)> = log_messages(&groups, n)
+                    .map(|(server, writes)| (server, writes.iter().map(|&(k, _)| k).collect()))
+                    .collect();
+                let mut backed_up = vec![Vec::new(); n];
+                for &p in &written {
+                    for server in replicas_of(p, n) {
+                        backed_up[server].push(p as u64);
+                    }
+                }
+                let expected: Vec<(usize, Vec<u64>)> = backed_up
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, keys)| !keys.is_empty())
+                    .map(|(server, mut keys)| {
+                        keys.dedup();
+                        (server, keys)
+                    })
+                    .collect();
+                assert_eq!(messages, expected, "{n} servers, written {written:?}");
+            }
         }
     }
 }

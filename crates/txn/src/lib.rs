@@ -20,8 +20,9 @@
 //! 2. **Validation** — the coordinator issues *one-sided RDMA reads*
 //!    (`fl_read`) of the read-set version words; any change or lock causes
 //!    an abort.
-//! 3. **Logging** — write-set updates are RPC'd to each partition's two
-//!    replicas, which ACK after applying to their backup copies.
+//! 3. **Logging** — write-set updates go to each written partition's two
+//!    replicas, one `Log` RPC per replica server carrying every partition
+//!    it backs up; replicas ACK after applying to their backup copies.
 //! 4. **Commit** — primaries install the new values, bump versions, and
 //!    unlock.
 //!

@@ -194,6 +194,46 @@ fn multi_partition_transaction() {
     teardown(c);
 }
 
+/// A transaction that writes one key in each partition sends every
+/// server one Execute, one Log and one Commit: the Log phase sends one
+/// message per replica server, carrying every partition it backs up.
+#[test]
+fn a_transaction_logs_once_per_replica_server() {
+    let c = cluster();
+    let keys: Vec<u64> = (0..N_SERVERS)
+        .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
+        .collect();
+    for &k in &keys {
+        load(&c, k, &0u64.to_le_bytes());
+    }
+    let requests = || -> Vec<u64> { c.servers.iter().map(|s| s.stats().requests.get()).collect() };
+    let client = TxnClient::new(&c.handles);
+    let before = requests();
+    let outcome = client
+        .run(&[], &keys, |_| {
+            keys.iter()
+                .map(|&k| (k, k.to_le_bytes().to_vec()))
+                .collect()
+        })
+        .unwrap();
+    assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    let delta: Vec<u64> = requests().iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta, [3; N_SERVERS], "requests per server");
+    for (s, ts) in c.txn_servers.iter().enumerate() {
+        for &k in &keys {
+            let p = key_partition(k, N_SERVERS);
+            let backed_up = flock_txn::protocol::replicas_of(p, N_SERVERS).contains(&s);
+            assert_eq!(
+                ts.peek_backup(k),
+                backed_up.then(|| k.to_le_bytes().to_vec()),
+                "server {s}, key {k} of partition {p}"
+            );
+        }
+    }
+    drop(client);
+    teardown(c);
+}
+
 /// 24 read-write transactions that each span all three servers (one
 /// written key per partition, one read-only key so the one-sided
 /// validation phase runs). Returns the instant each one committed.

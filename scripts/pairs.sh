@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired host timing of the benchmark: this checkout against a parent.
 #
-#   scripts/pairs.sh [--pairs N] [--moves-sim] <parent-rev> [workload…]
+#   scripts/pairs.sh [--pairs N] [--moves-sim <workload>]… <parent-rev> [workload…]
 #
 # Clones <parent-rev> into target/pairs/parent, builds the `benchmark`
 # binary of both checkouts once (`--locked`, into target/pairs/), then
@@ -14,22 +14,26 @@
 # side), the median of the pair ratios (this checkout / parent, each
 # pair's two seeds summed), how many pairs this checkout won, and the
 # worst and best pair ratio. It fails if a run is not `correct`, or if
-# any pair's `sim_*` differ between the sides, unless `--moves-sim` is
-# given (a change that moves virtual time on purpose).
+# any pair's `sim_*` differ between the sides on a workload not named by
+# a `--moves-sim` (a change that moves that workload's virtual time on
+# purpose; repeat the option for each such workload, each must be one
+# of the workloads run).
 #
 # Writes only under target/pairs/ (the runs are kept in runs.jsonl, the
 # children's stderr in logs/). Needs git, cargo and jq. Run it from
 # anywhere inside the checkout.
 set -euo pipefail
-usage="usage: scripts/pairs.sh [--pairs N] [--moves-sim] <parent-rev> [workload…]"
+usage="usage: scripts/pairs.sh [--pairs N] [--moves-sim <workload>]… <parent-rev> [workload…]"
 
 pairs=5
-moves_sim=0
+moves_sim=()
 args=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
-        --moves-sim) moves_sim=1; shift ;;
+        --moves-sim)
+            [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
+            moves_sim+=("$2"); shift 2 ;;
         -h|--help) echo "$usage"; exit 0 ;;
         *) args+=("$1"); shift ;;
     esac
@@ -47,6 +51,13 @@ if [ ${#workloads[@]} -eq 0 ]; then
     mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
 fi
 seconds=$(jq -r '.run_seconds' BENCHMARK.json)
+for w in "${moves_sim[@]}"; do
+    if ! printf '%s\n' "${workloads[@]}" | grep -qxF -- "$w"; then
+        echo "--moves-sim $w: not a workload of this run (${workloads[*]})" >&2
+        exit 2
+    fi
+done
+moves_json=$(jq -cn '$ARGS.positional' --args "${moves_sim[@]}")
 
 out="$root/target/pairs"
 parent="$out/parent"
@@ -88,7 +99,7 @@ for ((p = 1; p <= pairs; p++)); do
 done
 
 # One row per workload and metric; a list of problems last.
-jq -rs --slurpfile manifest BENCHMARK.json --argjson moves_sim "$moves_sim" '
+jq -rs --slurpfile manifest BENCHMARK.json --argjson moves_sim "$moves_json" '
     def median: sort | if length == 0 then null
         elif length % 2 == 1 then .[length / 2 | floor]
         else (.[length / 2 - 1] + .[length / 2]) / 2 end;
@@ -98,8 +109,9 @@ jq -rs --slurpfile manifest BENCHMARK.json --argjson moves_sim "$moves_sim" '
     | ([$runs[] | select(.correct != true)
         | "\(.side) \(.workload) seed \(.seed) pair \(.pair): not correct"]
       + [$runs | group_by([.workload, .seed, .pair])[]
-        | select(length == 2 and $moves_sim == 0)
+        | select(length == 2)
         | . as [$a, $b]
+        | select(any($moves_sim[]; . == $a.workload) | not)
         | [$a.metrics | keys[] | select(startswith("sim_"))
             | select($a.metrics[.].value != $b.metrics[.].value)] as $moved
         | select($moved | length > 0)
