@@ -4,9 +4,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flock_baselines::erpc::{UdRpcClient, UdRpcConfig, UdRpcServer};
-use flock_baselines::lockshare::{LockShareConfig, LockSharedClient};
+use flock_baselines::lock_shared;
 use flock_core::server::{FlockServer, ServerConfig};
-use flock_core::{FlockDomain, FlockError};
+use flock_core::{ConnectionHandle, FlockDomain, FlockError};
 use flock_fabric::{Fabric, FabricConfig};
 
 #[test]
@@ -112,9 +112,7 @@ fn lockshare_client_talks_to_flock_server() {
         out
     });
     let cnode = domain.add_node("ls-cli");
-    let mut cfg = LockShareConfig::default();
-    cfg.n_qps = 2;
-    let client = Arc::new(LockSharedClient::connect(&domain, &cnode, "ls", cfg).unwrap());
+    let client = ConnectionHandle::connect(&domain, &cnode, "ls", lock_shared(2)).unwrap();
     let mut joins = Vec::new();
     for tid in 0..4 {
         let t = client.register_thread();
@@ -132,7 +130,8 @@ fn lockshare_client_talks_to_flock_server() {
         j.join().unwrap();
     }
     // No coalescing: one message per request (plus none extra).
-    assert_eq!(client.messages_sent(), 4 * 50);
+    let m = client.metrics();
+    assert_eq!((m.messages, m.requests), (4 * 50, 4 * 50));
     server.shutdown(&domain);
 }
 
@@ -143,9 +142,9 @@ fn noshare_is_lockshare_with_one_thread_per_qp() {
     let server = FlockServer::listen(&domain, &snode, "ns", ServerConfig::default());
     server.reg_handler(1, |req| req.to_vec());
     let cnode = domain.add_node("ns-cli");
-    let mut cfg = LockShareConfig::default();
-    cfg.n_qps = 4; // 4 threads, 4 QPs: one each — the no-sharing config
-    let client = Arc::new(LockSharedClient::connect(&domain, &cnode, "ns", cfg).unwrap());
+    // 4 threads, 4 QPs: one each — the no-sharing config.
+    let n_qps = 4;
+    let client = ConnectionHandle::connect(&domain, &cnode, "ns", lock_shared(n_qps)).unwrap();
     let mut joins = Vec::new();
     for _ in 0..4 {
         let t = client.register_thread();
@@ -154,10 +153,14 @@ fn noshare_is_lockshare_with_one_thread_per_qp() {
                 let resp = t.call(1, &i.to_le_bytes()).unwrap();
                 assert_eq!(resp, i.to_le_bytes());
             }
+            // FaRM's static assignment: no scheduler moved the thread.
+            assert_eq!(t.current_qp(), t.id() as usize % n_qps);
         }));
     }
     for j in joins {
         j.join().unwrap();
     }
+    let m = client.metrics();
+    assert_eq!((m.messages, m.requests), (4 * 30, 4 * 30));
     server.shutdown(&domain);
 }

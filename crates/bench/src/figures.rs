@@ -19,7 +19,7 @@
 
 use flock_fabric::{Access, Fabric, FabricError, RecvWr, RemoteAddr, SendWr, Sge, Transport, WrId};
 use flock_models::coord::TxnWorkload;
-use flock_models::SystemKind::{Flock, LockShare, NoShare, UdRpc};
+use flock_models::SystemKind::{Flock, LockShare, UdRpc};
 use flock_models::{
     run_raw_read, run_rpc, run_txn, RawReadConfig, Report, RpcConfig, SystemKind, TxnConfig,
 };
@@ -276,10 +276,11 @@ fn fig9(p: &Preset) -> Value {
                 c.lanes_per_client = threads.div_ceil(threads_per_qp);
                 c.batch_limit = 1;
                 c.scheduling = false;
+                c.thread_sched = false;
             })
         };
         let flock = p.point(Flock, threads, 8, |_| {});
-        let noshare = unshared(NoShare, 1);
+        let noshare = unshared(Flock, 1);
         let farm2 = unshared(LockShare, 2);
         let farm4 = unshared(LockShare, 4);
         row(vec![

@@ -40,11 +40,13 @@ pub struct HandleConfig {
     /// Ring buffer capacity per QP (bytes).
     pub ring_capacity: usize,
     /// TCQ batch bound (coalesced requests per message); 1 disables
-    /// coalescing (ablation: every request is its own message).
+    /// coalescing: every request is its own message, the TCQ a queue
+    /// lock (the lock-sharing baseline, `flock_baselines::lock_shared`).
     pub batch_limit: usize,
     /// Sender-side thread scheduling interval.
     pub sched_interval: Duration,
-    /// Run the sender-side thread scheduler (ablation switch).
+    /// Run the sender-side thread scheduler; off, a thread stays on
+    /// lane `id % n_qps` (the lock-sharing baseline's static lanes).
     pub auto_thread_sched: bool,
     /// Default timeout for blocking waits.
     pub timeout: Duration,
@@ -622,18 +624,6 @@ impl ConnectionHandle {
     /// Number of lanes actually materialized so far (≤ `cfg.n_qps`).
     pub fn materialized_qps(&self) -> usize {
         self.inner.lanes_live().count()
-    }
-
-    /// Mean coalescing degree observed across this handle's QPs.
-    pub fn mean_coalescing_degree(&self) -> f64 {
-        let (reqs, msgs) = self.inner.lanes_live().fold((0u64, 0u64), |(r, m), q| {
-            (r + q.requests_sent.get(), m + q.messages_sent.get())
-        });
-        if msgs == 0 {
-            0.0
-        } else {
-            reqs as f64 / msgs as f64
-        }
     }
 
     /// Snapshot the handle's counters (observability; cheap, lock-light).

@@ -35,7 +35,7 @@ pub const TRAILER_SIZE: usize = 8;
 /// Flag: `aux` carries a credit grant (server→client). A grant of zero
 /// credits deactivates the lane and carries the drain epoch in the upper
 /// half of `aux` ([`pack_aux`]`(0, epoch)`).
-pub const FLAG_CREDIT_GRANT: u16 = 1 << 1;
+pub(crate) const FLAG_CREDIT_GRANT: u16 = 1 << 1;
 /// Flag: the zero-entry marker a client posts as its last message on a
 /// deactivated lane (client→server), the drain epoch of the zero grant it
 /// answers in the upper half of `aux`: nothing follows on this lane until
@@ -302,7 +302,7 @@ pub(crate) fn pack_aux(credits: u32, upper: u16) -> u64 {
 }
 
 /// Unpack [`pack_aux`].
-pub fn unpack_aux(aux: u64) -> (u32, u16) {
+pub(crate) fn unpack_aux(aux: u64) -> (u32, u16) {
     (aux as u32, (aux >> 32) as u16)
 }
 

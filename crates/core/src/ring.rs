@@ -19,8 +19,7 @@
 //! path.
 //!
 //! [`Link`] is that protocol for one lane, both directions, over a real
-//! QP: the client's lanes, the server's lanes and the lock-share
-//! baseline's lanes are all `Link`s.
+//! QP: the client's lanes and the server's lanes are all `Link`s.
 //!
 //! Concurrency discipline: a ring endpoint is **single-owner** — exactly
 //! one thread at a time drives a `RingProducer` or `RingConsumer` (a
@@ -342,8 +341,8 @@ struct LinkTx {
 /// peer writes into. Each message piggybacks this end's consumed head, so
 /// neither side ever reads the other's memory to find free space.
 ///
-/// The client lane, the server lane and the lock-share baseline's lane
-/// are all this type; what differs is who calls it. Invariants:
+/// The client lane and the server lane are both this type; what differs
+/// is who calls it. Invariants:
 ///
 /// * **Canaries** are nonzero and unique per link, in send order.
 /// * **Heads are monotone**: the published own head only grows (the
@@ -418,7 +417,7 @@ impl Link {
     }
 
     /// The link's queue pair.
-    pub fn qp(&self) -> &Arc<Qp> {
+    pub(crate) fn qp(&self) -> &Arc<Qp> {
         &self.qp
     }
 
@@ -560,7 +559,7 @@ impl Link {
     /// write-with-immediate carrying the `median` coalescing degree since
     /// the last renewal. It consumes one receive the peer posted with
     /// [`Link::post_credit_recv`] and no ring space.
-    pub fn post_credit_request(&self, median: u16) -> Result<()> {
+    pub(crate) fn post_credit_request(&self, median: u16) -> Result<()> {
         let (local, remote) = self.ends(0, 0);
         let imm = msg::pack_credit_imm(median);
         self.qp

@@ -25,7 +25,7 @@ use std::ptr::NonNull;
 
 use flock_sync::atomic::{AtomicPtr, AtomicU8, Ordering};
 use flock_sync::clock::Event;
-use flock_sync::{backoff, spin_until, CachePadded, Counter, UnsafeCell};
+use flock_sync::{backoff, spin_until, CachePadded, UnsafeCell};
 
 use crate::pool;
 
@@ -115,16 +115,14 @@ impl<T> Batch<T> {
 /// The thread combining queue for one shared QP.
 ///
 /// Layout: `tail` sits alone on its own cache line ([`CachePadded`]).
-/// Every joining thread RMWs `tail`, while `batches`/`requests` are
-/// high-frequency [`Counter`]s; without the padding each `add` on the
-/// stats would invalidate the line every spinning swapper needs (false
-/// sharing, DESIGN.md §5c).
+/// Every joining thread RMWs `tail`, while `handed_off` is written by
+/// every hand-off's notify and by every follower that blocks on it;
+/// without the padding each of those writes would invalidate the line
+/// every swapper needs (false sharing, DESIGN.md §5c).
 #[derive(Debug)]
 pub struct Tcq<T> {
     tail: CachePadded<AtomicPtr<Node<T>>>,
     batch_limit: usize,
-    batches: Counter,
-    requests: Counter,
     /// Notified by [`Tcq::complete`] after its `LEADER`/`SENT` stores:
     /// what a follower's spin ([`spin_until`]) waits to be told.
     handed_off: Event,
@@ -155,8 +153,6 @@ impl<T> Tcq<T> {
         Tcq {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             batch_limit,
-            batches: Counter::default(),
-            requests: Counter::default(),
             handed_off: Event::new(),
         }
     }
@@ -199,26 +195,6 @@ impl<T> Tcq<T> {
         );
     }
 
-    /// Number of batches formed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches.get()
-    }
-
-    /// Number of requests submitted so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.get()
-    }
-
-    /// Mean coalescing degree so far (requests per batch).
-    pub fn mean_degree(&self) -> f64 {
-        let b = self.batches();
-        if b == 0 {
-            0.0
-        } else {
-            self.requests() as f64 / b as f64
-        }
-    }
-
     /// Submit `item`. Blocks (spinning with yields) until the item has been
     /// taken into a batch. Returns [`Outcome::Lead`] if this thread must
     /// perform the send.
@@ -238,7 +214,6 @@ impl<T> Tcq<T> {
     /// collection is always safe: followers link themselves and spin
     /// regardless of how long the leader takes to collect.
     pub fn join_with(&self, item: T, boarding: impl FnOnce()) -> Outcome<T> {
-        self.requests.add(1);
         let node = self.alloc_node(item);
         // Publish: single atomic swap makes us the queue tail.
         let prev = self.tail.swap(node, Ordering::AcqRel);
@@ -276,7 +251,6 @@ impl<T> Tcq<T> {
     /// Collect a batch starting at `start` (our own node). Called only by
     /// the unique leader.
     fn collect(&self, start: *mut Node<T>) -> Batch<T> {
-        self.batches.add(1);
         // Scratch buffers: recycled at `batch_limit` capacity through the
         // thread-local pool, so a steady-state leader never allocates.
         let mut nodes = pool::acquire_vec::<*mut Node<T>>(self.batch_limit);
@@ -395,19 +369,18 @@ mod tests {
     #[test]
     fn sole_thread_is_always_leader_with_degree_one() {
         let tcq: Tcq<u32> = Tcq::new(8);
+        let mut lens = Vec::new();
         for i in 0..10 {
             match tcq.join(i) {
                 Outcome::Lead(batch) => {
                     assert_eq!(batch.items(), &[i]);
-                    assert_eq!(batch.len(), 1);
+                    lens.push(batch.len());
                     tcq.complete(batch);
                 }
                 Outcome::Sent => panic!("no other thread could have sent"),
             }
         }
-        assert_eq!(tcq.batches(), 10);
-        assert_eq!(tcq.requests(), 10);
-        assert!((tcq.mean_degree() - 1.0).abs() < 1e-12);
+        assert_eq!(lens, [1; 10]);
     }
 
     #[test]
@@ -453,15 +426,18 @@ mod tests {
         let n_threads: u64 = if cfg!(miri) { 4 } else { 12 };
         let per_thread: u64 = if cfg!(miri) { 16 } else { 200 };
         let seen = Arc::new(Mutex::new(Vec::new()));
+        let lens = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for t in 0..n_threads {
             let tcq = Arc::clone(&tcq);
             let seen = Arc::clone(&seen);
+            let lens = Arc::clone(&lens);
             handles.push(std::thread::spawn(move || {
                 for i in 0..per_thread {
                     match tcq.join(t * per_thread + i) {
                         Outcome::Lead(batch) => {
                             seen.lock().extend_from_slice(batch.items());
+                            lens.lock().push(batch.len());
                             tcq.complete(batch);
                         }
                         Outcome::Sent => {}
@@ -478,8 +454,9 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), total, "duplicated items");
-        assert_eq!(tcq.requests(), total as u64);
-        assert!(tcq.batches() <= tcq.requests());
+        let lens = lens.lock().clone();
+        assert_eq!(lens.iter().sum::<usize>(), total);
+        assert!(lens.iter().all(|&len| (1..=16).contains(&len)), "{lens:?}");
     }
 
     #[test]
@@ -494,14 +471,19 @@ mod tests {
             Outcome::Lead(b) => b,
             Outcome::Sent => unreachable!("queue was empty"),
         };
+        let lens = Arc::new(Mutex::new(vec![batch.len()]));
         let mut handles = Vec::new();
         for t in 1..=4u64 {
             let tcq = Arc::clone(&tcq);
             let enqueued = Arc::clone(&enqueued);
+            let lens = Arc::clone(&lens);
             handles.push(std::thread::spawn(move || {
                 enqueued.fetch_add(1, Ordering::SeqCst);
                 match tcq.join(t) {
-                    Outcome::Lead(b) => tcq.complete(b),
+                    Outcome::Lead(b) => {
+                        lens.lock().push(b.len());
+                        tcq.complete(b);
+                    }
                     Outcome::Sent => {}
                 }
             }));
@@ -517,15 +499,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(tcq.requests(), 5);
+        let lens = lens.lock().clone();
+        assert_eq!(lens.iter().sum::<usize>(), 5);
         // Batch 1 was ours (degree 1); the followers were coalesced into
         // at most a couple of batches.
-        assert!(
-            tcq.batches() < 5,
-            "batches {} = requests: no coalescing at all",
-            tcq.batches()
-        );
-        assert!(tcq.mean_degree() > 1.2, "degree {}", tcq.mean_degree());
+        assert!(lens.len() < 5, "batches {lens:?}: no coalescing at all");
+        let degree = 5.0 / lens.len() as f64;
+        assert!(degree > 1.2, "degree {degree}");
     }
 
     #[test]
@@ -562,17 +542,5 @@ mod tests {
         all.extend(theirs);
         all.sort_unstable();
         assert_eq!(all, vec![1, 2]);
-    }
-
-    #[test]
-    fn stats_track_batches_and_requests() {
-        let tcq: Tcq<()> = Tcq::new(4);
-        assert_eq!(tcq.mean_degree(), 0.0);
-        match tcq.join(()) {
-            Outcome::Lead(b) => tcq.complete(b),
-            Outcome::Sent => unreachable!(),
-        }
-        assert_eq!(tcq.batches(), 1);
-        assert_eq!(tcq.requests(), 1);
     }
 }

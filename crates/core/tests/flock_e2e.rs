@@ -114,7 +114,7 @@ fn coalescing_emerges_under_concurrency() {
         j.join().unwrap();
     }
     // Some messages must have carried more than one request.
-    let degree = handle.mean_coalescing_degree();
+    let degree = handle.metrics().degree;
     assert!(degree > 1.0, "observed coalescing degree {degree}");
     // The server agrees.
     let server_degree = server.stats().mean_coalescing_degree();
@@ -143,7 +143,7 @@ fn no_coalescing_config_sends_singletons() {
     for j in joins {
         j.join().unwrap();
     }
-    let degree = handle.mean_coalescing_degree();
+    let degree = handle.metrics().degree;
     assert!(
         (degree - 1.0).abs() < 1e-9,
         "coalescing disabled but degree {degree}"

@@ -72,13 +72,16 @@ fn leader_election_two_thread_exactly_once() {
             })
             .collect();
         let mut delivered: Vec<u32> = Vec::new();
+        let mut batches = 0;
         for h in handles {
-            delivered.extend(h.join().unwrap());
+            let items = h.join().unwrap();
+            // A leader's batch always holds its own item.
+            batches += usize::from(!items.is_empty());
+            delivered.extend(items);
         }
         delivered.sort_unstable();
         assert_eq!(delivered, vec![0, 1], "lost or duplicated item");
-        assert_eq!(tcq.requests(), 2);
-        assert!(tcq.batches() >= 1 && tcq.batches() <= 2);
+        assert!((1..=2).contains(&batches), "{batches} batches");
     });
 }
 
@@ -106,7 +109,6 @@ fn boarded_follower_is_released_by_the_notify_alone() {
         delivered.extend(follower.join().unwrap());
         delivered.sort_unstable();
         assert_eq!(delivered, vec![0, 1], "lost or duplicated item");
-        assert_eq!(tcq.requests(), 2);
     });
 }
 
@@ -138,8 +140,6 @@ fn handoff_releases_enqueued_follower() {
         // Nobody else could send item 1: our batch was collected before
         // the follower existed, so the follower must lead it itself.
         assert_eq!(theirs, vec![1], "follower was not handed leadership");
-        assert_eq!(tcq.requests(), 2);
-        assert_eq!(tcq.batches(), 2);
     });
 }
 
@@ -168,7 +168,6 @@ fn drain_vs_concurrent_enqueue_two_followers() {
         }
         delivered.sort_unstable();
         assert_eq!(delivered, vec![0, 1, 2], "lost or duplicated item");
-        assert_eq!(tcq.requests(), 3);
     });
 }
 
@@ -208,7 +207,6 @@ fn recycled_node_reuse_is_aba_safe() {
         delivered.extend(follower.join().unwrap());
         delivered.sort_unstable();
         assert_eq!(delivered, vec![0, 1, 2], "ABA: lost or duplicated item");
-        assert_eq!(tcq.requests(), 3);
     });
 }
 
@@ -226,14 +224,14 @@ fn batch_limit_one_forces_handoff_chain() {
             })
             .collect();
         let mut delivered = join_and_drive(&tcq, 0);
-        assert!(delivered.len() <= 1, "batch limit 1 violated");
+        let mut lens = vec![delivered.len()];
         for h in handles {
             let items = h.join().unwrap();
-            assert!(items.len() <= 1, "batch limit 1 violated");
+            lens.push(items.len());
             delivered.extend(items);
         }
         delivered.sort_unstable();
         assert_eq!(delivered, vec![0, 1, 2], "lost or duplicated item");
-        assert_eq!(tcq.batches(), 3, "limit-1 batches must all be degree 1");
+        assert_eq!(lens, [1, 1, 1], "limit-1 batches must all be degree 1");
     });
 }

@@ -302,7 +302,7 @@ fn tcq_followers_on_one_qp_match_the_reference() {
                 })
                 .collect::<Vec<u64>>()
         });
-        let degree = handle.mean_coalescing_degree();
+        let degree = handle.metrics().degree;
         handle.close().expect("close");
         server.shutdown(&domain);
         (times, degree)

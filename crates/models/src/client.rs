@@ -122,7 +122,7 @@ fn thread_submit_next(w: &mut World, sim: &mut Sim<World>, client: usize, thread
 pub(crate) fn submit(w: &mut World, sim: &mut Sim<World>, id: ReqId) {
     let req = w.reqs[id].clone();
     match w.system {
-        SystemKind::Flock | SystemKind::LockShare | SystemKind::NoShare => {
+        SystemKind::Flock | SystemKind::LockShare => {
             let lane = w.clients[req.client].threads[req.thread].assigned_qp[req.server];
             submit_lane(w, sim, req.client, req.server, lane, id);
         }
@@ -192,7 +192,6 @@ fn lane_prep_time(w: &World, client: usize, server: usize, lane: usize) -> Ns {
                 w.cost.cpu_sync_ns
             } + w.cost.cpu_codec_ns)
         }
-        SystemKind::NoShare => Ns(w.cost.cpu_sync_ns + w.cost.cpu_codec_ns),
         SystemKind::UdRpc => unreachable!("UD path has no lanes"),
     }
 }

@@ -319,11 +319,12 @@ impl Default for RawReadConfig {
 /// Run the raw one-sided read experiment (Figure 2(a)).
 pub fn run_raw_read(cfg: &RawReadConfig) -> Report {
     let rpc_cfg = RpcConfig {
-        system: SystemKind::NoShare,
         n_clients: cfg.n_clients,
         threads_per_client: 1,
         lanes_per_client: cfg.total_qps.div_ceil(cfg.n_clients),
+        batch_limit: 1,
         scheduling: false,
+        thread_sched: false,
         duration: cfg.duration,
         warmup: cfg.warmup,
         cost: cfg.cost.clone(),

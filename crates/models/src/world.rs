@@ -15,12 +15,13 @@ use flock_sim::{BankedServer, Counter, Histogram, MultiServer, Ns, SimRng};
 /// Which communication system a client stack models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SystemKind {
-    /// Flock: TCQ coalescing + credits + symbiotic scheduling.
+    /// Flock: TCQ coalescing + credits + symbiotic scheduling. With
+    /// `batch_limit = 1`, `scheduling = false` and `thread_sched = false`
+    /// and one lane per thread it is the *no sharing* baseline: one
+    /// dedicated RC QP per thread.
     Flock,
     /// FaRM-style lock-shared RC QPs (no coalescing).
     LockShare,
-    /// One dedicated RC QP per thread (no sharing).
-    NoShare,
     /// eRPC/FaSST-style UD RPC.
     UdRpc,
 }

@@ -2,8 +2,8 @@
 //! `cfg(loom)`.
 //!
 //! The lock-free modules of `flock-core` (`tcq`, `ring`, `credit`,
-//! `alock`) and `lockshare` in `flock-baselines` import their atomics,
-//! threads, and unsafe cells from this crate instead of `std` directly.
+//! `alock`) import their atomics, threads, and unsafe cells from this
+//! crate instead of `std` directly.
 //! A normal build resolves to the real `std` types with zero overhead.
 //! Building with `RUSTFLAGS="--cfg loom"` swaps in the `loom` model
 //! checker's instrumented equivalents, so the loom suites can

@@ -371,8 +371,10 @@ impl Txn {
 
     /// Phase 3: one `Log` per replica server, carrying every partition it
     /// backs up, in server order. New values that miss a write-set key
-    /// are an error, raised before anything is sent.
-    fn log(&mut self, threads: &[FlThread], new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
+    /// are an error, raised before anything is sent. Each value moves
+    /// into its primary's group: a write set that reaches this phase
+    /// names a key once (Execute fails a second lock of it).
+    fn log(&mut self, threads: &[FlThread], mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
         self.phase = Phase::Log;
         let mut write_set = self.groups.values().flat_map(|g| &g.writes);
         if write_set.any(|k| !new_values.contains_key(k)) {
@@ -384,7 +386,7 @@ impl Txn {
             g.new_values = g
                 .writes
                 .iter()
-                .map(|&k| (k, new_values[&k].clone()))
+                .filter_map(|&k| Some((k, new_values.remove(&k)?)))
                 .collect();
         }
         for (server, writes) in log_messages(&self.groups, threads.len()) {

@@ -9,15 +9,18 @@ fn main() -> ExitCode {
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!("usage: cargo xtask <audit-orderings|loom> [args]");
+            eprintln!("usage: cargo xtask <audit-orderings|loom|lint> [args]");
             return ExitCode::FAILURE;
         }
     };
     match cmd {
         "audit-orderings" => xtask::orderings::audit(rest.iter().any(|a| a == "--fix")),
         "loom" => xtask::loom_suites(rest),
+        "lint" => xtask::lint(rest),
         other => {
-            eprintln!("xtask: unknown task `{other}` (expected `audit-orderings` or `loom`)");
+            eprintln!(
+                "xtask: unknown task `{other}` (expected `audit-orderings`, `loom` or `lint`)"
+            );
             ExitCode::FAILURE
         }
     }

@@ -111,7 +111,7 @@ fn main() {
         println!(
             "client {}: mean degree {:.2}, {} active QPs",
             h.sender_id(),
-            h.mean_coalescing_degree(),
+            h.metrics().degree,
             h.active_qps()
         );
     }

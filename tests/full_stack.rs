@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flock_repro::baselines::lockshare::{LockShareConfig, LockSharedClient};
+use flock_repro::baselines::lock_shared;
 use flock_repro::core::client::HandleConfig;
 use flock_repro::core::server::{FlockServer, ServerConfig};
 use flock_repro::core::{ConnectionHandle, FlockDomain};
@@ -15,7 +15,7 @@ use flock_repro::txn::protocol::key_partition;
 use flock_repro::txn::{Tatp, TxnClient, TxnOutcome, TxnServer};
 
 /// A Flock client and a FaRM-style lock-sharing client talk to the same
-/// server concurrently — the wire protocol is shared.
+/// server concurrently — they are one client in two configurations.
 #[test]
 fn flock_and_lockshare_clients_coexist() {
     let domain = FlockDomain::with_defaults();
@@ -30,8 +30,7 @@ fn flock_and_lockshare_clients_coexist() {
     let fnode = domain.add_node("flock-client");
     let lnode = domain.add_node("lock-client");
     let fh = ConnectionHandle::connect(&domain, &fnode, "mixed", HandleConfig::default()).unwrap();
-    let lh =
-        LockSharedClient::connect(&domain, &lnode, "mixed", LockShareConfig::default()).unwrap();
+    let lh = ConnectionHandle::connect(&domain, &lnode, "mixed", lock_shared(4)).unwrap();
 
     let ft = fh.register_thread();
     let lt = lh.register_thread();
@@ -52,6 +51,9 @@ fn flock_and_lockshare_clients_coexist() {
         );
     }
     a.join().unwrap();
+    // The lock-sharing client sent one message per request.
+    let m = lh.metrics();
+    assert_eq!((m.messages, m.requests), (60, 60));
     server.shutdown(&domain);
 }
 
@@ -283,4 +285,67 @@ fn echo_under_the_lab_matches_the_thread_driven_reference() {
     assert!(times.iter().all(|t| t.len() == CALLS as usize));
     assert!(report.stepper_tasks >= 4, "{report:?}");
     assert!(report.inline_steps > report.handovers, "{report:?}");
+}
+
+/// Lock sharing under the lab: four threads on the two lanes of a
+/// `lock_shared(2)` handle each send their own one-request messages from
+/// the lane `id % 2` they registered on, and the run repeats the
+/// thread-driven reference exactly.
+#[test]
+fn lock_sharing_under_the_lab_sends_singletons_from_static_lanes() {
+    use flock_repro::sim::vtime::VirtualLab;
+    use flock_sync::clock;
+
+    const THREADS: u8 = 4;
+    const CALLS: u8 = 20;
+    const LANES: usize = 2;
+    let ((times, lanes, metrics), _report) = VirtualLab::run_against_reference(|| {
+        let domain = FlockDomain::with_defaults();
+        let snode = domain.add_node("ls-lab-server");
+        let server = FlockServer::listen(&domain, &snode, "ls-lab", ServerConfig::default());
+        server.reg_handler(1, |req| req.iter().rev().copied().collect());
+
+        // A scheduling interval the run passes many times: the lanes
+        // stay static because no scheduler runs, not because none was due.
+        let mut cfg = lock_shared(LANES);
+        cfg.sched_interval = std::time::Duration::from_micros(10);
+        let cnode = domain.add_node("ls-lab-client");
+        let mut handle = ConnectionHandle::connect(&domain, &cnode, "ls-lab", cfg).unwrap();
+        let tasks: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let t = handle.register_thread();
+                let done = Arc::new(std::sync::Mutex::new((Vec::new(), (0, 0))));
+                let log = Arc::clone(&done);
+                let task = clock::spawn(&format!("app{i}"), move || {
+                    for k in 0..CALLS {
+                        assert_eq!(&t.call(1, &[i, k, 7]).unwrap()[..], &[7, k, i]);
+                        log.lock().unwrap().0.push(clock::now_ns());
+                    }
+                    log.lock().unwrap().1 = (t.id(), t.current_qp());
+                });
+                (task, done)
+            })
+            .collect();
+        let (times, lanes): (Vec<Vec<u64>>, Vec<(u32, usize)>) = tasks
+            .into_iter()
+            .map(|(task, done)| {
+                task.join().unwrap();
+                let done = done.lock().unwrap().clone();
+                done
+            })
+            .unzip();
+        let m = handle.metrics();
+        handle.close().unwrap();
+        server.shutdown(&domain);
+        let per_lane: Vec<_> = m.per_qp.iter().map(|q| (q.messages, q.requests)).collect();
+        (times, lanes, (m.messages, m.requests, per_lane))
+    });
+    assert!(times.iter().all(|t| t.len() == usize::from(CALLS)));
+    for (id, lane) in lanes {
+        assert_eq!(lane, id as usize % LANES, "thread {id} left its lane");
+    }
+    let total = u64::from(THREADS) * u64::from(CALLS);
+    let (messages, requests, per_lane) = metrics;
+    assert_eq!((messages, requests), (total, total), "a message coalesced");
+    assert_eq!(per_lane, vec![(total / 2, total / 2); LANES]);
 }
