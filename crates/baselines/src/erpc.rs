@@ -3,67 +3,67 @@
 //! Everything hardware RC gives Flock for free is done in software here:
 //! requests and responses are fragmented to the 4 KB UD MTU and
 //! reassembled; loss is recovered by client retransmission timers; the
-//! server burns CPU recycling receive buffers and polling the completion
-//! queue per packet — the overhead the paper's Figure 2(b) measures.
+//! server spends CPU per packet polling its completion queue and
+//! recycling the receive buffer — the overhead the paper's Figure 2(b)
+//! measures, charged as the model's UD path (`flock-models`) charges it.
+//! As in eRPC and FaSST, each client thread owns its endpoint and runs
+//! its receive loop inside its own call; the server is one stepper
+//! parked on its completion queue.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use flock_core::{FlockError, Result};
-use flock_sync::clock::{self, Event, TaskHandle};
-use flock_sync::{Counter, Stop};
+use flock_sync::clock::{self, Event, IdleOn, Next, TaskHandle};
+use flock_sync::{AdaptiveBackoff, Counter, Stop};
 
 use flock_fabric::{
-    Access, MemoryRegion, Node, NodeId, QpNum, RecvWr, SendWr, Sge, Transport, WrId, GRH_BYTES,
+    Access, CompletionQueue, CostModel, CqOpcode, MemoryRegion, Node, NodeId, Qp, QpNum, RecvWr,
+    SendWr, Sge, Transport, WrId, GRH_BYTES,
 };
-use parking_lot::Mutex;
 
-/// Packet header: kind, rpc id, thread, seq, fragment index/count, length.
-const PKT_HDR: usize = 1 + 4 + 4 + 8 + 2 + 2 + 4;
+/// A UD address: node and QP number.
+type Addr = (NodeId, QpNum);
+
+/// The UD MTU: one packet, header included.
+const MTU: usize = 4096;
+/// Packet header: kind, rpc id, seq, fragment index/count, length.
+const PKT_HDR: usize = 1 + 4 + 8 + 2 + 2 + 4;
 /// Maximum payload bytes per UD packet.
-const FRAG_PAYLOAD: usize = 4096 - PKT_HDR;
+const FRAG_PAYLOAD: usize = MTU - PKT_HDR;
+/// A receive buffer: one packet behind the GRH the NIC deposits.
+const RECV_SLOT: usize = MTU + GRH_BYTES;
+/// Receive buffers each endpoint keeps posted.
+const RECV_DEPTH: usize = 256;
+/// Staging slots of each endpoint: the sends it may have in flight.
+const SEND_SLOTS: u64 = 64;
 
 const KIND_REQ: u8 = 1;
 const KIND_RESP: u8 = 2;
 
-/// Configuration for the UD RPC endpoints.
+/// Configuration of a UD RPC client.
 #[derive(Debug, Clone)]
 pub struct UdRpcConfig {
-    /// Receive buffers kept posted.
-    pub recv_depth: usize,
     /// Client retransmission timeout.
     pub rto: Duration,
-    /// Maximum retransmissions before reporting failure.
+    /// Retransmissions before a call gives up with [`FlockError::Timeout`].
     pub max_retries: u32,
-    /// Overall operation timeout.
-    pub timeout: Duration,
 }
 
 impl Default for UdRpcConfig {
     fn default() -> Self {
         UdRpcConfig {
-            recv_depth: 256,
             rto: Duration::from_millis(20),
             max_retries: 50,
-            timeout: Duration::from_secs(10),
         }
     }
 }
 
-fn encode_pkt(
-    kind: u8,
-    rpc_id: u32,
-    thread: u32,
-    seq: u64,
-    frag: u16,
-    nfrags: u16,
-    payload: &[u8],
-) -> Vec<u8> {
+fn encode_pkt(kind: u8, rpc_id: u32, seq: u64, frag: u16, nfrags: u16, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(PKT_HDR + payload.len());
     buf.push(kind);
     buf.extend_from_slice(&rpc_id.to_le_bytes());
-    buf.extend_from_slice(&thread.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&frag.to_le_bytes());
     buf.extend_from_slice(&nfrags.to_le_bytes());
@@ -75,7 +75,6 @@ fn encode_pkt(
 struct Pkt {
     kind: u8,
     rpc_id: u32,
-    thread: u32,
     seq: u64,
     frag: u16,
     nfrags: u16,
@@ -83,163 +82,242 @@ struct Pkt {
 }
 
 fn decode_pkt(b: &[u8]) -> Option<Pkt> {
-    if b.len() < PKT_HDR {
-        return None;
-    }
-    let len = u32::from_le_bytes(b[21..25].try_into().ok()?) as usize;
-    if b.len() < PKT_HDR + len {
-        return None;
-    }
+    let len = u32::from_le_bytes(b.get(17..PKT_HDR)?.try_into().ok()?) as usize;
     Some(Pkt {
         kind: b[0],
         rpc_id: u32::from_le_bytes(b[1..5].try_into().ok()?),
-        thread: u32::from_le_bytes(b[5..9].try_into().ok()?),
-        seq: u64::from_le_bytes(b[9..17].try_into().ok()?),
-        frag: u16::from_le_bytes(b[17..19].try_into().ok()?),
-        nfrags: u16::from_le_bytes(b[19..21].try_into().ok()?),
-        payload: b[PKT_HDR..PKT_HDR + len].to_vec(),
+        seq: u64::from_le_bytes(b[5..13].try_into().ok()?),
+        frag: u16::from_le_bytes(b[13..15].try_into().ok()?),
+        nfrags: u16::from_le_bytes(b[15..17].try_into().ok()?),
+        payload: b.get(PKT_HDR..PKT_HDR + len)?.to_vec(),
     })
 }
 
-/// An endpoint: one UD QP plus buffer pool and polling machinery.
+/// One UD QP whose sends and receives complete on one CQ, with
+/// [`RECV_DEPTH`] posted receive buffers and [`SEND_SLOTS`] staging
+/// slots. The NIC reads a staging slot when it executes the send, so a
+/// slot is reused only after its send completed: every send is signaled,
+/// a QP completes its sends in post order, and a packet waits in the
+/// outbox while no slot is free.
 struct Endpoint {
-    node: Arc<Node>,
-    qp: Arc<flock_fabric::Qp>,
-    mr: Arc<MemoryRegion>,
-    send_mr: Arc<MemoryRegion>,
-    send_off: Counter,
-    cfg: UdRpcConfig,
+    qp: Arc<Qp>,
+    cq: Arc<CompletionQueue>,
+    /// Notified by every completion the CQ takes.
+    event: Arc<Event>,
+    recv: Arc<MemoryRegion>,
+    staging: Arc<MemoryRegion>,
+    outbox: VecDeque<(Addr, Vec<u8>)>,
+    /// Sends posted and sends completed. The slots in use are the
+    /// difference; the next one is `posted % SEND_SLOTS`.
+    posted: u64,
+    completed: u64,
+    cost: CostModel,
 }
 
 impl Endpoint {
-    fn new(node: &Arc<Node>, cfg: &UdRpcConfig) -> Arc<Endpoint> {
-        let cq = node.create_cq(cfg.recv_depth * 2);
+    fn new(node: &Node) -> Endpoint {
+        let event = Arc::new(Event::new());
+        let cq = CompletionQueue::with_event(RECV_DEPTH + SEND_SLOTS as usize, Arc::clone(&event));
         let qp = node.create_qp(Transport::Ud, &cq, &cq);
         qp.ready().expect("UD qp to RTS");
-        let slot = 4096 + GRH_BYTES;
-        let mr = node.register_mr(cfg.recv_depth * slot, Access::LOCAL);
-        let send_mr = node.register_mr(64 * 4096, Access::LOCAL);
-        let ep = Arc::new(Endpoint {
-            node: Arc::clone(node),
+        let ep = Endpoint {
             qp,
-            mr,
-            send_mr,
-            send_off: Counter::default(),
-            cfg: cfg.clone(),
-        });
-        for i in 0..cfg.recv_depth {
-            ep.post_recv_slot(i);
-        }
+            cq,
+            event,
+            recv: node.register_mr(RECV_DEPTH * RECV_SLOT, Access::LOCAL),
+            staging: node.register_mr(SEND_SLOTS as usize * MTU, Access::LOCAL),
+            outbox: VecDeque::new(),
+            posted: 0,
+            completed: 0,
+            cost: node.cost().clone(),
+        };
+        (0..RECV_DEPTH).for_each(|slot| ep.post_recv(slot));
         ep
     }
 
-    fn post_recv_slot(&self, slot: usize) {
-        let sz = 4096 + GRH_BYTES;
+    fn post_recv(&self, slot: usize) {
         let _ = self.qp.post_recv(RecvWr {
             wr_id: WrId(slot as u64),
             local: Sge {
-                lkey: self.mr.lkey(),
-                addr: self.mr.addr() + (slot * sz) as u64,
-                len: sz,
+                lkey: self.recv.lkey(),
+                addr: self.recv.addr() + (slot * RECV_SLOT) as u64,
+                len: RECV_SLOT,
             },
         });
     }
 
-    fn addr(&self) -> (NodeId, QpNum) {
-        (self.node.id(), self.qp.qpn())
+    /// Queue the packets of one message to `dst`, and post what the free
+    /// staging slots allow.
+    fn send(&mut self, dst: Addr, kind: u8, rpc_id: u32, seq: u64, data: &[u8]) {
+        let nfrags = data.len().div_ceil(FRAG_PAYLOAD).max(1);
+        let nfrags = u16::try_from(nfrags).expect("a message fits 65 535 packets");
+        // An empty message is one empty packet.
+        let chunks = data.chunks(FRAG_PAYLOAD).chain([&[][..]]);
+        for (frag, chunk) in (0..nfrags).zip(chunks) {
+            let pkt = encode_pkt(kind, rpc_id, seq, frag, nfrags, chunk);
+            self.outbox.push_back((dst, pkt));
+        }
+        self.flush();
     }
 
-    /// Stage `bytes` in the send region and post a UD send to `dst`.
-    fn send_to(&self, dst: (NodeId, QpNum), bytes: &[u8]) {
-        debug_assert!(bytes.len() <= 4096);
-        // Rotating staging slots; 64 in flight is far beyond the window.
-        let slot = (self.send_off.add(1) % 64) as usize;
-        self.send_mr
-            .write(slot * 4096, bytes)
-            .expect("staging write");
-        let _ = self.qp.post_send(
-            SendWr::send_to(
-                WrId(0),
-                Sge {
-                    lkey: self.send_mr.lkey(),
-                    addr: self.send_mr.addr() + (slot * 4096) as u64,
-                    len: bytes.len(),
-                },
-                dst,
-            )
-            .unsignaled(),
-        );
+    /// Post queued packets while staging slots are free, each charged its
+    /// encode and doorbell. A packet the QP refuses is lost, as on the
+    /// wire.
+    fn flush(&mut self) {
+        let free = (SEND_SLOTS - (self.posted - self.completed)) as usize;
+        for (dst, pkt) in self.outbox.drain(..free.min(self.outbox.len())) {
+            let off = (self.posted % SEND_SLOTS) as usize * MTU;
+            self.staging.write(off, &pkt).expect("staging write");
+            let local = Sge {
+                lkey: self.staging.lkey(),
+                addr: self.staging.addr() + off as u64,
+                len: pkt.len(),
+            };
+            let wr = SendWr::send_to(WrId(self.posted), local, dst);
+            if self.qp.post_send(wr).is_ok() {
+                self.posted += 1;
+            }
+            clock::charge(self.cost.cpu_codec_ns + self.cost.cpu_doorbell_ns);
+        }
     }
 
-    /// Poll one inbound packet: `(src, packet)`.
-    fn poll(&self) -> Option<(Option<(NodeId, QpNum)>, Pkt)> {
-        let c = self.qp.recv_cq().poll_one()?;
+    /// The check of a call's wait: drain the CQ, which posts the rest of
+    /// the request into freed staging slots, keeps the fragments of reply
+    /// `seq` from `server` and drops any packet of an earlier call's.
+    /// `Some` once the reply is whole.
+    fn reply(&mut self, server: Addr, seq: u64, r: &mut Option<Reassembly>) -> Option<Vec<u8>> {
+        while !self.cq.is_empty() {
+            match self.poll() {
+                Some((src, pkt)) if src == server && pkt.kind == KIND_RESP && pkt.seq == seq => {
+                    let whole = r.get_or_insert_with(|| Reassembly::new(pkt.nfrags));
+                    if let Some(whole) = whole.add(pkt.frag, pkt.payload) {
+                        return Some(whole);
+                    }
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// Take one completion off the CQ. A send's frees the staging slots
+    /// up to its own for the outbox; a receive's packet is returned with
+    /// its sender, its buffer reposted and the CQ poll charged.
+    fn poll(&mut self) -> Option<(Addr, Pkt)> {
+        let c = self.cq.poll_one()?;
+        if c.opcode != CqOpcode::Recv {
+            self.completed = c.wr_id.0 + 1;
+            self.flush();
+            return None;
+        }
+        clock::charge(self.cost.ud_rx_cpu().0);
         let slot = c.wr_id.0 as usize;
-        let sz = 4096 + GRH_BYTES;
-        let data = self
-            .mr
-            .read_vec(slot * sz + GRH_BYTES, c.byte_len.saturating_sub(GRH_BYTES))
-            .ok();
-        self.post_recv_slot(slot);
-        let pkt = data.and_then(|d| decode_pkt(&d))?;
-        Some((c.src, pkt))
+        let len = c.byte_len.saturating_sub(GRH_BYTES);
+        let data = self.recv.read_vec(slot * RECV_SLOT + GRH_BYTES, len);
+        self.post_recv(slot);
+        let pkt = decode_pkt(&data.ok().filter(|_| c.is_ok())?)?;
+        Some((c.src?, pkt))
     }
 }
 
-/// Fragment `data` and send each piece.
-fn send_fragmented(
-    ep: &Endpoint,
-    dst: (NodeId, QpNum),
-    kind: u8,
-    rpc_id: u32,
-    thread: u32,
-    seq: u64,
-) -> impl Fn(&[u8]) + '_ {
-    move |data: &[u8]| {
-        let nfrags = data.chunks(FRAG_PAYLOAD).count().max(1) as u16;
-        if data.is_empty() {
-            ep.send_to(dst, &encode_pkt(kind, rpc_id, thread, seq, 0, 1, &[]));
-            return;
-        }
-        for (i, chunk) in data.chunks(FRAG_PAYLOAD).enumerate() {
-            ep.send_to(
-                dst,
-                &encode_pkt(kind, rpc_id, thread, seq, i as u16, nfrags, chunk),
-            );
-        }
-    }
-}
-
-struct Reassembly {
-    frags: Vec<Option<Vec<u8>>>,
-    have: usize,
-}
+/// The fragments of one message, by index.
+struct Reassembly(Vec<Option<Vec<u8>>>);
 
 impl Reassembly {
-    fn new(n: usize) -> Reassembly {
-        Reassembly {
-            frags: vec![None; n],
-            have: 0,
-        }
+    fn new(n: u16) -> Reassembly {
+        Reassembly(vec![None; usize::from(n.max(1))])
     }
-    fn add(&mut self, idx: usize, data: Vec<u8>) -> Option<Vec<u8>> {
-        if idx < self.frags.len() && self.frags[idx].is_none() {
-            self.frags[idx] = Some(data);
-            self.have += 1;
+
+    /// Keep fragment `idx` unless it is a duplicate or out of range; the
+    /// message once every fragment is in.
+    fn add(&mut self, idx: u16, data: Vec<u8>) -> Option<Vec<u8>> {
+        if let Some(frag @ None) = self.0.get_mut(usize::from(idx)) {
+            *frag = Some(data);
         }
-        if self.have == self.frags.len() {
-            Some(self.frags.drain(..).flatten().flatten().collect())
-        } else {
-            None
+        let whole = self.0.iter().all(Option::is_some);
+        whole.then(|| self.0.drain(..).flatten().flatten().collect())
+    }
+}
+
+/// What the server keeps per client endpoint.
+#[derive(Default)]
+struct Source {
+    /// Seq of the last request answered (0: none yet), and its reply.
+    seq: u64,
+    reply: Vec<u8>,
+    /// The newest unanswered request's seq and fragments.
+    partial: Option<(u64, Reassembly)>,
+}
+
+/// The server's state, owned by its stepper.
+struct Serve<F> {
+    ep: Endpoint,
+    handler: F,
+    /// At-most-once state, keyed by the sending endpoint.
+    sources: HashMap<Addr, Source>,
+    requests: Arc<Counter>,
+    stop: Arc<Stop>,
+}
+
+impl<F: Fn(u32, &[u8]) -> Vec<u8>> Serve<F> {
+    /// Take one completion. A step never waits: a reply with no free
+    /// staging slot stays in the outbox until a send completes, which
+    /// notifies the event an idle step sleeps on.
+    fn step(&mut self) -> Next {
+        let seen = self.ep.event.epoch();
+        if self.stop.is_set() {
+            return Next::Done;
         }
+        if self.ep.cq.is_empty() {
+            let busy_ns = self.ep.cost.cpu_poll_empty_ns;
+            clock::charge(busy_ns);
+            return Next::Idle(IdleOn {
+                seen,
+                busy_ns,
+                deadline_ns: u64::MAX,
+            });
+        }
+        if let Some((src, pkt)) = self.ep.poll().filter(|(_, pkt)| pkt.kind == KIND_REQ) {
+            self.serve(src, pkt);
+        }
+        Next::Again
+    }
+
+    /// Serve one request packet, charged its session bookkeeping and
+    /// decode: run the request once it is whole, once per seq.
+    fn serve(&mut self, src: Addr, pkt: Pkt) {
+        clock::charge(self.ep.cost.cpu_erpc_session_ns + self.ep.cost.cpu_codec_ns);
+        let s = self.sources.entry(src).or_default();
+        if pkt.seq <= s.seq {
+            // A retransmission of the request answered last gets its
+            // reply again; an older request gets nothing.
+            if pkt.seq == s.seq && pkt.frag == 0 {
+                self.ep.send(src, KIND_RESP, pkt.rpc_id, pkt.seq, &s.reply);
+            }
+            return;
+        }
+        let partial = match &mut s.partial {
+            Some((seq, _)) if pkt.seq < *seq => return,
+            Some((seq, r)) if *seq == pkt.seq => r,
+            stale => &mut stale.insert((pkt.seq, Reassembly::new(pkt.nfrags))).1,
+        };
+        let Some(req) = partial.add(pkt.frag, pkt.payload) else {
+            return;
+        };
+        self.requests.add(1);
+        let reply = (self.handler)(pkt.rpc_id, &req);
+        self.ep.send(src, KIND_RESP, pkt.rpc_id, pkt.seq, &reply);
+        (s.seq, s.reply, s.partial) = (pkt.seq, reply, None);
     }
 }
 
 /// The UD RPC server.
 pub struct UdRpcServer {
-    ep: Arc<Endpoint>,
+    addr: Addr,
     stop: Arc<Stop>,
-    worker: Mutex<Option<TaskHandle>>,
+    /// The server CQ's event, which its idle stepper sleeps on.
+    event: Arc<Event>,
+    worker: Option<TaskHandle>,
     /// Requests processed (for CPU-overhead comparisons).
     pub requests: Arc<Counter>,
 }
@@ -247,83 +325,43 @@ pub struct UdRpcServer {
 impl UdRpcServer {
     /// The server's UD address, to give to clients out of band.
     pub fn addr(&self) -> (NodeId, QpNum) {
-        self.ep.addr()
+        self.addr
     }
 
     /// Start serving with `handler`.
     pub fn start(
         node: &Arc<Node>,
-        cfg: UdRpcConfig,
-        handler: impl Fn(u32, &[u8]) -> Vec<u8> + Send + Sync + 'static,
+        handler: impl Fn(u32, &[u8]) -> Vec<u8> + Send + 'static,
     ) -> UdRpcServer {
-        let ep = Endpoint::new(node, &cfg);
+        let ep = Endpoint::new(node);
+        let (addr, event) = ((node.id(), ep.qp.qpn()), Arc::clone(&ep.event));
         let stop = Arc::new(Stop::new());
         let requests = Arc::new(Counter::default());
-        let worker = {
-            let ep = Arc::clone(&ep);
-            let stop = Arc::clone(&stop);
-            let requests = Arc::clone(&requests);
-            clock::spawn("ud-rpc-server", move || {
-                // Reassembly buffers keyed by (src node, thread, seq).
-                let mut partial: HashMap<(u32, u32, u64), Reassembly> = HashMap::new();
-                // Response cache for retransmitted requests we already
-                // answered (at-most-once execution).
-                let mut answered: HashMap<(u32, u32), (u64, Vec<u8>)> = HashMap::new();
-                while !stop.is_set() {
-                    let Some((src, pkt)) = ep.poll() else {
-                        // Empty poll: yield the core (a short virtual
-                        // sleep under VirtualLab, an OS yield otherwise).
-                        clock::yield_now();
-                        continue;
-                    };
-                    // Progressed: charge per-packet CPU cost so a busy
-                    // virtual worker still advances time and yields
-                    // the core (no-ops in threaded mode).
-                    clock::charge(1_000);
-                    clock::flush_charge();
-                    let Some(src) = src else { continue };
-                    if pkt.kind != KIND_REQ {
-                        continue;
-                    }
-                    let ckey = (src.0 .0, pkt.thread);
-                    if let Some((seq, resp)) = answered.get(&ckey) {
-                        if *seq == pkt.seq {
-                            // Duplicate (retransmitted) request.
-                            send_fragmented(&ep, src, KIND_RESP, pkt.rpc_id, pkt.thread, pkt.seq)(
-                                resp,
-                            );
-                            continue;
-                        }
-                    }
-                    let key = (src.0 .0, pkt.thread, pkt.seq);
-                    let nfrags = pkt.nfrags.max(1) as usize;
-                    let entry = partial
-                        .entry(key)
-                        .or_insert_with(|| Reassembly::new(nfrags));
-                    if let Some(req) = entry.add(pkt.frag as usize, pkt.payload) {
-                        partial.remove(&key);
-                        requests.add(1);
-                        let resp = handler(pkt.rpc_id, &req);
-                        send_fragmented(&ep, src, KIND_RESP, pkt.rpc_id, pkt.thread, pkt.seq)(
-                            &resp,
-                        );
-                        answered.insert(ckey, (pkt.seq, resp));
-                    }
-                }
-            })
-        };
-        UdRpcServer {
+        let mut serve = Serve {
             ep,
+            handler,
+            sources: HashMap::new(),
+            requests: Arc::clone(&requests),
+            stop: Arc::clone(&stop),
+        };
+        // A polling core, like a dispatch shard: its idle ladder stays
+        // at the 1 µs scale under the lab.
+        let idler = AdaptiveBackoff::new().with_virtual_cap(1_000);
+        let step = move || serve.step();
+        let worker = clock::spawn_stepper("ud-rpc-server", idler, Arc::clone(&event), step);
+        UdRpcServer {
+            addr,
             stop,
-            worker: Mutex::new(Some(worker)),
+            event,
+            worker: Some(worker),
             requests,
         }
     }
 
-    /// Stop the server thread.
-    pub fn shutdown(&self) {
-        self.stop.set([]);
-        if let Some(h) = self.worker.lock().take() {
+    /// Stop the server's stepper.
+    pub fn shutdown(&mut self) {
+        self.stop.set([&*self.event]);
+        if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
     }
@@ -335,136 +373,71 @@ impl Drop for UdRpcServer {
     }
 }
 
-struct ClientShared {
-    inboxes: Mutex<HashMap<(u32, u64), Vec<u8>>>,
-    /// Signalled after every inbox insert.
-    delivered: Event,
-}
-
-/// The UD RPC client: blocking calls with software retransmission.
+/// The UD RPC client: hands each sending thread an endpoint of its own.
 pub struct UdRpcClient {
-    ep: Arc<Endpoint>,
-    server: (NodeId, QpNum),
-    shared: Arc<ClientShared>,
-    stop: Arc<Stop>,
-    worker: Mutex<Option<TaskHandle>>,
-    next_thread: Counter,
+    node: Arc<Node>,
+    server: Addr,
+    cfg: UdRpcConfig,
     /// Total retransmissions performed (observability for loss tests).
     pub retransmissions: Arc<Counter>,
 }
 
-/// A per-thread sending context for [`UdRpcClient`].
-pub struct UdThread<'a> {
-    client: &'a UdRpcClient,
-    thread_id: u32,
-    seq: std::cell::Cell<u64>,
+/// A sending thread of a [`UdRpcClient`]: its own endpoint, one call at
+/// a time.
+pub struct UdThread {
+    ep: Endpoint,
+    server: Addr,
+    cfg: UdRpcConfig,
+    retransmissions: Arc<Counter>,
+    /// Seq of the next call.
+    seq: u64,
 }
 
 impl UdRpcClient {
     /// Connect a client on `node` to the server at `server`.
     pub fn connect(node: &Arc<Node>, server: (NodeId, QpNum), cfg: UdRpcConfig) -> UdRpcClient {
-        let ep = Endpoint::new(node, &cfg);
-        let shared = Arc::new(ClientShared {
-            inboxes: Mutex::new(HashMap::new()),
-            delivered: Event::new(),
-        });
-        let stop = Arc::new(Stop::new());
-        let worker = {
-            let ep = Arc::clone(&ep);
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            clock::spawn("ud-rpc-client", move || {
-                let mut partial: HashMap<(u32, u64), Reassembly> = HashMap::new();
-                while !stop.is_set() {
-                    let Some((_src, pkt)) = ep.poll() else {
-                        clock::yield_now();
-                        continue;
-                    };
-                    clock::charge(1_000);
-                    clock::flush_charge();
-                    if pkt.kind != KIND_RESP {
-                        continue;
-                    }
-                    let key = (pkt.thread, pkt.seq);
-                    let entry = partial
-                        .entry(key)
-                        .or_insert_with(|| Reassembly::new(pkt.nfrags.max(1) as usize));
-                    if let Some(resp) = entry.add(pkt.frag as usize, pkt.payload) {
-                        partial.remove(&key);
-                        shared.inboxes.lock().insert(key, resp);
-                        shared.delivered.notify_all();
-                    }
-                }
-            })
-        };
         UdRpcClient {
-            ep,
+            node: Arc::clone(node),
             server,
-            shared,
-            stop,
-            worker: Mutex::new(Some(worker)),
-            next_thread: Counter::default(),
+            cfg,
             retransmissions: Arc::new(Counter::default()),
         }
     }
 
     /// Register a sending thread.
-    pub fn register_thread(&self) -> UdThread<'_> {
+    pub fn register_thread(&self) -> UdThread {
         UdThread {
-            client: self,
-            thread_id: u32::try_from(self.next_thread.add(1))
-                .expect("a client registers at most u32::MAX threads"),
-            seq: std::cell::Cell::new(1),
-        }
-    }
-
-    /// Stop the client thread.
-    pub fn shutdown(&self) {
-        self.stop.set([]);
-        if let Some(h) = self.worker.lock().take() {
-            let _ = h.join();
+            ep: Endpoint::new(&self.node),
+            server: self.server,
+            cfg: self.cfg.clone(),
+            retransmissions: Arc::clone(&self.retransmissions),
+            seq: 1,
         }
     }
 }
 
-impl Drop for UdRpcClient {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl UdThread<'_> {
-    /// Blocking RPC with retransmission on loss. [`FlockError::Timeout`]
-    /// once the call's deadline passes or its retransmissions run out.
-    pub fn call(&self, rpc_id: u32, payload: &[u8]) -> Result<Vec<u8>> {
-        let c = self.client;
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let key = (self.thread_id, seq);
-        let send = || {
-            send_fragmented(&c.ep, c.server, KIND_REQ, rpc_id, self.thread_id, seq)(payload);
-        };
-        send();
-        let deadline = clock::deadline(c.ep.cfg.timeout);
-        let mut retries = 0;
-        loop {
-            // Wait out one retransmission timeout (or what is left of
-            // the call's deadline), then resend.
-            let rto = clock::deadline(c.ep.cfg.rto).min(deadline);
-            let got = c
-                .shared
-                .delivered
-                .wait_until(rto, 500, || c.shared.inboxes.lock().remove(&key));
+impl UdThread {
+    /// Blocking RPC with retransmission on loss: post the request, wait
+    /// on the endpoint's CQ for the reply, and post it again after each
+    /// `rto` without one. [`FlockError::Timeout`] once `max_retries`
+    /// retransmissions went unanswered.
+    pub fn call(&mut self, rpc_id: u32, payload: &[u8]) -> Result<Vec<u8>> {
+        let (seq, server) = (self.seq, self.server);
+        self.seq += 1;
+        let event = Arc::clone(&self.ep.event);
+        let mut reply = None;
+        for attempt in 0..=self.cfg.max_retries {
+            if attempt > 0 {
+                self.retransmissions.add(1);
+            }
+            self.ep.send(server, KIND_REQ, rpc_id, seq, payload);
+            let rto = clock::deadline(self.cfg.rto);
+            let got = event.wait_until(rto, 500, || self.ep.reply(server, seq, &mut reply));
             if let Some(resp) = got {
                 return Ok(resp);
             }
-            retries += 1;
-            if clock::expired(deadline) || retries > c.ep.cfg.max_retries {
-                return Err(FlockError::Timeout);
-            }
-            c.retransmissions.add(1);
-            send();
         }
+        Err(FlockError::Timeout)
     }
 }
 
@@ -475,11 +448,10 @@ mod tests {
     #[test]
     fn packet_codec_roundtrip() {
         let payload = vec![7u8; 100];
-        let b = encode_pkt(KIND_REQ, 42, 3, 99, 1, 4, &payload);
+        let b = encode_pkt(KIND_REQ, 42, 99, 1, 4, &payload);
         let p = decode_pkt(&b).expect("decodes");
         assert_eq!(p.kind, KIND_REQ);
         assert_eq!(p.rpc_id, 42);
-        assert_eq!(p.thread, 3);
         assert_eq!(p.seq, 99);
         assert_eq!(p.frag, 1);
         assert_eq!(p.nfrags, 4);
@@ -488,7 +460,7 @@ mod tests {
 
     #[test]
     fn packet_codec_rejects_truncation() {
-        let b = encode_pkt(KIND_RESP, 1, 2, 3, 0, 1, &[1, 2, 3]);
+        let b = encode_pkt(KIND_RESP, 1, 3, 0, 1, &[1, 2, 3]);
         assert!(decode_pkt(&b[..b.len() - 1]).is_none());
         assert!(decode_pkt(&b[..PKT_HDR - 1]).is_none());
         assert!(decode_pkt(&[]).is_none());
@@ -496,7 +468,7 @@ mod tests {
 
     #[test]
     fn empty_payload_packet() {
-        let b = encode_pkt(KIND_REQ, 1, 0, 1, 0, 1, &[]);
+        let b = encode_pkt(KIND_REQ, 1, 1, 0, 1, &[]);
         let p = decode_pkt(&b).unwrap();
         assert!(p.payload.is_empty());
     }
@@ -520,12 +492,12 @@ mod tests {
     }
 
     // Any fragment must fit a 4 KB UD datagram with its header.
-    const _: () = assert!(FRAG_PAYLOAD + PKT_HDR <= 4096);
+    const _: () = assert!(FRAG_PAYLOAD + PKT_HDR <= MTU);
 
     #[test]
     fn fragment_sizing_matches_mtu() {
         let payload = vec![0u8; FRAG_PAYLOAD];
-        let b = encode_pkt(KIND_REQ, 0, 0, 0, 0, 1, &payload);
-        assert!(b.len() <= 4096);
+        let b = encode_pkt(KIND_REQ, 0, 0, 0, 1, &payload);
+        assert!(b.len() <= MTU);
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`erpc`] — a UD-datagram RPC in the style of eRPC/FaSST: per-packet
 //!   receive-buffer recycling, software fragmentation/reassembly (4 KB
-//!   MTU), client-side retransmission timers, and session credit windows.
-//!   This is the baseline of Figures 2(b), 6–8, 14–18.
+//!   MTU), client-side retransmission timers and at-most-once replies;
+//!   each client thread owns its UD endpoint. This is the baseline of
+//!   Figures 2(b), 6–8, 14–18.
 //! * [`lock_shared`] — FaRM-style RC QP sharing behind a lock, the
 //!   baseline of Figure 9. It is a Flock connection handle configured
 //!   not to coalesce, so it needs no client of its own.

@@ -372,6 +372,10 @@ impl HandleInner {
             // Under a virtual executor the yield hands the core to peer
             // client tasks at the same virtual instant — the combining
             // window the doorbell+DMA latency provides on hardware.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one yield that lets peers board this batch, not a wait for a condition"
+            )]
             clock::yield_now();
         }
     }

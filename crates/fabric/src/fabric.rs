@@ -140,6 +140,11 @@ impl Node {
         &self.stats
     }
 
+    /// The fabric's cost model.
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
+    }
+
     /// Register a zeroed memory region of `len` bytes.
     pub fn register_mr(&self, len: usize, access: Access) -> Arc<MemoryRegion> {
         self.mrs.register(len, access)

@@ -119,6 +119,10 @@ pub fn backoff(spins: u32) {
         if clock::is_virtual() {
             // A virtual task spinning never lets the peer it waits on
             // run; every spin iteration must be a virtual yield.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the spin-wait for a store a peer is about to make: each round hands that peer the core"
+            )]
             clock::yield_now();
         } else if spins.is_multiple_of(128) || single_cpu() {
             #[expect(

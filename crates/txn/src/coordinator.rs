@@ -536,6 +536,10 @@ impl TxnClient {
                 *entry = more.then(|| start(logic));
             }
             if !progressed {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the slots wait on the replies of several requests, with no one Event to park on"
+                )]
                 flock_sync::clock::yield_now();
             }
         }

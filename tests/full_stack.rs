@@ -3,11 +3,14 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
+use flock_repro::baselines::erpc::{UdRpcClient, UdRpcConfig, UdRpcServer};
 use flock_repro::baselines::lock_shared;
 use flock_repro::core::client::HandleConfig;
 use flock_repro::core::server::{FlockServer, ServerConfig};
-use flock_repro::core::{ConnectionHandle, FlockDomain};
+use flock_repro::core::{ConnectionHandle, FlockDomain, FlockError};
+use flock_repro::fabric::{Fabric, FabricConfig, Node};
 use flock_repro::hydralist::{HydraConfig, HydraList};
 use flock_repro::models::{run_rpc, RpcConfig, SystemKind};
 use flock_repro::sim::{Ns, SimRng};
@@ -233,12 +236,11 @@ fn simulation_is_deterministic_end_to_end() {
     assert_eq!(a.packets, b.packets);
 }
 
-/// The one lab test of this package: an echo scenario on the real stack
-/// under `VirtualLab`, which runs NIC lanes, dispatch shards and response
-/// dispatchers as steppers on the suspending task's thread, checked
-/// against the reference run that gives every one of them a thread. The
-/// tests above are threaded or discrete-event and would not notice a
-/// broken inline driver.
+/// An echo scenario on the real stack under `VirtualLab`, which runs NIC
+/// lanes, dispatch shards and response dispatchers as steppers on the
+/// suspending task's thread, checked against the reference run that
+/// gives every one of them a thread. The tests above are threaded or
+/// discrete-event and would not notice a broken inline driver.
 #[test]
 fn echo_under_the_lab_matches_the_thread_driven_reference() {
     use flock_repro::sim::vtime::VirtualLab;
@@ -348,4 +350,147 @@ fn lock_sharing_under_the_lab_sends_singletons_from_static_lanes() {
     let (messages, requests, per_lane) = metrics;
     assert_eq!((messages, requests), (total, total), "a message coalesced");
     assert_eq!(per_lane, vec![(total / 2, total / 2); LANES]);
+}
+
+/// Payload bytes of one packet of the UD baseline: a 4 096-byte datagram
+/// less its 21-byte header.
+const UD_FRAG: usize = 4096 - 21;
+
+/// A fabric that drops each UD datagram with probability `drop`, with a
+/// server node and a client node. Build it inside the run that uses it.
+fn ud_fabric(drop: f64) -> (Fabric, Arc<Node>, Arc<Node>) {
+    let mut config = FabricConfig::default();
+    config.ud_drop_probability = drop;
+    let fabric = Fabric::new(config);
+    let (snode, cnode) = (fabric.add_node("ud-server"), fabric.add_node("ud-client"));
+    (fabric, snode, cnode)
+}
+
+/// Two UD clients on one node, two threads each, under 20 % loss: every
+/// thread gets its own replies, each request runs once, and the lab
+/// repeats the thread-driven reference exactly. One request and its
+/// reply take 70 packets each, more than an endpoint's staging slots.
+#[test]
+fn ud_rpc_clients_on_one_node_under_loss_match_the_reference() {
+    use flock_repro::sim::vtime::VirtualLab;
+    use flock_sync::clock;
+
+    const CALLS: u8 = 4;
+    let ((times, requests, resent), _report) = VirtualLab::run_against_reference(|| {
+        let (_fabric, snode, cnode) = ud_fabric(0.2);
+        let server = UdRpcServer::start(&snode, |_, req| req.iter().rev().copied().collect());
+        // A short timeout: the reference run executes every poll of a wait.
+        let mut cfg = UdRpcConfig::default();
+        cfg.rto = Duration::from_millis(1);
+        let clients: Vec<_> = (0..2)
+            .map(|_| UdRpcClient::connect(&cnode, server.addr(), cfg.clone()))
+            .collect();
+        let mut tasks = Vec::new();
+        for (c, client) in (0u8..).zip(&clients) {
+            for i in 0..2u8 {
+                let mut t = client.register_thread();
+                let done = Arc::new(std::sync::Mutex::new(Vec::new()));
+                let log = Arc::clone(&done);
+                let task = clock::spawn(&format!("ud{c}.{i}"), move || {
+                    for k in 0..CALLS {
+                        let big = (c, i, k) == (1, 1, 1);
+                        let req = [c, i, k].repeat(if big { 70 * UD_FRAG / 3 } else { 1 });
+                        let want: Vec<u8> = req.iter().rev().copied().collect();
+                        assert_eq!(t.call(1, &req).unwrap(), want, "call {k} of ud{c}.{i}");
+                        log.lock().unwrap().push(clock::now_ns());
+                    }
+                });
+                tasks.push((task, done));
+            }
+        }
+        let times: Vec<Vec<u64>> = tasks
+            .into_iter()
+            .map(|(task, done)| {
+                task.join().unwrap();
+                let done = done.lock().unwrap().clone();
+                done
+            })
+            .collect();
+        let resent: Vec<u64> = clients.iter().map(|c| c.retransmissions.get()).collect();
+        (times, server.requests.get(), resent)
+    });
+    assert!(times.iter().all(|t| t.len() == usize::from(CALLS)));
+    assert_eq!(requests, 4 * u64::from(CALLS), "a request ran twice");
+    assert!(resent.iter().sum::<u64>() > 0, "no loss was recovered");
+}
+
+/// A message of 70 packets, more than an endpoint's 64 staging slots, on
+/// a lossless wire: no packet is overwritten before the NIC read it, so
+/// no call needs a retransmission.
+#[test]
+fn ud_rpc_echo_of_70_packets_needs_no_retransmission() {
+    use flock_repro::sim::vtime::VirtualLab;
+
+    let (echoed, resent) = VirtualLab::run(|| {
+        let (_fabric, snode, cnode) = ud_fabric(0.0);
+        let server = UdRpcServer::start(&snode, |_, req| req.to_vec());
+        let client = UdRpcClient::connect(&cnode, server.addr(), UdRpcConfig::default());
+        let mut t = client.register_thread();
+        let req: Vec<u8> = (0..70 * UD_FRAG).map(|j| (j % 251) as u8).collect();
+        let echoed: Vec<bool> = (0..10).map(|_| t.call(1, &req).unwrap() == req).collect();
+        (echoed, client.retransmissions.get())
+    });
+    assert_eq!(echoed, [true; 10]);
+    assert_eq!(resent, 0);
+}
+
+/// A handler slower than the retransmission timeout: the server answers
+/// each retransmission from its reply cache, every call returns its own
+/// reply, and each request runs once.
+#[test]
+fn ud_rpc_with_a_handler_slower_than_rto_runs_each_request_once() {
+    use flock_repro::sim::vtime::VirtualLab;
+    use flock_sync::clock;
+
+    const CALLS: u8 = 20;
+    let (replies, requests, resent) = VirtualLab::run(|| {
+        let (_fabric, snode, cnode) = ud_fabric(0.0);
+        let server = UdRpcServer::start(&snode, |_, req| {
+            clock::charge(3_000_000);
+            req.to_vec()
+        });
+        let mut cfg = UdRpcConfig::default();
+        cfg.rto = Duration::from_millis(1);
+        let client = UdRpcClient::connect(&cnode, server.addr(), cfg);
+        let mut t = client.register_thread();
+        let replies: Vec<Vec<u8>> = (0..CALLS).map(|k| t.call(1, &[k]).unwrap()).collect();
+        (replies, server.requests.get(), client.retransmissions.get())
+    });
+    assert_eq!(replies, (0..CALLS).map(|k| vec![k]).collect::<Vec<_>>());
+    assert_eq!(requests, u64::from(CALLS));
+    assert!(resent >= 2 * u64::from(CALLS), "{resent} retransmissions");
+}
+
+/// A wait parks on its CQ's event: a call whose every packet is lost
+/// gives up after its three retransmissions with the same handovers at a
+/// 1 ms and at a 20 ms timeout.
+#[test]
+fn ud_rpc_give_up_costs_the_same_handovers_at_any_timeout() {
+    use flock_repro::sim::vtime::VirtualLab;
+
+    let give_up = |rto| {
+        VirtualLab::run_report(|| {
+            let (_fabric, snode, cnode) = ud_fabric(1.0);
+            let server = UdRpcServer::start(&snode, |_, req| req.to_vec());
+            let mut cfg = UdRpcConfig::default();
+            cfg.rto = rto;
+            cfg.max_retries = 3;
+            let client = UdRpcClient::connect(&cnode, server.addr(), cfg);
+            let mut t = client.register_thread();
+            let got = t.call(1, &[1, 2, 3]);
+            (got, client.retransmissions.get(), server.requests.get())
+        })
+    };
+    let (short, short_run) = give_up(Duration::from_millis(1));
+    let (long, long_run) = give_up(Duration::from_millis(20));
+    for got in [short, long] {
+        assert_eq!(got, (Err(FlockError::Timeout), 3, 0));
+    }
+    assert!(long_run.virtual_ns > 15 * short_run.virtual_ns);
+    assert_eq!(short_run.handovers, long_run.handovers);
 }
