@@ -98,8 +98,10 @@ fn decode_pkt(b: &[u8]) -> Option<Pkt> {
 /// slots. The NIC reads a staging slot when it executes the send, so a
 /// slot is reused only after its send completed: every send is signaled,
 /// a QP completes its sends in post order, and a packet waits in the
-/// outbox while no slot is free.
+/// outbox while no slot is free. Dropping it destroys the QP and then
+/// deregisters both regions.
 struct Endpoint {
+    node: Arc<Node>,
     qp: Arc<Qp>,
     cq: Arc<CompletionQueue>,
     /// Notified by every completion the CQ takes.
@@ -115,12 +117,13 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn new(node: &Node) -> Endpoint {
+    fn new(node: &Arc<Node>) -> Endpoint {
         let event = Arc::new(Event::new());
         let cq = CompletionQueue::with_event(RECV_DEPTH + SEND_SLOTS as usize, Arc::clone(&event));
         let qp = node.create_qp(Transport::Ud, &cq, &cq);
         qp.ready().expect("UD qp to RTS");
         let ep = Endpoint {
+            node: Arc::clone(node),
             qp,
             cq,
             event,
@@ -217,6 +220,16 @@ impl Endpoint {
         self.post_recv(slot);
         let pkt = decode_pkt(&data.ok().filter(|_| c.is_ok())?)?;
         Some((c.src?, pkt))
+    }
+}
+
+impl Drop for Endpoint {
+    /// The QP goes first, so the NIC drops a send still queued for it
+    /// instead of reading a staging slot that is no longer registered.
+    fn drop(&mut self) {
+        self.node.destroy_qp(self.qp.qpn());
+        self.node.mrs().deregister(self.recv.lkey());
+        self.node.mrs().deregister(self.staging.lkey());
     }
 }
 
@@ -489,6 +502,23 @@ mod tests {
         assert!(r.add(0, vec![1]).is_none());
         assert!(r.add(7, vec![8]).is_none()); // out-of-range index ignored
         assert_eq!(r.add(1, vec![3]).unwrap(), vec![1, 3, 5]);
+    }
+
+    /// Sends still in the outbox and on the NIC's queue when the endpoint
+    /// goes are dropped without a panic, and the node gets its QP and
+    /// regions back.
+    #[test]
+    fn an_endpoint_dropped_with_sends_queued_fails_them_quietly() {
+        let fabric = flock_fabric::Fabric::with_defaults();
+        let node = fabric.add_node("ud-queued");
+        let peer = Endpoint::new(&node);
+        let before = (node.qp_count(), node.mrs().len());
+        let mut ep = Endpoint::new(&node);
+        let data = vec![5u8; 2 * SEND_SLOTS as usize * FRAG_PAYLOAD];
+        ep.send((node.id(), peer.qp.qpn()), KIND_REQ, 1, 1, &data);
+        assert!(!ep.outbox.is_empty(), "every staging slot is in use");
+        drop(ep);
+        assert_eq!((node.qp_count(), node.mrs().len()), before);
     }
 
     // Any fragment must fit a 4 KB UD datagram with its header.

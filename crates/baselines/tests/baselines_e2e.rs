@@ -109,6 +109,26 @@ fn two_clients_on_one_node_get_their_own_replies() {
     assert_eq!(server.requests.get(), 3);
 }
 
+/// Dropping an endpoint gives its QP and both of its regions back: a
+/// node that served and sent through 101 endpoints holds what it held
+/// before them.
+#[test]
+fn dropped_endpoints_leave_no_qp_or_region_behind() {
+    let fabric = Fabric::with_defaults();
+    let node = fabric.add_node("ud-teardown");
+    let before = (node.qp_count(), node.mrs().len());
+    let server = UdRpcServer::start(&node, |_, req| req.to_vec());
+    let client = UdRpcClient::connect(&node, server.addr(), UdRpcConfig::default());
+    let mut threads: Vec<_> = (0..100).map(|_| client.register_thread()).collect();
+    for (i, t) in threads.iter_mut().enumerate() {
+        assert_eq!(t.call(1, &[i as u8]).unwrap(), [i as u8]);
+    }
+    assert_eq!(node.qp_count(), before.0 + 101);
+    drop(threads);
+    drop(server);
+    assert_eq!((node.qp_count(), node.mrs().len()), before);
+}
+
 #[test]
 fn lockshare_client_talks_to_flock_server() {
     let domain = FlockDomain::with_defaults();

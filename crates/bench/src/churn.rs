@@ -507,6 +507,40 @@ pub fn run_suite(quick: bool) -> SuiteRun {
     }
 }
 
+/// EXPERIMENTS.md's table of the three scenarios, one row each.
+pub(crate) fn scenarios_table(doc: &Value) -> String {
+    let [storm, churn, so] = ["storm", "churn", "scaleout"].map(|k| doc.field(k));
+    let n = |part: &Value, key| part.field(key).num();
+    format!(
+        "| scenario | configuration | result |\n|---|---|---|\n\
+         | connect storm | {} clients, cold wave then warm wave \
+         | TTFR {:.1} µs → {:.1} µs (**{:.1}×**), {}/{} warm leases |\n\
+         | steady churn | {} steady clients for {} ms of virtual time, {} churners × {} rounds \
+         | p99 {:.2} µs under churn, {:.2} µs without (**ratio {:.3}**) |\n\
+         | server scale-out | MAX_AQP={}, two {}-QP senders \
+         | survivor samples {} → {} active QPs, server total {} → {} |\n",
+        n(storm, "clients"),
+        n(storm, "cold_ttfr_median_us"),
+        n(storm, "warm_ttfr_median_us"),
+        n(storm, "warm_speedup"),
+        n(storm, "server_warm_leases"),
+        n(storm, "clients"),
+        n(churn, "steady_clients"),
+        n(churn, "steady_us") / 1e3,
+        n(churn, "churners"),
+        n(churn, "churn_events") / n(churn, "churners"),
+        n(churn, "churn_p99_us"),
+        n(churn, "baseline_p99_us"),
+        n(churn, "disturbance_ratio"),
+        n(so, "max_aqp"),
+        n(so, "n_qps"),
+        n(so, "survivor_active_before"),
+        n(so, "survivor_active_after"),
+        n(so, "total_active_before"),
+        n(so, "total_active_after"),
+    )
+}
+
 fn render(
     quick: bool,
     w: ChurnWorkload,

@@ -94,7 +94,10 @@ pub static SUITES: [Suite; 6] = [
         name: "churn",
         file: Some("BENCH_churn.json"),
         run: churn::run_suite,
-        table: None,
+        table: Some(Table {
+            marker: "bench:churn.scenarios",
+            render: churn::scenarios_table,
+        }),
     },
     Suite {
         name: "tenant",

@@ -133,8 +133,8 @@ pub(crate) const MEM_SUBSLOTS: usize = 8;
 /// Bytes per scratch sub-slot.
 pub(crate) const MEM_SUBSLOT_SIZE: usize = MEM_SCRATCH / MEM_SUBSLOTS;
 
-/// What a one-sided op's slot in its thread's table carries until its
-/// completion gives it back.
+/// What a one-sided op's slot in its thread's table carries: the
+/// scratch sub-slots it holds and where in them its bytes land.
 #[derive(Debug, Clone, Copy)]
 struct MemOp {
     /// Sub-slot bitmask held by the operation.
@@ -143,21 +143,51 @@ struct MemOp {
     scratch_off: usize,
     /// Bytes to copy out on success.
     result_len: usize,
-    /// Deferred completion: the dispatcher publishes only a marker and
-    /// leaves the payload, and the sub-slots, in scratch until the
-    /// issuing thread copies it out with [`FlThread::take_deferred`] —
-    /// the one-sided fast path stays allocation-free this way.
-    defer: bool,
 }
 
-/// A published one-sided result: the bytes read back, or why the op
+/// Where a completed one-sided op's bytes are until it is taken.
+enum Landed {
+    /// In its sub-slots, which it still holds.
+    Held(MemOp),
+    /// Moved out, its sub-slots freed, when the thread needed them for a
+    /// new op before taking this one ([`FlThread::try_acquire_scratch`]).
+    Moved(Vec<u8>),
+}
+
+impl Landed {
+    /// Its bytes, read out of `scratch` if they are still there.
+    fn into_vec(self, scratch: &MemoryRegion) -> Result<Vec<u8>> {
+        match self {
+            Landed::Held(op) => Ok(scratch.read_vec(op.scratch_off, op.result_len)?),
+            Landed::Moved(bytes) => Ok(bytes),
+        }
+    }
+
+    /// Copy as many of its bytes as fit into `out`; returns how many.
+    fn copy_into(&self, scratch: &MemoryRegion, out: &mut [u8]) -> Result<usize> {
+        match self {
+            Landed::Held(op) => {
+                let n = op.result_len.min(out.len());
+                scratch.read(op.scratch_off, &mut out[..n])?;
+                Ok(n)
+            }
+            Landed::Moved(bytes) => {
+                let n = bytes.len().min(out.len());
+                out[..n].copy_from_slice(&bytes[..n]);
+                Ok(n)
+            }
+        }
+    }
+}
+
+/// A published one-sided result: where its bytes are, or why the op
 /// failed (its completion's error status, or the error of the post that
-/// never sent it).
-type MemResult = Result<Vec<u8>>;
+/// never sent it). A failed op holds no sub-slot.
+type MemResult = Result<Landed>;
 
 /// A thread's one-sided ops by seq and the scratch sub-slots they hold,
-/// under one lock: a completion publishes the result and frees the
-/// sub-slots together.
+/// under one lock: a completion publishes the result, a take copies the
+/// bytes out and frees the sub-slots.
 struct MemOps {
     ops: Requests<MemOp, MemResult>,
     /// Bitmap of free scratch sub-slots.
@@ -220,15 +250,13 @@ pub struct HandleMetrics {
 /// A handle to an in-flight one-sided operation (coroutine-style
 /// pipelining, paper §8.5.2). Obtain via [`FlThread::read_async`],
 /// [`FlThread::write_async`], or [`FlThread::read_batch`]; poll with
-/// [`FlThread::try_mem`], block with [`FlThread::wait_mem`], or — for
-/// deferred batch reads — copy out with [`FlThread::take_deferred`].
+/// [`FlThread::try_mem`], block with [`FlThread::wait_mem`], or copy
+/// the bytes into a buffer of the caller's with
+/// [`FlThread::take_deferred`].
 #[derive(Debug, Clone, Copy)]
 pub struct MemToken {
     /// The op's seq in its thread's table.
     seq: u64,
-    /// What its slot carries: a deferred read's sub-slots are freed by
-    /// `take_deferred`, every other op's by its completion.
-    op: MemOp,
 }
 
 /// Where a thread sends and what Algorithm 1 knows of its load (paper
@@ -810,7 +838,7 @@ impl FlThread {
     fn receive<T>(
         &self,
         event: &Event,
-        take: impl Fn(Option<FlockError>) -> Option<Result<Result<T>>>,
+        mut take: impl FnMut(Option<FlockError>) -> Option<Result<Result<T>>>,
     ) -> Result<T> {
         let deadline = clock::deadline(self.inner.cfg.timeout);
         let got = event.wait_until(deadline, 500, || take(self.stopped()));
@@ -906,10 +934,21 @@ impl FlThread {
 
     /// Acquire scratch sub-slots covering `len` bytes. Returns the slot
     /// bitmask and the byte offset within the thread's scratch region, or
-    /// `None` if the space is not currently free.
+    /// `None` if the space is not currently free. Completed ops that are
+    /// not taken yet move their bytes out of the sub-slots first.
     fn try_acquire_scratch(&self, len: usize) -> Option<(u8, usize)> {
         let mut mem = self.ctx.mem.lock();
-        let free = &mut mem.free;
+        let MemOps { ops, free } = &mut *mem;
+        let need = if len <= MEM_SUBSLOT_SIZE { 1 } else { MEM_SUBSLOTS };
+        for ready in ops.ready_mut() {
+            if free.count_ones() as usize >= need {
+                break;
+            }
+            if let Ok(Landed::Held(op)) = *ready {
+                *free |= op.mask;
+                *ready = Landed::Held(op).into_vec(&self.inner.mem_mr).map(Landed::Moved);
+            }
+        }
         if len <= MEM_SUBSLOT_SIZE {
             for i in 0..MEM_SUBSLOTS {
                 let bit = 1u8 << i;
@@ -963,7 +1002,6 @@ impl FlThread {
             mask,
             scratch_off,
             result_len,
-            defer: false,
         };
         Ok(self.start_mem(verb(self.scratch_sge(scratch_off, len)), op))
     }
@@ -991,7 +1029,33 @@ impl FlThread {
                 leader_flush(&self.inner, &self.ctx, qp, batch);
             }
         }
-        MemToken { seq, op }
+        MemToken { seq }
+    }
+
+    /// Take op `seq`'s result, given the error a receive gives up with
+    /// (see [`Requests::take`]): `copy` gets its bytes, and then the
+    /// sub-slots that held them go free.
+    fn take_mem<T>(
+        &self,
+        seq: u64,
+        give_up: Option<FlockError>,
+        copy: impl FnOnce(Landed) -> Result<T>,
+    ) -> Option<Result<T>> {
+        let mut mem = self.ctx.mem.lock();
+        let landed = match mem.ops.take(seq, give_up)?.flatten() {
+            Ok(landed) => landed,
+            Err(e) => return Some(Err(e)),
+        };
+        let mask = match landed {
+            Landed::Held(op) => op.mask,
+            Landed::Moved(_) => 0,
+        };
+        let got = copy(landed);
+        drop(mem);
+        if mask != 0 {
+            self.ctx.release(mask);
+        }
+        Some(got)
     }
 
     /// Non-blocking poll of an in-flight one-sided op: `None` while it is
@@ -1000,8 +1064,8 @@ impl FlThread {
     /// taken, given up or never issued, the error [`FlThread::recv_res`]
     /// returns for such a seq.
     pub fn try_mem(&self, token: MemToken) -> Option<Result<Vec<u8>>> {
-        let landed = self.ctx.mem.lock().ops.take(token.seq, self.stopped());
-        landed.map(Result::flatten)
+        let scratch = &self.inner.mem_mr;
+        self.take_mem(token.seq, self.stopped(), |landed| landed.into_vec(scratch))
     }
 
     /// Block until an in-flight one-sided op completes and take its
@@ -1010,7 +1074,8 @@ impl FlThread {
     /// it. A timeout gives the op up, and its late completion frees its
     /// sub-slots and publishes nothing.
     pub fn wait_mem(&self, token: MemToken) -> Result<Vec<u8>> {
-        let take = |give_up| self.ctx.mem.lock().ops.take(token.seq, give_up);
+        let scratch = &self.inner.mem_mr;
+        let take = |give_up| self.take_mem(token.seq, give_up, |l| l.into_vec(scratch)).map(Ok);
         self.receive(&self.ctx.mem_event, take)
     }
 
@@ -1039,10 +1104,9 @@ impl FlThread {
     /// leader, so the work requests bypass the TCQ and go straight to
     /// the lane's QP through [`post_chain`] — N verbs, one doorbell
     /// (exactly what a TCQ leader does for coalesced memory ops).
-    /// Each read lands in its own scratch sub-slot and **stays there**:
-    /// the dispatcher publishes only a completion marker, and the bytes
-    /// are copied out by [`FlThread::take_deferred`] into a
-    /// caller-provided buffer. With a reused `tokens` vector the whole
+    /// Each read lands in its own scratch sub-slot and stays there until
+    /// it is taken: [`FlThread::take_deferred`] copies it into a
+    /// caller-provided buffer, so with a reused `tokens` vector the whole
     /// issue/validate loop allocates nothing in steady state.
     ///
     /// Each read must fit one sub-slot ([`MEM_SUBSLOT_SIZE`] bytes). The
@@ -1093,33 +1157,30 @@ impl FlThread {
                 mask: masks[j],
                 scratch_off: self.scratch_off() + offs[j],
                 result_len: reads[j].1,
-                defer: true,
             };
             let seq = if i < n { mem.ops.issue(op) } else { 0 };
-            MemToken { seq, op }
+            MemToken { seq }
         });
         drop(mem);
         let wrs: [SendWr; MEM_SUBSLOTS] = std::array::from_fn(|i| {
-            let MemToken { seq, op } = issued[i];
-            let local = self.scratch_sge(op.scratch_off, op.result_len);
-            SendWr::read(mem_wr_id(self.ctx.id, seq), local, reads[i.min(n - 1)].0)
+            let (remote, len) = reads[i.min(n - 1)];
+            let local = self.scratch_sge(self.scratch_off() + offs[i.min(n - 1)], len);
+            SendWr::read(mem_wr_id(self.ctx.id, issued[i].seq), local, remote)
         });
         post_chain(&self.inner, post_qp, &wrs[..n]);
         tokens.extend_from_slice(&issued[..n]);
         Ok(())
     }
 
-    /// Copy a deferred read's bytes out of the scratch MR into `out`
-    /// (no allocation) and release its sub-slot. Blocks until the
-    /// completion arrives, as [`FlThread::wait_mem`] does, and fails as
-    /// it does; returns the number of bytes copied.
+    /// Copy a one-sided op's bytes into `out` (no allocation), as many as
+    /// fit, and free its sub-slot. Blocks until the completion arrives,
+    /// as [`FlThread::wait_mem`] does, and fails as it does; returns the
+    /// number of bytes copied.
     pub fn take_deferred(&self, token: MemToken, out: &mut [u8]) -> Result<usize> {
-        self.wait_mem(token)?;
-        let n = token.op.result_len.min(out.len());
-        let copied = self.inner.mem_mr.read(token.op.scratch_off, &mut out[..n]);
-        self.ctx.release(token.op.mask);
-        copied?;
-        Ok(n)
+        let scratch = &self.inner.mem_mr;
+        let take =
+            |give_up| self.take_mem(token.seq, give_up, |l| l.copy_into(scratch, out)).map(Ok);
+        self.receive(&self.ctx.mem_event, take)
     }
 
     /// Adopt the scheduler's target QP if no request is outstanding
@@ -1647,10 +1708,9 @@ fn deliver_rpc(
     }
 }
 
-/// Deliver one-sided op `wr_id`'s outcome to its thread's table and free
-/// its sub-slots — unless it is a deferred read that is still awaited
-/// and succeeded: `take_deferred` frees those once it has copied the
-/// bytes out.
+/// Deliver one-sided op `wr_id`'s outcome to its thread's table. The
+/// bytes of an op that succeeded stay in its sub-slots until it is taken;
+/// a failed or given-up op frees them now.
 fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: Result<()>) {
     let thread = wr_id.0 >> MEM_SEQ_BITS;
     let threads = inner.threads.read();
@@ -1658,19 +1718,11 @@ fn deliver_mem(inner: &HandleInner, wr_id: WrId, status: Result<()>) {
         return;
     };
     let failed = status.is_err();
-    let result = |op: &MemOp| {
-        status?;
-        if op.defer || op.result_len == 0 {
-            // A deferred op's marker: its bytes stay in scratch, so this
-            // path allocates nothing.
-            return Ok(Vec::new());
-        }
-        Ok(inner.mem_mr.read_vec(op.scratch_off, op.result_len)?)
-    };
+    let result = |op: &MemOp| status.map(|()| Landed::Held(*op));
     let mut mem = t.mem.lock();
     let seq = wr_id.0 & ((1 << MEM_SEQ_BITS) - 1);
     mem.free |= match mem.ops.deliver(t.id, seq, result) {
-        Delivered::Awaited(op) if op.defer && !failed => 0,
+        Delivered::Awaited(_) if !failed => 0,
         Delivered::Awaited(op) | Delivered::Dropped(op) => op.mask,
         Delivered::Stray => return,
     };
@@ -2138,6 +2190,49 @@ mod tests {
         });
     }
 
+    /// A one-sided op's bytes wait in its sub-slot for whichever take
+    /// comes: a `read_batch` token taken with `wait_mem` used to return
+    /// an empty `Vec` and keep its sub-slot, so eight such takes left the
+    /// next `read_async` none. A ninth untaken read moves the first one's
+    /// bytes out of the sub-slot it needs.
+    #[test]
+    fn a_batch_read_taken_with_wait_mem_returns_its_bytes() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("batch-wait", 1);
+            server.mem_region(0).unwrap().write(0, &[7; 8]).unwrap();
+            let t = handle.register_thread();
+            let region = &handle.memory_regions()[0];
+            let remote = RemoteAddr {
+                rkey: region.rkey,
+                addr: region.addr,
+            };
+            let mut tokens = Vec::new();
+            for _ in 0..MEM_SUBSLOTS {
+                t.read_batch(&[(remote, 8)], &mut tokens).unwrap();
+                assert_eq!(t.wait_mem(tokens.pop().unwrap()), Ok(vec![7; 8]));
+            }
+            assert_eq!(t.ctx.mem.lock().free, 0xFF);
+            let token = t.read_async(0, 0, 8).unwrap();
+            assert_eq!(t.wait_mem(token), Ok(vec![7; 8]));
+
+            for _ in 0..=MEM_SUBSLOTS {
+                t.read_batch(&[(remote, 8)], &mut tokens).unwrap();
+            }
+            for token in tokens {
+                let mut out = [0; 8];
+                assert_eq!(t.take_deferred(token, &mut out), Ok(8));
+                assert_eq!(out, [7; 8]);
+            }
+            let mem = t.ctx.mem.lock();
+            assert!(mem.ops.is_empty());
+            assert_eq!(mem.free, 0xFF);
+            drop(mem);
+
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
     /// A second `wait_mem` or `take_deferred` of a token whose result was
     /// taken used to wait a full timeout and return `Timeout`.
     #[test]
@@ -2159,7 +2254,7 @@ mod tests {
             let asked = clock::now_ns();
             let waited = t.wait_mem(token);
             let deferred = t.take_deferred(tokens[0], &mut [0; 8]);
-            let never = t.try_mem(MemToken { seq: 9, ..token });
+            let never = t.try_mem(MemToken { seq: 9 });
             assert_eq!(clock::now_ns(), asked, "the waits waited");
             assert!(not_in_flight(waited) && not_in_flight(deferred));
             assert!(not_in_flight(never.expect("an answer")));

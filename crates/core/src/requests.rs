@@ -185,6 +185,14 @@ impl<P, R> Requests<P, R> {
         Some(got)
     }
 
+    /// The replies no receive has taken yet, oldest first.
+    pub(crate) fn ready_mut(&mut self) -> impl Iterator<Item = &mut R> {
+        self.slots.iter_mut().filter_map(|slot| match slot {
+            Slot::Ready(reply) => Some(reply),
+            _ => None,
+        })
+    }
+
     /// Move `base` past the finished slots at the front.
     fn retire(&mut self) {
         while let Some(Slot::Taken | Slot::Abandoned(_)) = self.slots.front() {
@@ -204,14 +212,13 @@ mod tests {
     use super::*;
 
     /// What a test request carries: its seq and the one sub-slot of a
-    /// 64-bit scratch bitmap it holds, like a one-sided op, which a
-    /// `defer`red one keeps until it is received. An RPC's `()` is the
-    /// same table with nothing to give back.
+    /// 64-bit scratch bitmap it holds, like a one-sided op, which keeps
+    /// it until it is received. An RPC's `()` is the same table with
+    /// nothing to give back.
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct Held {
         seq: u64,
         bit: u64,
-        defer: bool,
     }
 
     /// The reference: every seq ever issued, with a plain state. A
@@ -254,19 +261,19 @@ mod tests {
         /// given-up seqs there that got no reply owed below it, every
         /// payload given back once, by its own delivery, and the
         /// sub-slots held exactly by the requests in flight, the given-up
-        /// ones whose reply has not come, and the deferred ready ones.
+        /// ones whose reply has not come, and the ready ones.
         #[test]
-        fn the_table_matches_its_model(ops in vec((0u8..7, 0u64..64, any::<bool>()), 1..200)) {
+        fn the_table_matches_its_model(ops in vec((0u8..7, 0u64..64), 1..200)) {
             let mut table: Requests<Held, u64> = Requests::new();
             let mut model: Vec<(State, Held)> = Vec::new();
             // Issued seqs whose reply has not been delivered yet.
             let mut unanswered: Vec<u64> = Vec::new();
             let mut free = u64::MAX;
-            for (step, &(op, pick, defer)) in ops.iter().enumerate() {
+            for (step, &(op, pick)) in ops.iter().enumerate() {
                 let next = model.len() as u64 + 1;
                 // Any seq from 0 (never issued) to two past the newest.
                 let seq = pick % (next + 2);
-                let held = Held { seq: next, bit: free & free.wrapping_neg(), defer };
+                let held = Held { seq: next, bit: free & free.wrapping_neg() };
                 if matches!(op, 0 | 5) && held.bit != 0 {
                     free &= !held.bit;
                     prop_assert_eq!(table.issue(held), next, "step {}", step);
@@ -285,7 +292,7 @@ mod tests {
                             Delivered::Dropped(*held)
                         };
                         prop_assert_eq!(&got, &want, "step {}", step);
-                        if !matches!(want, Delivered::Awaited(Held { defer: true, .. })) {
+                        if matches!(want, Delivered::Dropped(_)) {
                             free |= held.bit;
                         }
                         (None, None)
@@ -307,11 +314,8 @@ mod tests {
                     _ => (None, None),
                 };
                 if let Some(Ok(seq)) = got {
-                    // A deferred op's receive frees what it held.
-                    let held = model[seq as usize - 1].1;
-                    if held.defer {
-                        free |= held.bit;
-                    }
+                    // A receive frees what the request held.
+                    free |= model[seq as usize - 1].1.bit;
                 }
                 prop_assert_eq!(got, want, "step {}: op {} seq {}", step, op, seq);
                 let outstanding = model.iter().filter(|(s, _)| *s != State::Gone).count();
@@ -325,9 +329,8 @@ mod tests {
                 owed.sort_unstable();
                 want_owed.sort_unstable();
                 prop_assert_eq!(owed, want_owed, "step {}", step);
-                let held = model.iter().enumerate().filter(|&(i, &(state, held))| match state {
-                    State::InFlight => true,
-                    State::Ready => held.defer,
+                let held = model.iter().enumerate().filter(|&(i, &(state, _))| match state {
+                    State::InFlight | State::Ready => true,
                     State::Gone => unanswered.contains(&(i as u64 + 1)),
                 });
                 let held = held.fold(0, |all, (_, &(_, h))| all | h.bit);

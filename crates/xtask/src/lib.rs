@@ -10,10 +10,14 @@
 //!   the virtual-clock seam's lints denied (`clippy.toml`).
 //!
 //! The other workspace invariant is the debug-build lock-order check in
-//! the `parking_lot` shim (DESIGN.md §5f).
+//! the `parking_lot` shim (DESIGN.md §5f). [`ledger`]'s test holds
+//! `CHANGES.md` to a ledger's shape and the design documents to a size
+//! budget in tier-1.
 
 pub(crate) mod allowlist;
 pub(crate) mod diag;
+#[cfg(test)]
+mod ledger;
 pub mod orderings;
 pub(crate) mod walk;
 
