@@ -8,8 +8,11 @@
 //! blocks on each outstanding operation in issue order, and
 //! [`TxnClient::run_pipelined`] polls `width` machines from one thread
 //! (paper §8.5.2: "we also use coroutines to hide the network latency as
-//! FaSST").
+//! FaSST"). A transaction reports its commit once the backups hold it
+//! and the Commits are posted; the Commits' acks trail into the client's
+//! next transaction, or into [`TxnClient::settle`].
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -18,7 +21,10 @@ use flock_core::client::{FlThread, MemToken};
 use flock_core::onesided::LOCK_BIT;
 use flock_core::{Bytes, ConnectionHandle, FlockError, Result};
 
-use crate::protocol::{key_partition, replicas_of, TxnResp, TxnRpc};
+use crate::protocol::{
+    key_partition, put_abort, put_commit, put_execute, put_log, replicas_of, TxnResp, RPC_ABORT,
+    RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
+};
 use crate::server::TXN_STRIPES;
 use crate::workloads::TxnSpec;
 
@@ -146,8 +152,11 @@ struct Wait {
 }
 
 enum Op {
-    /// The RPC with this sequence number.
-    Rpc(u64),
+    /// The Execute RPC with this sequence number.
+    Execute(u64),
+    /// The Log, Commit or Abort RPC with this sequence number: its reply
+    /// is an `Ack`.
+    Ack(u64),
     /// A one-sided read of a version word that read `expect` at execution.
     Read { token: MemToken, expect: u64 },
 }
@@ -157,7 +166,7 @@ impl Wait {
     fn block(&self, threads: &[FlThread]) -> Result<Bytes> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Rpc(seq) => thread.recv_res(seq),
+            Op::Execute(seq) | Op::Ack(seq) => thread.recv_res(seq),
             Op::Read { token, .. } => thread.wait_mem(token).map(Bytes::from),
         }
     }
@@ -166,9 +175,17 @@ impl Wait {
     fn poll(&self, threads: &[FlThread]) -> Option<Result<Bytes>> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Rpc(seq) => thread.try_recv_res(seq),
+            Op::Execute(seq) | Op::Ack(seq) => thread.try_recv_res(seq),
             Op::Read { token, .. } => thread.try_mem(token).map(|r| r.map(Bytes::from)),
         }
+    }
+}
+
+/// The reply of a Log, Commit or Abort.
+fn expect_ack(bytes: &[u8]) -> Result<()> {
+    match TxnResp::decode(bytes) {
+        Some(TxnResp::Ack) => Ok(()),
+        _ => Err(FlockError::CorruptMessage("unexpected txn response")),
     }
 }
 
@@ -178,14 +195,20 @@ impl Wait {
 /// `advance` returns the outcome. A lock conflict or failed validation
 /// (`conflict`) and the first error of a send, a reply or a read
 /// (`error`) both end in the Abort phase once everything outstanding has
-/// been received, so a finished transaction holds no lock it knows of and
-/// leaves no RPC on its way.
+/// been received, so a failed transaction holds no lock it knows of and
+/// leaves no RPC on its way. A committed one returns at its commit point,
+/// with its Commits posted and their acks still `outstanding`: `run` and
+/// `run_pipelined` hand those to the client's next transaction
+/// ([`TxnClient::settle`]).
 struct Txn {
     id: u64,
     /// By primary, in server order: the order every phase sends in.
     groups: BTreeMap<usize, Group>,
     phase: Phase,
     outstanding: Vec<Wait>,
+    /// The previous transaction's Commit acks, received with this one's
+    /// first phase: after its sends, before its replies.
+    trailing: Vec<Wait>,
     values: Values,
     /// `(server, slot, word)` of every read-set key present at execution.
     read_set: Vec<(usize, u64, u64)>,
@@ -193,40 +216,22 @@ struct Txn {
     error: Option<FlockError>,
 }
 
-/// Send `rpc` to `server` and note that its reply is awaited.
-fn issue_rpc(
-    threads: &[FlThread],
-    server: usize,
-    rpc: &TxnRpc,
-    outstanding: &mut Vec<Wait>,
-) -> Result<()> {
-    let seq = threads[server].send_rpc(rpc.rpc_id(), &rpc.encode())?;
-    outstanding.push(Wait {
-        server,
-        op: Op::Rpc(seq),
-    });
-    Ok(())
-}
-
-/// The Log phase's messages, in server order: to every server that backs
-/// up a written partition, the new values of each partition it backs up,
-/// once each (on one server `replicas_of` names that server twice).
-fn log_messages(
+/// The new values `server` backs up, in primary order: those of every
+/// written partition `replicas_of` puts on it, once each (on one server
+/// `replicas_of` names that server twice).
+fn backed_up_by(
     groups: &BTreeMap<usize, Group>,
+    server: usize,
     n_servers: usize,
-) -> impl Iterator<Item = (usize, Vec<(u64, Vec<u8>)>)> + '_ {
-    (0..n_servers).filter_map(move |server| {
-        let writes: Vec<_> = groups
-            .iter()
-            .filter(|&(&p, _)| replicas_of(p, n_servers).contains(&server))
-            .flat_map(|(_, g)| g.new_values.iter().cloned())
-            .collect();
-        (!writes.is_empty()).then_some((server, writes))
-    })
+) -> impl Iterator<Item = &(u64, Vec<u8>)> + Clone {
+    groups
+        .iter()
+        .filter(move |&(&p, _)| replicas_of(p, n_servers).contains(&server))
+        .flat_map(|(_, g)| &g.new_values)
 }
 
 impl Txn {
-    fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64]) -> Txn {
+    fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64], trailing: Vec<Wait>) -> Txn {
         let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
         for &k in reads {
             groups
@@ -247,6 +252,7 @@ impl Txn {
             groups,
             phase: Phase::Begin,
             outstanding: Vec::new(),
+            trailing,
             values: HashMap::new(),
             read_set: Vec::new(),
             conflict: false,
@@ -271,19 +277,23 @@ impl Txn {
     }
 
     fn absorb(&mut self, wait: &Wait, bytes: &[u8]) -> Result<()> {
-        if let Op::Read { expect, .. } = wait.op {
-            let word = u64::from_le_bytes(
-                bytes
-                    .try_into()
-                    .map_err(|_| FlockError::CorruptMessage("validation read size"))?,
-            );
-            if word != expect || word & LOCK_BIT != 0 {
-                self.conflict = true;
+        match wait.op {
+            Op::Read { expect, .. } => {
+                let word = u64::from_le_bytes(
+                    bytes
+                        .try_into()
+                        .map_err(|_| FlockError::CorruptMessage("validation read size"))?,
+                );
+                if word != expect || word & LOCK_BIT != 0 {
+                    self.conflict = true;
+                }
+                Ok(())
             }
-            return Ok(());
-        }
-        match (self.phase, TxnResp::decode(bytes)) {
-            (Phase::Execute, Some(TxnResp::Execute { ok, reads, writes })) => {
+            Op::Ack(_) => expect_ack(bytes),
+            Op::Execute(_) => {
+                let Some(TxnResp::Execute { ok, reads, writes }) = TxnResp::decode(bytes) else {
+                    return Err(FlockError::CorruptMessage("unexpected txn response"));
+                };
                 if !ok {
                     self.conflict = true;
                     return Ok(());
@@ -301,8 +311,6 @@ impl Txn {
                     .extend(reads.into_iter().chain(writes).map(|kr| (kr.key, kr.value)));
                 Ok(())
             }
-            (Phase::Log | Phase::Commit | Phase::Abort, Some(TxnResp::Ack)) => Ok(()),
-            _ => Err(FlockError::CorruptMessage("unexpected txn response")),
         }
     }
 
@@ -310,46 +318,57 @@ impl Txn {
     /// returns the outcome once there is no next phase. `compute` runs
     /// once, after validation, on the execution-time values. An error
     /// while sending leaves the rest of that phase unsent.
+    ///
+    /// The commit point is the last Commit posted: every backup has acked
+    /// its Log, so `Committed` is returned then, with the Commits' acks
+    /// left outstanding. Each primary keeps the keys locked until its
+    /// Commit lands, so no reader sees their old values as valid.
     fn advance(
         &mut self,
-        threads: &[FlThread],
+        client: &TxnClient,
         compute: &mut dyn FnMut(&Values) -> HashMap<u64, Vec<u8>>,
     ) -> Option<Result<TxnOutcome>> {
         while self.outstanding.is_empty() {
             let failed = self.conflict || self.error.is_some();
             let sent = match (self.phase, failed) {
-                (Phase::Abort, _) | (Phase::Commit, false) => {
+                (Phase::Abort, _) => {
                     return Some(match self.error.take() {
                         Some(e) => Err(e),
-                        None if self.conflict => Ok(TxnOutcome::Aborted),
-                        None => Ok(TxnOutcome::Committed(std::mem::take(&mut self.values))),
+                        None => Ok(TxnOutcome::Aborted),
                     });
                 }
                 // After a failed Commit phase too: a send error may have
                 // left a primary locked.
-                (_, true) => self.abort(threads),
-                (Phase::Begin, _) => self.execute(threads),
-                (Phase::Execute, _) => self.validate(threads),
-                (Phase::Validate, _) => self.log(threads, compute(&self.values)),
-                (Phase::Log, _) => self.commit(threads),
+                (_, true) => self.abort(client),
+                (Phase::Begin, _) => self.execute(client),
+                (Phase::Execute, _) => self.validate(client),
+                (Phase::Validate, _) => self.log(client, compute(&self.values)),
+                (Phase::Log, _) => self.commit(client),
+                (Phase::Commit, false) => unreachable!("a transaction ends at its commit point"),
             };
-            if let Err(e) = sent {
-                self.error.get_or_insert(e);
+            match sent {
+                Err(e) => {
+                    self.error.get_or_insert(e);
+                }
+                Ok(()) if matches!(self.phase, Phase::Commit) => {
+                    return Some(Ok(TxnOutcome::Committed(std::mem::take(&mut self.values))));
+                }
+                Ok(()) => {}
             }
         }
         None
     }
 
     /// Phase 1: every primary reads its share and locks its write keys.
-    fn execute(&mut self, threads: &[FlThread]) -> Result<()> {
+    /// The previous transaction's trailing acks are awaited first.
+    fn execute(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Execute;
+        self.outstanding.append(&mut self.trailing);
         for (&server, g) in &self.groups {
-            let rpc = TxnRpc::Execute {
-                txn_id: self.id,
-                reads: g.reads.clone(),
-                writes: g.writes.clone(),
-            };
-            issue_rpc(threads, server, &rpc, &mut self.outstanding)?;
+            let wait = client.send(server, RPC_EXECUTE, |buf| {
+                put_execute(buf, self.id, &g.reads, &g.writes)
+            })?;
+            self.outstanding.push(wait);
         }
         Ok(())
     }
@@ -357,10 +376,10 @@ impl Txn {
     /// Phase 2: one-sided reads of the version words recorded at
     /// execution (region 0 is the server's version table), all issued
     /// before any is awaited.
-    fn validate(&mut self, threads: &[FlThread]) -> Result<()> {
+    fn validate(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Validate;
         for &(server, slot, expect) in &self.read_set {
-            let token = threads[server].read_async(0, slot, 8)?;
+            let token = client.threads[server].read_async(0, slot, 8)?;
             self.outstanding.push(Wait {
                 server,
                 op: Op::Read { token, expect },
@@ -374,7 +393,7 @@ impl Txn {
     /// are an error, raised before anything is sent. Each value moves
     /// into its primary's group: a write set that reaches this phase
     /// names a key once (Execute fails a second lock of it).
-    fn log(&mut self, threads: &[FlThread], mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
+    fn log(&mut self, client: &TxnClient, mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
         self.phase = Phase::Log;
         let mut write_set = self.groups.values().flat_map(|g| &g.writes);
         if write_set.any(|k| !new_values.contains_key(k)) {
@@ -389,28 +408,29 @@ impl Txn {
                 .filter_map(|&k| Some((k, new_values.remove(&k)?)))
                 .collect();
         }
-        for (server, writes) in log_messages(&self.groups, threads.len()) {
-            let rpc = TxnRpc::Log {
-                txn_id: self.id,
-                writes,
-            };
-            issue_rpc(threads, server, &rpc, &mut self.outstanding)?;
+        let n = client.threads.len();
+        for server in 0..n {
+            let writes = backed_up_by(&self.groups, server, n);
+            if writes.clone().next().is_none() {
+                continue;
+            }
+            let wait = client.send(server, RPC_LOG, |buf| put_log(buf, self.id, writes))?;
+            self.outstanding.push(wait);
         }
         Ok(())
     }
 
     /// Phase 4: primaries install the new values and unlock.
-    fn commit(&mut self, threads: &[FlThread]) -> Result<()> {
+    fn commit(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Commit;
         for (&server, g) in &mut self.groups {
             if g.writes.is_empty() {
                 continue;
             }
-            let rpc = TxnRpc::Commit {
-                txn_id: self.id,
-                writes: std::mem::take(&mut g.new_values),
-            };
-            issue_rpc(threads, server, &rpc, &mut self.outstanding)?;
+            let wait = client.send(server, RPC_COMMIT, |buf| {
+                put_commit(buf, self.id, &g.new_values)
+            })?;
+            self.outstanding.push(wait);
             g.locked = false;
         }
         Ok(())
@@ -418,19 +438,15 @@ impl Txn {
 
     /// Unlock every server known to hold this transaction's locks; a
     /// failed send does not keep the others from being tried.
-    fn abort(&mut self, threads: &[FlThread]) -> Result<()> {
+    fn abort(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Abort;
         let mut first_error = Ok(());
         for (&server, g) in &mut self.groups {
             if !std::mem::take(&mut g.locked) {
                 continue;
             }
-            let rpc = TxnRpc::Abort {
-                txn_id: self.id,
-                writes: g.writes.clone(),
-            };
-            let sent = issue_rpc(threads, server, &rpc, &mut self.outstanding);
-            first_error = first_error.and(sent);
+            let sent = client.send(server, RPC_ABORT, |buf| put_abort(buf, self.id, &g.writes));
+            first_error = first_error.and(sent.map(|wait| self.outstanding.push(wait)));
         }
         first_error
     }
@@ -438,9 +454,17 @@ impl Txn {
 
 /// A per-application-thread transaction coordinator holding one
 /// [`FlThread`] per server connection.
+///
+/// A committed transaction's Commit acks trail it: the client's next
+/// transaction receives them after its first sends, [`TxnClient::settle`]
+/// collects them, and dropping the client settles.
 pub struct TxnClient {
     threads: Vec<FlThread>,
-    txn_seq: std::cell::Cell<u64>,
+    txn_seq: Cell<u64>,
+    /// The last committed transaction's Commits, their acks not yet received.
+    trailing: RefCell<Vec<Wait>>,
+    /// The request being sent, encoded here before `send_rpc` copies it.
+    wire: RefCell<Vec<u8>>,
 }
 
 impl TxnClient {
@@ -449,20 +473,65 @@ impl TxnClient {
     pub fn new(handles: &[Arc<ConnectionHandle>]) -> TxnClient {
         TxnClient {
             threads: handles.iter().map(|h| h.register_thread()).collect(),
-            txn_seq: std::cell::Cell::new(1),
+            txn_seq: Cell::new(1),
+            trailing: RefCell::default(),
+            wire: RefCell::default(),
         }
     }
 
-    /// A machine for the next transaction id, nothing sent yet.
+    /// A machine for the next transaction id, nothing sent yet; it takes
+    /// over the trailing acks.
     fn begin(&self, reads: &[u64], writes: &[u64]) -> Txn {
         let id = self.txn_seq.get();
         self.txn_seq.set(id + 1);
-        Txn::new(id, self.threads.len(), reads, writes)
+        Txn::new(id, self.threads.len(), reads, writes, self.trailing.take())
+    }
+
+    /// Keep a finished transaction's outstanding Commits for the next one.
+    fn trail(&self, txn: &mut Txn) {
+        self.trailing.borrow_mut().append(&mut txn.outstanding);
+    }
+
+    /// Send `server` the request `encode` writes; the wait for its reply.
+    fn send(&self, server: usize, rpc_id: u32, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Wait> {
+        let mut wire = self.wire.borrow_mut();
+        wire.clear();
+        encode(&mut wire);
+        let seq = self.threads[server].send_rpc(rpc_id, &wire)?;
+        let op = if rpc_id == RPC_EXECUTE {
+            Op::Execute(seq)
+        } else {
+            Op::Ack(seq)
+        };
+        Ok(Wait { server, op })
+    }
+
+    /// Receive the acks of the last committed transaction's Commits, so
+    /// every primary has installed its values and unlocked; the first
+    /// error among them is the result. Nothing of this client is on its
+    /// way afterwards.
+    pub fn settle(&self) -> Result<()> {
+        let mut first_error = Ok(());
+        for wait in self.trailing.take() {
+            let acked = wait
+                .block(&self.threads)
+                .and_then(|bytes| expect_ack(&bytes));
+            first_error = first_error.and(acked);
+        }
+        first_error
     }
 
     /// Run one transaction: read `reads`, then atomically replace the
     /// values of `writes` with the output of `compute` (which receives the
     /// execution-time values of both sets).
+    ///
+    /// Returns [`TxnOutcome::Committed`] at the commit point: every
+    /// backup has acked its `Log` and every primary's `Commit` is posted.
+    /// The Commits' acks trail: the next call on this client receives
+    /// them after its first send, or [`TxnClient::settle`] does, and an
+    /// error among them is that call's result. Until a primary applies
+    /// its Commit the keys stay locked, so a reader aborts rather than
+    /// see an old value as valid.
     ///
     /// Returns [`TxnOutcome::Aborted`] on lock conflicts or validation
     /// failure; the caller retries. An error — a failed send, reply or
@@ -478,7 +547,8 @@ impl TxnClient {
         let mut compute = |values: &Values| (compute.take().expect("computes once"))(values);
         let mut txn = self.begin(reads, writes);
         loop {
-            if let Some(outcome) = txn.advance(&self.threads, &mut compute) {
+            if let Some(outcome) = txn.advance(self, &mut compute) {
+                self.trail(&mut txn);
                 return outcome;
             }
             // In issue order, each wait on its `Event`: no polling.
@@ -491,13 +561,16 @@ impl TxnClient {
     /// `target_commits` commit; aborted attempts are counted and not
     /// retried (`logic` decides what comes next).
     ///
-    /// Once the target is reached, or a transaction returns an error, no
-    /// slot starts another, and the run returns when every transaction
-    /// already in flight has finished its commit or abort — so `commits`
-    /// may exceed the target by up to `width - 1`, and on return no lock
-    /// is held and no RPC of this client is still on its way. The first
-    /// error is the result; a stopped connection handle is one
-    /// ([`FlockError::Disconnected`]), so the run ends with it.
+    /// A slot's transaction ends at its commit point, as in
+    /// [`TxnClient::run`], and the slot's next transaction receives its
+    /// Commit acks. Once the target is reached, or a transaction returns
+    /// an error, no slot starts another, and the run settles and returns
+    /// when every transaction already in flight has finished its commit
+    /// or abort — so `commits` may exceed the target by up to
+    /// `width - 1`, and on return no lock is held and no RPC of this
+    /// client is still on its way. The first error is the result; a
+    /// stopped connection handle is one ([`FlockError::Disconnected`]),
+    /// so the run ends with it.
     pub fn run_pipelined(
         &self,
         logic: &mut dyn TxnLogic,
@@ -522,9 +595,11 @@ impl TxnClient {
                 }
                 progressed = true;
                 let mut compute = |values: &Values| logic.compute(spec, values);
-                let Some(outcome) = txn.advance(&self.threads, &mut compute) else {
+                let Some(outcome) = txn.advance(self, &mut compute) else {
                     continue;
                 };
+                // Its trailing acks join this slot's next transaction.
+                self.trail(txn);
                 match outcome {
                     Ok(TxnOutcome::Committed(_)) => stats.commits += 1,
                     Ok(TxnOutcome::Aborted) => stats.aborts += 1,
@@ -543,13 +618,15 @@ impl TxnClient {
                 flock_sync::clock::yield_now();
             }
         }
-        first_error.map_or(Ok(stats), Err)
+        let settled = self.settle();
+        first_error.map_or(settled.map(|()| stats), Err)
     }
 
     /// [`TxnClient::run`] under pessimistic stripe locks: acquire the
     /// ALock of every `(server, stripe)` the transaction touches — in
     /// global sorted order, so concurrent locked transactions cannot
-    /// deadlock — then run the ordinary four-phase protocol and release.
+    /// deadlock — then run the ordinary four-phase protocol, settle its
+    /// Commits and release.
     ///
     /// When every contending client goes through the same stripe table,
     /// conflicting transactions serialize *before* execution: no
@@ -593,9 +670,12 @@ impl TxnClient {
                 }
             }
         }
+        // Settled before the stripes go: the next holder finds the
+        // Commits applied, not the keys still locked.
         let outcome = self.run(reads, writes, compute);
+        let settled = self.settle();
         self.release_stripes(locks, held);
-        outcome
+        outcome.and_then(|outcome| settled.map(|()| outcome))
     }
 
     fn release_stripes(
@@ -614,6 +694,12 @@ impl TxnClient {
             );
             let _ = locks.locks[server][stripe].release(&word, ticket);
         }
+    }
+}
+
+impl Drop for TxnClient {
+    fn drop(&mut self) {
+        let _ = self.settle();
     }
 }
 
@@ -640,8 +726,12 @@ mod tests {
                         (p, g)
                     })
                     .collect();
-                let messages: Vec<(usize, Vec<u64>)> = log_messages(&groups, n)
-                    .map(|(server, writes)| (server, writes.iter().map(|&(k, _)| k).collect()))
+                let messages: Vec<(usize, Vec<u64>)> = (0..n)
+                    .map(|server| {
+                        let writes = backed_up_by(&groups, server, n);
+                        (server, writes.map(|&(k, _)| k).collect::<Vec<_>>())
+                    })
+                    .filter(|(_, keys)| !keys.is_empty())
                     .collect();
                 let mut backed_up = vec![Vec::new(); n];
                 for &p in &written {

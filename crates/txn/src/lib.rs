@@ -34,11 +34,19 @@
 //! returned only after the machine has received what was outstanding and
 //! sent Abort to every server it knows to hold its locks.
 //!
+//! A transaction is reported committed at its commit point: every
+//! backup has acked its Log and every Commit is posted. The primaries'
+//! acks trail: the client's next transaction receives them after its
+//! first sends, [`TxnClient::settle`] collects them, and dropping the
+//! client settles. Until its Commit lands a primary keeps the keys
+//! locked, so a reader aborts rather than read an old value as valid.
+//!
 //! For write-hot keys where OCC retries burn more verbs than locks
 //! would, [`TxnClient::run_locked`] wraps the same four phases in
 //! pessimistic [`StripeLocks`] — per-stripe ALock cohorts over a remote
 //! CAS word table ([`export_stripe_locks`]) — trading one amortized
-//! remote atomic per stripe for zero aborts.
+//! remote atomic per stripe for zero aborts. It settles before it
+//! releases the stripes, so the next holder finds the Commits applied.
 //!
 //! [`workloads`] provides the paper's TATP (read-intensive) and Smallbank
 //! (write-intensive) benchmark generators.

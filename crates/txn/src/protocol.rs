@@ -111,12 +111,55 @@ fn put_keys(buf: &mut Vec<u8>, keys: &[u64]) {
         put_u64(buf, k);
     }
 }
-fn put_kvs(buf: &mut Vec<u8>, kvs: &[(u64, Vec<u8>)]) {
-    put_u32(buf, kvs.len() as u32);
+/// The pairs' count, then each pair; the count is written last, so the
+/// pairs can come from several groups without being gathered first.
+fn put_kvs<'a>(buf: &mut Vec<u8>, kvs: impl IntoIterator<Item = &'a (u64, Vec<u8>)>) {
+    let at = buf.len();
+    put_u32(buf, 0);
+    let mut n = 0u32;
     for (k, v) in kvs {
         put_u64(buf, *k);
         put_bytes(buf, v);
+        n += 1;
     }
+    buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
+}
+
+// A request's wire bytes are appended to `buf` straight from borrowed
+// keys and values: the coordinator encodes each phase's message from its
+// transaction's groups, and `TxnRpc::encode` is these with owned fields.
+
+/// Append an `Execute` request.
+pub(crate) fn put_execute(buf: &mut Vec<u8>, txn_id: u64, reads: &[u64], writes: &[u64]) {
+    buf.push(0);
+    put_u64(buf, txn_id);
+    put_keys(buf, reads);
+    put_keys(buf, writes);
+}
+
+/// Append a `Log` request carrying `writes`.
+pub(crate) fn put_log<'a>(
+    buf: &mut Vec<u8>,
+    txn_id: u64,
+    writes: impl IntoIterator<Item = &'a (u64, Vec<u8>)>,
+) {
+    buf.push(1);
+    put_u64(buf, txn_id);
+    put_kvs(buf, writes);
+}
+
+/// Append a `Commit` request carrying `writes`.
+pub(crate) fn put_commit(buf: &mut Vec<u8>, txn_id: u64, writes: &[(u64, Vec<u8>)]) {
+    buf.push(2);
+    put_u64(buf, txn_id);
+    put_kvs(buf, writes);
+}
+
+/// Append an `Abort` request unlocking `writes`.
+pub(crate) fn put_abort(buf: &mut Vec<u8>, txn_id: u64, writes: &[u64]) {
+    buf.push(3);
+    put_u64(buf, txn_id);
+    put_keys(buf, writes);
 }
 
 struct Reader<'a> {
@@ -157,16 +200,6 @@ impl<'a> Reader<'a> {
 }
 
 impl TxnRpc {
-    /// The RPC id this request travels under.
-    pub fn rpc_id(&self) -> u32 {
-        match self {
-            TxnRpc::Execute { .. } => RPC_EXECUTE,
-            TxnRpc::Log { .. } => RPC_LOG,
-            TxnRpc::Commit { .. } => RPC_COMMIT,
-            TxnRpc::Abort { .. } => RPC_ABORT,
-        }
-    }
-
     /// Serialize.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
@@ -175,27 +208,10 @@ impl TxnRpc {
                 txn_id,
                 reads,
                 writes,
-            } => {
-                buf.push(0);
-                put_u64(&mut buf, *txn_id);
-                put_keys(&mut buf, reads);
-                put_keys(&mut buf, writes);
-            }
-            TxnRpc::Log { txn_id, writes } => {
-                buf.push(1);
-                put_u64(&mut buf, *txn_id);
-                put_kvs(&mut buf, writes);
-            }
-            TxnRpc::Commit { txn_id, writes } => {
-                buf.push(2);
-                put_u64(&mut buf, *txn_id);
-                put_kvs(&mut buf, writes);
-            }
-            TxnRpc::Abort { txn_id, writes } => {
-                buf.push(3);
-                put_u64(&mut buf, *txn_id);
-                put_keys(&mut buf, writes);
-            }
+            } => put_execute(&mut buf, *txn_id, reads, writes),
+            TxnRpc::Log { txn_id, writes } => put_log(&mut buf, *txn_id, writes),
+            TxnRpc::Commit { txn_id, writes } => put_commit(&mut buf, *txn_id, writes),
+            TxnRpc::Abort { txn_id, writes } => put_abort(&mut buf, *txn_id, writes),
         }
         buf
     }
@@ -376,6 +392,60 @@ mod tests {
         assert_eq!(TxnResp::decode(&enc), Some(resp));
         let ack = TxnResp::Ack;
         assert_eq!(TxnResp::decode(&ack.encode()), Some(TxnResp::Ack));
+    }
+
+    /// The layout byte for byte: a tag, the id, then each list as a
+    /// `u32` count and its items, a value as a `u32` length and its bytes.
+    #[test]
+    fn requests_keep_their_wire_bytes() {
+        let le = |v: u64, n: usize| v.to_le_bytes()[..n].to_vec();
+        let head = |tag: u8, txn_id: u64| vec![vec![tag], le(txn_id, 8)];
+        let kvs = vec![(1, b"aa".to_vec()), (2, vec![])];
+        let kv_bytes = vec![
+            le(2, 4),
+            le(1, 8),
+            le(2, 4),
+            b"aa".to_vec(),
+            le(2, 8),
+            le(0, 4),
+        ];
+        let cases = [
+            (
+                TxnRpc::Execute {
+                    txn_id: 7,
+                    reads: vec![1],
+                    writes: vec![9, 5],
+                },
+                [
+                    head(0, 7),
+                    vec![le(1, 4), le(1, 8), le(2, 4), le(9, 8), le(5, 8)],
+                ],
+            ),
+            (
+                TxnRpc::Log {
+                    txn_id: 8,
+                    writes: kvs.clone(),
+                },
+                [head(1, 8), kv_bytes.clone()],
+            ),
+            (
+                TxnRpc::Commit {
+                    txn_id: 9,
+                    writes: kvs,
+                },
+                [head(2, 9), kv_bytes],
+            ),
+            (
+                TxnRpc::Abort {
+                    txn_id: 10,
+                    writes: vec![5],
+                },
+                [head(3, 10), vec![le(1, 4), le(5, 8)]],
+            ),
+        ];
+        for (rpc, parts) in cases {
+            assert_eq!(rpc.encode(), parts.concat().concat(), "{rpc:?}");
+        }
     }
 
     #[test]

@@ -104,6 +104,7 @@ fn write_transaction_commits_and_replicates() {
         })
         .unwrap();
     assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    client.settle().unwrap();
     // Primary has the new value.
     let p = key_partition(42, N_SERVERS);
     assert_eq!(
@@ -184,6 +185,7 @@ fn multi_partition_transaction() {
         })
         .unwrap();
     assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    client.settle().unwrap();
     for &k in &keys {
         let p = key_partition(k, N_SERVERS);
         assert_eq!(
@@ -217,6 +219,7 @@ fn a_transaction_logs_once_per_replica_server() {
         })
         .unwrap();
     assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    client.settle().unwrap();
     let delta: Vec<u64> = requests().iter().zip(&before).map(|(a, b)| a - b).collect();
     assert_eq!(delta, [3; N_SERVERS], "requests per server");
     for (s, ts) in c.txn_servers.iter().enumerate() {
@@ -681,6 +684,7 @@ fn an_error_mid_transaction_releases_its_locks() {
         matches!(outcome, TxnOutcome::Committed(_)),
         "the failed transaction left key {key_a} locked"
     );
+    client.settle().unwrap();
     assert_eq!(ts.peek(key_a).unwrap(), b"new");
     drop(client);
     a.shutdown(&domain);
@@ -726,6 +730,7 @@ fn a_write_key_compute_left_out_aborts_with_an_error() {
         matches!(outcome, TxnOutcome::Committed(_)),
         "the failed transaction left its keys locked"
     );
+    client.settle().unwrap();
     assert_eq!(ts.peek(2).unwrap(), b"2");
     drop(client);
     drop(handles);
@@ -946,4 +951,234 @@ fn async_memops_overlap() {
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), i as u64 + 100);
     }
     teardown(c);
+}
+
+/// Whether `key`'s version word on its primary `ts` holds the lock bit,
+/// read through a read-only Execute (which takes no lock).
+fn locked(ts: &TxnServer, key: u64) -> bool {
+    let resp = ts.handle(&flock_txn::TxnRpc::Execute {
+        txn_id: 0,
+        reads: vec![key],
+        writes: vec![],
+    });
+    let flock_txn::TxnResp::Execute { reads, .. } = resp else {
+        panic!("Execute answers Execute");
+    };
+    reads[0].word & flock_core::onesided::LOCK_BIT != 0
+}
+
+/// `run` reports a commit at its commit point: the backups hold the new
+/// values and the Commits are posted, not yet applied. Until `settle`
+/// collects their acks the primary shows the old value, locked, so
+/// nobody can read it as valid; the next call finds it applied.
+#[test]
+fn run_reports_the_commit_once_the_backups_hold_it() {
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let keys: Vec<u64> = (0..N_SERVERS)
+            .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
+            .collect();
+        for &k in &keys {
+            load(&c, k, b"old");
+        }
+        let primary = |k| &c.txn_servers[key_partition(k, N_SERVERS)];
+        let client = TxnClient::new(&c.handles);
+        let outcome = client
+            .run(&[], &keys, |_| {
+                keys.iter().map(|&k| (k, b"new".to_vec())).collect()
+            })
+            .unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        for &k in &keys {
+            let p = key_partition(k, N_SERVERS);
+            for r in flock_txn::protocol::replicas_of(p, N_SERVERS) {
+                assert_eq!(
+                    c.txn_servers[r].peek_backup(k).unwrap(),
+                    b"new",
+                    "backup {r}"
+                );
+            }
+            assert_eq!(primary(k).peek(k).unwrap(), b"old", "primary of key {k}");
+            assert!(locked(primary(k), k), "key {k} unlocked before its Commit");
+        }
+        client.settle().unwrap();
+        for &k in &keys {
+            assert_eq!(primary(k).peek(k).unwrap(), b"new", "primary of key {k}");
+            assert!(!locked(primary(k), k), "key {k} locked after settle");
+        }
+        drop(client);
+        teardown(c);
+    });
+}
+
+/// Right after one client's `run` reports a commit, a second client
+/// reads the key: it aborts (the primary has not applied the Commit, so
+/// the key is locked) or it reads the new value, never the old one as
+/// valid. Some rounds must land in that window, or the test shows
+/// nothing. The two clients sit on two nodes of their own.
+fn a_reader_after_each_commit() -> (u64, u64) {
+    let c = cluster();
+    let key = 5;
+    load(&c, key, &0u64.to_le_bytes());
+    let reader_node = c.domain.add_node("txn-reader");
+    let reader_handles: Vec<Arc<ConnectionHandle>> = (0..N_SERVERS)
+        .map(|i| {
+            let cfg = HandleConfig::default();
+            let name = format!("txn{i}");
+            Arc::new(ConnectionHandle::connect(&c.domain, &reader_node, &name, cfg).unwrap())
+        })
+        .collect();
+    let writer = TxnClient::new(&c.handles);
+    let reader = TxnClient::new(&reader_handles);
+    let (mut aborted, mut read_new) = (0, 0);
+    for round in 1..=24u64 {
+        let outcome = writer
+            .run(&[], &[key], |_| {
+                HashMap::from([(key, round.to_le_bytes().to_vec())])
+            })
+            .unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        match reader.run(&[key], &[], |_| HashMap::new()).unwrap() {
+            TxnOutcome::Aborted => aborted += 1,
+            TxnOutcome::Committed(values) => {
+                let value = values[&key].clone().unwrap();
+                assert_eq!(
+                    value,
+                    round.to_le_bytes(),
+                    "round {round} read an old value"
+                );
+                read_new += 1;
+            }
+        }
+    }
+    drop((writer, reader, reader_handles));
+    teardown(c);
+    (aborted, read_new)
+}
+
+#[test]
+fn a_reader_after_the_commit_point_aborts_or_reads_the_new_value() {
+    let ((aborted, read_new), _) =
+        flock_sim::vtime::VirtualLab::run_against_reference(a_reader_after_each_commit);
+    assert_eq!(aborted + read_new, 24);
+    assert!(aborted > 0, "no read landed before a Commit was applied");
+}
+
+/// A transaction's trailing Commit acks are received by the client's
+/// next call, whatever it is: after a second `run`, read-only or on
+/// other servers, the first transaction's values are applied and
+/// unlocked, while the second's own Commit trails in turn; after
+/// `run_pipelined` nothing trails at all.
+#[test]
+fn trailing_acks_never_outlive_the_next_call() {
+    struct Writes(Vec<u64>);
+    impl TxnLogic for Writes {
+        fn next(&mut self) -> TxnSpec {
+            TxnSpec {
+                reads: vec![],
+                writes: self.0.clone(),
+                kind: "write",
+            }
+        }
+        fn compute(
+            &mut self,
+            _: &TxnSpec,
+            _: &HashMap<u64, Option<Vec<u8>>>,
+        ) -> HashMap<u64, Vec<u8>> {
+            self.0.iter().map(|&k| (k, b"piped".to_vec())).collect()
+        }
+    }
+
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let [k0, k1, k2] =
+            [0, 1, 2].map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap());
+        for k in [k0, k1, k2] {
+            load(&c, k, b"old");
+        }
+        let primary = |k| &c.txn_servers[key_partition(k, N_SERVERS)];
+        let applied =
+            |k, value: &[u8]| primary(k).peek(k).unwrap() == value && !locked(primary(k), k);
+        let client = TxnClient::new(&c.handles);
+        let write = |k, value: &[u8]| {
+            let outcome = client.run(&[], &[k], |_| HashMap::from([(k, value.to_vec())]));
+            assert!(matches!(outcome.unwrap(), TxnOutcome::Committed(_)));
+        };
+
+        write(k0, b"first");
+        assert!(!applied(k0, b"first"));
+        // A read-only call on another server collects k0's ack.
+        let outcome = client.run(&[k1], &[], |_| HashMap::new()).unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        assert!(applied(k0, b"first"), "k0's Commit outlived the next call");
+
+        write(k0, b"second");
+        write(k2, b"third");
+        assert!(applied(k0, b"second"), "k0's Commit outlived the next call");
+        assert!(!applied(k2, b"third"), "k2's own Commit trails");
+
+        let stats = client
+            .run_pipelined(&mut Writes(vec![k1, k2]), 2, 4)
+            .unwrap();
+        assert!(stats.commits >= 4, "{stats:?}");
+        for k in [k1, k2] {
+            assert!(
+                applied(k, b"piped"),
+                "run_pipelined returned with key {k}'s Commit on its way"
+            );
+        }
+        drop(client);
+        teardown(c);
+    });
+}
+
+/// A Commit that is applied but answered with garbage: `run` has
+/// already reported the commit, so the error is the result of the call
+/// that collects the ack, the next `run` or `settle`, and the next
+/// transaction still settles its own locks first.
+#[test]
+fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
+    let domain = FlockDomain::with_defaults();
+    let node = domain.add_node("garbled-srv");
+    let server = FlockServer::listen(&domain, &node, "garbled-srv", ServerConfig::default());
+    let idx = server.attach_mreg(1 << 12);
+    let ts = TxnServer::new(0, server.mem_region(idx).unwrap());
+    ts.register(&server);
+    let state = Arc::clone(&ts);
+    server.reg_handler(flock_txn::protocol::RPC_COMMIT, move |req| {
+        state.handle(&flock_txn::TxnRpc::decode(req).unwrap());
+        vec![0xFF]
+    });
+    let client_node = domain.add_node("garbled-client");
+    let cfg = HandleConfig::default();
+    let handles = [Arc::new(
+        ConnectionHandle::connect(&domain, &client_node, "garbled-srv", cfg).unwrap(),
+    )];
+    ts.load(1, b"one");
+    ts.load(2, b"two");
+
+    let client = TxnClient::new(&handles);
+    let write = |value: &[u8]| client.run(&[], &[1], |_| HashMap::from([(1, value.to_vec())]));
+    assert!(matches!(write(b"a").unwrap(), TxnOutcome::Committed(_)));
+    let err = client.run(&[], &[2], |_| HashMap::from([(2, b"b".to_vec())]));
+    assert!(
+        matches!(err, Err(flock_core::FlockError::CorruptMessage(_))),
+        "{err:?}"
+    );
+    assert_eq!(
+        ts.peek(2).unwrap(),
+        b"two",
+        "the collecting transaction committed"
+    );
+    assert!(!locked(&ts, 2), "the collecting transaction left its lock");
+    assert!(matches!(write(b"c").unwrap(), TxnOutcome::Committed(_)));
+    let err = client.settle();
+    assert!(
+        matches!(err, Err(flock_core::FlockError::CorruptMessage(_))),
+        "{err:?}"
+    );
+    assert_eq!(ts.peek(1).unwrap(), b"c");
+    client.settle().unwrap();
+    drop(client);
+    server.shutdown(&domain);
 }

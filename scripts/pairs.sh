@@ -17,7 +17,8 @@
 # any pair's `sim_*` differ between the sides on a workload not named by
 # a `--moves-sim` (a change that moves that workload's virtual time on
 # purpose; repeat the option for each such workload, each must be one
-# of the workloads run).
+# of the workloads run). On a workload so named, each side's `sim_*`
+# must still be bit-equal across that side's own pairs at a seed.
 #
 # Writes only under target/pairs/ (the runs are kept in runs.jsonl, the
 # children's stderr in logs/). Needs git, cargo and jq. Run it from
@@ -115,7 +116,14 @@ jq -rs --slurpfile manifest BENCHMARK.json --argjson moves_sim "$moves_json" '
         | [$a.metrics | keys[] | select(startswith("sim_"))
             | select($a.metrics[.].value != $b.metrics[.].value)] as $moved
         | select($moved | length > 0)
-        | "\($a.workload) seed \($a.seed) pair \($a.pair): \($moved | join(", ")) differ"]) as $problems
+        | "\($a.workload) seed \($a.seed) pair \($a.pair): \($moved | join(", ")) differ"]
+      + [$runs | map(select(.workload as $w | any($moves_sim[]; . == $w)))
+        | group_by([.workload, .seed, .side])[]
+        | . as $runs_of
+        | [$runs_of[0].metrics | keys[] | select(startswith("sim_"))
+            | . as $k | select([$runs_of[].metrics[$k].value] | unique | length > 1)] as $moved
+        | select($moved | length > 0)
+        | "\($runs_of[0].side) \($runs_of[0].workload) seed \($runs_of[0].seed): \($moved | join(", ")) differ between its pairs"]) as $problems
     | ($runs | group_by(.workload)[] | . as $w
         | $metrics[] | . as $m
         | [$w[] | select(.side == "parent") | .metrics[$m.name].value | numbers] as $p
