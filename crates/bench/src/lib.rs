@@ -103,7 +103,10 @@ pub static SUITES: [Suite; 6] = [
         name: "tenant",
         file: Some("BENCH_tenant.json"),
         run: tenant::run_suite,
-        table: None,
+        table: Some(Table {
+            marker: "bench:tenant.scenarios",
+            render: tenant::scenarios_table,
+        }),
     },
     Suite {
         name: "onesided",

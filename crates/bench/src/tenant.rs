@@ -322,14 +322,20 @@ pub(crate) fn run_mix(w: TenantWorkload, label: &'static str, keys: usize, zipf_
     }
 }
 
+/// Zipf exponent of the mix scenario's key popularity.
+const ZIPF_THETA: f64 = 0.99;
+/// Share of SETs in the mix scenario and in the hot-key storm.
+const MIX_SETS: f64 = 0.10;
+const HOT_SETS: f64 = 0.20;
+
 /// Scenario 1: Zipf(0.99) key popularity, 90/10 GET/SET.
 pub fn run_zipf_mix(w: TenantWorkload) -> MixOutcome {
-    run_mix(w, "ten-zipf", w.keys, 0.99, 0.10)
+    run_mix(w, "ten-zipf", w.keys, ZIPF_THETA, MIX_SETS)
 }
 
 /// Scenario 2: every tenant hammers one hot key, 80/20 GET/SET.
 pub fn run_hot_key_storm(w: TenantWorkload) -> MixOutcome {
-    run_mix(w, "ten-hot", 1, 0.0, 0.20)
+    run_mix(w, "ten-hot", 1, 0.0, HOT_SETS)
 }
 
 // ---------------------------------------------------------------------
@@ -651,6 +657,50 @@ pub fn run_suite(quick: bool) -> SuiteRun {
             + intf.aggr_ops_capped,
         cost: zipf.cost + hot.cost + intf.cost,
     }
+}
+
+/// EXPERIMENTS.md's "Multi-tenancy" table, from the suite's document.
+pub(crate) fn scenarios_table(doc: &Value) -> String {
+    let [zipf, hot, intf] = ["zipf_mix", "hot_key_storm", "interference"].map(|k| doc.field(k));
+    let n = |part: &Value, key| part.field(key).num();
+    let get_set = |sets: f64| format!("{:.0}/{:.0} GET/SET", 100.0 * (1.0 - sets), 100.0 * sets);
+    let fairness = |m: &Value| {
+        let p99 = m.field("tenants").items().iter().map(|t| n(t, "p99_us"));
+        let (lo, hi) = p99.fold((f64::MAX, f64::MIN), |(lo, hi), p| (lo.min(p), hi.max(p)));
+        format!(
+            "Jain's (tput) **{:.3}**, Jain's (completed) {:.3}; per-tenant p99 {lo:.2}–{hi:.2} µs",
+            n(m, "jains_tput"),
+            n(m, "jains_completed"),
+        )
+    };
+    format!(
+        "| scenario | configuration | result |\n|---|---|---|\n\
+         | Zipf mix | {} tenants × {} sessions × {} reqs, Zipf({ZIPF_THETA}) over {} keys, {} | {} |\n\
+         | hot-key storm | same cohort, one key, {} | {} |\n\
+         | interference | {} victims ({VICTIM_SESSIONS} ramped sessions each) vs 1 aggressor \
+         ({} closed-loop sessions), MAX_AQP={}, cap={} | victims' slowest 5 %: mean {:.2} µs alone, \
+         {:.2} µs uncapped (**{:.3}×**), {:.2} µs capped (**{:.3}×**); aggressor holds {} lanes \
+         uncapped, {} capped |\n",
+        zipf.field("tenants").items().len(),
+        n(doc, "sessions_per_tenant"),
+        n(doc, "reqs_per_session"),
+        n(doc, "zipf_keys"),
+        get_set(MIX_SETS),
+        fairness(zipf),
+        get_set(HOT_SETS),
+        fairness(hot),
+        n(intf, "victims"),
+        n(intf, "aggr_sessions"),
+        n(intf, "max_aqp"),
+        n(intf, "aggr_cap"),
+        n(intf, "baseline_tail5_us"),
+        n(intf, "uncapped_tail5_us"),
+        n(intf, "uncapped_ratio"),
+        n(intf, "capped_tail5_us"),
+        n(intf, "capped_ratio"),
+        n(intf, "uncapped_aggr_lanes"),
+        n(intf, "capped_aggr_lanes"),
+    )
 }
 
 fn render_mix(m: &MixOutcome) -> Value {

@@ -326,9 +326,11 @@ fn a_smallbank_transaction_stays_under_its_allocation_ceiling() {
     const SERVERS: usize = 3;
     const WARM: u64 = 200;
     const TXNS: u64 = 2_000;
-    /// Debug and release builds both count 45.20 here; 55.24 with each
-    /// message's keys and values cloned and then encoded apart.
-    const CEILING: f64 = 46.0;
+    /// Debug and release builds both count 44.64 here, give or take an
+    /// allocation over the 2 000 transactions; 45.20 while each backup
+    /// answered its Log with an encoded `Ack`, 55.24 with each message's
+    /// keys and values cloned and then encoded apart.
+    const CEILING: f64 = 45.0;
 
     let (per_txn, commits) = VirtualLab::run(|| {
         let domain = FlockDomain::with_defaults();

@@ -3,6 +3,7 @@
 //! sender-side thread scheduling (§5.2), and one-sided memory operations
 //! (§6).
 
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -21,7 +22,7 @@ use crate::domain::{
     DetachRequest, ExportRequest, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED, RPC_POSTED};
 use crate::requests::{Delivered, Requests};
 use crate::ring::{self, Link};
 use crate::sched::thread::{assign_threads_into, AssignScratch, ThreadLoadStats};
@@ -124,8 +125,41 @@ pub(crate) struct ClientQpCtx {
     /// [`FLAG_DRAINED`] marker is owed by whoever empties the lane) or
     /// drained (marker posted, nothing is sent until the next grant).
     residents: Residents,
+    /// Posted requests sent on the lane and not yet answered: the send
+    /// CQ answers them. Taken after the TCQ leadership, before
+    /// `HandleInner::threads`.
+    posted: Mutex<Posted>,
     messages_sent: Counter,
     requests_sent: Counter,
+}
+
+/// A lane's posted requests ([`FlThread::post_rpc`]) whose message has
+/// not been heard of yet, and what its send CQ has said so far. RC
+/// completes a QP's writes in order: a completion of message `n` says
+/// every message up to `n` landed in the server's request ring, an
+/// error one that every message before `n` landed and `n` and every
+/// later one did not (the QP is in error from there on).
+#[derive(Default)]
+struct Posted {
+    /// `(message, request)`, in message order.
+    waiting: VecDeque<(u64, EntryMeta)>,
+    /// Every message up to this one landed.
+    landed: u64,
+    /// This message and every later one failed.
+    failed: Option<u64>,
+}
+
+impl Posted {
+    /// The answer for a posted request sent in message `n`, once the
+    /// send CQ has spoken for `n`.
+    fn answer(&self, n: u64) -> Option<Result<Bytes>> {
+        if self.failed.is_some_and(|first| n >= first) {
+            return Some(Err(FlockError::RemoteOpFailed(
+                "request write completed with error status",
+            )));
+        }
+        (n <= self.landed).then(|| Ok(Bytes::new()))
+    }
 }
 
 /// Number of scratch sub-slots per thread (concurrent one-sided ops).
@@ -196,13 +230,14 @@ struct MemOps {
 
 /// Bits of a one-sided work-request id below the issuing thread's id:
 /// the op's seq in its thread's table. Thread ids are below
-/// [`MAX_THREADS`] and seqs start at 1, so no id is one of
-/// [`Link::owns`]'s (0 and the top two) before a thread's 2^56th op.
+/// [`MAX_THREADS`] and seqs start at 1 and stay below bit 55
+/// (`ring::MESSAGE_WR`), so no id is one of [`Link::owns`]'s before a
+/// thread's 2^55th op.
 const MEM_SEQ_BITS: u32 = 56;
 
 /// The work-request id of `thread`'s one-sided op `seq`.
 fn mem_wr_id(thread: u32, seq: u64) -> WrId {
-    debug_assert!(seq < 1 << MEM_SEQ_BITS);
+    debug_assert!(seq < ring::MESSAGE_WR);
     WrId(u64::from(thread) << MEM_SEQ_BITS | seq)
 }
 
@@ -767,6 +802,18 @@ impl FlThread {
         self.send_rpc_bytes(rpc_id, Bytes::copy_from_slice(payload))
     }
 
+    /// Send a posted request: the server runs the handler of `rpc_id`
+    /// and sends no response. [`FlThread::recv_res`] of the returned seq
+    /// answers an empty [`Bytes`] once the RDMA write that carried the
+    /// request has landed in the server's request ring — the NIC's
+    /// acknowledgement, before the server has looked at it — or that
+    /// write's error. The server handles a lane's requests in order, so
+    /// it handles a posted request before any request sent after it on
+    /// the same lane. Fails as [`FlThread::send_rpc_bytes`] does.
+    pub fn post_rpc(&self, rpc_id: u32, payload: &[u8]) -> Result<u64> {
+        self.send(rpc_id, RPC_POSTED, Bytes::copy_from_slice(payload))
+    }
+
     /// Send an RPC request whose payload is already a shared buffer:
     /// the bytes are never copied until the leader encodes them into the
     /// ring write's payload (cloning `Bytes` is a refcount bump, so resending the
@@ -778,8 +825,18 @@ impl FlThread {
     /// seq, a credit or a place in a batch). After the join it returns
     /// the seq, whoever leads the batch: a request the flush could not
     /// send is answered with the flush's error, which
-    /// [`FlThread::recv_res`] returns at once.
+    /// [`FlThread::recv_res`] returns at once. An `rpc_id` with its top
+    /// bit set ([`RPC_POSTED`]) is refused with `InvalidArgument`.
     pub fn send_rpc_bytes(&self, rpc_id: u32, payload: Bytes) -> Result<u64> {
+        self.send(rpc_id, 0, payload)
+    }
+
+    /// Send request `rpc_id` through the lane's TCQ, marked `mark`
+    /// ([`RPC_POSTED`] or 0).
+    fn send(&self, rpc_id: u32, mark: u32, payload: Bytes) -> Result<u64> {
+        if msg::is_posted(rpc_id) {
+            return Err(FlockError::InvalidArgument("rpc id with its top bit set"));
+        }
         let inner = &self.inner;
         if inner.stop.is_set() {
             return Err(FlockError::Disconnected);
@@ -803,7 +860,7 @@ impl FlThread {
             len: payload.len() as u32,
             thread_id: self.ctx.id,
             seq,
-            rpc_id,
+            rpc_id: rpc_id | mark,
         };
         // TCQ enqueue: one uncontended atomic RMW of host CPU.
         clock::charge(inner.cost.cpu_sync_ns);
@@ -819,7 +876,8 @@ impl FlThread {
     /// Wait for the response to sequence `seq` (`fl_recv_res`).
     ///
     /// The returned [`Bytes`] owns exactly the response, copied out of
-    /// the response message (so no reply pins a multi-entry buffer). A
+    /// the response message (so no reply pins a multi-entry buffer); a
+    /// posted request's is empty ([`FlThread::post_rpc`]). A
     /// [`FlockError::Timeout`] or `Disconnected` gives `seq` up: its
     /// response, should it still arrive, is discarded. A `seq` that is
     /// neither in flight nor answered — already received, given up, or
@@ -1224,6 +1282,7 @@ fn build_lane_ctx(
         credit_event: Event::new(),
         degree: Mutex::new(MedianWindow::new(64)),
         residents: Residents::default(),
+        posted: Mutex::default(),
         messages_sent: Counter::default(),
         requests_sent: Counter::default(),
     })
@@ -1424,9 +1483,12 @@ fn send_run(inner: &HandleInner, qp: &ClientQpCtx, run: &[(EntryMeta, Bytes)]) -
     let entries = run
         .iter()
         .map(|(meta, data)| EntryRef { meta: *meta, data });
-    let need = ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
+    let (need, message) = ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
         qp.link.try_send(0, 0, entries.clone())
     })?;
+    if run.iter().any(|(meta, _)| msg::is_posted(meta.rpc_id)) {
+        sent_posted(inner, qp, run, message);
+    }
     // Leader's host cost: encode each entry, stage the message, ring the
     // doorbell — amortized over the whole run (the coalescing win).
     clock::charge(
@@ -1437,6 +1499,42 @@ fn send_run(inner: &HandleInner, qp: &ClientQpCtx, run: &[(EntryMeta, Bytes)]) -
     qp.messages_sent.add(1);
     qp.requests_sent.add(degree as u64);
     Ok(())
+}
+
+/// Hand the posted requests of `run`, sent as message `n`, to the lane's
+/// send CQ to answer ([`Posted`]), or answer them now if it already has
+/// spoken for `n`.
+fn sent_posted(inner: &HandleInner, qp: &ClientQpCtx, run: &[(EntryMeta, Bytes)], n: u64) {
+    let mut posted = qp.posted.lock();
+    for (meta, _) in run.iter().filter(|(meta, _)| msg::is_posted(meta.rpc_id)) {
+        match posted.answer(n) {
+            Some(answer) => deliver_rpc(&inner.threads.read(), meta, || answer),
+            None => posted.waiting.push_back((n, *meta)),
+        }
+    }
+}
+
+/// Fold a completion of lane `qp`'s message `n` into its [`Posted`]
+/// requests, and answer every one it speaks for.
+fn land_posted(inner: &HandleInner, qp: &ClientQpCtx, n: u64, ok: bool) {
+    let mut posted = qp.posted.lock();
+    if ok {
+        posted.landed = posted.landed.max(n);
+    } else {
+        posted.landed = posted.landed.max(n - 1);
+        posted.failed = Some(posted.failed.map_or(n, |first| first.min(n)));
+    }
+    if posted.waiting.is_empty() {
+        return;
+    }
+    let threads = inner.threads.read();
+    while let Some(&(m, meta)) = posted.waiting.front() {
+        let Some(answer) = posted.answer(m) else {
+            break;
+        };
+        posted.waiting.pop_front();
+        deliver_rpc(&threads, &meta, || answer);
+    }
 }
 
 /// Consume `n` credits, requesting renewal when at half (paper §5.1).
@@ -1536,13 +1634,17 @@ impl ResponseDispatcher {
         let mut lanes = 0;
         for qp in inner.lanes_live() {
             lanes += 1;
-            // Send-CQ: one-sided completions and (rare) ring-write errors.
+            // Send-CQ: one-sided completions, signaled ring writes (which
+            // answer posted requests) and (rare) ring-write errors.
             drained.clear();
             if qp.send_cq.poll(drained, usize::MAX) > 0 {
                 progressed = true;
                 clock::charge(inner.cost.cpu_poll_cqe_ns * drained.len() as u64);
                 for c in drained.iter() {
-                    route_completion(inner, c);
+                    match Link::landed(c.wr_id) {
+                        Some(n) => land_posted(inner, qp, n, c.is_ok()),
+                        None => route_completion(inner, c),
+                    }
                 }
             }
             // Response ring.
@@ -1645,7 +1747,7 @@ fn handle_ring_poll(
 
 fn route_completion(inner: &HandleInner, c: &flock_fabric::Completion) {
     // One-sided ops encode the thread id; the rest are the link's own
-    // (a signaled ring write, or a failed one).
+    // (a wrap record or a credit request that failed).
     if Link::owns(c.wr_id) {
         return;
     }
@@ -1748,7 +1850,7 @@ fn post_drained_marker(inner: &HandleInner, qp: &ClientQpCtx, epoch: u16, may_wa
         send()
     };
     match sent {
-        Ok(need) => {
+        Ok((need, _)) => {
             let stage = inner.cost.memcpy_time(need).as_nanos();
             clock::charge(inner.cost.cpu_doorbell_ns + stage);
         }
@@ -1821,6 +1923,7 @@ mod tests {
 
     const RPC_UNANSWERED: u32 = 5;
     const RPC_ECHO: u32 = 6;
+    const RPC_COUNT: u32 = 7;
 
     /// A server that echoes [`RPC_ECHO`], queues [`RPC_UNANSWERED`]
     /// for `recv_rpc` and advertises one zeroed 4 KiB region (index 0)
@@ -2415,6 +2518,184 @@ mod tests {
             assert!(mem.ops.is_empty());
             assert_eq!(mem.free, 0xFF);
             drop(mem);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A handler that counts its calls, registered for [`RPC_COUNT`].
+    fn counted(server: &FlockServer) -> Arc<Counter> {
+        let calls = Arc::new(Counter::default());
+        let seen = Arc::clone(&calls);
+        server.reg_handler(RPC_COUNT, move |req| {
+            seen.add(1);
+            req.to_vec()
+        });
+        calls
+    }
+
+    /// A posted request is answered by the landing of its write: an
+    /// empty reply, a handler run once and no response message.
+    #[test]
+    fn a_posted_request_is_answered_by_its_delivery() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("posted", 1);
+            let calls = counted(&server);
+            let t = handle.register_thread();
+            t.call(RPC_ECHO, b"warm").unwrap();
+            let responses = server.stats().responses.get();
+            let seq = t.post_rpc(RPC_COUNT, b"once").unwrap();
+            assert_eq!(t.recv_res(seq), Ok(Bytes::new()));
+            clock::sleep_ns(50_000);
+            assert_eq!(calls.get(), 1);
+            assert_eq!(server.stats().requests.get(), 2);
+            assert_eq!(server.stats().responses.get(), responses);
+            assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// Eight threads on one lane, every other one posting, board one
+    /// TCQ batch: one message carries both kinds, and each request is
+    /// answered once (debug builds: the table's oracles stay silent),
+    /// the posted ones empty and the others with their echo.
+    #[test]
+    fn one_batch_mixes_posted_and_answered_requests() {
+        const THREADS: usize = 8;
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("mixed", 1);
+            let calls = counted(&server);
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| Arc::new(handle.register_thread()))
+                .collect();
+            threads[0].call(RPC_ECHO, b"warm").unwrap();
+            let messages = handle.metrics().messages;
+            let tasks: Vec<_> = threads
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let t = Arc::clone(t);
+                    on_task(&format!("t{i}"), move || {
+                        if i % 2 == 0 {
+                            let seq = t.post_rpc(RPC_COUNT, &[i as u8]).unwrap();
+                            assert_eq!(t.recv_res(seq), Ok(Bytes::new()), "thread {i}");
+                        } else {
+                            assert_eq!(&t.call(RPC_ECHO, &[i as u8]).unwrap()[..], [i as u8]);
+                        }
+                        assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+                    })
+                })
+                .collect();
+            for task in tasks {
+                task();
+            }
+            assert_eq!(handle.metrics().messages - messages, 1, "one batch");
+            clock::sleep_ns(50_000);
+            assert_eq!(calls.get(), THREADS as u64 / 2);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A posted request whose write failed is answered with the error
+    /// at once, not at its receive's timeout (200 µs here): a write the
+    /// NIC reported failed (the server's QP is gone), and then a post
+    /// the errored QP refused, with a follower in its batch.
+    #[test]
+    fn a_failed_posted_write_answers_at_once() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("post-fail", 1);
+            let calls = counted(&server);
+            let a = handle.register_thread();
+            let b = handle.register_thread();
+            a.call(RPC_ECHO, b"warm").unwrap();
+            let (peer, qpn) = handle.inner.lane(0).link.qp().remote().expect("connected");
+            assert!(domain.fabric().node(peer).unwrap().destroy_qp(qpn));
+            let asked = clock::now_ns();
+            let failed = a.recv_res(a.post_rpc(RPC_COUNT, b"lost").unwrap());
+            assert!(clock::now_ns() - asked < 20_000, "the receive waited");
+            let completion =
+                FlockError::RemoteOpFailed("request write completed with error status");
+            assert_eq!(failed, Err(completion));
+            let follower = on_task("follower", move || {
+                let seq = b.post_rpc(RPC_COUNT, b"follower").unwrap();
+                let asked = clock::now_ns();
+                let got = b.recv_res(seq);
+                assert_eq!(clock::now_ns(), asked, "the follower waited");
+                got
+            });
+            let led = a
+                .post_rpc(RPC_COUNT, b"leader")
+                .and_then(|seq| a.recv_res(seq));
+            assert!(matches!(led, Err(FlockError::Fabric(_))), "{led:?}");
+            assert_eq!(follower(), led);
+            assert_eq!(calls.get(), 0);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A thread that only posts never gets a response to carry the
+    /// server's consumed head back; the head-debt rule's head-only
+    /// messages do, so ten rings' worth of posted requests never wedge
+    /// the request ring. Eight of these fill the ring before the lane's
+    /// first credit renewal, whose grant would carry the head too.
+    #[test]
+    fn posting_ten_rings_of_requests_never_wedges() {
+        const PAYLOAD: usize = 8000;
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("post-only", 1);
+            let calls = counted(&server);
+            let t = handle.register_thread();
+            let ring = handle.inner.lane(0).link.remote_capacity();
+            let posts = 10 * ring / PAYLOAD;
+            for i in 0..posts {
+                let seq = t.post_rpc(RPC_COUNT, &[i as u8; PAYLOAD]).unwrap();
+                assert_eq!(t.recv_res(seq), Ok(Bytes::new()), "post {i}");
+            }
+            clock::sleep_ns(50_000);
+            assert_eq!(calls.get(), posts as u64);
+            assert_eq!(server.stats().response_messages.get(), 0);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A posted request for an id with no handler goes to `recv_rpc`
+    /// like any other, but its sender was answered when it landed:
+    /// `send_res` refuses its token, so no second reply can reach the
+    /// thread. No handler can be registered for a marked id.
+    #[test]
+    fn a_posted_request_without_a_handler_takes_no_response() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("post-manual", 1);
+            let t = handle.register_thread();
+            let seq = t.post_rpc(RPC_UNANSWERED, b"manual").unwrap();
+            assert_eq!(t.recv_res(seq), Ok(Bytes::new()));
+            let rpc = server
+                .recv_rpc(Duration::from_millis(1))
+                .expect("queued request");
+            assert_eq!(
+                (rpc.rpc_id, &rpc.data[..]),
+                (RPC_UNANSWERED, &b"manual"[..])
+            );
+            let refused = server.send_res(rpc.token, b"never");
+            assert!(
+                matches!(refused, Err(FlockError::InvalidArgument(_))),
+                "{refused:?}"
+            );
+            clock::sleep_ns(50_000);
+            assert_eq!(server.stats().responses.get(), 0);
+            assert!(not_in_flight(t.recv_res(seq)));
+            let marked = t.post_rpc(RPC_POSTED | RPC_ECHO, b"marked");
+            assert!(matches!(marked, Err(FlockError::InvalidArgument(_))));
+            let sent = t.send_rpc(RPC_POSTED | RPC_ECHO, b"marked");
+            assert!(matches!(sent, Err(FlockError::InvalidArgument(_))));
+            let register = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                server.reg_handler(RPC_POSTED | RPC_ECHO, |req| req.to_vec())
+            }));
+            assert!(register.is_err(), "a marked id took a handler");
             handle.shutdown();
             server.shutdown(&domain);
         });

@@ -42,6 +42,19 @@ pub(crate) const FLAG_CREDIT_GRANT: u16 = 1 << 1;
 /// the server grants credits again (see [`crate::credit::LaneGate`]).
 pub const FLAG_DRAINED: u16 = 1 << 2;
 
+/// The top bit of a request's `rpc_id`: a posted request, which the
+/// server handles and does not answer
+/// ([`crate::client::FlThread::post_rpc`]). Its sender learns it landed
+/// from the completion of the RDMA write that carried it into the
+/// server's request ring. No handler id has the bit
+/// ([`crate::server::FlockServer::reg_handler`] refuses one).
+pub const RPC_POSTED: u32 = 1 << 31;
+
+/// Whether a request's `rpc_id` marks it posted ([`RPC_POSTED`]).
+pub(crate) fn is_posted(rpc_id: u32) -> bool {
+    rpc_id & RPC_POSTED != 0
+}
+
 /// Per-entry metadata (one RPC request or response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryMeta {
@@ -51,7 +64,8 @@ pub struct EntryMeta {
     pub thread_id: u32,
     /// Thread-local sequence number matching requests to responses.
     pub seq: u64,
-    /// RPC handler id (requests) or status code (responses).
+    /// RPC handler id (requests; [`RPC_POSTED`] marks a posted one) or
+    /// status code (responses).
     pub rpc_id: u32,
 }
 

@@ -314,14 +314,18 @@ impl RingConsumer {
 }
 
 /// Every Nth message write of a link is signaled (selective signaling,
-/// paper §7); the others complete silently unless they fail.
+/// paper §7), and so is every write that carries a posted request
+/// ([`msg::RPC_POSTED`]); the others complete silently unless they fail.
 const SIGNAL_EVERY: u64 = 64;
 
 /// Work-request ids of a link's own posts ([`Link::owns`]): the wrap
-/// record, the message write and the credit-renewal immediate.
+/// record, the credit-renewal immediate, and the write of message `n`,
+/// `MESSAGE_WR | n` ([`Link::landed`]). A one-sided op's id is its
+/// thread's id above a seq below `MESSAGE_WR` (`client.rs`), so the two
+/// never meet: a message id's thread byte is 0 and bit 55 is set.
 const WR_WRAP: WrId = WrId(0);
-const WR_MESSAGE: WrId = WrId(u64::MAX);
 const WR_CREDIT: WrId = WrId(u64::MAX - 1);
+pub(crate) const MESSAGE_WR: u64 = 1 << 55;
 
 /// Canary of a link's first message is this plus one; the high bytes
 /// keep every canary nonzero and unlike a torn prefix of itself.
@@ -459,7 +463,16 @@ impl Link {
     /// Whether a completion with `wr_id` belongs to one of this type's
     /// own posts rather than to a one-sided operation sharing the QP.
     pub(crate) fn owns(wr_id: WrId) -> bool {
-        [WR_WRAP, WR_MESSAGE, WR_CREDIT].contains(&wr_id)
+        [WR_WRAP, WR_CREDIT].contains(&wr_id) || Link::landed(wr_id).is_some()
+    }
+
+    /// The number [`Link::try_send`] gave the message whose write
+    /// completed with `wr_id`, if it was a message write. Writes complete
+    /// in order, so a success says every message up to it landed in the
+    /// peer's ring.
+    pub(crate) fn landed(wr_id: WrId) -> Option<u64> {
+        let number = wr_id.0 & (MESSAGE_WR - 1);
+        (wr_id.0 - number == MESSAGE_WR).then_some(number)
     }
 
     /// The two ends of a write of `len` bytes at ring offset `off`.
@@ -480,12 +493,15 @@ impl Link {
     /// space against the freshest peer head, send a wrap record first if
     /// the message would straddle the ring end, encode straight into an
     /// inline payload, and post one RDMA write. Returns the encoded
-    /// length. Allocation-free in steady state (`alloc_count.rs`).
-    pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<usize>
+    /// length and the message's number, which its write's completion
+    /// names ([`Link::landed`]); the write is signaled if an entry is a
+    /// posted request. Allocation-free in steady state (`alloc_count.rs`).
+    pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<(usize, u64)>
     where
         I: Iterator<Item = EntryRef<'a>> + Clone,
     {
         let need = msg::encoded_size(entries.clone().map(|e| e.data.len()));
+        let posted = entries.clone().any(|e| msg::is_posted(e.meta.rpc_id));
         let mut tx = self.tx.lock();
         tx.prod.update_head(self.peer_head.load(Ordering::Acquire));
         let res = tx.prod.reserve(need)?;
@@ -508,13 +524,13 @@ impl Link {
         let mut payload = self.qp.inline_buf(need);
         msg::encode_iter(&mut payload, &header, entries)?;
         let (local, remote) = self.ends(res.offset, need);
-        let mut wr = SendWr::write(WR_MESSAGE, local, remote);
-        if !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
+        let mut wr = SendWr::write(WrId(MESSAGE_WR | tx.sent), local, remote);
+        if !posted && !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
             wr = wr.unsignaled();
         }
         self.qp.post_inline(wr, payload)?;
         self.sent_head.fetch_max(header.head, Ordering::Relaxed);
-        Ok(need)
+        Ok((need, tx.sent))
     }
 
     /// Poll the local ring for the next complete message into `buf`

@@ -23,7 +23,7 @@ use crate::domain::{
     ExportReply, FlockDomain, MemRegionInfo, RingInfo, SegmentLease,
 };
 use crate::error::{FlockError, Result};
-use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED};
+use crate::msg::{self, EntryMeta, EntryRef, FLAG_CREDIT_GRANT, FLAG_DRAINED, RPC_POSTED};
 use crate::ring::{self, Link};
 use crate::sched::qp::{QpScheduler, QpSchedulerConfig, SenderQp};
 use crate::sched::tenant::{FairnessSnapshot, TenantCounters};
@@ -65,7 +65,7 @@ pub(crate) type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// A request pulled via the manual API (`fl_recv_rpc`).
 pub struct IncomingRpc {
-    /// The registered RPC id.
+    /// The request's RPC id, without the [`RPC_POSTED`] mark.
     pub rpc_id: u32,
     /// Request payload: a zero-copy slice of the coalesced request
     /// message.
@@ -356,8 +356,18 @@ impl FlockServer {
         }
     }
 
-    /// Register the handler for `rpc_id` (`fl_reg_handler`).
+    /// Register the handler for `rpc_id` (`fl_reg_handler`). It also
+    /// handles the posted requests for `rpc_id`, whose output is dropped.
+    ///
+    /// # Panics
+    ///
+    /// If `rpc_id` has its top bit set: that bit marks a posted request
+    /// ([`RPC_POSTED`]).
     pub fn reg_handler(&self, rpc_id: u32, f: impl Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static) {
+        assert!(
+            !msg::is_posted(rpc_id),
+            "rpc id {rpc_id:#x}: the top bit marks a posted request"
+        );
         let mut topo = self.inner.topology.lock();
         Arc::make_mut(&mut topo.handlers).insert(rpc_id, Arc::new(f));
         self.inner.publish(&mut topo);
@@ -420,8 +430,15 @@ impl FlockServer {
     }
 
     /// Respond to a request obtained via [`FlockServer::recv_rpc`]
-    /// (`fl_send_res`).
+    /// (`fl_send_res`). A posted request takes no response: its sender
+    /// was answered when it landed, so its token fails with
+    /// `InvalidArgument`.
     pub fn send_res(&self, token: RpcToken, data: &[u8]) -> Result<()> {
+        if msg::is_posted(token.meta.rpc_id) {
+            return Err(FlockError::InvalidArgument(
+                "a posted request takes no response",
+            ));
+        }
         let (qp, counters) = {
             let topo = self.inner.topology.lock();
             let record = topo.record(token.conn).ok_or(FlockError::Disconnected)?;
@@ -1153,7 +1170,9 @@ fn assert_silent_is_empty(qp: &ServerQpCtx) {
 
 /// Run the handlers of one request message; outputs join the lane's
 /// deferred responses, which flush early at [`COALESCE_MAX_ENTRIES`]
-/// entries or a quarter response ring of encoded bytes.
+/// entries or a quarter response ring of encoded bytes. A posted
+/// request ([`RPC_POSTED`]) is handled the same way and answered by
+/// nothing: its output is dropped.
 fn handle_message(
     inner: &ServerInner,
     handlers: &HashMap<u32, Handler>,
@@ -1176,13 +1195,18 @@ fn handle_message(
     // counter block (never through the scheduler mutex).
     conn.counters.issued.add(entries);
     for (meta, data) in view.entries() {
+        let posted = msg::is_posted(meta.rpc_id);
+        let rpc_id = meta.rpc_id & !RPC_POSTED;
+        if posted {
+            conn.counters.completed.add(1);
+        }
         // A handler registered since the shard adopted `handlers` is
         // looked up in the topology: a request sent after `reg_handler`
         // returned never goes to the manual queue.
         let late;
-        let handler = match handlers.get(&meta.rpc_id) {
+        let handler = match handlers.get(&rpc_id) {
             None => {
-                late = inner.topology.lock().handlers.get(&meta.rpc_id).cloned();
+                late = inner.topology.lock().handlers.get(&rpc_id).cloned();
                 late.as_ref()
             }
             known => known,
@@ -1192,6 +1216,9 @@ fn handle_message(
             // The handler's output Vec is the one per-request allocation
             // the server keeps: the `Handler` signature owns its result.
             let out = h(data);
+            if posted {
+                continue;
+            }
             lane.pending_bytes += msg::entry_size(out.len());
             lane.pending.push((
                 EntryMeta {
@@ -1210,7 +1237,7 @@ fn handle_message(
         } else {
             clock::charge(inner.cost.cpu_codec_ns);
             let _ = inner.manual_tx.send(IncomingRpc {
-                rpc_id: meta.rpc_id,
+                rpc_id,
                 // Out of the shard's message buffer, which the next poll
                 // overwrites.
                 data: Bytes::copy_from_slice(data),
@@ -1335,7 +1362,7 @@ fn try_flush_response<B: AsRef<[u8]>>(
 ) -> Result<()> {
     // Every response message piggybacks the consumed head, which is what
     // lets dispatchers elide redundant head-only writes.
-    let need = qp.link.try_send(
+    let (need, _) = qp.link.try_send(
         extra_flags,
         aux,
         responses.iter().map(|(meta, data)| EntryRef {

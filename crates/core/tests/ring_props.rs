@@ -138,7 +138,7 @@ fn stream(tx: &End, rx: &End, payloads: &[Vec<u8>]) -> Result<usize, TestCaseErr
         };
         if sent_bytes < 3 * cap {
             match tx.link.try_send(0, 0, [entry].into_iter()) {
-                Ok(n) => {
+                Ok((n, _)) => {
                     sent_bytes += ring::align_up(n);
                     in_flight.push_back((seq, payload));
                     seq += 1;

@@ -9,8 +9,10 @@
 //! [`TxnClient::run_pipelined`] polls `width` machines from one thread
 //! (paper §8.5.2: "we also use coroutines to hide the network latency as
 //! FaSST"). A transaction reports its commit once the backups hold it
-//! and the Commits are posted; the Commits' acks trail into the client's
-//! next transaction, or into [`TxnClient::settle`].
+//! — every `Log`, a posted request ([`FlThread::post_rpc`]), has landed
+//! in its backup's request ring — and the Commits are posted; the
+//! Commits' acks trail into the client's next transaction, or into
+//! [`TxnClient::settle`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -154,9 +156,12 @@ struct Wait {
 enum Op {
     /// The Execute RPC with this sequence number.
     Execute(u64),
-    /// The Log, Commit or Abort RPC with this sequence number: its reply
-    /// is an `Ack`.
+    /// The Commit or Abort RPC with this sequence number: its reply is
+    /// an `Ack`.
     Ack(u64),
+    /// The posted Log with this sequence number: its reply is empty,
+    /// once the request has landed in the backup's request ring.
+    Landed(u64),
     /// A one-sided read of a version word that read `expect` at execution.
     Read { token: MemToken, expect: u64 },
 }
@@ -166,7 +171,7 @@ impl Wait {
     fn block(&self, threads: &[FlThread]) -> Result<Bytes> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Execute(seq) | Op::Ack(seq) => thread.recv_res(seq),
+            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => thread.recv_res(seq),
             Op::Read { token, .. } => thread.wait_mem(token).map(Bytes::from),
         }
     }
@@ -175,13 +180,13 @@ impl Wait {
     fn poll(&self, threads: &[FlThread]) -> Option<Result<Bytes>> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Execute(seq) | Op::Ack(seq) => thread.try_recv_res(seq),
+            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => thread.try_recv_res(seq),
             Op::Read { token, .. } => thread.try_mem(token).map(|r| r.map(Bytes::from)),
         }
     }
 }
 
-/// The reply of a Log, Commit or Abort.
+/// The reply of a Commit or Abort.
 fn expect_ack(bytes: &[u8]) -> Result<()> {
     match TxnResp::decode(bytes) {
         Some(TxnResp::Ack) => Ok(()),
@@ -231,9 +236,12 @@ fn backed_up_by(
 }
 
 impl Txn {
+    /// A key in both sets is a write: Execute reads it under its lock,
+    /// so there is no version word left to validate (the word it read
+    /// carries this transaction's own lock bit).
     fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64], trailing: Vec<Wait>) -> Txn {
         let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
-        for &k in reads {
+        for &k in reads.iter().filter(|k| !writes.contains(k)) {
             groups
                 .entry(key_partition(k, n_servers))
                 .or_default()
@@ -290,6 +298,7 @@ impl Txn {
                 Ok(())
             }
             Op::Ack(_) => expect_ack(bytes),
+            Op::Landed(_) => Ok(()),
             Op::Execute(_) => {
                 let Some(TxnResp::Execute { ok, reads, writes }) = TxnResp::decode(bytes) else {
                     return Err(FlockError::CorruptMessage("unexpected txn response"));
@@ -319,10 +328,11 @@ impl Txn {
     /// once, after validation, on the execution-time values. An error
     /// while sending leaves the rest of that phase unsent.
     ///
-    /// The commit point is the last Commit posted: every backup has acked
-    /// its Log, so `Committed` is returned then, with the Commits' acks
-    /// left outstanding. Each primary keeps the keys locked until its
-    /// Commit lands, so no reader sees their old values as valid.
+    /// The commit point is the last Commit posted: every Log has landed
+    /// in its backup's request ring, so `Committed` is returned then,
+    /// with the Commits' acks left outstanding. Each primary keeps the
+    /// keys locked until its Commit lands, so no reader sees their old
+    /// values as valid.
     fn advance(
         &mut self,
         client: &TxnClient,
@@ -375,9 +385,15 @@ impl Txn {
 
     /// Phase 2: one-sided reads of the version words recorded at
     /// execution (region 0 is the server's version table), all issued
-    /// before any is awaited.
+    /// before any is awaited. A transaction on one server reads none:
+    /// its Execute re-read every read-set word after reading them all
+    /// and found none moved or locked while its write keys were locked,
+    /// so that server's Execute is its serialization point.
     fn validate(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Validate;
+        if self.groups.len() == 1 {
+            return Ok(());
+        }
         for &(server, slot, expect) in &self.read_set {
             let token = client.threads[server].read_async(0, slot, 8)?;
             self.outstanding.push(Wait {
@@ -389,8 +405,10 @@ impl Txn {
     }
 
     /// Phase 3: one `Log` per replica server, carrying every partition it
-    /// backs up, in server order. New values that miss a write-set key
-    /// are an error, raised before anything is sent. Each value moves
+    /// backs up, in server order, posted: it is held once it has landed
+    /// in the backup's request ring, which the backup applies in order
+    /// before any later request on that lane. New values that miss a
+    /// write-set key are an error, raised before anything is sent. Each value moves
     /// into its primary's group: a write set that reaches this phase
     /// names a key once (Execute fails a second lock of it).
     fn log(&mut self, client: &TxnClient, mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
@@ -492,16 +510,18 @@ impl TxnClient {
         self.trailing.borrow_mut().append(&mut txn.outstanding);
     }
 
-    /// Send `server` the request `encode` writes; the wait for its reply.
+    /// Send `server` the request `encode` writes; the wait for its reply,
+    /// or for a Log, which is posted, for its landing in the server's
+    /// request ring.
     fn send(&self, server: usize, rpc_id: u32, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Wait> {
         let mut wire = self.wire.borrow_mut();
         wire.clear();
         encode(&mut wire);
-        let seq = self.threads[server].send_rpc(rpc_id, &wire)?;
-        let op = if rpc_id == RPC_EXECUTE {
-            Op::Execute(seq)
-        } else {
-            Op::Ack(seq)
+        let thread = &self.threads[server];
+        let op = match rpc_id {
+            RPC_EXECUTE => Op::Execute(thread.send_rpc(rpc_id, &wire)?),
+            RPC_LOG => Op::Landed(thread.post_rpc(rpc_id, &wire)?),
+            _ => Op::Ack(thread.send_rpc(rpc_id, &wire)?),
         };
         Ok(Wait { server, op })
     }
@@ -526,7 +546,10 @@ impl TxnClient {
     /// execution-time values of both sets).
     ///
     /// Returns [`TxnOutcome::Committed`] at the commit point: every
-    /// backup has acked its `Log` and every primary's `Commit` is posted.
+    /// `Log` has landed in its backup's request ring — the NIC's
+    /// acknowledgement of the write that carried it; the backup applies
+    /// it in order, before any later request on that lane — and every
+    /// primary's `Commit` is posted.
     /// The Commits' acks trail: the next call on this client receives
     /// them after its first send, or [`TxnClient::settle`] does, and an
     /// error among them is that call's result. Until a primary applies

@@ -15,14 +15,19 @@
 //! A transaction (paper Figure 13) runs in four phases:
 //!
 //! 1. **Execution** — the coordinator RPCs each involved primary, which
-//!    *locks* the write-set keys (abort on conflict) and returns values,
-//!    version words, and the memory offsets of the read-set version words.
+//!    *locks* the write-set keys (abort on conflict), reads the read set
+//!    twice (abort if a word is locked or moved in between) and returns
+//!    values, version words, and the memory offsets of the read-set
+//!    version words.
 //! 2. **Validation** — the coordinator issues *one-sided RDMA reads*
 //!    (`fl_read`) of the read-set version words; any change or lock causes
-//!    an abort.
+//!    an abort. A transaction on one server skips it: that server's
+//!    Execute serialized it.
 //! 3. **Logging** — write-set updates go to each written partition's two
-//!    replicas, one `Log` RPC per replica server carrying every partition
-//!    it backs up; replicas ACK after applying to their backup copies.
+//!    replicas, one `Log` per replica server carrying every partition it
+//!    backs up, posted ([`flock_core::FlThread::post_rpc`]): held once it
+//!    lands in the replica's request ring, which the replica applies in
+//!    order, and answered by nothing.
 //! 4. **Commit** — primaries install the new values, bump versions, and
 //!    unlock.
 //!
@@ -34,9 +39,9 @@
 //! returned only after the machine has received what was outstanding and
 //! sent Abort to every server it knows to hold its locks.
 //!
-//! A transaction is reported committed at its commit point: every
-//! backup has acked its Log and every Commit is posted. The primaries'
-//! acks trail: the client's next transaction receives them after its
+//! A transaction is reported committed at its commit point: every Log
+//! has landed in its backup's request ring and every Commit is posted.
+//! The primaries' acks trail: the client's next transaction receives them after its
 //! first sends, [`TxnClient::settle`] collects them, and dropping the
 //! client settles. Until its Commit lands a primary keeps the keys
 //! locked, so a reader aborts rather than read an old value as valid.

@@ -152,24 +152,40 @@ impl TxnServer {
     pub fn handle(&self, rpc: &TxnRpc) -> TxnResp {
         match rpc {
             TxnRpc::Execute { reads, writes, .. } => {
+                let failed = |write_set: &[KeyRead]| {
+                    for read in write_set {
+                        self.unlock(read.key);
+                    }
+                    TxnResp::Execute {
+                        ok: false,
+                        reads: Vec::new(),
+                        writes: Vec::new(),
+                    }
+                };
                 // Lock and read the write set first; abort on any conflict.
                 let mut write_set: Vec<KeyRead> = Vec::with_capacity(writes.len());
                 for &k in writes {
                     let Some(read) = self.lock_and_read(k) else {
-                        for read in &write_set {
-                            self.unlock(read.key);
-                        }
-                        return TxnResp::Execute {
-                            ok: false,
-                            reads: Vec::new(),
-                            writes: Vec::new(),
-                        };
+                        return failed(&write_set);
                     };
                     write_set.push(read);
                 }
+                // Then the read set, twice (a double collect): if no word
+                // is locked or moved between the two reads, every value
+                // read was current at the instant the second read began,
+                // with the write set locked. That instant serializes a
+                // transaction that runs on this server alone.
+                let read_set: Vec<KeyRead> = reads.iter().map(|&k| self.key_read(k)).collect();
+                let moved = read_set
+                    .iter()
+                    .filter(|kr| kr.slot != u64::MAX)
+                    .any(|kr| kr.word & LOCK_BIT != 0 || self.word_at(kr.slot) != kr.word);
+                if moved {
+                    return failed(&write_set);
+                }
                 TxnResp::Execute {
                     ok: true,
-                    reads: reads.iter().map(|&k| self.key_read(k)).collect(),
+                    reads: read_set,
                     writes: write_set,
                 }
             }
@@ -199,16 +215,20 @@ impl TxnServer {
         }
     }
 
+    /// The version word at byte offset `slot` of the validation region.
+    fn word_at(&self, slot: u64) -> u64 {
+        self.version_mr
+            .read_u64(slot as usize)
+            .expect("slot within region")
+    }
+
     fn key_read(&self, key: u64) -> KeyRead {
         let s = self.primary.stripe(key);
         match s.get(key) {
             Some((slot, value)) => KeyRead {
                 key,
                 value: Some(value.to_vec()),
-                word: self
-                    .version_mr
-                    .read_u64(slot_offset(slot) as usize)
-                    .expect("slot within region"),
+                word: self.word_at(slot_offset(slot)),
                 slot: slot_offset(slot),
             },
             None => KeyRead {

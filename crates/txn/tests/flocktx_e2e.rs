@@ -22,6 +22,8 @@ struct Cluster {
     servers: Vec<FlockServer>,
     txn_servers: Vec<Arc<TxnServer>>,
     handles: Vec<Arc<ConnectionHandle>>,
+    /// The node `handles` connect from.
+    client_node: Arc<flock_fabric::Node>,
     /// Advertised region index of the stripe-lock table (same on every
     /// server: attached second, after the version table).
     stripe_region: usize,
@@ -62,6 +64,7 @@ fn cluster() -> Cluster {
         servers,
         txn_servers,
         handles,
+        client_node,
         stripe_region,
     }
 }
@@ -148,7 +151,8 @@ fn validation_detects_conflicting_update() {
         .unwrap();
     assert_eq!(outcome, TxnOutcome::Aborted);
     // A read-only transaction on 77 must also abort: the version word is
-    // locked, so one-sided validation fails.
+    // locked, so the Execute's second read of it fails (a transaction on
+    // one server has no one-sided validation).
     let outcome = client.run(&[77], &[], |_| HashMap::new()).unwrap();
     assert_eq!(outcome, TxnOutcome::Aborted);
     // Release the stray lock; both now commit.
@@ -953,24 +957,27 @@ fn async_memops_overlap() {
     teardown(c);
 }
 
-/// Whether `key`'s version word on its primary `ts` holds the lock bit,
-/// read through a read-only Execute (which takes no lock).
+/// Whether `key`'s version word on its primary `ts` holds the lock bit:
+/// a read-only Execute, which takes no lock, fails on exactly that here
+/// (nothing else runs between its two reads of the word).
 fn locked(ts: &TxnServer, key: u64) -> bool {
     let resp = ts.handle(&flock_txn::TxnRpc::Execute {
         txn_id: 0,
         reads: vec![key],
         writes: vec![],
     });
-    let flock_txn::TxnResp::Execute { reads, .. } = resp else {
+    let flock_txn::TxnResp::Execute { ok, .. } = resp else {
         panic!("Execute answers Execute");
     };
-    reads[0].word & flock_core::onesided::LOCK_BIT != 0
+    !ok
 }
 
-/// `run` reports a commit at its commit point: the backups hold the new
-/// values and the Commits are posted, not yet applied. Until `settle`
-/// collects their acks the primary shows the old value, locked, so
-/// nobody can read it as valid; the next call finds it applied.
+/// `run` reports a commit at its commit point: every Log has landed in
+/// its backup's request ring and the Commits are posted, not yet
+/// applied. Idle backups have applied their Logs by then (a slow one
+/// need not have: the next test). Until `settle` collects the Commits'
+/// acks the primary shows the old value, locked, so nobody can read it
+/// as valid; the next call finds it applied.
 #[test]
 fn run_reports_the_commit_once_the_backups_hold_it() {
     flock_sim::vtime::VirtualLab::run(|| {
@@ -1181,4 +1188,222 @@ fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
     client.settle().unwrap();
     drop(client);
     server.shutdown(&domain);
+}
+
+/// One key on each server's partition.
+fn key_per_server() -> Vec<u64> {
+    (0..N_SERVERS)
+        .map(|p| (0..).find(|&k| key_partition(k, N_SERVERS) == p).unwrap())
+        .collect()
+}
+
+/// `n` keys of partition `p`.
+fn keys_of(p: usize, n: usize) -> Vec<u64> {
+    (0..)
+        .filter(|&k| key_partition(k, N_SERVERS) == p)
+        .take(n)
+        .collect()
+}
+
+/// New values adding one to each of `keys`' 8-byte counters.
+fn increments(keys: &[u64], vals: &HashMap<u64, Option<Vec<u8>>>) -> HashMap<u64, Vec<u8>> {
+    keys.iter()
+        .map(|&k| {
+            let old = u64::from_le_bytes(vals[&k].as_ref().unwrap()[..8].try_into().unwrap());
+            (k, (old + 1).to_le_bytes().to_vec())
+        })
+        .collect()
+}
+
+/// A key in both the read and the write set used to abort every try:
+/// Execute locked it and then read its word with the transaction's own
+/// lock bit set, which validation took for a conflict. It commits, on
+/// one server and across three (where one-sided validation runs).
+#[test]
+fn a_key_read_and_written_commits() {
+    let c = cluster();
+    let keys = key_per_server();
+    for &k in &keys {
+        load(&c, k, &0u64.to_le_bytes());
+    }
+    let client = TxnClient::new(&c.handles);
+    let k = keys[0];
+    let once = client.run(&[k], &[k], |vals| increments(&[k], vals));
+    assert!(matches!(once, Ok(TxnOutcome::Committed(_))), "{once:?}");
+    let written = &keys[..2];
+    let spread = client.run(&keys, written, |vals| increments(written, vals));
+    assert!(matches!(spread, Ok(TxnOutcome::Committed(_))), "{spread:?}");
+    client.settle().unwrap();
+    let value = |k: u64| c.txn_servers[key_partition(k, N_SERVERS)].peek(k).unwrap();
+    assert_eq!(value(keys[0]), 2u64.to_le_bytes());
+    assert_eq!(value(keys[1]), 1u64.to_le_bytes());
+    assert_eq!(value(keys[2]), 0u64.to_le_bytes());
+    drop(client);
+    teardown(c);
+}
+
+/// A transaction on one server is serialized by its Execute, which reads
+/// its read set twice: it issues no one-sided READ. One that spans two
+/// servers reads each read-set word back.
+#[test]
+fn a_single_server_read_only_transaction_issues_no_read() {
+    let c = cluster();
+    let local = keys_of(0, 2);
+    let remote = keys_of(1, 1)[0];
+    for &k in local.iter().chain([&remote]) {
+        load(&c, k, b"v");
+    }
+    let client = TxnClient::new(&c.handles);
+    let reads = || c.client_node.stats().reads.get();
+    let before = reads();
+    let alone = client.run(&local, &[], |_| HashMap::new()).unwrap();
+    let TxnOutcome::Committed(values) = alone else {
+        panic!("a read-only transaction on one server aborted");
+    };
+    assert_eq!(values.len(), 2);
+    assert_eq!(reads(), before, "a single-server transaction read a word");
+    let spread = client.run(&[local[0], remote], &[], |_| HashMap::new());
+    assert!(matches!(spread, Ok(TxnOutcome::Committed(_))), "{spread:?}");
+    assert_eq!(reads(), before + 2);
+    drop(client);
+    teardown(c);
+}
+
+/// A writer sets two keys of one server to the round number, on a task
+/// of its own, while a reader on a second node reads both, each a
+/// transaction on that server alone (no one-sided validation). Every
+/// committed read is one round, both keys, and no older than the last
+/// round the writer had reported committed before the read began.
+/// Returns the reads committed and aborted.
+fn a_reader_racing_a_writer() -> (u64, u64) {
+    const ROUNDS: u64 = 40;
+    let c = cluster();
+    let keys = keys_of(0, 2);
+    for &k in &keys {
+        load(&c, k, &0u64.to_le_bytes());
+    }
+    let reader_node = c.domain.add_node("txn-racer");
+    let reader_handles: Vec<Arc<ConnectionHandle>> = (0..N_SERVERS)
+        .map(|i| {
+            let cfg = HandleConfig::default();
+            let name = format!("txn{i}");
+            Arc::new(ConnectionHandle::connect(&c.domain, &reader_node, &name, cfg).unwrap())
+        })
+        .collect();
+    let reader = TxnClient::new(&reader_handles);
+    let client = TxnClient::new(&c.handles);
+    // Both connect their lanes before the race.
+    for warm in [&reader, &client] {
+        warm.run(&keys, &[], |_| HashMap::new()).unwrap();
+    }
+    // Rounds committed: the writer is the keys' only writer, so each of
+    // its transactions commits.
+    let done = Arc::new(flock_sync::Counter::default());
+    let writer = {
+        let (keys, done) = (keys.clone(), Arc::clone(&done));
+        flock_sync::clock::spawn("writer", move || {
+            for round in 1..=ROUNDS {
+                let value = round.to_le_bytes().to_vec();
+                let outcome = client
+                    .run(&[], &keys, |_| {
+                        keys.iter().map(|&k| (k, value.clone())).collect()
+                    })
+                    .unwrap();
+                assert!(matches!(outcome, TxnOutcome::Committed(_)), "round {round}");
+                done.add(1);
+            }
+        })
+    };
+    let (mut committed, mut aborted) = (0, 0);
+    while done.get() < ROUNDS {
+        let floor = done.get();
+        match reader.run(&keys, &[], |_| HashMap::new()).unwrap() {
+            TxnOutcome::Aborted => aborted += 1,
+            TxnOutcome::Committed(values) => {
+                let round = |k: &u64| {
+                    u64::from_le_bytes(values[k].as_ref().unwrap()[..8].try_into().unwrap())
+                };
+                let (a, b) = (round(&keys[0]), round(&keys[1]));
+                assert_eq!(a, b, "a mixed snapshot");
+                assert!(a >= floor, "read round {a} after round {floor} committed");
+                committed += 1;
+            }
+        }
+    }
+    writer.join().unwrap();
+    drop((reader, reader_handles));
+    teardown(c);
+    (committed, aborted)
+}
+
+#[test]
+fn a_single_server_reader_racing_a_writer_never_reads_a_mixed_snapshot() {
+    let ((committed, aborted), _) =
+        flock_sim::vtime::VirtualLab::run_against_reference(a_reader_racing_a_writer);
+    assert!(
+        committed > 0 && aborted > 0,
+        "{committed} committed, {aborted} aborted"
+    );
+}
+
+/// A backup whose Log handler charges 50 µs of CPU: a second write
+/// transaction's Log reaches it while it is still busy with the first
+/// one's. `run` returns `Committed` once that Log has landed in the
+/// backup's request ring, long before the backup applies it (waiting
+/// for the backup's answer to the Log took 50 µs here). The primary
+/// stays locked until `settle`, and the backup applies the Log with no
+/// further message from the client.
+#[test]
+fn run_returns_before_a_slow_backup_applies_its_log() {
+    use flock_sync::clock;
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let k = keys_of(0, 1)[0];
+        load(&c, k, b"old");
+        let slow = flock_txn::protocol::replicas_of(0, N_SERVERS)[0];
+        let applied = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (backup, at) = (Arc::clone(&c.txn_servers[slow]), Arc::clone(&applied));
+        c.servers[slow].reg_handler(flock_txn::protocol::RPC_LOG, move |req| {
+            clock::charge(50_000);
+            let rpc = flock_txn::TxnRpc::decode(req).expect("a Log");
+            at.lock().push(clock::now_ns());
+            backup.handle(&rpc).encode()
+        });
+        let client = TxnClient::new(&c.handles);
+        client.run(&[k], &[], |_| HashMap::new()).unwrap();
+        let first = client.run(&[], &[k], |_| HashMap::from([(k, b"one".to_vec())]));
+        assert!(matches!(first, Ok(TxnOutcome::Committed(_))), "{first:?}");
+        let started = clock::now_ns();
+        let second = client.run(&[], &[k], |_| HashMap::from([(k, b"two".to_vec())]));
+        assert!(matches!(second, Ok(TxnOutcome::Committed(_))), "{second:?}");
+        let returned = clock::now_ns();
+        let sent = c.handles[slow].metrics().requests;
+        assert!(
+            returned - started < 20_000,
+            "run took {} ns",
+            returned - started
+        );
+        assert_eq!(c.txn_servers[slow].peek_backup(k).unwrap(), b"one");
+        assert!(
+            locked(&c.txn_servers[0], k),
+            "the primary applied its Commit"
+        );
+        client.settle().unwrap();
+        assert_eq!(c.txn_servers[0].peek(k).unwrap(), b"two");
+        clock::sleep_ns(100_000);
+        let applied = applied.lock().clone();
+        assert_eq!(applied.len(), 2);
+        assert!(
+            applied[1] > returned + 20_000,
+            "applied at {applied:?}, returned {returned}"
+        );
+        assert_eq!(c.txn_servers[slow].peek_backup(k).unwrap(), b"two");
+        assert_eq!(
+            c.handles[slow].metrics().requests,
+            sent,
+            "a message after run"
+        );
+        drop(client);
+        teardown(c);
+    });
 }

@@ -1,8 +1,9 @@
 //! Property test of the FlockTX server's row table against a `BTreeMap`
 //! reference model.
 //!
-//! Random sequences of `load`, `Execute` (reads and writes), `Log`,
-//! `Commit` and `Abort` run on a [`TxnServer`] and on the model. After
+//! Random sequences of `load`, `Execute` (reads and writes; a locked
+//! read-set key fails it), `Log`, `Commit` and `Abort` run on a
+//! [`TxnServer`] and on the model. After
 //! every step the two agree on every response (values, words, slots,
 //! `ok`), on `peek` and `peek_backup` of every key, and on every slot of
 //! the validation region: an assigned slot holds its key's word, an
@@ -67,20 +68,27 @@ impl Model {
     fn handle(&mut self, rpc: &TxnRpc) -> TxnResp {
         match rpc {
             TxnRpc::Execute { reads, writes, .. } => {
+                let failed = |model: &mut Model, locked: &[u64]| {
+                    for k in locked {
+                        model.primary.get_mut(k).unwrap().1 &= !LOCK_BIT;
+                    }
+                    TxnResp::Execute {
+                        ok: false,
+                        reads: vec![],
+                        writes: vec![],
+                    }
+                };
                 for (n, k) in writes.iter().enumerate() {
                     match self.primary.get_mut(k) {
                         Some((_, word, _)) if *word & LOCK_BIT == 0 => *word |= LOCK_BIT,
-                        _ => {
-                            for k in &writes[..n] {
-                                self.primary.get_mut(k).unwrap().1 &= !LOCK_BIT;
-                            }
-                            return TxnResp::Execute {
-                                ok: false,
-                                reads: vec![],
-                                writes: vec![],
-                            };
-                        }
+                        _ => return failed(self, &writes[..n]),
                     }
+                }
+                // A locked read-set key fails the Execute, this one's own
+                // write locks included.
+                let locked = |k: &u64| self.primary.get(k).is_some_and(|e| e.1 & LOCK_BIT != 0);
+                if reads.iter().any(locked) {
+                    return failed(self, writes);
                 }
                 TxnResp::Execute {
                     ok: true,
