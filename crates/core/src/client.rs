@@ -1483,10 +1483,12 @@ fn send_run(inner: &HandleInner, qp: &ClientQpCtx, run: &[(EntryMeta, Bytes)]) -
     let entries = run
         .iter()
         .map(|(meta, data)| EntryRef { meta: *meta, data });
+    // A posted request learns it landed from its write's completion.
+    let posted = run.iter().any(|(meta, _)| msg::is_posted(meta.rpc_id));
     let (need, message) = ring::send_while_full(&inner.stop, inner.cfg.timeout, || {
-        qp.link.try_send(0, 0, entries.clone())
+        qp.link.try_send(0, 0, posted, entries.clone())
     })?;
-    if run.iter().any(|(meta, _)| msg::is_posted(meta.rpc_id)) {
+    if posted {
         sent_posted(inner, qp, run, message);
     }
     // Leader's host cost: encode each entry, stage the message, ring the
@@ -1842,7 +1844,7 @@ fn post_drained_marker(inner: &HandleInner, qp: &ClientQpCtx, epoch: u16, may_wa
     let send = || {
         let marker = std::iter::empty::<EntryRef<'_>>();
         qp.link
-            .try_send(FLAG_DRAINED, msg::pack_aux(0, epoch), marker)
+            .try_send(FLAG_DRAINED, msg::pack_aux(0, epoch), false, marker)
     };
     let sent = if may_wait {
         ring::send_while_full(&inner.stop, inner.cfg.timeout, send)

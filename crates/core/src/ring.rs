@@ -314,8 +314,9 @@ impl RingConsumer {
 }
 
 /// Every Nth message write of a link is signaled (selective signaling,
-/// paper §7), and so is every write that carries a posted request
-/// ([`msg::RPC_POSTED`]); the others complete silently unless they fail.
+/// paper §7), and so is every write its sender asks to see complete
+/// ([`Link::try_send`]'s `signal`); the others complete silently unless
+/// they fail.
 const SIGNAL_EVERY: u64 = 64;
 
 /// Work-request ids of a link's own posts ([`Link::owns`]): the wrap
@@ -492,16 +493,22 @@ impl Link {
     /// Send `entries` as one message with `flags` and `aux`: reserve ring
     /// space against the freshest peer head, send a wrap record first if
     /// the message would straddle the ring end, encode straight into an
-    /// inline payload, and post one RDMA write. Returns the encoded
-    /// length and the message's number, which its write's completion
-    /// names ([`Link::landed`]); the write is signaled if an entry is a
-    /// posted request. Allocation-free in steady state (`alloc_count.rs`).
-    pub fn try_send<'a, I>(&self, flags: u16, aux: u64, entries: I) -> Result<(usize, u64)>
+    /// inline payload, and post one RDMA write, signaled if `signal`
+    /// asks to see it complete. Returns the encoded length and the
+    /// message's number, which its write's completion names
+    /// ([`Link::landed`]). Allocation-free in steady state
+    /// (`alloc_count.rs`).
+    pub fn try_send<'a, I>(
+        &self,
+        flags: u16,
+        aux: u64,
+        signal: bool,
+        entries: I,
+    ) -> Result<(usize, u64)>
     where
         I: Iterator<Item = EntryRef<'a>> + Clone,
     {
         let need = msg::encoded_size(entries.clone().map(|e| e.data.len()));
-        let posted = entries.clone().any(|e| msg::is_posted(e.meta.rpc_id));
         let mut tx = self.tx.lock();
         tx.prod.update_head(self.peer_head.load(Ordering::Acquire));
         let res = tx.prod.reserve(need)?;
@@ -525,7 +532,7 @@ impl Link {
         msg::encode_iter(&mut payload, &header, entries)?;
         let (local, remote) = self.ends(res.offset, need);
         let mut wr = SendWr::write(WrId(MESSAGE_WR | tx.sent), local, remote);
-        if !posted && !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
+        if !signal && !(tx.sent - 1).is_multiple_of(SIGNAL_EVERY) {
             wr = wr.unsignaled();
         }
         self.qp.post_inline(wr, payload)?;
@@ -855,7 +862,7 @@ mod tests {
             let mut buf = Vec::new();
             for i in 0..2 * sends {
                 let (from, to) = (&links[i % 2], &links[1 - i % 2]);
-                from.try_send(0, 0, std::iter::once(entry)).unwrap();
+                from.try_send(0, 0, false, std::iter::once(entry)).unwrap();
                 while !to.poll_into(&mut buf).unwrap() {
                     clock::yield_now();
                 }

@@ -1365,6 +1365,7 @@ fn try_flush_response<B: AsRef<[u8]>>(
     let (need, _) = qp.link.try_send(
         extra_flags,
         aux,
+        false,
         responses.iter().map(|(meta, data)| EntryRef {
             meta: *meta,
             data: data.as_ref(),

@@ -137,7 +137,7 @@ fn stream(tx: &End, rx: &End, payloads: &[Vec<u8>]) -> Result<usize, TestCaseErr
             data: payload,
         };
         if sent_bytes < 3 * cap {
-            match tx.link.try_send(0, 0, [entry].into_iter()) {
+            match tx.link.try_send(0, 0, false, [entry].into_iter()) {
                 Ok((n, _)) => {
                     sent_bytes += ring::align_up(n);
                     in_flight.push_back((seq, payload));
@@ -156,7 +156,7 @@ fn stream(tx: &End, rx: &End, payloads: &[Vec<u8>]) -> Result<usize, TestCaseErr
             // would park the consumer in front of it for good.)
             clock::sleep_ns(10_000);
             let before = rx.ring.read_vec(0, cap).unwrap();
-            let refused = tx.link.try_send(0, 0, [entry].into_iter());
+            let refused = tx.link.try_send(0, 0, false, [entry].into_iter());
             prop_assert!(matches!(refused, Err(FlockError::RingFull { .. })));
             clock::sleep_ns(10_000);
             prop_assert_eq!(&rx.ring.read_vec(0, cap).unwrap(), &before);
@@ -175,7 +175,7 @@ fn stream(tx: &End, rx: &End, payloads: &[Vec<u8>]) -> Result<usize, TestCaseErr
             prop_assert!(view.header.head >= tx_head_at_rx);
             tx_head_at_rx = view.header.head;
             rx.link
-                .try_send(0, 0, std::iter::empty())
+                .try_send(0, 0, false, std::iter::empty())
                 .expect("acks never fill the ring: each is polled at once");
             prop_assert!(
                 poll_wait(&tx.link, &mut buf),

@@ -82,19 +82,27 @@ impl<S: BuildHasher> Stripe<S> {
     pub fn set(&mut self, key: u64, value: &[u8]) -> Option<u32> {
         let row = self.rows.get_mut(&key)?;
         let slot = row.slot;
-        self.dead += store(&mut self.arena, row, value);
+        self.dead += store(&mut self.arena, row, &[value]);
         self.compact();
         Some(slot)
     }
 
     /// Add a row for `key`, which has none.
     pub fn insert(&mut self, key: u64, slot: u32, value: &[u8]) {
+        self.put(key, slot, &[value]);
+    }
+
+    /// Set `key`'s value to `parts`, one after the other, adding a row
+    /// with `slot` if it has none: a value in pieces is stored without
+    /// being gathered first.
+    pub fn put(&mut self, key: u64, slot: u32, parts: &[&[u8]]) {
         let row = self.rows.entry(key).or_insert(Row {
             slot,
             len: 0,
             val: [0; INLINE],
         });
-        self.dead += store(&mut self.arena, row, value);
+        self.dead += store(&mut self.arena, row, parts);
+        self.compact();
     }
 
     /// Rebuild the arena from the live spans once more than half of it
@@ -116,24 +124,33 @@ impl<S: BuildHasher> Stripe<S> {
     }
 }
 
-/// Write `value` into `row`: inline when it is short, else in place when
-/// it fits the row's span, else in a new span at the arena's end.
-/// Returns the bytes of the span it left, if it left one.
-fn store(arena: &mut Vec<u8>, row: &mut Row, value: &[u8]) -> usize {
-    let n = value.len();
+/// Write the value `parts` make up into `row`: inline when it is short,
+/// else in place when it fits the row's span, else in a new span at the
+/// arena's end. Returns the bytes of the span it left, if it left one.
+fn store(arena: &mut Vec<u8>, row: &mut Row, parts: &[&[u8]]) -> usize {
+    let n = parts.iter().map(|p| p.len()).sum();
+    let copy = |mut to: &mut [u8]| {
+        for part in parts {
+            let (head, rest) = to.split_at_mut(part.len());
+            head.copy_from_slice(part);
+            to = rest;
+        }
+    };
     let old = row.span();
     let dead = match old {
         _ if n <= INLINE => {
-            row.val[..n].copy_from_slice(value);
+            copy(&mut row.val[..n]);
             old.map_or(0, |(_, cap)| cap)
         }
         Some((off, cap)) if n <= cap => {
-            arena[off..][..n].copy_from_slice(value);
+            copy(&mut arena[off..][..n]);
             0
         }
         _ => {
             row.set_span(arena.len(), n);
-            arena.extend_from_slice(value);
+            for part in parts {
+                arena.extend_from_slice(part);
+            }
             old.map_or(0, |(_, cap)| cap)
         }
     };
@@ -242,5 +259,20 @@ mod tests {
             Some((2, [7; 20].as_slice())),
             "a span is overwritten in place"
         );
+    }
+
+    /// A value in pieces lands as one, inline or in a span, and a row
+    /// that `put` finds keeps its slot.
+    #[test]
+    fn a_value_put_in_pieces_reads_back_whole() {
+        let t: Table = Table::new();
+        let mut s = t.stripe(5);
+        s.put(5, 2, &[b"ab", b"", b"cd"]);
+        assert_eq!(s.get(5), Some((2, b"abcd".as_slice())));
+        s.put(5, 9, &[b"a longer ", b"value"]);
+        assert_eq!(s.get(5), Some((2, b"a longer value".as_slice())));
+        s.put(5, 9, &[b"in", b"line"]);
+        assert_eq!(s.get(5), Some((2, b"inline".as_slice())));
+        assert_eq!(s.arena.len(), 0, "the dead span compacted away");
     }
 }

@@ -24,8 +24,8 @@ use flock_core::onesided::LOCK_BIT;
 use flock_core::{Bytes, ConnectionHandle, FlockError, Result};
 
 use crate::protocol::{
-    key_partition, put_abort, put_commit, put_execute, put_log, replicas_of, TxnResp, RPC_ABORT,
-    RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
+    key_partition, put_abort, put_commit, put_execute, put_log, replicas_of, LogWrite, TxnResp,
+    RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
 };
 use crate::server::TXN_STRIPES;
 use crate::workloads::TxnSpec;
@@ -132,8 +132,9 @@ struct Group {
     /// The server holds this transaction's write locks: its Execute
     /// answered `ok` and it has been sent neither Commit nor Abort.
     locked: bool,
-    /// New values of `writes`, from the Log phase until Commit takes them.
-    new_values: Vec<(u64, Vec<u8>)>,
+    /// `writes` once Execute locked them, each with the version its
+    /// Commit gives it; their new values from the Log phase on.
+    new_values: Vec<LogWrite>,
 }
 
 /// The phase whose operations are in flight.
@@ -228,7 +229,7 @@ fn backed_up_by(
     groups: &BTreeMap<usize, Group>,
     server: usize,
     n_servers: usize,
-) -> impl Iterator<Item = &(u64, Vec<u8>)> + Clone {
+) -> impl Iterator<Item = &LogWrite> + Clone {
     groups
         .iter()
         .filter(move |&(&p, _)| replicas_of(p, n_servers).contains(&server))
@@ -309,6 +310,15 @@ impl Txn {
                 }
                 let group = self.groups.get_mut(&wait.server).expect("sent to a group");
                 group.locked = !group.writes.is_empty();
+                // Commit bumps each locked word's version by one.
+                group.new_values = writes
+                    .iter()
+                    .map(|kr| LogWrite {
+                        key: kr.key,
+                        version: (kr.word & !LOCK_BIT) + 1,
+                        value: Vec::new(),
+                    })
+                    .collect();
                 // A key absent at execution has nothing to validate.
                 self.read_set.extend(
                     reads
@@ -407,10 +417,13 @@ impl Txn {
     /// Phase 3: one `Log` per replica server, carrying every partition it
     /// backs up, in server order, posted: it is held once it has landed
     /// in the backup's request ring, which the backup applies in order
-    /// before any later request on that lane. New values that miss a
-    /// write-set key are an error, raised before anything is sent. Each value moves
-    /// into its primary's group: a write set that reaches this phase
-    /// names a key once (Execute fails a second lock of it).
+    /// before any later request on that lane. Each write carries its
+    /// version, so a later writer's Log that the backup handles first,
+    /// from another lane, is not overwritten by this one. New values that
+    /// miss a write-set key are an error, raised before anything is sent.
+    /// Each value moves into its primary's group: a write set that
+    /// reaches this phase names a key once (Execute fails a second lock
+    /// of it).
     fn log(&mut self, client: &TxnClient, mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
         self.phase = Phase::Log;
         let mut write_set = self.groups.values().flat_map(|g| &g.writes);
@@ -419,12 +432,8 @@ impl Txn {
                 "compute returned no value for a write-set key",
             ));
         }
-        for g in self.groups.values_mut() {
-            g.new_values = g
-                .writes
-                .iter()
-                .filter_map(|&k| Some((k, new_values.remove(&k)?)))
-                .collect();
+        for w in self.groups.values_mut().flat_map(|g| &mut g.new_values) {
+            w.value = new_values.remove(&w.key).unwrap_or_default();
         }
         let n = client.threads.len();
         for server in 0..n {
@@ -445,9 +454,8 @@ impl Txn {
             if g.writes.is_empty() {
                 continue;
             }
-            let wait = client.send(server, RPC_COMMIT, |buf| {
-                put_commit(buf, self.id, &g.new_values)
-            })?;
+            let writes = g.new_values.iter().map(|w| (w.key, w.value.as_slice()));
+            let wait = client.send(server, RPC_COMMIT, |buf| put_commit(buf, self.id, writes))?;
             self.outstanding.push(wait);
             g.locked = false;
         }
@@ -744,7 +752,11 @@ mod tests {
                         let mut g = Group::default();
                         if written.contains(&p) {
                             g.writes = vec![p as u64];
-                            g.new_values = vec![(p as u64, Vec::new())];
+                            g.new_values = vec![LogWrite {
+                                key: p as u64,
+                                version: 1,
+                                value: Vec::new(),
+                            }];
                         }
                         (p, g)
                     })
@@ -752,7 +764,7 @@ mod tests {
                 let messages: Vec<(usize, Vec<u64>)> = (0..n)
                     .map(|server| {
                         let writes = backed_up_by(&groups, server, n);
-                        (server, writes.map(|&(k, _)| k).collect::<Vec<_>>())
+                        (server, writes.map(|w| w.key).collect::<Vec<_>>())
                     })
                     .filter(|(_, keys)| !keys.is_empty())
                     .collect();

@@ -27,7 +27,9 @@
 //!    replicas, one `Log` per replica server carrying every partition it
 //!    backs up, posted ([`flock_core::FlThread::post_rpc`]): held once it
 //!    lands in the replica's request ring, which the replica applies in
-//!    order, and answered by nothing.
+//!    order, and answered by nothing. Each write carries the version its
+//!    Commit gives the key, and a replica ignores one older than its
+//!    copy: two writers' Logs can reach it on two lanes in either order.
 //! 4. **Commit** — primaries install the new values, bump versions, and
 //!    unlock.
 //!

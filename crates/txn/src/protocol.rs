@@ -40,8 +40,8 @@ pub enum TxnRpc {
     Log {
         /// Transaction id.
         txn_id: u64,
-        /// New values.
-        writes: Vec<(u64, Vec<u8>)>,
+        /// New values, each with its version.
+        writes: Vec<LogWrite>,
     },
     /// Commit phase: install values, bump versions, unlock.
     Commit {
@@ -57,6 +57,20 @@ pub enum TxnRpc {
         /// Keys to unlock.
         writes: Vec<u64>,
     },
+}
+
+/// One write of a `Log`: a key's new value and the version its
+/// primary's Commit gives it, one past the version Execute locked. A
+/// backup keeps the version beside its copy and ignores a `Log` older
+/// than it, so Logs that reach it out of order leave the newest value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogWrite {
+    /// The key.
+    pub key: u64,
+    /// The version the write commits at.
+    pub version: u64,
+    /// The new value.
+    pub value: Vec<u8>,
 }
 
 /// Per-key result of the execution phase.
@@ -111,15 +125,19 @@ fn put_keys(buf: &mut Vec<u8>, keys: &[u64]) {
         put_u64(buf, k);
     }
 }
-/// The pairs' count, then each pair; the count is written last, so the
-/// pairs can come from several groups without being gathered first.
-fn put_kvs<'a>(buf: &mut Vec<u8>, kvs: impl IntoIterator<Item = &'a (u64, Vec<u8>)>) {
+/// The items' count, then each item as `put` writes it; the count is
+/// written last, so the items can come from several groups without
+/// being gathered first.
+fn put_each<T>(
+    buf: &mut Vec<u8>,
+    items: impl IntoIterator<Item = T>,
+    put: impl Fn(&mut Vec<u8>, T),
+) {
     let at = buf.len();
     put_u32(buf, 0);
     let mut n = 0u32;
-    for (k, v) in kvs {
-        put_u64(buf, *k);
-        put_bytes(buf, v);
+    for item in items {
+        put(buf, item);
         n += 1;
     }
     buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
@@ -137,22 +155,35 @@ pub(crate) fn put_execute(buf: &mut Vec<u8>, txn_id: u64, reads: &[u64], writes:
     put_keys(buf, writes);
 }
 
-/// Append a `Log` request carrying `writes`.
+/// Append a `Log` request carrying `writes`, each as its key, version
+/// and value.
 pub(crate) fn put_log<'a>(
     buf: &mut Vec<u8>,
     txn_id: u64,
-    writes: impl IntoIterator<Item = &'a (u64, Vec<u8>)>,
+    writes: impl IntoIterator<Item = &'a LogWrite>,
 ) {
     buf.push(1);
     put_u64(buf, txn_id);
-    put_kvs(buf, writes);
+    put_each(buf, writes, |buf, w| {
+        put_u64(buf, w.key);
+        put_u64(buf, w.version);
+        put_bytes(buf, &w.value);
+    });
 }
 
-/// Append a `Commit` request carrying `writes`.
-pub(crate) fn put_commit(buf: &mut Vec<u8>, txn_id: u64, writes: &[(u64, Vec<u8>)]) {
+/// Append a `Commit` request carrying `writes`, each as its key and
+/// value.
+pub(crate) fn put_commit<'a>(
+    buf: &mut Vec<u8>,
+    txn_id: u64,
+    writes: impl IntoIterator<Item = (u64, &'a [u8])>,
+) {
     buf.push(2);
     put_u64(buf, txn_id);
-    put_kvs(buf, writes);
+    put_each(buf, writes, |buf, (k, v)| {
+        put_u64(buf, k);
+        put_bytes(buf, v);
+    });
 }
 
 /// Append an `Abort` request unlocking `writes`.
@@ -197,6 +228,18 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         (0..n).map(|_| Some((self.u64()?, self.bytes()?))).collect()
     }
+    fn log_writes(&mut self) -> Option<Vec<LogWrite>> {
+        let n = self.u32()? as usize;
+        (0..n)
+            .map(|_| {
+                Some(LogWrite {
+                    key: self.u64()?,
+                    version: self.u64()?,
+                    value: self.bytes()?,
+                })
+            })
+            .collect()
+    }
 }
 
 impl TxnRpc {
@@ -210,7 +253,10 @@ impl TxnRpc {
                 writes,
             } => put_execute(&mut buf, *txn_id, reads, writes),
             TxnRpc::Log { txn_id, writes } => put_log(&mut buf, *txn_id, writes),
-            TxnRpc::Commit { txn_id, writes } => put_commit(&mut buf, *txn_id, writes),
+            TxnRpc::Commit { txn_id, writes } => {
+                let writes = writes.iter().map(|(k, v)| (*k, v.as_slice()));
+                put_commit(&mut buf, *txn_id, writes)
+            }
             TxnRpc::Abort { txn_id, writes } => put_abort(&mut buf, *txn_id, writes),
         }
         buf
@@ -227,7 +273,7 @@ impl TxnRpc {
             },
             1 => TxnRpc::Log {
                 txn_id: r.u64()?,
-                writes: r.kvs()?,
+                writes: r.log_writes()?,
             },
             2 => TxnRpc::Commit {
                 txn_id: r.u64()?,
@@ -346,7 +392,18 @@ mod tests {
             },
             TxnRpc::Log {
                 txn_id: 8,
-                writes: vec![(1, b"aa".to_vec()), (2, vec![])],
+                writes: vec![
+                    LogWrite {
+                        key: 1,
+                        version: 3,
+                        value: b"aa".to_vec(),
+                    },
+                    LogWrite {
+                        key: 2,
+                        version: 1 << 40,
+                        value: vec![],
+                    },
+                ],
             },
             TxnRpc::Commit {
                 txn_id: 9,
@@ -395,7 +452,8 @@ mod tests {
     }
 
     /// The layout byte for byte: a tag, the id, then each list as a
-    /// `u32` count and its items, a value as a `u32` length and its bytes.
+    /// `u32` count and its items, a value as a `u32` length and its bytes
+    /// (a `Log`'s write carries its version between key and value).
     #[test]
     fn requests_keep_their_wire_bytes() {
         let le = |v: u64, n: usize| v.to_le_bytes()[..n].to_vec();
@@ -424,9 +482,32 @@ mod tests {
             (
                 TxnRpc::Log {
                     txn_id: 8,
-                    writes: kvs.clone(),
+                    writes: vec![
+                        LogWrite {
+                            key: 1,
+                            version: 3,
+                            value: b"aa".to_vec(),
+                        },
+                        LogWrite {
+                            key: 2,
+                            version: 9,
+                            value: vec![],
+                        },
+                    ],
                 },
-                [head(1, 8), kv_bytes.clone()],
+                [
+                    head(1, 8),
+                    vec![
+                        le(2, 4),
+                        le(1, 8),
+                        le(3, 8),
+                        le(2, 4),
+                        b"aa".to_vec(),
+                        le(2, 8),
+                        le(9, 8),
+                        le(0, 4),
+                    ],
+                ],
             ),
             (
                 TxnRpc::Commit {

@@ -44,7 +44,9 @@ pub fn export_stripe_locks(server: &FlockServer) -> flock_core::Result<usize> {
 /// and reads or changes the word with one access to the region under
 /// it, so a held lock is never seen as unlocked: there is no second copy
 /// to fall behind. Lock order: stripe, then the region's buffer. Backups
-/// live in a second table of the same layout, their slots unused.
+/// live in a second table of the same layout, their slots unused; a
+/// backup row holds the version of the write that set it before its
+/// value.
 pub struct TxnServer {
     /// This server's index among all servers.
     pub server_id: usize,
@@ -98,7 +100,7 @@ impl TxnServer {
     /// Direct read of a backup copy (tests and verification).
     pub fn peek_backup(&self, key: u64) -> Option<Vec<u8>> {
         let s = self.backups.stripe(key);
-        s.get(key).map(|(_, value)| value.to_vec())
+        s.get(key).map(|(_, row)| backup_row(row).1.to_vec())
     }
 
     /// The byte offset of `key`'s version word in the advertised region.
@@ -190,13 +192,19 @@ impl TxnServer {
                 }
             }
             TxnRpc::Log { writes, .. } => {
-                // Replicas apply to their backup copy; ordering follows
-                // the primary (paper §8.5.1 phase 3).
-                for (k, v) in writes {
-                    let mut s = self.backups.stripe(*k);
-                    if s.set(*k, v).is_none() {
-                        s.insert(*k, u32::MAX, v);
+                // Replicas apply to their backup copy in the primary's
+                // version order (paper §8.5.1 phase 3): two Logs of one
+                // key can arrive on two lanes in either order, and the
+                // older one must not overwrite the newer. An equal
+                // version replaces the copy: a transaction that failed
+                // after its Log left the primary's version where it was.
+                for w in writes {
+                    let mut s = self.backups.stripe(w.key);
+                    let held = s.get(w.key).map(|(_, row)| backup_row(row).0);
+                    if held.is_some_and(|v| v > w.version) {
+                        continue;
                     }
+                    s.put(w.key, u32::MAX, &[&w.version.to_le_bytes(), &w.value]);
                 }
                 TxnResp::Ack
             }
@@ -259,9 +267,18 @@ fn slot_offset(slot: u32) -> u64 {
     u64::from(slot) * 8
 }
 
+/// A backup row's version and value: the row holds the version's eight
+/// little-endian bytes, then the value.
+fn backup_row(row: &[u8]) -> (u64, &[u8]) {
+    let (version, value) = row.split_at(8);
+    let version = u64::from_le_bytes(version.try_into().expect("eight bytes"));
+    (version, value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::LogWrite;
     use flock_fabric::{Access, MrTable};
 
     fn server() -> Arc<TxnServer> {
@@ -347,15 +364,41 @@ mod tests {
         assert!(ok);
     }
 
+    fn log(key: u64, version: u64, value: &[u8]) -> TxnRpc {
+        TxnRpc::Log {
+            txn_id: version,
+            writes: vec![LogWrite {
+                key,
+                version,
+                value: value.to_vec(),
+            }],
+        }
+    }
+
     #[test]
     fn log_applies_to_backup() {
         let s = server();
-        s.handle(&TxnRpc::Log {
-            txn_id: 3,
-            writes: vec![(9, b"backup".to_vec())],
-        });
+        s.handle(&log(9, 2, b"backup"));
         assert_eq!(s.peek_backup(9).unwrap(), b"backup");
         assert!(s.peek(9).is_none(), "log must not touch the primary");
+    }
+
+    /// Logs of one key applied out of order leave the newest version's
+    /// value; an equal version replaces the copy.
+    #[test]
+    fn an_older_log_leaves_the_backup_copy() {
+        let s = server();
+        s.handle(&log(9, 3, b"three"));
+        s.handle(&log(9, 2, b"two"));
+        assert_eq!(s.peek_backup(9).unwrap(), b"three");
+        s.handle(&log(9, 3, b"again"));
+        assert_eq!(s.peek_backup(9).unwrap(), b"again");
+        s.handle(&log(9, 4, b"a value longer than a row holds inline"));
+        s.handle(&log(9, 1, b"one"));
+        assert_eq!(
+            s.peek_backup(9).unwrap(),
+            b"a value longer than a row holds inline"
+        );
     }
 
     #[test]

@@ -69,6 +69,18 @@ fn cluster() -> Cluster {
     }
 }
 
+/// Handles to every server from a new client node named `node`.
+fn handles_on(c: &Cluster, node: &str) -> Vec<Arc<ConnectionHandle>> {
+    let node = c.domain.add_node(node);
+    (0..N_SERVERS)
+        .map(|i| {
+            let cfg = HandleConfig::default();
+            let name = format!("txn{i}");
+            Arc::new(ConnectionHandle::connect(&c.domain, &node, &name, cfg).unwrap())
+        })
+        .collect()
+}
+
 fn load(c: &Cluster, key: u64, value: &[u8]) {
     let p = key_partition(key, N_SERVERS);
     c.txn_servers[p].load(key, value);
@@ -130,13 +142,9 @@ fn validation_detects_conflicting_update() {
     let c = cluster();
     load(&c, 77, b"v1");
     let client = TxnClient::new(&c.handles);
-    // Execute a read, then mutate the key behind the txn's back before
-    // validation would... we cannot pause mid-txn from here, so instead
-    // exercise the conflict path via lock contention: lock 77 with a
-    // first transaction's execute by using a second client mid-flight.
-    // Simplest deterministic check: bump the version directly between two
-    // transactions and confirm the second read sees the new version
-    // (sanity), then verify lock conflicts abort.
+    // A stray lock fails every Execute that meets it; a word that moves
+    // between a transaction's Execute and its one-sided validation is
+    // `validation_aborts_a_transaction_whose_read_moved_after_its_execute`.
     let p = key_partition(77, N_SERVERS);
     // Take the lock directly (as if another coordinator crashed mid-txn).
     let resp = c.txn_servers[p].handle(&flock_txn::TxnRpc::Execute {
@@ -974,10 +982,12 @@ fn locked(ts: &TxnServer, key: u64) -> bool {
 
 /// `run` reports a commit at its commit point: every Log has landed in
 /// its backup's request ring and the Commits are posted, not yet
-/// applied. Idle backups have applied their Logs by then (a slow one
-/// need not have: the next test). Until `settle` collects the Commits'
-/// acks the primary shows the old value, locked, so nobody can read it
-/// as valid; the next call finds it applied.
+/// applied. Right after `run` only that landing is promised: a backup
+/// applies its ring in order, later (a slow one well after `run`
+/// returns: `run_returns_before_a_slow_backup_applies_its_log`), with no
+/// further message. Until `settle` collects the Commits' acks the
+/// primary shows the old value, locked, so nobody can read it as valid;
+/// the next call finds it applied.
 #[test]
 fn run_reports_the_commit_once_the_backups_hold_it() {
     flock_sim::vtime::VirtualLab::run(|| {
@@ -997,6 +1007,17 @@ fn run_reports_the_commit_once_the_backups_hold_it() {
             .unwrap();
         assert!(matches!(outcome, TxnOutcome::Committed(_)));
         for &k in &keys {
+            assert_eq!(primary(k).peek(k).unwrap(), b"old", "primary of key {k}");
+            assert!(locked(primary(k), k), "key {k} unlocked before its Commit");
+        }
+        client.settle().unwrap();
+        for &k in &keys {
+            assert_eq!(primary(k).peek(k).unwrap(), b"new", "primary of key {k}");
+            assert!(!locked(primary(k), k), "key {k} locked after settle");
+        }
+        // Every backup has had time to apply the ring its Log landed in.
+        flock_sync::clock::sleep_ns(20_000);
+        for &k in &keys {
             let p = key_partition(k, N_SERVERS);
             for r in flock_txn::protocol::replicas_of(p, N_SERVERS) {
                 assert_eq!(
@@ -1005,13 +1026,6 @@ fn run_reports_the_commit_once_the_backups_hold_it() {
                     "backup {r}"
                 );
             }
-            assert_eq!(primary(k).peek(k).unwrap(), b"old", "primary of key {k}");
-            assert!(locked(primary(k), k), "key {k} unlocked before its Commit");
-        }
-        client.settle().unwrap();
-        for &k in &keys {
-            assert_eq!(primary(k).peek(k).unwrap(), b"new", "primary of key {k}");
-            assert!(!locked(primary(k), k), "key {k} locked after settle");
         }
         drop(client);
         teardown(c);
@@ -1027,14 +1041,7 @@ fn a_reader_after_each_commit() -> (u64, u64) {
     let c = cluster();
     let key = 5;
     load(&c, key, &0u64.to_le_bytes());
-    let reader_node = c.domain.add_node("txn-reader");
-    let reader_handles: Vec<Arc<ConnectionHandle>> = (0..N_SERVERS)
-        .map(|i| {
-            let cfg = HandleConfig::default();
-            let name = format!("txn{i}");
-            Arc::new(ConnectionHandle::connect(&c.domain, &reader_node, &name, cfg).unwrap())
-        })
-        .collect();
+    let reader_handles = handles_on(&c, "txn-reader");
     let writer = TxnClient::new(&c.handles);
     let reader = TxnClient::new(&reader_handles);
     let (mut aborted, mut read_new) = (0, 0);
@@ -1282,14 +1289,7 @@ fn a_reader_racing_a_writer() -> (u64, u64) {
     for &k in &keys {
         load(&c, k, &0u64.to_le_bytes());
     }
-    let reader_node = c.domain.add_node("txn-racer");
-    let reader_handles: Vec<Arc<ConnectionHandle>> = (0..N_SERVERS)
-        .map(|i| {
-            let cfg = HandleConfig::default();
-            let name = format!("txn{i}");
-            Arc::new(ConnectionHandle::connect(&c.domain, &reader_node, &name, cfg).unwrap())
-        })
-        .collect();
+    let reader_handles = handles_on(&c, "txn-racer");
     let reader = TxnClient::new(&reader_handles);
     let client = TxnClient::new(&c.handles);
     // Both connect their lanes before the race.
@@ -1311,6 +1311,10 @@ fn a_reader_racing_a_writer() -> (u64, u64) {
                     .unwrap();
                 assert!(matches!(outcome, TxnOutcome::Committed(_)), "round {round}");
                 done.add(1);
+                // Back to back, the next round locks the keys as soon as
+                // this one's Commit unlocks them; a pause of 0 to 3 µs
+                // opens windows of several widths.
+                flock_sync::clock::sleep_ns(round % 4 * 1_000);
             }
         })
     };
@@ -1404,6 +1408,125 @@ fn run_returns_before_a_slow_backup_applies_its_log() {
             "a message after run"
         );
         drop(client);
+        teardown(c);
+    });
+}
+
+/// Two clients on two nodes write one key in turn, and a backup is busy
+/// when the first client's second Log lands there: the second client's
+/// Log, on its own connection and so another dispatch shard, is handled
+/// first. The older Log, applied last, must not overwrite the newer
+/// value: every backup ends equal to the primary.
+#[test]
+fn a_backup_keeps_the_newest_write_when_two_writers_logs_cross() {
+    use flock_sync::clock;
+    use flock_txn::protocol::replicas_of;
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let k = keys_of(0, 1)[0];
+        load(&c, k, b"old");
+        let slow = replicas_of(0, N_SERVERS)[0];
+        let applied = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (backup, order) = (Arc::clone(&c.txn_servers[slow]), Arc::clone(&applied));
+        c.servers[slow].reg_handler(flock_txn::protocol::RPC_LOG, move |req| {
+            let rpc = flock_txn::TxnRpc::decode(req).expect("a Log");
+            let flock_txn::TxnRpc::Log { writes, .. } = &rpc else {
+                panic!("a Log");
+            };
+            if writes[0].value == b"a1" {
+                clock::charge(50_000);
+            }
+            order.lock().push(writes[0].value.clone());
+            backup.handle(&rpc).encode()
+        });
+        let other = handles_on(&c, "txn-b");
+        let (a, b) = (TxnClient::new(&c.handles), TxnClient::new(&other));
+        let write = |client: &TxnClient, value: &[u8]| {
+            let outcome = client.run(&[], &[k], |_| HashMap::from([(k, value.to_vec())]));
+            assert!(
+                matches!(outcome, Ok(TxnOutcome::Committed(_))),
+                "{outcome:?}"
+            );
+            client.settle().unwrap();
+        };
+        // Both connect their lanes to every server first.
+        write(&a, b"warm");
+        write(&b, b"warm");
+        write(&a, b"a1");
+        write(&a, b"a2");
+        write(&b, b"b");
+        clock::sleep_ns(200_000);
+        let order: Vec<&[u8]> = vec![b"warm", b"warm", b"a1", b"b", b"a2"];
+        assert_eq!(*applied.lock(), order, "the Logs did not cross");
+        assert_eq!(c.txn_servers[0].peek(k).unwrap(), b"b");
+        for r in replicas_of(0, N_SERVERS) {
+            assert_eq!(c.txn_servers[r].peek_backup(k).unwrap(), b"b", "backup {r}");
+        }
+        drop((a, b, other));
+        teardown(c);
+    });
+}
+
+/// A transaction over two servers whose read word moves after its
+/// Execute and before its validation: both Executes found their words
+/// steady, so only the one-sided READ sees the move, and the
+/// transaction aborts. Server 1 answers the reader's Execute late (its
+/// dispatch shard is busy with a 50 µs request that came first), and in
+/// that window a writer on another node commits to the reader's key on
+/// server 0.
+#[test]
+fn validation_aborts_a_transaction_whose_read_moved_after_its_execute() {
+    use flock_sync::clock;
+    const RPC_STALL: u32 = 99;
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let (k0, k1) = (keys_of(0, 1)[0], keys_of(1, 1)[0]);
+        load(&c, k0, b"old");
+        load(&c, k1, b"v");
+        c.servers[1].reg_handler(RPC_STALL, |_| {
+            clock::charge(50_000);
+            Vec::new()
+        });
+        let writer_handles = handles_on(&c, "txn-writer");
+        let (reader, writer) = (TxnClient::new(&c.handles), TxnClient::new(&writer_handles));
+        // Both connect their lanes first.
+        let warm = writer.run(&[], &[k0], |_| HashMap::from([(k0, b"old".to_vec())]));
+        assert!(matches!(warm, Ok(TxnOutcome::Committed(_))), "{warm:?}");
+        writer.settle().unwrap();
+        reader.run(&[k0, k1], &[], |_| HashMap::new()).unwrap();
+
+        let stall = c.handles[1].register_thread();
+        let stalled = stall.send_rpc(RPC_STALL, b"").unwrap();
+        clock::sleep_ns(5_000);
+        let committed = Arc::new(flock_sync::Counter::default());
+        let write = {
+            let committed = Arc::clone(&committed);
+            clock::spawn("writer", move || {
+                clock::sleep_ns(10_000);
+                let outcome = writer.run(&[], &[k0], |_| HashMap::from([(k0, b"new".to_vec())]));
+                assert!(
+                    matches!(outcome, Ok(TxnOutcome::Committed(_))),
+                    "{outcome:?}"
+                );
+                writer.settle().unwrap();
+                committed.add(clock::now_ns());
+            })
+        };
+        let reads = || c.client_node.stats().reads.get();
+        let before = reads();
+        let outcome = reader.run(&[k0, k1], &[], |_| HashMap::new()).unwrap();
+        let validated = clock::now_ns();
+        write.join().unwrap();
+        let committed = committed.get();
+        assert!(
+            committed < validated,
+            "the write committed at {committed} ns, not before {validated}"
+        );
+        assert_eq!(reads(), before + 2, "the reader did not validate");
+        assert_eq!(outcome, TxnOutcome::Aborted);
+        assert_eq!(c.txn_servers[0].peek(k0).unwrap(), b"new");
+        stall.recv_res(stalled).unwrap();
+        drop((reader, stall, writer_handles));
         teardown(c);
     });
 }

@@ -5,7 +5,8 @@
 //! read-set key fails it), `Log`, `Commit` and `Abort` run on a
 //! [`TxnServer`] and on the model. After
 //! every step the two agree on every response (values, words, slots,
-//! `ok`), on `peek` and `peek_backup` of every key, and on every slot of
+//! `ok`), on `peek` and `peek_backup` of every key (a `Log` write older
+//! than the backup's copy leaves it), and on every slot of
 //! the validation region: an assigned slot holds its key's word, an
 //! unassigned one is still zero. Values change length at random, so
 //! spans are overwritten in place and moved; key 7 is never loaded, so
@@ -18,18 +19,18 @@ use proptest::prelude::*;
 
 use flock_core::onesided::LOCK_BIT;
 use flock_fabric::{Access, MrTable};
-use flock_txn::protocol::KeyRead;
+use flock_txn::protocol::{KeyRead, LogWrite};
 use flock_txn::{TxnResp, TxnRpc, TxnServer};
 
 /// Keys the generator draws from; the last one is never loaded.
 const KEYS: u64 = 8;
 
-/// The reference model: a key's `(value, word, slot)`, the backups, and
-/// the next slot to hand out.
+/// The reference model: a key's `(value, word, slot)`, the backups'
+/// `(version, value)`, and the next slot to hand out.
 #[derive(Default)]
 struct Model {
     primary: BTreeMap<u64, (Vec<u8>, u64, u64)>,
-    backups: BTreeMap<u64, Vec<u8>>,
+    backups: BTreeMap<u64, (u64, Vec<u8>)>,
     next_slot: u64,
 }
 
@@ -97,8 +98,11 @@ impl Model {
                 }
             }
             TxnRpc::Log { writes, .. } => {
-                for (k, v) in writes {
-                    self.backups.insert(*k, v.clone());
+                for w in writes {
+                    if self.backups.get(&w.key).is_some_and(|b| b.0 > w.version) {
+                        continue;
+                    }
+                    self.backups.insert(w.key, (w.version, w.value.clone()));
                 }
                 TxnResp::Ack
             }
@@ -162,7 +166,14 @@ proptest! {
                     None
                 }
                 1 => Some(TxnRpc::Execute { txn_id: n as u64, reads: more, writes: keys }),
-                2 => Some(TxnRpc::Log { txn_id: n as u64, writes: writes_of(&keys) }),
+                2 => {
+                    // Versions rise and fall between steps.
+                    let writes = writes_of(&keys)
+                        .into_iter()
+                        .map(|(key, value)| LogWrite { key, version: (len % 4) as u64, value })
+                        .collect();
+                    Some(TxnRpc::Log { txn_id: n as u64, writes })
+                }
                 3 => Some(TxnRpc::Commit { txn_id: n as u64, writes: writes_of(&keys) }),
                 _ => Some(TxnRpc::Abort { txn_id: n as u64, writes: keys }),
             };
@@ -172,7 +183,7 @@ proptest! {
             for k in 0..KEYS {
                 let primary = model.primary.get(&k).map(|e| e.0.clone());
                 prop_assert_eq!(server.peek(k), primary, "peek {}", k);
-                let backup = model.backups.get(&k).cloned();
+                let backup = model.backups.get(&k).map(|b| b.1.clone());
                 prop_assert_eq!(server.peek_backup(k), backup, "backup {}", k);
             }
             let mut words = [0u64; 16];

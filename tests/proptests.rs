@@ -14,8 +14,7 @@ use flock_repro::fabric::{Access, MrTable};
 use flock_repro::hydralist::{HydraConfig, HydraList};
 use flock_repro::kvstore::{KvConfig, KvStore};
 use flock_repro::sim::Histogram;
-use flock_repro::txn::protocol::KeyRead;
-use flock_repro::txn::protocol::{key_partition, replicas_of, TxnResp, TxnRpc};
+use flock_repro::txn::protocol::{key_partition, replicas_of, KeyRead, LogWrite, TxnResp, TxnRpc};
 
 proptest! {
     /// Any set of entries round-trips through the message codec.
@@ -246,9 +245,13 @@ proptest! {
             .enumerate()
             .map(|(i, v)| (i as u64, v))
             .collect();
+        let logged = kvs
+            .iter()
+            .map(|(key, value)| LogWrite { key: *key, version: txn_id ^ key, value: value.clone() })
+            .collect();
         for rpc in [
             TxnRpc::Execute { txn_id, reads: keys.clone(), writes: keys.clone() },
-            TxnRpc::Log { txn_id, writes: kvs.clone() },
+            TxnRpc::Log { txn_id, writes: logged },
             TxnRpc::Commit { txn_id, writes: kvs },
             TxnRpc::Abort { txn_id, writes: keys },
         ] {
