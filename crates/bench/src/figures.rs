@@ -511,6 +511,40 @@ const SECTIONS: [Section; 14] = [
     ("ablation_grant_size", ablation_grant_size),
 ];
 
+/// Every section's rows, in [`SECTIONS`] order. Sections are independent
+/// pure functions of the preset, so they run on up to one host thread per
+/// CPU, each thread taking the next section nobody has taken.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sections are model runs outside any lab: host threads only spread them over the \
+              CPUs, and each section's rows are the same on whichever thread computes them"
+)]
+fn run_sections(p: &Preset) -> Vec<Value> {
+    let next = flock_sync::Counter::default();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut rows: Vec<(usize, Value)> = std::thread::scope(|s| {
+        let take_sections = || {
+            let mut rows = Vec::new();
+            loop {
+                let i = next.add(1) as usize;
+                let Some((_, section)) = SECTIONS.get(i) else {
+                    return rows;
+                };
+                rows.push((i, section(p)));
+            }
+        };
+        let workers: Vec<_> = (0..cpus.min(SECTIONS.len()))
+            .map(|_| s.spawn(take_sections))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    rows.sort_unstable_by_key(|&(i, _)| i);
+    rows.into_iter().map(|(_, value)| value).collect()
+}
+
 /// Run every section and render the stable-order JSON document.
 pub fn run_suite(quick: bool) -> SuiteRun {
     let p = Preset::of(quick);
@@ -525,7 +559,7 @@ pub fn run_suite(quick: bool) -> SuiteRun {
         ("smallbank_accounts", p.smallbank_accounts.into()),
         ("index_keys", p.index_keys.into()),
     ];
-    doc.extend(SECTIONS.iter().map(|(id, section)| (*id, section(&p))));
+    doc.extend(SECTIONS.iter().map(|(id, _)| *id).zip(run_sections(&p)));
     SuiteRun {
         doc: object(doc),
         ops: 0,

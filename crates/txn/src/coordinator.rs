@@ -10,9 +10,13 @@
 //! (paper §8.5.2: "we also use coroutines to hide the network latency as
 //! FaSST"). A transaction reports its commit once the backups hold it
 //! — every `Log`, a posted request ([`FlThread::post_rpc`]), has landed
-//! in its backup's request ring — and the Commits are posted; the
-//! Commits' acks trail into the client's next transaction, or into
-//! [`TxnClient::settle`].
+//! in its backup's request ring — and every `Commit`, posted too, is
+//! sent. A server handles a lane in ring order, and a thread with a
+//! request not yet received stays on its lane (§5.2), so a posted
+//! Commit counts as applied once the next request after it on its lane
+//! is answered: the client's next Execute to that server, or
+//! [`TxnClient::settle`]'s fence. Until then its landing trails, at
+//! most `width` per server.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -130,7 +134,8 @@ struct Group {
     reads: Vec<u64>,
     writes: Vec<u64>,
     /// The server holds this transaction's write locks: its Execute
-    /// answered `ok` and it has been sent neither Commit nor Abort.
+    /// answered `ok` and it has been sent no Abort (past its commit
+    /// point a transaction aborts nothing).
     locked: bool,
     /// `writes` once Execute locked them, each with the version its
     /// Commit gives it; their new values from the Log phase on.
@@ -157,11 +162,10 @@ struct Wait {
 enum Op {
     /// The Execute RPC with this sequence number.
     Execute(u64),
-    /// The Commit or Abort RPC with this sequence number: its reply is
-    /// an `Ack`.
+    /// The Abort RPC with this sequence number: its reply is an `Ack`.
     Ack(u64),
-    /// The posted Log with this sequence number: its reply is empty,
-    /// once the request has landed in the backup's request ring.
+    /// The posted Log or Commit with this sequence number: its reply is
+    /// empty, once the request has landed in the server's request ring.
     Landed(u64),
     /// A one-sided read of a version word that read `expect` at execution.
     Read { token: MemToken, expect: u64 },
@@ -187,7 +191,7 @@ impl Wait {
     }
 }
 
-/// The reply of a Commit or Abort.
+/// The reply of an Abort.
 fn expect_ack(bytes: &[u8]) -> Result<()> {
     match TxnResp::decode(bytes) {
         Some(TxnResp::Ack) => Ok(()),
@@ -200,21 +204,18 @@ fn expect_ack(bytes: &[u8]) -> Result<()> {
 /// A driver alternates [`Txn::advance`] and [`Txn::receive`] until
 /// `advance` returns the outcome. A lock conflict or failed validation
 /// (`conflict`) and the first error of a send, a reply or a read
-/// (`error`) both end in the Abort phase once everything outstanding has
-/// been received, so a failed transaction holds no lock it knows of and
-/// leaves no RPC on its way. A committed one returns at its commit point,
-/// with its Commits posted and their acks still `outstanding`: `run` and
-/// `run_pipelined` hand those to the client's next transaction
-/// ([`TxnClient::settle`]).
+/// (`error`) before the commit point both end in the Abort phase once
+/// everything outstanding has been received, so a failed transaction
+/// holds no lock it knows of and leaves no RPC on its way. A committed
+/// one returns at its commit point, with its Commits' landings still
+/// `outstanding`: `run` and `run_pipelined` move those to the client's
+/// trailing list ([`TxnClient::settle`]).
 struct Txn {
     id: u64,
     /// By primary, in server order: the order every phase sends in.
     groups: BTreeMap<usize, Group>,
     phase: Phase,
     outstanding: Vec<Wait>,
-    /// The previous transaction's Commit acks, received with this one's
-    /// first phase: after its sends, before its replies.
-    trailing: Vec<Wait>,
     values: Values,
     /// `(server, slot, word)` of every read-set key present at execution.
     read_set: Vec<(usize, u64, u64)>,
@@ -240,7 +241,7 @@ impl Txn {
     /// A key in both sets is a write: Execute reads it under its lock,
     /// so there is no version word left to validate (the word it read
     /// carries this transaction's own lock bit).
-    fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64], trailing: Vec<Wait>) -> Txn {
+    fn new(id: u64, n_servers: usize, reads: &[u64], writes: &[u64]) -> Txn {
         let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
         for &k in reads.iter().filter(|k| !writes.contains(k)) {
             groups
@@ -261,7 +262,6 @@ impl Txn {
             groups,
             phase: Phase::Begin,
             outstanding: Vec::new(),
-            trailing,
             values: HashMap::new(),
             read_set: Vec::new(),
             conflict: false,
@@ -339,10 +339,11 @@ impl Txn {
     /// while sending leaves the rest of that phase unsent.
     ///
     /// The commit point is the last Commit posted: every Log has landed
-    /// in its backup's request ring, so `Committed` is returned then,
-    /// with the Commits' acks left outstanding. Each primary keeps the
-    /// keys locked until its Commit lands, so no reader sees their old
-    /// values as valid.
+    /// in its backup's request ring, so the outcome is returned then,
+    /// with the Commits' landings left outstanding — `Committed`, or the
+    /// first error of a Commit send. Each primary keeps the keys locked
+    /// until it applies its Commit, so no reader sees their old values
+    /// as valid.
     fn advance(
         &mut self,
         client: &TxnClient,
@@ -357,40 +358,53 @@ impl Txn {
                         None => Ok(TxnOutcome::Aborted),
                     });
                 }
-                // After a failed Commit phase too: a send error may have
-                // left a primary locked.
+                (Phase::Commit, _) => unreachable!("a transaction ends at its commit point"),
                 (_, true) => self.abort(client),
                 (Phase::Begin, _) => self.execute(client),
                 (Phase::Execute, _) => self.validate(client),
                 (Phase::Validate, _) => self.log(client, compute(&self.values)),
                 (Phase::Log, _) => self.commit(client),
-                (Phase::Commit, false) => unreachable!("a transaction ends at its commit point"),
             };
-            match sent {
-                Err(e) => {
-                    self.error.get_or_insert(e);
-                }
-                Ok(()) if matches!(self.phase, Phase::Commit) => {
-                    return Some(Ok(TxnOutcome::Committed(std::mem::take(&mut self.values))));
-                }
-                Ok(()) => {}
+            if matches!(self.phase, Phase::Commit) {
+                let values = std::mem::take(&mut self.values);
+                return Some(sent.map(|()| TxnOutcome::Committed(values)));
+            }
+            if let Err(e) = sent {
+                self.error.get_or_insert(e);
             }
         }
         None
     }
 
     /// Phase 1: every primary reads its share and locks its write keys.
-    /// The previous transaction's trailing acks are awaited first.
+    /// Each Execute goes out on its thread's lane behind the trailing
+    /// Commits to its server, whose untaken landings keep the thread
+    /// there; it takes those landings over once sent, so its answer
+    /// proves them applied. Trailing landings of servers it does not
+    /// send to stay trailing.
     fn execute(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Execute;
-        self.outstanding.append(&mut self.trailing);
+        let (mut sent, mut unsent) = (Ok(()), usize::MAX);
         for (&server, g) in &self.groups {
             let wait = client.send(server, RPC_EXECUTE, |buf| {
                 put_execute(buf, self.id, &g.reads, &g.writes)
-            })?;
-            self.outstanding.push(wait);
+            });
+            match wait {
+                Ok(wait) => self.outstanding.push(wait),
+                Err(e) => {
+                    (sent, unsent) = (Err(e), server);
+                    break;
+                }
+            }
         }
-        Ok(())
+        // Landings first, in issue order: `run` blocks in list order.
+        let executes = self.outstanding.len();
+        let groups = &self.groups;
+        let behind = |w: &mut Wait| w.server < unsent && groups.contains_key(&w.server);
+        let mut trailing = client.trailing.borrow_mut();
+        self.outstanding.extend(trailing.extract_if(.., behind));
+        self.outstanding.rotate_left(executes);
+        sent
     }
 
     /// Phase 2: one-sided reads of the version words recorded at
@@ -447,19 +461,24 @@ impl Txn {
         Ok(())
     }
 
-    /// Phase 4: primaries install the new values and unlock.
+    /// Phase 4: primaries install the new values and unlock, one posted
+    /// Commit each. Every Log has landed, so the transaction is decided:
+    /// a failed send does not keep the other Commits from being posted
+    /// and is never turned into an Abort. Its primary keeps the keys
+    /// locked (until a lease frees them, ROADMAP item 16) and the first
+    /// such error is the result.
     fn commit(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Commit;
-        for (&server, g) in &mut self.groups {
+        let mut first_error = Ok(());
+        for (&server, g) in &self.groups {
             if g.writes.is_empty() {
                 continue;
             }
             let writes = g.new_values.iter().map(|w| (w.key, w.value.as_slice()));
-            let wait = client.send(server, RPC_COMMIT, |buf| put_commit(buf, self.id, writes))?;
-            self.outstanding.push(wait);
-            g.locked = false;
+            let sent = client.send(server, RPC_COMMIT, |buf| put_commit(buf, self.id, writes));
+            first_error = first_error.and(sent.map(|wait| self.outstanding.push(wait)));
         }
-        Ok(())
+        first_error
     }
 
     /// Unlock every server known to hold this transaction's locks; a
@@ -481,13 +500,15 @@ impl Txn {
 /// A per-application-thread transaction coordinator holding one
 /// [`FlThread`] per server connection.
 ///
-/// A committed transaction's Commit acks trail it: the client's next
-/// transaction receives them after its first sends, [`TxnClient::settle`]
-/// collects them, and dropping the client settles.
+/// A committed transaction's Commit landings trail it until an answer
+/// on their lane proves them applied: the client's next Execute to
+/// their server takes them, [`TxnClient::settle`] fences and takes the
+/// rest, and dropping the client settles.
 pub struct TxnClient {
     threads: Vec<FlThread>,
     txn_seq: Cell<u64>,
-    /// The last committed transaction's Commits, their acks not yet received.
+    /// Posted Commits no answer has proven applied yet, at most `width`
+    /// per server (one per concurrent transaction that executed there).
     trailing: RefCell<Vec<Wait>>,
     /// The request being sent, encoded here before `send_rpc` copies it.
     wire: RefCell<Vec<u8>>,
@@ -505,22 +526,21 @@ impl TxnClient {
         }
     }
 
-    /// A machine for the next transaction id, nothing sent yet; it takes
-    /// over the trailing acks.
+    /// A machine for the next transaction id, nothing sent yet.
     fn begin(&self, reads: &[u64], writes: &[u64]) -> Txn {
         let id = self.txn_seq.get();
         self.txn_seq.set(id + 1);
-        Txn::new(id, self.threads.len(), reads, writes, self.trailing.take())
+        Txn::new(id, self.threads.len(), reads, writes)
     }
 
-    /// Keep a finished transaction's outstanding Commits for the next one.
+    /// Keep a finished transaction's outstanding Commit landings.
     fn trail(&self, txn: &mut Txn) {
         self.trailing.borrow_mut().append(&mut txn.outstanding);
     }
 
     /// Send `server` the request `encode` writes; the wait for its reply,
-    /// or for a Log, which is posted, for its landing in the server's
-    /// request ring.
+    /// or for a Log or Commit, which are posted, for its landing in the
+    /// server's request ring.
     fn send(&self, server: usize, rpc_id: u32, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Wait> {
         let mut wire = self.wire.borrow_mut();
         wire.clear();
@@ -528,23 +548,43 @@ impl TxnClient {
         let thread = &self.threads[server];
         let op = match rpc_id {
             RPC_EXECUTE => Op::Execute(thread.send_rpc(rpc_id, &wire)?),
-            RPC_LOG => Op::Landed(thread.post_rpc(rpc_id, &wire)?),
+            RPC_LOG | RPC_COMMIT => Op::Landed(thread.post_rpc(rpc_id, &wire)?),
             _ => Op::Ack(thread.send_rpc(rpc_id, &wire)?),
         };
         Ok(Wait { server, op })
     }
 
-    /// Receive the acks of the last committed transaction's Commits, so
-    /// every primary has installed its values and unlocked; the first
-    /// error among them is the result. Nothing of this client is on its
-    /// way afterwards.
+    /// The Commits posted to `server` that no answer has proven applied
+    /// yet.
+    pub fn trailing(&self, server: usize) -> usize {
+        self.trailing
+            .borrow()
+            .iter()
+            .filter(|w| w.server == server)
+            .count()
+    }
+
+    /// Prove every trailing Commit applied: send each server that has
+    /// one a fence, an Abort naming no key, which goes out on the
+    /// Commits' lane (their untaken landings keep the thread there), and
+    /// then take the landings and the fences' acks. Afterwards every
+    /// primary has installed its values and unlocked, and nothing of
+    /// this client is on its way; the first error is the result.
     pub fn settle(&self) -> Result<()> {
+        let mut trailing = self.trailing.borrow_mut();
         let mut first_error = Ok(());
-        for wait in self.trailing.take() {
-            let acked = wait
-                .block(&self.threads)
-                .and_then(|bytes| expect_ack(&bytes));
-            first_error = first_error.and(acked);
+        for server in 0..self.threads.len() {
+            if trailing.iter().any(|w| w.server == server) {
+                let fence = self.send(server, RPC_ABORT, |buf| put_abort(buf, 0, &[]));
+                first_error = first_error.and(fence.map(|wait| trailing.push(wait)));
+            }
+        }
+        for wait in trailing.drain(..) {
+            let answered = wait.block(&self.threads).and_then(|bytes| match wait.op {
+                Op::Ack(_) => expect_ack(&bytes),
+                _ => Ok(()),
+            });
+            first_error = first_error.and(answered);
         }
         first_error
     }
@@ -557,19 +597,21 @@ impl TxnClient {
     /// `Log` has landed in its backup's request ring — the NIC's
     /// acknowledgement of the write that carried it; the backup applies
     /// it in order, before any later request on that lane — and every
-    /// primary's `Commit` is posted.
-    /// The Commits' acks trail: the next call on this client receives
-    /// them after its first send, or [`TxnClient::settle`] does, and an
-    /// error among them is that call's result. Until a primary applies
-    /// its Commit the keys stay locked, so a reader aborts rather than
-    /// see an old value as valid.
+    /// primary's `Commit` is posted. A Commit counts as applied once the
+    /// next answered request on its lane is: a later call's Execute to
+    /// its server takes its landing, or [`TxnClient::settle`]'s fence
+    /// does, and a failed landing is that call's error. Until a primary
+    /// applies its Commit the keys stay locked, so a reader aborts
+    /// rather than see an old value as valid.
     ///
     /// Returns [`TxnOutcome::Aborted`] on lock conflicts or validation
-    /// failure; the caller retries. An error — a failed send, reply or
-    /// read, or `compute` leaving out a key of `writes`
-    /// ([`FlockError::InvalidArgument`]) — is returned only after every
-    /// reply has been received and every lock the transaction is known to
-    /// hold has been released.
+    /// failure; the caller retries. An error before the commit point — a
+    /// failed send, reply or read, or `compute` leaving out a key of
+    /// `writes` ([`FlockError::InvalidArgument`]) — is returned only
+    /// after every reply has been received and every lock the
+    /// transaction is known to hold has been released. After it, a
+    /// Commit that cannot be sent is the error: the other Commits are
+    /// posted, and that primary keeps its keys locked.
     pub fn run<F>(&self, reads: &[u64], writes: &[u64], compute: F) -> Result<TxnOutcome>
     where
         F: FnOnce(&HashMap<u64, Option<Vec<u8>>>) -> HashMap<u64, Vec<u8>>,
@@ -593,15 +635,15 @@ impl TxnClient {
     /// retried (`logic` decides what comes next).
     ///
     /// A slot's transaction ends at its commit point, as in
-    /// [`TxnClient::run`], and the slot's next transaction receives its
-    /// Commit acks. Once the target is reached, or a transaction returns
-    /// an error, no slot starts another, and the run settles and returns
-    /// when every transaction already in flight has finished its commit
-    /// or abort — so `commits` may exceed the target by up to
-    /// `width - 1`, and on return no lock is held and no RPC of this
-    /// client is still on its way. The first error is the result; a
-    /// stopped connection handle is one ([`FlockError::Disconnected`]),
-    /// so the run ends with it.
+    /// [`TxnClient::run`], and its Commit landings trail until a later
+    /// transaction executes on their server. Once the target is reached,
+    /// or a transaction returns an error, no slot starts another, and the
+    /// run settles and returns when every transaction already in flight
+    /// has finished its commit or abort — so `commits` may exceed the
+    /// target by up to `width - 1`, and on return no lock is held and no
+    /// RPC of this client is still on its way. The first error is the
+    /// result; a stopped connection handle is one
+    /// ([`FlockError::Disconnected`]), so the run ends with it.
     pub fn run_pipelined(
         &self,
         logic: &mut dyn TxnLogic,
@@ -629,7 +671,6 @@ impl TxnClient {
                 let Some(outcome) = txn.advance(self, &mut compute) else {
                     continue;
                 };
-                // Its trailing acks join this slot's next transaction.
                 self.trail(txn);
                 match outcome {
                     Ok(TxnOutcome::Committed(_)) => stats.commits += 1,

@@ -43,10 +43,11 @@
 //!
 //! A transaction is reported committed at its commit point: every Log
 //! has landed in its backup's request ring and every Commit is posted.
-//! The primaries' acks trail: the client's next transaction receives them after its
-//! first sends, [`TxnClient::settle`] collects them, and dropping the
-//! client settles. Until its Commit lands a primary keeps the keys
-//! locked, so a reader aborts rather than read an old value as valid.
+//! A Commit counts as applied once the next answered request on its lane
+//! is: the client's next Execute to that server, or the fence
+//! [`TxnClient::settle`] sends; dropping the client settles. Until it
+//! applies its Commit a primary keeps the keys locked, so a reader
+//! aborts rather than read an old value as valid.
 //!
 //! For write-hot keys where OCC retries burn more verbs than locks
 //! would, [`TxnClient::run_locked`] wraps the same four phases in

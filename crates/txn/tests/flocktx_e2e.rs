@@ -30,11 +30,16 @@ struct Cluster {
 }
 
 fn cluster() -> Cluster {
+    cluster_of(N_SERVERS)
+}
+
+/// `n` servers, each with its `TxnServer`, and a client node's handles.
+fn cluster_of(n: usize) -> Cluster {
     let domain = FlockDomain::with_defaults();
     let mut servers = Vec::new();
     let mut txn_servers = Vec::new();
     let mut stripe_region = 0;
-    for i in 0..N_SERVERS {
+    for i in 0..n {
         let node = domain.add_node(&format!("txn-srv-{i}"));
         let server =
             FlockServer::listen(&domain, &node, &format!("txn{i}"), ServerConfig::default());
@@ -46,7 +51,7 @@ fn cluster() -> Cluster {
         txn_servers.push(ts);
     }
     let client_node = domain.add_node("txn-client");
-    let handles: Vec<Arc<ConnectionHandle>> = (0..N_SERVERS)
+    let handles: Vec<Arc<ConnectionHandle>> = (0..n)
         .map(|i| {
             Arc::new(
                 ConnectionHandle::connect(
@@ -211,6 +216,8 @@ fn multi_partition_transaction() {
 /// A transaction that writes one key in each partition sends every
 /// server one Execute, one Log and one Commit: the Log phase sends one
 /// message per replica server, carrying every partition it backs up.
+/// `settle` then sends each server one fence, which proves its Commit
+/// applied.
 #[test]
 fn a_transaction_logs_once_per_replica_server() {
     let c = cluster();
@@ -220,9 +227,13 @@ fn a_transaction_logs_once_per_replica_server() {
     for &k in &keys {
         load(&c, k, &0u64.to_le_bytes());
     }
-    let requests = || -> Vec<u64> { c.servers.iter().map(|s| s.stats().requests.get()).collect() };
+    let handled = || -> Vec<u64> { c.servers.iter().map(|s| s.stats().requests.get()).collect() };
+    let sent = || -> Vec<u64> { c.handles.iter().map(|h| h.metrics().requests).collect() };
+    let since = |now: Vec<u64>, then: &[u64]| -> Vec<u64> {
+        now.iter().zip(then).map(|(a, b)| a - b).collect()
+    };
     let client = TxnClient::new(&c.handles);
-    let before = requests();
+    let (handled_before, sent_before) = (handled(), sent());
     let outcome = client
         .run(&[], &keys, |_| {
             keys.iter()
@@ -231,9 +242,15 @@ fn a_transaction_logs_once_per_replica_server() {
         })
         .unwrap();
     assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    assert_eq!(
+        since(sent(), &sent_before),
+        [3; N_SERVERS],
+        "requests per server"
+    );
     client.settle().unwrap();
-    let delta: Vec<u64> = requests().iter().zip(&before).map(|(a, b)| a - b).collect();
-    assert_eq!(delta, [3; N_SERVERS], "requests per server");
+    let fence = 1;
+    assert_eq!(since(sent(), &sent_before), [3 + fence; N_SERVERS]);
+    assert_eq!(since(handled(), &handled_before), [3 + fence; N_SERVERS]);
     for (s, ts) in c.txn_servers.iter().enumerate() {
         for &k in &keys {
             let p = key_partition(k, N_SERVERS);
@@ -985,9 +1002,9 @@ fn locked(ts: &TxnServer, key: u64) -> bool {
 /// applied. Right after `run` only that landing is promised: a backup
 /// applies its ring in order, later (a slow one well after `run`
 /// returns: `run_returns_before_a_slow_backup_applies_its_log`), with no
-/// further message. Until `settle` collects the Commits' acks the
+/// further message. Until `settle` proves the Commits applied the
 /// primary shows the old value, locked, so nobody can read it as valid;
-/// the next call finds it applied.
+/// the next call to it finds it applied.
 #[test]
 fn run_reports_the_commit_once_the_backups_hold_it() {
     flock_sim::vtime::VirtualLab::run(|| {
@@ -1078,13 +1095,15 @@ fn a_reader_after_the_commit_point_aborts_or_reads_the_new_value() {
     assert!(aborted > 0, "no read landed before a Commit was applied");
 }
 
-/// A transaction's trailing Commit acks are received by the client's
-/// next call, whatever it is: after a second `run`, read-only or on
-/// other servers, the first transaction's values are applied and
-/// unlocked, while the second's own Commit trails in turn; after
-/// `run_pipelined` nothing trails at all.
+/// A transaction's trailing Commits are proven applied by the client's
+/// next call that sends to their server: a read-only `run` on another
+/// server leaves k0's Commit trailing, one that executes on k0's server
+/// reads it applied and unlocked. A write's Log is posted and proves
+/// nothing, so a write to k2, whose backups include k0's server, leaves
+/// k0's next Commit trailing beside its own. After `run_pipelined`
+/// nothing trails at all.
 #[test]
-fn trailing_acks_never_outlive_the_next_call() {
+fn trailing_commits_never_outlive_the_next_call_to_their_server() {
     struct Writes(Vec<u64>);
     impl TxnLogic for Writes {
         fn next(&mut self) -> TxnSpec {
@@ -1114,27 +1133,48 @@ fn trailing_acks_never_outlive_the_next_call() {
         let applied =
             |k, value: &[u8]| primary(k).peek(k).unwrap() == value && !locked(primary(k), k);
         let client = TxnClient::new(&c.handles);
+        let trailing = || {
+            (0..N_SERVERS)
+                .map(|s| client.trailing(s))
+                .collect::<Vec<_>>()
+        };
         let write = |k, value: &[u8]| {
             let outcome = client.run(&[], &[k], |_| HashMap::from([(k, value.to_vec())]));
             assert!(matches!(outcome.unwrap(), TxnOutcome::Committed(_)));
         };
+        let read = |keys: &[u64]| {
+            let outcome = client.run(keys, &[], |_| HashMap::new()).unwrap();
+            let TxnOutcome::Committed(values) = outcome else {
+                panic!("a read of {keys:?} aborted");
+            };
+            values
+        };
 
         write(k0, b"first");
         assert!(!applied(k0, b"first"));
-        // A read-only call on another server collects k0's ack.
-        let outcome = client.run(&[k1], &[], |_| HashMap::new()).unwrap();
-        assert!(matches!(outcome, TxnOutcome::Committed(_)));
-        assert!(applied(k0, b"first"), "k0's Commit outlived the next call");
+        assert_eq!(trailing(), [1, 0, 0]);
+        read(&[k1]);
+        assert_eq!(trailing(), [1, 0, 0], "a call to server 1 took k0's Commit");
+        let values = read(&[k0]);
+        assert_eq!(values[&k0].as_deref(), Some(&b"first"[..]));
+        assert!(
+            applied(k0, b"first"),
+            "k0's Commit outlived a call to its server"
+        );
+        assert_eq!(trailing(), [0, 0, 0]);
 
         write(k0, b"second");
         write(k2, b"third");
-        assert!(applied(k0, b"second"), "k0's Commit outlived the next call");
-        assert!(!applied(k2, b"third"), "k2's own Commit trails");
+        assert_eq!(trailing(), [1, 0, 1]);
+        read(&[k0, k2]);
+        assert!(applied(k0, b"second") && applied(k2, b"third"));
+        assert_eq!(trailing(), [0, 0, 0]);
 
         let stats = client
             .run_pipelined(&mut Writes(vec![k1, k2]), 2, 4)
             .unwrap();
         assert!(stats.commits >= 4, "{stats:?}");
+        assert_eq!(trailing(), [0, 0, 0]);
         for k in [k1, k2] {
             assert!(
                 applied(k, b"piped"),
@@ -1146,55 +1186,328 @@ fn trailing_acks_never_outlive_the_next_call() {
     });
 }
 
-/// A Commit that is applied but answered with garbage: `run` has
-/// already reported the commit, so the error is the result of the call
-/// that collects the ack, the next `run` or `settle`, and the next
-/// transaction still settles its own locks first.
+/// Destroy `server`'s side of every lane `client` has to it: a write on
+/// them completes in error, and the client's QPs refuse every later post.
+fn break_lanes(domain: &FlockDomain, client: &flock_fabric::Node, server: &flock_fabric::Node) {
+    use flock_fabric::types::QpNum;
+    let mut broken = 0;
+    for qpn in 0..=client.qp_count() as u32 * 4 {
+        let Some((peer, remote)) = client.qp(QpNum(qpn)).and_then(|qp| qp.remote()) else {
+            continue;
+        };
+        if peer == server.id() {
+            broken += domain.fabric().node(peer).unwrap().destroy_qp(remote) as usize;
+        }
+    }
+    assert!(broken > 0, "no lane to {}", server.name());
+}
+
+/// A Commit whose posted write fails: `run` has already reported the
+/// commit, so the failed landing is the error of the call that collects
+/// it, the next call that sends to its server (or `settle`). A call to
+/// another server leaves it trailing. The primary never applied the
+/// Commit and keeps its key locked.
 #[test]
 fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
-    let domain = FlockDomain::with_defaults();
-    let node = domain.add_node("garbled-srv");
-    let server = FlockServer::listen(&domain, &node, "garbled-srv", ServerConfig::default());
+    flock_sim::vtime::VirtualLab::run(|| {
+        let domain = FlockDomain::with_defaults();
+        let nodes: Vec<_> = ["lost-a", "lost-b"]
+            .iter()
+            .map(|name| domain.add_node(name))
+            .collect();
+        let (servers, txn_servers): (Vec<_>, Vec<_>) = ["lost-a", "lost-b"]
+            .iter()
+            .zip(&nodes)
+            .enumerate()
+            .map(|(i, (name, node))| {
+                let server = FlockServer::listen(&domain, node, name, ServerConfig::default());
+                let idx = server.attach_mreg(1 << 12);
+                let ts = TxnServer::new(i, server.mem_region(idx).unwrap());
+                ts.register(&server);
+                (server, ts)
+            })
+            .unzip();
+        let client_node = domain.add_node("lost-client");
+        let handles: Vec<Arc<ConnectionHandle>> = ["lost-a", "lost-b"]
+            .iter()
+            .map(|name| {
+                let cfg = HandleConfig::default();
+                Arc::new(ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap())
+            })
+            .collect();
+        let [key_a, key_b] = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
+        txn_servers[0].load(key_a, b"old");
+        txn_servers[1].load(key_b, b"b");
+
+        let client = TxnClient::new(&handles);
+        let write = client.run(&[], &[key_a], |_| HashMap::from([(key_a, b"new".to_vec())]));
+        assert!(matches!(write, Ok(TxnOutcome::Committed(_))), "{write:?}");
+        // Before the Commit's write has left the client's NIC.
+        break_lanes(&domain, &client_node, &nodes[0]);
+        let elsewhere = client.run(&[key_b], &[], |_| HashMap::new());
+        assert!(
+            matches!(elsewhere, Ok(TxnOutcome::Committed(_))),
+            "{elsewhere:?}"
+        );
+        assert_eq!(client.trailing(0), 1);
+        let collecting = client.run(&[key_a], &[], |_| HashMap::new());
+        let completion =
+            flock_core::FlockError::RemoteOpFailed("request write completed with error status");
+        assert_eq!(collecting, Err(completion));
+        assert_eq!(client.trailing(0), 0);
+        client.settle().unwrap();
+        assert_eq!(txn_servers[0].peek(key_a).unwrap(), b"old");
+        assert!(locked(&txn_servers[0], key_a), "the lost Commit unlocked");
+        drop((client, handles));
+        for s in &servers {
+            s.shutdown(&domain);
+        }
+    });
+}
+
+/// A transaction decided at its commit point is never aborted: on six
+/// servers it writes partitions 0, 3 and 4, whose backups leave server 3
+/// out, and `compute` stops the handle to server 3 before the Log
+/// phase. Every Log lands, the Commit to server 3 cannot be sent, and
+/// the Commits to 0 and 4 still go out: `run` returns the send's error,
+/// primaries 0 and 4 hold the new values and server 3 keeps its key
+/// locked (a lease's to free, ROADMAP item 16). An Abort to the
+/// primaries after the failed send used to unlock 4's old value.
+#[test]
+fn a_commit_that_cannot_be_sent_aborts_no_other_primary() {
+    const N: usize = 6;
+    let mut c = cluster_of(N);
+    let key = |p| (0..).find(|&k| key_partition(k, N) == p).unwrap();
+    let keys = [0, 3, 4].map(key);
+    for &k in &keys {
+        c.txn_servers[key_partition(k, N)].load(k, b"old");
+    }
+    let backups: Vec<usize> = [0, 3, 4]
+        .iter()
+        .flat_map(|&p| flock_txn::protocol::replicas_of(p, N))
+        .collect();
+    assert!(
+        !backups.contains(&3),
+        "server 3 backs up a written partition"
+    );
+    let client = TxnClient::new(&c.handles);
+    let mut stopped = Arc::into_inner(c.handles.remove(3)).expect("the only owner");
+    let outcome = client.run(&[], &keys, |_| {
+        stopped.shutdown();
+        keys.iter().map(|&k| (k, b"new".to_vec())).collect()
+    });
+    assert_eq!(outcome, Err(flock_core::FlockError::Disconnected));
+    client.settle().unwrap();
+    for (p, k) in [(0, keys[0]), (4, keys[2])] {
+        let primary = &c.txn_servers[p];
+        assert_eq!(primary.peek(k).unwrap(), b"new", "primary {p}");
+        assert!(!locked(primary, k), "primary {p} left locked");
+    }
+    assert_eq!(c.txn_servers[3].peek(keys[1]).unwrap(), b"old");
+    assert!(locked(&c.txn_servers[3], keys[1]), "server 3 was unlocked");
+    drop(client);
+    teardown(c);
+}
+
+/// `run_pipelined` at width 3: three transactions write server 0, then
+/// the rest write servers 1 and 2 in turn. An Execute takes the trailing
+/// Commits of its own server only, so server 0's three stay trailing
+/// while the run goes on elsewhere, and no server ever has more than
+/// `width` trailing. The run settles them all before it returns.
+#[test]
+fn at_most_width_commits_trail_per_server() {
+    const WIDTH: usize = 3;
+    struct Spread<'a> {
+        client: &'a TxnClient,
+        keys: [Vec<u64>; N_SERVERS],
+        started: usize,
+        /// The most trailing Commits seen per server.
+        most: [usize; N_SERVERS],
+    }
+    impl TxnLogic for Spread<'_> {
+        fn next(&mut self) -> TxnSpec {
+            for (s, most) in self.most.iter_mut().enumerate() {
+                *most = (*most).max(self.client.trailing(s));
+            }
+            let server = if self.started < WIDTH {
+                0
+            } else {
+                1 + self.started % 2
+            };
+            let key = self.keys[server][self.started % WIDTH];
+            self.started += 1;
+            TxnSpec {
+                reads: vec![],
+                writes: vec![key],
+                kind: "spread",
+            }
+        }
+        fn compute(
+            &mut self,
+            spec: &TxnSpec,
+            _: &HashMap<u64, Option<Vec<u8>>>,
+        ) -> HashMap<u64, Vec<u8>> {
+            spec.writes.iter().map(|&k| (k, b"new".to_vec())).collect()
+        }
+    }
+
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let keys = [0, 1, 2].map(|p| keys_of(p, WIDTH));
+        for &k in keys.iter().flatten() {
+            load(&c, k, b"old");
+        }
+        let client = TxnClient::new(&c.handles);
+        let mut spread = Spread {
+            client: &client,
+            keys: keys.clone(),
+            started: 0,
+            most: [0; N_SERVERS],
+        };
+        let stats = client.run_pipelined(&mut spread, WIDTH, 60).unwrap();
+        assert!(stats.commits >= 60, "{stats:?}");
+        let most = spread.most;
+        assert_eq!(most[0], WIDTH, "server 0's Commits, {most:?}");
+        assert!(most.iter().all(|&m| m <= WIDTH), "{most:?}");
+        for (p, keys) in keys.iter().enumerate() {
+            assert_eq!(client.trailing(p), 0);
+            for &k in keys {
+                assert_eq!(c.txn_servers[p].peek(k).unwrap(), b"new");
+                assert!(!locked(&c.txn_servers[p], k), "key {k} left locked");
+            }
+        }
+        drop(client);
+        teardown(c);
+    });
+}
+
+/// What a slow Execute handler charges. A shard answers a request at
+/// the start of its step and is busy with the charge after it, so the
+/// Log and Commit behind an Execute on its lane are applied that much
+/// later, while `run` returns once they have landed.
+const SLOW_EXECUTE_NS: u64 = 200_000;
+
+/// One server that is its own backup and whose Execute handler keeps
+/// its dispatch shard busy for [`SLOW_EXECUTE_NS`], a handle of `cfg`'s
+/// lanes to it, and a client whose thread sits on lane 1 (a first
+/// thread, handed to `between`, holds lane 0). The client writes
+/// `b"new"` over key 1, and `between` runs while that Commit trails,
+/// not yet applied: `settle` must then leave the key applied and
+/// unlocked at once. Returns each lane's requests after the write and
+/// after `settle`, and the lane of the client's next call.
+fn a_commit_trailing_on_lane_1(
+    domain: FlockDomain,
+    scfg: ServerConfig,
+    cfg: HandleConfig,
+    between: impl FnOnce(&ConnectionHandle, &flock_core::FlThread),
+) -> ([Vec<u64>; 2], usize) {
+    use flock_sync::clock;
+    let node = domain.add_node("slow-srv");
+    let server = FlockServer::listen(&domain, &node, "slow", scfg);
     let idx = server.attach_mreg(1 << 12);
     let ts = TxnServer::new(0, server.mem_region(idx).unwrap());
     ts.register(&server);
-    let state = Arc::clone(&ts);
-    server.reg_handler(flock_txn::protocol::RPC_COMMIT, move |req| {
-        state.handle(&flock_txn::TxnRpc::decode(req).unwrap());
-        vec![0xFF]
+    let primary = Arc::clone(&ts);
+    server.reg_handler(flock_txn::protocol::RPC_EXECUTE, move |req| {
+        clock::charge(SLOW_EXECUTE_NS);
+        primary
+            .handle(&flock_txn::TxnRpc::decode(req).unwrap())
+            .encode()
     });
-    let client_node = domain.add_node("garbled-client");
-    let cfg = HandleConfig::default();
-    let handles = [Arc::new(
-        ConnectionHandle::connect(&domain, &client_node, "garbled-srv", cfg).unwrap(),
-    )];
-    ts.load(1, b"one");
-    ts.load(2, b"two");
+    server.reg_handler(RPC_SINK, |_| Vec::new());
+    let client_node = domain.add_node("slow-client");
+    let handle = Arc::new(ConnectionHandle::connect(&domain, &client_node, "slow", cfg).unwrap());
+    let first = handle.register_thread();
+    let client = TxnClient::new(std::slice::from_ref(&handle));
+    ts.load(1, b"old");
+    let lanes = || -> Vec<u64> { handle.metrics().per_qp.iter().map(|q| q.requests).collect() };
 
-    let client = TxnClient::new(&handles);
-    let write = |value: &[u8]| client.run(&[], &[1], |_| HashMap::from([(1, value.to_vec())]));
-    assert!(matches!(write(b"a").unwrap(), TxnOutcome::Committed(_)));
-    let err = client.run(&[], &[2], |_| HashMap::from([(2, b"b".to_vec())]));
+    let outcome = client.run(&[], &[1], |_| HashMap::from([(1, b"new".to_vec())]));
     assert!(
-        matches!(err, Err(flock_core::FlockError::CorruptMessage(_))),
-        "{err:?}"
+        matches!(outcome, Ok(TxnOutcome::Committed(_))),
+        "{outcome:?}"
     );
-    assert_eq!(
-        ts.peek(2).unwrap(),
-        b"two",
-        "the collecting transaction committed"
-    );
-    assert!(!locked(&ts, 2), "the collecting transaction left its lock");
-    assert!(matches!(write(b"c").unwrap(), TxnOutcome::Committed(_)));
-    let err = client.settle();
-    assert!(
-        matches!(err, Err(flock_core::FlockError::CorruptMessage(_))),
-        "{err:?}"
-    );
-    assert_eq!(ts.peek(1).unwrap(), b"c");
+    let written = lanes();
+    between(&handle, &first);
+    assert!(locked(&ts, 1), "the Commit was applied before settle");
     client.settle().unwrap();
-    drop(client);
+    assert_eq!(ts.peek(1).unwrap(), b"new");
+    assert!(
+        !locked(&ts, 1),
+        "settle returned before the Commit was applied"
+    );
+    let settled = lanes();
+    client.run(&[1], &[], |_| HashMap::new()).unwrap();
+    let next = (0..settled.len())
+        .find(|&lane| lanes()[lane] > settled[lane])
+        .expect("the next call sent a request");
+    drop((client, first, handle));
     server.shutdown(&domain);
+    ([written, settled], next)
+}
+
+/// A request the server answers with nothing.
+const RPC_SINK: u32 = 98;
+
+/// The client's thread scheduler moves the coordinator's thread while its
+/// Commit trails on lane 1: the first thread posts one large request, so
+/// the next pass puts the small-request thread on lane 0 (size classes
+/// apart, paper §5.2). The untaken landing keeps the thread on lane 1, so
+/// `settle`'s fence goes out there, behind the Commit; the next call,
+/// with nothing outstanding, moves to lane 0.
+#[test]
+fn settle_proves_a_commit_applied_after_the_thread_was_retargeted() {
+    let ([written, settled], next) = flock_sim::vtime::VirtualLab::run(|| {
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 2;
+        cfg.eager_qps = true;
+        cfg.sched_interval = std::time::Duration::from_micros(20);
+        let domain = FlockDomain::with_defaults();
+        a_commit_trailing_on_lane_1(domain, ServerConfig::default(), cfg, |_, first| {
+            first
+                .recv_res(first.post_rpc(RPC_SINK, &[0; 2048]).unwrap())
+                .unwrap();
+            flock_sync::clock::sleep_ns(60_000);
+        })
+    });
+    assert_eq!(written, [0, 3], "Execute, Log and Commit on lane 1");
+    assert_eq!(settled, [1, 4], "the fence on lane 1");
+    assert_eq!(next, 0, "the thread was not retargeted");
+}
+
+/// A Commit trailing on a lane the server deactivates: `max_aqp` 2
+/// against three lanes, and a grant nobody uses up, so the first
+/// redistribution leaves the client lane 0 alone and lane 1 drains. The
+/// coordinator's thread stays on it, and the fence goes out without
+/// credits, as a resident of a draining lane sends.
+#[test]
+fn settle_proves_a_commit_applied_on_a_draining_lane() {
+    let ([written, settled], next) = flock_sim::vtime::VirtualLab::run(|| {
+        let mut fab = flock_fabric::FabricConfig::default();
+        fab.cost.ctrl_create_qp_ns = 0;
+        fab.cost.ctrl_reg_mr_base_ns = 0;
+        fab.cost.ctrl_reg_mr_ns_per_kb = 0;
+        let mut scfg = ServerConfig::default();
+        scfg.sched.max_aqp = 2;
+        scfg.sched.grant_size = 1 << 20;
+        scfg.sched_interval = std::time::Duration::from_micros(50);
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 3;
+        cfg.eager_qps = true;
+        let domain = FlockDomain::new(fab);
+        a_commit_trailing_on_lane_1(domain, scfg, cfg, |handle, _| {
+            for _ in 0..100 {
+                if !handle.metrics().per_qp[1].active {
+                    return;
+                }
+                flock_sync::clock::sleep_ns(1_000);
+            }
+            panic!("lane 1 still active after 100 µs");
+        })
+    });
+    assert_eq!(written, [0, 3, 0], "Execute, Log and Commit on lane 1");
+    assert_eq!(settled, [0, 4, 0], "the fence on lane 1");
+    assert_ne!(next, 1, "the thread stayed on the drained lane");
 }
 
 /// One key on each server's partition.

@@ -128,7 +128,7 @@ fn tatp_over_threaded_flocktx() {
     }
     assert!(commits > 100, "commits={commits} aborts={aborts}");
     assert!(reads > 0);
-    // The last commit's acks trail; collect them while the servers run.
+    // The last commits trail; settle them while the servers run.
     client.settle().unwrap();
     for s in &servers {
         s.shutdown(&domain);
