@@ -384,27 +384,21 @@ impl Txn {
     /// send to stay trailing.
     fn execute(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Execute;
-        let (mut sent, mut unsent) = (Ok(()), usize::MAX);
+        let mut trailing = client.trailing.borrow_mut();
+        // Landings ahead of the Executes: `run` blocks in list order, so
+        // a failed landing is the error it reports.
+        let mut landings = 0;
         for (&server, g) in &self.groups {
             let wait = client.send(server, RPC_EXECUTE, |buf| {
                 put_execute(buf, self.id, &g.reads, &g.writes)
-            });
-            match wait {
-                Ok(wait) => self.outstanding.push(wait),
-                Err(e) => {
-                    (sent, unsent) = (Err(e), server);
-                    break;
-                }
+            })?;
+            self.outstanding.push(wait);
+            for landing in trailing.extract_if(.., |w| w.server == server) {
+                self.outstanding.insert(landings, landing);
+                landings += 1;
             }
         }
-        // Landings first, in issue order: `run` blocks in list order.
-        let executes = self.outstanding.len();
-        let groups = &self.groups;
-        let behind = |w: &mut Wait| w.server < unsent && groups.contains_key(&w.server);
-        let mut trailing = client.trailing.borrow_mut();
-        self.outstanding.extend(trailing.extract_if(.., behind));
-        self.outstanding.rotate_left(executes);
-        sent
+        Ok(())
     }
 
     /// Phase 2: one-sided reads of the version words recorded at

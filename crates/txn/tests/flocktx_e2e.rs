@@ -1202,20 +1202,22 @@ fn break_lanes(domain: &FlockDomain, client: &flock_fabric::Node, server: &flock
     assert!(broken > 0, "no lane to {}", server.name());
 }
 
-/// A Commit whose posted write fails: `run` has already reported the
-/// commit, so the failed landing is the error of the call that collects
-/// it, the next call that sends to its server (or `settle`). A call to
-/// another server leaves it trailing. The primary never applied the
-/// Commit and keeps its key locked.
-#[test]
-fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
+/// Two servers, "lost-a" and "lost-b", with `keys[p]` of partition `p`
+/// loaded as "a" and "b", and a client to both, in the virtual-time lab.
+struct TwoServers {
+    domain: FlockDomain,
+    nodes: Vec<Arc<flock_fabric::Node>>,
+    client_node: Arc<flock_fabric::Node>,
+    txn_servers: Vec<Arc<TxnServer>>,
+    keys: [u64; 2],
+}
+
+fn with_two_servers(body: impl FnOnce(&TwoServers, &TxnClient)) {
     flock_sim::vtime::VirtualLab::run(|| {
         let domain = FlockDomain::with_defaults();
-        let nodes: Vec<_> = ["lost-a", "lost-b"]
-            .iter()
-            .map(|name| domain.add_node(name))
-            .collect();
-        let (servers, txn_servers): (Vec<_>, Vec<_>) = ["lost-a", "lost-b"]
+        let names = ["lost-a", "lost-b"];
+        let nodes: Vec<_> = names.iter().map(|name| domain.add_node(name)).collect();
+        let (servers, txn_servers): (Vec<_>, Vec<_>) = names
             .iter()
             .zip(&nodes)
             .enumerate()
@@ -1228,40 +1230,92 @@ fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
             })
             .unzip();
         let client_node = domain.add_node("lost-client");
-        let handles: Vec<Arc<ConnectionHandle>> = ["lost-a", "lost-b"]
+        let handles: Vec<Arc<ConnectionHandle>> = names
             .iter()
             .map(|name| {
                 let cfg = HandleConfig::default();
                 Arc::new(ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap())
             })
             .collect();
-        let [key_a, key_b] = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
-        txn_servers[0].load(key_a, b"old");
-        txn_servers[1].load(key_b, b"b");
-
+        let keys = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
+        txn_servers[0].load(keys[0], b"a");
+        txn_servers[1].load(keys[1], b"b");
         let client = TxnClient::new(&handles);
+        let t = TwoServers {
+            domain,
+            nodes,
+            client_node,
+            txn_servers,
+            keys,
+        };
+        body(&t, &client);
+        drop((client, handles));
+        for s in &servers {
+            s.shutdown(&t.domain);
+        }
+    });
+}
+
+/// The error of a posted write whose lane `break_lanes` destroyed.
+const LOST_WRITE: flock_core::FlockError =
+    flock_core::FlockError::RemoteOpFailed("request write completed with error status");
+
+/// A Commit whose posted write fails: `run` has already reported the
+/// commit, so the failed landing is the error of the call that collects
+/// it, the next call that sends to its server (or `settle`). A call to
+/// another server leaves it trailing. The collecting transaction, which
+/// also writes the other server, commits nothing there and releases its
+/// lock. The primary never applied the Commit and keeps its key locked.
+#[test]
+fn a_trailing_commit_error_is_returned_by_the_call_that_collects_it() {
+    with_two_servers(|t, client| {
+        let [key_a, key_b] = t.keys;
         let write = client.run(&[], &[key_a], |_| HashMap::from([(key_a, b"new".to_vec())]));
         assert!(matches!(write, Ok(TxnOutcome::Committed(_))), "{write:?}");
         // Before the Commit's write has left the client's NIC.
-        break_lanes(&domain, &client_node, &nodes[0]);
+        break_lanes(&t.domain, &t.client_node, &t.nodes[0]);
         let elsewhere = client.run(&[key_b], &[], |_| HashMap::new());
         assert!(
             matches!(elsewhere, Ok(TxnOutcome::Committed(_))),
             "{elsewhere:?}"
         );
         assert_eq!(client.trailing(0), 1);
-        let collecting = client.run(&[key_a], &[], |_| HashMap::new());
-        let completion =
-            flock_core::FlockError::RemoteOpFailed("request write completed with error status");
-        assert_eq!(collecting, Err(completion));
+        let collecting = client.run(&[key_a], &[key_b], |_| {
+            HashMap::from([(key_b, b"collected".to_vec())])
+        });
+        assert_eq!(collecting, Err(LOST_WRITE));
         assert_eq!(client.trailing(0), 0);
         client.settle().unwrap();
-        assert_eq!(txn_servers[0].peek(key_a).unwrap(), b"old");
-        assert!(locked(&txn_servers[0], key_a), "the lost Commit unlocked");
-        drop((client, handles));
-        for s in &servers {
-            s.shutdown(&domain);
-        }
+        let b = &t.txn_servers[1];
+        assert_eq!(
+            b.peek(key_b).unwrap(),
+            b"b",
+            "the collecting call committed"
+        );
+        assert!(!locked(b, key_b), "the collecting call left its lock");
+        assert_eq!(t.txn_servers[0].peek(key_a).unwrap(), b"a");
+        assert!(locked(&t.txn_servers[0], key_a), "the lost Commit unlocked");
+    });
+}
+
+/// `settle` returns the error of a trailing Commit whose posted write
+/// fails, and takes its landing all the same.
+#[test]
+fn settle_returns_a_trailing_commit_error() {
+    with_two_servers(|t, client| {
+        let key_a = t.keys[0];
+        let write = client.run(&[], &[key_a], |_| HashMap::from([(key_a, b"new".to_vec())]));
+        assert!(matches!(write, Ok(TxnOutcome::Committed(_))), "{write:?}");
+        break_lanes(&t.domain, &t.client_node, &t.nodes[0]);
+        assert_eq!(client.trailing(0), 1);
+        let settled = client.settle();
+        assert!(
+            matches!(settled, Err(flock_core::FlockError::RemoteOpFailed(_))),
+            "{settled:?}"
+        );
+        assert_eq!(client.trailing(0), 0);
+        assert_eq!(t.txn_servers[0].peek(key_a).unwrap(), b"a");
+        assert!(locked(&t.txn_servers[0], key_a), "the lost Commit unlocked");
     });
 }
 
