@@ -419,10 +419,11 @@ struct InterferenceRun {
 fn interference_run(w: TenantWorkload, mode: AggrMode) -> (InterferenceRun, LabCost) {
     lab::run(move || {
         let mut scfg = ServerConfig::default();
-        // One dispatch worker per connection, so the LPT re-cut after a
-        // cap change can fully separate the aggressor's connection from
-        // the victims' (with fewer workers, some victim always shares a
-        // worker with the aggressor's deep coalesced batches).
+        // One dispatch worker per connection: seeded round-robin, the
+        // aggressor's connection has a worker of its own, and no re-cut
+        // by requests served is lighter (with fewer workers, some victim
+        // always shares a worker with the aggressor's deep coalesced
+        // batches).
         scfg.dispatch_threads = 4;
         scfg.sched.max_aqp = w.max_aqp;
         scfg.sched_interval = Duration::from_micros(100);

@@ -3,7 +3,7 @@
 //! scheduler with credit renewal over write-with-imm (§5.1, §7).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,7 +90,7 @@ struct ServerQpCtx {
     link: Link,
     /// What the QP scheduler decided for the lane and how far the client
     /// has followed (paper §5.1/§5.2). On the shared context, so it
-    /// survives a shard's `snapshot_partition`. An active or draining
+    /// moves with the lane from shard to shard. An active or draining
     /// lane is visited on every sweep; a silent one — the client posted
     /// its [`FLAG_DRAINED`] marker and sends nothing until the next
     /// grant — is skipped outright, so at high connection counts (QPs ≫
@@ -99,10 +99,33 @@ struct ServerQpCtx {
     /// Visits of the lane's dispatch shard in sweeps that could find
     /// something ([`FlockServer::lane_probes`]).
     probes: Counter,
+    /// Some dispatch shard polls the lane. A lane that moves is claimed
+    /// by its new shard only once the old one settled it and let it go,
+    /// so the server handles a lane's messages in ring order even across
+    /// a re-cut.
+    held: AtomicBool,
+}
+
+impl ServerQpCtx {
+    /// Take the lane for a shard's sweeps: `false` while another shard
+    /// still holds it.
+    fn claim(&self) -> bool {
+        let free = self
+            .held
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
+        free.is_ok()
+    }
+
+    /// Hand the settled lane on to whichever shard claims it next.
+    fn let_go(&self) {
+        self.held.store(false, Ordering::Release);
+    }
 }
 
 struct ServerConn {
-    sender_id: u32,
+    /// Requests the connection's lanes served since the scheduling task
+    /// last weighed the dispatch partition (`rebalance_dispatch`).
+    served: Counter,
     /// The tenant's shared counter block, cloned out of the scheduler's
     /// registry at accept time so the dispatch hot path bumps per-tenant
     /// issued/completed statistics without any lock.
@@ -137,7 +160,7 @@ struct Topology {
     /// Indexed by sender id; `None` once the connection departed.
     slots: Vec<Option<ConnRecord>>,
     /// Slot → dispatch shard. Seeded round-robin at accept time and
-    /// re-cut by the QP scheduler using active-QP weights (see
+    /// re-cut by the scheduling task by requests served (see
     /// `rebalance_dispatch`).
     assign: Vec<usize>,
     /// Server QPN → (slot, lane), for the credit immediates.
@@ -201,6 +224,9 @@ pub struct ServerStats {
     /// (retried on the lane's later visits, until they fit or
     /// `cfg.timeout` drops them).
     pub response_ring_full: Counter,
+    /// Dispatch partitions the scheduling task re-cut
+    /// (`rebalance_dispatch`).
+    pub dispatch_recuts: Counter,
 }
 
 impl ServerStats {
@@ -234,10 +260,11 @@ struct ServerInner {
     acked: Event,
     /// One doorbell per dispatch shard, which an idle shard blocks on
     /// (in the lab: is parked on). The NIC rings it after every write
-    /// into a request ring of the shard's snapshot (`snapshot_partition`
+    /// into a request ring of the shard's snapshot (`DispatchShard::adopt`
     /// installs it), and the server after every other change an idle
     /// sweep looks at: a new topology generation, a silent lane
-    /// reactivated, the stop ([`ServerInner::ring_shards`]).
+    /// reactivated, a moved lane let go, the stop
+    /// ([`ServerInner::ring_shards`]).
     doorbells: Vec<Arc<Event>>,
     qp_sched: Mutex<QpScheduler>,
     mem_mrs: RwLock<Vec<Arc<MemoryRegion>>>,
@@ -610,6 +637,7 @@ fn build_server_lane(
         link,
         gate: LaneGate::default(),
         probes: Counter::default(),
+        held: AtomicBool::new(false),
     }))
 }
 
@@ -667,15 +695,15 @@ fn accept_one(inner: &Arc<ServerInner>, req: &ConnectRequest) -> Result<ConnectR
     };
     topo.slots.push(Some(ConnRecord {
         conn: Arc::new(ServerConn {
-            sender_id,
+            served: Counter::default(),
             counters,
             send_cq,
         }),
         lanes,
         mem_qps: Vec::new(),
     }));
-    // Seed the new connection's dispatcher round-robin; the QP scheduler
-    // rebalances by active-QP weight as traffic develops.
+    // Seed the new connection's dispatcher round-robin; the scheduling
+    // task re-cuts by requests served as traffic develops.
     topo.assign.push(slot % inner.doorbells.len());
     inner.publish(&mut topo);
     drop(topo);
@@ -808,8 +836,6 @@ fn detach_one(inner: &Arc<ServerInner>, sender_id: u32) -> Result<()> {
     for qp in &record.mem_qps {
         inner.node.release_qp(qp);
     }
-    // Re-cut the dispatcher partition without the departed connection.
-    rebalance_dispatch(inner);
     Ok(())
 }
 
@@ -859,6 +885,43 @@ struct Lane {
     /// Drain epoch of a [`FLAG_DRAINED`] marker handled this visit,
     /// applied to the lane's gate when the visit ends (`finish_drain`).
     marker: Option<u16>,
+    /// This shard holds the lane ([`ServerQpCtx::claim`]); until it does,
+    /// its sweeps pass the lane by.
+    claimed: bool,
+}
+
+impl Lane {
+    /// Fresh state for lane `qp_idx` of connection slot `conn_idx`.
+    fn new(conn_idx: usize, qp_idx: usize, qp: &Arc<ServerQpCtx>) -> Lane {
+        Lane {
+            conn_idx,
+            qp_idx,
+            qp: Arc::clone(qp),
+            ahead: Vec::new(),
+            pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
+            pending_bytes: 0,
+            full_until: None,
+            marker: None,
+            claimed: false,
+        }
+    }
+
+    /// Nothing read ahead, nothing deferred: the lane may go to another
+    /// shard.
+    fn is_settled(&self) -> bool {
+        self.ahead.is_empty() && self.pending.is_empty()
+    }
+}
+
+/// A connection of a shard's partition, with the shard's state of each
+/// of its lanes.
+struct ShardConn {
+    slot: usize,
+    conn: Arc<ServerConn>,
+    lanes: Vec<Lane>,
+    /// The last adoption found the connection gone from this shard
+    /// (re-cut to another, or departed): its lanes settle, then go.
+    leaving: bool,
 }
 
 /// One request-dispatcher worker: polls the request rings of the
@@ -869,14 +932,14 @@ struct Lane {
 /// With `cfg.dispatch_threads == 1` a single worker owns every
 /// connection — the seed's single-dispatcher behaviour. With more
 /// workers each owns a disjoint partition of connections, re-cut by the
-/// QP scheduler as active-QP weights shift (`rebalance_dispatch`).
+/// scheduling task as the requests served shift (`rebalance_dispatch`).
 struct DispatchShard {
     inner: Arc<ServerInner>,
     worker: usize,
     /// The shard's partition and handler table as of topology generation
-    /// `seen`: a sweep takes no lock, and comes back to the topology only
-    /// when the generation moves.
-    conns: Vec<(Arc<ServerConn>, Vec<Lane>)>,
+    /// `seen`, in slot order: a sweep takes no lock, and comes back to
+    /// the topology only when the generation moves.
+    conns: Vec<ShardConn>,
     handlers: Arc<HashMap<u32, Handler>>,
     seen: u64,
     /// Send-CQ drain scratch: batched poll, one sync edge per sweep.
@@ -914,17 +977,85 @@ impl DispatchShard {
         flock_sync::AdaptiveBackoff::new().with_virtual_cap(1_000)
     }
 
-    /// The "no request on a silent lane" oracle over this worker's
-    /// snapshot, whose lanes only this worker silences: when it settles
-    /// the snapshot and when the server stops (`detach_one` checks a
-    /// departing connection's lanes itself).
+    /// The "no request on a silent lane" oracle over the lanes this
+    /// worker holds, which only it silences: when it adopts a generation
+    /// and when the server stops (`detach_one` checks a departing
+    /// connection's lanes itself).
     #[cfg(debug_assertions)]
     fn assert_silent_lanes_are_empty(&self) {
-        for (_, lanes) in &self.conns {
-            lanes
-                .iter()
-                .for_each(|lane| assert_silent_is_empty(&lane.qp));
+        let lanes = self.conns.iter().flat_map(|c| &c.lanes);
+        let held = lanes.filter(|lane| lane.claimed);
+        held.for_each(|lane| assert_silent_is_empty(&lane.qp));
+    }
+
+    /// Fold the current topology generation in. The state of every lane
+    /// that stays on this shard is kept; a lane that leaves is settled
+    /// first — its read-ahead message handled, its deferred responses
+    /// flushed — then let go to the shard it moved to; a lane that
+    /// arrives starts fresh and is polled once its old shard let it go.
+    /// `false`, the old partition kept for another sweep, while a full
+    /// response ring still holds a leaving lane's responses back (or the
+    /// topology moved again while the leaving lanes settled).
+    fn adopt(&mut self) -> bool {
+        if self.try_adopt() {
+            return true;
         }
+        let inner = &*self.inner;
+        let mut settled = true;
+        for c in self.conns.iter_mut().filter(|c| c.leaving) {
+            for lane in &mut c.lanes {
+                settled &= settle_lane(inner, &self.handlers, &c.conn, lane);
+            }
+        }
+        settled && self.try_adopt()
+    }
+
+    /// One pass of [`DispatchShard::adopt`] under the topology lock: mark
+    /// the connections that leave, and adopt the generation if their
+    /// lanes are settled.
+    fn try_adopt(&mut self) -> bool {
+        let inner = &*self.inner;
+        let mut topo = inner.topology.lock();
+        self.handlers = Arc::clone(&topo.handlers);
+        let mut unsettled = false;
+        for c in &mut self.conns {
+            c.leaving = topo.assign[c.slot] != self.worker || topo.record(c.slot).is_none();
+            unsettled |= c.leaving && !c.lanes.iter().all(Lane::is_settled);
+        }
+        if unsettled {
+            return false;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_silent_lanes_are_empty();
+        let mut released = false;
+        self.conns.retain(|c| {
+            for lane in c.lanes.iter().filter(|lane| c.leaving && lane.claimed) {
+                lane.qp.let_go();
+                released = true;
+            }
+            !c.leaving
+        });
+        self.conns = partition(&topo, self.worker, std::mem::take(&mut self.conns));
+        let bell = &inner.doorbells[self.worker];
+        for lane in self.conns.iter_mut().flat_map(|c| &mut c.lanes) {
+            // Installed before the sweep that follows reads the ring, so a
+            // write that lands while the partition is being re-cut rings
+            // whichever shard polls the ring next.
+            lane.qp.link.set_doorbell(bell);
+            lane.claimed = lane.claimed || lane.qp.claim();
+        }
+        self.seen = topo.gen;
+        // Quiescence ack: no departed lane is referenced by this shard's
+        // snapshot and none of its responses is still deferred here, so
+        // `detach_one` may recycle them.
+        topo.acked[self.worker] = topo.gen;
+        drop(topo);
+        inner.acked.notify_all();
+        if released {
+            // The shards the lanes moved to pass them by until now.
+            inner.ring_shards();
+        }
+        true
     }
 
     /// One sweep over the partition. A busy sweep asks for `Next::Again`,
@@ -935,12 +1066,10 @@ impl DispatchShard {
     /// shard's doorbell until something it looks at changes, or the
     /// earliest deferral's timeout passes.
     fn step(&mut self) -> Next {
-        let inner = &*self.inner;
-        let bell = &inner.doorbells[self.worker];
         // Before anything the sweep looks at: whatever changes after this
         // read rings the doorbell again.
-        let seen = bell.epoch();
-        if inner.stop.is_set() {
+        let seen = self.inner.doorbells[self.worker].epoch();
+        if self.inner.stop.is_set() {
             #[cfg(debug_assertions)]
             self.assert_silent_lanes_are_empty();
             return Next::Done;
@@ -952,42 +1081,15 @@ impl DispatchShard {
         // The last instant at which this sweep, repeated, still finds
         // nothing.
         let mut deadline_ns = u64::MAX;
-        if inner.generation.load(Ordering::Acquire) != self.seen {
-            // Settle before leaving: the new snapshot starts with empty
-            // lane state, so every read-ahead message is handled and
-            // every deferred response flushed under the old one — which
-            // stays for another sweep while a full response ring still
-            // holds some back.
-            let mut settled = true;
-            for (conn, lanes) in self.conns.iter_mut() {
-                for lane in lanes.iter_mut() {
-                    settled &= settle_lane(inner, &self.handlers, conn, lane);
-                }
-            }
-            #[cfg(debug_assertions)]
-            if settled {
-                self.assert_silent_lanes_are_empty();
-            }
-            let mut topo = inner.topology.lock();
-            self.handlers = Arc::clone(&topo.handlers);
-            if settled {
-                self.conns = snapshot_partition(&topo, bell, self.worker);
-                self.seen = topo.gen;
-                // Quiescence ack: no departed lane is referenced by this
-                // shard's snapshot and none of its responses is still
-                // deferred here, so `detach_one` may recycle them.
-                topo.acked[self.worker] = topo.gen;
-                drop(topo);
-                inner.acked.notify_all();
-            } else {
-                // Another shard may have taken over these lanes'
-                // doorbells: poll every round until this one lets go.
-                deadline_ns = clock::now_ns();
-            }
+        if self.inner.generation.load(Ordering::Acquire) != self.seen && !self.adopt() {
+            // Another shard may have taken over the leaving lanes'
+            // doorbells: poll every round until this one lets go.
+            deadline_ns = clock::now_ns();
         }
+        let inner = &*self.inner;
         let mut progressed = false;
         let (mut visited, mut draining) = (0, 0);
-        for (conn, lanes) in self.conns.iter_mut() {
+        for ShardConn { conn, lanes, .. } in self.conns.iter_mut() {
             // Drain signaled response-write completions for the whole
             // connection in one batched sweep (the send CQ is shared by
             // the connection's QPs).
@@ -996,6 +1098,14 @@ impl DispatchShard {
                 conn.send_cq.poll(&mut self.drained, usize::MAX);
             }
             for lane in lanes.iter_mut() {
+                // A lane another shard still holds is passed by: that
+                // shard rings this one when it lets go.
+                if !lane.claimed {
+                    if !lane.qp.claim() {
+                        continue;
+                    }
+                    lane.claimed = true;
+                }
                 // A silent lane's client sends nothing until the next
                 // grant, and the gate is active again before that grant
                 // is written: nothing to find, unless deferred responses
@@ -1033,43 +1143,31 @@ impl DispatchShard {
     }
 }
 
-/// Worker `worker`'s share of the live connections, each with fresh
-/// (empty) lane state, the worker's doorbell `bell` installed on every
-/// request ring — before the sweep that follows reads any of them, so a
-/// write that lands while the partition is being re-cut rings whichever
-/// shard polls the ring next. The only place lane buffers are allocated.
-fn snapshot_partition(
-    topo: &Topology,
-    bell: &Arc<Event>,
-    worker: usize,
-) -> Vec<(Arc<ServerConn>, Vec<Lane>)> {
-    topo.slots
-        .iter()
-        .enumerate()
-        .filter(|&(slot, _)| topo.assign[slot] == worker)
-        .filter_map(|(conn_idx, record)| {
-            let record = record.as_ref()?;
-            let lanes = record
-                .lanes
-                .iter()
-                .enumerate()
-                .map(|(qp_idx, qp)| {
-                    qp.link.set_doorbell(bell);
-                    Lane {
-                        conn_idx,
-                        qp_idx,
-                        qp: Arc::clone(qp),
-                        ahead: Vec::new(),
-                        pending: Vec::with_capacity(COALESCE_MAX_ENTRIES),
-                        pending_bytes: 0,
-                        full_until: None,
-                        marker: None,
-                    }
-                })
-                .collect();
-            Some((Arc::clone(&record.conn), lanes))
-        })
-        .collect()
+/// Worker `worker`'s share of the live connections, in slot order:
+/// `kept` (its connections that stay, in slot order, their lane state
+/// intact), grown by the lanes attached since, and fresh state for every
+/// connection that arrives. The only place lane buffers are allocated.
+fn partition(topo: &Topology, worker: usize, kept: Vec<ShardConn>) -> Vec<ShardConn> {
+    let mut kept = kept.into_iter().peekable();
+    let mut conns = Vec::new();
+    for (slot, record) in topo.slots.iter().enumerate() {
+        let Some(record) = record.as_ref().filter(|_| topo.assign[slot] == worker) else {
+            continue;
+        };
+        let mut c = kept
+            .next_if(|c| c.slot == slot)
+            .unwrap_or_else(|| ShardConn {
+                slot,
+                conn: Arc::clone(&record.conn),
+                lanes: Vec::with_capacity(record.lanes.len()),
+                leaving: false,
+            });
+        for (qp_idx, qp) in record.lanes.iter().enumerate().skip(c.lanes.len()) {
+            c.lanes.push(Lane::new(slot, qp_idx, qp));
+        }
+        conns.push(c);
+    }
+    conns
 }
 
 /// Poll `qp`'s request ring into `msg`. An empty probe is charged here;
@@ -1191,6 +1289,7 @@ fn handle_message(
     let entries = u64::from(view.header.count);
     inner.stats.messages.add(1);
     inner.stats.requests.add(entries);
+    conn.served.add(entries);
     // Per-tenant accounting: lock-free bumps on the shared
     // counter block (never through the scheduler mutex).
     conn.counters.issued.add(entries);
@@ -1311,7 +1410,7 @@ fn flush_pending(inner: &ServerInner, conn: &ServerConn, lane: &mut Lane) -> boo
 }
 
 /// Leave nothing deferred on `lane`: handle its read-ahead message and
-/// flush. Runs before a worker adopts a new topology snapshot; `false`
+/// flush. Runs before a lane leaves its worker's partition; `false`
 /// while a full response ring still holds responses back.
 fn settle_lane(
     inner: &ServerInner,
@@ -1383,10 +1482,11 @@ fn try_flush_response<B: AsRef<[u8]>>(
 
 /// QP scheduler loop: polls the shared receive CQ for credit-renewal
 /// immediates, grants or declines, and periodically redistributes active
-/// QPs (paper §5.1, §7) — re-cutting the dispatcher partition to match.
+/// QPs (paper §5.1, §7) and re-weighs the dispatcher partition.
 fn qp_sched_loop(inner: &Arc<ServerInner>) {
     let sched_interval_ns = inner.cfg.sched_interval.as_nanos().min(u64::MAX as u128) as u64;
     let mut last_redistribution = clock::now_ns();
+    let mut recut = Recut::default();
     // Batched immediate sweep: one sync edge per sweep instead of one
     // `poll_one` per credit request.
     let mut imms: Vec<flock_fabric::Completion> = Vec::new();
@@ -1488,10 +1588,8 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
                     };
                     let _ = flush_response(inner, &qp, NO_RESPONSES, FLAG_CREDIT_GRANT, aux);
                 }
-                // Active-QP weights just shifted: re-cut the dispatcher
-                // partition so handler capacity follows the traffic.
-                rebalance_dispatch(inner);
             }
+            rebalance_dispatch(inner, &mut recut);
         }
         if progressed {
             idler.reset();
@@ -1506,39 +1604,94 @@ fn qp_sched_loop(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Re-cut the connection → dispatcher-worker partition using active-QP
-/// weights from the scheduler: heaviest connections first, each placed
-/// on the least-loaded worker (greedy LPT binning). No-op with a single
-/// worker. Publishes a new topology generation only when the assignment
-/// actually changes.
-fn rebalance_dispatch(inner: &ServerInner) {
+/// The scheduling task's scratch for [`rebalance_dispatch`]: reused, so
+/// a weighing that keeps the cut allocates nothing.
+#[derive(Default)]
+struct Recut {
+    /// Slot → requests served since the last weighing.
+    weights: Vec<usize>,
+    lpt: Lpt,
+}
+
+impl Recut {
+    /// Cut `weights` anew into `lpt.assign`: `true` when the new cut's
+    /// heaviest worker is lighter than `current`'s under the same weights
+    /// by more than the square root of that load. A count of requests
+    /// over one interval is noisy by about its square root (a Poisson
+    /// count's deviation), so a smaller gain would re-cut on noise: four
+    /// connections of equal traffic on two shards re-cut six times in ten
+    /// intervals with any gain taken.
+    fn lighter(&mut self, current: &[usize], workers: usize) -> bool {
+        let heaviest = self.lpt.heaviest(&self.weights, current, workers);
+        let proposed = self.lpt.cut(&self.weights, workers);
+        proposed + heaviest.isqrt() < heaviest
+    }
+}
+
+/// Re-weigh the connection → dispatch-worker partition so handler
+/// capacity follows the traffic: each connection weighs the requests its
+/// lanes served since the last weighing (a departed one nothing), and
+/// greedy LPT cuts the partition anew. The new cut is adopted — a new
+/// topology generation published — only when its heaviest worker is
+/// lighter than the current cut's under the same weights, by more than
+/// the counting noise ([`Recut::lighter`]), so cuts of equal cost never
+/// flap. No-op with a single worker.
+fn rebalance_dispatch(inner: &ServerInner, recut: &mut Recut) {
     let workers = inner.doorbells.len();
     if workers == 1 {
         return;
     }
     let mut topo = inner.topology.lock();
-    // Weight = active QPs, floored at 1 so idle connections keep an
-    // owner; departed slots weigh nothing, so survivors split the
-    // capacity.
-    let sched = inner.qp_sched.lock();
-    let weights: Vec<usize> = topo
-        .slots
-        .iter()
-        .map(|slot| {
-            slot.as_ref().map_or(0, |record| {
-                sched
-                    .active_map(record.conn.sender_id)
-                    .map(|m| m.iter().filter(|a| **a).count())
-                    .unwrap_or(0)
-                    .max(1)
-            })
-        })
-        .collect();
-    drop(sched);
-    let assign = lpt_partition(&weights, workers);
-    if topo.assign != assign {
-        topo.assign = assign;
+    let served = |slot: &Option<ConnRecord>| slot.as_ref().map_or(0, |r| r.conn.served.take());
+    let weights = topo.slots.iter().map(|slot| served(slot) as usize);
+    recut.weights.clear();
+    recut.weights.extend(weights);
+    if recut.lighter(&topo.assign, workers) {
+        topo.assign.clone_from(&recut.lpt.assign);
+        inner.stats.dispatch_recuts.add(1);
         inner.publish(&mut topo);
+    }
+}
+
+/// Greedy LPT binning's working vectors: `assign` holds the last cut.
+#[derive(Default)]
+struct Lpt {
+    order: Vec<usize>,
+    load: Vec<usize>,
+    assign: Vec<usize>,
+}
+
+impl Lpt {
+    /// Place each item, heaviest first (ties broken by lower index), on
+    /// the currently least-loaded of `workers` (at least 1) workers, into
+    /// `assign`. Returns the heaviest worker's load.
+    fn cut(&mut self, weights: &[usize], workers: usize) -> usize {
+        let workers = workers.max(1);
+        self.order.clear();
+        self.order.extend(0..weights.len());
+        // The order is total, so the unstable sort is deterministic.
+        self.order
+            .sort_unstable_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
+        self.load.clear();
+        self.load.resize(workers, 0);
+        self.assign.clear();
+        self.assign.resize(weights.len(), 0);
+        for &idx in &self.order {
+            let target = (0..workers).min_by_key(|&t| self.load[t]).unwrap_or(0);
+            self.load[target] += weights[idx];
+            self.assign[idx] = target;
+        }
+        self.load.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The heaviest worker's load under the cut `assign`.
+    fn heaviest(&mut self, weights: &[usize], assign: &[usize], workers: usize) -> usize {
+        self.load.clear();
+        self.load.resize(workers.max(1), 0);
+        for (&w, &weight) in assign.iter().zip(weights) {
+            self.load[w] += weight;
+        }
+        self.load.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -1552,23 +1705,221 @@ fn rebalance_dispatch(inner: &ServerInner) {
 /// the min worker load, because the last item placed on the heaviest
 /// worker went there when it was the lightest.
 pub fn lpt_partition(weights: &[usize], workers: usize) -> Vec<usize> {
-    let workers = workers.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
-    let mut load = vec![0usize; workers];
-    let mut assign = vec![0usize; weights.len()];
-    for idx in order {
-        let target = (0..workers).min_by_key(|&t| load[t]).unwrap_or(0);
-        load[target] += weights[idx];
-        assign[idx] = target;
-    }
-    assign
+    let mut lpt = Lpt::default();
+    lpt.cut(weights, workers);
+    lpt.assign
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{ConnectionHandle, HandleConfig};
+    use flock_sim::vtime::VirtualLab;
+
+    /// The cut [`Recut::lighter`] adopts on two workers for `weights`
+    /// over the cut `current`, if any.
+    fn recut(weights: &[usize], current: &[usize]) -> Option<Vec<usize>> {
+        let mut recut = Recut::default();
+        recut.weights.extend_from_slice(weights);
+        recut.lighter(current, 2).then(|| recut.lpt.assign.clone())
+    }
+
+    #[test]
+    fn a_connection_serving_three_times_each_other_gets_a_shard_to_itself() {
+        // Seeded round-robin, the heavy connection shares its shard.
+        let cut = recut(&[300, 100, 100, 100], &[0, 1, 0, 1]);
+        assert_eq!(cut.as_deref(), Some(&[0, 1, 1, 1][..]));
+    }
+
+    #[test]
+    fn a_cut_no_lighter_than_the_current_one_is_not_adopted() {
+        // LPT deals these out as [0, 1, 0, 1]: another cut, as heavy.
+        assert_eq!(recut(&[100, 100, 100, 100], &[0, 0, 1, 1]), None);
+        // Lighter by one request of 201: counting noise.
+        assert_eq!(recut(&[101, 100, 100, 99], &[0, 1, 0, 1]), None);
+        // An idle server keeps its cut.
+        assert_eq!(recut(&[0, 0, 0], &[0, 1, 0]), None);
+    }
+
+    #[test]
+    fn an_idle_connection_keeps_an_owner() {
+        let cut = recut(&[0, 300, 100, 100, 0], &[0, 1, 0, 1, 0]).expect("a lighter cut");
+        assert_eq!(cut.len(), 5);
+        assert!(cut.iter().all(|&w| w < 2), "{cut:?}");
+        assert_eq!(cut[1..4], [0, 1, 1]);
+    }
+
+    /// A server named `name` (two dispatch shards by default) that
+    /// echoes RPC 1.
+    fn echo_server(domain: &FlockDomain, name: &str, scfg: ServerConfig) -> FlockServer {
+        let node = domain.add_node(&format!("{name}-srv"));
+        let server = FlockServer::listen(domain, &node, name, scfg);
+        server.reg_handler(1, |req| req.to_vec());
+        server
+    }
+
+    fn connect(domain: &FlockDomain, name: &str, client: usize) -> Arc<ConnectionHandle> {
+        let node = domain.add_node(&format!("{name}-cli{client}"));
+        let mut cfg = HandleConfig::default();
+        cfg.n_qps = 1;
+        Arc::new(ConnectionHandle::connect(domain, &node, name, cfg).expect("connect"))
+    }
+
+    /// Four connections calling at one pace on two shards: the weights of
+    /// one interval differ by counting noise, which no re-cut follows.
+    #[test]
+    fn steady_equal_traffic_re_cuts_at_most_once_in_ten_intervals() {
+        const INTERVAL: Duration = Duration::from_micros(100);
+        let (recuts, calls) = VirtualLab::run(|| {
+            let domain = FlockDomain::with_defaults();
+            let mut scfg = ServerConfig::default();
+            scfg.sched_interval = INTERVAL;
+            let server = echo_server(&domain, "steady", scfg);
+            let handles: Vec<_> = (0..4).map(|c| connect(&domain, "steady", c)).collect();
+            clock::flush_charge(); // set-up cost is not part of the scenario
+            let until = clock::now_ns() + 10 * INTERVAL.as_nanos() as u64;
+            let calls = Arc::new(Counter::default());
+            let callers: Vec<_> = handles
+                .iter()
+                .map(|h| {
+                    let (t, calls) = (h.register_thread(), Arc::clone(&calls));
+                    clock::spawn("steady-caller", move || {
+                        while clock::now_ns() < until {
+                            t.call(1, b"x").expect("call");
+                            calls.add(1);
+                        }
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().expect("caller");
+            }
+            let recuts = server.stats().dispatch_recuts.get();
+            server.shutdown(&domain);
+            (recuts, calls.get())
+        });
+        assert!(calls > 400, "{calls} calls");
+        assert!(recuts <= 1, "{recuts} re-cuts in ten intervals");
+    }
+
+    /// A backlogged lane moved between the two shards again and again:
+    /// each thread's requests are still handled in the order it sent
+    /// them, the order they lie in the ring.
+    #[test]
+    fn a_lane_moved_with_a_backlog_is_handled_in_ring_order() {
+        const THREADS: u8 = 4;
+        const WINDOW: u32 = 8;
+        const ROUNDS: u32 = 40;
+        let (handled, moves) = VirtualLab::run(|| {
+            let domain = FlockDomain::with_defaults();
+            let node = domain.add_node("order-srv");
+            let mut scfg = ServerConfig::default();
+            // The test moves the lane itself.
+            scfg.sched_interval = Duration::from_secs(60);
+            let server = FlockServer::listen(&domain, &node, "order", scfg);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&log);
+            server.reg_handler(1, move |req| {
+                let k = u32::from_le_bytes(req[1..5].try_into().unwrap());
+                sink.lock().push((req[0], k));
+                req.to_vec()
+            });
+            let handle = connect(&domain, "order", 0);
+            clock::flush_charge(); // set-up cost is not part of the scenario
+            let callers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let t = handle.register_thread();
+                    clock::spawn("order-caller", move || {
+                        for round in 0..ROUNDS {
+                            let seqs: Vec<u64> = (round * WINDOW..(round + 1) * WINDOW)
+                                .map(|k| {
+                                    let mut payload = vec![thread];
+                                    payload.extend_from_slice(&k.to_le_bytes());
+                                    t.send_rpc(1, &payload).expect("send")
+                                })
+                                .collect();
+                            for seq in seqs {
+                                t.recv_res(seq).expect("recv");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let total = usize::from(THREADS) * (ROUNDS * WINDOW) as usize;
+            let mut moves = 0;
+            while log.lock().len() < total {
+                clock::sleep(Duration::from_micros(2));
+                let inner = &server.inner;
+                let mut topo = inner.topology.lock();
+                topo.assign[0] ^= 1;
+                inner.publish(&mut topo);
+                moves += 1;
+            }
+            for caller in callers {
+                caller.join().expect("caller");
+            }
+            server.shutdown(&domain);
+            let handled = std::mem::take(&mut *log.lock());
+            (handled, moves)
+        });
+        assert!(moves >= 20, "{moves} moves");
+        for thread in 0..THREADS {
+            let ks = handled.iter().filter(|&&(t, _)| t == thread);
+            let ks: Vec<u32> = ks.map(|&(_, k)| k).collect();
+            let late = ks.iter().zip(0..).find(|&(&k, i)| k != i);
+            assert_eq!(late, None, "thread {thread}: request k handled as the i-th");
+            assert_eq!(ks.len() as u32, ROUNDS * WINDOW);
+        }
+    }
+
+    /// The instants a steady client's pipelined calls complete, with or
+    /// without a second connection accepted while they run.
+    fn steady_completions(bystander: bool) -> Vec<u64> {
+        VirtualLab::run(move || {
+            let domain = FlockDomain::with_defaults();
+            let server = echo_server(&domain, "calm", ServerConfig::default());
+            let handle = connect(&domain, "calm", 0);
+            clock::flush_charge(); // set-up cost is not part of the scenario
+            let done = Arc::new(Mutex::new(Vec::new()));
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (t, done) = (handle.register_thread(), Arc::clone(&done));
+                    clock::spawn("calm-caller", move || {
+                        for _ in 0..30 {
+                            let seqs: Vec<u64> =
+                                (0..8).map(|_| t.send_rpc(1, b"x").expect("send")).collect();
+                            for seq in seqs {
+                                t.recv_res(seq).expect("recv");
+                                done.lock().push(clock::now_ns());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            clock::sleep(Duration::from_micros(20));
+            let other = bystander.then(|| connect(&domain, "calm", 1));
+            for caller in callers {
+                caller.join().expect("caller");
+            }
+            drop(other);
+            server.shutdown(&domain);
+            let mut done = std::mem::take(&mut *done.lock());
+            done.sort_unstable();
+            done
+        })
+    }
+
+    /// Another connection's accept re-partitions the shards, and a
+    /// steady lane keeps its read-ahead message and deferred responses:
+    /// the steady client's calls complete at the same instants.
+    #[test]
+    fn an_accept_does_not_disturb_a_steady_lane() {
+        let calm = steady_completions(false);
+        let busy = steady_completions(true);
+        assert_eq!((calm.len(), busy.len()), (4 * 30 * 8, 4 * 30 * 8));
+        let moved = calm.iter().zip(&busy).position(|(c, b)| c != b);
+        assert_eq!(moved, None, "the first completion the accept moved");
+    }
 
     /// A closed connection leaves nothing behind in the server: once
     /// `close` returns, no one holds its send CQ (reserved for 1 024

@@ -5,8 +5,8 @@
 //! What this exercises that `flock_e2e.rs` does not:
 //!
 //! * `ServerConfig::dispatch_threads > 1` — connections are partitioned
-//!   across dispatcher workers, and the partition is re-cut whenever the
-//!   QP scheduler redistributes active QPs mid-run.
+//!   across dispatcher workers, and the partition is re-weighed by the
+//!   requests served at every scheduling instant mid-run.
 //! * `FabricConfig::nic_lanes > 1` — request and response DMA for
 //!   different QPs executes on different engine lanes concurrently.
 //! * Cross-connection isolation — every response must answer its own
@@ -47,8 +47,9 @@ fn fan_in_canaries_survive_sharded_dispatch() {
 
     let mut scfg = ServerConfig::default();
     scfg.dispatch_threads = 4;
-    // Frequent redistribution so the dispatcher partition is re-cut
-    // while traffic is in flight (exercises `rebalance_dispatch`).
+    // Frequent scheduling instants so the dispatcher partition is
+    // re-weighed while traffic is in flight (exercises
+    // `rebalance_dispatch`).
     scfg.sched_interval = Duration::from_millis(5);
     let server = canary_server(&domain, "shard-srv", scfg);
 

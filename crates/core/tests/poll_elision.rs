@@ -630,15 +630,17 @@ fn a_second_leader_flushes_while_the_first_waits_for_ring_space() {
 #[test]
 fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
     const CALLS: usize = 60;
-    let ((times, closed_at, requests), report) = VirtualLab::run_against_reference(|| {
+    let ((times, closed_at, requests, recuts), report) = VirtualLab::run_against_reference(|| {
         let domain = Arc::new(FlockDomain::with_defaults());
         let node = domain.add_node("pe-cut-srv");
         let mut scfg = ServerConfig::default();
         scfg.dispatch_threads = 2;
+        scfg.sched_interval = Duration::from_micros(20);
         let server = FlockServer::listen(&domain, &node, "pe-cut", scfg);
         server.reg_handler(RPC_ECHO, |req| req.to_vec());
-        // Three connections, one calling thread each, assigned round-robin:
-        // shard 0 serves the first and the third, shard 1 the second.
+        // Three connections, one thread each, assigned round-robin: shard
+        // 0 serves the first and the third, shard 1 the second, which
+        // calls only after the first closed.
         let mut handles: Vec<ConnectionHandle> = (0..3)
             .map(|c| {
                 let cli = domain.add_node(&format!("pe-cut-cli{c}"));
@@ -648,6 +650,7 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
             .collect();
         let threads: Vec<_> = handles.iter().map(|h| h.register_thread()).collect();
         clock::flush_charge(); // set-up cost is not part of the scenario
+        let closed = Arc::new(clock::Barrier::new());
         let callers: Vec<_> = threads
             .into_iter()
             .enumerate()
@@ -655,7 +658,11 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
                 let out = Arc::new(Mutex::new(Vec::new()));
                 let sink = Arc::clone(&out);
                 let calls = if c == 0 { CALLS / 3 } else { CALLS };
+                let closed = Arc::clone(&closed);
                 let task = clock::spawn(&format!("caller{c}"), move || {
+                    if c == 1 {
+                        closed.wait();
+                    }
                     for k in 0..calls {
                         let payload = [c as u8, k as u8];
                         assert_eq!(&t.call(RPC_ECHO, &payload).expect("call")[..], &payload);
@@ -668,31 +675,35 @@ fn a_re_cut_of_two_shards_under_traffic_matches_the_reference() {
         let mut callers = callers.into_iter();
         let (first, first_times) = callers.next().expect("caller 0");
         first.join().expect("caller 0");
-        // The other two are mid-run: the detach re-cuts the partition by
-        // weight, which moves the second connection to shard 0 and the
-        // third to shard 1 while their calls are in flight.
+        // The third is mid-run: a weighing re-cut the partition by the
+        // requests served, which moved one of the two busy connections to
+        // the idle shard while its calls were in flight. The second starts
+        // now, beside whichever shares its shard.
         let closed_at = clock::now_ns();
         handles[0].close().expect("close");
+        closed.open();
         let mut times = vec![std::mem::take(&mut *first_times.lock())];
         for (task, out) in callers {
             task.join().expect("caller");
             times.push(std::mem::take(&mut *out.lock()));
         }
         let requests = server.stats().requests.get();
+        let recuts = server.stats().dispatch_recuts.get();
         for mut handle in handles.drain(1..) {
             handle.close().expect("close");
         }
         server.shutdown(&domain);
-        (times, closed_at, requests)
+        (times, closed_at, requests, recuts)
     });
     assert_eq!(requests, (CALLS / 3 + 2 * CALLS) as u64);
-    for moved in &times[1..] {
-        assert_eq!(moved.len(), CALLS);
-        assert!(
-            moved[0] < closed_at && closed_at < moved[CALLS - 1],
-            "{closed_at} {moved:?}"
-        );
-    }
+    assert!(recuts >= 1, "no re-cut");
+    let (late, moved) = (&times[1], &times[2]);
+    assert_eq!((late.len(), moved.len()), (CALLS, CALLS));
+    assert!(closed_at < late[0], "{closed_at} {late:?}");
+    assert!(
+        moved[0] < closed_at && closed_at < moved[CALLS - 1],
+        "{closed_at} {moved:?}"
+    );
     assert!(report.elided_polls > report.handovers, "{report:?}");
 }
 

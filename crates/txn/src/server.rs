@@ -248,15 +248,23 @@ impl TxnServer {
         }
     }
 
-    /// Register the four FlockTX RPC handlers on a [`FlockServer`].
+    /// Register the four FlockTX RPC handlers on a [`FlockServer`]. The
+    /// client posts its Logs and Commits, and the server drops a posted
+    /// request's output, so those two handlers encode nothing.
     pub fn register(self: &Arc<Self>, server: &FlockServer) {
         for id in [RPC_EXECUTE, RPC_LOG, RPC_COMMIT, RPC_ABORT] {
             let state = Arc::clone(self);
+            let answered = !matches!(id, RPC_LOG | RPC_COMMIT);
             server.reg_handler(id, move |req| {
                 let Some(rpc) = TxnRpc::decode(req) else {
                     return TxnResp::Ack.encode(); // unreachable with our client
                 };
-                state.handle(&rpc).encode()
+                let resp = state.handle(&rpc);
+                if answered {
+                    resp.encode()
+                } else {
+                    Vec::new()
+                }
             });
         }
     }
