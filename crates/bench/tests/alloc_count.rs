@@ -326,8 +326,14 @@ fn a_smallbank_transaction_stays_under_its_allocation_ceiling() {
     const SERVERS: usize = 3;
     const WARM: u64 = 200;
     const TXNS: u64 = 2_000;
-    /// Debug and release builds both count 41.03 here, give or take an
-    /// allocation over the 2 000 transactions; 44.08 while the posted
+    /// Debug and release builds both count 44.17 here, give or take an
+    /// allocation over the 2 000 transactions. A backup holds each Log as
+    /// a pending record until a notice decides it: the decoded decisions
+    /// of a request that carries notices (1.93 such requests per
+    /// transaction) and the coordinator's list of landed Logs cost about
+    /// three more than the 41.03 of Logs applied on arrival; 48.19 while
+    /// each record was a fresh copy of its Log, not a recycled one. 44.08
+    /// while the posted
     /// Logs and Commits were answered with an encoded `Ack` the server
     /// dropped, 44.92 while each primary
     /// answered its Commit with an `Ack` the client copied out, 45.05
@@ -337,7 +343,7 @@ fn a_smallbank_transaction_stays_under_its_allocation_ceiling() {
     /// inline value, so the backups' arenas grow), 45.20 while each
     /// backup answered its Log with an encoded `Ack`, 55.24 with each
     /// message's keys and values cloned and then encoded apart.
-    const CEILING: f64 = 41.1;
+    const CEILING: f64 = 44.2;
 
     let (per_txn, commits) = VirtualLab::run(|| {
         let domain = FlockDomain::with_defaults();

@@ -922,6 +922,35 @@ impl FlThread {
         landed.map(Result::flatten)
     }
 
+    /// Whether the posted request `seq` ([`FlThread::post_rpc`]) has
+    /// landed, without receiving it: `Some(Ok(()))` once its write has
+    /// landed, and `seq` stays outstanding, so the thread stays on its
+    /// lane until a receive takes it (§5.2) and a request sent after
+    /// this answer follows it on that lane. A failed write, a stopped
+    /// handle and a `seq` not in flight are received, as
+    /// [`FlThread::try_recv_res`] receives them; `None` while the write
+    /// is on its way.
+    pub fn try_landed(&self, seq: u64) -> Option<Result<()>> {
+        self.landed(seq, self.stopped()).map(Result::flatten)
+    }
+
+    /// Block until the posted request `seq` has landed, leaving it
+    /// outstanding as [`FlThread::try_landed`] does; a failure is
+    /// received, as [`FlThread::recv_res`] receives it.
+    pub fn wait_landed(&self, seq: u64) -> Result<()> {
+        self.receive(&self.ctx.reply_event, |give_up| self.landed(seq, give_up))
+    }
+
+    /// A landing seen and left ready, or else a receive of `seq`.
+    fn landed(&self, seq: u64, give_up: Option<FlockError>) -> Option<Result<Result<()>>> {
+        let mut requests = self.ctx.requests.lock();
+        if requests.ready(seq).is_some_and(Result::is_ok) {
+            return Some(Ok(Ok(())));
+        }
+        let taken = requests.take(seq, give_up);
+        taken.map(|got| got.map(|reply| reply.map(drop)))
+    }
+
     /// Convenience: send and wait.
     pub fn call(&self, rpc_id: u32, payload: &[u8]) -> Result<Bytes> {
         let seq = self.send_rpc(rpc_id, payload)?;
@@ -2553,6 +2582,36 @@ mod tests {
             assert_eq!(server.stats().requests.get(), 2);
             assert_eq!(server.stats().responses.get(), responses);
             assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+            handle.shutdown();
+            server.shutdown(&domain);
+        });
+    }
+
+    /// A landing seen by `try_landed` or `wait_landed` stays outstanding
+    /// until a receive takes it; a failed one is received at once.
+    #[test]
+    fn a_seen_landing_stays_outstanding_until_received() {
+        flock_sim::vtime::VirtualLab::run(|| {
+            let (domain, server, mut handle) = echo_bed("seen", 1);
+            let calls = counted(&server);
+            let t = handle.register_thread();
+            t.call(RPC_ECHO, b"warm").unwrap();
+            let seq = t.post_rpc(RPC_COUNT, b"once").unwrap();
+            assert_eq!(t.try_landed(seq), None, "landed as it was posted");
+            assert_eq!(t.wait_landed(seq), Ok(()));
+            assert_eq!(t.try_landed(seq), Some(Ok(())));
+            assert_eq!(t.ctx.requests.lock().outstanding(), 1);
+            assert_eq!(t.recv_res(seq), Ok(Bytes::new()));
+            assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+            let (peer, qpn) = handle.inner.lane(0).link.qp().remote().expect("connected");
+            assert!(domain.fabric().node(peer).unwrap().destroy_qp(qpn));
+            let lost = t.post_rpc(RPC_COUNT, b"lost").unwrap();
+            let failed = t.wait_landed(lost);
+            assert!(matches!(failed, Err(FlockError::RemoteOpFailed(_))));
+            assert_eq!(t.ctx.requests.lock().outstanding(), 0);
+            let not_in_flight = FlockError::InvalidArgument("seq not in flight");
+            assert_eq!(t.try_landed(lost), Some(Err(not_in_flight)));
+            assert_eq!(calls.get(), 1);
             handle.shutdown();
             server.shutdown(&domain);
         });

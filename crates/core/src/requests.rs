@@ -185,6 +185,15 @@ impl<P, R> Requests<P, R> {
         Some(got)
     }
 
+    /// `seq`'s reply, if it is there and no receive has taken it: the
+    /// slot stays ready and the request outstanding.
+    pub(crate) fn ready(&self, seq: u64) -> Option<&R> {
+        match &self.slots[self.index(seq)?] {
+            Slot::Ready(reply) => Some(reply),
+            _ => None,
+        }
+    }
+
     /// The replies no receive has taken yet, oldest first.
     pub(crate) fn ready_mut(&mut self) -> impl Iterator<Item = &mut R> {
         self.slots.iter_mut().filter_map(|slot| match slot {

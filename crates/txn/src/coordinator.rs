@@ -8,15 +8,20 @@
 //! blocks on each outstanding operation in issue order, and
 //! [`TxnClient::run_pipelined`] polls `width` machines from one thread
 //! (paper §8.5.2: "we also use coroutines to hide the network latency as
-//! FaSST"). A transaction reports its commit once the backups hold it
-//! — every `Log`, a posted request ([`FlThread::post_rpc`]), has landed
-//! in its backup's request ring — and every `Commit`, posted too, is
-//! sent. A server handles a lane in ring order, and a thread with a
-//! request not yet received stays on its lane (§5.2), so a posted
-//! Commit counts as applied once the next request after it on its lane
+//! FaSST"). A transaction posts its `Log`s ([`FlThread::post_rpc`])
+//! right behind its validation reads and reports its commit once every
+//! read matched, every Log has landed in its backup's request ring and
+//! every `Commit`, posted too, is sent. A backup holds a Log as a
+//! pending record until a notice of the transaction's decision, riding
+//! the coordinator's next Log, Commit or Abort to it, applies or drops
+//! it. A server handles a lane in ring order, and a thread with a
+//! request not yet received stays on its lane (§5.2), so a Log's
+//! landing stays untaken until its notice, or an Execute whose answer
+//! proves the Log handled, has followed it there; and a posted Commit or
+//! notice counts as applied once the next request after it on its lane
 //! is answered: the client's next Execute to that server, or
-//! [`TxnClient::settle`]'s fence. Until then its landing trails, at
-//! most `width` per server.
+//! [`TxnClient::settle`]'s fence. Until then its landing trails, at most
+//! `width` Commits per server.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -28,8 +33,8 @@ use flock_core::onesided::LOCK_BIT;
 use flock_core::{Bytes, ConnectionHandle, FlockError, Result};
 
 use crate::protocol::{
-    key_partition, put_abort, put_commit, put_execute, put_log, replicas_of, LogWrite, TxnResp,
-    RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
+    key_partition, put_abort, put_commit, put_execute, put_log, put_notices, replicas_of, Decision,
+    LogWrite, TxnResp, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
 };
 use crate::server::TXN_STRIPES;
 use crate::workloads::TxnSpec;
@@ -138,7 +143,7 @@ struct Group {
     /// point a transaction aborts nothing).
     locked: bool,
     /// `writes` once Execute locked them, each with the version its
-    /// Commit gives it; their new values from the Log phase on.
+    /// Commit gives it; their new values from the validation phase on.
     new_values: Vec<LogWrite>,
 }
 
@@ -147,8 +152,8 @@ struct Group {
 enum Phase {
     Begin,
     Execute,
+    /// Validation reads and Logs.
     Validate,
-    Log,
     Commit,
     Abort,
 }
@@ -164,31 +169,50 @@ enum Op {
     Execute(u64),
     /// The Abort RPC with this sequence number: its reply is an `Ack`.
     Ack(u64),
-    /// The posted Log or Commit with this sequence number: its reply is
-    /// empty, once the request has landed in the server's request ring.
+    /// The posted Commit with this sequence number: its reply is empty,
+    /// once the request has landed in the server's request ring.
     Landed(u64),
+    /// The posted Log with this sequence number: seen once it has
+    /// landed, and its landing left untaken (`Txn::logged`).
+    Logged(u64),
     /// A one-sided read of a version word that read `expect` at execution.
     Read { token: MemToken, expect: u64 },
 }
 
 impl Wait {
-    /// Block until the operation completes.
-    fn block(&self, threads: &[FlThread]) -> Result<Bytes> {
+    /// Block until the operation completes: its reply, none for a Log.
+    fn block(&self, threads: &[FlThread]) -> Result<Option<Bytes>> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => thread.recv_res(seq),
-            Op::Read { token, .. } => thread.wait_mem(token).map(Bytes::from),
+            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => thread.recv_res(seq).map(Some),
+            Op::Logged(seq) => thread.wait_landed(seq).map(|()| None),
+            Op::Read { token, .. } => thread.wait_mem(token).map(|r| Some(Bytes::from(r))),
         }
     }
 
     /// Its result, if it has completed (or its handle has stopped).
-    fn poll(&self, threads: &[FlThread]) -> Option<Result<Bytes>> {
+    fn poll(&self, threads: &[FlThread]) -> Option<Result<Option<Bytes>>> {
         let thread = &threads[self.server];
         match self.op {
-            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => thread.try_recv_res(seq),
-            Op::Read { token, .. } => thread.try_mem(token).map(|r| r.map(Bytes::from)),
+            Op::Execute(seq) | Op::Ack(seq) | Op::Landed(seq) => {
+                thread.try_recv_res(seq).map(|r| r.map(Some))
+            }
+            Op::Logged(seq) => thread.try_landed(seq).map(|r| r.map(|()| None)),
+            Op::Read { token, .. } => thread
+                .try_mem(token)
+                .map(|r| r.map(|r| Some(Bytes::from(r)))),
         }
     }
+}
+
+/// A decided transaction's Log on `server`, landed, and the decision no
+/// request has carried there yet. Its landing stays untaken until a
+/// request follows the Log on its lane: one carrying the decision, or an
+/// Execute, whose answer proves the Log handled.
+struct Notice {
+    server: usize,
+    landing: Option<u64>,
+    decision: Decision,
 }
 
 /// The reply of an Abort.
@@ -199,17 +223,18 @@ fn expect_ack(bytes: &[u8]) -> Result<()> {
     }
 }
 
-/// One transaction's walk through the four phases.
+/// One transaction's walk through its phases.
 ///
 /// A driver alternates [`Txn::advance`] and [`Txn::receive`] until
 /// `advance` returns the outcome. A lock conflict or failed validation
 /// (`conflict`) and the first error of a send, a reply or a read
 /// (`error`) before the commit point both end in the Abort phase once
 /// everything outstanding has been received, so a failed transaction
-/// holds no lock it knows of and leaves no RPC on its way. A committed
-/// one returns at its commit point, with its Commits' landings still
-/// `outstanding`: `run` and `run_pipelined` move those to the client's
-/// trailing list ([`TxnClient::settle`]).
+/// holds no lock it knows of and leaves no RPC on its way; its landed
+/// Logs leave with a notice to drop them. A committed one returns at
+/// its commit point, with its Commits' landings still `outstanding`:
+/// `run` and `run_pipelined` move those to the client's trailing list
+/// ([`TxnClient::settle`]).
 struct Txn {
     id: u64,
     /// By primary, in server order: the order every phase sends in.
@@ -219,6 +244,8 @@ struct Txn {
     values: Values,
     /// `(server, slot, word)` of every read-set key present at execution.
     read_set: Vec<(usize, u64, u64)>,
+    /// `(server, seq)` of every Log seen landed, its landing untaken.
+    logged: Vec<(usize, u64)>,
     conflict: bool,
     error: Option<FlockError>,
 }
@@ -264,6 +291,7 @@ impl Txn {
             outstanding: Vec::new(),
             values: HashMap::new(),
             read_set: Vec::new(),
+            logged: Vec::new(),
             conflict: false,
             error: None,
         }
@@ -271,11 +299,13 @@ impl Txn {
 
     /// Take every outstanding operation `fetch` has a result for; returns
     /// whether none is left.
-    fn receive(&mut self, fetch: impl Fn(&Wait) -> Option<Result<Bytes>>) -> bool {
+    fn receive(&mut self, fetch: impl Fn(&Wait) -> Option<Result<Option<Bytes>>>) -> bool {
         for wait in std::mem::take(&mut self.outstanding) {
             match fetch(&wait) {
                 Some(reply) => {
-                    if let Err(e) = reply.and_then(|bytes| self.absorb(&wait, &bytes)) {
+                    let absorbed = reply
+                        .and_then(|bytes| self.absorb(&wait, bytes.as_deref().unwrap_or_default()));
+                    if let Err(e) = absorbed {
                         self.error.get_or_insert(e);
                     }
                 }
@@ -287,6 +317,10 @@ impl Txn {
 
     fn absorb(&mut self, wait: &Wait, bytes: &[u8]) -> Result<()> {
         match wait.op {
+            Op::Logged(seq) => {
+                self.logged.push((wait.server, seq));
+                Ok(())
+            }
             Op::Read { expect, .. } => {
                 let word = u64::from_le_bytes(
                     bytes
@@ -335,15 +369,16 @@ impl Txn {
 
     /// With nothing outstanding, issue the next phase's operations;
     /// returns the outcome once there is no next phase. `compute` runs
-    /// once, after validation, on the execution-time values. An error
-    /// while sending leaves the rest of that phase unsent.
+    /// once, after every Execute locked and read its share, on the
+    /// execution-time values. An error while sending leaves the rest of
+    /// that phase unsent.
     ///
-    /// The commit point is the last Commit posted: every Log has landed
-    /// in its backup's request ring, so the outcome is returned then,
-    /// with the Commits' landings left outstanding — `Committed`, or the
-    /// first error of a Commit send. Each primary keeps the keys locked
-    /// until it applies its Commit, so no reader sees their old values
-    /// as valid.
+    /// The commit point is the last Commit posted: every validation read
+    /// matched and every Log has landed in its backup's request ring, so
+    /// the outcome is returned then, with the Commits' landings left
+    /// outstanding — `Committed`, or the first error of a Commit send.
+    /// Each primary keeps the keys locked until it applies its Commit, so
+    /// no reader sees their old values as valid.
     fn advance(
         &mut self,
         client: &TxnClient,
@@ -361,9 +396,8 @@ impl Txn {
                 (Phase::Commit, _) => unreachable!("a transaction ends at its commit point"),
                 (_, true) => self.abort(client),
                 (Phase::Begin, _) => self.execute(client),
-                (Phase::Execute, _) => self.validate(client),
-                (Phase::Validate, _) => self.log(client, compute(&self.values)),
-                (Phase::Log, _) => self.commit(client),
+                (Phase::Execute, _) => self.validate(client, compute(&self.values)),
+                (Phase::Validate, _) => self.commit(client),
             };
             if matches!(self.phase, Phase::Commit) {
                 let values = std::mem::take(&mut self.values);
@@ -378,10 +412,13 @@ impl Txn {
 
     /// Phase 1: every primary reads its share and locks its write keys.
     /// Each Execute goes out on its thread's lane behind the trailing
-    /// Commits to its server, whose untaken landings keep the thread
-    /// there; it takes those landings over once sent, so its answer
-    /// proves them applied. Trailing landings of servers it does not
-    /// send to stay trailing.
+    /// Commits and the Logs with a decision due on its server, whose
+    /// untaken landings keep the thread there. Once it is sent, the
+    /// Logs' landings are taken: the Execute, outstanding, keeps the
+    /// thread there until its answer proves them handled, and a decision
+    /// may then reach them on any lane. It takes the Commits' landings
+    /// over, so its answer proves them applied. Landings of servers it
+    /// does not send to stay where they are.
     fn execute(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Execute;
         let mut trailing = client.trailing.borrow_mut();
@@ -393,6 +430,12 @@ impl Txn {
                 put_execute(buf, self.id, &g.reads, &g.writes)
             })?;
             self.outstanding.push(wait);
+            let mut notices = client.notices.borrow_mut();
+            let logged = notices.iter_mut().filter(|n| n.server == server);
+            for seq in logged.filter_map(|n| n.landing.take()) {
+                // Seen landed: the receive only takes it.
+                let _ = client.threads[server].try_recv_res(seq);
+            }
             for landing in trailing.extract_if(.., |w| w.server == server) {
                 self.outstanding.insert(landings, landing);
                 landings += 1;
@@ -401,39 +444,31 @@ impl Txn {
         Ok(())
     }
 
-    /// Phase 2: one-sided reads of the version words recorded at
-    /// execution (region 0 is the server's version table), all issued
-    /// before any is awaited. A transaction on one server reads none:
-    /// its Execute re-read every read-set word after reading them all
-    /// and found none moved or locked while its write keys were locked,
-    /// so that server's Execute is its serialization point.
-    fn validate(&mut self, client: &TxnClient) -> Result<()> {
+    /// Phase 2: validation and logging at once. First the one-sided
+    /// reads of the version words recorded at execution (region 0 is the
+    /// server's version table), then one posted `Log` per replica server,
+    /// all issued before any is awaited: a Log's writes are held as a
+    /// pending record until a notice decides the transaction, so posting
+    /// one before validation passes changes no backup copy.
+    ///
+    /// A transaction on one server reads no word: its Execute re-read
+    /// every read-set word after reading them all and found none moved
+    /// or locked while its write keys were locked, so that server's
+    /// Execute is its serialization point.
+    ///
+    /// A Log carries every partition its server backs up, in server
+    /// order, each write with its version, so the backup applies two
+    /// writers' records in version order whichever it is told of first.
+    /// New values that miss a write-set key are an error, raised before
+    /// anything is sent. Each value moves into its primary's group: a
+    /// write set that reaches this phase names a key once (Execute fails
+    /// a second lock of it).
+    fn validate(
+        &mut self,
+        client: &TxnClient,
+        mut new_values: HashMap<u64, Vec<u8>>,
+    ) -> Result<()> {
         self.phase = Phase::Validate;
-        if self.groups.len() == 1 {
-            return Ok(());
-        }
-        for &(server, slot, expect) in &self.read_set {
-            let token = client.threads[server].read_async(0, slot, 8)?;
-            self.outstanding.push(Wait {
-                server,
-                op: Op::Read { token, expect },
-            });
-        }
-        Ok(())
-    }
-
-    /// Phase 3: one `Log` per replica server, carrying every partition it
-    /// backs up, in server order, posted: it is held once it has landed
-    /// in the backup's request ring, which the backup applies in order
-    /// before any later request on that lane. Each write carries its
-    /// version, so a later writer's Log that the backup handles first,
-    /// from another lane, is not overwritten by this one. New values that
-    /// miss a write-set key are an error, raised before anything is sent.
-    /// Each value moves into its primary's group: a write set that
-    /// reaches this phase names a key once (Execute fails a second lock
-    /// of it).
-    fn log(&mut self, client: &TxnClient, mut new_values: HashMap<u64, Vec<u8>>) -> Result<()> {
-        self.phase = Phase::Log;
         let mut write_set = self.groups.values().flat_map(|g| &g.writes);
         if write_set.any(|k| !new_values.contains_key(k)) {
             return Err(FlockError::InvalidArgument(
@@ -442,6 +477,15 @@ impl Txn {
         }
         for w in self.groups.values_mut().flat_map(|g| &mut g.new_values) {
             w.value = new_values.remove(&w.key).unwrap_or_default();
+        }
+        if self.groups.len() > 1 {
+            for &(server, slot, expect) in &self.read_set {
+                let token = client.threads[server].read_async(0, slot, 8)?;
+                self.outstanding.push(Wait {
+                    server,
+                    op: Op::Read { token, expect },
+                });
+            }
         }
         let n = client.threads.len();
         for server in 0..n {
@@ -455,14 +499,33 @@ impl Txn {
         Ok(())
     }
 
-    /// Phase 4: primaries install the new values and unlock, one posted
-    /// Commit each. Every Log has landed, so the transaction is decided:
-    /// a failed send does not keep the other Commits from being posted
-    /// and is never turned into an Abort. Its primary keeps the keys
-    /// locked (until a lease frees them, ROADMAP item 16) and the first
-    /// such error is the result.
+    /// Hand the landed Logs to the client with this transaction's
+    /// decision, for the next request to each of their servers to carry.
+    fn decide(&mut self, client: &TxnClient, commit: bool) {
+        let decision = Decision {
+            txn_id: self.id,
+            commit,
+        };
+        let logged = self.logged.drain(..);
+        let mut notices = client.notices.borrow_mut();
+        notices.extend(logged.map(|(server, seq)| Notice {
+            server,
+            landing: Some(seq),
+            decision,
+        }));
+    }
+
+    /// Phase 3: primaries install the new values and unlock, one posted
+    /// Commit each. Every read matched and every Log has landed, so the
+    /// transaction is decided, and each Commit carries the decision to
+    /// its primary if that server backs up another written partition: a
+    /// failed send does not keep the other Commits from being posted and
+    /// is never turned into an Abort. Its primary keeps the keys locked
+    /// (until a lease frees them, ROADMAP item 16) and the first such
+    /// error is the result.
     fn commit(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Commit;
+        self.decide(client, true);
         let mut first_error = Ok(());
         for (&server, g) in &self.groups {
             if g.writes.is_empty() {
@@ -476,9 +539,12 @@ impl Txn {
     }
 
     /// Unlock every server known to hold this transaction's locks; a
-    /// failed send does not keep the others from being tried.
+    /// failed send does not keep the others from being tried. Its landed
+    /// Logs are to be dropped: an Abort carries that to its primary, the
+    /// next request to each other backup does.
     fn abort(&mut self, client: &TxnClient) -> Result<()> {
         self.phase = Phase::Abort;
+        self.decide(client, false);
         let mut first_error = Ok(());
         for (&server, g) in &mut self.groups {
             if !std::mem::take(&mut g.locked) {
@@ -497,13 +563,21 @@ impl Txn {
 /// A committed transaction's Commit landings trail it until an answer
 /// on their lane proves them applied: the client's next Execute to
 /// their server takes them, [`TxnClient::settle`] fences and takes the
-/// rest, and dropping the client settles.
+/// rest, and dropping the client settles. A decided transaction's
+/// notices wait for the client's next Log, Commit or Abort to their
+/// server, or for `settle`'s fence.
 pub struct TxnClient {
     threads: Vec<FlThread>,
+    /// This coordinator as each server knows it (`Notices::coord`).
+    coords: Vec<u64>,
     txn_seq: Cell<u64>,
     /// Posted Commits no answer has proven applied yet, at most `width`
     /// per server (one per concurrent transaction that executed there).
     trailing: RefCell<Vec<Wait>>,
+    /// Decisions no request has carried to their backup yet, at most
+    /// `width` per server: the next Log, Commit or Abort to it takes
+    /// all of its own.
+    notices: RefCell<Vec<Notice>>,
     /// The request being sent, encoded here before `send_rpc` copies it.
     wire: RefCell<Vec<u8>>,
 }
@@ -512,10 +586,18 @@ impl TxnClient {
     /// Register this thread with every server handle (ordered by server
     /// index).
     pub fn new(handles: &[Arc<ConnectionHandle>]) -> TxnClient {
+        let threads: Vec<FlThread> = handles.iter().map(|h| h.register_thread()).collect();
+        let coords = handles
+            .iter()
+            .zip(&threads)
+            .map(|(h, t)| u64::from(h.sender_id()) << 32 | u64::from(t.id()))
+            .collect();
         TxnClient {
-            threads: handles.iter().map(|h| h.register_thread()).collect(),
+            threads,
+            coords,
             txn_seq: Cell::new(1),
             trailing: RefCell::default(),
+            notices: RefCell::default(),
             wire: RefCell::default(),
         }
     }
@@ -534,17 +616,31 @@ impl TxnClient {
 
     /// Send `server` the request `encode` writes; the wait for its reply,
     /// or for a Log or Commit, which are posted, for its landing in the
-    /// server's request ring.
+    /// server's request ring. A Log, Commit or Abort carries every
+    /// decision due to `server`: it goes out on their Logs' lane, behind
+    /// them, so their landings are taken once it is sent.
     fn send(&self, server: usize, rpc_id: u32, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Wait> {
         let mut wire = self.wire.borrow_mut();
         wire.clear();
         encode(&mut wire);
         let thread = &self.threads[server];
+        if rpc_id == RPC_EXECUTE {
+            let op = Op::Execute(thread.send_rpc(rpc_id, &wire)?);
+            return Ok(Wait { server, op });
+        }
+        let mut notices = self.notices.borrow_mut();
+        let due = notices.iter().filter(|n| n.server == server);
+        put_notices(&mut wire, self.coords[server], due.map(|n| n.decision));
         let op = match rpc_id {
-            RPC_EXECUTE => Op::Execute(thread.send_rpc(rpc_id, &wire)?),
-            RPC_LOG | RPC_COMMIT => Op::Landed(thread.post_rpc(rpc_id, &wire)?),
+            RPC_LOG => Op::Logged(thread.post_rpc(rpc_id, &wire)?),
+            RPC_COMMIT => Op::Landed(thread.post_rpc(rpc_id, &wire)?),
             _ => Op::Ack(thread.send_rpc(rpc_id, &wire)?),
         };
+        let carried = notices.extract_if(.., |n| n.server == server);
+        for seq in carried.filter_map(|n| n.landing) {
+            // Seen landed: the receive only takes it.
+            let _ = thread.try_recv_res(seq);
+        }
         Ok(Wait { server, op })
     }
 
@@ -558,24 +654,27 @@ impl TxnClient {
             .count()
     }
 
-    /// Prove every trailing Commit applied: send each server that has
-    /// one a fence, an Abort naming no key, which goes out on the
-    /// Commits' lane (their untaken landings keep the thread there), and
-    /// then take the landings and the fences' acks. Afterwards every
-    /// primary has installed its values and unlocked, and nothing of
-    /// this client is on its way; the first error is the result.
+    /// Prove every trailing Commit and every decision applied: send each
+    /// server that has a Commit trailing or a decision due a fence, an
+    /// Abort naming no key that carries the decisions, which goes out on
+    /// their lane (the untaken landings keep the thread there), and then
+    /// take the landings and the fences' acks. Afterwards every primary
+    /// has installed its values and unlocked, every backup has applied
+    /// or dropped this client's pending records, and nothing of this
+    /// client is on its way; the first error is the result.
     pub fn settle(&self) -> Result<()> {
         let mut trailing = self.trailing.borrow_mut();
         let mut first_error = Ok(());
         for server in 0..self.threads.len() {
-            if trailing.iter().any(|w| w.server == server) {
+            let due = self.notices.borrow().iter().any(|n| n.server == server);
+            if due || trailing.iter().any(|w| w.server == server) {
                 let fence = self.send(server, RPC_ABORT, |buf| put_abort(buf, 0, &[]));
                 first_error = first_error.and(fence.map(|wait| trailing.push(wait)));
             }
         }
         for wait in trailing.drain(..) {
             let answered = wait.block(&self.threads).and_then(|bytes| match wait.op {
-                Op::Ack(_) => expect_ack(&bytes),
+                Op::Ack(_) => expect_ack(bytes.as_deref().unwrap_or_default()),
                 _ => Ok(()),
             });
             first_error = first_error.and(answered);
@@ -587,16 +686,20 @@ impl TxnClient {
     /// values of `writes` with the output of `compute` (which receives the
     /// execution-time values of both sets).
     ///
+    /// `compute` runs once every primary has locked and read its share,
+    /// before validation, so its values may be discarded by an abort.
     /// Returns [`TxnOutcome::Committed`] at the commit point: every
-    /// `Log` has landed in its backup's request ring — the NIC's
-    /// acknowledgement of the write that carried it; the backup applies
-    /// it in order, before any later request on that lane — and every
-    /// primary's `Commit` is posted. A Commit counts as applied once the
-    /// next answered request on its lane is: a later call's Execute to
-    /// its server takes its landing, or [`TxnClient::settle`]'s fence
-    /// does, and a failed landing is that call's error. Until a primary
-    /// applies its Commit the keys stay locked, so a reader aborts
-    /// rather than see an old value as valid.
+    /// validation read matched, every `Log` has landed in its backup's
+    /// request ring — the NIC's acknowledgement of the write that
+    /// carried it; the backup holds it as a pending record until the
+    /// decision follows it on that lane — and every primary's `Commit`
+    /// is posted. A Commit counts as applied once the next answered
+    /// request on its lane is: a later call's Execute to its server
+    /// takes its landing, or [`TxnClient::settle`]'s fence does, and a
+    /// failed landing is that call's error. Until a primary applies its
+    /// Commit the keys stay locked, so a reader aborts rather than see
+    /// an old value as valid; until `settle` a backup may not have
+    /// applied the new values.
     ///
     /// Returns [`TxnOutcome::Aborted`] on lock conflicts or validation
     /// failure; the caller retries. An error before the commit point — a

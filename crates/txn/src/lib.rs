@@ -23,13 +23,15 @@
 //!    (`fl_read`) of the read-set version words; any change or lock causes
 //!    an abort. A transaction on one server skips it: that server's
 //!    Execute serialized it.
-//! 3. **Logging** — write-set updates go to each written partition's two
-//!    replicas, one `Log` per replica server carrying every partition it
-//!    backs up, posted ([`flock_core::FlThread::post_rpc`]): held once it
-//!    lands in the replica's request ring, which the replica applies in
-//!    order, and answered by nothing. Each write carries the version its
-//!    Commit gives the key, and a replica ignores one older than its
-//!    copy: two writers' Logs can reach it on two lanes in either order.
+//! 3. **Logging**, posted right behind the validation reads — write-set
+//!    updates go to each written partition's two replicas, one `Log` per
+//!    replica server carrying every partition it backs up, posted
+//!    ([`flock_core::FlThread::post_rpc`]): held once it lands in the
+//!    replica's request ring, and answered by nothing. The replica keeps
+//!    the writes as a pending record of the coordinator's transaction
+//!    until a notice of the decision, riding the coordinator's next Log,
+//!    Commit or Abort to it, applies them in version order or drops
+//!    them.
 //! 4. **Commit** — primaries install the new values, bump versions, and
 //!    unlock.
 //!
@@ -41,11 +43,13 @@
 //! returned only after the machine has received what was outstanding and
 //! sent Abort to every server it knows to hold its locks.
 //!
-//! A transaction is reported committed at its commit point: every Log
-//! has landed in its backup's request ring and every Commit is posted.
+//! A transaction is reported committed at its commit point: every
+//! validation read matched, every Log has landed in its backup's request
+//! ring and every Commit is posted.
 //! A Commit counts as applied once the next answered request on its lane
 //! is: the client's next Execute to that server, or the fence
-//! [`TxnClient::settle`] sends; dropping the client settles. Until it
+//! [`TxnClient::settle`] sends, which also carries the decisions not yet
+//! sent; dropping the client settles. Until it
 //! applies its Commit a primary keeps the keys locked, so a reader
 //! aborts rather than read an old value as valid.
 //!

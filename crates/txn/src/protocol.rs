@@ -36,12 +36,16 @@ pub enum TxnRpc {
         /// Write-set keys owned by this server (locked on success).
         writes: Vec<u64>,
     },
-    /// Logging phase: apply updates to this replica's backup copy.
+    /// Logging phase: hold updates to this replica's backup copy as the
+    /// pending record of `(notices.coord, txn_id)`, applied once a
+    /// notice says the transaction committed.
     Log {
         /// Transaction id.
         txn_id: u64,
         /// New values, each with its version.
         writes: Vec<LogWrite>,
+        /// The sender's decisions on its earlier transactions.
+        notices: Notices,
     },
     /// Commit phase: install values, bump versions, unlock.
     Commit {
@@ -49,6 +53,8 @@ pub enum TxnRpc {
         txn_id: u64,
         /// New values.
         writes: Vec<(u64, Vec<u8>)>,
+        /// The sender's decisions on its transactions, this one's too.
+        notices: Notices,
     },
     /// Abort: unlock the write set without changes.
     Abort {
@@ -56,14 +62,38 @@ pub enum TxnRpc {
         txn_id: u64,
         /// Keys to unlock.
         writes: Vec<u64>,
+        /// The sender's decisions on its transactions, this one's too.
+        notices: Notices,
     },
+}
+
+/// A coordinator's decisions on transactions whose `Log` the receiving
+/// server holds as pending records, riding one of its requests. An
+/// `Execute` carries none: its shape is fixed by its users.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Notices {
+    /// The coordinator, as this server knows it: the connection's
+    /// sender id above the coordinator's thread id. Its transaction ids
+    /// are its own count, so a pending record is keyed by both.
+    pub coord: u64,
+    /// Decided transactions.
+    pub decided: Vec<Decision>,
+}
+
+/// One decided transaction of a [`Notices`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    /// Its id.
+    pub txn_id: u64,
+    /// Committed: apply its pending record; aborted: drop it.
+    pub commit: bool,
 }
 
 /// One write of a `Log`: a key's new value and the version its
 /// primary's Commit gives it, one past the version Execute locked. A
-/// backup keeps the version beside its copy and ignores a `Log` older
-/// than it, so Logs that reach it out of order leave the newest value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// backup keeps the version beside its copy and applies no write older
+/// than it, so records decided out of order leave the newest value.
+#[derive(Debug, PartialEq, Eq)]
 pub struct LogWrite {
     /// The key.
     pub key: u64,
@@ -71,6 +101,24 @@ pub struct LogWrite {
     pub version: u64,
     /// The new value.
     pub value: Vec<u8>,
+}
+
+impl Clone for LogWrite {
+    fn clone(&self) -> LogWrite {
+        LogWrite {
+            key: self.key,
+            version: self.version,
+            value: self.value.clone(),
+        }
+    }
+
+    /// Into `value`'s own buffer: a backup copies each Log into a
+    /// record it recycles.
+    fn clone_from(&mut self, source: &LogWrite) {
+        self.key = source.key;
+        self.version = source.version;
+        self.value.clone_from(&source.value);
+    }
 }
 
 /// Per-key result of the execution phase.
@@ -155,8 +203,22 @@ pub(crate) fn put_execute(buf: &mut Vec<u8>, txn_id: u64, reads: &[u64], writes:
     put_keys(buf, writes);
 }
 
+/// Append a `Log`, `Commit` or `Abort`'s notices, after the rest of it:
+/// the coordinator, then its decisions.
+pub(crate) fn put_notices(
+    buf: &mut Vec<u8>,
+    coord: u64,
+    decided: impl IntoIterator<Item = Decision>,
+) {
+    put_u64(buf, coord);
+    put_each(buf, decided, |buf, d| {
+        put_u64(buf, d.txn_id);
+        buf.push(d.commit as u8);
+    });
+}
+
 /// Append a `Log` request carrying `writes`, each as its key, version
-/// and value.
+/// and value; its notices follow ([`put_notices`]).
 pub(crate) fn put_log<'a>(
     buf: &mut Vec<u8>,
     txn_id: u64,
@@ -172,7 +234,7 @@ pub(crate) fn put_log<'a>(
 }
 
 /// Append a `Commit` request carrying `writes`, each as its key and
-/// value.
+/// value; its notices follow.
 pub(crate) fn put_commit<'a>(
     buf: &mut Vec<u8>,
     txn_id: u64,
@@ -186,7 +248,7 @@ pub(crate) fn put_commit<'a>(
     });
 }
 
-/// Append an `Abort` request unlocking `writes`.
+/// Append an `Abort` request unlocking `writes`; its notices follow.
 pub(crate) fn put_abort(buf: &mut Vec<u8>, txn_id: u64, writes: &[u64]) {
     buf.push(3);
     put_u64(buf, txn_id);
@@ -228,6 +290,19 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         (0..n).map(|_| Some((self.u64()?, self.bytes()?))).collect()
     }
+    fn notices(&mut self) -> Option<Notices> {
+        let coord = self.u64()?;
+        let n = self.u32()? as usize;
+        let decided = (0..n)
+            .map(|_| {
+                Some(Decision {
+                    txn_id: self.u64()?,
+                    commit: self.u8()? != 0,
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(Notices { coord, decided })
+    }
     fn log_writes(&mut self) -> Option<Vec<LogWrite>> {
         let n = self.u32()? as usize;
         (0..n)
@@ -252,12 +327,31 @@ impl TxnRpc {
                 reads,
                 writes,
             } => put_execute(&mut buf, *txn_id, reads, writes),
-            TxnRpc::Log { txn_id, writes } => put_log(&mut buf, *txn_id, writes),
-            TxnRpc::Commit { txn_id, writes } => {
-                let writes = writes.iter().map(|(k, v)| (*k, v.as_slice()));
-                put_commit(&mut buf, *txn_id, writes)
+            TxnRpc::Log {
+                txn_id,
+                writes,
+                notices,
+            } => {
+                put_log(&mut buf, *txn_id, writes);
+                put_notices(&mut buf, notices.coord, notices.decided.iter().copied());
             }
-            TxnRpc::Abort { txn_id, writes } => put_abort(&mut buf, *txn_id, writes),
+            TxnRpc::Commit {
+                txn_id,
+                writes,
+                notices,
+            } => {
+                let writes = writes.iter().map(|(k, v)| (*k, v.as_slice()));
+                put_commit(&mut buf, *txn_id, writes);
+                put_notices(&mut buf, notices.coord, notices.decided.iter().copied());
+            }
+            TxnRpc::Abort {
+                txn_id,
+                writes,
+                notices,
+            } => {
+                put_abort(&mut buf, *txn_id, writes);
+                put_notices(&mut buf, notices.coord, notices.decided.iter().copied());
+            }
         }
         buf
     }
@@ -274,14 +368,17 @@ impl TxnRpc {
             1 => TxnRpc::Log {
                 txn_id: r.u64()?,
                 writes: r.log_writes()?,
+                notices: r.notices()?,
             },
             2 => TxnRpc::Commit {
                 txn_id: r.u64()?,
                 writes: r.kvs()?,
+                notices: r.notices()?,
             },
             3 => TxnRpc::Abort {
                 txn_id: r.u64()?,
                 writes: r.keys()?,
+                notices: r.notices()?,
             },
             _ => return None,
         };
@@ -382,6 +479,14 @@ mod tests {
         }
     }
 
+    fn notices(coord: u64, decided: &[(u64, bool)]) -> Notices {
+        let decided = decided
+            .iter()
+            .map(|&(txn_id, commit)| Decision { txn_id, commit })
+            .collect();
+        Notices { coord, decided }
+    }
+
     #[test]
     fn rpc_roundtrip_all_variants() {
         let cases = vec![
@@ -404,14 +509,17 @@ mod tests {
                         value: vec![],
                     },
                 ],
+                notices: Notices::default(),
             },
             TxnRpc::Commit {
                 txn_id: 9,
                 writes: vec![(5, b"value".to_vec())],
+                notices: notices(1 << 32 | 2, &[(8, true), (6, false)]),
             },
             TxnRpc::Abort {
                 txn_id: 10,
                 writes: vec![5, 6],
+                notices: notices(u64::MAX, &[(9, true)]),
             },
         ];
         for rpc in cases {
@@ -453,7 +561,9 @@ mod tests {
 
     /// The layout byte for byte: a tag, the id, then each list as a
     /// `u32` count and its items, a value as a `u32` length and its bytes
-    /// (a `Log`'s write carries its version between key and value).
+    /// (a `Log`'s write carries its version between key and value), and
+    /// after a `Log`, `Commit` or `Abort` its notices: the coordinator,
+    /// then each decision as its id and a commit byte.
     #[test]
     fn requests_keep_their_wire_bytes() {
         let le = |v: u64, n: usize| v.to_le_bytes()[..n].to_vec();
@@ -477,6 +587,7 @@ mod tests {
                 [
                     head(0, 7),
                     vec![le(1, 4), le(1, 8), le(2, 4), le(9, 8), le(5, 8)],
+                    vec![],
                 ],
             ),
             (
@@ -494,6 +605,7 @@ mod tests {
                             value: vec![],
                         },
                     ],
+                    notices: notices(4, &[]),
                 },
                 [
                     head(1, 8),
@@ -507,21 +619,32 @@ mod tests {
                         le(9, 8),
                         le(0, 4),
                     ],
+                    vec![le(4, 8), le(0, 4)],
                 ],
             ),
             (
                 TxnRpc::Commit {
                     txn_id: 9,
                     writes: kvs,
+                    notices: notices(5, &[(8, true)]),
                 },
-                [head(2, 9), kv_bytes],
+                [
+                    head(2, 9),
+                    kv_bytes,
+                    vec![le(5, 8), le(1, 4), le(8, 8), vec![1]],
+                ],
             ),
             (
                 TxnRpc::Abort {
                     txn_id: 10,
                     writes: vec![5],
+                    notices: notices(6, &[(9, false), (7, true)]),
                 },
-                [head(3, 10), vec![le(1, 4), le(5, 8)]],
+                [
+                    head(3, 10),
+                    vec![le(1, 4), le(5, 8)],
+                    vec![le(6, 8), le(2, 4), le(9, 8), vec![0], le(7, 8), vec![1]],
+                ],
             ),
         ];
         for (rpc, parts) in cases {
@@ -538,6 +661,7 @@ mod tests {
         let mut enc = TxnRpc::Abort {
             txn_id: 1,
             writes: vec![],
+            notices: Notices::default(),
         }
         .encode();
         enc.push(0);

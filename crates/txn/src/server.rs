@@ -2,6 +2,7 @@
 //! other partitions, and the version-word table exposed for one-sided
 //! validation.
 
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
@@ -10,8 +11,11 @@ use flock_core::server::FlockServer;
 use flock_fabric::types::KeyHasher;
 use flock_fabric::MemoryRegion;
 use flock_sync::Counter;
+use parking_lot::Mutex;
 
-use crate::protocol::{KeyRead, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG};
+use crate::protocol::{
+    KeyRead, LogWrite, Notices, TxnResp, TxnRpc, RPC_ABORT, RPC_COMMIT, RPC_EXECUTE, RPC_LOG,
+};
 
 /// A partition's rows, hashed with one multiply: keys come from the
 /// cluster's own loaders and coordinators.
@@ -46,13 +50,16 @@ pub fn export_stripe_locks(server: &FlockServer) -> flock_core::Result<usize> {
 /// to fall behind. Lock order: stripe, then the region's buffer. Backups
 /// live in a second table of the same layout, their slots unused; a
 /// backup row holds the version of the write that set it before its
-/// value.
+/// value. A `Log`'s writes wait as the pending record of their
+/// coordinator's transaction until a notice decides it: committed, they
+/// are applied; aborted, dropped.
 pub struct TxnServer {
     /// This server's index among all servers.
     pub server_id: usize,
     primary: Table,
     /// Backup copies of partitions this server replicates.
     backups: Table,
+    pending: Mutex<Pending>,
     version_mr: Arc<MemoryRegion>,
     /// The next unassigned slot.
     next_slot: Counter,
@@ -69,6 +76,7 @@ impl TxnServer {
             server_id,
             primary: Table::new(),
             backups: Table::new(),
+            pending: Mutex::default(),
             version_mr,
             next_slot: Counter::default(),
             slots,
@@ -91,6 +99,16 @@ impl TxnServer {
         self.update_word(slot, |_| 1);
     }
 
+    /// Load a backup copy directly (bootstrap, beside the primary's
+    /// [`TxnServer::load`]): older than every logged write.
+    pub fn load_backup(&self, key: u64, value: &[u8]) {
+        self.apply(&LogWrite {
+            key,
+            version: 0,
+            value: value.to_vec(),
+        });
+    }
+
     /// Direct read (tests and verification).
     pub fn peek(&self, key: u64) -> Option<Vec<u8>> {
         let s = self.primary.stripe(key);
@@ -101,6 +119,20 @@ impl TxnServer {
     pub fn peek_backup(&self, key: u64) -> Option<Vec<u8>> {
         let s = self.backups.stripe(key);
         s.get(key).map(|(_, row)| backup_row(row).1.to_vec())
+    }
+
+    /// The newest write of `key` a pending record holds (tests and
+    /// verification).
+    pub fn peek_pending(&self, key: u64) -> Option<Vec<u8>> {
+        let pending = self.pending.lock();
+        let writes = pending.records.values().flatten();
+        let writes = writes.filter(|w| w.key == key);
+        writes.max_by_key(|w| w.version).map(|w| w.value.clone())
+    }
+
+    /// Transactions whose `Log` this server holds undecided.
+    pub fn pending(&self) -> usize {
+        self.pending.lock().records.len()
     }
 
     /// The byte offset of `key`'s version word in the advertised region.
@@ -191,36 +223,69 @@ impl TxnServer {
                     writes: write_set,
                 }
             }
-            TxnRpc::Log { writes, .. } => {
-                // Replicas apply to their backup copy in the primary's
-                // version order (paper §8.5.1 phase 3): two Logs of one
-                // key can arrive on two lanes in either order, and the
-                // older one must not overwrite the newer. An equal
-                // version replaces the copy: a transaction that failed
-                // after its Log left the primary's version where it was.
-                for w in writes {
-                    let mut s = self.backups.stripe(w.key);
-                    let held = s.get(w.key).map(|(_, row)| backup_row(row).0);
-                    if held.is_some_and(|v| v > w.version) {
-                        continue;
-                    }
-                    s.put(w.key, u32::MAX, &[&w.version.to_le_bytes(), &w.value]);
-                }
+            TxnRpc::Log {
+                txn_id,
+                writes,
+                notices,
+            } => {
+                self.decide(notices);
+                let mut pending = self.pending.lock();
+                let mut record = pending.spare.pop().unwrap_or_default();
+                record.clone_from(writes);
+                let replaced = pending.records.insert((notices.coord, *txn_id), record);
+                pending.spare.extend(replaced);
                 TxnResp::Ack
             }
-            TxnRpc::Commit { writes, .. } => {
+            TxnRpc::Commit {
+                writes, notices, ..
+            } => {
+                self.decide(notices);
                 for (k, v) in writes {
                     self.commit(*k, v);
                 }
                 TxnResp::Ack
             }
-            TxnRpc::Abort { writes, .. } => {
+            TxnRpc::Abort {
+                writes, notices, ..
+            } => {
+                self.decide(notices);
                 for &k in writes {
                     self.unlock(k);
                 }
                 TxnResp::Ack
             }
         }
+    }
+
+    /// Apply the pending records of the transactions `notices` says
+    /// committed, and drop those of the ones it says aborted (paper
+    /// §8.5.1: a backup applies a record once the commit is decided). A
+    /// notice names no record when the transaction's Log never reached
+    /// this server.
+    fn decide(&self, notices: &Notices) {
+        for d in &notices.decided {
+            let record = (notices.coord, d.txn_id);
+            let Some(writes) = self.pending.lock().records.remove(&record) else {
+                continue;
+            };
+            if d.commit {
+                writes.iter().for_each(|w| self.apply(w));
+            }
+            self.pending.lock().spare.push(writes);
+        }
+    }
+
+    /// Apply one write to the backup copy in the primary's version
+    /// order: two writers' records of one key can be decided on two
+    /// lanes in either order, and the older must not overwrite the
+    /// newer. An equal version replaces the copy.
+    fn apply(&self, w: &LogWrite) {
+        let mut s = self.backups.stripe(w.key);
+        let held = s.get(w.key).map(|(_, row)| backup_row(row).0);
+        if held.is_some_and(|v| v > w.version) {
+            return;
+        }
+        s.put(w.key, u32::MAX, &[&w.version.to_le_bytes(), &w.value]);
     }
 
     /// The version word at byte offset `slot` of the validation region.
@@ -270,6 +335,16 @@ impl TxnServer {
     }
 }
 
+/// A backup's logged writes of undecided transactions.
+#[derive(Default)]
+struct Pending {
+    /// By (coordinator, txn id).
+    records: HashMap<(u64, u64), Vec<LogWrite>>,
+    /// Decided records, kept for their buffers: the next Log is copied
+    /// into one.
+    spare: Vec<Vec<LogWrite>>,
+}
+
 /// The byte offset of `slot`'s word in the validation region.
 fn slot_offset(slot: u32) -> u64 {
     u64::from(slot) * 8
@@ -286,7 +361,7 @@ fn backup_row(row: &[u8]) -> (u64, &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::LogWrite;
+    use crate::protocol::Decision;
     use flock_fabric::{Access, MrTable};
 
     fn server() -> Arc<TxnServer> {
@@ -335,6 +410,7 @@ mod tests {
         s.handle(&TxnRpc::Commit {
             txn_id: 1,
             writes: vec![(5, b"new".to_vec())],
+            notices: Notices::default(),
         });
         assert_eq!(s.peek(5).unwrap(), b"new");
         // Lock released: lockable again.
@@ -360,6 +436,7 @@ mod tests {
         s.handle(&TxnRpc::Abort {
             txn_id: 1,
             writes: vec![7],
+            notices: Notices::default(),
         });
         assert_eq!(s.peek(7).unwrap(), b"keep");
         let TxnResp::Execute { ok, .. } = s.handle(&TxnRpc::Execute {
@@ -372,7 +449,8 @@ mod tests {
         assert!(ok);
     }
 
-    fn log(key: u64, version: u64, value: &[u8]) -> TxnRpc {
+    /// Coordinator `coord`'s Log of `key` as transaction `version`.
+    fn log(coord: u64, key: u64, version: u64, value: &[u8]) -> TxnRpc {
         TxnRpc::Log {
             txn_id: version,
             writes: vec![LogWrite {
@@ -380,29 +458,77 @@ mod tests {
                 version,
                 value: value.to_vec(),
             }],
+            notices: Notices {
+                coord,
+                decided: Vec::new(),
+            },
         }
     }
 
+    /// A fence of coordinator `coord` (an Abort naming no key) carrying
+    /// its decision on `txn_id`.
+    fn decide(s: &TxnServer, coord: u64, txn_id: u64, commit: bool) {
+        s.handle(&TxnRpc::Abort {
+            txn_id: 0,
+            writes: Vec::new(),
+            notices: Notices {
+                coord,
+                decided: vec![Decision { txn_id, commit }],
+            },
+        });
+    }
+
+    /// A Log is held as a pending record until its transaction is
+    /// decided: committed, it reaches the backup copy; aborted, it is
+    /// dropped. It never touches the primary.
     #[test]
     fn log_applies_to_backup() {
         let s = server();
-        s.handle(&log(9, 2, b"backup"));
+        s.handle(&log(1, 9, 2, b"backup"));
+        assert_eq!(s.peek_backup(9), None);
+        assert_eq!(s.peek_pending(9).unwrap(), b"backup");
+        decide(&s, 1, 2, true);
         assert_eq!(s.peek_backup(9).unwrap(), b"backup");
+        assert_eq!(s.pending(), 0);
+        s.handle(&log(1, 9, 3, b"aborted"));
+        decide(&s, 1, 3, false);
+        assert_eq!(s.peek_backup(9).unwrap(), b"backup");
+        assert_eq!(s.pending(), 0);
         assert!(s.peek(9).is_none(), "log must not touch the primary");
     }
 
-    /// Logs of one key applied out of order leave the newest version's
-    /// value; an equal version replaces the copy.
+    /// Records are keyed by coordinator and transaction: two
+    /// coordinators count their ids apart, so one id can name a
+    /// transaction of each, and deciding one leaves the other pending.
+    #[test]
+    fn a_decision_names_its_coordinators_record() {
+        let s = server();
+        s.handle(&log(1, 9, 2, b"first"));
+        s.handle(&log(2, 9, 2, b"second"));
+        decide(&s, 2, 2, false);
+        assert_eq!(s.pending(), 1);
+        decide(&s, 1, 2, true);
+        assert_eq!(s.peek_backup(9).unwrap(), b"first");
+    }
+
+    /// Records of one key applied out of order leave the newest
+    /// version's value; an equal version replaces the copy, and a
+    /// bootstrap copy is older than every logged write.
     #[test]
     fn an_older_log_leaves_the_backup_copy() {
         let s = server();
-        s.handle(&log(9, 3, b"three"));
-        s.handle(&log(9, 2, b"two"));
+        s.load_backup(9, b"loaded");
+        let apply = |version, value: &[u8]| {
+            s.handle(&log(1, 9, version, value));
+            decide(&s, 1, version, true);
+        };
+        apply(3, b"three");
+        apply(2, b"two");
         assert_eq!(s.peek_backup(9).unwrap(), b"three");
-        s.handle(&log(9, 3, b"again"));
+        apply(3, b"again");
         assert_eq!(s.peek_backup(9).unwrap(), b"again");
-        s.handle(&log(9, 4, b"a value longer than a row holds inline"));
-        s.handle(&log(9, 1, b"one"));
+        apply(4, b"a value longer than a row holds inline");
+        apply(1, b"one");
         assert_eq!(
             s.peek_backup(9).unwrap(),
             b"a value longer than a row holds inline"
@@ -428,6 +554,7 @@ mod tests {
         s.handle(&TxnRpc::Commit {
             txn_id: 1,
             writes: vec![(11, b"y".to_vec())],
+            notices: Notices::default(),
         });
         let word_after = s.version_mr.read_u64(slot).unwrap();
         assert_ne!(word_after, word_before);
@@ -466,6 +593,7 @@ mod tests {
                             s.handle(&TxnRpc::Commit {
                                 txn_id,
                                 writes: vec![(1, vec![t])],
+                                notices: Notices::default(),
                             });
                         }
                         violations

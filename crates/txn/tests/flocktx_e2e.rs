@@ -20,6 +20,8 @@ const N_SERVERS: usize = 3;
 struct Cluster {
     domain: FlockDomain,
     servers: Vec<FlockServer>,
+    /// The servers' nodes.
+    nodes: Vec<Arc<flock_fabric::Node>>,
     txn_servers: Vec<Arc<TxnServer>>,
     handles: Vec<Arc<ConnectionHandle>>,
     /// The node `handles` connect from.
@@ -37,10 +39,12 @@ fn cluster() -> Cluster {
 fn cluster_of(n: usize) -> Cluster {
     let domain = FlockDomain::with_defaults();
     let mut servers = Vec::new();
+    let mut nodes = Vec::new();
     let mut txn_servers = Vec::new();
     let mut stripe_region = 0;
     for i in 0..n {
         let node = domain.add_node(&format!("txn-srv-{i}"));
+        nodes.push(Arc::clone(&node));
         let server =
             FlockServer::listen(&domain, &node, &format!("txn{i}"), ServerConfig::default());
         let idx = server.attach_mreg(1 << 20); // 128k version slots
@@ -67,6 +71,7 @@ fn cluster_of(n: usize) -> Cluster {
     Cluster {
         domain,
         servers,
+        nodes,
         txn_servers,
         handles,
         client_node,
@@ -86,9 +91,13 @@ fn handles_on(c: &Cluster, node: &str) -> Vec<Arc<ConnectionHandle>> {
         .collect()
 }
 
+/// Load `key` on its primary and a copy on each of its backups.
 fn load(c: &Cluster, key: u64, value: &[u8]) {
     let p = key_partition(key, N_SERVERS);
     c.txn_servers[p].load(key, value);
+    for r in flock_txn::protocol::replicas_of(p, N_SERVERS) {
+        c.txn_servers[r].load_backup(key, value);
+    }
 }
 
 fn teardown(c: Cluster) {
@@ -172,6 +181,7 @@ fn validation_detects_conflicting_update() {
     c.txn_servers[p].handle(&flock_txn::TxnRpc::Abort {
         txn_id: 999,
         writes: vec![77],
+        notices: Default::default(),
     });
     let outcome = client.run(&[77], &[], |_| HashMap::new()).unwrap();
     assert!(matches!(outcome, TxnOutcome::Committed(_)));
@@ -508,7 +518,8 @@ struct Retrying {
     bank: Smallbank,
     rng: SimRng,
     last: Option<(TxnSpec, u32)>,
-    /// `compute` ran for `last`: it passed validation, so it commits.
+    /// `compute` ran for `last`: every Execute locked and read its share,
+    /// so it is not tried again, whatever its validation finds.
     computed: bool,
 }
 
@@ -554,6 +565,7 @@ fn smallbank_aftermath(pipelined: bool) -> Aftermath {
     for (k, v) in bank.load_keys() {
         load(&c, k, &v);
     }
+    let loaded = bank.load_keys().count();
     // Another coordinator died holding a hot account's lock: whatever
     // writes or validates this key aborts on every try.
     let stray = Smallbank::checking(0);
@@ -587,7 +599,17 @@ fn smallbank_aftermath(pipelined: bool) -> Aftermath {
         (commits, aborts)
     };
     drop(client);
-    let copies = c
+    // Dropped, the client has settled: every backup has applied what
+    // committed and dropped what did not.
+    for (k, _) in bank.load_keys() {
+        let p = key_partition(k, N_SERVERS);
+        let primary = c.txn_servers[p].peek(k);
+        for r in flock_txn::protocol::replicas_of(p, N_SERVERS) {
+            assert_eq!(c.txn_servers[r].peek_backup(k), primary, "key {k} on {r}");
+        }
+    }
+    assert!(c.txn_servers.iter().all(|ts| ts.pending() == 0));
+    let copies: Vec<_> = c
         .txn_servers
         .iter()
         .flat_map(|ts| {
@@ -596,6 +618,12 @@ fn smallbank_aftermath(pipelined: bool) -> Aftermath {
                 .collect::<Vec<_>>()
         })
         .collect();
+    let written = bank.load_keys().filter(|(k, v)| {
+        let p = key_partition(*k, N_SERVERS);
+        c.txn_servers[p].peek(*k).as_deref() != Some(&v[..])
+    });
+    let written = written.count();
+    assert!(written > 10, "{written} of {loaded} keys written");
     let requests = c.servers.iter().map(|s| s.stats().requests.get()).collect();
     teardown(c);
     (copies, counts, requests)
@@ -681,10 +709,9 @@ fn an_error_mid_transaction_releases_its_locks() {
     let node_b = domain.add_node("settle-b");
     let b = FlockServer::listen(&domain, &node_b, "settle-b", ServerConfig::default());
     // B is a sound replica and a broken primary.
+    let idx = b.attach_mreg(1 << 12);
+    TxnServer::new(1, b.mem_region(idx).unwrap()).register(&b);
     b.reg_handler(flock_txn::protocol::RPC_EXECUTE, |_| vec![0xFF]);
-    b.reg_handler(flock_txn::protocol::RPC_LOG, |_| {
-        flock_txn::TxnResp::Ack.encode()
-    });
     let client_node = domain.add_node("settle-client");
     let handles: Vec<Arc<ConnectionHandle>> = ["settle-a", "settle-b"]
         .iter()
@@ -1000,11 +1027,13 @@ fn locked(ts: &TxnServer, key: u64) -> bool {
 /// `run` reports a commit at its commit point: every Log has landed in
 /// its backup's request ring and the Commits are posted, not yet
 /// applied. Right after `run` only that landing is promised: a backup
-/// applies its ring in order, later (a slow one well after `run`
-/// returns: `run_returns_before_a_slow_backup_applies_its_log`), with no
-/// further message. Until `settle` proves the Commits applied the
-/// primary shows the old value, locked, so nobody can read it as valid;
-/// the next call to it finds it applied.
+/// handles its ring in order, later (a slow one well after `run`
+/// returns: `run_returns_before_a_slow_backup_applies_its_log`); here
+/// each has, and holds the new value as a pending record, its copy still
+/// the old one.
+/// Until `settle` proves the Commits applied the primary shows the old
+/// value, locked, so nobody can read it as valid; `settle`'s fences,
+/// carrying the last decisions, leave every backup applied.
 #[test]
 fn run_reports_the_commit_once_the_backups_hold_it() {
     flock_sim::vtime::VirtualLab::run(|| {
@@ -1023,25 +1052,25 @@ fn run_reports_the_commit_once_the_backups_hold_it() {
             })
             .unwrap();
         assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        let backups = |k| flock_txn::protocol::replicas_of(key_partition(k, N_SERVERS), N_SERVERS);
         for &k in &keys {
             assert_eq!(primary(k).peek(k).unwrap(), b"old", "primary of key {k}");
             assert!(locked(primary(k), k), "key {k} unlocked before its Commit");
+            for r in backups(k) {
+                let backup = &c.txn_servers[r];
+                assert_eq!(backup.peek_backup(k).unwrap(), b"old", "backup {r}");
+                let pending = backup.peek_pending(k);
+                assert_eq!(pending.as_deref(), Some(&b"new"[..]), "backup {r}");
+            }
         }
         client.settle().unwrap();
         for &k in &keys {
             assert_eq!(primary(k).peek(k).unwrap(), b"new", "primary of key {k}");
             assert!(!locked(primary(k), k), "key {k} locked after settle");
-        }
-        // Every backup has had time to apply the ring its Log landed in.
-        flock_sync::clock::sleep_ns(20_000);
-        for &k in &keys {
-            let p = key_partition(k, N_SERVERS);
-            for r in flock_txn::protocol::replicas_of(p, N_SERVERS) {
-                assert_eq!(
-                    c.txn_servers[r].peek_backup(k).unwrap(),
-                    b"new",
-                    "backup {r}"
-                );
+            for r in backups(k) {
+                let backup = &c.txn_servers[r];
+                assert_eq!(backup.peek_backup(k).unwrap(), b"new", "backup {r}");
+                assert_eq!(backup.pending(), 0, "backup {r}");
             }
         }
         drop(client);
@@ -1363,6 +1392,42 @@ fn a_commit_that_cannot_be_sent_aborts_no_other_primary() {
     teardown(c);
 }
 
+/// A Log lost on one of a key's two backups (its lane broken before the
+/// transaction) ends the transaction with the write's error: the Log
+/// that landed on the other backup waits there as a pending record, and
+/// `settle` carries the abort that drops it. Both backups end equal to
+/// the primary. A backup that applied a Log on arrival kept the new
+/// value that no transaction committed.
+#[test]
+fn a_log_lost_on_one_backup_leaves_both_backups_equal_to_the_primary() {
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let k = keys_of(0, 1)[0];
+        load(&c, k, b"old");
+        let [kept, lost] = flock_txn::protocol::replicas_of(0, N_SERVERS);
+        let client = TxnClient::new(&c.handles);
+        break_lanes(&c.domain, &c.client_node, &c.nodes[lost]);
+        let outcome = client.run(&[], &[k], |_| HashMap::from([(k, b"new".to_vec())]));
+        assert!(
+            matches!(outcome, Err(flock_core::FlockError::RemoteOpFailed(_))),
+            "{outcome:?}"
+        );
+        client.settle().unwrap();
+        assert_eq!(c.txn_servers[0].peek(k).unwrap(), b"old");
+        assert!(
+            !locked(&c.txn_servers[0], k),
+            "the failed write left its lock"
+        );
+        for r in [kept, lost] {
+            let backup = c.txn_servers[r].peek_backup(k);
+            assert_eq!(backup.as_deref(), Some(&b"old"[..]), "backup {r}");
+        }
+        assert!(c.txn_servers.iter().all(|ts| ts.pending() == 0));
+        drop(client);
+        teardown(c);
+    });
+}
+
 /// `run_pipelined` at width 3: three transactions write server 0, then
 /// the rest write servers 1 and 2 in turn. An Execute takes the trailing
 /// Commits of its own server only, so server 0's three stay trailing
@@ -1564,6 +1629,98 @@ fn settle_proves_a_commit_applied_on_a_draining_lane() {
     assert_ne!(next, 1, "the thread stayed on the drained lane");
 }
 
+/// Two servers: a write of partition 0 logs to server 1, which gets no
+/// Commit, so its decision waits in the client. The handle to server 1
+/// has two lanes; as in
+/// `settle_proves_a_commit_applied_after_the_thread_was_retargeted`, a
+/// first thread's large request makes the scheduler move the
+/// coordinator's thread to lane 0, while the Log's untaken landing keeps
+/// it on lane 1. With `read_first`, a read of server 1's key then goes
+/// out there. `settle`'s fence carries the decision. Returns server 1's
+/// lanes' requests after the write and after `settle`, and the backup
+/// copy `settle` leaves.
+fn a_log_on_a_retargeted_lane(read_first: bool) -> ([Vec<u64>; 2], Vec<u8>) {
+    flock_sim::vtime::VirtualLab::run(|| {
+        let domain = FlockDomain::with_defaults();
+        let names = ["follow-0", "follow-1"];
+        let (servers, txn_servers): (Vec<_>, Vec<_>) = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let node = domain.add_node(name);
+                let server = FlockServer::listen(&domain, &node, name, ServerConfig::default());
+                let idx = server.attach_mreg(1 << 12);
+                let ts = TxnServer::new(i, server.mem_region(idx).unwrap());
+                ts.register(&server);
+                server.reg_handler(RPC_SINK, |_| Vec::new());
+                (server, ts)
+            })
+            .unzip();
+        let client_node = domain.add_node("follow-client");
+        let handles: Vec<Arc<ConnectionHandle>> = names
+            .iter()
+            .map(|name| {
+                let mut cfg = HandleConfig::default();
+                cfg.n_qps = 2;
+                cfg.eager_qps = true;
+                cfg.sched_interval = std::time::Duration::from_micros(20);
+                Arc::new(ConnectionHandle::connect(&domain, &client_node, name, cfg).unwrap())
+            })
+            .collect();
+        let first = handles[1].register_thread();
+        let client = TxnClient::new(&handles);
+        let [k, read] = [0, 1].map(|p| (0..).find(|&k| key_partition(k, 2) == p).unwrap());
+        txn_servers[0].load(k, b"old");
+        txn_servers[1].load(read, b"v");
+        assert_eq!(flock_txn::protocol::replicas_of(0, 2), [1, 0]);
+        let lanes = || -> Vec<u64> {
+            let per_qp = handles[1].metrics().per_qp;
+            per_qp.iter().map(|q| q.requests).collect()
+        };
+
+        let outcome = client.run(&[], &[k], |_| HashMap::from([(k, b"new".to_vec())]));
+        assert!(
+            matches!(outcome, Ok(TxnOutcome::Committed(_))),
+            "{outcome:?}"
+        );
+        let written = lanes();
+        first
+            .recv_res(first.post_rpc(RPC_SINK, &[0; 2048]).unwrap())
+            .unwrap();
+        flock_sync::clock::sleep_ns(60_000);
+        if read_first {
+            client.run(&[read], &[], |_| HashMap::new()).unwrap();
+        }
+        client.settle().unwrap();
+        let settled = lanes();
+        assert_eq!(txn_servers[1].pending(), 0);
+        let backup = txn_servers[1].peek_backup(k).unwrap();
+        drop((client, first, handles));
+        for s in &servers {
+            s.shutdown(&domain);
+        }
+        ([written, settled], backup)
+    })
+}
+
+/// A decision follows its Log on the Log's lane: with nothing else sent
+/// to server 1, `settle`'s fence goes out on lane 1, behind the Log (a
+/// landing taken at the commit point let it go out on lane 0, where the
+/// server could handle it first). An Execute behind the Log proves it
+/// handled: after a read of server 1 on lane 1 the thread moves, and the
+/// fence goes out on lane 0. Either way the backup ends applied.
+#[test]
+fn a_decision_follows_its_log_on_a_retargeted_thread() {
+    let ([written, settled], backup) = a_log_on_a_retargeted_lane(false);
+    assert_eq!(written, [0, 1], "the Log on lane 1");
+    assert_eq!(settled, [1, 2], "the fence on lane 1");
+    assert_eq!(backup, b"new");
+    let ([written, settled], backup) = a_log_on_a_retargeted_lane(true);
+    assert_eq!(written, [0, 1], "the Log on lane 1");
+    assert_eq!(settled, [2, 2], "the read on lane 1, the fence on lane 0");
+    assert_eq!(backup, b"new");
+}
+
 /// One key on each server's partition.
 fn key_per_server() -> Vec<u64> {
     (0..N_SERVERS)
@@ -1720,10 +1877,12 @@ fn a_single_server_reader_racing_a_writer_never_reads_a_mixed_snapshot() {
 /// A backup whose Log handler charges 50 µs of CPU: a second write
 /// transaction's Log reaches it while it is still busy with the first
 /// one's. `run` returns `Committed` once that Log has landed in the
-/// backup's request ring, long before the backup applies it (waiting
+/// backup's request ring, long before the backup handles it (waiting
 /// for the backup's answer to the Log took 50 µs here). The primary
-/// stays locked until `settle`, and the backup applies the Log with no
-/// further message from the client.
+/// stays locked until `settle`, and the backup holds the old value,
+/// the first write pending: its commit notice rides the second Log, and
+/// `settle`'s one fence carries the second's and is answered once the
+/// backup has applied both.
 #[test]
 fn run_returns_before_a_slow_backup_applies_its_log() {
     use flock_sync::clock;
@@ -1754,25 +1913,27 @@ fn run_returns_before_a_slow_backup_applies_its_log() {
             "run took {} ns",
             returned - started
         );
-        assert_eq!(c.txn_servers[slow].peek_backup(k).unwrap(), b"one");
+        let backup = &c.txn_servers[slow];
+        assert_eq!(backup.peek_backup(k).unwrap(), b"old");
+        assert_eq!(backup.peek_pending(k).unwrap(), b"one", "the first Log");
         assert!(
             locked(&c.txn_servers[0], k),
             "the primary applied its Commit"
         );
         client.settle().unwrap();
         assert_eq!(c.txn_servers[0].peek(k).unwrap(), b"two");
-        clock::sleep_ns(100_000);
+        assert_eq!(c.txn_servers[slow].peek_backup(k).unwrap(), b"two");
+        assert_eq!(c.txn_servers[slow].pending(), 0);
         let applied = applied.lock().clone();
         assert_eq!(applied.len(), 2);
         assert!(
             applied[1] > returned + 20_000,
-            "applied at {applied:?}, returned {returned}"
+            "handled at {applied:?}, returned {returned}"
         );
-        assert_eq!(c.txn_servers[slow].peek_backup(k).unwrap(), b"two");
         assert_eq!(
             c.handles[slow].metrics().requests,
-            sent,
-            "a message after run"
+            sent + 1,
+            "settle sent the backup more than its fence"
         );
         drop(client);
         teardown(c);
@@ -1782,8 +1943,10 @@ fn run_returns_before_a_slow_backup_applies_its_log() {
 /// Two clients on two nodes write one key in turn, and a backup is busy
 /// when the first client's second Log lands there: the second client's
 /// Log, on its own connection and so another dispatch shard, is handled
-/// first. The older Log, applied last, must not overwrite the newer
-/// value: every backup ends equal to the primary.
+/// first. The first client's read of the key proves its Commit applied
+/// without sending the backup anything. The older record, decided last,
+/// must not overwrite the newer value: every backup ends equal to the
+/// primary.
 #[test]
 fn a_backup_keeps_the_newest_write_when_two_writers_logs_cross() {
     use flock_sync::clock;
@@ -1814,15 +1977,18 @@ fn a_backup_keeps_the_newest_write_when_two_writers_logs_cross() {
                 matches!(outcome, Ok(TxnOutcome::Committed(_))),
                 "{outcome:?}"
             );
-            client.settle().unwrap();
         };
         // Both connect their lanes to every server first.
-        write(&a, b"warm");
-        write(&b, b"warm");
+        for client in [&a, &b] {
+            write(client, b"warm");
+            client.settle().unwrap();
+        }
         write(&a, b"a1");
         write(&a, b"a2");
+        a.run(&[k], &[], |_| HashMap::new()).unwrap();
         write(&b, b"b");
-        clock::sleep_ns(200_000);
+        b.settle().unwrap();
+        a.settle().unwrap();
         let order: Vec<&[u8]> = vec![b"warm", b"warm", b"a1", b"b", b"a2"];
         assert_eq!(*applied.lock(), order, "the Logs did not cross");
         assert_eq!(c.txn_servers[0].peek(k).unwrap(), b"b");
@@ -1830,6 +1996,77 @@ fn a_backup_keeps_the_newest_write_when_two_writers_logs_cross() {
             assert_eq!(c.txn_servers[r].peek_backup(k).unwrap(), b"b", "backup {r}");
         }
         drop((a, b, other));
+        teardown(c);
+    });
+}
+
+/// The scenario of
+/// `validation_aborts_a_transaction_whose_read_moved_after_its_execute`
+/// with a write: the reader also writes k1, whose Logs go out beside its
+/// validation read and land on both backups before the read fails. The
+/// backups hold them as pending records until `settle` carries the
+/// abort: then no backup has changed and none holds a record.
+#[test]
+fn a_transaction_that_fails_validation_after_its_logs_landed_changes_no_backup() {
+    use flock_sync::clock;
+    use flock_txn::protocol::replicas_of;
+    const RPC_STALL: u32 = 99;
+    flock_sim::vtime::VirtualLab::run(|| {
+        let c = cluster();
+        let (k0, k1) = (keys_of(0, 1)[0], keys_of(1, 1)[0]);
+        load(&c, k0, b"old");
+        load(&c, k1, b"v");
+        c.servers[1].reg_handler(RPC_STALL, |_| {
+            clock::charge(50_000);
+            Vec::new()
+        });
+        let writer_handles = handles_on(&c, "txn-writer");
+        let (reader, writer) = (TxnClient::new(&c.handles), TxnClient::new(&writer_handles));
+        // Both connect their lanes first.
+        let warm = writer.run(&[], &[k0], |_| HashMap::from([(k0, b"old".to_vec())]));
+        assert!(matches!(warm, Ok(TxnOutcome::Committed(_))), "{warm:?}");
+        writer.settle().unwrap();
+        let warm = reader.run(&[k0], &[k1], |_| HashMap::from([(k1, b"v".to_vec())]));
+        assert!(matches!(warm, Ok(TxnOutcome::Committed(_))), "{warm:?}");
+        reader.settle().unwrap();
+
+        let stall = c.handles[1].register_thread();
+        let stalled = stall.send_rpc(RPC_STALL, b"").unwrap();
+        clock::sleep_ns(5_000);
+        let write = clock::spawn("writer", move || {
+            clock::sleep_ns(10_000);
+            let outcome = writer.run(&[], &[k0], |_| HashMap::from([(k0, b"new".to_vec())]));
+            assert!(
+                matches!(outcome, Ok(TxnOutcome::Committed(_))),
+                "{outcome:?}"
+            );
+        });
+        // k1's backups: server 2, and server 0, which k0's Execute and
+        // validation read go to as well.
+        let [b0, b1] = replicas_of(1, N_SERVERS);
+        assert_eq!([b0, b1], [2, 0]);
+        let sent = |s: usize| c.handles[s].metrics().requests;
+        let before = [sent(b0), sent(b1)];
+        let outcome = reader.run(&[k0], &[k1], |_| HashMap::from([(k1, b"x".to_vec())]));
+        assert_eq!(outcome, Ok(TxnOutcome::Aborted));
+        let logs = [sent(b0) - before[0], sent(b1) - before[1] - 1];
+        assert_eq!(logs, [1, 1], "one Log each");
+        clock::sleep_ns(10_000);
+        for r in [b0, b1] {
+            let held = c.txn_servers[r].peek_pending(k1);
+            assert_eq!(held.as_deref(), Some(&b"x"[..]), "backup {r}");
+        }
+        reader.settle().unwrap();
+        for r in [b0, b1] {
+            let backup = c.txn_servers[r].peek_backup(k1);
+            assert_eq!(backup.as_deref(), Some(&b"v"[..]), "backup {r}");
+            assert_eq!(c.txn_servers[r].pending(), 0, "backup {r}");
+        }
+        assert_eq!(c.txn_servers[1].peek(k1).unwrap(), b"v");
+        assert!(!locked(&c.txn_servers[1], k1), "the abort left k1 locked");
+        write.join().unwrap();
+        stall.recv_res(stalled).unwrap();
+        drop((reader, stall, writer_handles));
         teardown(c);
     });
 }

@@ -3,12 +3,15 @@
 //!
 //! Random sequences of `load`, `Execute` (reads and writes; a locked
 //! read-set key fails it), `Log`, `Commit` and `Abort` run on a
-//! [`TxnServer`] and on the model. After
+//! [`TxnServer`] and on the model; the last three carry notices from one
+//! of two coordinators, deciding transactions logged earlier (by either
+//! coordinator: a notice names its own coordinator's record only). After
 //! every step the two agree on every response (values, words, slots,
-//! `ok`), on `peek` and `peek_backup` of every key (a `Log` write older
-//! than the backup's copy leaves it), and on every slot of
-//! the validation region: an assigned slot holds its key's word, an
-//! unassigned one is still zero. Values change length at random, so
+//! `ok`), on `peek` and `peek_backup` of every key (a `Log` waits as a
+//! pending record until a notice commits it, and a write older than
+//! the backup's copy leaves it), on the number of pending records, and
+//! on every slot of the validation region: an assigned slot holds its
+//! key's word, an unassigned one is still zero. Values change length at random, so
 //! spans are overwritten in place and moved; key 7 is never loaded, so
 //! every read of it is the absent-key answer (slot `u64::MAX`).
 
@@ -19,18 +22,20 @@ use proptest::prelude::*;
 
 use flock_core::onesided::LOCK_BIT;
 use flock_fabric::{Access, MrTable};
-use flock_txn::protocol::{KeyRead, LogWrite};
+use flock_txn::protocol::{Decision, KeyRead, LogWrite, Notices};
 use flock_txn::{TxnResp, TxnRpc, TxnServer};
 
 /// Keys the generator draws from; the last one is never loaded.
 const KEYS: u64 = 8;
 
 /// The reference model: a key's `(value, word, slot)`, the backups'
-/// `(version, value)`, and the next slot to hand out.
+/// `(version, value)`, the pending records by (coordinator, txn id), and
+/// the next slot to hand out.
 #[derive(Default)]
 struct Model {
     primary: BTreeMap<u64, (Vec<u8>, u64, u64)>,
     backups: BTreeMap<u64, (u64, Vec<u8>)>,
+    pending: BTreeMap<(u64, u64), Vec<LogWrite>>,
     next_slot: u64,
 }
 
@@ -66,7 +71,27 @@ impl Model {
         }
     }
 
+    fn decide(&mut self, notices: &Notices) {
+        for d in &notices.decided {
+            let Some(writes) = self.pending.remove(&(notices.coord, d.txn_id)) else {
+                continue;
+            };
+            for w in writes.into_iter().filter(|_| d.commit) {
+                if self.backups.get(&w.key).is_some_and(|b| b.0 > w.version) {
+                    continue;
+                }
+                self.backups.insert(w.key, (w.version, w.value));
+            }
+        }
+    }
+
     fn handle(&mut self, rpc: &TxnRpc) -> TxnResp {
+        if let TxnRpc::Log { notices, .. }
+        | TxnRpc::Commit { notices, .. }
+        | TxnRpc::Abort { notices, .. } = rpc
+        {
+            self.decide(notices);
+        }
         match rpc {
             TxnRpc::Execute { reads, writes, .. } => {
                 let failed = |model: &mut Model, locked: &[u64]| {
@@ -97,13 +122,13 @@ impl Model {
                     writes: writes.iter().map(|&k| self.key_read(k)).collect(),
                 }
             }
-            TxnRpc::Log { writes, .. } => {
-                for w in writes {
-                    if self.backups.get(&w.key).is_some_and(|b| b.0 > w.version) {
-                        continue;
-                    }
-                    self.backups.insert(w.key, (w.version, w.value.clone()));
-                }
+            TxnRpc::Log {
+                txn_id,
+                writes,
+                notices,
+            } => {
+                self.pending
+                    .insert((notices.coord, *txn_id), writes.clone());
                 TxnResp::Ack
             }
             TxnRpc::Commit { writes, .. } => {
@@ -145,6 +170,8 @@ proptest! {
         let mr = MrTable::new().register(8 * 16, Access::REMOTE_ALL);
         let server = TxnServer::new(0, std::sync::Arc::clone(&mr));
         let mut model = Model::default();
+        // Txn ids of the Logs so far, for notices to decide.
+        let mut logged: Vec<u64> = Vec::new();
         // Every case grows a value on commit, moving its span.
         let prefix: [Step; 3] = [
             (0, vec![0], vec![], 1),
@@ -154,6 +181,19 @@ proptest! {
         for (n, (kind, keys, more, len)) in prefix.into_iter().chain(steps).enumerate() {
             let writes_of = |keys: &[u64]| -> Vec<(u64, Vec<u8>)> {
                 keys.iter().map(|&k| (k, value(n, k, len + k as usize))).collect()
+            };
+            // One of two coordinators; `more` picks logged transactions
+            // to decide, committing those it picks with an even key.
+            let notices = Notices {
+                coord: (len % 2) as u64,
+                decided: more
+                    .iter()
+                    .filter(|_| !logged.is_empty())
+                    .map(|&m| Decision {
+                        txn_id: logged[m as usize % logged.len()],
+                        commit: m % 2 == 0,
+                    })
+                    .collect(),
             };
             let rpc = match kind {
                 0 => {
@@ -172,10 +212,11 @@ proptest! {
                         .into_iter()
                         .map(|(key, value)| LogWrite { key, version: (len % 4) as u64, value })
                         .collect();
-                    Some(TxnRpc::Log { txn_id: n as u64, writes })
+                    logged.push(n as u64);
+                    Some(TxnRpc::Log { txn_id: n as u64, writes, notices })
                 }
-                3 => Some(TxnRpc::Commit { txn_id: n as u64, writes: writes_of(&keys) }),
-                _ => Some(TxnRpc::Abort { txn_id: n as u64, writes: keys }),
+                3 => Some(TxnRpc::Commit { txn_id: n as u64, writes: writes_of(&keys), notices }),
+                _ => Some(TxnRpc::Abort { txn_id: n as u64, writes: keys, notices }),
             };
             if let Some(rpc) = rpc {
                 prop_assert_eq!(server.handle(&rpc), model.handle(&rpc), "step {} {:?}", n, rpc);
@@ -186,6 +227,7 @@ proptest! {
                 let backup = model.backups.get(&k).map(|b| b.1.clone());
                 prop_assert_eq!(server.peek_backup(k), backup, "backup {}", k);
             }
+            prop_assert_eq!(server.pending(), model.pending.len(), "pending after step {}", n);
             let mut words = [0u64; 16];
             for (_, word, slot) in model.primary.values() {
                 words[*slot as usize / 8] = *word;

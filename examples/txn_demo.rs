@@ -10,7 +10,7 @@ use flock_repro::core::client::HandleConfig;
 use flock_repro::core::server::{FlockServer, ServerConfig};
 use flock_repro::core::{ConnectionHandle, FlockDomain};
 use flock_repro::sim::SimRng;
-use flock_repro::txn::protocol::key_partition;
+use flock_repro::txn::protocol::{key_partition, replicas_of};
 use flock_repro::txn::{Smallbank, TxnClient, TxnOutcome, TxnServer};
 
 const N_SERVERS: usize = 3;
@@ -33,10 +33,14 @@ fn main() {
         txn_servers.push(ts);
     }
 
-    // --- Load the bank -----------------------------------------------------
+    // --- Load the bank: each key on its primary and both backups ----------
     let bank = Smallbank::new(ACCOUNTS);
     for (key, value) in bank.load_keys() {
-        txn_servers[key_partition(key, N_SERVERS)].load(key, &value);
+        let p = key_partition(key, N_SERVERS);
+        txn_servers[p].load(key, &value);
+        for r in replicas_of(p, N_SERVERS) {
+            txn_servers[r].load_backup(key, &value);
+        }
     }
     let initial_total: u64 = ACCOUNTS * 2 * 1000;
     println!("loaded {ACCOUNTS} accounts ({initial_total} total balance)");
@@ -117,17 +121,23 @@ fn main() {
     println!("total balance after transfers: {total} (expected {initial_total})");
     assert_eq!(total, initial_total, "money conservation violated");
 
-    // Replicas hold the logged updates.
-    let replicated = (0..ACCOUNTS)
-        .flat_map(|a| [Smallbank::savings(a), Smallbank::checking(a)])
-        .filter(|&k| {
-            let p = key_partition(k, N_SERVERS);
-            flock_repro::txn::protocol::replicas_of(p, N_SERVERS)
-                .iter()
-                .any(|&r| txn_servers[r].peek_backup(k).is_some())
-        })
-        .count();
-    println!("{replicated} keys have replicated backups");
+    // Each worker's client settled when it dropped: every backup has
+    // applied what committed and dropped what did not.
+    let mut moved = 0;
+    for (key, loaded) in bank.load_keys() {
+        let p = key_partition(key, N_SERVERS);
+        let primary = txn_servers[p].peek(key);
+        for r in replicas_of(p, N_SERVERS) {
+            assert_eq!(
+                txn_servers[r].peek_backup(key),
+                primary,
+                "backup {r} of key {key}"
+            );
+            assert_eq!(txn_servers[r].pending(), 0, "server {r} holds a record");
+        }
+        moved += usize::from(primary.as_deref() != Some(&loaded[..]));
+    }
+    println!("every key's two backups equal its primary ({moved} balances moved)");
 
     for s in &servers {
         s.shutdown(&domain);

@@ -14,7 +14,9 @@ use flock_repro::fabric::{Access, MrTable};
 use flock_repro::hydralist::{HydraConfig, HydraList};
 use flock_repro::kvstore::{KvConfig, KvStore};
 use flock_repro::sim::Histogram;
-use flock_repro::txn::protocol::{key_partition, replicas_of, KeyRead, LogWrite, TxnResp, TxnRpc};
+use flock_repro::txn::protocol::{
+    key_partition, replicas_of, Decision, KeyRead, LogWrite, Notices, TxnResp, TxnRpc,
+};
 
 proptest! {
     /// Any set of entries round-trips through the message codec.
@@ -239,6 +241,8 @@ proptest! {
         txn_id in any::<u64>(),
         keys in vec(any::<u64>(), 0..20),
         values in vec(vec(any::<u8>(), 0..64), 0..10),
+        coord in any::<u64>(),
+        decided in vec((any::<u64>(), any::<bool>()), 0..4),
     ) {
         let kvs: Vec<(u64, Vec<u8>)> = values
             .into_iter()
@@ -249,11 +253,16 @@ proptest! {
             .iter()
             .map(|(key, value)| LogWrite { key: *key, version: txn_id ^ key, value: value.clone() })
             .collect();
+        let decided = decided
+            .into_iter()
+            .map(|(txn_id, commit)| Decision { txn_id, commit })
+            .collect();
+        let notices = Notices { coord, decided };
         for rpc in [
             TxnRpc::Execute { txn_id, reads: keys.clone(), writes: keys.clone() },
-            TxnRpc::Log { txn_id, writes: logged },
-            TxnRpc::Commit { txn_id, writes: kvs },
-            TxnRpc::Abort { txn_id, writes: keys },
+            TxnRpc::Log { txn_id, writes: logged, notices: notices.clone() },
+            TxnRpc::Commit { txn_id, writes: kvs, notices: notices.clone() },
+            TxnRpc::Abort { txn_id, writes: keys, notices },
         ] {
             prop_assert_eq!(TxnRpc::decode(&rpc.encode()), Some(rpc));
         }
